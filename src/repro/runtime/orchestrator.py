@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.chaos.schedule import ChaosSchedule
 from repro.core.compiler import CompiledApplication
 from repro.errors import RuntimeSystemError
 from repro.obs import current_metrics, current_tracer
@@ -37,7 +38,6 @@ from repro.workflow.graph import TaskGraph
 from repro.workflow.journal import RunJournal
 from repro.workflow.plan import build_task_graph
 from repro.workflow.recovery import (
-    FailureInjection,
     RecoveryStats,
     ResilientServer,
 )
@@ -145,16 +145,17 @@ class Orchestrator:
         self,
         app: CompiledApplication,
         data_locality: Optional[Dict[str, str]] = None,
-        failures: Optional[List[FailureInjection]] = None,
+        chaos: Optional[ChaosSchedule] = None,
         rounds: int = 1,
         journal: Optional[RunJournal] = None,
         resume: Optional[ReplayState] = None,
     ) -> DeploymentReport:
         """Place, select and execute; returns the deployment report.
 
-        ``journal``/``resume`` make the workflow execution durable and
-        resumable (see :mod:`repro.workflow.journal`); they apply to
-        the first round only — later rounds are warm re-runs.
+        ``chaos`` injects faults; ``journal``/``resume`` make the
+        workflow execution durable and resumable (see
+        :mod:`repro.workflow.journal`). All three apply to the first
+        round only — later rounds are warm re-runs.
         """
         if rounds < 1:
             raise RuntimeSystemError("rounds must be >= 1")
@@ -193,7 +194,7 @@ class Orchestrator:
             for _round in range(rounds):
                 trace, stats = server.run(
                     graph,
-                    failures=failures if _round == 0 else None,
+                    chaos=chaos if _round == 0 else None,
                     journal=journal if _round == 0 else None,
                     resume=resume if _round == 0 else None,
                 )

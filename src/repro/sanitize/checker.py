@@ -209,7 +209,7 @@ def sanitize_tracer(
     """Run the happens-before checker over a tracer's events.
 
     Consumes ``workflow.task`` spans carrying ``reads``/``writes``
-    args (emitted by the workflow servers) and ``workflow.resource``
+    args (emitted by the workflow server) and ``workflow.resource``
     instants, in recording order — which for simulated runs is
     completion order, so seeded replays sanitize identically.
     """

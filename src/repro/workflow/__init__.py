@@ -5,8 +5,9 @@ environments with various virtualized heterogeneous resources". This
 package provides the engine: task graphs with data objects
 (:mod:`graph`), workers bound to platform nodes (:mod:`worker`),
 scheduling policies including HyperLoom's b-level heuristic
-(:mod:`scheduler`), an orchestration server (:mod:`server`), and
-execution traces (:mod:`tracing`).
+(:mod:`scheduler`), the one orchestration server — fault-free or
+under a chaos schedule — (:mod:`recovery`), and execution traces
+(:mod:`tracing`).
 """
 
 from repro.workflow.graph import DataObject, TaskGraph, WorkflowTask
@@ -17,9 +18,7 @@ from repro.workflow.scheduler import (
     LocalityScheduler,
     SchedulerPolicy,
 )
-from repro.workflow.server import WorkflowServer
 from repro.workflow.recovery import (
-    FailureInjection,
     RecoveryStats,
     ResilientServer,
     RetryPolicy,
@@ -59,9 +58,7 @@ __all__ = [
     "FIFOScheduler",
     "BLevelScheduler",
     "LocalityScheduler",
-    "WorkflowServer",
     "ResilientServer",
-    "FailureInjection",
     "RecoveryStats",
     "RetryPolicy",
     "migrate_task",

@@ -17,13 +17,13 @@ Job kinds a launcher knows how to execute:
     throughput yardstick.
 ``graph``
     A seeded random task graph (``seed``, ``tasks``, ``workers``)
-    executed to completion on a :class:`WorkflowServer`; the result
+    executed fault-free on the :class:`ResilientServer`; the result
     records the deterministic trace digest.
 ``chaos``
     A seeded fault-injection scenario (``graph_seed``, ``fault_seed``,
-    ``tasks``, ``workers``, fault counts) on the
-    :class:`ResilientServer`. With ``durable: true`` in the spec and
-    a run store attached, the execution is write-ahead journaled
+    ``tasks``, ``workers``, fault counts) on the same server. With
+    ``durable: true`` in the spec and a run store attached, the
+    execution is write-ahead journaled
     under run id ``job-<id>`` — a launcher killed mid-job leaves a
     resumable journal, and the re-execution reproduces the unbroken
     run's trace digest byte-identically (the PR 6 contract).
@@ -61,7 +61,7 @@ def _noop_job(spec: Dict) -> Dict:
 
 def _graph_job(spec: Dict) -> Dict:
     from repro.chaos import random_task_graph
-    from repro.workflow.server import WorkflowServer
+    from repro.workflow.recovery import ResilientServer
     from repro.workflow.worker import Worker
 
     graph = random_task_graph(
@@ -72,7 +72,7 @@ def _graph_job(spec: Dict) -> Dict:
         Worker(f"w{index}", node_name=f"n{index}", cpus=2)
         for index in range(int(spec.get("workers", 2)))
     ]
-    trace = WorkflowServer(workers).run(graph)
+    trace, _ = ResilientServer(workers).run(graph)
     return {"digest": trace.digest(), "makespan": trace.makespan}
 
 

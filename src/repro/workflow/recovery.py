@@ -1,24 +1,36 @@
-"""Fault tolerance and migration for the workflow engine.
+"""The workflow execution engine, with fault tolerance and migration.
 
 Paper §IV: "Tasks are defined in a way that allows runtime migration
 of both data and computations" and the runtime can "seamlessly move
 the computation between edge nodes and also between edge and cloud
 parts". This module provides:
 
-* :class:`FailureInjection` — a worker crash at a simulated time (the
-  legacy single-fault interface, kept for compatibility);
 * :class:`RetryPolicy` — configurable retry count, task timeout and
   exponential backoff for re-queued task attempts;
-* :class:`ResilientServer` — a workflow server that survives the whole
-  chaos fault vocabulary (:mod:`repro.chaos.faults`): worker crashes
-  *and restarts*, link degradation/partition, vFPGA reconfiguration
-  failures, stragglers, and transient task faults. Running tasks on a
-  dead worker are re-queued with backoff, objects whose only copy died
-  are recovered through *lineage* (their producer chain is
-  re-executed), external inputs are re-fetched from durable storage,
-  and restarted workers are re-admitted to the pool. Every fault and
-  every recovery action lands in the
-  :class:`~repro.workflow.tracing.ExecutionTrace`.
+* :class:`ResilientServer` — the one workflow server. It runs a
+  :class:`~repro.workflow.graph.TaskGraph` over a pool of
+  :class:`~repro.workflow.worker.Worker` instances on the
+  discrete-event simulator, staging data objects between workers
+  (through the ecosystem topology when one is provided); a fault-free
+  run is a run with no :class:`~repro.chaos.schedule.ChaosSchedule`.
+  Under one it survives the whole chaos fault vocabulary
+  (:mod:`repro.chaos.faults`): worker crashes *and restarts*, link
+  degradation/partition, vFPGA reconfiguration failures, stragglers,
+  and transient task faults. Running tasks on a dead worker are
+  re-queued with backoff, objects whose only copy died are recovered
+  through *lineage* (their producer chain is re-executed), external
+  inputs are re-fetched from durable storage, and restarted workers
+  are re-admitted to the pool. Every fault and every recovery action
+  lands in the :class:`~repro.workflow.tracing.ExecutionTrace`.
+
+Every run is traced: the server emits task spans (one lane per
+worker), staging-transfer spans, scheduler-decision instants and
+ready-queue counters into a simulated-time tracer, and the returned
+``ExecutionTrace`` is a view over those events
+(:meth:`~repro.workflow.tracing.ExecutionTrace.from_tracer`). When an
+enabled tracer is passed in — or installed ambiently via
+:func:`repro.obs.observe` — the whole simulated timeline is absorbed
+into it as its own process for Chrome-trace export.
 
 The recovery model mirrors Spark/HyperLoom lineage: nothing is
 checkpointed, everything is recomputable from the graph. During a
@@ -43,22 +55,17 @@ from repro.chaos.faults import (
 )
 from repro.chaos.schedule import ChaosSchedule
 from repro.errors import ChaosError, PlatformError, WorkflowError
-from repro.obs import Tracer, current_metrics
+from repro.obs import SimClock, Tracer, current_metrics, current_tracer
 from repro.platform.simulator import Simulator
 from repro.platform.topology import Ecosystem
 from repro.workflow.graph import TaskGraph
-from repro.workflow.journal import RunJournal
-from repro.workflow.replay import EXEC_CATEGORY, ReplayState
-from repro.workflow.scheduler import BLevelScheduler, SchedulerPolicy
-from repro.workflow.server import (
-    RESOURCE_EVENT_CATEGORY,
-    SCHED_CATEGORY,
-    TRANSFER_CATEGORY,
-    begin_journal,
-    end_journal,
-    make_sim_tracer,
-    publish_run,
+from repro.workflow.journal import RunJournal, journal_error
+from repro.workflow.replay import (
+    EXEC_CATEGORY,
+    PayloadSkipper,
+    ReplayState,
 )
+from repro.workflow.scheduler import BLevelScheduler, SchedulerPolicy
 from repro.workflow.tracing import (
     FAULT_CATEGORY,
     RECOVERY_CATEGORY,
@@ -67,18 +74,90 @@ from repro.workflow.tracing import (
 )
 from repro.workflow.worker import Worker
 
+#: Tracer categories for the extra (non-ExecutionTrace) detail.
+TRANSFER_CATEGORY = "workflow.transfer"
+SCHED_CATEGORY = "workflow.sched"
+#: Worker-slot request/release instants consumed by repro.sanitize.
+RESOURCE_EVENT_CATEGORY = "workflow.resource"
+
+
+def make_sim_tracer(sim: Simulator, graph_name: str) -> Tracer:
+    """A simulated-time tracer for one run, attached to the engine."""
+    tracer = Tracer(clock=SimClock(sim), enabled=True,
+                    process=f"workflow:{graph_name}")
+    sim.tracer = tracer
+    return tracer
+
+
+def begin_journal(
+    journal: Optional[RunJournal],
+    events: Tracer,
+    graph: TaskGraph,
+    policy_name: str,
+    workers: List[Worker],
+    resume: Optional[ReplayState],
+) -> Optional[PayloadSkipper]:
+    """Server prologue for durable/resumed execution.
+
+    When resuming, the journaled header must describe the same run
+    recipe we are about to re-execute — same graph content, policy and
+    worker pool — otherwise the deterministic replay would silently
+    diverge from what the journal proves happened; that mismatch is a
+    hard ``WF009`` error. When journaling, the header is written and
+    the journal hooks the simulated-time tracer so every transition is
+    durable before execution proceeds.
+
+    Returns the payload skipper for a resumed run (None otherwise).
+    """
+    recipe = {
+        "graph": graph.name,
+        "graph_digest": graph.digest(),
+        "policy": policy_name,
+        "workers": [worker.name for worker in workers],
+        "tasks": len(graph.tasks),
+    }
+    if resume is not None and resume.header is not None:
+        for key in ("graph_digest", "policy", "workers"):
+            expected = resume.header.get(key)
+            if expected != recipe[key]:
+                raise journal_error(
+                    "WF009",
+                    f"resume state was journaled for {key}="
+                    f"{expected!r} but this run has {recipe[key]!r}; "
+                    f"rebuild the run from its recorded recipe",
+                    anchor=graph.name,
+                )
+    if journal is not None:
+        journal.start(recipe)
+        journal.attach(events)
+    return resume.payload_skipper() if resume is not None else None
+
+
+def end_journal(journal: Optional[RunJournal],
+                trace: ExecutionTrace) -> None:
+    """Seal a journaled run: final digest record, tracer detached."""
+    if journal is None:
+        return
+    journal.finish(trace.digest(), makespan=trace.makespan)
+    journal.detach()
+
+
+def publish_run(sim_tracer: Tracer, graph_name: str,
+                tracer: Optional[Tracer]) -> None:
+    """Absorb a run's simulated timeline into the session tracer."""
+    target = tracer if tracer is not None else current_tracer()
+    if target.enabled:
+        target.absorb(sim_tracer, process=f"workflow:{graph_name}")
+
+
+#: Default inter-worker staging model when no ecosystem is given.
+_DEFAULT_LATENCY_S = 1e-3
+_DEFAULT_BANDWIDTH = 1e9  # bytes/second
+
 #: Cost returned to the scheduler for a placement whose staging path is
 #: currently unavailable (partition / lineage in flight): finite so
 #: policies can still order candidates, large enough to lose every tie.
 _UNREACHABLE_COST = 1e9
-
-
-@dataclass(frozen=True)
-class FailureInjection:
-    """Crash ``worker`` at simulated ``at_time`` seconds (legacy API)."""
-
-    worker: str
-    at_time: float
 
 
 @dataclass(frozen=True)
@@ -128,7 +207,7 @@ class RecoveryStats:
 
 
 class ResilientServer:
-    """Workflow server with crash recovery and task re-execution."""
+    """Executes task graphs over a worker pool, recovering from faults."""
 
     def __init__(
         self,
@@ -141,6 +220,9 @@ class ResilientServer:
         if not workers:
             raise WorkflowError("server needs at least one worker")
         self.workers = list(workers)
+        self._by_name = {worker.name: worker for worker in workers}
+        if len(self._by_name) != len(workers):
+            raise WorkflowError("worker names must be unique")
         self.ecosystem = ecosystem
         self.policy = policy or BLevelScheduler()
         self.refetch_latency_s = refetch_latency_s
@@ -158,10 +240,10 @@ class ResilientServer:
         return [w for w in self.workers if w.name not in self._failed]
 
     def _worker(self, name: str) -> Worker:
-        for worker in self.workers:
-            if worker.name == name:
-                return worker
-        raise WorkflowError(f"unknown worker {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise WorkflowError(f"unknown worker {name!r}") from None
 
     def _transfer_seconds(self, source: str, target: str,
                           size_bytes: int) -> float:
@@ -184,16 +266,17 @@ class ResilientServer:
         for bw_factor, lat_add in self._default_degradations:
             factor *= bw_factor
             latency_add += lat_add
-        return 1e-3 + latency_add + size_bytes / (1e9 * factor)
+        return _DEFAULT_LATENCY_S + latency_add + size_bytes / (
+            _DEFAULT_BANDWIDTH * factor
+        )
 
     # ------------------------------------------------------------------
 
     def _validate_faults(self, chaos: ChaosSchedule) -> None:
-        names = {worker.name for worker in self.workers}
         for fault in chaos.faults:
             if isinstance(fault, (WorkerCrash, ReconfigFault,
                                   StragglerFault)):
-                if fault.worker not in names:
+                if fault.worker not in self._by_name:
                     raise WorkflowError(
                         f"{fault.kind} names unknown worker "
                         f"{fault.worker!r}"
@@ -214,18 +297,17 @@ class ResilientServer:
     def run(
         self,
         graph: TaskGraph,
-        failures: Optional[List[FailureInjection]] = None,
         chaos: Optional[ChaosSchedule] = None,
         tracer: Optional[Tracer] = None,
         journal: Optional[RunJournal] = None,
         resume: Optional[ReplayState] = None,
     ) -> tuple:
-        """Execute with fault injection and recovery.
+        """Execute the graph to completion, recovering from faults.
 
-        ``failures`` is the legacy interface (permanent worker crashes);
-        ``chaos`` is a full :class:`ChaosSchedule`; ``tracer`` (or the
-        ambient session tracer) receives the simulated timeline as a
-        ``workflow:<graph>`` process. ``journal`` write-ahead logs
+        ``chaos`` is the :class:`ChaosSchedule` to inject (none: a
+        fault-free run); ``tracer`` (or the ambient session tracer)
+        receives the simulated timeline as a ``workflow:<graph>``
+        process. ``journal`` write-ahead logs
         every transition (faults and recoveries included) so the run
         survives a process crash; ``resume`` replays a crashed run —
         the deterministic timeline is re-executed, payloads that
@@ -245,18 +327,9 @@ class ResilientServer:
         stats = RecoveryStats()
         metrics = current_metrics()
 
-        all_faults: List = []
-        for injection in failures or []:
-            if injection.worker not in {w.name for w in self.workers}:
-                raise WorkflowError(
-                    f"failure names unknown worker {injection.worker!r}"
-                )
-            all_faults.append(WorkerCrash(
-                worker=injection.worker, at_time=injection.at_time,
-            ))
         if chaos is not None:
             self._validate_faults(chaos)
-            all_faults.extend(chaos.faults)
+        all_faults = chaos.faults if chaos is not None else []
         task_fault_names = {
             fault.task for fault in all_faults
             if isinstance(fault, TaskFault)
@@ -315,10 +388,9 @@ class ResilientServer:
         locations: Dict[str, str] = {}
         homes: Dict[str, str] = {}
         for obj in graph.external_inputs():
-            home = obj.locality or self.workers[0].name
-            worker = next(
-                (w for w in self.workers
-                 if w.name == home or w.node_name == home),
+            # locality names a worker, else a node, else the first worker
+            worker = self._by_name.get(obj.locality) or next(
+                (w for w in self.workers if w.node_name == obj.locality),
                 self.workers[0],
             )
             locations[obj.name] = worker.name
@@ -520,7 +592,7 @@ class ResilientServer:
                 )
                 return
             running.pop(task_name, None)
-            worker.busy_seconds += task.duration_s * task.cpus
+            worker.busy_seconds += duration * task.cpus
             worker.tasks_executed += 1
             worker.release(task.cpus)
             resource_event("release", worker, task.cpus)
@@ -839,5 +911,5 @@ def migrate_task(
                 source.node_name, target.node_name, size
             )
         elif source.name != target.name:
-            total += 1e-3 + size / 1e9
+            total += _DEFAULT_LATENCY_S + size / _DEFAULT_BANDWIDTH
     return total

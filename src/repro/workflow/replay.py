@@ -29,7 +29,7 @@ from typing import Dict, Optional
 from repro.workflow.tracing import FAULT_CATEGORY, RECOVERY_CATEGORY, TASK_CATEGORY
 
 #: Tracer category for task payload-invocation points (emitted by the
-#: servers when a journal is attached; see workflow/server.py).
+#: server when a journal is attached; see workflow/recovery.py).
 EXEC_CATEGORY = "workflow.exec"
 #: Tracer category for journal bookkeeping instants (snapshots,
 #: checkpoints) surfaced in exported Chrome traces.

@@ -1,6 +1,6 @@
 """ExecutionTrace as a view over the tracer: digest regression.
 
-The servers now emit tracer events and derive the ``ExecutionTrace``
+The server emits tracer events and derives the ``ExecutionTrace``
 from them. These tests pin the two compatibility promises: chaos
 digests are unaffected by whether an observation session is installed,
 and traced replays of the same seeds are byte-identical.
@@ -15,7 +15,6 @@ from repro.obs import (
     validate_chrome_trace,
 )
 from repro.workflow.recovery import ResilientServer
-from repro.workflow.server import WorkflowServer
 from repro.workflow.tracing import (
     FAULT_CATEGORY,
     RECOVERY_CATEGORY,
@@ -75,7 +74,7 @@ class TestFromTracer:
         graph.add_task(WorkflowTask(
             "t", inputs=["in"], outputs=["out"], duration_s=0.1,
         ))
-        trace = WorkflowServer(make_pool(2)).run(graph)
+        trace, _ = ResilientServer(make_pool(2)).run(graph)
         assert [r.task for r in trace.records] == ["t"]
         assert trace.makespan > 0
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.chaos import ChaosSchedule, WorkerCrash
 from repro.core.compiler import EverestCompiler
 from repro.core.dse.space import DesignSpace
 from repro.core.dsl.workflow import Pipeline
@@ -10,7 +11,6 @@ from repro.errors import RuntimeSystemError
 from repro.platform.topology import build_reference_ecosystem
 from repro.runtime.autotuner.goals import Goal, GoalKind
 from repro.runtime.orchestrator import Orchestrator
-from repro.workflow.recovery import FailureInjection
 
 KERNELS = """
 kernel filter(X: tensor<512xf32>, T: tensor<512xf32>)
@@ -89,7 +89,7 @@ class TestOrchestrator:
         victim = clean.trace.records[0].worker
         report = orchestrator.deploy(
             app,
-            failures=[FailureInjection(victim, at_time=1e-7)],
+            chaos=ChaosSchedule(0, [WorkerCrash(victim, at_time=1e-7)]),
         )
         assert report.recovery is not None
         assert report.recovery.failures == 1

@@ -19,8 +19,8 @@ from repro.core.ir import parse_module, print_module, verify
 from repro.core.variants import CostEstimate, Variant, VariantKnobs
 from repro.utils.rng import deterministic_rng
 from repro.workflow.graph import DataObject, TaskGraph, WorkflowTask
+from repro.workflow.recovery import ResilientServer
 from repro.workflow.scheduler import make_policy
-from repro.workflow.server import WorkflowServer
 from repro.workflow.worker import Worker
 
 # ----------------------------------------------------------------------
@@ -60,12 +60,12 @@ def random_dag(draw):
        st.sampled_from(["fifo", "b-level", "locality"]))
 def test_property_makespan_bounds(graph, workers, policy_name):
     """critical path <= makespan <= total work + staging."""
-    server = WorkflowServer(
+    server = ResilientServer(
         [Worker(f"w{i}", node_name=f"n{i}", cpus=1)
          for i in range(workers)],
         policy=make_policy(policy_name),
     )
-    trace = server.run(graph)
+    trace, _ = server.run(graph)
     assert len(trace.records) == len(graph.tasks)
     assert trace.makespan >= graph.critical_path_length() - 1e-9
     slack = trace.total_transfer_seconds() + 1e-9
@@ -75,11 +75,11 @@ def test_property_makespan_bounds(graph, workers, policy_name):
 @settings(max_examples=25, deadline=None)
 @given(random_dag())
 def test_property_dependencies_never_violated(graph):
-    server = WorkflowServer(
+    server = ResilientServer(
         [Worker("w0", node_name="n0", cpus=2),
          Worker("w1", node_name="n1", cpus=2)],
     )
-    trace = server.run(graph)
+    trace, _ = server.run(graph)
     ends = {record.task: record.end for record in trace.records}
     starts = {record.task: record.start for record in trace.records}
     for task_name in graph.tasks:

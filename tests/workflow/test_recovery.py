@@ -2,14 +2,14 @@
 
 import pytest
 
+from repro.chaos import ChaosSchedule, WorkerCrash
 from repro.errors import WorkflowError
 from repro.workflow.graph import DataObject, TaskGraph, WorkflowTask
 from repro.workflow.recovery import (
-    FailureInjection,
+    RecoveryStats,
     ResilientServer,
     migrate_task,
 )
-from repro.workflow.server import WorkflowServer
 from repro.workflow.worker import Worker
 
 
@@ -48,17 +48,23 @@ def pool(count=3):
     ]
 
 
+def crashes(*victims) -> ChaosSchedule:
+    """Permanent worker crashes, one per (worker, at_time) pair."""
+    return ChaosSchedule(0, [
+        WorkerCrash(worker, at_time) for worker, at_time in victims
+    ])
+
+
 class TestNoFailures:
-    def test_matches_plain_server_semantics(self):
-        graph = fan_graph()
-        trace, stats = ResilientServer(pool()).run(graph)
+    def test_empty_schedule_is_the_fault_free_run(self):
+        trace, stats = ResilientServer(pool()).run(fan_graph())
         assert len(trace.records) == 7
-        assert stats.failures == 0
-        assert stats.tasks_requeued == 0
-        plain = WorkflowServer(pool()).run(fan_graph())
-        # same work completes; makespans comparable
-        assert trace.makespan == pytest.approx(plain.makespan,
-                                               rel=0.5)
+        assert stats == RecoveryStats()
+        empty, empty_stats = ResilientServer(pool()).run(
+            fan_graph(), chaos=ChaosSchedule(seed=0)
+        )
+        assert empty.to_json() == trace.to_json()
+        assert empty_stats == RecoveryStats()
 
     def test_all_tasks_complete(self):
         graph = chain_graph()
@@ -71,7 +77,7 @@ class TestCrashRecovery:
         graph = chain_graph(length=3, duration=2.0)
         server = ResilientServer(pool(2))
         trace, stats = server.run(
-            graph, failures=[FailureInjection("w0", at_time=1.0)]
+            graph, chaos=crashes(("w0", 1.0))
         )
         assert stats.failures == 1
         # the mid-flight task was re-run elsewhere
@@ -88,7 +94,7 @@ class TestCrashRecovery:
         graph = chain_graph(length=4, duration=1.0)
         server = ResilientServer(pool(2))
         trace, stats = server.run(
-            graph, failures=[FailureInjection("w0", at_time=2.5)]
+            graph, chaos=crashes(("w0", 2.5))
         )
         completed = {r.task for r in trace.records}
         assert completed >= set(graph.tasks)
@@ -104,7 +110,7 @@ class TestCrashRecovery:
         graph = fan_graph()
         server = ResilientServer(pool(3))
         trace, stats = server.run(
-            graph, failures=[FailureInjection("w0", at_time=0.0005)]
+            graph, chaos=crashes(("w0", 0.0005))
         )
         assert {r.task for r in trace.records} >= set(graph.tasks)
         assert stats.objects_lost >= 1
@@ -116,7 +122,7 @@ class TestCrashRecovery:
         graph = fan_graph()
         server = ResilientServer(pool(3))
         trace, stats = server.run(
-            graph, failures=[FailureInjection("w0", at_time=0.5)]
+            graph, chaos=crashes(("w0", 0.5))
         )
         assert {r.task for r in trace.records} >= set(graph.tasks)
         assert stats.objects_lost == 0
@@ -126,7 +132,7 @@ class TestCrashRecovery:
         graph = fan_graph(width=8)
         clean, _ = ResilientServer(pool(3)).run(fan_graph(width=8))
         crashed, stats = ResilientServer(pool(3)).run(
-            graph, failures=[FailureInjection("w1", at_time=0.5)]
+            graph, chaos=crashes(("w1", 0.5))
         )
         assert stats.failures == 1
         assert crashed.makespan >= clean.makespan
@@ -137,26 +143,22 @@ class TestCrashRecovery:
         graph = chain_graph(length=3, duration=5.0)
         server = ResilientServer(pool(2))
         with pytest.raises(WorkflowError, match="all workers failed"):
-            server.run(graph, failures=[
-                FailureInjection("w0", at_time=1.0),
-                FailureInjection("w1", at_time=1.5),
-            ])
+            server.run(graph, chaos=crashes(("w0", 1.0), ("w1", 1.5)))
 
     def test_unknown_worker_failure_rejected(self):
         server = ResilientServer(pool(2))
         with pytest.raises(WorkflowError, match="unknown worker"):
             server.run(
                 chain_graph(),
-                failures=[FailureInjection("ghost", at_time=0.1)],
+                chaos=crashes(("ghost", 0.1)),
             )
 
     def test_two_failures_survived(self):
         graph = fan_graph(width=10)
         server = ResilientServer(pool(4))
-        trace, stats = server.run(graph, failures=[
-            FailureInjection("w0", at_time=0.4),
-            FailureInjection("w3", at_time=1.2),
-        ])
+        trace, stats = server.run(
+            graph, chaos=crashes(("w0", 0.4), ("w3", 1.2))
+        )
         assert stats.failures == 2
         assert {r.task for r in trace.records} >= set(graph.tasks)
 
@@ -166,9 +168,6 @@ class TestEdgeCases:
         """The producer's worker dies holding the sole copy of an
         object three consumers need: lineage must re-run the producer
         and every consumer must still complete."""
-        from repro.chaos.faults import WorkerCrash
-        from repro.chaos.schedule import ChaosSchedule
-
         graph = TaskGraph("multi-consumer")
         graph.add_object(DataObject("in", size_bytes=1000,
                                     locality="w0"))
@@ -202,7 +201,7 @@ class TestEdgeCases:
         mid-flight: the sink is re-executed on the survivor."""
         graph = chain_graph(length=2, duration=1.0)
         trace, stats = ResilientServer(pool(2)).run(
-            graph, failures=[FailureInjection("w0", at_time=1.5)]
+            graph, chaos=crashes(("w0", 1.5))
         )
         assert {r.task for r in trace.records} == set(graph.tasks)
         sink_records = [r for r in trace.records if r.task == "t1"]
@@ -213,9 +212,6 @@ class TestEdgeCases:
         assert sink_records[0].start > 1.5
 
     def test_two_workers_crash_at_same_timestamp(self):
-        from repro.chaos.faults import WorkerCrash
-        from repro.chaos.schedule import ChaosSchedule
-
         def run_once():
             graph = fan_graph(width=8)
             return ResilientServer(pool(3)).run(

@@ -9,8 +9,8 @@ reports stand on.
 
 from repro.obs import observe, session
 from repro.workflow.graph import DataObject, TaskGraph, WorkflowTask
+from repro.workflow.recovery import SCHED_CATEGORY, ResilientServer
 from repro.workflow.scheduler import make_policy
-from repro.workflow.server import SCHED_CATEGORY, WorkflowServer
 from repro.workflow.worker import Worker
 
 
@@ -33,7 +33,7 @@ def dispatch_order(policy_name: str):
     workers = [Worker("w0", node_name="n0", cpus=1)]
     obs = session(deterministic=True)
     with observe(obs):
-        server = WorkflowServer(
+        server = ResilientServer(
             workers, policy=make_policy(policy_name)
         )
         server.run(graph)
@@ -66,7 +66,7 @@ class TestTieBreakDeterminism:
         workers = [Worker("w0", node_name="n0", cpus=1)]
         obs = session(deterministic=True)
         with observe(obs):
-            WorkflowServer(
+            ResilientServer(
                 workers, policy=make_policy("b-level")
             ).run(graph)
         order = [

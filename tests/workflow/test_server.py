@@ -2,16 +2,17 @@
 
 import pytest
 
+from repro.chaos import ChaosSchedule, StragglerFault, random_task_graph
 from repro.errors import WorkflowError
-from repro.platform.topology import Tier, build_reference_ecosystem
+from repro.platform.topology import build_reference_ecosystem
 from repro.workflow.graph import DataObject, TaskGraph, WorkflowTask
+from repro.workflow.recovery import ResilientServer
 from repro.workflow.scheduler import (
     BLevelScheduler,
     FIFOScheduler,
     LocalityScheduler,
     make_policy,
 )
-from repro.workflow.server import WorkflowServer
 from repro.workflow.worker import Worker
 
 
@@ -67,34 +68,34 @@ class TestWorker:
 
 class TestServerExecution:
     def test_all_tasks_complete(self):
-        server = WorkflowServer(pool(3))
-        trace = server.run(chain_and_fan())
+        server = ResilientServer(pool(3))
+        trace, _ = server.run(chain_and_fan())
         assert len(trace.records) == 12
 
     def test_makespan_at_least_critical_path(self):
         graph = chain_and_fan()
-        server = WorkflowServer(pool(8))
-        trace = server.run(graph)
+        server = ResilientServer(pool(8))
+        trace, _ = server.run(graph)
         assert trace.makespan >= graph.critical_path_length() - 1e-9
 
     def test_makespan_at_most_serial(self):
         graph = chain_and_fan()
-        server = WorkflowServer(pool(4))
-        trace = server.run(graph)
+        server = ResilientServer(pool(4))
+        trace, _ = server.run(graph)
         assert trace.makespan <= graph.total_work() + 1e-9
 
     def test_single_worker_serializes(self):
         graph = chain_and_fan()
-        server = WorkflowServer(pool(1))
-        trace = server.run(graph)
+        server = ResilientServer(pool(1))
+        trace, _ = server.run(graph)
         # one worker, one slot: makespan == total work (+ staging 0,
         # data starts on the only worker)
         assert trace.makespan == pytest.approx(graph.total_work())
 
     def test_dependencies_respected(self):
         graph = chain_and_fan()
-        server = WorkflowServer(pool(4))
-        trace = server.run(graph)
+        server = ResilientServer(pool(4))
+        trace, _ = server.run(graph)
         ends = {r.task: r.end for r in trace.records}
         starts = {r.task: r.start for r in trace.records}
         for index in range(1, 4):
@@ -103,8 +104,8 @@ class TestServerExecution:
 
     def test_parallelism_helps(self):
         graph = chain_and_fan()
-        slow = WorkflowServer(pool(1)).run(graph)
-        fast = WorkflowServer(pool(4)).run(graph)
+        slow, _ = ResilientServer(pool(1)).run(graph)
+        fast, _ = ResilientServer(pool(4)).run(graph)
         assert fast.makespan < slow.makespan
 
     def test_faster_worker_preferred_by_blevel(self):
@@ -113,27 +114,155 @@ class TestServerExecution:
             Worker("slow", node_name="a", cpus=1, speed_factor=1.0),
             Worker("fast", node_name="b", cpus=1, speed_factor=4.0),
         ]
-        server = WorkflowServer(workers, policy=BLevelScheduler())
-        trace = server.run(graph)
+        server = ResilientServer(workers, policy=BLevelScheduler())
+        trace, _ = server.run(graph)
         counts = trace.per_worker_counts()
         assert counts.get("fast", 0) >= counts.get("slow", 0)
 
     def test_utilization_bounds(self):
         graph = chain_and_fan()
-        server = WorkflowServer(pool(2))
-        trace = server.run(graph)
-        utilization = trace.utilization(server.total_slots())
+        server = ResilientServer(pool(2))
+        trace, _ = server.run(graph)
+        utilization = trace.utilization(total_slots=2)
         assert 0.0 < utilization <= 1.0
 
     def test_empty_worker_pool_rejected(self):
         with pytest.raises(WorkflowError):
-            WorkflowServer([])
+            ResilientServer([])
 
     def test_duplicate_worker_names_rejected(self):
         with pytest.raises(WorkflowError):
-            WorkflowServer([
+            ResilientServer([
                 Worker("w", node_name="a"), Worker("w", node_name="b"),
             ])
+
+
+class TestBusyAccounting:
+    """busy_seconds charges the stretched duration, not the nominal."""
+
+    @staticmethod
+    def chain(length):
+        graph = TaskGraph("busy")
+        graph.add_object(DataObject("in"))
+        previous = "in"
+        for index in range(length):
+            graph.add_task(WorkflowTask(
+                f"t{index}", inputs=[previous], outputs=[f"o{index}"],
+                duration_s=1.0,
+            ))
+            previous = f"o{index}"
+        return graph
+
+    def test_slow_worker_is_fully_busy(self):
+        worker = Worker("w", node_name="n", cpus=1, speed_factor=0.5)
+        trace, _ = ResilientServer([worker]).run(self.chain(1))
+        assert trace.makespan == pytest.approx(2.0)
+        assert worker.busy_seconds == pytest.approx(2.0)
+        assert worker.utilization(trace.makespan) == pytest.approx(1.0)
+
+    def test_straggler_is_fully_busy(self):
+        worker = Worker("w", node_name="n", cpus=1)
+        trace, _ = ResilientServer([worker]).run(
+            self.chain(2),
+            chaos=ChaosSchedule(0, [StragglerFault(
+                "w", at_time=0.5, duration_s=10.0, slowdown=2.0,
+            )]),
+        )
+        # t0 started at full speed, t1 under the 2x slowdown
+        assert trace.makespan == pytest.approx(3.0)
+        assert worker.busy_seconds == pytest.approx(3.0)
+
+
+class TestExternalInputHome:
+    """An input's locality names a worker first, then a node."""
+
+    @staticmethod
+    def run(locality):
+        graph = TaskGraph("home")
+        graph.add_object(DataObject("in", size_bytes=10**6,
+                                    locality=locality))
+        graph.add_task(WorkflowTask(
+            "t", inputs=["in"], outputs=["o"], duration_s=0.1,
+        ))
+        # "x" is the second worker's name and the first one's node
+        workers = [
+            Worker("a", node_name="x"), Worker("x", node_name="y"),
+        ]
+        trace, _ = ResilientServer(
+            workers, policy=LocalityScheduler()
+        ).run(graph)
+        assert trace.bytes_moved == 0
+        return trace.records[0].worker
+
+    def test_worker_name_beats_node_name(self):
+        assert self.run("x") == "x"
+
+    def test_node_name_finds_first_worker_on_it(self):
+        assert self.run("y") == "x"
+
+    def test_unknown_locality_falls_back_to_first_worker(self):
+        assert self.run("nowhere") == "a"
+        assert self.run(None) == "a"
+
+
+#: Fault-free trace digests, seed/policy/topology -> digest, taken when
+#: the engine that only ran fault-free graphs was deleted: both engines
+#: agreed on every cell in everything but the ``+recovery`` policy
+#: label, so these pin the fault-free timeline.
+GOLDEN_DIGESTS = {
+    "0/fifo/flat": "ea725ee97e48bca2",
+    "0/fifo/eco": "3c77fae092976cd0",
+    "0/b-level/flat": "523406ffa5d7f3e5",
+    "0/b-level/eco": "dbe91a4330f6ee9f",
+    "0/locality/flat": "c50c21e41ad2c323",
+    "0/locality/eco": "81f5b0d4f979a6c1",
+    "1/fifo/flat": "2cb39791e7189bd3",
+    "1/fifo/eco": "d0f452f1d0e8c792",
+    "1/b-level/flat": "9ef8c29b8a32e977",
+    "1/b-level/eco": "d74a396dc73bd7bb",
+    "1/locality/flat": "78cfe1a23754f4a0",
+    "1/locality/eco": "a7e9604f6a642ba4",
+    "2/fifo/flat": "0e82c06adecb36b9",
+    "2/fifo/eco": "ca66e428f980b43e",
+    "2/b-level/flat": "5147938dfdc868b8",
+    "2/b-level/eco": "e671164e3c069d55",
+    "2/locality/flat": "40c655b4e4f1d31b",
+    "2/locality/eco": "33e862f10d9bdb65",
+    "3/fifo/flat": "ecaa995874ec9bc5",
+    "3/fifo/eco": "7cadaf5c8e3e558c",
+    "3/b-level/flat": "b50d4cb2f27263ae",
+    "3/b-level/eco": "8f5aa46024d2b1df",
+    "3/locality/flat": "08d9d6d20a25a3a0",
+    "3/locality/eco": "a6c56d1e33f0e6a8",
+    "4/fifo/flat": "d0556eac31dbd8ac",
+    "4/fifo/eco": "ad4fa10d5e15eefc",
+    "4/b-level/flat": "bd336db4768bd380",
+    "4/b-level/eco": "8d3d19483d95f202",
+    "4/locality/flat": "32935dc69e0aa4b9",
+    "4/locality/eco": "d21f49e1a5b32afb",
+}
+ECOSYSTEM_NODES = ["edge-0", "power9-0", "cloudfpga-0", "edge-1"]
+
+
+class TestFaultFreeGoldens:
+    @pytest.mark.parametrize("key", sorted(GOLDEN_DIGESTS))
+    def test_digest_pinned(self, key):
+        seed, policy, topology = key.split("/")
+        on_ecosystem = topology == "eco"
+        nodes = ECOSYSTEM_NODES if on_ecosystem else [
+            f"n{index}" for index in range(4)
+        ]
+        workers = [
+            Worker(f"w{index}", node_name=node, cpus=2)
+            for index, node in enumerate(nodes)
+        ]
+        trace, _ = ResilientServer(
+            workers,
+            ecosystem=build_reference_ecosystem() if on_ecosystem
+            else None,
+            policy=make_policy(policy),
+        ).run(random_task_graph(int(seed), num_tasks=24))
+        assert trace.digest() == GOLDEN_DIGESTS[key]
 
 
 class TestPolicies:
@@ -161,9 +290,12 @@ class TestPolicies:
                 outputs=[f"c{index}"], duration_s=2.0,
             ))
             previous = f"c{index}"
-        fifo = WorkflowServer(pool(2), policy=FIFOScheduler()).run(graph)
-        blevel = WorkflowServer(pool(2),
-                                policy=BLevelScheduler()).run(graph)
+        fifo, _ = ResilientServer(
+            pool(2), policy=FIFOScheduler()
+        ).run(graph)
+        blevel, _ = ResilientServer(
+            pool(2), policy=BLevelScheduler()
+        ).run(graph)
         assert blevel.makespan <= fifo.makespan
 
     def test_locality_reduces_movement_on_ecosystem(self):
@@ -183,10 +315,10 @@ class TestPolicies:
                 Worker("cloud-w", node_name="power9-0", cpus=4),
             ]
 
-        fifo = WorkflowServer(
+        fifo, _ = ResilientServer(
             workers(), ecosystem=eco, policy=FIFOScheduler()
         ).run(graph)
-        locality = WorkflowServer(
+        locality, _ = ResilientServer(
             workers(), ecosystem=eco, policy=LocalityScheduler()
         ).run(graph)
         assert locality.bytes_moved <= fifo.bytes_moved
@@ -195,5 +327,5 @@ class TestPolicies:
 
     def test_trace_wait_accounting(self):
         graph = chain_and_fan()
-        trace = WorkflowServer(pool(1)).run(graph)
+        trace, _ = ResilientServer(pool(1)).run(graph)
         assert trace.average_wait() > 0.0
