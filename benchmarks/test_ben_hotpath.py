@@ -1,223 +1,41 @@
-"""Experiment ben-hotpath — the compile hot path fixes pay off.
+"""Experiment ben-hotpath — the compile hot path stays fixed.
 
 Three fixes share this experiment: the version-counter digest memo
 (an unmutated module is printed and hashed once per process instead of
 once per consumer), the heap-based list scheduler (next-free-cycle
 jumps instead of probing every cycle under memport contention), and
 digest threading through the packaging path (no re-digest per feasible
-variant). The baseline below restores the pre-fix behavior exactly —
-memoization disabled, the O(n²·cycles) sweep scheduler monkeypatched
-back in, and ``digest=None`` at every entry point so each consumer
-re-hashes — and the claim quantified is that a cold compile+DSE run is
-at least 3x faster with the fixes on a port-contended kernel, while
-producing byte-identical exploration results. Two more properties ride
-along: repeated digest lookups on an unmutated module never re-print,
-and process-pool evaluation reproduces the serial front byte for byte
-at every worker count.
+variant). What they bought is tracked by the committed end-to-end
+benchmark (``benchmarks/e2e``, workload ``compile_cold``), not by a
+floor against a restored baseline; the heap scheduler's byte-identity
+with the sweep it replaced is pinned in
+``tests/hls/test_scheduler_equivalence.py``, which owns the reference
+implementation and the port-contended kernel used here. This file keeps
+the two properties that ride along: repeated digest lookups on an
+unmutated module never re-print, and process-pool evaluation reproduces
+the serial front byte for byte at every worker count.
 """
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
-import repro.core.ir  # noqa: F401  (import cycle guard: ir before hls)
-from repro.core.dse import cost_model
 from repro.core.dse.cache import clear_caches
 from repro.core.dse.explorer import Explorer
 from repro.core.dse.space import DesignSpace
 from repro.core.dsl.kernel_dsl import compile_kernel
-from repro.core.hls import scheduling
-from repro.core.hls.scheduling import latency_of
 from repro.core.ir.digest import (
-    digest_memoization,
     digest_stats,
     module_digest,
     reset_digest_stats,
 )
-from repro.errors import SchedulingError
-from repro.obs import Observation, observe
-from repro.utils.tables import Table
-
-MIN_SPEEDUP = 3.0
-
-
-def _hotpath_kernel(depth: int = 600) -> str:
-    """A long fused elementwise chain that re-loads its two input
-    buffers in every statement. After fusion this is one loop body of
-    ~1800 operations whose loads all fight for the same memory ports —
-    the access pattern that made the old cycle-by-cycle probing
-    scheduler quadratic."""
-    lines = []
-    previous = "X"
-    for index in range(depth):
-        activation = ("exp", "tanh", "sigmoid")[index % 3]
-        lines.append(
-            f"  T{index} = {activation}({previous}) * X + G"
-        )
-        previous = f"T{index}"
-    body = "\n".join(lines)
-    return (
-        "kernel hot(X: tensor<512xf32>, G: tensor<512xf32>)\n"
-        "        -> tensor<512xf32> {\n"
-        f"{body}\n"
-        f"  Y = {previous} + X\n"
-        "  return Y\n"
-        "}\n"
-    )
-
-
-#: The "none" memory strategy keeps every buffer on a single bank, so
-#: high unrolls oversubscribe the ports — exactly where the old
-#: scheduler burned its probe budget (up to 100k probed cycles per
-#: node before giving up).
-SPACE = DesignSpace(
-    targets=("cpu", "fpga"),
-    threads=(1,),
-    unrolls=(1, 2, 4, 8, 16),
-    tiles=(0,),
-    memory_strategies=("auto", "none"),
-    clocks_hz=(150e6, 250e6),
-)
-
-
-# -- the pre-fix scheduler, restored for the baseline ------------------
-
-
-def _legacy_list_schedule(body, budget, memory_ports, unroll):
-    """The O(n²·cycles) sweep scheduler this PR replaced, verbatim."""
-    asap = scheduling._asap(body)
-    alap = scheduling._alap(
-        body, max(asap[id(n)] + latency_of(n) for n in body)
-    )
-    mobility = {id(n): alap[id(n)] - asap[id(n)] for n in body}
-    start = {}
-    unscheduled = sorted(
-        body, key=lambda node: (mobility[id(node)], node.index)
-    )
-    usage = {}
-
-    def fits(node, cycle):
-        key = scheduling._resource_key(node)
-        if key is None:
-            return True
-        if key.startswith("memport:"):
-            limit = scheduling._ports_for(node, budget, memory_ports)
-        else:
-            limit = budget.limit(key)
-        return usage.get(cycle, {}).get(key, 0) + unroll <= limit
-
-    guard = 0
-    while unscheduled:
-        guard += 1
-        if guard > 100_000:
-            raise SchedulingError("list scheduling did not converge")
-        progressed = False
-        for node in list(unscheduled):
-            ready_at = 0
-            ready = True
-            for predecessor in node.predecessors:
-                if id(predecessor) not in start:
-                    ready = False
-                    break
-                ready_at = max(
-                    ready_at,
-                    start[id(predecessor)] + latency_of(predecessor),
-                )
-            if not ready:
-                continue
-            cycle = ready_at
-            while not fits(node, cycle):
-                cycle += 1
-                if cycle > 100_000:
-                    raise SchedulingError(
-                        f"cannot place {node.op.name}: resource "
-                        f"limits too tight"
-                    )
-            start[id(node)] = cycle
-            key = scheduling._resource_key(node)
-            if key is not None:
-                cycle_usage = usage.setdefault(cycle, {})
-                cycle_usage[key] = cycle_usage.get(key, 0) + unroll
-            unscheduled.remove(node)
-            progressed = True
-        if not progressed:
-            raise SchedulingError("dependence cycle in loop body")
-    return start
-
-
-def _explore_and_package(module, digest):
-    """Cold compile+DSE: exhaustive exploration plus the packaging
-    re-preparation the compiler does for every feasible variant.
-    ``digest=None`` reproduces the pre-fix call shape (each consumer
-    re-digests the module)."""
-    kwargs = {"digest": digest} if digest is not None else {}
-    explorer = Explorer(module, "hot", space=SPACE, **kwargs)
-    result = explorer.run("exhaustive")
-    for variant in result.feasible:
-        with observe(Observation()):
-            cost_model.prepare_variant_module(
-                module, "hot", variant.knobs, digest
-            )
-    return result
-
-
-def run_cold(module, baseline: bool):
-    """One fully cold run; ``baseline`` restores pre-fix behavior."""
-    clear_caches()
-    if not baseline:
-        return _explore_and_package(module, module_digest(module))
-    real_scheduler = scheduling._list_schedule
-    scheduling._list_schedule = _legacy_list_schedule
-    try:
-        with digest_memoization(False):
-            return _explore_and_package(module, None)
-    finally:
-        scheduling._list_schedule = real_scheduler
-
-
-def test_ben_hotpath_cold_speedup(benchmark):
-    """Cold compile+DSE: >= 3x faster than the pre-fix hot path,
-    byte-identical results."""
-    module = compile_kernel(_hotpath_kernel())
-
-    start = time.perf_counter()
-    fixed = run_cold(module, baseline=False)
-    fixed_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    legacy = run_cold(module, baseline=True)
-    legacy_seconds = time.perf_counter() - start
-
-    # The per-lookup hot path the digest memo buys: pytest-benchmark
-    # timings for a memoized digest of a large, unmutated module.
-    benchmark(lambda: module_digest(module))
-
-    speedup = legacy_seconds / max(fixed_seconds, 1e-9)
-    table = Table(
-        f"ben-hotpath: cold compile+DSE "
-        f"({fixed.evaluations} points, {len(fixed.feasible)} feasible)",
-        ["configuration", "seconds"],
-    )
-    table.add_row("pre-fix (no memo, probing scheduler)",
-                  f"{legacy_seconds:.3f}")
-    table.add_row("fixed (memo, heap scheduler)",
-                  f"{fixed_seconds:.3f}")
-    table.add_row("speedup", f"{speedup:.1f}x")
-    table.show()
-
-    assert legacy.to_json() == fixed.to_json()
-    assert speedup >= MIN_SPEEDUP, (
-        f"cold compile+DSE only {speedup:.1f}x faster than the "
-        f"pre-fix baseline (need >= {MIN_SPEEDUP:.0f}x)"
-    )
+from tests.hls.test_scheduler_equivalence import hotpath_kernel
 
 
 def test_ben_hotpath_digest_printed_once():
     """Counter-instrumented memo check: any number of digest lookups
     on an unmutated module serializes it exactly once."""
-    module = compile_kernel(_hotpath_kernel(depth=40))
+    module = compile_kernel(hotpath_kernel(depth=40))
     reset_digest_stats()
     first = module_digest(module)
     for _ in range(200):
@@ -235,7 +53,7 @@ def test_ben_hotpath_process_pool_byte_identical(workers):
     """Process-pool fronts match serial byte for byte at every worker
     count (the pool prices cache misses in forked children; the parent
     owns the cost cache)."""
-    module = compile_kernel(_hotpath_kernel(depth=8))
+    module = compile_kernel(hotpath_kernel(depth=8))
     space = DesignSpace(
         targets=("cpu", "fpga"),
         threads=(1, 2),

@@ -59,8 +59,7 @@ def cold_state():
     configure(cache_dir=None)
     clear_caches()
     configure_analysis_cache(cache_dir=None)
-    with perf_module._BOUNDS_LOCK:
-        perf_module._BOUNDS_MEMO.clear()
+    perf_module.clear_bounds_memo()
     yield
     configure(cache_dir=None)
     clear_caches()
@@ -82,8 +81,7 @@ def test_ben_perf_bound_guided_exploration(cold_state, benchmark):
     _, plain = _explore(module)
     cold_seconds = time.perf_counter() - start
 
-    with perf_module._BOUNDS_LOCK:
-        perf_module._BOUNDS_MEMO.clear()
+    perf_module.clear_bounds_memo()
     start = time.perf_counter()
     bounds = perf_module.kernel_bounds(module, "gemm")
     analysis_seconds = time.perf_counter() - start

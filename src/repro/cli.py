@@ -83,22 +83,22 @@ def _space_by_name(name: str) -> DesignSpace:
     raise SystemExit(f"unknown space {name!r}; use small or thorough")
 
 
-def _configure_dse_caches(args: argparse.Namespace) -> None:
-    """Install the persistent cost cache the flags ask for.
+def _cache_dir(args: argparse.Namespace, default):
+    """Where the flags put a persistent cache: None (memory only) under
+    ``--no-cache``, else ``--cache-dir`` or the ``default()`` store."""
+    if getattr(args, "no_cache", False):
+        return None
+    return getattr(args, "cache_dir", None) or default()
 
-    Default: the shared on-disk store at
-    :func:`repro.core.dse.cache.default_cache_dir`, so repeated CLI
-    invocations reuse each other's synthesis work. ``--no-cache``
-    falls back to a memory-only cache; ``--cache-dir`` relocates it.
-    """
+
+def _configure_dse_caches(args: argparse.Namespace) -> None:
+    """Install the cost cache the flags ask for — by default the shared
+    on-disk store, so repeated CLI invocations reuse each other's
+    synthesis work."""
     from repro.core.dse import cache as dse_cache
 
-    if getattr(args, "no_cache", False):
-        dse_cache.configure(cache_dir=None)
-        return
-    directory = getattr(args, "cache_dir", None)
     dse_cache.configure(
-        cache_dir=directory or dse_cache.default_cache_dir()
+        cache_dir=_cache_dir(args, dse_cache.default_cache_dir)
     )
 
 
@@ -217,13 +217,9 @@ def cmd_perf(args: argparse.Namespace) -> int:
     # Bounds persist in the same store ``repro lint --incremental``
     # uses, so a warm report (or a later bound-guided exploration of
     # the unchanged kernel) skips the derivation entirely.
-    if getattr(args, "no_cache", False):
-        configure_analysis_cache(cache_dir=None)
-    else:
-        configure_analysis_cache(
-            cache_dir=getattr(args, "cache_dir", None)
-            or default_analysis_cache_dir()
-        )
+    configure_analysis_cache(
+        _cache_dir(args, default_analysis_cache_dir)
+    )
     source = _read_source(args.file)
     module = compile_kernel(source)
     bounds = kernel_bounds(module, args.kernel)
@@ -486,12 +482,9 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
     cache = None
     if getattr(args, "incremental", False):
-        cache_dir = (
-            None if getattr(args, "no_cache", False)
-            else (getattr(args, "cache_dir", None)
-                  or default_analysis_cache_dir())
+        cache = configure_analysis_cache(
+            _cache_dir(args, default_analysis_cache_dir)
         )
-        cache = configure_analysis_cache(cache_dir=cache_dir)
     check_signature = "|".join((
         ",".join(sorted(module_checks)),
         "wf" if wf_selected else "",
@@ -811,51 +804,29 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 def cmd_cache(args: argparse.Namespace) -> int:
     """Inspect or clear the persistent DSE and analysis caches."""
-    from repro.core.analysis import cache as analysis_cache_module
-    from repro.core.dse import cache as dse_cache
+    from repro.core.analysis.cache import default_analysis_cache_dir
+    from repro.core.dse.cache import default_cache_dir
+    from repro.core.store import ContentStore
 
-    directory = args.cache_dir or dse_cache.default_cache_dir()
-    store = dse_cache.CostCache(directory=directory)
-    analysis_dir = (
-        args.cache_dir
-        or analysis_cache_module.default_analysis_cache_dir()
-    )
-    analysis_store = analysis_cache_module.AnalysisCache(
-        directory=analysis_dir
-    )
-    if args.action == "stats":
-        table = Table(
-            "DSE cost cache",
-            ["property", "value"],
-        )
+    # Both caches are one kind-tagged store: a shared --cache-dir is
+    # opened once, and every entry is reported under its own kind.
+    directories = [args.cache_dir] if args.cache_dir else [
+        default_cache_dir(), default_analysis_cache_dir()]
+    for directory in directories:
+        store = ContentStore(directory)
+        if args.action == "clear":
+            print(f"cleared {store.clear()} cached entries "
+                  f"from {directory}")
+            continue
+        table = Table("cache store", ["property", "value"])
         table.add_row("directory", str(directory))
         table.add_row("entries", store.entry_count())
         table.add_row("disk bytes", store.disk_bytes())
-        table.show()
-        table = Table(
-            "analysis cache",
-            ["property", "value"],
-        )
-        table.add_row("directory", str(analysis_dir))
-        table.add_row("entries", analysis_store.entry_count())
-        table.add_row("disk bytes", analysis_store.disk_bytes())
-        breakdown = analysis_store.breakdown()
-        for kind in sorted(breakdown):
-            row = breakdown[kind]
+        for kind, row in sorted(store.breakdown().items()):
             table.add_row(f"{kind} entries", row["entries"])
             table.add_row(f"{kind} disk bytes", row["disk_bytes"])
         table.show()
-        return 0
-    if args.action == "clear":
-        removed = store.clear()
-        print(f"cleared {removed} cached cost entries from {directory}")
-        removed = analysis_store.clear()
-        print(
-            f"cleared {removed} cached analysis entries from "
-            f"{analysis_dir}"
-        )
-        return 0
-    raise SystemExit(f"unknown cache action {args.action!r}")
+    return 0
 
 
 def cmd_runs(args: argparse.Namespace) -> int:
@@ -1371,7 +1342,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cache = sub.add_parser(
         "cache",
-        help="inspect or clear the persistent DSE cost cache",
+        help="inspect or clear the persistent DSE cost and analysis "
+             "caches",
     )
     p_cache.add_argument(
         "action", choices=("stats", "clear"),
@@ -1379,7 +1351,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cache.add_argument(
         "--cache-dir", metavar="PATH", default=None,
-        help="cache directory (default: ~/.cache/repro-dse, XDG aware)",
+        help="cache directory (default: both ~/.cache/repro-dse and "
+             "~/.cache/repro-analysis, XDG aware)",
     )
     p_cache.set_defaults(func=cmd_cache)
 

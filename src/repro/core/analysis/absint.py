@@ -51,8 +51,6 @@ analysis itself changes.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
@@ -60,6 +58,7 @@ from repro.core.analysis.diagnostics import Diagnostics
 from repro.core.ir.module import Function, Module
 from repro.core.ir.ops import Block, Operation, Value
 from repro.core.ir.types import MemRefType, ScalarType, TensorType
+from repro.core.store import LRUCache
 
 #: Bump whenever any analysis result can change for the same module —
 #: cache entries keyed with an older version are ignored.
@@ -945,9 +944,7 @@ def partition_conflict(
 
 # Facts for the DSE hot path, memoized by content digest so pricing a
 # thousand knob points re-analyzes the kernel exactly once.
-_FACTS_MEMO: "OrderedDict[Tuple[str, str], FunctionFacts]" = OrderedDict()
-_FACTS_LOCK = threading.Lock()
-_FACTS_MEMO_CAPACITY = 256
+_FACTS_MEMO = LRUCache(256)
 
 
 def function_facts(
@@ -959,17 +956,12 @@ def function_facts(
 
         digest = module_digest(module)
     key = (digest, kernel)
-    with _FACTS_LOCK:
-        cached = _FACTS_MEMO.get(key)
-        if cached is not None:
-            _FACTS_MEMO.move_to_end(key)
-            return cached
+    cached = _FACTS_MEMO.get(key)
+    if cached is not None:
+        return cached
     function = module.find_function(kernel)
     if function is None:
         return None
     facts = compute_function_facts(function)
-    with _FACTS_LOCK:
-        _FACTS_MEMO[key] = facts
-        while len(_FACTS_MEMO) > _FACTS_MEMO_CAPACITY:
-            _FACTS_MEMO.popitem(last=False)
+    _FACTS_MEMO.put(key, facts)
     return facts

@@ -1,67 +1,53 @@
 """Digest-keyed incremental cache for static-analysis results.
 
 The analysis gate (verification + taint + partition + absint + lints)
-re-runs from scratch on every compile and every ``repro lint``, even
-when nothing changed. This module memoizes it the same way the DSE
-layer memoizes synthesis (:mod:`repro.core.dse.cache`): a two-level
-store — in-memory dict plus an optional sharded on-disk directory
-with atomic writes — keyed by *content*:
+would re-run from scratch on every compile and every ``repro lint``.
+This module memoizes it in the same
+:class:`~repro.core.store.ContentStore` the DSE layer memoizes
+synthesis in (:mod:`repro.core.dse.cache`), keyed by *content*:
 
-* :meth:`AnalysisCache.module_key` — the structural module digest
-  (:func:`repro.core.ir.digest.module_digest`), used by the compiler's
-  pre-DSE ``static_checks`` gate;
+* :meth:`AnalysisCache.module_key` — the structural module digest,
+  used by the compiler's pre-DSE ``static_checks`` gate;
 * :meth:`AnalysisCache.source_key` — the raw spec text, used by
   ``repro lint --incremental`` so a warm run skips parsing and
-  compiling the spec entirely, not just the analyses.
+  compiling the spec entirely, not just the analyses;
+* :meth:`AnalysisCache.perf_key` — one kernel's static bounds.
 
-Every key recipe folds in :data:`ANALYSIS_CACHE_VERSION` (entry
-layout), :data:`~repro.core.analysis.absint.ANALYSIS_VERSION` (the
-analyses' semantics) and the IR digest version, so stale results can
-never survive an upgrade. Entries carry rendered diagnostics (via
-``Diagnostic.to_dict``) and the serialized
-:class:`~repro.core.analysis.absint.AnalysisFacts`.
+Every recipe folds in :data:`ANALYSIS_CACHE_VERSION` (payload layout),
+:data:`~repro.core.analysis.absint.ANALYSIS_VERSION` (the analyses'
+semantics) and the IR digest version, so stale results never survive
+an upgrade. Payloads hold rendered diagnostics and serialized facts
+(kind ``"analysis"``); bounds payloads mark themselves ``"perf"``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
-import tempfile
 import threading
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from repro.core.analysis.absint import ANALYSIS_VERSION
-
-# Reuse the DSE cache's stats record: same shape, same semantics.
-from repro.core.dse.cache import CacheStats
 from repro.core.ir.digest import DIGEST_VERSION
+from repro.core.store import ContentStore, xdg_cache_dir
 
-#: Bump when the entry layout or key recipe changes incompatibly.
+#: Part of every analysis key: bump when a key recipe or payload layout
+#: changes incompatibly, and old entries can never match again.
 ANALYSIS_CACHE_VERSION = "1"
 
 
-class AnalysisCache:
-    """Two-level (memory + optional disk) store of analysis payloads.
+def _mapping(payload: Any) -> Dict[str, Any]:
+    if not isinstance(payload, dict):
+        raise TypeError("analysis payloads are JSON objects")
+    return payload
 
-    Payloads are plain JSON-able dicts; this class neither knows nor
-    cares that they hold diagnostics — serialization policy lives with
-    the callers (:func:`repro.core.analysis.analyze_module_cached`,
-    the lint CLI).
-    """
 
-    def __init__(self, directory: Optional[os.PathLike] = None,
-                 enabled: bool = True):
-        self.directory = Path(directory) if directory else None
-        self.enabled = enabled
-        self.stats = CacheStats()
-        self._lock = threading.Lock()
-        self._memory: Dict[str, Dict[str, Any]] = {}
-        if self.directory is not None:
-            self.directory.mkdir(parents=True, exist_ok=True)
-
-    # -- keying --------------------------------------------------------
+class AnalysisCache(ContentStore):
+    """The store's ``"analysis"`` and ``"perf"`` kinds: plain JSON-able
+    dicts. Serialization policy lives with the callers
+    (:func:`repro.core.analysis.analyze_module_cached`, the lint CLI,
+    the perf analyzer)."""
 
     @staticmethod
     def _key(kind: str, material: Sequence[str]) -> str:
@@ -93,134 +79,16 @@ class AnalysisCache:
 
     @staticmethod
     def perf_key(module_digest: str, kernel: str) -> str:
-        """Key for one kernel's static performance bounds
-        (:func:`repro.core.analysis.perf.kernel_bounds`)."""
+        """Key for one kernel's static performance bounds."""
         return AnalysisCache._key("perf", (module_digest, kernel))
-
-    # -- lookup / store ------------------------------------------------
-
-    def _path_for(self, key: str) -> Path:
-        assert self.directory is not None
-        return self.directory / key[:2] / f"{key}.json"
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """The cached payload for ``key``, or None."""
-        if not self.enabled:
-            return None
-        with self._lock:
-            payload = self._memory.get(key)
-        if payload is None and self.directory is not None:
-            payload = self._read_disk(key)
-            if payload is not None:
-                with self._lock:
-                    self._memory[key] = payload
-        with self._lock:
-            if payload is None:
-                self.stats.misses += 1
-                return None
-            self.stats.hits += 1
-        return payload
+        return self.read(key, _mapping)
 
     def put(self, key: str, payload: Dict[str, Any]) -> None:
-        """Store one payload (memory always, disk when configured)."""
-        if not self.enabled:
-            return
-        with self._lock:
-            self._memory[key] = payload
-            self.stats.stores += 1
-        if self.directory is not None:
-            self._write_disk(key, {
-                "version": ANALYSIS_CACHE_VERSION, "key": key,
-                "payload": payload,
-            })
-
-    def _read_disk(self, key: str) -> Optional[Dict[str, Any]]:
-        path = self._path_for(key)
-        try:
-            entry = json.loads(path.read_text())
-            if entry.get("version") != ANALYSIS_CACHE_VERSION:
-                return None
-            return entry["payload"]
-        except (OSError, ValueError, KeyError):
-            return None
-
-    def _write_disk(self, key: str, entry: Dict[str, Any]) -> None:
-        path = self._path_for(key)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            handle, temp = tempfile.mkstemp(
-                dir=str(path.parent), suffix=".tmp"
-            )
-            with os.fdopen(handle, "w") as stream:
-                json.dump(entry, stream, sort_keys=True)
-            os.replace(temp, path)
-        except OSError:
-            # Best-effort persistence: a read-only or full cache
-            # directory degrades to memory-only behavior.
-            pass
-
-    # -- maintenance ---------------------------------------------------
-
-    def _disk_files(self) -> Iterator[Path]:
-        if self.directory is None or not self.directory.is_dir():
-            return iter(())
-        return self.directory.glob("*/*.json")
-
-    def entry_count(self) -> int:
-        """Distinct cached results (union of memory and disk)."""
-        keys = set(self._memory)
-        keys.update(path.stem for path in self._disk_files())
-        return len(keys)
-
-    def disk_bytes(self) -> int:
-        """Total size of the on-disk entries."""
-        return sum(path.stat().st_size for path in self._disk_files())
-
-    def breakdown(self) -> Dict[str, Dict[str, int]]:
-        """Entries/bytes per payload kind ("analysis" vs "perf").
-
-        Payloads may carry a ``"kind"`` marker (the perf analyzer
-        stores ``"perf"``); unmarked payloads are the classic analysis
-        entries. Disk bytes are only known for on-disk entries; the
-        union semantics match :meth:`entry_count`.
-        """
-        kinds: Dict[str, Dict[str, int]] = {}
-
-        def record(kind: str, size: int) -> None:
-            row = kinds.setdefault(
-                kind, {"entries": 0, "disk_bytes": 0})
-            row["entries"] += 1
-            row["disk_bytes"] += size
-
-        seen = set()
-        for path in self._disk_files():
-            try:
-                entry = json.loads(path.read_text())
-                payload = entry.get("payload", {})
-                size = path.stat().st_size
-            except (OSError, ValueError):
-                continue
-            seen.add(path.stem)
-            record(str(payload.get("kind", "analysis")), size)
-        with self._lock:
-            memory = dict(self._memory)
-        for key, payload in memory.items():
-            if key in seen:
-                continue
-            record(str(payload.get("kind", "analysis")), 0)
-        return kinds
-
-    def clear(self) -> int:
-        """Drop every entry (memory and disk); returns entries removed."""
-        removed = self.entry_count()
-        with self._lock:
-            self._memory.clear()
-        for path in list(self._disk_files()):
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        return removed
+        """Store one payload under the kind it marks itself with."""
+        self.write(key, str(payload.get("kind", "analysis")), payload)
 
 
 # ---------------------------------------------------------------------
@@ -232,9 +100,7 @@ _config_lock = threading.Lock()
 
 def default_analysis_cache_dir() -> Path:
     """``$XDG_CACHE_HOME/repro-analysis`` or the ``~/.cache`` fallback."""
-    base = os.environ.get("XDG_CACHE_HOME")
-    root = Path(base) if base else Path.home() / ".cache"
-    return root / "repro-analysis"
+    return xdg_cache_dir("repro-analysis")
 
 
 def analysis_cache() -> AnalysisCache:
@@ -244,7 +110,6 @@ def analysis_cache() -> AnalysisCache:
 
 def configure_analysis_cache(
     cache_dir: Optional[os.PathLike] = None,
-    enabled: bool = True,
 ) -> AnalysisCache:
     """Reconfigure the process-wide cache; returns the new instance.
 
@@ -255,7 +120,7 @@ def configure_analysis_cache(
     """
     global _analysis
     with _config_lock:
-        _analysis = AnalysisCache(directory=cache_dir, enabled=enabled)
+        _analysis = AnalysisCache(cache_dir)
         return _analysis
 
 

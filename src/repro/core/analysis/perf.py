@@ -50,7 +50,6 @@ with payload kind ``"perf"`` (see ``repro cache stats``).
 from __future__ import annotations
 
 import math
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -69,6 +68,7 @@ from repro.core.hls.memory import (
 from repro.core.hls.scheduling import OP_LATENCY, RESOURCE_CLASS
 from repro.core.ir.module import Module
 from repro.core.ir.types import MemRefType
+from repro.core.store import LRUCache
 
 #: Default accelerator clock the roofline verdict is taken at (matches
 #: :class:`~repro.core.hls.bambu.HLSOptions`).
@@ -491,9 +491,12 @@ def compute_kernel_bounds(
 # ---------------------------------------------------------------------
 # Memoization: in-process LRU + the persistent analysis cache.
 
-_BOUNDS_MEMO: "OrderedDict[Tuple[str, str], StaticBounds]" = OrderedDict()
-_BOUNDS_LOCK = threading.Lock()
-_BOUNDS_MEMO_CAPACITY = 256
+_BOUNDS_MEMO = LRUCache(256)
+
+
+def clear_bounds_memo() -> int:
+    """Drop the in-process bounds LRU; returns entries dropped."""
+    return _BOUNDS_MEMO.clear()
 
 
 def kernel_bounds(
@@ -516,11 +519,9 @@ def kernel_bounds(
 
         digest = module_digest(module)
     memo_key = (digest, kernel)
-    with _BOUNDS_LOCK:
-        cached = _BOUNDS_MEMO.get(memo_key)
-        if cached is not None:
-            _BOUNDS_MEMO.move_to_end(memo_key)
-            return cached
+    cached = _BOUNDS_MEMO.get(memo_key)
+    if cached is not None:
+        return cached
     metrics = current_metrics()
     cache = analysis_cache()
     cache_key = AnalysisCache.perf_key(digest, kernel)
@@ -530,7 +531,7 @@ def kernel_bounds(
             "perf.cache_hits", "perf-analysis cache hits",
         ).inc(1, kernel=kernel)
         bounds = StaticBounds.from_payload(payload)
-        _memo_put(memo_key, bounds)
+        _BOUNDS_MEMO.put(memo_key, bounds)
         return bounds
     metrics.counter(
         "perf.cache_misses", "perf-analysis cache misses",
@@ -542,15 +543,8 @@ def kernel_bounds(
         "perf.bounds_computed", "static bounds derived from scratch",
     ).inc(1, kernel=kernel)
     cache.put(cache_key, bounds.to_payload())
-    _memo_put(memo_key, bounds)
+    _BOUNDS_MEMO.put(memo_key, bounds)
     return bounds
-
-
-def _memo_put(key: Tuple[str, str], bounds: StaticBounds) -> None:
-    with _BOUNDS_LOCK:
-        _BOUNDS_MEMO[key] = bounds
-        while len(_BOUNDS_MEMO) > _BOUNDS_MEMO_CAPACITY:
-            _BOUNDS_MEMO.popitem(last=False)
 
 
 # ---------------------------------------------------------------------

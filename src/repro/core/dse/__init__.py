@@ -9,9 +9,7 @@ deterministic parallel batches (``Explorer(workers=N)``).
 
 from repro.core.dse.space import DesignSpace
 from repro.core.dse.cache import (
-    CacheStats,
     CostCache,
-    PreparedModuleCache,
     clear_caches,
     configure,
     cost_cache,
@@ -30,9 +28,7 @@ __all__ = [
     "ParetoFront",
     "Explorer",
     "ExplorationResult",
-    "CacheStats",
     "CostCache",
-    "PreparedModuleCache",
     "configure",
     "cost_cache",
     "prepared_cache",

@@ -194,10 +194,7 @@ def evaluate_variant(
         return cached
 
     cost = price_variant(module, kernel, knobs, model, digest)
-    cache.put(key, cost, context={
-        "kernel": kernel, "knobs": knobs.describe(),
-        "target": knobs.target,
-    })
+    cache.put(key, cost)
     return cost
 
 

@@ -406,11 +406,7 @@ class Explorer:
             merged = prepared_cache().stats
             for index, (cost, child_delta) in zip(remote, priced):
                 merged.add(child_delta)
-                cache.put(keys[index], cost, context={
-                    "kernel": self.kernel,
-                    "knobs": batch[index].describe(),
-                    "target": batch[index].target,
-                })
+                cache.put(keys[index], cost)
                 costs[index] = self._apply_requirements(cost)
         return costs
 

@@ -16,7 +16,7 @@ serial run:
   run at every worker count.
 * Each priced point returns the worker's prepared-module cache stats
   delta, which the parent folds into its own stats
-  (:meth:`repro.core.dse.cache.CacheStats.add`), so published hit
+  (:meth:`repro.core.store.CacheStats.add`), so published hit
   ratios account for child work.
 
 Pricing in the child runs under a muted observation, mirroring the
@@ -30,7 +30,7 @@ import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Dict, Tuple
 
-from repro.core.dse.cache import CacheStats
+from repro.core.store import CacheStats
 from repro.core.variants import CostEstimate, VariantKnobs
 
 #: Per-process worker state, set once by :func:`_init_worker`.

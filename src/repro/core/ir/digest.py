@@ -20,9 +20,8 @@ benchmarks can assert that repeated lookups do not re-print.
 from __future__ import annotations
 
 import hashlib
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Tuple
 
 from repro.core.ir.module import Module
 from repro.core.ir.printer import print_module, print_op
@@ -50,7 +49,6 @@ class DigestStats:
 
 
 _stats = DigestStats()
-_memo_enabled = True
 
 
 def digest_stats() -> DigestStats:
@@ -65,22 +63,6 @@ def reset_digest_stats() -> DigestStats:
     return _stats
 
 
-@contextmanager
-def digest_memoization(enabled: bool) -> Iterator[None]:
-    """Temporarily enable/disable the version-keyed memo.
-
-    Benchmarks use ``digest_memoization(False)`` to measure the
-    pre-memoization baseline, where every lookup reprints the module.
-    """
-    global _memo_enabled
-    previous = _memo_enabled
-    _memo_enabled = enabled
-    try:
-        yield
-    finally:
-        _memo_enabled = previous
-
-
 def _hash_text(text: str) -> str:
     payload = f"ir-digest-v{DIGEST_VERSION}\x1f{text}".encode("utf-8")
     return hashlib.sha256(payload).hexdigest()
@@ -90,15 +72,13 @@ def module_digest(module: Module) -> str:
     """Stable hex digest of a module's printed structure."""
     root = module.op
     version = root.version
-    if _memo_enabled:
-        memo: Tuple[int, str] | None = getattr(root, "_digest_memo", None)
-        if memo is not None and memo[0] == version:
-            _stats.hits += 1
-            return memo[1]
+    memo: Tuple[int, str] | None = getattr(root, "_digest_memo", None)
+    if memo is not None and memo[0] == version:
+        _stats.hits += 1
+        return memo[1]
     _stats.prints += 1
     digest = _hash_text(print_module(module))
-    if _memo_enabled:
-        root._digest_memo = (version, digest)
+    root._digest_memo = (version, digest)
     return digest
 
 
@@ -112,20 +92,18 @@ def function_digest(module: Module, kernel: str) -> str:
     """
     root = module.op
     version = root.version
-    if _memo_enabled:
-        memo: Dict[str, Tuple[int, str]] = getattr(
-            root, "_function_digest_memo", None
-        ) or {}
-        entry = memo.get(kernel)
-        if entry is not None and entry[0] == version:
-            _stats.hits += 1
-            return entry[1]
+    memo: Dict[str, Tuple[int, str]] = getattr(
+        root, "_function_digest_memo", None
+    ) or {}
+    entry = memo.get(kernel)
+    if entry is not None and entry[0] == version:
+        _stats.hits += 1
+        return entry[1]
     function = module.find_function(kernel)
     if function is None:
         raise ValueError(f"no function named {kernel!r}")
     _stats.prints += 1
     digest = _hash_text(print_op(function.op))
-    if _memo_enabled:
-        memo[kernel] = (version, digest)
-        root._function_digest_memo = memo
+    memo[kernel] = (version, digest)
+    root._function_digest_memo = memo
     return digest

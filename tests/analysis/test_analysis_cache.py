@@ -52,6 +52,33 @@ class TestKeys:
         assert AnalysisCache.source_key("spec-a", ("taint",)) != base
 
 
+    def test_keys_are_stable_across_releases(self):
+        """Goldens from the two-store implementation, three per recipe."""
+        zeros = "0" * 64
+        assert [
+            AnalysisCache.module_key("d1", ("absint", "taint"), False),
+            AnalysisCache.module_key("d2", (), True),
+            AnalysisCache.module_key(zeros, ("perf",), False),
+            AnalysisCache.source_key("spec-a", ("absint",)),
+            AnalysisCache.source_key("", ()),
+            AnalysisCache.source_key(
+                "path\x1ftext", ("absint,taint|wf|",)),
+            AnalysisCache.perf_key("d1", "k"),
+            AnalysisCache.perf_key("d2", "gemm"),
+            AnalysisCache.perf_key(zeros, "score"),
+        ] == [
+            "8c5ae49e041cb9656537cfb8764739693e518ef36f6226ff9d6ecc84ced9fb2e",
+            "a24e97886bdd46f10b1833f83efb1bdc0c80022ff2c904b28c6083b32c33866c",
+            "c6ecfedacef6c90cd69428af2086534233bf48d53fa7c0a94ec0eed00cb51564",
+            "da7b4343daa6c5f8b9fe57ad0314993d841d995d1cc4c6a2264fd25df8281890",
+            "7f69e31b96086e050f8412fc0a1c0df56fd122a68cab19e6b67cacd1e6f8a477",
+            "a17c04f191029ed70ec41e1ea9eeb6ebf0d6d13f433aefc99287a084bde550d1",
+            "d2d7d7bab46d0dadac8226742af69a97e7ba5df6d95ce54a6e1fe24c1a8cc642",
+            "ece4eb9829408aaf5966787f998470a4cb9330e76de4565f1de4c5d1d9ab570d",
+            "79f19a9f260caf74a1654e125506fffde8359691fa1360094f948e1059db02c8",
+        ]
+
+
 class TestStore:
     def test_memory_round_trip(self):
         cache = AnalysisCache()
@@ -84,11 +111,6 @@ class TestStore:
         (tmp_path / "store" / "ab" / "abcd.json").write_text("{oops")
         fresh = AnalysisCache(directory=tmp_path / "store")
         assert fresh.get("abcd") is None
-
-    def test_disabled_cache_never_hits(self):
-        cache = AnalysisCache(enabled=False)
-        cache.put("k", {"value": 5})
-        assert cache.get("k") is None
 
     def test_clear_drops_memory_and_disk(self, tmp_path):
         cache = AnalysisCache(directory=tmp_path / "store")

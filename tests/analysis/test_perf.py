@@ -30,6 +30,7 @@ from repro.core.analysis.perf import (
     StaticBounds,
     bound_for,
     check_module_perf,
+    clear_bounds_memo,
     compute_kernel_bounds,
     kernel_bounds,
 )
@@ -42,14 +43,6 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 def fixture(name):
     return os.path.join(FIXTURES, name)
-
-
-def forget_memoized_bounds():
-    """Drop the in-process bounds LRU so cache writes are observable."""
-    from repro.core.analysis import perf as perf_module
-
-    with perf_module._BOUNDS_LOCK:
-        perf_module._BOUNDS_MEMO.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +103,7 @@ class TestKernelBounds:
 
     def test_persists_in_analysis_cache(self, gemm_module, tmp_path):
         configure_analysis_cache(cache_dir=tmp_path)
-        forget_memoized_bounds()
+        clear_bounds_memo()
         try:
             digest = module_digest(gemm_module)
             bounds = kernel_bounds(gemm_module, "gemm", digest=digest)
@@ -314,7 +307,7 @@ class TestPerfCommand:
 
     def test_cache_stats_roundtrip(self, capsys, tmp_path):
         cache_dir = str(tmp_path / "analysis")
-        forget_memoized_bounds()
+        clear_bounds_memo()
         rc = main(["perf", QUICKSTART, "--kernel", "score",
                    "--cache-dir", cache_dir])
         assert rc == 0

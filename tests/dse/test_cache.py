@@ -13,7 +13,6 @@ import pytest
 
 from repro.core.dse.cache import (
     CostCache,
-    PreparedModuleCache,
     clear_caches,
     configure,
     cost_cache,
@@ -29,8 +28,8 @@ from repro.core.dsl.kernel_dsl import compile_kernel
 from repro.core.ir import module_digest
 from repro.core.ir.module import Module
 from repro.core.ir.printer import print_module
+from repro.core.store import STORE_VERSION, LRUCache
 from repro.core.variants import CostEstimate, VariantKnobs
-from repro.errors import DSEError
 
 ADD_SRC = """
 kernel k(X: tensor<8xf32>) -> tensor<8xf32> {
@@ -130,7 +129,7 @@ kernel k(A: tensor<32x32xf32>, B: tensor<32x32xf32>)
 
 class TestPreparedModuleCache:
     def test_lru_evicts_oldest(self, gemm_module):
-        cache = PreparedModuleCache(capacity=2)
+        cache = LRUCache(capacity=2)
         cache.put(("a",), gemm_module)
         cache.put(("b",), gemm_module)
         cache.get(("a",))  # refresh: "b" is now the oldest
@@ -140,11 +139,11 @@ class TestPreparedModuleCache:
         assert cache.stats.evictions == 1
 
     def test_capacity_must_be_positive(self):
-        with pytest.raises(DSEError):
-            PreparedModuleCache(capacity=0)
+        with pytest.raises(ValueError):
+            LRUCache(capacity=0)
 
     def test_clear_reports_count(self, gemm_module):
-        cache = PreparedModuleCache()
+        cache = LRUCache(capacity=8)
         cache.put(("a",), gemm_module)
         cache.put(("b",), gemm_module)
         assert cache.clear() == 2
@@ -182,9 +181,9 @@ class TestCostCache:
         cache = CostCache(directory=tmp_path / "cc")
         cache.put("deadbeef", self.make_cost())
         path = cache._path_for("deadbeef")
-        path.write_text(path.read_text().replace(
-            '"version": "1"', '"version": "0"'
-        ))
+        stale = f'"version": "{STORE_VERSION}"'
+        assert stale in path.read_text()
+        path.write_text(path.read_text().replace(stale, '"version": "0"'))
         fresh = CostCache(directory=tmp_path / "cc")
         assert fresh.get("deadbeef") is None
 
@@ -194,12 +193,6 @@ class TestCostCache:
         cache._path_for("deadbeef").write_text("{not json")
         fresh = CostCache(directory=tmp_path / "cc")
         assert fresh.get("deadbeef") is None
-
-    def test_disabled_cache_never_hits(self):
-        cache = CostCache(enabled=False)
-        cache.put("k", self.make_cost())
-        assert cache.get("k") is None
-        assert cache.stats.lookups == 0
 
     def test_clear_removes_memory_and_disk(self, tmp_path):
         cache = CostCache(directory=tmp_path / "cc")
@@ -226,6 +219,22 @@ class TestCostCache:
                                      model.fingerprint())
         assert base != CostCache.key("d1", "k", knobs,
                                      other_model.fingerprint())
+
+    def test_keys_are_stable_across_releases(self):
+        """Goldens from the two-store implementation: moving to the
+        shared store must not orphan anyone's warm cache by key."""
+        assert CostCache.key(
+            "d1", "k", VariantKnobs(target="fpga", unroll=2), "m1",
+        ) == ("ba9eb91a04936f2f6fa725213d0507dd"
+              "ce66d34a00150ff2955054ac20cd38b9")
+        assert CostCache.key(
+            "d2", "gemm", VariantKnobs(target="cpu", threads=4, tile=8),
+            "m1",
+        ) == ("c03b4801c4f00ef4bcc4ffff449c3e45"
+              "0cd8f3a70d2f34869d10faa99ff502fc")
+        assert CostCache.key("0" * 64, "score", VariantKnobs(), "m2") == (
+            "09a565cdaa7ac64e89a5761ecb2ba010"
+            "4d651ceab4de0f8f8fdf588b10aa2573")
 
     def test_model_fingerprint_ignores_transfer_statistics(self):
         """Link traffic counters mutate during simulation; they must

@@ -13,14 +13,15 @@ import pytest
 from repro.core.dsl.kernel_dsl import compile_kernel
 from repro.core.ir.builder import Builder
 from repro.core.ir.digest import (
-    digest_memoization,
     digest_stats,
     function_digest,
     module_digest,
     reset_digest_stats,
 )
 from repro.core.ir.module import Module
+from repro.core.ir.parser import parse_module
 from repro.core.ir.passes import LowerTensorPass, PassManager
+from repro.core.ir.printer import print_module
 from repro.core.ir.types import F32, FunctionType, TensorType
 
 GEMM_SRC = """
@@ -34,6 +35,12 @@ kernel gemm(A: tensor<8x8xf32>, B: tensor<8x8xf32>)
 
 def build_module():
     return compile_kernel(GEMM_SRC)
+
+
+def unmemoized_digest(module):
+    """Memo-free oracle: the digest of a fresh object re-parsed from
+    the module's printed form (it has never been digested)."""
+    return module_digest(parse_module(print_module(module)))
 
 
 class TestMemoization:
@@ -55,25 +62,11 @@ class TestMemoization:
             assert function_digest(module, "gemm") == first
         assert digest_stats().prints == 1
 
-    def test_memo_can_be_disabled(self):
-        module = build_module()
-        module_digest(module)  # warm the memo
-        reset_digest_stats()
-        with digest_memoization(False):
-            module_digest(module)
-            module_digest(module)
-        stats = digest_stats()
-        assert stats.prints == 2
-        assert stats.hits == 0
-        # re-enabled: the memo picks back up
-        module_digest(module)
-        assert digest_stats().hits == 1
-
     def test_memo_matches_unmemoized_value(self):
         module = build_module()
         memoized = module_digest(module)
-        with digest_memoization(False):
-            assert module_digest(module) == memoized
+        assert module_digest(module) == memoized  # served by the memo
+        assert unmemoized_digest(module) == memoized
 
     def test_clone_digests_independently(self):
         module = build_module()
@@ -178,8 +171,7 @@ class TestInvalidation:
         fresh = module_digest(module)
         assert fresh != stale
         # and the fresh digest is itself correct, not a stale memo
-        with digest_memoization(False):
-            assert module_digest(module) == fresh
+        assert unmemoized_digest(module) == fresh
 
     def test_version_monotonic(self):
         module = Module("m")

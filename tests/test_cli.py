@@ -77,3 +77,25 @@ class TestCLI:
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_cache_stats_on_a_shared_directory(self, dsl_file, tmp_path,
+                                               capsys):
+        """One ``--cache-dir`` for everything: ``cache stats`` opens it
+        once and files every entry under the kind that wrote it."""
+        shared = str(tmp_path / "shared")
+        assert main(["explore", dsl_file, "--kernel", "scale",
+                     "--cache-dir", shared]) == 0
+        capsys.readouterr()
+        assert main(["cache", "stats", "--cache-dir", shared]) == 0
+        rows = dict(
+            line.rsplit(None, 1)
+            for line in capsys.readouterr().out.splitlines()
+            if line[:1].isalpha() and len(line.split()) > 1
+        )
+        priced = int(rows["cost entries"])
+        assert priced > 0 and int(rows["entries"]) == priced
+        assert not any(name.startswith(("analysis", "perf"))
+                       for name in rows)
+        assert main(["cache", "clear", "--cache-dir", shared]) == 0
+        assert capsys.readouterr().out.startswith(
+            f"cleared {priced} cached entries")

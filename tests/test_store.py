@@ -1,0 +1,125 @@
+"""The one content-addressed store, through both of its users.
+
+Every case runs per *kind*: ``cost`` (:class:`CostCache`, whose codec
+hands out a fresh :class:`CostEstimate` per read) and ``analysis``
+(:class:`AnalysisCache`, plain JSON objects). The plain round-trip,
+version-mismatch, torn-file and ``clear`` cases still sit beside each
+user (``tests/dse/test_cache.py``, ``tests/analysis/
+test_analysis_cache.py``); this file holds what only the shared store
+can promise: hostile shards are counted misses for every kind, and one
+directory is accounted kind by kind whoever wrote it.
+"""
+
+import json
+
+import pytest
+
+from repro.core.analysis.cache import AnalysisCache
+from repro.core.dse.cache import CostCache
+from repro.core.store import STORE_VERSION, ContentStore
+from repro.core.variants import CostEstimate
+
+KEY = "ab" + "0" * 62
+
+#: kind -> (store class, a value ``put`` accepts)
+KINDS = {
+    "cost": (CostCache, CostEstimate(latency_s=1.5, energy_j=2.0,
+                                     data_bytes=64)),
+    "analysis": (AnalysisCache, {"diagnostics": [], "targets": 1}),
+}
+
+
+def envelope(**changes):
+    """A current-version envelope for ``KEY``, then damaged."""
+    entry = {"version": STORE_VERSION, "key": KEY, "kind": "cost",
+             "payload": {}}
+    entry.update(changes)
+    return json.dumps({name: value for name, value in entry.items()
+                       if value is not None})
+
+
+GOOD_COST = {"latency_s": 1.0, "energy_j": 2.0, "feasible": True}
+
+#: Valid JSON of the wrong shape, for every kind.
+DAMAGED = {
+    "list": "[]",
+    "string": '"1"',
+    "number": "1",
+    "null": "null",
+    "parent-cost-layout": json.dumps(
+        {"version": "1", "key": KEY, "cost": GOOD_COST}),
+    "parent-analysis-layout": json.dumps(
+        {"version": "1", "key": KEY, "payload": {"diagnostics": []}}),
+    "no-payload": envelope(payload=None),
+    "no-kind": envelope(kind=None),
+    "kind-not-a-string": envelope(kind=7),
+    "another-key": envelope(key="cd" + "0" * 62),
+    "payload-list": envelope(payload=[]),
+    "payload-string": envelope(payload="x"),
+}
+
+#: Well-formed envelopes whose payload only the cost codec rejects.
+DAMAGED_COST = {
+    "cost-empty": envelope(payload={}),
+    "cost-latency-not-a-number": envelope(
+        payload=dict(GOOD_COST, latency_s="x")),
+    "cost-latency-null": envelope(
+        payload=dict(GOOD_COST, latency_s=None)),
+    "cost-resources-a-list": envelope(
+        payload=dict(GOOD_COST, resources=[1])),
+    "cost-luts-infinite": envelope(
+        payload=dict(GOOD_COST, resources={"luts": float("inf")})),
+    "cost-luts-negative": envelope(
+        payload=dict(GOOD_COST, resources={"luts": -1})),
+}
+
+CASES = [(kind, name, body)
+         for kind in KINDS for name, body in DAMAGED.items()]
+CASES += [("cost", name, body) for name, body in DAMAGED_COST.items()]
+
+
+class TestDamagedShards:
+    @pytest.mark.parametrize(
+        "kind,body", [pytest.param(kind, body, id=f"{kind}-{name}")
+                      for kind, name, body in CASES])
+    def test_is_a_counted_miss_and_is_overwritten(
+            self, tmp_path, kind, body):
+        store_class, value = KINDS[kind]
+        shard = tmp_path / KEY[:2] / f"{KEY}.json"
+        shard.parent.mkdir()
+        shard.write_text(body)
+
+        store = store_class(directory=tmp_path)
+        assert store.get(KEY) is None
+        assert (store.stats.hits, store.stats.misses) == (0, 1)
+
+        store.put(KEY, value)
+        reread = store_class(directory=tmp_path).get(KEY)
+        assert reread == value
+        assert set(store.breakdown()) == {kind}
+
+
+class TestKinds:
+    def test_one_directory_is_accounted_kind_by_kind(self, tmp_path):
+        """Both users pointed at one directory (``--cache-dir X`` for
+        ``explore`` and then ``perf``): each entry is reported once,
+        under the kind its writer gave it."""
+        cost = CostCache(directory=tmp_path)
+        analysis = AnalysisCache(directory=tmp_path)
+        for index in range(4):
+            cost.put(f"c{index}" + "0" * 62, KINDS["cost"][1])
+        analysis.put("a0" + "0" * 62, {"diagnostics": []})
+        analysis.put("a1" + "0" * 62, {"kind": "perf", "kernel": "k"})
+        (tmp_path / "zz").mkdir()
+        (tmp_path / "zz" / ("zz" + "0" * 62 + ".json")).write_text("{")
+
+        store = ContentStore(tmp_path)
+        rows = store.breakdown()
+        assert {kind: row["entries"] for kind, row in rows.items()} == {
+            "cost": 4, "analysis": 1, "perf": 1, "unreadable": 1}
+        assert sum(row["entries"] for row in rows.values()) == \
+            store.entry_count() == 7
+        assert sum(row["disk_bytes"] for row in rows.values()) == \
+            store.disk_bytes()
+        assert store.clear() == 7
+        assert store.breakdown() == {}
