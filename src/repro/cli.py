@@ -212,7 +212,7 @@ def cmd_perf(args: argparse.Namespace) -> int:
         configure_analysis_cache,
         default_analysis_cache_dir,
     )
-    from repro.core.analysis.perf import kernel_bounds
+    from repro.core.analysis.perf import kernel_bounds, nest_floors
 
     # Bounds persist in the same store ``repro lint --incremental``
     # uses, so a warm report (or a later bound-guided exploration of
@@ -233,22 +233,13 @@ def cmd_perf(args: argparse.Namespace) -> int:
         ))
         return 0
 
-    ports = {
-        info.buffer: info.ports("auto", 1) for info in bounds.buffers
-    }
-    cycle_floor = 0
-    nest_rows = []
-    for nest in bounds.nests:
-        if nest.trip <= 0:
-            continue
-        ii = nest.min_ii(1, ports)
-        cycles = nest.outer_iters * (1 + (nest.trip - 1) * ii)
-        cycle_floor += cycles
-        ops = sum(nest.ops.values()) * nest.total_iters
-        nest_rows.append((
-            nest.anchor, nest.depth, nest.trip, nest.outer_iters,
-            ii, nest.chain_latency, ops, cycles,
-        ))
+    nest_rows = [
+        (nest.anchor, nest.depth, nest.trip, nest.outer_iters, ii,
+         nest.chain_latency, sum(nest.ops.values()) * nest.total_iters,
+         cycles)
+        for nest, ii, _, cycles in nest_floors(bounds)
+    ]
+    cycle_floor = sum(row[-1] for row in nest_rows)
 
     summary = Table(
         f"static bounds for {args.kernel!r}",

@@ -55,10 +55,12 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.analysis.diagnostics import Diagnostics
+from repro.core.ir.dialects.hw import partition_directives
 from repro.core.ir.module import Function, Module
 from repro.core.ir.ops import Block, Operation, Value
 from repro.core.ir.types import MemRefType, ScalarType, TensorType
 from repro.core.store import LRUCache
+from repro.core.timing import body_copies, port_demand, ports_granted
 
 #: Bump whenever any analysis result can change for the same module —
 #: cache entries keyed with an older version are ignored.
@@ -330,8 +332,9 @@ class PartitionDemand:
 
     ``accesses`` loads/stores hit ``buffer`` inside an innermost loop
     of ``trip`` iterations; unrolling by ``u`` demands
-    ``accesses * min(u, trip)`` concurrent ports against the
-    ``factor * PORTS_PER_BANK`` the directive provides.
+    ``accesses`` ports for each of ``min(u, trip)`` body copies
+    against the ports ``factor`` dual-port banks provide (see
+    :func:`repro.core.timing.port_demand` / ``ports_granted``).
     """
 
     buffer: str
@@ -664,17 +667,9 @@ class _FunctionInterpreter:
     # -- explicit-partition port demands -------------------------------
 
     def _collect_demands(self) -> None:
-        directives: List[Tuple[Value, str, int]] = []
-        for op in self.function.walk():
-            if op.name == "hw.partition" and op.operands:
-                directives.append((
-                    op.operands[0], str(op.attr("scheme")),
-                    int(op.attr("factor", 1)),
-                ))
-        if not directives:
-            return
         access_ops = self._access_ops
-        for buffer, scheme, factor in directives:
+        directives = partition_directives(self.function)
+        for buffer, scheme, factor in directives.values():
             if scheme == "complete":
                 continue
             # group this buffer's accesses by the innermost loop their
@@ -922,16 +917,13 @@ def partition_conflict(
     """
     if facts is None or knobs.target != "fpga" or not facts.demands:
         return None
-    from repro.core.hls.memory import PORTS_PER_BANK
-
     for demand in facts.demands:
-        effective = min(int(knobs.unroll), demand.trip) if (
-            demand.trip > 0
-        ) else 1
+        effective = body_copies(int(knobs.unroll), demand.trip)
         if effective <= 1:
             continue
-        demanded = demand.accesses * effective
-        ports = demand.factor * PORTS_PER_BANK
+        demanded = port_demand(demand.accesses, effective)
+        # complete partitions never become demands: elements unused
+        ports = ports_granted(demand.scheme, demand.factor, 0)
         if demanded > ports:
             return (
                 f"partition: %{demand.buffer} needs {demanded} ports "

@@ -27,9 +27,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.analysis.diagnostics import Diagnostics
+from repro.core.hls.memory import cyclic_conflict_free
+from repro.core.ir.dialects.hw import partition_directives
 from repro.core.ir.module import Function, Module
 from repro.core.ir.ops import Operation, Value
 from repro.core.ir.types import MemRefType
+from repro.core.timing import port_demand, ports_granted
 
 
 @dataclass
@@ -241,39 +244,19 @@ def _check_bounds(function: Function, accesses: List[Access],
                 )
 
 
-def _partition_directives(
-    function: Function,
-) -> Dict[int, Tuple[Operation, str, int]]:
-    directives: Dict[int, Tuple[Operation, str, int]] = {}
-    for op in function.walk():
-        if op.name == "hw.partition" and op.operands:
-            directives[id(op.operands[0])] = (
-                op, str(op.attr("scheme")), int(op.attr("factor", 1))
-            )
-    return directives
-
-
 def _check_partitions(function: Function, accesses: List[Access],
                       loops: Dict[int, LoopInfo],
                       diagnostics: Diagnostics,
                       op_vars: Optional[Dict[int, frozenset]] = None,
                       ) -> None:
-    # deferred: hls.memory pulls in the CDFG machinery, which imports
-    # the IR package this analysis is reachable from (verifier)
-    from repro.core.hls.memory import (
-        PORTS_PER_BANK,
-        cyclic_conflict_free,
-    )
-
-    directives = _partition_directives(function)
+    directives = partition_directives(function)
     if not directives:
         return
     by_buffer: Dict[int, List[Access]] = {}
     for access in accesses:
         by_buffer.setdefault(id(access.buffer), []).append(access)
 
-    for key, (op, scheme, factor) in directives.items():
-        buffer = op.operands[0]
+    for key, (buffer, scheme, factor) in directives.items():
         memref = buffer.type
         if not isinstance(memref, MemRefType):
             continue
@@ -301,8 +284,9 @@ def _check_partitions(function: Function, accesses: List[Access],
         for group_key, grouped in by_loop.items():
             info = loop_for_group[group_key]
             unroll = info.unroll
-            ports = factor * PORTS_PER_BANK
-            demanded = len(grouped) * unroll
+            ports = ports_granted(scheme, factor, memref.num_elements)
+            # copies = the raw directive, as the scheduler charges it
+            demanded = port_demand(len(grouped), unroll)
             if demanded > ports:
                 diagnostics.warning(
                     "MEM002",

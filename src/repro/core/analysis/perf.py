@@ -35,12 +35,18 @@ Three consumers:
 latency and energy never fall below :func:`bound_for`'s result. For
 CPU targets the bound *is* the cost model's own arithmetic (shared via
 :func:`repro.core.dse.cost_model.cpu_cost_terms`). For FPGA targets
-the cycle bound replays the scheduler's formulas from below: knob
-combinations that restructure loops (tiling, interchange, layout,
-interleaving, DIFT) fall back to a crude ``ceil(iterations/unroll)``
-floor that survives any iteration-preserving transform. The property
-suite ``tests/analysis/test_perf_properties.py`` polices the contract
-on every example and seeded random kernel.
+the cycle bound calls the *same* functions the memory planner and the
+scheduler call (:mod:`repro.core.timing`: partition decision, port
+grant, port demand, initiation interval, pipelined cycle count; the
+link term is :func:`repro.core.dse.cost_model.fpga_link_terms`) with a
+subset of their terms — no functional-unit terms, register-partitioned
+buffers left out, body depth 1, body copies clamped to the trip count
+— so it cannot exceed the schedule. Knob combinations that restructure
+loops (tiling, interchange, layout, interleaving, DIFT) fall back to a
+crude ``ceil(iterations/unroll)`` floor that survives any
+iteration-preserving transform. The property suite
+``tests/analysis/test_perf_properties.py`` polices the contract, link
+by link, on every example and seeded random kernel.
 
 Bounds are memoized per content digest (in-process LRU) and persisted
 in the digest-keyed :class:`~repro.core.analysis.cache.AnalysisCache`
@@ -52,7 +58,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.analysis.absint import (
     AnalysisFacts,
@@ -60,22 +66,24 @@ from repro.core.analysis.absint import (
     compute_function_facts,
 )
 from repro.core.analysis.diagnostics import Diagnostics
-from repro.core.hls.cdfg import CDFG, LoopNode, build_cdfg, loop_carried_chain
-from repro.core.hls.memory import (
-    COMPLETE_PARTITION_LIMIT,
-    PORTS_PER_BANK,
-)
-from repro.core.hls.scheduling import OP_LATENCY, RESOURCE_CLASS
+from repro.core.hls.bambu import DEFAULT_CLOCK_HZ, argument_bytes
+from repro.core.hls.cdfg import CDFG, LoopNode, build_cdfg
+from repro.core.hls.memory import small_alloc
+from repro.core.hls.scheduling import RESOURCE_CLASS, chain_latency
+from repro.core.ir.dialects.hw import partition_directives
 from repro.core.ir.module import Module
 from repro.core.ir.types import MemRefType
 from repro.core.store import LRUCache
-
-#: Default accelerator clock the roofline verdict is taken at (matches
-#: :class:`~repro.core.hls.bambu.HLSOptions`).
-DEFAULT_CLOCK_HZ = 250e6
-
-#: The memory plan's maximum banking factor (matches plan_memories).
-_MAX_FACTOR = 64
+from repro.core.timing import (
+    PORTS_PER_BANK,
+    body_copies,
+    initiation_interval,
+    partition_for,
+    pipelined_cycles,
+    port_demand,
+    ports_granted,
+)
+from repro.errors import HLSError
 
 
 # ---------------------------------------------------------------------
@@ -102,19 +110,27 @@ class NestBounds:
     def total_iters(self) -> int:
         return self.trip * self.outer_iters
 
-    def min_ii(self, unroll: int, ports_of: Dict[str, int]) -> int:
-        """II floor at ``unroll`` given per-buffer port grants.
+    def ii_floor(
+        self, unroll: int, ports_of: Dict[str, int]
+    ) -> Tuple[int, str, str]:
+        """``(ii, kind, buffer)`` floor at ``unroll`` given port grants.
 
-        A port grant of 0 means effectively unlimited (registers).
+        The scheduler's :func:`~repro.core.timing.initiation_interval`
+        over the port and recurrence terms alone. A port grant of 0
+        means effectively unlimited (registers): the term is left out.
         """
-        effective = min(max(1, unroll), self.trip) if self.trip else 1
-        ii = max(1, self.chain_latency)
-        for buffer, count in self.accesses.items():
-            ports = ports_of.get(buffer, PORTS_PER_BANK)
-            if ports <= 0:
-                continue
-            ii = max(ii, math.ceil(count * effective / ports))
-        return ii
+        copies = body_copies(unroll, self.trip)
+        return initiation_interval(
+            1, (),
+            [(buffer, port_demand(count, copies), ports)
+             for buffer, count in self.accesses.items()
+             if (ports := ports_of.get(buffer, PORTS_PER_BANK)) > 0],
+            self.chain_latency, 1,
+        )
+
+    def min_ii(self, unroll: int, ports_of: Dict[str, int]) -> int:
+        """The II of :meth:`ii_floor`."""
+        return self.ii_floor(unroll, ports_of)[0]
 
     def to_payload(self) -> Dict[str, Any]:
         return {"anchor": self.anchor, "depth": self.depth,
@@ -181,23 +197,18 @@ class BufferInfo:
     def ports(self, strategy: str, max_unroll: int) -> int:
         """Port grant the memory plan will produce (0 = unlimited).
 
-        Mirrors :func:`repro.core.hls.memory.plan_memories` exactly for
-        structure-preserving knob points, so the derived II floor is a
-        true lower bound on the scheduled II.
+        The planner's own :func:`~repro.core.timing.partition_for`
+        decision on the planner's inputs, so for structure-preserving
+        knob points the grant is the scheduled one.
         """
-        if self.scheme:
-            if self.scheme == "complete":
-                return 0
-            return max(1, self.factor) * PORTS_PER_BANK
-        if strategy == "none":
-            return PORTS_PER_BANK
-        if self.small_alloc:
+        scheme, factor = partition_for(
+            (self.scheme, self.factor) if self.scheme else None,
+            strategy, self.small_alloc, self.elements,
+            port_demand(self.total_accesses, max(1, max_unroll)),
+        )
+        if scheme == "complete":
             return 0
-        needed = max(1, self.total_accesses * max(1, max_unroll))
-        factor = 1
-        while factor * PORTS_PER_BANK < needed and factor < _MAX_FACTOR:
-            factor *= 2
-        return factor * PORTS_PER_BANK
+        return ports_granted(scheme, factor, self.elements)
 
     def to_payload(self) -> Dict[str, Any]:
         return {"buffer": self.buffer, "elements": self.elements,
@@ -342,7 +353,6 @@ def _collect_nests(kernel: str, cdfg: CDFG) -> List[NestBounds]:
             buffer = node.buffer()
             if buffer is not None:
                 accesses[buffer.name] = accesses.get(buffer.name, 0) + 1
-        chain = loop_carried_chain(loop)
         nests.append(NestBounds(
             anchor=f"{kernel}/nest{position}",
             depth=loop.depth,
@@ -350,8 +360,7 @@ def _collect_nests(kernel: str, cdfg: CDFG) -> List[NestBounds]:
             outer_iters=max(1, outer),
             ops=ops,
             accesses=accesses,
-            chain_latency=sum(
-                OP_LATENCY.get(node.op.name, 1) for node in chain),
+            chain_latency=chain_latency(loop),
         ))
     return nests
 
@@ -363,30 +372,19 @@ def _collect_buffers(cdfg: CDFG) -> List[BufferInfo]:
             buffer = node.buffer()
             if buffer is None or not isinstance(buffer.type, MemRefType):
                 continue
-            key = id(buffer)
-            info = infos.get(key)
+            info = infos.get(id(buffer))
             if info is None:
-                memref = buffer.type
-                producer = buffer.producer
-                info = BufferInfo(
+                info = infos[id(buffer)] = BufferInfo(
                     buffer=buffer.name,
-                    elements=memref.num_elements,
-                    element_bits=memref.element.bit_width,
-                    small_alloc=(
-                        memref.num_elements <= COMPLETE_PARTITION_LIMIT
-                        and producer is not None
-                        and producer.name == "kernel.alloc"
-                    ),
+                    elements=buffer.type.num_elements,
+                    element_bits=buffer.type.element.bit_width,
+                    small_alloc=small_alloc(buffer),
                 )
-                infos[key] = info
             info.total_accesses += 1
-    for op in cdfg.function.walk():
-        if op.name != "hw.partition" or not op.operands:
-            continue
-        info = infos.get(id(op.operands[0]))
-        if info is not None:
-            info.scheme = str(op.attr("scheme"))
-            info.factor = int(op.attr("factor", 1))
+    directives = partition_directives(cdfg.function)
+    for key, (_, scheme, factor) in directives.items():
+        if key in infos:
+            infos[key].scheme, infos[key].factor = scheme, factor
     return list(infos.values())
 
 
@@ -408,47 +406,44 @@ def _collect_traffic(facts: FunctionFacts) -> List[BufferTraffic]:
     return list(per_buffer.values())
 
 
-def _arg_bytes(function) -> int:
-    return sum(
-        declared.size_bytes for declared in function.type.inputs
-        if isinstance(declared, MemRefType)
-    )
+_BINDING = {"target": "loop pipeline", "chain": "recurrence chain"}
+
+
+def nest_floors(
+    bounds: StaticBounds, unroll: int = 1, strategy: str = "auto",
+) -> Iterator[Tuple[NestBounds, int, str, int]]:
+    """``(nest, ii, binding, cycles)`` floors per non-empty loop nest.
+
+    What the scheduler charges a nest, from below: ports as the memory
+    plan grants them at ``strategy`` for the widest body, the II floor
+    of :meth:`NestBounds.ii_floor` with the resource that binds it,
+    and :func:`~repro.core.timing.pipelined_cycles` at body depth 1.
+    The roofline verdict, the FPGA cycle bound and ``repro perf`` all
+    read this one iteration.
+    """
+    live = [(nest, body_copies(unroll, nest.trip))
+            for nest in bounds.nests if nest.trip > 0]
+    widest = max((copies for _, copies in live), default=1)
+    ports = {info.buffer: info.ports(strategy, widest)
+             for info in bounds.buffers}
+    for nest, copies in live:
+        ii, kind, buffer = nest.ii_floor(copies, ports)
+        yield (
+            nest, ii, _BINDING.get(kind) or f"memport:%{buffer}",
+            nest.outer_iters * pipelined_cycles(nest.trip, copies, 1, ii),
+        )
 
 
 def _roofline(bounds: StaticBounds) -> Tuple[str, str]:
     """(verdict, binding resource) at default knobs (unroll 1)."""
-    from repro.platform.interconnect import OpenCAPILink
-
-    link = OpenCAPILink()
-    ports = {info.buffer: info.ports("auto", 1)
-             for info in bounds.buffers}
     cycles = 0
-    binding = "loop pipeline"
-    worst: Tuple[int, str] = (0, binding)
-    for nest in bounds.nests:
-        if nest.trip <= 0:
-            continue
-        ii = nest.min_ii(1, ports)
-        nest_cycles = nest.outer_iters * (1 + (nest.trip - 1) * ii)
+    worst: Tuple[int, str] = (0, _BINDING["target"])
+    for _, _, binding, nest_cycles in nest_floors(bounds):
         cycles += nest_cycles
         if nest_cycles >= worst[0]:
-            port_term, pressed = 0, ""
-            for buffer, count in nest.accesses.items():
-                port_count = ports.get(buffer, 0)
-                if port_count <= 0:
-                    continue
-                term = math.ceil(count / port_count)
-                if term > port_term:
-                    port_term, pressed = term, buffer
-            if ii <= 1:
-                reason = "loop pipeline"
-            elif nest.chain_latency >= port_term:
-                reason = "recurrence chain"
-            else:
-                reason = f"memport:%{pressed}"
-            worst = (nest_cycles, reason)
+            worst = (nest_cycles, binding)
     compute_s = cycles / DEFAULT_CLOCK_HZ
-    stream_s = bounds.arg_bytes / link.bandwidth
+    stream_s = bounds.arg_bytes / _default_link_bandwidth()
     if stream_s > compute_s:
         return "memory-bound", "link bandwidth"
     return "compute-bound", worst[1]
@@ -458,7 +453,7 @@ def compute_kernel_bounds(
     module: Module, kernel: str
 ) -> Optional[StaticBounds]:
     """Derive :class:`StaticBounds` for one kernel (uncached)."""
-    from repro.core.dse.cost_model import _data_bytes
+    from repro.core.dse.cost_model import signature_bytes
     from repro.core.ir.passes.partitioning import estimate_work
 
     source = module.find_function(kernel)
@@ -467,24 +462,11 @@ def compute_kernel_bounds(
     lowered = _baseline_kernel_form(module, kernel)
     if lowered is None:
         return None
-    work, _ = estimate_work(source)
-    cdfg = build_cdfg(lowered)
-    facts = compute_function_facts(lowered)
-    bounds = StaticBounds(
-        kernel=kernel,
-        work=float(work),
-        data_bytes=_data_bytes(source),
-        arg_bytes=_arg_bytes(lowered),
-        nests=_collect_nests(kernel, cdfg),
-        traffic=_collect_traffic(facts),
-        buffers=_collect_buffers(cdfg),
-    )
-    totals: Dict[str, int] = {}
-    for nest in bounds.nests:
-        for cls, count in nest.ops.items():
-            totals[cls] = totals.get(cls, 0) + count * nest.total_iters
-    bounds.op_counts = totals
-    bounds.verdict, bounds.binding = _roofline(bounds)
+    bounds = compute_kernel_bounds_from_function(lowered)
+    if bounds is not None:
+        # the CPU model prices the tensor-form original
+        bounds.work = float(estimate_work(source)[0])
+        bounds.data_bytes = signature_bytes(source)
     return bounds
 
 
@@ -580,21 +562,10 @@ def fpga_cycles_lower_bound(bounds: StaticBounds, knobs) -> int:
             for nest in bounds.nests if nest.trip > 0
         )
         return max(1, total)
-    max_unroll = max(
-        [min(unroll, nest.trip) for nest in bounds.nests
-         if nest.trip > 0] or [1]
-    )
-    ports = {info.buffer: info.ports(knobs.memory_strategy, max_unroll)
-             for info in bounds.buffers}
-    total = 0
-    for nest in bounds.nests:
-        if nest.trip <= 0:
-            continue
-        effective = min(unroll, nest.trip)
-        instances = math.ceil(nest.trip / effective)
-        ii = nest.min_ii(effective, ports)
-        total += nest.outer_iters * (1 + (instances - 1) * ii)
-    return max(1, total)
+    return max(1, sum(
+        cycles for _, _, _, cycles
+        in nest_floors(bounds, unroll, knobs.memory_strategy)
+    ))
 
 
 def bound_for(
@@ -606,9 +577,9 @@ def bound_for(
     :func:`repro.core.dse.cost_model.evaluate_variant` returns for the
     same point (infeasible points price at +inf, above any bound).
     """
-    if knobs.target == "cpu":
-        from repro.core.dse.cost_model import cpu_cost_terms
+    from repro.core.dse.cost_model import cpu_cost_terms, fpga_link_terms
 
+    if knobs.target == "cpu":
         return cpu_cost_terms(
             bounds.work, bounds.data_bytes, knobs, model)
     if knobs.target != "fpga":
@@ -617,14 +588,8 @@ def bound_for(
     if link is None or getattr(model, "fpga_role_capacity", None) is None:
         return float("inf"), float("inf")
     cycles = fpga_cycles_lower_bound(bounds, knobs)
-    compute_s = cycles / max(1.0, float(knobs.clock_hz))
-    stream_s = bounds.arg_bytes / link.bandwidth
-    if link.coherent:
-        latency = max(compute_s, stream_s) + link.latency_s
-    else:
-        latency = compute_s + link.transfer_time(bounds.arg_bytes)
-    energy = link.transfer_energy(bounds.arg_bytes)
-    return latency, energy
+    return fpga_link_terms(
+        cycles / max(1.0, float(knobs.clock_hz)), bounds.arg_bytes, link)
 
 
 # ---------------------------------------------------------------------
@@ -675,76 +640,59 @@ def check_module_perf(
 def _check_function_perf(
     function, facts: FunctionFacts, diagnostics: Diagnostics
 ) -> None:
-    from repro.errors import HLSError
-
     try:
         cdfg = build_cdfg(function)
     except HLSError:
         return
-    directives: Dict[int, Tuple[str, int]] = {}
-    for op in function.walk():
-        if op.name == "hw.partition" and op.operands:
-            directives[id(op.operands[0])] = (
-                str(op.attr("scheme")), int(op.attr("factor", 1)),
-            )
+    directives = partition_directives(function)
 
     for loop in cdfg.innermost_loops():
         anchor = f"{function.name}/kernel.for"
         trip = loop.trip_count
         if trip <= 0:
             continue
-        unroll = loop.unroll
-        effective = min(unroll, trip)
-        per_buffer: Dict[int, Tuple[str, int]] = {}
+        copies = body_copies(loop.unroll, trip)
+        per_buffer: Dict[int, int] = {}
         for node in loop.body:
             buffer = node.buffer()
-            if buffer is None:
-                continue
-            name, count = per_buffer.get(id(buffer), (buffer.name, 0))
-            per_buffer[id(buffer)] = (name, count + 1)
+            if buffer is not None:
+                per_buffer[id(buffer)] = per_buffer.get(id(buffer), 0) + 1
 
-        ii_floor = 1
-        pressed = ""
-        for key, (name, count) in per_buffer.items():
-            directive = directives.get(key)
-            if directive is None or directive[0] == "complete":
+        port_terms: List[Tuple[str, int, int]] = []
+        for key, count in per_buffer.items():
+            if key not in directives or directives[key][1] == "complete":
                 continue
-            scheme, factor = directive
-            ports = max(1, factor) * PORTS_PER_BANK
-            demanded = count * effective
-            if effective > 1 and demanded > ports:
+            buffer, scheme, factor = directives[key]
+            ports = ports_granted(scheme, factor, buffer.type.num_elements)
+            demanded = port_demand(count, copies)
+            if copies > 1 and demanded > ports:
                 diagnostics.error(
                     "PERF001",
-                    f"unroll {unroll} demands {demanded} concurrent "
-                    f"ports on %{name} ({count} accesses x {effective} "
-                    f"copies) but {scheme} factor {factor} provides "
-                    f"only {ports}",
+                    f"unroll {loop.unroll} demands {demanded} concurrent "
+                    f"ports on %{buffer.name} ({count} accesses x "
+                    f"{copies} copies) but {scheme} factor {factor} "
+                    f"provides only {ports}",
                     anchor=anchor, analysis="perf",
                 )
-            term = math.ceil(demanded / ports)
-            if term > ii_floor:
-                ii_floor, pressed = term, name
+            port_terms.append((buffer.name, demanded, ports))
 
         if loop.pipelined:
             target = max(1, int(loop.op.attr("pipeline_ii", 1)))
-            interleave = max(1, int(loop.op.attr("interleave", 1)))
-            chain = loop_carried_chain(loop)
-            rec = math.ceil(
-                sum(OP_LATENCY.get(node.op.name, 1) for node in chain)
-                / interleave
-            ) if chain else 1
-            floor = max(ii_floor, rec)
-            if floor > target:
+            ii, kind, pressed = initiation_interval(
+                target, (), port_terms, chain_latency(loop),
+                max(1, int(loop.op.attr("interleave", 1))),
+            )
+            if kind != "target":
                 cause = (
                     f"the loop-carried accumulation chain "
-                    f"({rec} cycles)"
-                    if rec >= ii_floor else
+                    f"({ii} cycles)"
+                    if kind == "chain" else
                     f"port pressure on %{pressed}"
                 )
                 diagnostics.error(
                     "PERF005",
                     f"pipeline_ii = {target} is provably unattainable: "
-                    f"{cause} forces II >= {floor}",
+                    f"{cause} forces II >= {ii}",
                     anchor=anchor, analysis="perf",
                 )
 
@@ -795,9 +743,8 @@ def compute_kernel_bounds_from_function(
     facts: Optional[FunctionFacts] = None,
 ) -> Optional[StaticBounds]:
     """Bounds straight from a kernel-form function (no lowering)."""
-    from repro.core.dse.cost_model import _data_bytes
+    from repro.core.dse.cost_model import signature_bytes
     from repro.core.ir.passes.partitioning import estimate_work
-    from repro.errors import HLSError
 
     if cdfg is None:
         try:
@@ -810,8 +757,8 @@ def compute_kernel_bounds_from_function(
     bounds = StaticBounds(
         kernel=function.name,
         work=float(work),
-        data_bytes=_data_bytes(function),
-        arg_bytes=_arg_bytes(function),
+        data_bytes=signature_bytes(function),
+        arg_bytes=argument_bytes(function),
         nests=_collect_nests(function.name, cdfg),
         traffic=_collect_traffic(facts),
         buffers=_collect_buffers(cdfg),

@@ -227,7 +227,9 @@ def price_variant(
     return _evaluate_fpga(module, kernel, knobs, model, digest)
 
 
-def _data_bytes(function) -> int:
+def signature_bytes(function) -> int:
+    """Bytes of every tensor/memref input and result (the CPU model's
+    memory term)."""
     total = 0
     for declared in function.type.inputs + function.type.results:
         if isinstance(declared, (TensorType, MemRefType)):
@@ -274,13 +276,34 @@ def cpu_cost_terms(
     return latency, power * latency
 
 
+def fpga_link_terms(
+    compute_s: float, data_bytes: int, link: Link,
+) -> "tuple[float, float]":
+    """``(latency_s, transfer_j)`` of one invocation over ``link``.
+
+    The attachment-link arithmetic shared with the analyzer's FPGA
+    bound (:func:`repro.core.analysis.perf.bound_for`), which passes a
+    cycle floor where pricing passes the synthesized latency.
+    """
+    if link.coherent:
+        # Coherent attachment streams operands on demand: transfer
+        # overlaps the pipeline, so the invocation is bound by the
+        # slower of compute and link bandwidth, plus one link latency.
+        stream_s = data_bytes / link.bandwidth
+        latency = max(compute_s, stream_s) + link.latency_s
+    else:
+        # Non-coherent: explicit staging copies before/after compute.
+        latency = compute_s + link.transfer_time(data_bytes)
+    return latency, link.transfer_energy(data_bytes)
+
+
 def _evaluate_cpu(
     module: Module, kernel: str, knobs: VariantKnobs,
     model: ArchitectureModel,
 ) -> CostEstimate:
     function = module.find_function(kernel)
     work, _ = estimate_work(function)
-    data_bytes = _data_bytes(function)
+    data_bytes = signature_bytes(function)
     latency, energy = cpu_cost_terms(work, data_bytes, knobs, model)
     return CostEstimate(
         latency_s=latency,
@@ -346,18 +369,8 @@ def _evaluate_fpga(
         )
 
     data_bytes = design.data_bytes()
-    transfer_j = model.fpga_link.transfer_energy(data_bytes)
-    if model.fpga_link.coherent:
-        # Coherent attachment streams operands on demand: transfer
-        # overlaps the pipeline, so the invocation is bound by the
-        # slower of compute and link bandwidth, plus one link latency.
-        stream_s = data_bytes / model.fpga_link.bandwidth
-        latency = max(design.latency_seconds, stream_s) + \
-            model.fpga_link.latency_s
-    else:
-        # Non-coherent: explicit staging copies before/after compute.
-        transfer_s = model.fpga_link.transfer_time(data_bytes)
-        latency = design.latency_seconds + transfer_s
+    latency, transfer_j = fpga_link_terms(
+        design.latency_seconds, data_bytes, model.fpga_link)
     energy = design.energy_per_invocation + transfer_j
     return CostEstimate(
         latency_s=latency,

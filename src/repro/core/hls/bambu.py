@@ -32,12 +32,15 @@ from repro.platform.fpga import Bitstream
 from repro.platform.resources import FPGAResources
 from repro.utils.validation import check_positive
 
+#: Accelerator clock when no knob sets one.
+DEFAULT_CLOCK_HZ = 250e6
+
 
 @dataclass(frozen=True)
 class HLSOptions:
     """Synthesis knobs — the hardware-variant axes of the DSE."""
 
-    clock_hz: float = 250e6
+    clock_hz: float = DEFAULT_CLOCK_HZ
     budget: ResourceBudget = field(default_factory=ResourceBudget)
     memory_strategy: str = "auto"  # auto | cyclic | block | none
     enable_dift: Optional[bool] = None  # None = follow function attr
@@ -85,11 +88,7 @@ class AcceleratorDesign:
 
     def data_bytes(self) -> int:
         """Bytes of argument data moved per invocation."""
-        total = 0
-        for argument in self.cdfg.function.arguments:
-            if isinstance(argument.type, MemRefType):
-                total += argument.type.size_bytes
-        return total
+        return argument_bytes(self.cdfg.function)
 
     def bitstream(self, partial: bool = True) -> Bitstream:
         """Package the design as a loadable bitstream image."""
@@ -154,12 +153,8 @@ def synthesize_function(
     max_unroll = max(
         [loop.unroll for loop in cdfg.innermost_loops()] or [1]
     )
-    target_ii = 1
     memory_plan = plan_memories(
-        cdfg,
-        unroll=max_unroll,
-        target_ii=target_ii,
-        strategy=options.memory_strategy,
+        cdfg, unroll=max_unroll, strategy=options.memory_strategy,
     )
     ports = memory_plan.ports_map()
 
@@ -222,6 +217,14 @@ def synthesize_function(
     )
 
 
+def argument_bytes(function: Function) -> int:
+    """Bytes of the memref arguments: what one invocation streams."""
+    return sum(
+        argument.type.size_bytes for argument in function.arguments
+        if isinstance(argument.type, MemRefType)
+    )
+
+
 def _out_param_count(function: Function) -> int:
     lowered = function.op.attr("lowered_from") == "tensor"
     if not lowered:
@@ -243,19 +246,3 @@ def _sensitive_bytes(function: Function) -> int:
     if total == 0 and sensitive:
         total = 64  # scalar secrets still pay a block
     return total
-
-
-def estimate_cpu_cycles(function: Function,
-                        flops_per_cycle: float = 4.0) -> int:
-    """Rough software-execution cycle count for the same kernel.
-
-    Used by the DSE to compare against the hardware design without a
-    full CPU microarchitecture model: operation count divided by a
-    superscalar issue width, plus memory-traffic cycles.
-    """
-    from repro.core.ir.passes.partitioning import estimate_work
-
-    work, data_bytes = estimate_work(function)
-    compute_cycles = work / flops_per_cycle
-    memory_cycles = data_bytes / 16.0  # ~16 B/cycle sustained
-    return int(max(compute_cycles, memory_cycles, 1))

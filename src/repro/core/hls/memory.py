@@ -6,6 +6,14 @@ all its accesses every II cycles — cyclic or block partitioning in the
 style of generalized memory partitioning (Wang et al. [28]) with
 dual-port BRAM banks, or ``complete`` partitioning into registers for
 tiny buffers.
+
+The planner gathers the inputs (access counts, explicit
+``hw.partition`` directives, which buffers are small local scratch)
+and turns the answer into BRAM/register footprints; the partition
+decision itself and the ports a layout grants are
+:func:`repro.core.timing.partition_for` and
+:func:`repro.core.timing.ports_granted`, the same functions the static
+performance analyzer calls for its port floors.
 """
 
 from __future__ import annotations
@@ -15,17 +23,20 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.hls.cdfg import CDFG, DFGNode
+from repro.core.ir.dialects.hw import partition_directives
 from repro.core.ir.ops import Value
 from repro.core.ir.types import MemRefType
+from repro.core.timing import (
+    COMPLETE_PARTITION_LIMIT,
+    partition_for,
+    port_demand,
+    ports_granted,
+)
 from repro.errors import HLSError
 from repro.utils.validation import check_positive
 
 #: BRAM block granularity (bits) — 18 kbit blocks.
 BRAM_BLOCK_BITS = 18 * 1024
-#: Ports of one BRAM bank (true dual port).
-PORTS_PER_BANK = 2
-#: Buffers at or below this element count partition completely.
-COMPLETE_PARTITION_LIMIT = 64
 
 
 @dataclass
@@ -41,9 +52,8 @@ class BufferPlan:
     @property
     def ports(self) -> int:
         """Concurrent ports the layout provides."""
-        if self.scheme == "complete":
-            return self.memref.num_elements  # registers: unlimited-ish
-        return self.factor * PORTS_PER_BANK
+        return ports_granted(
+            self.scheme, self.factor, self.memref.num_elements)
 
     @property
     def bram_blocks(self) -> int:
@@ -109,58 +119,47 @@ def cyclic_conflict_free(offsets: List[int], stride: int, unroll: int,
     return True
 
 
-def _required_ports(accesses: int, unroll: int, target_ii: int) -> int:
-    return max(1, math.ceil(accesses * unroll / max(1, target_ii)))
+def small_alloc(buffer: Value) -> bool:
+    """Local scratch small enough to become registers.
+
+    Interface buffers always stay addressable memories.
+    """
+    return (
+        buffer.type.num_elements <= COMPLETE_PARTITION_LIMIT
+        and buffer.producer is not None
+        and buffer.producer.name == "kernel.alloc"
+    )
 
 
 def plan_memories(
     cdfg: CDFG,
     unroll: int = 1,
-    target_ii: int = 1,
     strategy: str = "auto",
-    max_factor: int = 64,
 ) -> MemoryPlan:
     """Derive bank layouts from the access pattern of the loop nests.
 
     ``strategy``: ``auto`` (choose per buffer), ``cyclic``, ``block``
-    or ``none`` (single bank, the unoptimized baseline).
+    or ``none`` (single bank, the unoptimized baseline). Banks are
+    sized so ``unroll`` body copies can issue every cycle (II = 1).
     """
     if strategy not in ("auto", "cyclic", "block", "none"):
         raise HLSError(f"unknown memory strategy {strategy!r}")
     plan = MemoryPlan()
-    access_counts = _count_accesses(cdfg)
-    explicit = _explicit_directives(cdfg)
+    explicit = partition_directives(cdfg.function)
 
-    for value, count in access_counts.items():
+    for value, count in _count_accesses(cdfg).items():
         memref = value.type
         if not isinstance(memref, MemRefType):
             continue
         directive = explicit.get(id(value))
-        if directive is not None:
-            scheme, factor = directive
-        elif strategy == "none":
-            scheme, factor = "cyclic", 1
-        elif (
-            memref.num_elements <= COMPLETE_PARTITION_LIMIT
-            and value.producer is not None
-            and value.producer.name == "kernel.alloc"
-        ):
-            # Local scratch buffers small enough become registers;
-            # interface buffers always stay addressable memories.
-            scheme, factor = "complete", memref.num_elements
-        else:
-            needed = _required_ports(count, unroll, target_ii)
-            factor = 1
-            while factor * PORTS_PER_BANK < needed and factor < max_factor:
-                factor *= 2
-            if strategy == "block":
-                scheme = "block"
-            elif strategy == "cyclic":
-                scheme = "cyclic"
-            else:
-                # SoA-layout record buffers bank naturally by field
-                # (block); streaming unit-stride buffers prefer cyclic.
-                scheme = "block" if memref.layout == "soa" else "cyclic"
+        scheme, factor = partition_for(
+            directive and directive[1:], strategy, small_alloc(value),
+            memref.num_elements, port_demand(count, unroll),
+        )
+        if scheme == "auto":
+            # SoA-layout record buffers bank naturally by field
+            # (block); streaming unit-stride buffers prefer cyclic.
+            scheme = "block" if memref.layout == "soa" else "cyclic"
         plan.buffers[id(value)] = BufferPlan(
             value=value,
             memref=memref,
@@ -191,15 +190,3 @@ def _count_accesses(cdfg: CDFG) -> Dict[Value, int]:
         for node in loop.body:
             record(node)
     return {values[key]: count for key, count in counts.items()}
-
-
-def _explicit_directives(cdfg: CDFG) -> Dict[int, tuple]:
-    """hw.partition directives found in the function body."""
-    directives: Dict[int, tuple] = {}
-    for op in cdfg.function.walk():
-        if op.name != "hw.partition":
-            continue
-        directives[id(op.operands[0])] = (
-            op.attr("scheme"), int(op.attr("factor"))
-        )
-    return directives

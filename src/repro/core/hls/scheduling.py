@@ -3,12 +3,21 @@
 A classical HLS flow (Bambu [27]): operations get ASAP/ALAP bounds,
 then list scheduling with a mobility priority packs them into control
 steps subject to functional-unit and memory-port constraints. For
-pipelined loops the initiation interval is the max of
+pipelined loops the initiation interval is
+:func:`repro.core.timing.initiation_interval` over *every* term the
+scheduler knows:
 
-* **ResMII** — resource-minimum II from the busiest constrained
-  resource class, and
-* **RecMII** — recurrence-minimum II from the loop-carried
-  accumulation chain (see :func:`repro.core.hls.cdfg.loop_carried_chain`).
+* **ResMII** — one ``(class, demand, units)`` term per constrained
+  functional-unit class and one ``(buffer, demand, ports)`` term per
+  buffer, with ``demand`` counted over ``loop.unroll`` body copies;
+* **RecMII** — :func:`chain_latency` of the loop-carried accumulation
+  chain (see :func:`repro.core.hls.cdfg.loop_carried_chain`), divided
+  by the interleave factor.
+
+The static performance analyzer (:mod:`repro.core.analysis.perf`)
+calls the same function with a subset of those terms and the same
+:func:`repro.core.timing.pipelined_cycles` with ``depth = 1``, which
+is what makes its bound a floor of this schedule.
 
 Latencies are in clock cycles at the accelerator clock.
 """
@@ -21,6 +30,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.hls.cdfg import DFGNode, LoopNode, loop_carried_chain
+from repro.core.timing import (
+    initiation_interval,
+    pipelined_cycles,
+    port_demand,
+)
 from repro.errors import SchedulingError
 from repro.utils.validation import check_positive
 
@@ -113,6 +127,11 @@ def latency_of(node: DFGNode) -> int:
     return OP_LATENCY.get(node.op.name, 1)
 
 
+def chain_latency(loop: LoopNode) -> int:
+    """Cycles of the loop-carried accumulation chain (0 = none)."""
+    return sum(latency_of(node) for node in loop_carried_chain(loop))
+
+
 @dataclass
 class Schedule:
     """The schedule of one loop body."""
@@ -127,12 +146,12 @@ class Schedule:
 
     def cycles_for_trips(self, trips: int) -> int:
         """Total cycles to run ``trips`` iterations of this body."""
+        if self.pipelined:
+            return pipelined_cycles(
+                trips, self.unroll, self.depth, self.ii)
         if trips <= 0:
             return 0
-        effective_trips = math.ceil(trips / self.unroll)
-        if self.pipelined:
-            return self.depth + (effective_trips - 1) * self.ii
-        return effective_trips * (self.depth + 1)
+        return math.ceil(trips / self.unroll) * (self.depth + 1)
 
 
 def schedule_loop(
@@ -395,36 +414,26 @@ def _initiation_interval(
     memory_ports: Optional[Dict[int, int]],
     usage: Dict[str, int],
 ) -> int:
-    target = max(1, int(loop.op.attr("pipeline_ii", 1)))
-
-    res_mii = 1
-    for resource, demand in usage.items():
-        if resource == "memport":
-            continue
-        limit = budget.limit(resource)
-        res_mii = max(res_mii, math.ceil(demand / limit))
-    # memory ports: per-buffer demand
-    per_buffer: Dict[int, int] = {}
+    accesses: Dict[int, int] = {}
     for node in loop.body:
         buffer = node.buffer()
         if buffer is not None:
-            per_buffer[id(buffer)] = (
-                per_buffer.get(id(buffer), 0) + loop.unroll
-            )
-    for buffer_id, demand in per_buffer.items():
-        ports = budget.memport
-        if memory_ports and buffer_id in memory_ports:
-            ports = memory_ports[buffer_id]
-        res_mii = max(res_mii, math.ceil(demand / ports))
-
-    chain = loop_carried_chain(loop)
-    rec_mii = sum(latency_of(node) for node in chain) if chain else 1
-    # Accumulation interleaving (see passes/interleave.py): I partial
-    # sums stretch the recurrence distance to I iterations.
-    interleave = max(1, int(loop.op.attr("interleave", 1)))
-    rec_mii = math.ceil(rec_mii / interleave)
-
-    return max(target, res_mii, rec_mii)
+            accesses[id(buffer)] = accesses.get(id(buffer), 0) + 1
+    memory_ports = memory_ports or {}
+    ii, _, _ = initiation_interval(
+        int(loop.op.attr("pipeline_ii", 1)),
+        [(resource, demand, budget.limit(resource))
+         for resource, demand in usage.items() if resource != "memport"],
+        # copies = the raw directive, not clamped to the trip count
+        [(key, port_demand(count, loop.unroll),
+          memory_ports.get(key, budget.memport))
+         for key, count in accesses.items()],
+        chain_latency(loop),
+        # Accumulation interleaving (see passes/interleave.py): I
+        # partial sums stretch the recurrence distance to I iterations.
+        max(1, int(loop.op.attr("interleave", 1))),
+    )
+    return ii
 
 
 def nest_cycles(loop: LoopNode, schedules: Dict[int, Schedule]) -> int:

@@ -9,12 +9,14 @@ and ``hw.stream_write`` connect accelerators over FIFO channels.
 
 from __future__ import annotations
 
+from typing import Dict, Tuple
+
 from repro.core.ir.dialects import (
     Dialect,
     OpDef,
     register_dialect,
 )
-from repro.core.ir.ops import Operation
+from repro.core.ir.ops import Operation, Value
 from repro.core.ir.types import StreamType
 from repro.errors import IRError
 
@@ -38,6 +40,26 @@ def _verify_partition(op: Operation) -> None:
     factor = op.attr("factor")
     if not isinstance(factor, int) or factor < 1:
         raise IRError("hw.partition: positive integer factor required")
+
+
+def partition_directives(function) -> Dict[int, Tuple[Value, str, int]]:
+    """``id(buffer) -> (buffer, scheme, factor)`` of a function body.
+
+    The one reader of ``hw.partition``: every layer that honours or
+    checks the directives (memory planner, performance analyzer,
+    partition lints, DSE pruning) sees the same answer. A missing
+    ``factor`` reads as 1, an operand-less directive is skipped and
+    the last directive on a buffer wins; rejecting malformed
+    directives stays the verifier's job (:func:`_verify_partition`).
+    """
+    directives: Dict[int, Tuple[Value, str, int]] = {}
+    for op in function.walk():
+        if op.name == "hw.partition" and op.operands:
+            directives[id(op.operands[0])] = (
+                op.operands[0], str(op.attr("scheme")),
+                int(op.attr("factor", 1)),
+            )
+    return directives
 
 
 def _verify_stream_read(op: Operation) -> None:

@@ -9,8 +9,9 @@ extra accumulator registers and a log-depth reduction tree epilogue.
 
 This pass is analysis+annotation, like the other variant knobs: it
 tags accumulation loops with an ``interleave`` attribute that the
-scheduler honors (see :func:`repro.core.hls.scheduling
-._initiation_interval`).
+scheduler passes, with the chain latency, to
+:func:`repro.core.timing.initiation_interval` — the one place the
+``ceil(chain / I)`` term is stated.
 """
 
 from __future__ import annotations

@@ -4,7 +4,12 @@ The contract under test: for every kernel and every knob point, the
 cost model's priced latency and energy are never *below* the analytic
 lower bound :func:`bound_for` derives for that point. CPU bounds are
 float-exact (they share :func:`cpu_cost_terms` with the model); FPGA
-bounds must stay below the scheduled cost by construction.
+bounds must stay below the scheduled cost by construction — the
+analyzer and the scheduler call the same :mod:`repro.core.timing`
+functions, the analyzer with a subset of the terms — and the two inner
+links of that chain are checked on their own: the cycle floor against
+the synthesized design's cycles, and (where the knobs keep the
+baseline loop structure) each nest's II floor against the scheduled II.
 
 Kernels come from two sources: the shipped example kernels (gemm, mlp,
 stream) over a dense knob grid, and hypothesis-generated random DSL
@@ -20,14 +25,20 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.core.analysis.perf import (  # noqa: E402
+    _structure_preserving,
     bound_for,
     compute_kernel_bounds,
+    fpga_cycles_lower_bound,
+    nest_floors,
 )
 from repro.core.dse.cost_model import (  # noqa: E402
     ArchitectureModel,
     evaluate_variant,
+    prepare_variant_module,
 )
 from repro.core.dsl.kernel_dsl import compile_kernel  # noqa: E402
+from repro.core.hls.bambu import HLSOptions, synthesize  # noqa: E402
+from repro.core.hls.scheduling import ResourceBudget  # noqa: E402
 from repro.core.variants import VariantKnobs  # noqa: E402
 
 _REL_TOL = 1e-9
@@ -61,6 +72,41 @@ def assert_sound(module, kernel, knobs_list):
         ), (
             f"{kernel}/{knobs.describe()}: energy {cost.energy_j!r}"
             f" below bound {en_lb!r}"
+        )
+        if knobs.target == "fpga":
+            assert_cycle_links_sound(module, kernel, knobs, bounds)
+
+
+def assert_cycle_links_sound(module, kernel, knobs, bounds):
+    """cycle floor <= synthesized cycles; II floor <= scheduled II."""
+    design = synthesize(
+        prepare_variant_module(module, kernel, knobs), kernel,
+        HLSOptions(
+            clock_hz=knobs.clock_hz,
+            memory_strategy=knobs.memory_strategy,
+            budget=ResourceBudget(
+                fadd=4 * knobs.unroll, fmul=4 * knobs.unroll),
+            enable_dift=knobs.dift or None,
+        ),
+    )
+    floor = fpga_cycles_lower_bound(bounds, knobs)
+    assert floor <= design.latency_cycles, (
+        f"{kernel}/{knobs.describe()}: cycle floor {floor} above the "
+        f"synthesized {design.latency_cycles}"
+    )
+    if not _structure_preserving(knobs):
+        return
+    loops = [loop for loop in design.cdfg.innermost_loops()
+             if loop.trip_count > 0]
+    floors = list(nest_floors(
+        bounds, knobs.unroll, knobs.memory_strategy))
+    assert [nest.trip for nest, _, _, _ in floors] == [
+        loop.trip_count for loop in loops]
+    for (nest, ii, binding, _), loop in zip(floors, loops):
+        scheduled = design.schedules[id(loop)].ii
+        assert ii <= scheduled, (
+            f"{nest.anchor}/{knobs.describe()}: II floor {ii} "
+            f"({binding}) above the scheduled II {scheduled}"
         )
 
 

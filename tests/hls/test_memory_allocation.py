@@ -1,11 +1,14 @@
 """Tests for memory planning, allocation and crypto/taint models."""
 
+import os
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.dsl.kernel_dsl import compile_kernel
 from repro.core.hls.allocation import allocate
+from repro.core.hls.bambu import synthesize
 from repro.core.hls.cdfg import build_cdfg
 from repro.core.hls.crypto import (
     CRYPTO_LIBRARY,
@@ -18,6 +21,7 @@ from repro.core.hls.memory import (
 )
 from repro.core.hls.scheduling import schedule_loop
 from repro.core.hls.taint import apply_taint_tracking
+from repro.core.ir import parse_module
 from repro.core.ir.passes import (
     LoopDirectivesPass,
     LowerTensorPass,
@@ -25,6 +29,11 @@ from repro.core.ir.passes import (
 )
 from repro.errors import HLSError, SecurityError
 from repro.platform.resources import FPGAResources
+
+MISSING_FACTOR = os.path.join(
+    os.path.dirname(__file__), os.pardir, "analysis", "fixtures",
+    "partition_missing_factor.ir",
+)
 
 STREAM = """
 kernel stream(A: tensor<1024xf32>, B: tensor<1024xf32>)
@@ -130,6 +139,23 @@ class TestMemoryPlanning:
         plan = plan_memories(cdfg2)
         assert plan.plan_for(buffer).scheme == "block"
         assert plan.plan_for(buffer).factor == 16
+
+    def test_directive_without_factor_reads_as_factor_one(self):
+        # Every layer reads hw.partition through one reader, so the
+        # planner agrees with lint and the analyzer (factor 1) instead
+        # of dying on int(None); rejecting the directive is the
+        # verifier's job (IR002).
+        with open(MISSING_FACTOR, "r", encoding="utf-8") as handle:
+            text = handle.read()
+        implicit = synthesize(parse_module(text), "k")
+        explicit = synthesize(parse_module(text.replace(
+            '{scheme = "cyclic"}', '{factor = 1, scheme = "cyclic"}'
+        )), "k")
+        plan = implicit.memory_plan.plan_for(
+            implicit.cdfg.function.arguments[0])
+        assert (plan.scheme, plan.factor) == ("cyclic", 1)
+        assert implicit.latency_cycles == explicit.latency_cycles
+        assert implicit.resources == explicit.resources
 
 
 class TestAllocation:
