@@ -135,8 +135,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     """Print the HLS report for one kernel."""
-    from repro.core.hls.bambu import HLSOptions, synthesize
-    from repro.core.hls.scheduling import ResourceBudget
+    from repro.core.hls.bambu import hls_options_for, synthesize
 
     _configure_dse_caches(args)
     source = _read_source(args.file)
@@ -147,15 +146,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     )
     prepared = prepare_variant_module(module, args.kernel, knobs,
                                       module_digest(module))
-    design = synthesize(
-        prepared, args.kernel,
-        HLSOptions(
-            clock_hz=args.clock_mhz * 1e6,
-            budget=ResourceBudget(
-                fadd=4 * args.unroll, fmul=4 * args.unroll,
-            ),
-        ),
-    )
+    design = synthesize(prepared, args.kernel, hls_options_for(knobs))
     print(design.report())
     return 0
 
@@ -305,9 +296,9 @@ def cmd_emit(args: argparse.Namespace) -> int:
 
         print(generate_sycl(prepared, args.kernel))
     elif args.what == "rtl":
-        from repro.core.hls.bambu import HLSOptions, synthesize
+        from repro.core.hls.bambu import hls_options_for, synthesize
 
-        design = synthesize(prepared, args.kernel, HLSOptions())
+        design = synthesize(prepared, args.kernel, hls_options_for(knobs))
         print(design.rtl())
     elif args.what == "lowered-ir":
         from repro.core.ir import print_module

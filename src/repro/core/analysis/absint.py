@@ -1,9 +1,9 @@
 """Interval abstract interpretation over kernel-form IR.
 
-The syntactic/affine analyses (:mod:`.partition`) stop at whatever an
-:class:`~repro.core.analysis.partition.Affine` can express; everything
-else is "a dynamic-check concern". This module closes that gap with a
-classic interval (value-range) abstract interpreter:
+One memoized sweep over a function is the analysis layer's only reader
+of ``kernel.for`` / ``kernel.load`` / ``kernel.store``; what it learns
+is a classic interval (value-range) abstraction that also carries the
+affine form of a value for as long as it has one:
 
 * every integer SSA value gets a conservative ``[lo, hi]`` interval;
   loop induction variables range over their static bounds, and the
@@ -22,7 +22,13 @@ classic interval (value-range) abstract interpreter:
   that mentions every variable at most once is multilinear, so its
   extrema sit at range corners and really occur on some iteration.
   A tight out-of-bounds interval is therefore a proof (MEM004 error);
-  a loose one is only a possibility (MEM004 warning).
+  a loose one is only a possibility (MEM004 warning);
+* constants and induction variables start an *affine form* (offset +
+  per-induction-variable coefficients) that ``addi`` / ``subi`` /
+  ``muli``-by-constant propagate and every other operation drops. An
+  index that still has its form when it reaches an access gets the
+  exact affine extrema as its range (MEM001's domain) instead of the
+  interval corners.
 
 Everything the interpreter learns is packaged into a serializable
 :class:`AnalysisFacts` object — per-function loop ranges, per-access
@@ -39,9 +45,10 @@ consumers reuse instead of re-deriving:
 * :func:`partition_conflict` lets the DSE pruner reject knob
   assignments whose explicit ``hw.partition`` factors provably cannot
   serve the unrolled access pattern — before any pricing happens;
-* :mod:`.partition` uses the dependence sets to run its bank-conflict
-  check (MEM002) on accesses whose indices are not syntactically
-  affine.
+* :mod:`.partition` emits MEM001/MEM002/MEM003 from the access facts
+  alone: affine ranges, the loop each access varies fastest in
+  (:func:`accesses_by_loop`, the grouping the port demands above use
+  too) and the row-major address form.
 
 Facts are cheap to recompute but cheaper to reuse: see
 :mod:`repro.core.analysis.cache` for the digest-keyed incremental
@@ -51,11 +58,12 @@ analysis itself changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.analysis.diagnostics import Diagnostics
 from repro.core.ir.dialects.hw import partition_directives
+from repro.core.ir.dialects.kernel import loop_range, trip_count
 from repro.core.ir.module import Function, Module
 from repro.core.ir.ops import Block, Operation, Value
 from repro.core.ir.types import MemRefType, ScalarType, TensorType
@@ -64,9 +72,37 @@ from repro.core.timing import body_copies, port_demand, ports_granted
 
 #: Bump whenever any analysis result can change for the same module —
 #: cache entries keyed with an older version are ignored.
-ANALYSIS_VERSION = "2"
+ANALYSIS_VERSION = "3"
 
 _INF = float("inf")
+
+#: ``(offset, {induction-variable id: coefficient})``; ``None`` = not affine.
+Form = Optional[Tuple[int, Dict[int, int]]]
+
+
+def _scaled(form: Form, factor: int) -> Form:
+    if form is None:
+        return None
+    return form[0] * factor, {
+        var: coefficient * factor for var, coefficient in form[1].items()
+    }
+
+
+def _summed(a: Form, b: Form) -> Form:
+    if a is None or b is None:
+        return None
+    terms = dict(a[1])
+    for var, coefficient in b[1].items():
+        terms[var] = terms.get(var, 0) + coefficient
+    return a[0] + b[0], terms
+
+
+def _product(a: Form, b: Form) -> Form:
+    """Affine only when one factor is a constant (has no terms)."""
+    if a is None or b is None or (a[1] and b[1]):
+        return None
+    constant, varying = (b, a) if a[1] else (a, b)
+    return _scaled(varying, constant[0])
 
 
 # ---------------------------------------------------------------------
@@ -84,6 +120,9 @@ class Interval:
     #: True when both bounds are attained by concrete executions —
     #: holds for multilinear expressions over independent variables.
     tight: bool = False
+    #: the value as an affine function of the induction variables (a
+    #: term for every member of ``vars``), while it is one.
+    form: Form = None
 
     @staticmethod
     def top() -> "Interval":
@@ -109,12 +148,14 @@ class Interval:
     def add(self, other: "Interval") -> "Interval":
         return Interval(self.lo + other.lo, self.hi + other.hi,
                         self.vars | other.vars,
-                        self._combine_tight(other))
+                        self._combine_tight(other),
+                        _summed(self.form, other.form))
 
     def sub(self, other: "Interval") -> "Interval":
         return Interval(self.lo - other.hi, self.hi - other.lo,
                         self.vars | other.vars,
-                        self._combine_tight(other))
+                        self._combine_tight(other),
+                        _summed(self.form, _scaled(other.form, -1)))
 
     def mul(self, other: "Interval") -> "Interval":
         corners = [_finite_mul(a, b)
@@ -122,7 +163,8 @@ class Interval:
                    for b in (other.lo, other.hi)]
         return Interval(min(corners), max(corners),
                         self.vars | other.vars,
-                        self._combine_tight(other))
+                        self._combine_tight(other),
+                        _product(self.form, other.form))
 
     def floordiv(self, other: "Interval") -> "Interval":
         # Only a divisor interval that excludes zero gives bounds.
@@ -168,7 +210,7 @@ def _finite_mul(a: float, b: float) -> float:
 
 @dataclass
 class LoopFacts:
-    """Static range of one ``kernel.for``."""
+    """Static range and ``unroll`` directive of one ``kernel.for``."""
 
     anchor: str
     lower: int
@@ -176,12 +218,11 @@ class LoopFacts:
     step: int
     depth: int
     innermost: bool
+    unroll: int = 1
 
     @property
     def trip(self) -> int:
-        if self.upper <= self.lower:
-            return 0
-        return (self.upper - self.lower + self.step - 1) // self.step
+        return trip_count(self.lower, self.upper, self.step)
 
     @property
     def last(self) -> int:
@@ -193,7 +234,8 @@ class LoopFacts:
     def to_payload(self) -> Dict[str, Any]:
         return {"anchor": self.anchor, "lower": self.lower,
                 "upper": self.upper, "step": self.step,
-                "depth": self.depth, "innermost": self.innermost}
+                "depth": self.depth, "innermost": self.innermost,
+                "unroll": self.unroll}
 
     @staticmethod
     def from_payload(payload: Dict[str, Any]) -> "LoopFacts":
@@ -202,6 +244,7 @@ class LoopFacts:
             upper=int(payload["upper"]), step=int(payload["step"]),
             depth=int(payload["depth"]),
             innermost=bool(payload["innermost"]),
+            unroll=int(payload.get("unroll", 1)),
         )
 
 
@@ -221,7 +264,9 @@ class DimRange:
     hi: float
     tight: bool
     size: int
-    affine: bool  # already covered by the affine MEM001 check
+    #: the index kept its affine form: ``lo``/``hi`` are the exact
+    #: extrema and the dimension is MEM001's, not MEM004's.
+    affine: bool
 
     @property
     def in_bounds(self) -> bool:
@@ -272,6 +317,12 @@ class AccessFacts:
     depends_on: List[bool] = field(default_factory=list)
     #: bit width of one buffer element (f32 -> 32).
     element_bits: int = 32
+    #: position in ``FunctionFacts.loops`` of the deepest loop any
+    #: index depends on (``None``: loop-invariant).
+    loop: Optional[int] = None
+    #: row-major address as ``(offset, coefficient on that loop's
+    #: induction variable)`` when every index is affine.
+    flat: Optional[Tuple[int, int]] = None
 
     @property
     def reuse_factor(self) -> int:
@@ -295,7 +346,9 @@ class AccessFacts:
                 "dims": [dim.to_payload() for dim in self.dims],
                 "enclosing_trips": list(self.enclosing_trips),
                 "depends_on": list(self.depends_on),
-                "element_bits": self.element_bits}
+                "element_bits": self.element_bits,
+                "loop": self.loop,
+                "flat": None if self.flat is None else list(self.flat)}
 
     @staticmethod
     def from_payload(payload: Dict[str, Any]) -> "AccessFacts":
@@ -307,6 +360,8 @@ class AccessFacts:
                              payload.get("enclosing_trips", [])],
             depends_on=[bool(d) for d in payload.get("depends_on", [])],
             element_bits=int(payload.get("element_bits", 32)),
+            loop=payload.get("loop"),
+            flat=tuple(payload["flat"]) if payload.get("flat") else None,
         )
 
 
@@ -371,11 +426,6 @@ class FunctionFacts:
     #: the interprocedural checks compare against).
     inputs: List[str] = field(default_factory=list)
     results: List[str] = field(default_factory=list)
-    #: runtime-only: id(load/store op) -> induction-variable ids its
-    #: indices depend on. Not serialized; rebuilt on every compute.
-    op_vars: Dict[int, FrozenSet[int]] = field(
-        default_factory=dict, repr=False, compare=False,
-    )
 
     def to_payload(self) -> Dict[str, Any]:
         return {
@@ -431,6 +481,23 @@ class AnalysisFacts:
         )
 
 
+def accesses_by_loop(
+    facts: FunctionFacts, buffer: str
+) -> Dict[int, List[AccessFacts]]:
+    """``loop position -> accesses`` of one buffer, in program order.
+
+    An access belongs to the deepest loop any of its indices depends
+    on — the loop whose unrolling multiplies its port demand. The one
+    grouping behind :class:`PartitionDemand` (innermost loops) and
+    MEM002 (loops with an ``unroll`` directive).
+    """
+    groups: Dict[int, List[AccessFacts]] = {}
+    for access in facts.accesses:
+        if access.buffer == buffer and access.loop is not None:
+            groups.setdefault(access.loop, []).append(access)
+    return groups
+
+
 # ---------------------------------------------------------------------
 # The interpreter.
 
@@ -461,10 +528,10 @@ class _FunctionInterpreter:
     def __init__(self, function: Function):
         self.function = function
         self.env: Dict[int, Interval] = {}
-        self.loop_of_var: Dict[int, LoopFacts] = {}
+        #: induction-variable id -> position in ``facts.loops``.
+        self.loop_of_var: Dict[int, int] = {}
         #: enclosing (loop, induction-variable-id) pairs, outer first.
         self._loop_stack: List[Tuple[LoopFacts, int]] = []
-        self._access_ops: List[Tuple[Operation, Value, FrozenSet[int]]] = []
         self.facts = FunctionFacts(
             name=function.name,
             inputs=[str(t) for t in function.type.inputs],
@@ -519,9 +586,7 @@ class _FunctionInterpreter:
                 self._eval_block(block, depth)
 
     def _eval_loop(self, op: Operation, depth: int) -> None:
-        lower = int(op.attr("lower", 0))
-        upper = int(op.attr("upper", 0))
-        step = max(1, int(op.attr("step", 1)))
+        lower, upper, step, trip = loop_range(op)
         body = op.regions[0].blocks[0] if (
             op.regions and op.regions[0].blocks
         ) else None
@@ -532,9 +597,10 @@ class _FunctionInterpreter:
         loop = LoopFacts(
             anchor=self.anchor(op), lower=lower, upper=upper,
             step=step, depth=depth, innermost=innermost,
+            unroll=int(op.attr("unroll", 1) or 1),
         )
         self.facts.loops.append(loop)
-        if loop.trip == 0:
+        if trip == 0:
             # the body never executes: report it, don't analyze it —
             # accesses inside can't be out of bounds at runtime.
             self.facts.dead.append(DeadFacts(
@@ -550,9 +616,10 @@ class _FunctionInterpreter:
             if body.arguments:
                 iv = body.arguments[0]
                 iv_id = id(iv)
-                self.loop_of_var[iv_id] = loop
+                self.loop_of_var[iv_id] = len(self.facts.loops) - 1
                 self.env[iv_id] = Interval(
                     lower, loop.last, frozenset({iv_id}), True,
+                    (0, {iv_id: 1}),
                 )
             self._loop_stack.append((loop, iv_id))
             try:
@@ -568,7 +635,10 @@ class _FunctionInterpreter:
         element = result.type
         if isinstance(element, ScalarType) and element.is_float:
             return  # float ranges are not index material
-        self.env[id(result)] = Interval.const(int(raw))
+        value = int(raw)
+        self.env[id(result)] = Interval(
+            value, value, frozenset(), True, (value, {}),
+        )
 
     def _eval_compare(self, op: Operation) -> None:
         lhs = self.value_of(op.operands[0])
@@ -594,7 +664,10 @@ class _FunctionInterpreter:
             # branch refinement, degenerate case: the condition is a
             # known constant, so only one arm is ever selected.
             dead_arm = "false" if cond.lo else "true"
-            self.env[id(result)] = taken if cond.lo else other
+            # the live arm's range, not its affine form: a select is
+            # never MEM001's, whatever its condition
+            self.env[id(result)] = replace(
+                taken if cond.lo else other, form=None)
             self.facts.dead.append(DeadFacts(
                 anchor=self.anchor(op),
                 message=(
@@ -641,76 +714,60 @@ class _FunctionInterpreter:
         memref = buffer.type
         if not isinstance(memref, MemRefType):
             return
-        affine = _affine_flags(indices, self.loop_of_var)
         dims: List[DimRange] = []
         used: FrozenSet[int] = frozenset()
-        for position, (size, index) in enumerate(
-            zip(memref.shape, indices)
-        ):
+        flat: Form = (0, {})  # row-major address, Horner style
+        for size, index in zip(memref.shape, indices):
             interval = self.value_of(index)
             used |= interval.vars
+            lo, hi = interval.lo, interval.hi
+            if interval.form is not None:
+                lo, hi = self._extrema(interval.form)
             dims.append(DimRange(
-                lo=interval.lo, hi=interval.hi, tight=interval.tight,
-                size=int(size), affine=affine[position],
+                lo=lo, hi=hi, tight=interval.tight,
+                size=int(size), affine=interval.form is not None,
             ))
-        access = AccessFacts(
+            flat = _summed(_scaled(flat, int(size)), interval.form)
+        # enclosing loops are recorded outermost first, so the deepest
+        # one the indices depend on has the largest position.
+        var = max(used, key=self.loop_of_var.get, default=None)
+        self.facts.accesses.append(AccessFacts(
             anchor=self.anchor(op), kind=kind,
             buffer=buffer.name, dims=dims,
             enclosing_trips=[loop.trip for loop, _ in self._loop_stack],
             depends_on=[iv_id in used for _, iv_id in self._loop_stack],
             element_bits=int(memref.element.bit_width),
-        )
-        self.facts.accesses.append(access)
-        self.facts.op_vars[id(op)] = used
-        self._access_ops.append((op, buffer, used))
+            loop=self.loop_of_var.get(var),
+            flat=None if flat is None else (flat[0], flat[1].get(var, 0)),
+        ))
+
+    def _extrema(self, form: Form) -> Tuple[int, int]:
+        """Exact (min, max) of an affine form over its loop ranges."""
+        lo = hi = form[0]
+        for var, coefficient in form[1].items():
+            loop = self.facts.loops[self.loop_of_var[var]]
+            ends = (coefficient * loop.lower, coefficient * loop.last)
+            lo += min(ends)
+            hi += max(ends)
+        return lo, hi
 
     # -- explicit-partition port demands -------------------------------
 
     def _collect_demands(self) -> None:
-        access_ops = self._access_ops
-        directives = partition_directives(self.function)
-        for buffer, scheme, factor in directives.values():
+        for buffer, scheme, factor in partition_directives(
+            self.function
+        ).values():
             if scheme == "complete":
                 continue
-            # group this buffer's accesses by the innermost loop their
-            # indices depend on — dependence comes from the interval
-            # vars, so non-affine indices group correctly too.
-            groups: Dict[int, Tuple[LoopFacts, int]] = {}
-            for op, accessed, used in access_ops:
-                if accessed is not buffer:
-                    continue
-                deepest: Optional[LoopFacts] = None
-                for var in used:
-                    loop = self.loop_of_var.get(var)
-                    if loop is not None and (
-                        deepest is None or loop.depth > deepest.depth
-                    ):
-                        deepest = loop
-                if deepest is None or not deepest.innermost:
-                    continue
-                previous = groups.get(id(deepest))
-                count = previous[1] + 1 if previous else 1
-                groups[id(deepest)] = (deepest, count)
-            for loop, count in groups.values():
-                self.facts.demands.append(PartitionDemand(
-                    buffer=buffer.name, scheme=scheme, factor=factor,
-                    accesses=count, trip=loop.trip,
-                ))
-
-
-def _affine_flags(
-    indices, loop_of_var: Dict[int, LoopFacts]
-) -> List[bool]:
-    """Which indices the affine MEM001 check already covers."""
-    from repro.core.analysis.partition import LoopInfo, _affine_of
-
-    affine_loops: Dict[int, LoopInfo] = {}
-    for var, loop in loop_of_var.items():
-        # _affine_of only needs membership; ranges are unused there.
-        affine_loops[var] = None  # type: ignore[assignment]
-    return [
-        _affine_of(index, affine_loops) is not None for index in indices
-    ]
+            for position, grouped in accesses_by_loop(
+                self.facts, buffer.name
+            ).items():
+                loop = self.facts.loops[position]
+                if loop.innermost:
+                    self.facts.demands.append(PartitionDemand(
+                        buffer=buffer.name, scheme=scheme, factor=factor,
+                        accesses=len(grouped), trip=loop.trip,
+                    ))
 
 
 # ---------------------------------------------------------------------

@@ -34,8 +34,7 @@ from repro.core.dse.explorer import ExplorationResult, Explorer
 from repro.core.dse.space import DesignSpace
 from repro.core.dsl.annotations import Sensitivity
 from repro.core.dsl.workflow import Pipeline, lint_pipeline_contracts
-from repro.core.hls.bambu import HLSOptions, synthesize
-from repro.core.hls.scheduling import ResourceBudget
+from repro.core.hls.bambu import hls_options_for, synthesize
 from repro.core.ir.digest import module_digest
 from repro.core.ir.module import Module
 from repro.core.ir.passes.partitioning import HardwarePartitioningPass
@@ -271,16 +270,9 @@ class EverestCompiler:
                 payload=payload,
             )
         if variant.knobs.target == "fpga":
-            options = HLSOptions(
-                clock_hz=variant.knobs.clock_hz,
-                memory_strategy=variant.knobs.memory_strategy,
-                budget=ResourceBudget(
-                    fadd=4 * variant.knobs.unroll,
-                    fmul=4 * variant.knobs.unroll,
-                ),
-                enable_dift=variant.knobs.dift or None,
+            design = synthesize(
+                prepared, variant.kernel, hls_options_for(variant.knobs)
             )
-            design = synthesize(prepared, variant.kernel, options)
             return Artifact(
                 variant_id=variant.variant_id,
                 kind="bitstream",

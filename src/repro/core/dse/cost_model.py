@@ -22,8 +22,7 @@ from typing import Optional
 
 from repro.core.analysis.absint import function_facts, partition_conflict
 from repro.core.dse.cache import CostCache, cost_cache, prepared_cache
-from repro.core.hls.bambu import HLSOptions, synthesize
-from repro.core.hls.scheduling import ResourceBudget
+from repro.core.hls.bambu import hls_options_for, synthesize
 from repro.core.ir.digest import module_digest
 from repro.core.ir.module import Module
 from repro.core.ir.passes import (
@@ -335,16 +334,8 @@ def _evaluate_fpga(
             feasible=False, infeasible_reason=conflict,
         )
     prepared = prepare_variant_module(module, kernel, knobs, digest)
-    options = HLSOptions(
-        clock_hz=knobs.clock_hz,
-        memory_strategy=knobs.memory_strategy,
-        budget=ResourceBudget(
-            fadd=4 * knobs.unroll, fmul=4 * knobs.unroll,
-        ),
-        enable_dift=knobs.dift or None,
-    )
     try:
-        design = synthesize(prepared, kernel, options)
+        design = synthesize(prepared, kernel, hls_options_for(knobs))
     except (HLSError, SchedulingError) as exc:
         return CostEstimate(
             latency_s=float("inf"), energy_j=float("inf"),

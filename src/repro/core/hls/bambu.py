@@ -27,6 +27,7 @@ from repro.core.hls.scheduling import (
 from repro.core.hls.taint import TaintReport, apply_taint_tracking
 from repro.core.ir.module import Function, Module
 from repro.core.ir.types import MemRefType
+from repro.core.variants import VariantKnobs
 from repro.errors import HLSError
 from repro.platform.fpga import Bitstream
 from repro.platform.resources import FPGAResources
@@ -49,6 +50,22 @@ class HLSOptions:
 
     def __post_init__(self):
         check_positive("clock_hz", self.clock_hz)
+
+
+def hls_options_for(knobs: VariantKnobs) -> HLSOptions:
+    """The synthesis options one FPGA knob assignment stands for.
+
+    The one knobs -> options rule shared by DSE pricing, artifact
+    emission and the ``synth`` / ``emit`` commands, so what is priced
+    is what is built: functional units scale with the unroll factor
+    and DIFT is forced on by the knob, else left to the function.
+    """
+    return HLSOptions(
+        clock_hz=knobs.clock_hz,
+        memory_strategy=knobs.memory_strategy,
+        budget=ResourceBudget(fadd=4 * knobs.unroll, fmul=4 * knobs.unroll),
+        enable_dift=knobs.dift or None,
+    )
 
 
 @dataclass

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.ir.dialects.kernel import loop_range
 from repro.core.ir.module import Function
 from repro.core.ir.ops import Operation, Value
 from repro.errors import HLSError
@@ -114,15 +115,6 @@ class CDFG:
         return [loop for loop in self.root.walk() if loop.op is not None]
 
 
-def _trip_count(op: Operation) -> int:
-    lower, upper, step = (
-        op.attr("lower"), op.attr("upper"), op.attr("step")
-    )
-    if upper <= lower:
-        return 0
-    return (upper - lower + step - 1) // step
-
-
 def build_cdfg(function: Function) -> CDFG:
     """Extract the CDFG of a kernel-form function."""
     if function.is_declaration:
@@ -145,7 +137,7 @@ def _populate(operations, parent: LoopNode) -> None:
         if op.name == "kernel.for":
             loop = LoopNode(
                 op=op,
-                trip_count=_trip_count(op),
+                trip_count=loop_range(op)[3],
                 depth=parent.depth + 1,
             )
             parent.children.append(loop)

@@ -11,6 +11,7 @@ from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from repro.core.ir.dialects import lookup_op
+from repro.core.ir.dialects.kernel import loop_range
 from repro.core.ir.ops import Block, Operation, Value
 from repro.core.ir.types import (
     F32,
@@ -240,9 +241,4 @@ class LoopHandle:
     @property
     def trip_count(self) -> int:
         """Number of iterations."""
-        lower = self.op.attr("lower")
-        upper = self.op.attr("upper")
-        step = self.op.attr("step")
-        if upper <= lower:
-            return 0
-        return (upper - lower + step - 1) // step
+        return loop_range(self.op)[3]

@@ -8,6 +8,8 @@ stack collapsed into one dialect.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 from repro.core.ir.dialects import (
     Dialect,
     OpDef,
@@ -38,6 +40,25 @@ def _verify_for(op: Operation) -> None:
             "kernel.for: body block must take exactly the induction "
             "variable argument"
         )
+
+
+def trip_count(lower: int, upper: int, step: int) -> int:
+    """Iterations of ``range(lower, upper, step)`` for a positive step."""
+    return max(0, (upper - lower + step - 1) // step)
+
+
+def loop_range(op: Operation) -> Tuple[int, int, int, int]:
+    """``(lower, upper, step, trip)`` of a ``kernel.for``.
+
+    The one reader of the loop range: every pass, analysis and the
+    HLS front end sees the same answer. Missing bounds read as 0 and
+    a missing or non-positive ``step`` reads as 1, so a malformed
+    loop never divides by zero downstream; rejecting it stays the
+    verifier's job (:func:`_verify_for`).
+    """
+    lower, upper = int(op.attr("lower", 0)), int(op.attr("upper", 0))
+    step = max(1, int(op.attr("step", 1)))
+    return lower, upper, step, trip_count(lower, upper, step)
 
 
 def _memref_operand(op: Operation, index: int) -> MemRefType:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
+from repro.core.ir.dialects.kernel import loop_range
 from repro.core.ir.module import Function, Module
 from repro.core.ir.ops import Operation
 from repro.core.ir.passes.pass_manager import Pass
@@ -64,9 +65,7 @@ def estimate_work(function: Function) -> Tuple[float, float]:
 
     def op_work(op: Operation, multiplier: float) -> float:
         if op.name == "kernel.for":
-            lower, upper = op.attr("lower"), op.attr("upper")
-            step = op.attr("step")
-            trips = max(0, (upper - lower + step - 1) // step)
+            trips = loop_range(op)[3]
             inner = 0.0
             for region in op.regions:
                 for block in region.blocks:

@@ -9,6 +9,7 @@ receive the directives; outer loops are left sequential.
 
 from __future__ import annotations
 
+from repro.core.ir.dialects.kernel import loop_range
 from repro.core.ir.module import Module
 from repro.core.ir.ops import Operation
 from repro.core.ir.passes.pass_manager import Pass
@@ -47,7 +48,7 @@ class LoopDirectivesPass(Pass):
         for op in module.walk():
             if not is_innermost(op):
                 continue
-            trip = self._trip_count(op)
+            trip = loop_range(op)[3]
             factor = min(self.unroll_factor, trip) if trip else 1
             if op.attr("unroll") != factor:
                 op.set_attr("unroll", factor)
@@ -59,11 +60,3 @@ class LoopDirectivesPass(Pass):
                 del op.attributes["pipeline_ii"]
                 changed = True
         return changed
-
-    @staticmethod
-    def _trip_count(op: Operation) -> int:
-        lower, upper = op.attr("lower"), op.attr("upper")
-        step = op.attr("step")
-        if upper <= lower:
-            return 0
-        return (upper - lower + step - 1) // step

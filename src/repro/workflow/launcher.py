@@ -51,6 +51,11 @@ from repro.workflow.runstore import RunStore
 #: Run-store ``kind`` for journaled service job executions.
 SERVICE_RUN_KIND = "service"
 
+#: While other launchers still hold running jobs, an idle launcher
+#: polls this often, this many times, before it gives up.
+_IDLE_SLEEP_S = 0.02
+_MAX_IDLE_POLLS = 500
+
 
 def _noop_job(spec: Dict) -> Dict:
     digest = hashlib.sha256(
@@ -232,8 +237,6 @@ class Launcher:
         self,
         max_jobs: Optional[int] = None,
         exit_on_idle: bool = False,
-        idle_sleep_s: float = 0.02,
-        max_idle_polls: int = 500,
         crash_after: Optional[int] = None,
     ) -> LauncherStats:
         """Lease and execute until the store drains; returns stats.
@@ -264,9 +267,9 @@ class Launcher:
                     if exit_on_idle:
                         break
                     idle += 1
-                    if idle >= max_idle_polls:
+                    if idle >= _MAX_IDLE_POLLS:
                         break
-                    time.sleep(idle_sleep_s)
+                    time.sleep(_IDLE_SLEEP_S)
                     continue
                 idle = 0
                 stats.leases += 1

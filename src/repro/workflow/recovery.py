@@ -153,6 +153,8 @@ def publish_run(sim_tracer: Tracer, graph_name: str,
 #: Default inter-worker staging model when no ecosystem is given.
 _DEFAULT_LATENCY_S = 1e-3
 _DEFAULT_BANDWIDTH = 1e9  # bytes/second
+#: Simulated time to re-fetch a lost workflow input from its source.
+_REFETCH_LATENCY_S = 0.05
 
 #: Cost returned to the scheduler for a placement whose staging path is
 #: currently unavailable (partition / lineage in flight): finite so
@@ -214,7 +216,6 @@ class ResilientServer:
         workers: List[Worker],
         ecosystem: Optional[Ecosystem] = None,
         policy: Optional[SchedulerPolicy] = None,
-        refetch_latency_s: float = 0.05,
         retry: Optional[RetryPolicy] = None,
     ):
         if not workers:
@@ -225,7 +226,6 @@ class ResilientServer:
             raise WorkflowError("worker names must be unique")
         self.ecosystem = ecosystem
         self.policy = policy or BLevelScheduler()
-        self.refetch_latency_s = refetch_latency_s
         self.retry = retry or RetryPolicy()
         self._failed: Set[str] = set()
         # Degradations on the default (no-ecosystem) staging path:
@@ -650,7 +650,7 @@ class ResilientServer:
             if target is None:
                 deferred_refetch.add(object_name)
                 return
-            yield sim.timeout(self.refetch_latency_s)
+            yield sim.timeout(_REFETCH_LATENCY_S)
             if target.name in self._failed:
                 deferred_refetch.add(object_name)
                 return

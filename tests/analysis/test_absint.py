@@ -343,8 +343,6 @@ class TestFacts:
         assert copy.dead == original.dead
         assert copy.demands == original.demands
         assert copy.inputs == original.inputs
-        # op_vars is runtime-only: gone after the round trip.
-        assert original.op_vars and not copy.op_vars
 
     def test_unbounded_dim_survives_round_trip(self, module):
         from repro.core.ir.types import INDEX

@@ -7,19 +7,33 @@ Expressions and loop nests are generated by hypothesis; the concrete
 executions are plain Python loops over the same bounds.
 """
 
+import re
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import (  # noqa: E402
+    assume, example, given, settings, strategies as st,
+)
 
 from repro.core.analysis.absint import (  # noqa: E402
+    _FunctionInterpreter,
     compute_function_facts,
+    partition_conflict,
+)
+from repro.core.analysis.partition import (  # noqa: E402
+    check_function_partitioning,
 )
 from repro.core.ir.module import Module  # noqa: E402
 from repro.core.ir.types import F32, MemRefType  # noqa: E402
+from repro.core.variants import VariantKnobs  # noqa: E402
 
 from tests.analysis.conftest import new_function  # noqa: E402
+
+#: the numbers both MEM002 and ``partition_conflict`` name.
+_PORT_NUMBERS = re.compile(
+    r"needs? (?P<demanded>\d+) ports.*provides (?P<ports>\d+)")
 
 _BINOPS = {
     "add": ("kernel.addi", lambda a, b: a + b),
@@ -78,41 +92,60 @@ def _evaluate(expr, values):
         _evaluate(left, values), _evaluate(right, values))
 
 
-def _build_access(loops, expr):
-    """IR for the nest + load, returning its analysis facts."""
+def _build_nest(loops, accesses, shape=(8,), partition=None, unroll=1):
+    """IR for the nest with one load per index tuple in ``accesses``.
+
+    ``partition`` is an optional ``(scheme, factor)`` directive on the
+    buffer and ``unroll`` the directive on the innermost loop. Returns
+    the function, the induction variables and the emitted index values.
+    """
     module = Module("prop")
-    memref = MemRefType((8,), F32)
-    function, b = new_function(module, "f", [memref], [])
+    function, b = new_function(module, "f", [MemRefType(shape, F32)], [])
     buffer = function.arguments[0]
+    if partition is not None:
+        b.create("hw.partition", [buffer], [],
+                 {"scheme": partition[0], "factor": partition[1]})
     ivs = []
     handles = []
-    for lower, upper, step in loops:
-        loop = b.for_loop(lower, upper, step=step)
+    for position, (lower, upper, step) in enumerate(loops):
+        innermost = position == len(loops) - 1
+        loop = b.for_loop(
+            lower, upper, step=step,
+            attributes={"unroll": unroll} if innermost else None,
+        )
         handles.append(loop)
         ivs.append(loop.induction_var)
         b.set_insertion_point(loop.body)
-    b.load(buffer, [_emit(b, expr, ivs)])
+    indices = []
+    for exprs in accesses:
+        indices.append([_emit(b, expr, ivs) for expr in exprs])
+        b.load(buffer, indices[-1])
     for loop in reversed(handles):
         b.set_insertion_point(loop.body)
         b.yield_op()
     b.set_insertion_point(function.entry_block)
+    return function, ivs, indices
+
+
+def _build_access(loops, expr):
+    """IR for the nest + load, returning its analysis facts."""
+    function, _ivs, _indices = _build_nest(loops, [[expr]])
     return compute_function_facts(function)
 
 
+def _iterations(loops):
+    """Every induction-variable assignment the nest executes."""
+    assignments = [[]]
+    for lower, upper, step in loops:
+        assignments = [
+            assigned + [value] for assigned in assignments
+            for value in range(lower, upper, step)
+        ]
+    return assignments
+
+
 def _concrete_values(loops, expr):
-    values = []
-
-    def recurse(assigned):
-        depth = len(assigned)
-        if depth == len(loops):
-            values.append(_evaluate(expr, assigned))
-            return
-        lower, upper, step = loops[depth]
-        for value in range(lower, upper, step):
-            recurse(assigned + [value])
-
-    recurse([])
-    return values
+    return [_evaluate(expr, values) for values in _iterations(loops)]
 
 
 @settings(deadline=None, max_examples=60)
@@ -135,6 +168,78 @@ def test_every_concrete_index_lies_in_the_inferred_range(data):
         # tight means the corner bounds really occur
         assert min(concrete) == dim.lo
         assert max(concrete) == dim.hi
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_carried_affine_form_is_the_concrete_index(data):
+    loops = data.draw(loop_nests())
+    expr = data.draw(index_exprs(num_vars=len(loops)))
+    assume(all(upper > lower for lower, upper, _ in loops))
+    function, ivs, ((index,),) = _build_nest(loops, [[expr]])
+    interpreter = _FunctionInterpreter(function)
+    (access,) = interpreter.run().accesses
+    form = interpreter.env[id(index)].form
+    dim = access.dims[0]
+    assert dim.affine == (form is not None)
+    if form is None:
+        return
+    offset, terms = form
+    concrete = []
+    for values in _iterations(loops):
+        concrete.append(_evaluate(expr, values))
+        assert concrete[-1] == offset + sum(
+            terms.get(id(iv), 0) * value
+            for iv, value in zip(ivs, values)
+        )
+    # an affine range is exact even where interval corners are not
+    # (i - i is [0, 0], not [lo - hi, hi - lo])
+    assert (dim.lo, dim.hi) == (min(concrete), max(concrete))
+
+
+@st.composite
+def partitioned_nests(draw):
+    """(loops, accesses, partition, unroll): 1-3 loads of a 64x64
+    explicitly partitioned buffer in an innermost loop that carries
+    an ``unroll`` directive no larger than its trip count."""
+    loops = draw(loop_nests())
+    exprs = index_exprs(num_vars=len(loops))
+    accesses = draw(
+        st.lists(st.tuples(exprs, exprs), min_size=1, max_size=3))
+    partition = (draw(st.sampled_from(["cyclic", "block"])),
+                 draw(st.sampled_from([1, 2, 4])))
+    lower, upper, step = loops[-1]
+    # below trip >= unroll the trip clamp still differs (ROADMAP 4)
+    unroll = draw(st.sampled_from([1, 2, 4]).filter(
+        lambda u: u <= max(1, len(range(lower, upper, step)))))
+    return loops, accesses, partition, unroll
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=partitioned_nests())
+@example(case=(  # a[i, j*j], the j loop unrolled 8x on 2 banks
+    [(0, 4, 1), (0, 8, 1)],
+    [(("var", 0), ("mul", ("var", 1), ("var", 1)))],
+    ("block", 2), 8,
+))
+def test_mem002_port_verdict_matches_partition_conflict(case):
+    loops, accesses, partition, unroll = case
+    function, _ivs, _indices = _build_nest(
+        loops, accesses, shape=(64, 64), partition=partition,
+        unroll=unroll,
+    )
+    facts = compute_function_facts(function)
+    conflict = partition_conflict(
+        facts, VariantKnobs(target="fpga", unroll=unroll))
+    lints = [
+        _PORT_NUMBERS.search(item.message).groupdict()
+        for item in check_function_partitioning(function, facts=facts)
+        if item.code == "MEM002" and "ports" in item.message
+    ]
+    if conflict is None:
+        assert not lints
+    else:
+        assert _PORT_NUMBERS.search(conflict).groupdict() in lints
 
 
 @settings(deadline=None, max_examples=60)

@@ -53,7 +53,8 @@ class TestKeys:
 
 
     def test_keys_are_stable_across_releases(self):
-        """Goldens from the two-store implementation, three per recipe."""
+        """Goldens, three per recipe; re-recorded when a version moves
+        (last: ``ANALYSIS_VERSION`` "2" -> "3", recipes unchanged)."""
         zeros = "0" * 64
         assert [
             AnalysisCache.module_key("d1", ("absint", "taint"), False),
@@ -67,15 +68,15 @@ class TestKeys:
             AnalysisCache.perf_key("d2", "gemm"),
             AnalysisCache.perf_key(zeros, "score"),
         ] == [
-            "8c5ae49e041cb9656537cfb8764739693e518ef36f6226ff9d6ecc84ced9fb2e",
-            "a24e97886bdd46f10b1833f83efb1bdc0c80022ff2c904b28c6083b32c33866c",
-            "c6ecfedacef6c90cd69428af2086534233bf48d53fa7c0a94ec0eed00cb51564",
-            "da7b4343daa6c5f8b9fe57ad0314993d841d995d1cc4c6a2264fd25df8281890",
-            "7f69e31b96086e050f8412fc0a1c0df56fd122a68cab19e6b67cacd1e6f8a477",
-            "a17c04f191029ed70ec41e1ea9eeb6ebf0d6d13f433aefc99287a084bde550d1",
-            "d2d7d7bab46d0dadac8226742af69a97e7ba5df6d95ce54a6e1fe24c1a8cc642",
-            "ece4eb9829408aaf5966787f998470a4cb9330e76de4565f1de4c5d1d9ab570d",
-            "79f19a9f260caf74a1654e125506fffde8359691fa1360094f948e1059db02c8",
+            "b74ab8df3b42162c6d641ec7123cd8e892aaafa0ab4be62ea103f1796e074eda",
+            "98858ebd02b3c370f5b4d9d0f53c110db1e02ef80c4839dbb5c055ad7da46afe",
+            "1b4dc66bd6b11fc621cf61662ad8331d0c31f10e88f815d02a364af301f0993f",
+            "474384605126cad1b45867ee3bbb80e9cffd1fceb0416d92acb8e6a9c538a3af",
+            "d32c10d21c0e24940b0c216bab58dea352b9c4da215d25070deffd0b1a6c1588",
+            "08c16f55f9977f56c289882a3da0bc5cb543d67ba6685c894c41d01f346464f4",
+            "db2941f955951cfea2aa1814a831d9dc3852c06d296356ca8ad1c2721da733ff",
+            "b002bb43311ca88b8f0a78901812c33b246ed9f9b843c4b549fe3fa64e94f589",
+            "056f18834a30a8eff17ae0f3a2b40c41b9ba8eeee5d19bf8f4c4d7b4e60427e0",
         ]
 
 

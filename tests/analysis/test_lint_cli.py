@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import pytest
 
@@ -45,6 +46,9 @@ class TestExitCodes:
             ("oob_access.ir", "MEM004"),
             ("dead_branch.ir", "LINT004"),
             ("shape_mismatch.json", "WF010"),
+            ("deep_index_chain.ir", "MEM001"),
+            ("zero_step_loop.ir", "IR002"),
+            ("mixed_affine_access.ir", "MEM002"),
         ],
     )
     def test_defect_fixture_exits_one_with_json(
@@ -56,6 +60,11 @@ class TestExitCodes:
         codes = {item["code"] for item in payload["diagnostics"]}
         assert code in codes
         assert payload["counts"]["error"] >= 1
+        # a crash inside one analysis must never stand in for findings
+        assert not any(
+            item["message"].startswith("cannot lint target")
+            for item in payload["diagnostics"]
+        )
 
     def test_unloadable_spec_exits_two(self, capsys):
         path = os.path.join(FIXTURES, "bad_kernel.edsl")
@@ -134,6 +143,26 @@ class TestOptions:
         assert run_lint(path) == 1
         out = capsys.readouterr().out
         assert "[0, 9]" in out and "size 8" in out
+
+    def test_zero_step_fixture_still_reports_the_other_findings(
+        self, capsys
+    ):
+        # the verifier rejects step = 0 (IR002); the analyses read it
+        # as 1 and go on to find the off-by-one in the body
+        path = os.path.join(FIXTURES, "zero_step_loop.ir")
+        assert run_lint(path, "--format", "json") == 1
+        payload = json.loads(capsys.readouterr().out)
+        codes = sorted(item["code"] for item in payload["diagnostics"])
+        assert codes == ["IR002", "MEM001"]
+
+    def test_deep_index_chain_lints_in_linear_time(self, capsys):
+        # 40 doubling links: 2**40 paths for an unmemoized recursion
+        path = os.path.join(FIXTURES, "deep_index_chain.ir")
+        started = time.perf_counter()
+        assert run_lint(path) == 1
+        assert time.perf_counter() - started < 1.0
+        out = capsys.readouterr().out
+        assert out.count("MEM001") == 1 and f"[0, {2 ** 40}]" in out
 
     def test_only_restricts_checks(self, tmp_path, capsys):
         # sensitive arg normally yields a SEC005 warning; --only

@@ -1,10 +1,20 @@
 """Memory-partition legality and static bounds tests."""
 
+import os
+import re
+
+from repro.core.analysis import analyze_module
+from repro.core.analysis.absint import (
+    compute_function_facts,
+    partition_conflict,
+)
 from repro.core.analysis.partition import (
     check_function_partitioning,
     check_module_partitioning,
 )
+from repro.core.ir.parser import parse_module
 from repro.core.ir.types import F32, MemRefType
+from repro.core.variants import VariantKnobs
 
 from tests.analysis.conftest import new_function
 
@@ -98,6 +108,24 @@ class TestBounds:
         b.ret([])
         assert not check_function_partitioning(function)
 
+    def test_zero_trip_loop_body_is_not_bounds_checked(self, module):
+        # partner of absint's test_zero_trip_loop_is_dead_and_body_
+        # not_checked: the affine body would be OOB if it ran, but the
+        # dead loop itself is the only finding of either analysis.
+        memref = MemRefType((8,), F32)
+        function, b = new_function(module, "f", [memref], [])
+        (buffer,) = function.arguments
+        loop = b.for_loop(8, 4)
+        with b.at_block(loop.body):
+            b.load(buffer, [b._binary(
+                "kernel.addi", loop.induction_var, b.index_const(9))])
+            b.yield_op()
+        b.ret([])
+        assert not check_function_partitioning(function)
+        diagnostics = analyze_module(
+            module, checks=["partition", "absint"])
+        assert _codes(diagnostics) == ["LINT004"]
+
 
 class TestPartitionLegality:
     def _partitioned(self, b, buffer, scheme, factor):
@@ -141,6 +169,45 @@ class TestPartitionLegality:
         diagnostics = check_function_partitioning(function)
         assert "MEM002" in _codes(diagnostics)
         assert "ports" in diagnostics.warnings[0].message
+
+    def test_non_affine_access_is_charged_without_facts(self, module):
+        memref = MemRefType((64,), F32)
+        function, b = new_function(module, "f", [memref], [])
+        (buffer,) = function.arguments
+        self._partitioned(b, buffer, "block", 2)
+        loop = b.for_loop(0, 8, attributes={"unroll": 8})
+        with b.at_block(loop.body):
+            iv = loop.induction_var
+            b.load(buffer, [b._binary("kernel.muli", iv, iv)])
+            b.yield_op()
+        b.ret([])
+        # no facts passed: the check computes them, so the dependence
+        # of i*i on the unrolled loop is seen all the same
+        diagnostics = check_function_partitioning(function)
+        assert _codes(diagnostics) == ["MEM002"]
+        assert "1 accesses x unroll 8 need 8 ports" in (
+            diagnostics.warnings[0].message)
+
+    def test_mixed_affine_access_agrees_with_partition_conflict(self):
+        # a[i, j*j] with the j loop unrolled: the access belongs to
+        # the j loop although its first index is affine in i alone
+        path = os.path.join(
+            os.path.dirname(__file__), "fixtures",
+            "mixed_affine_access.ir")
+        with open(path, "r", encoding="utf-8") as handle:
+            function = parse_module(handle.read()).find_function("mixed")
+        facts = compute_function_facts(function)
+        (loop,) = [loop for loop in facts.loops if loop.unroll > 1]
+        conflict = partition_conflict(
+            facts, VariantKnobs(target="fpga", unroll=loop.unroll))
+        (lint,) = check_function_partitioning(function).warnings
+        assert lint.code == "MEM002"
+        numbers = r"(\d+) accesses x unroll (\d+)"
+        assert re.search(numbers, lint.message).groups() == (
+            re.search(numbers, conflict).groups()) == ("1", "8")
+        assert "need 8 ports" in lint.message
+        assert "needs 8 ports" in conflict
+        assert "provides 4" in lint.message and "provides 4" in conflict
 
     def test_wasteful_factor_mem003(self, module):
         memref = MemRefType((4,), F32)

@@ -159,7 +159,13 @@ class TestGateBlocksFixtureModules:
 
     @pytest.mark.parametrize(
         "fixture,code",
-        [("oob_access.ir", "MEM004"), ("dead_branch.ir", "LINT004")],
+        [
+            ("oob_access.ir", "MEM004"),
+            ("dead_branch.ir", "LINT004"),
+            ("deep_index_chain.ir", "MEM001"),
+            ("zero_step_loop.ir", "MEM001"),
+            ("mixed_affine_access.ir", "PERF001"),
+        ],
     )
     def test_fixture_module_raises_analysis_error(self, fixture, code):
         import os

@@ -37,8 +37,7 @@ from repro.core.dse.cost_model import (  # noqa: E402
     prepare_variant_module,
 )
 from repro.core.dsl.kernel_dsl import compile_kernel  # noqa: E402
-from repro.core.hls.bambu import HLSOptions, synthesize  # noqa: E402
-from repro.core.hls.scheduling import ResourceBudget  # noqa: E402
+from repro.core.hls.bambu import hls_options_for, synthesize  # noqa: E402
 from repro.core.variants import VariantKnobs  # noqa: E402
 
 _REL_TOL = 1e-9
@@ -81,13 +80,7 @@ def assert_cycle_links_sound(module, kernel, knobs, bounds):
     """cycle floor <= synthesized cycles; II floor <= scheduled II."""
     design = synthesize(
         prepare_variant_module(module, kernel, knobs), kernel,
-        HLSOptions(
-            clock_hz=knobs.clock_hz,
-            memory_strategy=knobs.memory_strategy,
-            budget=ResourceBudget(
-                fadd=4 * knobs.unroll, fmul=4 * knobs.unroll),
-            enable_dift=knobs.dift or None,
-        ),
+        hls_options_for(knobs),
     )
     floor = fpga_cycles_lower_bound(bounds, knobs)
     assert floor <= design.latency_cycles, (

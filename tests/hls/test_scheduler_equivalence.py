@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.core.dse.cost_model import prepare_variant_module
 from repro.core.dsl.kernel_dsl import compile_kernel
 from repro.core.hls import scheduling
+from repro.core.hls.bambu import hls_options_for
 from repro.core.hls.cdfg import build_cdfg
 from repro.core.hls.memory import plan_memories
 from repro.core.hls.scheduling import ResourceBudget, latency_of
@@ -287,7 +288,7 @@ kernel stream(X: tensor<64xf32>, Y: tensor<64xf32>)
         cdfg = build_cdfg(function)
         plan = plan_memories(cdfg, unroll=unroll)
         ports = plan.ports_map()
-        budget = ResourceBudget(fadd=4 * unroll, fmul=4 * unroll)
+        budget = hls_options_for(knobs).budget
         checked = 0
         for loop in cdfg.innermost_loops():
             if not loop.body:
