@@ -309,48 +309,9 @@ def cmd_emit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _chaos_run(args: argparse.Namespace, journal=None, resume=None):
-    """One deterministic chaos run for the given seed pair."""
-    from repro.chaos import (
-        ChaosConfig,
-        generate_schedule,
-        random_task_graph,
-    )
-    from repro.workflow import ResilientServer, Worker
-    from repro.workflow.scheduler import make_policy
-
-    graph = random_task_graph(args.graph_seed, num_tasks=args.tasks)
-    workers = [
-        Worker(f"w{index}", node_name=f"n{index}", cpus=2)
-        for index in range(args.workers)
-    ]
-    config = ChaosConfig(
-        crashes=args.crashes,
-        link_faults=args.link_faults,
-        reconfig_faults=args.reconfig_faults,
-        stragglers=args.stragglers,
-        task_faults=args.task_faults,
-    )
-    schedule = generate_schedule(
-        graph, [worker.name for worker in workers],
-        args.fault_seed, config,
-    )
-    server = ResilientServer(workers, policy=make_policy(args.policy))
-    trace, stats = server.run(
-        graph, chaos=schedule, journal=journal, resume=resume,
-    )
-    return graph, schedule, trace, stats
-
-
-#: The argparse fields that fully determine a chaos run — persisted in
-#: the run store's meta.json and restored verbatim on --resume.
-_CHAOS_RECIPE_KEYS = (
-    "graph_seed", "fault_seed", "tasks", "workers", "policy",
-    "crashes", "link_faults", "reconfig_faults", "stragglers",
-    "task_faults",
-)
-
-#: Ditto for `repro run` deployments.
+#: The argparse fields that fully determine a `repro run` deployment —
+#: persisted in the run store's meta.json and restored verbatim on
+#: --resume (for `repro chaos`: ``launcher.CHAOS_RECIPE_KEYS``).
 _RUN_RECIPE_KEYS = ("file", "strategy", "clock", "workers",
                     "workers_mode")
 
@@ -624,28 +585,31 @@ def _print_sanitize_report(tracer, args, header: str) -> int:
 def cmd_chaos(args: argparse.Namespace) -> int:
     """Replay a seeded chaos scenario and report the outcome."""
     from repro.obs import observe, session
+    from repro.workflow.launcher import CHAOS_RECIPE_KEYS, chaos_run
 
     run_id, journal, resume = _open_durable_run(
-        args, "chaos", _CHAOS_RECIPE_KEYS
+        args, "chaos", CHAOS_RECIPE_KEYS
     )
     if resume is not None and resume.finished:
         journal.close()
         print(f"run {run_id} already complete: "
               f"trace digest {resume.digest}")
         return 0
+    # after _open_durable_run: --resume restores the recipe into args
+    recipe = {key: getattr(args, key) for key in CHAOS_RECIPE_KEYS}
     obs = None
     try:
         if args.trace or args.sanitize:
             obs = session(deterministic=True)
             with observe(obs):
-                graph, schedule, trace, stats = _chaos_run(
-                    args, journal=journal, resume=resume,
+                graph, schedule, trace, stats = chaos_run(
+                    recipe, journal=journal, resume=resume,
                 )
             if args.trace:
                 obs.tracer.write(args.trace)
         else:
-            graph, schedule, trace, stats = _chaos_run(
-                args, journal=journal, resume=resume,
+            graph, schedule, trace, stats = chaos_run(
+                recipe, journal=journal, resume=resume,
             )
     finally:
         if journal is not None:
@@ -680,7 +644,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     if run_id:
         print(f"run id: {run_id}")
     if args.verify_replay:
-        _graph2, _schedule2, replay, _stats2 = _chaos_run(args)
+        _graph2, _schedule2, replay, _stats2 = chaos_run(recipe)
         if replay.to_json() != trace.to_json():
             print("REPLAY MISMATCH: the same seed pair produced a "
                   "different trace")

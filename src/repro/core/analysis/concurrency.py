@@ -10,7 +10,9 @@ over the plan alone; the dynamic half
 (:mod:`repro.sanitize`) confirms them on a concrete schedule.
 
 Race checks (all over the happens-before skeleton induced by
-producer -> consumer dependency edges):
+producer -> consumer dependency edges, which — like reachability,
+b-levels and the resource-order cycle search — come from
+:mod:`repro.utils.dag`, the rule the engine schedules by):
 
 * RACE001 — two unordered tasks both write one object (lost update);
 * RACE002 — a task reads an object an unordered task writes;
@@ -55,6 +57,7 @@ from typing import (
 )
 
 from repro.core.analysis.diagnostics import Diagnostics
+from repro.utils import dag
 
 #: Check names accepted by ``analyze_concurrency(checks=...)``.
 CONCURRENCY_CHECKS = ("race", "dl")
@@ -106,29 +109,18 @@ class _Order:
 
     def __init__(self, tasks: Sequence[ConcurrencyTask]):
         self.tasks = {task.name: task for task in tasks}
-        producer: Dict[str, str] = {}
+        self.producer: Dict[str, str] = {}
         for task in tasks:
             for obj in task.writes:
-                producer.setdefault(obj, task.name)
-        edges: Dict[str, Set[str]] = {task.name: set() for task in tasks}
-        for task in tasks:
-            for obj in task.all_reads():
-                upstream = producer.get(obj)
-                if upstream is not None and upstream != task.name:
-                    edges[upstream].add(task.name)
-        self.edges = edges
-        self.producer = producer
-        self._descendants: Dict[str, Set[str]] = {}
-        for name in edges:
-            seen: Set[str] = set()
-            frontier = list(edges[name])
-            while frontier:
-                node = frontier.pop()
-                if node in seen:
-                    continue
-                seen.add(node)
-                frontier.extend(edges.get(node, ()))
-            self._descendants[name] = seen
+                self.producer.setdefault(obj, task.name)
+        _, self.edges = dag.dependency_edges(
+            {task.name: task.all_reads() for task in tasks},
+            self.producer,
+        )
+        self._descendants = {
+            name: dag.reachable_from(self.edges, successors)
+            for name, successors in self.edges.items()
+        }
 
     def ordered(self, a: str, b: str) -> bool:
         """True when a dependency path orders the two tasks."""
@@ -140,33 +132,6 @@ class _Order:
     def unordered(self, a: str, b: str) -> bool:
         """True when the tasks may run concurrently."""
         return a != b and not self.ordered(a, b)
-
-    def b_levels(self) -> Dict[str, float]:
-        """Static priority: longest downstream path per task."""
-        order: List[str] = []
-        state: Dict[str, int] = {}
-
-        def visit(node: str) -> None:
-            state[node] = 1
-            for successor in sorted(self.edges.get(node, ())):
-                if state.get(successor, 0) == 0:
-                    visit(successor)
-            state[node] = 2
-            order.append(node)
-
-        for name in sorted(self.edges):
-            if state.get(name, 0) == 0:
-                visit(name)
-        levels: Dict[str, float] = {}
-        for name in order:  # reverse-topological emission order
-            consumer_level = max(
-                (levels[successor]
-                 for successor in self.edges.get(name, ())
-                 if successor in levels),
-                default=0.0,
-            )
-            levels[name] = self.tasks[name].duration_s + consumer_level
-        return levels
 
 
 # ----------------------------------------------------------------------
@@ -238,7 +203,9 @@ def _check_races(
                 )
 
     # RACE004: order-sensitive consumers of tied unordered producers.
-    levels = order.b_levels()
+    levels = dag.bottom_levels(  # static priority, as the scheduler ranks
+        order.edges, {task.name: task.duration_s for task in tasks},
+    )
     for task in sorted(tasks, key=lambda t: t.name):
         if not task.order_sensitive:
             continue
@@ -318,7 +285,9 @@ def _check_deadlocks(
                 edge_owners.setdefault(
                     (first, second), set()
                 ).add(task.name)
-    cycle = _find_cycle(order_edges)
+    cycle = dag.find_cycle({
+        resource: sorted(later) for resource, later in order_edges.items()
+    })
     if cycle:
         owners: Set[str] = set()
         for first, second in zip(cycle, cycle[1:]):
@@ -392,35 +361,6 @@ def _hold_wait_set(
         and sum(need - 1 for _, need in chosen) >= capacity
     ):
         return chosen
-    return []
-
-
-def _find_cycle(edges: Dict[str, Set[str]]) -> List[str]:
-    """First cycle in a digraph as ``[n0, n1, ..., n0]`` (or [])."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {node: WHITE for node in edges}
-    stack: List[str] = []
-
-    def visit(node: str) -> Optional[List[str]]:
-        color[node] = GRAY
-        stack.append(node)
-        for successor in sorted(edges.get(node, ())):
-            if color.get(successor, WHITE) == GRAY:
-                start = stack.index(successor)
-                return stack[start:] + [successor]
-            if color.get(successor, WHITE) == WHITE:
-                found = visit(successor)
-                if found:
-                    return found
-        stack.pop()
-        color[node] = BLACK
-        return None
-
-    for node in sorted(edges):
-        if color[node] == WHITE:
-            found = visit(node)
-            if found:
-                return found
     return []
 
 

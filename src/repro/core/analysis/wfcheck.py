@@ -7,13 +7,18 @@ assembled — and reports every defect at once through the diagnostics
 layer:
 
 * WF001 — dependency cycle (with the cycle spelled out);
-* WF002 — a task consumes an object that is neither an external input
-  nor produced by any task;
+* WF002 — a task consumes (reads or updates) an object that is
+  neither an external input nor produced by any task;
 * WF003 — a task requests more CPUs than any worker provides;
 * WF004 — two producers for the same data object;
 * WF005 — duplicate task names;
 * WF006 — a task can never run because an upstream object is
   unproducible (warning; the root cause is the WF002 error).
+
+Edges come from :func:`repro.utils.dag.dependency_edges` — the rule
+the workflow engine schedules by, so a task is ordered after the
+producer of everything it lists under ``inputs`` *or* ``updates`` —
+and cycles and starvation from that module's queries.
 
 It accepts a built :class:`~repro.workflow.graph.TaskGraph`, or a
 plain JSON-style mapping (see :func:`lint_workflow_spec`) so defective
@@ -27,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.analysis.diagnostics import Diagnostics
+from repro.utils import dag
 
 
 @dataclass
@@ -37,6 +43,8 @@ class TaskSpec:
     inputs: List[str] = field(default_factory=list)
     outputs: List[str] = field(default_factory=list)
     cpus: int = 1
+    #: objects rewritten in place: ordered after their producer
+    updates: List[str] = field(default_factory=list)
 
 
 @dataclass
@@ -98,8 +106,12 @@ def lint_workflow(
 
     # -- WF002: unproducible inputs ------------------------------------
     broken: Set[str] = set()  # tasks with a missing input
+    consumed = {
+        task.name: list(task.inputs) + list(task.updates)
+        for task in unique
+    }
     for task in unique:
-        for input_name in task.inputs:
+        for input_name in consumed[task.name]:
             if input_name in external_set or input_name in producer:
                 continue
             broken.add(task.name)
@@ -112,15 +124,8 @@ def lint_workflow(
             )
 
     # -- WF001: cycles --------------------------------------------------
-    edges: Dict[str, List[str]] = {task.name: [] for task in unique}
-    for task in unique:
-        for input_name in task.inputs:
-            upstream = producer.get(input_name)
-            if upstream is not None and upstream != task.name:
-                edges[upstream].append(task.name)
-            elif upstream == task.name:
-                edges[task.name].append(task.name)
-    cycle = _find_cycle(edges)
+    _, edges = dag.dependency_edges(consumed, producer)
+    cycle = dag.find_cycle(edges)
     if cycle:
         rendered = " -> ".join(cycle)
         diagnostics.error(
@@ -145,7 +150,7 @@ def lint_workflow(
 
     # -- WF006: tasks starved by unproducible objects ---------------------
     if broken and not cycle:
-        downstream = _reachable_from(edges, broken)
+        downstream = dag.reachable_from(edges, broken)
         for task_name in sorted(downstream - broken):
             diagnostics.warning(
                 "WF006",
@@ -155,49 +160,6 @@ def lint_workflow(
                 analysis="dag-lint",
             )
     return diagnostics
-
-
-def _find_cycle(edges: Dict[str, List[str]]) -> List[str]:
-    """First dependency cycle found, as a node path (or [])."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {node: WHITE for node in edges}
-    stack: List[str] = []
-
-    def visit(node: str) -> Optional[List[str]]:
-        color[node] = GRAY
-        stack.append(node)
-        for successor in edges.get(node, ()):
-            if color.get(successor, WHITE) == GRAY:
-                start = stack.index(successor)
-                return stack[start:] + [successor]
-            if color.get(successor, WHITE) == WHITE:
-                found = visit(successor)
-                if found:
-                    return found
-        stack.pop()
-        color[node] = BLACK
-        return None
-
-    for node in sorted(edges):
-        if color[node] == WHITE:
-            found = visit(node)
-            if found:
-                return found
-    return []
-
-
-def _reachable_from(edges: Dict[str, List[str]],
-                    roots: Set[str]) -> Set[str]:
-    """All nodes reachable from the roots (roots included)."""
-    seen = set(roots)
-    frontier = list(roots)
-    while frontier:
-        node = frontier.pop()
-        for successor in edges.get(node, ()):
-            if successor not in seen:
-                seen.add(successor)
-                frontier.append(successor)
-    return seen
 
 
 # ----------------------------------------------------------------------
@@ -219,6 +181,7 @@ def lint_task_graph(graph, workers=None,
             inputs=list(task.inputs),
             outputs=list(task.outputs),
             cpus=task.cpus,
+            updates=list(task.updates),
         )
         for task in graph.tasks.values()
     ]
@@ -374,6 +337,7 @@ def lint_workflow_spec(spec: Dict,
             inputs=[str(item) for item in entry.get("inputs", [])],
             outputs=[str(item) for item in entry.get("outputs", [])],
             cpus=int(entry.get("cpus", 1)),
+            updates=[str(item) for item in entry.get("updates", [])],
         )
         for index, entry in enumerate(spec.get("tasks", []))
     ]

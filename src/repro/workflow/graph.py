@@ -4,6 +4,12 @@ A :class:`TaskGraph` is a DAG of :class:`WorkflowTask` nodes connected
 through named :class:`DataObject` edges, mirroring HyperLoom's plan
 model: tasks declare the objects they consume and produce; objects
 carry sizes so schedulers can reason about movement cost.
+
+Which task waits for which is not derived here: the edge rule (*B
+depends on A when B reads or updates an object A produces*) and the
+graph queries live in :mod:`repro.utils.dag`, shared with the DAG
+linter and the concurrency analyzer. The graph keeps the rule's
+result as an index, built on the first query after a change.
 """
 
 from __future__ import annotations
@@ -11,11 +17,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set
-
-import networkx as nx
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import WorkflowError
+from repro.utils import dag
 from repro.utils.validation import check_non_negative, check_positive
 
 
@@ -61,6 +66,8 @@ class TaskGraph:
         self.name = name
         self.tasks: Dict[str, WorkflowTask] = {}
         self.objects: Dict[str, DataObject] = {}
+        #: dependency index; dropped whenever a task or object is added
+        self._adjacency = None
 
     # ------------------------------------------------------------------
 
@@ -69,6 +76,7 @@ class TaskGraph:
         if obj.name in self.objects:
             raise WorkflowError(f"duplicate data object {obj.name!r}")
         self.objects[obj.name] = obj
+        self._adjacency = None
         return obj
 
     def add_task(self, task: WorkflowTask) -> WorkflowTask:
@@ -97,6 +105,7 @@ class TaskGraph:
                 name=output_name, producer=task.name
             )
         self.tasks[task.name] = task
+        self._adjacency = None
         return task
 
     def set_object_size(self, name: str, size_bytes: int) -> None:
@@ -108,51 +117,49 @@ class TaskGraph:
 
     # ------------------------------------------------------------------
 
+    def _index(self) -> Tuple[Dict[str, List[str]], Dict[str, List[str]]]:
+        """``(dependencies, consumers)`` per task, built on the first
+        query after a change (:func:`repro.utils.dag.dependency_edges`)."""
+        if self._adjacency is None:
+            producer: Dict[str, str] = {}
+            for obj in self.objects.values():
+                if obj.producer is None:
+                    continue
+                if obj.producer not in self.tasks:
+                    raise WorkflowError(
+                        f"object {obj.name!r} names unknown producer "
+                        f"{obj.producer!r}"
+                    )
+                producer[obj.name] = obj.producer
+            self._adjacency = dag.dependency_edges(
+                {
+                    task.name: list(task.inputs) + list(task.updates)
+                    for task in self.tasks.values()
+                },
+                producer,
+            )
+        return self._adjacency
+
     def dependencies(self, task_name: str) -> List[str]:
         """Names of tasks that must finish before this one starts."""
-        task = self.tasks[task_name]
-        result = []
-        for input_name in list(task.inputs) + list(task.updates):
-            producer = self.objects[input_name].producer
-            if (
-                producer is not None
-                and producer != task_name
-                and producer not in result
-            ):
-                result.append(producer)
-        return result
+        return list(self._index()[0][task_name])
 
     def consumers(self, task_name: str) -> List[str]:
         """Tasks consuming or updating any output of the given task."""
-        outputs = set(self.tasks[task_name].outputs)
-        return [
-            other.name
-            for other in self.tasks.values()
-            if outputs.intersection(other.inputs)
-            or outputs.intersection(other.updates)
-        ]
-
-    def to_networkx(self) -> nx.DiGraph:
-        """Task-level dependency digraph."""
-        graph = nx.DiGraph()
-        for name in self.tasks:
-            graph.add_node(name)
-        for name in self.tasks:
-            for dependency in self.dependencies(name):
-                graph.add_edge(dependency, name)
-        return graph
+        return list(self._index()[1][task_name])
 
     def validate(self) -> None:
-        """Check acyclicity and input availability."""
-        graph = self.to_networkx()
-        if not nx.is_directed_acyclic_graph(graph):
-            cycle = nx.find_cycle(graph)
-            raise WorkflowError(f"workflow contains a cycle: {cycle}")
+        """Check that every producer exists and nothing is cyclic."""
+        cycle = dag.find_cycle(self._index()[1])
+        if cycle:
+            raise WorkflowError(
+                "workflow contains a cycle: " + " -> ".join(cycle)
+            )
 
     def topological_order(self) -> List[str]:
         """Tasks in a valid execution order."""
         self.validate()
-        return list(nx.topological_sort(self.to_networkx()))
+        return dag.topological_order(self._index()[1])
 
     # ------------------------------------------------------------------
 
@@ -164,15 +171,10 @@ class TaskGraph:
         the critical path moving.
         """
         self.validate()
-        levels: Dict[str, float] = {}
-        for name in reversed(self.topological_order()):
-            task = self.tasks[name]
-            consumer_level = max(
-                (levels[consumer] for consumer in self.consumers(name)),
-                default=0.0,
-            )
-            levels[name] = task.duration_s + consumer_level
-        return levels
+        return dag.bottom_levels(
+            self._index()[1],
+            {name: task.duration_s for name, task in self.tasks.items()},
+        )
 
     def critical_path_length(self) -> float:
         """Duration of the longest dependency chain."""
@@ -228,7 +230,8 @@ class TaskGraph:
     def roots(self) -> List[str]:
         """Tasks with no task dependencies."""
         return [
-            name for name in self.tasks if not self.dependencies(name)
+            name for name, upstream in self._index()[0].items()
+            if not upstream
         ]
 
     def __len__(self) -> int:

@@ -38,7 +38,7 @@ import hashlib
 import time
 import uuid
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.obs import current_metrics
 from repro.workflow.jobstore import (
@@ -47,6 +47,7 @@ from repro.workflow.jobstore import (
     canonical_spec,
 )
 from repro.workflow.runstore import RunStore
+from repro.workflow.worker import Worker
 
 #: Run-store ``kind`` for journaled service job executions.
 SERVICE_RUN_KIND = "service"
@@ -64,24 +65,45 @@ def _noop_job(spec: Dict) -> Dict:
     return {"digest": digest}
 
 
+def _worker_pool(count: int) -> List[Worker]:
+    return [
+        Worker(f"w{index}", node_name=f"n{index}", cpus=2)
+        for index in range(count)
+    ]
+
+
 def _graph_job(spec: Dict) -> Dict:
     from repro.chaos import random_task_graph
     from repro.workflow.recovery import ResilientServer
-    from repro.workflow.worker import Worker
 
     graph = random_task_graph(
         int(spec.get("seed", 0)),
         num_tasks=int(spec.get("tasks", 6)),
     )
-    workers = [
-        Worker(f"w{index}", node_name=f"n{index}", cpus=2)
-        for index in range(int(spec.get("workers", 2)))
-    ]
+    workers = _worker_pool(int(spec.get("workers", 2)))
     trace, _ = ResilientServer(workers).run(graph)
     return {"digest": trace.digest(), "makespan": trace.makespan}
 
 
-def _chaos_job(spec: Dict, journal=None, resume=None) -> Dict:
+#: What a ``chaos`` job runs when its spec leaves a recipe key out.
+_CHAOS_JOB_DEFAULTS = {
+    "graph_seed": 0, "fault_seed": 0, "tasks": 9, "workers": 3,
+    "policy": "b-level", "crashes": 1, "link_faults": 1,
+    "reconfig_faults": 1, "stragglers": 1, "task_faults": 1,
+}
+
+#: The keys that fully determine a chaos run: what ``repro chaos``
+#: persists in the run store and restores on ``--resume``.
+CHAOS_RECIPE_KEYS = tuple(_CHAOS_JOB_DEFAULTS)
+
+
+def chaos_run(recipe: Mapping, journal=None, resume=None):
+    """One deterministic chaos run of a complete recipe (every one of
+    :data:`CHAOS_RECIPE_KEYS` present): seeded graph, 2-cpu pool,
+    seeded fault schedule, resilient server.
+
+    Returns ``(graph, schedule, trace, stats)``.
+    """
     from repro.chaos import (
         ChaosConfig,
         generate_schedule,
@@ -89,32 +111,34 @@ def _chaos_job(spec: Dict, journal=None, resume=None) -> Dict:
     )
     from repro.workflow.recovery import ResilientServer
     from repro.workflow.scheduler import make_policy
-    from repro.workflow.worker import Worker
 
     graph = random_task_graph(
-        int(spec.get("graph_seed", 0)),
-        num_tasks=int(spec.get("tasks", 9)),
+        int(recipe["graph_seed"]), num_tasks=int(recipe["tasks"]),
     )
-    workers = [
-        Worker(f"w{index}", node_name=f"n{index}", cpus=2)
-        for index in range(int(spec.get("workers", 3)))
-    ]
+    workers = _worker_pool(int(recipe["workers"]))
     config = ChaosConfig(
-        crashes=int(spec.get("crashes", 1)),
-        link_faults=int(spec.get("link_faults", 1)),
-        reconfig_faults=int(spec.get("reconfig_faults", 1)),
-        stragglers=int(spec.get("stragglers", 1)),
-        task_faults=int(spec.get("task_faults", 1)),
+        crashes=int(recipe["crashes"]),
+        link_faults=int(recipe["link_faults"]),
+        reconfig_faults=int(recipe["reconfig_faults"]),
+        stragglers=int(recipe["stragglers"]),
+        task_faults=int(recipe["task_faults"]),
     )
     schedule = generate_schedule(
         graph, [worker.name for worker in workers],
-        int(spec.get("fault_seed", 0)), config,
+        int(recipe["fault_seed"]), config,
     )
     server = ResilientServer(
-        workers, policy=make_policy(spec.get("policy", "b-level")),
+        workers, policy=make_policy(recipe["policy"]),
     )
     trace, stats = server.run(
         graph, chaos=schedule, journal=journal, resume=resume,
+    )
+    return graph, schedule, trace, stats
+
+
+def _chaos_job(spec: Dict, journal=None, resume=None) -> Dict:
+    _graph, _schedule, trace, stats = chaos_run(
+        {**_CHAOS_JOB_DEFAULTS, **spec}, journal=journal, resume=resume,
     )
     return {
         "digest": trace.digest(),

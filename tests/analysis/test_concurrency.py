@@ -295,6 +295,7 @@ class TestLintCLIConcurrency:
             ("conc_dl_order.json", "DL001"),
             ("conc_dl_capacity.json", "DL002"),
             ("conc_dl_holdwait.json", "DL003"),
+            ("cycle_order_sensitive.json", "RACE004"),
         ],
     )
     def test_fixture_true_positive(self, capsys, fixture, code):
@@ -328,3 +329,19 @@ class TestLintCLIConcurrency:
     def test_suppress_clears_exit_code(self, capsys):
         path = os.path.join(FIXTURES, "conc_dl_holdwait.json")
         assert main(["lint", path, "--suppress", "DL003"]) == 0
+
+    def test_cyclic_plan_still_gets_its_priorities(self, capsys):
+        # p1 <-> p2 cycle, independent p3, order-sensitive join of p1's
+        # and p3's outputs: b-levels must stay defined on the cycle
+        # (p1 and p3 tie) and the analyzer must not crash into DSL001
+        path = os.path.join(FIXTURES, "cycle_order_sensitive.json")
+        assert main(["lint", path]) == 1
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "  error[RACE004] @ cycle-order-sensitive/join: "
+            "order-sensitive task 'join' consumes unordered producers "
+            "'p1' and 'p3' with equal priority: the scheduler tie-break "
+            "decides the result",
+            "  error[WF001] @ cycle-order-sensitive/p1: dependency "
+            "cycle: p1 -> p2 -> p1",
+            "  -- 2 errors",
+        ]

@@ -49,6 +49,9 @@ class TestExitCodes:
             ("deep_index_chain.ir", "MEM001"),
             ("zero_step_loop.ir", "IR002"),
             ("mixed_affine_access.ir", "MEM002"),
+            ("update_cycle.json", "WF001"),
+            ("update_unproducible.json", "WF002"),
+            ("cycle_order_sensitive.json", "WF001"),
         ],
     )
     def test_defect_fixture_exits_one_with_json(

@@ -81,6 +81,49 @@ class TestDefectClasses:
         assert "WF001" in _codes(diagnostics)
 
 
+class TestUpdatesAreDependencies:
+    """The linter orders by ``updates`` exactly as the engine does."""
+
+    def test_cycle_through_an_update_wf001(self):
+        diagnostics = lint_workflow_spec(_load("update_cycle.json"))
+        assert _codes(diagnostics) == ["WF001"]
+        assert "t1 -> t2 -> t1" in diagnostics.items[0].message
+
+    def test_unproducible_update_wf002_and_starvation_wf006(self):
+        diagnostics = lint_workflow_spec(
+            _load("update_unproducible.json")
+        )
+        assert _codes(diagnostics) == ["WF002", "WF006"]
+        wf002, wf006 = diagnostics.sorted()
+        assert "'patch'" in wf002.message and "'phantom'" in wf002.message
+        assert "'report'" in wf006.message
+
+    def test_update_of_an_external_or_upstream_object_is_clean(self):
+        diagnostics = lint_workflow(
+            [
+                TaskSpec("make", inputs=["raw"], outputs=["table"]),
+                TaskSpec("patch", updates=["table", "raw"]),
+            ],
+            externals=["raw"],
+        )
+        assert not diagnostics.items
+
+    def test_task_graph_adapter_carries_updates(self):
+        from repro.workflow.graph import (
+            DataObject,
+            TaskGraph,
+            WorkflowTask,
+        )
+
+        graph = TaskGraph("g")
+        graph.add_object(DataObject("raw"))
+        graph.add_task(WorkflowTask("t1", inputs=["raw"], outputs=["a"]))
+        graph.add_task(WorkflowTask("t2", inputs=["a"], outputs=["b"]))
+        # close t2 -> t1 through an in-place update of t2's output
+        graph.tasks["t1"].updates.append("b")
+        assert _codes(lint_task_graph(graph)) == ["WF001"]
+
+
 class TestAdapters:
     def test_task_graph_adapter_clean(self):
         from repro.workflow.graph import (

@@ -124,3 +124,61 @@ class TestGraphAnalysis:
             previous = f"o{index}"
         assert graph.critical_path_length() == pytest.approx(length)
         assert graph.total_work() == pytest.approx(length)
+
+
+def ghost_producer_graph() -> TaskGraph:
+    graph = TaskGraph("haunted")
+    graph.add_object(DataObject("x", producer="ghost"))
+    graph.add_task(WorkflowTask("t", inputs=["x"], outputs=["y"]))
+    return graph
+
+
+class TestUnknownProducer:
+    @pytest.mark.parametrize("query", [
+        "validate", "topological_order", "b_levels",
+        "critical_path_length", "roots",
+    ])
+    def test_every_query_names_the_object_and_the_producer(self, query):
+        with pytest.raises(WorkflowError, match="'x'.*'ghost'"):
+            getattr(ghost_producer_graph(), query)()
+
+    def test_unconsumed_object_is_checked_too(self):
+        graph = diamond()
+        graph.add_object(DataObject("stray", producer="nobody"))
+        with pytest.raises(WorkflowError, match="'stray'.*'nobody'"):
+            graph.validate()
+
+
+class TestIndexInvalidation:
+    def test_added_task_is_seen_by_the_same_queries(self):
+        graph = diamond()
+        assert graph.consumers("d") == []
+        assert graph.roots() == ["a"]
+        order = graph.topological_order()
+        levels = graph.b_levels()
+        graph.add_task(WorkflowTask("e", inputs=["out"], outputs=["end"],
+                                    duration_s=2.0))
+        assert graph.consumers("d") == ["e"]
+        assert graph.dependencies("e") == ["d"]
+        assert graph.topological_order() == order + ["e"]
+        assert graph.b_levels()["a"] == pytest.approx(levels["a"] + 2.0)
+
+    def test_added_object_and_root_task_are_seen(self):
+        graph = diamond()
+        assert graph.roots() == ["a"]
+        graph.add_object(DataObject("other"))
+        graph.add_task(WorkflowTask("r", inputs=["other"]))
+        assert graph.roots() == ["a", "r"]
+
+    def test_answers_are_copies(self):
+        graph = diamond()
+        graph.dependencies("d").append("a")
+        graph.consumers("a").clear()
+        assert graph.dependencies("d") == ["b", "c"]
+        assert graph.consumers("a") == ["b", "c"]
+
+    def test_updates_order_a_task_after_the_producer(self):
+        graph = diamond()
+        graph.add_task(WorkflowTask("patch", updates=["x"]))
+        assert graph.dependencies("patch") == ["a"]
+        assert graph.consumers("a") == ["b", "c", "patch"]

@@ -136,6 +136,14 @@ class TestServerExecution:
                 Worker("w", node_name="a"), Worker("w", node_name="b"),
             ])
 
+    def test_unknown_producer_is_a_workflow_error(self):
+        # used to escape as a bare KeyError('ghost') from the ready scan
+        graph = TaskGraph("haunted")
+        graph.add_object(DataObject("x", producer="ghost"))
+        graph.add_task(WorkflowTask("t", inputs=["x"], outputs=["y"]))
+        with pytest.raises(WorkflowError, match="'x'.*'ghost'"):
+            ResilientServer(pool(2)).run(graph)
+
 
 class TestBusyAccounting:
     """busy_seconds charges the stretched duration, not the nominal."""
