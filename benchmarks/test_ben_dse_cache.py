@@ -6,7 +6,9 @@ same kernel — here modeled as a fresh invocation: reconfigured caches,
 empty memory, same cache directory — skips every HLS re-synthesis. The
 claim quantified: a warm re-exploration is at least 5x faster than the
 cold one and serves at least 90% of its lookups from the cache, while
-producing byte-identical results.
+producing byte-identical results; and a whole warm *compile* — explore
+and emit — calls the HLS driver zero times, because each cached
+estimate carries the bitstream the packager ships.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import time
 
 import pytest
 
+from repro.core.compiler import EverestCompiler
 from repro.core.dse.cache import (
     DEFAULT_PREPARED_CAPACITY,
     clear_caches,
@@ -24,6 +27,7 @@ from repro.core.dse.cache import (
 from repro.core.dse.explorer import Explorer
 from repro.core.dse.space import DesignSpace
 from repro.core.dsl.kernel_dsl import compile_kernel
+from repro.obs.driver import pipeline_from_sources
 from repro.utils.tables import Table
 
 KERNEL = """
@@ -111,13 +115,16 @@ def test_ben_dse_cache_warm_speedup(cache_dir, benchmark):
 
 
 def test_ben_dse_cache_zero_resynthesis(cache_dir):
-    """The warm run never reaches HLS: every point is a cost-cache
-    hit, so re-synthesis count is exactly zero."""
-    module = compile_kernel(KERNEL)
+    """A whole warm compile never reaches HLS: every point is a
+    cost-cache hit and every feasible FPGA variant is packaged with
+    the bitstream that hit carries, so the synthesis count is exactly
+    zero — exploring *and* emitting."""
+    pipeline = pipeline_from_sources("score", [KERNEL])
+    compiler = EverestCompiler(space=SPACE, emit_artifacts=True)
     configure(cache_dir=cache_dir,
               prepared_capacity=DEFAULT_PREPARED_CAPACITY)
     clear_caches()
-    _explore(module)
+    cold = compiler.compile(pipeline)
 
     configure(cache_dir=cache_dir,
               prepared_capacity=DEFAULT_PREPARED_CAPACITY)
@@ -131,11 +138,25 @@ def test_ben_dse_cache_zero_resynthesis(cache_dir):
 
     cost_model.synthesize = counting_synthesize
     try:
-        result = _explore(module)
+        warm = compiler.compile(pipeline)
     finally:
         cost_model.synthesize = real_synthesize
 
+    result = warm.exploration["score"]
     stats = cost_cache().stats
-    assert calls == [], f"warm run re-synthesized {len(calls)} designs"
+    assert calls == [], f"warm compile synthesized {len(calls)} designs"
     assert stats.misses == 0
     assert stats.hits == result.evaluations
+    assert result.to_json() == cold.exploration["score"].to_json()
+
+    def images(app):
+        """(kind, payload) packaged per feasible FPGA variant."""
+        artifacts = [app.package.artifact_for(variant)
+                     for variant in app.exploration["score"].feasible
+                     if variant.is_hardware]
+        return [(artifact.kind, artifact.payload)
+                for artifact in artifacts]
+
+    assert images(warm) == images(cold) != []
+    assert {kind for kind, _ in images(warm)} == {"bitstream"}
+    assert warm.package.verify_integrity()

@@ -54,6 +54,7 @@ from typing import List, Optional
 from repro.core.dse.cost_model import (
     ArchitectureModel,
     prepare_variant_module,
+    synthesize_variant,
 )
 from repro.core.dse.explorer import Explorer
 from repro.core.dse.space import DesignSpace
@@ -135,8 +136,6 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     """Print the HLS report for one kernel."""
-    from repro.core.hls.bambu import hls_options_for, synthesize
-
     _configure_dse_caches(args)
     source = _read_source(args.file)
     module = compile_kernel(source)
@@ -144,10 +143,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         target="fpga", unroll=args.unroll,
         clock_hz=args.clock_mhz * 1e6,
     )
-    prepared = prepare_variant_module(module, args.kernel, knobs,
-                                      module_digest(module))
-    design = synthesize(prepared, args.kernel, hls_options_for(knobs))
-    print(design.report())
+    print(synthesize_variant(module, args.kernel, knobs).report())
     return 0
 
 
@@ -289,17 +285,14 @@ def cmd_emit(args: argparse.Namespace) -> int:
         if args.what == "sycl"
         else VariantKnobs(target="fpga", unroll=args.unroll)
     )
-    prepared = prepare_variant_module(module, args.kernel, knobs,
-                                      module_digest(module))
+    if args.what == "rtl":
+        print(synthesize_variant(module, args.kernel, knobs).rtl())
+        return 0
+    prepared = prepare_variant_module(module, args.kernel, knobs)
     if args.what == "sycl":
         from repro.core.backend.sycl_gen import generate_sycl
 
         print(generate_sycl(prepared, args.kernel))
-    elif args.what == "rtl":
-        from repro.core.hls.bambu import hls_options_for, synthesize
-
-        design = synthesize(prepared, args.kernel, hls_options_for(knobs))
-        print(design.rtl())
     elif args.what == "lowered-ir":
         from repro.core.ir import print_module
 

@@ -34,7 +34,6 @@ from repro.core.dse.explorer import ExplorationResult, Explorer
 from repro.core.dse.space import DesignSpace
 from repro.core.dsl.annotations import Sensitivity
 from repro.core.dsl.workflow import Pipeline, lint_pipeline_contracts
-from repro.core.hls.bambu import hls_options_for, synthesize
 from repro.core.ir.digest import module_digest
 from repro.core.ir.module import Module
 from repro.core.ir.passes.partitioning import HardwarePartitioningPass
@@ -183,9 +182,11 @@ class EverestCompiler:
                 # the full operating-point list).
                 with tracer.span(f"package:{kernel}",
                                  category=COMPILE_CATEGORY) as span:
+                    sources: Dict[Module, str] = {}
                     for variant in result.feasible:
                         artifact = (
-                            self._build_artifact(module, variant, digest)
+                            self._build_artifact(
+                                module, variant, digest, sources)
                             if self.emit_artifacts else None
                         )
                         app.package.add_variant(variant, artifact)
@@ -244,40 +245,42 @@ class EverestCompiler:
         return sensitive_kernels
 
     def _build_artifact(
-        self, module: Module, variant, digest: Optional[str] = None
+        self, module: Module, variant, digest: str,
+        sources: Dict[Module, str],
     ) -> Artifact:
-        """Generate the deployable artifact for one variant."""
-        # Muted observation: preparation is memoized, so whether the
-        # pass pipeline actually runs here depends on cache warmth;
-        # letting it trace would make otherwise-identical compiles
-        # produce different traces. The packaging span above is the
-        # deterministic record of this work.
-        with observe(Observation()):
-            prepared = prepare_variant_module(
-                module, variant.kernel, variant.knobs, digest
-            )
+        """Package the deployable artifact of one priced variant.
+
+        ``sources`` holds the SYCL text per prepared module, for the
+        variants of one kernel: the text does not depend on the thread
+        count, so CPU variants that share a pass pipeline share it.
+        """
         if variant.knobs.target == "cpu":
-            source = generate_sycl(prepared, variant.kernel)
-            payload = SoftwareBinary(
+            # Muted observation: preparation is memoized, so whether
+            # the pass pipeline actually runs here depends on cache
+            # warmth; letting it trace would make otherwise-identical
+            # compiles produce different traces. The packaging span
+            # above is the deterministic record of this work.
+            with observe(Observation()):
+                prepared = prepare_variant_module(
+                    module, variant.kernel, variant.knobs, digest
+                )
+            if prepared not in sources:
+                sources[prepared] = generate_sycl(
+                    prepared, variant.kernel)
+            kind, payload = "binary", SoftwareBinary(
                 name=variant.name,
                 arch="ppc64le",
-                source_text=source,
+                source_text=sources[prepared],
                 threads=variant.knobs.threads,
             )
-            return Artifact(
-                variant_id=variant.variant_id,
-                kind="binary",
-                payload=payload,
+        elif variant.knobs.target == "fpga":
+            # The image of the design the point was priced from:
+            # nothing is prepared or synthesized again, cold or warm.
+            kind, payload = "bitstream", variant.cost.bitstream
+        else:
+            raise BackendError(
+                f"no artifact path for target {variant.knobs.target!r}"
             )
-        if variant.knobs.target == "fpga":
-            design = synthesize(
-                prepared, variant.kernel, hls_options_for(variant.knobs)
-            )
-            return Artifact(
-                variant_id=variant.variant_id,
-                kind="bitstream",
-                payload=design.bitstream(),
-            )
-        raise BackendError(
-            f"no artifact path for target {variant.knobs.target!r}"
+        return Artifact(
+            variant_id=variant.variant_id, kind=kind, payload=payload,
         )

@@ -6,12 +6,14 @@ identity, so a recycled ``id()`` can never alias two kernel sources:
 
 * the prepared-module cache — a bounded in-memory
   :class:`~repro.core.store.LRUCache` of knob-transformed ("prepared")
-  modules keyed ``(module_digest, kernel, knobs)``, saving the pass
-  pipeline on repeat evaluations inside one process;
+  modules keyed ``(module_digest, kernel, pass-pipeline signature)``,
+  so the knob points that run the same passes share one module;
 * :class:`CostCache` — the ``"cost"`` kind of the two-level
   :class:`~repro.core.store.ContentStore`, memoizing ``(module_digest,
-  kernel, knobs, model)`` → cost estimate, so a second ``repro``
-  invocation of the same kernel skips HLS re-synthesis entirely.
+  kernel, knobs, model)`` → cost estimate, bitstream record included,
+  so a second ``repro`` invocation of the same kernel prices *and
+  packages* without HLS synthesis; the points of one kernel are the
+  lines of one shard file.
 
 Both are thread-safe and keep their own hit/miss statistics instead of
 reporting to the ambient observation from workers: the explorer
@@ -31,31 +33,44 @@ from typing import Any, Dict, Optional
 from repro.core.ir.digest import DIGEST_VERSION
 from repro.core.store import ContentStore, LRUCache, xdg_cache_dir
 from repro.core.variants import CostEstimate
+from repro.platform.fpga import Bitstream
 from repro.platform.resources import FPGAResources
 
 #: Part of every cost key: bump when the key recipe or the cost payload
 #: changes incompatibly, and old entries can never match again.
-CACHE_FORMAT_VERSION = "1"
+CACHE_FORMAT_VERSION = "2"
 
 #: Default bound of the prepared-module LRU (entries, not bytes).
 DEFAULT_PREPARED_CAPACITY = 512
 
 
+def _resources_from_dict(resources: Dict[str, Any]) -> FPGAResources:
+    return FPGAResources(
+        luts=int(resources.get("luts", 0)),
+        ffs=int(resources.get("ffs", 0)),
+        bram_kb=int(resources.get("bram_kb", 0)),
+        dsps=int(resources.get("dsps", 0)),
+    )
+
+
 def _cost_from_dict(payload: Dict[str, Any]) -> CostEstimate:
-    resources = payload.get("resources") or {}
+    image = payload.get("bitstream")
     return CostEstimate(
         latency_s=float(payload["latency_s"]),
         energy_j=float(payload["energy_j"]),
-        resources=FPGAResources(
-            luts=int(resources.get("luts", 0)),
-            ffs=int(resources.get("ffs", 0)),
-            bram_kb=int(resources.get("bram_kb", 0)),
-            dsps=int(resources.get("dsps", 0)),
-        ),
+        resources=_resources_from_dict(payload.get("resources") or {}),
         data_bytes=int(payload.get("data_bytes", 0)),
         feasible=bool(payload["feasible"]),
         infeasible_reason=str(payload.get("infeasible_reason", "")),
         accuracy=float(payload.get("accuracy", 1.0)),
+        bitstream=None if image is None else Bitstream(
+            name=str(image["name"]),
+            footprint=_resources_from_dict(image["footprint"]),
+            clock_hz=float(image["clock_hz"]),
+            dynamic_watts=float(image["dynamic_watts"]),
+            size_bytes=int(image["size_bytes"]),
+            partial=bool(image["partial"]),
+        ),
     )
 
 
@@ -70,16 +85,20 @@ class CostCache(ContentStore):
     @staticmethod
     def key(module_digest: str, kernel: str, knobs: Any,
             model_fingerprint: str) -> str:
-        """Stable cache key for one evaluation point."""
-        material = "\x1f".join((
+        """Stable cache key for one evaluation point: its kernel's
+        shard (the points of one exploration share a file), then the
+        point in it."""
+        shard = "\x1f".join((
             f"dse-cost-v{CACHE_FORMAT_VERSION}",
             f"ir-v{DIGEST_VERSION}",
             module_digest,
             kernel,
-            repr(knobs),
             model_fingerprint,
         ))
-        return hashlib.sha256(material.encode("utf-8")).hexdigest()
+        shard, point = (
+            hashlib.sha256(part.encode("utf-8")).hexdigest()
+            for part in (shard, repr(knobs)))
+        return f"{shard}.{point[:16]}"
 
     def get(self, key: str) -> Optional[CostEstimate]:
         """The cached estimate for ``key`` (a fresh copy), or None."""

@@ -13,6 +13,11 @@ Evaluation is memoized through the content-addressed caches in
 in a bounded LRU and finished cost estimates in a two-level cost cache,
 both keyed by the *structural digest* of the source module — never by
 ``id()``, which the garbage collector recycles.
+
+A variant is built once: :func:`synthesize_variant` is the only
+``prepare → synthesize`` chain, and the estimate of a feasible FPGA
+point carries the bitstream of the design it was priced from, which is
+what the compiler packages.
 """
 
 from __future__ import annotations
@@ -22,15 +27,17 @@ from typing import Optional
 
 from repro.core.analysis.absint import function_facts, partition_conflict
 from repro.core.dse.cache import CostCache, cost_cache, prepared_cache
-from repro.core.hls.bambu import hls_options_for, synthesize
+from repro.core.hls.bambu import AcceleratorDesign, hls_options_for, synthesize
 from repro.core.ir.digest import module_digest
 from repro.core.ir.module import Module
 from repro.core.ir.passes import (
+    AccumulationInterleavePass,
     CanonicalizePass,
     DataLayoutPass,
     ElementwiseFusionPass,
     LoopDirectivesPass,
     LowerTensorPass,
+    MatmulLoopOrderPass,
     PassManager,
     SecurityInstrumentationPass,
     TilingPass,
@@ -122,21 +129,15 @@ def prepare_variant_module(
     Prepared modules are cached in a bounded LRU keyed by the module's
     *content* digest (pass ``digest`` to reuse a precomputed one), so
     the cache survives garbage collection of the source module without
-    ever aliasing a recycled ``id``.
+    ever aliasing a recycled ``id``, and by the passes the pipeline
+    holds with their parameters — exactly what the result depends on,
+    so the points that differ only in knobs no pass reads (threads,
+    clock, memory strategy) share one prepared module. Callers must
+    not mutate it.
     """
-    if digest is None:
-        digest = module_digest(module)
-    cache = prepared_cache()
-    cache_key = (digest, kernel, knobs)
-    cached = cache.get(cache_key)
-    if cached is not None:
-        return cached
-    clone = module.clone()
     manager = PassManager(verify_each=False)
     manager.add(ElementwiseFusionPass())
     if knobs.matmul_order != "ijk":
-        from repro.core.ir.passes import MatmulLoopOrderPass
-
         manager.add(MatmulLoopOrderPass(knobs.matmul_order))
     if knobs.tile:
         manager.add(TilingPass(
@@ -149,15 +150,52 @@ def prepare_variant_module(
     if knobs.target == "fpga":
         manager.add(LoopDirectivesPass(unroll_factor=knobs.unroll))
         if knobs.interleave > 1:
-            from repro.core.ir.passes import (
-                AccumulationInterleavePass,
-            )
-
             manager.add(AccumulationInterleavePass(knobs.interleave))
     manager.add(CanonicalizePass())
+
+    if digest is None:
+        digest = module_digest(module)
+    cache = prepared_cache()
+    cache_key = (digest, kernel, tuple(
+        (pass_.name, tuple(sorted(vars(pass_).items())))
+        for pass_ in manager.passes
+    ))
+    cached = cache.get(cache_key)
+    if cached is not None:
+        return cached
+    clone = module.clone()
     manager.run(clone)
     cache.put(cache_key, clone)
     return clone
+
+
+def synthesize_variant(
+    module: Module,
+    kernel: str,
+    knobs: VariantKnobs,
+    digest: Optional[str] = None,
+) -> AcceleratorDesign:
+    """The accelerator one FPGA knob point stands for.
+
+    The one ``prepare → synthesize`` chain: DSE pricing and the
+    ``synth`` / ``emit --what rtl`` commands all build through here,
+    so what is priced is what is reported and packaged.
+    """
+    prepared = prepare_variant_module(module, kernel, knobs, digest)
+    return synthesize(prepared, kernel, hls_options_for(knobs))
+
+
+def cached_estimate(
+    cache: CostCache, key: str, knobs: VariantKnobs,
+) -> Optional[CostEstimate]:
+    """The cost-cache entry for one point, if it can stand in for
+    pricing it: a feasible FPGA estimate without the bitstream the
+    packager needs is no hit — the caller re-prices and overwrites."""
+    cost = cache.get(key)
+    if (cost is not None and cost.feasible and knobs.target == "fpga"
+            and cost.bitstream is None):
+        return None
+    return cost
 
 
 def evaluate_variant(
@@ -173,22 +211,16 @@ def evaluate_variant(
     Results are memoized in the process-wide cost cache under
     ``(module_digest, kernel, knobs, model.fingerprint())``; pass
     ``digest`` to skip recomputing the module hash (the explorer hashes
-    once per run). Cache hits return a fresh :class:`CostEstimate`.
+    once per run). Cache hits return a fresh :class:`CostEstimate`;
+    a point :func:`price_variant` rejects is never stored, so it is
+    rejected again on every call.
     """
     model = model or ArchitectureModel()
-    function = module.find_function(kernel)
-    if function is None:
-        raise DSEError(f"no kernel named {kernel!r}")
-    if knobs.target not in ("cpu", "fpga"):
-        raise DSEError(
-            f"cost model does not support target {knobs.target!r}"
-        )
-
     cache = cost_cache()
     if digest is None:
         digest = module_digest(module)
     key = CostCache.key(digest, kernel, knobs, model.fingerprint())
-    cached = cache.get(key)
+    cached = cached_estimate(cache, key, knobs)
     if cached is not None:
         return cached
 
@@ -317,10 +349,7 @@ def _evaluate_fpga(
     model: ArchitectureModel, digest: Optional[str] = None,
 ) -> CostEstimate:
     if model.fpga_role_capacity is None or model.fpga_link is None:
-        return CostEstimate(
-            latency_s=float("inf"), energy_j=float("inf"),
-            feasible=False, infeasible_reason="no FPGA on this node",
-        )
+        return CostEstimate.infeasible("no FPGA on this node")
     # Static partition-legality gate: knob points whose unroll provably
     # over-subscribes an explicitly partitioned buffer's ports are
     # rejected before any pass or scheduling work. The explorer prunes
@@ -329,34 +358,21 @@ def _evaluate_fpga(
         function_facts(module, kernel, digest), knobs
     )
     if conflict is not None:
-        return CostEstimate(
-            latency_s=float("inf"), energy_j=float("inf"),
-            feasible=False, infeasible_reason=conflict,
-        )
-    prepared = prepare_variant_module(module, kernel, knobs, digest)
+        return CostEstimate.infeasible(conflict)
     try:
-        design = synthesize(prepared, kernel, hls_options_for(knobs))
+        design = synthesize_variant(module, kernel, knobs, digest)
     except (HLSError, SchedulingError) as exc:
-        return CostEstimate(
-            latency_s=float("inf"), energy_j=float("inf"),
-            feasible=False, infeasible_reason=str(exc),
-        )
+        return CostEstimate.infeasible(str(exc))
 
     if not design.resources.fits_in(model.fpga_role_capacity):
-        return CostEstimate(
-            latency_s=float("inf"), energy_j=float("inf"),
-            resources=design.resources, feasible=False,
-            infeasible_reason="design exceeds role capacity",
-        )
+        return CostEstimate.infeasible(
+            "design exceeds role capacity", design.resources)
     achievable = model.achievable_clock(design.resources)
     if knobs.clock_hz > achievable:
-        return CostEstimate(
-            latency_s=float("inf"), energy_j=float("inf"),
-            resources=design.resources, feasible=False,
-            infeasible_reason=(
-                f"timing: requested {knobs.clock_hz / 1e6:.0f} MHz, "
-                f"achievable {achievable / 1e6:.0f} MHz"
-            ),
+        return CostEstimate.infeasible(
+            f"timing: requested {knobs.clock_hz / 1e6:.0f} MHz, "
+            f"achievable {achievable / 1e6:.0f} MHz",
+            design.resources,
         )
 
     data_bytes = design.data_bytes()
@@ -369,4 +385,5 @@ def _evaluate_fpga(
         resources=design.resources,
         data_bytes=data_bytes,
         feasible=True,
+        bitstream=design.bitstream(),
     )

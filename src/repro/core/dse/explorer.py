@@ -47,6 +47,7 @@ from repro.core.analysis.absint import function_facts
 from repro.core.dse.cache import CostCache, cost_cache, prepared_cache
 from repro.core.dse.cost_model import (
     ArchitectureModel,
+    cached_estimate,
     evaluate_variant,
 )
 from repro.core.dse.pareto import ParetoFront
@@ -173,7 +174,11 @@ class Explorer:
     ``"process"`` (true parallelism; work units are picklable knob
     points keyed by the module digest, and the parent keeps the cost
     cache so accounting matches serial). Any combination produces
-    byte-identical results, traces, and cache statistics.
+    byte-identical results, traces and cost-cache statistics, and the
+    same number of prepared-module lookups; how those split into hits
+    and misses depends on which worker priced which point, because the
+    points that run the same pass pipeline share one prepared module
+    per process.
     """
 
     def __init__(
@@ -258,10 +263,7 @@ class Explorer:
             return None
         with self._prune_lock:
             self._pruned += 1
-        return CostEstimate(
-            latency_s=float("inf"), energy_j=float("inf"),
-            feasible=False, infeasible_reason=conflict,
-        )
+        return CostEstimate.infeasible(conflict)
 
     def _apply_requirements(self, cost: CostEstimate) -> CostEstimate:
         """Mark a priced estimate infeasible on requirement violation."""
@@ -393,7 +395,7 @@ class Explorer:
                 keys[index] = CostCache.key(
                     self._digest, self.kernel, knobs, fingerprint
                 )
-                cost = cache.get(keys[index])
+                cost = cached_estimate(cache, keys[index], knobs)
             if cost is None:
                 remote.append(index)
             else:

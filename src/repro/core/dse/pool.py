@@ -3,8 +3,8 @@
 The PR 5 thread pool is GIL-bound: variant pricing is pure Python
 (pass pipeline + HLS), so threads only overlap during the rare I/O.
 ``workers_mode="process"`` prices batch points in child processes
-instead. The design keeps results and *accounting* byte-identical to a
-serial run:
+instead. The design keeps results and cost-cache *accounting*
+byte-identical to a serial run:
 
 * Work units are picklable and keyed by the source module's content
   digest. Each worker parses the printed module text exactly once (in
@@ -17,7 +17,10 @@ serial run:
 * Each priced point returns the worker's prepared-module cache stats
   delta, which the parent folds into its own stats
   (:meth:`repro.core.store.CacheStats.add`), so published hit
-  ratios account for child work.
+  ratios account for child work. Lookups add up to the serial count;
+  the hit/miss split does not: points that run the same pass pipeline
+  share one prepared module *per process*, so a pipeline is a miss
+  once in every child that meets it.
 
 Pricing in the child runs under a muted observation, mirroring the
 explorer's hermetic-batch rule: worker processes must never contribute

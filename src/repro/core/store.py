@@ -1,28 +1,32 @@
 """The one content-addressed store behind every digest-keyed cache.
 
 :class:`ContentStore` keeps JSON payloads under *content* digests in
-memory and, optionally, in a directory: one file per entry, sharded by
-key prefix (``<dir>/<key[:2]>/<key>.json``) and written atomically
-(temp file + rename), so processes sharing a directory never observe a
-torn entry. Every file holds one envelope::
+memory and, optionally, in a directory of *shard* files. What precedes
+the first ``"."`` of a key (all of it when there is none) names its
+shard, so a cache whose entries are made and wanted together — the
+cost cache's points of one kernel — gives them one prefix and gets one
+file, read once and appended to, where a file per entry cost a
+directory and an inode each. A shard is
+``<dir>/<shard[:2]>/<shard>.json``: one envelope per line, a key's
+last line being its entry::
 
     {"version": STORE_VERSION, "key": ..., "kind": ..., "payload": ...}
 
-``kind`` says what the payload is (``"cost"``, ``"analysis"``,
-``"perf"``), so a directory can be inspected kind by kind whoever
-wrote it. Reads go through the caller's decoder; an entry that is
-missing, torn, of another version or layout, or that the decoder
-rejects is a counted *miss*, overwritten by the next write — never an
-exception. :class:`repro.core.dse.cache.CostCache` and
-:class:`repro.core.analysis.cache.AnalysisCache` add key recipes and
-codecs and hold no storage code of their own.
+A line goes in with a single append, so processes sharing a directory
+never observe a torn entry. ``kind`` says what the payload is
+(``"cost"``, ``"analysis"``, ``"perf"``), so a directory can be
+inspected kind by kind whoever wrote it. Reads go through the caller's
+decoder; an entry that is missing, torn, of another version or layout,
+or that the decoder rejects is a counted *miss*, overwritten by the
+next write — never an exception. :class:`repro.core.dse.cache.CostCache`
+and :class:`repro.core.analysis.cache.AnalysisCache` add key recipes
+and codecs and hold no storage code of their own.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
@@ -31,7 +35,7 @@ from typing import Any, Callable, Dict, Hashable, Iterator, Optional, Tuple
 
 #: Bump when the on-disk envelope changes incompatibly; entries of any
 #: other version read as misses.
-STORE_VERSION = "2"
+STORE_VERSION = "3"
 
 #: What a payload decoder raises on a damaged or hostile payload.
 _REJECTED = (ArithmeticError, AttributeError, LookupError, TypeError,
@@ -63,7 +67,7 @@ class CacheStats:
     def add(self, delta: "CacheStats") -> None:
         """Fold another delta in: the process-pool explorer merges its
         children's prepared-cache counters this way, so published hit
-        ratios account for their work as a serial run would."""
+        ratios account for their work."""
         self.hits += delta.hits
         self.misses += delta.misses
         self.stores += delta.stores
@@ -146,6 +150,9 @@ class ContentStore:
         self.stats = CacheStats()
         self._lock = threading.Lock()
         self._memory: Dict[str, Tuple[str, Any]] = {}
+        #: Shards read from disk so far -> whether one held a line no
+        #: reader accepts (the next write to it then leaves it out).
+        self._shards: Dict[str, bool] = {}
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
 
@@ -157,10 +164,8 @@ class ContentStore:
         object each time); a payload it rejects by raising is a miss.
         """
         with self._lock:
+            self._load(key)
             entry = self._memory.get(key)
-        in_memory = entry is not None
-        if not in_memory and self.directory is not None:
-            entry = _open_envelope(self._path_for(key))
         try:
             value = None if entry is None else decode(entry[1])
         except _REJECTED:
@@ -168,47 +173,78 @@ class ContentStore:
         with self._lock:
             if value is None:
                 self.stats.misses += 1
-                return None
-            self.stats.hits += 1
-            if not in_memory:
-                self._memory[key] = entry
+            else:
+                self.stats.hits += 1
         return value
 
     def write(self, key: str, kind: str, payload: Any) -> None:
         """Store one payload (memory always, disk when configured)."""
         with self._lock:
+            self._load(key)
             self._memory[key] = (kind, payload)
             self.stats.stores += 1
-        if self.directory is None:
+            if self.directory is None:
+                return
+            shard, path = _shard_of(key), self._path_for(key)
+            # a sound shard (or one not there yet) gets one more line;
+            # a damaged one starts over with what memory holds of it
+            damaged = self._shards.get(shard, False)
+            text = "".join(
+                json.dumps({"version": STORE_VERSION, "key": held,
+                            "kind": self._memory[held][0],
+                            "payload": self._memory[held][1]},
+                           sort_keys=True) + "\n"
+                for held in (self._memory if damaged else [key])
+                if _shard_of(held) == shard)
+            try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                if damaged:
+                    path.unlink(missing_ok=True)
+                with open(path, "a") as stream:
+                    stream.write(text)
+                self._shards[shard] = False
+            except OSError:
+                # Disk persistence is best-effort: a read-only or full
+                # cache directory degrades to memory-only behavior.
+                pass
+
+    def _load(self, key: str) -> None:
+        """Bring the shard of ``key`` into memory, the first time one
+        of its keys is touched while its file is there."""
+        shard = _shard_of(key)
+        if self.directory is None or shard in self._shards:
             return
-        path = self._path_for(key)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            handle, temp = tempfile.mkstemp(
-                dir=str(path.parent), suffix=".tmp"
-            )
-            with os.fdopen(handle, "w") as stream:
-                json.dump({"version": STORE_VERSION, "key": key,
-                           "kind": kind, "payload": payload},
-                          stream, sort_keys=True)
-            os.replace(temp, path)
-        except OSError:
-            # Disk persistence is best-effort: a read-only or full
-            # cache directory degrades to memory-only behavior.
-            pass
+        entries = [entry for _size, entry
+                   in _shard_entries(self._path_for(key))]
+        if entries:
+            self._shards[shard] = None in entries
+            self._memory.update(
+                (entry[0], entry[1:]) for entry in entries if entry)
 
     def _path_for(self, key: str) -> Path:
-        return self.directory / key[:2] / f"{key}.json"
+        shard = _shard_of(key)
+        return self.directory / shard[:2] / f"{shard}.json"
 
     def _disk_files(self) -> Iterator[Path]:
         # globbing a directory that has since been removed yields nothing
         return self.directory.glob("*/*.json") if self.directory else iter(())
 
+    def _disk_index(self) -> Dict[Any, list]:
+        """``{key: [kind, bytes]}`` of the on-disk entries: a key's
+        last line says its kind and all its lines count to its bytes;
+        a line no reader accepts is an entry of its own."""
+        index: Dict[Any, list] = {}
+        for path in self._disk_files():
+            for size, entry in _shard_entries(path):
+                key, kind = entry[:2] if entry else (len(index), "unreadable")
+                held = index.setdefault(key, [kind, 0])
+                held[0] = kind
+                held[1] += size
+        return index
+
     def entry_count(self) -> int:
         """Distinct cached entries (union of memory and disk)."""
-        keys = set(self._memory)
-        keys.update(path.stem for path in self._disk_files())
-        return len(keys)
+        return len(set(self._memory).union(self._disk_index()))
 
     def disk_bytes(self) -> int:
         """Total size of the on-disk entries."""
@@ -216,15 +252,13 @@ class ContentStore:
 
     def breakdown(self) -> Dict[str, Dict[str, int]]:
         """``{kind: {"entries", "disk_bytes"}}`` of the on-disk entries,
-        by envelope kind; a file without a readable envelope (damaged,
+        by envelope kind; a line without a readable envelope (damaged,
         or left by an older release) counts as ``"unreadable"``."""
         kinds: Dict[str, Dict[str, int]] = {}
-        for path in self._disk_files():
-            entry = _open_envelope(path)
-            row = kinds.setdefault(entry[0] if entry else "unreadable",
-                                   {"entries": 0, "disk_bytes": 0})
+        for kind, size in self._disk_index().values():
+            row = kinds.setdefault(kind, {"entries": 0, "disk_bytes": 0})
             row["entries"] += 1
-            row["disk_bytes"] += path.stat().st_size
+            row["disk_bytes"] += size
         return kinds
 
     def clear(self) -> int:
@@ -232,6 +266,7 @@ class ContentStore:
         removed = self.entry_count()
         with self._lock:
             self._memory.clear()
+            self._shards.clear()
         for path in list(self._disk_files()):
             try:
                 path.unlink()
@@ -240,16 +275,31 @@ class ContentStore:
         return removed
 
 
-def _open_envelope(path: Path) -> Optional[Tuple[str, Any]]:
-    """``(kind, payload)`` of a well-formed current-version shard."""
+def _shard_of(key: str) -> str:
+    return key.partition(".")[0]
+
+
+def _shard_entries(path: Path
+                   ) -> Iterator[Tuple[int, Optional[Tuple[str, str, Any]]]]:
+    """``(bytes, (key, kind, payload))`` per line of a shard file, the
+    entry None where the line is no current-version envelope of a key
+    of this shard, or lacks its newline (a torn append)."""
     try:
-        entry = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None
-    if (not isinstance(entry, dict)
-            or entry.get("version") != STORE_VERSION
-            or entry.get("key") != path.stem
-            or not isinstance(entry.get("kind"), str)
-            or "payload" not in entry):
-        return None
-    return entry["kind"], entry["payload"]
+        lines = path.read_bytes().splitlines(keepends=True)
+    except OSError:
+        return
+    for line in lines:
+        try:
+            entry = json.loads(line)
+        except ValueError:
+            entry = None
+        sound = (line.endswith(b"\n")
+                 and isinstance(entry, dict)
+                 and entry.get("version") == STORE_VERSION
+                 and isinstance(entry.get("key"), str)
+                 and _shard_of(entry["key"]) == path.stem
+                 and isinstance(entry.get("kind"), str)
+                 and "payload" in entry)
+        yield len(line), (
+            (entry["key"], entry["kind"], entry["payload"])
+            if sound else None)

@@ -61,7 +61,9 @@ class CostEstimate:
 
     ``accuracy`` supports mARGOt-style approximate computing [11]: a
     variant may trade output quality (fewer Monte Carlo samples, a
-    reduced model) for latency/energy; 1.0 means exact.
+    reduced model) for latency/energy; 1.0 means exact. ``bitstream``
+    is the image of the design a feasible FPGA point was priced from:
+    the packager ships it, so no point is synthesized twice.
     """
 
     latency_s: float
@@ -71,6 +73,20 @@ class CostEstimate:
     feasible: bool = True
     infeasible_reason: str = ""
     accuracy: float = 1.0
+    bitstream: Optional[Bitstream] = None
+
+    @classmethod
+    def infeasible(
+        cls, reason: str, resources: Optional[FPGAResources] = None,
+    ) -> "CostEstimate":
+        """The verdict on a point that cannot be built or breaks a
+        limit — one record, whoever reaches it (the static pruner and
+        the cost model's own gate must agree byte for byte)."""
+        return cls(
+            latency_s=float("inf"), energy_j=float("inf"),
+            resources=resources or FPGAResources(),
+            feasible=False, infeasible_reason=reason,
+        )
 
     def dominates(self, other: "CostEstimate") -> bool:
         """Pareto dominance on (latency, energy); ties must improve one."""
@@ -97,8 +113,6 @@ class Variant:
     knobs: VariantKnobs
     cost: CostEstimate
     variant_id: int = field(default_factory=lambda: next(_variant_ids))
-    bitstream: Optional[Bitstream] = None
-    source_text: str = ""
     metadata: Dict[str, Any] = field(default_factory=dict)
 
     @property

@@ -172,13 +172,9 @@ class RuntimeExecutor:
         if not point.variant.is_hardware or self.vfpga is None:
             return 0.0
         artifact = self.app.package.artifact_for(point.variant)
-        bitstream = (
-            artifact.payload if artifact is not None
-            and artifact.kind == "bitstream"
-            else point.variant.bitstream
-        )
-        if bitstream is None:
+        if artifact is None or artifact.kind != "bitstream":
             return 0.0
+        bitstream = artifact.payload
         lease = self._loaded.get(kernel)
         if lease is not None and \
                 lease.bitstream_name == bitstream.name:

@@ -24,6 +24,8 @@ from repro.core.dse.cost_model import (
     evaluate_variant,
     prepare_variant_module,
 )
+from repro.core.dse.explorer import Explorer
+from repro.core.dse.space import DesignSpace
 from repro.core.dsl.kernel_dsl import compile_kernel
 from repro.core.ir import module_digest
 from repro.core.ir.module import Module
@@ -150,6 +152,73 @@ class TestPreparedModuleCache:
         assert len(cache) == 0
 
 
+    def test_points_that_run_the_same_passes_share_one_module(
+            self, gemm_module):
+        """The LRU key is the pipeline, not the knob point: threads,
+        clock and memory strategy are read by no pass."""
+        base = VariantKnobs(target="fpga", unroll=2, tile=8)
+        before = prepared_cache().stats.snapshot()
+        prepared = prepare_variant_module(gemm_module, "gemm", base)
+        for same in (
+            VariantKnobs(target="fpga", unroll=2, tile=8,
+                         clock_hz=350e6),
+            VariantKnobs(target="fpga", unroll=2, tile=8,
+                         memory_strategy="cyclic"),
+            VariantKnobs(target="fpga", unroll=2, tile=8, threads=4),
+        ):
+            assert prepare_variant_module(
+                gemm_module, "gemm", same) is prepared, same
+        for other in (
+            VariantKnobs(target="fpga", unroll=4, tile=8),
+            VariantKnobs(target="fpga", unroll=2),
+            VariantKnobs(target="cpu", tile=8),
+            VariantKnobs(target="fpga", unroll=2, tile=8, dift=True),
+            VariantKnobs(target="fpga", unroll=2, tile=8,
+                         matmul_order="ikj"),
+            VariantKnobs(target="fpga", unroll=2, tile=8, interleave=8),
+            VariantKnobs(target="fpga", unroll=2, tile=8, layout="soa"),
+        ):
+            assert prepare_variant_module(
+                gemm_module, "gemm", other) is not prepared, other
+        delta = prepared_cache().stats.delta(before)
+        assert (delta.misses, delta.hits) == (8, 3)
+
+    @pytest.mark.parametrize("kernel,source", [
+        ("ew", """
+kernel ew(X: tensor<16xf32>, Y: tensor<16xf32>) -> tensor<16xf32> {
+  Z = sigmoid(exp(X) * Y + X)
+  return Z
+}
+"""),
+        ("mm", """
+kernel mm(A: tensor<8x8xf32>, B: tensor<8x8xf32>) -> tensor<8x8xf32> {
+  C = relu(A @ B)
+  return C
+}
+"""),
+    ])
+    def test_shared_module_is_what_the_point_alone_would_get(
+            self, kernel, source):
+        """Every point of the thorough space: the module it is handed
+        out of the shared LRU prints as the one a fresh LRU prepares
+        for that point alone."""
+        module = compile_kernel(source)
+        digest = module_digest(module)
+        points = list(DesignSpace.thorough().points())
+        before = prepared_cache().stats.snapshot()
+        shared = [
+            prepare_variant_module(module, kernel, knobs, digest)
+            for knobs in points
+        ]
+        # 120 FPGA pipelines + 12 CPU pipelines serve 1500 points
+        assert prepared_cache().stats.delta(before).misses == 132
+        for knobs, handed_out in zip(points, shared):
+            prepared_cache().clear()
+            alone = prepare_variant_module(module, kernel, knobs, digest)
+            assert alone is not handed_out
+            assert print_module(alone) == print_module(handed_out), knobs
+
+
 class TestCostCache:
     def make_cost(self, latency=1.0):
         return CostEstimate(latency_s=latency, energy_j=2.0,
@@ -203,6 +272,40 @@ class TestCostCache:
         assert cache.clear() == 2
         assert cache.entry_count() == 0
 
+    @pytest.mark.parametrize("workers,workers_mode",
+                             [(1, "thread"), (2, "process")])
+    def test_feasible_fpga_hit_without_bitstream_is_repriced(
+            self, gemm_module, workers, workers_mode):
+        """A hit the packager cannot use is no hit: the entry is
+        priced again and overwritten, by the serial path and by the
+        process pool's parent-side lookup alike."""
+        knobs = VariantKnobs(target="fpga", unroll=2)
+        space = DesignSpace(targets=("fpga",), unrolls=(2, 4))
+        key = CostCache.key(module_digest(gemm_module), "gemm", knobs,
+                            ArchitectureModel().fingerprint())
+        cost_cache().put(key, self.make_cost(latency=99.0))
+
+        result = Explorer(gemm_module, "gemm", space=space,
+                          workers=workers,
+                          workers_mode=workers_mode).run("exhaustive")
+        priced = result.evaluated[0].cost
+        assert priced.feasible and priced.latency_s != 99.0
+        assert priced.bitstream is not None
+        assert cost_cache().get(key) == priced
+
+    def test_infeasible_and_cpu_hits_need_no_bitstream(
+            self, gemm_module):
+        for knobs, cost in (
+            (VariantKnobs(target="cpu", threads=4), self.make_cost()),
+            (VariantKnobs(target="fpga", unroll=2), CostEstimate(
+                latency_s=float("inf"), energy_j=float("inf"),
+                feasible=False, infeasible_reason="pinned")),
+        ):
+            key = CostCache.key(module_digest(gemm_module), "gemm",
+                                knobs, ArchitectureModel().fingerprint())
+            cost_cache().put(key, cost)
+            assert evaluate_variant(gemm_module, "gemm", knobs) == cost
+
     def test_key_is_sensitive_to_every_component(self):
         knobs = VariantKnobs(target="fpga", unroll=2)
         other_knobs = VariantKnobs(target="fpga", unroll=4)
@@ -221,20 +324,41 @@ class TestCostCache:
                                      other_model.fingerprint())
 
     def test_keys_are_stable_across_releases(self):
-        """Goldens from the two-store implementation: moving to the
-        shared store must not orphan anyone's warm cache by key."""
+        """The key recipe is pinned: a refactor of the store must not
+        orphan anyone's warm cache by key. Re-recorded once, for
+        ``CACHE_FORMAT_VERSION`` "1" -> "2": the cost payload gained
+        the bitstream record, so entries of older releases must miss,
+        and the key became ``<kernel's shard>.<point>`` so that the
+        points of one exploration share a shard file."""
         assert CostCache.key(
             "d1", "k", VariantKnobs(target="fpga", unroll=2), "m1",
-        ) == ("ba9eb91a04936f2f6fa725213d0507dd"
-              "ce66d34a00150ff2955054ac20cd38b9")
+        ) == ("ad59547cd94749831493122bb29f9da8"
+              "a3d8a431ecbd3a838e4b20ea418dfe42.4327cffa089581ad")
         assert CostCache.key(
             "d2", "gemm", VariantKnobs(target="cpu", threads=4, tile=8),
             "m1",
-        ) == ("c03b4801c4f00ef4bcc4ffff449c3e45"
-              "0cd8f3a70d2f34869d10faa99ff502fc")
+        ) == ("470bf2807e9d6b3adae1c26a94af1fd7"
+              "edb7bb4daf09647bb3f17cd552846615.4903911147acf73f")
         assert CostCache.key("0" * 64, "score", VariantKnobs(), "m2") == (
-            "09a565cdaa7ac64e89a5761ecb2ba010"
-            "4d651ceab4de0f8f8fdf588b10aa2573")
+            "25c65d1858ec14c6920f2bf5ad0cd7dc"
+            "a76f7f375890a6c2b6c0c1c52a1f6174.edbcec3f253c7015")
+
+    def test_one_exploration_is_one_shard_file(self, tmp_path,
+                                               gemm_module):
+        """The points of one (module, kernel, model) share a key prefix
+        and with it a file: a cold compile creates one file per kernel,
+        not a directory and a file per point."""
+        configure(cache_dir=tmp_path / "cc")
+        space = DesignSpace(targets=("cpu", "fpga"), threads=(1, 4),
+                            unrolls=(1, 2, 4))
+        result = Explorer(gemm_module, "gemm", space=space
+                          ).run("exhaustive")
+        files = list((tmp_path / "cc").glob("*/*.json"))
+        assert len(files) == 1
+        assert len(files[0].read_text().splitlines()) \
+            == result.evaluations == cost_cache().entry_count()
+        other = CostCache.key("d2", "gemm", VariantKnobs(), "m1")
+        assert files[0].stem != other.partition(".")[0]
 
     def test_model_fingerprint_ignores_transfer_statistics(self):
         """Link traffic counters mutate during simulation; they must

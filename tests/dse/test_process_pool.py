@@ -4,9 +4,12 @@
 pool; each child prices variants against its own parsed copy of the
 module and returns the cost plus its prepared-cache counter delta.
 The parent keeps sole ownership of the cost cache (get before dispatch,
-put after) so fronts, traces and cache statistics are byte-identical
-to a serial run at every worker count — the property this suite pins
-across all three search strategies, cold and warm.
+put after) so fronts, traces and cost-cache statistics are
+byte-identical to a serial run at every worker count — the property
+this suite pins across all three search strategies, cold and warm.
+Prepared-module statistics agree in their lookups; where points share
+a pass pipeline the hit/miss split follows the process that priced
+them (``TestSharedPipelines``).
 """
 
 import pytest
@@ -26,6 +29,18 @@ SPACE = DesignSpace(
     tiles=(0, 8),
 )
 
+#: Two clocks x two memory strategies per (unroll, tile): four FPGA
+#: points share each of the six pass pipelines.
+SHARING_SPACE = DesignSpace(
+    targets=("cpu", "fpga"),
+    threads=(1, 2),
+    unrolls=(1, 2, 4),
+    tiles=(0, 8),
+    memory_strategies=("auto", "cyclic"),
+    clocks_hz=(250e6, 350e6),
+)
+SHARED_PIPELINES = 6
+
 #: (workers, workers_mode) grid the parity tests sweep. Serial is the
 #: reference; every other cell must reproduce it byte for byte.
 MODES = [
@@ -36,11 +51,11 @@ MODES = [
 ]
 
 
-def explore(module, strategy, workers, workers_mode):
+def explore(module, strategy, workers, workers_mode, space=SPACE):
     """One deterministic exploration; returns (result, trace json)."""
     with observe(session(deterministic=True)) as obs:
         explorer = Explorer(
-            module, "gemm", space=SPACE,
+            module, "gemm", space=space,
             workers=workers, workers_mode=workers_mode,
         )
         kwargs = {} if strategy == "exhaustive" else {"seed": "pin"}
@@ -106,6 +121,37 @@ class TestProcessMatchesSerial:
         before = cost_cache().stats.snapshot()
         explore(gemm_module, "exhaustive", 1, "thread")
         assert cost_cache().stats.delta(before).misses == 0
+
+
+class TestSharedPipelines:
+    def test_only_the_prepared_hit_miss_split_follows_the_pool(
+            self, gemm_module):
+        """Points that run the same passes share one prepared module
+        per process. Results, traces, cost-cache counters and the
+        number of prepared lookups stay those of the serial run; a
+        pipeline is a prepared miss once in every process that meets
+        it, so only the serial split is a fixed number."""
+        runs = []
+        for workers, workers_mode in MODES:
+            clear_caches()
+            cost_before = cost_cache().stats.snapshot()
+            prep_before = prepared_cache().stats.snapshot()
+            result, trace = explore(gemm_module, "exhaustive", workers,
+                                    workers_mode, SHARING_SPACE)
+            runs.append((
+                result.to_json(), trace,
+                cost_cache().stats.delta(cost_before),
+                prepared_cache().stats.delta(prep_before),
+            ))
+        fpga_points = sum(
+            knobs.target == "fpga" for knobs in SHARING_SPACE.points())
+        serial = runs[0]
+        assert serial[3].lookups == fpga_points == 4 * SHARED_PIPELINES
+        assert serial[3].misses == SHARED_PIPELINES
+        for run, mode in zip(runs[1:], MODES[1:]):
+            assert run[:3] == serial[:3], mode
+            assert run[3].lookups == serial[3].lookups, mode
+            assert run[3].misses >= SHARED_PIPELINES, mode
 
 
 class TestModeValidation:

@@ -18,13 +18,20 @@ from repro.core.analysis.cache import AnalysisCache
 from repro.core.dse.cache import CostCache
 from repro.core.store import STORE_VERSION, ContentStore
 from repro.core.variants import CostEstimate
+from repro.platform.fpga import Bitstream
+from repro.platform.resources import FPGAResources
 
 KEY = "ab" + "0" * 62
 
 #: kind -> (store class, a value ``put`` accepts)
 KINDS = {
-    "cost": (CostCache, CostEstimate(latency_s=1.5, energy_j=2.0,
-                                     data_bytes=64)),
+    "cost": (CostCache, CostEstimate(
+        latency_s=1.5, energy_j=2.0, data_bytes=64,
+        resources=FPGAResources(luts=10, ffs=20, bram_kb=4, dsps=1),
+        bitstream=Bitstream(
+            name="k@250MHz", clock_hz=250e6, dynamic_watts=0.5,
+            footprint=FPGAResources(luts=10, ffs=20, bram_kb=4, dsps=1),
+        ))),
     "analysis": (AnalysisCache, {"diagnostics": [], "targets": 1}),
 }
 
@@ -39,6 +46,9 @@ def envelope(**changes):
 
 
 GOOD_COST = {"latency_s": 1.0, "energy_j": 2.0, "feasible": True}
+GOOD_IMAGE = {"name": "k@250MHz", "footprint": {"luts": 10},
+              "clock_hz": 250e6, "dynamic_watts": 0.5,
+              "size_bytes": 1024, "partial": True}
 
 #: Valid JSON of the wrong shape, for every kind.
 DAMAGED = {
@@ -72,6 +82,26 @@ DAMAGED_COST = {
     "cost-luts-negative": envelope(
         payload=dict(GOOD_COST, resources={"luts": -1})),
 }
+DAMAGED_COST.update({
+    f"cost-bitstream-{name}": envelope(
+        payload=dict(GOOD_COST, bitstream=image))
+    for name, image in {
+        "a-list": [GOOD_IMAGE],
+        "a-string": "k@250MHz",
+        "no-footprint": {field: value
+                         for field, value in GOOD_IMAGE.items()
+                         if field != "footprint"},
+        "footprint-a-list": dict(GOOD_IMAGE, footprint=[10]),
+        "footprint-negative": dict(GOOD_IMAGE,
+                                   footprint={"luts": -1}),
+        "clock-not-a-number": dict(GOOD_IMAGE, clock_hz="fast"),
+        "clock-zero": dict(GOOD_IMAGE, clock_hz=0.0),
+        "clock-negative": dict(GOOD_IMAGE, clock_hz=-250e6),
+        "clock-nan": dict(GOOD_IMAGE, clock_hz=float("nan")),
+        "watts-negative": dict(GOOD_IMAGE, dynamic_watts=-0.5),
+        "size-zero": dict(GOOD_IMAGE, size_bytes=0),
+    }.items()
+})
 
 CASES = [(kind, name, body)
          for kind in KINDS for name, body in DAMAGED.items()]
@@ -87,7 +117,7 @@ class TestDamagedShards:
         store_class, value = KINDS[kind]
         shard = tmp_path / KEY[:2] / f"{KEY}.json"
         shard.parent.mkdir()
-        shard.write_text(body)
+        shard.write_text(body + "\n")
 
         store = store_class(directory=tmp_path)
         assert store.get(KEY) is None
@@ -97,6 +127,25 @@ class TestDamagedShards:
         reread = store_class(directory=tmp_path).get(KEY)
         assert reread == value
         assert set(store.breakdown()) == {kind}
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_torn_append_costs_its_own_entry_only(self, tmp_path, kind):
+        """A line without its newline is a write that never finished:
+        a miss, and the next entry of the shard does not run into it."""
+        store_class, value = KINDS[kind]
+        store_class(directory=tmp_path).put(f"{KEY}.whole", value)
+        shard = tmp_path / KEY[:2] / f"{KEY}.json"
+        whole = shard.read_text()
+        shard.write_text(whole + whole.replace("whole", "torn").rstrip())
+
+        store = store_class(directory=tmp_path)
+        assert store.get(f"{KEY}.torn") is None
+        assert store.get(f"{KEY}.whole") == value
+        store.put(f"{KEY}.next", value)
+        reread = store_class(directory=tmp_path)
+        assert reread.get(f"{KEY}.whole") == reread.get(f"{KEY}.next") \
+            == value
+        assert reread.breakdown()[kind]["entries"] == 2
 
 
 class TestKinds:
