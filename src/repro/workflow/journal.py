@@ -82,9 +82,14 @@ def journal_error(code: str, message: str, anchor: str) -> JournalError:
 # record encoding
 
 
+#: One encoder for every record: ``json.dumps`` with these arguments
+#: would build a new one per call, on the hot path of every append.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _canonical(payload: Dict) -> str:
     """Deterministic serialization shared by writer and checksums."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(payload)
 
 
 def _checksum(text: str) -> str:

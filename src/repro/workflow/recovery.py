@@ -42,7 +42,9 @@ worker is out of the pool.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import count
 from typing import Dict, List, Optional, Set
 
 from repro.chaos.faults import (
@@ -326,6 +328,16 @@ class ResilientServer:
         retry = self.retry
         stats = RecoveryStats()
         metrics = current_metrics()
+        tasks_executed = metrics.counter(
+            "workflow.tasks_executed",
+            "tasks completed by the workflow engine",
+        )
+        faults_observed = metrics.counter(
+            "workflow.faults", "injected faults observed",
+        )
+        recoveries_taken = metrics.counter(
+            "workflow.recoveries", "recovery actions taken",
+        )
 
         if chaos is not None:
             self._validate_faults(chaos)
@@ -362,9 +374,7 @@ class ResilientServer:
                 kind, category=FAULT_CATEGORY, track="faults",
                 kind=kind, target=target, time=sim.now, detail=detail,
             )
-            metrics.counter(
-                "workflow.faults", "injected faults observed",
-            ).inc(kind=kind)
+            faults_observed.inc(kind=kind)
 
         def record_recovery(action: str, target: str, detail: str = ""
                             ) -> None:
@@ -373,9 +383,7 @@ class ResilientServer:
                 action=action, target=target, time=sim.now,
                 detail=detail,
             )
-            metrics.counter(
-                "workflow.recoveries", "recovery actions taken",
-            ).inc(action=action)
+            recoveries_taken.inc(action=action)
 
         def resource_event(op: str, worker: Worker, units: int) -> None:
             events.instant(
@@ -400,7 +408,21 @@ class ResilientServer:
         finished: Set[str] = set()
         running: Dict[str, Worker] = {}
         backing_off: Set[str] = set()
+        #: Unfinished dependencies per task; moves only where
+        #: ``finished`` moves (a finish, a lineage invalidation).
+        unmet: Dict[str, int] = {
+            name: len(graph.dependencies(name)) for name in graph.tasks
+        }
+        #: The ready queue in dispatch order: the names ``select``
+        #: walks and, beside them, their (policy priority, arrival
+        #: sequence) keys. ``queued`` keeps every queued task's key,
+        #: also while a dependency invalidated under the task holds it
+        #: out of the order: it returns to the place it had, as if it
+        #: had been passed over at every launch in between.
         ready: List[str] = []
+        order: List[tuple] = []
+        queued: Dict[str, tuple] = {}
+        arrivals = count()
         ready_at: Dict[str, float] = {}
         attempts: Dict[str, int] = {}
         incarnations: Dict[str, int] = {
@@ -410,24 +432,32 @@ class ResilientServer:
         deferred_refetch: Set[str] = set()
         wake = {"event": sim.event()}
 
-        def deps_satisfied(task_name: str) -> bool:
-            return all(
-                dependency in finished
-                for dependency in graph.dependencies(task_name)
-            )
+        def place(task_name: str) -> None:
+            """Put a queued task where its key says in the order."""
+            at = bisect_left(order, queued[task_name])
+            order.insert(at, queued[task_name])
+            ready.insert(at, task_name)
+
+        def displace(task_name: str) -> None:
+            """Take a queued task out of the order (its key stays)."""
+            at = bisect_left(order, queued[task_name])
+            del order[at], ready[at]
 
         def mark_ready(task_name: str) -> None:
             if (
-                task_name not in ready
+                task_name not in queued
                 and task_name not in running
                 and task_name not in finished
                 and task_name not in backing_off
             ):
-                ready.append(task_name)
+                queued[task_name] = (
+                    self.policy.priority(task_name), next(arrivals)
+                )
+                place(task_name)
                 ready_at[task_name] = sim.now
 
         for task_name in graph.topological_order():
-            if deps_satisfied(task_name):
+            if not unmet[task_name]:
                 mark_ready(task_name)
 
         def staged_objects(task) -> List[str]:
@@ -456,7 +486,7 @@ class ResilientServer:
 
         def recheck_ready() -> None:
             for task_name in graph.tasks:
-                if deps_satisfied(task_name):
+                if not unmet[task_name]:
                     mark_ready(task_name)
 
         # -- task attempts ---------------------------------------------
@@ -492,7 +522,7 @@ class ResilientServer:
             record_recovery(
                 "retry", task_name, f"attempt {attempt + 1}"
             )
-            if deps_satisfied(task_name):
+            if not unmet[task_name]:
                 mark_ready(task_name)
             poke()
 
@@ -608,37 +638,60 @@ class ResilientServer:
                 reads=staged_objects(task),
                 writes=list(task.outputs) + list(task.updates),
             )
-            metrics.counter(
-                "workflow.tasks_executed",
-                "tasks completed by the workflow engine",
-            ).inc(worker=worker.name)
+            tasks_executed.inc(worker=worker.name)
             for consumer in graph.consumers(task_name):
-                if deps_satisfied(consumer):
+                unmet[consumer] -= 1
+                if unmet[consumer]:
+                    continue
+                if consumer in queued:
+                    place(consumer)
+                else:
                     mark_ready(consumer)
             poke()
 
         # -- object recovery -------------------------------------------
 
-        def invalidate(task_name: str, seen: Set[str]) -> None:
-            """Lineage: re-run a task whose output was lost."""
-            if task_name in seen:
-                return
-            seen.add(task_name)
-            if task_name in finished:
-                finished.discard(task_name)
-                stats.tasks_relineaged += 1
-                record_recovery(
-                    "lineage", task_name,
-                    "output lost; re-executing producer",
-                )
-            for output_name in graph.tasks[task_name].outputs:
-                locations.pop(output_name, None)
-                for worker in self.workers:
-                    worker.store.discard(output_name)
-            for consumer in graph.consumers(task_name):
-                invalidate(consumer, seen)
-            if deps_satisfied(task_name):
-                mark_ready(task_name)
+        def invalidate(producer: str, seen: Set[str]) -> None:
+            """Lineage: re-run the producer of a lost object and,
+            depth first, every task downstream of it.
+
+            A task is unfinished (its ``lineage`` record emitted)
+            before its consumers are visited and offered to the queue
+            after them. The walk keeps its own stack: the depth of a
+            graph must not meet the interpreter's recursion limit.
+            """
+            path: List[str] = []
+            pending = [iter((producer,))]  # then path's consumers
+            while pending:
+                for task_name in pending[-1]:
+                    if task_name in seen:
+                        continue
+                    seen.add(task_name)
+                    consumers = graph.consumers(task_name)
+                    if task_name in finished:
+                        finished.discard(task_name)
+                        for consumer in consumers:
+                            unmet[consumer] += 1
+                            if unmet[consumer] == 1 and consumer in queued:
+                                displace(consumer)
+                        stats.tasks_relineaged += 1
+                        record_recovery(
+                            "lineage", task_name,
+                            "output lost; re-executing producer",
+                        )
+                    for output_name in graph.tasks[task_name].outputs:
+                        locations.pop(output_name, None)
+                        for worker in self.workers:
+                            worker.store.discard(output_name)
+                    path.append(task_name)
+                    pending.append(iter(consumers))
+                    break
+                else:
+                    pending.pop()
+                    if path:
+                        walked = path.pop()
+                        if not unmet[walked]:
+                            mark_ready(walked)
 
         def refetch(object_name: str):
             """Re-fetch a durable external input, or defer if no
@@ -822,19 +875,16 @@ class ResilientServer:
                     )
                 launched = True
                 while launched:
-                    launchable = [
-                        name for name in ready
-                        if deps_satisfied(name)
-                    ]
                     choice = self.policy.select(
-                        launchable, self._alive(), graph, locations,
+                        ready, self._alive(), graph, locations,
                         transfer_cost,
-                    ) if launchable else None
+                    ) if ready else None
                     if choice is None:
                         launched = False
                     else:
                         task_name, worker = choice
-                        ready.remove(task_name)
+                        displace(task_name)
+                        del queued[task_name]
                         if (
                             journal is not None
                             and fault_budget.get(task_name, 0) > 0
@@ -850,7 +900,7 @@ class ResilientServer:
                             worker=worker.name,
                         )
                         events.counter(
-                            "ready_tasks", float(len(ready)),
+                            "ready_tasks", float(len(queued)),
                             category=SCHED_CATEGORY, track="scheduler",
                         )
                         worker.acquire(graph.tasks[task_name].cpus)

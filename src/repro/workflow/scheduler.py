@@ -9,12 +9,15 @@ that claim testable, three policies share one interface:
 * :class:`BLevelScheduler` — critical-path-first;
 * :class:`LocalityScheduler` — minimize input movement, b-level tie-break.
 
-**Tie-break contract**: equal-priority ready tasks dispatch in
-ready-queue insertion order (the servers append tasks as they become
-ready, in topological order at start and completion order after), and
-every policy sorts with Python's stable sort — so identical runs
-dispatch ties identically. This pinned determinism is what makes
-chaos replays and sanitizer reports byte-identical; it is also why an
+**Tie-break contract**: a policy does not order the ready queue, it
+states each task's :meth:`~SchedulerPolicy.priority` once. The engine
+keeps the queue sorted by ``(priority, arrival sequence)`` — a task
+gets its sequence number when it is queued (in topological order at
+start, completion order after; a retried task arrives anew, a queued
+task never moves) — and ``select`` walks the names it is given in that
+order. That pair *is* the determinism contract: identical runs queue,
+and so dispatch, identically, which is what makes chaos replays and
+sanitizer reports byte-identical. It is also why an
 ``order_sensitive`` task consuming equal-b-level unordered producers
 is only a *hazard* (RACE004) rather than observed flakiness: the
 nondeterminism surfaces when task durations or the worker pool
@@ -23,9 +26,9 @@ change, not between replays.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.workflow.graph import TaskGraph, WorkflowTask
+from repro.workflow.graph import TaskGraph
 from repro.workflow.worker import Worker
 
 
@@ -41,6 +44,11 @@ class SchedulerPolicy:
         """Called once before execution starts."""
         self._b_levels = graph.b_levels()
 
+    def priority(self, task_name: str) -> float:
+        """Queue rank of a task, smaller first (critical path first);
+        the engine reads it once, when the task is queued."""
+        return -self._b_levels[task_name]
+
     def select(
         self,
         ready: List[str],
@@ -49,14 +57,36 @@ class SchedulerPolicy:
         locations: Dict[str, str],
         transfer_cost,
     ) -> Optional[Tuple[str, Worker]]:
-        """Choose an assignment; ``transfer_cost(task, worker)`` gives
-        the staging cost in seconds for placing the task there."""
+        """Choose an assignment among ``ready`` — the engine's queue
+        in dispatch order, to be read and not kept or changed;
+        ``transfer_cost(task, worker)`` gives the staging cost in
+        seconds for placing the task there."""
         raise NotImplementedError
 
     @staticmethod
-    def _eligible(task: WorkflowTask, workers: List[Worker]
-                  ) -> List[Worker]:
-        return [worker for worker in workers if worker.can_run(task.cpus)]
+    def _fitting(ready: List[str], workers: List[Worker],
+                 graph: TaskGraph
+                 ) -> Iterator[Tuple[str, List[Worker]]]:
+        """The ready tasks some worker can take now, in the order
+        given, each with the workers that fit it.
+
+        Capacity is read once per call: nothing is yielded when no
+        worker has a free cpu, tasks wider than the widest free worker
+        are passed over, and the fitting workers are worked out once
+        per distinct ``cpus`` demand."""
+        widest = max((worker.free_cpus for worker in workers), default=0)
+        if widest <= 0:
+            return
+        eligible: Dict[int, List[Worker]] = {}
+        for task_name in ready:
+            cpus = graph.tasks[task_name].cpus
+            if cpus > widest:
+                continue
+            if cpus not in eligible:
+                eligible[cpus] = [
+                    worker for worker in workers if worker.can_run(cpus)
+                ]
+            yield task_name, eligible[cpus]
 
 
 class FIFOScheduler(SchedulerPolicy):
@@ -64,13 +94,14 @@ class FIFOScheduler(SchedulerPolicy):
 
     name = "fifo"
 
+    def priority(self, task_name):
+        """Every task ranks alike: arrival order decides."""
+        return 0.0
+
     def select(self, ready, workers, graph, locations, transfer_cost):
         """Assign the earliest-ready task to the first fitting worker."""
-        for task_name in ready:
-            task = graph.tasks[task_name]
-            eligible = self._eligible(task, workers)
-            if eligible:
-                return task_name, eligible[0]
+        for task_name, eligible in self._fitting(ready, workers, graph):
+            return task_name, eligible[0]
         return None
 
 
@@ -81,19 +112,13 @@ class BLevelScheduler(SchedulerPolicy):
 
     def select(self, ready, workers, graph, locations, transfer_cost):
         """Assign the most critical ready task to the freest worker."""
-        ordered = sorted(
-            ready, key=lambda name: -self._b_levels[name]
-        )
-        for task_name in ordered:
-            task = graph.tasks[task_name]
-            eligible = self._eligible(task, workers)
-            if eligible:
-                best = max(
-                    eligible,
-                    key=lambda worker: (worker.free_cpus,
-                                        worker.speed_factor),
-                )
-                return task_name, best
+        for task_name, eligible in self._fitting(ready, workers, graph):
+            best = max(
+                eligible,
+                key=lambda worker: (worker.free_cpus,
+                                    worker.speed_factor),
+            )
+            return task_name, best
         return None
 
 
@@ -104,16 +129,9 @@ class LocalityScheduler(SchedulerPolicy):
 
     def select(self, ready, workers, graph, locations, transfer_cost):
         """Assign the cheapest-to-stage (task, worker) pair."""
-        ordered = sorted(
-            ready, key=lambda name: -self._b_levels[name]
-        )
         best_choice: Optional[Tuple[str, Worker]] = None
         best_key: Optional[Tuple[float, float]] = None
-        for task_name in ordered:
-            task = graph.tasks[task_name]
-            eligible = self._eligible(task, workers)
-            if not eligible:
-                continue
+        for task_name, eligible in self._fitting(ready, workers, graph):
             for worker in eligible:
                 cost = transfer_cost(task_name, worker)
                 key = (cost, -self._b_levels[task_name])
@@ -121,7 +139,7 @@ class LocalityScheduler(SchedulerPolicy):
                     best_key = key
                     best_choice = (task_name, worker)
             # Only consider lower-priority tasks if nothing eligible yet:
-            if best_choice is not None and best_key[0] == 0.0:
+            if best_key[0] == 0.0:
                 break
         return best_choice
 
@@ -129,12 +147,12 @@ class LocalityScheduler(SchedulerPolicy):
 def make_policy(name: str) -> SchedulerPolicy:
     """Factory by policy name."""
     policies = {
-        "fifo": FIFOScheduler,
         "b-level": BLevelScheduler,
+        "fifo": FIFOScheduler,
         "locality": LocalityScheduler,
     }
     if name not in policies:
         raise ValueError(
-            f"unknown policy {name!r}; expected one of {sorted(policies)}"
+            f"unknown policy {name!r}; expected one of {list(policies)}"
         )
     return policies[name]()

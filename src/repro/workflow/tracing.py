@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List
 
 #: Tracer categories the :meth:`ExecutionTrace.from_tracer` view maps.
@@ -168,15 +168,19 @@ class ExecutionTrace:
         return counts
 
     def to_dict(self) -> Dict:
-        """Plain-data form of the whole trace (records in order)."""
+        """Plain-data form of the whole trace (records in order).
+
+        The three record types are flat — no nested dataclass or
+        container to copy — so a record's dict is a copy of its fields.
+        """
         return {
             "graph_name": self.graph_name,
             "policy": self.policy,
             "makespan": self.makespan,
             "bytes_moved": self.bytes_moved,
-            "records": [asdict(r) for r in self.records],
-            "faults": [asdict(f) for f in self.faults],
-            "recoveries": [asdict(r) for r in self.recoveries],
+            "records": [dict(vars(r)) for r in self.records],
+            "faults": [dict(vars(f)) for f in self.faults],
+            "recoveries": [dict(vars(r)) for r in self.recoveries],
         }
 
     def to_json(self) -> str:
