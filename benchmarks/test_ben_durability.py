@@ -123,7 +123,7 @@ def test_journaling_overhead_under_10_percent(tmp_path, benchmark):
 def test_snapshot_resume_replays_under_20_percent(tmp_path, benchmark):
     directory = tmp_path / "run"
     trace, _stats = None, None
-    with RunJournal(directory, snapshot_every=40) as journal:
+    with RunJournal(directory, snapshot_every=15) as journal:
         trace, _stats = run_workload(journal=journal)
 
     state, info = replay_journal(directory, use_snapshots=True)

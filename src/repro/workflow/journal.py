@@ -1,14 +1,23 @@
 """Durable write-ahead event journal for workflow runs.
 
-Every state transition a workflow server makes — task dispatched,
-staged, executed, completed, fault injected, recovery action taken —
-is appended to a run's journal as one JSONL record before the run
-moves on, so a process crash at *any* point leaves a prefix of the
-truth on disk. A crashed run is resumed by replaying the journal into
-a :class:`~repro.workflow.replay.ReplayState` and re-executing the
+Every transition of a workflow run that a resume has to know about —
+a task reaching its payload-invocation point, a task completing, a
+fault injected, a recovery action taken — is appended to the run's
+journal as one JSONL record before the run moves on, so a process
+crash at *any* point leaves a prefix of the truth on disk. A crashed
+run is resumed by replaying the journal into a
+:class:`~repro.workflow.replay.ReplayState` and re-executing the
 (deterministic) run with that state: already-executed task payloads
 are skipped, and the resumed trace digest is byte-identical to an
 unbroken run's.
+
+Those four kinds are the table ``JOURNALED_CATEGORIES`` stated beside
+the fold in :mod:`repro.workflow.replay`, the journal's only reader.
+Everything else the servers trace — dispatch decisions, queue-depth
+counters, resource requests and releases, transfer spans — is a pure
+function of (recipe, fault schedule): the re-execution regenerates it,
+the fold would read nothing of it but a count and a time, so it stays
+in the tracer (and the exported Chrome trace) and out of the journal.
 
 Format — one record per line::
 
@@ -42,6 +51,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import JournalError
 from repro.workflow.replay import (
     JOURNAL_CATEGORY,
+    JOURNALED_CATEGORIES,
     ReplayState,
     apply_record,
     replay_records,
@@ -97,16 +107,21 @@ def _checksum(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-def encode_record(seq: int, kind: str, data: Dict) -> str:
-    """One journal line (no trailing newline) for a record.
+def _sealed(payload: Dict) -> str:
+    """``payload`` serialized once, its crc spliced in as the last key.
 
-    The crc is spliced into the serialized body rather than re-dumping
-    the whole record — this sits on the hot path of every journaled
-    event (readers pop the crc before verifying, so its position in
-    the object is immaterial).
+    Splicing rather than re-dumping with the crc added keeps one
+    encode per record on the hot path of every journaled event and
+    one per snapshot (readers pop the crc before verifying, so its
+    position in the object is immaterial).
     """
-    canonical = _canonical({"seq": seq, "type": kind, "data": data})
+    canonical = _canonical(payload)
     return f'{canonical[:-1]},"crc":"{_checksum(canonical)}"}}'
+
+
+def encode_record(seq: int, kind: str, data: Dict) -> str:
+    """One journal line (no trailing newline) for a record."""
+    return _sealed({"seq": seq, "type": kind, "data": data})
 
 
 def decode_line(line: str) -> Dict:
@@ -202,17 +217,14 @@ def list_snapshots(directory) -> List[Tuple[int, Path]]:
 
 def write_snapshot(directory, seq: int, state: ReplayState) -> Path:
     """Atomically persist the state folded through record ``seq``."""
-    payload = {
+    path = snapshot_path(directory, seq)
+    tmp = path.with_suffix(".tmp")
+    tmp.write_text(_sealed({
         "snapshot_version": SNAPSHOT_VERSION,
         "journal_version": JOURNAL_VERSION,
         "seq": seq,
         "state": state.to_dict(),
-    }
-    canonical = _canonical(payload)
-    payload["crc"] = _checksum(canonical)
-    path = snapshot_path(directory, seq)
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(_canonical(payload), encoding="utf-8")
+    }), encoding="utf-8")
     os.replace(tmp, path)
     return path
 
@@ -223,6 +235,8 @@ def read_snapshot(path) -> Optional[Tuple[int, ReplayState]]:
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(payload, dict):
+            raise ValueError("snapshot is not an object")
         versions = (payload.get("snapshot_version"),
                     payload.get("journal_version"))
     except (OSError, ValueError):
@@ -240,8 +254,8 @@ def read_snapshot(path) -> Optional[Tuple[int, ReplayState]]:
         return None
     try:
         return payload["seq"], ReplayState.from_dict(payload["state"])
-    except (KeyError, TypeError, ValueError):
-        return None
+    except (KeyError, TypeError, ValueError, AttributeError):
+        return None  # e.g. a ``state`` that is not an object
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +354,13 @@ class RunJournal:
     """Write-ahead journal for one workflow run.
 
     The servers attach it to their simulated-time tracer
-    (:meth:`attach`); every tracer event is then journaled *before*
-    execution proceeds, and the journal maintains the folded
-    :class:`ReplayState` incrementally so snapshots are O(state), not
-    O(history).
+    (:meth:`attach`); every tracer event of a journaled category
+    (completions, payload-invocation points, faults, recoveries — see
+    ``replay.JOURNALED_CATEGORIES``) is then journaled *before*
+    execution proceeds, events of any other category pass by, and the
+    journal maintains the folded :class:`ReplayState` incrementally so
+    snapshots are O(state), not O(history). ``snapshot_every`` counts
+    journaled events.
 
     ``fsync`` policies: ``"always"`` fsyncs every append (survives OS
     crashes), ``"snapshot"`` (default) flushes every append — a torn
@@ -369,7 +386,6 @@ class RunJournal:
         self._seq = 0
         self._handle = None
         self._tracer = None
-        self._suspended = False
         self._since_snapshot = 0
         self._started = False
 
@@ -389,7 +405,7 @@ class RunJournal:
         self.append("header", data, sync=True)
 
     def attach(self, tracer) -> None:
-        """Journal every event the tracer records from now on."""
+        """Journal the tracer's journaled-category events from now on."""
         self._tracer = tracer
         tracer.sink = self.on_event
 
@@ -426,20 +442,20 @@ class RunJournal:
         damage is the final one — which replay tolerates.
         """
         self._ensure_open()
-        seq = self._seq
-        self._handle.write(encode_record(seq, kind, data) + "\n")
+        record = {"seq": self._seq, "type": kind, "data": data}
+        self._handle.write(_sealed(record) + "\n")
         self._handle.flush()
         if sync or self.fsync == "always":
             os.fsync(self._handle.fileno())
         self._seq += 1
-        apply_record(
-            self.state, {"seq": seq, "type": kind, "data": data}
-        )
-        return seq
+        apply_record(self.state, record)
+        return record["seq"]
 
     def on_event(self, event) -> None:
-        """Tracer sink: journal one emitted trace event."""
-        if self._suspended or not self._started:
+        """Tracer sink: journal one emitted trace event, if its
+        category is one the fold reads (``JOURNALED_CATEGORIES``)."""
+        if (event.category not in JOURNALED_CATEGORIES
+                or not self._started):
             return
         self.append("event", {
             "phase": event.phase,
@@ -447,7 +463,8 @@ class RunJournal:
             "category": event.category,
             "ts": event.ts,
             "dur": event.dur,
-            "args": dict(event.args),
+            # the tracer made this dict for this event alone
+            "args": event.args,
         })
         self._since_snapshot += 1
         if (self.snapshot_every
@@ -457,24 +474,24 @@ class RunJournal:
     # -- snapshots and checkpoints -------------------------------------
 
     def _journal_instant(self, name: str, **args) -> None:
-        """Surface journal bookkeeping in the run's trace (un-journaled:
-        the record stream must not feed back into itself)."""
-        if self._tracer is None:
-            return
-        self._suspended = True
-        try:
+        """Surface journal bookkeeping in the run's trace
+        (``JOURNAL_CATEGORY`` is not a journaled category: the record
+        stream does not feed back into itself)."""
+        if self._tracer is not None:
             self._tracer.instant(
                 name, category=JOURNAL_CATEGORY, track="journal", **args
             )
-        finally:
-            self._suspended = False
 
     def snapshot(self) -> int:
-        """Persist the current state; returns the covered seq."""
+        """Persist the current state; returns the covered seq.
+
+        One fsync, after the ``snapshot`` record, makes everything
+        before it durable too. A snapshot file that outlives a lost
+        journal tail is harmless: replay ignores a snapshot covering
+        a seq beyond the journal's last record.
+        """
         covered = self._seq - 1
         write_snapshot(self.directory, covered, self.state)
-        if self._handle is not None and self.fsync != "never":
-            os.fsync(self._handle.fileno())
         self._since_snapshot = 0
         self.append("snapshot", {
             "seq": covered,

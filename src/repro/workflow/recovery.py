@@ -106,8 +106,8 @@ def begin_journal(
     worker pool — otherwise the deterministic replay would silently
     diverge from what the journal proves happened; that mismatch is a
     hard ``WF009`` error. When journaling, the header is written and
-    the journal hooks the simulated-time tracer so every transition is
-    durable before execution proceeds.
+    the journal hooks the simulated-time tracer so every journaled
+    transition is durable before execution proceeds.
 
     Returns the payload skipper for a resumed run (None otherwise).
     """
@@ -309,8 +309,8 @@ class ResilientServer:
         ``chaos`` is the :class:`ChaosSchedule` to inject (none: a
         fault-free run); ``tracer`` (or the ambient session tracer)
         receives the simulated timeline as a ``workflow:<graph>``
-        process. ``journal`` write-ahead logs
-        every transition (faults and recoveries included) so the run
+        process. ``journal`` write-ahead logs every payload-invocation
+        point, completion, fault and recovery so the run
         survives a process crash; ``resume`` replays a crashed run —
         the deterministic timeline is re-executed, payloads that
         already ran are skipped, and a checkpoint is taken before the

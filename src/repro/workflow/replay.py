@@ -9,7 +9,7 @@ sequence of typed records; this module folds that sequence into a
   work that already ran (:class:`PayloadSkipper`);
 * the run header (graph digest, policy, worker pool) so a resume
   against the wrong recipe is rejected instead of silently diverging;
-* fault/recovery/dispatch tallies and checkpoint positions for
+* fault/recovery tallies and checkpoint positions for
   ``repro runs show``.
 
 The fold is a pure function (:func:`apply_record`), shared by the
@@ -50,7 +50,6 @@ class ReplayState:
     #: Checkpoint label -> journal seq of the checkpoint record.
     checkpoints: Dict[str, int] = field(default_factory=dict)
     events: int = 0
-    dispatches: int = 0
     faults: int = 0
     recoveries: int = 0
     last_seq: int = -1
@@ -67,7 +66,6 @@ class ReplayState:
             "completions": dict(self.completions),
             "checkpoints": dict(self.checkpoints),
             "events": self.events,
-            "dispatches": self.dispatches,
             "faults": self.faults,
             "recoveries": self.recoveries,
             "last_seq": self.last_seq,
@@ -79,14 +77,14 @@ class ReplayState:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "ReplayState":
-        """Rebuild a state from :meth:`to_dict` output."""
+        """Rebuild a state from :meth:`to_dict` output (keys this
+        build no longer keeps — an older snapshot's — are ignored)."""
         return cls(
             header=data.get("header"),
             exec_counts=dict(data.get("exec_counts", {})),
             completions=dict(data.get("completions", {})),
             checkpoints=dict(data.get("checkpoints", {})),
             events=int(data.get("events", 0)),
-            dispatches=int(data.get("dispatches", 0)),
             faults=int(data.get("faults", 0)),
             recoveries=int(data.get("recoveries", 0)),
             last_seq=int(data.get("last_seq", -1)),
@@ -149,6 +147,42 @@ class PayloadSkipper:
         return False
 
 
+def _task_of(data: Dict) -> str:
+    return data.get("args", {}).get("task", data.get("name", ""))
+
+
+def _completion(state: ReplayState, data: Dict) -> None:
+    if data.get("phase") == "X":
+        task = _task_of(data)
+        state.completions[task] = state.completions.get(task, 0) + 1
+
+
+def _execution(state: ReplayState, data: Dict) -> None:
+    task = _task_of(data)
+    state.exec_counts[task] = state.exec_counts.get(task, 0) + 1
+
+
+def _fault(state: ReplayState, data: Dict) -> None:
+    state.faults += 1
+
+
+def _recovery(state: ReplayState, data: Dict) -> None:
+    state.recoveries += 1
+
+
+#: The journaled tracer categories, each with its fold. Of any other
+#: event the fold reads nothing but that it happened and when, and a
+#: deterministic re-execution regenerates it from (recipe, fault
+#: schedule) — so :meth:`RunJournal.on_event` journals exactly these:
+#: task completions, payload-invocation points, faults, recoveries.
+JOURNALED_CATEGORIES = {
+    TASK_CATEGORY: _completion,
+    EXEC_CATEGORY: _execution,
+    FAULT_CATEGORY: _fault,
+    RECOVERY_CATEGORY: _recovery,
+}
+
+
 def apply_record(state: ReplayState, record: Dict) -> ReplayState:
     """Fold one decoded journal record into the state (in place).
 
@@ -167,20 +201,9 @@ def apply_record(state: ReplayState, record: Dict) -> ReplayState:
         end = ts + data.get("dur", 0.0)
         if end > state.last_time:
             state.last_time = end
-        category = data.get("category", "")
-        args = data.get("args", {})
-        if category == TASK_CATEGORY and data.get("phase") == "X":
-            task = args.get("task", data.get("name", ""))
-            state.completions[task] = state.completions.get(task, 0) + 1
-        elif category == EXEC_CATEGORY:
-            task = args.get("task", data.get("name", ""))
-            state.exec_counts[task] = state.exec_counts.get(task, 0) + 1
-        elif category == FAULT_CATEGORY:
-            state.faults += 1
-        elif category == RECOVERY_CATEGORY:
-            state.recoveries += 1
-        elif data.get("name") == "dispatch":
-            state.dispatches += 1
+        fold = JOURNALED_CATEGORIES.get(data.get("category"))
+        if fold is not None:
+            fold(state, data)
     elif kind == "snapshot":
         state.last_snapshot_seq = data["seq"]
     elif kind == "checkpoint":

@@ -1,0 +1,265 @@
+"""The write-ahead guarantees the journal keeps while writing less.
+
+* one ``write`` + ``flush`` per record, each line whole, before the
+  run proceeds; a crc on every line and on every snapshot;
+* a task's ``exec`` record is on disk before its payload is invoked;
+* one fsync per ``snapshot()`` (none under ``fsync="never"``) and one
+  per ``checkpoint()``;
+* a snapshot whose body is not a usable object is skipped, never a
+  traceback;
+* the format has not moved: a journal and its snapshots written by the
+  commit before the journal started filtering
+  (``fixtures/journal_pr18``, full tracer mirror, ``dispatches`` tally
+  in every snapshot) replay to what this build writes for the same
+  recipe.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+from pathlib import Path
+
+import pytest
+
+from repro.chaos import ChaosConfig, generate_schedule, random_task_graph
+from repro.workflow import journal as journal_module
+from repro.workflow.journal import (
+    JOURNAL_FILE,
+    JOURNAL_VERSION,
+    SNAPSHOT_VERSION,
+    RunJournal,
+    decode_line,
+    list_snapshots,
+    read_records,
+    read_snapshot,
+    replay_journal,
+    snapshot_path,
+)
+from repro.workflow.recovery import ResilientServer
+from repro.workflow.replay import EXEC_CATEGORY, ReplayState
+
+from tests.chaos.conftest import make_pool
+
+PARENT_RUN = Path(__file__).parent / "fixtures" / "journal_pr18"
+#: The recipe ``fixtures/journal_pr18`` was recorded with.
+CONFIG = ChaosConfig(crashes=1, link_faults=1, reconfig_faults=1,
+                     stragglers=1, task_faults=1)
+
+EVENT = {"name": "a", "category": "x", "phase": "i", "ts": 0.0,
+         "dur": 0.0, "args": {}}
+
+
+def chaos_run(directory, snapshot_every=9, prepare=None):
+    """The fixture's recipe on this build; returns the trace.
+
+    ``prepare(journal, graph)`` runs before the server does and may
+    return a check to make after the run, before the journal closes.
+    """
+    graph = random_task_graph(0, num_tasks=8)
+    pool = make_pool(3)
+    schedule = generate_schedule(
+        graph, [worker.name for worker in pool], 0, CONFIG
+    )
+    with RunJournal(directory, snapshot_every=snapshot_every) as journal:
+        check = prepare(journal, graph) if prepare is not None else None
+        trace, _stats = ResilientServer(pool).run(
+            graph, chaos=schedule, journal=journal
+        )
+        if check is not None:
+            check()
+    return trace
+
+
+class CheckedHandle:
+    """Journal file proxy: every write is one whole line and is
+    flushed before the next write."""
+
+    def __init__(self, handle):
+        self.handle = handle
+        self.writes = self.flushes = 0
+
+    def write(self, text):
+        assert self.writes == self.flushes, "write before a flush"
+        assert text.endswith("\n") and text.count("\n") == 1
+        self.writes += 1
+        return self.handle.write(text)
+
+    def flush(self):
+        self.flushes += 1
+        self.handle.flush()
+
+    def __getattr__(self, name):
+        return getattr(self.handle, name)
+
+
+def test_one_write_and_one_flush_per_record(tmp_path):
+    def wrap(journal, _graph):
+        journal._ensure_open()
+        handle = journal._handle = CheckedHandle(journal._handle)
+
+        def checked():
+            records, torn = read_records(tmp_path / JOURNAL_FILE)
+            assert not torn and records[-1]["type"] == "finish"
+            assert handle.writes == handle.flushes == len(records)
+
+        return checked
+
+    chaos_run(tmp_path, prepare=wrap)
+
+
+def test_every_line_and_every_snapshot_carries_a_crc(tmp_path):
+    chaos_run(tmp_path)
+    lines = (tmp_path / JOURNAL_FILE).read_text("utf-8").splitlines()
+    for line in lines:
+        assert len(json.loads(line)["crc"]) == 12
+        decode_line(line)  # verifies it
+    snapshots = list_snapshots(tmp_path)
+    assert snapshots
+    for seq, path in snapshots:
+        assert len(json.loads(path.read_text("utf-8"))["crc"]) == 12
+        covered, state = read_snapshot(path)
+        assert covered == seq == state.last_seq
+
+
+def test_exec_is_on_disk_before_the_payload_runs(tmp_path):
+    seen = []
+
+    def install(_journal, graph):
+        for name, task in graph.tasks.items():
+            def payload(name=name):
+                records, torn = read_records(tmp_path / JOURNAL_FILE)
+                # (a snapshot record may follow the event it covers)
+                last = [r["data"] for r in records
+                        if r["type"] == "event"][-1]
+                assert not torn
+                assert last["category"] == EXEC_CATEGORY
+                assert last["args"]["task"] == name
+                seen.append(name)
+            task.payload = payload
+
+    chaos_run(tmp_path, prepare=install)
+    state, _info = replay_journal(tmp_path)
+    assert len(seen) == sum(state.exec_counts.values()) >= 8
+
+
+def test_format_versions_have_not_moved():
+    assert (JOURNAL_VERSION, SNAPSHOT_VERSION) == (1, 1)
+
+
+# ----------------------------------------------------------------------
+# fsyncs
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def fsyncs(monkeypatch):
+    """File descriptors ``os.fsync`` was called on, in order."""
+    calls = []
+    real = os.fsync
+
+    def counting(fd):
+        calls.append(fd)
+        real(fd)
+
+    monkeypatch.setattr(journal_module.os, "fsync", counting)
+    return calls
+
+
+@pytest.mark.parametrize("policy, per_snapshot",
+                         [("never", 0), ("snapshot", 1), ("always", 1)])
+def test_fsyncs_per_snapshot_and_per_checkpoint(
+        tmp_path, fsyncs, policy, per_snapshot):
+    with RunJournal(tmp_path, snapshot_every=0, fsync=policy) as journal:
+        journal.start({"graph": "toy"})
+        journal.append("event", EVENT)
+        del fsyncs[:]
+        for _ in range(3):
+            journal.snapshot()
+            journal.append("event", EVENT)
+        appended = 3 if policy == "always" else 0
+        assert len(fsyncs) == 3 * per_snapshot + appended
+        del fsyncs[:]
+        journal.checkpoint("pre:risky")
+        assert len(fsyncs) == 1
+        assert set(fsyncs) == {journal._handle.fileno()}
+
+
+# ----------------------------------------------------------------------
+# damaged snapshots
+# ----------------------------------------------------------------------
+
+
+def versioned_snapshot(state) -> str:
+    """A well-formed, correctly checksummed snapshot around ``state``
+    (the crc spelled out: the format is part of the contract)."""
+    payload = {
+        "snapshot_version": SNAPSHOT_VERSION,
+        "journal_version": JOURNAL_VERSION,
+        "seq": 5,
+        "state": state,
+    }
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    payload["crc"] = hashlib.sha256(canonical.encode()).hexdigest()[:12]
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize("body", [
+    "null", "[]", "3", '"x"', versioned_snapshot([]),
+], ids=["null", "list", "number", "string", "state-is-a-list"])
+def test_unusable_snapshot_body_falls_back_to_full_replay(tmp_path, body):
+    chaos_run(tmp_path, snapshot_every=0)
+    for _seq, path in list_snapshots(tmp_path):
+        path.unlink()  # the checkpoint's: leave only the damaged one
+    full, _ = replay_journal(tmp_path, use_snapshots=False)
+    damaged = snapshot_path(tmp_path, 5)
+    damaged.write_text(body, encoding="utf-8")
+    assert read_snapshot(damaged) is None
+    state, info = replay_journal(tmp_path)
+    assert info.snapshot_seq == -1
+    assert state.to_dict() == full.to_dict()
+
+
+# ----------------------------------------------------------------------
+# what the parent commit wrote still replays
+# ----------------------------------------------------------------------
+
+
+def test_snapshot_in_the_parents_shape_still_loads():
+    written = {
+        "header": {"graph": "toy"}, "exec_counts": {"t0": 2},
+        "completions": {"t0": 1}, "checkpoints": {"pre:t0": 4},
+        "events": 25, "dispatches": 4, "faults": 4, "recoveries": 1,
+        "last_seq": 25, "last_time": 1.5, "last_snapshot_seq": -1,
+        "finished": False, "digest": None,
+    }
+    state = ReplayState.from_dict(written)
+    del written["dispatches"]
+    assert state.to_dict() == written
+    assert state.payload_skipper().take("t0")
+
+
+def test_parent_written_run_replays_to_this_builds_summary(tmp_path):
+    records, torn = read_records(PARENT_RUN / JOURNAL_FILE)
+    assert not torn
+    # it is the full mirror: dispatch instants, and a tally of them
+    assert any(r["data"].get("name") == "dispatch" for r in records)
+    for _seq, path in list_snapshots(PARENT_RUN):
+        assert "dispatches" in json.loads(path.read_text("utf-8"))["state"]
+
+    resumed, info = replay_journal(PARENT_RUN)
+    full, _ = replay_journal(PARENT_RUN, use_snapshots=False)
+    assert info.snapshot_seq == 72 and info.records_replayed == 4
+    assert resumed.to_dict() == full.to_dict()
+
+    trace = chaos_run(tmp_path)
+    ours, _ = replay_journal(tmp_path)
+    assert ours.digest == trace.digest() == "106fa68d69149ede"
+    theirs = full.summary()
+    assert theirs.pop("events") == 72
+    mine = ours.summary()
+    assert mine.pop("events") == 26
+    assert mine == theirs
+    assert ours.exec_counts == full.exec_counts
+    assert ours.completions == full.completions

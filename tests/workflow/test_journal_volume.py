@@ -1,0 +1,142 @@
+"""What the run journal writes, pinned as counts — no wall clock.
+
+The journal's only reader is the fold in :mod:`repro.workflow.replay`,
+so the journal keeps the four tracer categories that fold reads
+(``JOURNALED_CATEGORIES``: completions, payload-invocation points,
+faults, recoveries) and nothing else. Three things are pinned here:
+
+* **volume** — a fault-free run writes exactly two ``event`` records
+  per task, and a chaos run exactly one per execution, completion,
+  fault and recovery;
+* **membership** — every ``event`` record's category is in the table;
+* **losslessness** — folding *every* event the tracer recorded gives
+  the same tallies, simulated time and digest as the journal's own
+  state: the filter drops nothing the fold reads.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+import pytest
+
+from repro.chaos import generate_schedule, random_task_graph
+from repro.obs import Tracer
+from repro.workflow.journal import JOURNAL_FILE, RunJournal, read_records
+from repro.workflow.recovery import ResilientServer
+from repro.workflow.replay import (
+    EXEC_CATEGORY,
+    JOURNALED_CATEGORIES,
+    ReplayState,
+    apply_record,
+    replay_records,
+)
+from repro.workflow.tracing import (
+    FAULT_CATEGORY,
+    RECOVERY_CATEGORY,
+    TASK_CATEGORY,
+)
+
+from tests.chaos.conftest import make_pool
+from tests.chaos.test_invariants import CONFIG, FAULT_SEEDS, GRAPH_SEEDS
+
+#: Fields of the replayed state the fold derives from tracer events
+#: (``events`` itself is the record count, which the filter changes).
+FOLDED = ("exec_counts", "completions", "faults", "recoveries",
+          "checkpoints", "last_time", "digest")
+
+
+def journaled_run(directory, graph, pool, chaos=None, **journal_options):
+    """One journaled run; returns (journal records, session tracer)."""
+    session = Tracer()
+    with RunJournal(directory, **journal_options) as journal:
+        ResilientServer(pool).run(
+            graph, chaos=chaos, journal=journal, tracer=session
+        )
+    records, torn = read_records(directory / JOURNAL_FILE)
+    assert not torn
+    return records, session
+
+
+def chaos_run(directory, graph_seed, fault_seed):
+    """One cell of the 5 x 4 chaos grid, journaled."""
+    graph = random_task_graph(graph_seed, num_tasks=10)
+    pool = make_pool(3)
+    schedule = generate_schedule(
+        graph, [worker.name for worker in pool], fault_seed, CONFIG
+    )
+    return journaled_run(directory, graph, pool, chaos=schedule)
+
+
+def fold_every_tracer_event(records, session) -> ReplayState:
+    """The state a full mirror of the tracer would have folded to:
+    every traced event as an ``event`` record, plus the journal's own
+    non-event records (header, checkpoints, finish)."""
+    state = ReplayState()
+    for seq, event in enumerate(session.events):
+        apply_record(state, {"seq": seq, "type": "event", "data": {
+            "phase": event.phase, "name": event.name,
+            "category": event.category, "ts": event.ts,
+            "dur": event.dur, "args": event.args,
+        }})
+    for record in records:
+        if record["type"] != "event":
+            apply_record(state, record)
+    return state
+
+
+def assert_filter_is_lossless(records, session):
+    own = replay_records(records).to_dict()
+    mirrored = fold_every_tracer_event(records, session).to_dict()
+    # the tracer holds categories the journal does not
+    assert mirrored["events"] > own["events"]
+    assert {event.category for event in session.events} \
+        - set(JOURNALED_CATEGORIES)
+    for name in FOLDED:
+        assert own[name] == mirrored[name], name
+
+
+def test_the_table_names_four_categories():
+    assert set(JOURNALED_CATEGORIES) == {
+        TASK_CATEGORY, EXEC_CATEGORY, FAULT_CATEGORY, RECOVERY_CATEGORY,
+    }
+
+
+def test_fault_free_run_writes_two_event_records_per_task(tmp_path):
+    graph = random_task_graph(1, 150)
+    snapshot_every = 100
+    records, session = journaled_run(
+        tmp_path, graph, make_pool(8, 2), snapshot_every=snapshot_every
+    )
+    events = [r["data"] for r in records if r["type"] == "event"]
+    assert len(events) == 2 * len(graph.tasks)
+    for category in (EXEC_CATEGORY, TASK_CATEGORY):
+        per_task = Counter(
+            data["args"]["task"] for data in events
+            if data["category"] == category
+        )
+        assert per_task == dict.fromkeys(graph.tasks, 1), category
+    assert Counter(r["type"] for r in records) == {
+        "header": 1,
+        "event": len(events),
+        "snapshot": len(events) // snapshot_every,
+        "finish": 1,
+    }
+    assert_filter_is_lossless(records, session)
+
+
+@pytest.mark.parametrize("graph_seed", GRAPH_SEEDS)
+@pytest.mark.parametrize("fault_seed", FAULT_SEEDS)
+def test_chaos_run_writes_one_record_per_folded_transition(
+        graph_seed, fault_seed, tmp_path):
+    records, session = chaos_run(tmp_path, graph_seed, fault_seed)
+    events = [r["data"] for r in records if r["type"] == "event"]
+    assert {data["category"] for data in events} \
+        <= set(JOURNALED_CATEGORIES)
+    state = replay_records(records)
+    assert state.finished and state.faults and state.recoveries
+    assert len(events) == state.events == (
+        sum(state.exec_counts.values()) + state.total_completions()
+        + state.faults + state.recoveries
+    )
+    assert_filter_is_lossless(records, session)

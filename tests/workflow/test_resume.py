@@ -40,7 +40,7 @@ from tests.chaos.conftest import make_pool
 GRAPH_SEEDS = range(3)
 FAULT_SEEDS = range(2)
 NUM_TASKS = 8
-SNAPSHOT_EVERY = 25
+SNAPSHOT_EVERY = 9
 CONFIG = ChaosConfig(crashes=1, link_faults=1, reconfig_faults=1,
                      stragglers=1, task_faults=1)
 
