@@ -15,8 +15,8 @@ import time
 from repro.chaos import ChaosConfig, generate_schedule
 from repro.chaos.graphgen import random_task_graph
 from repro.core.analysis import (
-    ConcurrencyTask,
     ResourceSpec,
+    TaskSpec,
     analyze_concurrency,
     check_task_graph_concurrency,
 )
@@ -45,12 +45,12 @@ def synthetic_tasks(width: int):
     resources = [ResourceSpec(f"r{i}", 2) for i in range(width)]
     for group in range(width):
         obj = f"acc{group}"
-        tasks.append(ConcurrencyTask(f"p{group}", writes=[obj]))
-        tasks.append(ConcurrencyTask(f"ua{group}", updates=[obj]))
-        tasks.append(ConcurrencyTask(f"ub{group}", updates=[obj],
-                                     acquires=[(f"r{group}", 2)]))
-        tasks.append(ConcurrencyTask(f"c{group}", reads=[obj],
-                                     acquires=[(f"r{group}", 2)]))
+        tasks.append(TaskSpec(f"p{group}", outputs=[obj]))
+        tasks.append(TaskSpec(f"ua{group}", updates=[obj]))
+        tasks.append(TaskSpec(f"ub{group}", updates=[obj],
+                              acquires=[(f"r{group}", 2)]))
+        tasks.append(TaskSpec(f"c{group}", inputs=[obj],
+                              acquires=[(f"r{group}", 2)]))
     return tasks, resources
 
 

@@ -51,6 +51,28 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.core.analysis import (
+    ALL_CHECKS,
+    ANALYSIS_CATEGORY,
+    CONCURRENCY_CHECKS,
+    Diagnostics,
+    analyze_module,
+    lint_concurrency_spec,
+    lint_workflow_spec,
+)
+from repro.core.analysis.cache import (
+    AnalysisCache,
+    configure_analysis_cache,
+    default_analysis_cache_dir,
+)
+from repro.core.analysis.perf import kernel_bounds, nest_floors
+from repro.core.analysis.specs import (
+    expand_spec_files,
+    load_targets_from_text,
+    read_spec_text,
+)
+from repro.core.backend.sycl_gen import generate_sycl
+from repro.core.dse import cache as dse_cache
 from repro.core.dse.cost_model import (
     ArchitectureModel,
     prepare_variant_module,
@@ -58,10 +80,27 @@ from repro.core.dse.cost_model import (
 )
 from repro.core.dse.explorer import Explorer
 from repro.core.dse.space import DesignSpace
-from repro.core.ir.digest import module_digest
 from repro.core.dsl.kernel_dsl import compile_kernel, kernel_names
+from repro.core.ir import print_module
+from repro.core.ir.dialects import registered_dialects
+from repro.core.ir.digest import module_digest
+from repro.core.ir.verifier import verify_diagnostics
+from repro.core.store import ContentStore
 from repro.core.variants import VariantKnobs
+from repro.obs import (
+    Observation,
+    current_metrics,
+    observe,
+    session,
+    validate_chrome_trace,
+)
+from repro.obs.tracer import Tracer
 from repro.utils.tables import Table
+
+# Function-level ``repro`` imports below load a subsystem that a single
+# subcommand drives (the workflow service and run store, the traced
+# driver with the runtime under it, the sanitizer), so the commands
+# that compile, lint or explore do not pay for importing it.
 
 
 def _read_source(path: str) -> str:
@@ -96,8 +135,6 @@ def _configure_dse_caches(args: argparse.Namespace) -> None:
     """Install the cost cache the flags ask for — by default the shared
     on-disk store, so repeated CLI invocations reuse each other's
     synthesis work."""
-    from repro.core.dse import cache as dse_cache
-
     dse_cache.configure(
         cache_dir=_cache_dir(args, dse_cache.default_cache_dir)
     )
@@ -149,8 +186,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_explore(args: argparse.Namespace) -> int:
     """Print the design-space table for one kernel."""
-    from repro.core.dse import cost_cache
-
     _configure_dse_caches(args)
     source = _read_source(args.file)
     module = compile_kernel(source)
@@ -160,7 +195,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
                         workers_mode=args.workers_mode,
                         bound_guided=getattr(args, "bound_guided",
                                              False))
-    before = cost_cache().stats.snapshot()
+    before = dse_cache.cost_cache().stats.snapshot()
     result = explorer.run(args.strategy)
     table = Table(
         f"design space of {args.kernel!r} "
@@ -177,7 +212,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
             variant.variant_id in front_ids,
         )
     table.show()
-    delta = cost_cache().stats.delta(before)
+    delta = dse_cache.cost_cache().stats.delta(before)
     if delta.lookups:
         print(
             f"cost cache: {delta.hits}/{delta.lookups} hits "
@@ -194,12 +229,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
 def cmd_perf(args: argparse.Namespace) -> int:
     """Static performance report (analytic bounds) for one kernel."""
     import json as json_module
-
-    from repro.core.analysis.cache import (
-        configure_analysis_cache,
-        default_analysis_cache_dir,
-    )
-    from repro.core.analysis.perf import kernel_bounds, nest_floors
 
     # Bounds persist in the same store ``repro lint --incremental``
     # uses, so a warm report (or a later bound-guided exploration of
@@ -276,8 +305,6 @@ def cmd_emit(args: argparse.Namespace) -> int:
     source = _read_source(args.file)
     module = compile_kernel(source)
     if args.what == "ir":
-        from repro.core.ir import print_module
-
         print(print_module(module))
         return 0
     knobs = (
@@ -290,12 +317,8 @@ def cmd_emit(args: argparse.Namespace) -> int:
         return 0
     prepared = prepare_variant_module(module, args.kernel, knobs)
     if args.what == "sycl":
-        from repro.core.backend.sycl_gen import generate_sycl
-
         print(generate_sycl(prepared, args.kernel))
     elif args.what == "lowered-ir":
-        from repro.core.ir import print_module
-
         print(print_module(prepared))
     else:
         raise SystemExit(f"unknown emit target {args.what!r}")
@@ -362,29 +385,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
     stdout identical to a cold run.
     """
     from concurrent.futures import ThreadPoolExecutor
-
-    from repro.core.analysis import (
-        ALL_CHECKS,
-        ANALYSIS_CATEGORY,
-        CONCURRENCY_CHECKS,
-        Diagnostics,
-        analyze_module,
-        lint_concurrency_spec,
-    )
-    from repro.core.analysis.cache import (
-        AnalysisCache,
-        configure_analysis_cache,
-        default_analysis_cache_dir,
-    )
-    from repro.core.analysis.specs import (
-        expand_spec_files,
-        load_targets_from_text,
-        read_spec_text,
-    )
-    from repro.core.analysis.wfcheck import lint_workflow_spec
-    from repro.core.ir.verifier import verify_diagnostics
-    from repro.obs import Observation, current_metrics, observe
-    from repro.obs.tracer import Tracer
 
     workflow_checks = ("wf",) + CONCURRENCY_CHECKS
     known = set(ALL_CHECKS) | set(workflow_checks)
@@ -577,7 +577,6 @@ def _print_sanitize_report(tracer, args, header: str) -> int:
 
 def cmd_chaos(args: argparse.Namespace) -> int:
     """Replay a seeded chaos scenario and report the outcome."""
-    from repro.obs import observe, session
     from repro.workflow.launcher import CHAOS_RECIPE_KEYS, chaos_run
 
     run_id, journal, resume = _open_durable_run(
@@ -701,7 +700,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     """Run a spec end to end and export the Chrome trace."""
-    from repro.obs import validate_chrome_trace
     from repro.obs.driver import run_traced
 
     _configure_dse_caches(args)
@@ -743,14 +741,10 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 def cmd_cache(args: argparse.Namespace) -> int:
     """Inspect or clear the persistent DSE and analysis caches."""
-    from repro.core.analysis.cache import default_analysis_cache_dir
-    from repro.core.dse.cache import default_cache_dir
-    from repro.core.store import ContentStore
-
     # Both caches are one kind-tagged store: a shared --cache-dir is
     # opened once, and every entry is reported under its own kind.
     directories = [args.cache_dir] if args.cache_dir else [
-        default_cache_dir(), default_analysis_cache_dir()]
+        dse_cache.default_cache_dir(), default_analysis_cache_dir()]
     for directory in directories:
         store = ContentStore(directory)
         if args.action == "clear":
@@ -984,8 +978,6 @@ def cmd_service(args: argparse.Namespace) -> int:
 
 def cmd_info(_args: argparse.Namespace) -> int:
     """Print the SDK inventory (dialects, default target)."""
-    from repro.core.ir.dialects import registered_dialects
-
     print("EVEREST SDK reproduction")
     print("dialects:")
     for name, dialect in sorted(registered_dialects().items()):

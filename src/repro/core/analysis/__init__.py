@@ -1,8 +1,8 @@
 """Compile-time static analysis for the EVEREST SDK.
 
-A unified diagnostics layer (:mod:`.diagnostics`), a generic dataflow
-fixpoint engine (:mod:`.dataflow`) and the concrete analyses built on
-them:
+A generic dataflow fixpoint engine (:mod:`.dataflow`) and the concrete
+analyses built on it, all reporting through the diagnostics leaf
+(:mod:`repro.diagnostics`, re-exported here):
 
 * :mod:`.taint` — static information-flow tracking against the
   ``secure`` dialect's policies;
@@ -13,9 +13,9 @@ them:
   and interprocedural shape/dtype contracts (WF010/WF011), exposed as
   a reusable :class:`~repro.core.analysis.absint.AnalysisFacts`;
 * :mod:`.perf` — static performance analysis: analytic work/traffic/II
-  lower bounds (:class:`~repro.core.analysis.perf.StaticBounds`),
-  PERF001-PERF005 diagnostics and the bound oracle the DSE explorer
-  uses for bound-guided pruning;
+  lower bounds (:class:`~repro.core.analysis.perf.StaticBounds`) and
+  PERF001-PERF005 diagnostics; the DSE layer prices those bounds per
+  knob point (:func:`repro.core.dse.cost_model.bound_for`);
 * :mod:`.lints` — dead values, unreachable blocks, unused functions;
 * :mod:`.wfcheck` — workflow-DAG structural linting;
 * :mod:`.concurrency` — static race (RACE001-004) and deadlock
@@ -46,7 +46,15 @@ from repro.core.analysis.absint import (
     function_facts,
     partition_conflict,
 )
-
+from repro.core.analysis.cache import AnalysisCache, analysis_cache
+from repro.core.analysis.concurrency import (
+    CONCURRENCY_CHECKS,
+    ResourceSpec,
+    analyze_concurrency,
+    check_pipeline_concurrency,
+    check_task_graph_concurrency,
+    lint_concurrency_spec,
+)
 from repro.core.analysis.dataflow import (
     BackwardAnalysis,
     DataflowAnalysis,
@@ -58,28 +66,10 @@ from repro.core.analysis.dataflow import (
     SetLattice,
     TaintPropagation,
 )
-from repro.core.analysis.diagnostics import (
-    CODES,
-    Diagnostic,
-    Diagnostics,
-    Severity,
-    raise_if_errors,
-)
-from repro.core.analysis.concurrency import (
-    CONCURRENCY_CHECKS,
-    ConcurrencyTask,
-    ResourceSpec,
-    analyze_concurrency,
-    check_pipeline_concurrency,
-    check_task_graph_concurrency,
-    concurrency_from_task_graph,
-    lint_concurrency_spec,
-)
 from repro.core.analysis.lints import check_module_lints
 from repro.core.analysis.partition import check_module_partitioning
 from repro.core.analysis.perf import (
     StaticBounds,
-    bound_for,
     check_module_perf,
     compute_kernel_bounds,
     kernel_bounds,
@@ -96,6 +86,15 @@ from repro.core.analysis.wfcheck import (
     lint_workflow,
     lint_workflow_spec,
 )
+from repro.core.ir.digest import module_digest
+from repro.diagnostics import (
+    CODES,
+    Diagnostic,
+    Diagnostics,
+    Severity,
+    raise_if_errors,
+)
+from repro.obs import current_metrics, current_tracer
 
 #: Names accepted by ``analyze_module(checks=...)`` / ``--only``.
 ALL_CHECKS = ("taint", "partition", "lint", "absint", "shapes", "perf")
@@ -119,8 +118,6 @@ def analyze_module(
     precomputed ``facts`` to skip the abstract-interpretation sweep
     the partition and absint checks share.
     """
-    from repro.obs import current_tracer
-
     diagnostics = diagnostics if diagnostics is not None else Diagnostics()
     selected = set(checks) if checks is not None else set(ALL_CHECKS)
     unknown = selected - set(ALL_CHECKS)
@@ -171,10 +168,6 @@ def analyze_module_cached(
     Cache traffic is published to the ambient metrics registry as
     ``analysis.cache_hits`` / ``analysis.cache_misses``.
     """
-    from repro.core.analysis.cache import AnalysisCache, analysis_cache
-    from repro.core.ir.digest import module_digest
-    from repro.obs import current_metrics
-
     cache = cache if cache is not None else analysis_cache()
     selected = tuple(sorted(set(checks) if checks is not None
                             else set(ALL_CHECKS)))
@@ -223,12 +216,10 @@ __all__ = [
     "BackwardAnalysis",
     "CODES",
     "CONCURRENCY_CHECKS",
-    "ConcurrencyTask",
     "ResourceSpec",
     "analyze_concurrency",
     "check_pipeline_concurrency",
     "check_task_graph_concurrency",
-    "concurrency_from_task_graph",
     "lint_concurrency_spec",
     "DataflowAnalysis",
     "DataflowState",
@@ -245,7 +236,6 @@ __all__ = [
     "TaskSpec",
     "WorkerSpec",
     "analyze_module",
-    "bound_for",
     "check_function_taint",
     "check_module_lints",
     "check_module_partitioning",

@@ -61,14 +61,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
-from repro.core.analysis.diagnostics import Diagnostics
 from repro.core.ir.dialects.hw import partition_directives
 from repro.core.ir.dialects.kernel import loop_range, trip_count
+from repro.core.ir.digest import module_digest
 from repro.core.ir.module import Function, Module
 from repro.core.ir.ops import Block, Operation, Value
-from repro.core.ir.types import MemRefType, ScalarType, TensorType
+from repro.core.ir.types import MemRefType, ScalarType, compare_contract
 from repro.core.store import LRUCache
 from repro.core.timing import body_copies, port_demand, ports_granted
+from repro.diagnostics import Diagnostics
 
 #: Bump whenever any analysis result can change for the same module —
 #: cache entries keyed with an older version are ignored.
@@ -850,49 +851,6 @@ def _render_bound(value: float) -> str:
 # Interprocedural shape/dtype contracts (WF010/WF011).
 
 
-def _shape_of(declared) -> Optional[Tuple[int, ...]]:
-    if isinstance(declared, (TensorType, MemRefType)):
-        return tuple(declared.shape)
-    return None
-
-
-def _dtype_of(declared) -> str:
-    if isinstance(declared, (TensorType, MemRefType)):
-        return declared.element.name
-    if isinstance(declared, ScalarType):
-        return declared.name
-    return str(declared)
-
-
-def _compare_types(
-    diagnostics: Diagnostics, anchor: str, role: str,
-    actual, expected,
-) -> None:
-    actual_shape, expected_shape = _shape_of(actual), _shape_of(expected)
-    if actual_shape != expected_shape:
-        diagnostics.error(
-            "WF010",
-            f"{role} has shape "
-            f"{_render_shape(actual_shape, actual)} but the callee "
-            f"declares {_render_shape(expected_shape, expected)}",
-            anchor=anchor, analysis="absint",
-        )
-        return
-    if _dtype_of(actual) != _dtype_of(expected):
-        diagnostics.error(
-            "WF011",
-            f"{role} has dtype {_dtype_of(actual)} but the callee "
-            f"declares {_dtype_of(expected)}",
-            anchor=anchor, analysis="absint",
-        )
-
-
-def _render_shape(shape: Optional[Tuple[int, ...]], declared) -> str:
-    if shape is None:
-        return f"{declared} (scalar)"
-    return "x".join(str(dim) for dim in shape) or "<>"
-
-
 def check_module_contracts(
     module: Module,
     diagnostics: Optional[Diagnostics] = None,
@@ -932,7 +890,7 @@ def check_module_contracts(
             for position, (operand, expected) in enumerate(
                 zip(op.operands, expected_inputs)
             ):
-                _compare_types(
+                compare_contract(
                     diagnostics, anchor,
                     f"{task}: operand {position} (%{operand.name})",
                     operand.type, expected,
@@ -949,7 +907,7 @@ def check_module_contracts(
             for position, (result, expected) in enumerate(
                 zip(op.results, expected_results)
             ):
-                _compare_types(
+                compare_contract(
                     diagnostics, anchor,
                     f"{task}: result {position}",
                     result.type, expected,
@@ -1001,8 +959,6 @@ def function_facts(
 ) -> Optional[FunctionFacts]:
     """Digest-memoized facts for one kernel of a module."""
     if digest is None:
-        from repro.core.ir.digest import module_digest
-
         digest = module_digest(module)
     key = (digest, kernel)
     cached = _FACTS_MEMO.get(key)

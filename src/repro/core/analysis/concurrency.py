@@ -45,7 +45,7 @@ compiler's pre-DSE gate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Dict,
     Iterable,
@@ -56,7 +56,13 @@ from typing import (
     Tuple,
 )
 
-from repro.core.analysis.diagnostics import Diagnostics
+from repro.core.analysis.wfcheck import (
+    TaskSpec,
+    spec_entries,
+    tasks_from_graph,
+    tasks_from_spec,
+)
+from repro.diagnostics import Diagnostics
 from repro.utils import dag
 
 #: Check names accepted by ``analyze_concurrency(checks=...)``.
@@ -71,34 +77,6 @@ class ResourceSpec:
     capacity: int = 1
 
 
-@dataclass
-class ConcurrencyTask:
-    """One task as the concurrency analyzer sees it.
-
-    ``reads``/``writes`` are object names; ``updates`` are objects the
-    task reads *and* rewrites in place (so it both depends on the
-    object's producer and conflicts with every other toucher).
-    ``acquires`` is the ordered list of ``(resource, units)``
-    acquisitions the task performs before running.
-    """
-
-    name: str
-    reads: List[str] = field(default_factory=list)
-    writes: List[str] = field(default_factory=list)
-    updates: List[str] = field(default_factory=list)
-    acquires: List[Tuple[str, int]] = field(default_factory=list)
-    duration_s: float = 1e-3
-    order_sensitive: bool = False
-
-    def all_writes(self) -> List[str]:
-        """Objects this task writes (produced or updated in place)."""
-        return list(self.writes) + list(self.updates)
-
-    def all_reads(self) -> List[str]:
-        """Objects this task reads (consumed or updated in place)."""
-        return list(self.reads) + list(self.updates)
-
-
 # ----------------------------------------------------------------------
 # happens-before skeleton
 # ----------------------------------------------------------------------
@@ -107,11 +85,11 @@ class ConcurrencyTask:
 class _Order:
     """Reachability over the dependency edges of a task set."""
 
-    def __init__(self, tasks: Sequence[ConcurrencyTask]):
+    def __init__(self, tasks: Sequence[TaskSpec]):
         self.tasks = {task.name: task for task in tasks}
         self.producer: Dict[str, str] = {}
         for task in tasks:
-            for obj in task.writes:
+            for obj in task.outputs:
                 self.producer.setdefault(obj, task.name)
         _, self.edges = dag.dependency_edges(
             {task.name: task.all_reads() for task in tasks},
@@ -140,7 +118,7 @@ class _Order:
 
 
 def _check_races(
-    tasks: Sequence[ConcurrencyTask],
+    tasks: Sequence[TaskSpec],
     order: _Order,
     name: str,
     diagnostics: Diagnostics,
@@ -150,7 +128,7 @@ def _check_races(
     for task in tasks:
         for obj in task.all_writes():
             writers.setdefault(obj, []).append(task.name)
-        for obj in task.reads:
+        for obj in task.inputs:
             readers.setdefault(obj, []).append(task.name)
 
     # RACE001: unordered write-write pairs per object.
@@ -187,7 +165,7 @@ def _check_races(
 
     # RACE003: one unordered writer covering >= 2 of a task's reads.
     for task in sorted(tasks, key=lambda t: t.name):
-        read_set = set(task.reads)
+        read_set = set(task.inputs)
         for other in sorted(tasks, key=lambda t: t.name):
             if not order.unordered(task.name, other.name):
                 continue
@@ -238,7 +216,7 @@ def _check_races(
 
 
 def _check_deadlocks(
-    tasks: Sequence[ConcurrencyTask],
+    tasks: Sequence[TaskSpec],
     resources: Sequence[ResourceSpec],
     order: _Order,
     name: str,
@@ -370,7 +348,7 @@ def _hold_wait_set(
 
 
 def analyze_concurrency(
-    tasks: Sequence[ConcurrencyTask],
+    tasks: Sequence[TaskSpec],
     resources: Sequence[ResourceSpec] = (),
     name: str = "workflow",
     diagnostics: Optional[Diagnostics] = None,
@@ -399,30 +377,6 @@ def analyze_concurrency(
     return diagnostics
 
 
-def concurrency_from_task_graph(graph) -> List[ConcurrencyTask]:
-    """View a built :class:`~repro.workflow.graph.TaskGraph` as
-    concurrency tasks; per-task ``acquires`` / ``order_sensitive``
-    come from ``WorkflowTask.constraints``."""
-    tasks: List[ConcurrencyTask] = []
-    for task in graph.tasks.values():
-        acquires = [
-            (str(resource), int(units))
-            for resource, units in task.constraints.get("acquires", ())
-        ]
-        tasks.append(ConcurrencyTask(
-            name=task.name,
-            reads=list(task.inputs),
-            writes=list(task.outputs),
-            updates=list(getattr(task, "updates", ())),
-            acquires=acquires,
-            duration_s=task.duration_s,
-            order_sensitive=bool(
-                task.constraints.get("order_sensitive", False)
-            ),
-        ))
-    return tasks
-
-
 def check_task_graph_concurrency(
     graph,
     resources: Sequence[ResourceSpec] = (),
@@ -431,28 +385,12 @@ def check_task_graph_concurrency(
 ) -> Diagnostics:
     """Concurrency-lint a built task graph."""
     return analyze_concurrency(
-        concurrency_from_task_graph(graph),
+        tasks_from_graph(graph),
         resources,
         name=getattr(graph, "name", "workflow"),
         diagnostics=diagnostics,
         checks=checks,
     )
-
-
-def _acquires_from_spec(entries) -> List[Tuple[str, int]]:
-    acquires: List[Tuple[str, int]] = []
-    for entry in entries or ():
-        if isinstance(entry, dict):
-            acquires.append((
-                str(entry.get("resource", "")),
-                int(entry.get("units", 1)),
-            ))
-        else:
-            resource, units = entry[0], (
-                entry[1] if len(entry) > 1 else 1
-            )
-            acquires.append((str(resource), int(units)))
-    return acquires
 
 
 def lint_concurrency_spec(
@@ -469,27 +407,14 @@ def lint_concurrency_spec(
     ...}]``) and ``order_sensitive``; a top-level ``resources`` list
     (``[{"name": ..., "capacity": ...}]``) declares capacities.
     """
-    tasks = [
-        ConcurrencyTask(
-            name=str(entry.get("name", f"task{index}")),
-            reads=[str(item) for item in entry.get("inputs", [])],
-            writes=[str(item) for item in entry.get("outputs", [])],
-            updates=[str(item) for item in entry.get("updates", [])],
-            acquires=_acquires_from_spec(entry.get("acquires")),
-            duration_s=float(entry.get("duration_s", 1e-3)),
-            order_sensitive=bool(entry.get("order_sensitive", False)),
-        )
-        for index, entry in enumerate(spec.get("tasks", []))
-    ]
+    diagnostics = diagnostics if diagnostics is not None else Diagnostics()
     resources = [
-        ResourceSpec(
-            name=str(entry.get("name", f"r{index}")),
-            capacity=int(entry.get("capacity", 1)),
-        )
-        for index, entry in enumerate(spec.get("resources", []))
+        ResourceSpec(**values) for _, values in spec_entries(
+            spec, "resources", "r", {"capacity": (1, int, "an integer")},
+            diagnostics)
     ]
     return analyze_concurrency(
-        tasks,
+        tasks_from_spec(spec, diagnostics),
         resources,
         name=str(spec.get("name", "workflow")),
         diagnostics=diagnostics,
@@ -508,15 +433,15 @@ def check_pipeline_concurrency(
     defect here means duplicated output wiring or an ordering hazard
     introduced by hand-built pipelines.
     """
-    tasks: List[ConcurrencyTask] = []
+    tasks: List[TaskSpec] = []
     for task in pipeline.tasks:
-        reads: List[str] = []
+        inputs: List[str] = []
         for value in task.inputs:
             if hasattr(value, "task"):  # TaskOutput
-                reads.append(f"{value.task.name}.{value.index}")
+                inputs.append(f"{value.task.name}.{value.index}")
             else:  # Source
-                reads.append(value.name)
-        writes = sorted({
+                inputs.append(value.name)
+        outputs = sorted({
             f"{task.name}.{consumer_input.index}"
             for other in pipeline.tasks
             for consumer_input in other.inputs
@@ -527,8 +452,8 @@ def check_pipeline_concurrency(
             for sink in pipeline.sinks
             if hasattr(sink.value, "task") and sink.value.task is task
         })
-        tasks.append(ConcurrencyTask(
-            name=task.name, reads=reads, writes=writes,
+        tasks.append(TaskSpec(
+            name=task.name, inputs=inputs, outputs=outputs,
         ))
     return analyze_concurrency(
         tasks, name=pipeline.name, diagnostics=diagnostics,

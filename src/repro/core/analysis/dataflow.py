@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, Generic, Iterable, List, Optional, TypeVar
 
+from repro.core.ir.dialects import op_is_pure, op_is_terminator
 from repro.core.ir.module import Function
 from repro.core.ir.ops import Operation, Value
 
@@ -235,8 +236,6 @@ class Liveness(BackwardAnalysis[bool]):
         """True for ops whose execution is observable."""
         if op.name in self._ROOT_NAMES:
             return True
-        from repro.core.ir.dialects import op_is_pure, op_is_terminator
-
         if op_is_terminator(op):
             return True
         # region-carrying ops (loops, pipelines) sequence their body

@@ -11,9 +11,9 @@ from __future__ import annotations
 from typing import Optional, Set
 
 from repro.core.analysis.dataflow import Liveness
-from repro.core.analysis.diagnostics import Diagnostics
 from repro.core.ir.dialects import op_is_pure
 from repro.core.ir.module import Function, Module
+from repro.diagnostics import Diagnostics
 
 
 def check_dead_values(

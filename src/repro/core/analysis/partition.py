@@ -33,12 +33,12 @@ from repro.core.analysis.absint import (
     accesses_by_loop,
     compute_function_facts,
 )
-from repro.core.analysis.diagnostics import Diagnostics
 from repro.core.hls.memory import cyclic_conflict_free
 from repro.core.ir.dialects.hw import partition_directives
 from repro.core.ir.module import Function, Module
 from repro.core.ir.types import MemRefType
 from repro.core.timing import port_demand, ports_granted
+from repro.diagnostics import Diagnostics
 
 
 def _check_bounds(facts: FunctionFacts, diagnostics: Diagnostics) -> None:

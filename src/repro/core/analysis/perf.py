@@ -26,19 +26,21 @@ Three consumers:
    ``repro lint`` (kernel-form functions only; tensor-form kernels
    have not chosen knobs yet, so their performance is a DSE concern);
 2. ``repro perf`` — the CLI report (per-loop-nest bound table);
-3. :func:`bound_for` — a per-knob-point ``(latency, energy)`` lower
-   bound the explorer uses to order candidates and skip points whose
-   bound is already dominated by the incumbent front
-   (``Explorer(bound_guided=True)``).
+3. :func:`repro.core.dse.cost_model.bound_for` — a per-knob-point
+   ``(latency, energy)`` lower bound the explorer uses to order
+   candidates and skip points whose bound is already dominated by the
+   incumbent front (``Explorer(bound_guided=True)``). It lives with the
+   pricing arithmetic it reuses, one layer up; this module hands it the
+   record and :func:`fpga_cycles_lower_bound`.
 
 **Soundness contract**: for every knob point, the cost model's priced
-latency and energy never fall below :func:`bound_for`'s result. For
-CPU targets the bound *is* the cost model's own arithmetic (shared via
-:func:`repro.core.dse.cost_model.cpu_cost_terms`). For FPGA targets
-the cycle bound calls the *same* functions the memory planner and the
-scheduler call (:mod:`repro.core.timing`: partition decision, port
-grant, port demand, initiation interval, pipelined cycle count; the
-link term is :func:`repro.core.dse.cost_model.fpga_link_terms`) with a
+latency and energy never fall below ``bound_for``'s result. For CPU
+targets the bound *is* the cost model's own arithmetic (``bound_for``
+calls ``cpu_cost_terms`` on this module's work figures). For FPGA
+targets the cycle bound calls the *same* functions the memory planner
+and the scheduler call (:mod:`repro.core.timing`: partition decision,
+port grant, port demand, initiation interval, pipelined cycle count;
+``bound_for`` adds the link term with ``fpga_link_terms``) with a
 subset of their terms — no functional-unit terms, register-partitioned
 buffers left out, body depth 1, body copies clamped to the trip count
 — so it cannot exceed the schedule. Knob combinations that restructure
@@ -65,13 +67,21 @@ from repro.core.analysis.absint import (
     FunctionFacts,
     compute_function_facts,
 )
-from repro.core.analysis.diagnostics import Diagnostics
+from repro.core.analysis.cache import AnalysisCache, analysis_cache
 from repro.core.hls.bambu import DEFAULT_CLOCK_HZ, argument_bytes
 from repro.core.hls.cdfg import CDFG, LoopNode, build_cdfg
 from repro.core.hls.memory import small_alloc
 from repro.core.hls.scheduling import RESOURCE_CLASS, chain_latency
 from repro.core.ir.dialects.hw import partition_directives
+from repro.core.ir.digest import module_digest
 from repro.core.ir.module import Module
+from repro.core.ir.passes import (
+    CanonicalizePass,
+    ElementwiseFusionPass,
+    LowerTensorPass,
+    PassManager,
+)
+from repro.core.ir.passes.partitioning import estimate_work, signature_bytes
 from repro.core.ir.types import MemRefType
 from repro.core.store import LRUCache
 from repro.core.timing import (
@@ -83,7 +93,10 @@ from repro.core.timing import (
     port_demand,
     ports_granted,
 )
+from repro.diagnostics import Diagnostics
 from repro.errors import HLSError
+from repro.obs import current_metrics
+from repro.platform.interconnect import OpenCAPILink
 
 
 # ---------------------------------------------------------------------
@@ -312,13 +325,6 @@ def _baseline_kernel_form(module: Module, kernel: str):
         return None
     if not any(op.dialect == "tensor" for op in function.walk()):
         return function  # already kernel-form
-    from repro.core.ir.passes import (
-        CanonicalizePass,
-        ElementwiseFusionPass,
-        LowerTensorPass,
-        PassManager,
-    )
-
     clone = module.clone()
     manager = PassManager(verify_each=False)
     manager.add(ElementwiseFusionPass())
@@ -443,7 +449,7 @@ def _roofline(bounds: StaticBounds) -> Tuple[str, str]:
         if nest_cycles >= worst[0]:
             worst = (nest_cycles, binding)
     compute_s = cycles / DEFAULT_CLOCK_HZ
-    stream_s = bounds.arg_bytes / _default_link_bandwidth()
+    stream_s = bounds.arg_bytes / OpenCAPILink().bandwidth
     if stream_s > compute_s:
         return "memory-bound", "link bandwidth"
     return "compute-bound", worst[1]
@@ -453,9 +459,6 @@ def compute_kernel_bounds(
     module: Module, kernel: str
 ) -> Optional[StaticBounds]:
     """Derive :class:`StaticBounds` for one kernel (uncached)."""
-    from repro.core.dse.cost_model import signature_bytes
-    from repro.core.ir.passes.partitioning import estimate_work
-
     source = module.find_function(kernel)
     if source is None or source.is_declaration:
         return None
@@ -493,12 +496,7 @@ def kernel_bounds(
     published as ``perf.cache_hits`` / ``perf.cache_misses`` /
     ``perf.bounds_computed``.
     """
-    from repro.core.analysis.cache import AnalysisCache, analysis_cache
-    from repro.obs import current_metrics
-
     if digest is None:
-        from repro.core.ir.digest import module_digest
-
         digest = module_digest(module)
     memo_key = (digest, kernel)
     cached = _BOUNDS_MEMO.get(memo_key)
@@ -566,30 +564,6 @@ def fpga_cycles_lower_bound(bounds: StaticBounds, knobs) -> int:
         cycles for _, _, _, cycles
         in nest_floors(bounds, unroll, knobs.memory_strategy)
     ))
-
-
-def bound_for(
-    bounds: StaticBounds, knobs, model
-) -> Tuple[float, float]:
-    """``(latency_s, energy_j)`` floor for one knob point.
-
-    Guaranteed not to exceed what
-    :func:`repro.core.dse.cost_model.evaluate_variant` returns for the
-    same point (infeasible points price at +inf, above any bound).
-    """
-    from repro.core.dse.cost_model import cpu_cost_terms, fpga_link_terms
-
-    if knobs.target == "cpu":
-        return cpu_cost_terms(
-            bounds.work, bounds.data_bytes, knobs, model)
-    if knobs.target != "fpga":
-        return 0.0, 0.0
-    link = getattr(model, "fpga_link", None)
-    if link is None or getattr(model, "fpga_role_capacity", None) is None:
-        return float("inf"), float("inf")
-    cycles = fpga_cycles_lower_bound(bounds, knobs)
-    return fpga_link_terms(
-        cycles / max(1.0, float(knobs.clock_hz)), bounds.arg_bytes, link)
 
 
 # ---------------------------------------------------------------------
@@ -721,7 +695,7 @@ def _check_function_perf(
 
     bounds = compute_kernel_bounds_from_function(function, cdfg, facts)
     if bounds is not None and bounds.verdict == "memory-bound":
-        stream_gbps = _default_link_bandwidth() / 1e9
+        stream_gbps = OpenCAPILink().bandwidth / 1e9
         diagnostics.note(
             "PERF004",
             f"kernel is memory-bound at default knobs: streaming "
@@ -732,20 +706,11 @@ def _check_function_perf(
         )
 
 
-def _default_link_bandwidth() -> float:
-    from repro.platform.interconnect import OpenCAPILink
-
-    return OpenCAPILink().bandwidth
-
-
 def compute_kernel_bounds_from_function(
     function, cdfg: Optional[CDFG] = None,
     facts: Optional[FunctionFacts] = None,
 ) -> Optional[StaticBounds]:
     """Bounds straight from a kernel-form function (no lowering)."""
-    from repro.core.dse.cost_model import signature_bytes
-    from repro.core.ir.passes.partitioning import estimate_work
-
     if cdfg is None:
         try:
             cdfg = build_cdfg(function)

@@ -31,7 +31,9 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.core.analysis.diagnostics import Diagnostics
+from repro.core.dsl.kernel_dsl import compile_kernel
+from repro.core.ir.parser import parse_module
+from repro.diagnostics import Diagnostics
 from repro.errors import EverestError
 
 _KERNEL_RE = re.compile(r"\bkernel\s+\w+\s*\(")
@@ -69,8 +71,6 @@ def extract_kernel_sources(python_source: str) -> List[str]:
 def _load_module_target(
     name: str, source: str, diagnostics: Diagnostics
 ) -> Optional[LintTarget]:
-    from repro.core.dsl.kernel_dsl import compile_kernel
-
     try:
         module = compile_kernel(source)
     except EverestError as exc:
@@ -87,8 +87,6 @@ def _load_module_target(
 def _load_ir_target(
     name: str, source: str, diagnostics: Diagnostics
 ) -> Optional[LintTarget]:
-    from repro.core.ir.parser import parse_module
-
     try:
         module = parse_module(source)
     except EverestError as exc:

@@ -36,9 +36,9 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Optional, Set
 
 from repro.core.analysis.dataflow import TaintPropagation
-from repro.core.analysis.diagnostics import Diagnostics, Severity
 from repro.core.ir.module import Function, Module
 from repro.core.ir.ops import Operation, Value
+from repro.diagnostics import Diagnostics, Severity
 
 _PUBLIC = ("public", None, "")
 

@@ -24,27 +24,52 @@ It accepts a built :class:`~repro.workflow.graph.TaskGraph`, or a
 plain JSON-style mapping (see :func:`lint_workflow_spec`) so defective
 graphs that the builder API would reject can still be linted — e.g.
 specs written by hand or generated by external tools.
+
+:class:`TaskSpec` is the one parsed view of a task — this linter and
+the concurrency analyzer (:mod:`.concurrency`) both read it — filled
+by :func:`tasks_from_graph` or :func:`tasks_from_spec`. The spec
+reader never raises on JSON-shaped input: a malformed section, entry
+or field is one ``DSL001`` naming it, that entry is skipped and the
+rest is linted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.core.analysis.diagnostics import Diagnostics
+from repro.diagnostics import Diagnostics
 from repro.utils import dag
 
 
 @dataclass
 class TaskSpec:
-    """One task as the linter sees it."""
+    """One workflow task as the static analyses see it, under the
+    JSON spec's own field names.
+
+    ``inputs``/``outputs`` are object names; ``updates`` are objects
+    the task reads *and* rewrites in place (so it both depends on the
+    object's producer and conflicts with every other toucher).
+    ``acquires`` is the ordered list of ``(resource, units)``
+    acquisitions the task performs before running.
+    """
 
     name: str
     inputs: List[str] = field(default_factory=list)
     outputs: List[str] = field(default_factory=list)
-    cpus: int = 1
-    #: objects rewritten in place: ordered after their producer
     updates: List[str] = field(default_factory=list)
+    cpus: int = 1
+    acquires: List[Tuple[str, int]] = field(default_factory=list)
+    duration_s: float = 1e-3
+    order_sensitive: bool = False
+
+    def all_writes(self) -> List[str]:
+        """Objects this task writes (produced or updated in place)."""
+        return list(self.outputs) + list(self.updates)
+
+    def all_reads(self) -> List[str]:
+        """Objects this task reads (consumed or updated in place)."""
+        return list(self.inputs) + list(self.updates)
 
 
 @dataclass
@@ -106,10 +131,7 @@ def lint_workflow(
 
     # -- WF002: unproducible inputs ------------------------------------
     broken: Set[str] = set()  # tasks with a missing input
-    consumed = {
-        task.name: list(task.inputs) + list(task.updates)
-        for task in unique
-    }
+    consumed = {task.name: task.all_reads() for task in unique}
     for task in unique:
         for input_name in consumed[task.name]:
             if input_name in external_set or input_name in producer:
@@ -163,8 +185,127 @@ def lint_workflow(
 
 
 # ----------------------------------------------------------------------
-# adapters
+# readers: a built graph or a JSON spec -> TaskSpec
 # ----------------------------------------------------------------------
+
+
+def tasks_from_graph(graph) -> List[TaskSpec]:
+    """The tasks of a built :class:`~repro.workflow.graph.TaskGraph`;
+    ``acquires`` / ``order_sensitive`` come from
+    ``WorkflowTask.constraints``."""
+    return [
+        TaskSpec(
+            name=task.name,
+            inputs=list(task.inputs),
+            outputs=list(task.outputs),
+            updates=list(task.updates),
+            cpus=task.cpus,
+            acquires=[
+                (str(resource), int(units))
+                for resource, units
+                in task.constraints.get("acquires", ())
+            ],
+            duration_s=task.duration_s,
+            order_sensitive=bool(
+                task.constraints.get("order_sensitive", False)
+            ),
+        )
+        for task in graph.tasks.values()
+    ]
+
+
+def _names(value) -> List[str]:
+    if not isinstance(value, list):
+        raise TypeError  # a bare string would read as its characters
+    return [str(item) for item in value]
+
+
+def _acquires(value) -> List[Tuple[str, int]]:
+    if not isinstance(value, list):
+        raise TypeError
+    acquires: List[Tuple[str, int]] = []
+    for item in value:
+        if isinstance(item, dict):
+            item = [item.get("resource", ""), item.get("units", 1)]
+        if not isinstance(item, (list, tuple)) or not 1 <= len(item) <= 2:
+            raise TypeError
+        acquires.append(
+            (str(item[0]), int(item[1]) if len(item) > 1 else 1))
+    return acquires
+
+
+#: ``key -> (default, convert, what the message says is expected)``
+_TASK_FIELDS = {
+    "inputs": ([], _names, "a list of names"),
+    "outputs": ([], _names, "a list of names"),
+    "updates": ([], _names, "a list of names"),
+    "cpus": (1, int, "an integer"),
+    "acquires": ([], _acquires, "a list of [resource, units] pairs"),
+    "duration_s": (1e-3, float, "a number"),
+    "order_sensitive": (False, bool, "a boolean"),
+}
+
+
+def _malformed(diagnostics: Diagnostics, anchor: str, message: str) -> None:
+    """One DSL001 per malformed piece of a spec, however many of the
+    analyses sharing ``diagnostics`` read it."""
+    if not any(
+        item.code == "DSL001" and item.anchor == anchor
+        and item.message == message for item in diagnostics
+    ):
+        diagnostics.error(
+            "DSL001", message, anchor=anchor, analysis="loader")
+
+
+def spec_entries(
+    spec: Dict, section: str, prefix: str, fields: Dict,
+    diagnostics: Diagnostics,
+) -> Iterator[Tuple[Dict, Dict]]:
+    """``(entry, values)`` per well-formed entry of one list section
+    (``tasks``, ``workers``, ``resources``) of a spec.
+
+    ``fields`` maps a key to ``(default, convert, expected)``;
+    ``values`` holds the converted fields (``null`` reads as absent)
+    and the entry's ``name``, ``<prefix><index>`` when it has none.
+    A section that is not a list, an entry that is not an object and
+    an entry with a field ``convert`` rejects are each one DSL001
+    anchored ``<spec>/<section>[<index>]`` and skipped.
+    """
+    anchor = f"{spec.get('name', 'workflow')}/{section}"
+    entries = spec.get(section, [])
+    if not isinstance(entries, list):
+        _malformed(
+            diagnostics, anchor,
+            f"{section!r} must be a list of objects, not "
+            f"{type(entries).__name__}")
+        return
+    for index, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            _malformed(
+                diagnostics, f"{anchor}[{index}]",
+                f"entry must be an object, not {type(entry).__name__}")
+            continue
+        values = {"name": str(entry.get("name", f"{prefix}{index}"))}
+        problems: List[str] = []
+        for key, (default, convert, expected) in fields.items():
+            raw = entry.get(key)
+            try:
+                values[key] = convert(default if raw is None else raw)
+            except (TypeError, ValueError):
+                problems.append(f"{key!r} must be {expected}")
+        if problems:
+            _malformed(
+                diagnostics, f"{anchor}[{index}]", "; ".join(problems))
+        else:
+            yield entry, values
+
+
+def tasks_from_spec(spec: Dict, diagnostics: Diagnostics) -> List[TaskSpec]:
+    """The well-formed ``tasks`` entries of a JSON-style description."""
+    return [
+        TaskSpec(**values) for _, values
+        in spec_entries(spec, "tasks", "task", _TASK_FIELDS, diagnostics)
+    ]
 
 
 def lint_task_graph(graph, workers=None,
@@ -173,30 +314,14 @@ def lint_task_graph(graph, workers=None,
     """Lint a built :class:`~repro.workflow.graph.TaskGraph`.
 
     ``workers`` may be :class:`~repro.workflow.worker.Worker` objects
-    or anything with ``name``/``cpus`` attributes.
+    or anything with a ``cpus`` attribute.
     """
-    tasks = [
-        TaskSpec(
-            name=task.name,
-            inputs=list(task.inputs),
-            outputs=list(task.outputs),
-            cpus=task.cpus,
-            updates=list(task.updates),
-        )
-        for task in graph.tasks.values()
-    ]
     externals = [
         obj.name for obj in graph.objects.values()
         if obj.producer is None
     ]
-    worker_specs = None
-    if workers is not None:
-        worker_specs = [
-            WorkerSpec(name=worker.name, cpus=worker.cpus)
-            for worker in workers
-        ]
     return lint_workflow(
-        tasks, externals, worker_specs,
+        tasks_from_graph(graph), externals, workers,
         name=getattr(graph, "name", "workflow"),
         diagnostics=diagnostics,
     )
@@ -209,7 +334,10 @@ def _contract_of(entry) -> Optional[Dict]:
     contract: Dict[str, object] = {}
     shape = entry.get("shape")
     if isinstance(shape, list):
-        contract["shape"] = [int(dim) for dim in shape]
+        try:
+            contract["shape"] = [int(dim) for dim in shape]
+        except (TypeError, ValueError):
+            return None
     dtype = entry.get("dtype")
     if isinstance(dtype, str):
         contract["dtype"] = dtype
@@ -238,9 +366,11 @@ def lint_spec_contracts(spec: Dict,
     """
     diagnostics = diagnostics if diagnostics is not None else Diagnostics()
     name = str(spec.get("name", "workflow"))
-    tasks = spec.get("tasks", [])
-    if not isinstance(tasks, list):
-        return diagnostics
+    typed = [
+        (values["name"], values, entry["types"]) for entry, values
+        in spec_entries(spec, "tasks", "task", _TASK_FIELDS, diagnostics)
+        if isinstance(entry.get("types"), dict)
+    ]
 
     declared: Dict[str, Tuple[str, Dict]] = {}
     top = spec.get("types")
@@ -249,31 +379,17 @@ def lint_spec_contracts(spec: Dict,
             contract = _contract_of(entry)
             if contract:
                 declared[str(obj)] = ("externals", contract)
-    for index, entry in enumerate(tasks):
-        if not isinstance(entry, dict):
-            continue
-        task = str(entry.get("name", f"task{index}"))
-        types = entry.get("types")
-        if not isinstance(types, dict):
-            continue
-        outputs = {str(item) for item in entry.get("outputs", [])}
+    for task, values, types in typed:
         for obj, contract_entry in types.items():
-            if str(obj) not in outputs:
+            if str(obj) not in values["outputs"]:
                 continue
             contract = _contract_of(contract_entry)
             if contract:
                 declared[str(obj)] = (task, contract)
 
-    for index, entry in enumerate(tasks):
-        if not isinstance(entry, dict):
-            continue
-        task = str(entry.get("name", f"task{index}"))
-        types = entry.get("types")
-        if not isinstance(types, dict):
-            continue
+    for task, values, types in typed:
         anchor = f"{name}/{task}"
-        for obj in entry.get("inputs", []):
-            obj = str(obj)
+        for obj in values["inputs"]:
             expected = _contract_of(types.get(obj))
             produced = declared.get(obj)
             if not expected or produced is None:
@@ -331,27 +447,20 @@ def lint_workflow_spec(spec: Dict,
     """
     diagnostics = diagnostics if diagnostics is not None else Diagnostics()
     lint_spec_contracts(spec, diagnostics)
-    tasks = [
-        TaskSpec(
-            name=str(entry.get("name", f"task{index}")),
-            inputs=[str(item) for item in entry.get("inputs", [])],
-            outputs=[str(item) for item in entry.get("outputs", [])],
-            cpus=int(entry.get("cpus", 1)),
-            updates=[str(item) for item in entry.get("updates", [])],
-        )
-        for index, entry in enumerate(spec.get("tasks", []))
-    ]
+    name = str(spec.get("name", "workflow"))
     workers = [
-        WorkerSpec(
-            name=str(entry.get("name", f"w{index}")),
-            cpus=int(entry.get("cpus", 1)),
-        )
-        for index, entry in enumerate(spec.get("workers", []))
+        WorkerSpec(**values) for _, values in spec_entries(
+            spec, "workers", "w", {"cpus": (1, int, "an integer")},
+            diagnostics)
     ] or None
+    externals = spec.get("externals")
+    try:
+        externals = _names([] if externals is None else externals)
+    except TypeError:
+        externals = []
+        _malformed(diagnostics, f"{name}/externals",
+                   "'externals' must be a list of names")
     return lint_workflow(
-        tasks,
-        externals=[str(item) for item in spec.get("externals", [])],
-        workers=workers,
-        name=str(spec.get("name", "workflow")),
-        diagnostics=diagnostics,
+        tasks_from_spec(spec, diagnostics), externals, workers,
+        name=name, diagnostics=diagnostics,
     )

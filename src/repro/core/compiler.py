@@ -22,7 +22,6 @@ from repro.core.analysis import (
     analyze_module_cached,
     check_pipeline_concurrency,
 )
-from repro.core.analysis.diagnostics import Diagnostics, raise_if_errors
 from repro.core.backend.binary import Artifact, SoftwareBinary
 from repro.core.backend.packaging import VariantPackage
 from repro.core.backend.sycl_gen import generate_sycl
@@ -37,6 +36,7 @@ from repro.core.dsl.workflow import Pipeline, lint_pipeline_contracts
 from repro.core.ir.digest import module_digest
 from repro.core.ir.module import Module
 from repro.core.ir.passes.partitioning import HardwarePartitioningPass
+from repro.diagnostics import Diagnostics, raise_if_errors
 from repro.errors import AnalysisError, BackendError
 from repro.obs import Observation, current_metrics, current_tracer, observe
 

@@ -18,6 +18,11 @@ A variant is built once: :func:`synthesize_variant` is the only
 ``prepare → synthesize`` chain, and the estimate of a feasible FPGA
 point carries the bitstream of the design it was priced from, which is
 what the compiler packages.
+
+:func:`bound_for` runs the same CPU and link arithmetic over the
+static analyzer's work and cycle floors
+(:class:`~repro.core.analysis.perf.StaticBounds`): the per-knob-point
+lower bound the bound-guided explorer orders and prunes by.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.analysis.absint import function_facts, partition_conflict
+from repro.core.analysis.perf import StaticBounds, fpga_cycles_lower_bound
 from repro.core.dse.cache import CostCache, cost_cache, prepared_cache
 from repro.core.hls.bambu import AcceleratorDesign, hls_options_for, synthesize
 from repro.core.ir.digest import module_digest
@@ -42,8 +48,7 @@ from repro.core.ir.passes import (
     SecurityInstrumentationPass,
     TilingPass,
 )
-from repro.core.ir.passes.partitioning import estimate_work
-from repro.core.ir.types import MemRefType, TensorType
+from repro.core.ir.passes.partitioning import estimate_work, signature_bytes
 from repro.core.variants import CostEstimate, VariantKnobs
 from repro.errors import DSEError, HLSError, SchedulingError
 from repro.platform.interconnect import Link, OpenCAPILink
@@ -258,26 +263,15 @@ def price_variant(
     return _evaluate_fpga(module, kernel, knobs, model, digest)
 
 
-def signature_bytes(function) -> int:
-    """Bytes of every tensor/memref input and result (the CPU model's
-    memory term)."""
-    total = 0
-    for declared in function.type.inputs + function.type.results:
-        if isinstance(declared, (TensorType, MemRefType)):
-            total += declared.size_bytes
-    return total
-
-
 def cpu_cost_terms(
     work: float, data_bytes: float, knobs: VariantKnobs,
     model: ArchitectureModel,
 ) -> "tuple[float, float]":
     """``(latency_s, energy_j)`` of ``work`` flops on the host CPU.
 
-    This is the *entire* CPU pricing arithmetic, shared with the
-    static performance analyzer (:mod:`repro.core.analysis.perf`): the
-    analyzer's CPU lower bound must never exceed the priced cost, and
-    reusing the identical float operations makes the bound exact.
+    This is the *entire* CPU pricing arithmetic, shared with
+    :func:`bound_for`: the CPU lower bound must never exceed the priced
+    cost, and reusing the identical float operations makes it exact.
     """
     efficiency = model.cpu_efficiency
     if knobs.tile:
@@ -312,9 +306,9 @@ def fpga_link_terms(
 ) -> "tuple[float, float]":
     """``(latency_s, transfer_j)`` of one invocation over ``link``.
 
-    The attachment-link arithmetic shared with the analyzer's FPGA
-    bound (:func:`repro.core.analysis.perf.bound_for`), which passes a
-    cycle floor where pricing passes the synthesized latency.
+    The attachment-link arithmetic shared with :func:`bound_for`,
+    which passes the analyzer's cycle floor where pricing passes the
+    synthesized latency.
     """
     if link.coherent:
         # Coherent attachment streams operands on demand: transfer
@@ -326,6 +320,29 @@ def fpga_link_terms(
         # Non-coherent: explicit staging copies before/after compute.
         latency = compute_s + link.transfer_time(data_bytes)
     return latency, link.transfer_energy(data_bytes)
+
+
+def bound_for(
+    bounds: StaticBounds, knobs: VariantKnobs, model: ArchitectureModel,
+) -> "tuple[float, float]":
+    """``(latency_s, energy_j)`` floor for one knob point.
+
+    Guaranteed not to exceed what :func:`evaluate_variant` returns for
+    the same point (infeasible points price at +inf, above any bound):
+    the analyzer's work and cycle floors through the pricing arithmetic
+    above.
+    """
+    if knobs.target == "cpu":
+        return cpu_cost_terms(
+            bounds.work, bounds.data_bytes, knobs, model)
+    if knobs.target != "fpga":
+        return 0.0, 0.0
+    if model.fpga_link is None or model.fpga_role_capacity is None:
+        return float("inf"), float("inf")
+    cycles = fpga_cycles_lower_bound(bounds, knobs)
+    return fpga_link_terms(
+        cycles / max(1.0, float(knobs.clock_hz)), bounds.arg_bytes,
+        model.fpga_link)
 
 
 def _evaluate_cpu(

@@ -25,7 +25,7 @@ front-growth curve costs O(n·front) instead of O(n³).
 **Bound-guided pruning** (``Explorer(..., bound_guided=True)``) layers
 the static performance analyzer on top of the exhaustive strategy:
 points are priced in ascending order of their analytic latency lower
-bound (:func:`repro.core.analysis.perf.bound_for`), and a point is
+bound (:func:`repro.core.dse.cost_model.bound_for`), and a point is
 skipped entirely when its *bound* already violates a requirement or is
 dominated by an already-priced front member — the bound never exceeds
 the priced cost, so a dominated bound proves the point can never join
@@ -43,18 +43,22 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.analysis.absint import function_facts
+from repro.core.analysis.absint import function_facts, partition_conflict
+from repro.core.analysis.perf import kernel_bounds
 from repro.core.dse.cache import CostCache, cost_cache, prepared_cache
 from repro.core.dse.cost_model import (
     ArchitectureModel,
+    bound_for,
     cached_estimate,
     evaluate_variant,
 )
 from repro.core.dse.pareto import ParetoFront
-from repro.core.dse.space import DesignSpace, neighborhood, static_conflict
+from repro.core.dse.pool import create_pool, price_point
+from repro.core.dse.space import DesignSpace, neighborhood
 from repro.core.dsl.annotations import Requirement, RequirementKind
 from repro.core.ir.digest import module_digest
 from repro.core.ir.module import Module
+from repro.core.ir.printer import print_module
 from repro.core.variants import CostEstimate, Variant, VariantKnobs
 from repro.errors import DSEError
 from repro.obs import Observation, current_metrics, current_tracer, observe
@@ -258,7 +262,7 @@ class Explorer:
         self, knobs: VariantKnobs
     ) -> Optional[CostEstimate]:
         """The prune verdict for one point, or None to price it."""
-        conflict = static_conflict(knobs, self._facts)
+        conflict = partition_conflict(self._facts, knobs)
         if conflict is None:
             return None
         with self._prune_lock:
@@ -354,9 +358,6 @@ class Explorer:
     def _ensure_process_pool(self):
         """Lazily create the worker pool, shipping the module once."""
         if self._process_pool is None:
-            from repro.core.dse.pool import create_pool
-            from repro.core.ir.printer import print_module
-
             self._process_pool = create_pool(
                 self.workers, print_module(self.module), self._digest,
                 self.kernel, self.model,
@@ -382,8 +383,6 @@ class Explorer:
         their prepared-cache stat deltas for merging. Results come back
         in batch order, so admission order matches serial.
         """
-        from repro.core.dse.pool import price_point
-
         cache = cost_cache()
         fingerprint = self.model.fingerprint()
         costs: List[Optional[CostEstimate]] = [None] * len(batch)
@@ -461,8 +460,6 @@ class Explorer:
         re-admits the priced points in original space order, making a
         pruned run's ``front_json`` byte-identical to an unpruned one.
         """
-        from repro.core.analysis.perf import bound_for, kernel_bounds
-
         bounds = kernel_bounds(self.module, self.kernel, self._digest)
         if bounds is None:
             return self.exhaustive()

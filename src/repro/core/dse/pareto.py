@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import Callable, List, Sequence, Set, Tuple
 
-from repro.core.analysis.diagnostics import Diagnostics
 from repro.core.variants import Variant
+from repro.diagnostics import diagnosed_error
 from repro.errors import DSEError
 
 #: Cost coordinates are deduplicated at this rounding, matching the
@@ -111,20 +111,12 @@ def hypervolume_2d(
     return volume
 
 
-def _no_feasible_error(message: str, anchor: str = "") -> DSEError:
-    """A DSEError carrying the DSE001 'no feasible variants' finding."""
-    diagnostics = Diagnostics()
-    diagnostics.error("DSE001", message, anchor=anchor, analysis="dse")
-    error = DSEError(message)
-    error.diagnostics = diagnostics
-    return error
-
-
 def knee_point(variants: Sequence[Variant]) -> Variant:
     """The balanced variant: minimal normalized distance to utopia."""
     front = pareto_front(list(variants))
     if not front:
-        raise _no_feasible_error("no feasible variants")
+        raise diagnosed_error(
+            DSEError, "DSE001", "no feasible variants", "", "dse")
     min_latency = min(v.cost.latency_s for v in front)
     max_latency = max(v.cost.latency_s for v in front)
     min_energy = min(v.cost.energy_j for v in front)
@@ -145,5 +137,6 @@ def best_by(variants: Sequence[Variant],
     """Feasible variant minimizing an arbitrary objective."""
     feasible = [v for v in variants if v.cost.feasible]
     if not feasible:
-        raise _no_feasible_error("no feasible variants")
+        raise diagnosed_error(
+            DSEError, "DSE001", "no feasible variants", "", "dse")
     return min(feasible, key=key)

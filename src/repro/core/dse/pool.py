@@ -33,8 +33,12 @@ import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Dict, Tuple
 
+from repro.core.dse.cache import prepared_cache
+from repro.core.dse.cost_model import price_variant
+from repro.core.ir.parser import parse_module
 from repro.core.store import CacheStats
 from repro.core.variants import CostEstimate, VariantKnobs
+from repro.obs import Observation, observe
 
 #: Per-process worker state, set once by :func:`_init_worker`.
 _STATE: Dict[str, Any] = {}
@@ -71,8 +75,6 @@ def _init_worker(
     module_text: str, digest: str, kernel: str, model: Any
 ) -> None:
     """Parse the module once per worker process."""
-    from repro.core.ir.parser import parse_module
-
     _STATE["module"] = parse_module(module_text)
     _STATE["digest"] = digest
     _STATE["kernel"] = kernel
@@ -87,10 +89,6 @@ def price_point(
     Returns the estimate plus the prepared-cache stats delta this
     pricing caused in the worker, for the parent to merge.
     """
-    from repro.core.dse.cache import prepared_cache
-    from repro.core.dse.cost_model import price_variant
-    from repro.obs import Observation, observe
-
     before = prepared_cache().stats.snapshot()
     with observe(Observation()):
         cost = price_variant(

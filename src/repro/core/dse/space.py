@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Sequence
 
 from repro.core.variants import VariantKnobs
 from repro.errors import DSEError
@@ -118,19 +118,3 @@ def neighborhood(knobs: VariantKnobs, space: DesignSpace
         if differences == 1:
             neighbors.append(candidate)
     return neighbors
-
-
-def static_conflict(knobs: VariantKnobs, facts) -> Optional[str]:
-    """Why a point is provably illegal for the analyzed kernel.
-
-    ``facts`` is the kernel's
-    :class:`~repro.core.analysis.absint.FunctionFacts` (or None, which
-    never prunes). Points whose unroll over-subscribes the ports of an
-    explicitly partitioned buffer cannot schedule conflict-free at
-    their nominal II, so the explorer rejects them before pricing; the
-    returned reason string is exactly the one the cost model reports,
-    keeping pruned and unpruned explorations byte-identical.
-    """
-    from repro.core.analysis.absint import partition_conflict
-
-    return partition_conflict(facts, knobs)

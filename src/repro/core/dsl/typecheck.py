@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.core.analysis.diagnostics import Diagnostics
 from repro.core.dsl import ast_nodes as ast
 from repro.core.ir.types import ScalarType, TensorType, Type
+from repro.diagnostics import Diagnostics
 from repro.errors import TypeCheckError
 
 _UNARY_BUILTINS = ("relu", "exp", "sqrt", "tanh", "sigmoid", "neg")

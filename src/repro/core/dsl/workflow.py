@@ -30,8 +30,9 @@ from repro.core.dsl.kernel_dsl import compile_kernel
 from repro.core.ir.builder import Builder
 from repro.core.ir.module import Module
 from repro.core.ir.ops import Operation, Value
-from repro.core.ir.types import Type
+from repro.core.ir.types import Type, compare_contract
 from repro.core.ir.verifier import verify
+from repro.diagnostics import Diagnostics
 from repro.errors import SpecificationError
 
 
@@ -293,9 +294,6 @@ def lint_pipeline_contracts(
     fail to compile are skipped — broken DSL text is DSL001's concern,
     not this check's. Returns the diagnostics collection.
     """
-    from repro.core.analysis.absint import _compare_types
-    from repro.core.analysis.diagnostics import Diagnostics
-
     diagnostics = diagnostics if diagnostics is not None else Diagnostics()
     signatures: Dict[str, object] = {}
     if module is not None:
@@ -337,7 +335,7 @@ def lint_pipeline_contracts(
                 actual = value_types.get(key)
                 if actual is None:
                     continue  # producer signature unknown: skip edge
-                _compare_types(
+                compare_contract(
                     diagnostics, anchor,
                     f"input {position} of task {task.name!r}",
                     actual, expected_type,

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from repro.core.hls.bambu import AcceleratorDesign
+from repro.core.ir.types import MemRefType
 from repro.errors import HLSError
 from repro.platform.interconnect import Link
 from repro.platform.resources import FPGAResources
@@ -90,8 +91,6 @@ class ChainedDesign:
 def _output_bytes(design: AcceleratorDesign) -> int:
     """Bytes of the design's out-parameters (last memref args)."""
     function = design.cdfg.function
-    from repro.core.ir.types import MemRefType
-
     memrefs = [
         t for t in function.type.inputs if isinstance(t, MemRefType)
     ]

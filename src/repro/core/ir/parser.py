@@ -22,7 +22,7 @@ import re
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.ir.module import Module
-from repro.core.ir.ops import Block, Operation, Value
+from repro.core.ir.ops import Block, Operation, Region, Value
 from repro.core.ir.types import (
     FunctionType,
     MemRefType,
@@ -237,8 +237,6 @@ class IRParser:
         return False
 
     def _parse_region_into(self, op: Operation) -> None:
-        from repro.core.ir.ops import Region
-
         region = Region(op)
         op.regions.append(region)
         if self._peek()[0] == "caret":

@@ -14,7 +14,7 @@ from __future__ import annotations
 from repro.core.ir.module import Module
 from repro.core.ir.ops import Value
 from repro.core.ir.passes.pass_manager import Pass
-from repro.core.ir.types import MemRefType
+from repro.core.ir.types import FunctionType, MemRefType
 from repro.errors import PassError
 
 _RECORD_LAYOUTS = ("aos", "soa")
@@ -45,8 +45,6 @@ class DataLayoutPass(Pass):
             new_inputs = tuple(arg.type for arg in func.arguments)
             function_type = func.type
             if new_inputs != function_type.inputs:
-                from repro.core.ir.types import FunctionType
-
                 func.op.set_attr(
                     "function_type",
                     FunctionType(new_inputs, function_type.results),

@@ -97,6 +97,16 @@ def estimate_work(function: Function) -> Tuple[float, float]:
     return work, max(total_bytes, 1.0)
 
 
+def signature_bytes(function: Function) -> int:
+    """Bytes of every tensor/memref input and result (the CPU model's
+    memory term)."""
+    total = 0
+    for declared in function.type.inputs + function.type.results:
+        if isinstance(declared, (TensorType, MemRefType)):
+            total += declared.size_bytes
+    return total
+
+
 class HardwarePartitioningPass(Pass):
     """Assign each function a cpu/fpga target and emit hw.accelerator."""
 

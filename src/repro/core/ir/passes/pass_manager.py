@@ -6,9 +6,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.core.analysis.diagnostics import Diagnostics
 from repro.core.ir.module import Module
 from repro.core.ir.verifier import verify_diagnostics
+from repro.diagnostics import Diagnostics
 from repro.errors import PassError
 from repro.obs import current_metrics, current_tracer
 
@@ -57,14 +57,10 @@ class PassManager:
     re-verified after every pass so a broken rewrite is caught at its
     source; the raised :class:`~repro.errors.PassError` names the
     offending pass and carries the full diagnostics under its
-    ``diagnostics`` attribute (code PM001). With ``lint_each`` set the
-    semantic analyses (taint, partitioning, lints) also run after every
-    pass and *errors* they find abort the pipeline the same way
-    (PM002); their warnings accumulate in :attr:`diagnostics`.
+    ``diagnostics`` attribute (code PM001).
     """
 
     verify_each: bool = True
-    lint_each: bool = False
     passes: List[Pass] = field(default_factory=list)
     statistics: List[PassStatistics] = field(default_factory=list)
     #: Findings accumulated across the run (post-pass checks).
@@ -122,29 +118,19 @@ class PassManager:
             ))
             any_changed = any_changed or bool(changed)
             if self.verify_each:
-                self._check_after(pass_, module, lint=False)
-            if self.lint_each:
-                self._check_after(pass_, module, lint=True)
+                self._check_after(pass_, module)
         return any_changed
 
-    def _check_after(self, pass_: Pass, module: Module,
-                     lint: bool) -> None:
-        """Post-pass check; raises PassError naming the pass."""
-        if lint:
-            from repro.core.analysis import analyze_module
-
-            found = analyze_module(module)
-            code, what = "PM002", "analysis errors"
-        else:
-            found = verify_diagnostics(module)
-            code, what = "PM001", "invalid IR"
+    def _check_after(self, pass_: Pass, module: Module) -> None:
+        """Post-pass verification; raises PassError naming the pass."""
+        found = verify_diagnostics(module)
         self.diagnostics.extend(found)
         if not found.has_errors:
             return
         first = found.first_error_message()
         self.diagnostics.error(
-            code,
-            f"module invalid after pass {pass_.name}: {what}: {first}",
+            "PM001",
+            f"module invalid after pass {pass_.name}: invalid IR: {first}",
             anchor=pass_.name,
             analysis="pass-manager",
         )

@@ -228,3 +228,53 @@ def common_element_type(a: Type, b: Type) -> ScalarType:
     if ea != eb:
         raise IRError(f"mismatched element types {ea} vs {eb}")
     return ea
+
+
+def _shape_of(declared: Type) -> Optional[Tuple[int, ...]]:
+    if isinstance(declared, (TensorType, MemRefType)):
+        return tuple(declared.shape)
+    return None
+
+
+def _dtype_of(declared: Type) -> str:
+    if isinstance(declared, (TensorType, MemRefType)):
+        return declared.element.name
+    if isinstance(declared, ScalarType):
+        return declared.name
+    return str(declared)
+
+
+def _render_shape(shape: Optional[Tuple[int, ...]], declared: Type) -> str:
+    if shape is None:
+        return f"{declared} (scalar)"
+    return "x".join(str(dim) for dim in shape) or "<>"
+
+
+def compare_contract(
+    diagnostics, anchor: str, role: str, actual: Type, expected: Type,
+) -> None:
+    """Report a producer/consumer disagreement on one value's type.
+
+    A shape mismatch is WF010, a dtype mismatch (same shape) WF011,
+    emitted on ``diagnostics``
+    (:class:`~repro.diagnostics.Diagnostics`). The IR contract check
+    (``check_module_contracts``) and the pipeline one
+    (``lint_pipeline_contracts``) both compare through here.
+    """
+    actual_shape, expected_shape = _shape_of(actual), _shape_of(expected)
+    if actual_shape != expected_shape:
+        diagnostics.error(
+            "WF010",
+            f"{role} has shape "
+            f"{_render_shape(actual_shape, actual)} but the callee "
+            f"declares {_render_shape(expected_shape, expected)}",
+            anchor=anchor, analysis="absint",
+        )
+        return
+    if _dtype_of(actual) != _dtype_of(expected):
+        diagnostics.error(
+            "WF011",
+            f"{role} has dtype {_dtype_of(actual)} but the callee "
+            f"declares {_dtype_of(expected)}",
+            anchor=anchor, analysis="absint",
+        )

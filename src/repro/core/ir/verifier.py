@@ -20,7 +20,7 @@ Two entry points share one walker:
   the first defect (the raised exception carries the partial
   ``diagnostics`` collection);
 * :func:`verify_diagnostics` — collect *every* defect into a
-  :class:`~repro.core.analysis.diagnostics.Diagnostics` and return it,
+  :class:`~repro.diagnostics.Diagnostics` and return it,
   never raising. This is what the pass manager and the lint CLI use.
 """
 
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Set
 
-from repro.core.analysis.diagnostics import Diagnostics
 from repro.core.ir.dialects import (
     TRAIT_ISOLATED,
     TRAIT_TERMINATOR,
@@ -36,6 +35,7 @@ from repro.core.ir.dialects import (
 )
 from repro.core.ir.module import Module
 from repro.core.ir.ops import Block, Operation, Value
+from repro.diagnostics import Diagnostics
 from repro.errors import VerificationError
 
 _REQUIRED_TERMINATORS = {

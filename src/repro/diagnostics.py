@@ -1,15 +1,19 @@
-"""Unified diagnostics for compile-time analyses.
+"""Unified diagnostics for every layer of the SDK.
 
-Every static check in the SDK — the structural verifier, the DSL type
-checker and the analyses under :mod:`repro.core.analysis` — reports
-through the same :class:`Diagnostic` record: a stable error code, a
-severity, a human message and an anchor naming the op / function /
-task the finding is about. A :class:`Diagnostics` collection renders
-to pretty text or JSON and decides process exit codes, so the CLI, the
-pass manager and CI all consume one format.
+Every static check — the structural verifier, the DSL type checker and
+the analyses under :mod:`repro.core.analysis` — and every coded
+runtime failure (simulator, journal, DSE) reports through the same
+:class:`Diagnostic` record: a stable error code, a severity, a human
+message and an anchor naming the op / function / task the finding is
+about. A :class:`Diagnostics` collection renders to pretty text or
+JSON and decides process exit codes, so the CLI, the pass manager and
+CI all consume one format.
 
 Error codes are registered centrally (:data:`CODES`) so they stay
 stable across releases and can be suppressed individually.
+
+This module is a leaf beside :mod:`repro.errors`: it imports nothing
+from ``repro``, so any layer can report without loading another.
 """
 
 from __future__ import annotations
@@ -77,7 +81,6 @@ CODES: Dict[str, str] = {
     "WF011": "producer and consumer disagree on a data object's dtype",
     # pass pipeline
     "PM001": "module became invalid after a pass",
-    "PM002": "analysis found errors after a pass",
     # design-space exploration
     "DSE001": "no feasible variants for the kernel",
     # static performance analysis
@@ -313,3 +316,19 @@ def raise_if_errors(diagnostics: Diagnostics, exc_type: type) -> None:
     exc = exc_type(diagnostics.first_error_message())
     exc.diagnostics = diagnostics
     raise exc
+
+
+def diagnosed_error(exc_type: type, code: str, message: str,
+                    anchor: str, analysis: str) -> Exception:
+    """An ``exc_type(message)`` carrying that one finding.
+
+    For failures found at run time rather than by a check: the caller
+    raises the returned exception, whose ``diagnostics`` attribute
+    gives tooling the stable code and anchor (same contract as
+    :func:`raise_if_errors`).
+    """
+    diagnostics = Diagnostics()
+    diagnostics.error(code, message, anchor=anchor, analysis=analysis)
+    exc = exc_type(message)
+    exc.diagnostics = diagnostics
+    return exc

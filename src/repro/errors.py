@@ -46,7 +46,7 @@ class AnalysisError(EverestError):
     """Static analysis reported blocking diagnostics.
 
     When raised by the analysis driver the ``diagnostics`` attribute
-    holds the full :class:`~repro.core.analysis.diagnostics.Diagnostics`
+    holds the full :class:`~repro.diagnostics.Diagnostics`
     collection that triggered it.
     """
 
@@ -68,7 +68,7 @@ class DSEError(EverestError):
 
     When raised for an empty feasible set (DSE001) the ``diagnostics``
     attribute holds the
-    :class:`~repro.core.analysis.diagnostics.Diagnostics` collection
+    :class:`~repro.diagnostics.Diagnostics` collection
     describing the finding.
     """
 

@@ -26,6 +26,8 @@ from repro.core.dsl.kernel_dsl import compile_kernel, kernel_names
 from repro.core.dsl.workflow import Pipeline
 from repro.errors import SpecificationError
 from repro.obs.context import Observation, observe, session
+from repro.platform.topology import build_reference_ecosystem
+from repro.runtime.orchestrator import Orchestrator
 
 
 def load_kernel_sources(path: str) -> List[str]:
@@ -110,9 +112,6 @@ def run_traced(
     ``journal``/``resume`` make the workflow stage durable and
     resumable (see :mod:`repro.workflow.journal`).
     """
-    from repro.platform.topology import build_reference_ecosystem
-    from repro.runtime.orchestrator import Orchestrator
-
     if clock not in ("logical", "wall"):
         raise SpecificationError(
             f"unknown trace clock {clock!r}; use logical or wall"

@@ -21,33 +21,12 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
+from repro.diagnostics import diagnosed_error
 from repro.errors import PlatformError
 from repro.utils.validation import check_non_negative, check_positive
 
 #: Tracer category for resource occupancy / queue-depth counters.
 RESOURCE_CATEGORY = "platform.resource"
-
-
-def _diagnosed_error(code: str, message: str, anchor: str
-                     ) -> PlatformError:
-    """A :class:`PlatformError` carrying a SIM00x diagnostic.
-
-    The exception type and message stay what they always were; the
-    attached ``diagnostics`` collection gives tooling the stable code
-    and anchor (same contract as :func:`~repro.core.analysis.
-    diagnostics.raise_if_errors`).
-    """
-    # imported lazily: the simulator must stay importable without
-    # pulling the whole analysis stack in
-    from repro.core.analysis.diagnostics import Diagnostics
-
-    diagnostics = Diagnostics()
-    diagnostics.error(
-        code, message, anchor=anchor, analysis="simulator"
-    )
-    exc = PlatformError(message)
-    exc.diagnostics = diagnostics
-    return exc
 
 
 class Event:
@@ -174,10 +153,10 @@ class SimResource:
     def release(self) -> None:
         """Return one unit; wakes the head of the queue if any."""
         if self.in_use <= 0:
-            raise _diagnosed_error(
-                "SIM001",
+            raise diagnosed_error(
+                PlatformError, "SIM001",
                 f"release of {self.name!r} without matching request",
-                anchor=self.name,
+                anchor=self.name, analysis="simulator",
             )
         self.in_use -= 1
         if self._queue:
@@ -264,11 +243,11 @@ class Simulator:
         process = self.process(gen, name)
         self.run()
         if not process.finished:
-            raise _diagnosed_error(
-                "SIM002",
+            raise diagnosed_error(
+                PlatformError, "SIM002",
                 f"process {process.name!r} deadlocked "
                 f"(simulation drained at t={self.now})",
-                anchor=process.name,
+                anchor=process.name, analysis="simulator",
             )
         return process.result
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.analysis.diagnostics import Diagnostics
+from repro.diagnostics import Diagnostics
 from repro.sanitize.vclock import VectorClock
 
 #: Tracer categories consumed by the checker.

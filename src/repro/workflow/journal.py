@@ -48,6 +48,7 @@ import os
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from repro.diagnostics import diagnosed_error
 from repro.errors import JournalError
 from repro.workflow.replay import (
     JOURNAL_CATEGORY,
@@ -72,19 +73,12 @@ FSYNC_MODES = ("always", "snapshot", "never")
 def journal_error(code: str, message: str, anchor: str) -> JournalError:
     """A :class:`JournalError` carrying a WF00x diagnostic.
 
-    Mirrors the simulator's diagnosed-error contract: the exception
-    message leads with the stable code and the attached
-    ``diagnostics`` collection gives tooling the code and anchor.
+    :func:`~repro.diagnostics.diagnosed_error` whose message leads
+    with the stable code, also kept in ``code``.
     """
-    # imported lazily: the journal must stay importable without the
-    # whole analysis stack
-    from repro.core.analysis.diagnostics import Diagnostics
-
-    diagnostics = Diagnostics()
-    diagnostics.error(code, message, anchor=anchor, analysis="journal")
-    exc = JournalError(f"{code}: {message}")
+    exc = diagnosed_error(JournalError, code, message, anchor, "journal")
+    exc.args = (f"{code}: {message}",)
     exc.code = code
-    exc.diagnostics = diagnostics
     return exc
 
 

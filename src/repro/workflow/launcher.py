@@ -40,13 +40,16 @@ import uuid
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional
 
+from repro.errors import JournalError
 from repro.obs import current_metrics
 from repro.workflow.jobstore import (
     JobRecord,
     JobStore,
     canonical_spec,
 )
+from repro.workflow.recovery import ResilientServer
 from repro.workflow.runstore import RunStore
+from repro.workflow.scheduler import make_policy
 from repro.workflow.worker import Worker
 
 #: Run-store ``kind`` for journaled service job executions.
@@ -72,9 +75,13 @@ def _worker_pool(count: int) -> List[Worker]:
     ]
 
 
+# ``repro.chaos`` is imported inside the two functions that use it:
+# the packages depend on each other (the engine consumes chaos.faults
+# and chaos.schedule, the chaos generators consume workflow.graph), so
+# at the top of this module ``import repro.chaos`` would find itself
+# half-initialised.
 def _graph_job(spec: Dict) -> Dict:
     from repro.chaos import random_task_graph
-    from repro.workflow.recovery import ResilientServer
 
     graph = random_task_graph(
         int(spec.get("seed", 0)),
@@ -109,8 +116,6 @@ def chaos_run(recipe: Mapping, journal=None, resume=None):
         generate_schedule,
         random_task_graph,
     )
-    from repro.workflow.recovery import ResilientServer
-    from repro.workflow.scheduler import make_policy
 
     graph = random_task_graph(
         int(recipe["graph_seed"]), num_tasks=int(recipe["tasks"]),
@@ -223,8 +228,6 @@ class Launcher:
 
     def _durable_chaos(self, job: JobRecord, spec: Dict,
                        store: JobStore) -> Dict:
-        from repro.errors import JournalError
-
         run_id = job.run_id or f"job-{job.id}"
         try:
             self.run_store.run_dir(run_id)

@@ -7,9 +7,9 @@ import pytest
 
 from repro.cli import main
 from repro.core.analysis import (
-    ConcurrencyTask,
     Diagnostics,
     ResourceSpec,
+    TaskSpec,
     analyze_concurrency,
     check_task_graph_concurrency,
     lint_concurrency_spec,
@@ -26,9 +26,9 @@ def codes(diagnostics):
 class TestRaces:
     def test_unordered_writers_are_race001(self):
         diags = analyze_concurrency([
-            ConcurrencyTask("produce", writes=["acc"]),
-            ConcurrencyTask("upd_a", updates=["acc"]),
-            ConcurrencyTask("upd_b", updates=["acc"]),
+            TaskSpec("produce", outputs=["acc"]),
+            TaskSpec("upd_a", updates=["acc"]),
+            TaskSpec("upd_b", updates=["acc"]),
         ])
         assert codes(diags) == ["RACE001"]
         assert "upd_a" in diags.items[0].message
@@ -37,25 +37,25 @@ class TestRaces:
     def test_ordered_writers_are_clean(self):
         # chain: produce -> refine (reads acc, writes refined)
         diags = analyze_concurrency([
-            ConcurrencyTask("produce", writes=["acc"]),
-            ConcurrencyTask("refine", reads=["acc"],
-                            writes=["refined"]),
+            TaskSpec("produce", outputs=["acc"]),
+            TaskSpec("refine", inputs=["acc"],
+                     outputs=["refined"]),
         ])
         assert len(diags) == 0
 
     def test_reader_vs_unordered_writer_is_race002(self):
         diags = analyze_concurrency([
-            ConcurrencyTask("produce", writes=["acc"]),
-            ConcurrencyTask("upd", updates=["acc"]),
-            ConcurrencyTask("read", reads=["acc"]),
+            TaskSpec("produce", outputs=["acc"]),
+            TaskSpec("upd", updates=["acc"]),
+            TaskSpec("read", inputs=["acc"]),
         ])
         assert codes(diags) == ["RACE002"]
 
     def test_torn_multi_object_read_is_race003(self):
         diags = analyze_concurrency([
-            ConcurrencyTask("produce", writes=["left", "right"]),
-            ConcurrencyTask("rebalance", updates=["left", "right"]),
-            ConcurrencyTask("snapshot", reads=["left", "right"]),
+            TaskSpec("produce", outputs=["left", "right"]),
+            TaskSpec("rebalance", updates=["left", "right"]),
+            TaskSpec("snapshot", inputs=["left", "right"]),
         ])
         assert "RACE003" in codes(diags)
         torn = [i for i in diags if i.code == "RACE003"]
@@ -64,27 +64,27 @@ class TestRaces:
 
     def test_order_sensitive_tie_is_race004(self):
         diags = analyze_concurrency([
-            ConcurrencyTask("p1", writes=["x"], duration_s=1.0),
-            ConcurrencyTask("p2", writes=["y"], duration_s=1.0),
-            ConcurrencyTask("merge", reads=["x", "y"],
-                            order_sensitive=True),
+            TaskSpec("p1", outputs=["x"], duration_s=1.0),
+            TaskSpec("p2", outputs=["y"], duration_s=1.0),
+            TaskSpec("merge", inputs=["x", "y"],
+                     order_sensitive=True),
         ])
         assert codes(diags) == ["RACE004"]
 
     def test_unequal_priorities_silence_race004(self):
         diags = analyze_concurrency([
-            ConcurrencyTask("p1", writes=["x"], duration_s=1.0),
-            ConcurrencyTask("p2", writes=["y"], duration_s=2.0),
-            ConcurrencyTask("merge", reads=["x", "y"],
-                            order_sensitive=True),
+            TaskSpec("p1", outputs=["x"], duration_s=1.0),
+            TaskSpec("p2", outputs=["y"], duration_s=2.0),
+            TaskSpec("merge", inputs=["x", "y"],
+                     order_sensitive=True),
         ])
         assert len(diags) == 0
 
     def test_order_insensitive_merge_is_clean(self):
         diags = analyze_concurrency([
-            ConcurrencyTask("p1", writes=["x"], duration_s=1.0),
-            ConcurrencyTask("p2", writes=["y"], duration_s=1.0),
-            ConcurrencyTask("merge", reads=["x", "y"]),
+            TaskSpec("p1", outputs=["x"], duration_s=1.0),
+            TaskSpec("p2", outputs=["y"], duration_s=1.0),
+            TaskSpec("merge", inputs=["x", "y"]),
         ])
         assert len(diags) == 0
 
@@ -93,8 +93,8 @@ class TestDeadlocks:
     def test_lock_order_inversion_is_dl001(self):
         diags = analyze_concurrency(
             [
-                ConcurrencyTask("t1", acquires=[("r1", 1), ("r2", 1)]),
-                ConcurrencyTask("t2", acquires=[("r2", 1), ("r1", 1)]),
+                TaskSpec("t1", acquires=[("r1", 1), ("r2", 1)]),
+                TaskSpec("t2", acquires=[("r2", 1), ("r1", 1)]),
             ],
             [ResourceSpec("r1"), ResourceSpec("r2")],
         )
@@ -103,8 +103,8 @@ class TestDeadlocks:
     def test_consistent_order_is_clean(self):
         diags = analyze_concurrency(
             [
-                ConcurrencyTask("t1", acquires=[("r1", 1), ("r2", 1)]),
-                ConcurrencyTask("t2", acquires=[("r1", 1), ("r2", 1)]),
+                TaskSpec("t1", acquires=[("r1", 1), ("r2", 1)]),
+                TaskSpec("t2", acquires=[("r1", 1), ("r2", 1)]),
             ],
             [ResourceSpec("r1"), ResourceSpec("r2")],
         )
@@ -114,10 +114,10 @@ class TestDeadlocks:
         # t2 depends on t1, so the inverted order can never interleave
         diags = analyze_concurrency(
             [
-                ConcurrencyTask("t1", writes=["x"],
-                                acquires=[("r1", 1), ("r2", 1)]),
-                ConcurrencyTask("t2", reads=["x"],
-                                acquires=[("r2", 1), ("r1", 1)]),
+                TaskSpec("t1", outputs=["x"],
+                         acquires=[("r1", 1), ("r2", 1)]),
+                TaskSpec("t2", inputs=["x"],
+                         acquires=[("r2", 1), ("r1", 1)]),
             ],
             [ResourceSpec("r1"), ResourceSpec("r2")],
         )
@@ -125,22 +125,22 @@ class TestDeadlocks:
 
     def test_overcapacity_request_is_dl002(self):
         diags = analyze_concurrency(
-            [ConcurrencyTask("greedy", acquires=[("r", 3)])],
+            [TaskSpec("greedy", acquires=[("r", 3)])],
             [ResourceSpec("r", 2)],
         )
         assert codes(diags) == ["DL002"]
 
     def test_unknown_resource_is_dl002(self):
         diags = analyze_concurrency(
-            [ConcurrencyTask("ghostly", acquires=[("phantom", 1)])],
+            [TaskSpec("ghostly", acquires=[("phantom", 1)])],
         )
         assert codes(diags) == ["DL002"]
 
     def test_hold_and_wait_exhaustion_is_dl003(self):
         diags = analyze_concurrency(
             [
-                ConcurrencyTask("left", acquires=[("pool", 2)]),
-                ConcurrencyTask("right", acquires=[("pool", 2)]),
+                TaskSpec("left", acquires=[("pool", 2)]),
+                TaskSpec("right", acquires=[("pool", 2)]),
             ],
             [ResourceSpec("pool", 2)],
         )
@@ -149,8 +149,8 @@ class TestDeadlocks:
     def test_ample_capacity_is_clean(self):
         diags = analyze_concurrency(
             [
-                ConcurrencyTask("left", acquires=[("pool", 2)]),
-                ConcurrencyTask("right", acquires=[("pool", 2)]),
+                TaskSpec("left", acquires=[("pool", 2)]),
+                TaskSpec("right", acquires=[("pool", 2)]),
             ],
             [ResourceSpec("pool", 4)],
         )
@@ -159,10 +159,10 @@ class TestDeadlocks:
     def test_ordered_claimants_cannot_exhaust(self):
         diags = analyze_concurrency(
             [
-                ConcurrencyTask("left", writes=["x"],
-                                acquires=[("pool", 2)]),
-                ConcurrencyTask("right", reads=["x"],
-                                acquires=[("pool", 2)]),
+                TaskSpec("left", outputs=["x"],
+                         acquires=[("pool", 2)]),
+                TaskSpec("right", inputs=["x"],
+                         acquires=[("pool", 2)]),
             ],
             [ResourceSpec("pool", 2)],
         )
@@ -170,10 +170,10 @@ class TestDeadlocks:
 
     def test_checks_filter(self):
         tasks = [
-            ConcurrencyTask("produce", writes=["acc"]),
-            ConcurrencyTask("upd_a", updates=["acc"]),
-            ConcurrencyTask("upd_b", updates=["acc"]),
-            ConcurrencyTask("greedy", acquires=[("r", 3)]),
+            TaskSpec("produce", outputs=["acc"]),
+            TaskSpec("upd_a", updates=["acc"]),
+            TaskSpec("upd_b", updates=["acc"]),
+            TaskSpec("greedy", acquires=[("r", 3)]),
         ]
         race_only = analyze_concurrency(
             tasks, [ResourceSpec("r", 2)], checks=["race"]
@@ -215,13 +215,57 @@ class TestAdapters:
         })
         assert codes(diags) == ["DL002"]
 
+    @pytest.mark.parametrize(
+        "tasks,resources,malformed,findings",
+        [
+            ([{"name": "stall", "acquires": [[]]}], [],
+             ["spec/tasks[0]"], ["RACE001"]),
+            ([{"name": "stall", "acquires": "dma"}], [],
+             ["spec/tasks[0]"], ["RACE001"]),
+            ([7, {"name": "slow", "duration_s": "long"}], [],
+             ["spec/tasks[0]", "spec/tasks[1]"], ["RACE001"]),
+            ([{"name": "greedy", "acquires": [["role", 3]]}],
+             ["role", {"name": "role", "capacity": 2}],
+             ["spec/resources[0]"], ["DL002", "RACE001"]),
+            ([{"name": "greedy", "acquires": [["role", 3]]}],
+             [{"name": "role", "capacity": "two"}],
+             ["spec/resources[0]"], ["DL002", "RACE001"]),
+        ],
+    )
+    def test_spec_adapter_reports_malformed_entries_and_goes_on(
+        self, tasks, resources, malformed, findings
+    ):
+        racy = [
+            {"name": "produce", "outputs": ["acc"]},
+            {"name": "upd_a", "updates": ["acc"]},
+            {"name": "upd_b", "updates": ["acc"]},
+        ]
+        diags = lint_concurrency_spec({  # never raises
+            "name": "spec", "resources": resources,
+            "tasks": tasks + racy,
+        })
+        loader = [item for item in diags if item.code == "DSL001"]
+        assert [item.anchor for item in loader] == malformed
+        assert {item.analysis for item in loader} == {"loader"}
+        assert [c for c in codes(diags) if c != "DSL001"] == findings
+
+    def test_both_spec_lints_share_one_report_per_entry(self):
+        from repro.core.analysis import lint_workflow_spec
+
+        spec = {"name": "spec", "tasks": [
+            3, {"name": "t", "outputs": ["a"]}]}
+        diags = Diagnostics()
+        lint_workflow_spec(spec, diags)
+        lint_concurrency_spec(spec, diags)
+        assert [item.anchor for item in diags] == ["spec/tasks[0]"]
+
     def test_diagnostics_carry_analysis_and_anchor(self):
         diags = Diagnostics()
         analyze_concurrency(
             [
-                ConcurrencyTask("produce", writes=["acc"]),
-                ConcurrencyTask("upd_a", updates=["acc"]),
-                ConcurrencyTask("upd_b", updates=["acc"]),
+                TaskSpec("produce", outputs=["acc"]),
+                TaskSpec("upd_a", updates=["acc"]),
+                TaskSpec("upd_b", updates=["acc"]),
             ],
             name="wf",
             diagnostics=diags,

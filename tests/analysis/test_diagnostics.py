@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core.analysis.diagnostics import (
+from repro.diagnostics import (
     CODES,
     Diagnostics,
     Severity,

@@ -69,6 +69,41 @@ class TestExitCodes:
             for item in payload["diagnostics"]
         )
 
+    @pytest.mark.parametrize(
+        "fixture,malformed,findings",
+        [
+            ("malformed_entries.json",
+             ["malformed-entries/tasks[0]", "malformed-entries/tasks[1]"],
+             {"WF001"}),
+            ("malformed_sections.json",
+             ["workflow/resources", "workflow/tasks",
+              "workflow/workers[0]"],
+             set()),
+            ("malformed_acquires.json",
+             ["malformed-acquires/resources[1]",
+              "malformed-acquires/tasks[0]"],
+             {"DL002", "RACE001"}),
+        ],
+    )
+    def test_malformed_entries_exit_two_and_keep_the_findings(
+        self, capsys, fixture, malformed, findings
+    ):
+        path = os.path.join(FIXTURES, fixture)
+        assert run_lint(path, "--format", "json") == 2
+        items = json.loads(capsys.readouterr().out)["diagnostics"]
+        loader = [item for item in items if item["code"] == "DSL001"]
+        # one per malformed entry, however many analyses read the spec
+        assert [item["anchor"] for item in loader] == malformed
+        assert {item["analysis"] for item in loader} == {"loader"}
+        # the well-formed entries are still linted
+        assert {item["code"] for item in items} - {"DSL001"} == findings
+        # and the message names a field, not a Python exception
+        assert not any(
+            fragment in item["message"] for item in items
+            for fragment in ("cannot lint target", "has no attribute",
+                             "out of range")
+        )
+
     def test_unloadable_spec_exits_two(self, capsys):
         path = os.path.join(FIXTURES, "bad_kernel.edsl")
         assert run_lint(path, "--format", "json") == 2

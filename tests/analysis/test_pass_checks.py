@@ -2,13 +2,11 @@
 
 import pytest
 
-from repro.core.analysis.diagnostics import Diagnostics
 from repro.core.dsl.kernel_dsl import compile_kernel
 from repro.core.ir.passes import Pass, PassManager
 from repro.core.ir.types import F32
+from repro.diagnostics import Diagnostics
 from repro.errors import AnalysisError, PassError
-
-from tests.analysis.conftest import new_function
 
 SRC = """
 kernel f(X: tensor<8xf32>) -> tensor<8xf32> {
@@ -67,35 +65,6 @@ class TestVerifyEach:
         manager = PassManager(verify_each=False)
         manager.add(DropTerminatorPass())
         manager.run(module)  # no exception: nothing checked
-
-
-class TestLintEach:
-    def _leaky_module(self):
-        from repro.core.ir.module import Module
-
-        module = Module("m")
-        function, b = new_function(module, "leak", [F32], [F32])
-        (x,) = function.arguments
-        tainted = b.create(
-            "secure.taint", [x], [F32], {"label": "pii"}
-        ).result
-        b.ret([tainted])
-        return module
-
-    def test_lint_each_catches_policy_violation(self):
-        manager = PassManager(verify_each=True, lint_each=True)
-        manager.add(NoOpPass())
-        with pytest.raises(PassError, match="SEC001"):
-            manager.run(self._leaky_module())
-        pm_codes = {item.code for item in manager.diagnostics}
-        assert "PM002" in pm_codes
-
-    def test_lint_each_accumulates_warnings(self):
-        module = compile_kernel(SRC)
-        manager = PassManager(verify_each=True, lint_each=True)
-        manager.add(NoOpPass()).add(NoOpPass())
-        manager.run(module)
-        assert not manager.diagnostics.has_errors
 
 
 class TestCompilerGate:

@@ -28,13 +28,12 @@ from repro.core.analysis.perf import (
     BufferInfo,
     NestBounds,
     StaticBounds,
-    bound_for,
     check_module_perf,
     clear_bounds_memo,
     compute_kernel_bounds,
     kernel_bounds,
 )
-from repro.core.dse.cost_model import ArchitectureModel
+from repro.core.dse.cost_model import ArchitectureModel, bound_for
 from repro.core.ir import module_digest
 from repro.core.variants import VariantKnobs
 

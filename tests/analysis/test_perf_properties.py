@@ -26,13 +26,13 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.core.analysis.perf import (  # noqa: E402
     _structure_preserving,
-    bound_for,
     compute_kernel_bounds,
     fpga_cycles_lower_bound,
     nest_floors,
 )
 from repro.core.dse.cost_model import (  # noqa: E402
     ArchitectureModel,
+    bound_for,
     evaluate_variant,
     prepare_variant_module,
 )

@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from repro.core.analysis.wfcheck import (
     TaskSpec,
     WorkerSpec,
@@ -79,6 +81,74 @@ class TestDefectClasses:
             [TaskSpec("t", inputs=["a"], outputs=["a"])]
         )
         assert "WF001" in _codes(diagnostics)
+
+
+class TestMalformedSpecs:
+    """A malformed entry is one DSL001; the rest is still linted."""
+
+    CYCLE = [
+        {"name": "p", "inputs": ["z"], "outputs": ["y"]},
+        {"name": "q", "inputs": ["y"], "outputs": ["z"]},
+    ]
+
+    @pytest.mark.parametrize(
+        "spec,malformed,findings",
+        [
+            ({"name": "x", "tasks": [1] + CYCLE},
+             {"x/tasks[0]": "entry must be an object, not int"},
+             ["WF001"]),
+            ({"name": "x", "tasks": CYCLE + [
+                {"name": "t", "inputs": "raw", "outputs": ["a"],
+                 "cpus": "two"}]},
+             {"x/tasks[2]": "'inputs' must be a list of names; "
+                            "'cpus' must be an integer"},
+             ["WF001"]),
+            ({"tasks": {"t": {}}, "workers": [3]},
+             {"workflow/tasks":
+                  "'tasks' must be a list of objects, not dict",
+              "workflow/workers[0]": "entry must be an object, not int"},
+             []),
+            ({"tasks": CYCLE, "workers": [{"cpus": []}],
+              "externals": "raw"},
+             {"workflow/workers[0]": "'cpus' must be an integer",
+              "workflow/externals":
+                  "'externals' must be a list of names"},
+             ["WF001"]),
+            ({"tasks": [{"name": "t", "outputs": 5,
+                         "types": {"a": {"shape": ["n"]}}}]},
+             {"workflow/tasks[0]": "'outputs' must be a list of names"},
+             []),
+        ],
+    )
+    def test_one_dsl001_per_malformed_entry(
+        self, spec, malformed, findings
+    ):
+        diagnostics = lint_workflow_spec(spec)  # never raises
+        loader = {
+            item.anchor: item.message for item in diagnostics
+            if item.code == "DSL001"
+        }
+        assert loader == malformed
+        assert len(loader) == sum(
+            item.code == "DSL001" for item in diagnostics)
+        assert all(
+            item.analysis == "loader" for item in diagnostics
+            if item.code == "DSL001"
+        )
+        assert [
+            code for code in _codes(diagnostics) if code != "DSL001"
+        ] == findings
+
+    def test_a_bare_string_is_not_read_as_its_characters(self):
+        spec = {"externals": ["raw"], "tasks": [
+            {"name": "t", "inputs": "raw", "outputs": ["a"]}]}
+        assert _codes(lint_workflow_spec(spec)) == ["DSL001"]
+
+    def test_null_reads_as_absent(self):
+        spec = {"externals": None, "tasks": [
+            {"name": "t", "inputs": None, "outputs": ["a"],
+             "cpus": None}]}
+        assert not lint_workflow_spec(spec).items
 
 
 class TestUpdatesAreDependencies:

@@ -106,10 +106,10 @@ class TestGuardsAndFallbacks:
     def test_missing_bounds_fall_back_to_plain(
         self, gemm_module, monkeypatch
     ):
-        from repro.core.analysis import perf as perf_module
+        from repro.core.dse import explorer as explorer_module
 
         monkeypatch.setattr(
-            perf_module, "kernel_bounds", lambda *a, **k: None
+            explorer_module, "kernel_bounds", lambda *a, **k: None
         )
         explorer = Explorer(
             gemm_module, "gemm", space=space_16(), bound_guided=True,

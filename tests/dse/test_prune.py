@@ -10,8 +10,9 @@ exact same infeasibility verdicts.
 
 import pytest
 
+from repro.core.analysis.absint import function_facts, partition_conflict
 from repro.core.dse.explorer import Explorer
-from repro.core.dse.space import DesignSpace, static_conflict
+from repro.core.dse.space import DesignSpace
 from repro.core.ir.builder import Builder
 from repro.core.ir.module import Module
 from repro.core.ir.types import F32, FunctionType, MemRefType
@@ -51,19 +52,17 @@ def _space():
 
 class TestStaticConflict:
     def test_conflict_reason_matches_the_cost_model_wording(self):
-        from repro.core.analysis.absint import function_facts
-
         module = _partitioned_module()
         facts = function_facts(module, "k")
-        reason = static_conflict(
-            VariantKnobs(target="fpga", unroll=8), facts)
+        reason = partition_conflict(
+            facts, VariantKnobs(target="fpga", unroll=8))
         assert reason is not None
         assert reason.startswith("partition: ")
         assert "16 ports" in reason and "provides 4" in reason
 
     def test_no_facts_means_no_conflict(self):
-        assert static_conflict(
-            VariantKnobs(target="fpga", unroll=8), None) is None
+        assert partition_conflict(
+            None, VariantKnobs(target="fpga", unroll=8)) is None
 
 
 @pytest.mark.parametrize("strategy", ["exhaustive", "random"])
