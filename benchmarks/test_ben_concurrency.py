@@ -13,7 +13,6 @@ from __future__ import annotations
 import time
 
 from repro.chaos import ChaosConfig, generate_schedule
-from repro.chaos.graphgen import random_task_graph
 from repro.core.analysis import (
     ResourceSpec,
     TaskSpec,
@@ -23,6 +22,7 @@ from repro.core.analysis import (
 from repro.obs import observe, session
 from repro.sanitize import sanitize_tracer
 from repro.utils.tables import Table
+from repro.workflow.graph import random_task_graph
 from repro.workflow.recovery import ResilientServer
 from repro.workflow.worker import Worker
 

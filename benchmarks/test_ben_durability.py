@@ -113,7 +113,7 @@ def test_journaling_overhead_under_10_percent(tmp_path, benchmark):
         f"(budget: 10%)"
     )
     # the fsync-bearing modes pay host-dependent disk latency on a
-    # handful of syncs (header, snapshots, checkpoints, finish /
+    # handful of syncs (header, snapshots, finish /
     # every record) — keep them sane, not to the 10% budget
     assert overheads["snapshot"] < 1.0
     assert overheads["always"] < 3.0

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 from repro.chaos.faults import (
     ANY_LINK,
@@ -27,7 +27,11 @@ from repro.chaos.faults import (
     WorkerCrash,
 )
 from repro.errors import ChaosError
-from repro.workflow.graph import TaskGraph
+
+if TYPE_CHECKING:
+    # for the annotation alone: the engine imports this module, so the
+    # fault vocabulary loads nothing from the workflow package
+    from repro.workflow.graph import TaskGraph
 
 Fault = Union[WorkerCrash, LinkFault, ReconfigFault, StragglerFault,
               TaskFault]

@@ -805,7 +805,6 @@ def cmd_runs(args: argparse.Namespace) -> int:
         table.add_row("task completions", state.total_completions())
         table.add_row("faults seen", state.faults)
         table.add_row("recoveries", state.recoveries)
-        table.add_row("checkpoints", len(state.checkpoints))
         table.add_row("sim time s", f"{state.last_time:.4f}")
         table.add_row("digest", state.digest or "-")
         for key, value in sorted(meta.get("meta", {}).items()):

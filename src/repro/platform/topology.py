@@ -1,18 +1,17 @@
 """Ecosystem topology: end-point devices, inner edge, core cloud (Fig. 3).
 
 The :class:`Ecosystem` holds nodes assigned to tiers and the links
-between them, backed by a networkx graph. It answers the questions the
-runtime scheduler asks: what does it cost (time, energy) to move a data
-object from where it is to where a task wants to run, and which nodes
-sit in which tier.
+between them as a plain adjacency (``{node: {neighbour: Link}}``); a
+route is the fewest-hops path a breadth-first search finds. It answers
+the questions the runtime scheduler asks: what does it cost (time,
+energy) to move a data object from where it is to where a task wants
+to run, and which nodes sit in which tier.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, List, Optional, Tuple
-
-import networkx as nx
+from typing import Dict, Iterable, List, Tuple
 
 from repro.errors import PlatformError
 from repro.platform.interconnect import (
@@ -43,7 +42,9 @@ class Ecosystem:
 
     def __init__(self, name: str = "everest"):
         self.name = name
-        self.graph = nx.Graph()
+        #: node -> {neighbour: the link between them}, both directions,
+        #: neighbours in the order they were connected.
+        self._links: Dict[str, Dict[str, Link]] = {}
         self.nodes: Dict[str, Node] = {}
         self.tiers: Dict[str, Tier] = {}
         # Chaos overlay: transient link state keyed by the unordered
@@ -58,7 +59,7 @@ class Ecosystem:
             raise PlatformError(f"duplicate node name {node.name!r}")
         self.nodes[node.name] = node
         self.tiers[node.name] = tier
-        self.graph.add_node(node.name, tier=tier)
+        self._links[node.name] = {}
         return node
 
     def connect(self, a: str, b: str, link: Link) -> None:
@@ -66,7 +67,8 @@ class Ecosystem:
         for name in (a, b):
             if name not in self.nodes:
                 raise PlatformError(f"unknown node {name!r}")
-        self.graph.add_edge(a, b, link=link)
+        self._links[a][b] = link
+        self._links[b][a] = link
 
     def nodes_in_tier(self, tier: Tier) -> List[Node]:
         """All nodes assigned to ``tier``."""
@@ -78,9 +80,10 @@ class Ecosystem:
 
     def link_between(self, a: str, b: str) -> Link:
         """The direct link between two nodes."""
-        if not self.graph.has_edge(a, b):
+        link = self._links.get(a, {}).get(b)
+        if link is None:
             raise PlatformError(f"no direct link between {a!r} and {b!r}")
-        return self.graph.edges[a, b]["link"]
+        return link
 
     # -- chaos overlay: degradation and partition ----------------------
 
@@ -126,13 +129,6 @@ class Ecosystem:
         """True while the direct link is severed."""
         return self._pair(a, b) in self._partitioned
 
-    def _routing_graph(self) -> nx.Graph:
-        if not self._partitioned:
-            return self.graph
-        return nx.restricted_view(
-            self.graph, [], [tuple(pair) for pair in self._partitioned]
-        )
-
     def _hop_time(self, a: str, b: str, num_bytes: int) -> float:
         link = self.link_between(a, b)
         factor, extra_latency = self.link_state(a, b)
@@ -149,14 +145,24 @@ class Ecosystem:
 
     def path(self, source: str, target: str) -> List[str]:
         """Shortest (fewest-hops) node path avoiding partitioned links."""
-        try:
-            return nx.shortest_path(
-                self._routing_graph(), source, target
-            )
-        except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
-            raise PlatformError(
-                f"no path between {source!r} and {target!r}"
-            ) from exc
+        came_from = {source: None}
+        frontier = [source] if target in self._links else []
+        for node in frontier:  # grows while it is walked: a FIFO queue
+            if node == target:
+                hops = []
+                while node is not None:
+                    hops.append(node)
+                    node = came_from[node]
+                return hops[::-1]
+            for neighbour in self._links.get(node, ()):
+                if (neighbour not in came_from
+                        and self._pair(node, neighbour)
+                        not in self._partitioned):
+                    came_from[neighbour] = node
+                    frontier.append(neighbour)
+        raise PlatformError(
+            f"no path between {source!r} and {target!r}"
+        )
 
     def transfer_time(self, source: str, target: str, num_bytes: int
                       ) -> float:
@@ -206,8 +212,12 @@ class Ecosystem:
 
     def all_links(self) -> Iterable[Tuple[str, str, Link]]:
         """Iterate over (a, b, link) triples."""
-        for a, b, data in self.graph.edges(data=True):
-            yield a, b, data["link"]
+        listed = set()
+        for a, neighbours in self._links.items():
+            for b, link in neighbours.items():
+                if b not in listed:
+                    yield a, b, link
+            listed.add(a)
 
 
 def build_reference_ecosystem(

@@ -34,7 +34,6 @@ from repro.workflow.journal import (
     RunJournal,
     read_records,
     replay_journal,
-    rollback_journal,
 )
 from repro.workflow.replay import PayloadSkipper, ReplayState
 from repro.workflow.runstore import RunInfo, RunStore, default_runs_dir
@@ -73,7 +72,6 @@ __all__ = [
     "RunInfo",
     "read_records",
     "replay_journal",
-    "rollback_journal",
     "default_runs_dir",
     "JobStore",
     "JobSpec",

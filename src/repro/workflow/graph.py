@@ -10,12 +10,18 @@ depends on A when B reads or updates an object A produces*) and the
 graph queries live in :mod:`repro.utils.dag`, shared with the DAG
 linter and the concurrency analyzer. The graph keeps the rule's
 result as an index, built on the first query after a change.
+
+:func:`random_task_graph` is the seeded generator the chaos property
+tests, the service's ``graph`` / ``chaos`` jobs and the benchmarks
+draw their graphs from: shape, durations and object sizes are fully
+determined by an integer seed.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -236,3 +242,47 @@ class TaskGraph:
 
     def __len__(self) -> int:
         return len(self.tasks)
+
+
+def random_task_graph(
+    seed: int,
+    num_tasks: int = 12,
+    num_inputs: int = 2,
+    max_fan_in: int = 3,
+    max_cpus: int = 2,
+    min_duration_s: float = 0.2,
+    max_duration_s: float = 1.5,
+    max_object_bytes: int = 2_000_000,
+) -> TaskGraph:
+    """A random DAG of ``num_tasks`` tasks, deterministic in ``seed``.
+
+    Tasks consume objects produced earlier (or external inputs), so the
+    result is acyclic by construction; every earlier object remains a
+    candidate input, producing the mix of chains, fans and diamonds the
+    chaos invariants should hold over.
+    """
+    rng = random.Random(seed)
+    graph = TaskGraph(f"chaos-graph-{seed}")
+    available = []
+    for index in range(num_inputs):
+        name = f"in{index}"
+        graph.add_object(DataObject(
+            name, size_bytes=rng.randrange(10_000, max_object_bytes)
+        ))
+        available.append(name)
+    for index in range(num_tasks):
+        fan_in = rng.randint(1, min(max_fan_in, len(available)))
+        inputs = rng.sample(available, fan_in)
+        output = f"o{index}"
+        graph.add_task(WorkflowTask(
+            f"t{index}",
+            inputs=inputs,
+            outputs=[output],
+            duration_s=rng.uniform(min_duration_s, max_duration_s),
+            cpus=rng.randint(1, max_cpus),
+        ))
+        graph.set_object_size(
+            output, rng.randrange(10_000, max_object_bytes)
+        )
+        available.append(output)
+    return graph

@@ -35,9 +35,8 @@ with ``WF008``.
 
 Periodic snapshots (``snapshot-<seq>.json`` beside the journal)
 capture the folded :class:`ReplayState` so resume cost is O(tail),
-not O(history); :meth:`RunJournal.checkpoint` places a named marker +
-snapshot around risky tasks and :func:`rollback_journal` truncates
-the run back to one.
+not O(history). They are the only recovery point a run directory
+holds: recovery is re-execution from the newest one, never a rewind.
 """
 
 from __future__ import annotations
@@ -301,45 +300,6 @@ def replay_journal(directory, use_snapshots: bool = True
     return state, info
 
 
-def rollback_journal(directory, label: str) -> ReplayState:
-    """Truncate a run back to checkpoint ``label``.
-
-    Rewrites the journal to end at the (last) checkpoint record with
-    that label, drops snapshots taken after it, and returns the state
-    at the checkpoint. Raises ``WF007``-style :class:`JournalError`
-    when the label does not exist.
-    """
-    directory = Path(directory)
-    path = directory / JOURNAL_FILE
-    records, _torn = read_records(path)
-    cut = None
-    for record in records:
-        if (record["type"] == "checkpoint"
-                and record["data"].get("label") == label):
-            cut = record["seq"]
-    if cut is None:
-        raise journal_error(
-            "WF007",
-            f"rollback target {label!r} is not a checkpoint in this "
-            f"journal",
-            anchor=str(path),
-        )
-    kept = [r for r in records if r["seq"] <= cut]
-    tmp = path.with_suffix(".tmp")
-    with open(tmp, "w", encoding="utf-8") as handle:
-        for record in kept:
-            handle.write(encode_record(
-                record["seq"], record["type"], record["data"]
-            ) + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    for seq, snap in list_snapshots(directory):
-        if seq > cut:
-            snap.unlink()
-    return replay_records(kept)
-
-
 # ---------------------------------------------------------------------------
 # the writer facade the servers drive
 
@@ -358,9 +318,9 @@ class RunJournal:
 
     ``fsync`` policies: ``"always"`` fsyncs every append (survives OS
     crashes), ``"snapshot"`` (default) flushes every append — a torn
-    tail is the worst a *process* crash can do — and fsyncs at
-    snapshots, checkpoints and finish; ``"never"`` fsyncs only on
-    close.
+    tail is the worst a *process* crash can do — and fsyncs at the
+    header, at snapshots and at finish, so an *OS* crash loses at most
+    ``snapshot_every`` events; ``"never"`` fsyncs only on close.
     """
 
     def __init__(self, directory, snapshot_every: int = 100,
@@ -465,7 +425,7 @@ class RunJournal:
                 and self._since_snapshot >= self.snapshot_every):
             self.snapshot()
 
-    # -- snapshots and checkpoints -------------------------------------
+    # -- snapshots -----------------------------------------------------
 
     def _journal_instant(self, name: str, **args) -> None:
         """Surface journal bookkeeping in the run's trace
@@ -494,39 +454,6 @@ class RunJournal:
         self._journal_instant("snapshot", seq=covered,
                               events=self.state.events)
         return covered
-
-    def checkpoint(self, label: str) -> int:
-        """Named marker + snapshot around a risky region.
-
-        Returns the checkpoint record's seq; `rollback_to_checkpoint`
-        truncates the run back to it.
-        """
-        covered = self._seq - 1
-        write_snapshot(self.directory, covered, self.state)
-        seq = self.append(
-            "checkpoint", {"label": label, "seq": covered}, sync=True
-        )
-        self._since_snapshot = 0
-        self._journal_instant("checkpoint", label=label, seq=seq)
-        return seq
-
-    def rollback_to_checkpoint(self, label: str) -> ReplayState:
-        """Discard everything after checkpoint ``label``.
-
-        The journal is truncated, later snapshots are deleted, and the
-        in-memory state resets to the checkpoint; appends continue
-        from there.
-        """
-        if self._handle is not None:
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-            self._handle.close()
-            self._handle = None
-        state = rollback_journal(self.directory, label)
-        self.state = state
-        self._seq = state.last_seq + 1
-        self._since_snapshot = 0
-        return state
 
     def finish(self, digest: str, makespan: float = 0.0) -> None:
         """Mark the run complete with its final trace digest."""

@@ -40,8 +40,10 @@ import uuid
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional
 
+from repro.chaos.schedule import ChaosConfig, generate_schedule
 from repro.errors import JournalError
 from repro.obs import current_metrics
+from repro.workflow.graph import random_task_graph
 from repro.workflow.jobstore import (
     JobRecord,
     JobStore,
@@ -75,14 +77,7 @@ def _worker_pool(count: int) -> List[Worker]:
     ]
 
 
-# ``repro.chaos`` is imported inside the two functions that use it:
-# the packages depend on each other (the engine consumes chaos.faults
-# and chaos.schedule, the chaos generators consume workflow.graph), so
-# at the top of this module ``import repro.chaos`` would find itself
-# half-initialised.
 def _graph_job(spec: Dict) -> Dict:
-    from repro.chaos import random_task_graph
-
     graph = random_task_graph(
         int(spec.get("seed", 0)),
         num_tasks=int(spec.get("tasks", 6)),
@@ -111,12 +106,6 @@ def chaos_run(recipe: Mapping, journal=None, resume=None):
 
     Returns ``(graph, schedule, trace, stats)``.
     """
-    from repro.chaos import (
-        ChaosConfig,
-        generate_schedule,
-        random_task_graph,
-    )
-
     graph = random_task_graph(
         int(recipe["graph_seed"]), num_tasks=int(recipe["tasks"]),
     )

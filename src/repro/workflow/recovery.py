@@ -32,8 +32,8 @@ enabled tracer is passed in — or installed ambiently via
 :func:`repro.obs.observe` — the whole simulated timeline is absorbed
 into it as its own process for Chrome-trace export.
 
-The recovery model mirrors Spark/HyperLoom lineage: nothing is
-checkpointed, everything is recomputable from the graph. During a
+The recovery model mirrors Spark/HyperLoom lineage: no task output
+is saved aside, everything is recomputable from the graph. During a
 vFPGA reconfiguration failure only the role logic is down; the shell
 keeps serving the worker's object store (cloudFPGA keeps the network
 stack in the static shell region), so the store survives while the
@@ -312,10 +312,8 @@ class ResilientServer:
         process. ``journal`` write-ahead logs every payload-invocation
         point, completion, fault and recovery so the run
         survives a process crash; ``resume`` replays a crashed run —
-        the deterministic timeline is re-executed, payloads that
-        already ran are skipped, and a checkpoint is taken before the
-        first dispatch of every task the chaos schedule marks as
-        fault-prone. Returns (trace, recovery stats). Raises
+        the deterministic timeline is re-executed and payloads that
+        already ran are skipped. Returns (trace, recovery stats). Raises
         :class:`WorkflowError` when every worker dies with no restart
         pending, and :class:`ChaosError` when a task exhausts its
         retry budget.
@@ -364,9 +362,6 @@ class ResilientServer:
             journal, events, graph, self.policy.name, self.workers,
             resume,
         )
-        #: Fault-prone tasks already guarded by a pre-dispatch
-        #: checkpoint (chaos-wired risky-task checkpointing).
-        checkpointed: Set[str] = set()
 
         def record_fault(kind: str, target: str, detail: str = ""
                          ) -> None:
@@ -885,15 +880,6 @@ class ResilientServer:
                         task_name, worker = choice
                         displace(task_name)
                         del queued[task_name]
-                        if (
-                            journal is not None
-                            and fault_budget.get(task_name, 0) > 0
-                            and task_name not in checkpointed
-                        ):
-                            # risky task: place a rollback point just
-                            # before its first dispatch
-                            checkpointed.add(task_name)
-                            journal.checkpoint(f"pre:{task_name}")
                         events.instant(
                             "dispatch", category=SCHED_CATEGORY,
                             track="scheduler", task=task_name,

@@ -9,8 +9,7 @@ sequence of typed records; this module folds that sequence into a
   work that already ran (:class:`PayloadSkipper`);
 * the run header (graph digest, policy, worker pool) so a resume
   against the wrong recipe is rejected instead of silently diverging;
-* fault/recovery tallies and checkpoint positions for
-  ``repro runs show``.
+* fault/recovery tallies for ``repro runs show``.
 
 The fold is a pure function (:func:`apply_record`), shared by the
 journal writer — which maintains the state incrementally so a snapshot
@@ -32,7 +31,7 @@ from repro.workflow.tracing import FAULT_CATEGORY, RECOVERY_CATEGORY, TASK_CATEG
 #: server when a journal is attached; see workflow/recovery.py).
 EXEC_CATEGORY = "workflow.exec"
 #: Tracer category for journal bookkeeping instants (snapshots,
-#: checkpoints) surfaced in exported Chrome traces.
+#: finish) surfaced in exported Chrome traces.
 JOURNAL_CATEGORY = "workflow.journal"
 
 
@@ -47,8 +46,6 @@ class ReplayState:
     exec_counts: Dict[str, int] = field(default_factory=dict)
     #: Task name -> times a completion record was journaled.
     completions: Dict[str, int] = field(default_factory=dict)
-    #: Checkpoint label -> journal seq of the checkpoint record.
-    checkpoints: Dict[str, int] = field(default_factory=dict)
     events: int = 0
     faults: int = 0
     recoveries: int = 0
@@ -64,7 +61,6 @@ class ReplayState:
             "header": self.header,
             "exec_counts": dict(self.exec_counts),
             "completions": dict(self.completions),
-            "checkpoints": dict(self.checkpoints),
             "events": self.events,
             "faults": self.faults,
             "recoveries": self.recoveries,
@@ -83,7 +79,6 @@ class ReplayState:
             header=data.get("header"),
             exec_counts=dict(data.get("exec_counts", {})),
             completions=dict(data.get("completions", {})),
-            checkpoints=dict(data.get("checkpoints", {})),
             events=int(data.get("events", 0)),
             faults=int(data.get("faults", 0)),
             recoveries=int(data.get("recoveries", 0)),
@@ -112,7 +107,6 @@ class ReplayState:
             "completions": self.total_completions(),
             "faults": self.faults,
             "recoveries": self.recoveries,
-            "checkpoints": len(self.checkpoints),
             "finished": self.finished,
             "digest": self.digest,
             "sim_time": self.last_time,
@@ -188,7 +182,9 @@ def apply_record(state: ReplayState, record: Dict) -> ReplayState:
 
     This is the single definition of what each record type *means*;
     the journal writer applies it as records are appended and the
-    reader applies it during replay, so both sides always agree.
+    reader applies it during replay, so both sides always agree. A
+    record of a type this build does not write (an older journal's)
+    advances ``last_seq`` and nothing else.
     """
     kind = record["type"]
     data = record["data"]
@@ -206,8 +202,6 @@ def apply_record(state: ReplayState, record: Dict) -> ReplayState:
             fold(state, data)
     elif kind == "snapshot":
         state.last_snapshot_seq = data["seq"]
-    elif kind == "checkpoint":
-        state.checkpoints[data["label"]] = record["seq"]
     elif kind == "finish":
         state.finished = True
         state.digest = data.get("digest")

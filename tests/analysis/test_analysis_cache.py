@@ -1,7 +1,5 @@
 """Digest-keyed incremental analysis cache tests."""
 
-import json
-
 from repro.core.analysis import analyze_module_cached
 from repro.core.analysis.cache import (
     AnalysisCache,
@@ -87,41 +85,6 @@ class TestStore:
         cache.put("k", {"value": 1})
         assert cache.get("k") == {"value": 1}
         assert (cache.stats.hits, cache.stats.misses) == (1, 1)
-
-    def test_disk_round_trip_across_instances(self, tmp_path):
-        first = AnalysisCache(directory=tmp_path / "store")
-        first.put("abcd", {"value": 2})
-        second = AnalysisCache(directory=tmp_path / "store")
-        assert second.get("abcd") == {"value": 2}
-        # entries are sharded by key prefix
-        assert (tmp_path / "store" / "ab" / "abcd.json").exists()
-
-    def test_version_mismatch_reads_as_miss(self, tmp_path):
-        cache = AnalysisCache(directory=tmp_path / "store")
-        cache.put("abcd", {"value": 3})
-        path = tmp_path / "store" / "ab" / "abcd.json"
-        entry = json.loads(path.read_text())
-        entry["version"] = "unreleased"
-        path.write_text(json.dumps(entry))
-        fresh = AnalysisCache(directory=tmp_path / "store")
-        assert fresh.get("abcd") is None
-
-    def test_corrupt_entry_reads_as_miss(self, tmp_path):
-        cache = AnalysisCache(directory=tmp_path / "store")
-        cache.put("abcd", {"value": 4})
-        (tmp_path / "store" / "ab" / "abcd.json").write_text("{oops")
-        fresh = AnalysisCache(directory=tmp_path / "store")
-        assert fresh.get("abcd") is None
-
-    def test_clear_drops_memory_and_disk(self, tmp_path):
-        cache = AnalysisCache(directory=tmp_path / "store")
-        cache.put("abcd", {"value": 6})
-        cache.put("efgh", {"value": 7})
-        assert cache.entry_count() == 2
-        assert cache.disk_bytes() > 0
-        assert cache.clear() == 2
-        assert cache.entry_count() == 0
-        assert cache.get("abcd") is None
 
     def test_default_dir_is_xdg_aware(self, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))

@@ -30,7 +30,7 @@ from repro.core.dsl.kernel_dsl import compile_kernel
 from repro.core.ir import module_digest
 from repro.core.ir.module import Module
 from repro.core.ir.printer import print_module
-from repro.core.store import STORE_VERSION, LRUCache
+from repro.core.store import LRUCache
 from repro.core.variants import CostEstimate, VariantKnobs
 
 ADD_SRC = """
@@ -235,42 +235,6 @@ class TestCostCache:
         second = cache.get("k1")
         assert second.feasible is True
         assert second.infeasible_reason == ""
-
-    def test_disk_persistence_across_instances(self, tmp_path):
-        """A second process (modeled by a fresh instance) reads costs
-        the first wrote — the cross-invocation warm start."""
-        writer = CostCache(directory=tmp_path / "cc")
-        writer.put("deadbeef", self.make_cost(latency=3.5))
-        reader = CostCache(directory=tmp_path / "cc")
-        cost = reader.get("deadbeef")
-        assert cost is not None and cost.latency_s == 3.5
-        assert reader.stats.hits == 1
-
-    def test_incompatible_version_ignored(self, tmp_path):
-        cache = CostCache(directory=tmp_path / "cc")
-        cache.put("deadbeef", self.make_cost())
-        path = cache._path_for("deadbeef")
-        stale = f'"version": "{STORE_VERSION}"'
-        assert stale in path.read_text()
-        path.write_text(path.read_text().replace(stale, '"version": "0"'))
-        fresh = CostCache(directory=tmp_path / "cc")
-        assert fresh.get("deadbeef") is None
-
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
-        cache = CostCache(directory=tmp_path / "cc")
-        cache.put("deadbeef", self.make_cost())
-        cache._path_for("deadbeef").write_text("{not json")
-        fresh = CostCache(directory=tmp_path / "cc")
-        assert fresh.get("deadbeef") is None
-
-    def test_clear_removes_memory_and_disk(self, tmp_path):
-        cache = CostCache(directory=tmp_path / "cc")
-        cache.put("aa" * 32, self.make_cost())
-        cache.put("bb" * 32, self.make_cost())
-        assert cache.entry_count() == 2
-        assert cache.disk_bytes() > 0
-        assert cache.clear() == 2
-        assert cache.entry_count() == 0
 
     @pytest.mark.parametrize("workers,workers_mode",
                              [(1, "thread"), (2, "process")])

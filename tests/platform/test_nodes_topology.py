@@ -1,5 +1,13 @@
-"""Tests for node builders, ecosystem topology, and energy metering."""
+"""Tests for node builders, ecosystem topology, and energy metering.
 
+networkx is the routing oracle (as in ``tests/utils/test_dag.py``): the
+topology answers ``path()`` with its own breadth-first search.
+"""
+
+import itertools
+import random
+
+import networkx as nx
 import pytest
 
 from repro.errors import PlatformError
@@ -130,6 +138,85 @@ class TestEcosystem:
     def test_transfer_energy_positive(self):
         eco = build_reference_ecosystem()
         assert eco.transfer_energy("endpoint-0", "edge-0", 1000) > 0
+
+
+def _oracle(eco):
+    """The ecosystem's nodes and un-partitioned links as an nx.Graph."""
+    graph = nx.Graph()
+    graph.add_nodes_from(eco.nodes)
+    graph.add_edges_from(
+        (a, b) for a, b, _ in eco.all_links()
+        if not eco.is_partitioned(a, b)
+    )
+    return graph
+
+
+def _random_ecosystem(seed, partitions):
+    rng = random.Random(seed)
+    eco = Ecosystem(f"random-{seed}")
+    names = [f"n{index}" for index in range(12)]
+    for name in names:
+        eco.add_node(Node(name=name), Tier.CLOUD)
+    pairs = [pair for pair in itertools.combinations(names, 2)
+             if rng.random() < 0.3]
+    for a, b in pairs:
+        eco.connect(a, b, EthernetLink(f"{a}-{b}"))
+    for a, b in rng.sample(pairs, min(partitions, len(pairs))):
+        eco.partition_link(a, b)
+    return eco
+
+
+class TestRoutingAgainstNetworkx:
+    def test_every_reference_route_is_the_oracles(self):
+        eco = build_reference_ecosystem()
+        oracle = _oracle(eco)
+        assert nx.is_tree(oracle)  # so every shortest path is unique
+        for a, b in itertools.permutations(eco.nodes, 2):
+            assert eco.path(a, b) == nx.shortest_path(oracle, a, b)
+
+    @pytest.mark.parametrize("partitions", [0, 4])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded_random_graphs(self, seed, partitions):
+        eco = _random_ecosystem(seed, partitions)
+        oracle = _oracle(eco)
+        unique = 0
+        for a, b in itertools.product(eco.nodes, repeat=2):
+            if not nx.has_path(oracle, a, b):
+                with pytest.raises(PlatformError, match="no path between"):
+                    eco.path(a, b)
+                continue
+            shortest = list(nx.all_shortest_paths(oracle, a, b))
+            hops = eco.path(a, b)
+            assert len(hops) == len(shortest[0])
+            assert hops in shortest
+            if len(shortest) == 1:
+                assert hops == nx.shortest_path(oracle, a, b)
+                unique += 1
+        assert unique > 12  # the exact-sequence check was exercised
+
+    def test_links_are_listed_once_in_networkx_edge_order(self):
+        names = ["c", "a", "b", "d"]
+        pairs = [("b", "a"), ("c", "d"), ("a", "c"), ("a", "b"), ("d", "a")]
+        eco = Ecosystem()
+        for name in names:
+            eco.add_node(Node(name=name), Tier.CLOUD)
+        for a, b in pairs:
+            eco.connect(a, b, EthernetLink(f"{a}-{b}"))
+        oracle = nx.Graph()
+        oracle.add_nodes_from(names)
+        oracle.add_edges_from(pairs)
+        listed = list(eco.all_links())
+        assert [(a, b) for a, b, _ in listed] == list(oracle.edges)
+        # connecting a pair again replaces its link, in both directions
+        assert eco.link_between("a", "b") is eco.link_between("b", "a")
+        assert eco.link_between("b", "a").name.startswith("a-b")
+
+    def test_unknown_end_is_no_path(self):
+        eco = build_reference_ecosystem()
+        for a, b in (("ghost", "power9-0"), ("power9-0", "ghost"),
+                     ("ghost", "ghost")):
+            with pytest.raises(PlatformError, match="no path between"):
+                eco.path(a, b)
 
 
 class TestEnergyMeter:

@@ -10,12 +10,16 @@ byte-identical sanitizer reports across replays of the same seeds.
 import json
 
 from repro.chaos import ChaosConfig, generate_schedule
-from repro.chaos.graphgen import random_task_graph
 from repro.cli import main
 from repro.core.analysis import check_task_graph_concurrency
 from repro.obs import observe, session
 from repro.sanitize import sanitize_tracer
-from repro.workflow.graph import DataObject, TaskGraph, WorkflowTask
+from repro.workflow.graph import (
+    DataObject,
+    TaskGraph,
+    WorkflowTask,
+    random_task_graph,
+)
 from repro.workflow.recovery import ResilientServer
 from repro.workflow.worker import Worker
 

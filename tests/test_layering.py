@@ -24,9 +24,6 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: lowest layer first; a module belongs to the longest prefix naming it
 #: and imports only from its own layer or the ones above it in this list.
-#: ``workflow.graph`` is ranked under ``chaos`` although importing it runs
-#: ``workflow/__init__``: that is the package pair :data:`DEFERRED` names,
-#: and the import-first sweep is what proves it harmless.
 LAYERS = (
     ("repro.errors", "repro.diagnostics", "repro.utils"),
     ("repro.obs",),
@@ -51,10 +48,8 @@ LAYERS = (
 )
 
 #: the only function-level ``repro`` imports: file -> (count, what they
-#: may load). ``launcher`` and ``chaos`` are the one mutually dependent
-#: package pair; ``cli`` loads a subsystem only one subcommand drives.
+#: may load). ``cli`` loads a subsystem only one subcommand drives.
 DEFERRED = {
-    "repro.workflow.launcher": (2, ("repro.chaos",)),
     "repro.cli": (12, ("repro.workflow", "repro.obs.driver", "repro.sanitize")),
 }
 

@@ -2,12 +2,13 @@
 
 Every case runs per *kind*: ``cost`` (:class:`CostCache`, whose codec
 hands out a fresh :class:`CostEstimate` per read) and ``analysis``
-(:class:`AnalysisCache`, plain JSON objects). The plain round-trip,
-version-mismatch, torn-file and ``clear`` cases still sit beside each
-user (``tests/dse/test_cache.py``, ``tests/analysis/
-test_analysis_cache.py``); this file holds what only the shared store
-can promise: hostile shards are counted misses for every kind, and one
-directory is accounted kind by kind whoever wrote it.
+(:class:`AnalysisCache`, plain JSON objects): the disk round trip,
+the version-mismatch, corrupt-file and ``clear`` cases, hostile shards
+as counted misses, and one directory accounted kind by kind whoever
+wrote it. What only one user has (fresh copies per ``get``, key
+recipes, its default directory, its process-wide instance) stays
+beside that user in ``tests/dse/test_cache.py`` and
+``tests/analysis/test_analysis_cache.py``.
 """
 
 import json
@@ -106,6 +107,51 @@ DAMAGED_COST.update({
 CASES = [(kind, name, body)
          for kind in KINDS for name, body in DAMAGED.items()]
 CASES += [("cost", name, body) for name, body in DAMAGED_COST.items()]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+class TestDisk:
+    def written(self, tmp_path, kind):
+        """(store class, value, shard file) after one ``put`` of KEY."""
+        store_class, value = KINDS[kind]
+        store_class(directory=tmp_path).put(KEY, value)
+        # entries are sharded by key prefix
+        shard = tmp_path / KEY[:2] / f"{KEY}.json"
+        assert shard.exists()
+        return store_class, value, shard
+
+    def test_a_second_instance_reads_what_the_first_wrote(
+            self, tmp_path, kind):
+        """A second process (modeled by a fresh instance) reads what
+        the first wrote — the cross-invocation warm start."""
+        store_class, value, _shard = self.written(tmp_path, kind)
+        reader = store_class(directory=tmp_path)
+        assert reader.get(KEY) == value
+        assert (reader.stats.hits, reader.stats.misses) == (1, 0)
+
+    def test_another_store_version_is_a_miss(self, tmp_path, kind):
+        store_class, _value, shard = self.written(tmp_path, kind)
+        current = f'"version": "{STORE_VERSION}"'
+        assert current in shard.read_text()
+        shard.write_text(
+            shard.read_text().replace(current, '"version": "0"'))
+        assert store_class(directory=tmp_path).get(KEY) is None
+
+    def test_a_corrupt_shard_is_a_miss(self, tmp_path, kind):
+        store_class, _value, shard = self.written(tmp_path, kind)
+        shard.write_text("{not json")
+        assert store_class(directory=tmp_path).get(KEY) is None
+
+    def test_clear_drops_memory_and_disk(self, tmp_path, kind):
+        store_class, value = KINDS[kind]
+        store = store_class(directory=tmp_path)
+        store.put("aa" * 32, value)
+        store.put("bb" * 32, value)
+        assert store.entry_count() == 2
+        assert store.disk_bytes() > 0
+        assert store.clear() == 2
+        assert store.entry_count() == 0
+        assert store.get("aa" * 32) is None
 
 
 class TestDamagedShards:

@@ -12,9 +12,7 @@ What a journal must survive, detect, or refuse:
   rejected with ``WF008`` instead of being misread;
 * for any prefix/suffix split, **snapshot + replay(tail) equals
   replay(full journal)** — the property that makes O(tail) resume
-  sound (pinned with hypothesis over generated runs and split points);
-* ``checkpoint`` / ``rollback_to_checkpoint`` truncate the run back
-  to a named marker, in memory and on disk.
+  sound (pinned with hypothesis over generated runs and split points).
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from repro.workflow.journal import (
     read_records,
     read_snapshot,
     replay_journal,
-    rollback_journal,
     write_snapshot,
 )
 from repro.workflow.recovery import ResilientServer
@@ -206,62 +203,6 @@ def test_on_disk_snapshot_matches_full_replay(tmp_path):
     assert info.snapshot_seq >= 0
     assert info.records_replayed < info.records_total
     assert with_snapshots.to_dict() == without.to_dict()
-
-
-# ----------------------------------------------------------------------
-# checkpoints and rollback
-# ----------------------------------------------------------------------
-
-
-def test_rollback_to_checkpoint(tmp_path):
-    with RunJournal(tmp_path, snapshot_every=0) as journal:
-        journal.start({"graph": "toy", "tasks": 0})
-        journal.append("event", {"name": "a", "category": "x",
-                                 "phase": "i", "ts": 0.0, "dur": 0.0,
-                                 "args": {}})
-        mark = journal.checkpoint("pre:risky")
-        journal.append("event", {"name": "b", "category": "x",
-                                 "phase": "i", "ts": 1.0, "dur": 0.0,
-                                 "args": {}})
-        journal.append("event", {"name": "c", "category": "x",
-                                 "phase": "i", "ts": 2.0, "dur": 0.0,
-                                 "args": {}})
-        state = journal.rollback_to_checkpoint("pre:risky")
-        assert state.last_seq == mark
-        assert state.events == 1  # b and c are gone
-        # the journal keeps appending from the checkpoint
-        journal.append("event", {"name": "b2", "category": "x",
-                                 "phase": "i", "ts": 1.5, "dur": 0.0,
-                                 "args": {}})
-    records, torn = read_records(tmp_path / JOURNAL_FILE)
-    assert not torn
-    assert [r["seq"] for r in records] == list(range(len(records)))
-    assert records[-1]["data"]["name"] == "b2"
-    state, _ = replay_journal(tmp_path)
-    assert state.events == 2  # a and b2
-
-
-def test_rollback_unknown_label_raises(tmp_path):
-    journaled_run(tmp_path)
-    with pytest.raises(JournalError) as caught:
-        rollback_journal(tmp_path, "never-checkpointed")
-    assert caught.value.code == "WF007"
-
-
-def test_rollback_drops_later_snapshots(tmp_path):
-    with RunJournal(tmp_path, snapshot_every=0) as journal:
-        journal.start({"graph": "toy"})
-        journal.checkpoint("safe")
-        for index in range(3):
-            journal.append("event", {"name": f"e{index}",
-                                     "category": "x", "phase": "i",
-                                     "ts": float(index), "dur": 0.0,
-                                     "args": {}})
-        journal.snapshot()
-        before = {seq for seq, _ in list_snapshots(tmp_path)}
-        journal.rollback_to_checkpoint("safe")
-        after = {seq for seq, _ in list_snapshots(tmp_path)}
-    assert max(before) > max(after)
 
 
 # ----------------------------------------------------------------------

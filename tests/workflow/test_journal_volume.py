@@ -3,11 +3,14 @@
 The journal's only reader is the fold in :mod:`repro.workflow.replay`,
 so the journal keeps the four tracer categories that fold reads
 (``JOURNALED_CATEGORIES``: completions, payload-invocation points,
-faults, recoveries) and nothing else. Three things are pinned here:
+faults, recoveries) and nothing else. Four things are pinned here:
 
 * **volume** — a fault-free run writes exactly two ``event`` records
   per task, and a chaos run exactly one per execution, completion,
   fault and recovery;
+* **one kind of recovery point** — a run writes one snapshot record
+  and file per ``snapshot_every`` events and no other, task faults in
+  its schedule or not;
 * **membership** — every ``event`` record's category is in the table;
 * **losslessness** — folding *every* event the tracer recorded gives
   the same tallies, simulated time and digest as the journal's own
@@ -22,7 +25,12 @@ import pytest
 
 from repro.chaos import generate_schedule, random_task_graph
 from repro.obs import Tracer
-from repro.workflow.journal import JOURNAL_FILE, RunJournal, read_records
+from repro.workflow.journal import (
+    JOURNAL_FILE,
+    RunJournal,
+    list_snapshots,
+    read_records,
+)
 from repro.workflow.recovery import ResilientServer
 from repro.workflow.replay import (
     EXEC_CATEGORY,
@@ -43,7 +51,7 @@ from tests.chaos.test_invariants import CONFIG, FAULT_SEEDS, GRAPH_SEEDS
 #: Fields of the replayed state the fold derives from tracer events
 #: (``events`` itself is the record count, which the filter changes).
 FOLDED = ("exec_counts", "completions", "faults", "recoveries",
-          "checkpoints", "last_time", "digest")
+          "last_time", "digest")
 
 
 def journaled_run(directory, graph, pool, chaos=None, **journal_options):
@@ -58,20 +66,22 @@ def journaled_run(directory, graph, pool, chaos=None, **journal_options):
     return records, session
 
 
-def chaos_run(directory, graph_seed, fault_seed):
+def chaos_run(directory, graph_seed, fault_seed, **journal_options):
     """One cell of the 5 x 4 chaos grid, journaled."""
     graph = random_task_graph(graph_seed, num_tasks=10)
     pool = make_pool(3)
     schedule = generate_schedule(
         graph, [worker.name for worker in pool], fault_seed, CONFIG
     )
-    return journaled_run(directory, graph, pool, chaos=schedule)
+    assert schedule.task_faults()
+    return journaled_run(directory, graph, pool, chaos=schedule,
+                         **journal_options)
 
 
 def fold_every_tracer_event(records, session) -> ReplayState:
     """The state a full mirror of the tracer would have folded to:
     every traced event as an ``event`` record, plus the journal's own
-    non-event records (header, checkpoints, finish)."""
+    non-event records (header, snapshots, finish)."""
     state = ReplayState()
     for seq, event in enumerate(session.events):
         apply_record(state, {"seq": seq, "type": "event", "data": {
@@ -140,3 +150,21 @@ def test_chaos_run_writes_one_record_per_folded_transition(
         + state.faults + state.recoveries
     )
     assert_filter_is_lossless(records, session)
+
+
+@pytest.mark.parametrize("fault_seed", FAULT_SEEDS)
+def test_chaos_run_writes_one_snapshot_per_interval_and_no_other(
+        fault_seed, tmp_path):
+    snapshot_every = 7
+    records, _session = chaos_run(
+        tmp_path, 0, fault_seed, snapshot_every=snapshot_every
+    )
+    kinds = Counter(record["type"] for record in records)
+    assert kinds == {
+        "header": 1,
+        "event": kinds["event"],
+        "snapshot": kinds["event"] // snapshot_every,
+        "finish": 1,
+    }
+    assert kinds["snapshot"] >= 3
+    assert len(list_snapshots(tmp_path)) == kinds["snapshot"]

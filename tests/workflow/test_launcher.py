@@ -146,7 +146,7 @@ class TestContention:
     def test_two_launchers_1k_jobs_zero_double_executions(
             self, tmp_path):
         db = tmp_path / "jobs.db"
-        submit_noops(db, 1000)
+        submitted = submit_noops(db, 1000).inserted
         launchers = [
             Launcher(db, launcher_id=f"l{i}", lease_size=16)
             for i in range(2)
@@ -165,11 +165,13 @@ class TestContention:
         for thread in threads:
             thread.join()
 
-        executed = stats[0].job_ids + stats[1].job_ids
-        assert len(executed) == 1000, "every job executed"
-        assert len(set(executed)) == 1000, "no job executed twice"
-        # both launchers actually participated
-        assert stats[0].completed > 0 and stats[1].completed > 0
+        # the two launchers partition the submission; how it splits is
+        # the thread scheduler's business (one may drain it all)
+        first, second = (set(stat.job_ids) for stat in stats)
+        assert len(stats[0].job_ids) + len(stats[1].job_ids) == 1000, \
+            "no job executed twice"
+        assert not first & second
+        assert first | second == set(submitted), "every job executed"
         with JobStore(db) as store:
             assert store.drained()
             assert store.counts()["done"] == 1000
