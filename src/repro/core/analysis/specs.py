@@ -189,23 +189,3 @@ def read_spec_text(
         )
         return None
 
-
-def load_lint_targets(
-    path: str, diagnostics: Optional[Diagnostics] = None
-) -> List[LintTarget]:
-    """Expand a path into lint targets, recording load failures.
-
-    Returns the targets; load problems are emitted as DSL001 on the
-    passed (or a fresh) diagnostics collection accessible through each
-    call site.
-    """
-    diagnostics = diagnostics if diagnostics is not None else Diagnostics()
-    targets: List[LintTarget] = []
-    for filename in expand_spec_files(path):
-        text = read_spec_text(filename, diagnostics)
-        if text is None:
-            continue
-        targets.extend(
-            load_targets_from_text(filename, text, diagnostics)
-        )
-    return targets

@@ -6,8 +6,9 @@ identity, so a recycled ``id()`` can never alias two kernel sources:
 
 * the prepared-module cache — a bounded in-memory
   :class:`~repro.core.store.LRUCache` of knob-transformed ("prepared")
-  modules keyed ``(module_digest, kernel, pass-pipeline signature)``,
-  so the knob points that run the same passes share one module;
+  modules keyed ``(module_digest, pass-pipeline signature)``, so the
+  knob points — of any kernel of the module — that run the same
+  passes share one module;
 * :class:`CostCache` — the ``"cost"`` kind of the two-level
   :class:`~repro.core.store.ContentStore`, memoizing ``(module_digest,
   kernel, knobs, model)`` → cost estimate, bitstream record included,

@@ -12,7 +12,10 @@ Evaluation is memoized through the content-addressed caches in
 :mod:`repro.core.dse.cache`: prepared (knob-transformed) modules live
 in a bounded LRU and finished cost estimates in a two-level cost cache,
 both keyed by the *structural digest* of the source module — never by
-``id()``, which the garbage collector recycles.
+``id()``, which the garbage collector recycles. The cost cache has one
+reader and writer, :func:`_evaluate_batch`: the explorer hands it
+batches, :func:`evaluate_variant` is the same routine for one point,
+and :func:`price_variant` is what it runs for a miss.
 
 A variant is built once: :func:`synthesize_variant` is the only
 ``prepare → synthesize`` chain, and the estimate of a feasible FPGA
@@ -28,14 +31,19 @@ lower bound the bound-guided explorer orders and prunes by.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import partial
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.analysis.absint import function_facts, partition_conflict
+from repro.core.analysis.absint import (
+    FunctionFacts,
+    function_facts,
+    partition_conflict,
+)
 from repro.core.analysis.perf import StaticBounds, fpga_cycles_lower_bound
 from repro.core.dse.cache import CostCache, cost_cache, prepared_cache
 from repro.core.hls.bambu import AcceleratorDesign, hls_options_for, synthesize
 from repro.core.ir.digest import module_digest
-from repro.core.ir.module import Module
+from repro.core.ir.module import Function, Module
 from repro.core.ir.passes import (
     AccumulationInterleavePass,
     CanonicalizePass,
@@ -137,8 +145,10 @@ def prepare_variant_module(
     ever aliasing a recycled ``id``, and by the passes the pipeline
     holds with their parameters — exactly what the result depends on,
     so the points that differ only in knobs no pass reads (threads,
-    clock, memory strategy) share one prepared module. Callers must
-    not mutate it.
+    clock, memory strategy) share one prepared module. ``kernel`` is
+    not in the key: the passes run over the whole module, so the
+    kernels of one application share its prepared modules too.
+    Callers must not mutate it.
     """
     manager = PassManager(verify_each=False)
     manager.add(ElementwiseFusionPass())
@@ -161,7 +171,7 @@ def prepare_variant_module(
     if digest is None:
         digest = module_digest(module)
     cache = prepared_cache()
-    cache_key = (digest, kernel, tuple(
+    cache_key = (digest, tuple(
         (pass_.name, tuple(sorted(vars(pass_).items())))
         for pass_ in manager.passes
     ))
@@ -213,25 +223,68 @@ def evaluate_variant(
     """Predict the cost of one knob assignment on one architecture.
 
     ``module`` must hold the kernel in tensor form (pre-lowering).
-    Results are memoized in the process-wide cost cache under
-    ``(module_digest, kernel, knobs, model.fingerprint())``; pass
-    ``digest`` to skip recomputing the module hash (the explorer hashes
-    once per run). Cache hits return a fresh :class:`CostEstimate`;
-    a point :func:`price_variant` rejects is never stored, so it is
+    This is :func:`_evaluate_batch` for one point: memoized in the
+    process-wide cost cache under ``(module_digest, kernel, knobs,
+    model.fingerprint())``; pass ``digest`` to skip recomputing the
+    module hash. Cache hits return a fresh :class:`CostEstimate`; a
+    point :func:`price_variant` rejects is never stored, so it is
     rejected again on every call.
     """
     model = model or ArchitectureModel()
-    cache = cost_cache()
     if digest is None:
         digest = module_digest(module)
-    key = CostCache.key(digest, kernel, knobs, model.fingerprint())
-    cached = cached_estimate(cache, key, knobs)
-    if cached is not None:
-        return cached
+    costs, _ = _evaluate_batch(
+        module, kernel, [knobs], model, digest, model.fingerprint())
+    return costs[0]
 
-    cost = price_variant(module, kernel, knobs, model, digest)
-    cache.put(key, cost)
-    return cost
+
+def _evaluate_batch(
+    module: Module,
+    kernel: str,
+    batch: Sequence[VariantKnobs],
+    model: ArchitectureModel,
+    digest: str,
+    fingerprint: str,
+    facts: Optional[FunctionFacts] = None,
+    price_misses: Callable[..., Iterable[CostEstimate]] = map,
+) -> Tuple[List[CostEstimate], int]:
+    """Cost every point of ``batch``: the one per-point pipeline.
+
+    In order, on the calling thread: the static partition gate (only
+    when the caller passes the kernel's interval ``facts`` — a
+    rejected point gets the verdict the cost model's own gate would
+    reach, without touching the cache), one cost-cache ``get`` per
+    remaining point, the misses priced by ``price_misses(price,
+    misses)`` — the built-in ``map``, an executor's, or anything of
+    that shape returning estimates in order — and one ``put`` per
+    miss. This is the only function that reads or writes the cost
+    cache, so every caller, at every worker count, counts the same
+    traffic. Returns the estimates in batch order (each a fresh
+    object the caller may rewrite) and how many the gate rejected.
+    """
+    cache = cost_cache()
+    costs: List[Optional[CostEstimate]] = []
+    keys: Dict[int, str] = {}
+    pruned = 0
+    for index, knobs in enumerate(batch):
+        conflict = partition_conflict(facts, knobs)
+        if conflict is not None:
+            pruned += 1
+            costs.append(CostEstimate.infeasible(conflict))
+            continue
+        key = CostCache.key(digest, kernel, knobs, fingerprint)
+        cost = cached_estimate(cache, key, knobs)
+        if cost is None:
+            keys[index] = key
+        costs.append(cost)
+    priced = list(price_misses(
+        partial(price_variant, module, kernel, model=model, digest=digest),
+        [batch[index] for index in keys],
+    ))
+    for (index, key), cost in zip(keys.items(), priced):
+        cache.put(key, cost)
+        costs[index] = cost
+    return costs, pruned
 
 
 def price_variant(
@@ -243,12 +296,12 @@ def price_variant(
 ) -> CostEstimate:
     """Price one knob assignment, bypassing the cost cache.
 
-    This is the pure computation behind :func:`evaluate_variant` —
-    validation plus target dispatch, no cost-cache get/put. Process-pool
-    workers call it directly: the parent owns the cost cache and
-    performs the single get/put around each dispatch, so serial, thread
-    and process runs count identical cache traffic. (The prepared-module
-    LRU is still consulted, per process.)
+    This is the pure computation :func:`_evaluate_batch` runs for a
+    cache miss — validation plus target dispatch, no cost-cache
+    get/put — wherever the caller's ``map`` puts it: inline, on a
+    worker thread, or (through :func:`repro.core.dse.pool.price_point`)
+    in a pool child. (The prepared-module LRU is still consulted, per
+    process.)
     """
     model = model or ArchitectureModel()
     function = module.find_function(kernel)
@@ -259,7 +312,7 @@ def price_variant(
             f"cost model does not support target {knobs.target!r}"
         )
     if knobs.target == "cpu":
-        return _evaluate_cpu(module, kernel, knobs, model)
+        return _evaluate_cpu(function, knobs, model)
     return _evaluate_fpga(module, kernel, knobs, model, digest)
 
 
@@ -346,10 +399,8 @@ def bound_for(
 
 
 def _evaluate_cpu(
-    module: Module, kernel: str, knobs: VariantKnobs,
-    model: ArchitectureModel,
+    function: Function, knobs: VariantKnobs, model: ArchitectureModel,
 ) -> CostEstimate:
-    function = module.find_function(kernel)
     work, _ = estimate_work(function)
     data_bytes = signature_bytes(function)
     latency, energy = cpu_cost_terms(work, data_bytes, knobs, model)

@@ -12,45 +12,56 @@ All return an :class:`ExplorationResult` with every evaluated variant
 and the Pareto front, and honor non-functional requirements by marking
 variants that violate them infeasible.
 
-Evaluation runs in fixed-size **batches**; with ``workers > 1`` the
-points of a batch are priced concurrently on a thread pool. The result
-is bit-for-bit identical to a serial run: costs are computed by a pure
-function of the point (memoized through the content-addressed caches),
-batch boundaries do not depend on ``workers``, and
+There is one loop and one pricing routine. Every strategy hands
+:meth:`Explorer._evaluate_points` *which points, in which order, in
+batches of what size, skipping which*; every batch — and the
+evolutionary search's single points — is priced by
+:meth:`Explorer._price`, which is
+:func:`repro.core.dse.cost_model._evaluate_batch` (static partition
+gate, cost-cache ``get``, the misses priced, cost-cache ``put``) under
+a muted observation, followed by the requirement check. All of that
+runs on the thread that called the strategy; with ``workers > 1`` only
+the *misses* of a batch leave it, for a thread pool's or the process
+pool's ``map``. The result is bit-for-bit identical to a serial run:
+costs are computed by a pure function of the point, batch boundaries
+do not depend on ``workers``, and
 :class:`~repro.core.variants.Variant` records are materialized in
 submission order on the main thread. Fronts are maintained with the
 incremental :class:`~repro.core.dse.pareto.ParetoFront`, so the
 front-growth curve costs O(n·front) instead of O(n³).
 
-**Bound-guided pruning** (``Explorer(..., bound_guided=True)``) layers
-the static performance analyzer on top of the exhaustive strategy:
-points are priced in ascending order of their analytic latency lower
-bound (:func:`repro.core.dse.cost_model.bound_for`), and a point is
-skipped entirely when its *bound* already violates a requirement or is
+Three checks can spare a point the pricing, in this order. While a
+batch is filled, the two ``skip`` filters of **bound-guided**
+exploration (``Explorer(..., bound_guided=True)``, exhaustive only):
+points are offered in ascending order of their analytic lower bound
+(:func:`repro.core.dse.cost_model.bound_for`), and a point is dropped
+entirely when its *bound* already violates a requirement or is
 dominated by an already-priced front member — the bound never exceeds
 the priced cost, so a dominated bound proves the point can never join
 the front. The resulting front is identical (member set *and* order,
 hence :meth:`ExplorationResult.front_json` byte-identity) to an
-unpruned run; skips are counted in ``dse.bound_pruned_points``.
+unpruned run; skips are counted in ``dse.bound_pruned_points``. Then,
+inside the pricing routine, the **partition gate**: a point whose
+unroll provably over-subscribes a partitioned buffer's ports stays in
+the result, infeasible, with the reason the cost model itself would
+give (``dse.pruned_points``).
 """
 
 from __future__ import annotations
 
 import json
-import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
-from repro.core.analysis.absint import function_facts, partition_conflict
+from repro.core.analysis.absint import function_facts
 from repro.core.analysis.perf import kernel_bounds
-from repro.core.dse.cache import CostCache, cost_cache, prepared_cache
+from repro.core.dse.cache import cost_cache, prepared_cache
 from repro.core.dse.cost_model import (
     ArchitectureModel,
+    _evaluate_batch,
     bound_for,
-    cached_estimate,
-    evaluate_variant,
 )
 from repro.core.dse.pareto import ParetoFront
 from repro.core.dse.pool import create_pool, price_point
@@ -78,6 +89,47 @@ BATCH_SIZE = 16
 #: more later points the incumbent front can prove skippable. Still a
 #: fixed constant so batch composition is worker-independent.
 BOUND_BATCH_SIZE = 4
+
+
+def _variant_row(variant: Variant) -> Dict[str, Any]:
+    """What every serialized form says about one variant."""
+    return {
+        "knobs": variant.knobs.describe(),
+        "target": variant.knobs.target,
+        "latency_s": variant.cost.latency_s,
+        "energy_j": variant.cost.energy_j,
+        "data_bytes": variant.cost.data_bytes,
+        "feasible": variant.cost.feasible,
+    }
+
+
+def _canonical_json(payload: Dict[str, Any], indent: Optional[int]) -> str:
+    return json.dumps(payload, sort_keys=True, indent=indent,
+                      separators=None if indent else (",", ":"))
+
+
+def _violation(
+    requirements: Sequence[Requirement], cost: CostEstimate,
+) -> Optional[str]:
+    """Why ``cost`` breaks the first requirement it breaks, or None.
+
+    The one requirement test: run over a priced estimate it decides
+    feasibility, run over an analytic lower bound it proves the
+    priced cost would break the requirement too.
+    """
+    for requirement in requirements:
+        if requirement.kind is RequirementKind.ENERGY:
+            measured = cost.energy_j
+        elif requirement.kind is RequirementKind.THROUGHPUT:
+            measured = 1.0 / max(cost.latency_s, 1e-30)
+        else:  # LATENCY, DEADLINE
+            measured = cost.latency_s
+        if not requirement.satisfied_by(measured):
+            return (
+                f"violates {requirement.kind.value} requirement "
+                f"({measured:.3g} vs {requirement.value:.3g})"
+            )
+    return None
 
 
 @dataclass
@@ -117,31 +169,19 @@ class ExplorationResult:
         a parallel exploration — serialize byte-identically.
         """
         position = {id(v): i for i, v in enumerate(self.evaluated)}
-        payload = {
+        return _canonical_json({
             "kernel": self.kernel,
             "evaluations": self.evaluations,
             "evaluated": [
-                {
-                    "knobs": variant.knobs.describe(),
-                    "target": variant.knobs.target,
-                    "latency_s": variant.cost.latency_s,
-                    "energy_j": variant.cost.energy_j,
-                    "data_bytes": variant.cost.data_bytes,
-                    "feasible": variant.cost.feasible,
-                    "infeasible_reason": variant.cost.infeasible_reason,
-                    "resources": {
-                        "luts": variant.cost.resources.luts,
-                        "ffs": variant.cost.resources.ffs,
-                        "bram_kb": variant.cost.resources.bram_kb,
-                        "dsps": variant.cost.resources.dsps,
-                    },
-                }
+                dict(
+                    _variant_row(variant),
+                    infeasible_reason=variant.cost.infeasible_reason,
+                    resources=asdict(variant.cost.resources),
+                )
                 for variant in self.evaluated
             ],
             "front": [position[id(v)] for v in self.front],
-        }
-        return json.dumps(payload, sort_keys=True, indent=indent,
-                          separators=None if indent else (",", ":"))
+        }, indent)
 
     def front_json(self, indent: Optional[int] = None) -> str:
         """Canonical JSON of the Pareto front alone.
@@ -151,38 +191,25 @@ class ExplorationResult:
         the same space — which price different point sets but must
         agree on the front — serialize byte-identically.
         """
-        payload = {
+        return _canonical_json({
             "kernel": self.kernel,
-            "front": [
-                {
-                    "knobs": variant.knobs.describe(),
-                    "target": variant.knobs.target,
-                    "latency_s": variant.cost.latency_s,
-                    "energy_j": variant.cost.energy_j,
-                    "data_bytes": variant.cost.data_bytes,
-                    "feasible": variant.cost.feasible,
-                }
-                for variant in self.front
-            ],
-        }
-        return json.dumps(payload, sort_keys=True, indent=indent,
-                          separators=None if indent else (",", ":"))
+            "front": [_variant_row(variant) for variant in self.front],
+        }, indent)
 
 
 class Explorer:
     """Runs one exploration strategy for one kernel.
 
-    ``workers`` sets the width of the per-batch pool; 1 (the default)
-    evaluates serially. ``workers_mode`` picks the pool flavor:
-    ``"thread"`` (cheap, but GIL-bound for the pure-Python pricing) or
-    ``"process"`` (true parallelism; work units are picklable knob
-    points keyed by the module digest, and the parent keeps the cost
-    cache so accounting matches serial). Any combination produces
-    byte-identical results, traces and cost-cache statistics, and the
-    same number of prepared-module lookups; how those split into hits
-    and misses depends on which worker priced which point, because the
-    points that run the same pass pipeline share one prepared module
-    per process.
+    ``workers`` sets the width of the pool a batch's cache misses are
+    priced on; 1 (the default) prices inline. ``workers_mode`` picks
+    the pool flavor: ``"thread"`` (cheap, but GIL-bound for the
+    pure-Python pricing) or ``"process"`` (true parallelism; work
+    units are picklable knob points keyed by the module digest). Any
+    combination produces byte-identical results, traces and cost-cache
+    statistics, and the same number of prepared-module lookups; how
+    those split into hits and misses depends on which worker priced
+    which point, because the points that run the same pass pipeline
+    share one prepared module per process.
     """
 
     def __init__(
@@ -219,6 +246,7 @@ class Explorer:
         #: here — either way per-point cache lookups skip re-hashing.
         self._digest = digest if digest is not None else \
             module_digest(module)
+        self._fingerprint = self.model.fingerprint()
         #: Interval facts for the kernel, shared with the cost model's
         #: own static gate through the digest-keyed memo. Pruning only
         #: fires on nodes that have an FPGA at all: on a CPU-only
@@ -234,68 +262,78 @@ class Explorer:
         self.bound_guided = bound_guided
         self._pruned = 0
         self._bound_pruned = 0
-        self._prune_lock = threading.Lock()
 
     # ------------------------------------------------------------------
 
-    def _cost_for(self, knobs: VariantKnobs) -> CostEstimate:
-        """Price one point (cache-aware, requirement-checked).
+    def _price(self, batch: Sequence[VariantKnobs]) -> List[CostEstimate]:
+        """Price one batch (cache-aware, requirement-checked).
 
-        Pure with respect to exploration state, so it is safe to run
-        from batch worker threads; cost-cache hits return fresh
-        estimates, making the in-place requirement rewrite private.
-
+        The per-point pipeline is
+        :func:`~repro.core.dse.cost_model._evaluate_batch`; the
+        requirement check is the explorer's own (estimates come back
+        fresh, so the in-place rewrite is private to this run).
         Statically illegal points (a partition whose ports an unrolled
-        access pattern provably over-subscribes) short-circuit before
-        the cost model runs; the estimate they return is exactly what
-        the cost model's own gate would have produced, so pruned and
-        unpruned explorations serialize byte-identically.
+        access pattern provably over-subscribes) get, before the cost
+        model runs, exactly the estimate its own gate would have
+        produced, so pruned and unpruned explorations serialize
+        byte-identically.
+
+        Pricing is hermetic: it runs under a muted observation so the
+        trace shape depends on neither cache warmth (hits skip the
+        pass pipeline entirely) nor worker threads (which must never
+        touch the ambient tracer).
         """
-        pruned = self._static_estimate(knobs)
-        if pruned is not None:
-            return pruned
-        cost = evaluate_variant(self.module, self.kernel, knobs,
-                                self.model, digest=self._digest)
-        return self._apply_requirements(cost)
-
-    def _static_estimate(
-        self, knobs: VariantKnobs
-    ) -> Optional[CostEstimate]:
-        """The prune verdict for one point, or None to price it."""
-        conflict = partition_conflict(self._facts, knobs)
-        if conflict is None:
-            return None
-        with self._prune_lock:
-            self._pruned += 1
-        return CostEstimate.infeasible(conflict)
-
-    def _apply_requirements(self, cost: CostEstimate) -> CostEstimate:
-        """Mark a priced estimate infeasible on requirement violation."""
-        if cost.feasible:
-            for requirement in self.requirements:
-                measured = self._measure_for(requirement, cost)
-                if measured is not None and not requirement.satisfied_by(
-                    measured
-                ):
+        with observe(Observation()):
+            costs, pruned = _evaluate_batch(
+                self.module, self.kernel, batch, self.model,
+                self._digest, self._fingerprint, self._facts,
+                self._price_misses,
+            )
+        self._pruned += pruned
+        for cost in costs:
+            if cost.feasible:
+                reason = _violation(self.requirements, cost)
+                if reason is not None:
                     cost.feasible = False
-                    cost.infeasible_reason = (
-                        f"violates {requirement.kind.value} "
-                        f"requirement ({measured:.3g} vs "
-                        f"{requirement.value:.3g})"
-                    )
-                    break
-        return cost
+                    cost.infeasible_reason = reason
+        return costs
 
-    @staticmethod
-    def _measure_for(requirement: Requirement, cost) -> Optional[float]:
-        if requirement.kind in (RequirementKind.LATENCY,
-                                RequirementKind.DEADLINE):
-            return cost.latency_s
-        if requirement.kind is RequirementKind.ENERGY:
-            return cost.energy_j
-        if requirement.kind is RequirementKind.THROUGHPUT:
-            return 1.0 / max(cost.latency_s, 1e-30)
-        return None
+    def _price_misses(
+        self,
+        price: Callable[[VariantKnobs], CostEstimate],
+        misses: List[VariantKnobs],
+    ) -> Iterator[CostEstimate]:
+        """Where a batch's cache misses are priced, in batch order.
+
+        One miss, or one worker, prices inline. A thread pool runs the
+        same ``price``; pool children run
+        :func:`~repro.core.dse.pool.price_point` — the same pricing
+        against their own parsed copy of the module — and send back
+        the prepared-cache traffic it caused, folded into this
+        process's counters here.
+        """
+        if self.workers == 1 or len(misses) < 2:
+            yield from map(price, misses)
+        elif self.workers_mode == "thread":
+            with ThreadPoolExecutor(max_workers=self.workers) as executor:
+                yield from executor.map(price, misses)
+        else:
+            if self._process_pool is None:
+                self._process_pool = create_pool(
+                    self.workers, print_module(self.module),
+                    self._digest, self.kernel, self.model,
+                )
+            merged = prepared_cache().stats
+            for cost, child_delta in self._process_pool.map(
+                    price_point, misses):
+                merged.add(child_delta)
+                yield cost
+
+    def close(self) -> None:
+        """Release the process pool, if one was created."""
+        if self._process_pool is not None:
+            self._process_pool.shutdown()
+            self._process_pool = None
 
     def _admit(self, knobs: VariantKnobs, cost: CostEstimate,
                result: ExplorationResult, front: ParetoFront) -> Variant:
@@ -311,193 +349,89 @@ class Explorer:
         points: Sequence[VariantKnobs],
         result: ExplorationResult,
         front: ParetoFront,
+        batch_size: int = BATCH_SIZE,
+        skip: Sequence[Callable[[VariantKnobs], bool]] = (),
     ) -> List[Variant]:
-        """Evaluate ``points`` in fixed-size, possibly parallel batches.
+        """Price ``points`` in order, ``batch_size`` at a time.
 
-        Returns the admitted variants in submission order — identical
-        for every worker count.
+        A point one of the ``skip`` filters rejects is dropped
+        unpriced; the filters run in order, on the main thread, while
+        a batch is being filled, so they see everything admitted
+        before it and batch composition never depends on ``workers``.
+        Returns the admitted variants in submission order.
         """
         tracer = current_tracer()
         admitted: List[Variant] = []
-        parallel = self.workers > 1 and len(points) > 1
-        executor = (
-            ThreadPoolExecutor(max_workers=self.workers)
-            if parallel and self.workers_mode == "thread" else None
-        )
-        try:
-            for start in range(0, len(points), BATCH_SIZE):
-                batch = list(points[start:start + BATCH_SIZE])
-                with tracer.span(f"batch:{self.kernel}",
-                                 category=DSE_CATEGORY) as span:
-                    # Evaluation internals are hermetic: pricing runs
-                    # under a muted observation so the trace shape
-                    # depends on neither cache warmth (hits skip the
-                    # pass pipeline entirely) nor worker threads
-                    # (which must never touch the ambient tracer).
-                    with observe(Observation()):
-                        if parallel and self.workers_mode == "process":
-                            costs = self._price_batch_process(batch)
-                        elif executor is not None:
-                            costs = list(
-                                executor.map(self._cost_for, batch)
-                            )
-                        else:
-                            costs = [
-                                self._cost_for(knobs) for knobs in batch
-                            ]
-                    for knobs, cost in zip(batch, costs):
-                        admitted.append(
-                            self._admit(knobs, cost, result, front)
-                        )
-                    span.note(points=len(batch))
-        finally:
-            if executor is not None:
-                executor.shutdown()
+        pending = deque(points)
+        while pending:
+            batch: List[VariantKnobs] = []
+            while pending and len(batch) < batch_size:
+                knobs = pending.popleft()
+                if any(rejects(knobs) for rejects in skip):
+                    self._bound_pruned += 1
+                else:
+                    batch.append(knobs)
+            if not batch:
+                break
+            with tracer.span(f"batch:{self.kernel}",
+                             category=DSE_CATEGORY) as span:
+                for knobs, cost in zip(batch, self._price(batch)):
+                    admitted.append(
+                        self._admit(knobs, cost, result, front)
+                    )
+                span.note(points=len(batch))
         return admitted
-
-    def _ensure_process_pool(self):
-        """Lazily create the worker pool, shipping the module once."""
-        if self._process_pool is None:
-            self._process_pool = create_pool(
-                self.workers, print_module(self.module), self._digest,
-                self.kernel, self.model,
-            )
-        return self._process_pool
-
-    def close(self) -> None:
-        """Release the process pool, if one was created."""
-        if self._process_pool is not None:
-            self._process_pool.shutdown()
-            self._process_pool = None
-
-    def _price_batch_process(
-        self, batch: Sequence[VariantKnobs]
-    ) -> List[CostEstimate]:
-        """Price one batch on the process pool.
-
-        The parent performs the static-prune check and the single
-        cost-cache get/put per point — exactly the accounting a serial
-        run does — and only cache-missing points are dispatched to the
-        workers, which price with the cache-free
-        :func:`~repro.core.dse.cost_model.price_variant` and return
-        their prepared-cache stat deltas for merging. Results come back
-        in batch order, so admission order matches serial.
-        """
-        cache = cost_cache()
-        fingerprint = self.model.fingerprint()
-        costs: List[Optional[CostEstimate]] = [None] * len(batch)
-        remote: List[int] = []
-        keys: Dict[int, str] = {}
-        for index, knobs in enumerate(batch):
-            cost = self._static_estimate(knobs)
-            if cost is None:
-                keys[index] = CostCache.key(
-                    self._digest, self.kernel, knobs, fingerprint
-                )
-                cost = cached_estimate(cache, keys[index], knobs)
-            if cost is None:
-                remote.append(index)
-            else:
-                costs[index] = self._apply_requirements(cost)
-        if remote:
-            pool = self._ensure_process_pool()
-            priced = list(pool.map(
-                price_point, [batch[index] for index in remote]
-            ))
-            merged = prepared_cache().stats
-            for index, (cost, child_delta) in zip(remote, priced):
-                merged.add(child_delta)
-                cache.put(keys[index], cost)
-                costs[index] = self._apply_requirements(cost)
-        return costs
 
     # ------------------------------------------------------------------
 
     def exhaustive(self) -> ExplorationResult:
-        """Evaluate every point of the space."""
-        result = ExplorationResult(kernel=self.kernel)
-        front = ParetoFront()
-        self._evaluate_points(list(self.space.points()), result, front)
-        result.front = front.variants()
-        return result
+        """Evaluate every point of the space.
 
-    def _bound_skippable(
-        self, estimate: Tuple[float, float], front: ParetoFront
-    ) -> bool:
-        """Can this point provably never join the front?
-
-        ``estimate`` is an analytic *lower* bound on the priced cost.
-        If the bound already violates a requirement, the actual cost
-        violates it too (latency/energy bounds are floors, the
-        throughput bound a ceiling). If an already-priced front member
-        dominates the bound, it also dominates the actual cost — with
-        the same strict coordinate — so the point could neither join
-        the front nor evict anyone from it.
+        Bound-guided, every point its analytic lower bound cannot rule
+        out: points are priced best-bound-first, so the incumbent
+        front gains strong members early, and a point is skipped when
+        its bound already violates a requirement (latency and energy
+        bounds are floors, the throughput bound a ceiling) or is
+        dominated by an incumbent — which then dominates the actual
+        cost too, with the same strict coordinate, so the point could
+        neither join the front nor evict anyone from it. The priced
+        points are then admitted in space order, which makes the
+        front (members *and* order) that of an unpruned run.
         """
-        lat_lb, en_lb = estimate
-        synthetic = CostEstimate(
-            latency_s=lat_lb, energy_j=en_lb, feasible=True,
-        )
-        for requirement in self.requirements:
-            measured = self._measure_for(requirement, synthetic)
-            if measured is not None and not requirement.satisfied_by(
-                measured
-            ):
-                return True
-        return any(
-            member.cost.dominates(synthetic)
-            for member in front.variants()
-        )
-
-    def _bound_exhaustive(self) -> ExplorationResult:
-        """Exhaustive-front search that skips bound-dominated points.
-
-        Points are priced best-bound-first so the scratch front gains
-        strong members early and later (worse-bounded) points skip
-        without pricing. Skip decisions happen on the main thread
-        between batches, so batch composition — and with it the final
-        result — is identical at every worker count. The final result
-        re-admits the priced points in original space order, making a
-        pruned run's ``front_json`` byte-identical to an unpruned one.
-        """
-        bounds = kernel_bounds(self.module, self.kernel, self._digest)
-        if bounds is None:
-            return self.exhaustive()
         points = list(self.space.points())
-        estimates = [
-            bound_for(bounds, knobs, self.model) for knobs in points
-        ]
-        order = sorted(
-            range(len(points)),
-            key=lambda i: (estimates[i][0], estimates[i][1], i),
-        )
-        scratch_result = ExplorationResult(kernel=self.kernel)
-        scratch_front = ParetoFront()
-        priced: Dict[int, CostEstimate] = {}
-        pending = deque(order)
-        while pending:
-            batch: List[int] = []
-            while pending and len(batch) < BOUND_BATCH_SIZE:
-                index = pending.popleft()
-                if self._bound_skippable(estimates[index],
-                                         scratch_front):
-                    self._bound_pruned += 1
-                    continue
-                batch.append(index)
-            if not batch:
-                continue
-            variants = self._evaluate_points(
-                [points[i] for i in batch],
-                scratch_result, scratch_front,
-            )
-            for index, variant in zip(batch, variants):
-                priced[index] = variant.cost
         result = ExplorationResult(kernel=self.kernel)
         front = ParetoFront()
-        for index in range(len(points)):
-            cost = priced.get(index)
-            if cost is not None:
-                self._admit(points[index], cost, result, front)
+        bounds = (
+            kernel_bounds(self.module, self.kernel, self._digest)
+            if self.bound_guided else None
+        )
+        if bounds is None:
+            self._evaluate_points(points, result, front)
+        else:
+            floor = {
+                knobs: CostEstimate(*bound_for(bounds, knobs, self.model))
+                for knobs in points
+            }
+            incumbents = ParetoFront()
+            skip = (
+                lambda knobs: _violation(
+                    self.requirements, floor[knobs]) is not None,
+                lambda knobs: any(
+                    member.cost.dominates(floor[knobs])
+                    for member in incumbents
+                ),
+            )
+            # a stable sort: equal bounds stay in space order
+            best_first = sorted(points, key=lambda knobs: (
+                floor[knobs].latency_s, floor[knobs].energy_j))
+            variants = self._evaluate_points(
+                best_first, ExplorationResult(kernel=self.kernel),
+                incumbents, BOUND_BATCH_SIZE, skip,
+            )
+            priced = {v.knobs: v.cost for v in variants}
+            for knobs in points:
+                if knobs in priced:
+                    self._admit(knobs, priced[knobs], result, front)
         result.front = front.variants()
         return result
 
@@ -535,10 +469,7 @@ class Explorer:
 
         def evaluate(knobs: VariantKnobs) -> Variant:
             unseen.pop(knobs, None)
-            # Same hermetic pricing as the batched paths: the trace
-            # must not depend on whether this point is a cache hit.
-            with observe(Observation()):
-                cost = self._cost_for(knobs)
+            (cost,) = self._price([knobs])
             return self._admit(knobs, cost, result, front)
 
         initial_indices = rng.choice(
@@ -582,15 +513,13 @@ class Explorer:
             )
         prepared_before = prepared_cache().stats.snapshot()
         cost_before = cost_cache().stats.snapshot()
+        self._pruned = self._bound_pruned = 0
         try:
             with tracer.span(f"explore:{self.kernel}",
                              category=DSE_CATEGORY,
                              strategy=strategy) as span:
                 if strategy == "exhaustive":
-                    result = (
-                        self._bound_exhaustive() if self.bound_guided
-                        else self.exhaustive()
-                    )
+                    result = self.exhaustive()
                 elif strategy == "random":
                     result = self.random(**kwargs)
                 elif strategy == "evolutionary":
@@ -630,16 +559,14 @@ class Explorer:
         metrics.counter(
             "dse.front_points", "Pareto-optimal points found",
         ).inc(len(result.front), kernel=self.kernel)
-        if self._pruned:
-            metrics.counter(
-                "dse.pruned_points",
-                "points rejected statically before pricing",
-            ).inc(self._pruned, kernel=self.kernel)
-        if self._bound_pruned:
-            metrics.counter(
-                "dse.bound_pruned_points",
-                "points skipped by analytic lower bound",
-            ).inc(self._bound_pruned, kernel=self.kernel)
+        for name, what, count in (
+            ("dse.pruned_points",
+             "points rejected statically before pricing", self._pruned),
+            ("dse.bound_pruned_points",
+             "points skipped by analytic lower bound", self._bound_pruned),
+        ):
+            if count:
+                metrics.counter(name, what).inc(count, kernel=self.kernel)
         # Cache traffic this run caused, published from the main
         # thread (workers never touch the ambient observation).
         for cache_name, stats, before in (

@@ -1,19 +1,19 @@
 """Process-pool pricing workers for the explorer.
 
-The PR 5 thread pool is GIL-bound: variant pricing is pure Python
-(pass pipeline + HLS), so threads only overlap during the rare I/O.
-``workers_mode="process"`` prices batch points in child processes
-instead. The design keeps results and cost-cache *accounting*
-byte-identical to a serial run:
+Variant pricing is pure Python (pass pipeline + HLS), so a thread pool
+is GIL-bound and only overlaps the rare I/O. With
+``workers_mode="process"`` the explorer hands the cache misses of a
+batch to child processes instead. Nothing but the pricing leaves the
+parent — :func:`repro.core.dse.cost_model._evaluate_batch` does the
+static gate and the cost-cache get/put on the calling thread in every
+mode — so results and cost-cache *accounting* are byte-identical to a
+serial run at every worker count:
 
 * Work units are picklable and keyed by the source module's content
   digest. Each worker parses the printed module text exactly once (in
   the pool initializer) and then prices knob points with
   :func:`repro.core.dse.cost_model.price_variant` — the cache-free
-  pricing core.
-* The parent owns the cost cache: it performs the single get before
-  dispatch and the single put after, so hit/miss counts match a serial
-  run at every worker count.
+  pricing core the parent runs inline for a serial batch.
 * Each priced point returns the worker's prepared-module cache stats
   delta, which the parent folds into its own stats
   (:meth:`repro.core.store.CacheStats.add`), so published hit
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from typing import Any, Dict, Tuple
 
 from repro.core.dse.cache import prepared_cache
@@ -40,7 +41,8 @@ from repro.core.store import CacheStats
 from repro.core.variants import CostEstimate, VariantKnobs
 from repro.obs import Observation, observe
 
-#: Per-process worker state, set once by :func:`_init_worker`.
+#: Per-process worker state, set once by :func:`_init_worker`: the
+#: pricing function over this process's copy of the module.
 _STATE: Dict[str, Any] = {}
 
 
@@ -75,10 +77,10 @@ def _init_worker(
     module_text: str, digest: str, kernel: str, model: Any
 ) -> None:
     """Parse the module once per worker process."""
-    _STATE["module"] = parse_module(module_text)
-    _STATE["digest"] = digest
-    _STATE["kernel"] = kernel
-    _STATE["model"] = model
+    _STATE["price"] = partial(
+        price_variant, parse_module(module_text), kernel,
+        model=model, digest=digest,
+    )
 
 
 def price_point(
@@ -91,12 +93,6 @@ def price_point(
     """
     before = prepared_cache().stats.snapshot()
     with observe(Observation()):
-        cost = price_variant(
-            _STATE["module"],
-            _STATE["kernel"],
-            knobs,
-            _STATE["model"],
-            digest=_STATE["digest"],
-        )
+        cost = _STATE["price"](knobs)
     delta = prepared_cache().stats.delta(before)
     return cost, delta

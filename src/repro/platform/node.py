@@ -128,10 +128,11 @@ class Power9Node(Node):
     """POWER9 host with coherent bus-attached FPGAs (scale-up node)."""
 
 
+@dataclass
 class CloudFPGANode(Node):
     """Disaggregated network-attached FPGA: no host CPU (scale-out node)."""
 
-    def __post_check(self):
+    def __post_init__(self):
         if self.cpu is not None:
             raise PlatformError("a cloudFPGA node has no host CPU")
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.chaos.schedule import ChaosConfig, generate_schedule
-from repro.errors import JournalError
+from repro.errors import JobStoreError, JournalError
 from repro.obs import current_metrics
 from repro.workflow.graph import random_task_graph
 from repro.workflow.jobstore import (
@@ -259,7 +259,10 @@ class Launcher:
 
         The loop reclaims expired leases, takes a batch, executes it
         with heartbeats every ``heartbeat_every`` jobs, and exits once
-        no job is staged, ready or running. While other launchers
+        no job is staged, ready or running. A lease the store took
+        back while a job ran (``JOB003`` on reporting it) is abandoned
+        where it stands — the job belongs to whoever holds it now —
+        and the loop leases again. While other launchers
         still hold running jobs it polls (their jobs may yet expire
         back into the queue); ``exit_on_idle`` exits at the first
         empty lease instead. ``crash_after`` is the test/chaos hook:
@@ -299,21 +302,31 @@ class Launcher:
                             and stats.executed >= crash_after):
                         stats.crashed = True
                         return stats
-                    if job.id in cancels:
-                        store.cancel_leased(job.id, lease.lease_id)
-                        stats.cancelled += 1
-                        continue
-                    started = time.perf_counter()
                     try:
-                        result = self.execute_job(job, store)
-                    except Exception as exc:
-                        store.fail(job.id, lease.lease_id, str(exc))
-                        stats.failed += 1
-                    else:
-                        store.complete(job.id, lease.lease_id,
-                                       result)
-                        stats.completed += 1
-                        stats.job_ids.append(job.id)
+                        if job.id in cancels:
+                            store.cancel_leased(job.id, lease.lease_id)
+                            stats.cancelled += 1
+                            continue
+                        started = time.perf_counter()
+                        try:
+                            result = self.execute_job(job, store)
+                        except Exception as exc:
+                            store.fail(job.id, lease.lease_id,
+                                       str(exc))
+                            stats.failed += 1
+                        else:
+                            store.complete(job.id, lease.lease_id,
+                                           result)
+                            stats.completed += 1
+                            stats.job_ids.append(job.id)
+                    except JobStoreError as exc:
+                        if exc.code != "JOB003":
+                            raise
+                        # This launcher outlived its lease: the store
+                        # took the whole lease back, so the late
+                        # result is discarded and the jobs left in it
+                        # are someone else's now.
+                        break
                     metrics.histogram(
                         "service.job_seconds",
                         "wall time of one job execution",

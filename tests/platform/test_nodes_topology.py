@@ -12,6 +12,7 @@ import pytest
 
 from repro.errors import PlatformError
 from repro.platform.node import (
+    CloudFPGANode,
     build_cloudfpga_node,
     build_edge_node,
     build_gpu_node,
@@ -25,6 +26,7 @@ from repro.platform.topology import (
 )
 from repro.platform.interconnect import EthernetLink
 from repro.platform.node import Node
+from repro.platform.resources import CPUDescription
 
 
 class TestNodeBuilders:
@@ -42,6 +44,17 @@ class TestNodeBuilders:
         assert node.cpu is None
         assert node.network_link is not None
         assert node.has_fpga
+
+    def test_cloudfpga_with_a_host_cpu_is_rejected(self):
+        # the orchestrator and the tier placer read ``cpu is None`` as
+        # "network-attached"; the check was name-mangled, never called
+        cpu = CPUDescription(name="x", cores=4, frequency_hz=2e9,
+                             flops_per_cycle=4.0, tdp_watts=65.0,
+                             idle_watts=10.0)
+        with pytest.raises(PlatformError,
+                           match="a cloudFPGA node has no host CPU"):
+            CloudFPGANode(name="x", cpu=cpu)
+        assert CloudFPGANode(name="x").cpu is None
 
     def test_edge_node_arch_variants(self):
         arm = build_edge_node("e0", arch="arm")

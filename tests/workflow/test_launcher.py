@@ -296,3 +296,82 @@ class TestCrashRecovery:
             job = store.list_jobs(state="done")[0]
             assert job.attempts == 2
             assert "resumed" not in job.result
+
+
+class TestStaleLease:
+    """A launcher that outlives its lease keeps draining.
+
+    ``docs/SERVICE.md`` promises a late result is "discarded …
+    harmless but wasteful"; before the fix the ``JOB003`` answer to
+    the late report escaped ``Launcher.run`` as a traceback.
+    """
+
+    #: report -> (job 0's kind, job 1's attempts, jobs the late
+    #: launcher finishes before its lease is taken, final counts)
+    CASES = {
+        "complete": ("noop", 3, 0, {"done": 6}),
+        "fail": ("bogus", 3, 0, {"done": 5, "failed": 1}),
+        # the cancel arrives while the lease is held, and the job it
+        # names has no attempt left when the lease expires
+        "cancel_leased": ("noop", 1, 1, {"done": 5, "failed": 1}),
+    }
+
+    @pytest.mark.parametrize("report", sorted(CASES))
+    def test_late_report_is_discarded_and_the_drain_goes_on(
+            self, tmp_path, monkeypatch, report):
+        first_kind, second_attempts, finished_first, final = \
+            self.CASES[report]
+        db = tmp_path / "jobs.db"
+        clock = FakeClock()
+        with JobStore(db, clock=clock) as store:
+            ids = store.submit([
+                JobSpec(name=f"n{i}", spec={"i": i},
+                        kind=first_kind if i == 0 else "noop",
+                        max_attempts=second_attempts if i == 1 else 3)
+                for i in range(6)
+            ]).inserted
+        late = Launcher(db, launcher_id="late", lease_size=6,
+                        lease_ttl_s=60.0, heartbeat_every=1,
+                        clock=clock)
+        thief = Launcher(db, launcher_id="thief", lease_size=6,
+                         clock=clock)
+        thief_stats = []
+        reported = getattr(JobStore, report)
+
+        def report_late(store, *args, **kwargs):
+            # the job took longer than the TTL: by the time the late
+            # launcher reports, another one has reclaimed its lease
+            # and drained the store
+            monkeypatch.setattr(JobStore, report, reported)  # once
+            clock.advance(61)
+            thief_stats.append(thief.run())
+            return reported(store, *args, **kwargs)
+
+        monkeypatch.setattr(JobStore, report, report_late)
+        if report == "cancel_leased":
+            execute = late.execute_job
+
+            def execute_then_cancel_next(job, store):
+                store.cancel([ids[1]])
+                return execute(job, store)
+
+            monkeypatch.setattr(late, "execute_job",
+                                execute_then_cancel_next)
+
+        late_stats = late.run()  # raised JobStoreError before the fix
+
+        assert late_stats.executed == finished_first
+        assert late_stats.leases == 1 and not late_stats.crashed
+        executed = late_stats.job_ids + thief_stats[0].job_ids
+        with JobStore(db, clock=clock) as store:
+            assert store.drained()
+            counts = store.counts()
+            assert {s: n for s, n in counts.items() if n} == final
+            done = store.list_jobs(state="done")
+        # the thief's results stand: nothing the late launcher ran
+        # after losing the lease was recorded
+        for job in done:
+            if job.id not in late_stats.job_ids:
+                assert job.launcher == "thief"
+        assert sorted(executed) == sorted(job.id for job in done)
+        assert len(set(executed)) == len(executed)
