@@ -5,7 +5,9 @@ parallel programming model so standard toolchains can build them. The
 generator walks the kernel-form function and emits a C++ translation
 unit: buffers become raw pointers with row-major flattening, loop nests
 become ``for`` statements, and the outermost parallel loop becomes a
-``parallel_for`` over a SYCL range.
+``parallel_for`` over a SYCL range. A scalar op's C++ spelling is the
+``cpp`` column of the op table (:mod:`repro.core.ir.dialects.elementwise`),
+so an op the interpreter can run is an op this backend can emit.
 
 The emitted text is syntactically plausible SYCL; it is not compiled
 here (no SYCL toolchain offline) but is exercised structurally by the
@@ -14,29 +16,17 @@ tests and serves as the packaged software-variant artifact.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
+from repro.core.ir.dialects.elementwise import SCALAR
 from repro.core.ir.module import Function, Module
 from repro.core.ir.ops import Block, Operation, Value
-from repro.core.ir.types import MemRefType, ScalarType
+from repro.core.ir.types import INDEX, MemRefType, ScalarType
 from repro.errors import BackendError
 
 _CPP_TYPES = {
     "f32": "float", "f64": "double", "i1": "bool", "i8": "int8_t",
     "i32": "int32_t", "i64": "int64_t", "index": "size_t",
-}
-
-_BINARY_CPP = {
-    "kernel.addf": "+", "kernel.subf": "-", "kernel.mulf": "*",
-    "kernel.divf": "/", "kernel.addi": "+", "kernel.subi": "-",
-    "kernel.muli": "*", "kernel.divi": "/",
-    "kernel.cmplt": "<", "kernel.cmple": "<=",
-    "kernel.cmpeq": "==", "kernel.cmpgt": ">",
-}
-_CALL_CPP = {
-    "kernel.maxf": "std::max", "kernel.minf": "std::min",
-    "kernel.expf": "std::exp", "kernel.sqrtf": "std::sqrt",
-    "kernel.tanhf": "std::tanh", "kernel.absf": "std::abs",
 }
 
 
@@ -219,37 +209,14 @@ class _SyclEmitter:
                 f"{self._name(op.operands[1])}[{index}] = "
                 f"{self._name(op.operands[0])};"
             )
-        elif name in _BINARY_CPP:
-            operator = _BINARY_CPP[name]
-            self._emit(
-                f"auto {self._name(op.results[0])} = "
-                f"{self._name(op.operands[0])} {operator} "
-                f"{self._name(op.operands[1])};"
-            )
-        elif name in _CALL_CPP:
-            callee = _CALL_CPP[name]
-            arguments = ", ".join(self._name(o) for o in op.operands)
-            self._emit(
-                f"auto {self._name(op.results[0])} = "
-                f"{callee}({arguments});"
-            )
-        elif name == "kernel.sigmoidf":
-            operand = self._name(op.operands[0])
-            self._emit(
-                f"auto {self._name(op.results[0])} = "
-                f"1.0f / (1.0f + std::exp(-{operand}));"
-            )
-        elif name == "kernel.negf":
-            self._emit(
-                f"auto {self._name(op.results[0])} = "
-                f"-{self._name(op.operands[0])};"
-            )
-        elif name == "kernel.select":
-            cond, a, b = (self._name(o) for o in op.operands)
-            self._emit(
-                f"auto {self._name(op.results[0])} = "
-                f"{cond} ? {a} : {b};"
-            )
+        elif name in SCALAR:
+            template = SCALAR[name].cpp
+            if name == "kernel.divi" and op.operands[0].type == INDEX:
+                template = "{0} / {1}"  # size_t: truncating is flooring
+            result = self._name(op.results[0])
+            expression = template.format(
+                *[self._name(operand) for operand in op.operands])
+            self._emit(f"auto {result} = {expression};")
         elif name == "secure.taint":
             self._emit(
                 f"auto {self._name(op.results[0])} = "

@@ -24,8 +24,9 @@ from typing import Dict, List, Optional
 
 from repro.core.dsl import ast_nodes as ast
 from repro.core.dsl.parser import parse
-from repro.core.dsl.typecheck import check_program
+from repro.core.dsl.typecheck import REDUCE_BUILTINS, check_program
 from repro.core.ir.builder import Builder
+from repro.core.ir.dialects.elementwise import BUILTINS, OPERATORS
 from repro.core.ir.module import Module
 from repro.core.ir.ops import Value
 from repro.core.ir.types import (
@@ -35,15 +36,6 @@ from repro.core.ir.types import (
 )
 from repro.core.ir.verifier import verify
 from repro.errors import SpecificationError
-
-_UNARY_OPS = {
-    "relu": "relu", "exp": "exp", "sqrt": "sqrt",
-    "tanh": "tanh", "sigmoid": "sigmoid", "neg": "neg",
-}
-_BINARY_OPS = {"maximum": "maximum", "minimum": "minimum"}
-_REDUCE_OPS = {"sum": "sum", "mean": "mean", "rmax": "max", "rmin": "min"}
-_INFIX_OPS = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
-_SCALAR_INFIX = {"+": "addf", "-": "subf", "*": "mulf", "/": "divf"}
 
 
 def parse_kernel(source: str) -> ast.Program:
@@ -112,9 +104,11 @@ class _KernelCodegen:
             return self.values[expr.name]
         if isinstance(expr, ast.UnaryOp):
             operand = self._emit_expr(expr.operand)
+            row = OPERATORS[expr.op, 1]
             if isinstance(expr.type, TensorType):
-                return self.builder.tensor_op("neg", [operand], expr.type)
-            return self.builder.unary("negf", operand)
+                return self.builder.tensor_op(
+                    row.name, [operand], expr.type)
+            return self.builder.unary(row.float_op, operand)
         if isinstance(expr, ast.BinaryOp):
             return self._emit_binary(expr)
         if isinstance(expr, ast.Call):
@@ -131,33 +125,26 @@ class _KernelCodegen:
         if expr.op == "@":
             return self.builder.matmul(lhs, rhs)
         result_type = expr.type
+        row = OPERATORS[expr.op, 2]
         if isinstance(result_type, TensorType):
             if isinstance(lhs.type, ScalarType):
                 lhs = self._broadcast(lhs, result_type)
             if isinstance(rhs.type, ScalarType):
                 rhs = self._broadcast(rhs, result_type)
             return self.builder.tensor_op(
-                _INFIX_OPS[expr.op], [lhs, rhs], result_type
+                row.name, [lhs, rhs], result_type
             )
-        return self.builder._binary(
-            f"kernel.{_SCALAR_INFIX[expr.op]}", lhs, rhs
-        )
+        return self.builder._binary(f"kernel.{row.float_op}", lhs, rhs)
 
     def _emit_call(self, expr: ast.Call) -> Value:
         callee = expr.callee
         result_type = expr.type
-        if callee in _UNARY_OPS:
-            operand = self._emit_expr(expr.args[0])
+        if callee in BUILTINS:
+            operands = [self._emit_expr(arg) for arg in expr.args]
             return self.builder.tensor_op(
-                _UNARY_OPS[callee], [operand], result_type
+                BUILTINS[callee].name, operands, result_type
             )
-        if callee in _BINARY_OPS:
-            lhs = self._emit_expr(expr.args[0])
-            rhs = self._emit_expr(expr.args[1])
-            return self.builder.tensor_op(
-                _BINARY_OPS[callee], [lhs, rhs], result_type
-            )
-        if callee in _REDUCE_OPS:
+        if callee in REDUCE_BUILTINS:
             operand = self._emit_expr(expr.args[0])
             return self.builder.tensor_op(
                 "reduce",
@@ -165,7 +152,7 @@ class _KernelCodegen:
                 result_type,
                 attributes={
                     "axes": list(expr.int_lists["axes"]),
-                    "kind": _REDUCE_OPS[callee],
+                    "kind": REDUCE_BUILTINS[callee],
                 },
             )
         if callee == "transpose":

@@ -16,14 +16,14 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.core.dsl import ast_nodes as ast
+from repro.core.ir.dialects.elementwise import BUILTINS
 from repro.core.ir.types import ScalarType, TensorType, Type
 from repro.diagnostics import Diagnostics
 from repro.errors import TypeCheckError
 
-_UNARY_BUILTINS = ("relu", "exp", "sqrt", "tanh", "sigmoid", "neg")
-_BINARY_BUILTINS = ("maximum", "minimum")
-_REDUCE_BUILTINS = {"sum": "sum", "mean": "mean",
-                    "rmax": "max", "rmin": "min"}
+#: DSL reduction builtin -> ``tensor.reduce`` kind
+REDUCE_BUILTINS = {"sum": "sum", "mean": "mean",
+                   "rmax": "max", "rmin": "min"}
 
 
 def _fail(node: ast.Node, message: str,
@@ -169,11 +169,11 @@ class TypeChecker:
 
     def _check_call(self, expr: ast.Call) -> Type:
         callee = expr.callee
-        if callee in _UNARY_BUILTINS:
-            return self._check_unary_call(expr)
-        if callee in _BINARY_BUILTINS:
+        if callee in BUILTINS:
+            if BUILTINS[callee].arity == 1:
+                return self._one_tensor_arg(expr)
             return self._check_binary_call(expr)
-        if callee in _REDUCE_BUILTINS:
+        if callee in REDUCE_BUILTINS:
             return self._check_reduce_call(expr)
         if callee == "transpose":
             return self._check_transpose(expr)
@@ -190,9 +190,6 @@ class TypeChecker:
         if not isinstance(arg_type, TensorType):
             raise _fail(expr, f"{expr.callee} requires a tensor argument")
         return arg_type
-
-    def _check_unary_call(self, expr: ast.Call) -> Type:
-        return self._one_tensor_arg(expr)
 
     def _check_binary_call(self, expr: ast.Call) -> Type:
         if len(expr.args) != 2:

@@ -66,11 +66,13 @@ OP_LATENCY: Dict[str, int] = {
     "kernel.const": 0,
     "kernel.view": 0,
     "kernel.alloc": 0,
+    "kernel.call": 1,
     "secure.taint": 0,
     "secure.check": 1,
     "secure.declassify": 0,
     "secure.encrypt": 8,
     "secure.decrypt": 8,
+    "secure.monitor": 1,
 }
 
 #: Resource class of each constrained operation kind.

@@ -71,6 +71,18 @@ class OpDef:
             self.verify(op)
 
 
+def row_opdef(row, verify: Optional[Callable[[Operation], None]] = None
+              ) -> OpDef:
+    """Definition of one op-table row (:mod:`.elementwise`): fixed
+    arity, one result, pure, commutative when the row says so."""
+    traits = {TRAIT_PURE, TRAIT_COMMUTATIVE} if row.commutative \
+        else {TRAIT_PURE}
+    return OpDef(
+        name=row.name, min_operands=row.arity, max_operands=row.arity,
+        num_results=1, traits=frozenset(traits), verify=verify,
+    )
+
+
 class Dialect:
     """A named group of operation definitions."""
 

@@ -13,11 +13,12 @@ from typing import Tuple
 from repro.core.ir.dialects import (
     Dialect,
     OpDef,
-    TRAIT_COMMUTATIVE,
     TRAIT_PURE,
     TRAIT_TERMINATOR,
     register_dialect,
+    row_opdef,
 )
+from repro.core.ir.dialects.elementwise import SCALAR_OPS
 from repro.core.ir.ops import Operation
 from repro.core.ir.types import MemRefType, ScalarType
 from repro.errors import IRError
@@ -153,48 +154,9 @@ kernel_dialect.register(
 )
 kernel_dialect.register(OpDef(name="call", verify=None))
 
-_BINARY_OPS = {
-    "addf": True, "subf": False, "mulf": True, "divf": False,
-    "addi": True, "subi": False, "muli": True, "divi": False,
-    "maxf": True, "minf": True, "cmplt": False, "cmple": False,
-    "cmpeq": True, "cmpgt": False,
-}
-for _name, _commutative in _BINARY_OPS.items():
-    traits = {TRAIT_PURE}
-    if _commutative:
-        traits.add(TRAIT_COMMUTATIVE)
-    kernel_dialect.register(
-        OpDef(
-            name=_name,
-            min_operands=2,
-            max_operands=2,
-            num_results=1,
-            traits=frozenset(traits),
-            verify=_verify_binary_arith,
-        )
-    )
-
-_UNARY_OPS = ("negf", "expf", "sqrtf", "tanhf", "sigmoidf", "absf")
-for _name in _UNARY_OPS:
-    kernel_dialect.register(
-        OpDef(
-            name=_name,
-            min_operands=1,
-            max_operands=1,
-            num_results=1,
-            traits=frozenset({TRAIT_PURE}),
-        )
-    )
-
-kernel_dialect.register(
-    OpDef(
-        name="select",
-        min_operands=3,
-        max_operands=3,
-        num_results=1,
-        traits=frozenset({TRAIT_PURE}),
-    )
-)
+for _row in SCALAR_OPS:
+    kernel_dialect.register(row_opdef(
+        _row, _verify_binary_arith if _row.arity == 2 else None))
 
 
 def _verify_view(op: Operation) -> None:

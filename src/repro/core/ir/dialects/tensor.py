@@ -11,10 +11,11 @@ from __future__ import annotations
 from repro.core.ir.dialects import (
     Dialect,
     OpDef,
-    TRAIT_COMMUTATIVE,
     TRAIT_PURE,
     register_dialect,
+    row_opdef,
 )
+from repro.core.ir.dialects.elementwise import TENSOR_OPS
 from repro.core.ir.ops import Operation
 from repro.core.ir.types import ScalarType, TensorType
 from repro.errors import IRError
@@ -129,35 +130,8 @@ def _verify_constant(op: Operation) -> None:
         raise IRError("tensor.constant requires a value attribute")
 
 
-_ELEMENTWISE_BINARY = ("add", "sub", "mul", "div", "maximum", "minimum")
-_ELEMENTWISE_UNARY = ("neg", "exp", "relu", "sqrt", "tanh", "sigmoid")
-
-for _name in _ELEMENTWISE_BINARY:
-    traits = {TRAIT_PURE}
-    if _name in ("add", "mul", "maximum", "minimum"):
-        traits.add(TRAIT_COMMUTATIVE)
-    tensor_dialect.register(
-        OpDef(
-            name=_name,
-            min_operands=2,
-            max_operands=2,
-            num_results=1,
-            traits=frozenset(traits),
-            verify=_verify_elementwise,
-        )
-    )
-
-for _name in _ELEMENTWISE_UNARY:
-    tensor_dialect.register(
-        OpDef(
-            name=_name,
-            min_operands=1,
-            max_operands=1,
-            num_results=1,
-            traits=frozenset({TRAIT_PURE}),
-            verify=_verify_elementwise,
-        )
-    )
+for _row in TENSOR_OPS:
+    tensor_dialect.register(row_opdef(_row, _verify_elementwise))
 
 tensor_dialect.register(
     OpDef(

@@ -10,6 +10,12 @@ Two entry points:
 * :class:`Interpreter` — reusable object exposing taint tracking: the
   set of ``secure.taint`` labels that reached each produced value, used
   by the data-protection tests.
+
+What an elementwise tensor op or a kernel scalar op computes is not
+stated here: it is the ``reference`` / ``evaluate`` column of the op
+table (:mod:`repro.core.ir.dialects.elementwise`), which constant
+folding calls too — so a folded constant is what this interpreter
+computes.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from typing import Any, Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.core.ir.dialects.elementwise import SCALAR, TENSOR
 from repro.core.ir.module import Function, Module
 from repro.core.ir.ops import Block, Operation, Value
 from repro.core.ir.types import (
@@ -36,48 +43,6 @@ _NUMPY_DTYPES = {
     "i64": np.int64,
     "index": np.int64,
 }
-
-_TENSOR_BINARY = {
-    "tensor.add": np.add,
-    "tensor.sub": np.subtract,
-    "tensor.mul": np.multiply,
-    "tensor.div": np.divide,
-    "tensor.maximum": np.maximum,
-    "tensor.minimum": np.minimum,
-}
-_TENSOR_UNARY = {
-    "tensor.neg": np.negative,
-    "tensor.exp": np.exp,
-    "tensor.relu": lambda x: np.maximum(x, 0),
-    "tensor.sqrt": np.sqrt,
-    "tensor.tanh": np.tanh,
-    "tensor.sigmoid": lambda x: 1.0 / (1.0 + np.exp(-x)),
-}
-_KERNEL_BINARY = {
-    "kernel.addf": lambda a, b: a + b,
-    "kernel.subf": lambda a, b: a - b,
-    "kernel.mulf": lambda a, b: a * b,
-    "kernel.divf": lambda a, b: a / b,
-    "kernel.addi": lambda a, b: a + b,
-    "kernel.subi": lambda a, b: a - b,
-    "kernel.muli": lambda a, b: a * b,
-    "kernel.divi": lambda a, b: a // b,
-    "kernel.maxf": max,
-    "kernel.minf": min,
-    "kernel.cmplt": lambda a, b: a < b,
-    "kernel.cmple": lambda a, b: a <= b,
-    "kernel.cmpeq": lambda a, b: a == b,
-    "kernel.cmpgt": lambda a, b: a > b,
-}
-_KERNEL_UNARY = {
-    "kernel.negf": lambda a: -a,
-    "kernel.expf": lambda a: float(np.exp(min(a, 700.0))),
-    "kernel.sqrtf": lambda a: float(np.sqrt(a)),
-    "kernel.tanhf": lambda a: float(np.tanh(a)),
-    "kernel.sigmoidf": lambda a: float(1.0 / (1.0 + np.exp(-a))),
-    "kernel.absf": abs,
-}
-
 
 def dtype_for(scalar: ScalarType) -> np.dtype:
     """Numpy dtype matching a scalar IR type."""
@@ -164,14 +129,9 @@ class Interpreter:
         if name == "func.return":
             return [env[operand] for operand in op.operands]
 
-        if name in _TENSOR_BINARY:
-            function = _TENSOR_BINARY[name]
-            self._set_result(
-                op, env, function(env[op.operands[0]], env[op.operands[1]])
-            )
-        elif name in _TENSOR_UNARY:
-            self._set_result(op, env, _TENSOR_UNARY[name](
-                env[op.operands[0]]))
+        if name in TENSOR:
+            self._set_result(op, env, TENSOR[name].reference(
+                *[env[operand] for operand in op.operands]))
         elif name == "tensor.matmul":
             self._set_result(
                 op, env, env[op.operands[0]] @ env[op.operands[1]]
@@ -240,22 +200,9 @@ class Interpreter:
             if labels:
                 existing = self.taints.setdefault(id(op.operands[1]), set())
                 existing |= labels
-        elif name in _KERNEL_BINARY:
-            function = _KERNEL_BINARY[name]
-            self._set_result(
-                op, env,
-                function(env[op.operands[0]], env[op.operands[1]]),
-            )
-        elif name in _KERNEL_UNARY:
-            self._set_result(
-                op, env, _KERNEL_UNARY[name](env[op.operands[0]])
-            )
-        elif name == "kernel.select":
-            condition = env[op.operands[0]]
-            self._set_result(
-                op, env,
-                env[op.operands[1]] if condition else env[op.operands[2]],
-            )
+        elif name in SCALAR:
+            self._set_result(op, env, SCALAR[name].evaluate(
+                *[env[operand] for operand in op.operands]))
         elif name == "kernel.for":
             lower, upper = op.attr("lower"), op.attr("upper")
             step = op.attr("step")

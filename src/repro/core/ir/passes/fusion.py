@@ -4,29 +4,25 @@ Groups chains of same-shape elementwise tensor ops so that lowering
 emits a single loop nest per group instead of one per op — the classic
 producer-consumer fusion the paper lists among the tensor-DSL
 optimizations (§III-B). The pass is analysis+annotation: it assigns a
-``fusion_group`` attribute; :class:`LowerTensorPass` honors it.
+``fusion_group`` attribute; :class:`LowerTensorPass` honors it. Which
+ops are elementwise is not listed here: :func:`is_elementwise` is
+membership in the op table (:mod:`repro.core.ir.dialects.elementwise`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
+from repro.core.ir.dialects.elementwise import TENSOR
 from repro.core.ir.module import Module
 from repro.core.ir.ops import Operation
 from repro.core.ir.passes.pass_manager import Pass
 
-_ELEMENTWISE = {
-    f"tensor.{name}"
-    for name in (
-        "add", "sub", "mul", "div", "maximum", "minimum",
-        "neg", "exp", "relu", "sqrt", "tanh", "sigmoid",
-    )
-}
-
 
 def is_elementwise(op: Operation) -> bool:
-    """True for tensor ops that map one-to-one over elements."""
-    return op.name in _ELEMENTWISE
+    """True for tensor ops that map one-to-one over elements: the
+    rows of the op table. Fusion groups them, lowering emits them."""
+    return op.name in TENSOR
 
 
 class ElementwiseFusionPass(Pass):
@@ -87,14 +83,3 @@ class ElementwiseFusionPass(Pass):
                 op.set_attr("fusion_group", group)
                 changed = True
         return changed
-
-
-def fusion_groups(module: Module) -> Dict[int, list]:
-    """Map of fusion group id to the ops in it, in program order."""
-    groups: Dict[int, list] = {}
-    for func in module.functions():
-        for op in func.walk():
-            group = op.attr("fusion_group")
-            if group is not None:
-                groups.setdefault(group, []).append(op)
-    return groups

@@ -11,7 +11,8 @@ into *kernel form*:
   arithmetic and stores;
 * fusion groups (from :class:`ElementwiseFusionPass`) share one loop
   nest, with intermediates kept in registers unless used outside the
-  group;
+  group; the kernel op an elementwise op becomes per element is a
+  column of the op table (:mod:`repro.core.ir.dialects.elementwise`);
 * ``tile_sizes`` attributes (from :class:`TilingPass`) turn matmuls
   into tiled 6-deep nests when the tile sizes divide the problem.
 
@@ -23,8 +24,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.ir.builder import Builder
+from repro.core.ir.dialects.elementwise import TENSOR
 from repro.core.ir.module import Function, Module
 from repro.core.ir.ops import Operation, Value
+from repro.core.ir.passes.fusion import is_elementwise
 from repro.core.ir.passes.pass_manager import Pass
 from repro.core.ir.types import (
     FunctionType,
@@ -33,27 +36,6 @@ from repro.core.ir.types import (
     TensorType,
 )
 from repro.errors import PassError
-
-_UNARY_MAP = {
-    "tensor.neg": "negf",
-    "tensor.exp": "expf",
-    "tensor.sqrt": "sqrtf",
-    "tensor.tanh": "tanhf",
-    "tensor.sigmoid": "sigmoidf",
-}
-_BINARY_MAP = {
-    "tensor.add": "addf",
-    "tensor.sub": "subf",
-    "tensor.mul": "mulf",
-    "tensor.div": "divf",
-    "tensor.maximum": "maxf",
-    "tensor.minimum": "minf",
-}
-_INT_BINARY_MAP = {
-    "tensor.add": "addi",
-    "tensor.sub": "subi",
-    "tensor.mul": "muli",
-}
 
 
 def _as_memref(tensor_type: TensorType) -> MemRefType:
@@ -235,7 +217,7 @@ class _FunctionLowering:
         name = op.name
         if name == "func.return":
             self._emit_return(op)
-        elif name in _UNARY_MAP or name in _BINARY_MAP:
+        elif is_elementwise(op):
             self._emit_elementwise_group([op])
         elif name == "tensor.matmul":
             self._emit_matmul(op)
@@ -251,8 +233,6 @@ class _FunctionLowering:
             self._emit_reshape(op)
         elif name == "tensor.splat":
             self._emit_splat(op)
-        elif name.startswith("tensor.relu"):
-            self._emit_elementwise_group([op])
         elif op.dialect in ("kernel", "secure", "func", "hw"):
             self._clone_through(op)
         else:
@@ -313,12 +293,6 @@ class _FunctionLowering:
 
     # ------------------------------------------------------------------
 
-    def _scalar_op_names(self, element: ScalarType):
-        if element.is_float:
-            return _BINARY_MAP, _UNARY_MAP
-        int_unary = {}
-        return _INT_BINARY_MAP, int_unary
-
     def _emit_elementwise_group(self, ops: List[Operation]) -> None:
         shape = ops[0].results[0].type.shape
         element = ops[0].results[0].type.element
@@ -354,7 +328,6 @@ class _FunctionLowering:
         indices = [handle.induction_var for handle in handles]
 
         scalars: Dict[int, Value] = {}
-        binary_map, unary_map = self._scalar_op_names(element)
 
         def operand_scalar(operand: Value) -> Value:
             producer = operand.producer
@@ -375,24 +348,21 @@ class _FunctionLowering:
             return self.builder.load(memref, indices)
 
         for op in ops:
-            if op.name == "tensor.relu":
-                value = operand_scalar(op.operands[0])
-                zero = self.builder.const(0.0, element)
-                scalar = self.builder.maxf(value, zero)
-            elif op.name in unary_map:
-                value = operand_scalar(op.operands[0])
-                scalar = self.builder.unary(unary_map[op.name], value)
-            elif op.name in binary_map:
-                lhs = operand_scalar(op.operands[0])
-                rhs = operand_scalar(op.operands[1])
-                scalar = self.builder._binary(
-                    f"kernel.{binary_map[op.name]}", lhs, rhs
-                )
-            else:
+            row = TENSOR.get(op.name)
+            kernel_op = None if row is None else (
+                row.float_op if element.is_float else row.int_op)
+            if kernel_op is None:
                 raise PassError(
                     f"unsupported elementwise op {op.name} "
                     f"for element type {element}"
                 )
+            operands = [operand_scalar(value) for value in op.operands]
+            if row.constant is not None:
+                operands.append(self.builder.const(row.constant, element))
+            scalar = self.builder.create(
+                f"kernel.{kernel_op}", operands=operands,
+                result_types=[operands[0].type],
+            ).result
             scalars[id(op)] = scalar
             buffer = materialize.get(id(op))
             if buffer is not None:

@@ -14,40 +14,20 @@ from __future__ import annotations
 
 from typing import Tuple
 
+from repro.core.ir.dialects.elementwise import SCALAR, TENSOR
 from repro.core.ir.dialects.kernel import loop_range
 from repro.core.ir.module import Function, Module
 from repro.core.ir.ops import Operation
 from repro.core.ir.passes.pass_manager import Pass
 from repro.core.ir.types import MemRefType, TensorType
 
-_ARITH_PREFIXES = (
-    "kernel.add", "kernel.sub", "kernel.mul", "kernel.div",
-    "kernel.max", "kernel.min", "kernel.exp", "kernel.sqrt",
-    "kernel.tanh", "kernel.sigmoid", "kernel.neg",
-    "tensor.",
-)
-
-#: Equivalent scalar-FLOP weight of expensive operations (a software
-#: exp/tanh costs a polynomial evaluation, not one instruction).
-_OP_WEIGHTS = {
-    "kernel.divf": 8.0,
-    "kernel.sqrtf": 8.0,
-    "kernel.expf": 16.0,
-    "kernel.tanhf": 20.0,
-    "kernel.sigmoidf": 20.0,
-    "tensor.div": 8.0,
-    "tensor.sqrt": 8.0,
-    "tensor.exp": 16.0,
-    "tensor.tanh": 20.0,
-    "tensor.sigmoid": 20.0,
-}
-
 
 def estimate_work(function: Function) -> Tuple[float, float]:
     """(operation count, argument bytes) for a function.
 
     Loop trip counts multiply nested work; tensor ops contribute their
-    element counts (matmul its m*n*k).
+    element counts (matmul its m*n*k). An elementwise or scalar op
+    counts its op-table ``weight``; any other tensor op 1 per element.
     """
     total_bytes = 0.0
     for argument in function.arguments:
@@ -79,10 +59,10 @@ def estimate_work(function: Function) -> Tuple[float, float]:
         if op.dialect == "tensor" and op.results and isinstance(
             op.results[0].type, TensorType
         ):
-            weight = _OP_WEIGHTS.get(op.name, 1.0)
+            weight = TENSOR[op.name].weight if op.name in TENSOR else 1.0
             return multiplier * weight * op.results[0].type.num_elements
-        if any(op.name.startswith(prefix) for prefix in _ARITH_PREFIXES):
-            return multiplier * _OP_WEIGHTS.get(op.name, 1.0)
+        if op.name in SCALAR:
+            return multiplier * SCALAR[op.name].weight
         if op.regions:
             inner = 0.0
             for region in op.regions:

@@ -25,7 +25,8 @@ Leases are heartbeat-based: a launcher's claim on a batch carries an
 expiry; :meth:`JobStore.heartbeat` extends it while work progresses,
 and :meth:`JobStore.expire_leases` returns jobs whose launcher went
 silent to the ready queue (or to ``failed`` once ``max_attempts`` is
-exhausted), so a killed launcher loses *time*, never *jobs*.
+exhausted, or to ``cancelled`` when a cancel request was pending), so
+a killed launcher loses *time*, never *jobs*.
 
 Stable error codes (:class:`~repro.errors.JobStoreError`): ``JOB001``
 unknown job, ``JOB002`` illegal state transition, ``JOB003`` stale
@@ -429,16 +430,23 @@ class JobStore:
         Running jobs whose lease expired go back to ``ready`` (the
         next lease re-runs them) unless their attempts are exhausted,
         in which case they land in ``failed`` with a lease-expiry
-        result. Returns ``(requeued_ids, failed_ids)``.
+        result. A job that would be requeued but whose cancellation
+        was requested while it ran lands in ``cancelled`` instead:
+        requeued it would stay ``ready`` for ever, since :meth:`lease`
+        never claims a job with a cancel request. Returns
+        ``(requeued_ids, failed_ids)``.
         """
         now = self.clock()
         with self._write():
             stale = self._conn.execute(
-                "SELECT id, attempts, max_attempts FROM jobs "
-                "WHERE state='running' AND lease_expiry < ?", (now,),
+                "SELECT id, attempts, max_attempts, cancel_requested "
+                "FROM jobs WHERE state='running' AND lease_expiry < ?",
+                (now,),
             ).fetchall()
-            requeued = [row[0] for row in stale if row[1] < row[2]]
             exhausted = [row[0] for row in stale if row[1] >= row[2]]
+            retryable = [row for row in stale if row[1] < row[2]]
+            requeued = [row[0] for row in retryable if not row[3]]
+            cancelled = [row[0] for row in retryable if row[3]]
             if requeued:
                 self._conn.execute(
                     f"UPDATE jobs SET state='ready', lease_id=NULL, "
@@ -446,15 +454,21 @@ class JobStore:
                     f"WHERE id IN ({','.join('?' * len(requeued))})",
                     [now, *requeued],
                 )
-            if exhausted:
-                self._conn.execute(
-                    f"UPDATE jobs SET state='failed', lease_id=NULL, "
-                    f"lease_expiry=NULL, updated=?, result=? "
-                    f"WHERE id IN ({','.join('?' * len(exhausted))})",
-                    [now, json.dumps(
-                        {"error": "lease expired; attempts exhausted"}
-                    ), *exhausted],
-                )
+            for state, ids, error in (
+                ("failed", exhausted, "lease expired; attempts exhausted"),
+                ("cancelled", cancelled, "cancelled"),
+            ):
+                if ids:
+                    self._conn.execute(
+                        f"UPDATE jobs SET state=?, lease_id=NULL, "
+                        f"lease_expiry=NULL, updated=?, result=? "
+                        f"WHERE id IN ({','.join('?' * len(ids))})",
+                        [state, now, json.dumps({"error": error}), *ids],
+                    )
+        if cancelled:
+            current_metrics().counter(
+                "service.jobs_cancelled", "jobs cancelled by clients",
+            ).inc(len(cancelled))
         if requeued:
             current_metrics().counter(
                 "service.leases_expired",

@@ -1,5 +1,7 @@
 """Tests for SYCL generation, artifacts, packaging and the compiler."""
 
+import re
+
 import pytest
 
 from repro.core.backend.binary import Artifact, SoftwareBinary
@@ -17,7 +19,16 @@ from repro.core.frontend import (
     export_model,
     import_model_json,
 )
-from repro.core.ir import F32, TensorType
+from repro.core.ir import (
+    F32,
+    I32,
+    INDEX,
+    FunctionType,
+    Module,
+    TensorType,
+)
+from repro.core.ir.builder import Builder
+from repro.core.ir.interp import run_function
 from repro.core.ir.passes import (
     LowerTensorPass,
     PassManager,
@@ -94,6 +105,44 @@ class TestSyclGen:
         text = generate_sycl(module, "s")
         assert "// taint" in text
         assert "dift_check" in text
+
+
+    @staticmethod
+    def _divi_module(operand_type):
+        module = Module("m")
+        function = module.add_function(
+            "f", FunctionType((operand_type, operand_type),
+                              (operand_type,)))
+        builder = Builder(function.entry_block)
+        builder.ret([builder._binary("kernel.divi", *function.arguments)])
+        return module
+
+    def test_signed_integer_division_floors_like_the_interpreter(self):
+        # C++ ``/`` truncates (-7 / 2 == -3); kernel.divi floors (-4)
+        module = self._divi_module(I32)
+        line, = [line for line in generate_sycl(module, "f").splitlines()
+                 if line.strip().startswith("auto v2 =")]
+        expression = line.split("=", 1)[1].rstrip(";")
+        assert expression.strip() != "v0 / v1"
+        # run the emitted expression under C++ integer semantics
+        python = re.sub(r"(\w+) / (\w+)", r"trunc_div(\1, \2)", expression)
+        python = re.sub(r"(\w+) % (\w+)", r"trunc_mod(\1, \2)", python)
+        python = python.replace("&&", " and ")
+
+        def trunc_div(a, b):
+            return int(a / b)
+
+        for v0 in range(-9, 10):
+            for v1 in (-4, -3, -1, 1, 2, 5):
+                emitted = eval(python, {
+                    "v0": v0, "v1": v1, "trunc_div": trunc_div,
+                    "trunc_mod": lambda a, b: a - b * trunc_div(a, b),
+                })
+                assert emitted == run_function(module, "f", v0, v1)[0], \
+                    (v0, v1)
+        # size_t operands cannot be negative: plain ``/`` already floors
+        assert "auto v2 = v0 / v1;" in generate_sycl(
+            self._divi_module(INDEX), "f")
 
 
 class TestArtifacts:

@@ -1,5 +1,7 @@
 """Lowering correctness: kernel-form execution matches tensor semantics."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core.dsl.kernel_dsl import compile_kernel
-from repro.core.ir import verify
+from repro.core.ir import F32, FunctionType, Module, verify
+from repro.core.ir.builder import Builder
 from repro.core.ir.interp import Interpreter, run_function
 from repro.core.ir.passes import (
     CanonicalizePass,
@@ -218,3 +221,15 @@ class TestInterpreterErrors:
                 gemm_module, "gemm",
                 np.ones((4, 4)), np.ones((16, 16)),
             )
+
+    @pytest.mark.parametrize("zero", [0.0, np.float32(0.0)])
+    def test_float_division_by_zero_is_ieee_not_an_error(self, zero):
+        # Python floats (constants, loaded elements) used to raise
+        # ZeroDivisionError where numpy scalars gave inf
+        module = Module("m")
+        function = module.add_function("f", FunctionType((F32,), (F32,)))
+        builder = Builder(function.entry_block)
+        builder.ret([builder.divf(builder.const(-1.0),
+                                  function.arguments[0])])
+        with np.errstate(divide="ignore"):
+            assert run_function(module, "f", zero) == [-math.inf]

@@ -1,5 +1,7 @@
 """Tests for canonicalization, fusion, tiling, layout and directives."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,33 @@ class TestCanonicalize:
         module = scalar_function()
         CanonicalizePass().run(module)
         assert CanonicalizePass().run(module) is False
+
+    @pytest.mark.parametrize("numerator, denominator, expected", [
+        (-1.0, 0.0, -math.inf), (1.0, 0.0, math.inf),
+        (1.0, -0.0, -math.inf), (0.0, 0.0, math.nan),
+        (3.0, 2.0, 1.5),
+    ])
+    def test_division_folds_to_what_the_interpreter_computes(
+            self, numerator, denominator, expected):
+        # the folder was a second statement of ``divf`` that turned
+        # every x / 0 into +inf; the interpreter raised instead
+        def module():
+            module = Module("m")
+            function = module.add_function("f", FunctionType((), (F32,)))
+            builder = Builder(function.entry_block)
+            builder.ret([builder.divf(builder.const(numerator),
+                                      builder.const(denominator))])
+            return module
+
+        interpreted, = Interpreter(module()).run("f")
+        folded = module()
+        assert ConstantFoldPass().run(folded)
+        assert [op.name for op in folded.find_function("f").walk()][-2:] \
+            == ["kernel.const", "func.return"]
+        constant, = Interpreter(folded).run("f")
+        for value in (interpreted, constant):
+            assert value == expected or (
+                math.isnan(value) and math.isnan(expected))
 
 
 class TestFusion:

@@ -15,6 +15,7 @@ import threading
 import pytest
 
 from repro.errors import JobStoreError
+from repro.obs import current_metrics, observe, session
 from repro.workflow.jobstore import (
     JOB_STATES,
     LEGAL_TRANSITIONS,
@@ -291,6 +292,27 @@ class TestCancellation:
         assert cancels == [job_id]
         store.cancel_leased(job_id, lease.lease_id)
         assert store.job(job_id).state == "cancelled"
+
+    def test_expired_lease_with_cancel_request_is_cancelled(
+            self, store, clock):
+        # requeued as ``ready`` with the request still set, the job was
+        # never leased again and never cancelled: no drain
+        doomed, survivor = submit_n(store, 2).inserted
+        store.lease("dead", 2, ttl_s=5.0)
+        assert store.cancel([doomed]) == (0, 1)
+        clock.advance(6)
+        with observe(session()):
+            assert store.expire_leases() == ([survivor], [])
+            assert current_metrics().counter(
+                "service.jobs_cancelled").total() == 1
+        job = store.job(doomed)
+        assert job.state == "cancelled"
+        assert job.result == {"error": "cancelled"}
+        assert job.lease_id is None
+        again = store.lease("alive", 2)
+        assert [leased.id for leased in again.jobs] == [survivor]
+        store.complete(survivor, again.lease_id)
+        assert store.drained()
 
     def test_cancelled_jobs_are_not_leased(self, store):
         ids = submit_n(store, 3).inserted
