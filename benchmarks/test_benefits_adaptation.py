@@ -156,7 +156,6 @@ def test_benefits_adaptation_window_ablation(benchmark):
             noisy = observed * float(rng.lognormal(0, 0.25))
             point.observe(noisy, point.predicted_energy_j,
                           smoothing=smoothing)
-            manager.monitor.record("k.latency", noisy)
             total += observed
         return total
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -31,23 +31,12 @@ class ODMatrix:
         """Trips per hour for one pair."""
         return self.pairs.get((origin, destination), 0.0)
 
-    def total_trips(self) -> float:
-        """Total hourly demand."""
-        return sum(self.pairs.values())
-
     def scaled(self, factor: float) -> "ODMatrix":
         """Matrix with all demands multiplied."""
         check_non_negative("factor", factor)
         return ODMatrix({
             pair: trips * factor for pair, trips in self.pairs.items()
         })
-
-    def top_pairs(self, count: int = 10
-                  ) -> List[Tuple[Tuple[object, object], float]]:
-        """Heaviest origin-destination pairs."""
-        return sorted(
-            self.pairs.items(), key=lambda item: -item[1]
-        )[:count]
 
 
 def diurnal_profile(hour: int) -> float:

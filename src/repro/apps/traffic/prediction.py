@@ -2,10 +2,8 @@
 
 "traffic prediction model which learns from the training data set"
 (§VI-C). The model keeps, per segment and hour-of-day, the running
-mean and variance of observed probe speeds; prediction blends the
-historical profile with the latest real-time observation (exponential
-recency weighting). The *distributions* (mean, std) are exactly what
-the PTDR router samples from.
+mean and variance of observed probe speeds. The *distributions*
+(mean, std) are exactly what the PTDR router samples from.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ import numpy as np
 
 from repro.apps.traffic.fcd import FCDPoint, aggregate_speeds
 from repro.apps.traffic.road_graph import CityGraph
-from repro.utils.validation import check_in_range
 
 EdgeKey = Tuple[object, object]
 
@@ -61,14 +58,11 @@ class _Profile:
 
 
 class SpeedModel:
-    """Historical + real-time segment speed estimator."""
+    """Historical segment speed estimator."""
 
-    def __init__(self, city: CityGraph, recency_weight: float = 0.4):
-        check_in_range("recency_weight", recency_weight, 0.0, 1.0)
+    def __init__(self, city: CityGraph):
         self.city = city
-        self.recency_weight = recency_weight
         self._profiles: Dict[Tuple[EdgeKey, int], _Profile] = {}
-        self._live: Dict[EdgeKey, float] = {}
         self.training_points = 0
 
     # ------------------------------------------------------------------
@@ -83,14 +77,6 @@ class SpeedModel:
             profile.merge(mean, std * std, min(count, 50))
         self.training_points += len(points)
 
-    def observe_live(self, edge: EdgeKey, speed_ms: float) -> None:
-        """Record a real-time observation for blending."""
-        self._live[edge] = speed_ms
-
-    def clear_live(self) -> None:
-        """Drop real-time observations (new prediction window)."""
-        self._live.clear()
-
     # ------------------------------------------------------------------
 
     def predict(self, edge: EdgeKey, hour: int) -> Tuple[float, float]:
@@ -104,12 +90,6 @@ class SpeedModel:
         else:
             base_mean = profile.mean
             base_std = max(profile.std, 0.3)
-        live = self._live.get(edge)
-        if live is not None:
-            base_mean = (
-                self.recency_weight * live
-                + (1 - self.recency_weight) * base_mean
-            )
         return base_mean, base_std
 
     def predict_time(self, edge: EdgeKey, hour: int) -> float:

@@ -72,19 +72,6 @@ class CityGraph:
             self.graph, source, target, weight=weight
         )
 
-    def k_shortest_paths(self, source, target, k: int = 3) -> List[List]:
-        """Up to ``k`` loop-free alternatives by free-flow time."""
-        check_positive("k", k)
-        generator = nx.shortest_simple_paths(
-            self.graph, source, target, weight="free_time"
-        )
-        paths = []
-        for path in generator:
-            paths.append(path)
-            if len(paths) >= k:
-                break
-        return paths
-
     def path_segments(self, path: List) -> List[Tuple[object, object]]:
         """Edge list of a node path."""
         return list(zip(path, path[1:]))

@@ -16,7 +16,7 @@ The simulator produces per-segment, per-hour congested speeds — the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import networkx as nx
 import numpy as np
@@ -116,19 +116,3 @@ class TrafficSimulator:
                 )
                 working.edges[edge]["congested"] = times[edge]
         return HourState(hour=hour, volumes=volumes, times_s=times)
-
-    def simulate_day(self, demand_scale: float = 1.0
-                     ) -> List[HourState]:
-        """All 24 hourly states."""
-        return [
-            self.simulate_hour(hour, demand_scale)
-            for hour in range(24)
-        ]
-
-    def congested_travel_time(self, state: HourState,
-                              path: List) -> float:
-        """Travel time of a path under one hour's state."""
-        return sum(
-            state.times_s[edge]
-            for edge in self.city.path_segments(path)
-        )

@@ -18,7 +18,6 @@ import numpy as np
 from repro.apps.weather.grid import (
     WeatherField,
     _correlated_noise,
-    synth_truth,
 )
 from repro.utils.rng import deterministic_rng
 from repro.utils.validation import check_positive
@@ -41,26 +40,10 @@ class Ensemble:
         """Grid spacing of the members."""
         return self.members[0].resolution_km
 
-    def mean_field(self) -> WeatherField:
-        """Ensemble mean."""
-        stacked = np.stack([m.data for m in self.members])
-        return WeatherField(
-            name=self.members[0].name,
-            data=stacked.mean(axis=0),
-            resolution_km=self.resolution_km,
-        )
-
     def spread(self) -> float:
         """Mean ensemble standard deviation (forecast uncertainty)."""
         stacked = np.stack([m.data for m in self.members])
         return float(stacked.std(axis=0).mean())
-
-    def value_distribution_at_km(self, y_km: float, x_km: float
-                                 ) -> np.ndarray:
-        """Member values at one location."""
-        return np.array([
-            member.value_at_km(y_km, x_km) for member in self.members
-        ])
 
 
 def generate_ensemble(
@@ -107,27 +90,3 @@ def generate_ensemble(
             resolution_km=coarse.resolution_km,
         ))
     return Ensemble(hour=lead_hours, members=member_fields)
-
-
-def daily_ensembles(
-    resolution_km: float,
-    members: int = 10,
-    hours: int = 24,
-    truth_size_cells: int = 120,
-    seed: str = "day",
-) -> List[Ensemble]:
-    """24 hourly ensembles plus matching truths (see weather.grid).
-
-    Returns the list of hourly ensembles; regenerate the truths with
-    :func:`repro.apps.weather.grid.synth_truth` for verification.
-    """
-    ensembles = []
-    for hour in range(hours):
-        truth = synth_truth(
-            size_cells=truth_size_cells, hour=hour, seed=seed
-        )
-        ensembles.append(generate_ensemble(
-            truth, resolution_km, members=members,
-            lead_hours=hour + 1, seed=f"{seed}-{hour}",
-        ))
-    return ensembles

@@ -66,12 +66,6 @@ class WeatherField:
             resolution_km=self.resolution_km * factor,
         )
 
-    def rmse_against(self, other: "WeatherField") -> float:
-        """RMSE against another field on the same grid."""
-        if self.data.shape != other.data.shape:
-            raise ValueError("fields have different shapes")
-        return float(np.sqrt(np.mean((self.data - other.data) ** 2)))
-
 
 def _correlated_noise(shape: Tuple[int, int], length_cells: float,
                       rng: np.random.Generator) -> np.ndarray:

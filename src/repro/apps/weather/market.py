@@ -58,20 +58,3 @@ class ImbalanceMarket:
         perfect = self.revenue(actual, actual)
         realized = self.revenue(committed_mwh, actual_mwh)
         return float(perfect - realized)
-
-    def cost_per_mwh(self, committed_mwh: Sequence[float],
-                     actual_mwh: Sequence[float]) -> float:
-        """Imbalance cost normalized by produced energy."""
-        produced = float(np.asarray(actual_mwh).sum())
-        if produced <= 0:
-            return 0.0
-        return self.imbalance_cost(committed_mwh, actual_mwh) / produced
-
-
-def ramp_events(actual_mwh: Sequence[float],
-                threshold_mwh: float = 10.0) -> int:
-    """Count hour-to-hour production swings above a threshold."""
-    actual = np.asarray(actual_mwh, dtype=float)
-    if actual.size < 2:
-        return 0
-    return int(np.sum(np.abs(np.diff(actual)) > threshold_mwh))

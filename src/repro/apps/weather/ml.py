@@ -150,13 +150,6 @@ class MLP:
             losses.append(epoch_loss / max(batches, 1))
         return losses
 
-    def mse(self, x: np.ndarray, y: np.ndarray) -> float:
-        """Mean squared error on a dataset."""
-        y = np.asarray(y, dtype=float)
-        if y.ndim == 1:
-            y = y[:, None]
-        return float(np.mean((self.forward(x) - y) ** 2))
-
     # ------------------------------------------------------------------
 
     def to_exchange_spec(self, name: str, batch: int) -> Dict:

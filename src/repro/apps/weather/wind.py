@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -67,17 +67,6 @@ class WindFarm:
         return np.array([
             self.production_mw(member) for member in ensemble.members
         ])
-
-    def day_ahead_schedule_mw(
-        self, hourly_ensembles: Sequence[Ensemble],
-        quantile: float = 0.5,
-    ) -> np.ndarray:
-        """Commitment per hour: a quantile of the forecast distribution."""
-        schedule = []
-        for ensemble in hourly_ensembles:
-            distribution = self.production_distribution_mw(ensemble)
-            schedule.append(float(np.quantile(distribution, quantile)))
-        return np.array(schedule)
 
 
 def default_farm(extent_km: float = 300.0, turbines: int = 24,

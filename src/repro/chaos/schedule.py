@@ -66,13 +66,6 @@ class ChaosSchedule:
     seed: int
     faults: List[Fault] = field(default_factory=list)
 
-    def timed_faults(self) -> List[Fault]:
-        """Faults with an injection time, in time order."""
-        return sorted(
-            (f for f in self.faults if not isinstance(f, TaskFault)),
-            key=lambda f: f.at_time,
-        )
-
     def task_faults(self) -> List[TaskFault]:
         """Faults that manifest on task attempts."""
         return [f for f in self.faults if isinstance(f, TaskFault)]
@@ -86,11 +79,6 @@ class ChaosSchedule:
 
     #: Total number of fault *events* this schedule will inject: each
     #: TaskFault fires once per scheduled failure.
-    def total_events(self) -> int:
-        return sum(
-            f.failures if isinstance(f, TaskFault) else 1
-            for f in self.faults
-        )
 
     def describe(self) -> str:
         """One-line summary for logs and the CLI."""

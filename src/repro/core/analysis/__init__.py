@@ -51,7 +51,6 @@ from repro.core.analysis.concurrency import (
     CONCURRENCY_CHECKS,
     ResourceSpec,
     analyze_concurrency,
-    check_pipeline_concurrency,
     check_task_graph_concurrency,
     lint_concurrency_spec,
 )
@@ -82,7 +81,6 @@ from repro.core.analysis.taint import (
 from repro.core.analysis.wfcheck import (
     TaskSpec,
     WorkerSpec,
-    lint_task_graph,
     lint_workflow,
     lint_workflow_spec,
 )
@@ -218,7 +216,6 @@ __all__ = [
     "CONCURRENCY_CHECKS",
     "ResourceSpec",
     "analyze_concurrency",
-    "check_pipeline_concurrency",
     "check_task_graph_concurrency",
     "lint_concurrency_spec",
     "DataflowAnalysis",
@@ -244,7 +241,6 @@ __all__ = [
     "compute_kernel_bounds",
     "kernel_bounds",
     "check_pipeline_taint",
-    "lint_task_graph",
     "lint_workflow",
     "lint_workflow_spec",
     "raise_if_errors",

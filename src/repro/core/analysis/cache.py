@@ -122,8 +122,3 @@ def configure_analysis_cache(
     with _config_lock:
         _analysis = AnalysisCache(cache_dir)
         return _analysis
-
-
-def clear_analysis_cache() -> int:
-    """Empty the process-wide cache; returns entries removed."""
-    return analysis_cache().clear()

@@ -39,8 +39,7 @@ Use :func:`analyze_concurrency` over explicit specs,
 :func:`check_task_graph_concurrency` over a built
 :class:`~repro.workflow.graph.TaskGraph`,
 :func:`lint_concurrency_spec` over JSON workflow specs (the ``repro
-lint`` path) and :func:`check_pipeline_concurrency` inside the
-compiler's pre-DSE gate.
+lint`` path).
 """
 
 from __future__ import annotations
@@ -419,42 +418,4 @@ def lint_concurrency_spec(
         name=str(spec.get("name", "workflow")),
         diagnostics=diagnostics,
         checks=checks,
-    )
-
-
-def check_pipeline_concurrency(
-    pipeline,
-    diagnostics: Optional[Diagnostics] = None,
-) -> Diagnostics:
-    """Concurrency-lint a DSL :class:`~repro.core.dsl.workflow.
-    Pipeline` (the compiler's pre-DSE gate).
-
-    Pipeline dataflow is pure (every task writes fresh outputs), so a
-    defect here means duplicated output wiring or an ordering hazard
-    introduced by hand-built pipelines.
-    """
-    tasks: List[TaskSpec] = []
-    for task in pipeline.tasks:
-        inputs: List[str] = []
-        for value in task.inputs:
-            if hasattr(value, "task"):  # TaskOutput
-                inputs.append(f"{value.task.name}.{value.index}")
-            else:  # Source
-                inputs.append(value.name)
-        outputs = sorted({
-            f"{task.name}.{consumer_input.index}"
-            for other in pipeline.tasks
-            for consumer_input in other.inputs
-            if hasattr(consumer_input, "task")
-            and consumer_input.task is task
-        } | {
-            f"{task.name}.{sink.value.index}"
-            for sink in pipeline.sinks
-            if hasattr(sink.value, "task") and sink.value.task is task
-        })
-        tasks.append(TaskSpec(
-            name=task.name, inputs=inputs, outputs=outputs,
-        ))
-    return analyze_concurrency(
-        tasks, name=pipeline.name, diagnostics=diagnostics,
     )

@@ -265,13 +265,6 @@ class StaticBounds:
     #: "link bandwidth", "memport:%A").
     binding: str = ""
 
-    def buffer_info(self) -> Dict[str, BufferInfo]:
-        return {info.buffer: info for info in self.buffers}
-
-    @property
-    def total_iterations(self) -> int:
-        return sum(nest.total_iters for nest in self.nests)
-
     def to_payload(self) -> Dict[str, Any]:
         return {
             "kind": "perf",

@@ -163,33 +163,51 @@ def check_function_taint(
     return diagnostics
 
 
+def _incoming(
+    op: Operation, labels: Dict[int, FrozenSet[str]],
+) -> FrozenSet[str]:
+    incoming: FrozenSet[str] = frozenset()
+    for operand in op.operands:
+        incoming |= labels.get(id(operand), frozenset())
+    return incoming
+
+
+def pipeline_labels(pipeline_op: Operation) -> Dict[int, FrozenSet[str]]:
+    """Taint labels of a workflow.pipeline op's values, keyed by ``id``.
+
+    A source whose ``sensitivity`` is not public labels its value
+    ``"<source>:<sensitivity>"``; a task's results carry the union of
+    its operands' labels. Untainted values are absent. The SEC004 /
+    SEC003 sink check and the compiler's ``everest.sensitive_args``
+    marking both read this map.
+    """
+    labels: Dict[int, FrozenSet[str]] = {}
+    for op in pipeline_op.regions[0].blocks[0].operations:
+        if op.name == "workflow.source":
+            sensitivity = op.attr("sensitivity")
+            if sensitivity not in _PUBLIC:
+                labels[id(op.results[0])] = frozenset(
+                    {f"{op.attr('sym_name')}:{sensitivity}"}
+                )
+        elif op.name == "workflow.task":
+            incoming = _incoming(op, labels)
+            if incoming:
+                for result in op.results:
+                    labels[id(result)] = incoming
+    return labels
+
+
 def check_pipeline_taint(
     module: Module,
     pipeline_op: Operation,
     diagnostics: Optional[Diagnostics] = None,
 ) -> Diagnostics:
-    """Propagate source sensitivity through a workflow.pipeline op."""
+    """Report tainted pipeline values reaching sinks (SEC004/SEC003)."""
     diagnostics = diagnostics if diagnostics is not None else Diagnostics()
-    block = pipeline_op.regions[0].blocks[0]
-    tainted: Dict[int, FrozenSet[str]] = {}
-    for op in block.operations:
-        if op.name == "workflow.source":
-            sensitivity = op.attr("sensitivity")
-            if sensitivity not in _PUBLIC:
-                tainted[id(op.results[0])] = frozenset(
-                    {f"{op.attr('sym_name')}:{sensitivity}"}
-                )
-        elif op.name == "workflow.task":
-            incoming: FrozenSet[str] = frozenset()
-            for operand in op.operands:
-                incoming |= tainted.get(id(operand), frozenset())
-            if incoming:
-                for result in op.results:
-                    tainted[id(result)] = incoming
-        elif op.name == "workflow.sink":
-            incoming = frozenset()
-            for operand in op.operands:
-                incoming |= tainted.get(id(operand), frozenset())
+    labels = pipeline_labels(pipeline_op)
+    for op in pipeline_op.regions[0].blocks[0].operations:
+        if op.name == "workflow.sink":
+            incoming = _incoming(op, labels)
             if not incoming:
                 continue
             rendered = ", ".join(sorted(incoming))
@@ -234,5 +252,6 @@ __all__ = [
     "check_function_taint",
     "check_pipeline_taint",
     "check_module_taint",
+    "pipeline_labels",
     "Severity",
 ]

@@ -308,25 +308,6 @@ def tasks_from_spec(spec: Dict, diagnostics: Diagnostics) -> List[TaskSpec]:
     ]
 
 
-def lint_task_graph(graph, workers=None,
-                    diagnostics: Optional[Diagnostics] = None
-                    ) -> Diagnostics:
-    """Lint a built :class:`~repro.workflow.graph.TaskGraph`.
-
-    ``workers`` may be :class:`~repro.workflow.worker.Worker` objects
-    or anything with a ``cpus`` attribute.
-    """
-    externals = [
-        obj.name for obj in graph.objects.values()
-        if obj.producer is None
-    ]
-    return lint_workflow(
-        tasks_from_graph(graph), externals, workers,
-        name=getattr(graph, "name", "workflow"),
-        diagnostics=diagnostics,
-    )
-
-
 def _contract_of(entry) -> Optional[Dict]:
     """Normalize one ``types`` contract value, or None if malformed."""
     if not isinstance(entry, dict):

@@ -69,12 +69,3 @@ class VariantPackage:
             },
         }
         return json.dumps(payload, indent=2, sort_keys=True)
-
-    @staticmethod
-    def manifest_summary(manifest_text: str) -> Dict[str, int]:
-        """Parse a manifest back into {kernel: variant count}."""
-        payload = json.loads(manifest_text)
-        return {
-            kernel: len(variants)
-            for kernel, variants in payload["kernels"].items()
-        }

@@ -18,10 +18,8 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-from repro.core.analysis import (
-    analyze_module_cached,
-    check_pipeline_concurrency,
-)
+from repro.core.analysis import analyze_module_cached
+from repro.core.analysis.taint import pipeline_labels
 from repro.core.backend.binary import Artifact, SoftwareBinary
 from repro.core.backend.packaging import VariantPackage
 from repro.core.backend.sycl_gen import generate_sycl
@@ -31,8 +29,7 @@ from repro.core.dse.cost_model import (
 )
 from repro.core.dse.explorer import ExplorationResult, Explorer
 from repro.core.dse.space import DesignSpace
-from repro.core.dsl.annotations import Sensitivity
-from repro.core.dsl.workflow import Pipeline, lint_pipeline_contracts
+from repro.core.dsl.workflow import Pipeline
 from repro.core.ir.digest import module_digest
 from repro.core.ir.module import Module
 from repro.core.ir.passes.partitioning import HardwarePartitioningPass
@@ -50,7 +47,6 @@ class CompiledApplication:
 
     name: str
     module: Module
-    pipeline: Pipeline
     exploration: Dict[str, ExplorationResult] = field(default_factory=dict)
     package: VariantPackage = None  # type: ignore[assignment]
     sensitive_kernels: Set[str] = field(default_factory=set)
@@ -111,7 +107,7 @@ class EverestCompiler:
                          category=COMPILE_CATEGORY) as compile_span:
             with tracer.span("frontend", category=COMPILE_CATEGORY):
                 module = pipeline.to_ir()
-                sensitive_kernels = self._propagate_sensitivity(module)
+                sensitive_kernels = _mark_sensitive_args(module)
                 HardwarePartitioningPass().run(module)
 
             # One digest for the whole compile: every downstream
@@ -140,15 +136,12 @@ class EverestCompiler:
                         cached, _facts, _hit = analyze_module_cached(
                             module, digest=digest)
                     diagnostics.extend(cached)
-                    check_pipeline_concurrency(pipeline, diagnostics)
-                    lint_pipeline_contracts(pipeline, diagnostics)
                     span.note(findings=len(diagnostics.items))
                 raise_if_errors(diagnostics, AnalysisError)
 
             app = CompiledApplication(
                 name=pipeline.name,
                 module=module,
-                pipeline=pipeline,
                 package=VariantPackage(
                     application=pipeline.name,
                     signing_key=self.signing_key,
@@ -206,44 +199,6 @@ class EverestCompiler:
 
     # ------------------------------------------------------------------
 
-    def _propagate_sensitivity(self, module: Module) -> Set[str]:
-        """Mark kernels consuming sensitive data; returns their names."""
-        sensitive_kernels: Set[str] = set()
-        pipeline_ops = [
-            op for op in module.body.operations
-            if op.name == "workflow.pipeline"
-        ]
-        for pipeline_op in pipeline_ops:
-            block = pipeline_op.regions[0].blocks[0]
-            tainted_values = set()
-            for op in block.operations:
-                if op.name == "workflow.source":
-                    sensitivity = op.attr("sensitivity", "public")
-                    if sensitivity not in ("public",
-                                           Sensitivity.PUBLIC.value):
-                        tainted_values.add(id(op.results[0]))
-                elif op.name == "workflow.task":
-                    tainted_indices = [
-                        index
-                        for index, operand in enumerate(op.operands)
-                        if id(operand) in tainted_values
-                    ]
-                    if tainted_indices:
-                        kernel = op.attr("kernel")
-                        function = module.find_function(kernel)
-                        if function is not None:
-                            existing = set(function.op.attr(
-                                "everest.sensitive_args", []))
-                            existing.update(tainted_indices)
-                            function.op.set_attr(
-                                "everest.sensitive_args",
-                                sorted(existing),
-                            )
-                        sensitive_kernels.add(kernel)
-                        for result in op.results:
-                            tainted_values.add(id(result))
-        return sensitive_kernels
-
     def _build_artifact(
         self, module: Module, variant, digest: str,
         sources: Dict[Module, str],
@@ -284,3 +239,37 @@ class EverestCompiler:
         return Artifact(
             variant_id=variant.variant_id, kind=kind, payload=payload,
         )
+
+
+def _mark_sensitive_args(module: Module) -> Set[str]:
+    """Mark kernels consuming sensitive data; returns their names.
+
+    A task argument is sensitive when the pipeline's taint label map
+    (:func:`~repro.core.analysis.taint.pipeline_labels`) labels it;
+    its index joins the kernel's ``everest.sensitive_args``.
+    """
+    sensitive_kernels: Set[str] = set()
+    for pipeline_op in module.body.operations:
+        if pipeline_op.name != "workflow.pipeline":
+            continue
+        labels = pipeline_labels(pipeline_op)
+        for op in pipeline_op.regions[0].blocks[0].operations:
+            if op.name != "workflow.task":
+                continue
+            tainted = [
+                index for index, operand in enumerate(op.operands)
+                if id(operand) in labels
+            ]
+            if not tainted:
+                continue
+            kernel = op.attr("kernel")
+            function = module.find_function(kernel)
+            if function is not None:
+                existing = set(function.op.attr(
+                    "everest.sensitive_args", []))
+                function.op.set_attr(
+                    "everest.sensitive_args",
+                    sorted(existing.union(tainted)),
+                )
+            sensitive_kernels.add(kernel)
+    return sensitive_kernels

@@ -10,7 +10,7 @@ structure — both produce identical fronts (same variants, same order).
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
 from repro.core.variants import Variant
 from repro.diagnostics import diagnosed_error
@@ -130,13 +130,3 @@ def knee_point(variants: Sequence[Variant]) -> Variant:
         return dl * dl + de * de
 
     return min(front, key=distance)
-
-
-def best_by(variants: Sequence[Variant],
-            key: Callable[[Variant], float]) -> Variant:
-    """Feasible variant minimizing an arbitrary objective."""
-    feasible = [v for v in variants if v.cost.feasible]
-    if not feasible:
-        raise diagnosed_error(
-            DSEError, "DSE001", "no feasible variants", "", "dse")
-    return min(feasible, key=key)

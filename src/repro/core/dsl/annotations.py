@@ -14,8 +14,8 @@ These carry the "extra characteristics of the algorithms and data"
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.errors import SpecificationError
 from repro.utils.validation import check_positive
@@ -54,11 +54,6 @@ class DataAnnotation:
             raise SpecificationError(
                 f"unknown record layout {self.record_layout!r}"
             )
-
-    @property
-    def is_streaming(self) -> bool:
-        """True when data arrives continuously rather than at rest."""
-        return self.velocity_bytes_per_s > 0
 
 
 class RequirementKind(enum.Enum):
@@ -106,49 +101,3 @@ class SecurityAnnotation:
     encrypt_at_rest: bool = False
     encrypt_in_transit: bool = False
     cipher: str = "aes128-gcm"
-
-    @property
-    def needs_protection(self) -> bool:
-        """True when any protection mechanism must be engaged."""
-        return (
-            self.sensitivity is not Sensitivity.PUBLIC
-            or self.integrity
-            or self.encrypt_at_rest
-            or self.encrypt_in_transit
-        )
-
-    @property
-    def needs_dift(self) -> bool:
-        """True when information flow tracking is warranted."""
-        return self.sensitivity in (
-            Sensitivity.CONFIDENTIAL, Sensitivity.SECRET
-        )
-
-
-@dataclass
-class AnnotationSet:
-    """Bundle of annotations attached to a kernel or pipeline stage."""
-
-    data: Dict[str, DataAnnotation] = field(default_factory=dict)
-    requirements: list = field(default_factory=list)
-    security: Dict[str, SecurityAnnotation] = field(default_factory=dict)
-
-    def add_data(self, annotation: DataAnnotation) -> None:
-        """Attach a data annotation keyed by its dataset name."""
-        self.data[annotation.name] = annotation
-
-    def add_requirement(self, requirement: Requirement) -> None:
-        """Attach a non-functional requirement."""
-        self.requirements.append(requirement)
-
-    def add_security(self, name: str,
-                     annotation: SecurityAnnotation) -> None:
-        """Attach a security annotation for a named dataset."""
-        self.security[name] = annotation
-
-    def sensitive_names(self) -> list:
-        """Dataset names that require information flow tracking."""
-        return sorted(
-            name for name, annotation in self.security.items()
-            if annotation.needs_dift
-        )

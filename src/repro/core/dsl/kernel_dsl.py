@@ -24,9 +24,13 @@ from typing import Dict, List, Optional
 
 from repro.core.dsl import ast_nodes as ast
 from repro.core.dsl.parser import parse
-from repro.core.dsl.typecheck import REDUCE_BUILTINS, check_program
+from repro.core.dsl.typecheck import check_program
 from repro.core.ir.builder import Builder
-from repro.core.ir.dialects.elementwise import BUILTINS, OPERATORS
+from repro.core.ir.dialects.elementwise import (
+    BUILTINS,
+    OPERATORS,
+    REDUCE_BUILTINS,
+)
 from repro.core.ir.module import Module
 from repro.core.ir.ops import Value
 from repro.core.ir.types import (
@@ -152,7 +156,7 @@ class _KernelCodegen:
                 result_type,
                 attributes={
                     "axes": list(expr.int_lists["axes"]),
-                    "kind": REDUCE_BUILTINS[callee],
+                    "kind": REDUCE_BUILTINS[callee].name,
                 },
             )
         if callee == "transpose":

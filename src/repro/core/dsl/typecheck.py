@@ -16,14 +16,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.core.dsl import ast_nodes as ast
-from repro.core.ir.dialects.elementwise import BUILTINS
+from repro.core.ir.dialects.elementwise import BUILTINS, REDUCE_BUILTINS
 from repro.core.ir.types import ScalarType, TensorType, Type
-from repro.diagnostics import Diagnostics
 from repro.errors import TypeCheckError
-
-#: DSL reduction builtin -> ``tensor.reduce`` kind
-REDUCE_BUILTINS = {"sum": "sum", "mean": "mean",
-                   "rmax": "max", "rmin": "min"}
 
 
 def _fail(node: ast.Node, message: str,
@@ -280,39 +275,3 @@ def check_program(program: ast.Program) -> List[TypeChecker]:
         checker.check()
         checkers.append(checker)
     return checkers
-
-
-def check_program_diagnostics(
-    program: ast.Program,
-    diagnostics: Optional[Diagnostics] = None,
-) -> Diagnostics:
-    """Collect type errors from *every* kernel instead of raising.
-
-    Each kernel is checked independently so one broken kernel does not
-    hide findings in the others; the per-error code (TY001/TY002)
-    attached by :func:`_fail` becomes the diagnostic code.
-    """
-    diagnostics = diagnostics if diagnostics is not None else Diagnostics()
-    seen = set()
-    for kernel in program.kernels:
-        if kernel.name in seen:
-            diagnostics.error(
-                "TY002",
-                f"duplicate kernel name {kernel.name!r}",
-                anchor=kernel.name,
-                analysis="typecheck",
-            )
-            continue
-        seen.add(kernel.name)
-        try:
-            TypeChecker(kernel).check()
-        except TypeCheckError as exc:
-            line = getattr(exc, "line", 0)
-            diagnostics.error(
-                getattr(exc, "code", "TY001"),
-                str(exc),
-                anchor=kernel.name,
-                analysis="typecheck",
-                loc=("<dsl>", line) if line else None,
-            )
-    return diagnostics

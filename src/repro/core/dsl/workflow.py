@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.core.dsl.annotations import (
-    AnnotationSet,
     DataAnnotation,
     Requirement,
     SecurityAnnotation,
@@ -32,7 +31,7 @@ from repro.core.ir.module import Module
 from repro.core.ir.ops import Operation, Value
 from repro.core.ir.types import Type, compare_contract
 from repro.core.ir.verifier import verify
-from repro.diagnostics import Diagnostics
+from repro.diagnostics import Diagnostics, raise_if_errors
 from repro.errors import SpecificationError
 
 
@@ -62,7 +61,6 @@ class Task:
     kernel: str
     inputs: List[Union[Source, "TaskOutput"]]
     requirements: List[Requirement] = field(default_factory=list)
-    annotations: AnnotationSet = field(default_factory=AnnotationSet)
 
     def output(self, index: int = 0) -> TaskOutput:
         """Handle to the ``index``-th output of this task."""
@@ -148,13 +146,20 @@ class Pipeline:
     # ------------------------------------------------------------------
 
     def to_ir(self) -> Module:
-        """Emit kernels + workflow.pipeline into one verified module."""
+        """Emit kernels + workflow.pipeline into one verified module.
+
+        Each distinct kernel source text is compiled once. Every
+        producer→consumer contract mismatch — arity or shape (WF010),
+        dtype (WF011) — is collected before one
+        :class:`~repro.errors.SpecificationError` is raised, whose
+        ``diagnostics`` attribute holds them all.
+        """
         if not self.tasks:
             raise SpecificationError(
                 f"pipeline {self.name!r} has no tasks"
             )
         module = Module(self.name)
-        for source_text in self._kernel_sources:
+        for source_text in dict.fromkeys(self._kernel_sources):
             compiled = compile_kernel(source_text)
             for function in compiled.functions():
                 if module.find_function(function.name) is None:
@@ -175,6 +180,7 @@ class Pipeline:
         builder = Builder(block)
 
         produced: Dict[int, Value] = {}
+        contracts = Diagnostics()
         for source in self.sources:
             attributes: Dict[str, object] = {"sym_name": source.name}
             if source.annotation is not None:
@@ -215,18 +221,23 @@ class Pipeline:
                         f"(tasks must be added in dataflow order)"
                     )
                 operands.append(produced[key])
+            anchor = f"{task.kernel}/{task.name}"
             expected = function.type.inputs
             if len(operands) != len(expected):
-                raise SpecificationError(
-                    f"task {task.name!r}: kernel {task.kernel!r} takes "
-                    f"{len(expected)} inputs, got {len(operands)}"
+                contracts.error(
+                    "WF010",
+                    f"task {task.name!r} wires {len(operands)} inputs "
+                    f"but kernel {task.kernel!r} declares {len(expected)}",
+                    anchor=anchor, analysis="absint",
                 )
-            for operand, expected_type in zip(operands, expected):
-                if operand.type != expected_type:
-                    raise SpecificationError(
-                        f"task {task.name!r}: input type {operand.type} "
-                        f"does not match kernel parameter "
-                        f"{expected_type}"
+            else:
+                for position, (operand, expected_type) in enumerate(
+                    zip(operands, expected)
+                ):
+                    compare_contract(
+                        contracts, anchor,
+                        f"input {position} of task {task.name!r}",
+                        operand.type, expected_type,
                     )
             attributes = {"sym_name": task.name, "kernel": task.kernel}
             if task.requirements:
@@ -261,85 +272,6 @@ class Pipeline:
             )
 
         builder.create("workflow.yield")
+        raise_if_errors(contracts, SpecificationError)
         verify(module)
         return module
-
-    def dependency_edges(self) -> List[tuple]:
-        """(producer task name, consumer task name) edges."""
-        edges = []
-        for task in self.tasks:
-            for input_value in task.inputs:
-                if isinstance(input_value, TaskOutput):
-                    edges.append((input_value.task.name, task.name))
-        return edges
-
-
-def lint_pipeline_contracts(
-    pipeline: Pipeline,
-    diagnostics=None,
-    module: Optional[Module] = None,
-):
-    """Collect every producer→consumer contract mismatch (WF010/WF011).
-
-    :meth:`Pipeline.to_ir` fails fast on the first incompatible edge;
-    this adapter instead propagates each object's declared type through
-    the whole dataflow — source declarations forward through task
-    kernels' signatures — and reports *all* shape (WF010) and dtype
-    (WF011) disagreements as diagnostics, so the lint CLI and the
-    compiler's static gate surface every contract bug at once.
-
-    Pass the already-lowered ``module`` to resolve kernel signatures
-    without recompiling the DSL sources (what the compiler does);
-    without it the kernel sources are compiled here, and sources that
-    fail to compile are skipped — broken DSL text is DSL001's concern,
-    not this check's. Returns the diagnostics collection.
-    """
-    diagnostics = diagnostics if diagnostics is not None else Diagnostics()
-    signatures: Dict[str, object] = {}
-    if module is not None:
-        for function in module.functions():
-            signatures.setdefault(function.name, function.type)
-    else:
-        for source_text in pipeline._kernel_sources:
-            try:
-                compiled = compile_kernel(source_text)
-            except SpecificationError:
-                continue
-            for function in compiled.functions():
-                signatures.setdefault(function.name, function.type)
-
-    value_types: Dict[object, Type] = {
-        id(source): source.type for source in pipeline.sources
-    }
-    for task in pipeline.tasks:
-        signature = signatures.get(task.kernel)
-        if signature is None:
-            continue  # unknown kernel: to_ir reports that, not us
-        anchor = f"{task.kernel}/{task.name}"
-        expected = signature.inputs
-        if len(task.inputs) != len(expected):
-            diagnostics.error(
-                "WF010",
-                f"task {task.name!r} wires {len(task.inputs)} inputs "
-                f"but kernel {task.kernel!r} declares {len(expected)}",
-                anchor=anchor, analysis="absint",
-            )
-        else:
-            for position, (input_value, expected_type) in enumerate(
-                zip(task.inputs, expected)
-            ):
-                if isinstance(input_value, TaskOutput):
-                    key = (id(input_value.task), input_value.index)
-                else:
-                    key = id(input_value)
-                actual = value_types.get(key)
-                if actual is None:
-                    continue  # producer signature unknown: skip edge
-                compare_contract(
-                    diagnostics, anchor,
-                    f"input {position} of task {task.name!r}",
-                    actual, expected_type,
-                )
-        for index, result_type in enumerate(signature.results):
-            value_types[(id(task), index)] = result_type
-    return diagnostics

@@ -45,11 +45,6 @@ class ImportedModel:
         default_factory=list
     )
 
-    @property
-    def parameter_names(self) -> List[str]:
-        """Names of the kernel parameters in order."""
-        return [name for name, _ in self.parameter_shapes]
-
 
 def import_model_json(text: str) -> ImportedModel:
     """Translate a JSON model into DSL source."""

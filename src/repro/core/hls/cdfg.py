@@ -38,11 +38,6 @@ class DFGNode:
         """Operation name."""
         return self.op.name
 
-    @property
-    def is_memory(self) -> bool:
-        """True for loads and stores."""
-        return self.op.name in MEMORY_OPS
-
     def buffer(self) -> Optional[Value]:
         """The memref a memory op touches, else None."""
         if self.op.name == "kernel.load":

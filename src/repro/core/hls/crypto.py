@@ -16,7 +16,6 @@ from typing import Dict
 
 from repro.errors import SecurityError
 from repro.platform.resources import FPGAResources
-from repro.utils.validation import check_positive
 
 
 @dataclass(frozen=True)
@@ -41,11 +40,6 @@ class CryptoCore:
         return self.fixed_latency_cycles + math.ceil(
             num_bytes / self.bytes_per_cycle
         )
-
-    def throughput_at(self, clock_hz: float) -> float:
-        """Steady-state bytes/second at a clock frequency."""
-        check_positive("clock_hz", clock_hz)
-        return self.bytes_per_cycle * clock_hz
 
 
 CRYPTO_LIBRARY: Dict[str, CryptoCore] = {
@@ -97,16 +91,3 @@ def core_for(cipher: str) -> CryptoCore:
             f"{sorted(CRYPTO_LIBRARY)}"
         )
     return core
-
-
-def lightest_core_fitting(capacity: FPGAResources) -> CryptoCore:
-    """Smallest authenticated core fitting the given fabric budget."""
-    candidates = [
-        core for core in CRYPTO_LIBRARY.values()
-        if core.authenticated and core.area.fits_in(capacity)
-    ]
-    if not candidates:
-        raise SecurityError(
-            "no authenticated crypto core fits the available fabric"
-        )
-    return min(candidates, key=lambda core: core.area.luts)

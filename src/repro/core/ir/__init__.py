@@ -27,9 +27,9 @@ from repro.core.ir.ops import Block, Operation, Region, Value
 from repro.core.ir.module import Function, Module
 from repro.core.ir.builder import Builder, LoopHandle
 from repro.core.ir.verifier import verify
-from repro.core.ir.printer import print_module, print_op
+from repro.core.ir.printer import print_module
 from repro.core.ir.parser import parse_module
-from repro.core.ir.digest import function_digest, module_digest
+from repro.core.ir.digest import module_digest
 import repro.core.ir.dialects  # noqa: F401  (registers dialects)
 
 __all__ = [
@@ -58,8 +58,6 @@ __all__ = [
     "LoopHandle",
     "verify",
     "print_module",
-    "print_op",
     "parse_module",
     "module_digest",
-    "function_digest",
 ]

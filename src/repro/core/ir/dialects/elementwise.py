@@ -1,9 +1,10 @@
 """The elementwise / scalar operation table: an operation described once.
 
-One :class:`TensorOp` row per ``tensor.*`` elementwise operation and one
-:class:`ScalarOp` row per ``kernel.*`` scalar operation. Everything the
+One :class:`TensorOp` row per ``tensor.*`` elementwise operation, one
+:class:`ScalarOp` row per ``kernel.*`` scalar operation and one
+:class:`ReduceKind` row per ``tensor.reduce`` kind. Everything the
 compile chain knows about such an operation below the HLS layer is a
-column here, and every consumer derives its lookup from the two dicts at
+column here, and every consumer derives its lookup from the dicts at
 the bottom: the tensor and kernel dialect registrations, the DSL type
 checker and IR emitter, ``is_elementwise`` (fusion and lowering), the
 tensor → kernel lowering, ``estimate_work``, the reference interpreter
@@ -138,6 +139,29 @@ TENSOR_OPS: Tuple[TensorOp, ...] = (
              "sigmoidf"),
 )
 
+
+@dataclass(frozen=True)
+class ReduceKind:
+    """One ``tensor.reduce`` kind."""
+
+    name: str  # the op's ``kind`` attribute
+    dsl: str  # the DSL builtin
+    reference: Callable[..., Any]  # numpy: ``reference(array, axis=axes)``
+    #: the accumulator's initial value, and the kernel op folding one
+    #: element into it
+    init: float
+    combine: str
+    #: divide by the count of reduced elements at the end
+    mean: bool = False
+
+
+REDUCE_KINDS: Tuple[ReduceKind, ...] = (
+    ReduceKind("sum", "sum", np.sum, 0.0, "addf"),
+    ReduceKind("mean", "mean", np.mean, 0.0, "addf", mean=True),
+    ReduceKind("max", "rmax", np.max, -3.0e38, "maxf"),
+    ReduceKind("min", "rmin", np.min, 3.0e38, "minf"),
+)
+
 #: qualified op name -> row
 SCALAR: Dict[str, ScalarOp] = {
     f"kernel.{row.name}": row for row in SCALAR_OPS
@@ -154,4 +178,9 @@ BUILTINS: Dict[str, TensorOp] = {
 OPERATORS: Dict[Tuple[str, int], TensorOp] = {
     (spelling, row.arity): row for row in TENSOR_OPS
     for spelling in row.dsl if not spelling.isidentifier()
+}
+#: ``tensor.reduce`` kind -> row, and DSL reduction builtin -> row
+REDUCE: Dict[str, ReduceKind] = {row.name: row for row in REDUCE_KINDS}
+REDUCE_BUILTINS: Dict[str, ReduceKind] = {
+    row.dsl: row for row in REDUCE_KINDS
 }

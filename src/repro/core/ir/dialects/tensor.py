@@ -15,7 +15,7 @@ from repro.core.ir.dialects import (
     register_dialect,
     row_opdef,
 )
-from repro.core.ir.dialects.elementwise import TENSOR_OPS
+from repro.core.ir.dialects.elementwise import REDUCE, TENSOR_OPS
 from repro.core.ir.ops import Operation
 from repro.core.ir.types import ScalarType, TensorType
 from repro.errors import IRError
@@ -121,8 +121,9 @@ def _verify_reduce(op: Operation) -> None:
                 f"tensor.reduce: axis {axis} out of range for "
                 f"rank {source.rank}"
             )
-    if op.attr("kind") not in ("sum", "max", "min", "mean"):
-        raise IRError("tensor.reduce: kind must be sum/max/min/mean")
+    if op.attr("kind") not in REDUCE:
+        raise IRError(
+            f"tensor.reduce: kind must be {'/'.join(REDUCE)}")
 
 
 def _verify_constant(op: Operation) -> None:

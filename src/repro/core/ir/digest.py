@@ -1,4 +1,4 @@
-"""Content-addressed digests for IR modules and functions.
+"""Content-addressed digests for IR modules.
 
 The printer assigns stable per-scope value names, so its output is a
 canonical rendering of a module's structure: two modules print
@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 from repro.core.ir.module import Module
-from repro.core.ir.printer import print_module, print_op
+from repro.core.ir.printer import print_module
 
 #: Bump when the printed form or digest recipe changes incompatibly;
 #: part of every persistent cache key so stale entries never match.
@@ -79,31 +79,4 @@ def module_digest(module: Module) -> str:
     _stats.prints += 1
     digest = _hash_text(print_module(module))
     root._digest_memo = (version, digest)
-    return digest
-
-
-def function_digest(module: Module, kernel: str) -> str:
-    """Digest of one function's printed subtree (module-independent).
-
-    Useful when only one kernel of a many-kernel module matters: edits
-    to sibling functions do not change this digest. Memoized per kernel
-    on the module version; a sibling edit merely forces a (cheap,
-    same-valued) recompute of this function's digest.
-    """
-    root = module.op
-    version = root.version
-    memo: Dict[str, Tuple[int, str]] = getattr(
-        root, "_function_digest_memo", None
-    ) or {}
-    entry = memo.get(kernel)
-    if entry is not None and entry[0] == version:
-        _stats.hits += 1
-        return entry[1]
-    function = module.find_function(kernel)
-    if function is None:
-        raise ValueError(f"no function named {kernel!r}")
-    _stats.prints += 1
-    digest = _hash_text(print_op(function.op))
-    memo[kernel] = (version, digest)
-    root._function_digest_memo = memo
     return digest

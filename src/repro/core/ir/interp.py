@@ -24,7 +24,7 @@ from typing import Any, Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.ir.dialects.elementwise import SCALAR, TENSOR
+from repro.core.ir.dialects.elementwise import REDUCE, SCALAR, TENSOR
 from repro.core.ir.module import Function, Module
 from repro.core.ir.ops import Block, Operation, Value
 from repro.core.ir.types import (
@@ -143,12 +143,7 @@ class Interpreter:
         elif name == "tensor.reduce":
             source = env[op.operands[0]]
             axes = tuple(op.attr("axes"))
-            kind = op.attr("kind")
-            reducers = {
-                "sum": np.sum, "mean": np.mean,
-                "max": np.max, "min": np.min,
-            }
-            reduced = reducers[kind](source, axis=axes)
+            reduced = REDUCE[op.attr("kind")].reference(source, axis=axes)
             result_type = op.results[0].type
             reduced = np.asarray(reduced).reshape(result_type.shape)
             self._set_result(op, env, reduced)

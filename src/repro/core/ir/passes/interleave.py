@@ -16,8 +16,6 @@ scheduler passes, with the chain latency, to
 
 from __future__ import annotations
 
-import math
-
 from repro.core.hls.cdfg import LoopNode, build_cdfg, loop_carried_chain
 from repro.core.ir.module import Module
 from repro.core.ir.passes.pass_manager import Pass
@@ -58,11 +56,3 @@ class AccumulationInterleavePass(Pass):
                     loop.op.set_attr("interleave", factor)
                     changed = True
         return changed
-
-
-def reduction_epilogue_cycles(interleave: int,
-                              add_latency: int = 3) -> int:
-    """Cycles of the final partial-sum reduction tree."""
-    if interleave <= 1:
-        return 0
-    return int(math.ceil(math.log2(interleave))) * add_latency

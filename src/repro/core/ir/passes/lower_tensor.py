@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.ir.builder import Builder
-from repro.core.ir.dialects.elementwise import TENSOR
+from repro.core.ir.dialects.elementwise import REDUCE, TENSOR
 from repro.core.ir.module import Function, Module
 from repro.core.ir.ops import Operation, Value
 from repro.core.ir.passes.fusion import is_elementwise
@@ -493,14 +493,12 @@ class _FunctionLowering:
         source_type: TensorType = op.operands[0].type
         result_type: TensorType = op.results[0].type
         axes = sorted(op.attr("axes"))
-        kind = op.attr("kind")
+        row = REDUCE[op.attr("kind")]
         element = source_type.element
         source = self._lookup(op.operands[0])
         out = self._alloc_for(op.results[0])
 
-        init = {"sum": 0.0, "mean": 0.0,
-                "max": -3.0e38, "min": 3.0e38}[kind]
-        self._emit_fill(out, result_type.shape, init, element)
+        self._emit_fill(out, result_type.shape, row.init, element)
 
         outer = self.builder.block
         handles = self._loop_nest(source_type.shape)
@@ -514,16 +512,11 @@ class _FunctionLowering:
             kept = [self.builder.index_const(0)]
         value = self.builder.load(source, indices)
         acc = self.builder.load(out, kept)
-        if kind in ("sum", "mean"):
-            combined = self.builder.addf(acc, value)
-        elif kind == "max":
-            combined = self.builder.maxf(acc, value)
-        else:
-            combined = self.builder._binary("kernel.minf", acc, value)
+        combined = self.builder._binary(f"kernel.{row.combine}", acc, value)
         self.builder.store(combined, out, kept)
         self._close_nest(handles, outer)
 
-        if kind == "mean":
+        if row.mean:
             reduced = 1
             for axis in axes:
                 reduced *= source_type.shape[axis]

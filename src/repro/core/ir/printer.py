@@ -153,10 +153,3 @@ class Printer:
 def print_module(module: Module) -> str:
     """Render a module to MLIR-like text."""
     return Printer().print_module(module)
-
-
-def print_op(op: Operation) -> str:
-    """Render a single operation subtree."""
-    printer = Printer()
-    printer._print_op(op, 0)
-    return "\n".join(printer._lines)

@@ -40,11 +40,6 @@ class ScalarType(Type):
         return self.name in ("f32", "f64")
 
     @property
-    def is_integer(self) -> bool:
-        """True for integer scalars (including i1 and index)."""
-        return not self.is_float
-
-    @property
     def bit_width(self) -> int:
         """Storage width in bits."""
         widths = {
@@ -154,10 +149,6 @@ class MemRefType(Type):
         """Copy of this type with a different data layout."""
         return MemRefType(self.shape, self.element, self.space, layout)
 
-    def with_space(self, space: str) -> "MemRefType":
-        """Copy of this type placed in a different memory space."""
-        return MemRefType(self.shape, self.element, space, self.layout)
-
     def __str__(self) -> str:
         dims = "x".join(str(dim) for dim in self.shape)
         suffix = ""
@@ -209,27 +200,6 @@ class FunctionType(Type):
         return f"({ins}) -> ({outs})"
 
 
-def parse_scalar(name: str) -> ScalarType:
-    """Look up a scalar type by name."""
-    return ScalarType(name)
-
-
-def common_element_type(a: Type, b: Type) -> ScalarType:
-    """Element type shared by two tensor/scalar types, or raise."""
-
-    def element_of(t: Type) -> ScalarType:
-        if isinstance(t, ScalarType):
-            return t
-        if isinstance(t, (TensorType, MemRefType)):
-            return t.element
-        raise IRError(f"type {t} has no element type")
-
-    ea, eb = element_of(a), element_of(b)
-    if ea != eb:
-        raise IRError(f"mismatched element types {ea} vs {eb}")
-    return ea
-
-
 def _shape_of(declared: Type) -> Optional[Tuple[int, ...]]:
     if isinstance(declared, (TensorType, MemRefType)):
         return tuple(declared.shape)
@@ -259,7 +229,7 @@ def compare_contract(
     emitted on ``diagnostics``
     (:class:`~repro.diagnostics.Diagnostics`). The IR contract check
     (``check_module_contracts``) and the pipeline one
-    (``lint_pipeline_contracts``) both compare through here.
+    (``Pipeline.to_ir``) both compare through here.
     """
     actual_shape, expected_shape = _shape_of(actual), _shape_of(expected)
     if actual_shape != expected_shape:

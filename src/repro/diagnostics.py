@@ -112,11 +112,6 @@ CODES: Dict[str, str] = {
 }
 
 
-def describe_code(code: str) -> str:
-    """One-line description of a registered code ('' if unknown)."""
-    return CODES.get(code, "")
-
-
 @dataclass(frozen=True)
 class Diagnostic:
     """One finding of one analysis."""

@@ -59,10 +59,6 @@ class SchedulingError(HLSError):
     """The HLS scheduler could not produce a legal schedule."""
 
 
-class AllocationError(HLSError):
-    """Resource allocation/binding failed (e.g. device too small)."""
-
-
 class DSEError(EverestError):
     """Design-space exploration failed.
 
@@ -83,10 +79,6 @@ class PlatformError(EverestError):
 
 class CapacityError(PlatformError):
     """A resource request exceeded the capacity of a device."""
-
-
-class ReconfigurationError(PlatformError):
-    """A (partial) FPGA reconfiguration failed and must be retried."""
 
 
 class ChaosError(EverestError):

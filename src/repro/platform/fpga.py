@@ -8,7 +8,7 @@ partial reconfiguration. This module models:
 * resource accounting (shell is pre-subtracted from the device capacity),
 * role slots with bitstream loading and reconfiguration latency,
 * clock scaling for synthesized accelerators,
-* power states (static fabric power plus per-role dynamic power).
+* static shell power and each image's dynamic power figure.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.errors import CapacityError, PlatformError, ReconfigurationError
+from repro.errors import CapacityError, PlatformError
 from repro.obs import current_metrics
 from repro.platform.memory import MemoryModel
 from repro.platform.resources import FPGAResources
@@ -116,8 +116,6 @@ class FPGADevice:
             memory.name: memory for memory in (memories or [])
         }
         self.total_reconfig_time = 0.0
-        self.failed_reconfigurations = 0
-        self._pending_reconfig_faults = 0
 
     @property
     def user_capacity(self) -> FPGAResources:
@@ -134,13 +132,6 @@ class FPGADevice:
                 return role
         return None
 
-    def find_role(self, bitstream_name: str) -> Optional[Role]:
-        """Role currently hosting the named bitstream, if any."""
-        for role in self.roles:
-            if role.loaded is not None and role.loaded.name == bitstream_name:
-                return role
-        return None
-
     def reconfiguration_time(self, bitstream: Bitstream) -> float:
         """Seconds of partial (or full) reconfiguration for the image."""
         size = bitstream.size_bytes
@@ -148,24 +139,12 @@ class FPGADevice:
             size *= 3  # full-device image
         return size / _RECONFIG_BYTES_PER_SECOND
 
-    def inject_reconfig_failures(self, count: int) -> None:
-        """Arm the configuration port to fail the next ``count`` loads.
-
-        Models the transient partial-reconfiguration errors (bitstream
-        CRC, ICAP timeout) that a chaos schedule injects; each armed
-        failure makes one subsequent :meth:`load` raise
-        :class:`ReconfigurationError` and leaves the role unchanged.
-        """
-        check_non_negative("count", count)
-        self._pending_reconfig_faults += int(count)
-
     def load(self, bitstream: Bitstream, role: Optional[Role] = None) -> Role:
         """Load a bitstream into a role slot, evicting nothing.
 
         Returns the role used. Raises :class:`CapacityError` when the
-        image does not fit, :class:`PlatformError` when every slot is
-        occupied and none was named, and :class:`ReconfigurationError`
-        when an injected configuration-port fault is armed.
+        image does not fit and :class:`PlatformError` when every slot is
+        occupied and none was named.
         """
         target = role or self.free_role()
         if target is None:
@@ -183,19 +162,6 @@ class FPGADevice:
                 f"{bitstream.footprint} does not fit role "
                 f"{target.name!r} capacity {target.capacity}"
             )
-        if self._pending_reconfig_faults > 0:
-            self._pending_reconfig_faults -= 1
-            self.failed_reconfigurations += 1
-            # time was spent streaming the image before the fault hit
-            self.total_reconfig_time += self.reconfiguration_time(bitstream)
-            current_metrics().counter(
-                "fpga.reconfigurations_failed",
-                "partial reconfigurations aborted by faults",
-            ).inc(device=self.name)
-            raise ReconfigurationError(
-                f"device {self.name!r}: partial reconfiguration of "
-                f"{bitstream.name!r} failed (injected fault); retry the load"
-            )
         target.loaded = bitstream
         target.reconfigurations += 1
         self.total_reconfig_time += self.reconfiguration_time(bitstream)
@@ -210,15 +176,6 @@ class FPGADevice:
         if role.busy:
             raise PlatformError(f"role {role.name!r} is busy; cannot unload")
         role.loaded = None
-
-    def power_watts(self) -> float:
-        """Current draw: shell static power plus active role power."""
-        dynamic = sum(
-            role.loaded.dynamic_watts
-            for role in self.roles
-            if role.loaded is not None and role.busy
-        )
-        return self.shell.static_watts + dynamic
 
 
 def make_vu9p(name: str, memories: Optional[List[MemoryModel]] = None,

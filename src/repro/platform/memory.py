@@ -96,24 +96,6 @@ class MemoryModel:
             )
         self.allocated_bytes -= num_bytes
 
-    def access_time(
-        self, num_bytes: int, parallel_streams: int = 1
-    ) -> float:
-        """Seconds to move ``num_bytes``, given concurrent streams.
-
-        Streams beyond the channel count share bandwidth; each transfer
-        pays the access latency once (streaming model, not per-word).
-        """
-        check_non_negative("num_bytes", num_bytes)
-        check_positive("parallel_streams", parallel_streams)
-        effective_channels = min(parallel_streams, self.channels)
-        bandwidth = (
-            self.bandwidth_per_channel
-            * effective_channels
-            / parallel_streams
-        )
-        return self.latency_s + num_bytes / bandwidth
-
     def access_energy(self, num_bytes: int) -> float:
         """Joules consumed moving ``num_bytes``."""
         check_non_negative("num_bytes", num_bytes)

@@ -43,14 +43,6 @@ class EnergyMeter:
         check_non_negative("seconds", seconds)
         self.add(device, watts * seconds, category)
 
-    def device_total(self, device: str) -> float:
-        """Joules attributed to one device."""
-        return self._by_device.get(device, 0.0)
-
-    def category_total(self, category: str) -> float:
-        """Joules attributed to one category."""
-        return self._by_category.get(category, 0.0)
-
     @property
     def total_joules(self) -> float:
         """Total energy across all devices."""

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import CapacityError
 from repro.utils.validation import check_non_negative, check_positive
 
 
@@ -65,28 +64,6 @@ class FPGAResources:
             and self.bram_kb <= capacity.bram_kb
             and self.dsps <= capacity.dsps
         )
-
-    def utilization_of(self, capacity: "FPGAResources") -> float:
-        """Max fractional utilization across resource classes in [0, inf)."""
-        fractions = []
-        for mine, theirs in (
-            (self.luts, capacity.luts),
-            (self.ffs, capacity.ffs),
-            (self.bram_kb, capacity.bram_kb),
-            (self.dsps, capacity.dsps),
-        ):
-            if mine and not theirs:
-                raise CapacityError(
-                    f"footprint {self} needs a resource the device "
-                    f"{capacity} lacks entirely"
-                )
-            if theirs:
-                fractions.append(mine / theirs)
-        return max(fractions) if fractions else 0.0
-
-    def is_empty(self) -> bool:
-        """True if every resource count is zero."""
-        return not (self.luts or self.ffs or self.bram_kb or self.dsps)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ order (a monotonically increasing sequence number breaks heap ties).
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, List, Optional, Tuple
+from typing import Any, Generator, List, Optional, Tuple
 
 from repro.diagnostics import diagnosed_error
 from repro.errors import PlatformError
@@ -176,11 +176,6 @@ class SimResource:
             self._queue.append(process)
         self._record_occupancy()
 
-    @property
-    def queue_length(self) -> int:
-        """Number of processes currently waiting."""
-        return len(self._queue)
-
 
 class Simulator:
     """The discrete-event engine: a clock and an ordered event heap."""
@@ -258,15 +253,3 @@ def all_of(sim: Simulator, processes: List[Process]) -> Generator:
         if not process.finished:
             yield process
     return [process.result for process in processes]
-
-
-def delayed_call(
-    sim: Simulator, delay: float, func: Callable[[], Any]
-) -> Process:
-    """Schedule ``func`` to run as a process after ``delay`` seconds."""
-
-    def body() -> Generator:
-        yield sim.timeout(delay)
-        return func()
-
-    return sim.process(body(), name=f"delayed:{func!r}")

@@ -11,7 +11,7 @@ to run, and which nodes sit in which tier.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import PlatformError
 from repro.platform.interconnect import (
@@ -37,6 +37,79 @@ class Tier(enum.Enum):
     CLOUD = "cloud"
 
 
+class LinkOverlay:
+    """Link faults in force, per unordered node pair.
+
+    Each pair holds a stack of ``(bandwidth_factor, latency_add_s)``
+    degradations and a count of partitions. A fault adds one entry and
+    its heal removes that entry only, so overlapping faults on one pair
+    end one at a time. The ecosystem's links and the workflow engine's
+    default staging path both keep their fault state in one of these.
+    """
+
+    def __init__(self):
+        self._degradations: Dict[Tuple[str, str],
+                                 List[Tuple[float, float]]] = {}
+        self._partitions: Dict[Tuple[str, str], int] = {}
+
+    @staticmethod
+    def _pair(a: str, b: str) -> Tuple[str, str]:
+        return (a, b) if a <= b else (b, a)
+
+    def add(self, a: str, b: str,
+            degradation: Optional[Tuple[float, float]]) -> None:
+        """Put one fault in force on the pair.
+
+        ``degradation`` is ``(bandwidth_factor, latency_add_s)`` — the
+        bandwidth is scaled by a factor in (0, 1] and the latency
+        raised per hop — or ``None`` to sever the link.
+        """
+        pair = self._pair(a, b)
+        if degradation is None:
+            self._partitions[pair] = self._partitions.get(pair, 0) + 1
+            return
+        bandwidth_factor, latency_add_s = degradation
+        if not 0.0 < bandwidth_factor <= 1.0:
+            raise PlatformError(
+                f"bandwidth_factor must be in (0, 1], got {bandwidth_factor}"
+            )
+        if latency_add_s < 0.0:
+            raise PlatformError(
+                f"latency_add_s must be >= 0, got {latency_add_s}"
+            )
+        self._degradations.setdefault(pair, []).append(degradation)
+
+    def remove(self, a: str, b: str,
+               degradation: Optional[Tuple[float, float]]) -> None:
+        """End one fault that :meth:`add` put in force with these
+        arguments; the pair's other faults stay."""
+        pair = self._pair(a, b)
+        if degradation is None:
+            self._partitions[pair] -= 1
+            if not self._partitions[pair]:
+                del self._partitions[pair]
+            return
+        stack = self._degradations[pair]
+        stack.remove(degradation)
+        if not stack:
+            del self._degradations[pair]
+
+    def state(self, a: str, b: str) -> Tuple[float, float]:
+        """(bandwidth_factor, latency_add_s) of the degradations in
+        force: factors multiply, added latencies sum."""
+        factor = 1.0
+        latency_add = 0.0
+        for bandwidth_factor, latency_add_s in self._degradations.get(
+                self._pair(a, b), ()):
+            factor *= bandwidth_factor
+            latency_add += latency_add_s
+        return factor, latency_add
+
+    def is_partitioned(self, a: str, b: str) -> bool:
+        """True while at least one partition of the pair is in force."""
+        return self._pair(a, b) in self._partitions
+
+
 class Ecosystem:
     """A multi-tier deployment of nodes connected by typed links."""
 
@@ -47,11 +120,9 @@ class Ecosystem:
         self._links: Dict[str, Dict[str, Link]] = {}
         self.nodes: Dict[str, Node] = {}
         self.tiers: Dict[str, Tier] = {}
-        # Chaos overlay: transient link state keyed by the unordered
-        # node pair. Degradations scale bandwidth and add latency;
-        # partitioned links are excluded from routing entirely.
-        self._degradations: Dict[Tuple[str, str], Tuple[float, float]] = {}
-        self._partitioned: set = set()
+        #: Link faults in force: degraded links are slower, partitioned
+        #: links are excluded from routing entirely.
+        self.overlay = LinkOverlay()
 
     def add_node(self, node: Node, tier: Tier) -> Node:
         """Register a node in a tier."""
@@ -85,53 +156,13 @@ class Ecosystem:
             raise PlatformError(f"no direct link between {a!r} and {b!r}")
         return link
 
-    # -- chaos overlay: degradation and partition ----------------------
-
-    @staticmethod
-    def _pair(a: str, b: str) -> Tuple[str, str]:
-        return (a, b) if a <= b else (b, a)
-
-    def degrade_link(self, a: str, b: str, bandwidth_factor: float = 1.0,
-                     latency_add_s: float = 0.0) -> None:
-        """Degrade a link: scale its bandwidth, add latency per hop.
-
-        ``bandwidth_factor`` must be in (0, 1]; use
-        :meth:`partition_link` to sever a link completely.
-        """
-        self.link_between(a, b)  # validates the edge exists
-        if not 0.0 < bandwidth_factor <= 1.0:
-            raise PlatformError(
-                f"bandwidth_factor must be in (0, 1], got {bandwidth_factor}"
-            )
-        if latency_add_s < 0.0:
-            raise PlatformError(
-                f"latency_add_s must be >= 0, got {latency_add_s}"
-            )
-        self._degradations[self._pair(a, b)] = (
-            bandwidth_factor, latency_add_s
-        )
-
-    def partition_link(self, a: str, b: str) -> None:
-        """Sever a link: routing treats it as absent until healed."""
-        self.link_between(a, b)
-        self._partitioned.add(self._pair(a, b))
-
-    def restore_link(self, a: str, b: str) -> None:
-        """Clear any degradation and partition on the link."""
-        self._degradations.pop(self._pair(a, b), None)
-        self._partitioned.discard(self._pair(a, b))
-
-    def link_state(self, a: str, b: str) -> Tuple[float, float]:
-        """(bandwidth_factor, latency_add_s) currently on the link."""
-        return self._degradations.get(self._pair(a, b), (1.0, 0.0))
-
     def is_partitioned(self, a: str, b: str) -> bool:
         """True while the direct link is severed."""
-        return self._pair(a, b) in self._partitioned
+        return self.overlay.is_partitioned(a, b)
 
     def _hop_time(self, a: str, b: str, num_bytes: int) -> float:
         link = self.link_between(a, b)
-        factor, extra_latency = self.link_state(a, b)
+        factor, extra_latency = self.overlay.state(a, b)
         if factor == 1.0 and extra_latency == 0.0:
             return link.transfer_time(num_bytes)
         return (
@@ -156,8 +187,8 @@ class Ecosystem:
                 return hops[::-1]
             for neighbour in self._links.get(node, ()):
                 if (neighbour not in came_from
-                        and self._pair(node, neighbour)
-                        not in self._partitioned):
+                        and not self.overlay.is_partitioned(
+                            node, neighbour)):
                     came_from[neighbour] = node
                     frontier.append(neighbour)
         raise PlatformError(
@@ -199,16 +230,6 @@ class Ecosystem:
             link.messages += 1
             total += self._hop_time(a, b, num_bytes)
         return total
-
-    def bottleneck_bandwidth(self, source: str, target: str) -> float:
-        """Minimum link bandwidth along the path (B/s)."""
-        if source == target:
-            return float("inf")
-        hops = self.path(source, target)
-        return min(
-            self.link_between(a, b).bandwidth * self.link_state(a, b)[0]
-            for a, b in zip(hops, hops[1:])
-        )
 
     def all_links(self) -> Iterable[Tuple[str, str, Link]]:
         """Iterate over (a, b, link) triples."""

@@ -12,7 +12,6 @@ from repro.runtime.autotuner.knowledge import (
     KnowledgeBase,
     OperatingPoint,
 )
-from repro.runtime.autotuner.monitor import RuntimeMonitor
 from repro.runtime.autotuner.data_features import DataFeatures
 from repro.runtime.autotuner.manager import ApplicationManager
 
@@ -21,7 +20,6 @@ __all__ = [
     "GoalKind",
     "OperatingPoint",
     "KnowledgeBase",
-    "RuntimeMonitor",
     "DataFeatures",
     "ApplicationManager",
 ]

@@ -30,7 +30,6 @@ from repro.runtime.autotuner.knowledge import (
     KnowledgeBase,
     OperatingPoint,
 )
-from repro.runtime.autotuner.monitor import RuntimeMonitor
 
 #: Tracer category for autotuner adaptation decisions.
 TUNER_CATEGORY = "autotuner.decision"
@@ -62,17 +61,11 @@ class ApplicationManager:
         self,
         knowledge: KnowledgeBase,
         goal: Goal = Goal(),
-        monitor: Optional[RuntimeMonitor] = None,
     ):
         self.knowledge = knowledge
         self.goal = goal
-        self.monitor = monitor or RuntimeMonitor()
         self.selections: Dict[str, int] = {}  # kernel -> variant_id
         self.switches = 0
-
-    def set_goal(self, goal: Goal) -> None:
-        """Change the optimization goal at run time."""
-        self.goal = goal
 
     # ------------------------------------------------------------------
 
@@ -160,28 +153,9 @@ class ApplicationManager:
         latency_s: float,
         energy_j: float,
     ) -> None:
-        """Feed a measurement back into knowledge and monitors."""
+        """Feed a measurement back into the point's corrections."""
         if self.knowledge.find(kernel, point.variant.variant_id) is None:
             raise RuntimeSystemError(
                 f"reporting for unknown point of kernel {kernel!r}"
             )
         point.observe(latency_s, energy_j)
-        self.monitor.record(f"{kernel}.latency", latency_s)
-        self.monitor.record(f"{kernel}.energy", energy_j)
-
-    def regret_against_oracle(
-        self,
-        kernel: str,
-        state: SystemState,
-        features: DataFeatures,
-        true_latency,
-    ) -> float:
-        """Latency excess of the current selection over the oracle.
-
-        ``true_latency(point)`` returns the ground-truth latency; used
-        by the adaptation benchmark.
-        """
-        chosen = self.select(kernel, state, features)
-        points = self.knowledge.points_for(kernel)
-        best = min(true_latency(point) for point in points)
-        return true_latency(chosen) - best

@@ -104,17 +104,6 @@ class HardwareMonitor:
 
     # ------------------------------------------------------------------
 
-    def baseline_of(self, metric: str) -> Optional[Dict[str, float]]:
-        """Snapshot of a metric's learned baseline."""
-        baseline = self._baselines.get(metric)
-        if baseline is None:
-            return None
-        return {
-            "count": baseline.count,
-            "mean": baseline.mean,
-            "std": baseline.std,
-        }
-
     def detection_count(self, metric: Optional[str] = None) -> int:
         """Detections so far (optionally for one metric)."""
         if metric is None:

@@ -87,14 +87,6 @@ class SoftwareAEAD:
         stream = self._keystream(nonce, len(ciphertext))
         return bytes(c ^ s for c, s in zip(ciphertext, stream))
 
-    # ------------------------------------------------------------------
-
-    def software_seconds(self, num_bytes: int,
-                         cpu_hz: float = 3e9) -> float:
-        """Software-encryption time for a payload."""
-        cycles = SOFTWARE_CYCLES_PER_BYTE[self.cipher] * num_bytes
-        return cycles / cpu_hz + 1e-6  # per-call setup
-
 
 def derive_key(master: bytes, context: str) -> bytes:
     """Domain-separated subkey derivation."""

@@ -109,19 +109,6 @@ class AutoProtection:
 
     # ------------------------------------------------------------------
 
-    def node_allowed(self, node: str) -> bool:
-        """False when the node is quarantined."""
-        return node not in self.quarantined
-
-    def stand_down(self) -> None:
-        """Clear transient mitigations after an all-clear."""
-        self.dift_forced = False
-        self.throttled = False
-
-    def release_node(self, node: str) -> None:
-        """Lift a quarantine."""
-        self.quarantined.discard(node)
-
     def summary(self) -> Dict[str, int]:
         """Incident counts by reaction."""
         counts: Dict[str, int] = {}

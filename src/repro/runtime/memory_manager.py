@@ -17,7 +17,7 @@ alternatives (e.g. everything-in-host-DDR).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.errors import CapacityError, RuntimeSystemError
 from repro.platform.interconnect import Link
@@ -184,25 +184,3 @@ class MemoryManager:
             plan.staging_seconds += self._staging_cost(memory, request)
             plan.energy_j += energy
         return plan
-
-
-def requests_from_design(design) -> List[BufferRequest]:
-    """Derive buffer requests from an accelerator design's memory plan.
-
-    Interface buffers (function arguments) are non-resident streams;
-    local allocs are resident scratch.
-    """
-    requests: List[BufferRequest] = []
-    for plan in design.memory_plan.buffers.values():
-        value = plan.value
-        is_local = (
-            value.producer is not None
-            and value.producer.name == "kernel.alloc"
-        )
-        requests.append(BufferRequest(
-            name=value.name,
-            size_bytes=max(1, plan.memref.size_bytes),
-            accesses_per_invocation=plan.accesses_per_iteration * 64,
-            resident=is_local,
-        ))
-    return requests

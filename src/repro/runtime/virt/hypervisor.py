@@ -2,8 +2,7 @@
 
 Models the host-side extensions of Fig. 2: guests get vCPUs and memory
 from the node envelope (with a configurable overcommit ratio for
-vCPUs, none for memory), and live migration between hypervisors pays a
-downtime proportional to guest memory over the connecting link.
+vCPUs, none for memory).
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.errors import VirtualizationError
-from repro.platform.interconnect import Link
 from repro.platform.node import Node
 from repro.runtime.virt.vm import VM, VMState
 from repro.utils.validation import check_positive
@@ -92,42 +90,3 @@ class Hypervisor:
         )
         self.vms[name] = vm
         return vm
-
-    def destroy_vm(self, name: str) -> None:
-        """Remove a guest entirely."""
-        if name not in self.vms:
-            raise VirtualizationError(f"no VM named {name!r}")
-        del self.vms[name]
-
-    def boot_time_s(self, vm: VM) -> float:
-        """Guest boot latency model."""
-        base = 1.5  # kernel + init
-        return base + vm.memory_bytes / 64e9
-
-    # ------------------------------------------------------------------
-
-    def migrate(self, name: str, target: "Hypervisor",
-                link: Link) -> float:
-        """Live-migrate a guest; returns the downtime in seconds.
-
-        Pre-copy model: one full memory pass over the link plus a stop
-        and-copy of 5% dirty pages; the VM keeps its name and devices
-        must be detached first (passthrough blocks migration).
-        """
-        if name not in self.vms:
-            raise VirtualizationError(f"no VM named {name!r}")
-        vm = self.vms[name]
-        if vm.devices:
-            raise VirtualizationError(
-                f"VM {name!r} has passthrough devices "
-                f"{vm.devices}; detach before migration"
-            )
-        if target.vcpus_committed + vm.vcpus > target.vcpu_capacity:
-            raise VirtualizationError(
-                f"target {target.node.name!r} cannot admit {name!r}"
-            )
-        precopy = link.transfer_time(vm.memory_bytes)
-        downtime = link.transfer_time(int(vm.memory_bytes * 0.05))
-        del self.vms[name]
-        target.vms[name] = vm
-        return precopy + downtime

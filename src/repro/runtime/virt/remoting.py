@@ -67,9 +67,3 @@ class APIRemoting:
         self.bytes_forwarded += payload_bytes
         self.overhead_seconds += overhead
         return overhead
-
-    def mean_overhead(self) -> float:
-        """Average per-call overhead so far."""
-        if self.calls == 0:
-            return 0.0
-        return self.overhead_seconds / self.calls

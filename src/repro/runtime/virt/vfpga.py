@@ -52,13 +52,6 @@ class VFPGAManager:
                     result.append((device, role))
         return result
 
-    def lease_for(self, vm: VM) -> List[RoleLease]:
-        """All leases held by a VM."""
-        return [
-            lease for lease in self.leases.values()
-            if lease.vm_name == vm.name
-        ]
-
     # ------------------------------------------------------------------
 
     def allocate(self, vm: VM, bitstream: Bitstream) -> RoleLease:

@@ -8,14 +8,11 @@ from repro.utils.units import (
     KB,
     MB,
     MHZ,
-    format_bytes,
-    format_seconds,
 )
 from repro.utils.validation import (
     check_in_range,
     check_non_negative,
     check_positive,
-    check_type,
 )
 
 __all__ = [
@@ -27,10 +24,7 @@ __all__ = [
     "GB",
     "MHZ",
     "GHZ",
-    "format_bytes",
-    "format_seconds",
     "check_positive",
     "check_non_negative",
     "check_in_range",
-    "check_type",
 ]

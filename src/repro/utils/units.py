@@ -1,7 +1,7 @@
-"""Unit constants and human-readable formatting.
+"""Unit constants.
 
 The platform simulator works in SI base units: seconds, bytes, joules,
-hertz. These helpers keep configuration code readable.
+hertz. These constants keep configuration code readable.
 """
 
 from __future__ import annotations
@@ -16,34 +16,3 @@ GHZ = 1_000_000_000.0
 US = 1e-6
 MS = 1e-3
 NS = 1e-9
-
-
-def format_bytes(num_bytes: float) -> str:
-    """Format a byte count with a binary suffix, e.g. ``1.5 MiB``."""
-    if num_bytes < 0:
-        raise ValueError(f"byte count must be non-negative, got {num_bytes}")
-    value = float(num_bytes)
-    for suffix in ("B", "KiB", "MiB", "GiB", "TiB"):
-        if value < 1024 or suffix == "TiB":
-            if suffix == "B":
-                return f"{int(value)} B"
-            return f"{value:.2f} {suffix}"
-        value /= 1024
-    raise AssertionError("unreachable")
-
-
-def format_seconds(seconds: float) -> str:
-    """Format a duration picking the most readable unit."""
-    if seconds < 0:
-        raise ValueError(f"duration must be non-negative, got {seconds}")
-    if seconds == 0:
-        return "0 s"
-    if seconds < 1e-6:
-        return f"{seconds * 1e9:.2f} ns"
-    if seconds < 1e-3:
-        return f"{seconds * 1e6:.2f} us"
-    if seconds < 1.0:
-        return f"{seconds * 1e3:.2f} ms"
-    if seconds < 120:
-        return f"{seconds:.2f} s"
-    return f"{seconds / 60:.2f} min"

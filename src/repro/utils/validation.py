@@ -1,13 +1,11 @@
 """Small argument-validation helpers used across the SDK.
 
-These raise ``ValueError``/``TypeError`` (not SDK errors) because they
-guard programming mistakes at API boundaries, mirroring how numpy and
+These raise ``ValueError`` (not SDK errors) because they guard
+programming mistakes at API boundaries, mirroring how numpy and
 networkx validate their inputs.
 """
 
 from __future__ import annotations
-
-from typing import Tuple, Type, Union
 
 
 def check_positive(name: str, value: float) -> float:
@@ -31,22 +29,5 @@ def check_in_range(
     if not low <= value <= high:
         raise ValueError(
             f"{name} must be in [{low}, {high}], got {value!r}"
-        )
-    return value
-
-
-def check_type(
-    name: str,
-    value: object,
-    expected: Union[Type, Tuple[Type, ...]],
-) -> object:
-    """Require ``isinstance(value, expected)`` and return the value."""
-    if not isinstance(value, expected):
-        if isinstance(expected, tuple):
-            names = ", ".join(t.__name__ for t in expected)
-        else:
-            names = expected.__name__
-        raise TypeError(
-            f"{name} must be of type {names}, got {type(value).__name__}"
         )
     return value

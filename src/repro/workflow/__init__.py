@@ -22,7 +22,6 @@ from repro.workflow.recovery import (
     RecoveryStats,
     ResilientServer,
     RetryPolicy,
-    migrate_task,
 )
 from repro.workflow.tracing import (
     ExecutionTrace,
@@ -60,7 +59,6 @@ __all__ = [
     "ResilientServer",
     "RecoveryStats",
     "RetryPolicy",
-    "migrate_task",
     "ExecutionTrace",
     "TaskRecord",
     "FaultRecord",

@@ -59,7 +59,7 @@ from repro.chaos.schedule import ChaosSchedule
 from repro.errors import ChaosError, PlatformError, WorkflowError
 from repro.obs import SimClock, Tracer, current_metrics, current_tracer
 from repro.platform.simulator import Simulator
-from repro.platform.topology import Ecosystem
+from repro.platform.topology import Ecosystem, LinkOverlay
 from repro.workflow.graph import TaskGraph
 from repro.workflow.journal import RunJournal, journal_error
 from repro.workflow.replay import (
@@ -230,11 +230,9 @@ class ResilientServer:
         self.policy = policy or BLevelScheduler()
         self.retry = retry or RetryPolicy()
         self._failed: Set[str] = set()
-        # Degradations on the default (no-ecosystem) staging path:
-        # a stack of (bandwidth_factor, latency_add_s) overlays plus a
-        # partition depth counter for overlapping faults.
-        self._default_degradations: List[tuple] = []
-        self._default_partitions = 0
+        #: Link faults in force on the default (no-ecosystem) staging
+        #: path, under the pair (ANY_LINK, ANY_LINK).
+        self._default_overlay = LinkOverlay()
 
     # ------------------------------------------------------------------
 
@@ -259,15 +257,12 @@ class ResilientServer:
             return self.ecosystem.transfer_time(
                 src_node, dst_node, size_bytes
             )
-        if self._default_partitions > 0:
+        if self._default_overlay.is_partitioned(ANY_LINK, ANY_LINK):
             raise PlatformError(
                 "default staging path is partitioned"
             )
-        factor = 1.0
-        latency_add = 0.0
-        for bw_factor, lat_add in self._default_degradations:
-            factor *= bw_factor
-            latency_add += lat_add
+        factor, latency_add = self._default_overlay.state(
+            ANY_LINK, ANY_LINK)
         return _DEFAULT_LATENCY_S + latency_add + size_bytes / (
             _DEFAULT_BANDWIDTH * factor
         )
@@ -321,8 +316,7 @@ class ResilientServer:
         graph.validate()
         self.policy.prepare(graph)
         self._failed = set()
-        self._default_degradations = []
-        self._default_partitions = 0
+        self._default_overlay = LinkOverlay()
         retry = self.retry
         stats = RecoveryStats()
         metrics = current_metrics()
@@ -821,29 +815,15 @@ class ResilientServer:
             )
             record_fault(fault.kind, fault.target, detail)
             stats.link_faults += 1
-            wildcard = fault.node_a == ANY_LINK
-            overlay = (fault.bandwidth_factor, fault.latency_add_s)
-            if wildcard:
-                if fault.partition:
-                    self._default_partitions += 1
-                else:
-                    self._default_degradations.append(overlay)
-            elif fault.partition:
-                self.ecosystem.partition_link(fault.node_a, fault.node_b)
-            else:
-                self.ecosystem.degrade_link(
-                    fault.node_a, fault.node_b,
-                    bandwidth_factor=fault.bandwidth_factor,
-                    latency_add_s=fault.latency_add_s,
-                )
+            overlay = (
+                self._default_overlay if fault.node_a == ANY_LINK
+                else self.ecosystem.overlay
+            )
+            degradation = None if fault.partition else (
+                fault.bandwidth_factor, fault.latency_add_s)
+            overlay.add(fault.node_a, fault.node_b, degradation)
             yield sim.timeout(fault.duration_s)
-            if wildcard:
-                if fault.partition:
-                    self._default_partitions -= 1
-                else:
-                    self._default_degradations.remove(overlay)
-            else:
-                self.ecosystem.restore_link(fault.node_a, fault.node_b)
+            overlay.remove(fault.node_a, fault.node_b, degradation)
             record_recovery("link-heal", fault.target)
             poke()
 
@@ -919,33 +899,3 @@ class ResilientServer:
         end_journal(journal, trace)
         publish_run(events, graph.name, tracer)
         return trace, stats
-
-
-def migrate_task(
-    graph: TaskGraph,
-    task_name: str,
-    source: Worker,
-    target: Worker,
-    ecosystem: Optional[Ecosystem] = None,
-) -> float:
-    """Cost of migrating a *pending* task's inputs between workers.
-
-    Moving the computation means moving its not-yet-consumed inputs;
-    returns the staging seconds the move would add, so a placement
-    layer can decide whether migration pays.
-    """
-    if task_name not in graph.tasks:
-        raise WorkflowError(f"unknown task {task_name!r}")
-    total = 0.0
-    for input_name in graph.tasks[task_name].inputs:
-        if target.holds(input_name):
-            continue
-        size = graph.objects[input_name].size_bytes
-        if ecosystem is not None and source.node_name != \
-                target.node_name:
-            total += ecosystem.transfer_time(
-                source.node_name, target.node_name, size
-            )
-        elif source.name != target.name:
-            total += _DEFAULT_LATENCY_S + size / _DEFAULT_BANDWIDTH
-    return total

@@ -193,13 +193,6 @@ class ExecutionTrace:
         """Short content hash of the serialized trace."""
         return hashlib.sha256(self.to_json().encode()).hexdigest()[:16]
 
-    def per_worker_counts(self) -> Dict[str, int]:
-        """Tasks executed per worker."""
-        counts: Dict[str, int] = {}
-        for record in self.records:
-            counts[record.worker] = counts.get(record.worker, 0) + 1
-        return counts
-
     def average_wait(self) -> float:
         """Mean queueing delay across tasks."""
         if not self.records:

@@ -4,7 +4,6 @@ from repro.core.analysis import analyze_module_cached
 from repro.core.analysis.cache import (
     AnalysisCache,
     analysis_cache,
-    clear_analysis_cache,
     configure_analysis_cache,
     default_analysis_cache_dir,
 )
@@ -100,7 +99,7 @@ class TestStore:
 
 class TestAnalyzeModuleCached:
     def test_warm_hit_replays_identical_results(self):
-        clear_analysis_cache()
+        analysis_cache().clear()
         cold_diag, cold_facts, cold_hit = analyze_module_cached(
             compile_kernel(SRC))
         # a fresh but structurally identical module hits the cache
@@ -112,13 +111,13 @@ class TestAnalyzeModuleCached:
         assert cold_facts.to_payload() == warm_facts.to_payload()
 
     def test_structural_change_misses(self):
-        clear_analysis_cache()
+        analysis_cache().clear()
         _, _, first = analyze_module_cached(compile_kernel(SRC))
         _, _, second = analyze_module_cached(compile_kernel(OTHER_SRC))
         assert (first, second) == (False, False)
 
     def test_check_subset_keys_separately(self):
-        clear_analysis_cache()
+        analysis_cache().clear()
         analyze_module_cached(compile_kernel(SRC))
         _, facts, hit = analyze_module_cached(
             compile_kernel(SRC), checks=("taint",))
@@ -128,7 +127,7 @@ class TestAnalyzeModuleCached:
         assert again
 
     def test_traffic_reaches_the_metrics_registry(self):
-        clear_analysis_cache()
+        analysis_cache().clear()
         metrics = MetricsRegistry()
         with observe(Observation(metrics=metrics)):
             analyze_module_cached(compile_kernel(SRC))
@@ -153,7 +152,7 @@ class TestCompilerGateCaching:
     def test_second_compile_hits_the_analysis_cache(self):
         from repro.core.compiler import EverestCompiler
 
-        clear_analysis_cache()
+        analysis_cache().clear()
         metrics = MetricsRegistry()
         compiler = EverestCompiler(emit_artifacts=False)
         with observe(Observation(metrics=metrics)):

@@ -314,19 +314,6 @@ class TestCompilerGate:
         app = EverestCompiler(emit_artifacts=False).compile(pipeline)
         assert not app.diagnostics.has_errors
 
-    def test_pipeline_concurrency_gate_runs_clean(self):
-        from repro.core.analysis import check_pipeline_concurrency
-        from repro.core.dsl.workflow import Pipeline
-        from repro.core.ir import F32, TensorType
-
-        pipeline = Pipeline("gate2")
-        src = pipeline.source("x", TensorType((16,), F32))
-        task = pipeline.task("stage", "kernel k() -> f32 {}",
-                             inputs=[src])
-        pipeline.sink("out", task.output(0))
-        diags = check_pipeline_concurrency(pipeline)
-        assert len(diags) == 0
-
 
 class TestLintCLIConcurrency:
     @pytest.mark.parametrize(

@@ -3,10 +3,7 @@
 import pytest
 
 from repro.core.dsl.parser import parse
-from repro.core.dsl.typecheck import (
-    check_program,
-    check_program_diagnostics,
-)
+from repro.core.dsl.typecheck import check_program
 from repro.core.ir.types import F32
 from repro.core.ir.verifier import verify, verify_diagnostics
 from repro.errors import TypeCheckError, VerificationError
@@ -54,15 +51,6 @@ class TestVerifierDiagnostics:
 
 
 class TestTypecheckDiagnostics:
-    BAD_TWO_KERNELS = """
-kernel one(A: tensor<4xf32>) -> tensor<4xf32> {
-  return missing
-}
-kernel two(A: tensor<4xf32>, A: tensor<4xf32>) -> tensor<4xf32> {
-  return A
-}
-"""
-
     def test_raise_mode_keeps_line_prefix_and_code(self):
         program = parse("""
 kernel k(A: tensor<4xf32>) -> tensor<4xf32> {
@@ -83,21 +71,3 @@ kernel k(A: tensor<4xf32>, A: tensor<4xf32>) -> tensor<4xf32> {
         with pytest.raises(TypeCheckError) as info:
             check_program(program)
         assert getattr(info.value, "code") == "TY002"
-
-    def test_collect_mode_reports_every_kernel(self):
-        program = parse(self.BAD_TWO_KERNELS)
-        diagnostics = check_program_diagnostics(program)
-        assert len(diagnostics.errors) == 2
-        codes = sorted(item.code for item in diagnostics)
-        assert codes == ["TY001", "TY002"]
-        anchors = {item.anchor for item in diagnostics}
-        assert anchors == {"one", "two"}
-
-    def test_collect_mode_clean(self):
-        program = parse("""
-kernel k(A: tensor<4xf32>) -> tensor<4xf32> {
-  Y = relu(A)
-  return Y
-}
-""")
-        assert not check_program_diagnostics(program)

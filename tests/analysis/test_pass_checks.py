@@ -162,5 +162,5 @@ class TestGateBlocksFixtureModules:
         pipeline = Pipeline("app")
         wrong = pipeline.source("raw", TensorType((16,), F32))
         pipeline.task("t", SRC, inputs=[wrong], kernel="f")
-        with pytest.raises(SpecificationError, match="does not match"):
+        with pytest.raises(SpecificationError, match="WF010"):
             EverestCompiler(emit_artifacts=False).compile(pipeline)

@@ -4,8 +4,11 @@ from repro.core.analysis import check_module_taint
 from repro.core.analysis.taint import (
     check_function_taint,
     check_pipeline_taint,
+    pipeline_labels,
 )
-from repro.core.ir.types import F32, MemRefType
+from repro.core.dsl.annotations import SecurityAnnotation, Sensitivity
+from repro.core.dsl.workflow import Pipeline
+from repro.core.ir.types import F32, MemRefType, TensorType
 
 from tests.analysis.conftest import new_function
 
@@ -149,13 +152,6 @@ class TestInstrumentationState:
 
 class TestPipelineTaint:
     def _pipeline_module(self, sink_sensitivity):
-        from repro.core.dsl.annotations import (
-            SecurityAnnotation,
-            Sensitivity,
-        )
-        from repro.core.dsl.workflow import Pipeline
-        from repro.core.ir.types import TensorType
-
         source_code = """
         kernel ident(X: tensor<4xf32>) -> tensor<4xf32> {
           Y = relu(X)
@@ -200,3 +196,96 @@ class TestPipelineTaint:
         module, _pipeline_op = self._pipeline_module("public")
         diagnostics = check_module_taint(module)
         assert "SEC004" in _codes(diagnostics)
+
+
+class TestSensitiveArgs:
+    """The compiler marks ``everest.sensitive_args`` from the label map
+    :func:`pipeline_labels` computes (values pinned from the build that
+    still walked the pipeline a second time)."""
+
+    CHAIN = """
+    kernel lift(X: tensor<8xf32>) -> tensor<8xf32> {
+      Y = relu(X)
+      return Y
+    }
+    kernel mix(X: tensor<8xf32>, Y: tensor<8xf32>) -> tensor<8xf32> {
+      Z = X + Y
+      return Z
+    }
+    """
+
+    @staticmethod
+    def _compile(pipeline):
+        from repro.core.compiler import EverestCompiler
+        from repro.core.dse.space import DesignSpace
+
+        space = DesignSpace(targets=("cpu",), threads=(1,))
+        app = EverestCompiler(
+            space=space, emit_artifacts=False).compile(pipeline)
+        marked = {
+            function.name: function.op.attr("everest.sensitive_args")
+            for function in app.module.functions()
+        }
+        return app, marked
+
+    def test_secure_pipeline_example(self):
+        import importlib.util
+        from pathlib import Path
+
+        path = (Path(__file__).resolve().parents[2] / "examples"
+                / "secure_pipeline.py")
+        spec = importlib.util.spec_from_file_location(
+            "secure_pipeline", path)
+        example = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(example)
+        pipeline = Pipeline("vitals")
+        vitals = pipeline.source(
+            "vitals", TensorType((256,), F32),
+            security=SecurityAnnotation(
+                sensitivity=Sensitivity.SECRET, encrypt_in_transit=True),
+        )
+        baseline = pipeline.source("baseline", TensorType((256,), F32))
+        weights = pipeline.source("weights", TensorType((256,), F32))
+        clean = pipeline.task(
+            "detrend", example.KERNELS, inputs=[vitals, baseline])
+        score = pipeline.task("classify", example.KERNELS,
+                              inputs=[clean.output(0), weights])
+        pipeline.sink("risk-score", score.output(0))
+        app, marked = self._compile(pipeline)
+        assert app.sensitive_kernels == {"detrend", "classify"}
+        assert marked == {"detrend": [0], "classify": [0]}
+
+    def test_two_hop_chain(self):
+        pipeline = Pipeline("chain")
+        secret = pipeline.source(
+            "secret", TensorType((8,), F32),
+            security=SecurityAnnotation(
+                sensitivity=Sensitivity.CONFIDENTIAL),
+        )
+        public = pipeline.source("public", TensorType((8,), F32))
+        a = pipeline.task("a", self.CHAIN, inputs=[secret], kernel="lift")
+        b = pipeline.task("b", self.CHAIN, inputs=[public, a.output(0)],
+                          kernel="mix")
+        c = pipeline.task("c", self.CHAIN, inputs=[b.output(0), public],
+                          kernel="mix")
+        d = pipeline.task("d", self.CHAIN, inputs=[public], kernel="lift")
+        pipeline.sink("out", c.output(0))
+        pipeline.sink("side", d.output(0))
+        app, marked = self._compile(pipeline)
+        assert app.sensitive_kernels == {"lift", "mix"}
+        # mix is tainted at argument 1 by task b and at 0 by task c
+        assert marked == {"lift": [0], "mix": [0, 1]}
+        pipeline_op = next(
+            op for op in app.module.body.operations
+            if op.name == "workflow.pipeline"
+        )
+        labels = pipeline_labels(pipeline_op)
+        tasks = {
+            op.attr("sym_name"): op
+            for op in pipeline_op.regions[0].blocks[0].operations
+            if op.name == "workflow.task"
+        }
+        for name in "abc":
+            assert labels[id(tasks[name].results[0])] == frozenset(
+                {"secret:confidential"})
+        assert id(tasks["d"].results[0]) not in labels

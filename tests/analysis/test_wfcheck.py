@@ -8,9 +8,9 @@ import pytest
 from repro.core.analysis.wfcheck import (
     TaskSpec,
     WorkerSpec,
-    lint_task_graph,
     lint_workflow,
     lint_workflow_spec,
+    tasks_from_graph,
 )
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -191,7 +191,8 @@ class TestUpdatesAreDependencies:
         graph.add_task(WorkflowTask("t2", inputs=["a"], outputs=["b"]))
         # close t2 -> t1 through an in-place update of t2's output
         graph.tasks["t1"].updates.append("b")
-        assert _codes(lint_task_graph(graph)) == ["WF001"]
+        assert _codes(lint_workflow(
+            tasks_from_graph(graph), ["raw"])) == ["WF001"]
 
 
 class TestAdapters:
@@ -210,7 +211,7 @@ class TestAdapters:
         graph.add_task(WorkflowTask(
             "b", inputs=["mid"], outputs=["out"], cpus=2,
         ))
-        diagnostics = lint_task_graph(graph)
+        diagnostics = lint_workflow(tasks_from_graph(graph), ["raw"])
         assert not diagnostics.items
 
     def test_task_graph_adapter_capacity(self):
@@ -227,7 +228,8 @@ class TestAdapters:
             "a", inputs=["raw"], outputs=["out"], cpus=8,
         ))
         workers = [Worker("w0", node_name="n0", cpus=2)]
-        diagnostics = lint_task_graph(graph, workers=workers)
+        diagnostics = lint_workflow(
+            tasks_from_graph(graph), ["raw"], workers=workers)
         assert "WF003" in _codes(diagnostics)
 
     def test_worker_spec_capacity_boundary(self):

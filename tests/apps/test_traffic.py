@@ -52,11 +52,6 @@ class TestCityGraph:
         with pytest.raises(SpecificationError):
             city.segment((0, 0), (5, 5))
 
-    def test_k_shortest_distinct(self, city):
-        paths = city.k_shortest_paths((0, 0), (5, 5), k=3)
-        assert len(paths) == 3
-        assert len({tuple(path) for path in paths}) == 3
-
     def test_tiny_grid_rejected(self):
         with pytest.raises(SpecificationError):
             build_city(grid=2)
@@ -69,18 +64,13 @@ class TestDemand:
 
     def test_gravity_total(self, city):
         od = gravity_demand(city, zones=8, daily_trips=240_000)
-        assert od.total_trips() == pytest.approx(10_000.0)
+        assert sum(od.pairs.values()) == pytest.approx(10_000.0)
 
     def test_scaled(self, city):
         od = gravity_demand(city, zones=6)
-        assert od.scaled(2.0).total_trips() == pytest.approx(
-            2 * od.total_trips()
+        assert sum(od.scaled(2.0).pairs.values()) == pytest.approx(
+            2 * sum(od.pairs.values())
         )
-
-    def test_nearby_heavy_pairs(self, city):
-        od = gravity_demand(city, zones=8, seed="t")
-        top = od.top_pairs(3)
-        assert all(trips > 0 for _pair, trips in top)
 
     def test_too_many_zones_rejected(self, city):
         with pytest.raises(ValueError):
@@ -110,17 +100,6 @@ class TestSimulator:
         segment = city.segment(*hot_edge)
         assert rush_state.speed_ms(city, hot_edge) < \
             segment.free_speed_ms
-
-    def test_travel_time_on_path(self, city, rush_state):
-        od = gravity_demand(city, zones=8, seed="t")
-        simulator = TrafficSimulator(city, od)
-        path = city.shortest_path((0, 0), (5, 5))
-        time_s = simulator.congested_travel_time(rush_state, path)
-        free = sum(
-            city.segment(*edge).free_flow_time_s
-            for edge in city.path_segments(path)
-        )
-        assert time_s >= free
 
 
 class TestFCD:
@@ -169,17 +148,6 @@ class TestSpeedModel:
             model.train(8, points)
         trained = model.mean_absolute_error(8, true_speeds)
         assert trained < untrained
-
-    def test_live_observation_blended(self, city):
-        model = SpeedModel(city, recency_weight=0.5)
-        edge = ((0, 0), (0, 1))
-        baseline, _ = model.predict(edge, 8)
-        model.observe_live(edge, baseline / 2)
-        blended, _ = model.predict(edge, 8)
-        assert blended < baseline
-        model.clear_live()
-        cleared, _ = model.predict(edge, 8)
-        assert cleared == pytest.approx(baseline)
 
     def test_untrained_prior_reasonable(self, city):
         model = SpeedModel(city)

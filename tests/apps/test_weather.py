@@ -9,11 +9,10 @@ from repro.apps.weather.downscaling import (
 )
 from repro.apps.weather.ensemble import (
     Ensemble,
-    daily_ensembles,
     generate_ensemble,
 )
 from repro.apps.weather.grid import WeatherField, synth_truth
-from repro.apps.weather.market import ImbalanceMarket, ramp_events
+from repro.apps.weather.market import ImbalanceMarket
 from repro.apps.weather.ml import MLP
 from repro.apps.weather.wind import WindFarm, default_farm, power_curve
 
@@ -92,11 +91,6 @@ class TestEnsemble:
         with pytest.raises(ValueError):
             generate_ensemble(truth, 7.3)
 
-    def test_daily_ensembles_count(self):
-        day = daily_ensembles(25.0, members=3, hours=4,
-                              truth_size_cells=40)
-        assert len(day) == 4
-
 
 class TestDownscaling:
     def test_shape_and_resolution(self):
@@ -153,14 +147,6 @@ class TestWindFarm:
         production = farm.production_mw(truth)
         assert 0.0 <= production <= farm.capacity_mw
 
-    def test_schedule_quantile_ordering(self):
-        farm = default_farm()
-        day = daily_ensembles(25.0, members=5, hours=3,
-                              truth_size_cells=40)
-        low = farm.day_ahead_schedule_mw(day, quantile=0.2)
-        high = farm.day_ahead_schedule_mw(day, quantile=0.8)
-        assert np.all(low <= high + 1e-9)
-
     def test_empty_farm_rejected(self):
         with pytest.raises(ValueError):
             WindFarm("empty", [])
@@ -172,9 +158,9 @@ class TestMLP:
         true_w = rng.normal(size=(4, 1))
         y = x @ true_w
         model = MLP([4, 16, 1])
-        initial = model.mse(x, y)
+        initial = np.mean((model.forward(x) - y) ** 2)
         model.fit(x, y, epochs=100, learning_rate=3e-3)
-        final = model.mse(x, y)
+        final = np.mean((model.forward(x) - y) ** 2)
         assert final < 0.1 * initial
 
     def test_forward_shape(self):
@@ -221,10 +207,6 @@ class TestMarket:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
             ImbalanceMarket().revenue([1.0], [1.0, 2.0])
-
-    def test_ramp_events(self):
-        assert ramp_events([0, 20, 21, 0], threshold_mwh=10) == 2
-        assert ramp_events([5], threshold_mwh=10) == 0
 
     def test_better_forecast_lower_cost(self):
         market = ImbalanceMarket()

@@ -1,5 +1,6 @@
 """Tests for SYCL generation, artifacts, packaging and the compiler."""
 
+import json
 import re
 
 import pytest
@@ -188,8 +189,10 @@ class TestVariantPackage:
         package = VariantPackage("app")
         package.add_variant(self.make_variant())
         package.add_variant(self.make_variant())
-        summary = VariantPackage.manifest_summary(package.manifest())
-        assert summary == {"k": 2}
+        payload = json.loads(package.manifest())
+        assert payload["application"] == "app"
+        assert {kernel: len(variants) for kernel, variants
+                in payload["kernels"].items()} == {"k": 2}
 
     def test_unknown_kernel_query(self):
         package = VariantPackage("app")
@@ -215,7 +218,8 @@ class TestModelImport:
         imported = import_model_json(text)
         module = compile_kernel(imported.dsl_source)
         assert module.find_function("net") is not None
-        assert imported.parameter_names == ["X", "W0", "B0"]
+        assert [name for name, _ in imported.parameter_shapes] == [
+            "X", "W0", "B0"]
 
     def test_scale_and_activation_layers(self):
         imported = import_model_json(export_model("m", 4, 4, [

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.dse.pareto import (
-    best_by,
     hypervolume_2d,
     knee_point,
     pareto_front,
@@ -100,11 +99,6 @@ class TestPareto:
         with pytest.raises(DSEError, match="no feasible variants"):
             knee_point([make_variant(1, 1, feasible=False)])
 
-    def test_best_by_empty_raises(self):
-        with pytest.raises(DSEError, match="no feasible variants"):
-            best_by([make_variant(1, 1, feasible=False)],
-                    lambda v: v.cost.latency_s)
-
     def test_no_feasible_error_carries_dse001(self):
         try:
             knee_point([])
@@ -113,12 +107,6 @@ class TestPareto:
             assert codes == ["DSE001"]
         else:
             pytest.fail("expected DSEError")
-
-    def test_best_by(self):
-        a = make_variant(1.0, 9.0)
-        b = make_variant(9.0, 1.0)
-        assert best_by([a, b], lambda v: v.cost.latency_s) is a
-        assert best_by([a, b], lambda v: v.cost.energy_j) is b
 
 
 class TestVariantMetadata:

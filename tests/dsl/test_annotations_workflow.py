@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.dsl.annotations import (
-    AnnotationSet,
     DataAnnotation,
     Locality,
     Requirement,
@@ -24,11 +23,6 @@ kernel double(X: tensor<8xf32>) -> tensor<8xf32> {
 
 
 class TestDataAnnotation:
-    def test_streaming_flag(self):
-        streaming = DataAnnotation("s", velocity_bytes_per_s=100.0)
-        at_rest = DataAnnotation("r", volume_bytes=100)
-        assert streaming.is_streaming
-        assert not at_rest.is_streaming
 
     def test_invalid_pattern(self):
         with pytest.raises(SpecificationError):
@@ -57,30 +51,6 @@ class TestRequirement:
     def test_positive_value_required(self):
         with pytest.raises(ValueError):
             Requirement(RequirementKind.LATENCY, 0.0)
-
-
-class TestSecurityAnnotation:
-    def test_public_needs_nothing(self):
-        assert not SecurityAnnotation().needs_protection
-
-    def test_confidential_needs_dift(self):
-        annotation = SecurityAnnotation(
-            sensitivity=Sensitivity.CONFIDENTIAL
-        )
-        assert annotation.needs_protection
-        assert annotation.needs_dift
-
-    def test_internal_no_dift(self):
-        annotation = SecurityAnnotation(sensitivity=Sensitivity.INTERNAL)
-        assert annotation.needs_protection
-        assert not annotation.needs_dift
-
-    def test_annotation_set_sensitive_names(self):
-        bundle = AnnotationSet()
-        bundle.add_security("a", SecurityAnnotation(
-            sensitivity=Sensitivity.SECRET))
-        bundle.add_security("b", SecurityAnnotation())
-        assert bundle.sensitive_names() == ["a"]
 
 
 class TestPipelineBuilder:
@@ -117,14 +87,14 @@ class TestPipelineBuilder:
         pipeline = Pipeline("p")
         source = pipeline.source("in", TensorType((8,), F32))
         pipeline.task("double", KERNEL, inputs=[source, source])
-        with pytest.raises(SpecificationError, match="takes 1"):
+        with pytest.raises(SpecificationError, match="WF010.*declares 1"):
             pipeline.to_ir()
 
     def test_type_mismatch_rejected(self):
         pipeline = Pipeline("p")
         source = pipeline.source("in", TensorType((16,), F32))
         pipeline.task("double", KERNEL, inputs=[source])
-        with pytest.raises(SpecificationError, match="does not match"):
+        with pytest.raises(SpecificationError, match="WF010.*shape 16"):
             pipeline.to_ir()
 
     def test_chained_tasks(self):
@@ -140,7 +110,7 @@ class TestPipelineBuilder:
             op for op in module.walk() if op.name == "workflow.task"
         ]
         assert len(tasks) == 2
-        assert pipeline.dependency_edges() == [("double", "again")]
+        assert tasks[1].operands[0] is tasks[0].results[0]
 
     def test_annotations_propagate_to_ir(self):
         pipeline = Pipeline("p")

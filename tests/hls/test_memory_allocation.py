@@ -13,7 +13,6 @@ from repro.core.hls.cdfg import build_cdfg
 from repro.core.hls.crypto import (
     CRYPTO_LIBRARY,
     core_for,
-    lightest_core_fitting,
 )
 from repro.core.hls.memory import (
     cyclic_conflict_free,
@@ -218,18 +217,6 @@ class TestCrypto:
         core = core_for("aes128-gcm")
         assert core.cycles_for(4096) > core.cycles_for(64)
         assert core.cycles_for(0) == 0
-
-    def test_throughput(self):
-        core = core_for("aes128-gcm")
-        assert core.throughput_at(250e6) == pytest.approx(16 * 250e6)
-
-    def test_lightest_fitting(self):
-        tiny = FPGAResources(luts=3000, ffs=3000, bram_kb=1, dsps=1)
-        assert lightest_core_fitting(tiny).name == "ascon128"
-
-    def test_no_core_fits(self):
-        with pytest.raises(SecurityError):
-            lightest_core_fitting(FPGAResources(luts=10, ffs=10))
 
 
 class TestTaint:

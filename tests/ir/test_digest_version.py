@@ -8,13 +8,10 @@ Conversely, an *unmutated* module must be printed and hashed exactly
 once per process, no matter how many lookups ask for its digest.
 """
 
-import pytest
-
 from repro.core.dsl.kernel_dsl import compile_kernel
 from repro.core.ir.builder import Builder
 from repro.core.ir.digest import (
     digest_stats,
-    function_digest,
     module_digest,
     reset_digest_stats,
 )
@@ -53,14 +50,6 @@ class TestMemoization:
         stats = digest_stats()
         assert stats.prints == 1
         assert stats.hits == 50
-
-    def test_function_digest_memoized(self):
-        module = build_module()
-        reset_digest_stats()
-        first = function_digest(module, "gemm")
-        for _ in range(10):
-            assert function_digest(module, "gemm") == first
-        assert digest_stats().prints == 1
 
     def test_memo_matches_unmemoized_value(self):
         module = build_module()
@@ -184,25 +173,3 @@ class TestInvalidation:
         versions.append(module.version)
         assert versions == sorted(versions)
         assert len(set(versions)) == len(versions)
-
-
-class TestFunctionDigestScoping:
-    def test_sibling_edit_keeps_function_digest_value(self):
-        module = build_module()
-        gemm_digest = function_digest(module, "gemm")
-        module.add_function(
-            "other", FunctionType((), ()), declaration=True
-        )
-        # value is module-independent: sibling edits don't change it
-        assert function_digest(module, "gemm") == gemm_digest
-
-    def test_own_edit_changes_function_digest(self):
-        module = build_module()
-        before = function_digest(module, "gemm")
-        module.find_function("gemm").op.set_attr("target", "fpga")
-        assert function_digest(module, "gemm") != before
-
-    def test_unknown_kernel_raises(self):
-        module = build_module()
-        with pytest.raises(ValueError, match="nope"):
-            function_digest(module, "nope")

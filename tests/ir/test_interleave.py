@@ -11,7 +11,6 @@ from repro.core.ir.passes import (
     LowerTensorPass,
     PassManager,
 )
-from repro.core.ir.passes.interleave import reduction_epilogue_cycles
 
 GEMM = """
 kernel gemm(A: tensor<16x16xf32>, B: tensor<16x16xf32>)
@@ -111,7 +110,13 @@ class TestScheduleEffect:
             baseline.cycles_for_trips(trips)
 
     def test_epilogue_cycles_formula(self):
-        assert reduction_epilogue_cycles(1) == 0
-        assert reduction_epilogue_cycles(2) == 3
-        assert reduction_epilogue_cycles(8) == 9
-        assert reduction_epilogue_cycles(5) == 9  # ceil(log2(5)) = 3
+        module = lowered(GEMM, interleave=0)
+        loop = next(
+            l for l in build_cdfg(module.find_function("gemm"))
+            .innermost_loops() if loop_carried_chain(l)
+        )
+        depth = schedule_loop(loop).depth
+        # ceil(log2(interleave)) levels of one addf (3 cycles) each
+        for interleave, epilogue in ((1, 0), (2, 3), (8, 9), (5, 9)):
+            loop.op.set_attr("interleave", interleave)
+            assert schedule_loop(loop).depth == depth + epilogue

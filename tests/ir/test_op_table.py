@@ -1,7 +1,7 @@
 """The op table (``core/ir/dialects/elementwise.py``) against everything
 that reads it, one case per row.
 
-A tensor row is driven end to end — DSL text, type check, verifier,
+A tensor row (and a reduction kind) is driven end to end — DSL text, type check, verifier,
 fusion, lowering (fused and unfused), interpreter at both levels, numpy,
 SYCL — and its software weight and hardware rows are pinned as the
 literals the tree carried before the table existed. A scalar row is
@@ -22,7 +22,6 @@ import pytest
 from repro.core.analysis import absint
 from repro.core.backend.sycl_gen import generate_sycl
 from repro.core.dsl.kernel_dsl import compile_kernel
-from repro.core.dsl.typecheck import REDUCE_BUILTINS
 from repro.core.frontend import _ACTIVATIONS
 from repro.core.hls import allocation
 from repro.core.hls.scheduling import OP_LATENCY, RESOURCE_CLASS
@@ -36,6 +35,9 @@ from repro.core.ir.dialects import (
 from repro.core.ir.dialects.elementwise import (
     BUILTINS,
     OPERATORS,
+    REDUCE,
+    REDUCE_BUILTINS,
+    REDUCE_KINDS,
     SCALAR,
     SCALAR_OPS,
     TENSOR,
@@ -51,6 +53,7 @@ from repro.core.ir.passes import (
 from repro.core.ir.passes.canonicalize import _FOLDED
 from repro.core.ir.passes.fusion import is_elementwise
 from repro.core.ir.passes.partitioning import estimate_work
+from repro.errors import VerificationError
 
 ELEMENTS = 16
 
@@ -172,6 +175,72 @@ class TestTensorRows:
         assert opdef.has_trait(TRAIT_COMMUTATIVE) == commutative
         assert (row.weight, row.float_op, row.commutative) == (
             weight, kernel_op, commutative)
+
+
+#: reduce kind -> (DSL builtin, accumulator init, combining kernel op,
+#: scaled by the element count); recorded from ``REDUCE_BUILTINS``, the
+#: interpreter's reducers and the lowering of the parent.
+REDUCE_PINNED = {
+    "sum": ("sum", 0.0, "addf", False),
+    "mean": ("mean", 0.0, "addf", True),
+    "max": ("rmax", -3.0e38, "maxf", False),
+    "min": ("rmin", 3.0e38, "minf", False),
+}
+
+
+class TestReduceRows:
+    def test_every_row_is_pinned(self):
+        assert [row.name for row in REDUCE_KINDS] == list(REDUCE_PINNED)
+        assert {builtin: row.name for builtin, row in REDUCE_BUILTINS.items()
+                } == {pinned[0]: kind for kind, pinned
+                      in REDUCE_PINNED.items()}
+
+    @pytest.mark.parametrize("row", REDUCE_KINDS, ids=lambda row: row.name)
+    def test_row_end_to_end(self, row):
+        builtin, init, combine, scaled = REDUCE_PINNED[row.name]
+        assert (row.dsl, row.init, row.combine, row.mean) == (
+            builtin, init, combine, scaled)
+        source = (f"kernel k(A: tensor<4x{ELEMENTS}xf32>) -> tensor<4xf32> "
+                  f"{{\n  Y = {builtin}(A, axes=[1])\n  return Y\n}}\n")
+        values = np.random.default_rng(3).uniform(
+            -2.0, 2.0, (4, ELEMENTS)).astype(np.float32)
+        expected = row.reference(values, axis=(1,))
+
+        module = compile_kernel(source)
+        verify(module)
+        op, = [op for op in module.find_function("k").walk()
+               if op.dialect == "tensor"]
+        assert (op.name, op.attr("kind")) == ("tensor.reduce", row.name)
+        tensor_out, = run_function(module, "k", values)
+        np.testing.assert_allclose(tensor_out, expected, rtol=1e-5)
+
+        LowerTensorPass().run(module)
+        verify(module)
+        function = module.find_function("k")
+        constants = [each.attr("value") for each in function.walk()
+                     if each.name == "kernel.const"
+                     and each.results[0].type == F32]
+        assert constants[0] == init
+        arithmetic = [each.opname for each in function.walk()
+                      if each.name in SCALAR]
+        assert arithmetic == [combine] + (["mulf"] if scaled else [])
+        produced = np.zeros(4, np.float32)
+        run_function(module, "k", values, produced)
+        np.testing.assert_allclose(produced, expected, rtol=1e-5)
+
+    def test_the_verifier_accepts_exactly_the_rows(self):
+        module = compile_kernel(
+            "kernel k(A: tensor<8xf32>) -> tensor<1xf32> {\n"
+            "  Y = sum(A)\n  return Y\n}\n")
+        op, = [op for op in module.find_function("k").walk()
+               if op.name == "tensor.reduce"]
+        for kind in REDUCE:
+            op.set_attr("kind", kind)
+            verify(module)
+        op.set_attr("kind", "prod")
+        with pytest.raises(VerificationError,
+                           match="kind must be sum/mean/max/min"):
+            verify(module)
 
 
 def _scalar_module(row, values):

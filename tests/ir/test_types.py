@@ -14,7 +14,6 @@ from repro.core.ir.types import (
     ScalarType,
     StreamType,
     TensorType,
-    common_element_type,
 )
 from repro.errors import IRError
 
@@ -24,8 +23,8 @@ dims = st.lists(st.integers(min_value=1, max_value=64),
 
 class TestScalarType:
     def test_float_classification(self):
-        assert F32.is_float and not F32.is_integer
-        assert I32.is_integer and not I32.is_float
+        assert F32.is_float and F64.is_float
+        assert not I32.is_float and not INDEX.is_float
 
     def test_unknown_name_rejected(self):
         with pytest.raises(IRError):
@@ -76,10 +75,6 @@ class TestMemRefType:
         with pytest.raises(IRError):
             MemRefType((8,), F32, layout="diagonal")
 
-    def test_with_space(self):
-        m = MemRefType((8,), F32)
-        assert m.with_space("bram").space == "bram"
-
     def test_str_includes_modifiers(self):
         m = MemRefType((8,), F32, space="bram", layout="soa")
         assert "bram" in str(m) and "soa" in str(m)
@@ -96,13 +91,3 @@ class TestOtherTypes:
     def test_function_type_str(self):
         ft = FunctionType((F32,), (F32, F32))
         assert str(ft) == "(f32) -> (f32, f32)"
-
-    def test_common_element_type(self):
-        assert common_element_type(
-            TensorType((2,), F32), MemRefType((3,), F32)
-        ) == F32
-
-    def test_common_element_type_mismatch(self):
-        with pytest.raises(IRError):
-            common_element_type(TensorType((2,), F32),
-                                TensorType((2,), F64))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import PlatformError
-from repro.platform.simulator import Simulator, all_of, delayed_call
+from repro.platform.simulator import Simulator, all_of
 
 
 class TestTimeouts:
@@ -188,13 +188,6 @@ class TestProcessComposition:
         results = sim.run_process(all_of(sim, children))
         assert results == [0, 1, 2]
         assert sim.now == 3.0
-
-    def test_delayed_call(self):
-        sim = Simulator()
-        handle = delayed_call(sim, 7.0, lambda: "fired")
-        sim.run()
-        assert handle.result == "fired"
-        assert sim.now == 7.0
 
     def test_deadlock_detected(self):
         sim = Simulator()

@@ -11,7 +11,6 @@ from repro.runtime.autotuner.manager import (
     ApplicationManager,
     SystemState,
 )
-from repro.runtime.autotuner.monitor import MetricWindow, RuntimeMonitor
 
 
 def make_variant(kernel, target, latency, energy, dift=False,
@@ -69,37 +68,6 @@ class TestKnowledgeBase:
         found = knowledge.find("k", point.variant.variant_id)
         assert found is point
         assert knowledge.find("k", 10**9) is None
-
-
-class TestMonitor:
-    def test_window_eviction(self):
-        window = MetricWindow(capacity=4)
-        for value in range(10):
-            window.push(float(value))
-        assert window.count == 4
-        assert window.mean() == pytest.approx(7.5)
-
-    def test_percentile(self):
-        window = MetricWindow(capacity=10)
-        for value in range(10):
-            window.push(float(value))
-        assert window.percentile(0.0) == 0.0
-        assert window.percentile(0.99) == 9.0
-
-    def test_trend_detects_drift(self):
-        window = MetricWindow(capacity=8)
-        for value in (1, 1, 1, 1, 5, 5, 5, 5):
-            window.push(float(value))
-        assert window.trend() == pytest.approx(4.0)
-
-    def test_runtime_monitor_interface(self):
-        monitor = RuntimeMonitor(window=8)
-        for value in range(5):
-            monitor.record("lat", float(value))
-        assert monitor.mean("lat") == pytest.approx(2.0)
-        assert monitor.count("lat") == 5
-        assert monitor.mean("ghost") == 0.0
-        assert monitor.metrics() == ["lat"]
 
 
 class TestDataFeatures:
@@ -190,7 +158,7 @@ class TestApplicationManager:
             GoalKind.PERFORMANCE))
         fast = manager.select("k")
         assert not fast.variant.is_hardware  # cpu is faster here
-        manager.set_goal(Goal(GoalKind.ENERGY))
+        manager.goal = Goal(GoalKind.ENERGY)
         frugal = manager.select("k")
         assert frugal.variant.is_hardware
         assert manager.switches == 1
@@ -236,11 +204,3 @@ class TestApplicationManager:
         strict = ApplicationManager(base, goal=Goal(
             GoalKind.PERFORMANCE, min_accuracy=0.999))
         assert strict.select("ptdr").accuracy == pytest.approx(1.0)
-
-    def test_regret_zero_when_correct(self, knowledge):
-        manager = ApplicationManager(knowledge)
-        regret = manager.regret_against_oracle(
-            "k", SystemState(), DataFeatures(),
-            lambda point: point.predicted_latency_s,
-        )
-        assert regret == pytest.approx(0.0)

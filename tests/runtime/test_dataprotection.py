@@ -66,10 +66,6 @@ class TestSoftwareAEAD:
         with pytest.raises(SecurityError):
             self.make().encrypt(b"data", b"abc")
 
-    def test_software_cost_scales(self):
-        aead = self.make()
-        assert aead.software_seconds(10**6) > aead.software_seconds(10)
-
     def test_derive_key_domain_separation(self):
         assert derive_key(b"m", "a") != derive_key(b"m", "b")
 
@@ -114,15 +110,18 @@ class TestHardwareMonitor:
     def test_frozen_monitor_does_not_adapt(self):
         monitor = self.trained()
         monitor.freeze()
-        baseline_before = monitor.baseline_of("timing")["count"]
-        monitor.observe("timing", 101.0)
-        assert monitor.baseline_of("timing")["count"] == baseline_before
+        for _ in range(64):
+            assert monitor.observe("timing", 115.0) is None  # < 4 sigma
+        # the shifted values never entered the baseline
+        assert monitor.observe("timing", 125.0) is not None
 
     def test_unfrozen_monitor_adapts(self):
+        assert self.trained().observe("timing", 125.0) is not None
         monitor = self.trained()
-        before = monitor.baseline_of("timing")["count"]
-        monitor.observe("timing", 101.0)
-        assert monitor.baseline_of("timing")["count"] == before + 1
+        for _ in range(64):
+            monitor.observe("timing", 115.0)
+        # the baseline followed the shift: 125 is normal now
+        assert monitor.observe("timing", 125.0) is None
 
 
 class TestFlowTracker:
@@ -202,22 +201,12 @@ class TestAutoProtection:
     def test_flow_violation_quarantines(self):
         engine = AutoProtection()
         engine.report("flow-violation", "leak", node="edge-1")
-        assert not engine.node_allowed("edge-1")
-        engine.release_node("edge-1")
-        assert engine.node_allowed("edge-1")
+        assert engine.quarantined == {"edge-1"}
 
     def test_tag_mismatch_rekeys(self):
         engine = AutoProtection()
         engine.report("tag-mismatch", "bad tag")
         assert engine.key_generation == 1
-
-    def test_stand_down_clears_transient(self):
-        engine = AutoProtection()
-        engine.report("timing-anomaly", "x")
-        engine.report("size-anomaly", "y")
-        assert engine.dift_forced and engine.throttled
-        engine.stand_down()
-        assert not engine.dift_forced and not engine.throttled
 
     def test_summary_counts(self):
         engine = AutoProtection()

@@ -8,7 +8,6 @@ from repro.platform.memory import MemoryModel, MemoryTechnology
 from repro.runtime.memory_manager import (
     BufferRequest,
     MemoryManager,
-    requests_from_design,
 )
 from repro.utils.units import GB, KB, MB
 
@@ -125,28 +124,3 @@ class TestPlacement:
         ])
         with pytest.raises(RuntimeSystemError):
             only_host.place_all_in([], MemoryTechnology.HBM)
-
-
-class TestFromDesign:
-    def test_requests_derived_from_hls_design(self):
-        from repro.core.dsl.kernel_dsl import compile_kernel
-        from repro.core.hls import HLSOptions, synthesize
-        from repro.core.ir.passes import (
-            LowerTensorPass,
-            PassManager,
-        )
-
-        src = """
-        kernel f(A: tensor<1024xf32>) -> tensor<1024xf32> {
-          B = exp(A)
-          C = relu(B)
-          return C
-        }
-        """
-        module = compile_kernel(src)
-        PassManager().add(LowerTensorPass()).run(module)
-        design = synthesize(module, "f", HLSOptions())
-        requests = requests_from_design(design)
-        assert requests
-        plan = manager().place(requests)
-        assert len(plan.assignments) == len(requests)

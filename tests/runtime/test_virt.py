@@ -90,28 +90,6 @@ class TestHypervisor:
         vm.stop()
         hyper.create_vm("b", vcpus=8, memory_bytes=GB)
 
-    def test_migration_moves_vm(self):
-        source = Hypervisor(build_power9_node("s"))
-        target = Hypervisor(build_power9_node("t"))
-        source.create_vm("a", vcpus=2, memory_bytes=GB)
-        downtime = source.migrate("a", target, EthernetLink())
-        assert "a" in target.vms and "a" not in source.vms
-        assert downtime > 0
-
-    def test_migration_blocked_by_passthrough(self):
-        source = Hypervisor(build_power9_node("s"))
-        target = Hypervisor(build_power9_node("t"))
-        vm = source.create_vm("a", vcpus=2, memory_bytes=GB)
-        vm.attach_device("role0")
-        with pytest.raises(VirtualizationError, match="passthrough"):
-            source.migrate("a", target, EthernetLink())
-
-    def test_boot_time_grows_with_memory(self):
-        hyper = Hypervisor(build_power9_node())
-        small = hyper.create_vm("s", vcpus=1, memory_bytes=GB)
-        large = hyper.create_vm("l", vcpus=1, memory_bytes=64 * GB)
-        assert hyper.boot_time_s(large) > hyper.boot_time_s(small)
-
 
 class TestVFPGAManager:
     def setup_method(self):
@@ -184,7 +162,7 @@ class TestAPIRemoting:
         channel.call(3000)
         assert channel.calls == 2
         assert channel.bytes_forwarded == 4000
-        assert channel.mean_overhead() > 0
+        assert channel.overhead_seconds > 0
 
     def test_virtio_scales_with_payload(self):
         channel = APIRemoting(RemotingMode.VIRTIO)

@@ -1,51 +1,8 @@
-"""Tests for unit formatting and table rendering."""
+"""Tests for table rendering."""
 
 import pytest
 
 from repro.utils.tables import Table
-from repro.utils.units import GB, KB, MB, format_bytes, format_seconds
-
-
-class TestFormatBytes:
-    def test_bytes(self):
-        assert format_bytes(512) == "512 B"
-
-    def test_kib(self):
-        assert format_bytes(2 * KB) == "2.00 KiB"
-
-    def test_mib(self):
-        assert format_bytes(int(1.5 * MB)) == "1.50 MiB"
-
-    def test_gib(self):
-        assert format_bytes(3 * GB) == "3.00 GiB"
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            format_bytes(-1)
-
-
-class TestFormatSeconds:
-    def test_zero(self):
-        assert format_seconds(0) == "0 s"
-
-    def test_nanoseconds(self):
-        assert "ns" in format_seconds(5e-9)
-
-    def test_microseconds(self):
-        assert "us" in format_seconds(5e-6)
-
-    def test_milliseconds(self):
-        assert "ms" in format_seconds(5e-3)
-
-    def test_seconds(self):
-        assert format_seconds(1.5) == "1.50 s"
-
-    def test_minutes(self):
-        assert "min" in format_seconds(600)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            format_seconds(-0.1)
 
 
 class TestTable:

@@ -8,7 +8,6 @@ from repro.workflow.graph import DataObject, TaskGraph, WorkflowTask
 from repro.workflow.recovery import (
     RecoveryStats,
     ResilientServer,
-    migrate_task,
 )
 from repro.workflow.worker import Worker
 
@@ -237,43 +236,3 @@ class TestEdgeCases:
         # same-timestamp crashes resolve deterministically
         replay, _stats = run_once()
         assert replay.to_json() == trace.to_json()
-
-
-class TestMigration:
-    def test_zero_cost_when_target_holds_inputs(self):
-        graph = chain_graph()
-        source = Worker("a", node_name="n1")
-        target = Worker("b", node_name="n2")
-        target.store.add("in")
-        assert migrate_task(graph, "t0", source, target) == 0.0
-
-    def test_cost_scales_with_input_size(self):
-        graph = TaskGraph("m")
-        graph.add_object(DataObject("small", size_bytes=1000))
-        graph.add_object(DataObject("big", size_bytes=10**8))
-        graph.add_task(WorkflowTask("ts", inputs=["small"],
-                                    outputs=["os"]))
-        graph.add_task(WorkflowTask("tb", inputs=["big"],
-                                    outputs=["ob"]))
-        source = Worker("a", node_name="n1")
-        target = Worker("b", node_name="n2")
-        assert migrate_task(graph, "tb", source, target) > \
-            migrate_task(graph, "ts", source, target)
-
-    def test_unknown_task_rejected(self):
-        with pytest.raises(WorkflowError):
-            migrate_task(chain_graph(), "ghost",
-                         Worker("a", node_name="n1"),
-                         Worker("b", node_name="n2"))
-
-    def test_ecosystem_costs_used(self):
-        from repro.platform.topology import build_reference_ecosystem
-
-        eco = build_reference_ecosystem()
-        graph = TaskGraph("m")
-        graph.add_object(DataObject("d", size_bytes=10**7))
-        graph.add_task(WorkflowTask("t", inputs=["d"], outputs=["o"]))
-        edge = Worker("e", node_name="edge-0")
-        cloud = Worker("c", node_name="power9-0")
-        wan_cost = migrate_task(graph, "t", edge, cloud, eco)
-        assert wan_cost > 0.1  # 10 MB over the WAN uplink

@@ -116,8 +116,8 @@ class TestServerExecution:
         ]
         server = ResilientServer(workers, policy=BLevelScheduler())
         trace, _ = server.run(graph)
-        counts = trace.per_worker_counts()
-        assert counts.get("fast", 0) >= counts.get("slow", 0)
+        workers_used = [record.worker for record in trace.records]
+        assert workers_used.count("fast") >= workers_used.count("slow")
 
     def test_utilization_bounds(self):
         graph = chain_and_fan()
