@@ -77,9 +77,6 @@ class ChaosSchedule:
             counts[fault.kind] = counts.get(fault.kind, 0) + 1
         return counts
 
-    #: Total number of fault *events* this schedule will inject: each
-    #: TaskFault fires once per scheduled failure.
-
     def describe(self) -> str:
         """One-line summary for logs and the CLI."""
         counts = self.counts_by_kind()

@@ -20,7 +20,7 @@ number of loop-body copies an ``unroll`` directive creates. The
 scheduler and the MEM002 lint pass the raw directive; the analyzers
 pass :func:`body_copies`, which clamps it to the trip count. The two
 disagree when ``trip < unroll``; harmonising them moves priced fronts
-and is tracked in ROADMAP item 4.
+and is tracked in ROADMAP item 3(d).
 
 This module imports nothing but :mod:`math`, so any layer — including
 the analyses reachable from the IR verifier — can import it at top

@@ -23,6 +23,20 @@ parts". This module provides:
   are re-admitted to the pool. Every fault and every recovery action
   lands in the :class:`~repro.workflow.tracing.ExecutionTrace`.
 
+The server holds configuration only (workers, ecosystem, policy,
+retry). Each :meth:`ResilientServer.run` builds a private ``_Run``:
+the run's state — ready queue, dependency counters, object locations,
+worker incarnations, fault budgets, the simulator and its tracer — is
+its attributes, and every engine step and fault handler (``run_task``,
+``requeue``, ``invalidate``, ``refetch``, ``take_down``, ``readmit``,
+``outage``, ``dispatcher``, …) is a method that can be driven alone on
+a hand-built run. The fault vocabulary is one table, ``_FAULT_KINDS``,
+keyed by the :mod:`repro.chaos.faults` class: each row is the check
+that rejects a fault naming a target the run lacks, and the applier
+that arms it on a run. Crashes and reconfiguration failures share one
+handler (``_Run.outage``) that their two rows parameterise; adding a
+fault class is adding one row.
+
 Every run is traced: the server emits task spans (one lane per
 worker), staging-transfer spans, scheduler-decision instants and
 ready-queue counters into a simulated-time tracer, and the returned
@@ -45,7 +59,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import count
-from typing import Dict, List, Optional, Set
+from typing import Callable, Dict, List, NamedTuple, Optional, Set
 
 from repro.chaos.faults import (
     ANY_LINK,
@@ -89,67 +103,6 @@ def make_sim_tracer(sim: Simulator, graph_name: str) -> Tracer:
                     process=f"workflow:{graph_name}")
     sim.tracer = tracer
     return tracer
-
-
-def begin_journal(
-    journal: Optional[RunJournal],
-    events: Tracer,
-    graph: TaskGraph,
-    policy_name: str,
-    workers: List[Worker],
-    resume: Optional[ReplayState],
-) -> Optional[PayloadSkipper]:
-    """Server prologue for durable/resumed execution.
-
-    When resuming, the journaled header must describe the same run
-    recipe we are about to re-execute — same graph content, policy and
-    worker pool — otherwise the deterministic replay would silently
-    diverge from what the journal proves happened; that mismatch is a
-    hard ``WF009`` error. When journaling, the header is written and
-    the journal hooks the simulated-time tracer so every journaled
-    transition is durable before execution proceeds.
-
-    Returns the payload skipper for a resumed run (None otherwise).
-    """
-    recipe = {
-        "graph": graph.name,
-        "graph_digest": graph.digest(),
-        "policy": policy_name,
-        "workers": [worker.name for worker in workers],
-        "tasks": len(graph.tasks),
-    }
-    if resume is not None and resume.header is not None:
-        for key in ("graph_digest", "policy", "workers"):
-            expected = resume.header.get(key)
-            if expected != recipe[key]:
-                raise journal_error(
-                    "WF009",
-                    f"resume state was journaled for {key}="
-                    f"{expected!r} but this run has {recipe[key]!r}; "
-                    f"rebuild the run from its recorded recipe",
-                    anchor=graph.name,
-                )
-    if journal is not None:
-        journal.start(recipe)
-        journal.attach(events)
-    return resume.payload_skipper() if resume is not None else None
-
-
-def end_journal(journal: Optional[RunJournal],
-                trace: ExecutionTrace) -> None:
-    """Seal a journaled run: final digest record, tracer detached."""
-    if journal is None:
-        return
-    journal.finish(trace.digest(), makespan=trace.makespan)
-    journal.detach()
-
-
-def publish_run(sim_tracer: Tracer, graph_name: str,
-                tracer: Optional[Tracer]) -> None:
-    """Absorb a run's simulated timeline into the session tracer."""
-    target = tracer if tracer is not None else current_tracer()
-    if target.enabled:
-        target.absorb(sim_tracer, process=f"workflow:{graph_name}")
 
 
 #: Default inter-worker staging model when no ecosystem is given.
@@ -229,67 +182,12 @@ class ResilientServer:
         self.ecosystem = ecosystem
         self.policy = policy or BLevelScheduler()
         self.retry = retry or RetryPolicy()
-        self._failed: Set[str] = set()
-        #: Link faults in force on the default (no-ecosystem) staging
-        #: path, under the pair (ANY_LINK, ANY_LINK).
-        self._default_overlay = LinkOverlay()
-
-    # ------------------------------------------------------------------
-
-    def _alive(self) -> List[Worker]:
-        return [w for w in self.workers if w.name not in self._failed]
 
     def _worker(self, name: str) -> Worker:
         try:
             return self._by_name[name]
         except KeyError:
             raise WorkflowError(f"unknown worker {name!r}") from None
-
-    def _transfer_seconds(self, source: str, target: str,
-                          size_bytes: int) -> float:
-        if source == target or size_bytes == 0:
-            return 0.0
-        if self.ecosystem is not None:
-            src_node = self._worker(source).node_name
-            dst_node = self._worker(target).node_name
-            if src_node == dst_node:
-                return 0.0
-            return self.ecosystem.transfer_time(
-                src_node, dst_node, size_bytes
-            )
-        if self._default_overlay.is_partitioned(ANY_LINK, ANY_LINK):
-            raise PlatformError(
-                "default staging path is partitioned"
-            )
-        factor, latency_add = self._default_overlay.state(
-            ANY_LINK, ANY_LINK)
-        return _DEFAULT_LATENCY_S + latency_add + size_bytes / (
-            _DEFAULT_BANDWIDTH * factor
-        )
-
-    # ------------------------------------------------------------------
-
-    def _validate_faults(self, chaos: ChaosSchedule) -> None:
-        for fault in chaos.faults:
-            if isinstance(fault, (WorkerCrash, ReconfigFault,
-                                  StragglerFault)):
-                if fault.worker not in self._by_name:
-                    raise WorkflowError(
-                        f"{fault.kind} names unknown worker "
-                        f"{fault.worker!r}"
-                    )
-            elif isinstance(fault, LinkFault):
-                if fault.node_a != ANY_LINK or fault.node_b != ANY_LINK:
-                    if self.ecosystem is None:
-                        raise WorkflowError(
-                            f"link fault targets "
-                            f"{fault.node_a!r}<->{fault.node_b!r} but "
-                            f"the server has no ecosystem topology"
-                        )
-                    self.ecosystem.link_between(fault.node_a,
-                                                fault.node_b)
-
-    # ------------------------------------------------------------------
 
     def run(
         self,
@@ -315,91 +213,77 @@ class ResilientServer:
         """
         graph.validate()
         self.policy.prepare(graph)
-        self._failed = set()
-        self._default_overlay = LinkOverlay()
-        retry = self.retry
-        stats = RecoveryStats()
-        metrics = current_metrics()
-        tasks_executed = metrics.counter(
+        faults = chaos.faults if chaos is not None else []
+        for fault in faults:
+            _FAULT_KINDS[type(fault)].check(self, graph, fault)
+        return _Run(self, graph, faults, journal, resume).execute(tracer)
+
+
+def _staged(task) -> List[str]:
+    """The objects a task must hold locally before it runs."""
+    return list(task.inputs) + list(task.updates)
+
+
+class _Run:
+    """One execution of a graph on a server's workers.
+
+    The attributes are the run's whole state and the methods are the
+    engine's steps and fault handlers; the simulator drives the
+    generator methods as processes. Building a run queues the tasks
+    with no dependencies and arms every fault; :meth:`execute` runs it.
+    """
+
+    def __init__(self, server: ResilientServer, graph: TaskGraph,
+                 faults: list, journal: Optional[RunJournal],
+                 resume: Optional[ReplayState]):
+        self.server = server
+        self.graph = graph
+        self.journal = journal
+        self.policy = server.policy
+        self.retry = server.retry
+        self.workers = server.workers
+        #: Workers out of the pool (crashed, or reconfiguring).
+        self.failed: Set[str] = set()
+        #: Link faults in force on the default (no-ecosystem) staging
+        #: path, under the pair (ANY_LINK, ANY_LINK).
+        self.default_overlay = LinkOverlay()
+        self.stats = RecoveryStats()
+        self.metrics = current_metrics()
+        self.tasks_executed = self.metrics.counter(
             "workflow.tasks_executed",
             "tasks completed by the workflow engine",
         )
-        faults_observed = metrics.counter(
+        self.faults_observed = self.metrics.counter(
             "workflow.faults", "injected faults observed",
         )
-        recoveries_taken = metrics.counter(
+        self.recoveries_taken = self.metrics.counter(
             "workflow.recoveries", "recovery actions taken",
         )
+        #: Transient failures still to inject, per task.
+        self.fault_budget: Dict[str, int] = {}
 
-        if chaos is not None:
-            self._validate_faults(chaos)
-        all_faults = chaos.faults if chaos is not None else []
-        task_fault_names = {
-            fault.task for fault in all_faults
-            if isinstance(fault, TaskFault)
-        }
-        for name in sorted(task_fault_names):
-            if name not in graph.tasks:
-                raise WorkflowError(
-                    f"task-fault names unknown task {name!r}"
-                )
-        fault_budget: Dict[str, int] = {}
-        for fault in all_faults:
-            if isinstance(fault, TaskFault):
-                fault_budget[fault.task] = (
-                    fault_budget.get(fault.task, 0) + fault.failures
-                )
+        self.sim = Simulator()
+        self.events = make_sim_tracer(self.sim, graph.name)
+        self.skipper = self.begin_journal(resume)
 
-        sim = Simulator()
-        events = make_sim_tracer(sim, graph.name)
-        skipper = begin_journal(
-            journal, events, graph, self.policy.name, self.workers,
-            resume,
-        )
-
-        def record_fault(kind: str, target: str, detail: str = ""
-                         ) -> None:
-            events.instant(
-                kind, category=FAULT_CATEGORY, track="faults",
-                kind=kind, target=target, time=sim.now, detail=detail,
-            )
-            faults_observed.inc(kind=kind)
-
-        def record_recovery(action: str, target: str, detail: str = ""
-                            ) -> None:
-            events.instant(
-                action, category=RECOVERY_CATEGORY, track="recovery",
-                action=action, target=target, time=sim.now,
-                detail=detail,
-            )
-            recoveries_taken.inc(action=action)
-
-        def resource_event(op: str, worker: Worker, units: int) -> None:
-            events.instant(
-                f"{op}:{worker.name}",
-                category=RESOURCE_EVENT_CATEGORY, track=worker.name,
-                op=op, resource=worker.name, units=units,
-                capacity=worker.cpus,
-            )
-
-        locations: Dict[str, str] = {}
-        homes: Dict[str, str] = {}
+        self.locations: Dict[str, str] = {}
+        self.homes: Dict[str, str] = {}
         for obj in graph.external_inputs():
             # locality names a worker, else a node, else the first worker
-            worker = self._by_name.get(obj.locality) or next(
+            worker = server._by_name.get(obj.locality) or next(
                 (w for w in self.workers if w.node_name == obj.locality),
                 self.workers[0],
             )
-            locations[obj.name] = worker.name
-            homes[obj.name] = worker.name
+            self.locations[obj.name] = worker.name
+            self.homes[obj.name] = worker.name
             worker.store.add(obj.name)
 
-        finished: Set[str] = set()
-        running: Dict[str, Worker] = {}
-        backing_off: Set[str] = set()
+        self.finished: Set[str] = set()
+        self.running: Dict[str, Worker] = {}
+        self.backing_off: Set[str] = set()
         #: Unfinished dependencies per task; moves only where
         #: ``finished`` moves (a finish, a lineage invalidation).
-        unmet: Dict[str, int] = {
+        self.unmet: Dict[str, int] = {
             name: len(graph.dependencies(name)) for name in graph.tasks
         }
         #: The ready queue in dispatch order: the names ``select``
@@ -408,494 +292,648 @@ class ResilientServer:
         #: also while a dependency invalidated under the task holds it
         #: out of the order: it returns to the place it had, as if it
         #: had been passed over at every launch in between.
-        ready: List[str] = []
-        order: List[tuple] = []
-        queued: Dict[str, tuple] = {}
-        arrivals = count()
-        ready_at: Dict[str, float] = {}
-        attempts: Dict[str, int] = {}
-        incarnations: Dict[str, int] = {
+        self.ready: List[str] = []
+        self.order: List[tuple] = []
+        self.queued: Dict[str, tuple] = {}
+        self.arrivals = count()
+        self.ready_at: Dict[str, float] = {}
+        self.attempts: Dict[str, int] = {}
+        #: Bumped whenever a worker leaves the pool: an attempt or a
+        #: readmission that saw an older incarnation is stale.
+        self.incarnations: Dict[str, int] = {
             worker.name: 0 for worker in self.workers
         }
-        pending = {"readmissions": 0}
-        deferred_refetch: Set[str] = set()
-        wake = {"event": sim.event()}
-
-        def place(task_name: str) -> None:
-            """Put a queued task where its key says in the order."""
-            at = bisect_left(order, queued[task_name])
-            order.insert(at, queued[task_name])
-            ready.insert(at, task_name)
-
-        def displace(task_name: str) -> None:
-            """Take a queued task out of the order (its key stays)."""
-            at = bisect_left(order, queued[task_name])
-            del order[at], ready[at]
-
-        def mark_ready(task_name: str) -> None:
-            if (
-                task_name not in queued
-                and task_name not in running
-                and task_name not in finished
-                and task_name not in backing_off
-            ):
-                queued[task_name] = (
-                    self.policy.priority(task_name), next(arrivals)
-                )
-                place(task_name)
-                ready_at[task_name] = sim.now
+        #: Restarts and repairs still to come: while one is pending, a
+        #: run with no live worker waits instead of failing.
+        self.readmissions = 0
+        #: Lost external inputs waiting for a live worker to fetch to.
+        self.deferred_refetch: Set[str] = set()
+        self.wake = self.sim.event()
 
         for task_name in graph.topological_order():
-            if not unmet[task_name]:
-                mark_ready(task_name)
+            if not self.unmet[task_name]:
+                self.mark_ready(task_name)
+        for fault in faults:
+            process = _FAULT_KINDS[type(fault)].apply(self, fault)
+            if process is not None:
+                self.sim.process(process, name=f"fault:{fault.kind}")
 
-        def staged_objects(task) -> List[str]:
-            return list(task.inputs) + list(task.updates)
-
-        def transfer_cost(task_name: str, worker: Worker) -> float:
-            total = 0.0
-            for input_name in staged_objects(graph.tasks[task_name]):
-                if worker.holds(input_name):
-                    continue
-                source = locations.get(input_name)
-                if source is None:
-                    return _UNREACHABLE_COST
-                try:
-                    total += self._transfer_seconds(
-                        source, worker.name,
-                        graph.objects[input_name].size_bytes,
-                    )
-                except PlatformError:
-                    return _UNREACHABLE_COST
-            return total
-
-        def poke() -> None:
-            if not wake["event"].triggered:
-                wake["event"].trigger()
-
-        def recheck_ready() -> None:
-            for task_name in graph.tasks:
-                if not unmet[task_name]:
-                    mark_ready(task_name)
-
-        # -- task attempts ---------------------------------------------
-
-        def requeue(task_name: str, worker: Worker, alive: bool,
-                    reason: str):
-            """Abort the current attempt and retry after backoff."""
-            task = graph.tasks[task_name]
-            running.pop(task_name, None)
-            if alive:
-                worker.release(task.cpus)
-                resource_event("release", worker, task.cpus)
-            stats.tasks_requeued += 1
-            attempts[task_name] = attempts.get(task_name, 0) + 1
-            attempt = attempts[task_name]
-            if attempt >= retry.max_attempts:
-                raise ChaosError(
-                    f"task {task_name!r} aborted {attempt} times "
-                    f"(last: {reason}); retry budget exhausted"
-                )
-            delay = retry.backoff_for(attempt)
-            stats.backoff_seconds += delay
-            backing_off.add(task_name)
-            record_recovery(
-                "backoff", task_name,
-                f"attempt {attempt} aborted ({reason}); "
-                f"retry in {delay:.3f}s",
-            )
-            if delay:
-                yield sim.timeout(delay)
-            backing_off.discard(task_name)
-            stats.retries += 1
-            record_recovery(
-                "retry", task_name, f"attempt {attempt + 1}"
-            )
-            if not unmet[task_name]:
-                mark_ready(task_name)
-            poke()
-
-        def run_task(task_name: str, worker: Worker):
-            epoch = incarnations[worker.name]
-            task = graph.tasks[task_name]
-            start_ready = ready_at.get(task_name, sim.now)
-            start = sim.now
-            staging = 0.0
-            moved = 0
-
-            def worker_ok() -> bool:
-                return (
-                    worker.name not in self._failed
-                    and incarnations[worker.name] == epoch
-                )
-
-            for input_name in staged_objects(task):
-                if worker.holds(input_name):
-                    continue
-                source = locations.get(input_name)
-                if source is None:
-                    yield from requeue(
-                        task_name, worker, worker_ok(),
-                        f"input {input_name!r} unavailable",
-                    )
-                    return
-                try:
-                    seconds = self._transfer_seconds(
-                        source, worker.name,
-                        graph.objects[input_name].size_bytes,
-                    )
-                except PlatformError as exc:
-                    yield from requeue(
-                        task_name, worker, worker_ok(), str(exc)
-                    )
-                    return
-                if seconds:
-                    stage_start = sim.now
-                    yield sim.timeout(seconds)
-                    events.complete(
-                        f"stage:{input_name}", stage_start, sim.now,
-                        category=TRANSFER_CATEGORY, track=worker.name,
-                        source=source,
-                        bytes=graph.objects[input_name].size_bytes,
-                    )
-                if not worker_ok():
-                    yield from requeue(
-                        task_name, worker, False,
-                        f"worker {worker.name!r} failed during staging",
-                    )
-                    return
-                staging += seconds
-                moved += graph.objects[input_name].size_bytes
-                worker.store.add(input_name)
-
-            duration = worker.execution_time(task.duration_s)
-            if fault_budget.get(task_name, 0) > 0:
-                fault_budget[task_name] -= 1
-                # the fault bites mid-execution: half the work is lost
-                yield sim.timeout(duration * 0.5)
-                stats.task_faults += 1
-                record_fault(
-                    "task-fault", task_name,
-                    f"transient fault on {worker.name}",
-                )
-                yield from requeue(
-                    task_name, worker, worker_ok(), "transient task fault"
-                )
-                return
-            if (
-                retry.task_timeout_s is not None
-                and duration > retry.task_timeout_s
-            ):
-                yield sim.timeout(retry.task_timeout_s)
-                yield from requeue(
-                    task_name, worker, worker_ok(),
-                    f"timeout: projected {duration:.3f}s > "
-                    f"{retry.task_timeout_s:.3f}s",
-                )
-                return
-            if journal is not None:
-                events.instant(
-                    "exec", category=EXEC_CATEGORY, track=worker.name,
-                    task=task_name, worker=worker.name,
-                )
-            already_ran = (
-                skipper.take(task_name) if skipper is not None else False
-            )
-            if task.payload is not None and not already_ran:
-                task.payload()
-            yield sim.timeout(duration)
-            if not worker_ok():
-                yield from requeue(
-                    task_name, worker, False,
-                    f"worker {worker.name!r} failed mid-task",
-                )
-                return
-            running.pop(task_name, None)
-            worker.busy_seconds += duration * task.cpus
-            worker.tasks_executed += 1
-            worker.release(task.cpus)
-            resource_event("release", worker, task.cpus)
-            for output_name in list(task.outputs) + list(task.updates):
-                locations[output_name] = worker.name
-                worker.store.add(output_name)
-            finished.add(task_name)
-            events.complete(
-                task_name, start, sim.now, category=TASK_CATEGORY,
-                track=worker.name, task=task_name, worker=worker.name,
-                ready_at=start_ready, start=start, end=sim.now,
-                transfer_seconds=staging, bytes_moved=moved,
-                reads=staged_objects(task),
-                writes=list(task.outputs) + list(task.updates),
-            )
-            tasks_executed.inc(worker=worker.name)
-            for consumer in graph.consumers(task_name):
-                unmet[consumer] -= 1
-                if unmet[consumer]:
-                    continue
-                if consumer in queued:
-                    place(consumer)
-                else:
-                    mark_ready(consumer)
-            poke()
-
-        # -- object recovery -------------------------------------------
-
-        def invalidate(producer: str, seen: Set[str]) -> None:
-            """Lineage: re-run the producer of a lost object and,
-            depth first, every task downstream of it.
-
-            A task is unfinished (its ``lineage`` record emitted)
-            before its consumers are visited and offered to the queue
-            after them. The walk keeps its own stack: the depth of a
-            graph must not meet the interpreter's recursion limit.
-            """
-            path: List[str] = []
-            pending = [iter((producer,))]  # then path's consumers
-            while pending:
-                for task_name in pending[-1]:
-                    if task_name in seen:
-                        continue
-                    seen.add(task_name)
-                    consumers = graph.consumers(task_name)
-                    if task_name in finished:
-                        finished.discard(task_name)
-                        for consumer in consumers:
-                            unmet[consumer] += 1
-                            if unmet[consumer] == 1 and consumer in queued:
-                                displace(consumer)
-                        stats.tasks_relineaged += 1
-                        record_recovery(
-                            "lineage", task_name,
-                            "output lost; re-executing producer",
-                        )
-                    for output_name in graph.tasks[task_name].outputs:
-                        locations.pop(output_name, None)
-                        for worker in self.workers:
-                            worker.store.discard(output_name)
-                    path.append(task_name)
-                    pending.append(iter(consumers))
-                    break
-                else:
-                    pending.pop()
-                    if path:
-                        walked = path.pop()
-                        if not unmet[walked]:
-                            mark_ready(walked)
-
-        def refetch(object_name: str):
-            """Re-fetch a durable external input, or defer if no
-            worker is alive to receive it."""
-            home = homes[object_name]
-            target = next(
-                (w for w in self._alive() if w.name == home), None,
-            ) or (self._alive()[0] if self._alive() else None)
-            if target is None:
-                deferred_refetch.add(object_name)
-                return
-            yield sim.timeout(_REFETCH_LATENCY_S)
-            if target.name in self._failed:
-                deferred_refetch.add(object_name)
-                return
-            target.store.add(object_name)
-            locations[object_name] = target.name
-            stats.inputs_refetched += 1
-            record_recovery(
-                "refetch", object_name, f"to {target.name}"
-            )
-
-        def take_down(victim: Worker, lose_store: bool):
-            """Shared crash/reconfig path: remove from pool, free
-            slots, and (for crashes) recover the lost objects."""
-            self._failed.add(victim.name)
-            incarnations[victim.name] += 1
-            resource_event("reset", victim, 0)
-            if not lose_store:
-                victim.busy_cpus = 0
-                return
-            lost_objects = set(victim.store)
-            victim.reset()
-            seen: Set[str] = set()
-            for object_name in sorted(lost_objects):
-                survivor = next(
-                    (w for w in self._alive()
-                     if w.holds(object_name)), None,
-                )
-                if survivor is not None:
-                    locations[object_name] = survivor.name
-                    continue
-                stats.objects_lost += 1
-                producer = graph.objects[object_name].producer
-                if producer is None:
-                    locations.pop(object_name, None)
-                    yield from refetch(object_name)
-                else:
-                    invalidate(producer, seen)
-
-        def readmit(victim: Worker, action: str, down_incarnation: int,
-                    fresh: bool):
-            """Return a worker to the pool after restart/repair."""
-            pending["readmissions"] -= 1
-            if (
-                victim.name in self._failed
-                and incarnations[victim.name] == down_incarnation
-            ):
-                self._failed.discard(victim.name)
-                if fresh:
-                    victim.reset()
-                stats.restarts += 1
-                record_recovery(action, victim.name)
-                for object_name in sorted(deferred_refetch):
-                    deferred_refetch.discard(object_name)
-                    yield from refetch(object_name)
-            recheck_ready()
-            poke()
-
-        # -- fault application processes -------------------------------
-
-        def apply_crash(fault: WorkerCrash):
-            yield sim.timeout(fault.at_time)
-            victim = self._worker(fault.worker)
-            detail = (
-                "permanent" if fault.restart_after is None
-                else f"restart in {fault.restart_after:.3f}s"
-            )
-            record_fault("worker-crash", victim.name, detail)
-            stats.failures += 1
-            yield from take_down(victim, lose_store=True)
-            recheck_ready()
-            poke()
-            if fault.restart_after is not None:
-                down = incarnations[victim.name]
-                pending["readmissions"] += 1
-                yield sim.timeout(fault.restart_after)
-                yield from readmit(
-                    victim, "worker-restart", down, fresh=True
-                )
-
-        def apply_reconfig(fault: ReconfigFault):
-            yield sim.timeout(fault.at_time)
-            victim = self._worker(fault.worker)
-            record_fault(
-                "reconfig-failure", victim.name,
-                f"repair in {fault.repair_s:.3f}s",
-            )
-            stats.reconfig_faults += 1
-            yield from take_down(victim, lose_store=False)
-            recheck_ready()
-            poke()
-            down = incarnations[victim.name]
-            pending["readmissions"] += 1
-            yield sim.timeout(fault.repair_s)
-            yield from readmit(
-                victim, "worker-readmit", down, fresh=False
-            )
-
-        def apply_straggler(fault: StragglerFault):
-            yield sim.timeout(fault.at_time)
-            victim = self._worker(fault.worker)
-            record_fault(
-                "straggler", victim.name,
-                f"{fault.slowdown:.2f}x for {fault.duration_s:.3f}s",
-            )
-            stats.stragglers += 1
-            epoch = incarnations[victim.name]
-            victim.slowdown = max(victim.slowdown, fault.slowdown)
-            yield sim.timeout(fault.duration_s)
-            if incarnations[victim.name] == epoch:
-                victim.slowdown = 1.0
-            record_recovery("straggler-clear", victim.name)
-            poke()
-
-        def apply_link(fault: LinkFault):
-            yield sim.timeout(fault.at_time)
-            detail = (
-                "severed" if fault.partition
-                else f"bandwidth x{fault.bandwidth_factor:.3f}, "
-                     f"+{fault.latency_add_s * 1e3:.1f}ms"
-            )
-            record_fault(fault.kind, fault.target, detail)
-            stats.link_faults += 1
-            overlay = (
-                self._default_overlay if fault.node_a == ANY_LINK
-                else self.ecosystem.overlay
-            )
-            degradation = None if fault.partition else (
-                fault.bandwidth_factor, fault.latency_add_s)
-            overlay.add(fault.node_a, fault.node_b, degradation)
-            yield sim.timeout(fault.duration_s)
-            overlay.remove(fault.node_a, fault.node_b, degradation)
-            record_recovery("link-heal", fault.target)
-            poke()
-
-        appliers = {
-            WorkerCrash: apply_crash,
-            ReconfigFault: apply_reconfig,
-            StragglerFault: apply_straggler,
-            LinkFault: apply_link,
-        }
-        for fault in all_faults:
-            applier = appliers.get(type(fault))
-            if applier is not None:
-                sim.process(
-                    applier(fault), name=f"fault:{fault.kind}"
-                )
-
-        # -- dispatch loop ---------------------------------------------
-
-        def dispatcher():
-            while len(finished) < len(graph.tasks):
-                if not self._alive() and pending["readmissions"] == 0:
-                    raise WorkflowError(
-                        "all workers failed; workflow cannot complete"
-                    )
-                launched = True
-                while launched:
-                    choice = self.policy.select(
-                        ready, self._alive(), graph, locations,
-                        transfer_cost,
-                    ) if ready else None
-                    if choice is None:
-                        launched = False
-                    else:
-                        task_name, worker = choice
-                        displace(task_name)
-                        del queued[task_name]
-                        events.instant(
-                            "dispatch", category=SCHED_CATEGORY,
-                            track="scheduler", task=task_name,
-                            worker=worker.name,
-                        )
-                        events.counter(
-                            "ready_tasks", float(len(queued)),
-                            category=SCHED_CATEGORY, track="scheduler",
-                        )
-                        worker.acquire(graph.tasks[task_name].cpus)
-                        resource_event(
-                            "request", worker,
-                            graph.tasks[task_name].cpus,
-                        )
-                        running[task_name] = worker
-                        sim.process(
-                            run_task(task_name, worker),
-                            name=f"task:{task_name}",
-                        )
-                if len(finished) >= len(graph.tasks):
-                    break
-                wake["event"] = sim.event()
-                yield wake["event"]
-            return None
-
-        sim.run_process(dispatcher(), name="dispatcher")
+    def execute(self, tracer: Optional[Tracer]) -> tuple:
+        """Run to completion; returns (trace, recovery stats)."""
+        self.sim.run_process(self.dispatcher(), name="dispatcher")
         trace = ExecutionTrace.from_tracer(
-            events, graph_name=graph.name,
+            self.events, graph_name=self.graph.name,
             policy=f"{self.policy.name}+recovery",
         )
-        metrics.counter(
+        self.metrics.counter(
             "workflow.bytes_moved", "bytes staged between workers",
         ).inc(trace.bytes_moved)
-        metrics.counter(
+        self.metrics.counter(
             "workflow.retries", "task attempts retried after a fault",
-        ).inc(stats.retries)
-        end_journal(journal, trace)
-        publish_run(events, graph.name, tracer)
-        return trace, stats
+        ).inc(self.stats.retries)
+        self.end_journal(trace)
+        self.publish_run(tracer)
+        return trace, self.stats
+
+    # -- journal and session tracer ------------------------------------
+
+    def begin_journal(self, resume: Optional[ReplayState]
+                      ) -> Optional[PayloadSkipper]:
+        """Prologue for durable/resumed execution.
+
+        When resuming, the journaled header must describe the same run
+        recipe we are about to re-execute — same graph content, policy
+        and worker pool — otherwise the deterministic replay would
+        silently diverge from what the journal proves happened; that
+        mismatch is a hard ``WF009`` error. When journaling, the header
+        is written and the journal hooks the simulated-time tracer so
+        every journaled transition is durable before execution proceeds.
+
+        Returns the payload skipper for a resumed run (None otherwise).
+        """
+        graph = self.graph
+        recipe = {
+            "graph": graph.name,
+            "graph_digest": graph.digest(),
+            "policy": self.policy.name,
+            "workers": [worker.name for worker in self.workers],
+            "tasks": len(graph.tasks),
+        }
+        if resume is not None and resume.header is not None:
+            for key in ("graph_digest", "policy", "workers"):
+                expected = resume.header.get(key)
+                if expected != recipe[key]:
+                    raise journal_error(
+                        "WF009",
+                        f"resume state was journaled for {key}="
+                        f"{expected!r} but this run has {recipe[key]!r}; "
+                        f"rebuild the run from its recorded recipe",
+                        anchor=graph.name,
+                    )
+        if self.journal is not None:
+            self.journal.start(recipe)
+            self.journal.attach(self.events)
+        return resume.payload_skipper() if resume is not None else None
+
+    def end_journal(self, trace: ExecutionTrace) -> None:
+        """Seal a journaled run: final digest record, tracer detached."""
+        if self.journal is None:
+            return
+        self.journal.finish(trace.digest(), makespan=trace.makespan)
+        self.journal.detach()
+
+    def publish_run(self, tracer: Optional[Tracer]) -> None:
+        """Absorb the simulated timeline into the session tracer."""
+        target = tracer if tracer is not None else current_tracer()
+        if target.enabled:
+            target.absorb(self.events, process=f"workflow:{self.graph.name}")
+
+    # -- trace records -------------------------------------------------
+
+    def record_fault(self, kind: str, target: str, detail: str = ""
+                     ) -> None:
+        self.events.instant(
+            kind, category=FAULT_CATEGORY, track="faults",
+            kind=kind, target=target, time=self.sim.now, detail=detail,
+        )
+        self.faults_observed.inc(kind=kind)
+
+    def record_recovery(self, action: str, target: str, detail: str = ""
+                        ) -> None:
+        self.events.instant(
+            action, category=RECOVERY_CATEGORY, track="recovery",
+            action=action, target=target, time=self.sim.now,
+            detail=detail,
+        )
+        self.recoveries_taken.inc(action=action)
+
+    def resource_event(self, op: str, worker: Worker, units: int) -> None:
+        self.events.instant(
+            f"{op}:{worker.name}",
+            category=RESOURCE_EVENT_CATEGORY, track=worker.name,
+            op=op, resource=worker.name, units=units,
+            capacity=worker.cpus,
+        )
+
+    # -- pool, staging and the ready queue -----------------------------
+
+    def alive(self) -> List[Worker]:
+        return [w for w in self.workers if w.name not in self.failed]
+
+    def transfer_seconds(self, source: str, target: str,
+                         size_bytes: int) -> float:
+        if source == target or size_bytes == 0:
+            return 0.0
+        ecosystem = self.server.ecosystem
+        if ecosystem is not None:
+            src_node = self.server._worker(source).node_name
+            dst_node = self.server._worker(target).node_name
+            if src_node == dst_node:
+                return 0.0
+            return ecosystem.transfer_time(src_node, dst_node, size_bytes)
+        if self.default_overlay.is_partitioned(ANY_LINK, ANY_LINK):
+            raise PlatformError("default staging path is partitioned")
+        factor, latency_add = self.default_overlay.state(
+            ANY_LINK, ANY_LINK)
+        return _DEFAULT_LATENCY_S + latency_add + size_bytes / (
+            _DEFAULT_BANDWIDTH * factor
+        )
+
+    def transfer_cost(self, task_name: str, worker: Worker) -> float:
+        """Staging seconds to run a task on a worker (for ``select``)."""
+        total = 0.0
+        for input_name in _staged(self.graph.tasks[task_name]):
+            if worker.holds(input_name):
+                continue
+            source = self.locations.get(input_name)
+            if source is None:
+                return _UNREACHABLE_COST
+            try:
+                total += self.transfer_seconds(
+                    source, worker.name,
+                    self.graph.objects[input_name].size_bytes,
+                )
+            except PlatformError:
+                return _UNREACHABLE_COST
+        return total
+
+    def place(self, task_name: str) -> None:
+        """Put a queued task where its key says in the order."""
+        at = bisect_left(self.order, self.queued[task_name])
+        self.order.insert(at, self.queued[task_name])
+        self.ready.insert(at, task_name)
+
+    def displace(self, task_name: str) -> None:
+        """Take a queued task out of the order (its key stays)."""
+        at = bisect_left(self.order, self.queued[task_name])
+        del self.order[at], self.ready[at]
+
+    def mark_ready(self, task_name: str) -> None:
+        if (
+            task_name not in self.queued
+            and task_name not in self.running
+            and task_name not in self.finished
+            and task_name not in self.backing_off
+        ):
+            self.queued[task_name] = (
+                self.policy.priority(task_name), next(self.arrivals)
+            )
+            self.place(task_name)
+            self.ready_at[task_name] = self.sim.now
+
+    def recheck_ready(self) -> None:
+        for task_name in self.graph.tasks:
+            if not self.unmet[task_name]:
+                self.mark_ready(task_name)
+
+    def poke(self) -> None:
+        """Wake the dispatcher."""
+        if not self.wake.triggered:
+            self.wake.trigger()
+
+    # -- task attempts -------------------------------------------------
+
+    def worker_ok(self, worker: Worker, epoch: int) -> bool:
+        """The worker is in the pool, in the incarnation ``epoch``."""
+        return (
+            worker.name not in self.failed
+            and self.incarnations[worker.name] == epoch
+        )
+
+    def requeue(self, task_name: str, worker: Worker, alive: bool,
+                reason: str):
+        """Abort the current attempt and retry after backoff."""
+        task = self.graph.tasks[task_name]
+        stats = self.stats
+        self.running.pop(task_name, None)
+        if alive:
+            worker.release(task.cpus)
+            self.resource_event("release", worker, task.cpus)
+        stats.tasks_requeued += 1
+        attempt = self.attempts[task_name] = (
+            self.attempts.get(task_name, 0) + 1)
+        if attempt >= self.retry.max_attempts:
+            raise ChaosError(
+                f"task {task_name!r} aborted {attempt} times "
+                f"(last: {reason}); retry budget exhausted"
+            )
+        delay = self.retry.backoff_for(attempt)
+        stats.backoff_seconds += delay
+        self.backing_off.add(task_name)
+        self.record_recovery(
+            "backoff", task_name,
+            f"attempt {attempt} aborted ({reason}); "
+            f"retry in {delay:.3f}s",
+        )
+        if delay:
+            yield self.sim.timeout(delay)
+        self.backing_off.discard(task_name)
+        stats.retries += 1
+        self.record_recovery("retry", task_name, f"attempt {attempt + 1}")
+        if not self.unmet[task_name]:
+            self.mark_ready(task_name)
+        self.poke()
+
+    def run_task(self, task_name: str, worker: Worker):
+        """One attempt: stage the inputs, run, publish the outputs."""
+        sim, graph, events = self.sim, self.graph, self.events
+        epoch = self.incarnations[worker.name]
+        task = graph.tasks[task_name]
+        start_ready = self.ready_at.get(task_name, sim.now)
+        start = sim.now
+        staging = 0.0
+        moved = 0
+
+        for input_name in _staged(task):
+            if worker.holds(input_name):
+                continue
+            source = self.locations.get(input_name)
+            if source is None:
+                yield from self.requeue(
+                    task_name, worker, self.worker_ok(worker, epoch),
+                    f"input {input_name!r} unavailable",
+                )
+                return
+            size_bytes = graph.objects[input_name].size_bytes
+            try:
+                seconds = self.transfer_seconds(
+                    source, worker.name, size_bytes)
+            except PlatformError as exc:
+                yield from self.requeue(
+                    task_name, worker, self.worker_ok(worker, epoch),
+                    str(exc),
+                )
+                return
+            if seconds:
+                stage_start = sim.now
+                yield sim.timeout(seconds)
+                events.complete(
+                    f"stage:{input_name}", stage_start, sim.now,
+                    category=TRANSFER_CATEGORY, track=worker.name,
+                    source=source, bytes=size_bytes,
+                )
+            if not self.worker_ok(worker, epoch):
+                yield from self.requeue(
+                    task_name, worker, False,
+                    f"worker {worker.name!r} failed during staging",
+                )
+                return
+            staging += seconds
+            moved += size_bytes
+            worker.store.add(input_name)
+
+        duration = worker.execution_time(task.duration_s)
+        timeout_s = self.retry.task_timeout_s
+        if self.fault_budget.get(task_name, 0) > 0:
+            self.fault_budget[task_name] -= 1
+            # the fault bites mid-execution: half the work is lost
+            yield sim.timeout(duration * 0.5)
+            self.stats.task_faults += 1
+            self.record_fault(
+                "task-fault", task_name,
+                f"transient fault on {worker.name}",
+            )
+            yield from self.requeue(
+                task_name, worker, self.worker_ok(worker, epoch),
+                "transient task fault",
+            )
+            return
+        if timeout_s is not None and duration > timeout_s:
+            yield sim.timeout(timeout_s)
+            yield from self.requeue(
+                task_name, worker, self.worker_ok(worker, epoch),
+                f"timeout: projected {duration:.3f}s > {timeout_s:.3f}s",
+            )
+            return
+        if self.journal is not None:
+            events.instant(
+                "exec", category=EXEC_CATEGORY, track=worker.name,
+                task=task_name, worker=worker.name,
+            )
+        already_ran = (
+            self.skipper.take(task_name) if self.skipper is not None
+            else False
+        )
+        if task.payload is not None and not already_ran:
+            task.payload()
+        yield sim.timeout(duration)
+        if not self.worker_ok(worker, epoch):
+            yield from self.requeue(
+                task_name, worker, False,
+                f"worker {worker.name!r} failed mid-task",
+            )
+            return
+        self.running.pop(task_name, None)
+        worker.busy_seconds += duration * task.cpus
+        worker.tasks_executed += 1
+        worker.release(task.cpus)
+        self.resource_event("release", worker, task.cpus)
+        writes = list(task.outputs) + list(task.updates)
+        for output_name in writes:
+            self.locations[output_name] = worker.name
+            worker.store.add(output_name)
+        self.finished.add(task_name)
+        events.complete(
+            task_name, start, sim.now, category=TASK_CATEGORY,
+            track=worker.name, task=task_name, worker=worker.name,
+            ready_at=start_ready, start=start, end=sim.now,
+            transfer_seconds=staging, bytes_moved=moved,
+            reads=_staged(task), writes=writes,
+        )
+        self.tasks_executed.inc(worker=worker.name)
+        unmet = self.unmet
+        for consumer in graph.consumers(task_name):
+            unmet[consumer] -= 1
+            if unmet[consumer]:
+                continue
+            if consumer in self.queued:
+                self.place(consumer)
+            else:
+                self.mark_ready(consumer)
+        self.poke()
+
+    # -- object recovery -----------------------------------------------
+
+    def invalidate(self, producer: str, seen: Set[str]) -> None:
+        """Lineage: re-run the producer of a lost object and, depth
+        first, every task downstream of it.
+
+        A task is unfinished (its ``lineage`` record emitted) before
+        its consumers are visited and offered to the queue after them.
+        The walk keeps its own stack: the depth of a graph must not
+        meet the interpreter's recursion limit.
+        """
+        graph, unmet = self.graph, self.unmet
+        path: List[str] = []
+        pending = [iter((producer,))]  # then path's consumers
+        while pending:
+            for task_name in pending[-1]:
+                if task_name in seen:
+                    continue
+                seen.add(task_name)
+                consumers = graph.consumers(task_name)
+                if task_name in self.finished:
+                    self.finished.discard(task_name)
+                    for consumer in consumers:
+                        unmet[consumer] += 1
+                        if unmet[consumer] == 1 and consumer in self.queued:
+                            self.displace(consumer)
+                    self.stats.tasks_relineaged += 1
+                    self.record_recovery(
+                        "lineage", task_name,
+                        "output lost; re-executing producer",
+                    )
+                for output_name in graph.tasks[task_name].outputs:
+                    self.locations.pop(output_name, None)
+                    for worker in self.workers:
+                        worker.store.discard(output_name)
+                path.append(task_name)
+                pending.append(iter(consumers))
+                break
+            else:
+                pending.pop()
+                if path:
+                    walked = path.pop()
+                    if not unmet[walked]:
+                        self.mark_ready(walked)
+
+    def refetch(self, object_name: str):
+        """Re-fetch a durable external input to its home, else to the
+        first live worker; when the target dies during the fetch, fetch
+        again to the next one. With no worker alive the input waits
+        for the next readmission."""
+        home = self.homes[object_name]
+        while True:
+            alive = self.alive()
+            if not alive:
+                self.deferred_refetch.add(object_name)
+                return
+            target = next((w for w in alive if w.name == home), alive[0])
+            yield self.sim.timeout(_REFETCH_LATENCY_S)
+            if target.name not in self.failed:
+                break
+        target.store.add(object_name)
+        self.locations[object_name] = target.name
+        self.stats.inputs_refetched += 1
+        self.record_recovery("refetch", object_name, f"to {target.name}")
+
+    def take_down(self, victim: Worker, lose_store: bool):
+        """Remove a worker from the pool and free its slots; when its
+        store is lost too, recover the objects that had no other copy."""
+        self.failed.add(victim.name)
+        self.incarnations[victim.name] += 1
+        self.resource_event("reset", victim, 0)
+        if not lose_store:
+            victim.busy_cpus = 0
+            return
+        lost_objects = set(victim.store)
+        victim.reset()
+        seen: Set[str] = set()
+        for object_name in sorted(lost_objects):
+            survivor = next(
+                (w for w in self.alive() if w.holds(object_name)), None,
+            )
+            if survivor is not None:
+                self.locations[object_name] = survivor.name
+                continue
+            self.stats.objects_lost += 1
+            producer = self.graph.objects[object_name].producer
+            if producer is None:
+                self.locations.pop(object_name, None)
+                yield from self.refetch(object_name)
+            else:
+                self.invalidate(producer, seen)
+
+    def readmit(self, victim: Worker, action: str, down_incarnation: int,
+                fresh: bool):
+        """Return a worker to the pool after restart/repair, unless it
+        went down again meanwhile."""
+        self.readmissions -= 1
+        if (
+            victim.name in self.failed
+            and self.incarnations[victim.name] == down_incarnation
+        ):
+            self.failed.discard(victim.name)
+            if fresh:
+                victim.reset()
+            self.stats.restarts += 1
+            self.record_recovery(action, victim.name)
+            for object_name in sorted(self.deferred_refetch):
+                self.deferred_refetch.discard(object_name)
+                yield from self.refetch(object_name)
+        self.recheck_ready()
+        self.poke()
+
+    # -- fault handlers (armed through _FAULT_KINDS) -------------------
+
+    def outage(self, fault, back_after: Optional[float], lose_store: bool,
+               back_as: str, wait: str):
+        """A worker leaves the pool at ``fault.at_time`` — losing its
+        store, or keeping it — and, unless ``back_after`` is None, is
+        readmitted as ``back_as`` that much later (reset if its store
+        was lost)."""
+        yield self.sim.timeout(fault.at_time)
+        victim = self.server._worker(fault.worker)
+        self.record_fault(
+            fault.kind, victim.name,
+            "permanent" if back_after is None
+            else f"{wait} in {back_after:.3f}s",
+        )
+        if lose_store:
+            self.stats.failures += 1
+        else:
+            self.stats.reconfig_faults += 1
+        yield from self.take_down(victim, lose_store)
+        self.recheck_ready()
+        self.poke()
+        if back_after is None:
+            return
+        down = self.incarnations[victim.name]
+        self.readmissions += 1
+        yield self.sim.timeout(back_after)
+        yield from self.readmit(victim, back_as, down, fresh=lose_store)
+
+    def straggle(self, fault: StragglerFault):
+        yield self.sim.timeout(fault.at_time)
+        victim = self.server._worker(fault.worker)
+        self.record_fault(
+            "straggler", victim.name,
+            f"{fault.slowdown:.2f}x for {fault.duration_s:.3f}s",
+        )
+        self.stats.stragglers += 1
+        epoch = self.incarnations[victim.name]
+        victim.slowdown = max(victim.slowdown, fault.slowdown)
+        yield self.sim.timeout(fault.duration_s)
+        if self.incarnations[victim.name] == epoch:
+            victim.slowdown = 1.0
+        self.record_recovery("straggler-clear", victim.name)
+        self.poke()
+
+    def degrade_link(self, fault: LinkFault):
+        yield self.sim.timeout(fault.at_time)
+        detail = (
+            "severed" if fault.partition
+            else f"bandwidth x{fault.bandwidth_factor:.3f}, "
+                 f"+{fault.latency_add_s * 1e3:.1f}ms"
+        )
+        self.record_fault(fault.kind, fault.target, detail)
+        self.stats.link_faults += 1
+        overlay = (
+            self.default_overlay if fault.node_a == ANY_LINK
+            else self.server.ecosystem.overlay
+        )
+        degradation = None if fault.partition else (
+            fault.bandwidth_factor, fault.latency_add_s)
+        overlay.add(fault.node_a, fault.node_b, degradation)
+        yield self.sim.timeout(fault.duration_s)
+        overlay.remove(fault.node_a, fault.node_b, degradation)
+        self.record_recovery("link-heal", fault.target)
+        self.poke()
+
+    def arm_task_fault(self, fault: TaskFault) -> None:
+        """Task faults need no process: ``run_task`` spends the budget."""
+        self.fault_budget[fault.task] = (
+            self.fault_budget.get(fault.task, 0) + fault.failures
+        )
+
+    # -- dispatch loop -------------------------------------------------
+
+    def dispatcher(self):
+        graph, events, queued = self.graph, self.events, self.queued
+        while len(self.finished) < len(graph.tasks):
+            if not self.alive() and self.readmissions == 0:
+                raise WorkflowError(
+                    "all workers failed; workflow cannot complete"
+                )
+            while self.ready:
+                choice = self.policy.select(
+                    self.ready, self.alive(), graph, self.locations,
+                    self.transfer_cost,
+                )
+                if choice is None:
+                    break
+                task_name, worker = choice
+                cpus = graph.tasks[task_name].cpus
+                self.displace(task_name)
+                del queued[task_name]
+                events.instant(
+                    "dispatch", category=SCHED_CATEGORY,
+                    track="scheduler", task=task_name,
+                    worker=worker.name,
+                )
+                events.counter(
+                    "ready_tasks", float(len(queued)),
+                    category=SCHED_CATEGORY, track="scheduler",
+                )
+                worker.acquire(cpus)
+                self.resource_event("request", worker, cpus)
+                self.running[task_name] = worker
+                self.sim.process(
+                    self.run_task(task_name, worker),
+                    name=f"task:{task_name}",
+                )
+            if len(self.finished) >= len(graph.tasks):
+                break
+            self.wake = self.sim.event()
+            yield self.wake
+        return None
+
+
+# -- the fault vocabulary ----------------------------------------------
+
+
+def _check_worker(server: ResilientServer, graph: TaskGraph,
+                  fault) -> None:
+    if fault.worker not in server._by_name:
+        raise WorkflowError(
+            f"{fault.kind} names unknown worker {fault.worker!r}"
+        )
+
+
+def _check_link(server: ResilientServer, graph: TaskGraph,
+                fault: LinkFault) -> None:
+    if fault.node_a == ANY_LINK and fault.node_b == ANY_LINK:
+        return
+    if server.ecosystem is None:
+        raise WorkflowError(
+            f"link fault targets {fault.node_a!r}<->{fault.node_b!r} "
+            f"but the server has no ecosystem topology"
+        )
+    server.ecosystem.link_between(fault.node_a, fault.node_b)
+
+
+def _check_task(server: ResilientServer, graph: TaskGraph,
+                fault: TaskFault) -> None:
+    if fault.task not in graph.tasks:
+        raise WorkflowError(
+            f"{fault.kind} names unknown task {fault.task!r}"
+        )
+
+
+class _FaultKind(NamedTuple):
+    """How the engine treats one class of :mod:`repro.chaos.faults`."""
+
+    #: ``check(server, graph, fault)`` raises :class:`WorkflowError`
+    #: when the fault names a target the run lacks; it runs for every
+    #: fault before the run starts.
+    check: Callable
+    #: ``apply(run, fault)`` arms the fault on a :class:`_Run`: it
+    #: returns the simulator process that injects it, or None when the
+    #: fault acts through the run's state alone.
+    apply: Callable
+
+
+#: One row per fault class; adding a fault class is adding a row.
+_FAULT_KINDS = {
+    WorkerCrash: _FaultKind(_check_worker, lambda run, fault: run.outage(
+        fault, fault.restart_after, lose_store=True,
+        back_as="worker-restart", wait="restart",
+    )),
+    ReconfigFault: _FaultKind(_check_worker, lambda run, fault: run.outage(
+        fault, fault.repair_s, lose_store=False,
+        back_as="worker-readmit", wait="repair",
+    )),
+    StragglerFault: _FaultKind(_check_worker, _Run.straggle),
+    LinkFault: _FaultKind(_check_link, _Run.degrade_link),
+    TaskFault: _FaultKind(_check_task, _Run.arm_task_fault),
+}

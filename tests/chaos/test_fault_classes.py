@@ -126,6 +126,29 @@ class TestWorkerCrashAndRestart:
         assert {r.task for r in trace.records} == set(graph.tasks)
         assert stats.restarts == 1
 
+    def test_refetch_target_dying_in_flight_passes_it_on(self):
+        """The only copy of ``x`` dies with w0 and is re-fetched to
+        w1, which dies 20 ms into the 50 ms fetch with no restart
+        pending: the fetch goes on to w2 instead of waiting for a
+        readmission that never comes."""
+        graph = TaskGraph("refetch")
+        graph.add_object(DataObject("x", size_bytes=1000, locality="w0"))
+        graph.add_task(WorkflowTask("a", outputs=["oa"], duration_s=5.0))
+        graph.add_task(WorkflowTask(
+            "b", inputs=["oa", "x"], outputs=["ob"], duration_s=1.0,
+        ))
+        trace, stats = ResilientServer(make_pool(3, cpus=1)).run(
+            graph, chaos=schedule_of(
+                WorkerCrash("w0", at_time=1.0),
+                WorkerCrash("w1", at_time=1.02),
+            ),
+        )
+        assert {r.task for r in trace.records} == set(graph.tasks)
+        assert trace.makespan == pytest.approx(11.05)
+        assert [(r.target, r.detail) for r in trace.recoveries
+                if r.action == "refetch"] == [("x", "to w2")]
+        assert stats.inputs_refetched == 1
+
     def test_unknown_crash_target_rejected_eagerly(self):
         server = ResilientServer(make_pool(2))
         with pytest.raises(WorkflowError, match="unknown worker"):

@@ -181,8 +181,8 @@ class TestTripClampDisagreement:
     The scheduler and MEM002 charge the raw directive (8 copies, 16
     ports demanded); the analyzers clamp to the trip count (2 copies,
     4 ports). Both call :func:`port_demand`, with different ``copies``.
-    Harmonising them moves priced fronts: ROADMAP item 4, trip-clamp
-    follow-up. Until then this must not drift silently.
+    Harmonising them moves priced fronts: ROADMAP item 3(d), the
+    trip clamp. Until then this must not drift silently.
     """
 
     def test_scheduler_charges_the_raw_directive(self):

@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.chaos import ChaosSchedule, WorkerCrash
+from repro.chaos import ChaosSchedule, ReconfigFault, WorkerCrash
 from repro.errors import WorkflowError
 from repro.workflow.graph import DataObject, TaskGraph, WorkflowTask
 from repro.workflow.recovery import (
     RecoveryStats,
     ResilientServer,
+    _Run,
 )
 from repro.workflow.worker import Worker
 
@@ -236,3 +237,55 @@ class TestEdgeCases:
         # same-timestamp crashes resolve deterministically
         replay, _stats = run_once()
         assert replay.to_json() == trace.to_json()
+
+
+def hand_built_run(workers, faults=()):
+    """A four-task chain's run, built as ``ResilientServer.run`` builds
+    it, whose dispatcher never starts."""
+    server, graph = ResilientServer(workers), chain_graph()
+    server.policy.prepare(graph)
+    return _Run(server, graph, list(faults), None, None)
+
+
+class TestHandlers:
+    """One fault handler at a time, on a hand-built run."""
+
+    @pytest.mark.parametrize("fault, store_kept", [
+        (WorkerCrash("w0", at_time=1.0, restart_after=0.5), False),
+        (ReconfigFault("w0", at_time=1.0, repair_s=0.5), True),
+    ])
+    def test_outage_keeps_the_store_only_on_reconfig(self, fault,
+                                                      store_kept):
+        workers = pool(2)
+        run = hand_built_run(workers, [fault])
+        run.sim.run()
+        assert not run.failed
+        assert workers[0].holds("in") is store_kept
+        assert run.locations["in"] == ("w0" if store_kept else "w1")
+        assert run.stats.objects_lost == (0 if store_kept else 1)
+
+    def test_readmit_skips_a_worker_that_went_down_again(self):
+        workers = pool(2)
+        victim = workers[0]
+        run = hand_built_run(workers)
+        run.sim.run_process(run.take_down(victim, lose_store=False))
+        first_down = run.incarnations["w0"]
+        run.sim.run_process(run.take_down(victim, lose_store=False))
+        run.readmissions = 2
+        run.sim.run_process(
+            run.readmit(victim, "worker-readmit", first_down, fresh=False)
+        )
+        assert "w0" in run.failed
+        assert run.stats.restarts == 0
+        run.sim.run_process(run.readmit(
+            victim, "worker-readmit", run.incarnations["w0"], fresh=False,
+        ))
+        assert "w0" not in run.failed
+        assert run.stats.restarts == 1
+
+    def test_a_run_leaves_the_server_as_it_found_it(self):
+        server = ResilientServer(pool(2))
+        before = {name: id(value) for name, value in vars(server).items()}
+        server.run(chain_graph(), chaos=crashes(("w0", 1.0)))
+        assert {name: id(value)
+                for name, value in vars(server).items()} == before
