@@ -12,13 +12,20 @@ are rejected instead of silently corrupting the queue::
       +--> cancelled <------+            (cancel honored by launcher)
 
 The store is a single SQLite file in WAL mode, so independent
-processes on one host share it concurrently: writers serialize on
-``BEGIN IMMEDIATE`` transactions (a lease is one atomic claim — two
-launchers can never be assigned the same job) and readers never
-block. Submissions are batched (``executemany`` inside one
-transaction) and the hot queries — ready-queue scans, per-owner and
-per-tag state counts — run against covering indexes, so the store
-stays responsive at 100k+ job records (pinned by
+processes on one host share it concurrently and readers never block.
+Every per-job mutation is one autocommitted, guarded statement: a
+lease is one ``UPDATE … RETURNING`` that claims the oldest ready jobs
+(two launchers can never be assigned the same job), and a completion
+is one ``UPDATE`` whose ``WHERE`` holds the lease and the legal source
+states, so each finished job is durable when its own commit returns.
+Expiry is one statement too; multi-statement writes (submission
+batches, cancellation, gc) serialize on ``BEGIN IMMEDIATE``
+transactions. Only one index is keyed by state, so a state change
+rewrites one index entry besides the row: ready-queue scans and
+per-tag counts run on covering indexes, per-owner listings on
+``(owner, id)``, and per-owner counts read each of the owner's rows
+(~35 ms at 100k rows against a 250 ms floor). The store stays
+responsive at 100k+ job records (pinned by
 ``benchmarks/test_ben_service.py``).
 
 Leases are heartbeat-based: a launcher's claim on a batch carries an
@@ -31,11 +38,13 @@ a killed launcher loses *time*, never *jobs*.
 Stable error codes (:class:`~repro.errors.JobStoreError`): ``JOB001``
 unknown job, ``JOB002`` illegal state transition, ``JOB003`` stale
 lease (the job was re-leased from under a silent launcher), ``JOB004``
-schema version skew.
+schema version skew, ``JOB005`` an SQLite library older than 3.35
+(``UPDATE … RETURNING`` is the claim statement).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -72,6 +81,10 @@ LEGAL_TRANSITIONS = frozenset({
     ("running", "cancelled"),  # launcher honors a cancel request
 })
 
+#: The oldest SQLite whose ``UPDATE … RETURNING`` the claim and the
+#: heartbeat are written in.
+_SQLITE_FLOOR = (3, 35)
+
 #: Lease-latency histogram buckets (seconds): sub-ms to 1 s.
 LEASE_LATENCY_BUCKETS = (
     1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3, 1.0,
@@ -104,7 +117,11 @@ def job_key(owner: str, name: str, kind: str, spec: Dict) -> str:
     same job: re-submitting (a retried client batch, a re-run deploy
     script) is a no-op instead of a duplicate execution.
     """
-    body = "\x1f".join((owner, name, kind, canonical_spec(spec)))
+    return _text_key(owner, name, kind, canonical_spec(spec))
+
+
+def _text_key(owner: str, name: str, kind: str, spec_text: str) -> str:
+    body = "\x1f".join((owner, name, kind, spec_text))
     return hashlib.sha256(body.encode()).hexdigest()[:24]
 
 
@@ -194,9 +211,9 @@ CREATE TABLE IF NOT EXISTS jobs (
     updated          REAL NOT NULL
 );
 CREATE INDEX IF NOT EXISTS idx_jobs_state ON jobs(state, id);
-CREATE INDEX IF NOT EXISTS idx_jobs_owner ON jobs(owner, state);
-CREATE INDEX IF NOT EXISTS idx_jobs_lease
-    ON jobs(state, lease_expiry);
+DROP INDEX IF EXISTS idx_jobs_owner;
+DROP INDEX IF EXISTS idx_jobs_lease;
+CREATE INDEX IF NOT EXISTS idx_jobs_owner_id ON jobs(owner, id);
 CREATE TABLE IF NOT EXISTS job_tags (
     job_id INTEGER NOT NULL REFERENCES jobs(id) ON DELETE CASCADE,
     tag    TEXT NOT NULL,
@@ -224,6 +241,12 @@ class JobStore:
     def __init__(self, path=None, clock: Callable[[], float] = None,
                  timeout_s: float = 30.0):
         """Open (creating if needed) the store at ``path``."""
+        if sqlite3.sqlite_version_info < _SQLITE_FLOOR:
+            raise jobstore_error(
+                "JOB005",
+                f"SQLite ≥ 3.35 required for UPDATE … RETURNING; "
+                f"this Python links SQLite {sqlite3.sqlite_version}",
+            )
         self.path = Path(path) if path else default_jobstore_path()
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.clock = clock or time.time
@@ -295,12 +318,12 @@ class JobStore:
         rows = []
         keys = []
         for item in specs:
-            key = item.key or job_key(owner, item.name, item.kind,
-                                      item.spec)
+            text = canonical_spec(item.spec)
+            key = item.key or _text_key(owner, item.name, item.kind,
+                                        text)
             keys.append(key)
             rows.append((
-                key, item.name, owner, item.kind,
-                canonical_spec(item.spec), state,
+                key, item.name, owner, item.kind, text, state,
                 max(1, item.max_attempts), now, now,
             ))
         inserted: List[int] = []
@@ -347,14 +370,11 @@ class JobStore:
         ids = list(job_ids)
         if not ids:
             return 0
-        now = self.clock()
-        with self._write():
-            cursor = self._conn.execute(
-                f"UPDATE jobs SET state='ready', updated=? "
-                f"WHERE id IN ({','.join('?' * len(ids))}) "
-                f"AND state='staged'", [now, *ids],
-            )
-            return cursor.rowcount
+        return self._conn.execute(
+            f"UPDATE jobs SET state='ready', updated=? "
+            f"WHERE id IN ({','.join('?' * len(ids))}) "
+            f"AND state='staged'", [self.clock(), *ids],
+        ).rowcount
 
     # -- leasing -------------------------------------------------------
 
@@ -362,31 +382,24 @@ class JobStore:
               ttl_s: float = 30.0) -> Lease:
         """Atomically claim up to ``limit`` ready jobs.
 
-        The claim happens inside one immediate transaction guarded by
-        a re-check of ``state='ready'``, so two launchers calling
+        The claim is one statement that selects the oldest ready jobs
+        and moves them to ``running``, so two launchers calling
         concurrently partition the queue — a job is never assigned
-        twice. Claimed jobs move to ``running`` with a lease that
-        expires ``ttl_s`` from now unless heartbeats extend it.
+        twice. The lease expires ``ttl_s`` from now unless heartbeats
+        extend it.
         """
         started = time.perf_counter()
         now = self.clock()
         lease_id = uuid.uuid4().hex[:12]
-        with self._write():
-            ids = [row[0] for row in self._conn.execute(
-                "SELECT id FROM jobs WHERE state='ready' "
-                "AND cancel_requested=0 ORDER BY id LIMIT ?",
-                (limit,),
-            )]
-            if ids:
-                self._conn.execute(
-                    f"UPDATE jobs SET state='running', lease_id=?, "
-                    f"lease_expiry=?, launcher=?, "
-                    f"attempts=attempts+1, updated=? "
-                    f"WHERE id IN ({','.join('?' * len(ids))}) "
-                    f"AND state='ready'",
-                    [lease_id, now + ttl_s, launcher, now, *ids],
-                )
-            jobs = self._fetch_jobs(ids)
+        rows = self._conn.execute(
+            f"UPDATE jobs SET state='running', lease_id=?, "
+            f"lease_expiry=?, launcher=?, attempts=attempts+1, "
+            f"updated=? WHERE id IN (SELECT id FROM jobs "
+            f"WHERE state='ready' AND cancel_requested=0 "
+            f"ORDER BY id LIMIT ?) RETURNING {_JOB_COLUMNS}",
+            (lease_id, now + ttl_s, launcher, now, limit),
+        ).fetchall()
+        jobs = self._records(sorted(rows))  # RETURNING is unordered
         metrics = current_metrics()
         if jobs:
             metrics.counter(
@@ -411,18 +424,14 @@ class JobStore:
         stop them and :meth:`cancel_leased` each one.
         """
         now = self.clock()
-        with self._write():
-            cursor = self._conn.execute(
-                "UPDATE jobs SET lease_expiry=?, updated=? "
-                "WHERE lease_id=? AND state='running'",
-                (now + ttl_s, now, lease_id),
-            )
-            cancels = [row[0] for row in self._conn.execute(
-                "SELECT id FROM jobs WHERE lease_id=? "
-                "AND state='running' AND cancel_requested=1",
-                (lease_id,),
-            )]
-            return cursor.rowcount, cancels
+        rows = self._conn.execute(
+            "UPDATE jobs SET lease_expiry=?, updated=? "
+            "WHERE lease_id=? AND state='running' "
+            "RETURNING id, cancel_requested",
+            (now + ttl_s, now, lease_id),
+        ).fetchall()
+        return len(rows), sorted(job_id for job_id, cancel in rows
+                                 if cancel)
 
     def expire_leases(self) -> Tuple[List[int], List[int]]:
         """Return silent launchers' jobs to the queue.
@@ -434,37 +443,27 @@ class JobStore:
         was requested while it ran lands in ``cancelled`` instead:
         requeued it would stay ``ready`` for ever, since :meth:`lease`
         never claims a job with a cancel request. Returns
-        ``(requeued_ids, failed_ids)``.
+        ``(requeued_ids, failed_ids)``, each in id order.
         """
         now = self.clock()
-        with self._write():
-            stale = self._conn.execute(
-                "SELECT id, attempts, max_attempts, cancel_requested "
-                "FROM jobs WHERE state='running' AND lease_expiry < ?",
-                (now,),
-            ).fetchall()
-            exhausted = [row[0] for row in stale if row[1] >= row[2]]
-            retryable = [row for row in stale if row[1] < row[2]]
-            requeued = [row[0] for row in retryable if not row[3]]
-            cancelled = [row[0] for row in retryable if row[3]]
-            if requeued:
-                self._conn.execute(
-                    f"UPDATE jobs SET state='ready', lease_id=NULL, "
-                    f"lease_expiry=NULL, launcher=NULL, updated=? "
-                    f"WHERE id IN ({','.join('?' * len(requeued))})",
-                    [now, *requeued],
-                )
-            for state, ids, error in (
-                ("failed", exhausted, "lease expired; attempts exhausted"),
-                ("cancelled", cancelled, "cancelled"),
-            ):
-                if ids:
-                    self._conn.execute(
-                        f"UPDATE jobs SET state=?, lease_id=NULL, "
-                        f"lease_expiry=NULL, updated=?, result=? "
-                        f"WHERE id IN ({','.join('?' * len(ids))})",
-                        [state, now, json.dumps({"error": error}), *ids],
-                    )
+        # one statement; every SET expression reads the row as it was
+        rows = self._conn.execute(
+            "UPDATE jobs SET state=CASE WHEN attempts >= max_attempts "
+            "THEN 'failed' WHEN cancel_requested THEN 'cancelled' "
+            "ELSE 'ready' END, result=CASE WHEN attempts >= "
+            "max_attempts THEN ? WHEN cancel_requested THEN ? "
+            "ELSE result END, launcher=CASE WHEN attempts >= "
+            "max_attempts OR cancel_requested THEN launcher END, "
+            "lease_id=NULL, lease_expiry=NULL, updated=? "
+            "WHERE state='running' AND lease_expiry < ? "
+            "RETURNING id, state",
+            (json.dumps({"error": "lease expired; attempts exhausted"}),
+             json.dumps({"error": "cancelled"}), now, now),
+        ).fetchall()
+        ended = {"ready": [], "failed": [], "cancelled": []}
+        for job_id, state in sorted(rows):
+            ended[state].append(job_id)
+        requeued, exhausted, cancelled = ended.values()
         if cancelled:
             current_metrics().counter(
                 "service.jobs_cancelled", "jobs cancelled by clients",
@@ -479,35 +478,50 @@ class JobStore:
     # -- completion ----------------------------------------------------
 
     def _transition(self, job_id: int, lease_id: Optional[str],
-                    target: str, now: float,
-                    result: Optional[Dict]) -> None:
-        """Shared guarded single-job transition (inside a txn)."""
-        row = self._conn.execute(
-            "SELECT state, lease_id FROM jobs WHERE id=?", (job_id,),
-        ).fetchone()
-        if row is None:
-            raise jobstore_error("JOB001", f"unknown job {job_id}")
-        state, held = row
-        if lease_id is not None and held != lease_id:
-            raise jobstore_error(
-                "JOB003",
-                f"job {job_id}: lease {lease_id!r} is stale (the "
-                f"store reclaimed the job; current lease {held!r}); "
-                f"discard this result",
-            )
-        if (state, target) not in LEGAL_TRANSITIONS:
-            raise jobstore_error(
-                "JOB002",
-                f"job {job_id}: illegal transition "
-                f"{state!r} -> {target!r}",
-            )
-        self._conn.execute(
-            "UPDATE jobs SET state=?, lease_id=NULL, "
-            "lease_expiry=NULL, updated=?, result=? WHERE id=?",
-            (target, now,
-             json.dumps(result, sort_keys=True) if result else None,
-             job_id),
-        )
+                    target: str, result: Optional[Dict],
+                    retry: bool = False) -> str:
+        """Guarded single-job transition; returns the state reached.
+
+        One autocommitted ``UPDATE`` matches the job only under
+        ``lease_id`` (any lease when ``None``) and in a state
+        ``target`` may legally be reached from; with ``retry`` a job
+        with attempts left goes to ``ready`` instead. When it matches
+        nothing, one read names the failure: ``JOB001``, then
+        ``JOB003``, then ``JOB002``.
+        """
+        params = [self.clock(),
+                  json.dumps(result, sort_keys=True) if result else None,
+                  job_id]
+        if lease_id is not None:
+            params.append(lease_id)
+        sql = _transition_sql(target, retry, lease_id is not None)
+        while True:
+            # run to completion: the statement's commit is its reset
+            reached = self._conn.execute(sql, params).fetchall()
+            if reached:
+                return reached[0][0]
+            row = self._conn.execute(
+                "SELECT state, lease_id, attempts < max_attempts "
+                "FROM jobs WHERE id=?", (job_id,),
+            ).fetchone()
+            if row is None:
+                raise jobstore_error("JOB001", f"unknown job {job_id}")
+            state, held, attempts_left = row
+            if lease_id is not None and held != lease_id:
+                raise jobstore_error(
+                    "JOB003",
+                    f"job {job_id}: lease {lease_id!r} is stale (the "
+                    f"store reclaimed the job; current lease {held!r}); "
+                    f"discard this result",
+                )
+            goes = "ready" if retry and attempts_left else target
+            if (state, goes) not in LEGAL_TRANSITIONS:
+                raise jobstore_error(
+                    "JOB002",
+                    f"job {job_id}: illegal transition "
+                    f"{state!r} -> {goes!r}",
+                )
+            # another session moved the job between the two statements
 
     def complete(self, job_id: int, lease_id: str,
                  result: Optional[Dict] = None) -> None:
@@ -518,9 +532,7 @@ class JobStore:
         overwriting the rightful owner's result — the guarantee behind
         "zero double-completions".
         """
-        with self._write():
-            self._transition(job_id, lease_id, "done", self.clock(),
-                             result)
+        self._transition(job_id, lease_id, "done", result)
         current_metrics().counter(
             "service.jobs_completed", "jobs finished successfully",
         ).inc()
@@ -533,20 +545,8 @@ class JobStore:
         attempts remain; otherwise — or once attempts are exhausted —
         it lands in ``failed`` with the error recorded.
         """
-        with self._write():
-            now = self.clock()
-            row = self._conn.execute(
-                "SELECT attempts, max_attempts FROM jobs WHERE id=?",
-                (job_id,),
-            ).fetchone()
-            if row is None:
-                raise jobstore_error("JOB001",
-                                     f"unknown job {job_id}")
-            target = (
-                "ready" if retry and row[0] < row[1] else "failed"
-            )
-            self._transition(job_id, lease_id, target, now,
-                             {"error": error})
+        target = self._transition(job_id, lease_id, "failed",
+                                  {"error": error}, retry=retry)
         current_metrics().counter(
             "service.jobs_failed", "job executions that failed",
         ).inc(final=str(target == "failed").lower())
@@ -554,11 +554,10 @@ class JobStore:
 
     def bind_run(self, job_id: int, run_id: str) -> None:
         """Record the durable RunStore run backing a job's execution."""
-        with self._write():
-            self._conn.execute(
-                "UPDATE jobs SET run_id=?, updated=? WHERE id=?",
-                (run_id, self.clock(), job_id),
-            )
+        self._conn.execute(
+            "UPDATE jobs SET run_id=?, updated=? WHERE id=?",
+            (run_id, self.clock(), job_id),
+        )
 
     # -- cancellation --------------------------------------------------
 
@@ -611,25 +610,29 @@ class JobStore:
 
     def cancel_leased(self, job_id: int, lease_id: str) -> None:
         """Launcher-side acknowledgement of a cancel request."""
-        with self._write():
-            self._transition(job_id, lease_id, "cancelled",
-                             self.clock(), {"error": "cancelled"})
+        self._transition(job_id, lease_id, "cancelled",
+                         {"error": "cancelled"})
 
     # -- queries -------------------------------------------------------
 
     def _fetch_jobs(self, ids: Sequence[int]) -> List[JobRecord]:
         if not ids:
             return []
-        rows = self._conn.execute(
+        return self._records(self._conn.execute(
             f"SELECT {_JOB_COLUMNS} FROM jobs "
             f"WHERE id IN ({','.join('?' * len(ids))}) ORDER BY id",
             list(ids),
-        ).fetchall()
+        ).fetchall())
+
+    def _records(self, rows: Sequence[tuple]) -> List[JobRecord]:
+        """Records of ``rows`` (in their order), tags read in one pass."""
+        if not rows:
+            return []
         tags: Dict[int, List[str]] = {}
         for job_id, tag in self._conn.execute(
             f"SELECT job_id, tag FROM job_tags "
-            f"WHERE job_id IN ({','.join('?' * len(ids))})",
-            list(ids),
+            f"WHERE job_id IN ({','.join('?' * len(rows))})",
+            [row[0] for row in rows],
         ):
             tags.setdefault(job_id, []).append(tag)
         return [self._record(row, tags.get(row[0], []))
@@ -747,6 +750,28 @@ class JobStore:
                 "(SELECT id FROM jobs)"
             )
         return finished, orphans
+
+
+@functools.lru_cache(maxsize=None)
+def _transition_sql(target: str, retry: bool, leased: bool) -> str:
+    """The guarded ``UPDATE`` of :meth:`JobStore._transition`."""
+    def legal_from(state: str) -> str:
+        sources = sorted(source for source, to in LEGAL_TRANSITIONS
+                         if to == state)
+        return f"state IN ({','.join(repr(s) for s in sources)})"
+
+    goes, guard = f"'{target}'", legal_from(target)
+    if retry:
+        left = "attempts < max_attempts"
+        goes = f"CASE WHEN {left} THEN 'ready' ELSE {goes} END"
+        guard = (f"CASE WHEN {left} THEN {legal_from('ready')} "
+                 f"ELSE {guard} END")
+    return (
+        f"UPDATE jobs SET state={goes}, lease_id=NULL, "
+        f"lease_expiry=NULL, updated=?, result=? WHERE id=? "
+        f"{'AND lease_id=? ' if leased else ''}AND {guard} "
+        f"RETURNING state"
+    )
 
 
 class _WriteTransaction:
