@@ -20,7 +20,13 @@ from repro.utils.validation import check_in_range, check_positive
 
 @dataclass
 class OperatingPoint:
-    """One selectable configuration of a kernel."""
+    """One selectable configuration of a kernel.
+
+    ``is_hardware``, ``dift`` and ``accuracy`` (output quality, 1.0 =
+    exact) are copied from the variant once: a packaged variant's knobs
+    are frozen and its cost is not mutated after packaging, and the
+    decision maker reads them for every point on every invocation.
+    """
 
     variant: Variant
     predicted_latency_s: float
@@ -28,6 +34,14 @@ class OperatingPoint:
     latency_correction: float = 1.0
     energy_correction: float = 1.0
     invocations: int = 0
+    is_hardware: bool = field(init=False)
+    dift: bool = field(init=False)
+    accuracy: float = field(init=False)
+
+    def __post_init__(self):
+        self.is_hardware = self.variant.is_hardware
+        self.dift = self.variant.knobs.dift
+        self.accuracy = self.variant.cost.accuracy
 
     @property
     def expected_latency_s(self) -> float:
@@ -38,11 +52,6 @@ class OperatingPoint:
     def expected_energy_j(self) -> float:
         """Prediction adjusted by runtime feedback."""
         return self.predicted_energy_j * self.energy_correction
-
-    @property
-    def accuracy(self) -> float:
-        """Output quality of this variant (1.0 = exact)."""
-        return self.variant.cost.accuracy
 
     def observe(self, latency_s: float, energy_j: float,
                 smoothing: float = 0.3) -> None:

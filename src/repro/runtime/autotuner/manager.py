@@ -16,8 +16,8 @@ expectations of variants sharing the contended resource.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from repro.errors import RuntimeSystemError
 from repro.obs import current_metrics, current_tracer
@@ -69,53 +69,48 @@ class ApplicationManager:
 
     # ------------------------------------------------------------------
 
-    def _expected(
-        self,
-        point: OperatingPoint,
-        state: SystemState,
-        features: DataFeatures,
-    ) -> tuple:
-        is_hw = point.variant.is_hardware
-        latency = point.expected_latency_s * features.latency_factor(
-            is_hw)
-        energy = point.expected_energy_j * features.energy_factor(is_hw)
-        if is_hw:
-            latency *= 1.0 + 3.0 * state.fpga_contention
-        else:
-            latency *= 1.0 + 2.0 * state.cpu_load
-        return latency, energy
-
     def select(
         self,
         kernel: str,
         state: Optional[SystemState] = None,
         features: Optional[DataFeatures] = None,
     ) -> OperatingPoint:
-        """Pick the operating point for the next invocation."""
+        """Pick the operating point for the next invocation.
+
+        One pass over the kernel's points: everything that depends only
+        on the call (the data-feature factors, the contention or load
+        inflation) is computed once per target class, and the first
+        point with the least ``(infeasible, objective)`` wins.
+        """
         state = (state or SystemState()).clamp()
         features = features or NOMINAL
         points = self.knowledge.points_for(kernel)
-
-        candidates: List[OperatingPoint] = []
-        for point in points:
-            if point.variant.is_hardware and not state.fpga_available:
-                continue
-            if state.security_alert and not point.variant.knobs.dift:
-                # auto-protection: under attack, only tracked variants
-                continue
-            candidates.append(point)
-        if not candidates:
-            # fall back to the full list rather than dying
-            candidates = list(points)
-
-        def score(point: OperatingPoint) -> tuple:
-            latency, energy = self._expected(point, state, features)
-            feasible = self.goal.satisfied(
-                latency, energy, point.accuracy
-            )
-            return (not feasible, self.goal.objective(latency, energy))
-
-        best = min(candidates, key=score)
+        # auto-protection: under attack, only tracked variants; fall
+        # back to the full list rather than dying
+        candidates = [
+            point for point in points
+            if (state.fpga_available or not point.is_hardware)
+            and (point.dift or not state.security_alert)
+        ] or points
+        hardware = (features.latency_factor(True),
+                    1.0 + 3.0 * state.fpga_contention,
+                    features.energy_factor(True))
+        software = (features.latency_factor(False),
+                    1.0 + 2.0 * state.cpu_load,
+                    features.energy_factor(False))
+        goal = self.goal
+        best = best_score = None
+        for point in candidates:
+            latency_factor, inflation, energy_factor = (
+                hardware if point.is_hardware else software)
+            latency = (point.predicted_latency_s * point.latency_correction
+                       * latency_factor * inflation)
+            energy = (point.predicted_energy_j * point.energy_correction
+                      * energy_factor)
+            score = (not goal.satisfied(latency, energy, point.accuracy),
+                     goal.objective(latency, energy))
+            if best is None or score < best_score:
+                best, best_score = point, score
         previous = self.selections.get(kernel)
         switched = (
             previous is not None
@@ -154,7 +149,9 @@ class ApplicationManager:
         energy_j: float,
     ) -> None:
         """Feed a measurement back into the point's corrections."""
-        if self.knowledge.find(kernel, point.variant.variant_id) is None:
+        # identity, not id: knowledge bases loaded from one package
+        # share variant ids
+        if self.knowledge.find(kernel, point.variant.variant_id) is not point:
             raise RuntimeSystemError(
                 f"reporting for unknown point of kernel {kernel!r}"
             )

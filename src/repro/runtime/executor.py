@@ -106,7 +106,7 @@ def default_reality(seed: str = "reality") -> RealityModel:
 
     def model(point: OperatingPoint, state: SystemState,
               features: DataFeatures) -> Tuple[float, float]:
-        is_hw = point.variant.is_hardware
+        is_hw = point.is_hardware
         latency = point.predicted_latency_s
         energy = point.predicted_energy_j
         latency *= features.latency_factor(is_hw)
@@ -140,6 +140,9 @@ class RuntimeExecutor:
         self.reality = reality or default_reality(app.name)
         self.adaptive = adaptive
         self.graph = build_task_graph(app)
+        # the graph does not change between rounds: order its kernels once
+        self._kernels = [self.graph.tasks[name].kernel
+                         for name in self.graph.topological_order()]
         self.monitor = HardwareMonitor(threshold_sigma=4.0,
                                        min_training=12)
         self.protection = AutoProtection()
@@ -169,7 +172,7 @@ class RuntimeExecutor:
     def _ensure_loaded(self, kernel: str,
                        point: OperatingPoint) -> float:
         """Load/reconfigure the bitstream for a hardware variant."""
-        if not point.variant.is_hardware or self.vfpga is None:
+        if not point.is_hardware or self.vfpga is None:
             return 0.0
         artifact = self.app.package.artifact_for(point.variant)
         if artifact is None or artifact.kind != "bitstream":
@@ -206,8 +209,7 @@ class RuntimeExecutor:
                 security_alert=True,
             )
         result = RoundResult(index=index, latency_s=0.0, energy_j=0.0)
-        for task_name in self.graph.topological_order():
-            kernel = self.graph.tasks[task_name].kernel
+        for kernel in self._kernels:
             point = self._select(kernel, state, features)
             reconfig = self._ensure_loaded(kernel, point)
             result.reconfig_s += reconfig

@@ -1,6 +1,8 @@
 """Tests for the mARGOt-style autotuner."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.variants import CostEstimate, Variant, VariantKnobs
 from repro.errors import RuntimeSystemError
@@ -147,6 +149,22 @@ class TestApplicationManager:
         with pytest.raises(RuntimeSystemError):
             manager.report("k", foreign_point, 1.0, 1.0)
 
+    def test_report_point_of_a_twin_knowledge_base_rejected(self):
+        """Two knowledge bases loaded from one package share variant
+        ids; a point of the other one is still not this manager's."""
+        variant = make_variant("k", "cpu", 1e-6, 1e-6)
+        own, twin = KnowledgeBase(), KnowledgeBase()
+        own_point = own.add_variant(variant)
+        twin_point = twin.add_variant(variant)
+        manager = ApplicationManager(own)
+        with pytest.raises(RuntimeSystemError,
+                           match="unknown point of kernel 'k'"):
+            manager.report("k", twin_point, 2.2e-6, 1e-6)
+        assert twin_point.latency_correction == 1.0
+        assert twin_point.invocations == 0
+        manager.report("k", own_point, 2.2e-6, 1e-6)
+        assert own_point.invocations == 1
+
     def test_goal_switch_changes_selection(self):
         """§IV: the optimization goal (performance vs energy) is a
         first-class selection input and can change at run time."""
@@ -204,3 +222,108 @@ class TestApplicationManager:
         strict = ApplicationManager(base, goal=Goal(
             GoalKind.PERFORMANCE, min_accuracy=0.999))
         assert strict.select("ptdr").accuracy == pytest.approx(1.0)
+
+
+def oracle_select(points, goal, state, features):
+    """The decision rule as first written: each point's expectation
+    re-derived from its variant, the winner taken by ``min``."""
+    state = state.clamp()
+    candidates = []
+    for point in points:
+        if point.variant.is_hardware and not state.fpga_available:
+            continue
+        if state.security_alert and not point.variant.knobs.dift:
+            continue
+        candidates.append(point)
+    if not candidates:
+        candidates = list(points)
+
+    def expected(point):
+        is_hw = point.variant.is_hardware
+        latency = point.expected_latency_s * features.latency_factor(
+            is_hw)
+        energy = point.expected_energy_j * features.energy_factor(is_hw)
+        if is_hw:
+            latency *= 1.0 + 3.0 * state.fpga_contention
+        else:
+            latency *= 1.0 + 2.0 * state.cpu_load
+        return latency, energy
+
+    def score(point):
+        latency, energy = expected(point)
+        feasible = goal.satisfied(latency, energy,
+                                  point.variant.cost.accuracy)
+        return (not feasible, goal.objective(latency, energy))
+
+    return min(candidates, key=score)
+
+
+#: A small pool of costs, so that generated points often tie.
+COSTS = [
+    (2e-6, 5e-6, 1.0), (4e-6, 2e-6, 1.0), (4e-6, 2e-6, 0.9),
+    (1e-6, 9e-6, 0.8), (8e-6, 1e-6, 1.0),
+]
+
+unit = st.floats(min_value=0.0, max_value=1.0)
+
+point_specs = st.lists(
+    st.tuples(st.sampled_from(["cpu", "fpga", "gpu"]), st.booleans(),
+              st.sampled_from(COSTS)),
+    min_size=1, max_size=8,
+)
+
+goals = st.builds(
+    Goal,
+    kind=st.sampled_from(list(GoalKind)),
+    max_latency_s=st.none() | st.floats(min_value=1e-7, max_value=2e-5),
+    max_energy_j=st.none() | st.floats(min_value=1e-7, max_value=2e-5),
+    min_accuracy=st.none() | st.floats(min_value=0.5, max_value=1.0),
+)
+
+calls = st.lists(
+    st.tuples(
+        st.builds(SystemState, fpga_available=st.booleans(),
+                  fpga_contention=unit, cpu_load=unit,
+                  security_alert=st.booleans()),
+        st.builds(DataFeatures,
+                  size_scale=st.floats(min_value=0.1, max_value=10.0),
+                  sparsity=unit, burstiness=unit),
+        # a measurement fed back after the call: (point index, ratio)
+        st.none() | st.tuples(st.integers(min_value=0, max_value=7),
+                              st.floats(min_value=0.1, max_value=10.0)),
+    ),
+    min_size=1, max_size=6,
+)
+
+
+class TestSelectionEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(specs=point_specs, goal=goals, sequence=calls)
+    def test_select_matches_the_oracle(self, specs, goal, sequence):
+        base = KnowledgeBase()
+        for target, dift, (latency, energy, accuracy) in specs:
+            base.add_variant(Variant(
+                kernel="k",
+                knobs=VariantKnobs(target=target, dift=dift),
+                cost=CostEstimate(latency_s=latency, energy_j=energy,
+                                  accuracy=accuracy),
+            ))
+        points = base.points_for("k")
+        manager = ApplicationManager(base, goal=goal)
+        previous, switches = None, 0
+        for state, features, feedback in sequence:
+            expected = oracle_select(points, goal, state, features)
+            chosen = manager.select("k", state, features)
+            assert chosen is expected
+            if previous is not None and \
+                    previous != expected.variant.variant_id:
+                switches += 1
+            previous = expected.variant.variant_id
+            assert manager.switches == switches
+            if feedback is not None:
+                index, ratio = feedback
+                point = points[index % len(points)]
+                manager.report(
+                    "k", point, point.predicted_latency_s * ratio,
+                    point.predicted_energy_j * ratio,
+                )

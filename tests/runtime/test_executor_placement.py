@@ -1,15 +1,24 @@
 """Tests for the runtime executor and tier placement."""
 
+import hashlib
+import json
+from collections import Counter
+
 import pytest
 
 from repro.core.compiler import EverestCompiler
 from repro.core.dse.space import DesignSpace
 from repro.core.dsl.workflow import Pipeline
 from repro.core.ir import F32, TensorType
+from repro.core.variants import CostEstimate, Variant, VariantKnobs
 from repro.errors import RuntimeSystemError
 from repro.platform.topology import build_reference_ecosystem
 from repro.runtime.autotuner.data_features import DataFeatures
-from repro.runtime.autotuner.manager import SystemState
+from repro.runtime.autotuner.knowledge import KnowledgeBase
+from repro.runtime.autotuner.manager import (
+    ApplicationManager,
+    SystemState,
+)
 from repro.runtime.executor import RuntimeExecutor, default_reality
 from repro.runtime.scheduler import TierPlacer
 from repro.workflow.graph import DataObject, TaskGraph, WorkflowTask
@@ -132,6 +141,95 @@ class TestRuntimeExecutor:
         assert report.energy.total_joules == pytest.approx(
             report.total_energy_j
         )
+
+
+#: Phases the golden schedule cycles through: nominal, FPGA
+#: contention with sparse input, FPGA loss under CPU load with bursty
+#: input, and a mix of all of them.
+PHASES = [
+    (SystemState(), DataFeatures()),
+    (SystemState(fpga_contention=0.8), DataFeatures(sparsity=0.6)),
+    (SystemState(fpga_available=False, cpu_load=0.7),
+     DataFeatures(burstiness=0.9)),
+    (SystemState(cpu_load=0.4, fpga_contention=0.3),
+     DataFeatures(sparsity=0.3, burstiness=0.5)),
+]
+
+#: The round whose oversized input the hardware monitor flags.
+SPIKE = 40
+
+
+def crossing_schedule(index):
+    if index == SPIKE:
+        return SystemState(), DataFeatures(size_scale=40.0)
+    return PHASES[index % len(PHASES)]
+
+
+class TestExecutorGolden:
+    """What the executor decides, pinned across every selection input."""
+
+    def test_crossing_schedule_digest(self, app):
+        report = RuntimeExecutor(app).run(60, crossing_schedule)
+        timeline = report.selections_timeline("scale")
+        # the schedule does cross what it claims to
+        assert report.incidents == 1
+        assert report.rounds[SPIKE].alerts == 1
+        assert {"fpga", "cpu"} <= {entry.split("/")[0]
+                                   for entry in timeline}
+        record = json.dumps([
+            timeline, report.switches, report.incidents,
+            report.reconfigurations, repr(report.total_latency_s),
+        ])
+        digest = hashlib.sha256(record.encode()).hexdigest()[:16]
+        assert digest == "3d8e393422e3e337"
+
+
+class TestCallCounts:
+    """A select's and a round's cost do not grow with repeated work."""
+
+    @pytest.mark.parametrize("count", [3, 60])
+    def test_select_reads_each_feature_factor_at_most_twice(
+            self, monkeypatch, count):
+        base = KnowledgeBase()
+        for index in range(count):
+            base.add_variant(Variant(
+                kernel="k",
+                knobs=VariantKnobs(
+                    target="fpga" if index % 2 else "cpu",
+                    threads=index + 1, unroll=index + 1,
+                ),
+                cost=CostEstimate(latency_s=1e-6 * (index + 1),
+                                  energy_j=1e-6 * (count - index)),
+            ))
+        calls = Counter()
+        for name in ("latency_factor", "energy_factor"):
+            original = getattr(DataFeatures, name)
+
+            def counted(self, is_hardware, _name=name,
+                        _original=original):
+                calls[_name] += 1
+                return _original(self, is_hardware)
+
+            monkeypatch.setattr(DataFeatures, name, counted)
+        ApplicationManager(base).select(
+            "k", SystemState(fpga_contention=0.4),
+            DataFeatures(sparsity=0.2),
+        )
+        assert calls["latency_factor"] <= 2
+        assert calls["energy_factor"] <= 2
+
+    def test_rounds_do_not_reorder_the_graph(self, app, monkeypatch):
+        executor = RuntimeExecutor(app)
+        calls = []
+        original = TaskGraph.topological_order
+
+        def counted(graph):
+            calls.append(graph)
+            return original(graph)
+
+        monkeypatch.setattr(TaskGraph, "topological_order", counted)
+        executor.run(100)
+        assert calls == []
 
 
 class TestTierPlacer:
