@@ -229,7 +229,7 @@ class Liveness(BackwardAnalysis[bool]):
     _ROOT_NAMES = frozenset({
         "kernel.store", "func.return", "kernel.yield", "workflow.yield",
         "workflow.sink", "secure.check", "secure.monitor", "kernel.call",
-        "hw.stream_write", "hw.partition", "hw.accelerator",
+        "hw.stream_write", "hw.partition",
     })
 
     def is_root(self, op: Operation) -> bool:

@@ -63,10 +63,10 @@ def check_unreachable_blocks(
 
 
 def _referenced_symbols(module: Module) -> Set[str]:
-    """Function names referenced by tasks, calls or hw markers."""
+    """Function names referenced by tasks or calls."""
     referenced: Set[str] = set()
     for op in module.walk():
-        if op.name in ("workflow.task", "hw.accelerator", "kernel.call"):
+        if op.name in ("workflow.task", "kernel.call"):
             kernel = op.attr("kernel") or op.attr("callee")
             if isinstance(kernel, str):
                 referenced.add(kernel)

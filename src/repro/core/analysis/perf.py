@@ -141,10 +141,6 @@ class NestBounds:
             self.chain_latency, 1,
         )
 
-    def min_ii(self, unroll: int, ports_of: Dict[str, int]) -> int:
-        """The II of :meth:`ii_floor`."""
-        return self.ii_floor(unroll, ports_of)[0]
-
     def to_payload(self) -> Dict[str, Any]:
         return {"anchor": self.anchor, "depth": self.depth,
                 "trip": self.trip, "outer_iters": self.outer_iters,

@@ -32,7 +32,6 @@ from repro.core.dse.space import DesignSpace
 from repro.core.dsl.workflow import Pipeline
 from repro.core.ir.digest import module_digest
 from repro.core.ir.module import Module
-from repro.core.ir.passes.partitioning import HardwarePartitioningPass
 from repro.diagnostics import Diagnostics, raise_if_errors
 from repro.errors import AnalysisError, BackendError
 from repro.obs import Observation, current_metrics, current_tracer, observe
@@ -108,7 +107,6 @@ class EverestCompiler:
             with tracer.span("frontend", category=COMPILE_CATEGORY):
                 module = pipeline.to_ir()
                 sensitive_kernels = _mark_sensitive_args(module)
-                HardwarePartitioningPass().run(module)
 
             # One digest for the whole compile: every downstream
             # consumer (analysis gate, explorer, artifact packaging)

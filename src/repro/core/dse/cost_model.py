@@ -96,11 +96,8 @@ class ArchitectureModel:
         return self.base_clock_hz / (1.0 + 1.5 * density)
 
     def fingerprint(self) -> str:
-        """Stable identity of the model for cost-cache keys.
-
-        Deliberately excludes the link's mutable transfer statistics;
-        any parameter that changes a predicted cost is included.
-        """
+        """Stable identity of the model for cost-cache keys: every
+        parameter that changes a predicted cost."""
         link = self.fpga_link
         link_part = (
             "none" if link is None else

@@ -537,20 +537,6 @@ class Explorer:
                 )
         finally:
             self.close()
-        if tracer.enabled and tracer.detailed:
-            # Pareto-front growth curve: front size after each prefix
-            # of the evaluation order, one counter sample per point —
-            # replayed through the incremental front in O(n·front).
-            growth = ParetoFront()
-            front_size = 0
-            for variant in result.evaluated:
-                growth.add(variant)
-                if len(growth) != front_size:
-                    front_size = len(growth)
-                    tracer.counter(
-                        f"front:{self.kernel}", float(front_size),
-                        category=DSE_CATEGORY,
-                    )
         metrics = current_metrics()
         metrics.counter(
             "dse.evaluations", "design points evaluated",

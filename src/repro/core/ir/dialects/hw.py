@@ -1,10 +1,9 @@
-"""Hardware dialect: accelerator instantiation and memory customization.
+"""Hardware dialect: memory customization and accelerator streams.
 
-Carries the decisions of hardware/software partitioning and of the
-memory-subsystem customization the paper describes (§III-B, [28-30]):
-``hw.accelerator`` wraps a kernel destined for HLS; ``hw.partition``
-records banking/multi-port directives on a buffer; ``hw.stream_read``
-and ``hw.stream_write`` connect accelerators over FIFO channels.
+Carries the memory-subsystem customization the paper describes
+(§III-B, [28-30]): ``hw.partition`` records banking/multi-port
+directives on a buffer; ``hw.stream_read`` and ``hw.stream_write``
+connect accelerators over FIFO channels.
 """
 
 from __future__ import annotations
@@ -23,11 +22,6 @@ from repro.errors import IRError
 hw_dialect = register_dialect(
     Dialect("hw", "accelerators and memory customization")
 )
-
-
-def _verify_accelerator(op: Operation) -> None:
-    if not isinstance(op.attr("kernel"), str):
-        raise IRError("hw.accelerator requires a kernel symbol attribute")
 
 
 def _verify_partition(op: Operation) -> None:
@@ -72,9 +66,6 @@ def _verify_stream_write(op: Operation) -> None:
         raise IRError("hw.stream_write first operand must be a stream")
 
 
-hw_dialect.register(
-    OpDef(name="accelerator", num_regions=0, verify=_verify_accelerator)
-)
 hw_dialect.register(
     OpDef(name="partition", min_operands=1, max_operands=1, num_results=0,
           verify=_verify_partition)

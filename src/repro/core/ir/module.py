@@ -2,16 +2,16 @@
 
 A :class:`Module` owns a single ``builtin.module`` operation whose one
 block holds ``func.func`` operations. :class:`Function` is a convenience
-wrapper over a ``func.func`` op giving named access to its signature,
-entry block, and EVEREST-specific attributes (target, annotations).
+wrapper over a ``func.func`` op giving named access to its signature
+and entry block.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro.core.ir.ops import Block, Operation, Region, Value
-from repro.core.ir.types import FunctionType, Type
+from repro.core.ir.types import FunctionType
 from repro.errors import IRError
 
 
@@ -56,17 +56,6 @@ class Function:
     def is_declaration(self) -> bool:
         """True when the function has no body blocks."""
         return self.body.empty or not self.body.blocks[0].operations
-
-    @property
-    def target(self) -> str:
-        """Execution target assigned by partitioning: cpu/fpga/gpu/any."""
-        return self.op.attr("target", "any")
-
-    @target.setter
-    def target(self, value: str) -> None:
-        if value not in ("any", "cpu", "fpga", "gpu"):
-            raise IRError(f"unknown target {value!r}")
-        self.op.set_attr("target", value)
 
     def walk(self) -> Iterator[Operation]:
         """All operations in the body, pre-order."""

@@ -1,8 +1,8 @@
 """Compiler passes over the unified IR.
 
 The middle-end of Fig. 1: canonicalization, tensor-level optimization
-(fusion, tiling, data layout), lowering to kernel loops, hardware/
-software partitioning, and security instrumentation. Passes are
+(fusion, tiling, data layout), lowering to kernel loops and security
+instrumentation. Passes are
 composable through :class:`~repro.core.ir.passes.pass_manager.PassManager`.
 """
 
@@ -19,7 +19,6 @@ from repro.core.ir.passes.layout import DataLayoutPass
 from repro.core.ir.passes.unroll import LoopDirectivesPass
 from repro.core.ir.passes.interleave import AccumulationInterleavePass
 from repro.core.ir.passes.lower_tensor import LowerTensorPass
-from repro.core.ir.passes.partitioning import HardwarePartitioningPass
 from repro.core.ir.passes.security import SecurityInstrumentationPass
 
 __all__ = [
@@ -36,6 +35,5 @@ __all__ = [
     "LoopDirectivesPass",
     "AccumulationInterleavePass",
     "LowerTensorPass",
-    "HardwarePartitioningPass",
     "SecurityInstrumentationPass",
 ]

@@ -22,6 +22,9 @@ from repro.core.ir.passes.pass_manager import Pass
 _FOLDED = {f"kernel.{name}" for name in (
     "addf subf mulf divf addi subi muli maxf minf negf expf sqrtf absf".split())}
 
+#: Fold + CSE + DCE rounds :class:`CanonicalizePass` runs at most.
+MAX_ITERATIONS = 8
+
 
 def _const_value(op_operand) -> Optional[float]:
     producer = op_operand.producer
@@ -123,12 +126,9 @@ class CanonicalizePass(Pass):
 
     name = "canonicalize"
 
-    def __init__(self, max_iterations: int = 8):
-        self.max_iterations = max_iterations
-
     def run(self, module: Module) -> bool:
         any_changed = False
-        for _ in range(self.max_iterations):
+        for _ in range(MAX_ITERATIONS):
             changed = ConstantFoldPass().run(module)
             changed |= CSEPass().run(module)
             changed |= DCEPass().run(module)

@@ -1,13 +1,13 @@
-"""Hardware/software partitioning.
+"""Work and data estimates that feed hardware/software partitioning.
 
-Decides, per kernel function, whether to offload to the FPGA or stay on
-the CPU. The paper states partitioning "will be driven by annotations"
-with estimation feedback (§III-B, Fig. 1): an explicit
-``everest.target`` annotation wins; otherwise a simple operational-
-intensity heuristic offloads compute-dense kernels (many operations per
-byte of argument data) and keeps data-light or control-heavy kernels in
-software. Functions chosen for hardware also receive an
-``hw.accelerator`` marker op in the module for the backend.
+The paper's partitioning is "driven by annotations" with estimation
+feedback (§III-B, Fig. 1). No pass decides a kernel's target at
+compile time: the explorer prices every target and the runtime picks a
+variant per invocation (§IV). What the estimation side needs of a
+kernel lives here — its operation count and its argument bytes
+(:func:`estimate_work`) and its signature bytes
+(:func:`signature_bytes`) — read by the cost model and the static
+performance analyzer.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ from typing import Tuple
 
 from repro.core.ir.dialects.elementwise import SCALAR, TENSOR
 from repro.core.ir.dialects.kernel import loop_range
-from repro.core.ir.module import Function, Module
+from repro.core.ir.module import Function
 from repro.core.ir.ops import Operation
-from repro.core.ir.passes.pass_manager import Pass
 from repro.core.ir.types import MemRefType, TensorType
 
 
@@ -85,48 +84,3 @@ def signature_bytes(function: Function) -> int:
         if isinstance(declared, (TensorType, MemRefType)):
             total += declared.size_bytes
     return total
-
-
-class HardwarePartitioningPass(Pass):
-    """Assign each function a cpu/fpga target and emit hw.accelerator."""
-
-    name = "hw-partitioning"
-
-    def __init__(self, intensity_threshold: float = 4.0,
-                 min_work: float = 10_000.0):
-        self.intensity_threshold = intensity_threshold
-        self.min_work = min_work
-
-    def run(self, module: Module) -> bool:
-        changed = False
-        for function in module.functions():
-            decided = self._decide(function)
-            if function.op.attr("target") != decided:
-                function.op.set_attr("target", decided)
-                changed = True
-            if decided == "fpga" and not self._has_marker(module,
-                                                          function.name):
-                marker = Operation(
-                    "hw.accelerator",
-                    attributes={"kernel": function.name},
-                )
-                module.body.append(marker)
-                changed = True
-        return changed
-
-    def _decide(self, function: Function) -> str:
-        annotation = function.op.attr("everest.target")
-        if annotation in ("cpu", "fpga", "gpu"):
-            return annotation
-        work, data_bytes = estimate_work(function)
-        intensity = work / data_bytes
-        if work >= self.min_work and intensity >= self.intensity_threshold:
-            return "fpga"
-        return "cpu"
-
-    @staticmethod
-    def _has_marker(module: Module, kernel_name: str) -> bool:
-        return any(
-            op.name == "hw.accelerator" and op.attr("kernel") == kernel_name
-            for op in module.body.operations
-        )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import List
 
 from repro.core.ir.module import Module
 from repro.core.ir.verifier import verify_diagnostics
@@ -33,23 +33,6 @@ class Pass:
 
 
 @dataclass
-class PassStatistics:
-    """Execution record of one pass invocation.
-
-    ``ops_before``/``ops_after`` record the module's operation count
-    around the pass when a *detailed* tracer was observing the run;
-    both stay ``-1`` otherwise (counting walks the whole module, so
-    it is only paid for on explicit request).
-    """
-
-    name: str
-    changed: bool
-    seconds: float
-    ops_before: int = -1
-    ops_after: int = -1
-
-
-@dataclass
 class PassManager:
     """Runs a pipeline of passes in order.
 
@@ -62,7 +45,6 @@ class PassManager:
 
     verify_each: bool = True
     passes: List[Pass] = field(default_factory=list)
-    statistics: List[PassStatistics] = field(default_factory=list)
     #: Findings accumulated across the run (post-pass checks).
     diagnostics: Diagnostics = field(default_factory=Diagnostics)
 
@@ -79,11 +61,7 @@ class PassManager:
             "compiler.pass_seconds", "wall time per compiler pass",
         )
         any_changed = False
-        count_ops = tracer.enabled and tracer.detailed
         for pass_ in self.passes:
-            ops_before = (
-                sum(1 for _ in module.walk()) if count_ops else -1
-            )
             span = tracer.span(
                 pass_.name, category=PASS_CATEGORY,
                 module=module.name,
@@ -99,23 +77,11 @@ class PassManager:
                         f"pass {pass_.name} failed: {exc}"
                     ) from exc
                 elapsed = time.perf_counter() - start
-                ops_after = (
-                    sum(1 for _ in module.walk())
-                    if count_ops else -1
-                )
-                span.note(
-                    changed=bool(changed), ops_before=ops_before,
-                    ops_after=ops_after,
-                    ops_delta=ops_after - ops_before,
-                )
+                span.note(changed=bool(changed))
             pass_seconds.observe(elapsed, name=pass_.name)
             metrics.counter(
                 "compiler.passes_run", "compiler pass invocations",
             ).inc(name=pass_.name)
-            self.statistics.append(PassStatistics(
-                pass_.name, bool(changed), elapsed,
-                ops_before=ops_before, ops_after=ops_after,
-            ))
             any_changed = any_changed or bool(changed)
             if self.verify_each:
                 self._check_after(pass_, module)
@@ -139,10 +105,3 @@ class PassManager:
         )
         error.diagnostics = self.diagnostics
         raise error
-
-    def summary(self) -> Dict[str, float]:
-        """Total seconds spent per pass name."""
-        totals: Dict[str, float] = {}
-        for stat in self.statistics:
-            totals[stat.name] = totals.get(stat.name, 0.0) + stat.seconds
-        return totals

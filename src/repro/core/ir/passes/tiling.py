@@ -1,56 +1,23 @@
 """Loop tiling of tensor contractions.
 
-Chooses (or applies caller-provided) tile sizes for ``tensor.matmul``
-and ``tensor.contract`` so the working set fits a target memory level —
-the paper's "tile complex tensor expressions to fit the memory
-hierarchy" variant axis (§III-B). The decision is recorded in a
-``tile_sizes`` attribute consumed by lowering and by the HLS engine.
+Applies the tile sizes a design point chose to ``tensor.matmul`` and
+``tensor.contract`` — the paper's "tile complex tensor expressions to
+fit the memory hierarchy" variant axis (§III-B): the explorer prices
+each tile size rather than deriving one here. The decision is recorded
+in a ``tile_sizes`` attribute consumed by lowering and by the HLS
+engine.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.core.ir.module import Module
-from repro.core.ir.ops import Operation
 from repro.core.ir.passes.pass_manager import Pass
-from repro.core.ir.types import TensorType
 from repro.errors import PassError
 from repro.utils.validation import check_positive
 
 _TILABLE = ("tensor.matmul", "tensor.contract")
-
-
-def working_set_bytes(m: int, n: int, k: int, element_bytes: int) -> int:
-    """Bytes touched by an (m, n, k) matmul tile: A, B and C tiles."""
-    return (m * k + k * n + m * n) * element_bytes
-
-
-def choose_tile_sizes(
-    shape_m: int, shape_n: int, shape_k: int,
-    element_bytes: int, budget_bytes: int,
-) -> Tuple[int, int, int]:
-    """Largest square-ish power-of-two tile fitting the byte budget."""
-    check_positive("budget_bytes", budget_bytes)
-    tile = 1
-    while True:
-        candidate = tile * 2
-        if (
-            candidate > max(shape_m, shape_n, shape_k)
-            or working_set_bytes(
-                min(candidate, shape_m),
-                min(candidate, shape_n),
-                min(candidate, shape_k),
-                element_bytes,
-            ) > budget_bytes
-        ):
-            break
-        tile = candidate
-    return (
-        min(tile, shape_m),
-        min(tile, shape_n),
-        min(tile, shape_k),
-    )
 
 
 class MatmulLoopOrderPass(Pass):
@@ -89,26 +56,14 @@ class MatmulLoopOrderPass(Pass):
 
 
 class TilingPass(Pass):
-    """Attach ``tile_sizes`` to tilable tensor ops.
-
-    ``tile_sizes`` forces one size for every op; otherwise sizes are
-    derived per-op from ``memory_budget_bytes``.
-    """
+    """Attach one ``tile_sizes`` to every tilable tensor op."""
 
     name = "tiling"
 
-    def __init__(
-        self,
-        tile_sizes: Optional[Tuple[int, int, int]] = None,
-        memory_budget_bytes: int = 256 * 1024,
-    ):
-        if tile_sizes is not None:
-            for size in tile_sizes:
-                check_positive("tile size", size)
-        self.tile_sizes = tile_sizes
-        self.memory_budget_bytes = check_positive(
-            "memory_budget_bytes", memory_budget_bytes
-        )
+    def __init__(self, tile_sizes: Tuple[int, int, int]):
+        for size in tile_sizes:
+            check_positive("tile size", size)
+        self.tile_sizes = tuple(tile_sizes)
 
     def run(self, module: Module) -> bool:
         changed = False
@@ -116,27 +71,8 @@ class TilingPass(Pass):
             for op in func.walk():
                 if op.name not in _TILABLE:
                     continue
-                sizes = self.tile_sizes or self._derive(op)
-                if op.attr("tile_sizes") != list(sizes):
-                    op.set_attr("tile_sizes", list(sizes))
+                sizes = list(self.tile_sizes)
+                if op.attr("tile_sizes") != sizes:
+                    op.set_attr("tile_sizes", sizes)
                     changed = True
         return changed
-
-    def _derive(self, op: Operation) -> Tuple[int, int, int]:
-        lhs_type = op.operands[0].type
-        if not isinstance(lhs_type, TensorType):
-            raise PassError(f"{op.name}: expected tensor operand")
-        if op.name == "tensor.matmul":
-            rhs_type = op.operands[1].type
-            m, k = lhs_type.shape
-            n = rhs_type.shape[1]
-        else:
-            # Contractions: use the flattened extents as a proxy.
-            m = lhs_type.shape[0]
-            k = lhs_type.shape[-1]
-            n = op.results[0].type.shape[-1] if isinstance(
-                op.results[0].type, TensorType
-            ) else 1
-        return choose_tile_sizes(
-            m, n, k, lhs_type.element.byte_width, self.memory_budget_bytes
-        )

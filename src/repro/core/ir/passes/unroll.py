@@ -1,8 +1,8 @@
 """HLS loop directives: unrolling and pipelining knobs.
 
 Hardware variants differ in how much spatial parallelism HLS extracts;
-this pass attaches ``unroll`` factors and ``pipeline`` (target
-initiation interval) attributes to ``kernel.for`` loops, which the HLS
+this pass attaches ``unroll`` factors and a ``pipeline_ii`` of 1 (the
+target initiation interval) to ``kernel.for`` loops, which the HLS
 scheduler (:mod:`repro.core.hls.scheduling`) honors. Innermost loops
 receive the directives; outer loops are left sequential.
 """
@@ -36,12 +36,9 @@ class LoopDirectivesPass(Pass):
 
     name = "loop-directives"
 
-    def __init__(self, unroll_factor: int = 1, pipeline: bool = True,
-                 target_ii: int = 1):
+    def __init__(self, unroll_factor: int = 1):
         self.unroll_factor = int(check_positive("unroll_factor",
                                                 unroll_factor))
-        self.pipeline = pipeline
-        self.target_ii = int(check_positive("target_ii", target_ii))
 
     def run(self, module: Module) -> bool:
         changed = False
@@ -53,10 +50,7 @@ class LoopDirectivesPass(Pass):
             if op.attr("unroll") != factor:
                 op.set_attr("unroll", factor)
                 changed = True
-            if self.pipeline and op.attr("pipeline_ii") != self.target_ii:
-                op.set_attr("pipeline_ii", self.target_ii)
-                changed = True
-            if not self.pipeline and op.attr("pipeline_ii") is not None:
-                del op.attributes["pipeline_ii"]
+            if op.attr("pipeline_ii") != 1:
+                op.set_attr("pipeline_ii", 1)
                 changed = True
         return changed

@@ -68,20 +68,16 @@ def observe(observation: Observation) -> Iterator[Observation]:
 
 
 def session(clock: Optional[Clock] = None,
-            deterministic: bool = False,
-            detailed: bool = False) -> Observation:
+            deterministic: bool = False) -> Observation:
     """Create an enabled observation session.
 
     ``deterministic`` selects a :class:`~repro.obs.clock.LogicalClock`
     so the resulting trace is byte-identical across runs of the same
     seeded workload; otherwise the tracer profiles wall time.
-    ``detailed`` enables the expensive probes (per-pass IR op counts,
-    Pareto-front growth) that cost more than the 5% overhead budget
-    of default tracing.
     """
     if clock is None:
         clock = LogicalClock() if deterministic else WallClock()
     return Observation(
-        tracer=Tracer(clock=clock, enabled=True, detailed=detailed),
+        tracer=Tracer(clock=clock, enabled=True),
         metrics=MetricsRegistry(),
     )

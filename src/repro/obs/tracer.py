@@ -121,16 +121,9 @@ class Tracer:
         clock: Optional[Clock] = None,
         enabled: bool = True,
         process: str = "repro",
-        detailed: bool = False,
     ):
-        """Create a tracer reading ``clock`` (default: wall time).
-
-        ``detailed`` opts into probes whose *collection* is itself
-        expensive (per-pass IR op counts, Pareto-front growth
-        sampling). Default tracing stays cheap enough to leave on.
-        """
+        """Create a tracer reading ``clock`` (default: wall time)."""
         self.enabled = enabled
-        self.detailed = detailed
         self.clock = clock or WallClock()
         self.events: List[TraceEvent] = []
         #: Optional callback invoked synchronously with every event

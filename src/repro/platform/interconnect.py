@@ -14,7 +14,7 @@ adds queueing when links are contended.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.utils.validation import check_non_negative, check_positive
 
@@ -33,8 +33,6 @@ class Link:
     per_message_overhead: float = 0.0
     energy_pj_per_byte: float = 10.0
     coherent: bool = False
-    bytes_transferred: int = field(default=0, init=False)
-    messages: int = field(default=0, init=False)
 
     def __post_init__(self):
         check_non_negative("latency_s", self.latency_s)
@@ -54,12 +52,6 @@ class Link:
         """Joules for the transfer."""
         check_non_negative("num_bytes", num_bytes)
         return num_bytes * self.energy_pj_per_byte * 1e-12
-
-    def record_transfer(self, num_bytes: int) -> float:
-        """Account a transfer in the link statistics and return its time."""
-        self.bytes_transferred += num_bytes
-        self.messages += 1
-        return self.transfer_time(num_bytes)
 
 
 def OpenCAPILink(name: str = "opencapi") -> Link:

@@ -50,22 +50,6 @@ class Node:
     fpga_links: Dict[str, Link] = field(default_factory=dict)
     network_link: Optional[Link] = None
     arch: str = "x86"
-    #: >1.0 while the node is degraded (thermal throttling, noisy
-    #: neighbour, failing DIMM); multiplies every execution time.
-    slowdown: float = 1.0
-
-    def apply_slowdown(self, factor: float) -> None:
-        """Degrade the node: execution times are multiplied by ``factor``."""
-        if factor < 1.0:
-            raise PlatformError(
-                f"node {self.name!r}: slowdown factor must be >= 1.0, "
-                f"got {factor}"
-            )
-        self.slowdown = factor
-
-    def clear_slowdown(self) -> None:
-        """Restore nominal node performance."""
-        self.slowdown = 1.0
 
     def add_memory(self, memory: MemoryModel) -> None:
         """Register a node-level memory."""

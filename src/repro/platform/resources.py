@@ -84,17 +84,6 @@ class CPUDescription:
         check_positive("tdp_watts", self.tdp_watts)
         check_non_negative("idle_watts", self.idle_watts)
 
-    @property
-    def peak_flops(self) -> float:
-        """Aggregate peak floating-point throughput (FLOP/s)."""
-        return self.cores * self.frequency_hz * self.flops_per_cycle
-
-    def time_for_flops(self, flops: float, efficiency: float = 0.25) -> float:
-        """Seconds to execute ``flops`` at a sustained efficiency."""
-        check_non_negative("flops", flops)
-        check_positive("efficiency", efficiency)
-        return flops / (self.peak_flops * efficiency)
-
 
 @dataclass(frozen=True)
 class GPUDescription:
@@ -105,15 +94,7 @@ class GPUDescription:
     memory_bandwidth: float
     tdp_watts: float = 250.0
     idle_watts: float = 30.0
-    kernel_launch_latency: float = 10e-6
 
     def __post_init__(self):
         check_positive("peak_flops", self.peak_flops)
         check_positive("memory_bandwidth", self.memory_bandwidth)
-
-    def time_for_flops(self, flops: float, efficiency: float = 0.5) -> float:
-        """Seconds of GPU compute for ``flops`` plus launch latency."""
-        check_non_negative("flops", flops)
-        return self.kernel_launch_latency + flops / (
-            self.peak_flops * efficiency
-        )

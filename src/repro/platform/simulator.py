@@ -245,11 +245,3 @@ class Simulator:
                 anchor=process.name, analysis="simulator",
             )
         return process.result
-
-
-def all_of(sim: Simulator, processes: List[Process]) -> Generator:
-    """A process body that waits for all given processes to finish."""
-    for process in processes:
-        if not process.finished:
-            yield process
-    return [process.result for process in processes]

@@ -217,20 +217,6 @@ class Ecosystem:
             total += self.link_between(a, b).transfer_energy(num_bytes)
         return total
 
-    def record_transfer(self, source: str, target: str, num_bytes: int
-                        ) -> float:
-        """Account the transfer on every hop link; returns total time."""
-        if source == target:
-            return 0.0
-        total = 0.0
-        hops = self.path(source, target)
-        for a, b in zip(hops, hops[1:]):
-            link = self.link_between(a, b)
-            link.bytes_transferred += num_bytes
-            link.messages += 1
-            total += self._hop_time(a, b, num_bytes)
-        return total
-
     def all_links(self) -> Iterable[Tuple[str, str, Link]]:
         """Iterate over (a, b, link) triples."""
         listed = set()

@@ -18,7 +18,7 @@ for downstream users.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.chaos.schedule import ChaosSchedule
@@ -60,6 +60,8 @@ class DeploymentReport:
     """Everything one distributed run produced."""
 
     trace: ExecutionTrace
+    #: Node of each task's last completion (its planned node when it
+    #: never completed).
     placement: Dict[str, str]
     selections: Dict[str, str]
     energy: EnergyMeter
@@ -141,24 +143,39 @@ class Orchestrator:
 
     # ------------------------------------------------------------------
 
+    def _check_locality(self, graph: TaskGraph,
+                        data_locality: Dict[str, str]) -> None:
+        """Reject a ``data_locality`` entry naming an unknown source or
+        node (a typo would otherwise read as "no locality")."""
+        sources = {obj.name for obj in graph.external_inputs()}
+        for source, node in sorted(data_locality.items()):
+            if source not in sources:
+                raise RuntimeSystemError(
+                    f"data_locality names unknown source {source!r}; "
+                    f"sources: {', '.join(sorted(sources))}"
+                )
+            if node not in self.ecosystem.nodes:
+                raise RuntimeSystemError(
+                    f"data_locality places {source!r} on unknown node "
+                    f"{node!r}"
+                )
+
     def deploy(
         self,
         app: CompiledApplication,
         data_locality: Optional[Dict[str, str]] = None,
         chaos: Optional[ChaosSchedule] = None,
-        rounds: int = 1,
         journal: Optional[RunJournal] = None,
         resume: Optional[ReplayState] = None,
     ) -> DeploymentReport:
         """Place, select and execute; returns the deployment report.
 
-        ``chaos`` injects faults; ``journal``/``resume`` make the
-        workflow execution durable and resumable (see
-        :mod:`repro.workflow.journal`). All three apply to the first
-        round only — later rounds are warm re-runs.
+        ``data_locality`` maps source names to the nodes their data
+        starts on. ``chaos`` injects faults; ``journal``/``resume``
+        make the workflow execution durable and resumable (see
+        :mod:`repro.workflow.journal`). The report's ``placement`` is
+        where each task last completed.
         """
-        if rounds < 1:
-            raise RuntimeSystemError("rounds must be >= 1")
         tracer = current_tracer()
         metrics = current_metrics()
         with tracer.span(f"deploy:{app.name}",
@@ -166,8 +183,8 @@ class Orchestrator:
             with tracer.span("placement",
                              category=RUNTIME_CATEGORY) as span:
                 graph = build_task_graph(app, locality=data_locality)
-                placer = TierPlacer(self.ecosystem)
-                placement = placer.place(graph)
+                self._check_locality(graph, data_locality or {})
+                placement = TierPlacer(self.ecosystem).place(graph)
                 span.note(tasks=len(placement.assignments))
 
             with tracer.span("variant-selection",
@@ -178,41 +195,34 @@ class Orchestrator:
             workers = self._workers_for(
                 list(placement.assignments.values())
             )
-            # pin external inputs to their locality
+            # the engine starts each input where the placer assumed it
+            # was, so tasks run where their variants were chosen
             for obj in graph.external_inputs():
-                if data_locality and obj.name in data_locality:
-                    obj.locality = data_locality[obj.name]
+                obj.locality = placement.homes[obj.name]
 
             server = ResilientServer(
                 workers,
                 ecosystem=self.ecosystem,
                 policy=LocalityScheduler(),
             )
+            trace, stats = server.run(
+                graph, chaos=chaos, journal=journal, resume=resume,
+            )
+            by_name = {worker.name: worker for worker in workers}
+            ran_on = dict(placement.assignments)
             energy = EnergyMeter()
-            trace = None
-            stats = None
-            for _round in range(rounds):
-                trace, stats = server.run(
-                    graph,
-                    chaos=chaos if _round == 0 else None,
-                    journal=journal if _round == 0 else None,
-                    resume=resume if _round == 0 else None,
+            for record in trace.records:
+                worker = by_name[record.worker]
+                ran_on[record.task] = worker.node_name
+                node = worker.node
+                watts = 20.0
+                if node is not None and node.cpu is not None:
+                    watts = node.cpu.tdp_watts * 0.5
+                energy.add_power(
+                    record.worker, watts, record.duration, "compute",
                 )
-                for record in trace.records:
-                    worker = next(
-                        w for w in workers if w.name == record.worker
-                    )
-                    node = worker.node
-                    watts = 20.0
-                    if node is not None and node.cpu is not None:
-                        watts = node.cpu.tdp_watts * 0.5
-                    energy.add_power(
-                        record.worker, watts, record.duration,
-                        "compute",
-                    )
             deploy_span.note(
-                rounds=rounds, makespan=trace.makespan,
-                workers=len(workers),
+                makespan=trace.makespan, workers=len(workers),
             )
         metrics.counter(
             "runtime.deployments", "applications deployed",
@@ -223,7 +233,7 @@ class Orchestrator:
         ).set(trace.makespan, application=app.name)
         return DeploymentReport(
             trace=trace,
-            placement=dict(placement.assignments),
+            placement=ran_on,
             selections=selections,
             energy=energy,
             recovery=stats,

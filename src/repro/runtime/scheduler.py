@@ -11,7 +11,7 @@ is the autotuner's job.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.errors import RuntimeSystemError
 from repro.platform.node import Node
@@ -35,6 +35,8 @@ class Placement:
     """Result of placing one graph."""
 
     assignments: Dict[str, str] = field(default_factory=dict)
+    #: Node each external input starts on.
+    homes: Dict[str, str] = field(default_factory=dict)
     transfer_seconds: float = 0.0
     compute_seconds: float = 0.0
     bytes_moved: int = 0
@@ -48,17 +50,14 @@ class Placement:
 class TierPlacer:
     """Greedy placement of tasks onto ecosystem nodes."""
 
-    def __init__(self, ecosystem: Ecosystem,
-                 candidates: Optional[List[str]] = None):
+    def __init__(self, ecosystem: Ecosystem):
         self.ecosystem = ecosystem
-        if candidates is None:
-            candidates = [
-                name for name, node in ecosystem.nodes.items()
-                if node.cpu is not None or node.has_fpga
-            ]
-        if not candidates:
+        self.candidates = [
+            name for name, node in ecosystem.nodes.items()
+            if node.cpu is not None or node.has_fpga
+        ]
+        if not self.candidates:
             raise RuntimeSystemError("no candidate nodes for placement")
-        self.candidates = candidates
 
     def _speed(self, node: Node) -> float:
         speed = _SPEED.get(node.arch, 0.5)
@@ -70,21 +69,33 @@ class TierPlacer:
 
     def place(self, graph: TaskGraph) -> Placement:
         """Assign every task to a node, propagating data locations."""
+        return self._place(graph, self.candidates)
+
+    def place_fixed(self, graph: TaskGraph, node_name: str) -> Placement:
+        """Force every task onto one node (baseline strategy)."""
+        if node_name not in self.ecosystem.nodes:
+            raise RuntimeSystemError(f"unknown node {node_name!r}")
+        return self._place(graph, [node_name])
+
+    def _place(self, graph: TaskGraph, candidates: List[str]
+               ) -> Placement:
+        """Greedy placement over ``candidates``; an input with no (or
+        an unknown) locality starts on the first candidate."""
         graph.validate()
         placement = Placement()
-        locations: Dict[str, str] = {}
         for obj in graph.external_inputs():
-            home = obj.locality or self.candidates[0]
+            home = obj.locality
             if home not in self.ecosystem.nodes:
-                home = self.candidates[0]
-            locations[obj.name] = home
+                home = candidates[0]
+            placement.homes[obj.name] = home
+        locations = dict(placement.homes)
 
         for task_name in graph.topological_order():
             task = graph.tasks[task_name]
             best_node = None
             best_cost = None
             best_staging = None
-            for candidate in self.candidates:
+            for candidate in candidates:
                 node = self.ecosystem.nodes[candidate]
                 speed = self._speed(node)
                 if speed <= 0:
@@ -120,14 +131,3 @@ class TierPlacer:
             for output_name in task.outputs:
                 locations[output_name] = best_node
         return placement
-
-    def place_fixed(self, graph: TaskGraph, node_name: str) -> Placement:
-        """Force every task onto one node (baseline strategy)."""
-        if node_name not in self.ecosystem.nodes:
-            raise RuntimeSystemError(f"unknown node {node_name!r}")
-        saved = self.candidates
-        try:
-            self.candidates = [node_name]
-            return self.place(graph)
-        finally:
-            self.candidates = saved

@@ -9,11 +9,10 @@ so the engine schedules with the same numbers the compiler predicted.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from repro.core.compiler import CompiledApplication
 from repro.core.ir.types import MemRefType, TensorType
-from repro.core.variants import Variant
 from repro.errors import WorkflowError
 from repro.workflow.graph import DataObject, TaskGraph, WorkflowTask
 
@@ -26,15 +25,13 @@ def _value_size(value_type) -> int:
 
 def build_task_graph(
     app: CompiledApplication,
-    select: Optional[Callable[[str], Variant]] = None,
     locality: Optional[Dict[str, str]] = None,
 ) -> TaskGraph:
     """Build an executable graph from a compiled application.
 
-    ``select`` maps kernel name to the variant whose latency estimate
-    becomes the task duration (defaults to each kernel's best-latency
-    variant); ``locality`` maps source names to node names for initial
-    data placement.
+    A task's duration is the latency estimate of its kernel's
+    best-latency variant; ``locality`` maps source names to node names
+    for initial data placement.
     """
     pipeline_op = None
     for op in app.module.body.operations:
@@ -45,11 +42,6 @@ def build_task_graph(
         raise WorkflowError(
             f"application {app.name!r} has no workflow.pipeline op"
         )
-
-    def variant_for(kernel: str) -> Variant:
-        if select is not None:
-            return select(kernel)
-        return app.exploration[kernel].best_latency()
 
     graph = TaskGraph(app.name)
     locality = locality or {}
@@ -73,7 +65,7 @@ def build_task_graph(
         elif op.name == "workflow.task":
             task_name = op.attr("sym_name")
             kernel = op.attr("kernel")
-            variant = variant_for(kernel)
+            variant = app.exploration[kernel].best_latency()
             inputs = [
                 value_names[id(operand)] for operand in op.operands
             ]

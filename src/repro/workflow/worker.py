@@ -97,15 +97,9 @@ class Worker:
         return object_name in self.store
 
     def execution_time(self, duration_s: float) -> float:
-        """Wall time of a task with nominal duration on this worker.
-
-        Straggler slowdowns — on the worker itself or its platform
-        node — stretch the nominal duration.
-        """
-        slowdown = self.slowdown
-        if self.node is not None:
-            slowdown *= self.node.slowdown
-        return duration_s * slowdown / self.speed_factor
+        """Wall time of a task with nominal duration on this worker; a
+        straggler's slowdown stretches the nominal duration."""
+        return duration_s * self.slowdown / self.speed_factor
 
     def utilization(self, elapsed: float) -> float:
         """Busy fraction over an elapsed window."""

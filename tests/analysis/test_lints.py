@@ -68,7 +68,7 @@ class TestUnusedFunctions:
         b2.ret([unused.arguments[0]])
         # a reference makes the module "linked", exposing the orphan
         top, b3 = new_function(module, "top", [], [])
-        b3.create("hw.accelerator", [], [], {"kernel": "used"})
+        b3.create("kernel.call", [], [], {"callee": "used"})
         b3.ret([])
         diagnostics = check_unused_functions(module)
         flagged = {item.anchor for item in diagnostics}

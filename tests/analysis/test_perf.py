@@ -118,22 +118,22 @@ class TestNestBounds:
     def test_min_ii_unlimited_ports(self):
         nest = NestBounds("k/nest0", 1, 16, 1,
                           accesses={"%0": 4}, chain_latency=0)
-        assert nest.min_ii(8, {"%0": 0}) == 1
+        assert nest.ii_floor(8, {"%0": 0})[0] == 1
 
     def test_min_ii_port_pressure(self):
         nest = NestBounds("k/nest0", 1, 16, 1, accesses={"%0": 2})
         # 2 accesses x 8 copies over 4 ports -> II >= 4.
-        assert nest.min_ii(8, {"%0": 4}) == 4
+        assert nest.ii_floor(8, {"%0": 4})[0] == 4
 
     def test_min_ii_chain_floor(self):
         nest = NestBounds("k/nest0", 1, 16, 1,
                           accesses={"%0": 1}, chain_latency=6)
-        assert nest.min_ii(1, {"%0": 4}) == 6
+        assert nest.ii_floor(1, {"%0": 4})[0] == 6
 
     def test_effective_unroll_clamped_to_trip(self):
         nest = NestBounds("k/nest0", 1, 4, 1, accesses={"%0": 1})
         # unroll 16 on a trip-4 loop only replicates 4 bodies.
-        assert nest.min_ii(16, {"%0": 2}) == math.ceil(4 / 2)
+        assert nest.ii_floor(16, {"%0": 2})[0] == math.ceil(4 / 2)
 
 
 class TestBufferPorts:

@@ -287,6 +287,16 @@ class TestEverestCompiler:
         function = app.module.find_function("scale")
         assert function.op.attr("everest.sensitive_args") == [0]
 
+    def test_module_records_no_target_verdict(self):
+        """Every target is priced and the runtime picks per invocation:
+        the compiled module carries no cpu/fpga decision."""
+        app = EverestCompiler(space=DesignSpace.small()).compile(
+            self.build_pipeline()
+        )
+        ops = list(app.module.walk())
+        assert not [op for op in ops if op.name == "hw.accelerator"]
+        assert not [op.name for op in ops if "target" in op.attributes]
+
     def test_artifact_kinds_match_targets(self):
         app = EverestCompiler(space=DesignSpace.small()).compile(
             self.build_pipeline()

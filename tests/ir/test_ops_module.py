@@ -100,15 +100,6 @@ class TestModule:
         with pytest.raises(IRError):
             module.remove_function("ghost")
 
-    def test_function_target_attribute(self):
-        module = Module("m")
-        function = module.add_function("f", FunctionType((), ()))
-        assert function.target == "any"
-        function.target = "fpga"
-        assert function.target == "fpga"
-        with pytest.raises(IRError):
-            function.target = "tpu"
-
 
 class TestVerifier:
     def test_valid_module_passes(self):

@@ -49,7 +49,7 @@ def lowered(source: str, secure: bool = False):
     manager.add(ElementwiseFusionPass())
     if secure:
         manager.add(SecurityInstrumentationPass())
-    manager.add(TilingPass())
+    manager.add(TilingPass(tile_sizes=(8, 2, 4)))
     manager.add(LowerTensorPass())
     manager.add(LoopDirectivesPass(unroll_factor=2))
     manager.run(module)

@@ -45,12 +45,13 @@ class TestLinks:
         assert OpenCAPILink().transfer_time(64) < \
             EthernetLink().transfer_time(64)
 
-    def test_record_transfer_accumulates(self):
-        link = EdgeUplink()
-        link.record_transfer(1000)
-        link.record_transfer(500)
-        assert link.bytes_transferred == 1500
-        assert link.messages == 2
+    def test_transfer_time_is_fixed_cost_plus_serialisation(self):
+        link = EthernetLink(protocol="tcp")
+        fixed = link.latency_s + link.per_message_overhead
+        assert link.transfer_time(0) == pytest.approx(fixed)
+        assert link.transfer_time(10**6) == pytest.approx(
+            fixed + 10**6 / link.bandwidth
+        )
 
     def test_sensor_link_is_slowest(self):
         assert SensorLink().bandwidth < EdgeUplink().bandwidth

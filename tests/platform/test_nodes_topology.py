@@ -134,16 +134,27 @@ class TestEcosystem:
         to_cloud = eco.transfer_time("endpoint-0", "power9-0", 10**4)
         assert to_edge < to_cloud
 
-    def test_record_transfer_accounts_all_hops(self):
-        eco = build_reference_ecosystem()
-        eco.record_transfer("endpoint-0", "power9-0", 500)
-        hops = eco.path("endpoint-0", "power9-0")
-        for a, b in zip(hops, hops[1:]):
-            assert eco.link_between(a, b).bytes_transferred == 500
-
     def test_transfer_energy_positive(self):
         eco = build_reference_ecosystem()
         assert eco.transfer_energy("endpoint-0", "edge-0", 1000) > 0
+
+    def test_transfer_time_sums_every_hop(self):
+        eco = build_reference_ecosystem()
+        hops = eco.path("endpoint-0", "power9-0")
+        assert eco.transfer_time("endpoint-0", "power9-0", 500) == \
+            pytest.approx(sum(
+                eco.link_between(a, b).transfer_time(500)
+                for a, b in zip(hops, hops[1:])
+            ))
+
+    def test_transfer_energy_sums_every_hop(self):
+        eco = build_reference_ecosystem()
+        hops = eco.path("endpoint-0", "power9-0")
+        assert eco.transfer_energy("endpoint-0", "power9-0", 500) == \
+            pytest.approx(sum(
+                eco.link_between(a, b).transfer_energy(500)
+                for a, b in zip(hops, hops[1:])
+            ))
 
 
 def _oracle(eco):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import PlatformError
-from repro.platform.simulator import Simulator, all_of
+from repro.platform.simulator import Simulator
 
 
 class TestTimeouts:
@@ -177,16 +177,23 @@ class TestProcessComposition:
 
         assert sim.run_process(parent()) == "child-result"
 
-    def test_all_of_collects_results(self):
+    def test_parent_joins_children_in_turn(self):
+        """Yielding a child that has already finished resumes the
+        parent at once with that child's result."""
         sim = Simulator()
 
         def child(delay, value):
             yield sim.timeout(delay)
             return value
 
-        children = [sim.process(child(i + 1, i)) for i in range(3)]
-        results = sim.run_process(all_of(sim, children))
-        assert results == [0, 1, 2]
+        def parent():
+            children = [sim.process(child(3 - i, i)) for i in range(3)]
+            results = []
+            for handle in children:
+                results.append((yield handle))
+            return results
+
+        assert sim.run_process(parent()) == [0, 1, 2]
         assert sim.now == 3.0
 
     def test_deadlock_detected(self):

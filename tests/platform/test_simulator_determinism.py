@@ -7,7 +7,7 @@ contract — including resource request/release interleavings — so a
 future heap or queue change cannot silently reorder same-time events.
 """
 
-from repro.platform.simulator import Simulator, all_of
+from repro.platform.simulator import Simulator
 
 
 def test_same_timestamp_fires_in_insertion_order():
@@ -154,14 +154,12 @@ def test_identical_runs_produce_identical_event_logs():
             log.append((sim.now, "gate"))
 
         sim.process(watcher())
-        procs = [
+        for tag, delay in (
+            ("a", 0.0), ("b", 0.0), ("c", 0.0),
+            ("d", 1.0), ("e", 1.0),
+        ):
             sim.process(contender(tag, delay))
-            for tag, delay in (
-                ("a", 0.0), ("b", 0.0), ("c", 0.0),
-                ("d", 1.0), ("e", 1.0),
-            )
-        ]
-        sim.run_process(all_of(sim, procs))
+        sim.run()
         return log
 
     first = run_once()

@@ -96,10 +96,24 @@ class TestOrchestrator:
         assert {r.task for r in report.trace.records} >= \
             {"filter", "analyze"}
 
-    def test_multiple_rounds(self, app, ecosystem):
-        report = Orchestrator(ecosystem).deploy(app, rounds=3)
-        assert report.makespan > 0
+    @pytest.mark.parametrize("locality", [None, {"raw": "power9-0"}])
+    def test_tasks_run_where_they_were_placed(self, app, ecosystem,
+                                              locality):
+        """An input with no locality starts where the placer assumed
+        it, so each task runs on the node its variant was chosen for."""
+        report = Orchestrator(ecosystem).deploy(app,
+                                                data_locality=locality)
+        for record in report.trace.records:
+            node = record.worker.split("/")[0]
+            assert node == report.placement[record.task]
+            if report.selections[record.task].startswith("fpga/"):
+                assert ecosystem.nodes[node].has_fpga
 
-    def test_zero_rounds_rejected(self, app, ecosystem):
-        with pytest.raises(RuntimeSystemError):
-            Orchestrator(ecosystem).deploy(app, rounds=0)
+    @pytest.mark.parametrize("locality, named", [
+        ({"raw": "edgee-0"}, "'edgee-0'"),
+        ({"rwa": "edge-0"}, "'rwa'"),
+    ])
+    def test_unknown_locality_rejected(self, app, ecosystem, locality,
+                                       named):
+        with pytest.raises(RuntimeSystemError, match=named):
+            Orchestrator(ecosystem).deploy(app, data_locality=locality)

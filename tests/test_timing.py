@@ -197,7 +197,7 @@ class TestTripClampDisagreement:
         ports = {info.buffer: info.ports("auto", 8)
                  for info in bounds.buffers}
         assert ports == {"0": 4}
-        assert nest.min_ii(8, ports) == 1  # ceil(2 * min(8, 2) / 4)
+        assert nest.ii_floor(8, ports)[0] == 1  # ceil(2 * min(8, 2) / 4)
 
     def test_mem002_fires_and_perf001_does_not(self):
         codes = [

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import WorkflowError
-from repro.platform.node import Node
 from repro.workflow.worker import Worker
 
 
@@ -104,11 +103,7 @@ class TestExecutionTime:
         worker.slowdown = 4.0
         assert worker.execution_time(1.5) == 6.0
 
-    def test_node_slowdown_compounds(self):
-        node = Node(name="n0")
-        node.apply_slowdown(2.0)
-        worker = make_worker(node=node)
+    def test_slowdown_and_speed_factor_compose(self):
+        worker = make_worker(speed_factor=2.0)
         worker.slowdown = 3.0
-        assert worker.execution_time(1.0) == pytest.approx(6.0)
-        node.clear_slowdown()
-        assert worker.execution_time(1.0) == pytest.approx(3.0)
+        assert worker.execution_time(1.0) == pytest.approx(1.5)
