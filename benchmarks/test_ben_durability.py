@@ -141,7 +141,7 @@ def test_snapshot_resume_replays_under_20_percent(tmp_path, benchmark):
     table.show()
 
     assert state.finished and state.digest == trace.digest()
-    assert state.to_dict() == full.to_dict()
+    assert state == full
     assert full_info.records_replayed == info.records_total
     assert fraction < 0.20, (
         f"snapshot resume folded {fraction:.1%} of the journal "

@@ -85,7 +85,7 @@ from repro.core.ir import print_module
 from repro.core.ir.dialects import registered_dialects
 from repro.core.ir.digest import module_digest
 from repro.core.ir.verifier import verify_diagnostics
-from repro.core.store import ContentStore
+from repro.core.store import ContentStore, encode
 from repro.core.variants import VariantKnobs
 from repro.obs import (
     Observation,
@@ -245,7 +245,7 @@ def cmd_perf(args: argparse.Namespace) -> int:
         )
     if args.format == "json":
         print(json_module.dumps(
-            bounds.to_payload(), indent=2, sort_keys=True,
+            encode(bounds), indent=2, sort_keys=True,
         ))
         return 0
 

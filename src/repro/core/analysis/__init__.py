@@ -85,6 +85,7 @@ from repro.core.analysis.wfcheck import (
     lint_workflow_spec,
 )
 from repro.core.ir.digest import module_digest
+from repro.core.store import decode, encode
 from repro.diagnostics import (
     CODES,
     Diagnostic,
@@ -173,16 +174,12 @@ def analyze_module_cached(
         digest = module_digest(module)
     key = AnalysisCache.module_key(digest, selected, annotate)
     metrics = current_metrics()
-    payload = cache.get(key)
-    if payload is not None:
+    entry = cache.read(key, _cached_entry)
+    if entry is not None:
         metrics.counter(
             "analysis.cache_hits", "analysis cache hits",
         ).inc(1, layer="module")
-        return (
-            Diagnostics.from_dicts(payload.get("diagnostics", [])),
-            AnalysisFacts.from_payload(payload.get("facts", {})),
-            True,
-        )
+        return (*entry, True)
     metrics.counter(
         "analysis.cache_misses", "analysis cache misses",
     ).inc(1, layer="module")
@@ -192,9 +189,16 @@ def analyze_module_cached(
     )
     cache.put(key, {
         "diagnostics": [item.to_dict() for item in diagnostics],
-        "facts": facts.to_payload(),
+        "facts": encode(facts),
     })
     return diagnostics, facts, False
+
+
+def _cached_entry(payload) -> Tuple[Diagnostics, AnalysisFacts]:
+    """An ``analyze_module_cached`` entry; a payload without its
+    diagnostics and facts is rejected (a miss), not read as empty."""
+    return (Diagnostics.from_dicts(payload["diagnostics"]),
+            decode(AnalysisFacts, payload["facts"]))
 
 
 __all__ = [

@@ -59,7 +59,7 @@ analysis itself changes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.ir.dialects.hw import partition_directives
 from repro.core.ir.dialects.kernel import loop_range, trip_count
@@ -232,30 +232,6 @@ class LoopFacts:
             return self.lower
         return self.lower + (self.trip - 1) * self.step
 
-    def to_payload(self) -> Dict[str, Any]:
-        return {"anchor": self.anchor, "lower": self.lower,
-                "upper": self.upper, "step": self.step,
-                "depth": self.depth, "innermost": self.innermost,
-                "unroll": self.unroll}
-
-    @staticmethod
-    def from_payload(payload: Dict[str, Any]) -> "LoopFacts":
-        return LoopFacts(
-            anchor=str(payload["anchor"]), lower=int(payload["lower"]),
-            upper=int(payload["upper"]), step=int(payload["step"]),
-            depth=int(payload["depth"]),
-            innermost=bool(payload["innermost"]),
-            unroll=int(payload.get("unroll", 1)),
-        )
-
-
-def _encode_bound(value: float) -> Optional[int]:
-    return None if value in (-_INF, _INF) else int(value)
-
-
-def _decode_bound(value: Optional[int], sign: float) -> float:
-    return sign * _INF if value is None else int(value)
-
 
 @dataclass
 class DimRange:
@@ -276,21 +252,6 @@ class DimRange:
     @property
     def always_oob(self) -> bool:
         return self.lo >= self.size or self.hi < 0
-
-    def to_payload(self) -> Dict[str, Any]:
-        return {"lo": _encode_bound(self.lo),
-                "hi": _encode_bound(self.hi),
-                "tight": self.tight, "size": self.size,
-                "affine": self.affine}
-
-    @staticmethod
-    def from_payload(payload: Dict[str, Any]) -> "DimRange":
-        return DimRange(
-            lo=_decode_bound(payload["lo"], -1.0),
-            hi=_decode_bound(payload["hi"], 1.0),
-            tight=bool(payload["tight"]), size=int(payload["size"]),
-            affine=bool(payload["affine"]),
-        )
 
 
 @dataclass
@@ -341,30 +302,6 @@ class AccessFacts:
             factor *= max(1, trip)
         return factor
 
-    def to_payload(self) -> Dict[str, Any]:
-        return {"anchor": self.anchor, "kind": self.kind,
-                "buffer": self.buffer,
-                "dims": [dim.to_payload() for dim in self.dims],
-                "enclosing_trips": list(self.enclosing_trips),
-                "depends_on": list(self.depends_on),
-                "element_bits": self.element_bits,
-                "loop": self.loop,
-                "flat": None if self.flat is None else list(self.flat)}
-
-    @staticmethod
-    def from_payload(payload: Dict[str, Any]) -> "AccessFacts":
-        return AccessFacts(
-            anchor=str(payload["anchor"]), kind=str(payload["kind"]),
-            buffer=str(payload["buffer"]),
-            dims=[DimRange.from_payload(d) for d in payload["dims"]],
-            enclosing_trips=[int(t) for t in
-                             payload.get("enclosing_trips", [])],
-            depends_on=[bool(d) for d in payload.get("depends_on", [])],
-            element_bits=int(payload.get("element_bits", 32)),
-            loop=payload.get("loop"),
-            flat=tuple(payload["flat"]) if payload.get("flat") else None,
-        )
-
 
 @dataclass
 class DeadFacts:
@@ -372,14 +309,6 @@ class DeadFacts:
 
     anchor: str
     message: str
-
-    def to_payload(self) -> Dict[str, Any]:
-        return {"anchor": self.anchor, "message": self.message}
-
-    @staticmethod
-    def from_payload(payload: Dict[str, Any]) -> "DeadFacts":
-        return DeadFacts(anchor=str(payload["anchor"]),
-                         message=str(payload["message"]))
 
 
 @dataclass
@@ -399,19 +328,6 @@ class PartitionDemand:
     accesses: int
     trip: int
 
-    def to_payload(self) -> Dict[str, Any]:
-        return {"buffer": self.buffer, "scheme": self.scheme,
-                "factor": self.factor, "accesses": self.accesses,
-                "trip": self.trip}
-
-    @staticmethod
-    def from_payload(payload: Dict[str, Any]) -> "PartitionDemand":
-        return PartitionDemand(
-            buffer=str(payload["buffer"]), scheme=str(payload["scheme"]),
-            factor=int(payload["factor"]),
-            accesses=int(payload["accesses"]), trip=int(payload["trip"]),
-        )
-
 
 @dataclass
 class FunctionFacts:
@@ -428,31 +344,6 @@ class FunctionFacts:
     inputs: List[str] = field(default_factory=list)
     results: List[str] = field(default_factory=list)
 
-    def to_payload(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "loops": [x.to_payload() for x in self.loops],
-            "accesses": [x.to_payload() for x in self.accesses],
-            "dead": [x.to_payload() for x in self.dead],
-            "demands": [x.to_payload() for x in self.demands],
-            "inputs": list(self.inputs),
-            "results": list(self.results),
-        }
-
-    @staticmethod
-    def from_payload(payload: Dict[str, Any]) -> "FunctionFacts":
-        return FunctionFacts(
-            name=str(payload["name"]),
-            loops=[LoopFacts.from_payload(x) for x in payload["loops"]],
-            accesses=[AccessFacts.from_payload(x)
-                      for x in payload["accesses"]],
-            dead=[DeadFacts.from_payload(x) for x in payload["dead"]],
-            demands=[PartitionDemand.from_payload(x)
-                     for x in payload["demands"]],
-            inputs=[str(x) for x in payload["inputs"]],
-            results=[str(x) for x in payload["results"]],
-        )
-
 
 @dataclass
 class AnalysisFacts:
@@ -463,23 +354,6 @@ class AnalysisFacts:
 
     def function(self, name: str) -> Optional[FunctionFacts]:
         return self.functions.get(name)
-
-    def to_payload(self) -> Dict[str, Any]:
-        return {
-            "version": self.version,
-            "functions": {name: facts.to_payload()
-                          for name, facts in sorted(self.functions.items())},
-        }
-
-    @staticmethod
-    def from_payload(payload: Dict[str, Any]) -> "AnalysisFacts":
-        return AnalysisFacts(
-            version=str(payload.get("version", "")),
-            functions={
-                name: FunctionFacts.from_payload(facts)
-                for name, facts in payload.get("functions", {}).items()
-            },
-        )
 
 
 def accesses_by_loop(

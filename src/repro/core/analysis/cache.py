@@ -16,8 +16,10 @@ synthesis in (:mod:`repro.core.dse.cache`), keyed by *content*:
 Every recipe folds in :data:`ANALYSIS_CACHE_VERSION` (payload layout),
 :data:`~repro.core.analysis.absint.ANALYSIS_VERSION` (the analyses'
 semantics) and the IR digest version, so stale results never survive
-an upgrade. Payloads hold rendered diagnostics and serialized facts
-(kind ``"analysis"``); bounds payloads mark themselves ``"perf"``.
+an upgrade. Payloads hold rendered diagnostics and facts (kind
+``"analysis"``) or bounds (kind ``"perf"``, which the bounds record
+carries), the records in the store's codec
+(:func:`repro.core.store.encode` / :func:`~repro.core.store.decode`).
 """
 
 from __future__ import annotations
@@ -33,8 +35,9 @@ from repro.core.ir.digest import DIGEST_VERSION
 from repro.core.store import ContentStore, xdg_cache_dir
 
 #: Part of every analysis key: bump when a key recipe or payload layout
-#: changes incompatibly, and old entries can never match again.
-ANALYSIS_CACHE_VERSION = "1"
+#: changes incompatibly, and old entries can never match again ("2":
+#: facts in the store's codec, index bounds as JSON numbers).
+ANALYSIS_CACHE_VERSION = "2"
 
 
 def _mapping(payload: Any) -> Dict[str, Any]:
@@ -44,10 +47,11 @@ def _mapping(payload: Any) -> Dict[str, Any]:
 
 
 class AnalysisCache(ContentStore):
-    """The store's ``"analysis"`` and ``"perf"`` kinds: plain JSON-able
-    dicts. Serialization policy lives with the callers
-    (:func:`repro.core.analysis.analyze_module_cached`, the lint CLI,
-    the perf analyzer)."""
+    """The store's ``"analysis"`` and ``"perf"`` kinds: JSON objects.
+    :func:`repro.core.analysis.analyze_module_cached` and the perf
+    analyzer decode their records inside :meth:`read`, so a payload
+    the codec rejects is a miss; ``get`` hands out the raw object (the
+    lint CLI's per-file entries)."""
 
     @staticmethod
     def _key(kind: str, material: Sequence[str]) -> str:

@@ -60,7 +60,8 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from functools import partial
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.analysis.absint import (
     AnalysisFacts,
@@ -83,7 +84,7 @@ from repro.core.ir.passes import (
 )
 from repro.core.ir.passes.partitioning import estimate_work, signature_bytes
 from repro.core.ir.types import MemRefType
-from repro.core.store import LRUCache
+from repro.core.store import LRUCache, decode, encode
 from repro.core.timing import (
     PORTS_PER_BANK,
     body_copies,
@@ -141,25 +142,6 @@ class NestBounds:
             self.chain_latency, 1,
         )
 
-    def to_payload(self) -> Dict[str, Any]:
-        return {"anchor": self.anchor, "depth": self.depth,
-                "trip": self.trip, "outer_iters": self.outer_iters,
-                "ops": dict(sorted(self.ops.items())),
-                "accesses": dict(sorted(self.accesses.items())),
-                "chain_latency": self.chain_latency}
-
-    @staticmethod
-    def from_payload(payload: Dict[str, Any]) -> "NestBounds":
-        return NestBounds(
-            anchor=str(payload["anchor"]), depth=int(payload["depth"]),
-            trip=int(payload["trip"]),
-            outer_iters=int(payload["outer_iters"]),
-            ops={str(k): int(v) for k, v in payload["ops"].items()},
-            accesses={str(k): int(v)
-                      for k, v in payload["accesses"].items()},
-            chain_latency=int(payload["chain_latency"]),
-        )
-
 
 @dataclass
 class BufferTraffic:
@@ -171,20 +153,6 @@ class BufferTraffic:
     #: with reuse credit for provably loop-invariant loads.
     bytes_moved: int = 0
     accesses: int = 0  # static access sites
-
-    def to_payload(self) -> Dict[str, Any]:
-        return {"buffer": self.buffer, "bytes_naive": self.bytes_naive,
-                "bytes_moved": self.bytes_moved,
-                "accesses": self.accesses}
-
-    @staticmethod
-    def from_payload(payload: Dict[str, Any]) -> "BufferTraffic":
-        return BufferTraffic(
-            buffer=str(payload["buffer"]),
-            bytes_naive=int(payload["bytes_naive"]),
-            bytes_moved=int(payload["bytes_moved"]),
-            accesses=int(payload["accesses"]),
-        )
 
 
 @dataclass
@@ -219,25 +187,6 @@ class BufferInfo:
             return 0
         return ports_granted(scheme, factor, self.elements)
 
-    def to_payload(self) -> Dict[str, Any]:
-        return {"buffer": self.buffer, "elements": self.elements,
-                "element_bits": self.element_bits,
-                "total_accesses": self.total_accesses,
-                "small_alloc": self.small_alloc,
-                "scheme": self.scheme, "factor": self.factor}
-
-    @staticmethod
-    def from_payload(payload: Dict[str, Any]) -> "BufferInfo":
-        return BufferInfo(
-            buffer=str(payload["buffer"]),
-            elements=int(payload["elements"]),
-            element_bits=int(payload["element_bits"]),
-            total_accesses=int(payload["total_accesses"]),
-            small_alloc=bool(payload["small_alloc"]),
-            scheme=str(payload["scheme"]),
-            factor=int(payload["factor"]),
-        )
-
 
 @dataclass
 class StaticBounds:
@@ -260,40 +209,8 @@ class StaticBounds:
     #: the binding resource at default knobs (e.g. "recurrence chain",
     #: "link bandwidth", "memport:%A").
     binding: str = ""
-
-    def to_payload(self) -> Dict[str, Any]:
-        return {
-            "kind": "perf",
-            "kernel": self.kernel,
-            "work": self.work,
-            "data_bytes": self.data_bytes,
-            "arg_bytes": self.arg_bytes,
-            "op_counts": dict(sorted(self.op_counts.items())),
-            "nests": [nest.to_payload() for nest in self.nests],
-            "traffic": [t.to_payload() for t in self.traffic],
-            "buffers": [b.to_payload() for b in self.buffers],
-            "verdict": self.verdict,
-            "binding": self.binding,
-        }
-
-    @staticmethod
-    def from_payload(payload: Dict[str, Any]) -> "StaticBounds":
-        return StaticBounds(
-            kernel=str(payload["kernel"]),
-            work=float(payload["work"]),
-            data_bytes=int(payload["data_bytes"]),
-            arg_bytes=int(payload["arg_bytes"]),
-            op_counts={str(k): int(v)
-                       for k, v in payload["op_counts"].items()},
-            nests=[NestBounds.from_payload(n)
-                   for n in payload["nests"]],
-            traffic=[BufferTraffic.from_payload(t)
-                     for t in payload["traffic"]],
-            buffers=[BufferInfo.from_payload(b)
-                     for b in payload["buffers"]],
-            verdict=str(payload["verdict"]),
-            binding=str(payload["binding"]),
-        )
+    #: the store kind its payload goes under (``AnalysisCache.put``).
+    kind: str = field(default="perf", init=False)
 
 
 # ---------------------------------------------------------------------
@@ -494,12 +411,11 @@ def kernel_bounds(
     metrics = current_metrics()
     cache = analysis_cache()
     cache_key = AnalysisCache.perf_key(digest, kernel)
-    payload = cache.get(cache_key)
-    if payload is not None:
+    bounds = cache.read(cache_key, partial(decode, StaticBounds))
+    if bounds is not None:
         metrics.counter(
             "perf.cache_hits", "perf-analysis cache hits",
         ).inc(1, kernel=kernel)
-        bounds = StaticBounds.from_payload(payload)
         _BOUNDS_MEMO.put(memo_key, bounds)
         return bounds
     metrics.counter(
@@ -511,7 +427,7 @@ def kernel_bounds(
     metrics.counter(
         "perf.bounds_computed", "static bounds derived from scratch",
     ).inc(1, kernel=kernel)
-    cache.put(cache_key, bounds.to_payload())
+    cache.put(cache_key, encode(bounds))
     _BOUNDS_MEMO.put(memo_key, bounds)
     return bounds
 

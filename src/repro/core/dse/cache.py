@@ -27,15 +27,15 @@ from __future__ import annotations
 import hashlib
 import os
 import threading
-from dataclasses import asdict
+from functools import partial
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Optional
 
 from repro.core.ir.digest import DIGEST_VERSION
-from repro.core.store import ContentStore, LRUCache, xdg_cache_dir
+from repro.core.store import (
+    ContentStore, LRUCache, decode, encode, xdg_cache_dir,
+)
 from repro.core.variants import CostEstimate
-from repro.platform.fpga import Bitstream
-from repro.platform.resources import FPGAResources
 
 #: Part of every cost key: bump when the key recipe or the cost payload
 #: changes incompatibly, and old entries can never match again.
@@ -43,36 +43,6 @@ CACHE_FORMAT_VERSION = "2"
 
 #: Default bound of the prepared-module LRU (entries, not bytes).
 DEFAULT_PREPARED_CAPACITY = 512
-
-
-def _resources_from_dict(resources: Dict[str, Any]) -> FPGAResources:
-    return FPGAResources(
-        luts=int(resources.get("luts", 0)),
-        ffs=int(resources.get("ffs", 0)),
-        bram_kb=int(resources.get("bram_kb", 0)),
-        dsps=int(resources.get("dsps", 0)),
-    )
-
-
-def _cost_from_dict(payload: Dict[str, Any]) -> CostEstimate:
-    image = payload.get("bitstream")
-    return CostEstimate(
-        latency_s=float(payload["latency_s"]),
-        energy_j=float(payload["energy_j"]),
-        resources=_resources_from_dict(payload.get("resources") or {}),
-        data_bytes=int(payload.get("data_bytes", 0)),
-        feasible=bool(payload["feasible"]),
-        infeasible_reason=str(payload.get("infeasible_reason", "")),
-        accuracy=float(payload.get("accuracy", 1.0)),
-        bitstream=None if image is None else Bitstream(
-            name=str(image["name"]),
-            footprint=_resources_from_dict(image["footprint"]),
-            clock_hz=float(image["clock_hz"]),
-            dynamic_watts=float(image["dynamic_watts"]),
-            size_bytes=int(image["size_bytes"]),
-            partial=bool(image["partial"]),
-        ),
-    )
 
 
 class CostCache(ContentStore):
@@ -103,11 +73,11 @@ class CostCache(ContentStore):
 
     def get(self, key: str) -> Optional[CostEstimate]:
         """The cached estimate for ``key`` (a fresh copy), or None."""
-        return self.read(key, _cost_from_dict)
+        return self.read(key, partial(decode, CostEstimate))
 
     def put(self, key: str, cost: CostEstimate) -> None:
         """Store one estimate."""
-        self.write(key, "cost", asdict(cost))
+        self.write(key, "cost", encode(cost))
 
 
 # ---------------------------------------------------------------------

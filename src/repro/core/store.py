@@ -20,7 +20,25 @@ decoder; an entry that is missing, torn, of another version or layout,
 or that the decoder rejects is a counted *miss*, overwritten by the
 next write — never an exception. :class:`repro.core.dse.cache.CostCache`
 and :class:`repro.core.analysis.cache.AnalysisCache` add key recipes
-and codecs and hold no storage code of their own.
+and hold no storage code of their own.
+
+One codec turns every record the store (and the run journal's
+snapshots) hold into JSON and back: :func:`encode` is
+:func:`dataclasses.asdict`, and :func:`decode` rebuilds a dataclass
+from its fields' annotations, checking every value on the way:
+
+* the payload is a JSON object; keys that name no field are ignored,
+  a missing field takes its default, and a missing field without one
+  is rejected (so an older payload still reads while it has what the
+  record needs);
+* a nested dataclass is decoded by the same rules;
+* ``List`` and ``Tuple`` need an array (a ``Tuple`` of its length),
+  ``Dict`` an object, and ``Optional`` also takes ``null``;
+* ``int`` needs an integer that is not a bool, ``float`` an integer or
+  a float, ``str`` and ``bool`` exactly that type.
+
+A violation raises :class:`TypeError` (a constructor's own check may
+raise :class:`ValueError`), which a read counts as a miss.
 """
 
 from __future__ import annotations
@@ -29,9 +47,13 @@ import json
 import os
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from functools import lru_cache
 from pathlib import Path
-from typing import Any, Callable, Dict, Hashable, Iterator, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, Hashable, Iterator, Optional, Tuple, Union,
+    get_args, get_origin, get_type_hints,
+)
 
 #: Bump when the on-disk envelope changes incompatibly; entries of any
 #: other version read as misses.
@@ -303,3 +325,86 @@ def _shard_entries(path: Path
         yield len(line), (
             (entry["key"], entry["kind"], entry["payload"])
             if sound else None)
+
+
+# ---------------------------------------------------------------------
+# The record codec.
+
+
+def encode(record: Any) -> Dict[str, Any]:
+    """The JSON-able payload of a dataclass record: its fields."""
+    return asdict(record)
+
+
+def decode(cls: type, payload: Any) -> Any:
+    """The ``cls`` record ``payload`` holds, checked by the module's
+    rules; raises :class:`TypeError` on the first violation."""
+    return _reader(cls)(payload)
+
+
+#: JSON types each scalar annotation accepts (``type(value)`` exactly:
+#: a bool is no int).
+_SCALARS = {int: (int,), float: (int, float), str: (str,), bool: (bool,)}
+
+
+def _check(value: Any, kinds: Tuple[type, ...]) -> None:
+    if not isinstance(value, kinds):
+        raise TypeError(f"expected {kinds[0].__name__}, "
+                        f"got {type(value).__name__}")
+
+
+@lru_cache(maxsize=None)
+def _reader(hint: Any) -> Callable[[Any], Any]:
+    """The converter for one annotation, worked out once per hint."""
+    if is_dataclass(hint):
+        hints = get_type_hints(hint)
+        plan = [(item.name, _reader(hints[item.name]))
+                for item in fields(hint) if item.init]
+
+        def record(value):
+            _check(value, (dict,))
+            return hint(**{name: read(value[name])
+                           for name, read in plan if name in value})
+        return record
+    if hint in _SCALARS:
+        kinds = _SCALARS[hint]
+
+        def scalar(value):
+            if type(value) not in kinds:
+                raise TypeError(f"expected {hint.__name__}, "
+                                f"got {type(value).__name__}")
+            return value
+        return scalar
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union and len(args) == 2 and type(None) in args:
+        inner = _reader(next(arg for arg in args if arg is not type(None)))
+        return lambda value: None if value is None else inner(value)
+    if origin is list:
+        item = _reader(args[0])
+
+        def array(value):
+            _check(value, (list, tuple))
+            return [item(element) for element in value]
+        return array
+    if origin is tuple:
+        items = [_reader(arg) for arg in args]
+
+        def row(value):
+            _check(value, (list, tuple))
+            if len(value) != len(items):
+                raise TypeError(f"expected {len(items)} items, "
+                                f"got {len(value)}")
+            return tuple(read(element)
+                         for read, element in zip(items, value))
+        return row
+    if origin is dict:
+        if not args:
+            return lambda value: _check(value, (dict,)) or value
+        key, entry = _reader(args[0]), _reader(args[1])
+
+        def mapping(value):
+            _check(value, (dict,))
+            return {key(name): entry(element)
+                    for name, element in value.items()}
+        return mapping
+    raise TypeError(f"no codec for {hint!r}")

@@ -110,17 +110,10 @@ def canonical_spec(spec: Dict) -> str:
     return json.dumps(spec, sort_keys=True, separators=(",", ":"))
 
 
-def job_key(owner: str, name: str, kind: str, spec: Dict) -> str:
-    """Content-derived idempotency key of one submission.
-
-    Two submissions with the same owner, name, kind and spec are the
-    same job: re-submitting (a retried client batch, a re-run deploy
-    script) is a no-op instead of a duplicate execution.
-    """
-    return _text_key(owner, name, kind, canonical_spec(spec))
-
-
 def _text_key(owner: str, name: str, kind: str, spec_text: str) -> str:
+    """Content-derived idempotency key of one submission: the same
+    owner, name, kind and spec are the same job, so re-submitting is a
+    no-op instead of a duplicate execution."""
     body = "\x1f".join((owner, name, kind, spec_text))
     return hashlib.sha256(body.encode()).hexdigest()[:24]
 

@@ -47,6 +47,7 @@ import os
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.store import decode, encode
 from repro.diagnostics import diagnosed_error
 from repro.errors import JournalError
 from repro.workflow.replay import (
@@ -216,7 +217,7 @@ def write_snapshot(directory, seq: int, state: ReplayState) -> Path:
         "snapshot_version": SNAPSHOT_VERSION,
         "journal_version": JOURNAL_VERSION,
         "seq": seq,
-        "state": state.to_dict(),
+        "state": encode(state),
     }), encoding="utf-8")
     os.replace(tmp, path)
     return path
@@ -246,7 +247,7 @@ def read_snapshot(path) -> Optional[Tuple[int, ReplayState]]:
     if crc != _checksum(_canonical(payload)):
         return None
     try:
-        return payload["seq"], ReplayState.from_dict(payload["state"])
+        return payload["seq"], decode(ReplayState, payload["state"])
     except (KeyError, TypeError, ValueError, AttributeError):
         return None  # e.g. a ``state`` that is not an object
 

@@ -13,8 +13,9 @@ sequence of typed records; this module folds that sequence into a
 
 The fold is a pure function (:func:`apply_record`), shared by the
 journal writer — which maintains the state incrementally so a snapshot
-is just :meth:`ReplayState.to_dict` — and the reader, which seeds the
-state from the newest usable snapshot and folds only the journal tail.
+is just the state's fields (:func:`repro.core.store.encode`) — and the
+reader, which seeds the state from the newest usable snapshot and folds
+only the journal tail.
 The defining property, exercised by the durability test suite::
 
     replay(snapshot_state, tail) == replay(empty, full_journal)
@@ -54,42 +55,6 @@ class ReplayState:
     last_snapshot_seq: int = -1
     finished: bool = False
     digest: Optional[str] = None
-
-    def to_dict(self) -> Dict:
-        """Plain-data form, suitable for a snapshot file."""
-        return {
-            "header": self.header,
-            "exec_counts": dict(self.exec_counts),
-            "completions": dict(self.completions),
-            "events": self.events,
-            "faults": self.faults,
-            "recoveries": self.recoveries,
-            "last_seq": self.last_seq,
-            "last_time": self.last_time,
-            "last_snapshot_seq": self.last_snapshot_seq,
-            "finished": self.finished,
-            "digest": self.digest,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "ReplayState":
-        """Rebuild a state from :meth:`to_dict` output (keys this
-        build no longer keeps — an older snapshot's — are ignored)."""
-        return cls(
-            header=data.get("header"),
-            exec_counts=dict(data.get("exec_counts", {})),
-            completions=dict(data.get("completions", {})),
-            events=int(data.get("events", 0)),
-            faults=int(data.get("faults", 0)),
-            recoveries=int(data.get("recoveries", 0)),
-            last_seq=int(data.get("last_seq", -1)),
-            last_time=float(data.get("last_time", 0.0)),
-            last_snapshot_seq=int(data.get("last_snapshot_seq", -1)),
-            finished=bool(data.get("finished", False)),
-            digest=data.get("digest"),
-        )
-
-    # ------------------------------------------------------------------
 
     def total_completions(self) -> int:
         """Completion records across all tasks (lineage re-runs count)."""

@@ -1,11 +1,9 @@
 """Interval abstract interpretation tests (MEM004/LINT004/WF010/11)."""
 
 from repro.core.analysis.absint import (
-    AnalysisFacts,
     Interval,
     check_module_contracts,
     check_module_ranges,
-    compute_facts,
     compute_function_facts,
     function_facts,
     partition_conflict,
@@ -320,43 +318,6 @@ class TestFacts:
             b.yield_op()
         b.ret([])
         assert not compute_function_facts(function).demands
-
-    def test_payload_round_trip(self, module):
-        memref = MemRefType((8,), F32)
-        function, b = new_function(module, "f", [memref], [])
-        buffer = function.arguments[0]
-        b.create(
-            "hw.partition", operands=[buffer],
-            attributes={"scheme": "cyclic", "factor": 2},
-        )
-        _cross_product_store(b, buffer)
-        loop = b.for_loop(8, 4)
-        with b.at_block(loop.body):
-            b.yield_op()
-        b.ret([])
-        facts = compute_facts(module)
-        restored = AnalysisFacts.from_payload(facts.to_payload())
-        original = facts.function("f")
-        copy = restored.function("f")
-        assert copy.loops == original.loops
-        assert copy.accesses == original.accesses
-        assert copy.dead == original.dead
-        assert copy.demands == original.demands
-        assert copy.inputs == original.inputs
-
-    def test_unbounded_dim_survives_round_trip(self, module):
-        from repro.core.ir.types import INDEX
-
-        memref = MemRefType((8,), F32)
-        function, b = new_function(module, "f", [memref, INDEX], [])
-        buffer, index = function.arguments
-        b.load(buffer, [index])
-        b.ret([])
-        facts = compute_facts(module)
-        restored = AnalysisFacts.from_payload(facts.to_payload())
-        (access,) = restored.function("f").accesses
-        assert access.dims[0].lo == -INF
-        assert access.dims[0].hi == INF
 
     def test_function_facts_memoized_by_digest(self, module):
         memref = MemRefType((8,), F32)

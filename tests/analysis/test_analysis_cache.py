@@ -51,7 +51,7 @@ class TestKeys:
 
     def test_keys_are_stable_across_releases(self):
         """Goldens, three per recipe; re-recorded when a version moves
-        (last: ``ANALYSIS_VERSION`` "2" -> "3", recipes unchanged)."""
+        (last: ``ANALYSIS_CACHE_VERSION`` "1" -> "2", recipes unchanged)."""
         zeros = "0" * 64
         assert [
             AnalysisCache.module_key("d1", ("absint", "taint"), False),
@@ -65,15 +65,15 @@ class TestKeys:
             AnalysisCache.perf_key("d2", "gemm"),
             AnalysisCache.perf_key(zeros, "score"),
         ] == [
-            "b74ab8df3b42162c6d641ec7123cd8e892aaafa0ab4be62ea103f1796e074eda",
-            "98858ebd02b3c370f5b4d9d0f53c110db1e02ef80c4839dbb5c055ad7da46afe",
-            "1b4dc66bd6b11fc621cf61662ad8331d0c31f10e88f815d02a364af301f0993f",
-            "474384605126cad1b45867ee3bbb80e9cffd1fceb0416d92acb8e6a9c538a3af",
-            "d32c10d21c0e24940b0c216bab58dea352b9c4da215d25070deffd0b1a6c1588",
-            "08c16f55f9977f56c289882a3da0bc5cb543d67ba6685c894c41d01f346464f4",
-            "db2941f955951cfea2aa1814a831d9dc3852c06d296356ca8ad1c2721da733ff",
-            "b002bb43311ca88b8f0a78901812c33b246ed9f9b843c4b549fe3fa64e94f589",
-            "056f18834a30a8eff17ae0f3a2b40c41b9ba8eeee5d19bf8f4c4d7b4e60427e0",
+            "44b3c71130601af102a9737c8619fc503241b8c9f1a2ae0f6863663aa3c25d4b",
+            "5d1aae3d44c81fa0e4eb5ed074b61546bab81708a449ef172c1a2a651f33b182",
+            "032eab20fa0a7f793ff57ce21208254a2cefd86c3bb2ac39c2588ca6343e0cfe",
+            "eb04fe001a7f89bb356052327fa0fecb1045926c3fbc694a3a8f639e2380e908",
+            "a66c29d989378f7e154f3bc8edc405c783b91ca5807a993d0b53626f05ad055e",
+            "332e556747093f964320355da7c6a9aabf58b8007796ed3600018835f98872ee",
+            "52af3f4dbcc918f5127e1fed682a04e5bb432104a55eb585b0b6ead4e782f06b",
+            "7ceef8aa78b4dd5c70397ac2b61f34f9479a0ad5e3a805432b556012f2e9b2fb",
+            "275274db29f0e340bc1d7063529e1db830e4d75474817f9581a2ac87220e1c04",
         ]
 
 
@@ -108,7 +108,7 @@ class TestAnalyzeModuleCached:
         assert (cold_hit, warm_hit) == (False, True)
         assert [item.to_dict() for item in cold_diag] == [
             item.to_dict() for item in warm_diag]
-        assert cold_facts.to_payload() == warm_facts.to_payload()
+        assert cold_facts == warm_facts
 
     def test_structural_change_misses(self):
         analysis_cache().clear()

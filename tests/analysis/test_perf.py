@@ -27,7 +27,6 @@ from repro.core.analysis.cache import (
 from repro.core.analysis.perf import (
     BufferInfo,
     NestBounds,
-    StaticBounds,
     check_module_perf,
     clear_bounds_memo,
     compute_kernel_bounds,
@@ -82,13 +81,6 @@ class TestKernelBounds:
         # ...and credit never inflates traffic.
         for t in bounds.traffic:
             assert 0 < t.bytes_moved <= t.bytes_naive
-
-    def test_payload_roundtrip(self, gemm_module):
-        bounds = compute_kernel_bounds(gemm_module, "gemm")
-        payload = json.loads(json.dumps(bounds.to_payload()))
-        again = StaticBounds.from_payload(payload)
-        assert again.to_payload() == bounds.to_payload()
-        assert payload["kind"] == "perf"
 
     def test_unknown_kernel_is_none(self, gemm_module):
         assert kernel_bounds(gemm_module, "nope") is None

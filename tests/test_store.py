@@ -1,26 +1,79 @@
-"""The one content-addressed store, through both of its users.
+"""The one content-addressed store, through both of its users, and
+the record codec beside it.
 
-Every case runs per *kind*: ``cost`` (:class:`CostCache`, whose codec
-hands out a fresh :class:`CostEstimate` per read) and ``analysis``
-(:class:`AnalysisCache`, plain JSON objects): the disk round trip,
-the version-mismatch, corrupt-file and ``clear`` cases, hostile shards
-as counted misses, and one directory accounted kind by kind whoever
-wrote it. What only one user has (fresh copies per ``get``, key
-recipes, its default directory, its process-wide instance) stays
-beside that user in ``tests/dse/test_cache.py`` and
+Every store case runs per *kind*: ``cost`` (:class:`CostCache`, whose
+codec hands out a fresh :class:`CostEstimate` per read) and
+``analysis`` (:class:`AnalysisCache`, plain JSON objects): the disk
+round trip, the version-mismatch, corrupt-file and ``clear`` cases,
+hostile shards as counted misses, and one directory accounted kind by
+kind whoever wrote it. What only one user has (fresh copies per
+``get``, key recipes, its default directory, its process-wide
+instance) stays beside that user in ``tests/dse/test_cache.py`` and
 ``tests/analysis/test_analysis_cache.py``.
+
+The codec cases round-trip every record class the store and the run
+journal hold, on the records the seeded end-to-end kernels, the
+analysis fixtures and a recorded journal produce, and show that a
+well-formed payload with one retyped field is a counted miss whose
+recomputation equals a cold run.
 """
 
+import itertools
 import json
+from dataclasses import fields, is_dataclass
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
-from repro.core.analysis.cache import AnalysisCache
-from repro.core.dse.cache import CostCache
-from repro.core.store import STORE_VERSION, ContentStore
-from repro.core.variants import CostEstimate
+from benchmarks.e2e.inputs import kernel_input
+from repro.core.analysis import analyze_module_cached
+from repro.core.analysis.absint import (
+    AccessFacts,
+    AnalysisFacts,
+    DeadFacts,
+    DimRange,
+    FunctionFacts,
+    LoopFacts,
+    PartitionDemand,
+    compute_facts,
+)
+from repro.core.analysis.cache import AnalysisCache, configure_analysis_cache
+from repro.core.analysis.perf import (
+    BufferInfo,
+    BufferTraffic,
+    NestBounds,
+    StaticBounds,
+    clear_bounds_memo,
+    compute_kernel_bounds,
+    kernel_bounds,
+)
+from repro.core.dse.cache import CostCache, configure
+from repro.core.dse.cost_model import (
+    evaluate_variant,
+    prepare_variant_module,
+    price_variant,
+)
+from repro.core.dse.space import DesignSpace
+from repro.core.dsl.kernel_dsl import compile_kernel
+from repro.core.frontend import import_model
+from repro.core.ir import ops, parse_module
+from repro.core.store import (
+    STORE_VERSION, ContentStore, decode, encode,
+)
+from repro.core.variants import CostEstimate, VariantKnobs
 from repro.platform.fpga import Bitstream
 from repro.platform.resources import FPGAResources
+from repro.workflow.journal import (
+    JOURNAL_FILE,
+    list_snapshots,
+    read_records,
+    read_snapshot,
+    replay_journal,
+)
+from repro.workflow.replay import ReplayState, replay_records
+
+from tests.conftest import GEMM_SRC
 
 KEY = "ab" + "0" * 62
 
@@ -218,3 +271,200 @@ class TestKinds:
             store.disk_bytes()
         assert store.clear() == 7
         assert store.breakdown() == {}
+
+
+# ---------------------------------------------------------------------
+# The record codec.
+
+ROOT = Path(__file__).resolve().parent
+FIXTURES = ROOT / "analysis" / "fixtures"
+JOURNAL_RUN = ROOT / "workflow" / "fixtures" / "journal_pr18"
+
+#: A load and a store at an index argument: both dimensions unbounded,
+#: so the facts carry ``-inf`` / ``+inf`` bounds.
+UNBOUNDED_IR = """builtin.module @unbounded {
+  func.func @gather (%0: memref<8xf32>, %1: index) -> () {
+    %2 = kernel.load(%0, %1) : f32
+    kernel.store(%2, %0, %1)
+    func.return
+  }
+}
+"""
+
+#: CPU and FPGA points, some of them missing timing at 350 MHz.
+PRICED = DesignSpace(threads=(1,), unrolls=(1, 8),
+                     clocks_hz=(250e6, 350e6))
+
+RECORDS = (LoopFacts, DimRange, AccessFacts, DeadFacts, PartitionDemand,
+           FunctionFacts, AnalysisFacts, NestBounds, BufferTraffic,
+           BufferInfo, StaticBounds, FPGAResources, Bitstream,
+           CostEstimate, ReplayState)
+
+
+def seeded_kernel(seed, index):
+    """(module, kernel name) of one seeded end-to-end application."""
+    kernel = kernel_input(seed, index)
+    source = kernel.source or import_model(kernel.model).dsl_source
+    return compile_kernel(source), kernel.name
+
+
+def _walk(value, found):
+    """Every dataclass record reachable from ``value``, by class."""
+    if is_dataclass(value):
+        found.setdefault(type(value), []).append(value)
+        for item in fields(value):
+            _walk(getattr(value, item.name), found)
+    elif isinstance(value, (list, tuple)):
+        for element in value:
+            _walk(element, found)
+    elif isinstance(value, dict):
+        for element in value.values():
+            _walk(element, found)
+
+
+@lru_cache(maxsize=None)
+def produced_records():
+    """``{class: records}`` of the 24 seeded end-to-end kernels (seeds
+    1 and 11; tensor and kernel form, bounds, priced points), the
+    analysis fixtures and the recorded journal."""
+    found = {}
+    for seed in (1, 11):
+        for index in range(12):
+            module, name = seeded_kernel(seed, index)
+            _walk([compute_facts(module), compute_kernel_bounds(module, name),
+                   compute_facts(prepare_variant_module(
+                       module, name, VariantKnobs(target="fpga")))]
+                  + [price_variant(module, name, knobs)
+                     for knobs in PRICED.points()], found)
+    texts = [path.read_text() for path in sorted(FIXTURES.glob("*.ir"))]
+    for text in texts + [UNBOUNDED_IR]:
+        module = parse_module(text)
+        _walk([compute_facts(module)]
+              + [compute_kernel_bounds(module, function.name)
+                 for function in module.functions()], found)
+    records, _torn = read_records(JOURNAL_RUN / JOURNAL_FILE)
+    _walk([replay_journal(JOURNAL_RUN)[0]]
+          + [replay_records(records[:end]) for end in (1, 10, 40)]
+          + [read_snapshot(path)[1]
+             for _seq, path in list_snapshots(JOURNAL_RUN)], found)
+    return found
+
+
+class TestCodec:
+    @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+    def test_every_record_round_trips_through_json(self, cls):
+        records = produced_records().get(cls, [])
+        assert records
+        names = {item.name for item in fields(cls)}
+        for record in records:
+            payload = json.loads(json.dumps(encode(record)))
+            assert names <= set(payload)
+            assert decode(cls, payload) == record
+
+    def test_the_records_cover_the_awkward_values(self):
+        """Unbounded index ranges, infeasible points and points with a
+        bitstream all appear among the round-tripped records."""
+        found = produced_records()
+        assert any(dim.lo == -float("inf") and dim.hi == float("inf")
+                   for dim in found[DimRange])
+        costs = found[CostEstimate]
+        assert any(not cost.feasible for cost in costs)
+        assert any(cost.bitstream is not None for cost in costs)
+
+    def test_a_missing_field_takes_its_default_or_is_rejected(self):
+        state = decode(ReplayState, {"events": 3, "retired": 1})
+        assert state == ReplayState(events=3)
+        with pytest.raises(TypeError):
+            decode(CostEstimate, {"latency_s": 1.0})
+
+    @pytest.mark.parametrize("cls,payload", [
+        (CostEstimate, {"latency_s": 1.0, "energy_j": 2.0,
+                        "feasible": "no"}),
+        (CostEstimate, {"latency_s": True, "energy_j": 2.0}),
+        (FPGAResources, {"luts": 1.0}),
+        (AccessFacts, {"anchor": "a", "kind": "load", "buffer": "b",
+                       "enclosing_trips": "64"}),
+        (AccessFacts, {"anchor": "a", "kind": "load", "buffer": "b",
+                       "flat": [1, 2, 3]}),
+        (FunctionFacts, {"name": "f", "inputs": "abc"}),
+        (NestBounds, {"anchor": "n", "depth": 1, "trip": 2,
+                      "outer_iters": 1, "ops": {"alu": "1"}}),
+        (ReplayState, {"header": []}),
+        (ReplayState, []),
+    ], ids=["feasible-a-string", "latency-a-bool", "luts-a-float",
+            "trips-a-string", "flat-too-long", "inputs-a-string",
+            "op-count-a-string", "header-a-list", "not-an-object"])
+    def test_a_value_of_another_type_is_rejected(self, cls, payload):
+        with pytest.raises(TypeError):
+            decode(cls, payload)
+
+
+def _function(payload):
+    """The first function's facts in an analysis entry."""
+    return next(iter(payload["facts"]["functions"].values()))
+
+
+#: case -> (kind, the one change made to the stored payload)
+CONFUSED = {
+    "cost-feasible-a-string": (
+        "cost", lambda payload: payload.update(feasible="no")),
+    "analysis-trips-a-string": (
+        "analysis", lambda payload: _function(payload)["accesses"][0]
+        .update(enclosing_trips="64")),
+    "analysis-inputs-a-string": (
+        "analysis", lambda payload: _function(payload)
+        .update(inputs="abc")),
+    "analysis-without-facts": (
+        "analysis", lambda payload: payload.pop("facts")),
+    "perf-trip-a-string": (
+        "perf", lambda payload: payload["nests"][0].update(trip="16")),
+}
+
+
+def _cost_run(directory):
+    cache = configure(cache_dir=directory)
+    return evaluate_variant(compile_kernel(GEMM_SRC), "gemm",
+                            VariantKnobs(target="fpga")), cache.stats
+
+
+def _analysis_run(directory):
+    cache = AnalysisCache(directory)
+    lowered = prepare_variant_module(compile_kernel(GEMM_SRC), "gemm",
+                                     VariantKnobs(target="fpga"))
+    return analyze_module_cached(lowered, cache=cache), cache.stats
+
+
+def _perf_run(directory):
+    cache = configure_analysis_cache(directory)
+    clear_bounds_memo()
+    return kernel_bounds(compile_kernel(GEMM_SRC), "gemm"), cache.stats
+
+
+#: kind -> one run over a cache directory: (result, that cache's stats)
+RUNS = {"cost": _cost_run, "analysis": _analysis_run, "perf": _perf_run}
+
+
+class TestTypeConfusedPayloads:
+    @pytest.mark.parametrize("case", CONFUSED)
+    def test_is_a_counted_miss_and_recomputes_the_cold_result(
+            self, tmp_path, monkeypatch, case):
+        kind, change = CONFUSED[case]
+        # value names come from a process-global counter: both runs
+        # start it afresh, so a recomputation names what the cold run did
+        monkeypatch.setattr(ops, "_value_counter", itertools.count())
+        cold, _stats = RUNS[kind](tmp_path)
+        (shard,) = tmp_path.glob("*/*.json")
+        lines = []
+        for line in shard.read_text().splitlines():
+            entry = json.loads(line)
+            change(entry["payload"])
+            lines.append(json.dumps(entry, sort_keys=True) + "\n")
+        shard.write_text("".join(lines))
+
+        monkeypatch.setattr(ops, "_value_counter", itertools.count())
+        again, stats = RUNS[kind](tmp_path)
+        assert (stats.hits, stats.misses) == (0, 1)
+        if kind == "analysis":
+            assert again[2] is False
+            again, cold = again[:2], cold[:2]
+        assert again == cold

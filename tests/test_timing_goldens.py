@@ -20,6 +20,7 @@ from repro.core.analysis.perf import clear_bounds_memo, kernel_bounds
 from repro.core.dse import DesignSpace, Explorer
 from repro.core.dsl.kernel_dsl import compile_kernel
 from repro.core.ir import ops
+from repro.core.store import encode
 from tests.conftest import GEMM_SRC, MLP_SRC, STREAM_SRC
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -81,7 +82,7 @@ def test_exhaustive_exploration_pinned(key):
 @pytest.mark.parametrize("kernel", sorted(BOUNDS_DIGESTS))
 def test_static_bounds_payload_pinned(kernel):
     bounds = kernel_bounds(compile_kernel(KERNELS[kernel]), kernel)
-    payload = json.dumps(bounds.to_payload(), sort_keys=True)
+    payload = json.dumps(encode(bounds), sort_keys=True)
     assert sha256(payload) == BOUNDS_DIGESTS[kernel]
 
 

@@ -21,7 +21,6 @@ from repro.workflow.jobstore import (
     LEGAL_TRANSITIONS,
     JobSpec,
     JobStore,
-    job_key,
 )
 
 
@@ -97,13 +96,12 @@ class TestSubmission:
         again = store.submit([other])
         assert again.duplicates == first.inserted
 
-    def test_job_key_is_content_derived(self):
-        assert job_key("a", "n", "noop", {"x": 1}) == job_key(
-            "a", "n", "noop", {"x": 1}
-        )
-        assert job_key("a", "n", "noop", {"x": 1}) != job_key(
-            "a", "n", "noop", {"x": 2}
-        )
+    def test_job_key_is_content_derived(self, store):
+        first = store.submit([JobSpec(name="n", spec={"x": 1})], owner="a")
+        other = store.submit([JobSpec(name="n", spec={"x": 2})], owner="a")
+        assert len(first.inserted) == len(other.inserted) == 1
+        assert other.duplicates == []
+        assert store.counts()["ready"] == 2
 
     def test_staged_then_release(self, store):
         ids = submit_n(store, 4, ready=False).inserted

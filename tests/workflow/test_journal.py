@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from repro.chaos import ChaosConfig, generate_schedule, random_task_graph
 from repro.errors import JournalError
+from repro.core.store import decode, encode
 from repro.workflow.journal import (
     JOURNAL_FILE,
     JOURNAL_VERSION,
@@ -155,7 +156,7 @@ def test_corrupt_snapshot_falls_back_to_full_replay(tmp_path):
         path.write_text(text[: len(text) // 2], encoding="utf-8")
     state, info = replay_journal(tmp_path)
     assert info.snapshot_seq == -1  # none usable
-    assert state.to_dict() == full.to_dict()
+    assert state == full
 
 
 # ----------------------------------------------------------------------
@@ -188,10 +189,10 @@ def test_snapshot_plus_tail_equals_full_replay(recorded_runs, run, data):
     full = replay_records(records)
     prefix = replay_records(records[: split + 1])
     resumed = replay_records(
-        records, state=ReplayState.from_dict(prefix.to_dict()),
+        records, state=decode(ReplayState, encode(prefix)),
         after_seq=split,
     )
-    assert resumed.to_dict() == full.to_dict()
+    assert resumed == full
 
 
 def test_on_disk_snapshot_matches_full_replay(tmp_path):
@@ -202,7 +203,7 @@ def test_on_disk_snapshot_matches_full_replay(tmp_path):
     without, _ = replay_journal(tmp_path, use_snapshots=False)
     assert info.snapshot_seq >= 0
     assert info.records_replayed < info.records_total
-    assert with_snapshots.to_dict() == without.to_dict()
+    assert with_snapshots == without
 
 
 # ----------------------------------------------------------------------
@@ -261,7 +262,7 @@ def test_write_snapshot_is_atomic_and_checksummed(tmp_path):
     assert loaded is not None
     seq, reloaded = loaded
     assert seq == 7
-    assert reloaded.to_dict() == state.to_dict()
+    assert reloaded == state
     # flip a byte: the snapshot silently degrades to unusable
     raw = bytearray(path.read_bytes())
     raw[len(raw) // 2] ^= 0xFF

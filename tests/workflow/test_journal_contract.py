@@ -27,6 +27,7 @@ from pathlib import Path
 import pytest
 
 from repro.chaos import ChaosConfig, generate_schedule, random_task_graph
+from repro.core.store import decode, encode
 from repro.workflow import journal as journal_module
 from repro.workflow.journal import (
     JOURNAL_FILE,
@@ -235,7 +236,7 @@ def test_unusable_snapshot_body_falls_back_to_full_replay(tmp_path, body):
     assert read_snapshot(damaged) is None
     state, info = replay_journal(tmp_path)
     assert info.snapshot_seq == -1
-    assert state.to_dict() == full.to_dict()
+    assert state == full
 
 
 # ----------------------------------------------------------------------
@@ -251,9 +252,9 @@ def test_snapshot_in_the_parents_shape_still_loads():
         "last_seq": 25, "last_time": 1.5, "last_snapshot_seq": -1,
         "finished": False, "digest": None,
     }
-    state = ReplayState.from_dict(written)
+    state = decode(ReplayState, written)
     del written["dispatches"], written["checkpoints"]
-    assert state.to_dict() == written
+    assert encode(state) == written
     assert state.payload_skipper().take("t0")
 
 
@@ -268,7 +269,7 @@ def test_parent_written_run_replays_to_this_builds_summary(tmp_path):
     resumed, info = replay_journal(PARENT_RUN)
     full, _ = replay_journal(PARENT_RUN, use_snapshots=False)
     assert info.snapshot_seq == 72 and info.records_replayed == 4
-    assert resumed.to_dict() == full.to_dict()
+    assert resumed == full
 
     trace = chaos_run(tmp_path)
     ours, _ = replay_journal(tmp_path)
@@ -293,8 +294,8 @@ def test_parent_written_run_resumes_past_its_checkpoint_record(tmp_path):
     (``last_seq`` moves, nothing else) and the resume is exact."""
     records, _torn = read_records(PARENT_RUN / JOURNAL_FILE)
     marker, = [r for r in records if r["type"] == "checkpoint"]
-    before = replay_records(records[:marker["seq"]]).to_dict()
-    after = replay_records(records[:marker["seq"] + 1]).to_dict()
+    before = encode(replay_records(records[:marker["seq"]]))
+    after = encode(replay_records(records[:marker["seq"] + 1]))
     assert after.pop("last_seq") == before.pop("last_seq") + 1
     assert after == before
 
@@ -308,7 +309,7 @@ def test_parent_written_run_resumes_past_its_checkpoint_record(tmp_path):
     # seeded from the snapshot the marker came with; the tail holds it
     assert info.snapshot_seq == marker["data"]["seq"]
     assert state.last_seq == kill_at - 1 and not state.finished
-    assert state.to_dict() == full.to_dict()
+    assert state == full
 
     (tmp_path / JOURNAL_FILE).unlink()
     for _seq, path in list_snapshots(tmp_path):

@@ -24,6 +24,7 @@ from collections import Counter
 import pytest
 
 from repro.chaos import generate_schedule, random_task_graph
+from repro.core.store import encode
 from repro.obs import Tracer
 from repro.workflow.journal import (
     JOURNAL_FILE,
@@ -96,8 +97,8 @@ def fold_every_tracer_event(records, session) -> ReplayState:
 
 
 def assert_filter_is_lossless(records, session):
-    own = replay_records(records).to_dict()
-    mirrored = fold_every_tracer_event(records, session).to_dict()
+    own = encode(replay_records(records))
+    mirrored = encode(fold_every_tracer_event(records, session))
     # the tracer holds categories the journal does not
     assert mirrored["events"] > own["events"]
     assert {event.category for event in session.events} \
