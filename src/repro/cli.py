@@ -30,7 +30,9 @@ under the run store) and ``--resume RUN_ID`` to pick a killed run back
 up: the recipe is reloaded from the store, the journal is replayed,
 and only work that never reached its journaled execution point is
 re-executed — the resumed trace digest is byte-identical to an
-unbroken run. ``repro runs`` inspects and garbage-collects the store.
+unbroken run. A ``--run-id`` the store already holds resumes that run
+when it was recorded with the same recipe (``WF009`` otherwise).
+``repro runs`` inspects and garbage-collects the store.
 
 Commands that price design points (compile, explore, synth, emit, run,
 trace, metrics) share a persistent content-addressed cost cache
@@ -42,35 +44,28 @@ already-priced variants. ``repro cache stats|clear`` inspects it.
 :mod:`repro.core.dsl.kernel_dsl`); a ``.py`` file embedding kernel-DSL
 strings works everywhere a spec is accepted. The CLI is a thin veneer
 over the library API, intended for quick experiments and the examples
-in the README. The full flag reference is ``docs/CLI.md``.
+in the README: it parses flags, hands them to the layer that decides,
+and renders what comes back. A user error — any
+:class:`~repro.errors.EverestError` — ends as one ``repro <command>:
+error: <message>`` line on stderr and exit code 2. The full flag
+reference is ``docs/CLI.md``.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from contextlib import nullcontext
 from typing import List, Optional
 
-from repro.core.analysis import (
-    ALL_CHECKS,
-    ANALYSIS_CATEGORY,
-    CONCURRENCY_CHECKS,
-    Diagnostics,
-    analyze_module,
-    lint_concurrency_spec,
-    lint_workflow_spec,
-)
+from repro.core.analysis import ANALYSIS_CATEGORY
 from repro.core.analysis.cache import (
-    AnalysisCache,
     configure_analysis_cache,
     default_analysis_cache_dir,
 )
 from repro.core.analysis.perf import kernel_bounds, nest_floors
-from repro.core.analysis.specs import (
-    expand_spec_files,
-    load_targets_from_text,
-    read_spec_text,
-)
+from repro.core.analysis.specs import lint_files, load_kernel_sources
 from repro.core.backend.sycl_gen import generate_sycl
 from repro.core.dse import cache as dse_cache
 from repro.core.dse.cost_model import (
@@ -84,9 +79,9 @@ from repro.core.dsl.kernel_dsl import compile_kernel, kernel_names
 from repro.core.ir import print_module
 from repro.core.ir.dialects import registered_dialects
 from repro.core.ir.digest import module_digest
-from repro.core.ir.verifier import verify_diagnostics
 from repro.core.store import ContentStore, encode
 from repro.core.variants import VariantKnobs
+from repro.errors import AnalysisError, EverestError
 from repro.obs import (
     Observation,
     current_metrics,
@@ -104,31 +99,16 @@ from repro.utils.tables import Table
 
 
 def _read_source(path: str) -> str:
-    """Kernel-DSL text of ``path``.
-
-    ``.edsl`` files are taken verbatim; for Python files the embedded
-    kernel-DSL strings are extracted, so the same example specs work
-    for every subcommand.
-    """
-    from repro.obs.driver import load_kernel_sources
-
+    """Kernel-DSL text of ``path``: a ``.edsl`` file verbatim, the
+    kernel-DSL strings embedded in a ``.py`` file, so the same example
+    specs work for every subcommand."""
     return "\n".join(load_kernel_sources(path))
-
-
-def _space_by_name(name: str) -> DesignSpace:
-    if name == "small":
-        return DesignSpace.small()
-    if name == "thorough":
-        return DesignSpace.thorough()
-    raise SystemExit(f"unknown space {name!r}; use small or thorough")
 
 
 def _cache_dir(args: argparse.Namespace, default):
     """Where the flags put a persistent cache: None (memory only) under
     ``--no-cache``, else ``--cache-dir`` or the ``default()`` store."""
-    if getattr(args, "no_cache", False):
-        return None
-    return getattr(args, "cache_dir", None) or default()
+    return None if args.no_cache else args.cache_dir or default()
 
 
 def _configure_dse_caches(args: argparse.Namespace) -> None:
@@ -145,7 +125,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
     _configure_dse_caches(args)
     source = _read_source(args.file)
     module = compile_kernel(source)
-    space = _space_by_name(args.space)
+    space = getattr(DesignSpace, args.space)()
     table = Table(
         f"compilation report ({args.file})",
         ["kernel", "points", "feasible", "front", "best latency us",
@@ -189,12 +169,11 @@ def cmd_explore(args: argparse.Namespace) -> int:
     _configure_dse_caches(args)
     source = _read_source(args.file)
     module = compile_kernel(source)
-    space = _space_by_name(args.space)
+    space = getattr(DesignSpace, args.space)()
     explorer = Explorer(module, args.kernel, space,
                         workers=args.workers,
                         workers_mode=args.workers_mode,
-                        bound_guided=getattr(args, "bound_guided",
-                                             False))
+                        bound_guided=args.bound_guided)
     before = dse_cache.cost_cache().stats.snapshot()
     result = explorer.run(args.strategy)
     table = Table(
@@ -218,7 +197,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
             f"cost cache: {delta.hits}/{delta.lookups} hits "
             f"({100.0 * delta.hits / delta.lookups:.0f}%)"
         )
-    if getattr(args, "bound_guided", False):
+    if args.bound_guided:
         print(
             f"bound-guided: skipped {explorer._bound_pruned} points "
             f"proved off-front by their analytic lower bound"
@@ -228,8 +207,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
 
 def cmd_perf(args: argparse.Namespace) -> int:
     """Static performance report (analytic bounds) for one kernel."""
-    import json as json_module
-
     # Bounds persist in the same store ``repro lint --incremental``
     # uses, so a warm report (or a later bound-guided exploration of
     # the unchanged kernel) skips the derivation entirely.
@@ -240,11 +217,11 @@ def cmd_perf(args: argparse.Namespace) -> int:
     module = compile_kernel(source)
     bounds = kernel_bounds(module, args.kernel)
     if bounds is None:
-        raise SystemExit(
+        raise AnalysisError(
             f"no kernel named {args.kernel!r} in {args.file}"
         )
     if args.format == "json":
-        print(json_module.dumps(
+        print(json.dumps(
             encode(bounds), indent=2, sort_keys=True,
         ))
         return 0
@@ -316,12 +293,8 @@ def cmd_emit(args: argparse.Namespace) -> int:
         print(synthesize_variant(module, args.kernel, knobs).rtl())
         return 0
     prepared = prepare_variant_module(module, args.kernel, knobs)
-    if args.what == "sycl":
-        print(generate_sycl(prepared, args.kernel))
-    elif args.what == "lowered-ir":
-        print(print_module(prepared))
-    else:
-        raise SystemExit(f"unknown emit target {args.what!r}")
+    print(generate_sycl(prepared, args.kernel) if args.what == "sycl"
+          else print_module(prepared))
     return 0
 
 
@@ -332,41 +305,49 @@ _RUN_RECIPE_KEYS = ("file", "strategy", "clock", "workers",
                     "workers_mode")
 
 
-def _open_durable_run(args: argparse.Namespace, kind: str,
-                      recipe_keys) -> tuple:
-    """Resolve the journal flags into ``(run_id, journal, resume)``.
+def _run_durably(args: argparse.Namespace, kind: str, recipe_keys,
+                 execute):
+    """``execute(journal, resume)`` under the journal flags.
 
-    With ``--resume`` the run's persisted recipe overwrites the
-    matching argparse fields, so the caller rebuilds the exact graph /
-    pool / schedule the journal was written against. With
-    ``--journal-dir`` / ``--run-id`` a fresh durable run is registered
-    (recipe first, then journal) before any execution. Without any of
-    the flags, returns ``(None, None, None)`` — plain volatile run.
+    Without any of them the run is volatile. Otherwise it opens through
+    :meth:`RunStore.open <repro.workflow.runstore.RunStore.open>`:
+    ``--resume`` — or a ``--run-id`` the store holds with the same
+    recipe — resumes it with its recorded recipe restored into ``args``,
+    and a run that already completed is reported instead of re-run.
+    Returns ``(run_id, execute's result)``, or None when complete.
     """
+    if not (args.journal_dir or args.run_id or args.resume):
+        return None, execute(None, None)
     from repro.workflow import RunStore
 
-    if not (args.journal_dir or args.run_id or args.resume):
-        return None, None, None
-    store = RunStore(args.journal_dir)
-    if args.resume:
-        meta, state, journal = store.prepare_resume(
-            args.resume, snapshot_every=args.snapshot_every,
-        )
-        if meta.get("kind") != kind:
-            journal.close()
-            raise SystemExit(
-                f"run {args.resume!r} was recorded by "
-                f"`repro {meta.get('kind')}`; resume it there"
-            )
-        for key, value in meta.get("meta", {}).items():
-            setattr(args, key, value)
-        return args.resume, journal, state
-    recipe = {key: getattr(args, key) for key in recipe_keys}
-    run_id, journal = store.create_run(
-        kind, recipe, run_id=args.run_id,
+    run_id, recipe, resume, journal = RunStore(args.journal_dir).open(
+        kind, run_id=args.resume or args.run_id,
+        recipe=None if args.resume else {
+            key: getattr(args, key) for key in recipe_keys},
         snapshot_every=args.snapshot_every,
     )
-    return run_id, journal, None
+    try:
+        if resume is not None and resume.finished:
+            print(f"run {run_id} already complete: "
+                  f"trace digest {resume.digest}")
+            return None
+        vars(args).update(recipe)
+        return run_id, execute(journal, resume)
+    finally:
+        journal.close()
+
+
+def _run_traced(args: argparse.Namespace, journal=None, resume=None):
+    """Install the cost cache the flags ask for, then compile and
+    deploy ``args.file`` under an observation session."""
+    from repro.obs.driver import run_traced
+
+    _configure_dse_caches(args)
+    return run_traced(
+        args.file, clock=getattr(args, "clock", "logical"),
+        strategy=args.strategy, workers=args.workers,
+        workers_mode=args.workers_mode, journal=journal, resume=resume,
+    )
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
@@ -375,153 +356,28 @@ def cmd_lint(args: argparse.Namespace) -> int:
     Exit codes: 0 — no errors (warnings/notes allowed); 1 — at least
     one error-severity finding; 2 — a spec could not be loaded at all.
 
-    Output is deterministic: files expand in sorted order and findings
-    render fully sorted, so the same tree produces byte-identical
+    Output is deterministic: the same tree produces byte-identical
     reports on every run and every ``--workers`` count. With
-    ``--incremental`` the per-file results are memoized (keyed by path,
-    contents and selected checks) in a persistent store, so a warm run
-    skips parsing, compiling and analyzing unchanged specs entirely;
-    hit/miss traffic goes to stderr and the metrics registry, keeping
-    stdout identical to a cold run.
+    ``--incremental`` the per-file results are memoized (see
+    :func:`~repro.core.analysis.specs.lint_files`); hit/miss traffic
+    goes to stderr and the metrics registry, keeping stdout identical
+    to a cold run.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
-    workflow_checks = ("wf",) + CONCURRENCY_CHECKS
-    known = set(ALL_CHECKS) | set(workflow_checks)
-    selected = set()
-    for entry in args.only or ():
-        for token in entry.split(","):
-            token = token.strip().lower()
-            if token:
-                selected.add(token)
-    unknown = selected - known
-    if unknown:
-        print(
-            f"repro lint: error: unknown check(s) {sorted(unknown)}; "
-            f"choose from {sorted(known)}",
-            file=sys.stderr,
-        )
-        return 2
-    module_checks = (
-        selected & set(ALL_CHECKS) if selected else set(ALL_CHECKS)
-    )
-    wf_selected = "wf" in selected if selected else True
-    conc_checks = (
-        selected & set(CONCURRENCY_CHECKS)
-        if selected
-        else set(CONCURRENCY_CHECKS)
-    )
-
-    files: List[str] = []
-    for path in args.paths:
-        files.extend(expand_spec_files(path))
-
     cache = None
-    if getattr(args, "incremental", False):
+    if args.incremental:
         cache = configure_analysis_cache(
             _cache_dir(args, default_analysis_cache_dir)
         )
-    check_signature = "|".join((
-        ",".join(sorted(module_checks)),
-        "wf" if wf_selected else "",
-        ",".join(sorted(conc_checks)),
-    ))
-
-    def lint_file(path: str):
-        """(diagnostics, target count, cache hit?) for one spec file."""
-        diagnostics = Diagnostics()
-        text = read_spec_text(path, diagnostics)
-        if text is None:
-            return diagnostics, 0, False
-        key = None
-        if cache is not None:
-            # The path is part of the key: loader diagnostics anchor
-            # on it, so one file's findings must never replay for an
-            # identical copy elsewhere in the tree.
-            key = AnalysisCache.source_key(
-                f"{path}\x1f{text}", (check_signature,)
-            )
-            payload = cache.get(key)
-            if payload is not None:
-                return (
-                    Diagnostics.from_dicts(
-                        payload.get("diagnostics", [])
-                    ),
-                    int(payload.get("targets", 0)),
-                    True,
-                )
-        targets = load_targets_from_text(path, text, diagnostics)
-        for target in targets:
-            try:
-                if target.kind == "module":
-                    if module_checks:
-                        verify_diagnostics(target.module, diagnostics)
-                        analyze_module(
-                            target.module, diagnostics,
-                            checks=sorted(module_checks),
-                        )
-                elif target.kind == "workflow":
-                    if wf_selected:
-                        lint_workflow_spec(target.spec, diagnostics)
-                    if conc_checks:
-                        lint_concurrency_spec(
-                            target.spec, diagnostics,
-                            checks=sorted(conc_checks),
-                        )
-            except Exception as exc:  # a crash must not hide the rest
-                diagnostics.error(
-                    "DSL001", f"cannot lint target: {exc}",
-                    anchor=target.name, analysis="loader",
-                )
-        if key is not None:
-            cache.put(key, {
-                "diagnostics": [
-                    item.to_dict() for item in diagnostics
-                ],
-                "targets": len(targets),
-            })
-        return diagnostics, len(targets), False
-
-    stats_observation = None
-    workers = max(1, getattr(args, "workers", 1))
-    if getattr(args, "stats", False):
+    stats = None
+    if args.stats:
         # Per-pass timings need an enabled ambient tracer, which is
         # not safe to share across worker threads — stats runs serial.
-        stats_observation = Observation(tracer=Tracer(enabled=True))
-        workers = 1
-
-    def run_files():
-        if workers > 1 and len(files) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(lint_file, files))
-        return [lint_file(path) for path in files]
-
-    if stats_observation is not None:
-        with observe(stats_observation):
-            outcomes = run_files()
-    else:
-        outcomes = run_files()
-
-    diagnostics = Diagnostics()
-    total_targets = 0
-    hits = misses = 0
-    for file_diagnostics, count, hit in outcomes:
-        diagnostics.extend(file_diagnostics)
-        total_targets += count
-        if hit:
-            hits += 1
-        else:
-            misses += 1
-
-    if cache is not None:
-        metrics = current_metrics()
-        metrics.counter(
-            "analysis.cache_hits", "analysis cache hits",
-        ).inc(hits, layer="source")
-        metrics.counter(
-            "analysis.cache_misses", "analysis cache misses",
-        ).inc(misses, layer="source")
-
+        stats = Observation(tracer=Tracer(enabled=True),
+                            metrics=current_metrics())
+    with observe(stats) if stats else nullcontext():
+        run = lint_files(args.paths, only=args.only, cache=cache,
+                         workers=1 if stats else args.workers)
+    diagnostics = run.diagnostics
     load_failed = any(
         item.analysis == "loader" for item in diagnostics.errors
     )
@@ -531,22 +387,19 @@ def cmd_lint(args: argparse.Namespace) -> int:
         print(diagnostics.to_json(indent=2))
     else:
         targets_word = (
-            f"{total_targets} "
-            f"target{'s' if total_targets != 1 else ''}"
+            f"{run.targets} target{'s' if run.targets != 1 else ''}"
         )
         print(diagnostics.render_text(f"lint: {targets_word}"))
     if cache is not None:
-        lookups = hits + misses
-        ratio = hits / lookups if lookups else 0.0
+        lookups = run.hits + run.misses
+        ratio = run.hits / lookups if lookups else 0.0
         print(
-            f"analysis cache: {hits} hits, {misses} misses "
+            f"analysis cache: {run.hits} hits, {run.misses} misses "
             f"({ratio:.0%} hit ratio)",
             file=sys.stderr,
         )
-    if stats_observation is not None:
-        durations = stats_observation.tracer.total_durations(
-            ANALYSIS_CATEGORY
-        )
+    if stats is not None:
+        durations = stats.tracer.total_durations(ANALYSIS_CATEGORY)
         table = Table(
             "analysis passes", ["pass", "total s"],
         )
@@ -565,10 +418,9 @@ def _print_sanitize_report(tracer, args, header: str) -> int:
     from repro.sanitize import sanitize_tracer
 
     findings = sanitize_tracer(tracer)
-    suppress = getattr(args, "suppress", None)
-    if suppress:
-        findings = findings.suppress(suppress)
-    if getattr(args, "format", "text") == "json":
+    if args.suppress:
+        findings = findings.suppress(args.suppress)
+    if args.format == "json":
         print(findings.to_json(indent=2))
     else:
         print(findings.render_text(header))
@@ -579,33 +431,20 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     """Replay a seeded chaos scenario and report the outcome."""
     from repro.workflow.launcher import CHAOS_RECIPE_KEYS, chaos_run
 
-    run_id, journal, resume = _open_durable_run(
-        args, "chaos", CHAOS_RECIPE_KEYS
-    )
-    if resume is not None and resume.finished:
-        journal.close()
-        print(f"run {run_id} already complete: "
-              f"trace digest {resume.digest}")
+    obs = (session(deterministic=True) if args.trace or args.sanitize
+           else None)
+
+    def execute(journal, resume):
+        recipe = {key: getattr(args, key) for key in CHAOS_RECIPE_KEYS}
+        with observe(obs) if obs else nullcontext():
+            return chaos_run(recipe, journal=journal, resume=resume)
+
+    outcome = _run_durably(args, "chaos", CHAOS_RECIPE_KEYS, execute)
+    if outcome is None:
         return 0
-    # after _open_durable_run: --resume restores the recipe into args
-    recipe = {key: getattr(args, key) for key in CHAOS_RECIPE_KEYS}
-    obs = None
-    try:
-        if args.trace or args.sanitize:
-            obs = session(deterministic=True)
-            with observe(obs):
-                graph, schedule, trace, stats = chaos_run(
-                    recipe, journal=journal, resume=resume,
-                )
-            if args.trace:
-                obs.tracer.write(args.trace)
-        else:
-            graph, schedule, trace, stats = chaos_run(
-                recipe, journal=journal, resume=resume,
-            )
-    finally:
-        if journal is not None:
-            journal.close()
+    run_id, (graph, schedule, trace, stats) = outcome
+    if args.trace:
+        obs.tracer.write(args.trace)
     sanitize_header = (
         f"sanitize: chaos graph-seed={args.graph_seed} "
         f"fault-seed={args.fault_seed}"
@@ -636,7 +475,9 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     if run_id:
         print(f"run id: {run_id}")
     if args.verify_replay:
-        _graph2, _schedule2, replay, _stats2 = chaos_run(recipe)
+        _graph2, _schedule2, replay, _stats2 = chaos_run(
+            {key: getattr(args, key) for key in CHAOS_RECIPE_KEYS}
+        )
         if replay.to_json() != trace.to_json():
             print("REPLAY MISMATCH: the same seed pair produced a "
                   "different trace")
@@ -651,26 +492,13 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     """Compile a spec and deploy it on the reference ecosystem."""
-    from repro.obs.driver import run_traced
-
-    run_id, journal, resume = _open_durable_run(
-        args, "run", _RUN_RECIPE_KEYS
+    outcome = _run_durably(
+        args, "run", _RUN_RECIPE_KEYS,
+        lambda journal, resume: _run_traced(args, journal, resume),
     )
-    if resume is not None and resume.finished:
-        journal.close()
-        print(f"run {run_id} already complete: "
-              f"trace digest {resume.digest}")
+    if outcome is None:
         return 0
-    _configure_dse_caches(args)
-    try:
-        run = run_traced(
-            args.file, clock=args.clock, strategy=args.strategy,
-            workers=args.workers, workers_mode=args.workers_mode,
-            journal=journal, resume=resume,
-        )
-    finally:
-        if journal is not None:
-            journal.close()
+    run_id, run = outcome
     report = run.report
     table = Table(
         f"deployment of {args.file}",
@@ -700,14 +528,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     """Run a spec end to end and export the Chrome trace."""
-    from repro.obs.driver import run_traced
-
-    _configure_dse_caches(args)
-    run = run_traced(
-        args.file, clock=args.clock, strategy=args.strategy,
-        workers=args.workers, workers_mode=args.workers_mode,
-    )
-    tracer = run.observation.tracer
+    tracer = _run_traced(args).observation.tracer
     problems = validate_chrome_trace(tracer.to_chrome())
     if problems:
         for problem in problems:
@@ -725,13 +546,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def cmd_metrics(args: argparse.Namespace) -> int:
     """Run a spec end to end and print the metrics snapshot."""
-    from repro.obs.driver import run_traced
-
-    _configure_dse_caches(args)
-    run = run_traced(args.file, strategy=args.strategy,
-                     workers=args.workers,
-                     workers_mode=args.workers_mode)
-    metrics = run.observation.metrics
+    metrics = _run_traced(args).observation.metrics
     if args.format == "json":
         print(metrics.to_json(indent=2))
     else:
@@ -764,17 +579,16 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
 def cmd_runs(args: argparse.Namespace) -> int:
     """List, inspect or garbage-collect durable journaled runs."""
-    from repro.workflow import RunStore
+    from repro.workflow import JobStore, RunStore
 
     store = RunStore(args.journal_dir)
     if args.action == "list":
-        rows = store.list_runs()
         table = Table(
             f"durable runs in {store.root}",
             ["run id", "kind", "status", "records", "attempts",
              "digest"],
         )
-        for row in rows:
+        for row in store.list_runs():
             table.add_row(
                 row.run_id, row.kind, row.status,
                 row.info.records_total, row.attempts,
@@ -783,8 +597,6 @@ def cmd_runs(args: argparse.Namespace) -> int:
         table.show()
         return 0
     if args.action == "show":
-        if not args.run_id:
-            raise SystemExit("repro runs show needs a RUN_ID")
         meta = store.load_meta(args.run_id)
         state, info = store.load_state(args.run_id)
         table = Table(f"run {args.run_id}", ["property", "value"])
@@ -811,79 +623,59 @@ def cmd_runs(args: argparse.Namespace) -> int:
             table.add_row(f"recipe: {key}", value)
         table.show()
         return 0
-    if args.action == "gc":
-        removed = store.gc(completed_only=not args.all)
-        kinds = "run(s)" if args.all else "completed run(s)"
-        print(f"removed {len(removed)} {kinds} from {store.root}")
-        for run_id in removed:
-            print(f"  {run_id}")
-        if args.db:
-            from repro.workflow import JobStore
-
-            live = [row.run_id for row in store.list_runs()]
-            with JobStore(args.db) as jobs:
-                finished, orphans = jobs.gc(live_run_ids=live)
-            print(
-                f"pruned {finished} finished and {orphans} orphaned "
-                f"job row(s) from {args.db}"
-            )
-        return 0
-    raise SystemExit(f"unknown runs action {args.action!r}")
+    removed = store.gc(completed_only=not args.all)
+    kinds = "run(s)" if args.all else "completed run(s)"
+    print(f"removed {len(removed)} {kinds} from {store.root}")
+    for run_id in removed:
+        print(f"  {run_id}")
+    if args.db:
+        live = [row.run_id for row in store.list_runs()]
+        with JobStore(args.db) as jobs:
+            finished, orphans = jobs.gc(live_run_ids=live)
+        print(
+            f"pruned {finished} finished and {orphans} orphaned "
+            f"job row(s) from {args.db}"
+        )
+    return 0
 
 
-def _service_specs(args: argparse.Namespace):
-    """The job batch one ``repro service submit`` describes."""
-    from repro.workflow import JobSpec
-
-    specs = []
-    for index in range(args.count):
-        if args.kind == "chaos":
-            spec = {
-                "graph_seed": args.graph_seed + index * args.seed_step,
-                "fault_seed": args.fault_seed,
-                "tasks": args.tasks,
-                "workers": args.pool,
-            }
-            if args.durable:
-                spec["durable"] = True
-        elif args.kind == "graph":
-            spec = {
-                "seed": args.graph_seed + index * args.seed_step,
-                "tasks": args.tasks,
-                "workers": args.pool,
-            }
-        else:
-            spec = {"index": index}
-        specs.append(JobSpec(
-            name=f"{args.name_prefix}{index}", kind=args.kind,
-            spec=spec, max_attempts=args.max_attempts,
-        ))
-    return specs
+def _job_payload(args: argparse.Namespace, index: int) -> dict:
+    """The spec of job ``index`` in one ``repro service submit``."""
+    seed = args.graph_seed + index * args.seed_step
+    if args.kind == "chaos":
+        spec = {"graph_seed": seed, "fault_seed": args.fault_seed,
+                "tasks": args.tasks, "workers": args.pool}
+        if args.durable:
+            spec["durable"] = True
+        return spec
+    if args.kind == "graph":
+        return {"seed": seed, "tasks": args.tasks, "workers": args.pool}
+    return {"index": index}
 
 
 def cmd_service(args: argparse.Namespace) -> int:
     """Drive the multi-tenant workflow service (see docs/SERVICE.md)."""
-    from repro.workflow import (
-        JobStore,
-        Launcher,
-        RunStore,
-        ServiceClient,
-        default_jobstore_path,
-    )
-    from repro.workflow.jobstore import JOB_STATES, SCHEMA_VERSION
+    from repro.workflow import Launcher, RunStore, ServiceClient, jobstore
 
-    db = args.db or default_jobstore_path()
+    db = args.db or jobstore.default_jobstore_path()
     if args.action == "init":
-        with JobStore(db):
+        with jobstore.JobStore(db):
             pass
-        print(f"job store ready at {db} (schema v{SCHEMA_VERSION})")
+        print(f"job store ready at {db} "
+              f"(schema v{jobstore.SCHEMA_VERSION})")
         return 0
     if args.action == "submit":
-        with ServiceClient(db, default_owner=args.owner) as client:
-            result = client.submit(
-                _service_specs(args), tags=tuple(args.tag),
-                ready=not args.staged,
+        specs = [
+            jobstore.JobSpec(
+                name=f"{args.name_prefix}{index}", kind=args.kind,
+                spec=_job_payload(args, index),
+                max_attempts=args.max_attempts,
             )
+            for index in range(args.count)
+        ]
+        with ServiceClient(db, default_owner=args.owner) as client:
+            result = client.submit(specs, tags=tuple(args.tag),
+                                   ready=not args.staged)
         state = "staged" if args.staged else "ready"
         print(
             f"submitted {len(result.inserted)} {state} job(s), "
@@ -899,9 +691,7 @@ def cmd_service(args: argparse.Namespace) -> int:
                 tag=args.filter_tag, limit=args.limit,
             )
         if args.json:
-            import json as json_module
-
-            print(json_module.dumps(
+            print(json.dumps(
                 {
                     "counts": counts,
                     "jobs": [
@@ -922,7 +712,7 @@ def cmd_service(args: argparse.Namespace) -> int:
         table = Table(
             f"job store {db}", ["state", "jobs"],
         )
-        for state in JOB_STATES:
+        for state in jobstore.JOB_STATES:
             table.add_row(state, counts[state])
         table.show()
         if jobs:
@@ -957,22 +747,15 @@ def cmd_service(args: argparse.Namespace) -> int:
             f"lease(s)"
         )
         return 1 if stats.failed else 0
-    if args.action == "cancel":
-        if not (args.job or args.owner or args.filter_tag):
-            raise SystemExit(
-                "repro service cancel needs --job, --owner or --tag"
-            )
-        with ServiceClient(db) as client:
-            cancelled, requested = client.cancel(
-                args.job, owner=args.owner or None,
-                tag=args.filter_tag,
-            )
-        print(
-            f"cancelled {cancelled} queued job(s); requested "
-            f"cancellation of {requested} running job(s)"
+    with ServiceClient(db) as client:
+        cancelled, requested = client.cancel(
+            args.job, owner=args.owner or None, tag=args.filter_tag,
         )
-        return 0
-    raise SystemExit(f"unknown service action {args.action!r}")
+    print(
+        f"cancelled {cancelled} queued job(s); requested "
+        f"cancellation of {requested} running job(s)"
+    )
+    return 0
 
 
 def cmd_info(_args: argparse.Namespace) -> int:
@@ -989,6 +772,105 @@ def cmd_info(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_cache_flags(parser: argparse.ArgumentParser,
+                     store: str = "dse") -> None:
+    """``--cache-dir`` / ``--no-cache`` for the ``repro-<store>``
+    cache (``dse``: the cost cache; ``analysis``: the analysis one)."""
+    what = "cost" if store == "dse" else store
+    parser.add_argument(
+        "--cache-dir", metavar="PATH", default=None,
+        help=f"persistent {what}-cache directory (default: "
+             f"~/.cache/repro-{store}, XDG aware)",
+    )
+    parser.add_argument(
+        "--no-cache", action="store_true",
+        help=f"keep the {what} cache in memory only for this run",
+    )
+
+
+def _add_workers_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--workers", type=int, default=1, metavar="N",
+        help="evaluate DSE batches on N workers; any value "
+             "produces identical results (default: 1)",
+    )
+    parser.add_argument(
+        "--workers-mode", choices=("thread", "process"),
+        default="thread", dest="workers_mode",
+        help="pool flavor for --workers: 'thread' (cheap, "
+             "GIL-bound) or 'process' (true parallelism); both "
+             "produce identical results (default: thread)",
+    )
+
+
+def _add_space_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--space", default="small",
+                        choices=("small", "thorough"))
+    parser.add_argument("--strategy", default="exhaustive")
+
+
+def _add_journal_dir(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--journal-dir", metavar="PATH", default=None,
+        help="run-store root (default: ~/.local/state/repro-runs, "
+             "XDG aware)",
+    )
+
+
+def _add_journal_flags(parser: argparse.ArgumentParser) -> None:
+    """The durable-run flags; giving any of them journals the run."""
+    _add_journal_dir(parser)
+    parser.add_argument(
+        "--run-id", metavar="ID", default=None,
+        help="name the journaled run (default: generated); an "
+             "existing run of the same recipe resumes",
+    )
+    parser.add_argument(
+        "--snapshot-every", type=int, default=100, metavar="N",
+        help="snapshot the replay state every N journaled events "
+             "so resume cost is O(tail) (default: 100)",
+    )
+    parser.add_argument(
+        "--resume", metavar="RUN_ID", default=None,
+        help="resume a killed journaled run: reload its recipe, "
+             "replay the journal and re-execute only work that "
+             "never reached its journaled execution point",
+    )
+
+
+def _add_report_flags(parser: argparse.ArgumentParser) -> None:
+    """``--trace`` plus the sanitizer trio of a traced run."""
+    parser.add_argument(
+        "--trace", metavar="PATH", default=None,
+        help="also export the run's Chrome trace JSON to PATH",
+    )
+    parser.add_argument(
+        "--sanitize", action="store_true",
+        help="run the happens-before checker over the traced run; "
+             "exits 1 when it finds unsuppressed races or "
+             "acquire/release imbalances",
+    )
+    parser.add_argument(
+        "--format", default="text", choices=("text", "json"),
+        help="sanitizer report rendering (default: text)",
+    )
+    parser.add_argument(
+        "--suppress", action="append", default=[], metavar="CODE",
+        help="drop sanitizer findings with this code (repeatable)",
+    )
+
+
+def _add_job_filters(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--owner", default="", metavar="NAME",
+        help="select this tenant's jobs",
+    )
+    parser.add_argument(
+        "--tag", dest="filter_tag", default=None, metavar="TAG",
+        help="select jobs carrying this tag",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the argparse parser for every subcommand."""
     parser = argparse.ArgumentParser(
@@ -997,62 +879,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_cache_flags(command_parser: argparse.ArgumentParser) -> None:
-        command_parser.add_argument(
-            "--cache-dir", metavar="PATH", default=None,
-            help="persistent DSE cost-cache directory (default: "
-                 "~/.cache/repro-dse, XDG aware)",
-        )
-        command_parser.add_argument(
-            "--no-cache", action="store_true",
-            help="keep the cost cache in memory only for this run",
-        )
-
-    def add_workers_flag(command_parser: argparse.ArgumentParser) -> None:
-        command_parser.add_argument(
-            "--workers", type=int, default=1, metavar="N",
-            help="evaluate DSE batches on N workers; any value "
-                 "produces identical results (default: 1)",
-        )
-        command_parser.add_argument(
-            "--workers-mode", choices=("thread", "process"),
-            default="thread", dest="workers_mode",
-            help="pool flavor for --workers: 'thread' (cheap, "
-                 "GIL-bound) or 'process' (true parallelism); both "
-                 "produce identical results (default: thread)",
-        )
-
-    def add_journal_flags(command_parser: argparse.ArgumentParser) -> None:
-        command_parser.add_argument(
-            "--journal-dir", metavar="PATH", default=None,
-            help="run-store root for the durable write-ahead journal "
-                 "(default: ~/.local/state/repro-runs, XDG aware); "
-                 "giving any journal flag enables journaling",
-        )
-        command_parser.add_argument(
-            "--run-id", metavar="ID", default=None,
-            help="name the journaled run (default: generated)",
-        )
-        command_parser.add_argument(
-            "--snapshot-every", type=int, default=100, metavar="N",
-            help="snapshot the replay state every N journaled events "
-                 "so resume cost is O(tail) (default: 100)",
-        )
-        command_parser.add_argument(
-            "--resume", metavar="RUN_ID", default=None,
-            help="resume a killed journaled run: reload its recipe, "
-                 "replay the journal and re-execute only work that "
-                 "never reached its journaled execution point",
-        )
-
     p_compile = sub.add_parser(
         "compile", help="explore every kernel in a DSL file"
     )
     p_compile.add_argument("file")
-    p_compile.add_argument("--space", default="small")
-    p_compile.add_argument("--strategy", default="exhaustive")
-    add_workers_flag(p_compile)
-    add_cache_flags(p_compile)
+    _add_space_flags(p_compile)
+    _add_workers_flags(p_compile)
+    _add_cache_flags(p_compile)
     p_compile.set_defaults(func=cmd_compile)
 
     p_synth = sub.add_parser("synth", help="HLS report for one kernel")
@@ -1060,7 +893,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--kernel", required=True)
     p_synth.add_argument("--unroll", type=int, default=4)
     p_synth.add_argument("--clock-mhz", type=float, default=250.0)
-    add_cache_flags(p_synth)
+    _add_cache_flags(p_synth)
     p_synth.set_defaults(func=cmd_synth)
 
     p_explore = sub.add_parser(
@@ -1068,16 +901,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_explore.add_argument("file")
     p_explore.add_argument("--kernel", required=True)
-    p_explore.add_argument("--space", default="small")
-    p_explore.add_argument("--strategy", default="exhaustive")
+    _add_space_flags(p_explore)
     p_explore.add_argument(
         "--bound-guided", action="store_true",
         help="order points by their analytic lower bound and skip "
              "points the bound proves off-front (exhaustive strategy "
              "only; identical front, fewer pricings)",
     )
-    add_workers_flag(p_explore)
-    add_cache_flags(p_explore)
+    _add_workers_flags(p_explore)
+    _add_cache_flags(p_explore)
     p_explore.set_defaults(func=cmd_explore)
 
     p_perf = sub.add_parser(
@@ -1091,15 +923,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", default="text", choices=("text", "json"),
         help="report rendering (default: text)",
     )
-    p_perf.add_argument(
-        "--cache-dir", metavar="PATH", default=None,
-        help="persistent analysis-cache directory (default: "
-             "~/.cache/repro-analysis, XDG aware)",
-    )
-    p_perf.add_argument(
-        "--no-cache", action="store_true",
-        help="keep the bounds cache in memory only for this run",
-    )
+    _add_cache_flags(p_perf, "analysis")
     p_perf.set_defaults(func=cmd_perf)
 
     p_emit = sub.add_parser(
@@ -1112,7 +936,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("ir", "lowered-ir", "sycl", "rtl"),
     )
     p_emit.add_argument("--unroll", type=int, default=4)
-    add_cache_flags(p_emit)
+    _add_cache_flags(p_emit)
     p_emit.set_defaults(func=cmd_emit)
 
     p_lint = sub.add_parser(
@@ -1142,9 +966,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument(
         "--incremental", action="store_true",
         help="memoize per-file results in the persistent analysis "
-             "cache (default: ~/.cache/repro-analysis, XDG aware; "
-             "--cache-dir overrides, --no-cache keeps it in memory); "
-             "a warm run skips unchanged files entirely",
+             "cache (--cache-dir, --no-cache); a warm run skips "
+             "unchanged files entirely",
     )
     p_lint.add_argument(
         "--stats", action="store_true",
@@ -1156,7 +979,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="lint files on N threads; any value produces identical "
              "output (default: 1)",
     )
-    add_cache_flags(p_lint)
+    _add_cache_flags(p_lint, "analysis")
     p_lint.set_defaults(func=cmd_lint)
 
     p_chaos = sub.add_parser(
@@ -1183,25 +1006,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the scenario twice and fail unless the traces are "
              "byte-identical",
     )
-    p_chaos.add_argument(
-        "--trace", metavar="PATH", default=None,
-        help="also export the run's Chrome trace JSON to PATH",
-    )
-    p_chaos.add_argument(
-        "--sanitize", action="store_true",
-        help="run the happens-before checker over the traced run; "
-             "exits 1 when it finds unsuppressed races or "
-             "acquire/release imbalances",
-    )
-    p_chaos.add_argument(
-        "--format", default="text", choices=("text", "json"),
-        help="sanitizer report rendering (default: text)",
-    )
-    p_chaos.add_argument(
-        "--suppress", action="append", default=[], metavar="CODE",
-        help="drop sanitizer findings with this code (repeatable)",
-    )
-    add_journal_flags(p_chaos)
+    _add_report_flags(p_chaos)
+    _add_journal_flags(p_chaos)
     p_chaos.set_defaults(func=cmd_chaos)
 
     p_run = sub.add_parser(
@@ -1214,27 +1020,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--clock", default="logical", choices=("logical", "wall"),
         help="trace clock when --trace is given (default: logical)",
     )
-    p_run.add_argument(
-        "--trace", metavar="PATH", default=None,
-        help="also export the run's Chrome trace JSON to PATH",
-    )
-    p_run.add_argument(
-        "--sanitize", action="store_true",
-        help="run the happens-before checker over the traced run; "
-             "exits 1 when it finds unsuppressed races or "
-             "acquire/release imbalances",
-    )
-    p_run.add_argument(
-        "--format", default="text", choices=("text", "json"),
-        help="sanitizer report rendering (default: text)",
-    )
-    p_run.add_argument(
-        "--suppress", action="append", default=[], metavar="CODE",
-        help="drop sanitizer findings with this code (repeatable)",
-    )
-    add_workers_flag(p_run)
-    add_cache_flags(p_run)
-    add_journal_flags(p_run)
+    _add_report_flags(p_run)
+    _add_workers_flags(p_run)
+    _add_cache_flags(p_run)
+    _add_journal_flags(p_run)
     p_run.set_defaults(func=cmd_run)
 
     p_trace = sub.add_parser(
@@ -1253,8 +1042,8 @@ def build_parser() -> argparse.ArgumentParser:
              "wall = real profiling (default: logical)",
     )
     p_trace.add_argument("--strategy", default="exhaustive")
-    add_workers_flag(p_trace)
-    add_cache_flags(p_trace)
+    _add_workers_flags(p_trace)
+    _add_cache_flags(p_trace)
     p_trace.set_defaults(func=cmd_trace)
 
     p_metrics = sub.add_parser(
@@ -1266,8 +1055,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", default="text", choices=("text", "json"),
     )
     p_metrics.add_argument("--strategy", default="exhaustive")
-    add_workers_flag(p_metrics)
-    add_cache_flags(p_metrics)
+    _add_workers_flags(p_metrics)
+    _add_cache_flags(p_metrics)
     p_metrics.set_defaults(func=cmd_metrics)
 
     p_cache = sub.add_parser(
@@ -1299,11 +1088,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run_id", nargs="?", default=None,
         help="run id (required by show)",
     )
-    p_runs.add_argument(
-        "--journal-dir", metavar="PATH", default=None,
-        help="run-store root (default: ~/.local/state/repro-runs, "
-             "XDG aware)",
-    )
+    _add_journal_dir(p_runs)
     p_runs.add_argument(
         "--all", action="store_true",
         help="gc: also remove in-flight (crashed, resumable) runs",
@@ -1323,23 +1108,19 @@ def build_parser() -> argparse.ArgumentParser:
     service_sub = p_service.add_subparsers(dest="action",
                                            required=True)
 
-    def add_db_flag(action_parser: argparse.ArgumentParser) -> None:
-        action_parser.add_argument(
+    def add_action(name: str, help_text: str) -> argparse.ArgumentParser:
+        action = service_sub.add_parser(name, help=help_text)
+        action.add_argument(
             "--db", metavar="PATH", default=None,
             help="job-store database (default: "
                  "~/.local/state/repro-service/jobs.db, XDG aware)",
         )
+        action.set_defaults(func=cmd_service)
+        return action
 
-    s_init = service_sub.add_parser(
-        "init", help="create (or open) the shared job store",
-    )
-    add_db_flag(s_init)
-    s_init.set_defaults(func=cmd_service)
+    add_action("init", "create (or open) the shared job store")
 
-    s_submit = service_sub.add_parser(
-        "submit", help="bulk-submit a batch of tagged jobs",
-    )
-    add_db_flag(s_submit)
+    s_submit = add_action("submit", "bulk-submit a batch of tagged jobs")
     s_submit.add_argument(
         "--count", type=int, default=1, metavar="N",
         help="number of jobs in the batch (default: 1)",
@@ -1398,20 +1179,9 @@ def build_parser() -> argparse.ArgumentParser:
              "run store so a killed launcher's job resumes "
              "byte-identically",
     )
-    s_submit.set_defaults(func=cmd_service)
 
-    s_status = service_sub.add_parser(
-        "status", help="per-state counts and a job listing",
-    )
-    add_db_flag(s_status)
-    s_status.add_argument(
-        "--owner", default="", metavar="NAME",
-        help="only this tenant's jobs",
-    )
-    s_status.add_argument(
-        "--tag", dest="filter_tag", default=None, metavar="TAG",
-        help="only jobs carrying this tag",
-    )
+    s_status = add_action("status", "per-state counts and a job listing")
+    _add_job_filters(s_status)
     s_status.add_argument(
         "--state", default=None, metavar="STATE",
         help="only jobs in this state (staged/ready/running/done/"
@@ -1425,14 +1195,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true",
         help="machine-readable counts + jobs instead of tables",
     )
-    s_status.set_defaults(func=cmd_service)
 
-    s_launch = service_sub.add_parser(
+    s_launch = add_action(
         "launch",
-        help="run a launcher: lease ready jobs in batches and "
-             "execute them until the store drains",
+        "run a launcher: lease ready jobs in batches and execute them "
+        "until the store drains",
     )
-    add_db_flag(s_launch)
     s_launch.add_argument(
         "--launcher-id", default=None, metavar="ID",
         help="stable launcher name (default: generated)",
@@ -1459,30 +1227,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit at the first empty lease instead of polling for "
              "other launchers' jobs to expire back",
     )
-    s_launch.add_argument(
-        "--journal-dir", metavar="PATH", default=None,
-        help="run-store root for durable job journals (default: "
-             "~/.local/state/repro-runs, XDG aware)",
-    )
-    s_launch.set_defaults(func=cmd_service)
+    _add_journal_dir(s_launch)
 
-    s_cancel = service_sub.add_parser(
-        "cancel", help="cancel jobs by id, owner or tag",
-    )
-    add_db_flag(s_cancel)
+    s_cancel = add_action("cancel", "cancel jobs by id, owner or tag")
     s_cancel.add_argument(
         "--job", action="append", type=int, default=[],
         metavar="ID", help="cancel this job id (repeatable)",
     )
-    s_cancel.add_argument(
-        "--owner", default="", metavar="NAME",
-        help="cancel every queued job of this tenant",
-    )
-    s_cancel.add_argument(
-        "--tag", dest="filter_tag", default=None, metavar="TAG",
-        help="cancel every queued job carrying this tag",
-    )
-    s_cancel.set_defaults(func=cmd_service)
+    _add_job_filters(s_cancel)
 
     p_info = sub.add_parser("info", help="SDK inventory")
     p_info.set_defaults(func=cmd_info)
@@ -1490,11 +1242,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """CLI entry point; returns the process exit code.
+
+    A user error — any :class:`~repro.errors.EverestError` a command
+    raises — is one ``repro <command>: error: <message>`` line on
+    stderr and exit code 2.
+    """
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except EverestError as exc:
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # output piped into head/less that exited early: not an error
         try:

@@ -9,7 +9,8 @@ synthesis in (:mod:`repro.core.dse.cache`), keyed by *content*:
 * :meth:`AnalysisCache.module_key` — the structural module digest,
   used by the compiler's pre-DSE ``static_checks`` gate;
 * :meth:`AnalysisCache.source_key` — the raw spec text, used by
-  ``repro lint --incremental`` so a warm run skips parsing and
+  ``repro lint --incremental`` (the driver in
+  :mod:`repro.core.analysis.specs`) so a warm run skips parsing and
   compiling the spec entirely, not just the analyses;
 * :meth:`AnalysisCache.perf_key` — one kernel's static bounds.
 
@@ -40,18 +41,12 @@ from repro.core.store import ContentStore, xdg_cache_dir
 ANALYSIS_CACHE_VERSION = "2"
 
 
-def _mapping(payload: Any) -> Dict[str, Any]:
-    if not isinstance(payload, dict):
-        raise TypeError("analysis payloads are JSON objects")
-    return payload
-
-
 class AnalysisCache(ContentStore):
     """The store's ``"analysis"`` and ``"perf"`` kinds: JSON objects.
-    :func:`repro.core.analysis.analyze_module_cached` and the perf
-    analyzer decode their records inside :meth:`read`, so a payload
-    the codec rejects is a miss; ``get`` hands out the raw object (the
-    lint CLI's per-file entries)."""
+    :func:`repro.core.analysis.analyze_module_cached`, the perf
+    analyzer and :func:`repro.core.analysis.specs.lint_files` decode
+    their records inside :meth:`read`, so a payload the decoder
+    rejects is a miss."""
 
     @staticmethod
     def _key(kind: str, material: Sequence[str]) -> str:
@@ -85,10 +80,6 @@ class AnalysisCache(ContentStore):
     def perf_key(module_digest: str, kernel: str) -> str:
         """Key for one kernel's static performance bounds."""
         return AnalysisCache._key("perf", (module_digest, kernel))
-
-    def get(self, key: str) -> Optional[Dict[str, Any]]:
-        """The cached payload for ``key``, or None."""
-        return self.read(key, _mapping)
 
     def put(self, key: str, payload: Dict[str, Any]) -> None:
         """Store one payload under the kind it marks itself with."""

@@ -20,7 +20,7 @@ import os
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.core.analysis.specs import extract_kernel_sources
+from repro.core.analysis.specs import load_kernel_sources
 from repro.core.compiler import CompiledApplication, EverestCompiler
 from repro.core.dsl.kernel_dsl import compile_kernel, kernel_names
 from repro.core.dsl.workflow import Pipeline
@@ -28,21 +28,6 @@ from repro.errors import SpecificationError
 from repro.obs.context import Observation, observe, session
 from repro.platform.topology import build_reference_ecosystem
 from repro.runtime.orchestrator import Orchestrator
-
-
-def load_kernel_sources(path: str) -> List[str]:
-    """Kernel-DSL source blocks found in a ``.edsl`` or ``.py`` file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    if path.endswith(".py"):
-        sources = extract_kernel_sources(text)
-    else:
-        sources = [text]
-    if not sources:
-        raise SpecificationError(
-            f"{path}: no kernel-DSL source found"
-        )
-    return sources
 
 
 def pipeline_from_sources(name: str,
@@ -95,7 +80,6 @@ def run_traced(
     path: str,
     clock: str = "logical",
     strategy: str = "exhaustive",
-    emit_artifacts: bool = False,
     workers: int = 1,
     workers_mode: str = "thread",
     journal: Optional["RunJournal"] = None,
@@ -104,7 +88,7 @@ def run_traced(
     """Compile and deploy a spec under an observation session.
 
     ``clock`` is ``"logical"`` (deterministic trace, the default) or
-    ``"wall"`` (real profiling). Artifact emission is off by default —
+    ``"wall"`` (real profiling). Artifacts are not emitted —
     synthesizing every variant's bitstream dominates runtime and adds
     nothing to the trace shape. ``workers`` widens the DSE evaluation
     pool and ``workers_mode`` picks threads or processes, without
@@ -121,7 +105,7 @@ def run_traced(
     obs = session(deterministic=clock == "logical")
     with observe(obs):
         compiler = EverestCompiler(
-            strategy=strategy, emit_artifacts=emit_artifacts,
+            strategy=strategy, emit_artifacts=False,
             workers=workers, workers_mode=workers_mode,
         )
         app = compiler.compile(pipeline)

@@ -562,7 +562,8 @@ class JobStore:
         Staged and ready jobs are cancelled immediately; running jobs
         get ``cancel_requested`` set, which their launcher honors at
         the next heartbeat or batch boundary. Returns
-        ``(cancelled_now, requested)``.
+        ``(cancelled_now, requested)``; naming no selector at all is a
+        :class:`JobStoreError`.
         """
         ids = list(job_ids)
         clauses, params = [], []
@@ -578,7 +579,9 @@ class JobStore:
             )
             params.append(tag)
         if not clauses:
-            return 0, 0
+            raise JobStoreError(
+                "cancel needs job ids, an owner or a tag to select by"
+            )
         where = " AND ".join(clauses)
         now = self.clock()
         with self._write():

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.chaos.schedule import ChaosConfig, generate_schedule
-from repro.errors import JobStoreError, JournalError
+from repro.errors import JobStoreError
 from repro.obs import current_metrics
 from repro.workflow.graph import random_task_graph
 from repro.workflow.jobstore import (
@@ -201,7 +201,9 @@ class Launcher:
         ``job-<id>``; if that run already exists in-flight (a previous
         launcher died mid-job), the journal is replayed and execution
         *resumes* — already-executed payloads are skipped and the
-        digest matches an unbroken run.
+        digest matches an unbroken run. A run of that id recorded for
+        another job (another job store sharing the run store) fails
+        the job with ``WF009`` instead of reporting that run's digest.
         """
         spec = dict(job.spec)
         kind = job.kind
@@ -217,27 +219,13 @@ class Launcher:
 
     def _durable_chaos(self, job: JobRecord, spec: Dict,
                        store: JobStore) -> Dict:
-        run_id = job.run_id or f"job-{job.id}"
-        try:
-            self.run_store.run_dir(run_id)
-            exists = True
-        except JournalError:
-            exists = False
-        if exists:
-            _meta, state, journal = self.run_store.prepare_resume(
-                run_id
-            )
-            if state.finished:
-                journal.close()
-                return {"digest": state.digest, "resumed": True}
-            resume = state
-        else:
-            _run_id, journal = self.run_store.create_run(
-                SERVICE_RUN_KIND,
-                {"job": job.id, "name": job.name, **spec},
-                run_id=run_id,
-            )
-            resume = None
+        run_id, _recipe, resume, journal = self.run_store.open(
+            SERVICE_RUN_KIND, run_id=job.run_id or f"job-{job.id}",
+            recipe={"job": job.id, "name": job.name, **spec},
+        )
+        if resume is not None and resume.finished:
+            journal.close()
+            return {"digest": resume.digest, "resumed": True}
         store.bind_run(job.id, run_id)
         try:
             result = _chaos_job(spec, journal=journal, resume=resume)

@@ -15,7 +15,9 @@ rebuild its graph, pool and fault schedule deterministically; the CLI
 reads it back for ``repro run --resume`` / ``repro runs``. Resuming
 archives the crashed attempt's journal and snapshots (they remain on
 disk for audit) and starts a fresh journal that the re-executed run
-fills end to end.
+fills end to end. :meth:`RunStore.open` is how callers (``repro
+chaos|run``, the service launcher) start or resume a run: it resumes a
+run id only for the kind and recipe that recorded it.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from repro.workflow.journal import (
     JOURNAL_FILE,
     ReplayInfo,
     RunJournal,
+    journal_error,
     list_snapshots,
     replay_journal,
 )
@@ -122,8 +125,11 @@ class RunStore:
 
     # -- lookup --------------------------------------------------------
 
-    def run_dir(self, run_id: str) -> Path:
+    def run_dir(self, run_id: Optional[str]) -> Path:
         """Directory of one run; raises when it does not exist."""
+        if not run_id:
+            raise JournalError(f"no run id given (runs live under "
+                               f"{self.root})")
         directory = self.root / run_id
         if not directory.is_dir():
             raise JournalError(
@@ -208,6 +214,52 @@ class RunStore:
             directory, snapshot_every=snapshot_every, fsync=fsync
         )
         return meta, state, journal
+
+    # -- open ----------------------------------------------------------
+
+    def open(
+        self,
+        kind: str,
+        run_id: Optional[str] = None,
+        recipe: Optional[Dict] = None,
+        snapshot_every: int = 100,
+    ) -> Tuple[str, Dict, Optional[ReplayState], RunJournal]:
+        """Start or resume one durable run.
+
+        Returns ``(run_id, recipe, resume, journal)``. A ``run_id``
+        the store already holds is resumed (``resume`` is its replayed
+        state; when ``resume.finished`` the caller should not
+        re-execute) provided it was recorded with the same ``kind``
+        and, when ``recipe`` is given, the same recipe — otherwise
+        ``WF009``, before anything on disk changes. ``recipe=None``
+        resumes whatever recipe the run recorded (an unknown run is a
+        :class:`JournalError`); a new ``run_id`` (or none) with a
+        ``recipe`` registers a fresh run.
+        """
+        if recipe is not None and not (
+            run_id and (self.root / run_id / META_FILE).exists()
+        ):
+            run_id, journal = self.create_run(
+                kind, recipe, run_id=run_id,
+                snapshot_every=snapshot_every,
+            )
+            return run_id, recipe, None, journal
+        meta = self.load_meta(run_id)
+        stored = meta.get("meta", {})
+        if meta.get("kind") != kind:
+            reason = f"as a {meta.get('kind')!r} run, not {kind!r}"
+        elif recipe is not None and json.loads(json.dumps(recipe)) != stored:
+            reason = "with a different recipe"
+        else:
+            _meta, state, journal = self.prepare_resume(
+                run_id, snapshot_every=snapshot_every,
+            )
+            return run_id, stored, state, journal
+        raise journal_error(
+            "WF009", f"run {run_id!r} under {self.root} was recorded "
+                     f"{reason}",
+            anchor=run_id,
+        )
 
     # -- gc ------------------------------------------------------------
 

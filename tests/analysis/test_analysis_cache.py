@@ -80,9 +80,9 @@ class TestKeys:
 class TestStore:
     def test_memory_round_trip(self):
         cache = AnalysisCache()
-        assert cache.get("k") is None
+        assert cache.read("k", dict) is None
         cache.put("k", {"value": 1})
-        assert cache.get("k") == {"value": 1}
+        assert cache.read("k", dict) == {"value": 1}
         assert (cache.stats.hits, cache.stats.misses) == (1, 1)
 
     def test_default_dir_is_xdg_aware(self, tmp_path, monkeypatch):

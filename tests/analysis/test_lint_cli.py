@@ -255,6 +255,30 @@ class TestIncremental:
         assert cold.out == warm.out
         assert "MEM004" in warm.out
 
+    @pytest.mark.parametrize("damage", [
+        lambda payload: payload.pop("diagnostics"),
+        lambda payload: payload.update(diagnostics=[{"code": 5}]),
+        lambda payload: payload.update(targets="x"),
+    ], ids=["no-diagnostics", "bad-finding", "bad-target-count"])
+    def test_a_damaged_entry_is_a_counted_miss(self, tmp_path, capsys,
+                                               damage):
+        """An entry that does not read back is relinted: the cold
+        findings and exit code, never a clean report or a traceback."""
+        cache_dir = tmp_path / "cache"
+        path = os.path.join(FIXTURES, "oob_access.ir")
+        assert run_lint(
+            path, "--incremental", "--cache-dir", str(cache_dir)) == 1
+        cold = capsys.readouterr()
+        [shard] = cache_dir.glob("*/*.json")
+        envelope = json.loads(shard.read_text())
+        damage(envelope["payload"])
+        shard.write_text(json.dumps(envelope) + "\n")
+        assert run_lint(
+            path, "--incremental", "--cache-dir", str(cache_dir)) == 1
+        warm = capsys.readouterr()
+        assert warm.out == cold.out
+        assert "0 hits, 1 misses" in warm.err
+
     def test_editing_a_file_invalidates_only_it(
         self, tmp_path, capsys
     ):

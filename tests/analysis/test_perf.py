@@ -291,10 +291,12 @@ class TestPerfCommand:
         assert payload["work"] > 0
         assert payload["nests"]
 
-    def test_unknown_kernel_fails(self):
-        with pytest.raises(SystemExit):
-            main(["perf", QUICKSTART, "--kernel", "nope",
-                  "--no-cache"])
+    def test_unknown_kernel_fails(self, capsys):
+        assert main(["perf", QUICKSTART, "--kernel", "nope",
+                     "--no-cache"]) == 2
+        assert "repro perf: error: no kernel named 'nope'" in (
+            capsys.readouterr().err
+        )
 
     def test_cache_stats_roundtrip(self, capsys, tmp_path):
         cache_dir = str(tmp_path / "analysis")

@@ -5,13 +5,10 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.core.analysis.specs import load_kernel_sources
 from repro.errors import SpecificationError
 from repro.obs import validate_chrome_trace
-from repro.obs.driver import (
-    load_kernel_sources,
-    pipeline_from_sources,
-    run_traced,
-)
+from repro.obs.driver import pipeline_from_sources, run_traced
 
 SPEC = """
 kernel blur(X: tensor<64xf32>, W: tensor<64xf32>) -> tensor<64xf32> {
@@ -59,6 +56,10 @@ class TestPipelineSynthesis:
         path.write_text("x = 1\n")
         with pytest.raises(SpecificationError):
             load_kernel_sources(str(path))
+
+    def test_load_rejects_an_unreadable_file(self, tmp_path):
+        with pytest.raises(SpecificationError, match="no such file"):
+            load_kernel_sources(str(tmp_path / "missing.edsl"))
 
 
 class TestRunTraced:

@@ -70,9 +70,12 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "kernel.for" in out
 
-    def test_bad_space(self, dsl_file):
-        with pytest.raises(SystemExit):
+    def test_bad_space(self, dsl_file, capsys):
+        with pytest.raises(SystemExit) as caught:
             main(["compile", dsl_file, "--space", "galactic"])
+        assert caught.value.code == 2
+        assert "repro compile: error: argument --space: invalid choice" \
+            in capsys.readouterr().err
 
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit):
@@ -99,3 +102,48 @@ class TestCLI:
         assert main(["cache", "clear", "--cache-dir", shared]) == 0
         assert capsys.readouterr().out.startswith(
             f"cleared {priced} cached entries")
+
+
+def _exit_code(argv):
+    """``main``'s exit code, whether returned or raised by argparse."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+#: ``(command, setup argv, failing argv)``; ``{spec}``, ``{bad}`` and
+#: ``{tmp}`` are a good spec, one that does not parse and a scratch dir.
+USER_ERRORS = [
+    ("compile", None, ["compile", "{bad}"]),
+    ("compile", None, ["compile", "{tmp}/missing.edsl"]),
+    ("chaos", None, ["chaos", "--resume", "ghost", "--journal-dir", "{tmp}"]),
+    ("chaos", ["chaos", "--run-id", "r", "--journal-dir", "{tmp}"],
+     ["chaos", "--run-id", "r", "--journal-dir", "{tmp}",
+      "--graph-seed", "7"]),
+    ("compile", None, ["compile", "{spec}", "--space", "galactic"]),
+    ("perf", None, ["perf", "{spec}", "--kernel", "nope", "--no-cache"]),
+    ("runs", None, ["runs", "show", "--journal-dir", "{tmp}"]),
+    ("service", None, ["service", "cancel", "--db", "{tmp}/jobs.db"]),
+]
+
+
+@pytest.mark.parametrize(
+    "command,setup,argv", USER_ERRORS,
+    ids=["parse-error", "missing-file", "resume-ghost", "run-id-reuse",
+         "bad-space", "unknown-kernel", "runs-show-no-id",
+         "cancel-no-selector"],
+)
+def test_a_user_error_is_one_coded_line(dsl_file, tmp_path, capsys,
+                                        command, setup, argv):
+    bad = tmp_path / "bad.edsl"
+    bad.write_text("kernel broken(X: tensor<4xf32> {\n")
+    fill = {"spec": dsl_file, "bad": str(bad), "tmp": str(tmp_path)}
+    if setup:
+        assert main([part.format(**fill) for part in setup]) == 0
+        capsys.readouterr()
+    assert _exit_code([part.format(**fill) for part in argv]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    [line] = [line for line in err.splitlines() if ": error: " in line]
+    assert line.startswith(f"repro {command}: error: ")

@@ -23,12 +23,13 @@ import random
 import pytest
 
 from repro.core.analysis.cache import configure_analysis_cache
+from repro.core.analysis.specs import load_kernel_sources
 from repro.core.compiler import EverestCompiler
 from repro.core.dse.cache import DEFAULT_PREPARED_CAPACITY, configure
 from repro.core.dse.space import DesignSpace
 from repro.core.hls import bambu
 from repro.core.ir.passes import PassManager
-from repro.obs.driver import load_kernel_sources, pipeline_from_sources
+from repro.obs.driver import pipeline_from_sources
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 

@@ -3,7 +3,8 @@ the record codec beside it.
 
 Every store case runs per *kind*: ``cost`` (:class:`CostCache`, whose
 codec hands out a fresh :class:`CostEstimate` per read) and
-``analysis`` (:class:`AnalysisCache`, plain JSON objects): the disk
+``analysis`` (:class:`AnalysisCache`, read back as the lint driver
+reads its per-file entries): the disk
 round trip, the version-mismatch, corrupt-file and ``clear`` cases,
 hostile shards as counted misses, and one directory accounted kind by
 kind whoever wrote it. What only one user has (fresh copies per
@@ -21,7 +22,7 @@ recomputation equals a cold run.
 import itertools
 import json
 from dataclasses import fields, is_dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 import pytest
@@ -48,6 +49,7 @@ from repro.core.analysis.perf import (
     compute_kernel_bounds,
     kernel_bounds,
 )
+from repro.core.analysis.specs import _lint_entry
 from repro.core.dse.cache import CostCache, configure
 from repro.core.dse.cost_model import (
     evaluate_variant,
@@ -62,6 +64,7 @@ from repro.core.store import (
     STORE_VERSION, ContentStore, decode, encode,
 )
 from repro.core.variants import CostEstimate, VariantKnobs
+from repro.diagnostics import Diagnostics
 from repro.platform.fpga import Bitstream
 from repro.platform.resources import FPGAResources
 from repro.workflow.journal import (
@@ -77,16 +80,21 @@ from tests.conftest import GEMM_SRC
 
 KEY = "ab" + "0" * 62
 
-#: kind -> (store class, a value ``put`` accepts)
+COST = CostEstimate(
+    latency_s=1.5, energy_j=2.0, data_bytes=64,
+    resources=FPGAResources(luts=10, ffs=20, bram_kb=4, dsps=1),
+    bitstream=Bitstream(
+        name="k@250MHz", clock_hz=250e6, dynamic_watts=0.5,
+        footprint=FPGAResources(luts=10, ffs=20, bram_kb=4, dsps=1),
+    ))
+
+#: kind -> (store class, a value ``put`` accepts, the decoder its user
+#: reads entries with, what that read makes of the value): the cost
+#: cache's estimates and the lint driver's per-file entries.
 KINDS = {
-    "cost": (CostCache, CostEstimate(
-        latency_s=1.5, energy_j=2.0, data_bytes=64,
-        resources=FPGAResources(luts=10, ffs=20, bram_kb=4, dsps=1),
-        bitstream=Bitstream(
-            name="k@250MHz", clock_hz=250e6, dynamic_watts=0.5,
-            footprint=FPGAResources(luts=10, ffs=20, bram_kb=4, dsps=1),
-        ))),
-    "analysis": (AnalysisCache, {"diagnostics": [], "targets": 1}),
+    "cost": (CostCache, COST, partial(decode, CostEstimate), COST),
+    "analysis": (AnalysisCache, {"diagnostics": [], "targets": 1},
+                 _lint_entry, (Diagnostics(), 1)),
 }
 
 
@@ -165,38 +173,40 @@ CASES += [("cost", name, body) for name, body in DAMAGED_COST.items()]
 @pytest.mark.parametrize("kind", KINDS)
 class TestDisk:
     def written(self, tmp_path, kind):
-        """(store class, value, shard file) after one ``put`` of KEY."""
-        store_class, value = KINDS[kind]
+        """(store class, shard file) after one ``put`` of KEY."""
+        store_class, value, _decoder, _read = KINDS[kind]
         store_class(directory=tmp_path).put(KEY, value)
         # entries are sharded by key prefix
         shard = tmp_path / KEY[:2] / f"{KEY}.json"
         assert shard.exists()
-        return store_class, value, shard
+        return store_class, shard
 
     def test_a_second_instance_reads_what_the_first_wrote(
             self, tmp_path, kind):
         """A second process (modeled by a fresh instance) reads what
         the first wrote — the cross-invocation warm start."""
-        store_class, value, _shard = self.written(tmp_path, kind)
+        store_class, _shard = self.written(tmp_path, kind)
         reader = store_class(directory=tmp_path)
-        assert reader.get(KEY) == value
+        assert reader.read(KEY, KINDS[kind][2]) == KINDS[kind][3]
         assert (reader.stats.hits, reader.stats.misses) == (1, 0)
 
     def test_another_store_version_is_a_miss(self, tmp_path, kind):
-        store_class, _value, shard = self.written(tmp_path, kind)
+        store_class, shard = self.written(tmp_path, kind)
         current = f'"version": "{STORE_VERSION}"'
         assert current in shard.read_text()
         shard.write_text(
             shard.read_text().replace(current, '"version": "0"'))
-        assert store_class(directory=tmp_path).get(KEY) is None
+        assert store_class(directory=tmp_path).read(
+            KEY, KINDS[kind][2]) is None
 
     def test_a_corrupt_shard_is_a_miss(self, tmp_path, kind):
-        store_class, _value, shard = self.written(tmp_path, kind)
+        store_class, shard = self.written(tmp_path, kind)
         shard.write_text("{not json")
-        assert store_class(directory=tmp_path).get(KEY) is None
+        assert store_class(directory=tmp_path).read(
+            KEY, KINDS[kind][2]) is None
 
     def test_clear_drops_memory_and_disk(self, tmp_path, kind):
-        store_class, value = KINDS[kind]
+        store_class, value, decoder, _read = KINDS[kind]
         store = store_class(directory=tmp_path)
         store.put("aa" * 32, value)
         store.put("bb" * 32, value)
@@ -204,7 +214,7 @@ class TestDisk:
         assert store.disk_bytes() > 0
         assert store.clear() == 2
         assert store.entry_count() == 0
-        assert store.get("aa" * 32) is None
+        assert store.read("aa" * 32, decoder) is None
 
 
 class TestDamagedShards:
@@ -213,37 +223,37 @@ class TestDamagedShards:
                       for kind, name, body in CASES])
     def test_is_a_counted_miss_and_is_overwritten(
             self, tmp_path, kind, body):
-        store_class, value = KINDS[kind]
+        store_class, value, decoder, read = KINDS[kind]
         shard = tmp_path / KEY[:2] / f"{KEY}.json"
         shard.parent.mkdir()
         shard.write_text(body + "\n")
 
         store = store_class(directory=tmp_path)
-        assert store.get(KEY) is None
+        assert store.read(KEY, decoder) is None
         assert (store.stats.hits, store.stats.misses) == (0, 1)
 
         store.put(KEY, value)
-        reread = store_class(directory=tmp_path).get(KEY)
-        assert reread == value
+        reread = store_class(directory=tmp_path).read(KEY, decoder)
+        assert reread == read
         assert set(store.breakdown()) == {kind}
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_a_torn_append_costs_its_own_entry_only(self, tmp_path, kind):
         """A line without its newline is a write that never finished:
         a miss, and the next entry of the shard does not run into it."""
-        store_class, value = KINDS[kind]
+        store_class, value, decoder, read = KINDS[kind]
         store_class(directory=tmp_path).put(f"{KEY}.whole", value)
         shard = tmp_path / KEY[:2] / f"{KEY}.json"
         whole = shard.read_text()
         shard.write_text(whole + whole.replace("whole", "torn").rstrip())
 
         store = store_class(directory=tmp_path)
-        assert store.get(f"{KEY}.torn") is None
-        assert store.get(f"{KEY}.whole") == value
+        assert store.read(f"{KEY}.torn", decoder) is None
+        assert store.read(f"{KEY}.whole", decoder) == read
         store.put(f"{KEY}.next", value)
         reread = store_class(directory=tmp_path)
-        assert reread.get(f"{KEY}.whole") == reread.get(f"{KEY}.next") \
-            == value
+        assert reread.read(f"{KEY}.whole", decoder) == reread.read(
+            f"{KEY}.next", decoder) == read
         assert reread.breakdown()[kind]["entries"] == 2
 
 

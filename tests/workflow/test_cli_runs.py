@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import re
 
-import pytest
-
 from repro.cli import main
 from repro.workflow.journal import JOURNAL_FILE
 from repro.workflow.runstore import RunStore
@@ -93,6 +91,27 @@ class TestDurableCLI:
                      "--journal-dir", str(tmp_path)]) == 0
         assert digest_of(capsys.readouterr().out) == expected
 
+    def test_reused_run_id_resumes_the_same_recipe_only(self, tmp_path,
+                                                        capsys):
+        """``--run-id`` naming a run the store holds: the same recipe
+        resumes it (a finished one reports "already complete"),
+        another recipe is WF009 and leaves the run untouched."""
+        assert main(chaos_args(tmp_path, "--run-id", "again")) == 0
+        expected = digest_of(capsys.readouterr().out)
+        truncate(tmp_path / "again" / JOURNAL_FILE, 5)
+        assert main(chaos_args(tmp_path, "--run-id", "again")) == 0
+        assert digest_of(capsys.readouterr().out) == expected
+        assert main(chaos_args(tmp_path, "--run-id", "again")) == 0
+        assert f"run again already complete: trace digest {expected}" in (
+            capsys.readouterr().out
+        )
+        assert main(chaos_args(tmp_path, "--run-id", "again",
+                               "--tasks", "5")) == 2
+        assert "repro chaos: error: WF009: run 'again'" in (
+            capsys.readouterr().err
+        )
+        assert RunStore(tmp_path).load_meta("again")["attempts"] == 2
+
     def test_runs_list_show_gc(self, tmp_path, capsys):
         assert main(chaos_args(tmp_path, "--run-id", "complete")) == 0
         assert main(chaos_args(tmp_path, "--run-id", "crashed")) == 0
@@ -124,16 +143,19 @@ class TestDurableCLI:
         capsys.readouterr()
         assert not (tmp_path / "crashed").exists()
 
-    def test_runs_show_requires_run_id(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["runs", "show", "--journal-dir", str(tmp_path)])
+    def test_runs_show_requires_run_id(self, tmp_path, capsys):
+        assert main(["runs", "show",
+                     "--journal-dir", str(tmp_path)]) == 2
+        assert "repro runs: error: no run id given" in (
+            capsys.readouterr().err
+        )
 
-    def test_resume_unknown_run_fails(self, tmp_path):
-        from repro.errors import JournalError
-
-        with pytest.raises(JournalError):
-            main(["chaos", "--resume", "ghost",
-                  "--journal-dir", str(tmp_path)])
+    def test_resume_unknown_run_fails(self, tmp_path, capsys):
+        assert main(["chaos", "--resume", "ghost",
+                     "--journal-dir", str(tmp_path)]) == 2
+        assert "repro chaos: error: unknown run 'ghost'" in (
+            capsys.readouterr().err
+        )
 
     def test_chaos_json_mode_omits_run_id_line(self, tmp_path, capsys):
         assert main(chaos_args(tmp_path, "--run-id", "quiet",

@@ -127,6 +127,30 @@ class TestServiceCLI:
         assert all(count == 0
                    for count in payload["counts"].values())
 
+    def test_stores_sharing_a_run_store_never_swap_results(
+            self, tmp_path, capsys):
+        """Two job stores, one ``--journal-dir``: each store's first
+        job maps to run ``job-1``. B's job has another recipe, so it
+        fails with WF009 naming that run instead of reporting A's
+        digest without running."""
+        runs = str(tmp_path / "runs")
+        jobs = {}
+        for store, seed in (("a", "0"), ("b", "7")):
+            db = str(tmp_path / f"{store}.db")
+            assert main(["service", "submit", "--db", db, "--count", "1",
+                         "--kind", "chaos", "--graph-seed", seed,
+                         "--durable", "--max-attempts", "1"]) == 0
+            main(["service", "launch", "--db", db, "--journal-dir", runs,
+                  "--exit-on-idle"])
+            capsys.readouterr()
+            assert main(["service", "status", "--db", db, "--json"]) == 0
+            [jobs[store]] = json.loads(capsys.readouterr().out)["jobs"]
+        assert jobs["a"]["state"] == "done"
+        assert jobs["b"]["state"] == "failed"
+        assert jobs["b"]["result"]["error"].startswith(
+            "WF009: run 'job-1'")
+        assert jobs["a"]["result"]["digest"] not in json.dumps(jobs["b"])
+
     def test_cancel_by_tag_owner_and_id(self, db, capsys):
         ids = []
         with JobStore(db) as store:
@@ -152,9 +176,11 @@ class TestServiceCLI:
             capsys.readouterr().out
         )
 
-    def test_cancel_requires_a_selector(self, db):
-        with pytest.raises(SystemExit):
-            main(["service", "cancel", "--db", db])
+    def test_cancel_requires_a_selector(self, db, capsys):
+        assert main(["service", "cancel", "--db", db]) == 2
+        assert "repro service: error: cancel needs job ids" in (
+            capsys.readouterr().err
+        )
 
     def test_full_two_terminal_demo_round_trip(self, db, capsys):
         """The README quickstart, end to end in one process."""

@@ -255,6 +255,37 @@ def test_runstore_prepare_resume_archives_the_crash(tmp_path):
         assert store.gc(completed_only=False) == [run_id]
 
 
+def test_runstore_open_creates_resumes_or_refuses(tmp_path):
+    """``RunStore.open``: a new id with a recipe creates the run; the
+    same kind and recipe (or no recipe) resumes it; another kind or
+    recipe is WF009 and leaves the run's journal where it was."""
+    store = RunStore(tmp_path)
+    run_id, recipe, resume, journal = store.open(
+        "chaos", run_id="r", recipe={"graph_seed": 1})
+    assert (run_id, recipe, resume) == ("r", {"graph_seed": 1}, None)
+    with journal:
+        journal.start({"graph": "toy"})
+    for kind, other in (("run", {"graph_seed": 1}),
+                        ("chaos", {"graph_seed": 2})):
+        with pytest.raises(JournalError) as caught:
+            store.open(kind, run_id="r", recipe=other)
+        assert caught.value.code == "WF009"
+        assert "'r'" in str(caught.value)
+    assert (store.run_dir("r") / JOURNAL_FILE).exists()
+    assert store.load_meta("r")["attempts"] == 1
+    for again in ({"graph_seed": 1}, None):
+        _id, recipe, resume, journal = store.open("chaos", "r", again)
+        journal.close()
+        assert recipe == {"graph_seed": 1}
+        assert resume is not None and not resume.finished
+    with pytest.raises(JournalError, match="unknown run 'ghost'"):
+        store.open("chaos", run_id="ghost")
+    generated, _recipe, _resume, journal = store.open(
+        "chaos", recipe={"graph_seed": 3})
+    journal.close()
+    assert generated.startswith("chaos-")
+
+
 def test_write_snapshot_is_atomic_and_checksummed(tmp_path):
     state = ReplayState(events=3, last_seq=7)
     path = write_snapshot(tmp_path, 7, state)
