@@ -167,7 +167,7 @@ def test_hls_dataflow_chaining(benchmark):
         ["batches", "chained ms", "staged ms", "speedup",
          "DDR bytes/batch chained", "staged"],
     )
-    staged_bytes = sum(d.data_bytes() for d in designs)
+    staged_bytes = sum(d.data_bytes for d in designs)
     for batches in (1, 16, 128):
         chained = chain.total_time_s(batches)
         staged = staged_total_time_s(designs, link, batches)

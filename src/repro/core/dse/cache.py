@@ -8,7 +8,9 @@ identity, so a recycled ``id()`` can never alias two kernel sources:
   :class:`~repro.core.store.LRUCache` of knob-transformed ("prepared")
   modules keyed ``(module_digest, pass-pipeline signature)``, so the
   knob points — of any kernel of the module — that run the same
-  passes share one module;
+  passes share one module; each prepared module carries the
+  :func:`synthesis_memo` pricing fills, so the points that differ
+  only in clock share one synthesis too;
 * :class:`CostCache` — the ``"cost"`` kind of the two-level
   :class:`~repro.core.store.ContentStore`, memoizing ``(module_digest,
   kernel, knobs, model)`` → cost estimate, bitstream record included,
@@ -29,9 +31,11 @@ import os
 import threading
 from functools import partial
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Dict, Optional
+from weakref import WeakKeyDictionary
 
 from repro.core.ir.digest import DIGEST_VERSION
+from repro.core.ir.module import Module
 from repro.core.store import (
     ContentStore, LRUCache, decode, encode, xdg_cache_dir,
 )
@@ -86,6 +90,7 @@ class CostCache(ContentStore):
 _prepared = LRUCache(DEFAULT_PREPARED_CAPACITY)
 _cost = CostCache()
 _config_lock = threading.Lock()
+_syntheses: "WeakKeyDictionary[Module, Dict]" = WeakKeyDictionary()
 
 
 def default_cache_dir() -> Path:
@@ -101,6 +106,19 @@ def prepared_cache() -> LRUCache:
 def cost_cache() -> CostCache:
     """The process-wide cost cache."""
     return _cost
+
+
+def synthesis_memo(prepared: Module) -> Dict:
+    """What pricing synthesized from one prepared module, by kernel and
+    clock-free HLS options.
+
+    Keyed weakly by the module the prepared LRU entry holds, so it
+    lives and dies with that entry: once the entry is evicted or
+    cleared (or the LRU reconfigured) and nobody holds the module, its
+    syntheses go with it. ``setdefault`` is one dict operation, atomic
+    for pricing threads.
+    """
+    return _syntheses.setdefault(prepared, {})
 
 
 def configure(

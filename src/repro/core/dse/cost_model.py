@@ -17,10 +17,15 @@ reader and writer, :func:`_evaluate_batch`: the explorer hands it
 batches, :func:`evaluate_variant` is the same routine for one point,
 and :func:`price_variant` is what it runs for a miss.
 
-A variant is built once: :func:`synthesize_variant` is the only
-``prepare → synthesize`` chain, and the estimate of a feasible FPGA
-point carries the bitstream of the design it was priced from, which is
-what the compiler packages.
+A variant is built once per clock-free option set:
+:func:`synthesize_variant` is the only ``prepare → synthesize`` chain,
+and pricing runs the same two steps, keeping each synthesis in the
+prepared module's :func:`~repro.core.dse.cache.synthesis_memo` under
+its kernel and options but the clock, which no HLS step reads — the
+points that differ only in clock re-price one
+:class:`~repro.core.hls.bambu.DesignFigures` at their own clock. The
+estimate of a feasible FPGA point carries the bitstream of the design
+it was priced from, which is what the compiler packages.
 
 :func:`bound_for` runs the same CPU and link arithmetic over the
 static analyzer's work and cycle floors
@@ -30,7 +35,7 @@ lower bound the bound-guided explorer orders and prunes by.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -40,8 +45,10 @@ from repro.core.analysis.absint import (
     partition_conflict,
 )
 from repro.core.analysis.perf import StaticBounds, fpga_cycles_lower_bound
-from repro.core.dse.cache import CostCache, cost_cache, prepared_cache
-from repro.core.hls.bambu import AcceleratorDesign, hls_options_for, synthesize
+from repro.core.dse.cache import (
+    CostCache, cost_cache, prepared_cache, synthesis_memo)
+from repro.core.hls.bambu import (
+    DEFAULT_CLOCK_HZ, AcceleratorDesign, hls_options_for, synthesize)
 from repro.core.ir.digest import module_digest
 from repro.core.ir.module import Function, Module
 from repro.core.ir.passes import (
@@ -402,11 +409,7 @@ def _evaluate_cpu(
     data_bytes = signature_bytes(function)
     latency, energy = cpu_cost_terms(work, data_bytes, knobs, model)
     return CostEstimate(
-        latency_s=latency,
-        energy_j=energy,
-        data_bytes=data_bytes,
-        feasible=True,
-    )
+        latency_s=latency, energy_j=energy, data_bytes=data_bytes)
 
 
 def _evaluate_fpga(
@@ -424,10 +427,21 @@ def _evaluate_fpga(
     )
     if conflict is not None:
         return CostEstimate.infeasible(conflict)
-    try:
-        design = synthesize_variant(module, kernel, knobs, digest)
-    except (HLSError, SchedulingError) as exc:
-        return CostEstimate.infeasible(str(exc))
+    # Synthesized once per prepared module, kernel and options but the
+    # clock, which no HLS step reads; a miss takes the chain of
+    # synthesize_variant on the module it already prepared.
+    prepared = prepare_variant_module(module, kernel, knobs, digest)
+    options = hls_options_for(knobs)
+    memo = synthesis_memo(prepared)
+    key = (kernel, replace(options, clock_hz=DEFAULT_CLOCK_HZ))
+    if key not in memo:
+        try:
+            memo[key] = synthesize(prepared, kernel, options).figures()
+        except (HLSError, SchedulingError) as exc:
+            memo[key] = str(exc)
+    if isinstance(memo[key], str):
+        return CostEstimate.infeasible(memo[key])
+    design = replace(memo[key], clock_hz=knobs.clock_hz)
 
     if not design.resources.fits_in(model.fpga_role_capacity):
         return CostEstimate.infeasible(
@@ -440,15 +454,12 @@ def _evaluate_fpga(
             design.resources,
         )
 
-    data_bytes = design.data_bytes()
     latency, transfer_j = fpga_link_terms(
-        design.latency_seconds, data_bytes, model.fpga_link)
-    energy = design.energy_per_invocation + transfer_j
+        design.latency_seconds, design.data_bytes, model.fpga_link)
     return CostEstimate(
         latency_s=latency,
-        energy_j=energy,
+        energy_j=design.energy_per_invocation + transfer_j,
         resources=design.resources,
-        data_bytes=data_bytes,
-        feasible=True,
+        data_bytes=design.data_bytes,
         bitstream=design.bitstream(),
     )

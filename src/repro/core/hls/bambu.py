@@ -10,7 +10,7 @@ packaging consume.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
 
 from repro.core.hls.allocation import Allocation, allocate
@@ -35,6 +35,9 @@ from repro.utils.validation import check_positive
 
 #: Accelerator clock when no knob sets one.
 DEFAULT_CLOCK_HZ = 250e6
+#: Dynamic power per thousand active cells (LUTs + FFs), in units of
+#: 0.1 W.
+DYNAMIC_WATTS_PER_KILOUNIT = 0.35
 
 
 @dataclass(frozen=True)
@@ -45,8 +48,6 @@ class HLSOptions:
     budget: ResourceBudget = field(default_factory=ResourceBudget)
     memory_strategy: str = "auto"  # auto | cyclic | block | none
     enable_dift: Optional[bool] = None  # None = follow function attr
-    cipher: Optional[str] = None  # None = follow function attr
-    dynamic_watts_per_kilounit: float = 0.35
 
     def __post_init__(self):
         check_positive("clock_hz", self.clock_hz)
@@ -69,53 +70,57 @@ def hls_options_for(knobs: VariantKnobs) -> HLSOptions:
 
 
 @dataclass
-class AcceleratorDesign:
-    """Result of synthesizing one kernel."""
+class DesignFigures:
+    """What pricing reads of a synthesized design, at one clock.
+
+    No synthesis step reads the clock: the figures of the same design
+    at another clock are this record with ``clock_hz`` replaced, and
+    latency, energy and bitstream follow from it here, for pricing and
+    :class:`AcceleratorDesign` alike.
+    """
 
     kernel_name: str
-    options: HLSOptions
-    cdfg: CDFG
-    schedules: Dict[int, Schedule]
-    memory_plan: MemoryPlan
-    allocation: Allocation
-    fsmd: FSMD
+    clock_hz: float
     latency_cycles: int
     resources: FPGAResources
-    taint_report: Optional[TaintReport] = None
-    crypto_core: Optional[CryptoCore] = None
+    dynamic_watts: float
+    data_bytes: int  # argument bytes one invocation streams
 
     @property
     def latency_seconds(self) -> float:
         """Wall-clock latency of one invocation at the design clock."""
-        return self.latency_cycles / self.options.clock_hz
-
-    @property
-    def dynamic_watts(self) -> float:
-        """Dynamic power estimate from active cell count."""
-        kilounits = (self.resources.luts + self.resources.ffs) / 1000.0
-        watts = kilounits * self.options.dynamic_watts_per_kilounit / 10.0
-        if self.crypto_core is not None:
-            watts += self.crypto_core.dynamic_watts
-        return watts
+        return self.latency_cycles / self.clock_hz
 
     @property
     def energy_per_invocation(self) -> float:
         """Joules per invocation (dynamic only)."""
         return self.dynamic_watts * self.latency_seconds
 
-    def data_bytes(self) -> int:
-        """Bytes of argument data moved per invocation."""
-        return argument_bytes(self.cdfg.function)
-
-    def bitstream(self, partial: bool = True) -> Bitstream:
+    def bitstream(self) -> Bitstream:
         """Package the design as a loadable bitstream image."""
         return Bitstream(
-            name=f"{self.kernel_name}@{int(self.options.clock_hz / 1e6)}MHz",
-            footprint=self.resources,
-            clock_hz=self.options.clock_hz,
-            dynamic_watts=self.dynamic_watts,
-            partial=partial,
-        )
+            f"{self.kernel_name}@{int(self.clock_hz / 1e6)}MHz",
+            self.resources, self.clock_hz, self.dynamic_watts)
+
+    def figures(self) -> "DesignFigures":
+        """These figures alone, without what a subclass adds."""
+        return DesignFigures(*(
+            getattr(self, spec.name) for spec in fields(DesignFigures)))
+
+
+@dataclass
+class AcceleratorDesign(DesignFigures):
+    """Result of synthesizing one kernel: its figures at the design
+    clock (``options.clock_hz``) and the structures behind them."""
+
+    options: HLSOptions
+    cdfg: CDFG
+    schedules: Dict[int, Schedule]
+    memory_plan: MemoryPlan
+    allocation: Allocation
+    fsmd: FSMD
+    taint_report: Optional[TaintReport] = None
+    crypto_core: Optional[CryptoCore] = None
 
     def rtl(self) -> str:
         """Pseudo-RTL text of the design."""
@@ -157,14 +162,6 @@ def synthesize(
     function = module.find_function(kernel_name)
     if function is None:
         raise HLSError(f"no function named {kernel_name!r}")
-    return synthesize_function(function, options)
-
-
-def synthesize_function(
-    function: Function, options: Optional[HLSOptions] = None
-) -> AcceleratorDesign:
-    """Synthesize a function wrapper directly."""
-    options = options or HLSOptions()
     cdfg = build_cdfg(function)
 
     max_unroll = max(
@@ -211,24 +208,31 @@ def synthesize_function(
         latency += taint_report.extra_latency_cycles
 
     crypto_core = None
-    cipher = options.cipher or function.op.attr("cipher")
+    cipher = function.op.attr("cipher")
     if cipher:
         crypto_core = core_for(cipher)
         resources = resources + crypto_core.area
         latency += crypto_core.cycles_for(_sensitive_bytes(function))
 
-    fsmd = build_fsmd(cdfg, schedules, memory_plan)
+    # Dynamic power from the active cell count, plus the crypto core's.
+    kilounits = (resources.luts + resources.ffs) / 1000.0
+    dynamic_watts = kilounits * DYNAMIC_WATTS_PER_KILOUNIT / 10.0
+    if crypto_core is not None:
+        dynamic_watts += crypto_core.dynamic_watts
 
     return AcceleratorDesign(
         kernel_name=function.name,
+        clock_hz=options.clock_hz,
+        latency_cycles=max(1, int(latency)),
+        resources=resources,
+        dynamic_watts=dynamic_watts,
+        data_bytes=argument_bytes(function),
         options=options,
         cdfg=cdfg,
         schedules=schedules,
         memory_plan=memory_plan,
         allocation=allocation,
-        fsmd=fsmd,
-        latency_cycles=max(1, int(latency)),
-        resources=resources,
+        fsmd=build_fsmd(cdfg, schedules, memory_plan),
         taint_report=taint_report,
         crypto_core=crypto_core,
     )

@@ -78,8 +78,8 @@ class ChainedDesign:
         first = self.stages[0]
         last = self.stages[-1]
         if len(self.stages) == 1:
-            return first.data_bytes()
-        first_inputs = first.data_bytes() - _output_bytes(first)
+            return first.data_bytes
+        first_inputs = first.data_bytes - _output_bytes(first)
         return first_inputs + _output_bytes(last)
 
     @property

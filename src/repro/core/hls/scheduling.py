@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 from repro.core.hls.cdfg import DFGNode, LoopNode, loop_carried_chain
@@ -92,7 +92,7 @@ RESOURCE_CLASS: Dict[str, str] = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ResourceBudget:
     """Available functional units per class for one accelerator."""
 
@@ -114,14 +114,9 @@ class ResourceBudget:
         the banks; only the memory plan (banking) adds ports.
         """
         check_positive("factor", factor)
-        return ResourceBudget(
-            fadd=self.fadd * factor,
-            fmul=self.fmul * factor,
-            fdiv=self.fdiv * factor,
-            special=self.special * factor,
-            crypto=self.crypto,
-            memport=self.memport,
-        )
+        return replace(
+            self, fadd=self.fadd * factor, fmul=self.fmul * factor,
+            fdiv=self.fdiv * factor, special=self.special * factor)
 
 
 def latency_of(node: DFGNode) -> int:

@@ -119,7 +119,7 @@ class TestSynthesize:
     def test_data_bytes(self):
         design = synthesize(prepared(STREAM), "stream")
         # two 512-float inputs + one 512-float out-param
-        assert design.data_bytes() == 3 * 512 * 4
+        assert design.data_bytes == 3 * 512 * 4
 
     def test_report_mentions_kernel(self):
         design = synthesize(prepared(STREAM), "stream")

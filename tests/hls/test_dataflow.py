@@ -101,7 +101,7 @@ class TestChaining:
     def test_external_traffic_smaller_than_sum(self, stages):
         chain = chain_designs(stages)
         external = chain.external_bytes_per_batch()
-        total_if_staged = sum(s.data_bytes() for s in stages)
+        total_if_staged = sum(s.data_bytes for s in stages)
         assert external < total_if_staged
         # exactly: first input + last output = 2 buffers of 8 KiB
         assert external == 2 * 2048 * 4
@@ -120,7 +120,7 @@ class TestChaining:
             5 * stages[0].latency_seconds, rel=1e-6
         )
         assert chain.external_bytes_per_batch() == \
-            stages[0].data_bytes()
+            stages[0].data_bytes
 
     def test_power_sums(self, stages):
         chain = chain_designs(stages)

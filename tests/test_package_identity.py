@@ -10,9 +10,10 @@ compile over the same cache directory with memory emptied, a compile
 after a populating pass that emitted nothing, and a compile whose
 pricing ran in pool children.
 
-The second half counts the work behind that record: each FPGA point is
-synthesized once, by pricing, each distinct pass pipeline runs once,
-and a warm compile synthesizes nothing.
+The second half counts the work behind that record: each FPGA design
+is synthesized once, by pricing, and its clocks share that synthesis;
+each distinct pass pipeline runs once, and a warm compile synthesizes
+nothing.
 """
 
 import hashlib
@@ -26,8 +27,8 @@ from repro.core.analysis.cache import configure_analysis_cache
 from repro.core.analysis.specs import load_kernel_sources
 from repro.core.compiler import EverestCompiler
 from repro.core.dse.cache import DEFAULT_PREPARED_CAPACITY, configure
+from repro.core.dse import cost_model
 from repro.core.dse.space import DesignSpace
-from repro.core.hls import bambu
 from repro.core.ir.passes import PassManager
 from repro.obs.driver import pipeline_from_sources
 
@@ -159,8 +160,8 @@ def built(monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(bambu, "synthesize_function", counting(
-        "syntheses", bambu.synthesize_function))
+    monkeypatch.setattr(cost_model, "synthesize", counting(
+        "syntheses", cost_model.synthesize))
     monkeypatch.setattr(PassManager, "run", counting(
         "pipelines", PassManager.run))
     return counts
@@ -170,10 +171,12 @@ def built(monkeypatch):
 def test_each_variant_is_built_once(app_name, tmp_path, built):
     cold = compile_app(app_name, tmp_path)
     (result,) = cold.exploration.values()
-    fpga_points = sum(
-        variant.knobs.target == "fpga" for variant in result.evaluated)
-    assert fpga_points == 24
-    assert built == {"syntheses": fpga_points,
+    fpga_points = [variant.knobs for variant in result.evaluated
+                   if variant.knobs.target == "fpga"]
+    designs = {(knobs.tile, knobs.unroll, knobs.memory_strategy)
+               for knobs in fpga_points}
+    assert (len(fpga_points), len(designs)) == (24, 12)
+    assert built == {"syntheses": len(designs),
                      "pipelines": FPGA_PIPELINES + CPU_PIPELINES}
 
     built.update(syntheses=0, pipelines=0)
