@@ -79,6 +79,7 @@ from repro.core.dsl.kernel_dsl import compile_kernel, kernel_names
 from repro.core.ir import print_module
 from repro.core.ir.dialects import registered_dialects
 from repro.core.ir.digest import module_digest
+from repro.core.ir.passes import LoopDirectivesPass
 from repro.core.store import ContentStore, encode
 from repro.core.variants import VariantKnobs
 from repro.errors import AnalysisError, EverestError
@@ -284,17 +285,19 @@ def cmd_emit(args: argparse.Namespace) -> int:
     if args.what == "ir":
         print(print_module(module))
         return 0
-    knobs = (
-        VariantKnobs(target="cpu", threads=4)
-        if args.what == "sycl"
-        else VariantKnobs(target="fpga", unroll=args.unroll)
-    )
+    # The SYCL host code and the HLS input are one prepared module;
+    # only HLS reads the unroll factor.
+    knobs = VariantKnobs(target="fpga", unroll=args.unroll)
     if args.what == "rtl":
         print(synthesize_variant(module, args.kernel, knobs).rtl())
         return 0
     prepared = prepare_variant_module(module, args.kernel, knobs)
-    print(generate_sycl(prepared, args.kernel) if args.what == "sycl"
-          else print_module(prepared))
+    if args.what == "sycl":
+        print(generate_sycl(prepared, args.kernel))
+        return 0
+    prepared = prepared.clone()  # the loop directives, shown on a copy
+    LoopDirectivesPass(args.unroll).run(prepared)
+    print(print_module(prepared))
     return 0
 
 

@@ -556,10 +556,10 @@ def _check_function_perf(
             port_terms.append((buffer.name, demanded, ports))
 
         if loop.pipelined:
-            target = max(1, int(loop.op.attr("pipeline_ii", 1)))
+            target = max(1, loop.pipeline_ii)
             ii, kind, pressed = initiation_interval(
                 target, (), port_terms, chain_latency(loop),
-                max(1, int(loop.op.attr("interleave", 1))),
+                loop.interleave,
             )
             if kind != "target":
                 cause = (

@@ -5,8 +5,9 @@ simulators to explore the design space" (paper §III-B, [23-26]).
 :class:`ArchitectureModel` captures one target node (CPU + optional
 FPGA + attachment link); :func:`evaluate_variant` predicts latency,
 energy and resource footprint of a knob assignment by actually running
-the knob-specific compilation (tiling, lowering, directives) and HLS on
-a clone of the kernel — the estimation feedback loop of Fig. 1.
+the knob-specific compilation (tiling, lowering) on a clone of the
+kernel and HLS, with the loop directives, on the result — the
+estimation feedback loop of Fig. 1.
 
 Evaluation is memoized through the content-addressed caches in
 :mod:`repro.core.dse.cache`: prepared (knob-transformed) modules live
@@ -52,11 +53,9 @@ from repro.core.hls.bambu import (
 from repro.core.ir.digest import module_digest
 from repro.core.ir.module import Function, Module
 from repro.core.ir.passes import (
-    AccumulationInterleavePass,
     CanonicalizePass,
     DataLayoutPass,
     ElementwiseFusionPass,
-    LoopDirectivesPass,
     LowerTensorPass,
     MatmulLoopOrderPass,
     PassManager,
@@ -148,11 +147,15 @@ def prepare_variant_module(
     the cache survives garbage collection of the source module without
     ever aliasing a recycled ``id``, and by the passes the pipeline
     holds with their parameters — exactly what the result depends on,
-    so the points that differ only in knobs no pass reads (threads,
-    clock, memory strategy) share one prepared module. ``kernel`` is
-    not in the key: the passes run over the whole module, so the
-    kernels of one application share its prepared modules too.
-    Callers must not mutate it.
+    so the points that differ only in knobs no pass reads share one
+    prepared module: threads, clock, memory strategy, and the loop
+    directives (unroll, interleave), which HLS applies from its
+    options (:func:`~repro.core.hls.bambu.hls_options_for`). A CPU
+    point and every FPGA point with the same tile, layout, DIFT and
+    matmul order get the same module. ``kernel`` is not in the key:
+    the passes run over the whole module, so the kernels of one
+    application share its prepared modules too. Callers must not
+    mutate it.
     """
     manager = PassManager(verify_each=False)
     manager.add(ElementwiseFusionPass())
@@ -166,10 +169,6 @@ def prepare_variant_module(
     if knobs.dift:
         manager.add(SecurityInstrumentationPass())
     manager.add(LowerTensorPass())
-    if knobs.target == "fpga":
-        manager.add(LoopDirectivesPass(unroll_factor=knobs.unroll))
-        if knobs.interleave > 1:
-            manager.add(AccumulationInterleavePass(knobs.interleave))
     manager.add(CanonicalizePass())
 
     if digest is None:

@@ -9,9 +9,8 @@ packaging consume.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.core.hls.allocation import Allocation, allocate
 from repro.core.hls.cdfg import CDFG, build_cdfg
@@ -42,15 +41,25 @@ DYNAMIC_WATTS_PER_KILOUNIT = 0.35
 
 @dataclass(frozen=True)
 class HLSOptions:
-    """Synthesis knobs — the hardware-variant axes of the DSE."""
+    """Synthesis knobs — the hardware-variant axes of the DSE.
+
+    ``unroll`` and ``interleave`` are the loop directives HLS applies
+    to the innermost loops (see :func:`~repro.core.hls.cdfg.build_cdfg`);
+    like ``enable_dift``, ``None`` follows the function's own IR
+    attributes.
+    """
 
     clock_hz: float = DEFAULT_CLOCK_HZ
     budget: ResourceBudget = field(default_factory=ResourceBudget)
     memory_strategy: str = "auto"  # auto | cyclic | block | none
     enable_dift: Optional[bool] = None  # None = follow function attr
+    unroll: Optional[int] = None  # None = follow loop attrs
+    interleave: Optional[int] = None  # None = follow loop attrs
 
     def __post_init__(self):
         check_positive("clock_hz", self.clock_hz)
+        for factor in (self.unroll, self.interleave):
+            check_positive("loop factor", 1 if factor is None else factor)
 
 
 def hls_options_for(knobs: VariantKnobs) -> HLSOptions:
@@ -58,14 +67,18 @@ def hls_options_for(knobs: VariantKnobs) -> HLSOptions:
 
     The one knobs -> options rule shared by DSE pricing, artifact
     emission and the ``synth`` / ``emit`` commands, so what is priced
-    is what is built: functional units scale with the unroll factor
-    and DIFT is forced on by the knob, else left to the function.
+    is what is built: the innermost loops take the knob's unroll
+    factor, and its interleave factor when it asks for partial sums;
+    functional units scale with the unroll factor; DIFT is forced on
+    by the knob, else left to the function.
     """
     return HLSOptions(
         clock_hz=knobs.clock_hz,
         memory_strategy=knobs.memory_strategy,
         budget=ResourceBudget(fadd=4 * knobs.unroll, fmul=4 * knobs.unroll),
         enable_dift=knobs.dift or None,
+        unroll=knobs.unroll,
+        interleave=knobs.interleave if knobs.interleave > 1 else None,
     )
 
 
@@ -162,11 +175,10 @@ def synthesize(
     function = module.find_function(kernel_name)
     if function is None:
         raise HLSError(f"no function named {kernel_name!r}")
-    cdfg = build_cdfg(function)
+    cdfg = build_cdfg(function, options.unroll, options.interleave)
 
     max_unroll = max(
-        [loop.unroll for loop in cdfg.innermost_loops()] or [1]
-    )
+        (loop.unroll for loop in cdfg.innermost_loops()), default=1)
     memory_plan = plan_memories(
         cdfg, unroll=max_unroll, strategy=options.memory_strategy,
     )

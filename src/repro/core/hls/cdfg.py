@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.ir.dialects.kernel import loop_range
 from repro.core.ir.module import Function
 from repro.core.ir.ops import Operation, Value
+from repro.core.timing import interleave_cap, unroll_directive
 from repro.errors import HLSError
 
 #: Operation kinds treated as memory accesses.
@@ -60,26 +61,23 @@ class DFGNode:
 
 @dataclass
 class LoopNode:
-    """A kernel.for in the loop tree."""
+    """A kernel.for in the loop tree, with the directives HLS honours:
+    ``unroll`` body copies, a target ``pipeline_ii`` (``None`` when
+    the loop is not pipelined) and ``interleave`` partial sums."""
 
     op: Optional[Operation]  # None for the virtual root
     trip_count: int
     depth: int
     body: List[DFGNode] = field(default_factory=list)
     children: List["LoopNode"] = field(default_factory=list)
-
-    @property
-    def unroll(self) -> int:
-        """Requested unroll factor (1 when absent)."""
-        if self.op is None:
-            return 1
-        return max(1, int(self.op.attr("unroll", 1)))
+    unroll: int = 1
+    pipeline_ii: Optional[int] = None
+    interleave: int = 1
 
     @property
     def pipelined(self) -> bool:
         """True when a pipeline directive is present."""
-        return self.op is not None and self.op.attr(
-            "pipeline_ii") is not None
+        return self.pipeline_ii is not None
 
     @property
     def is_innermost(self) -> bool:
@@ -110,8 +108,18 @@ class CDFG:
         return [loop for loop in self.root.walk() if loop.op is not None]
 
 
-def build_cdfg(function: Function) -> CDFG:
-    """Extract the CDFG of a kernel-form function."""
+def build_cdfg(function: Function, unroll: Optional[int] = None,
+               interleave: Optional[int] = None) -> CDFG:
+    """Extract the CDFG of a kernel-form function.
+
+    Each loop takes its directives from its op's ``unroll`` /
+    ``pipeline_ii`` / ``interleave`` attributes. A factor passed here
+    overrides them on the innermost loops, by the rule its pass
+    applies to the IR (:class:`~repro.core.ir.passes.LoopDirectivesPass`,
+    :class:`~repro.core.ir.passes.AccumulationInterleavePass`), so
+    synthesis with the factor equals synthesis of the annotated IR
+    and the function is never written to.
+    """
     if function.is_declaration:
         raise HLSError(
             f"cannot synthesize declaration {function.name!r}"
@@ -124,16 +132,25 @@ def build_cdfg(function: Function) -> CDFG:
             )
     root = LoopNode(op=None, trip_count=1, depth=0)
     _populate(function.entry_block.operations, root)
-    return CDFG(function, root)
+    cdfg = CDFG(function, root)
+    for loop in cdfg.innermost_loops():
+        if unroll is not None:
+            loop.unroll, loop.pipeline_ii = unroll_directive(
+                unroll, loop.trip_count)
+        if interleave is not None and loop_carried_chain(loop):
+            loop.interleave = interleave_cap(interleave, loop.trip_count)
+    return cdfg
 
 
 def _populate(operations, parent: LoopNode) -> None:
     for op in operations:
         if op.name == "kernel.for":
+            ii = op.attr("pipeline_ii")
             loop = LoopNode(
-                op=op,
-                trip_count=loop_range(op)[3],
-                depth=parent.depth + 1,
+                op=op, trip_count=loop_range(op)[3], depth=parent.depth + 1,
+                unroll=max(1, int(op.attr("unroll", 1))),
+                pipeline_ii=None if ii is None else int(ii),
+                interleave=max(1, int(op.attr("interleave", 1))),
             )
             parent.children.append(loop)
             body_block = op.regions[0].blocks[0]
@@ -189,18 +206,13 @@ def _provably_disjoint(store: DFGNode, load: DFGNode) -> bool:
     load_idx = load.indices()
     if len(store_idx) != len(load_idx):
         return False
-    all_const = True
     for a, b in zip(store_idx, load_idx):
-        const_a = _const_of(a)
-        const_b = _const_of(b)
+        const_a, const_b = _const_of(a), _const_of(b)
         if const_a is None or const_b is None:
-            all_const = False
-            break
+            return False
         if const_a != const_b:
             return True
-    if all_const:
-        return False  # identical constant indices: true dependence
-    return False
+    return False  # identical constant indices: true dependence
 
 
 def _const_of(value: Value) -> Optional[float]:

@@ -194,11 +194,10 @@ def schedule_loop(
         )
     else:
         schedule.ii = schedule.depth
-    interleave = max(1, int(loop.op.attr("interleave", 1)))
-    if interleave > 1:
+    if loop.interleave > 1:
         # reduction-tree epilogue over the partial sums
         schedule.depth += int(
-            math.ceil(math.log2(interleave))
+            math.ceil(math.log2(loop.interleave))
         ) * OP_LATENCY["kernel.addf"]
     return schedule
 
@@ -418,7 +417,7 @@ def _initiation_interval(
             accesses[id(buffer)] = accesses.get(id(buffer), 0) + 1
     memory_ports = memory_ports or {}
     ii, _, _ = initiation_interval(
-        int(loop.op.attr("pipeline_ii", 1)),
+        loop.pipeline_ii,
         [(resource, demand, budget.limit(resource))
          for resource, demand in usage.items() if resource != "memport"],
         # copies = the raw directive, not clamped to the trip count
@@ -428,7 +427,7 @@ def _initiation_interval(
         chain_latency(loop),
         # Accumulation interleaving (see passes/interleave.py): I
         # partial sums stretch the recurrence distance to I iterations.
-        max(1, int(loop.op.attr("interleave", 1))),
+        loop.interleave,
     )
     return ii
 

@@ -7,19 +7,20 @@ them after the loop: the recurrence distance grows to ``I``, so the
 achievable II drops to ``ceil(chain / I)``, at the cost of ``I-1``
 extra accumulator registers and a log-depth reduction tree epilogue.
 
-This pass is analysis+annotation, like the other variant knobs: it
-tags accumulation loops with an ``interleave`` attribute that the
-scheduler passes, with the chain latency, to
-:func:`repro.core.timing.initiation_interval` — the one place the
-``ceil(chain / I)`` term is stated.
+This pass is analysis+annotation: it tags accumulation loops with an
+``interleave`` attribute that the scheduler passes, with the chain
+latency, to :func:`repro.core.timing.initiation_interval` — the one
+place the ``ceil(chain / I)`` term is stated. Design-space
+exploration hands the factor to HLS instead (``HLSOptions.interleave``),
+which caps it by the same rule (:func:`repro.core.timing.interleave_cap`).
 """
 
 from __future__ import annotations
 
-from repro.core.hls.cdfg import LoopNode, build_cdfg, loop_carried_chain
+from repro.core.hls.cdfg import build_cdfg, loop_carried_chain
 from repro.core.ir.module import Module
 from repro.core.ir.passes.pass_manager import Pass
-from repro.core.ir.passes.unroll import is_innermost
+from repro.core.timing import interleave_cap
 from repro.errors import HLSError
 from repro.utils.validation import check_positive
 
@@ -51,7 +52,7 @@ class AccumulationInterleavePass(Pass):
             for loop in cdfg.innermost_loops():
                 if not loop_carried_chain(loop):
                     continue
-                factor = min(self.factor, max(1, loop.trip_count))
+                factor = interleave_cap(self.factor, loop.trip_count)
                 if loop.op.attr("interleave") != factor:
                     loop.op.set_attr("interleave", factor)
                     changed = True

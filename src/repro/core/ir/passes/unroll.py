@@ -5,6 +5,11 @@ this pass attaches ``unroll`` factors and a ``pipeline_ii`` of 1 (the
 target initiation interval) to ``kernel.for`` loops, which the HLS
 scheduler (:mod:`repro.core.hls.scheduling`) honors. Innermost loops
 receive the directives; outer loops are left sequential.
+
+Design-space exploration does not run this pass: it hands the factor
+to HLS (``HLSOptions.unroll``), which applies the same rule
+(:func:`repro.core.timing.unroll_directive`) to its own loop tree, so
+every unroll factor shares one prepared module.
 """
 
 from __future__ import annotations
@@ -13,22 +18,15 @@ from repro.core.ir.dialects.kernel import loop_range
 from repro.core.ir.module import Module
 from repro.core.ir.ops import Operation
 from repro.core.ir.passes.pass_manager import Pass
+from repro.core.timing import unroll_directive
 from repro.utils.validation import check_positive
 
 
 def is_innermost(op: Operation) -> bool:
     """True when a kernel.for contains no nested kernel.for."""
-    if op.name != "kernel.for":
-        return False
-    for region in op.regions:
-        for block in region.blocks:
-            for inner in block.operations:
-                for nested in inner.walk():
-                    if nested is not inner and nested.name == "kernel.for":
-                        return False
-                if inner.name == "kernel.for":
-                    return False
-    return True
+    return op.name == "kernel.for" and not any(
+        nested is not op and nested.name == "kernel.for"
+        for nested in op.walk())
 
 
 class LoopDirectivesPass(Pass):
@@ -45,12 +43,11 @@ class LoopDirectivesPass(Pass):
         for op in module.walk():
             if not is_innermost(op):
                 continue
-            trip = loop_range(op)[3]
-            factor = min(self.unroll_factor, trip) if trip else 1
-            if op.attr("unroll") != factor:
-                op.set_attr("unroll", factor)
-                changed = True
-            if op.attr("pipeline_ii") != 1:
-                op.set_attr("pipeline_ii", 1)
-                changed = True
+            unroll, pipeline_ii = unroll_directive(
+                self.unroll_factor, loop_range(op)[3])
+            for name, value in (("unroll", unroll),
+                                ("pipeline_ii", pipeline_ii)):
+                if op.attr(name) != value:
+                    op.set_attr(name, value)
+                    changed = True
         return changed

@@ -86,6 +86,19 @@ def body_copies(unroll: int, trip: int) -> int:
     return min(max(1, unroll), trip) if trip > 0 else 1
 
 
+def unroll_directive(unroll: int, trip: int) -> Tuple[int, int]:
+    """``(unroll, pipeline_ii)`` an unroll factor sets on an innermost
+    loop of ``trip`` iterations: the factor clamped to the trips
+    (:func:`body_copies`), pipelined at an II of 1."""
+    return body_copies(unroll, trip), 1
+
+
+def interleave_cap(factor: int, trip: int) -> int:
+    """Partial sums an interleave factor keeps in an accumulation loop
+    of ``trip`` iterations: no more than the trips, at least one."""
+    return min(factor, max(1, trip))
+
+
 def port_demand(accesses: int, copies: int) -> int:
     """Concurrent ports ``copies`` body copies demand on one buffer."""
     return accesses * copies

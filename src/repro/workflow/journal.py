@@ -321,7 +321,9 @@ class RunJournal:
     crashes), ``"snapshot"`` (default) flushes every append — a torn
     tail is the worst a *process* crash can do — and fsyncs at the
     header, at snapshots and at finish, so an *OS* crash loses at most
-    ``snapshot_every`` events; ``"never"`` fsyncs only on close.
+    ``snapshot_every`` events; ``"never"`` fsyncs only on close. Close
+    fsyncs only what was appended since the last fsync: nothing after
+    a finish, the tail of a run stopped mid-way.
     """
 
     def __init__(self, directory, snapshot_every: int = 100,
@@ -343,6 +345,7 @@ class RunJournal:
         self._tracer = None
         self._since_snapshot = 0
         self._started = False
+        self._unsynced = False  # appended since the last fsync
 
     # -- lifecycle -----------------------------------------------------
 
@@ -357,7 +360,7 @@ class RunJournal:
         self._started = True
         data = dict(header)
         data["journal_version"] = JOURNAL_VERSION
-        self.append("header", data, sync=True)
+        self.append("header", data, sync=self.fsync != "never")
 
     def attach(self, tracer) -> None:
         """Journal the tracer's journaled-category events from now on."""
@@ -371,11 +374,12 @@ class RunJournal:
             self._tracer = None
 
     def close(self) -> None:
-        """Flush, fsync and release the journal file."""
+        """Flush, fsync what is not yet synced and release the file."""
         self.detach()
         if self._handle is not None:
             self._handle.flush()
-            os.fsync(self._handle.fileno())
+            if self._unsynced:
+                os.fsync(self._handle.fileno())
             self._handle.close()
             self._handle = None
 
@@ -400,7 +404,8 @@ class RunJournal:
         record = {"seq": self._seq, "type": kind, "data": data}
         self._handle.write(_sealed(record) + "\n")
         self._handle.flush()
-        if sync or self.fsync == "always":
+        self._unsynced = not (sync or self.fsync == "always")
+        if not self._unsynced:
             os.fsync(self._handle.fileno())
         self._seq += 1
         apply_record(self.state, record)
@@ -460,6 +465,6 @@ class RunJournal:
         """Mark the run complete with its final trace digest."""
         self.append(
             "finish", {"digest": digest, "makespan": makespan},
-            sync=True,
+            sync=self.fsync != "never",
         )
         self._journal_instant("finish", digest=digest)

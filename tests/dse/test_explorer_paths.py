@@ -171,8 +171,7 @@ class TestPreparedModulesAreSharedAcrossKernels:
         finds every pipeline the first one prepared."""
         module = compile_kernel(TWO_KERNELS)
         pipelines = {
-            (knobs.matmul_order, knobs.tile, knobs.layout, knobs.dift,
-             knobs.unroll, knobs.interleave)
+            (knobs.matmul_order, knobs.tile, knobs.layout, knobs.dift)
             for knobs in SPACE.points() if knobs.target == "fpga"
         }
         fpga_points = sum(
@@ -182,4 +181,4 @@ class TestPreparedModulesAreSharedAcrossKernels:
             Explorer(module, kernel, space=SPACE).run("exhaustive")
         traffic = prepared_cache().stats.delta(before)
         assert traffic.lookups == 2 * fpga_points
-        assert traffic.misses == len(pipelines) == 8
+        assert traffic.misses == len(pipelines) == 2

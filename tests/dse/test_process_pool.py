@@ -29,8 +29,8 @@ SPACE = DesignSpace(
     tiles=(0, 8),
 )
 
-#: Two clocks x two memory strategies per (unroll, tile): four FPGA
-#: points share each of the six pass pipelines.
+#: Three unrolls x two clocks x two memory strategies per tile: twelve
+#: FPGA points share each of the two pass pipelines.
 SHARING_SPACE = DesignSpace(
     targets=("cpu", "fpga"),
     threads=(1, 2),
@@ -39,7 +39,7 @@ SHARING_SPACE = DesignSpace(
     memory_strategies=("auto", "cyclic"),
     clocks_hz=(250e6, 350e6),
 )
-SHARED_PIPELINES = 6
+SHARED_PIPELINES = 2
 
 #: (workers, workers_mode) grid the parity tests sweep. Serial is the
 #: reference; every other cell must reproduce it byte for byte.
@@ -86,7 +86,10 @@ class TestProcessMatchesSerial:
     def test_cache_stat_deltas_match_serial(self, gemm_module, strategy):
         """The parent-owned cost cache must count exactly the same
         hits/misses/stores whether misses are priced in-process or in
-        pool children (whose prepared-cache work is merged back)."""
+        pool children (whose prepared-cache work is merged back). The
+        prepared cache counts the same lookups; a pipeline is a miss
+        once in every process that meets it (``TestSharedPipelines``),
+        so its misses are at least the serial run's."""
         deltas = []
         for workers, workers_mode in MODES:
             clear_caches()
@@ -97,9 +100,11 @@ class TestProcessMatchesSerial:
                 cost_cache().stats.delta(cost_before),
                 prepared_cache().stats.delta(prep_before),
             ))
-        reference = deltas[0]
-        for delta, (workers, workers_mode) in zip(deltas[1:], MODES[1:]):
-            assert delta == reference, (workers, workers_mode)
+        cost, prepared = deltas[0]
+        for delta, mode in zip(deltas[1:], MODES[1:]):
+            assert delta[0] == cost, mode
+            assert delta[1].lookups == prepared.lookups, mode
+            assert delta[1].misses >= prepared.misses, mode
 
     def test_warm_process_run_is_hit_only(self, gemm_module):
         """With the cost cache warm, the pool must never be consulted:
@@ -146,7 +151,7 @@ class TestSharedPipelines:
         fpga_points = sum(
             knobs.target == "fpga" for knobs in SHARING_SPACE.points())
         serial = runs[0]
-        assert serial[3].lookups == fpga_points == 4 * SHARED_PIPELINES
+        assert serial[3].lookups == fpga_points == 12 * SHARED_PIPELINES
         assert serial[3].misses == SHARED_PIPELINES
         for run, mode in zip(runs[1:], MODES[1:]):
             assert run[:3] == serial[:3], mode

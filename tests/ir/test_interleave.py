@@ -118,5 +118,5 @@ class TestScheduleEffect:
         depth = schedule_loop(loop).depth
         # ceil(log2(interleave)) levels of one addf (3 cycles) each
         for interleave, epilogue in ((1, 0), (2, 3), (8, 9), (5, 9)):
-            loop.op.set_attr("interleave", interleave)
+            loop.interleave = interleave
             assert schedule_loop(loop).depth == depth + epilogue

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -9,6 +11,29 @@ kernel scale(X: tensor<64xf32>, G: tensor<64xf32>)
         -> tensor<64xf32> {
   Y = relu(X * G)
   return Y
+}
+"""
+
+QUICKSTART = str(Path(__file__).parents[1] / "examples" / "quickstart.py")
+#: ``repro emit examples/quickstart.py --kernel score --what lowered-ir
+#: --unroll 4``.
+QUICKSTART_LOWERED_U4 = """\
+builtin.module @kernels {
+  func.func @score (%0: memref<256xf32>, %1: memref<256xf32>, %2: memref<256xf32>, %3: memref<256xf32>) -> () attributes {everest.sensitive_args = [2], lowered_from = "tensor"} {
+    kernel.for {lower = 0, pipeline_ii = 1, step = 1, unroll = 4, upper = 256} {
+      ^bb0(%4: index):
+        %5 = kernel.load(%0, %4) : f32
+        %6 = kernel.expf(%5) : f32
+        %7 = kernel.load(%1, %4) : f32
+        %8 = kernel.mulf(%6, %7) : f32
+        %9 = kernel.load(%2, %4) : f32
+        %10 = kernel.addf(%8, %9) : f32
+        %11 = kernel.sigmoidf(%10) : f32
+        kernel.store(%11, %3, %4)
+        kernel.yield
+    }
+    func.return
+  }
 }
 """
 
@@ -69,6 +94,14 @@ class TestCLI:
                      "--what", "lowered-ir"]) == 0
         out = capsys.readouterr().out
         assert "kernel.for" in out
+
+    def test_emit_lowered_shows_the_loop_directives(self, capsys):
+        """The HLS input with the directives HLS applies, byte for byte
+        what the build that wrote them into the prepared module
+        printed."""
+        assert main(["emit", QUICKSTART, "--kernel", "score",
+                     "--what", "lowered-ir", "--unroll", "4"]) == 0
+        assert capsys.readouterr().out == QUICKSTART_LOWERED_U4
 
     def test_bad_space(self, dsl_file, capsys):
         with pytest.raises(SystemExit) as caught:

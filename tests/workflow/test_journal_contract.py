@@ -4,8 +4,9 @@
   run proceeds; a crc on every line and on every snapshot;
 * a task's ``exec`` record is on disk before its payload is invoked;
 * one fsync per ``snapshot()`` (none under ``fsync="never"``); a run
-  under ``fsync="snapshot"`` syncs at its header, its snapshots, its
-  finish and its close, and nowhere else;
+  under ``fsync="snapshot"`` syncs at its header, its snapshots and its
+  finish, and at its close only when it stopped before finishing; a
+  run under ``fsync="never"`` syncs once, at its close;
 * a snapshot whose body is not a usable object is skipped, never a
   traceback;
 * the format has not moved: a journal and its snapshots written by the
@@ -59,7 +60,8 @@ EVENT = {"name": "a", "category": "x", "phase": "i", "ts": 0.0,
          "dur": 0.0, "args": {}}
 
 
-def chaos_run(directory, snapshot_every=9, prepare=None, resume=None):
+def chaos_run(directory, snapshot_every=9, prepare=None, resume=None,
+              fsync="snapshot"):
     """The fixture's recipe on this build; returns the trace.
 
     ``prepare(journal, graph)`` runs before the server does and may
@@ -71,7 +73,8 @@ def chaos_run(directory, snapshot_every=9, prepare=None, resume=None):
     schedule = generate_schedule(
         graph, [worker.name for worker in pool], 0, CONFIG
     )
-    with RunJournal(directory, snapshot_every=snapshot_every) as journal:
+    with RunJournal(directory, snapshot_every=snapshot_every,
+                    fsync=fsync) as journal:
         check = prepare(journal, graph) if prepare is not None else None
         trace, _stats = ResilientServer(pool).run(
             graph, chaos=schedule, journal=journal, resume=resume
@@ -194,14 +197,48 @@ def test_fsyncs_per_snapshot_and_per_checkpoint(
         assert set(fsyncs) <= {journal._handle.fileno()}
 
 
-def test_snapshot_policy_syncs_header_snapshots_finish_and_close(
+def test_snapshot_policy_syncs_header_snapshots_and_finish(
         tmp_path, fsyncs):
-    # a run with task faults: none of them adds a sync of its own
+    # a run with task faults: none of them adds a sync of its own, and
+    # closing after the finish record has nothing left to sync
     chaos_run(tmp_path, snapshot_every=9)
     records, _torn = read_records(tmp_path / JOURNAL_FILE)
     snapshots = [r for r in records if r["type"] == "snapshot"]
     assert len(snapshots) == len(list_snapshots(tmp_path)) >= 2
-    assert len(fsyncs) == 1 + len(snapshots) + 1 + 1
+    assert records[-1]["type"] == "finish"
+    assert len(fsyncs) == 1 + len(snapshots) + 1
+
+
+class Killed(Exception):
+    """Stands for the process dying in the middle of a run."""
+
+
+def test_a_run_stopped_mid_way_syncs_its_tail_at_close(tmp_path, fsyncs):
+    def kill_at_the_fourth_payload(_journal, graph):
+        calls = []
+
+        def payload():
+            calls.append(None)
+            if len(calls) == 4:
+                raise Killed()
+        for task in graph.tasks.values():
+            task.payload = payload
+
+    with pytest.raises(Killed):
+        chaos_run(tmp_path, snapshot_every=9,
+                  prepare=kill_at_the_fourth_payload)
+    records, _torn = read_records(tmp_path / JOURNAL_FILE)
+    snapshots = [r for r in records if r["type"] == "snapshot"]
+    assert records[-1]["type"] == "event"
+    assert len(fsyncs) == 1 + len(snapshots) + 1
+
+
+def test_never_policy_syncs_once_at_close(tmp_path, fsyncs):
+    chaos_run(tmp_path, snapshot_every=9, fsync="never")
+    records, _torn = read_records(tmp_path / JOURNAL_FILE)
+    assert records[-1]["type"] == "finish"
+    assert len(list_snapshots(tmp_path)) >= 2
+    assert len(fsyncs) == 1
 
 
 # ----------------------------------------------------------------------
