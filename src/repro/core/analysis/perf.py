@@ -258,13 +258,12 @@ def _collect_nests(kernel: str, cdfg: CDFG) -> List[NestBounds]:
     nests: List[NestBounds] = []
     for position, (loop, outer) in enumerate(raw):
         ops: Dict[str, int] = {}
-        accesses: Dict[str, int] = {}
         for node in loop.body:
             cls = RESOURCE_CLASS.get(node.op.name, "alu")
             ops[cls] = ops.get(cls, 0) + 1
-            buffer = node.buffer()
-            if buffer is not None:
-                accesses[buffer.name] = accesses.get(buffer.name, 0) + 1
+        accesses: Dict[str, int] = {}
+        for buffer, count in loop.accesses.items():
+            accesses[buffer.name] = accesses.get(buffer.name, 0) + count
         nests.append(NestBounds(
             anchor=f"{kernel}/nest{position}",
             depth=loop.depth,
@@ -278,21 +277,16 @@ def _collect_nests(kernel: str, cdfg: CDFG) -> List[NestBounds]:
 
 
 def _collect_buffers(cdfg: CDFG) -> List[BufferInfo]:
-    infos: "OrderedDict[int, BufferInfo]" = OrderedDict()
-    for loop in cdfg.root.walk():
-        for node in loop.body:
-            buffer = node.buffer()
-            if buffer is None or not isinstance(buffer.type, MemRefType):
-                continue
-            info = infos.get(id(buffer))
-            if info is None:
-                info = infos[id(buffer)] = BufferInfo(
-                    buffer=buffer.name,
-                    elements=buffer.type.num_elements,
-                    element_bits=buffer.type.element.bit_width,
-                    small_alloc=small_alloc(buffer),
-                )
-            info.total_accesses += 1
+    infos: "OrderedDict[int, BufferInfo]" = OrderedDict(
+        (id(buffer), BufferInfo(
+            buffer=buffer.name,
+            elements=buffer.type.num_elements,
+            element_bits=buffer.type.element.bit_width,
+            total_accesses=count,
+            small_alloc=small_alloc(buffer),
+        ))
+        for buffer, count in cdfg.accesses().items()
+        if isinstance(buffer.type, MemRefType))
     directives = partition_directives(cdfg.function)
     for key, (_, scheme, factor) in directives.items():
         if key in infos:
@@ -531,17 +525,12 @@ def _check_function_perf(
         if trip <= 0:
             continue
         copies = body_copies(loop.unroll, trip)
-        per_buffer: Dict[int, int] = {}
-        for node in loop.body:
-            buffer = node.buffer()
-            if buffer is not None:
-                per_buffer[id(buffer)] = per_buffer.get(id(buffer), 0) + 1
-
         port_terms: List[Tuple[str, int, int]] = []
-        for key, count in per_buffer.items():
-            if key not in directives or directives[key][1] == "complete":
+        for buffer, count in loop.accesses.items():
+            directive = directives.get(id(buffer))
+            if directive is None or directive[1] == "complete":
                 continue
-            buffer, scheme, factor = directives[key]
+            _, scheme, factor = directive
             ports = ports_granted(scheme, factor, buffer.type.num_elements)
             demanded = port_demand(count, copies)
             if copies > 1 and demanded > ports:

@@ -1,15 +1,20 @@
 """The HLS driver: kernel-form function → accelerator design.
 
 Named for Bambu [27], the open-source HLS tool EVEREST builds on. The
-driver chains CDFG extraction, memory planning, scheduling, allocation,
-optional DIFT and crypto insertion, and FSMD/RTL emission, producing an
+driver chains CDFG extraction, memory planning, scheduling, allocation
+and optional DIFT and crypto insertion, producing an
 :class:`AcceleratorDesign` that the DSE cost model and the backend
-packaging consume.
+packaging consume; the FSMD behind its RTL is built when asked for.
+
+The CDFG holds what no option changes, so a kernel's is built once per
+version of its module and every synthesis of it, whatever its options,
+starts from that one structure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Dict, Optional
 
 from repro.core.hls.allocation import Allocation, allocate
@@ -44,7 +49,7 @@ class HLSOptions:
     """Synthesis knobs — the hardware-variant axes of the DSE.
 
     ``unroll`` and ``interleave`` are the loop directives HLS applies
-    to the innermost loops (see :func:`~repro.core.hls.cdfg.build_cdfg`);
+    to the innermost loops (see :meth:`~repro.core.hls.cdfg.CDFG.directed`);
     like ``enable_dift``, ``None`` follows the function's own IR
     attributes.
     """
@@ -131,9 +136,13 @@ class AcceleratorDesign(DesignFigures):
     schedules: Dict[int, Schedule]
     memory_plan: MemoryPlan
     allocation: Allocation
-    fsmd: FSMD
     taint_report: Optional[TaintReport] = None
     crypto_core: Optional[CryptoCore] = None
+
+    @cached_property
+    def fsmd(self) -> FSMD:
+        """The state machine behind :meth:`rtl`, built on first use."""
+        return build_fsmd(self.cdfg, self.schedules, self.memory_plan)
 
     def rtl(self) -> str:
         """Pseudo-RTL text of the design."""
@@ -175,20 +184,18 @@ def synthesize(
     function = module.find_function(kernel_name)
     if function is None:
         raise HLSError(f"no function named {kernel_name!r}")
-    cdfg = build_cdfg(function, options.unroll, options.interleave)
-
-    max_unroll = max(
-        (loop.unroll for loop in cdfg.innermost_loops()), default=1)
+    cdfg = _structure(module, function).directed(
+        options.unroll, options.interleave)
+    innermost = cdfg.innermost_loops()
     memory_plan = plan_memories(
-        cdfg, unroll=max_unroll, strategy=options.memory_strategy,
+        cdfg, unroll=max((loop.unroll for loop in innermost), default=1),
+        strategy=options.memory_strategy,
     )
     ports = memory_plan.ports_map()
-
-    schedules: Dict[int, Schedule] = {}
-    for loop in cdfg.innermost_loops():
-        schedules[id(loop)] = schedule_loop(
-            loop, budget=options.budget, memory_ports=ports
-        )
+    schedules: Dict[int, Schedule] = {
+        id(loop): schedule_loop(loop, options.budget, ports)
+        for loop in innermost
+    }
 
     latency = nest_cycles(cdfg.root, schedules)
     allocation = allocate(cdfg, schedules, memory_plan)
@@ -204,9 +211,7 @@ def synthesize(
             for op in function.walk()
             if op.name == "secure.taint"
         } or {"default"})
-        inflight = sum(
-            len(loop.body) for loop in cdfg.innermost_loops()
-        )
+        inflight = sum(len(loop.body) for loop in innermost)
         taint_report = apply_taint_tracking(
             allocation.unit_counts,
             inflight,
@@ -244,10 +249,23 @@ def synthesize(
         schedules=schedules,
         memory_plan=memory_plan,
         allocation=allocation,
-        fsmd=build_fsmd(cdfg, schedules, memory_plan),
         taint_report=taint_report,
         crypto_core=crypto_core,
     )
+
+
+def _structure(module: Module, function: Function) -> CDFG:
+    """The CDFG of one of the module's functions, built once per module
+    version: kept on the module's root op the way
+    :func:`~repro.core.ir.digest.module_digest` keeps its digest, so
+    any in-place edit of the module builds it afresh."""
+    root = module.op
+    memo = getattr(root, "_cdfg_memo", None)
+    if memo is None or memo[0] != root.version:
+        memo = root._cdfg_memo = (root.version, {})
+    if function.name not in memo[1]:
+        memo[1][function.name] = build_cdfg(function)
+    return memo[1][function.name]
 
 
 def argument_bytes(function: Function) -> int:

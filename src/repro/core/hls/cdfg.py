@@ -8,12 +8,19 @@ entries with explicit dependence edges:
 * memory dependences: a load after a store (or store after store) to
   the same buffer is ordered conservatively unless their constant
   index distance proves independence.
+
+The tree holds the kernel's structure only: what no synthesis option
+changes. :meth:`CDFG.directed` applies an unroll / interleave option
+set to a copy of the tree that shares the bodies, and the facts derived
+from a body alone (:meth:`LoopNode.fact`) are computed once for every
+copy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from collections import Counter
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.ir.dialects.kernel import loop_range
 from repro.core.ir.module import Function
@@ -33,11 +40,6 @@ class DFGNode:
     index: int  # position in body order
     predecessors: List["DFGNode"] = field(default_factory=list)
     successors: List["DFGNode"] = field(default_factory=list)
-
-    @property
-    def name(self) -> str:
-        """Operation name."""
-        return self.op.name
 
     def buffer(self) -> Optional[Value]:
         """The memref a memory op touches, else None."""
@@ -73,6 +75,23 @@ class LoopNode:
     unroll: int = 1
     pipeline_ii: Optional[int] = None
     interleave: int = 1
+    facts: Dict[str, Any] = field(
+        default_factory=dict, repr=False, compare=False)
+
+    def fact(self, name: str, compute: Callable[["LoopNode"], Any]) -> Any:
+        """``compute(self)``, kept under ``name``: a fact of the body
+        alone, shared with every directed copy of this loop."""
+        if name not in self.facts:
+            self.facts[name] = compute(self)
+        return self.facts[name]
+
+    @property
+    def accesses(self) -> Dict[Value, int]:
+        """Accesses per buffer in one pass over this loop's own body,
+        in first-access order."""
+        return self.fact("accesses", lambda loop: Counter(
+            buffer for buffer in map(DFGNode.buffer, loop.body)
+            if buffer is not None))
 
     @property
     def pipelined(self) -> bool:
@@ -107,18 +126,44 @@ class CDFG:
         """All real loops (excluding the virtual root)."""
         return [loop for loop in self.root.walk() if loop.op is not None]
 
+    def accesses(self) -> Dict[Value, int]:
+        """Accesses per buffer over every loop body, in first-access
+        order."""
+        counts: Dict[Value, int] = Counter()
+        for loop in self.root.walk():
+            counts.update(loop.accesses)
+        return counts
 
-def build_cdfg(function: Function, unroll: Optional[int] = None,
-               interleave: Optional[int] = None) -> CDFG:
+    def directed(self, unroll: Optional[int],
+                 interleave: Optional[int]) -> "CDFG":
+        """A copy of the loop tree, sharing the bodies, whose innermost
+        loops take these factors instead of their ops' attributes.
+
+        A factor applies by the rule its pass applies to the IR
+        (:class:`~repro.core.ir.passes.LoopDirectivesPass`,
+        :class:`~repro.core.ir.passes.AccumulationInterleavePass`), so
+        synthesis with the factor equals synthesis of the annotated IR
+        and the function is never written to. ``None`` keeps the
+        attributes.
+        """
+        def copy(loop: LoopNode) -> LoopNode:
+            loop = replace(loop, children=list(map(copy, loop.children)))
+            if loop.op is None or not loop.is_innermost:
+                return loop
+            if unroll is not None:
+                loop.unroll, loop.pipeline_ii = unroll_directive(
+                    unroll, loop.trip_count)
+            if interleave is not None and loop_carried_chain(loop):
+                loop.interleave = interleave_cap(interleave, loop.trip_count)
+            return loop
+        return CDFG(self.function, copy(self.root))
+
+
+def build_cdfg(function: Function) -> CDFG:
     """Extract the CDFG of a kernel-form function.
 
     Each loop takes its directives from its op's ``unroll`` /
-    ``pipeline_ii`` / ``interleave`` attributes. A factor passed here
-    overrides them on the innermost loops, by the rule its pass
-    applies to the IR (:class:`~repro.core.ir.passes.LoopDirectivesPass`,
-    :class:`~repro.core.ir.passes.AccumulationInterleavePass`), so
-    synthesis with the factor equals synthesis of the annotated IR
-    and the function is never written to.
+    ``pipeline_ii`` / ``interleave`` attributes.
     """
     if function.is_declaration:
         raise HLSError(
@@ -132,14 +177,7 @@ def build_cdfg(function: Function, unroll: Optional[int] = None,
             )
     root = LoopNode(op=None, trip_count=1, depth=0)
     _populate(function.entry_block.operations, root)
-    cdfg = CDFG(function, root)
-    for loop in cdfg.innermost_loops():
-        if unroll is not None:
-            loop.unroll, loop.pipeline_ii = unroll_directive(
-                unroll, loop.trip_count)
-        if interleave is not None and loop_carried_chain(loop):
-            loop.interleave = interleave_cap(interleave, loop.trip_count)
-    return cdfg
+    return CDFG(function, root)
 
 
 def _populate(operations, parent: LoopNode) -> None:
@@ -234,6 +272,10 @@ def loop_carried_chain(loop: LoopNode) -> List[DFGNode]:
     elements (e.g. the ikj matmul form) and the pipeline is free.
     Returns the SSA path from the load to the store, or an empty list.
     """
+    return loop.fact("chain", _find_chain)
+
+
+def _find_chain(loop: LoopNode) -> List[DFGNode]:
     loop_iv = None
     if loop.op is not None and loop.op.regions:
         blocks = loop.op.regions[0].blocks

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.core.hls.cdfg import CDFG, DFGNode
+from repro.core.hls.cdfg import CDFG
 from repro.core.ir.dialects.hw import partition_directives
 from repro.core.ir.ops import Value
 from repro.core.ir.types import MemRefType
@@ -47,7 +47,6 @@ class BufferPlan:
     memref: MemRefType
     scheme: str = "cyclic"  # cyclic | block | complete
     factor: int = 1  # number of banks
-    accesses_per_iteration: int = 0
 
     @property
     def ports(self) -> int:
@@ -147,7 +146,7 @@ def plan_memories(
     plan = MemoryPlan()
     explicit = partition_directives(cdfg.function)
 
-    for value, count in _count_accesses(cdfg).items():
+    for value, count in cdfg.accesses().items():
         memref = value.type
         if not isinstance(memref, MemRefType):
             continue
@@ -165,28 +164,5 @@ def plan_memories(
             memref=memref,
             scheme=scheme,
             factor=max(1, factor),
-            accesses_per_iteration=count,
         )
     return plan
-
-
-def _count_accesses(cdfg: CDFG) -> Dict[Value, int]:
-    """Accesses per innermost-loop iteration for each buffer.
-
-    Buffers only touched outside innermost loops still appear with
-    their total straight-line access count.
-    """
-    counts: Dict[int, int] = {}
-    values: Dict[int, Value] = {}
-
-    def record(node: DFGNode) -> None:
-        buffer = node.buffer()
-        if buffer is None:
-            return
-        counts[id(buffer)] = counts.get(id(buffer), 0) + 1
-        values[id(buffer)] = buffer
-
-    for loop in cdfg.root.walk():
-        for node in loop.body:
-            record(node)
-    return {values[key]: count for key, count in counts.items()}

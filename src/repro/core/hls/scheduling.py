@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
@@ -126,7 +127,8 @@ def latency_of(node: DFGNode) -> int:
 
 def chain_latency(loop: LoopNode) -> int:
     """Cycles of the loop-carried accumulation chain (0 = none)."""
-    return sum(latency_of(node) for node in loop_carried_chain(loop))
+    return loop.fact("chain_latency", lambda loop: sum(
+        latency_of(node) for node in loop_carried_chain(loop)))
 
 
 @dataclass
@@ -139,7 +141,6 @@ class Schedule:
     ii: int = 1  # initiation interval when pipelined
     pipelined: bool = False
     unroll: int = 1
-    resource_usage: Dict[str, int] = field(default_factory=dict)
 
     def cycles_for_trips(self, trips: int) -> int:
         """Total cycles to run ``trips`` iterations of this body."""
@@ -174,24 +175,22 @@ def schedule_loop(
     # standard modulo-scheduling decomposition.
     effective_budget = budget.scaled(unroll) if unroll > 1 else budget
 
-    start = _list_schedule(body, budget, memory_ports, 1)
+    mobility = loop.fact("mobility", lambda loop: _mobility(loop.body))
+    start = _list_schedule(body, budget, memory_ports, 1, mobility)
     depth = 0
     for node in body:
         depth = max(depth, start[id(node)] + latency_of(node))
 
-    usage = _resource_demand(body, unroll)
     schedule = Schedule(
         loop=loop,
         start_cycle=start,
         depth=max(depth, 1),
         pipelined=loop.pipelined,
         unroll=unroll,
-        resource_usage=usage,
     )
     if loop.pipelined:
         schedule.ii = _initiation_interval(
-            loop, effective_budget, memory_ports, usage
-        )
+            loop, effective_budget, memory_ports)
     else:
         schedule.ii = schedule.depth
     if loop.interleave > 1:
@@ -202,13 +201,12 @@ def schedule_loop(
     return schedule
 
 
-def _resource_demand(body: List[DFGNode], unroll: int) -> Dict[str, int]:
-    demand: Dict[str, int] = {}
-    for node in body:
-        resource = RESOURCE_CLASS.get(node.op.name)
-        if resource is not None:
-            demand[resource] = demand.get(resource, 0) + unroll
-    return demand
+def _resource_demand(loop: LoopNode) -> Dict[str, int]:
+    """Issues per constrained unit class over ``loop.unroll`` copies."""
+    per_copy = loop.fact("unit_issues", lambda loop: Counter(
+        RESOURCE_CLASS[node.op.name] for node in loop.body
+        if node.op.name in RESOURCE_CLASS))
+    return {unit: count * loop.unroll for unit, count in per_copy.items()}
 
 
 def _ports_for(node: DFGNode, budget: ResourceBudget,
@@ -221,11 +219,19 @@ def _ports_for(node: DFGNode, budget: ResourceBudget,
     return budget.memport
 
 
+def _mobility(body: List[DFGNode]) -> Dict[int, int]:
+    """ALAP minus ASAP start of each node, by ``id``."""
+    asap = _asap(body)
+    alap = _alap(body, max(asap[id(n)] + latency_of(n) for n in body))
+    return {id(node): alap[id(node)] - asap[id(node)] for node in body}
+
+
 def _list_schedule(
     body: List[DFGNode],
     budget: ResourceBudget,
     memory_ports: Optional[Dict[int, int]],
     unroll: int,
+    mobility: Optional[Dict[int, int]] = None,
 ) -> Dict[int, int]:
     """Mobility-priority list scheduling; returns start cycles.
 
@@ -245,12 +251,11 @@ def _list_schedule(
     * Resource placement asks a per-resource tracker for the first free
       cycle at or after the dependence-ready cycle, which is the fixed
       point the reference's ``cycle += 1`` probing converges to.
+
+    ``mobility`` is :func:`_mobility` of the body, when the caller
+    keeps it.
     """
-    asap = _asap(body)
-    alap = _alap(body, max(asap[id(n)] + latency_of(n) for n in body))
-    mobility = {
-        id(node): alap[id(node)] - asap[id(node)] for node in body
-    }
+    mobility = mobility or _mobility(body)
 
     start: Dict[int, int] = {}
     tracker = _ResourceTracker(budget, memory_ports, unroll)
@@ -408,22 +413,17 @@ def _initiation_interval(
     loop: LoopNode,
     budget: ResourceBudget,
     memory_ports: Optional[Dict[int, int]],
-    usage: Dict[str, int],
 ) -> int:
-    accesses: Dict[int, int] = {}
-    for node in loop.body:
-        buffer = node.buffer()
-        if buffer is not None:
-            accesses[id(buffer)] = accesses.get(id(buffer), 0) + 1
     memory_ports = memory_ports or {}
     ii, _, _ = initiation_interval(
         loop.pipeline_ii,
         [(resource, demand, budget.limit(resource))
-         for resource, demand in usage.items() if resource != "memport"],
+         for resource, demand in _resource_demand(loop).items()
+         if resource != "memport"],
         # copies = the raw directive, not clamped to the trip count
-        [(key, port_demand(count, loop.unroll),
-          memory_ports.get(key, budget.memport))
-         for key, count in accesses.items()],
+        [(id(buffer), port_demand(count, loop.unroll),
+          memory_ports.get(id(buffer), budget.memport))
+         for buffer, count in loop.accesses.items()],
         chain_latency(loop),
         # Accumulation interleaving (see passes/interleave.py): I
         # partial sums stretch the recurrence distance to I iterations.

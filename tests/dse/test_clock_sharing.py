@@ -1,12 +1,15 @@
-"""An FPGA design is synthesized once for every clock it is priced at.
+"""An FPGA design is synthesized once for every clock it is priced at,
+over a CDFG built once for every option set.
 
 No HLS step reads the clock, so the points of a design space that
 differ only in clock share one synthesis: the prepared module keeps
 what pricing synthesized from it, by kernel and HLS options without
-the clock. These tests hold every priced FPGA point to a design
-synthesized afresh at that point's clock, in either pricing order and
-after the caches are cleared, and count the syntheses an exploration
-makes.
+the clock. No option changes a kernel's structure, so every synthesis
+from one prepared module starts from one CDFG, and none builds an
+FSMD. These tests hold every priced FPGA point to a design synthesized
+afresh, from a fresh clone with nothing cached, at that point's clock,
+in either pricing order and after the caches are cleared, and count
+the syntheses, CDFGs and FSMDs an exploration builds.
 """
 
 from dataclasses import replace
@@ -26,10 +29,12 @@ from repro.core.dse.explorer import Explorer
 from repro.core.dse.space import DesignSpace
 from repro.core.dsl.kernel_dsl import compile_kernel
 from repro.core.frontend import import_model
+from repro.core.hls import bambu
 from repro.core.store import encode
 from repro.core.variants import CostEstimate, VariantKnobs
 from repro.errors import HLSError, SchedulingError
 from repro.platform.fpga import Bitstream
+from tests.dse.test_directive_options import THOROUGH_SOURCES
 
 #: The shape of the end-to-end benchmark's space.
 SPACE = DesignSpace(
@@ -40,12 +45,11 @@ SPACE = DesignSpace(
     memory_strategies=("auto", "cyclic", "none"),
     clocks_hz=(250e6, 350e6),
 )
-CLOCKS = SPACE.clocks_hz
 
-#: Seeded benchmark kernels (seed 1): an imported MLP, a 24-deep
+#: Seeded benchmark kernels (seed 1): chains, an imported MLP, a 24-deep
 #: element-wise chain whose widest designs miss timing at 350 MHz, a
-#: reduction and a matmul.
-KERNELS = (1, 2, 4, 7)
+#: reduction and two matmuls.
+KERNELS = (0, 1, 2, 4, 7, 8)
 
 #: A memory strategy the HLS memory planner rejects.
 UNKNOWN_STRATEGY = VariantKnobs(
@@ -58,18 +62,21 @@ def seeded_kernel(index):
     return compile_kernel(source), kernel.name
 
 
-def designs_of(kernel_name):
+def designs_of(space):
     """Clock-free FPGA knob points: the space's, then one HLS rejects."""
-    points = [knobs for knobs in SPACE.points()
-              if knobs.target == "fpga" and knobs.clock_hz == CLOCKS[0]]
+    points = [knobs for knobs in space.points()
+              if knobs.target == "fpga"
+              and knobs.clock_hz == space.clocks_hz[0]]
     return points + [UNKNOWN_STRATEGY]
 
 
 def fresh_estimate(module, kernel, knobs, model):
-    """The estimate of a design synthesized for this point alone, with
-    the clock arithmetic spelled out."""
+    """The estimate of a design synthesized for this point alone, from
+    a fresh clone with nothing cached, with the clock arithmetic
+    spelled out."""
+    clear_caches()
     try:
-        design = synthesize_variant(module, kernel, knobs)
+        design = synthesize_variant(module.clone(), kernel, knobs)
     except (HLSError, SchedulingError) as exc:
         return CostEstimate.infeasible(str(exc))
     assert design.options.clock_hz == knobs.clock_hz
@@ -107,30 +114,43 @@ def empty_caches():
     clear_caches()
 
 
-@pytest.fixture(scope="module", params=KERNELS)
+def thorough_kernel(name):
+    return compile_kernel(THOROUGH_SOURCES[name]), name
+
+
+CASES = [pytest.param((seeded_kernel, index, SPACE), id=f"e2e-{index}")
+         for index in KERNELS] + [
+    pytest.param((thorough_kernel, name, DesignSpace.thorough()),
+                 id=f"thorough-{name}")
+    for name in sorted(THOROUGH_SOURCES)]
+
+
+@pytest.fixture(scope="module", params=CASES)
 def priced_kernel(request):
-    """One seeded kernel with the fresh estimate of every FPGA point."""
-    module, kernel = seeded_kernel(request.param)
+    """One kernel and space with the fresh estimate of every FPGA
+    point."""
+    build, key, space = request.param
+    module, kernel = build(key)
     model = ArchitectureModel()
     points = [replace(knobs, clock_hz=clock)
-              for knobs in designs_of(kernel) for clock in CLOCKS]
+              for knobs in designs_of(space) for clock in space.clocks_hz]
     expected = {knobs: encode(fresh_estimate(module, kernel, knobs, model))
                 for knobs in points}
-    return module, kernel, model, expected
+    return module, kernel, space, model, expected
 
 
 class TestPricingEquivalence:
     @pytest.mark.parametrize("order", ["clock-first", "clock-last"])
     def test_every_point_prices_as_a_fresh_design(self, priced_kernel,
                                                   order):
-        module, kernel, model, expected = priced_kernel
-        designs = designs_of(kernel)
+        module, kernel, space, model, expected = priced_kernel
+        designs, clocks = designs_of(space), space.clocks_hz
         if order == "clock-first":
             points = [replace(knobs, clock_hz=clock)
-                      for clock in CLOCKS for knobs in designs]
+                      for clock in clocks for knobs in designs]
         else:
             points = [replace(knobs, clock_hz=clock)
-                      for knobs in designs for clock in CLOCKS]
+                      for knobs in designs for clock in clocks]
         for attempt in ("cold", "warm memo", "after clear_caches"):
             if attempt == "after clear_caches":
                 clear_caches()
@@ -142,17 +162,18 @@ class TestPricingEquivalence:
     def test_the_space_reaches_every_verdict(self, priced_kernel):
         """Between them the kernels cover feasible points, points
         that miss timing at 350 MHz only, and a synthesis failure."""
-        _, kernel, _, expected = priced_kernel
+        _, kernel, space, _, expected = priced_kernel
+        clocks = space.clocks_hz
         reasons = {knobs.clock_hz: set() for knobs in expected}
         for knobs, payload in expected.items():
             reasons[knobs.clock_hz].add(
                 payload["infeasible_reason"].split(":")[0])
-        assert "" in reasons[CLOCKS[0]]
-        assert "timing" not in reasons[CLOCKS[0]]
-        for clock in CLOCKS:
+        assert "" in reasons[clocks[0]]
+        assert "timing" not in reasons[clocks[0]]
+        for clock in clocks:
             assert "unknown memory strategy 'banked'" in reasons[clock]
         if kernel == kernel_input(1, 2).name:
-            assert "timing" in reasons[CLOCKS[1]]
+            assert "timing" in reasons[clocks[1]]
 
 
 @pytest.fixture
@@ -171,7 +192,7 @@ def syntheses(monkeypatch):
 
 class TestSynthesisCount:
     def test_one_synthesis_per_clock_free_design(self, syntheses):
-        module, kernel = seeded_kernel(KERNELS[0])
+        module, kernel = seeded_kernel(1)
         fpga_points = [knobs for knobs in SPACE.points()
                        if knobs.target == "fpga"]
         designs = {(knobs.unroll, knobs.tile, knobs.memory_strategy)
@@ -192,10 +213,56 @@ class TestSynthesisCount:
         assert len(syntheses) == 2 * len(designs)
 
     def test_process_pool_finds_the_same_front(self):
-        module, kernel = seeded_kernel(KERNELS[0])
+        module, kernel = seeded_kernel(1)
         serial = Explorer(module, kernel, space=SPACE).run("exhaustive")
         clear_caches()
         pooled = Explorer(module, kernel, space=SPACE, workers=2,
                           workers_mode="process").run("exhaustive")
         assert pooled.front_json() == serial.front_json()
         assert pooled.to_json() == serial.to_json()
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """CDFGs and FSMDs the HLS driver builds."""
+    counts = {"cdfg": 0, "fsmd": 0}
+
+    def counting(kind, build):
+        def call(*args, **kwargs):
+            counts[kind] += 1
+            return build(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(bambu, "build_cdfg",
+                        counting("cdfg", bambu.build_cdfg))
+    monkeypatch.setattr(bambu, "build_fsmd",
+                        counting("fsmd", bambu.build_fsmd))
+    return counts
+
+
+class TestBuildCount:
+    #: Each case with its prepared modules: the tiles of the e2e space;
+    #: the tiles x DIFT x matmul orders of the thorough space.
+    @pytest.mark.parametrize(
+        "case,prepared",
+        [(case, 2 if case.id.startswith("e2e") else 12) for case in CASES],
+        ids=[case.id for case in CASES])
+    def test_one_cdfg_per_prepared_kernel(self, builds, case, prepared):
+        (build, key, space), = case.values
+        module, kernel = build(key)
+        cold = Explorer(module, kernel, space=space).run("exhaustive")
+        assert builds == {"cdfg": prepared, "fsmd": 0}
+
+        cost_cache().clear()
+        warm = Explorer(module, kernel, space=space).run("exhaustive")
+        assert builds == {"cdfg": prepared, "fsmd": 0}
+        assert warm.to_json() == cold.to_json()
+
+        # A design built outside pricing starts from the same CDFG and
+        # builds its FSMD when its RTL is asked for.
+        design = synthesize_variant(
+            module, kernel, VariantKnobs(target="fpga", unroll=2))
+        assert builds == {"cdfg": prepared, "fsmd": 0}
+        assert design.rtl() == design.rtl()
+        assert builds == {"cdfg": prepared, "fsmd": 1}
+

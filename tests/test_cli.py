@@ -1,10 +1,15 @@
 """Tests for the command-line interface."""
 
+import re
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+from repro.core.analysis.specs import load_kernel_sources
+from repro.core.dse.cost_model import synthesize_variant
+from repro.core.dsl.kernel_dsl import compile_kernel
+from repro.core.variants import VariantKnobs
 
 KERNEL = """
 kernel scale(X: tensor<64xf32>, G: tensor<64xf32>)
@@ -36,6 +41,85 @@ builtin.module @kernels {
   }
 }
 """
+
+#: ``repro synth examples/quickstart.py --kernel score --unroll U``.
+QUICKSTART_SYNTH = {
+    1: """\
+kernel           : score
+clock            : 250 MHz
+latency          : 303 cycles (1.21 us)
+units            : 1xfadd, 1xfmul, 2xspecial
+resources        : FPGAResources(luts=4114, ffs=3290, bram_kb=9, dsps=21)
+memory banks     : 4
+dynamic power    : 0.26 W
+""",
+    4: """\
+kernel           : score
+clock            : 250 MHz
+latency          : 111 cycles (0.44 us)
+units            : 4xfadd, 4xfmul, 8xspecial
+resources        : FPGAResources(luts=13864, ffs=11000, bram_kb=18, dsps=84)
+memory banks     : 8
+dynamic power    : 0.87 W
+""",
+}
+#: ``repro emit examples/quickstart.py --kernel score --what rtl
+#: --unroll 1`` with the value numbers dropped; at unroll 4 every
+#: buffer has two banks.
+QUICKSTART_RTL_U1 = """\
+// pseudo-RTL generated by the EVEREST HLS engine
+module score (
+  input  wire clk,
+  input  wire rst,
+  input  wire start,
+  output reg  done
+  // memory interface: v: memref<256xf32> x1 banks
+  // memory interface: v: memref<256xf32> x1 banks
+  // memory interface: v: memref<256xf32> x1 banks
+  // memory interface: v: memref<256xf32> x1 banks
+);
+  reg [2:0] state;
+  always @(posedge clk) begin
+    if (rst) state <= 0;
+    else case (state)
+      0: begin // wait start
+        state <= 1;
+      end
+      1: begin // kernel.load; kernel.load; kernel.load
+        state <= 2;
+      end
+      2: begin // kernel.expf
+        state <= 3;
+      end
+      3: begin // kernel.mulf
+        state <= 4;
+      end
+      4: begin // kernel.addf
+        state <= 5;
+      end
+      5: begin // kernel.sigmoidf
+        state <= 6;
+      end
+      6: begin // kernel.store
+        state <= 7;
+      end
+      7: begin // assert done
+        state <= 7;
+      end
+    endcase
+  end
+  always @(posedge clk) done <= (state == 7);
+endmodule
+"""
+
+
+def quickstart_rtl(unroll):
+    banks = {1: "x1 banks", 4: "x2 banks"}[unroll]
+    return QUICKSTART_RTL_U1.replace("x1 banks", banks)
+
+
+def without_value_numbers(text):
+    return re.sub(r"v\d+", "v", text)
 
 
 @pytest.fixture
@@ -88,6 +172,34 @@ class TestCLI:
                      "--what", "rtl"]) == 0
         out = capsys.readouterr().out
         assert "module scale" in out
+
+    @pytest.mark.parametrize("unroll", [1, 4])
+    def test_synth_report_text(self, unroll, capsys):
+        assert main(["synth", QUICKSTART, "--kernel", "score",
+                     "--unroll", str(unroll)]) == 0
+        assert capsys.readouterr().out == QUICKSTART_SYNTH[unroll]
+
+    @pytest.mark.parametrize("unroll", [1, 4])
+    def test_emit_rtl_text(self, unroll, capsys):
+        """The RTL is built from the design's schedules when asked
+        for, byte for byte what a design that always carried its FSMD
+        printed."""
+        assert main(["emit", QUICKSTART, "--kernel", "score",
+                     "--what", "rtl", "--unroll", str(unroll)]) == 0
+        out = without_value_numbers(capsys.readouterr().out)
+        assert out == quickstart_rtl(unroll)
+
+    @pytest.mark.parametrize("unroll", [1, 4])
+    def test_interleave_leaves_the_quickstart_design(self, unroll):
+        """``score`` has no accumulation: interleave 8 changes neither
+        the report nor the RTL."""
+        (source,) = load_kernel_sources(QUICKSTART)
+        design = synthesize_variant(
+            compile_kernel(source), "score",
+            VariantKnobs(target="fpga", unroll=unroll, interleave=8))
+        assert design.report() + "\n" == QUICKSTART_SYNTH[unroll]
+        assert without_value_numbers(design.rtl()) + "\n" == \
+            quickstart_rtl(unroll)
 
     def test_emit_lowered(self, dsl_file, capsys):
         assert main(["emit", dsl_file, "--kernel", "scale",
