@@ -29,7 +29,7 @@ from repro.core.ir.digest import (
     module_digest,
     reset_digest_stats,
 )
-from tests.hls.test_scheduler_equivalence import hotpath_kernel
+from tests.conftest import hotpath_kernel
 
 
 def test_ben_hotpath_digest_printed_once():

@@ -58,6 +58,14 @@ class ChaosConfig:
     max_task_failures: int = 2
     partition_probability: float = 0.5
 
+    def __post_init__(self):
+        for name in ("crashes", "link_faults", "reconfig_faults",
+                     "stragglers", "task_faults"):
+            count = getattr(self, name)
+            if count < 0:
+                raise ChaosError(
+                    f"{name} must be non-negative, got {count}")
+
 
 @dataclass
 class ChaosSchedule:

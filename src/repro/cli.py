@@ -7,7 +7,7 @@ Subcommands::
     python -m repro explore  KERNELS.edsl --kernel NAME [--workers N]
     python -m repro perf     KERNELS.edsl --kernel NAME [--format json]
     python -m repro emit     KERNELS.edsl --kernel NAME --what sycl|rtl|ir
-    python -m repro lint     SPEC [--incremental] [--stats] [--workers N]
+    python -m repro lint     SPEC [--incremental] [--stats]
     python -m repro chaos    --graph-seed N --fault-seed M [--verify-replay]
     python -m repro run      SPEC [--trace PATH]
     python -m repro trace    SPEC --out trace.json [--clock logical|wall]
@@ -360,7 +360,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     one error-severity finding; 2 — a spec could not be loaded at all.
 
     Output is deterministic: the same tree produces byte-identical
-    reports on every run and every ``--workers`` count. With
+    reports on every run. With
     ``--incremental`` the per-file results are memoized (see
     :func:`~repro.core.analysis.specs.lint_files`); hit/miss traffic
     goes to stderr and the metrics registry, keeping stdout identical
@@ -373,13 +373,11 @@ def cmd_lint(args: argparse.Namespace) -> int:
         )
     stats = None
     if args.stats:
-        # Per-pass timings need an enabled ambient tracer, which is
-        # not safe to share across worker threads — stats runs serial.
+        # per-pass timings need an enabled ambient tracer
         stats = Observation(tracer=Tracer(enabled=True),
                             metrics=current_metrics())
     with observe(stats) if stats else nullcontext():
-        run = lint_files(args.paths, only=args.only, cache=cache,
-                         workers=1 if stats else args.workers)
+        run = lint_files(args.paths, only=args.only, cache=cache)
     diagnostics = run.diagnostics
     load_failed = any(
         item.analysis == "loader" for item in diagnostics.errors
@@ -974,13 +972,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_lint.add_argument(
         "--stats", action="store_true",
-        help="print a per-analysis-pass timing table to stderr "
-             "(forces serial analysis)",
-    )
-    p_lint.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="lint files on N threads; any value produces identical "
-             "output (default: 1)",
+        help="print a per-analysis-pass timing table to stderr",
     )
     _add_cache_flags(p_lint, "analysis")
     p_lint.set_defaults(func=cmd_lint)

@@ -19,11 +19,11 @@ exceptions so a single bad file does not hide findings in the rest.
 
 Expansion is fully deterministic: directory walks sort both the
 subdirectory and the file lists, so ``repro lint`` over a tree emits
-byte-identical reports on any filesystem and any worker count.
+byte-identical reports on any filesystem.
 
 :func:`lint_files` is the ``repro lint`` driver over these loaders:
-check selection, the per-file incremental cache entries and the thread
-fan-out. :func:`load_kernel_sources` reads a spec for the commands
+check selection and the per-file incremental cache entries.
+:func:`load_kernel_sources` reads a spec for the commands
 that compile it rather than lint it.
 """
 
@@ -33,7 +33,6 @@ import ast as python_ast
 import json
 import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -331,8 +330,7 @@ def _lint_file(checks: _Checks, cache: Optional[AnalysisCache],
 
 
 def lint_files(paths: Sequence[str], only: Iterable[str] = (),
-               cache: Optional[AnalysisCache] = None,
-               workers: int = 1) -> LintRun:
+               cache: Optional[AnalysisCache] = None) -> LintRun:
     """Lint every spec file ``paths`` expand to (see
     :func:`expand_spec_files`), in that order.
 
@@ -341,18 +339,12 @@ def lint_files(paths: Sequence[str], only: Iterable[str] = (),
     findings are memoized by path, contents and selected checks, so a
     warm run loads nothing it has seen; its traffic is published as
     ``analysis.cache_hits`` / ``analysis.cache_misses`` with
-    ``layer="source"``. ``workers > 1`` lints files on that many
-    threads, with the same result.
+    ``layer="source"``.
     """
     lint = partial(_lint_file, _select_checks(only), cache)
     files = [found for path in paths for found in expand_spec_files(path)]
-    if workers > 1 and len(files) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lint, files))
-    else:
-        outcomes = [lint(path) for path in files]
     run = LintRun(Diagnostics())
-    for diagnostics, targets, hit in outcomes:
+    for diagnostics, targets, hit in map(lint, files):
         run.diagnostics.extend(diagnostics)
         run.targets += targets
         run.hits += hit

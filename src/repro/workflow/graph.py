@@ -261,6 +261,9 @@ def random_task_graph(
     candidate input, producing the mix of chains, fans and diamonds the
     chaos invariants should hold over.
     """
+    if num_tasks < 1:
+        raise WorkflowError(
+            f"a task graph needs at least one task, got {num_tasks}")
     rng = random.Random(seed)
     graph = TaskGraph(f"chaos-graph-{seed}")
     available = []

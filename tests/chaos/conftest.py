@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.chaos import ChaosConfig
 from repro.workflow.worker import Worker
+
+#: The chaos grid: every graph seed against every fault seed.
+GRAPH_SEEDS = range(5)
+FAULT_SEEDS = range(4)
+CONFIG = ChaosConfig(crashes=2, link_faults=2, reconfig_faults=1,
+                     stragglers=1, task_faults=2)
 
 
 def make_pool(count: int = 3, cpus: int = 2):

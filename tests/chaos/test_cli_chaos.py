@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
 
 
@@ -80,3 +82,16 @@ class TestChaosCommand:
         out = capsys.readouterr().out
         assert "fault: worker-crash" in out
         assert "task-fault" not in out
+
+
+@pytest.mark.parametrize("flag,value,error", [
+    ("--tasks", "-3", "a task graph needs at least one task, got -3"),
+    ("--crashes", "-1", "crashes must be non-negative, got -1"),
+])
+def test_a_negative_count_is_one_coded_line(capsys, flag, value, error):
+    """A negative count used to run another scenario (the empty graph,
+    no crash) and report success."""
+    assert main(["chaos", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"repro chaos: error: {error}\n"

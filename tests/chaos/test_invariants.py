@@ -17,7 +17,6 @@ server must uphold:
 import pytest
 
 from repro.chaos import (
-    ChaosConfig,
     TaskFault,
     generate_schedule,
     random_task_graph,
@@ -25,12 +24,7 @@ from repro.chaos import (
 from repro.errors import ChaosError
 from repro.workflow.recovery import ResilientServer, RetryPolicy
 
-from tests.chaos.conftest import make_pool
-
-GRAPH_SEEDS = range(5)
-FAULT_SEEDS = range(4)
-CONFIG = ChaosConfig(crashes=2, link_faults=2, reconfig_faults=1,
-                     stragglers=1, task_faults=2)
+from tests.chaos.conftest import CONFIG, FAULT_SEEDS, GRAPH_SEEDS, make_pool
 
 
 def run_seed_pair(graph_seed: int, fault_seed: int):

@@ -13,7 +13,7 @@ from repro.chaos import (
     random_task_graph,
 )
 from repro.chaos.faults import ANY_LINK
-from repro.errors import ChaosError
+from repro.errors import ChaosError, WorkflowError
 
 WORKERS = ["w0", "w1", "w2"]
 
@@ -44,6 +44,11 @@ class TestGraphGenerator:
             graph = random_task_graph(seed)
             graph.validate()
             assert len(graph.topological_order()) == len(graph)
+
+    @pytest.mark.parametrize("tasks", [0, -3])
+    def test_a_graph_without_tasks_is_rejected(self, tasks):
+        with pytest.raises(WorkflowError, match="at least one task"):
+            random_task_graph(0, num_tasks=tasks)
 
     def test_size_and_cpu_bounds_respected(self):
         graph = random_task_graph(7, num_tasks=30, max_cpus=2)
@@ -115,6 +120,14 @@ class TestScheduleGenerator:
         ]
         assert link_faults
         assert all(f.node_a == "edge-0" for f in link_faults)
+
+    @pytest.mark.parametrize("count", ["crashes", "link_faults",
+                                       "reconfig_faults", "stragglers",
+                                       "task_faults"])
+    def test_a_negative_fault_count_is_rejected(self, count):
+        with pytest.raises(ChaosError, match=f"{count} must be non-negative"):
+            ChaosConfig(**{count: -1})
+        ChaosConfig(**{count: 0})  # no fault of the class is a scenario
 
     def test_zero_workers_rejected(self):
         with pytest.raises(ChaosError):

@@ -61,6 +61,28 @@ kernel score(X: tensor<8x8xf32> @sensitive, W: tensor<8x8xf32>)
 """
 
 
+def hotpath_kernel(depth: int) -> str:
+    """The ben-hotpath kernel: a fused elementwise chain that re-loads
+    its two input buffers in every statement, so one loop body of
+    ~3*depth operations has all its loads fighting for the same memory
+    ports — the pattern that made the reference sweep quadratic."""
+    lines = []
+    previous = "X"
+    for index in range(depth):
+        activation = ("exp", "tanh", "sigmoid")[index % 3]
+        lines.append(f"  T{index} = {activation}({previous}) * X + G")
+        previous = f"T{index}"
+    body = "\n".join(lines)
+    return (
+        "kernel hot(X: tensor<512xf32>, G: tensor<512xf32>)\n"
+        "        -> tensor<512xf32> {\n"
+        f"{body}\n"
+        f"  Y = {previous} + X\n"
+        "  return Y\n"
+        "}\n"
+    )
+
+
 @pytest.fixture
 def gemm_module() -> Module:
     return compile_kernel(GEMM_SRC)

@@ -33,6 +33,7 @@ from repro.core.ir.printer import print_module
 from repro.core.store import LRUCache
 from repro.core.variants import CostEstimate, VariantKnobs
 from repro.platform.interconnect import PCIeLink
+from tests.dse.oracle import CASES, EXPLORED
 
 ADD_SRC = """
 kernel k(X: tensor<8xf32>) -> tensor<8xf32> {
@@ -152,7 +153,6 @@ class TestPreparedModuleCache:
         assert cache.clear() == 2
         assert len(cache) == 0
 
-
     def test_points_that_run_the_same_passes_share_one_module(
             self, gemm_module):
         """The LRU key is the pipeline, not the knob point: threads,
@@ -185,40 +185,19 @@ class TestPreparedModuleCache:
         delta = prepared_cache().stats.delta(before)
         assert (delta.misses, delta.hits) == (5, 6)
 
-    @pytest.mark.parametrize("kernel,source", [
-        ("ew", """
-kernel ew(X: tensor<16xf32>, Y: tensor<16xf32>) -> tensor<16xf32> {
-  Z = sigmoid(exp(X) * Y + X)
-  return Z
-}
-"""),
-        ("mm", """
-kernel mm(A: tensor<8x8xf32>, B: tensor<8x8xf32>) -> tensor<8x8xf32> {
-  C = relu(A @ B)
-  return C
-}
-"""),
-    ])
+    @pytest.mark.parametrize("case", EXPLORED)
     def test_shared_module_is_what_the_point_alone_would_get(
-            self, kernel, source):
-        """Every point of the thorough space: the module it is handed
-        out of the shared LRU prints as the one a fresh LRU prepares
-        for that point alone."""
-        module = compile_kernel(source)
-        digest = module_digest(module)
-        points = list(DesignSpace.thorough().points())
-        before = prepared_cache().stats.snapshot()
-        shared = [
-            prepare_variant_module(module, kernel, knobs, digest)
-            for knobs in points
-        ]
-        # 12 pipelines (tile x DIFT x matmul order) serve all 1500 points
-        assert prepared_cache().stats.delta(before).misses == 12
-        for knobs, handed_out in zip(points, shared):
-            prepared_cache().clear()
-            alone = prepare_variant_module(module, kernel, knobs, digest)
-            assert alone is not handed_out
-            assert print_module(alone) == print_module(handed_out), knobs
+            self, priced, case):
+        """Every point of the space: the module it is handed out of
+        the shared LRU prints as the one a fresh LRU prepares for that
+        point alone, and the space's pipelines serve all its points
+        (12 for the 1500 points of the thorough space)."""
+        record = priced(case)
+        assert record.space_prepare_misses == CASES[case].pipelines
+        assert len(record.prepared_texts) == len(
+            list(CASES[case].space.points()))
+        for knobs, (alone, handed_out) in record.prepared_texts.items():
+            assert alone == handed_out, knobs
 
 
 class TestCostCache:

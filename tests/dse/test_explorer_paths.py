@@ -24,8 +24,7 @@ from repro.core.dsl.annotations import Requirement, RequirementKind
 from repro.core.dsl.kernel_dsl import compile_kernel
 from repro.obs import observe, session
 
-from tests.dse.test_prune import _partitioned_module
-from tests.dse.test_prune import _space as partitioned_space
+from tests.dse.oracle import partitioned_module, partitioned_space
 
 #: Spans two 16-point batches and both targets; bound guidance skips
 #: some of it.
@@ -77,7 +76,7 @@ class TestCountersBelongToOneRun:
 
     def test_static_prune_count(self):
         explorer = Explorer(
-            _partitioned_module(), "k", space=partitioned_space())
+            partitioned_module(), "k", space=partitioned_space())
         first = traced_run(explorer, "exhaustive")
         second = traced_run(explorer, "exhaustive")
         assert first["pruned"] == second["pruned"] == 1

@@ -9,55 +9,29 @@ the module pricing prepared.
 
 import pytest
 
-from benchmarks.e2e.inputs import kernel_input
 from repro.core.compiler import EverestCompiler
-from repro.core.dse.cache import clear_caches, prepared_cache
-from repro.core.dse.cost_model import prepare_variant_module, price_variant
-from repro.core.dse.explorer import Explorer
-from repro.core.dse.space import DesignSpace
-from repro.core.dsl.kernel_dsl import compile_kernel
-from repro.core.frontend import import_model
-from repro.core.ir import print_module
-from repro.core.ir.digest import module_digest
+from repro.core.dse.cache import prepared_cache
 from repro.obs.driver import pipeline_from_sources
-
-from tests.dse.test_directive_options import SPACE, THOROUGH_SOURCES
-
-
-def seeded_source(index):
-    kernel = kernel_input(1, index)
-    return kernel.source or import_model(kernel.model).dsl_source
+from tests.dse.oracle import ATTEMPTS, CASES, EXPLORED, SPACE, seeded_source
 
 
-def test_pricing_the_thorough_space_writes_no_prepared_module():
-    module = compile_kernel(THOROUGH_SOURCES["mm"])
-    points = [knobs for knobs in DesignSpace.thorough().points()
-              if knobs.target == "fpga"]
-    prepared = {}
-    for knobs in points:
-        shared = prepare_variant_module(module, "mm", knobs)
-        prepared[id(shared)] = (
-            shared, shared.op.version, module_digest(shared),
-            print_module(shared))
-    assert len(prepared) == 12  # tile x DIFT x matmul order
-    before = prepared_cache().stats.snapshot()
-    for knobs in points:
-        price_variant(module, "mm", knobs)
-    assert prepared_cache().stats.delta(before).misses == 0
-    for shared, version, digest, text in prepared.values():
-        assert shared.op.version == version
-        assert module_digest(shared) == digest
-        assert print_module(shared) == text
+@pytest.mark.parametrize("case", CASES)
+def test_pricing_writes_no_prepared_module(priced, case):
+    """Each module pricing is handed keeps its version, digest and
+    text through a cold and a warm pricing of every point, which
+    prepares nothing of its own."""
+    record = priced(case)
+    before, after = record.prepared
+    assert after == before
+    for attempt in ATTEMPTS:
+        assert record.builds["clock-first", attempt]["prepare"] == 0
 
 
-@pytest.mark.parametrize("index", [1, 7])
-def test_an_exploration_prepares_one_module_per_tile(index):
-    module = compile_kernel(seeded_source(index))
-    kernel = kernel_input(1, index).name
-    clear_caches()
-    before = prepared_cache().stats.snapshot()
-    Explorer(module, kernel, space=SPACE).run("exhaustive")
-    assert prepared_cache().stats.delta(before).misses == len(SPACE.tiles)
+@pytest.mark.parametrize("case", EXPLORED)
+def test_pricing_prepares_one_module_per_pipeline(priced, case):
+    builds = priced(case).builds
+    assert builds["clock-last", "cold"]["prepare"] == CASES[case].pipelines
+    assert builds["clock-last", "warm memo"]["prepare"] == 0
 
 
 def test_packaging_cpu_variants_prepares_nothing_again(monkeypatch):
@@ -74,7 +48,7 @@ def test_packaging_cpu_variants_prepares_nothing_again(monkeypatch):
         return artifact
 
     monkeypatch.setattr(EverestCompiler, "_build_artifact", counting)
-    pipeline = pipeline_from_sources("sharing", [seeded_source(7)])
+    pipeline = pipeline_from_sources("sharing", [seeded_source(1, 7)])
     EverestCompiler(space=SPACE).compile(pipeline)
     assert emitted
     assert sum(delta.lookups for delta in emitted) == len(emitted)

@@ -13,46 +13,14 @@ import pytest
 from repro.core.analysis.absint import function_facts, partition_conflict
 from repro.core.dse.explorer import Explorer
 from repro.core.dse.space import DesignSpace
-from repro.core.ir.builder import Builder
-from repro.core.ir.module import Module
-from repro.core.ir.types import F32, FunctionType, MemRefType
 from repro.core.variants import VariantKnobs
 from repro.obs import MetricsRegistry, Observation, observe
-
-
-def _partitioned_module():
-    """Kernel-form function: cyclic factor-2 buffer, 8-trip loop."""
-    module = Module("m")
-    memref = MemRefType((8,), F32)
-    function = module.add_function(
-        "k", FunctionType((memref,), ()))
-    b = Builder()
-    b.set_insertion_point(function.entry_block)
-    buffer = function.arguments[0]
-    b.create(
-        "hw.partition", operands=[buffer],
-        attributes={"scheme": "cyclic", "factor": 2},
-    )
-    loop = b.for_loop(0, 8)
-    with b.at_block(loop.body):
-        iv = loop.induction_var
-        value = b.load(buffer, [iv])
-        b.store(value, buffer, [iv])
-        b.yield_op()
-    b.ret([])
-    return module
-
-
-def _space():
-    # unroll 8 demands 2 x 8 = 16 ports; cyclic factor 2 offers 4.
-    return DesignSpace(
-        targets=("cpu", "fpga"), threads=(1,), unrolls=(1, 2, 8),
-    )
+from tests.dse.oracle import partitioned_module, partitioned_space
 
 
 class TestStaticConflict:
     def test_conflict_reason_matches_the_cost_model_wording(self):
-        module = _partitioned_module()
+        module = partitioned_module()
         facts = function_facts(module, "k")
         reason = partition_conflict(
             facts, VariantKnobs(target="fpga", unroll=8))
@@ -68,30 +36,30 @@ class TestStaticConflict:
 @pytest.mark.parametrize("strategy", ["exhaustive", "random"])
 class TestByteIdentity:
     def test_pruned_run_serializes_identically(self, strategy):
-        module = _partitioned_module()
+        module = partitioned_module()
         pruned = Explorer(
-            module, "k", space=_space(), prune=True,
+            module, "k", space=partitioned_space(), prune=True,
         )
         result = pruned.run(strategy)
         baseline = Explorer(
-            module, "k", space=_space(), prune=False,
+            module, "k", space=partitioned_space(), prune=False,
         ).run(strategy)
         assert pruned._pruned > 0
         assert result.to_json() == baseline.to_json()
 
     def test_parallel_pruned_run_matches_serial(self, strategy):
-        module = _partitioned_module()
+        module = partitioned_module()
         serial = Explorer(
-            module, "k", space=_space(), workers=1).run(strategy)
+            module, "k", space=partitioned_space(), workers=1).run(strategy)
         threaded = Explorer(
-            module, "k", space=_space(), workers=4).run(strategy)
+            module, "k", space=partitioned_space(), workers=4).run(strategy)
         assert serial.to_json() == threaded.to_json()
 
 
 class TestPrunedPoints:
     def test_pruned_points_stay_in_the_result_as_infeasible(self):
-        module = _partitioned_module()
-        explorer = Explorer(module, "k", space=_space())
+        module = partitioned_module()
+        explorer = Explorer(module, "k", space=partitioned_space())
         result = explorer.run("exhaustive")
         rejected = [
             v for v in result.evaluated
@@ -105,7 +73,7 @@ class TestPrunedPoints:
         assert variant.cost.latency_s == float("inf")
 
     def test_legal_points_are_never_pruned(self):
-        module = _partitioned_module()
+        module = partitioned_module()
         space = DesignSpace(
             targets=("cpu", "fpga"), threads=(1,), unrolls=(1, 2),
         )
@@ -119,10 +87,10 @@ class TestPrunedPoints:
         )
 
     def test_prune_counter_reaches_the_metrics_registry(self):
-        module = _partitioned_module()
+        module = partitioned_module()
         metrics = MetricsRegistry()
         with observe(Observation(metrics=metrics)):
-            Explorer(module, "k", space=_space()).run("exhaustive")
+            Explorer(module, "k", space=partitioned_space()).run("exhaustive")
         assert metrics.counter(
             "dse.pruned_points").value(kernel="k") == 1
 
@@ -130,7 +98,7 @@ class TestPrunedPoints:
         from repro.core.dse.cost_model import ArchitectureModel
         from repro.platform.resources import CPUDescription
 
-        module = _partitioned_module()
+        module = partitioned_module()
         model = ArchitectureModel(
             name="cpu-only",
             cpu=CPUDescription(
@@ -142,7 +110,7 @@ class TestPrunedPoints:
         # CPU-only shape the compiler uses for pure-software nodes.
         model.fpga_role_capacity = None
         model.fpga_link = None
-        explorer = Explorer(module, "k", space=_space(), model=model)
+        explorer = Explorer(module, "k", space=partitioned_space(), model=model)
         result = explorer.run("exhaustive")
         assert explorer._pruned == 0
         fpga_points = [

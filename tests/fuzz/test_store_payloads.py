@@ -43,11 +43,11 @@ from repro.core.analysis.perf import (
 from repro.core.compiler import EverestCompiler
 from repro.core.dse.cache import DEFAULT_PREPARED_CAPACITY, configure
 from repro.core.dse.space import DesignSpace
-from repro.core.frontend import import_model
 from repro.core.ir import ops
 from repro.core.store import ContentStore, decode
 from repro.core.variants import CostEstimate
 from repro.obs.driver import pipeline_from_sources
+from tests.dse.oracle import seeded_source
 
 #: (seed, op index): a chain, the model import, a reduction, a matmul.
 KERNELS = ((1, 0), (1, 1), (1, 4), (1, 7))
@@ -80,18 +80,18 @@ def compile_all(root: Path):
     saved = ops._value_counter
     try:
         for seed, index in KERNELS:
-            kernel = kernel_input(seed, index)
-            source = kernel.source or import_model(kernel.model).dsl_source
+            name = kernel_input(seed, index).name
             app = EverestCompiler(
                 space=DesignSpace.small(), emit_artifacts=False,
-            ).compile(pipeline_from_sources(kernel.name, [source]))
+            ).compile(pipeline_from_sources(
+                name, [seeded_source(seed, index)]))
             # bounds name buffers from a process-global counter, which
             # pricing a miss advances: restart it, so a bound derived
             # after a miss names what the cold one did
             ops._value_counter = itertools.count()
-            results[kernel.name] = (
-                app.exploration[kernel.name].front_json(),
-                kernel_bounds(app.module, kernel.name),
+            results[name] = (
+                app.exploration[name].front_json(),
+                kernel_bounds(app.module, name),
             )
     finally:
         ops._value_counter = saved

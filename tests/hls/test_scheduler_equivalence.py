@@ -26,6 +26,7 @@ from repro.core.hls.memory import plan_memories
 from repro.core.hls.scheduling import ResourceBudget, latency_of
 from repro.core.variants import VariantKnobs
 from repro.errors import SchedulingError
+from tests.conftest import GEMM_SRC, hotpath_kernel
 
 # -- the pre-replacement reference implementation ----------------------
 
@@ -235,40 +236,12 @@ class TestOversubscriptionError:
             )
 
 
-def hotpath_kernel(depth: int) -> str:
-    """The ben-hotpath kernel: a fused elementwise chain that re-loads
-    its two input buffers in every statement, so one loop body of
-    ~3*depth operations has all its loads fighting for the same memory
-    ports — the pattern that made the reference sweep quadratic."""
-    lines = []
-    previous = "X"
-    for index in range(depth):
-        activation = ("exp", "tanh", "sigmoid")[index % 3]
-        lines.append(f"  T{index} = {activation}({previous}) * X + G")
-        previous = f"T{index}"
-    body = "\n".join(lines)
-    return (
-        "kernel hot(X: tensor<512xf32>, G: tensor<512xf32>)\n"
-        "        -> tensor<512xf32> {\n"
-        f"{body}\n"
-        f"  Y = {previous} + X\n"
-        "  return Y\n"
-        "}\n"
-    )
-
-
 class TestRealKernelSchedules:
     """Ground the fake-node property in CDFGs from real kernels."""
 
     KERNELS = {
         "hot": hotpath_kernel(depth=60),
-        "gemm": """
-kernel gemm(A: tensor<16x16xf32>, B: tensor<16x16xf32>)
-        -> tensor<16x16xf32> {
-  C = A @ B
-  return C
-}
-""",
+        "gemm": GEMM_SRC,
         "stream": """
 kernel stream(X: tensor<64xf32>, Y: tensor<64xf32>)
         -> tensor<64xf32> {

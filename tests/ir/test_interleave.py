@@ -11,14 +11,7 @@ from repro.core.ir.passes import (
     LowerTensorPass,
     PassManager,
 )
-
-GEMM = """
-kernel gemm(A: tensor<16x16xf32>, B: tensor<16x16xf32>)
-        -> tensor<16x16xf32> {
-  C = A @ B
-  return C
-}
-"""
+from tests.conftest import GEMM_SRC
 
 STREAM = """
 kernel stream(A: tensor<64xf32>) -> tensor<64xf32> {
@@ -41,7 +34,7 @@ def lowered(src, interleave=0):
 
 class TestInterleavePass:
     def test_tags_accumulation_loops_only(self):
-        module = lowered(GEMM, interleave=4)
+        module = lowered(GEMM_SRC, interleave=4)
         tagged = [
             op for op in module.walk()
             if op.name == "kernel.for"
@@ -58,7 +51,7 @@ class TestInterleavePass:
         assert not tagged
 
     def test_factor_capped_by_trip_count(self):
-        module = lowered(GEMM, interleave=64)
+        module = lowered(GEMM_SRC, interleave=64)
         loop = next(
             op for op in module.walk()
             if op.attr("interleave") is not None
@@ -66,7 +59,7 @@ class TestInterleavePass:
         assert loop.attr("interleave") == 16  # k-loop trip count
 
     def test_tensor_form_skipped(self):
-        module = compile_kernel(GEMM)
+        module = compile_kernel(GEMM_SRC)
         changed = AccumulationInterleavePass().run(module)
         assert not changed
 
@@ -75,13 +68,13 @@ class TestInterleavePass:
             AccumulationInterleavePass(factor=0)
 
     def test_idempotent(self):
-        module = lowered(GEMM, interleave=4)
+        module = lowered(GEMM_SRC, interleave=4)
         assert AccumulationInterleavePass(4).run(module) is False
 
 
 class TestScheduleEffect:
     def _accum_schedule(self, interleave):
-        module = lowered(GEMM, interleave=interleave)
+        module = lowered(GEMM_SRC, interleave=interleave)
         function = module.find_function("gemm")
         cdfg = build_cdfg(function)
         loop = next(
@@ -110,7 +103,7 @@ class TestScheduleEffect:
             baseline.cycles_for_trips(trips)
 
     def test_epilogue_cycles_formula(self):
-        module = lowered(GEMM, interleave=0)
+        module = lowered(GEMM_SRC, interleave=0)
         loop = next(
             l for l in build_cdfg(module.find_function("gemm"))
             .innermost_loops() if loop_carried_chain(l)

@@ -118,6 +118,14 @@ def _repro_imports(name, path):
 
 _SWEEP = """
 import importlib, json, sys
+from importlib.machinery import SourceFileLoader
+compiled = {}
+compile_source = SourceFileLoader.source_to_code
+def compile_once(loader, data, path, *args, **kwargs):
+    if path not in compiled:
+        compiled[path] = compile_source(loader, data, path, *args, **kwargs)
+    return compiled[path]
+SourceFileLoader.source_to_code = compile_once
 failed = {}
 for name in json.loads(sys.stdin.read()):
     for loaded in [m for m in sys.modules if m == "repro" or m.startswith("repro.")]:
@@ -133,7 +141,9 @@ print(json.dumps(failed))
 def test_every_module_imports_first():
     # one child, not one per module: the start-up of numpy/networkx is
     # paid once, and dropping every ``repro*`` entry from sys.modules
-    # before each import makes that module the first one loaded
+    # before each import makes that module the first one loaded. The
+    # child keeps each module's code object, so a module is compiled
+    # once however often it is re-executed (nothing writes bytecode).
     names = [name for name in MODULES if name != "repro.__main__"]
     child = subprocess.run(
         [sys.executable, "-c", _SWEEP], input=json.dumps(names), text=True,

@@ -27,7 +27,6 @@ from pathlib import Path
 
 import pytest
 
-from benchmarks.e2e.inputs import kernel_input
 from repro.core.analysis import analyze_module_cached
 from repro.core.analysis.absint import (
     AccessFacts,
@@ -58,7 +57,6 @@ from repro.core.dse.cost_model import (
 )
 from repro.core.dse.space import DesignSpace
 from repro.core.dsl.kernel_dsl import compile_kernel
-from repro.core.frontend import import_model
 from repro.core.ir import ops, parse_module
 from repro.core.store import (
     STORE_VERSION, ContentStore, decode, encode,
@@ -77,6 +75,7 @@ from repro.workflow.journal import (
 from repro.workflow.replay import ReplayState, replay_records
 
 from tests.conftest import GEMM_SRC
+from tests.dse.oracle import seeded_kernel
 
 KEY = "ab" + "0" * 62
 
@@ -309,13 +308,6 @@ RECORDS = (LoopFacts, DimRange, AccessFacts, DeadFacts, PartitionDemand,
            FunctionFacts, AnalysisFacts, NestBounds, BufferTraffic,
            BufferInfo, StaticBounds, FPGAResources, Bitstream,
            CostEstimate, ReplayState)
-
-
-def seeded_kernel(seed, index):
-    """(module, kernel name) of one seeded end-to-end application."""
-    kernel = kernel_input(seed, index)
-    source = kernel.source or import_model(kernel.model).dsl_source
-    return compile_kernel(source), kernel.name
 
 
 def _walk(value, found):

@@ -24,24 +24,6 @@ from repro.workflow.jobstore import (
 )
 
 
-class FakeClock:
-    """A settable time source: lease expiry without sleeping."""
-
-    def __init__(self, now: float = 1000.0):
-        self.now = now
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
-
-
-@pytest.fixture()
-def clock():
-    return FakeClock()
-
-
 @pytest.fixture()
 def store(tmp_path, clock):
     with JobStore(tmp_path / "jobs.db", clock=clock) as jobstore:

@@ -16,7 +16,7 @@ import pytest
 
 from repro.errors import JobStoreError
 from repro.workflow.jobstore import JOB_STATES, JobSpec, JobStore
-from tests.workflow.test_jobstore import FakeClock
+from tests.workflow.conftest import FakeClock
 
 #: The DDL of stores written before the owner index stopped being
 #: keyed by state and the lease index was dropped.

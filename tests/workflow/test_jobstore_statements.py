@@ -14,14 +14,6 @@ import pytest
 
 from repro.errors import JobStoreError
 from repro.workflow.jobstore import JobSpec, JobStore
-from tests.workflow.test_jobstore import FakeClock
-
-
-@pytest.fixture()
-def clock():
-    return FakeClock()
-
-
 @pytest.fixture()
 def store(tmp_path, clock):
     with JobStore(tmp_path / "jobs.db", clock=clock) as jobstore:

@@ -46,8 +46,7 @@ from repro.workflow.tracing import (
     TASK_CATEGORY,
 )
 
-from tests.chaos.conftest import make_pool
-from tests.chaos.test_invariants import CONFIG, FAULT_SEEDS, GRAPH_SEEDS
+from tests.chaos.conftest import CONFIG, FAULT_SEEDS, GRAPH_SEEDS, make_pool
 
 #: Fields of the replayed state the fold derives from tracer events
 #: (``events`` itself is the record count, which the filter changes).

@@ -24,7 +24,7 @@ from repro.workflow.journal import JOURNAL_FILE
 from repro.workflow.launcher import SERVICE_RUN_KIND, Launcher
 from repro.workflow.runstore import RunStore
 
-from tests.workflow.test_jobstore import FakeClock
+from tests.workflow.conftest import FakeClock
 
 
 CHAOS_SPEC = {
@@ -100,6 +100,18 @@ class TestSingleLauncher:
             job = store.list_jobs(state="failed")[0]
             assert "unknown job kind" in job.result["error"]
             assert job.attempts == 2
+
+    def test_chaos_job_with_a_negative_count_fails(self, tmp_path):
+        """It used to end ``done`` with makespan 0 (an empty graph)."""
+        db = tmp_path / "jobs.db"
+        with JobStore(db) as store:
+            store.submit([JobSpec(name="c", kind="chaos", max_attempts=1,
+                                  spec={**CHAOS_SPEC, "tasks": -4})])
+        stats = Launcher(db).run()
+        assert (stats.completed, stats.failed) == (0, 1)
+        with JobStore(db) as store:
+            job, = store.list_jobs(state="failed")
+            assert "at least one task, got -4" in job.result["error"]
 
     def test_max_jobs_stops_early(self, tmp_path):
         db = tmp_path / "jobs.db"

@@ -35,8 +35,7 @@ from repro.workflow.recovery import SCHED_CATEGORY, ResilientServer
 from repro.workflow.scheduler import SchedulerPolicy, make_policy
 from repro.workflow.tracing import RECOVERY_CATEGORY, TASK_CATEGORY
 
-from tests.chaos.conftest import make_pool
-from tests.chaos.test_invariants import CONFIG, FAULT_SEEDS, GRAPH_SEEDS
+from tests.chaos.conftest import CONFIG, FAULT_SEEDS, GRAPH_SEEDS, make_pool
 
 POLICIES = ("fifo", "b-level", "locality")
 
