@@ -7,8 +7,8 @@ pipeline:
   fraction (< 20%) of the compile+DSE work it guards, same bar as
   ben-analysis;
 * the digest-keyed incremental cache must make a warm re-analysis at
-  least 5x faster than a cold one — otherwise ``--incremental`` and
-  the compiler's memoized gate are not worth their complexity.
+  least 5x faster than a cold one — otherwise the compiler's memoized
+  gate is not worth its complexity.
 """
 
 from __future__ import annotations

@@ -2,12 +2,12 @@
 
 Subcommands::
 
-    python -m repro compile  KERNELS.edsl [--strategy ...] [--workers N]
+    python -m repro compile  KERNELS.edsl [--strategy ...] [--space ...]
     python -m repro synth    KERNELS.edsl --kernel NAME [--unroll N]
-    python -m repro explore  KERNELS.edsl --kernel NAME [--workers N]
+    python -m repro explore  KERNELS.edsl --kernel NAME [--bound-guided]
     python -m repro perf     KERNELS.edsl --kernel NAME [--format json]
     python -m repro emit     KERNELS.edsl --kernel NAME --what sycl|rtl|ir
-    python -m repro lint     SPEC [--incremental] [--stats]
+    python -m repro lint     SPEC [--only CHECK] [--stats]
     python -m repro chaos    --graph-seed N --fault-seed M [--verify-replay]
     python -m repro run      SPEC [--trace PATH]
     python -m repro trace    SPEC --out trace.json [--clock logical|wall]
@@ -92,6 +92,7 @@ from repro.obs import (
 )
 from repro.obs.tracer import Tracer
 from repro.utils.tables import Table
+from repro.utils.validation import check_non_negative, check_positive
 
 # Function-level ``repro`` imports below load a subsystem that a single
 # subcommand drives (the workflow service and run store, the traced
@@ -134,9 +135,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
     )
     digest = module_digest(module)
     for name in kernel_names(source):
-        explorer = Explorer(module, name, space, workers=args.workers,
-                            workers_mode=args.workers_mode,
-                            digest=digest)
+        explorer = Explorer(module, name, space, digest=digest)
         result = explorer.run(args.strategy)
         best_latency = result.best_latency()
         best_energy = result.best_energy()
@@ -172,8 +171,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
     module = compile_kernel(source)
     space = getattr(DesignSpace, args.space)()
     explorer = Explorer(module, args.kernel, space,
-                        workers=args.workers,
-                        workers_mode=args.workers_mode,
                         bound_guided=args.bound_guided)
     before = dse_cache.cost_cache().stats.snapshot()
     result = explorer.run(args.strategy)
@@ -208,9 +205,9 @@ def cmd_explore(args: argparse.Namespace) -> int:
 
 def cmd_perf(args: argparse.Namespace) -> int:
     """Static performance report (analytic bounds) for one kernel."""
-    # Bounds persist in the same store ``repro lint --incremental``
-    # uses, so a warm report (or a later bound-guided exploration of
-    # the unchanged kernel) skips the derivation entirely.
+    # Bounds persist in the analysis store the compile gate uses, so
+    # a warm report (or a later bound-guided exploration of the
+    # unchanged kernel) skips the derivation entirely.
     configure_analysis_cache(
         _cache_dir(args, default_analysis_cache_dir)
     )
@@ -303,9 +300,10 @@ def cmd_emit(args: argparse.Namespace) -> int:
 
 #: The argparse fields that fully determine a `repro run` deployment —
 #: persisted in the run store's meta.json and restored verbatim on
-#: --resume (for `repro chaos`: ``launcher.CHAOS_RECIPE_KEYS``).
-_RUN_RECIPE_KEYS = ("file", "strategy", "clock", "workers",
-                    "workers_mode")
+#: --resume (for `repro chaos`: ``launcher.CHAOS_RECIPE_KEYS``). A run
+#: recorded with keys no longer listed here still resumes: see
+#: :meth:`RunStore.open <repro.workflow.runstore.RunStore.open>`.
+_RUN_RECIPE_KEYS = ("file", "strategy", "clock")
 
 
 def _run_durably(args: argparse.Namespace, kind: str, recipe_keys,
@@ -348,8 +346,7 @@ def _run_traced(args: argparse.Namespace, journal=None, resume=None):
     _configure_dse_caches(args)
     return run_traced(
         args.file, clock=getattr(args, "clock", "logical"),
-        strategy=args.strategy, workers=args.workers,
-        workers_mode=args.workers_mode, journal=journal, resume=resume,
+        strategy=args.strategy, journal=journal, resume=resume,
     )
 
 
@@ -360,24 +357,16 @@ def cmd_lint(args: argparse.Namespace) -> int:
     one error-severity finding; 2 — a spec could not be loaded at all.
 
     Output is deterministic: the same tree produces byte-identical
-    reports on every run. With
-    ``--incremental`` the per-file results are memoized (see
-    :func:`~repro.core.analysis.specs.lint_files`); hit/miss traffic
-    goes to stderr and the metrics registry, keeping stdout identical
-    to a cold run.
+    reports on every run. Lint keeps no cache: every run loads and
+    checks every file.
     """
-    cache = None
-    if args.incremental:
-        cache = configure_analysis_cache(
-            _cache_dir(args, default_analysis_cache_dir)
-        )
     stats = None
     if args.stats:
         # per-pass timings need an enabled ambient tracer
         stats = Observation(tracer=Tracer(enabled=True),
                             metrics=current_metrics())
     with observe(stats) if stats else nullcontext():
-        run = lint_files(args.paths, only=args.only, cache=cache)
+        run = lint_files(args.paths, only=args.only)
     diagnostics = run.diagnostics
     load_failed = any(
         item.analysis == "loader" for item in diagnostics.errors
@@ -391,14 +380,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
             f"{run.targets} target{'s' if run.targets != 1 else ''}"
         )
         print(diagnostics.render_text(f"lint: {targets_word}"))
-    if cache is not None:
-        lookups = run.hits + run.misses
-        ratio = run.hits / lookups if lookups else 0.0
-        print(
-            f"analysis cache: {run.hits} hits, {run.misses} misses "
-            f"({ratio:.0%} hit ratio)",
-            file=sys.stderr,
-        )
     if stats is not None:
         durations = stats.tracer.total_durations(ANALYSIS_CATEGORY)
         table = Table(
@@ -407,7 +388,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
         for name in sorted(durations):
             table.add_row(name, durations[name])
         if not durations:
-            table.add_row("(all results cached)", 0.0)
+            table.add_row("(no analysis pass ran)", 0.0)
         print(table.render(), file=sys.stderr)
     if load_failed:
         return 2
@@ -773,6 +754,22 @@ def cmd_info(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _checked(kind, check, what: str):
+    """An argparse ``type``: ``kind(text)`` that ``check`` (a
+    :mod:`repro.utils.validation` guard) accepts, so a value the
+    library would reject ends at its flag (``invalid <what> value``),
+    not in a traceback."""
+    def parse(text: str):
+        return check(what, kind(text))
+    parse.__name__ = what
+    return parse
+
+
+_POSITIVE_INT = _checked(int, check_positive, "positive int")
+_POSITIVE_FLOAT = _checked(float, check_positive, "positive float")
+_NON_NEGATIVE_INT = _checked(int, check_non_negative, "non-negative int")
+
+
 def _add_cache_flags(parser: argparse.ArgumentParser,
                      store: str = "dse") -> None:
     """``--cache-dir`` / ``--no-cache`` for the ``repro-<store>``
@@ -786,21 +783,6 @@ def _add_cache_flags(parser: argparse.ArgumentParser,
     parser.add_argument(
         "--no-cache", action="store_true",
         help=f"keep the {what} cache in memory only for this run",
-    )
-
-
-def _add_workers_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="evaluate DSE batches on N workers; any value "
-             "produces identical results (default: 1)",
-    )
-    parser.add_argument(
-        "--workers-mode", choices=("thread", "process"),
-        default="thread", dest="workers_mode",
-        help="pool flavor for --workers: 'thread' (cheap, "
-             "GIL-bound) or 'process' (true parallelism); both "
-             "produce identical results (default: thread)",
     )
 
 
@@ -827,9 +809,10 @@ def _add_journal_flags(parser: argparse.ArgumentParser) -> None:
              "existing run of the same recipe resumes",
     )
     parser.add_argument(
-        "--snapshot-every", type=int, default=100, metavar="N",
+        "--snapshot-every", type=_NON_NEGATIVE_INT, default=100, metavar="N",
         help="snapshot the replay state every N journaled events "
-             "so resume cost is O(tail) (default: 100)",
+             "so resume cost is O(tail); 0 takes no snapshots "
+             "(default: 100)",
     )
     parser.add_argument(
         "--resume", metavar="RUN_ID", default=None,
@@ -885,15 +868,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_compile.add_argument("file")
     _add_space_flags(p_compile)
-    _add_workers_flags(p_compile)
     _add_cache_flags(p_compile)
     p_compile.set_defaults(func=cmd_compile)
 
     p_synth = sub.add_parser("synth", help="HLS report for one kernel")
     p_synth.add_argument("file")
     p_synth.add_argument("--kernel", required=True)
-    p_synth.add_argument("--unroll", type=int, default=4)
-    p_synth.add_argument("--clock-mhz", type=float, default=250.0)
+    p_synth.add_argument("--unroll", type=_POSITIVE_INT, default=4)
+    p_synth.add_argument("--clock-mhz", type=_POSITIVE_FLOAT, default=250.0)
     _add_cache_flags(p_synth)
     p_synth.set_defaults(func=cmd_synth)
 
@@ -909,7 +891,6 @@ def build_parser() -> argparse.ArgumentParser:
              "points the bound proves off-front (exhaustive strategy "
              "only; identical front, fewer pricings)",
     )
-    _add_workers_flags(p_explore)
     _add_cache_flags(p_explore)
     p_explore.set_defaults(func=cmd_explore)
 
@@ -936,7 +917,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--what", default="ir",
         choices=("ir", "lowered-ir", "sycl", "rtl"),
     )
-    p_emit.add_argument("--unroll", type=int, default=4)
+    p_emit.add_argument("--unroll", type=_POSITIVE_INT, default=4)
     _add_cache_flags(p_emit)
     p_emit.set_defaults(func=cmd_emit)
 
@@ -965,16 +946,9 @@ def build_parser() -> argparse.ArgumentParser:
              "case-insensitive",
     )
     p_lint.add_argument(
-        "--incremental", action="store_true",
-        help="memoize per-file results in the persistent analysis "
-             "cache (--cache-dir, --no-cache); a warm run skips "
-             "unchanged files entirely",
-    )
-    p_lint.add_argument(
         "--stats", action="store_true",
         help="print a per-analysis-pass timing table to stderr",
     )
-    _add_cache_flags(p_lint, "analysis")
     p_lint.set_defaults(func=cmd_lint)
 
     p_chaos = sub.add_parser(
@@ -1016,7 +990,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="trace clock when --trace is given (default: logical)",
     )
     _add_report_flags(p_run)
-    _add_workers_flags(p_run)
     _add_cache_flags(p_run)
     _add_journal_flags(p_run)
     p_run.set_defaults(func=cmd_run)
@@ -1037,7 +1010,6 @@ def build_parser() -> argparse.ArgumentParser:
              "wall = real profiling (default: logical)",
     )
     p_trace.add_argument("--strategy", default="exhaustive")
-    _add_workers_flags(p_trace)
     _add_cache_flags(p_trace)
     p_trace.set_defaults(func=cmd_trace)
 
@@ -1050,7 +1022,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", default="text", choices=("text", "json"),
     )
     p_metrics.add_argument("--strategy", default="exhaustive")
-    _add_workers_flags(p_metrics)
     _add_cache_flags(p_metrics)
     p_metrics.set_defaults(func=cmd_metrics)
 

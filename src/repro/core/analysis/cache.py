@@ -1,18 +1,15 @@
 """Digest-keyed incremental cache for static-analysis results.
 
 The analysis gate (verification + taint + partition + absint + lints)
-would re-run from scratch on every compile and every ``repro lint``.
-This module memoizes it in the same
-:class:`~repro.core.store.ContentStore` the DSE layer memoizes
-synthesis in (:mod:`repro.core.dse.cache`), keyed by *content*:
+would re-run from scratch on every compile. This module memoizes it
+in the same :class:`~repro.core.store.ContentStore` the DSE layer
+memoizes synthesis in (:mod:`repro.core.dse.cache`), keyed by
+*content*:
 
 * :meth:`AnalysisCache.module_key` — the structural module digest,
   used by the compiler's pre-DSE ``static_checks`` gate;
-* :meth:`AnalysisCache.source_key` — the raw spec text, used by
-  ``repro lint --incremental`` (the driver in
-  :mod:`repro.core.analysis.specs`) so a warm run skips parsing and
-  compiling the spec entirely, not just the analyses;
-* :meth:`AnalysisCache.perf_key` — one kernel's static bounds.
+* :meth:`AnalysisCache.perf_key` — one kernel's static bounds
+  (``repro perf`` and bound-guided exploration).
 
 Every recipe folds in :data:`ANALYSIS_CACHE_VERSION` (payload layout),
 :data:`~repro.core.analysis.absint.ANALYSIS_VERSION` (the analyses'
@@ -43,10 +40,9 @@ ANALYSIS_CACHE_VERSION = "2"
 
 class AnalysisCache(ContentStore):
     """The store's ``"analysis"`` and ``"perf"`` kinds: JSON objects.
-    :func:`repro.core.analysis.analyze_module_cached`, the perf
-    analyzer and :func:`repro.core.analysis.specs.lint_files` decode
-    their records inside :meth:`read`, so a payload the decoder
-    rejects is a miss."""
+    :func:`repro.core.analysis.analyze_module_cached` and the perf
+    analyzer decode their records inside :meth:`read`, so a payload
+    the decoder rejects is a miss."""
 
     @staticmethod
     def _key(kind: str, material: Sequence[str]) -> str:
@@ -66,14 +62,6 @@ class AnalysisCache(ContentStore):
         """Key for ``analyze_module`` results on one IR module."""
         return AnalysisCache._key("module", (
             module_digest, ",".join(sorted(checks)), repr(bool(annotate)),
-        ))
-
-    @staticmethod
-    def source_key(text: str, checks: Sequence[str] = ()) -> str:
-        """Key for whole-spec lint results, by raw source text."""
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        return AnalysisCache._key("source", (
-            digest, ",".join(sorted(checks)),
         ))
 
     @staticmethod
@@ -109,9 +97,8 @@ def configure_analysis_cache(
     """Reconfigure the process-wide cache; returns the new instance.
 
     ``cache_dir=None`` keeps it memory-only (the library default);
-    ``repro lint --incremental`` passes
-    :func:`default_analysis_cache_dir` so repeated invocations share
-    one persistent store.
+    ``repro perf`` passes :func:`default_analysis_cache_dir` so
+    repeated invocations share one persistent store.
     """
     global _analysis
     with _config_lock:

@@ -22,7 +22,7 @@ subdirectory and the file lists, so ``repro lint`` over a tree emits
 byte-identical reports on any filesystem.
 
 :func:`lint_files` is the ``repro lint`` driver over these loaders:
-check selection and the per-file incremental cache entries.
+check selection, then every check on every target of every file.
 :func:`load_kernel_sources` reads a spec for the commands
 that compile it rather than lint it.
 """
@@ -34,7 +34,6 @@ import json
 import os
 import re
 from dataclasses import dataclass
-from functools import partial
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.analysis import (
@@ -44,14 +43,11 @@ from repro.core.analysis import (
     lint_concurrency_spec,
     lint_workflow_spec,
 )
-from repro.core.analysis.cache import AnalysisCache
 from repro.core.dsl.kernel_dsl import compile_kernel
 from repro.core.ir.parser import parse_module
 from repro.core.ir.verifier import verify_diagnostics
-from repro.core.store import decode
 from repro.diagnostics import Diagnostics
 from repro.errors import AnalysisError, EverestError, SpecificationError
-from repro.obs import current_metrics
 
 _KERNEL_RE = re.compile(r"\bkernel\s+\w+\s*\(")
 
@@ -139,12 +135,8 @@ def expand_spec_files(path: str) -> List[str]:
 def load_targets_from_text(
     path: str, text: str, diagnostics: Diagnostics
 ) -> List[LintTarget]:
-    """Targets for one spec file whose contents are already in hand.
-
-    This is the unit the incremental lint cache keys on: pure in
-    ``(path, text)``, so a warm ``repro lint --incremental`` replays
-    the stored findings without parsing or compiling anything.
-    """
+    """Targets for one spec file whose contents are already in hand;
+    pure in ``(path, text)``."""
     targets: List[LintTarget] = []
     if path.endswith(".edsl"):
         target = _load_module_target(path, text, diagnostics)
@@ -232,13 +224,11 @@ def load_kernel_sources(path: str) -> List[str]:
 
 @dataclass
 class LintRun:
-    """What :func:`lint_files` found: the findings of every file, the
-    targets they held and the incremental cache's hits and misses."""
+    """What :func:`lint_files` found: the findings of every file and
+    the targets they held."""
 
     diagnostics: Diagnostics
     targets: int = 0
-    hits: int = 0
-    misses: int = 0
 
 
 @dataclass(frozen=True)
@@ -248,13 +238,6 @@ class _Checks:
     module: Tuple[str, ...]
     workflow: bool
     concurrency: Tuple[str, ...]
-
-    @property
-    def signature(self) -> str:
-        """The selection's part of a per-file cache key."""
-        return "|".join((",".join(self.module),
-                         "wf" if self.workflow else "",
-                         ",".join(self.concurrency)))
 
 
 def _select_checks(only: Iterable[str]) -> _Checks:
@@ -278,31 +261,12 @@ def _select_checks(only: Iterable[str]) -> _Checks:
     )
 
 
-def _lint_entry(payload) -> Tuple[Diagnostics, int]:
-    """A per-file lint entry; a payload without its findings and
-    target count, or with either damaged, is rejected (a miss)."""
-    return (Diagnostics.from_dicts(payload["diagnostics"]),
-            decode(int, payload["targets"]))
-
-
-def _lint_file(checks: _Checks, cache: Optional[AnalysisCache],
-               path: str) -> Tuple[Diagnostics, int, bool]:
-    """``(findings, target count, cache hit?)`` of one spec file."""
+def _lint_file(checks: _Checks, path: str) -> Tuple[Diagnostics, int]:
+    """``(findings, target count)`` of one spec file."""
     diagnostics = Diagnostics()
     text = read_spec_text(path, diagnostics)
     if text is None:
-        return diagnostics, 0, False
-    key = None
-    if cache is not None:
-        # The path is part of the key: loader diagnostics anchor on
-        # it, so one file's findings must never replay for an
-        # identical copy elsewhere in the tree.
-        key = AnalysisCache.source_key(
-            f"{path}\x1f{text}", (checks.signature,)
-        )
-        entry = cache.read(key, _lint_entry)
-        if entry is not None:
-            return (*entry, True)
+        return diagnostics, 0
     targets = load_targets_from_text(path, text, diagnostics)
     for target in targets:
         try:
@@ -321,40 +285,21 @@ def _lint_file(checks: _Checks, cache: Optional[AnalysisCache],
                 "DSL001", f"cannot lint target: {exc}",
                 anchor=target.name, analysis="loader",
             )
-    if key is not None:
-        cache.put(key, {
-            "diagnostics": [item.to_dict() for item in diagnostics],
-            "targets": len(targets),
-        })
-    return diagnostics, len(targets), False
+    return diagnostics, len(targets)
 
 
-def lint_files(paths: Sequence[str], only: Iterable[str] = (),
-               cache: Optional[AnalysisCache] = None) -> LintRun:
+def lint_files(paths: Sequence[str], only: Iterable[str] = ()) -> LintRun:
     """Lint every spec file ``paths`` expand to (see
     :func:`expand_spec_files`), in that order.
 
     ``only`` holds ``--only`` values (an unknown check raises
-    :class:`~repro.errors.AnalysisError`). With a ``cache`` each file's
-    findings are memoized by path, contents and selected checks, so a
-    warm run loads nothing it has seen; its traffic is published as
-    ``analysis.cache_hits`` / ``analysis.cache_misses`` with
-    ``layer="source"``.
+    :class:`~repro.errors.AnalysisError`).
     """
-    lint = partial(_lint_file, _select_checks(only), cache)
-    files = [found for path in paths for found in expand_spec_files(path)]
+    checks = _select_checks(only)
     run = LintRun(Diagnostics())
-    for diagnostics, targets, hit in map(lint, files):
-        run.diagnostics.extend(diagnostics)
-        run.targets += targets
-        run.hits += hit
-        run.misses += not hit
-    if cache is not None:
-        metrics = current_metrics()
-        metrics.counter(
-            "analysis.cache_hits", "analysis cache hits",
-        ).inc(run.hits, layer="source")
-        metrics.counter(
-            "analysis.cache_misses", "analysis cache misses",
-        ).inc(run.misses, layer="source")
+    for path in paths:
+        for found in expand_spec_files(path):
+            diagnostics, targets = _lint_file(checks, found)
+            run.diagnostics.extend(diagnostics)
+            run.targets += targets
     return run

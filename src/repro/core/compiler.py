@@ -81,8 +81,6 @@ class EverestCompiler:
         signing_key: str = "everest-demo-key",
         emit_artifacts: bool = True,
         static_checks: bool = True,
-        workers: int = 1,
-        workers_mode: str = "thread",
     ):
         self.space = space or DesignSpace.small()
         self.model = model or ArchitectureModel()
@@ -90,11 +88,6 @@ class EverestCompiler:
         self.signing_key = signing_key
         self.emit_artifacts = emit_artifacts
         self.static_checks = static_checks
-        #: Pool width and flavor ("thread" or "process") for per-kernel
-        #: DSE batches; results are identical for every combination
-        #: (see Explorer).
-        self.workers = workers
-        self.workers_mode = workers_mode
 
     # ------------------------------------------------------------------
 
@@ -161,8 +154,6 @@ class EverestCompiler:
                     module, kernel, space=space, model=self.model,
                     requirements=list(task.requirements)
                     + list(pipeline.requirements),
-                    workers=self.workers,
-                    workers_mode=self.workers_mode,
                     digest=digest,
                 )
                 result = explorer.run(self.strategy)

@@ -209,7 +209,9 @@ class Explorer:
     statistics, and the same number of prepared-module lookups; how
     those split into hits and misses depends on which worker priced
     which point, because the points that run the same pass pipeline
-    share one prepared module per process.
+    share one prepared module per process. No SDK entry point widens
+    the pool any more (serial pricing is as fast, ROADMAP item 13);
+    the benchmark's pricing probe and the pool tests still do.
     """
 
     def __init__(

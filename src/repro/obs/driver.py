@@ -80,8 +80,6 @@ def run_traced(
     path: str,
     clock: str = "logical",
     strategy: str = "exhaustive",
-    workers: int = 1,
-    workers_mode: str = "thread",
     journal: Optional["RunJournal"] = None,
     resume: Optional["ReplayState"] = None,
 ) -> TracedRun:
@@ -90,9 +88,7 @@ def run_traced(
     ``clock`` is ``"logical"`` (deterministic trace, the default) or
     ``"wall"`` (real profiling). Artifacts are not emitted —
     synthesizing every variant's bitstream dominates runtime and adds
-    nothing to the trace shape. ``workers`` widens the DSE evaluation
-    pool and ``workers_mode`` picks threads or processes, without
-    changing any output (including the trace digest).
+    nothing to the trace shape.
     ``journal``/``resume`` make the workflow stage durable and
     resumable (see :mod:`repro.workflow.journal`).
     """
@@ -104,10 +100,8 @@ def run_traced(
     pipeline = pipeline_from_sources(name, load_kernel_sources(path))
     obs = session(deterministic=clock == "logical")
     with observe(obs):
-        compiler = EverestCompiler(
-            strategy=strategy, emit_artifacts=False,
-            workers=workers, workers_mode=workers_mode,
-        )
+        compiler = EverestCompiler(strategy=strategy,
+                                   emit_artifacts=False)
         app = compiler.compile(pipeline)
         ecosystem = build_reference_ecosystem()
         report = Orchestrator(ecosystem).deploy(

@@ -235,6 +235,11 @@ class RunStore:
         resumes whatever recipe the run recorded (an unknown run is a
         :class:`JournalError`); a new ``run_id`` (or none) with a
         ``recipe`` registers a fresh run.
+
+        Recipes are compared on the keys ``recipe`` names. A key only
+        the recorded recipe holds is one a later build stopped
+        recording (``repro run``'s ``workers`` / ``workers_mode``); it
+        cannot change the run, so it does not block the resume.
         """
         if recipe is not None and not (
             run_id and (self.root / run_id / META_FILE).exists()
@@ -248,7 +253,8 @@ class RunStore:
         stored = meta.get("meta", {})
         if meta.get("kind") != kind:
             reason = f"as a {meta.get('kind')!r} run, not {kind!r}"
-        elif recipe is not None and json.loads(json.dumps(recipe)) != stored:
+        elif recipe is not None and json.loads(json.dumps(recipe)) != {
+                key: stored.get(key) for key in recipe}:
             reason = "with a different recipe"
         else:
             _meta, state, journal = self.prepare_resume(

@@ -42,13 +42,6 @@ class TestKeys:
         assert AnalysisCache.module_key("d1", ("taint",), False) != base
         assert AnalysisCache.module_key("d1", ("absint",), True) != base
 
-    def test_source_key_varies_on_text_and_checks(self):
-        base = AnalysisCache.source_key("spec-a", ("absint",))
-        assert AnalysisCache.source_key("spec-a", ("absint",)) == base
-        assert AnalysisCache.source_key("spec-b", ("absint",)) != base
-        assert AnalysisCache.source_key("spec-a", ("taint",)) != base
-
-
     def test_keys_are_stable_across_releases(self):
         """Goldens, three per recipe; re-recorded when a version moves
         (last: ``ANALYSIS_CACHE_VERSION`` "1" -> "2", recipes unchanged)."""
@@ -57,10 +50,6 @@ class TestKeys:
             AnalysisCache.module_key("d1", ("absint", "taint"), False),
             AnalysisCache.module_key("d2", (), True),
             AnalysisCache.module_key(zeros, ("perf",), False),
-            AnalysisCache.source_key("spec-a", ("absint",)),
-            AnalysisCache.source_key("", ()),
-            AnalysisCache.source_key(
-                "path\x1ftext", ("absint,taint|wf|",)),
             AnalysisCache.perf_key("d1", "k"),
             AnalysisCache.perf_key("d2", "gemm"),
             AnalysisCache.perf_key(zeros, "score"),
@@ -68,9 +57,6 @@ class TestKeys:
             "44b3c71130601af102a9737c8619fc503241b8c9f1a2ae0f6863663aa3c25d4b",
             "5d1aae3d44c81fa0e4eb5ed074b61546bab81708a449ef172c1a2a651f33b182",
             "032eab20fa0a7f793ff57ce21208254a2cefd86c3bb2ac39c2588ca6343e0cfe",
-            "eb04fe001a7f89bb356052327fa0fecb1045926c3fbc694a3a8f639e2380e908",
-            "a66c29d989378f7e154f3bc8edc405c783b91ca5807a993d0b53626f05ad055e",
-            "332e556747093f964320355da7c6a9aabf58b8007796ed3600018835f98872ee",
             "52af3f4dbcc918f5127e1fed682a04e5bb432104a55eb585b0b6ead4e782f06b",
             "7ceef8aa78b4dd5c70397ac2b61f34f9479a0ad5e3a805432b556012f2e9b2fb",
             "275274db29f0e340bc1d7063529e1db830e4d75474817f9581a2ac87220e1c04",

@@ -219,7 +219,11 @@ kernel score(X: tensor<4xf32> @sensitive) -> tensor<4xf32> {
         assert payload["counts"]["warning"] == 0
 
 
-class TestIncremental:
+class TestRepeatRuns:
+    """Lint keeps no state between runs: a second run repeats the
+    first's report and exit code, and an edit shows in the next run
+    (``test_lint_determinism.py`` holds whole trees byte for byte)."""
+
     def _tree(self, root):
         root.mkdir(parents=True, exist_ok=True)
         (root / "k.edsl").write_text(CLEAN_KERNEL)
@@ -228,87 +232,41 @@ class TestIncremental:
             CLEAN_KERNEL.replace("smooth", "other"))
         return str(root)
 
-    def test_warm_run_hits_and_keeps_stdout_identical(
-        self, tmp_path, capsys
-    ):
+    @pytest.mark.parametrize("fixture,code", [
+        ("oob_access.ir", 1), ("cycle.json", 1), ("bad_kernel.edsl", 2),
+    ])
+    def test_a_second_run_replays_the_exit_code(self, capsys, fixture,
+                                                code):
+        path = os.path.join(FIXTURES, fixture)
+        assert run_lint(path) == code
+        first = capsys.readouterr().out
+        assert run_lint(path) == code
+        assert capsys.readouterr().out == first
+
+    def test_an_edit_shows_in_the_next_run(self, tmp_path, capsys):
         tree = self._tree(tmp_path / "specs")
-        cache_dir = str(tmp_path / "cache")
-        assert run_lint(
-            tree, "--incremental", "--cache-dir", cache_dir) == 0
-        cold = capsys.readouterr()
-        assert "0 hits, 2 misses" in cold.err
-        assert run_lint(
-            tree, "--incremental", "--cache-dir", cache_dir) == 0
-        warm = capsys.readouterr()
-        assert cold.out == warm.out
-        assert "2 hits, 0 misses (100% hit ratio)" in warm.err
-
-    def test_warm_run_replays_error_exit_codes(self, tmp_path, capsys):
-        cache_dir = str(tmp_path / "cache")
-        path = os.path.join(FIXTURES, "oob_access.ir")
-        assert run_lint(
-            path, "--incremental", "--cache-dir", cache_dir) == 1
-        cold = capsys.readouterr()
-        assert run_lint(
-            path, "--incremental", "--cache-dir", cache_dir) == 1
-        warm = capsys.readouterr()
-        assert cold.out == warm.out
-        assert "MEM004" in warm.out
-
-    @pytest.mark.parametrize("damage", [
-        lambda payload: payload.pop("diagnostics"),
-        lambda payload: payload.update(diagnostics=[{"code": 5}]),
-        lambda payload: payload.update(targets="x"),
-    ], ids=["no-diagnostics", "bad-finding", "bad-target-count"])
-    def test_a_damaged_entry_is_a_counted_miss(self, tmp_path, capsys,
-                                               damage):
-        """An entry that does not read back is relinted: the cold
-        findings and exit code, never a clean report or a traceback."""
-        cache_dir = tmp_path / "cache"
-        path = os.path.join(FIXTURES, "oob_access.ir")
-        assert run_lint(
-            path, "--incremental", "--cache-dir", str(cache_dir)) == 1
-        cold = capsys.readouterr()
-        [shard] = cache_dir.glob("*/*.json")
-        envelope = json.loads(shard.read_text())
-        damage(envelope["payload"])
-        shard.write_text(json.dumps(envelope) + "\n")
-        assert run_lint(
-            path, "--incremental", "--cache-dir", str(cache_dir)) == 1
-        warm = capsys.readouterr()
-        assert warm.out == cold.out
-        assert "0 hits, 1 misses" in warm.err
-
-    def test_editing_a_file_invalidates_only_it(
-        self, tmp_path, capsys
-    ):
-        tree = self._tree(tmp_path / "specs")
-        cache_dir = str(tmp_path / "cache")
-        run_lint(tree, "--incremental", "--cache-dir", cache_dir)
+        run_lint(tree)
         capsys.readouterr()
         (tmp_path / "specs" / "k.edsl").write_text(
-            CLEAN_KERNEL.replace("relu", "sigmoid"))
-        assert run_lint(
-            tree, "--incremental", "--cache-dir", cache_dir) == 0
-        assert "1 hits, 1 misses" in capsys.readouterr().err
+            "kernel broken(X: tensor<4xf32> {\n")
+        assert run_lint(tree) == 2
+        out = capsys.readouterr().out
+        assert "DSL001" in out and "k.edsl" in out
+        assert "lint: 1 target" in out
 
-    def test_without_incremental_nothing_is_cached(
-        self, tmp_path, capsys
-    ):
-        spec = tmp_path / "k.edsl"
-        spec.write_text(CLEAN_KERNEL)
-        assert run_lint(str(spec)) == 0
-        assert "analysis cache" not in capsys.readouterr().err
-
-    def test_no_cache_keeps_the_store_in_memory(self, tmp_path, capsys):
-        spec = tmp_path / "k.edsl"
-        spec.write_text(CLEAN_KERNEL)
-        cache_dir = tmp_path / "cache"
-        assert run_lint(
-            str(spec), "--incremental", "--no-cache",
-            "--cache-dir", str(cache_dir),
-        ) == 0
-        assert not cache_dir.exists()
+    @pytest.mark.parametrize("extra", [
+        [], ["--stats"], ["--format", "json"],
+    ], ids=["text", "stats", "json"])
+    def test_lint_writes_no_cache_file(self, tmp_path, monkeypatch,
+                                       capsys, extra):
+        home = tmp_path / "home"
+        monkeypatch.setenv("XDG_CACHE_HOME", str(home))
+        monkeypatch.chdir(tmp_path)
+        tree = self._tree(tmp_path / "specs")
+        before = sorted(tmp_path.rglob("*"))
+        assert run_lint(tree, *extra) == 0
+        assert sorted(tmp_path.rglob("*")) == before
+        assert not home.exists()
 
 
 class TestStats:
@@ -324,14 +282,8 @@ class TestStats:
         # the table goes to stderr; stdout stays machine-consumable
         assert "analysis passes" not in captured.out
 
-    def test_fully_cached_stats_run_says_so(self, tmp_path, capsys):
-        spec = tmp_path / "k.edsl"
-        spec.write_text(CLEAN_KERNEL)
-        cache_dir = str(tmp_path / "cache")
-        run_lint(str(spec), "--incremental", "--cache-dir", cache_dir)
-        capsys.readouterr()
-        assert run_lint(
-            str(spec), "--incremental", "--cache-dir", cache_dir,
-            "--stats",
-        ) == 0
-        assert "(all results cached)" in capsys.readouterr().err
+    def test_a_run_without_an_analysis_pass_says_so(self, capsys):
+        """A workflow spec runs no traced IR pass."""
+        path = os.path.join(FIXTURES, "cycle.json")
+        assert run_lint(path, "--stats") == 1
+        assert "(no analysis pass ran)" in capsys.readouterr().err

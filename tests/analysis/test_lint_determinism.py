@@ -1,5 +1,5 @@
 """Regression tests: ``repro lint`` output is byte-identical across
-runs, formats and cache temperatures.
+runs and formats, with or without ``--stats``.
 
 The report is the interface scripts and CI grep against, so the
 ordering guarantee (sorted directory walk + fully-sorted rendering) is
@@ -60,14 +60,9 @@ def test_repeated_runs_are_byte_identical(capsys, tree, format_):
     assert first[0] == 1
 
 
-def test_incremental_warm_run_matches_cold_stdout(
-    capsys, tree, tmp_path
-):
-    cache = str(tmp_path / "cache")
-    cold = _run(capsys, tree, "--incremental", "--cache-dir", cache)
-    warm = _run(capsys, tree, "--incremental", "--cache-dir", cache)
-    plain = _run(capsys, tree)
-    assert cold == warm == plain
+def test_stats_leaves_stdout_and_exit_code_alone(capsys, tree):
+    # the timing table goes to stderr only
+    assert _run(capsys, tree, "--stats") == _run(capsys, tree)
 
 
 def test_argument_order_does_not_reorder_findings(capsys, tree):

@@ -207,23 +207,21 @@ class TestPerfFixtures:
     )
     def test_true_positive(self, capsys, name, code, exit_code):
         rc = run_lint(fixture(name), "--only", "perf",
-                      "--format", "json", "--no-cache")
+                      "--format", "json")
         assert rc == exit_code
         payload = json.loads(capsys.readouterr().out)
         codes = {item["code"] for item in payload["diagnostics"]}
         assert code in codes
 
     def test_unroll_ports_message_names_the_numbers(self, capsys):
-        run_lint(fixture("perf_unroll_ports.ir"), "--only", "perf",
-                 "--no-cache")
+        run_lint(fixture("perf_unroll_ports.ir"), "--only", "perf")
         out = capsys.readouterr().out
         assert "unroll 8 demands 16 concurrent ports" in out
         assert "cyclic factor 2 provides only 4" in out
 
     def test_only_excludes_perf(self, capsys):
         rc = run_lint(fixture("perf_unroll_ports.ir"),
-                      "--only", "taint", "--format", "json",
-                      "--no-cache")
+                      "--only", "taint", "--format", "json")
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert not any(
@@ -234,15 +232,13 @@ class TestPerfFixtures:
     def test_suppress_perf_codes(self, capsys):
         rc = run_lint(fixture("perf_unroll_ports.ir"),
                       "--only", "perf", "--format", "json",
-                      "--suppress", "PERF001", "--suppress", "PERF005",
-                      "--no-cache")
+                      "--suppress", "PERF001", "--suppress", "PERF005")
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["counts"]["error"] == 0
 
     def test_stats_shows_perf_pass(self, capsys):
-        rc = run_lint(fixture("perf_memory_bound.ir"), "--stats",
-                      "--no-cache")
+        rc = run_lint(fixture("perf_memory_bound.ir"), "--stats")
         assert rc == 0
         err = capsys.readouterr().err
         assert "analysis:perf" in err
@@ -252,7 +248,7 @@ class TestPerfFixtures:
             os.path.dirname(__file__), os.pardir, os.pardir,
             "examples",
         )
-        assert run_lint(examples, "--only", "perf", "--no-cache") == 0
+        assert run_lint(examples, "--only", "perf") == 0
 
 
 class TestCheckModulePerf:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.analysis.specs import load_kernel_sources
+from repro.core.dse.cache import configure, cost_cache
 from repro.errors import SpecificationError
 from repro.obs import validate_chrome_trace
 from repro.obs.driver import pipeline_from_sources, run_traced
@@ -85,12 +86,13 @@ class TestRunTraced:
         second = run_traced(spec_file).observation.tracer.to_json()
         assert first == second
 
-    def test_parallel_run_trace_matches_serial(self, spec_file):
-        serial = run_traced(spec_file).observation.tracer.to_json()
-        wide = run_traced(
-            spec_file, workers=4
-        ).observation.tracer.to_json()
-        assert serial == wide
+    def test_disk_warm_run_trace_matches_cold(self, spec_file, tmp_path):
+        traces = []
+        for _ in range(2):  # a fresh cost cache over one directory
+            configure(cache_dir=tmp_path / "dse")
+            traces.append(run_traced(spec_file).observation.tracer.to_json())
+        assert cost_cache().stats.misses == 0
+        assert traces[0] == traces[1]
 
     def test_metrics_cover_all_layers(self, spec_file):
         metrics = run_traced(spec_file).observation.metrics

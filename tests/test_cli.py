@@ -270,14 +270,26 @@ USER_ERRORS = [
     ("perf", None, ["perf", "{spec}", "--kernel", "nope", "--no-cache"]),
     ("runs", None, ["runs", "show", "--journal-dir", "{tmp}"]),
     ("service", None, ["service", "cancel", "--db", "{tmp}/jobs.db"]),
-]
+] + [(argv.split()[0], None, argv.split()) for argv in (
+    # flag values the library rejects
+    "synth {spec} --kernel scale --unroll 0",
+    "synth {spec} --kernel scale --unroll -3",
+    "synth {spec} --kernel scale --clock-mhz 0",
+    "synth {spec} --kernel scale --clock-mhz -5",
+    "emit {spec} --kernel scale --what rtl --unroll -2",
+    "emit {spec} --kernel scale --what lowered-ir --unroll 0",
+    "run {spec} --journal-dir {tmp} --snapshot-every -1",
+    "chaos --journal-dir {tmp} --snapshot-every -1",
+)]
 
 
 @pytest.mark.parametrize(
     "command,setup,argv", USER_ERRORS,
     ids=["parse-error", "missing-file", "resume-ghost", "run-id-reuse",
          "bad-space", "unknown-kernel", "runs-show-no-id",
-         "cancel-no-selector"],
+         "cancel-no-selector", "synth-unroll-0", "synth-unroll-negative",
+         "synth-clock-0", "synth-clock-negative", "emit-rtl-unroll",
+         "emit-lowered-unroll", "run-snapshot-every", "chaos-snapshot-every"],
 )
 def test_a_user_error_is_one_coded_line(dsl_file, tmp_path, capsys,
                                         command, setup, argv):

@@ -7,8 +7,8 @@ passing on every commit after it: per kernel, in evaluation order, the
 knob string, artifact kind, payload and signature of every packaged
 variant. The same record must come out of a cold compile, a warm
 compile over the same cache directory with memory emptied, a compile
-after a populating pass that emitted nothing, and a compile whose
-pricing ran in pool children.
+after a populating pass that emitted nothing, and a warm compile over
+a cache directory filled by pricing in pool children.
 
 The second half counts the work behind that record: each FPGA design
 is synthesized once, by pricing, and its clocks share that synthesis;
@@ -16,6 +16,7 @@ each distinct pass pipeline runs once, and a warm compile synthesizes
 nothing.
 """
 
+import functools
 import hashlib
 import json
 import os
@@ -23,11 +24,17 @@ import random
 
 import pytest
 
+from repro.core import compiler
 from repro.core.analysis.cache import configure_analysis_cache
 from repro.core.analysis.specs import load_kernel_sources
 from repro.core.compiler import EverestCompiler
-from repro.core.dse.cache import DEFAULT_PREPARED_CAPACITY, configure
+from repro.core.dse.cache import (
+    DEFAULT_PREPARED_CAPACITY,
+    configure,
+    cost_cache,
+)
 from repro.core.dse import cost_model
+from repro.core.dse.explorer import Explorer
 from repro.core.dse.space import DesignSpace
 from repro.core.ir.passes import PassManager
 from repro.obs.driver import pipeline_from_sources
@@ -132,8 +139,21 @@ def compile_app(app_name: str, cache_dir, **options):
     return EverestCompiler(space=SPACE, **options).compile(pipeline)
 
 
+def compile_priced_in_pool_children(app_name, cache_dir, monkeypatch):
+    """A compile that prices nothing, over caches a populating compile
+    filled with a two-process ``Explorer`` in place of the serial one."""
+    with monkeypatch.context() as patch:
+        patch.setattr(compiler, "Explorer", functools.partial(
+            Explorer, workers=2, workers_mode="process"))
+        compile_app(app_name, cache_dir, emit_artifacts=False)
+    app = compile_app(app_name, cache_dir)
+    assert cost_cache().stats.misses == 0
+    return app
+
+
 @pytest.mark.parametrize("app_name", sorted(GOLDENS))
-def test_package_is_pinned_at_every_cache_state(app_name, tmp_path):
+def test_package_is_pinned_at_every_cache_state(app_name, tmp_path,
+                                                monkeypatch):
     records = {
         "cold": package_record(compile_app(app_name, tmp_path / "a")),
         "warm": package_record(compile_app(app_name, tmp_path / "a")),
@@ -143,8 +163,9 @@ def test_package_is_pinned_at_every_cache_state(app_name, tmp_path):
     assert not populated.package.artifacts
     records["after a pass that emitted nothing"] = package_record(
         compile_app(app_name, tmp_path / "b"))
-    records["priced in pool children"] = package_record(compile_app(
-        app_name, tmp_path / "c", workers=2, workers_mode="process"))
+    records["priced in pool children"] = package_record(
+        compile_priced_in_pool_children(app_name, tmp_path / "c",
+                                        monkeypatch))
     for state, record in records.items():
         digest = hashlib.sha256(record.encode("utf-8")).hexdigest()
         assert digest == GOLDENS[app_name], state

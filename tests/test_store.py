@@ -3,8 +3,8 @@ the record codec beside it.
 
 Every store case runs per *kind*: ``cost`` (:class:`CostCache`, whose
 codec hands out a fresh :class:`CostEstimate` per read) and
-``analysis`` (:class:`AnalysisCache`, read back as the lint driver
-reads its per-file entries): the disk
+``analysis`` (:class:`AnalysisCache`, read back as the compile gate
+reads its per-module entries): the disk
 round trip, the version-mismatch, corrupt-file and ``clear`` cases,
 hostile shards as counted misses, and one directory accounted kind by
 kind whoever wrote it. What only one user has (fresh copies per
@@ -27,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.analysis import analyze_module_cached
+from repro.core.analysis import _cached_entry, analyze_module_cached
 from repro.core.analysis.absint import (
     AccessFacts,
     AnalysisFacts,
@@ -48,7 +48,6 @@ from repro.core.analysis.perf import (
     compute_kernel_bounds,
     kernel_bounds,
 )
-from repro.core.analysis.specs import _lint_entry
 from repro.core.dse.cache import CostCache, configure
 from repro.core.dse.cost_model import (
     evaluate_variant,
@@ -89,11 +88,12 @@ COST = CostEstimate(
 
 #: kind -> (store class, a value ``put`` accepts, the decoder its user
 #: reads entries with, what that read makes of the value): the cost
-#: cache's estimates and the lint driver's per-file entries.
+#: cache's estimates and the compile gate's per-module entries.
 KINDS = {
     "cost": (CostCache, COST, partial(decode, CostEstimate), COST),
-    "analysis": (AnalysisCache, {"diagnostics": [], "targets": 1},
-                 _lint_entry, (Diagnostics(), 1)),
+    "analysis": (AnalysisCache,
+                 {"diagnostics": [], "facts": encode(AnalysisFacts())},
+                 _cached_entry, (Diagnostics(), AnalysisFacts())),
 }
 
 

@@ -10,10 +10,22 @@ store management commands.
 from __future__ import annotations
 
 import re
+import shutil
+from pathlib import Path
+
+import pytest
 
 from repro.cli import main
 from repro.workflow.journal import JOURNAL_FILE
 from repro.workflow.runstore import RunStore
+
+
+ROOT = Path(__file__).parents[2]
+#: A finished ``repro run examples/quickstart.py --run-id r``, recorded
+#: while ``repro run`` still took ``--workers`` / ``--workers-mode``:
+#: its recipe holds ``workers: 1`` and ``workers_mode: "thread"``.
+POOL_RECIPE_RUNS = ROOT / "tests" / "workflow" / "fixtures" / "run_pool_recipe"
+POOL_RECIPE_DIGEST = "6ae764462362caf6"
 
 
 def chaos_args(journal_dir, *extra):
@@ -163,3 +175,37 @@ class TestDurableCLI:
         out = capsys.readouterr().out
         assert "run id" not in out
         assert out.lstrip().startswith("{")
+
+
+class TestRunRecordedWithRetiredKeys:
+    """A recorded recipe key ``repro run`` no longer records does not
+    block resuming the run; a recipe flag that differs still does."""
+
+    @pytest.fixture
+    def runs(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(ROOT)  # the recipe names its spec relatively
+        copy = tmp_path / "runs"
+        shutil.copytree(POOL_RECIPE_RUNS, copy)
+        recipe = RunStore(copy).load_meta("r")["meta"]
+        assert {"workers", "workers_mode"} <= set(recipe)
+        return copy
+
+    @pytest.mark.parametrize("killed", [False, True],
+                             ids=["finished", "killed"])
+    @pytest.mark.parametrize("how", ["--run-id", "--resume"])
+    def test_it_resumes(self, runs, capsys, how, killed):
+        journal = runs / "r" / JOURNAL_FILE
+        if killed:  # the finish record never reached the disk
+            truncate(journal, len(journal.read_bytes().splitlines()) - 1)
+        assert main(["run", "examples/quickstart.py", how, "r",
+                     "--journal-dir", str(runs)]) == 0
+        out = capsys.readouterr().out
+        assert POOL_RECIPE_DIGEST in out and ("complete" in out) != killed
+        assert RunStore(runs).load_meta("r")["attempts"] == 1 + killed
+
+    def test_another_strategy_is_wf009(self, runs, capsys):
+        assert main(["run", "examples/quickstart.py", "--run-id", "r",
+                     "--strategy", "random",
+                     "--journal-dir", str(runs)]) == 2
+        assert "repro run: error: WF009: run 'r'" in capsys.readouterr().err
+        assert RunStore(runs).load_meta("r")["attempts"] == 1

@@ -258,7 +258,8 @@ def test_runstore_prepare_resume_archives_the_crash(tmp_path):
 def test_runstore_open_creates_resumes_or_refuses(tmp_path):
     """``RunStore.open``: a new id with a recipe creates the run; the
     same kind and recipe (or no recipe) resumes it; another kind or
-    recipe is WF009 and leaves the run's journal where it was."""
+    recipe (or one naming a key the record lacks) is WF009 and leaves
+    the run's journal where it was."""
     store = RunStore(tmp_path)
     run_id, recipe, resume, journal = store.open(
         "chaos", run_id="r", recipe={"graph_seed": 1})
@@ -266,7 +267,8 @@ def test_runstore_open_creates_resumes_or_refuses(tmp_path):
     with journal:
         journal.start({"graph": "toy"})
     for kind, other in (("run", {"graph_seed": 1}),
-                        ("chaos", {"graph_seed": 2})):
+                        ("chaos", {"graph_seed": 2}),
+                        ("chaos", {"graph_seed": 1, "tasks": 3})):
         with pytest.raises(JournalError) as caught:
             store.open(kind, run_id="r", recipe=other)
         assert caught.value.code == "WF009"
