@@ -72,13 +72,13 @@ class IndustrialSite:
         )
 
 
-def default_site(name: str = "steelworks") -> IndustrialSite:
+def default_site() -> IndustrialSite:
     """A representative three-stack site with a day-shift profile."""
     profile = np.array(
         [0.4] * 6 + [1.0] * 12 + [0.7] * 4 + [0.4] * 2
     )
     return IndustrialSite(
-        name=name,
+        name="steelworks",
         sources=[
             EmissionSource("stack-a", 0.0, 0.0, 45.0, 15.0),
             EmissionSource("stack-b", 150.0, 40.0, 30.0, 8.0),

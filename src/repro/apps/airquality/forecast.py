@@ -24,7 +24,21 @@ from repro.apps.airquality.plume import (
     stability_from_weather,
 )
 from repro.utils.rng import deterministic_rng
-from repro.utils.validation import check_in_range, check_positive
+from repro.utils.validation import check_positive
+
+
+#: Regulatory concentration threshold (ug/m^3).
+THRESHOLD_UG_M3 = 350.0
+#: Exceedance probability from which the site reduces / abates.
+REDUCE_PROBABILITY = 0.25
+ABATE_PROBABILITY = 0.6
+#: Emission factor kept while reducing / abating.
+REDUCE_FACTOR = 0.6
+ABATE_FACTOR = 0.25
+#: Side of the square plume grid, and the fence-line radius inside
+#: which no receptor is protected (m).
+EXTENT_M = 10_000.0
+EXCLUSION_RADIUS_M = 800.0
 
 
 class ForecastDecision(enum.Enum):
@@ -76,30 +90,9 @@ def synth_weather_members(
 class AirQualityForecast:
     """24-hour probabilistic impact forecast for one site."""
 
-    def __init__(
-        self,
-        site: IndustrialSite,
-        threshold_ug_m3: float = 350.0,
-        reduce_probability: float = 0.25,
-        abate_probability: float = 0.6,
-        grid_cells: int = 60,
-        extent_m: float = 10_000.0,
-        exclusion_radius_m: float = 800.0,
-    ):
-        check_positive("threshold_ug_m3", threshold_ug_m3)
-        check_in_range("reduce_probability", reduce_probability, 0, 1)
-        check_in_range("abate_probability", abate_probability, 0, 1)
-        if abate_probability < reduce_probability:
-            raise ValueError(
-                "abate threshold must not be below reduce threshold"
-            )
+    def __init__(self, site: IndustrialSite, grid_cells: int = 60):
         self.site = site
-        self.threshold = threshold_ug_m3
-        self.reduce_probability = reduce_probability
-        self.abate_probability = abate_probability
         self.grid_cells = grid_cells
-        self.extent_m = extent_m
-        self.exclusion_radius_m = exclusion_radius_m
 
     # ------------------------------------------------------------------
 
@@ -122,23 +115,23 @@ class AirQualityForecast:
                 wind_ms=member.wind_ms,
                 wind_dir_rad=member.wind_dir_rad,
                 stability=stability,
-                extent_m=self.extent_m,
+                extent_m=EXTENT_M,
                 cells=self.grid_cells,
             )
             # Regulatory receptors start beyond the site fence line;
             # the near-field singularity of the analytic plume is not
             # a protected location.
             distance = np.hypot(grid_x, grid_y)
-            protected = field[distance >= self.exclusion_radius_m]
+            protected = field[distance >= EXCLUSION_RADIUS_M]
             member_peak = float(protected.max()) if protected.size \
                 else 0.0
             peak = max(peak, member_peak)
-            if member_peak > self.threshold:
+            if member_peak > THRESHOLD_UG_M3:
                 exceed += 1
         probability = exceed / len(members)
-        if probability >= self.abate_probability:
+        if probability >= ABATE_PROBABILITY:
             decision = ForecastDecision.ABATE
-        elif probability >= self.reduce_probability:
+        elif probability >= REDUCE_PROBABILITY:
             decision = ForecastDecision.REDUCE
         else:
             decision = ForecastDecision.NORMAL
@@ -168,8 +161,6 @@ class AirQualityForecast:
     def apply_decisions(
         self,
         assessments: Sequence[HourlyAssessment],
-        reduce_factor: float = 0.6,
-        abate_factor: float = 0.25,
     ) -> Tuple[float, float]:
         """Simulate following the recommendations.
 
@@ -185,9 +176,9 @@ class AirQualityForecast:
                 continue
             flagged += 1
             throttle = (
-                reduce_factor
+                REDUCE_FACTOR
                 if assessment.decision is ForecastDecision.REDUCE
-                else abate_factor
+                else ABATE_FACTOR
             )
             lost += 1.0 - throttle
             members = synth_weather_members(assessment.hour)

@@ -109,16 +109,15 @@ class SensorNetwork:
         x_m: float,
         y_m: float,
         readings: List[Tuple[Sensor, float]],
-        power: float = 2.0,
     ) -> float:
-        """Inverse-distance-weighted estimate from readings."""
+        """Inverse-distance-squared-weighted estimate from readings."""
         weights = []
         values = []
         for sensor, value in readings:
             distance = np.hypot(sensor.x_m - x_m, sensor.y_m - y_m)
             if distance < 1.0:
                 return value
-            weights.append(distance ** (-power))
+            weights.append(distance ** -2.0)
             values.append(value)
         weights_arr = np.asarray(weights)
         return float(

@@ -21,14 +21,15 @@ from repro.utils.validation import check_positive
 
 #: Probe period in seconds.
 PROBE_PERIOD_S = 5.0
+#: Probe position noise (m) and base speed noise (m/s).
+GPS_NOISE_M = 8.0
+SPEED_NOISE_MS = 0.6
 
 
 @dataclass(frozen=True)
 class FCDPoint:
     """One probe report."""
 
-    vehicle_id: int
-    timestamp_s: float
     x_m: float
     y_m: float
     speed_ms: float
@@ -38,13 +39,9 @@ class FCDPoint:
 class FCDGenerator:
     """Drives probe vehicles through one hour's congested state."""
 
-    def __init__(self, city: CityGraph, seed: str = "fcd",
-                 gps_noise_m: float = 8.0,
-                 speed_noise_ms: float = 0.6):
+    def __init__(self, city: CityGraph, seed: str = "fcd"):
         self.city = city
         self.seed = seed
-        self.gps_noise_m = gps_noise_m
-        self.speed_noise_ms = speed_noise_ms
 
     def drive(
         self,
@@ -66,7 +63,7 @@ class FCDGenerator:
             speed = segment.length_m / edge_time
             # Congested segments show stop-and-go variability: the
             # speed spread grows with the deficit below free flow.
-            spread = self.speed_noise_ms + 0.45 * max(
+            spread = SPEED_NOISE_MS + 0.45 * max(
                 0.0, segment.free_speed_ms - speed
             )
             pos_a = self.city.position(edge[0])
@@ -76,10 +73,8 @@ class FCDGenerator:
                 x = pos_a[0] + progress * (pos_b[0] - pos_a[0])
                 y = pos_a[1] + progress * (pos_b[1] - pos_a[1])
                 points.append(FCDPoint(
-                    vehicle_id=vehicle_id,
-                    timestamp_s=next_probe,
-                    x_m=float(x + rng.normal(0, self.gps_noise_m)),
-                    y_m=float(y + rng.normal(0, self.gps_noise_m)),
+                    x_m=float(x + rng.normal(0, GPS_NOISE_M)),
+                    y_m=float(y + rng.normal(0, GPS_NOISE_M)),
                     speed_ms=float(max(0.0, speed + rng.normal(
                         0, spread))),
                     edge=edge,

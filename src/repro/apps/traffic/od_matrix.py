@@ -49,21 +49,25 @@ def diurnal_profile(hour: int) -> float:
     return night_base + morning + evening
 
 
+#: Trips per day across all zone pairs.
+DAILY_TRIPS = 300_000.0
+#: Distance over which the gravity attraction decays by e (m).
+DECAY_M = 2_500.0
+
+
 def gravity_demand(
     city: CityGraph,
     zones: int = 12,
-    daily_trips: float = 300_000.0,
-    decay_m: float = 2_500.0,
     seed: str = "od",
 ) -> ODMatrix:
     """Gravity-model hourly base demand between sampled zones.
 
     Zone weights are lognormal (a few heavy attractors — the business
-    district, the industrial park); the returned matrix is the *base*
-    hourly rate to be scaled by :func:`diurnal_profile`.
+    district, the industrial park) and attraction decays over
+    ``DECAY_M``; the returned matrix is the *base* hourly rate (a
+    ``DAILY_TRIPS`` day) to be scaled by :func:`diurnal_profile`.
     """
     check_positive("zones", zones)
-    check_positive("daily_trips", daily_trips)
     rng = deterministic_rng("gravity", seed)
     nodes = list(city.graph.nodes)
     if zones > len(nodes):
@@ -84,10 +88,10 @@ def gravity_demand(
             )
             raw[(origin, destination)] = (
                 weights[i] * weights[j]
-                * math.exp(-distance / decay_m)
+                * math.exp(-distance / DECAY_M)
             )
     total_raw = sum(raw.values())
-    hourly_base = daily_trips / 24.0
+    hourly_base = DAILY_TRIPS / 24.0
     return ODMatrix({
         pair: value / total_raw * hourly_base
         for pair, value in raw.items()

@@ -63,7 +63,6 @@ class SpeedModel:
     def __init__(self, city: CityGraph):
         self.city = city
         self._profiles: Dict[Tuple[EdgeKey, int], _Profile] = {}
-        self.training_points = 0
 
     # ------------------------------------------------------------------
 
@@ -75,7 +74,6 @@ class SpeedModel:
                 (edge, hour % 24), _Profile()
             )
             profile.merge(mean, std * std, min(count, 50))
-        self.training_points += len(points)
 
     # ------------------------------------------------------------------
 

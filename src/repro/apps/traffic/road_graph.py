@@ -77,20 +77,18 @@ class CityGraph:
         return list(zip(path, path[1:]))
 
 
-def build_city(
-    grid: int = 8,
-    block_m: float = 400.0,
-    with_ring: bool = True,
-    with_radials: bool = True,
-) -> CityGraph:
+#: Street block length (m).
+BLOCK_M = 400.0
+
+
+def build_city(grid: int = 8) -> CityGraph:
     """Construct the synthetic city.
 
     ``grid`` x ``grid`` intersections of surface streets (50 km/h),
-    an orbital ring (70 km/h) around the perimeter and diagonal
-    arterials (60 km/h) through the center.
+    ``BLOCK_M`` apart, an orbital ring (70 km/h) around the perimeter
+    and diagonal arterials (60 km/h) through the center.
     """
     check_positive("grid", grid)
-    check_positive("block_m", block_m)
     if grid < 3:
         raise SpecificationError("grid must be at least 3")
     graph = nx.DiGraph()
@@ -115,7 +113,7 @@ def build_city(
     for row in range(grid):
         for col in range(grid):
             graph.add_node(
-                (row, col), pos=(col * block_m, row * block_m)
+                (row, col), pos=(col * BLOCK_M, row * BLOCK_M)
             )
     for row in range(grid):
         for col in range(grid):
@@ -126,38 +124,36 @@ def build_city(
                 add_two_way((row, col), (row + 1, col),
                             13.9, 900.0, "street")
 
-    if with_ring:
-        perimeter = (
-            [(0, col) for col in range(grid)]
-            + [(row, grid - 1) for row in range(1, grid)]
-            + [(grid - 1, col) for col in range(grid - 2, -1, -1)]
-            + [(row, 0) for row in range(grid - 2, 0, -1)]
+    perimeter = (
+        [(0, col) for col in range(grid)]
+        + [(row, grid - 1) for row in range(1, grid)]
+        + [(grid - 1, col) for col in range(grid - 2, -1, -1)]
+        + [(row, 0) for row in range(grid - 2, 0, -1)]
+    )
+    for a, b in zip(perimeter, perimeter[1:] + perimeter[:1]):
+        # upgrade existing perimeter streets to ring quality
+        pos_a = graph.nodes[a]["pos"]
+        pos_b = graph.nodes[b]["pos"]
+        length = math.hypot(
+            pos_b[0] - pos_a[0], pos_b[1] - pos_a[1]
         )
-        for a, b in zip(perimeter, perimeter[1:] + perimeter[:1]):
-            # upgrade existing perimeter streets to ring quality
-            pos_a = graph.nodes[a]["pos"]
-            pos_b = graph.nodes[b]["pos"]
-            length = math.hypot(
-                pos_b[0] - pos_a[0], pos_b[1] - pos_a[1]
+        for src, dst in ((a, b), (b, a)):
+            segment = Segment(
+                length_m=length,
+                free_speed_ms=19.4,
+                capacity_veh_h=1800.0,
+                kind="ring",
             )
-            for src, dst in ((a, b), (b, a)):
-                segment = Segment(
-                    length_m=length,
-                    free_speed_ms=19.4,
-                    capacity_veh_h=1800.0,
-                    kind="ring",
-                )
-                graph.add_edge(
-                    src, dst,
-                    segment=segment,
-                    free_time=segment.free_flow_time_s,
-                )
+            graph.add_edge(
+                src, dst,
+                segment=segment,
+                free_time=segment.free_flow_time_s,
+            )
 
-    if with_radials:
-        center = (grid // 2, grid // 2)
-        for corner in (
-            (0, 0), (0, grid - 1), (grid - 1, 0), (grid - 1, grid - 1)
-        ):
-            add_two_way(corner, center, 16.7, 1400.0, "arterial")
+    center = (grid // 2, grid // 2)
+    for corner in (
+        (0, 0), (0, grid - 1), (grid - 1, 0), (grid - 1, grid - 1)
+    ):
+        add_two_way(corner, center, 16.7, 1400.0, "arterial")
 
     return CityGraph(graph)

@@ -42,7 +42,6 @@ class HourState:
     """Simulated state of one hour."""
 
     hour: int
-    volumes: Dict[Tuple[object, object], float]
     times_s: Dict[Tuple[object, object], float]
 
     def speed_ms(self, city: CityGraph, edge: Tuple[object, object]
@@ -64,17 +63,15 @@ class TrafficSimulator:
     """Hour-by-hour incremental assignment over a city."""
 
     def __init__(self, city: CityGraph, od: ODMatrix,
-                 increments: int = 4, seed: str = "sim"):
+                 increments: int = 4):
         check_positive("increments", increments)
         self.city = city
         self.od = od
         self.increments = increments
-        self.seed = seed
 
-    def simulate_hour(self, hour: int,
-                      demand_scale: float = 1.0) -> HourState:
+    def simulate_hour(self, hour: int) -> HourState:
         """Assign one hour's demand; returns the congested state."""
-        scale = diurnal_profile(hour) * demand_scale
+        scale = diurnal_profile(hour)
         graph = self.city.graph
         volumes: Dict[Tuple[object, object], float] = {
             (a, b): 0.0 for a, b in graph.edges
@@ -115,4 +112,4 @@ class TrafficSimulator:
                     segment.capacity_veh_h,
                 )
                 working.edges[edge]["congested"] = times[edge]
-        return HourState(hour=hour, volumes=volumes, times_s=times)
+        return HourState(hour=hour, times_s=times)

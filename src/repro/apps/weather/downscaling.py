@@ -40,7 +40,6 @@ def _bilinear_upsample(data: np.ndarray, factor: int) -> np.ndarray:
 def downscale_field(
     field: WeatherField,
     target_resolution_km: float,
-    detail_amplitude: float = 0.9,
     seed: str = "downscale",
 ) -> WeatherField:
     """Downscale to a finer grid with stochastic detail injection."""
@@ -66,7 +65,7 @@ def downscale_field(
     local_variability = np.abs(np.gradient(smooth)[0]) + np.abs(
         np.gradient(smooth)[1]
     )
-    amplitude = detail_amplitude * (
+    amplitude = 0.9 * (
         0.4 + 0.6 * local_variability / (local_variability.mean() + 1e-9)
     )
     data = np.clip(smooth + amplitude * detail, 0.0, 40.0)

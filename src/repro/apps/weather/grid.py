@@ -36,12 +36,6 @@ class WeatherField:
         """Grid shape (ny, nx)."""
         return self.data.shape  # type: ignore[return-value]
 
-    @property
-    def extent_km(self) -> Tuple[float, float]:
-        """Physical extent covered by the grid."""
-        ny, nx = self.data.shape
-        return ny * self.resolution_km, nx * self.resolution_km
-
     def value_at_km(self, y_km: float, x_km: float) -> float:
         """Nearest-cell sample at a physical location."""
         ny, nx = self.data.shape
@@ -85,17 +79,16 @@ def _correlated_noise(shape: Tuple[int, int], length_cells: float,
 
 def synth_truth(
     size_cells: int = 120,
-    resolution_km: float = 2.5,
-    base_wind_ms: float = 8.0,
     hour: int = 12,
     seed: str = "truth",
 ) -> WeatherField:
-    """Fine-resolution ground-truth wind-speed field for one hour.
+    """Fine-resolution (2.5 km) ground-truth wind-speed field for one hour.
 
-    Large-scale synoptic structure (100 km correlation) plus mesoscale
-    variability (15 km) plus a diurnal modulation; values clipped to
-    physical wind speeds.
+    An 8 m/s base wind, large-scale synoptic structure (100 km
+    correlation) plus mesoscale variability (15 km) plus a diurnal
+    modulation; values clipped to physical wind speeds.
     """
+    resolution_km = 2.5
     rng = deterministic_rng("weather-truth", seed, hour)
     shape = (size_cells, size_cells)
     synoptic = _correlated_noise(
@@ -106,6 +99,6 @@ def synth_truth(
     ) * 1.5
     diurnal = 1.0 + 0.25 * np.sin(2 * np.pi * (hour - 9) / 24.0)
     data = np.clip(
-        (base_wind_ms + synoptic + mesoscale) * diurnal, 0.0, 40.0
+        (8.0 + synoptic + mesoscale) * diurnal, 0.0, 40.0
     )
     return WeatherField("wind_speed", data, resolution_km)

@@ -96,17 +96,16 @@ class MLP:
         x: np.ndarray,
         y: np.ndarray,
         epochs: int = 200,
-        batch_size: int = 32,
         learning_rate: float = 1e-3,
-        seed: str = "fit",
     ) -> List[float]:
-        """Train with Adam; returns the per-epoch training loss."""
+        """Train with Adam in batches of 32; returns the per-epoch loss."""
+        batch_size = 32
         check_positive("epochs", epochs)
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if y.ndim == 1:
             y = y[:, None]
-        rng = deterministic_rng("mlp-fit", seed)
+        rng = deterministic_rng("mlp-fit", "fit")
         if self._adam_state is None:
             self._adam_state = [
                 {

@@ -12,13 +12,13 @@ from repro.apps.weather.grid import WeatherField
 from repro.utils.validation import check_positive
 
 
-def power_curve(wind_ms, cut_in: float = 3.0, rated_ms: float = 12.0,
-                cut_out: float = 25.0) -> np.ndarray:
+def power_curve(wind_ms) -> np.ndarray:
     """Normalized turbine power curve (0..1), vectorized.
 
-    Cubic region between cut-in and rated speed, flat at rated output
-    until cut-out, zero elsewhere.
+    Cubic region between cut-in (3 m/s) and rated speed (12 m/s), flat
+    at rated output until cut-out (25 m/s), zero elsewhere.
     """
+    cut_in, rated_ms, cut_out = 3.0, 12.0, 25.0
     wind = np.asarray(wind_ms, dtype=float)
     power = np.zeros_like(wind)
     ramp = (wind >= cut_in) & (wind < rated_ms)
@@ -69,17 +69,16 @@ class WindFarm:
         ])
 
 
-def default_farm(extent_km: float = 300.0, turbines: int = 24,
-                 seed: int = 7) -> WindFarm:
-    """A clustered offshore-style farm inside the model domain."""
-    rng = np.random.default_rng(seed)
-    center_y = extent_km * 0.6
-    center_x = extent_km * 0.4
+def default_farm() -> WindFarm:
+    """24 turbines clustered offshore-style inside the 300 km domain."""
+    rng = np.random.default_rng(7)
+    center_y = 300.0 * 0.6
+    center_x = 300.0 * 0.4
     positions = [
         (
             float(center_y + rng.normal(0, 4.0)),
             float(center_x + rng.normal(0, 4.0)),
         )
-        for _ in range(turbines)
+        for _ in range(24)
     ]
     return WindFarm("synthetic-farm", positions)

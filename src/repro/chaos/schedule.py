@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Union
 
 from repro.chaos.faults import (
     ANY_LINK,
@@ -97,14 +97,12 @@ def generate_schedule(
     workers: Sequence[str],
     seed: int,
     config: Optional[ChaosConfig] = None,
-    link_pairs: Optional[Sequence[Tuple[str, str]]] = None,
 ) -> ChaosSchedule:
     """Draw a deterministic fault schedule for a run.
 
     ``workers`` are worker names eligible for crash/reconfig/straggler
-    faults; ``link_pairs`` are (node_a, node_b) edges eligible for link
-    faults — when omitted, link faults target the server's default
-    staging path (:data:`~repro.chaos.faults.ANY_LINK`).
+    faults; link faults target the server's default staging path
+    (:data:`~repro.chaos.faults.ANY_LINK`).
     """
     config = config or ChaosConfig()
     if not workers:
@@ -125,9 +123,10 @@ def generate_schedule(
             ),
         ))
 
-    pairs = list(link_pairs) if link_pairs else [(ANY_LINK, ANY_LINK)]
     for _ in range(config.link_faults):
-        node_a, node_b = rng.choice(pairs)
+        # a draw from a one-pair list: it still advances ``rng``, so
+        # every seed keeps the schedule it always had
+        node_a, node_b = rng.choice([(ANY_LINK, ANY_LINK)])
         partition = rng.random() < config.partition_probability
         faults.append(LinkFault(
             node_a=node_a,

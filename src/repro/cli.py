@@ -1088,7 +1088,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s_submit = add_action("submit", "bulk-submit a batch of tagged jobs")
     s_submit.add_argument(
-        "--count", type=int, default=1, metavar="N",
+        "--count", type=_POSITIVE_INT, default=1, metavar="N",
         help="number of jobs in the batch (default: 1)",
     )
     s_submit.add_argument(
@@ -1115,11 +1115,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="chaos jobs: fault schedule seed (default: 0)",
     )
     s_submit.add_argument(
-        "--tasks", type=int, default=9, metavar="N",
+        "--tasks", type=_POSITIVE_INT, default=9, metavar="N",
         help="tasks per generated graph (default: 9)",
     )
     s_submit.add_argument(
-        "--pool", type=int, default=3, metavar="N",
+        "--pool", type=_POSITIVE_INT, default=3, metavar="N",
         help="simulated workers per job execution (default: 3)",
     )
     s_submit.add_argument(
@@ -1135,7 +1135,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="insert as staged (not leasable) instead of ready",
     )
     s_submit.add_argument(
-        "--max-attempts", type=int, default=3, metavar="N",
+        "--max-attempts", type=_POSITIVE_INT, default=3, metavar="N",
         help="executions before a job is declared failed "
              "(default: 3)",
     )
@@ -1172,16 +1172,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="stable launcher name (default: generated)",
     )
     s_launch.add_argument(
-        "--lease-size", type=int, default=8, metavar="N",
+        "--lease-size", type=_POSITIVE_INT, default=8, metavar="N",
         help="jobs claimed per lease (default: 8)",
     )
     s_launch.add_argument(
-        "--lease-ttl", type=float, default=60.0, metavar="S",
+        "--lease-ttl", type=_POSITIVE_FLOAT, default=60.0, metavar="S",
         help="seconds without a heartbeat before this launcher's "
              "jobs are re-leased (default: 60)",
     )
     s_launch.add_argument(
-        "--heartbeat-every", type=int, default=4, metavar="N",
+        "--heartbeat-every", type=_POSITIVE_INT, default=4, metavar="N",
         help="jobs executed between lease heartbeats (default: 4)",
     )
     s_launch.add_argument(

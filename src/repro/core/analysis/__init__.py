@@ -106,16 +106,13 @@ def analyze_module(
     module,
     diagnostics: Optional[Diagnostics] = None,
     checks: Optional[Iterable[str]] = None,
-    annotate: bool = False,
     facts: Optional[AnalysisFacts] = None,
 ) -> Diagnostics:
     """Run the IR analyses over a module; returns the diagnostics.
 
-    ``checks`` restricts the run to a subset of :data:`ALL_CHECKS`;
-    ``annotate`` additionally records taint labels on the IR (see
-    :func:`~repro.core.analysis.taint.check_function_taint`). Pass
-    precomputed ``facts`` to skip the abstract-interpretation sweep
-    the partition and absint checks share.
+    ``checks`` restricts the run to a subset of :data:`ALL_CHECKS`.
+    Pass precomputed ``facts`` to skip the abstract-interpretation
+    sweep the partition and absint checks share.
     """
     diagnostics = diagnostics if diagnostics is not None else Diagnostics()
     selected = set(checks) if checks is not None else set(ALL_CHECKS)
@@ -131,7 +128,7 @@ def analyze_module(
             facts = compute_facts(module)
     if "taint" in selected:
         with tracer.span("analysis:taint", category=ANALYSIS_CATEGORY):
-            check_module_taint(module, diagnostics, annotate=annotate)
+            check_module_taint(module, diagnostics)
     if "partition" in selected:
         with tracer.span("analysis:partition",
                          category=ANALYSIS_CATEGORY):
@@ -153,12 +150,10 @@ def analyze_module(
 
 def analyze_module_cached(
     module,
-    checks: Optional[Iterable[str]] = None,
-    annotate: bool = False,
     digest: Optional[str] = None,
     cache=None,
 ) -> Tuple[Diagnostics, Optional[AnalysisFacts], bool]:
-    """Digest-memoized :func:`analyze_module`.
+    """Digest-memoized :func:`analyze_module`, every check.
 
     Returns ``(diagnostics, facts, hit)``. Results are keyed by the
     module's content digest plus the analysis version, so a structural
@@ -168,11 +163,9 @@ def analyze_module_cached(
     ``analysis.cache_hits`` / ``analysis.cache_misses``.
     """
     cache = cache if cache is not None else analysis_cache()
-    selected = tuple(sorted(set(checks) if checks is not None
-                            else set(ALL_CHECKS)))
     if digest is None:
         digest = module_digest(module)
-    key = AnalysisCache.module_key(digest, selected, annotate)
+    key = AnalysisCache.module_key(digest, ALL_CHECKS)
     metrics = current_metrics()
     entry = cache.read(key, _cached_entry)
     if entry is not None:
@@ -184,9 +177,7 @@ def analyze_module_cached(
         "analysis.cache_misses", "analysis cache misses",
     ).inc(1, layer="module")
     facts = compute_facts(module)
-    diagnostics = analyze_module(
-        module, checks=selected, annotate=annotate, facts=facts,
-    )
+    diagnostics = analyze_module(module, facts=facts)
     cache.put(key, {
         "diagnostics": [item.to_dict() for item in diagnostics],
         "facts": encode(facts),

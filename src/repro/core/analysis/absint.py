@@ -137,10 +137,6 @@ class Interval:
     def is_const(self) -> bool:
         return self.lo == self.hi and self.lo not in (-_INF, _INF)
 
-    @property
-    def bounded(self) -> bool:
-        return self.lo != -_INF or self.hi != _INF
-
     def _combine_tight(self, other: "Interval") -> bool:
         # Corner attainment needs independence: sharing a variable
         # correlates the operands (i - i is 0, not [lo-hi, hi-lo]).

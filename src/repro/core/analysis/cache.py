@@ -56,12 +56,14 @@ class AnalysisCache(ContentStore):
         return hashlib.sha256(joined.encode("utf-8")).hexdigest()
 
     @staticmethod
-    def module_key(module_digest: str,
-                   checks: Sequence[str] = (),
-                   annotate: bool = False) -> str:
-        """Key for ``analyze_module`` results on one IR module."""
+    def module_key(module_digest: str, checks: Sequence[str] = ()) -> str:
+        """Key for ``analyze_module`` results on one IR module.
+
+        The trailing ``"False"`` is the retired taint-annotation flag,
+        kept so keys stay those of earlier releases.
+        """
         return AnalysisCache._key("module", (
-            module_digest, ",".join(sorted(checks)), repr(bool(annotate)),
+            module_digest, ",".join(sorted(checks)), "False",
         ))
 
     @staticmethod

@@ -376,19 +376,10 @@ def analyze_concurrency(
     return diagnostics
 
 
-def check_task_graph_concurrency(
-    graph,
-    resources: Sequence[ResourceSpec] = (),
-    diagnostics: Optional[Diagnostics] = None,
-    checks: Optional[Iterable[str]] = None,
-) -> Diagnostics:
-    """Concurrency-lint a built task graph."""
+def check_task_graph_concurrency(graph) -> Diagnostics:
+    """Concurrency-lint a built task graph (it declares no resources)."""
     return analyze_concurrency(
-        tasks_from_graph(graph),
-        resources,
-        name=getattr(graph, "name", "workflow"),
-        diagnostics=diagnostics,
-        checks=checks,
+        tasks_from_graph(graph), name=getattr(graph, "name", "workflow"),
     )
 
 

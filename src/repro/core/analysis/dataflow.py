@@ -46,10 +46,6 @@ class Lattice(Generic[T]):
         """Least upper bound of two elements."""
         raise NotImplementedError
 
-    def le(self, left: T, right: T) -> bool:
-        """True when ``left`` is subsumed by ``right``."""
-        return self.join(left, right) == right
-
 
 class SetLattice(Lattice[frozenset]):
     """Powerset lattice: join is set union (used for taint labels)."""
@@ -168,21 +164,18 @@ class BackwardAnalysis(DataflowAnalysis[T]):
 class TaintPropagation(ForwardAnalysis[frozenset]):
     """Reference forward client: label propagation with clearing ops.
 
-    ``seed`` maps values to initial label sets; results of operations
-    in ``clearing`` drop all labels (declassification / encryption),
+    ``seed`` maps values to initial label sets; the results of
+    ``secure.declassify`` and ``secure.encrypt`` drop all labels,
     every other op unions the labels of its operands into its results.
     Memory is modeled per buffer: a store taints the whole buffer value
     so later loads (also through loops) observe the labels.
     """
 
-    def __init__(
-        self,
-        seed: Optional[Dict[int, frozenset]] = None,
-        clearing: Iterable[str] = ("secure.declassify", "secure.encrypt"),
-    ):
+    _CLEARING = frozenset({"secure.declassify", "secure.encrypt"})
+
+    def __init__(self, seed: Optional[Dict[int, frozenset]] = None):
         super().__init__()
         self._seed = dict(seed or {})
-        self._clearing = frozenset(clearing)
 
     def boundary(self, function: Function) -> None:
         for op in function.walk():
@@ -196,7 +189,7 @@ class TaintPropagation(ForwardAnalysis[frozenset]):
                 self.state.update(argument, frozenset(labels))
 
     def transfer(self, op: Operation) -> None:
-        if op.name in self._clearing:
+        if op.name in self._CLEARING:
             for result in op.results:
                 self.state.set(result, frozenset())
             return

@@ -73,14 +73,8 @@ def _guarded_values(function: Function) -> Set[int]:
 def check_function_taint(
     function: Function,
     diagnostics: Optional[Diagnostics] = None,
-    annotate: bool = False,
 ) -> Diagnostics:
-    """Run static IFT over one function; returns the diagnostics.
-
-    With ``annotate`` set, every op producing a tainted value gets an
-    ``analysis.taint`` attribute listing the labels (sorted), which
-    round-trips through the textual IR for inspection.
-    """
+    """Run static IFT over one function; returns the diagnostics."""
     diagnostics = diagnostics if diagnostics is not None else Diagnostics()
     if function.is_declaration:
         return diagnostics
@@ -101,12 +95,6 @@ def check_function_taint(
             anchor=function.name,
             analysis="taint",
         )
-
-    if annotate:
-        for value, labels in facts.items():
-            producer = value.producer
-            if producer is not None and labels:
-                producer.set_attr("analysis.taint", sorted(labels))
 
     guarded = _guarded_values(function)
     protected = _is_protected(function)
@@ -236,12 +224,11 @@ def check_pipeline_taint(
 def check_module_taint(
     module: Module,
     diagnostics: Optional[Diagnostics] = None,
-    annotate: bool = False,
 ) -> Diagnostics:
     """Static IFT over every function and pipeline of a module."""
     diagnostics = diagnostics if diagnostics is not None else Diagnostics()
     for function in module.functions():
-        check_function_taint(function, diagnostics, annotate=annotate)
+        check_function_taint(function, diagnostics)
     for op in module.body.operations:
         if op.name == "workflow.pipeline":
             check_pipeline_taint(module, op, diagnostics)

@@ -33,9 +33,8 @@ _CPP_TYPES = {
 class _SyclEmitter:
     """Emits one function; values get stable C++ identifiers."""
 
-    def __init__(self, function: Function, parallel_outer: bool):
+    def __init__(self, function: Function):
         self.function = function
-        self.parallel_outer = parallel_outer
         self.names: Dict[int, str] = {}
         self.counter = 0
         self.lines: List[str] = []
@@ -101,8 +100,7 @@ class _SyclEmitter:
     def _emit_block(self, block: Block, top_level: bool = False) -> None:
         first_loop = True
         for op in block.operations:
-            if op.name == "kernel.for" and top_level and first_loop \
-                    and self.parallel_outer:
+            if op.name == "kernel.for" and top_level and first_loop:
                 first_loop = False
                 self._emit_parallel_for(op)
             else:
@@ -238,11 +236,7 @@ class _SyclEmitter:
             raise BackendError(f"SYCL backend: unsupported op {name}")
 
 
-def generate_sycl(
-    module: Module,
-    kernel: str,
-    parallel_outer: bool = True,
-) -> str:
+def generate_sycl(module: Module, kernel: str) -> str:
     """Emit a SYCL-like C++ translation unit for one kernel."""
     function = module.find_function(kernel)
     if function is None:
@@ -253,7 +247,7 @@ def generate_sycl(
                 f"{kernel!r} is still in tensor form; run "
                 f"LowerTensorPass before code generation"
             )
-    emitter = _SyclEmitter(function, parallel_outer)
+    emitter = _SyclEmitter(function)
     body = emitter.emit_function()
     prelude = "\n".join([
         "// Generated by the EVEREST SDK backend",

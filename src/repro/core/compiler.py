@@ -152,8 +152,7 @@ class EverestCompiler:
                     )
                 explorer = Explorer(
                     module, kernel, space=space, model=self.model,
-                    requirements=list(task.requirements)
-                    + list(pipeline.requirements),
+                    requirements=list(task.requirements),
                     digest=digest,
                 )
                 result = explorer.run(self.strategy)

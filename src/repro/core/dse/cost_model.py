@@ -191,7 +191,6 @@ def synthesize_variant(
     module: Module,
     kernel: str,
     knobs: VariantKnobs,
-    digest: Optional[str] = None,
 ) -> AcceleratorDesign:
     """The accelerator one FPGA knob point stands for.
 
@@ -199,7 +198,7 @@ def synthesize_variant(
     ``synth`` / ``emit --what rtl`` commands all build through here,
     so what is priced is what is reported and packaged.
     """
-    prepared = prepare_variant_module(module, kernel, knobs, digest)
+    prepared = prepare_variant_module(module, kernel, knobs)
     return synthesize(prepared, kernel, hls_options_for(knobs))
 
 
@@ -220,24 +219,20 @@ def evaluate_variant(
     module: Module,
     kernel: str,
     knobs: VariantKnobs,
-    model: Optional[ArchitectureModel] = None,
-    digest: Optional[str] = None,
 ) -> CostEstimate:
-    """Predict the cost of one knob assignment on one architecture.
+    """Predict the cost of one knob assignment on the default architecture.
 
     ``module`` must hold the kernel in tensor form (pre-lowering).
     This is :func:`_evaluate_batch` for one point: memoized in the
     process-wide cost cache under ``(module_digest, kernel, knobs,
-    model.fingerprint())``; pass ``digest`` to skip recomputing the
-    module hash. Cache hits return a fresh :class:`CostEstimate`; a
-    point :func:`price_variant` rejects is never stored, so it is
-    rejected again on every call.
+    model.fingerprint())``. Cache hits return a fresh
+    :class:`CostEstimate`; a point :func:`price_variant` rejects is
+    never stored, so it is rejected again on every call.
     """
-    model = model or ArchitectureModel()
-    if digest is None:
-        digest = module_digest(module)
+    model = ArchitectureModel()
     costs, _ = _evaluate_batch(
-        module, kernel, [knobs], model, digest, model.fingerprint())
+        module, kernel, [knobs], model, module_digest(module),
+        model.fingerprint())
     return costs[0]
 
 

@@ -183,7 +183,7 @@ class ExplorationResult:
             "front": [position[id(v)] for v in self.front],
         }, indent)
 
-    def front_json(self, indent: Optional[int] = None) -> str:
+    def front_json(self) -> str:
         """Canonical JSON of the Pareto front alone.
 
         Unlike :meth:`to_json` this does not mention the evaluated
@@ -194,7 +194,7 @@ class ExplorationResult:
         return _canonical_json({
             "kernel": self.kernel,
             "front": [_variant_row(variant) for variant in self.front],
-        }, indent)
+        }, None)
 
 
 class Explorer:
@@ -241,7 +241,6 @@ class Explorer:
         self.requirements = list(requirements or [])
         self.workers = workers
         self.workers_mode = workers_mode
-        self.prune = prune
         self._process_pool = None
         #: Content digest of the source module; accepted from the
         #: caller (the compiler hashes once per compile) or computed

@@ -97,7 +97,4 @@ class SecurityAnnotation:
     """Protection needs for a dataset flowing through the pipeline."""
 
     sensitivity: Sensitivity = Sensitivity.PUBLIC
-    integrity: bool = False
-    encrypt_at_rest: bool = False
     encrypt_in_transit: bool = False
-    cipher: str = "aes128-gcm"

@@ -49,10 +49,10 @@ def parse_kernel(source: str) -> ast.Program:
     return program
 
 
-def compile_kernel(source: str, module_name: str = "kernels") -> Module:
+def compile_kernel(source: str) -> Module:
     """Compile DSL source into a verified tensor-form IR module."""
     program = parse_kernel(source)
-    module = Module(module_name)
+    module = Module("kernels")
     for kernel in program.kernels:
         _KernelCodegen(module, kernel).emit()
     verify(module)

@@ -73,7 +73,6 @@ class Sink:
 
     name: str
     value: Union[Source, TaskOutput]
-    security: Optional[SecurityAnnotation] = None
 
 
 class Pipeline:
@@ -85,7 +84,6 @@ class Pipeline:
         self.tasks: List[Task] = []
         self.sinks: List[Sink] = []
         self._kernel_sources: List[str] = []
-        self.requirements: List[Requirement] = []
 
     # ------------------------------------------------------------------
 
@@ -128,20 +126,11 @@ class Pipeline:
         self.tasks.append(task)
         return task
 
-    def sink(
-        self,
-        name: str,
-        value: Union[Source, TaskOutput],
-        security: Optional[SecurityAnnotation] = None,
-    ) -> Sink:
+    def sink(self, name: str, value: Union[Source, TaskOutput]) -> Sink:
         """Declare an external output."""
-        sink = Sink(name, value, security)
+        sink = Sink(name, value)
         self.sinks.append(sink)
         return sink
-
-    def require(self, requirement: Requirement) -> None:
-        """Attach a pipeline-wide non-functional requirement."""
-        self.requirements.append(requirement)
 
     # ------------------------------------------------------------------
 
@@ -166,14 +155,9 @@ class Pipeline:
                     clone = function.op.clone({})
                     module.body.append(clone)
 
-        pipeline_attrs: Dict[str, object] = {"sym_name": self.name}
-        if self.requirements:
-            pipeline_attrs["requirements"] = [
-                (req.kind.value, req.value, req.scope)
-                for req in self.requirements
-            ]
         pipeline_op = Operation(
-            "workflow.pipeline", attributes=pipeline_attrs, num_regions=1
+            "workflow.pipeline", attributes={"sym_name": self.name},
+            num_regions=1,
         )
         module.body.append(pipeline_op)
         block = pipeline_op.regions[0].add_block()
@@ -262,13 +246,10 @@ class Pipeline:
                 raise SpecificationError(
                     f"sink {sink.name!r} consumes an unknown value"
                 )
-            attributes = {"sym_name": sink.name}
-            if sink.security is not None:
-                attributes["sensitivity"] = sink.security.sensitivity.value
             builder.create(
                 "workflow.sink",
                 operands=[produced[key]],
-                attributes=attributes,
+                attributes={"sym_name": sink.name},
             )
 
         builder.create("workflow.yield")

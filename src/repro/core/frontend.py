@@ -26,7 +26,7 @@ tiles the bias row), keeping the DSL free of implicit broadcasting.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.errors import SpecificationError
@@ -41,9 +41,6 @@ class ImportedModel:
     name: str
     dsl_source: str
     kernel_name: str
-    parameter_shapes: List[Tuple[str, Tuple[int, ...]]] = field(
-        default_factory=list
-    )
 
 
 def import_model_json(text: str) -> ImportedModel:
@@ -120,7 +117,6 @@ def import_model(spec: Dict) -> ImportedModel:
         name=name,
         dsl_source="\n".join(lines),
         kernel_name=name,
-        parameter_shapes=params,
     )
 
 

@@ -27,7 +27,6 @@ class CryptoCore:
     bytes_per_cycle: float
     fixed_latency_cycles: int
     dynamic_watts: float
-    authenticated: bool = True
 
     def cycles_for(self, num_bytes: int) -> int:
         """Cycles to process ``num_bytes`` (pipeline + fixed latency)."""
@@ -77,7 +76,6 @@ CRYPTO_LIBRARY: Dict[str, CryptoCore] = {
         bytes_per_cycle=4.5,
         fixed_latency_cycles=24,
         dynamic_watts=0.7,
-        authenticated=False,
     ),
 }
 

@@ -40,7 +40,6 @@ class TaintReport:
     extra: FPGAResources
     extra_latency_cycles: int
     tracked_labels: List[str]
-    checkers: int
 
     def area_overhead_fraction(self, base: FPGAResources) -> float:
         """Taint area as a fraction of the base design's LUTs+FFs."""
@@ -86,5 +85,4 @@ def apply_taint_tracking(
         extra=extra,
         extra_latency_cycles=1,
         tracked_labels=sorted(labels),
-        checkers=max(egress_count, 1),
     )

@@ -15,7 +15,6 @@ from repro.core.ir.dialects.kernel import loop_range
 from repro.core.ir.ops import Block, Operation, Value
 from repro.core.ir.types import (
     F32,
-    I1,
     INDEX,
     MemRefType,
     ScalarType,
@@ -82,37 +81,16 @@ class Builder:
         """Materialize an index constant."""
         return self.const(int(value), INDEX)
 
-    def _binary(self, name: str, lhs: Value, rhs: Value,
-                result_type: Optional[Type] = None) -> Value:
-        op = self.create(
-            name, operands=[lhs, rhs],
-            result_types=[result_type or lhs.type],
-        )
-        return op.result
+    def _binary(self, name: str, lhs: Value, rhs: Value) -> Value:
+        return self.create(name, [lhs, rhs], [lhs.type]).result
 
     def addf(self, lhs: Value, rhs: Value) -> Value:
         """Floating add."""
         return self._binary("kernel.addf", lhs, rhs)
 
-    def subf(self, lhs: Value, rhs: Value) -> Value:
-        """Floating subtract."""
-        return self._binary("kernel.subf", lhs, rhs)
-
     def mulf(self, lhs: Value, rhs: Value) -> Value:
         """Floating multiply."""
         return self._binary("kernel.mulf", lhs, rhs)
-
-    def divf(self, lhs: Value, rhs: Value) -> Value:
-        """Floating divide."""
-        return self._binary("kernel.divf", lhs, rhs)
-
-    def maxf(self, lhs: Value, rhs: Value) -> Value:
-        """Floating maximum."""
-        return self._binary("kernel.maxf", lhs, rhs)
-
-    def cmplt(self, lhs: Value, rhs: Value) -> Value:
-        """Less-than comparison producing i1."""
-        return self._binary("kernel.cmplt", lhs, rhs, I1)
 
     def select(self, cond: Value, if_true: Value, if_false: Value) -> Value:
         """Ternary select."""
@@ -131,15 +109,9 @@ class Builder:
         )
         return op.result
 
-    def alloc(self, memref_type: MemRefType, name: str = "") -> Value:
+    def alloc(self, memref_type: MemRefType) -> Value:
         """Allocate a local buffer."""
-        attrs: Dict[str, Any] = {}
-        if name:
-            attrs["sym_name"] = name
-        op = self.create(
-            "kernel.alloc", result_types=[memref_type], attributes=attrs
-        )
-        return op.result
+        return self.create("kernel.alloc", result_types=[memref_type]).result
 
     def load(self, memref: Value, indices: Sequence[Value]) -> Value:
         """Load one element."""
@@ -160,27 +132,19 @@ class Builder:
             "kernel.store", operands=[value, memref, *indices]
         )
 
-    def for_loop(
-        self, lower: int, upper: int, step: int = 1,
-        attributes: Optional[Dict[str, Any]] = None,
-    ) -> "LoopHandle":
-        """Create a kernel.for; returns a handle exposing the body."""
+    def for_loop(self, lower: int, upper: int) -> "LoopHandle":
+        """Create a unit-step kernel.for; returns a handle exposing the body."""
         op = self.create(
             "kernel.for",
-            attributes={
-                "lower": int(lower),
-                "upper": int(upper),
-                "step": int(step),
-                **(attributes or {}),
-            },
+            attributes={"lower": int(lower), "upper": int(upper), "step": 1},
             num_regions=1,
         )
         body = op.regions[0].add_block([INDEX])
         return LoopHandle(op, body)
 
-    def yield_op(self, values: Sequence[Value] = ()) -> Operation:
+    def yield_op(self) -> Operation:
         """Terminate a kernel region."""
-        return self.create("kernel.yield", operands=values)
+        return self.create("kernel.yield")
 
     # ------------------------------------------------------------------
     # tensor dialect helpers

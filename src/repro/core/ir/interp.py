@@ -32,7 +32,7 @@ from repro.core.ir.types import (
     ScalarType,
     TensorType,
 )
-from repro.errors import IRError, SecurityError
+from repro.errors import IRError
 
 _NUMPY_DTYPES = {
     "f32": np.float32,
@@ -52,9 +52,8 @@ def dtype_for(scalar: ScalarType) -> np.dtype:
 class Interpreter:
     """Executes IR functions; tracks taint labels through values."""
 
-    def __init__(self, module: Module, enforce_checks: bool = False):
+    def __init__(self, module: Module):
         self.module = module
-        self.enforce_checks = enforce_checks
         #: taint labels attached to each live value id
         self.taints: Dict[int, Set[str]] = {}
         #: labels that reached a secure.check
@@ -234,11 +233,6 @@ class Interpreter:
             labels = self._taint_of(op.operands)
             if labels:
                 self.flagged.append((op.attr("policy"), labels))
-                if self.enforce_checks:
-                    raise SecurityError(
-                        f"policy {op.attr('policy')!r} violated by "
-                        f"taint labels {sorted(labels)}"
-                    )
         elif name in ("secure.encrypt", "secure.decrypt"):
             # Functionally a passthrough at this level; cost is modeled
             # by the HLS/runtime layers.

@@ -99,17 +99,18 @@ class Module:
         name: str,
         function_type: FunctionType,
         attributes: Optional[Dict[str, Any]] = None,
-        declaration: bool = False,
     ) -> Function:
-        """Create a ``func.func`` in this module and return its wrapper."""
+        """Create a ``func.func`` in this module and return its wrapper.
+
+        Its entry block is empty, so it is a declaration until an
+        operation is added."""
         if self.find_function(name) is not None:
             raise IRError(f"duplicate function symbol {name!r}")
         attrs = dict(attributes or {})
         attrs["sym_name"] = name
         attrs["function_type"] = function_type
         op = Operation("func.func", attributes=attrs, num_regions=1)
-        if not declaration:
-            op.regions[0].add_block(list(function_type.inputs))
+        op.regions[0].add_block(list(function_type.inputs))
         self.body.append(op)
         return Function(op)
 

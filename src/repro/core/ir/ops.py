@@ -131,11 +131,10 @@ class _OperationList(list):
 class Value:
     """An SSA value: produced by an operation result or a block argument."""
 
-    def __init__(self, type: Type, name: str = ""):
+    def __init__(self, type: Type):
         self.type = type
-        self.name = name or f"v{next(_value_counter)}"
+        self.name = f"v{next(_value_counter)}"
         self.producer: Optional["Operation"] = None
-        self.result_index: int = -1
         self.block: Optional["Block"] = None  # set for block arguments
         self.uses: List["Operation"] = []
 
@@ -183,10 +182,9 @@ class Operation:
         self.operands: List[Value] = list(operands)
         self.attributes: Dict[str, Any] = _AttrDict(self, attributes or {})
         self.results: List[Value] = []
-        for index, result_type in enumerate(result_types):
+        for result_type in result_types:
             value = Value(result_type)
             value.producer = self
-            value.result_index = index
             self.results.append(value)
         self.regions: List[Region] = [Region(self) for _ in range(num_regions)]
         for operand in self.operands:

@@ -8,9 +8,11 @@ Implements the compile-time half of EVEREST's data-centric protection
   information flow tracking (TaintHLS [18]) can follow them;
 * inserts a ``secure.check`` before every ``func.return`` so values
   derived from tainted data cannot leave the kernel undeclassified;
-* tags the function with ``dift = True`` and the cipher chosen for its
-  at-rest protection, which the HLS engine turns into taint-register
-  hardware and crypto accelerator instances.
+* tags the function with ``dift = True``, which the HLS engine turns
+  into taint-register hardware. (A function-level ``cipher``
+  attribute, written in textual IR, adds a crypto core on the
+  accelerator's memory path; in-transit encryption is the runtime's
+  job.)
 
 The sensitive-argument annotation arrives from the DSL layer as an
 ``everest.sensitive_args`` attribute (list of argument indices).
@@ -25,24 +27,10 @@ from repro.core.ir.ops import Operation
 from repro.core.ir.passes.pass_manager import Pass
 from repro.errors import PassError
 
-_DEFAULT_CIPHER = "aes128-gcm"
-
-
 class SecurityInstrumentationPass(Pass):
-    """Insert taint tracking and return checks for sensitive data.
-
-    ``attach_crypto`` additionally tags the function with the cipher
-    for at-rest protection, which makes HLS instantiate a crypto core
-    on the accelerator's memory path. DIFT alone does not need it —
-    in-transit encryption is the runtime's job.
-    """
+    """Insert taint tracking and return checks for sensitive data."""
 
     name = "security-instrumentation"
-
-    def __init__(self, cipher: str = _DEFAULT_CIPHER,
-                 attach_crypto: bool = False):
-        self.cipher = cipher
-        self.attach_crypto = attach_crypto
 
     def run(self, module: Module) -> bool:
         changed = False
@@ -56,8 +44,6 @@ class SecurityInstrumentationPass(Pass):
                 continue  # already instrumented
             self._instrument(function, sensitive)
             function.op.set_attr("dift", True)
-            if self.attach_crypto:
-                function.op.set_attr("cipher", self.cipher)
             changed = True
         return changed
 

@@ -10,7 +10,7 @@ compute, independent of where things run.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 import numpy as np
 
@@ -23,27 +23,17 @@ from repro.errors import SpecificationError, WorkflowError
 def execute_pipeline(
     module: Module,
     feeds: Dict[str, Any],
-    pipeline_name: Optional[str] = None,
 ) -> Dict[str, Any]:
-    """Run a pipeline functionally; returns {sink name: value}.
+    """Run the module's pipeline functionally; returns {sink name: value}.
 
     ``feeds`` maps every ``workflow.source`` symbol to its input value
     (numpy arrays for tensors, Python scalars otherwise). Kernels are
     executed in tensor form with the reference interpreter.
     """
-    pipeline_op = None
-    for op in module.body.operations:
-        if op.name != "workflow.pipeline":
-            continue
-        if pipeline_name is None or \
-                op.attr("sym_name") == pipeline_name:
-            pipeline_op = op
-            break
+    pipeline_op = next((op for op in module.body.operations
+                        if op.name == "workflow.pipeline"), None)
     if pipeline_op is None:
-        raise WorkflowError(
-            "module has no workflow.pipeline"
-            + (f" named {pipeline_name!r}" if pipeline_name else "")
-        )
+        raise WorkflowError("module has no workflow.pipeline")
 
     interpreter = Interpreter(module)
     values: Dict[int, Any] = {}
@@ -91,16 +81,11 @@ def execute_pipeline(
     return outputs
 
 
-def pipeline_io(
-    module: Module, pipeline_name: Optional[str] = None
-) -> Dict[str, List[str]]:
-    """Source and sink names of a pipeline: {"sources": [...],
-    "sinks": [...]}."""
+def pipeline_io(module: Module) -> Dict[str, List[str]]:
+    """Source and sink names of the module's pipeline: {"sources":
+    [...], "sinks": [...]}."""
     for op in module.body.operations:
         if op.name != "workflow.pipeline":
-            continue
-        if pipeline_name is not None and \
-                op.attr("sym_name") != pipeline_name:
             continue
         block = op.regions[0].blocks[0]
         return {

@@ -113,7 +113,6 @@ class Variant:
     knobs: VariantKnobs
     cost: CostEstimate
     variant_id: int = field(default_factory=lambda: next(_variant_ids))
-    metadata: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def name(self) -> str:

@@ -232,11 +232,6 @@ class Diagnostics:
         return self.by_severity(Severity.ERROR)
 
     @property
-    def warnings(self) -> List[Diagnostic]:
-        """All WARNING findings."""
-        return self.by_severity(Severity.WARNING)
-
-    @property
     def has_errors(self) -> bool:
         """True when at least one ERROR was recorded."""
         return any(

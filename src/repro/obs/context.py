@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator
 
-from repro.obs.clock import Clock, LogicalClock, WallClock
+from repro.obs.clock import LogicalClock, WallClock
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 
@@ -67,16 +67,14 @@ def observe(observation: Observation) -> Iterator[Observation]:
         _ambient = previous
 
 
-def session(clock: Optional[Clock] = None,
-            deterministic: bool = False) -> Observation:
+def session(deterministic: bool = False) -> Observation:
     """Create an enabled observation session.
 
     ``deterministic`` selects a :class:`~repro.obs.clock.LogicalClock`
     so the resulting trace is byte-identical across runs of the same
     seeded workload; otherwise the tracer profiles wall time.
     """
-    if clock is None:
-        clock = LogicalClock() if deterministic else WallClock()
+    clock = LogicalClock() if deterministic else WallClock()
     return Observation(
         tracer=Tracer(clock=clock, enabled=True),
         metrics=MetricsRegistry(),

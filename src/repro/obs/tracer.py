@@ -61,17 +61,16 @@ class TraceEvent:
 class Span:
     """Handle yielded by :meth:`Tracer.span`; collects extra args."""
 
-    __slots__ = ("_tracer", "name", "category", "_track", "_start",
+    __slots__ = ("_tracer", "name", "category", "_start",
                  "span_id", "parent_id", "args")
 
     def __init__(self, tracer: "Tracer", name: str, category: str,
-                 track: str, start: float, span_id: int,
+                 start: float, span_id: int,
                  parent_id: int, args: Dict[str, Any]):
         """Record the open interval; closed by the context manager."""
         self._tracer = tracer
         self.name = name
         self.category = category
-        self._track = track
         self._start = start
         self.span_id = span_id
         self.parent_id = parent_id
@@ -156,9 +155,8 @@ class Tracer:
         if self.sink is not None:
             self.sink(event)
 
-    def span(self, name: str, category: str = "",
-             track: str = MAIN_TRACK, **args: Any):
-        """Open a nested span; use as a context manager.
+    def span(self, name: str, category: str = "", **args: Any):
+        """Open a nested span on the main track; use as a context manager.
 
         Returns a :class:`Span` whose :meth:`Span.note` adds args
         before the span closes. On a disabled tracer this is a shared
@@ -166,18 +164,18 @@ class Tracer:
         """
         if not self.enabled:
             return _NULL_SPAN
-        tid = self._tid(track)
+        tid = self._tid(MAIN_TRACK)
         stack = self._stacks.setdefault((self._pid, tid), [])
         span_id = self._next_span_id
         self._next_span_id += 1
         parent_id = stack[-1] if stack else 0
         stack.append(span_id)
-        return Span(self, name, category, track, self.clock.now(),
+        return Span(self, name, category, self.clock.now(),
                     span_id, parent_id, dict(args))
 
     def _close_span(self, span: Span) -> None:
         end = self.clock.now()
-        tid = self._tid(span._track)
+        tid = self._tid(MAIN_TRACK)
         stack = self._stacks.get((self._pid, tid), [])
         if stack and stack[-1] == span.span_id:
             stack.pop()
@@ -271,15 +269,6 @@ class Tracer:
         """Iterate complete spans, optionally of one category."""
         for event in self.events:
             if event.phase != "X":
-                continue
-            if category is None or event.category == category:
-                yield event
-
-    def instants(self, category: Optional[str] = None
-                 ) -> Iterator[TraceEvent]:
-        """Iterate instant events, optionally of one category."""
-        for event in self.events:
-            if event.phase != "i":
                 continue
             if category is None or event.category == category:
                 yield event

@@ -115,7 +115,6 @@ class FPGADevice:
         self.memories: Dict[str, MemoryModel] = {
             memory.name: memory for memory in (memories or [])
         }
-        self.total_reconfig_time = 0.0
 
     @property
     def user_capacity(self) -> FPGAResources:
@@ -164,7 +163,6 @@ class FPGADevice:
             )
         target.loaded = bitstream
         target.reconfigurations += 1
-        self.total_reconfig_time += self.reconfiguration_time(bitstream)
         current_metrics().counter(
             "fpga.reconfigurations",
             "successful partial reconfigurations",
@@ -210,8 +208,7 @@ def make_ku060(name: str, memories: Optional[List[MemoryModel]] = None
     )
 
 
-def make_edge_fpga(name: str, memories: Optional[List[MemoryModel]] = None
-                   ) -> FPGADevice:
+def make_edge_fpga(name: str) -> FPGADevice:
     """A small Zynq-class edge FPGA."""
     return FPGADevice(
         name=name,
@@ -226,5 +223,4 @@ def make_edge_fpga(name: str, memories: Optional[List[MemoryModel]] = None
             supports_network=False,
         ),
         role_slots=1,
-        memories=memories,
     )

@@ -28,7 +28,6 @@ from repro.platform.fpga import (
     make_vu9p,
 )
 from repro.platform.interconnect import (
-    EthernetLink,
     Link,
     OpenCAPILink,
     PCIeLink,
@@ -48,7 +47,6 @@ class Node:
     fpgas: List[FPGADevice] = field(default_factory=list)
     memories: Dict[str, MemoryModel] = field(default_factory=dict)
     fpga_links: Dict[str, Link] = field(default_factory=dict)
-    network_link: Optional[Link] = None
     arch: str = "x86"
 
     def add_memory(self, memory: MemoryModel) -> None:
@@ -122,7 +120,7 @@ class CloudFPGANode(Node):
 
 
 class EdgeNode(Node):
-    """ARM/RISC-V edge gateway, optionally with a small FPGA."""
+    """ARM/RISC-V edge gateway with a small FPGA."""
 
 
 class GPUNode(Node):
@@ -130,9 +128,9 @@ class GPUNode(Node):
 
 
 def build_power9_node(
-    name: str = "power9-0", num_fpgas: int = 1, role_slots: int = 2
+    name: str = "power9-0", role_slots: int = 2
 ) -> Power9Node:
-    """A POWER9 node with ``num_fpgas`` coherent bus-attached VU9P cards."""
+    """A POWER9 node with one coherent bus-attached VU9P card."""
     node = Power9Node(
         name=name,
         cpu=CPUDescription(
@@ -153,25 +151,20 @@ def build_power9_node(
             channels=8,
         )
     )
-    for index in range(num_fpgas):
-        card_memory = MemoryModel(
-            name=f"{name}/fpga{index}-ddr",
-            technology=MemoryTechnology.DDR4,
-            capacity_bytes=64 * GB,
-            channels=2,
-        )
-        fpga = make_vu9p(
-            f"{name}/fpga{index}",
-            memories=[card_memory],
-            role_slots=role_slots,
-        )
-        node.attach_fpga(fpga, OpenCAPILink(f"{name}/capi{index}"))
+    card_memory = MemoryModel(
+        name=f"{name}/fpga0-ddr",
+        technology=MemoryTechnology.DDR4,
+        capacity_bytes=64 * GB,
+        channels=2,
+    )
+    fpga = make_vu9p(
+        f"{name}/fpga0", memories=[card_memory], role_slots=role_slots,
+    )
+    node.attach_fpga(fpga, OpenCAPILink(f"{name}/capi0"))
     return node
 
 
-def build_cloudfpga_node(
-    name: str = "cloudfpga-0", protocol: str = "udp"
-) -> CloudFPGANode:
+def build_cloudfpga_node(name: str = "cloudfpga-0") -> CloudFPGANode:
     """A stand-alone network-attached cloudFPGA module."""
     card_memory = MemoryModel(
         name=f"{name}/ddr",
@@ -183,16 +176,13 @@ def build_cloudfpga_node(
         name=name,
         cpu=None,
         arch="fpga",
-        network_link=EthernetLink(f"{name}/net", gbps=10.0, protocol=protocol),
     )
     node.fpgas.append(make_ku060(f"{name}/fpga", memories=[card_memory]))
     node.memories[card_memory.name] = card_memory
     return node
 
 
-def build_edge_node(
-    name: str = "edge-0", arch: str = "arm", with_fpga: bool = True
-) -> EdgeNode:
+def build_edge_node(name: str = "edge-0", arch: str = "arm") -> EdgeNode:
     """An edge gateway: 4-core ARM or RISC-V SoC plus a small FPGA."""
     if arch not in ("arm", "riscv"):
         raise PlatformError(f"edge arch must be arm or riscv, got {arch!r}")
@@ -218,9 +208,8 @@ def build_edge_node(
             bandwidth_per_channel=12.8e9,
         )
     )
-    if with_fpga:
-        fpga = make_edge_fpga(f"{name}/fpga")
-        node.attach_fpga(fpga, PCIeLink(f"{name}/axi", lanes=4))
+    fpga = make_edge_fpga(f"{name}/fpga")
+    node.attach_fpga(fpga, PCIeLink(f"{name}/axi", lanes=4))
     return node
 
 

@@ -126,8 +126,6 @@ class SimResource:
         self.name = name or f"resource@{id(self):x}"
         self.in_use = 0
         self._queue: List[Process] = []
-        self.total_waits = 0
-        self.total_grants = 0
 
     def _record_occupancy(self) -> None:
         """Emit busy/queue counters into the simulator's tracer."""
@@ -162,17 +160,14 @@ class SimResource:
         if self._queue:
             process = self._queue.pop(0)
             self.in_use += 1
-            self.total_grants += 1
             self._sim._schedule(0.0, process, None)
         self._record_occupancy()
 
     def _enqueue(self, process: Process) -> None:
         if self.in_use < self.capacity:
             self.in_use += 1
-            self.total_grants += 1
             self._sim._schedule(0.0, process, None)
         else:
-            self.total_waits += 1
             self._queue.append(process)
         self._record_occupancy()
 

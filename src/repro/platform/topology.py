@@ -227,41 +227,27 @@ class Ecosystem:
             listed.add(a)
 
 
-def build_reference_ecosystem(
-    num_endpoints: int = 8,
-    num_edge_nodes: int = 2,
-    num_power9: int = 1,
-    num_cloudfpga: int = 4,
-    num_gpu_nodes: int = 1,
-    uplink_mbps: float = 100.0,
-) -> Ecosystem:
+def build_reference_ecosystem(uplink_mbps: float = 100.0) -> Ecosystem:
     """The EVEREST demonstrator topology of Figs. 3 and 4.
 
-    End-point sensors feed edge gateways over low-power links; gateways
-    reach the cloud over a WAN uplink; inside the datacenter, POWER9
-    nodes, GPU baseline nodes and cloudFPGA modules share the Ethernet
-    fabric through a leaf switch (modeled as a star around ``dc-switch``).
+    Eight end-point sensors feed two edge gateways over low-power
+    links; the gateways reach the cloud over a WAN uplink; inside the
+    datacenter, one POWER9 node, one GPU baseline node and four
+    cloudFPGA modules share the Ethernet fabric through a leaf switch
+    (modeled as a star around ``dc-switch``).
     """
     eco = Ecosystem("everest-demonstrator")
 
     switch = Node(name="dc-switch", arch="switch")
     eco.add_node(switch, Tier.CLOUD)
 
-    for index in range(num_power9):
-        node = eco.add_node(
-            build_power9_node(f"power9-{index}"), Tier.CLOUD
-        )
+    for node in (build_power9_node("power9-0"), build_gpu_node("gpu-0")):
+        eco.add_node(node, Tier.CLOUD)
         eco.connect(
             node.name, "dc-switch", EthernetLink(f"{node.name}/net", 100.0)
         )
 
-    for index in range(num_gpu_nodes):
-        node = eco.add_node(build_gpu_node(f"gpu-{index}"), Tier.CLOUD)
-        eco.connect(
-            node.name, "dc-switch", EthernetLink(f"{node.name}/net", 100.0)
-        )
-
-    for index in range(num_cloudfpga):
+    for index in range(4):
         node = eco.add_node(
             build_cloudfpga_node(f"cloudfpga-{index}"), Tier.CLOUD
         )
@@ -272,7 +258,7 @@ def build_reference_ecosystem(
         )
 
     edge_names: List[str] = []
-    for index in range(num_edge_nodes):
+    for index in range(2):
         arch = "arm" if index % 2 == 0 else "riscv"
         node = eco.add_node(
             build_edge_node(f"edge-{index}", arch=arch), Tier.INNER_EDGE
@@ -283,14 +269,12 @@ def build_reference_ecosystem(
         )
         edge_names.append(node.name)
 
-    for index in range(num_endpoints):
+    for index in range(8):
         endpoint = Node(name=f"endpoint-{index}", arch="mcu")
         eco.add_node(endpoint, Tier.ENDPOINT)
-        gateway = edge_names[index % len(edge_names)] if edge_names \
-            else "dc-switch"
         eco.connect(
             endpoint.name,
-            gateway,
+            edge_names[index % len(edge_names)],
             SensorLink(f"{endpoint.name}/radio", kbps=250.0),
         )
 

@@ -33,7 +33,6 @@ class OperatingPoint:
     predicted_energy_j: float
     latency_correction: float = 1.0
     energy_correction: float = 1.0
-    invocations: int = 0
     is_hardware: bool = field(init=False)
     dift: bool = field(init=False)
     accuracy: float = field(init=False)
@@ -69,7 +68,6 @@ class OperatingPoint:
                 (1 - smoothing) * self.energy_correction
                 + smoothing * ratio
             )
-        self.invocations += 1
 
 
 class KnowledgeBase:

@@ -24,8 +24,6 @@ class Anomaly:
     metric: str
     value: float
     z_score: float
-    baseline_mean: float
-    baseline_std: float
 
 
 @dataclass
@@ -93,8 +91,6 @@ class HardwareMonitor:
                 metric=metric,
                 value=value,
                 z_score=z_score,
-                baseline_mean=baseline.mean,
-                baseline_std=std,
             )
             self.detections.append(anomaly)
             return anomaly
@@ -104,8 +100,6 @@ class HardwareMonitor:
 
     # ------------------------------------------------------------------
 
-    def detection_count(self, metric: Optional[str] = None) -> int:
-        """Detections so far (optionally for one metric)."""
-        if metric is None:
-            return len(self.detections)
-        return sum(1 for a in self.detections if a.metric == metric)
+    def detection_count(self) -> int:
+        """Detections so far."""
+        return len(self.detections)

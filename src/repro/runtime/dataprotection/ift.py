@@ -9,20 +9,10 @@ only leave through an encrypting or declassifying edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.errors import SecurityError
 from repro.workflow.graph import TaskGraph
-
-
-@dataclass
-class FlowViolation:
-    """A blocked egress."""
-
-    egress: str
-    labels: Set[str]
-    reason: str
 
 
 class FlowTracker:
@@ -34,7 +24,6 @@ class FlowTracker:
             name: set() for name in graph.objects
         }
         self.declassified: Set[str] = set()
-        self.violations: List[FlowViolation] = []
 
     # ------------------------------------------------------------------
 
@@ -71,27 +60,19 @@ class FlowTracker:
         self,
         object_name: str,
         encrypted: bool = False,
-        egress: str = "sink",
     ) -> bool:
         """May this object leave the trust boundary?
 
         Tainted data may egress only when encrypted (or previously
-        declassified). Returns True when allowed; records a
-        violation and raises otherwise.
+        declassified). Returns True when allowed and raises otherwise.
         """
         labels = self.labels_of(object_name)
         if not labels or encrypted or object_name in self.declassified:
             return True
-        violation = FlowViolation(
-            egress=egress,
-            labels=labels,
-            reason=(
-                f"object {object_name!r} carries labels "
-                f"{sorted(labels)} and is not encrypted"
-            ),
+        raise SecurityError(
+            f"object {object_name!r} carries labels "
+            f"{sorted(labels)} and is not encrypted"
         )
-        self.violations.append(violation)
-        raise SecurityError(violation.reason)
 
     def audit(self) -> List[Tuple[str, Set[str]]]:
         """All currently tainted objects and their labels."""

@@ -4,20 +4,17 @@
 proper dynamic adaptation in the form of 'auto-protection'" (paper
 §III-B). The engine maps incident classes to mitigations and keeps an
 audit log; the runtime executor consults it to adjust the autotuner's
-system state (forcing DIFT variants), rotate keys, or quarantine a
-node.
+system state (forcing DIFT variants) or rotate keys; the other
+reactions are recorded for the audit log.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from dataclasses import dataclass
+from typing import Dict, List
 
 from repro.runtime.dataprotection.anomaly import Anomaly
-
-_incident_ids = itertools.count(1)
 
 
 class Reaction(enum.Enum):
@@ -38,7 +35,6 @@ class Incident:
     detail: str
     reaction: Reaction
     node: str = ""
-    incident_id: int = field(default_factory=lambda: next(_incident_ids))
 
 
 #: Default escalation table: incident kind -> reaction.
@@ -55,15 +51,11 @@ _DEFAULT_RULES: Dict[str, Reaction] = {
 class AutoProtection:
     """The reaction engine."""
 
-    def __init__(self, rules: Optional[Dict[str, Reaction]] = None):
+    def __init__(self):
         self.rules = dict(_DEFAULT_RULES)
-        if rules:
-            self.rules.update(rules)
         self.incidents: List[Incident] = []
-        self.quarantined: Set[str] = set()
         self.key_generation = 0
         self.dift_forced = False
-        self.throttled = False
 
     # ------------------------------------------------------------------
 
@@ -102,10 +94,6 @@ class AutoProtection:
             self.dift_forced = True
         elif reaction is Reaction.REKEY:
             self.key_generation += 1
-        elif reaction is Reaction.QUARANTINE_NODE and incident.node:
-            self.quarantined.add(incident.node)
-        elif reaction is Reaction.THROTTLE:
-            self.throttled = True
 
     # ------------------------------------------------------------------
 

@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.compiler import CompiledApplication
 from repro.errors import RuntimeSystemError
-from repro.platform.node import Node, build_power9_node
+from repro.platform.node import build_power9_node
 from repro.platform.power import EnergyMeter
 from repro.runtime.autotuner.data_features import (
     NOMINAL,
@@ -60,7 +60,6 @@ class RoundResult:
     energy_j: float
     selections: Dict[str, str] = field(default_factory=dict)
     reconfig_s: float = 0.0
-    alerts: int = 0
 
 
 @dataclass
@@ -127,13 +126,12 @@ class RuntimeExecutor:
     def __init__(
         self,
         app: CompiledApplication,
-        node: Optional[Node] = None,
         goal: Goal = Goal(),
         reality: Optional[RealityModel] = None,
         adaptive: bool = True,
     ):
         self.app = app
-        self.node = node or build_power9_node()
+        self.node = build_power9_node()
         self.knowledge = KnowledgeBase()
         self.knowledge.load_package(app.package)
         self.manager = ApplicationManager(self.knowledge, goal=goal)
@@ -221,7 +219,6 @@ class RuntimeExecutor:
             if anomaly is not None:
                 self.protection.report_anomaly(anomaly,
                                                node=self.node.name)
-                result.alerts += 1
             result.latency_s += latency + reconfig
             result.energy_j += energy
             result.selections[kernel] = point.variant.knobs.describe()

@@ -8,28 +8,27 @@ vCPUs, none for memory).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.errors import VirtualizationError
 from repro.platform.node import Node
 from repro.runtime.virt.vm import VM, VMState
-from repro.utils.validation import check_positive
 
 #: Fixed hypervisor reserve of host memory.
 _HOST_RESERVE_FRACTION = 0.05
+#: vCPUs admitted per physical core.
+_VCPU_OVERCOMMIT = 2
 
 
 class Hypervisor:
     """One hypervisor instance managing a node's guests."""
 
-    def __init__(self, node: Node, vcpu_overcommit: float = 2.0):
+    def __init__(self, node: Node):
         if node.cpu is None:
             raise VirtualizationError(
                 f"node {node.name!r} has no CPU to virtualize"
             )
-        check_positive("vcpu_overcommit", vcpu_overcommit)
         self.node = node
-        self.vcpu_overcommit = vcpu_overcommit
         self.vms: Dict[str, VM] = {}
 
     # ------------------------------------------------------------------
@@ -37,7 +36,7 @@ class Hypervisor:
     @property
     def vcpu_capacity(self) -> int:
         """Total vCPUs the admission control allows."""
-        return int(self.node.cpu.cores * self.vcpu_overcommit)
+        return self.node.cpu.cores * _VCPU_OVERCOMMIT
 
     @property
     def vcpus_committed(self) -> int:
@@ -67,8 +66,7 @@ class Hypervisor:
 
     # ------------------------------------------------------------------
 
-    def create_vm(self, name: str, vcpus: int, memory_bytes: int,
-                  arch: Optional[str] = None) -> VM:
+    def create_vm(self, name: str, vcpus: int, memory_bytes: int) -> VM:
         """Define and admit a guest; raises when over capacity."""
         if name in self.vms:
             raise VirtualizationError(f"duplicate VM name {name!r}")
@@ -86,7 +84,7 @@ class Hypervisor:
             name=name,
             vcpus=vcpus,
             memory_bytes=memory_bytes,
-            arch=arch or self.node.arch,
+            arch=self.node.arch,
         )
         self.vms[name] = vm
         return vm

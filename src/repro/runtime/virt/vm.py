@@ -15,7 +15,6 @@ class VMState(enum.Enum):
 
     DEFINED = "defined"
     RUNNING = "running"
-    PAUSED = "paused"
     STOPPED = "stopped"
 
 
@@ -27,7 +26,6 @@ class VM:
     vcpus: int
     memory_bytes: int
     arch: str = "x86"
-    guest_os: str = "linux"
     state: VMState = VMState.DEFINED
     devices: List[str] = field(default_factory=list)
 
@@ -39,22 +37,6 @@ class VM:
         """DEFINED/STOPPED → RUNNING."""
         if self.state is VMState.RUNNING:
             raise VirtualizationError(f"VM {self.name!r} already running")
-        self.state = VMState.RUNNING
-
-    def pause(self) -> None:
-        """RUNNING → PAUSED."""
-        if self.state is not VMState.RUNNING:
-            raise VirtualizationError(
-                f"VM {self.name!r} is {self.state.value}, cannot pause"
-            )
-        self.state = VMState.PAUSED
-
-    def resume(self) -> None:
-        """PAUSED → RUNNING."""
-        if self.state is not VMState.PAUSED:
-            raise VirtualizationError(
-                f"VM {self.name!r} is {self.state.value}, cannot resume"
-            )
         self.state = VMState.RUNNING
 
     def stop(self) -> None:

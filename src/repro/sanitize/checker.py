@@ -66,10 +66,8 @@ class _ObjectState:
 class HappensBeforeChecker:
     """Replays task-attempt events and flags HB violations."""
 
-    def __init__(self, diagnostics: Optional[Diagnostics] = None):
-        self.diagnostics = (
-            diagnostics if diagnostics is not None else Diagnostics()
-        )
+    def __init__(self):
+        self.diagnostics = Diagnostics()
         self._attempts: Dict[str, int] = {}
         self._clocks: Dict[str, VectorClock] = {}
         self._objects: Dict[str, _ObjectState] = {}
@@ -203,9 +201,7 @@ class HappensBeforeChecker:
         return self.diagnostics
 
 
-def sanitize_tracer(
-    tracer, diagnostics: Optional[Diagnostics] = None
-) -> Diagnostics:
+def sanitize_tracer(tracer) -> Diagnostics:
     """Run the happens-before checker over a tracer's events.
 
     Consumes ``workflow.task`` spans carrying ``reads``/``writes``
@@ -213,7 +209,7 @@ def sanitize_tracer(
     instants, in recording order — which for simulated runs is
     completion order, so seeded replays sanitize identically.
     """
-    checker = HappensBeforeChecker(diagnostics)
+    checker = HappensBeforeChecker()
     for event in tracer.events:
         if (
             event.phase == "X"

@@ -51,10 +51,9 @@ class ServiceClient:
     stamps submissions that do not name an owner themselves.
     """
 
-    def __init__(self, db_path=None, default_owner: str = "",
-                 clock=None):
+    def __init__(self, db_path=None, default_owner: str = ""):
         """Connect to the job database at ``db_path``."""
-        self.store = JobStore(db_path, clock=clock)
+        self.store = JobStore(db_path)
         self.default_owner = default_owner
 
     def close(self) -> None:

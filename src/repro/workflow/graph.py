@@ -244,22 +244,17 @@ class TaskGraph:
         return len(self.tasks)
 
 
-def random_task_graph(
-    seed: int,
-    num_tasks: int = 12,
-    num_inputs: int = 2,
-    max_fan_in: int = 3,
-    max_cpus: int = 2,
-    min_duration_s: float = 0.2,
-    max_duration_s: float = 1.5,
-    max_object_bytes: int = 2_000_000,
-) -> TaskGraph:
+_MAX_OBJECT_BYTES = 2_000_000
+
+
+def random_task_graph(seed: int, num_tasks: int = 12) -> TaskGraph:
     """A random DAG of ``num_tasks`` tasks, deterministic in ``seed``.
 
-    Tasks consume objects produced earlier (or external inputs), so the
-    result is acyclic by construction; every earlier object remains a
-    candidate input, producing the mix of chains, fans and diamonds the
-    chaos invariants should hold over.
+    Two external inputs; each task reads one to three objects produced
+    earlier (or the inputs), so the result is acyclic by construction;
+    every earlier object remains a candidate input, producing the mix
+    of chains, fans and diamonds the chaos invariants should hold over.
+    A task takes 1-2 CPUs for 0.2-1.5 s; an object holds up to 2 MB.
     """
     if num_tasks < 1:
         raise WorkflowError(
@@ -267,25 +262,25 @@ def random_task_graph(
     rng = random.Random(seed)
     graph = TaskGraph(f"chaos-graph-{seed}")
     available = []
-    for index in range(num_inputs):
+    for index in range(2):
         name = f"in{index}"
         graph.add_object(DataObject(
-            name, size_bytes=rng.randrange(10_000, max_object_bytes)
+            name, size_bytes=rng.randrange(10_000, _MAX_OBJECT_BYTES)
         ))
         available.append(name)
     for index in range(num_tasks):
-        fan_in = rng.randint(1, min(max_fan_in, len(available)))
+        fan_in = rng.randint(1, min(3, len(available)))
         inputs = rng.sample(available, fan_in)
         output = f"o{index}"
         graph.add_task(WorkflowTask(
             f"t{index}",
             inputs=inputs,
             outputs=[output],
-            duration_s=rng.uniform(min_duration_s, max_duration_s),
-            cpus=rng.randint(1, max_cpus),
+            duration_s=rng.uniform(0.2, 1.5),
+            cpus=rng.randint(1, 2),
         ))
         graph.set_object_size(
-            output, rng.randrange(10_000, max_object_bytes)
+            output, rng.randrange(10_000, _MAX_OBJECT_BYTES)
         )
         available.append(output)
     return graph

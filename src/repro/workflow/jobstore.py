@@ -57,6 +57,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import JobStoreError
 from repro.obs import current_metrics
+from repro.utils.validation import check_positive
 
 #: Schema version stamped into the ``meta`` table; a store written by
 #: a different version is rejected with ``JOB004``.
@@ -378,9 +379,11 @@ class JobStore:
         The claim is one statement that selects the oldest ready jobs
         and moves them to ``running``, so two launchers calling
         concurrently partition the queue — a job is never assigned
-        twice. The lease expires ``ttl_s`` from now unless heartbeats
-        extend it.
+        twice. The lease expires ``ttl_s`` (> 0) from now unless
+        heartbeats extend it: a lease expired when handed out would let
+        another launcher's ``expire_leases`` re-lease a running job.
         """
+        check_positive("ttl_s", ttl_s)
         started = time.perf_counter()
         now = self.clock()
         lease_id = uuid.uuid4().hex[:12]
@@ -414,8 +417,10 @@ class JobStore:
         ``refreshed`` is the number of still-running jobs whose expiry
         moved forward; ``cancel_ids`` are jobs in the lease for which
         a client requested cancellation — the launcher should skip or
-        stop them and :meth:`cancel_leased` each one.
+        stop them and :meth:`cancel_leased` each one. ``ttl_s`` must
+        be positive, as for :meth:`lease`.
         """
+        check_positive("ttl_s", ttl_s)
         now = self.clock()
         rows = self._conn.execute(
             "UPDATE jobs SET lease_expiry=?, updated=? "
@@ -530,16 +535,15 @@ class JobStore:
             "service.jobs_completed", "jobs finished successfully",
         ).inc()
 
-    def fail(self, job_id: int, lease_id: str, error: str,
-             retry: bool = True) -> str:
+    def fail(self, job_id: int, lease_id: str, error: str) -> str:
         """Record a job failure; returns the resulting state.
 
-        With ``retry`` (default) the job goes back to ``ready`` while
-        attempts remain; otherwise — or once attempts are exhausted —
-        it lands in ``failed`` with the error recorded.
+        The job goes back to ``ready`` while attempts remain; once
+        they are exhausted it lands in ``failed`` with the error
+        recorded.
         """
         target = self._transition(job_id, lease_id, "failed",
-                                  {"error": error}, retry=retry)
+                                  {"error": error}, retry=True)
         current_metrics().counter(
             "service.jobs_failed", "job executions that failed",
         ).inc(final=str(target == "failed").lower())

@@ -43,6 +43,7 @@ from typing import Callable, Dict, List, Mapping, Optional
 from repro.chaos.schedule import ChaosConfig, generate_schedule
 from repro.errors import JobStoreError
 from repro.obs import current_metrics
+from repro.utils.validation import check_positive
 from repro.workflow.graph import random_task_graph
 from repro.workflow.jobstore import (
     JobRecord,
@@ -185,9 +186,10 @@ class Launcher:
         self.launcher_id = (
             launcher_id or f"launcher-{uuid.uuid4().hex[:6]}"
         )
-        self.lease_size = max(1, lease_size)
-        self.lease_ttl_s = lease_ttl_s
-        self.heartbeat_every = max(1, heartbeat_every)
+        self.lease_size = check_positive("lease_size", lease_size)
+        self.lease_ttl_s = check_positive("lease_ttl_s", lease_ttl_s)
+        self.heartbeat_every = check_positive(
+            "heartbeat_every", heartbeat_every)
         self.run_store = run_store
         self.clock = clock
 

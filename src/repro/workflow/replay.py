@@ -92,7 +92,6 @@ class PayloadSkipper:
         self._credits = {
             name: count for name, count in credits.items() if count > 0
         }
-        self.skipped = 0
         self.executed = 0
 
     def take(self, task_name: str) -> bool:
@@ -100,7 +99,6 @@ class PayloadSkipper:
         remaining = self._credits.get(task_name, 0)
         if remaining > 0:
             self._credits[task_name] = remaining - 1
-            self.skipped += 1
             return True
         self.executed += 1
         return False

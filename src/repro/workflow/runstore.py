@@ -88,7 +88,6 @@ class RunStore:
         meta: Dict,
         run_id: Optional[str] = None,
         snapshot_every: int = 100,
-        fsync: str = "snapshot",
     ) -> Tuple[str, RunJournal]:
         """Register a new run and open its journal.
 
@@ -110,10 +109,7 @@ class RunStore:
             "meta": meta,
         }
         self._write_meta(directory, payload)
-        journal = RunJournal(
-            directory, snapshot_every=snapshot_every, fsync=fsync
-        )
-        return run_id, journal
+        return run_id, RunJournal(directory, snapshot_every=snapshot_every)
 
     def _write_meta(self, directory: Path, payload: Dict) -> None:
         tmp = directory / (META_FILE + ".tmp")
@@ -147,13 +143,9 @@ class RunStore:
                 f"run {run_id!r} has no readable {META_FILE}: {exc}"
             ) from exc
 
-    def load_state(self, run_id: str,
-                   use_snapshots: bool = True
-                   ) -> Tuple[ReplayState, ReplayInfo]:
+    def load_state(self, run_id: str) -> Tuple[ReplayState, ReplayInfo]:
         """Replay a run's journal into its durable state."""
-        return replay_journal(
-            self.run_dir(run_id), use_snapshots=use_snapshots
-        )
+        return replay_journal(self.run_dir(run_id))
 
     def list_runs(self) -> List[RunInfo]:
         """Every run in the store, newest first."""
@@ -183,7 +175,6 @@ class RunStore:
         self,
         run_id: str,
         snapshot_every: int = 100,
-        fsync: str = "snapshot",
     ) -> Tuple[Dict, ReplayState, RunJournal]:
         """Stage a crashed run for re-execution.
 
@@ -210,10 +201,7 @@ class RunStore:
                     shutil.move(str(snap), str(archive / snap.name))
             meta["attempts"] = attempt + 1
             self._write_meta(directory, meta)
-        journal = RunJournal(
-            directory, snapshot_every=snapshot_every, fsync=fsync
-        )
-        return meta, state, journal
+        return meta, state, RunJournal(directory, snapshot_every=snapshot_every)
 
     # -- open ----------------------------------------------------------
 

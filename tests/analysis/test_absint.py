@@ -9,7 +9,7 @@ from repro.core.analysis.absint import (
     partition_conflict,
 )
 from repro.core.ir.module import Module
-from repro.core.ir.types import F32, F64, MemRefType, TensorType
+from repro.core.ir.types import F32, F64, I1, MemRefType, TensorType
 from repro.core.variants import VariantKnobs
 
 from tests.analysis.conftest import new_function
@@ -33,7 +33,7 @@ class TestInterval:
     def test_top_is_unbounded_and_loose(self):
         top = Interval.top()
         assert top.lo == -INF and top.hi == INF
-        assert not top.tight and not top.bounded
+        assert not top.tight
 
     def test_add_sums_bounds(self):
         a = Interval(0, 3, frozenset({1}), True)
@@ -69,7 +69,7 @@ class TestInterval:
     def test_floordiv_zero_crossing_divisor_is_top(self):
         a = Interval(0, 7, frozenset({1}), True)
         out = a.floordiv(Interval(-1, 1, frozenset(), True))
-        assert not out.bounded
+        assert out.lo == -INF and out.hi == INF
 
     def test_union_widens_and_loses_tightness(self):
         a = Interval(0, 3, frozenset({1}), True)
@@ -211,7 +211,7 @@ class TestRanges:
                     outer.induction_var, inner.induction_var,
                 )
                 limit = b.index_const(15)
-                cond = b.cmplt(raw, limit)
+                cond = b.create("kernel.cmplt", [raw, limit], [I1]).result
                 clamped = b.select(cond, raw, limit)
                 b.load(function.arguments[0], [clamped])
                 b.yield_op()
@@ -224,7 +224,8 @@ class TestRanges:
         function, b = new_function(module, "f", [memref], [])
         loop = b.for_loop(0, 8)
         with b.at_block(loop.body):
-            cond = b.cmplt(b.index_const(2), b.index_const(5))
+            cond = b.create("kernel.cmplt", [
+                b.index_const(2), b.index_const(5)], [I1]).result
             picked = b.select(
                 cond, loop.induction_var, b.index_const(0))
             b.load(function.arguments[0], [picked])
@@ -263,7 +264,8 @@ class TestFacts:
         function, b = new_function(module, "f", [memref], [])
         outer = b.for_loop(0, 8)
         with b.at_block(outer.body):
-            inner = b.for_loop(0, 6, step=2)
+            inner = b.for_loop(0, 6)
+            inner.op.set_attr("step", 2)
             with b.at_block(inner.body):
                 b.yield_op()
             b.yield_op()

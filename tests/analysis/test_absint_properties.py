@@ -26,7 +26,7 @@ from repro.core.analysis.partition import (  # noqa: E402
     check_function_partitioning,
 )
 from repro.core.ir.module import Module  # noqa: E402
-from repro.core.ir.types import F32, MemRefType  # noqa: E402
+from repro.core.ir.types import F32, I1, MemRefType  # noqa: E402
 from repro.core.variants import VariantKnobs  # noqa: E402
 
 from tests.analysis.conftest import new_function  # noqa: E402
@@ -109,10 +109,10 @@ def _build_nest(loops, accesses, shape=(8,), partition=None, unroll=1):
     handles = []
     for position, (lower, upper, step) in enumerate(loops):
         innermost = position == len(loops) - 1
-        loop = b.for_loop(
-            lower, upper, step=step,
-            attributes={"unroll": unroll} if innermost else None,
-        )
+        loop = b.for_loop(lower, upper)
+        loop.op.set_attr("step", step)
+        if innermost:
+            loop.op.set_attr("unroll", unroll)
         handles.append(loop)
         ivs.append(loop.induction_var)
         b.set_insertion_point(loop.body)
@@ -261,8 +261,8 @@ def test_dead_select_verdicts_never_flip_concretely(
     buffer = function.arguments[0]
     loop = builder.for_loop(0, upper)
     with builder.at_block(loop.body):
-        cond = builder.cmplt(
-            builder.index_const(a), builder.index_const(b_const))
+        cond = builder.create("kernel.cmplt", [
+            builder.index_const(a), builder.index_const(b_const)], [I1]).result
         picked = builder.select(
             cond, loop.induction_var, builder.index_const(fallback))
         builder.load(buffer, [picked])
@@ -294,7 +294,8 @@ def test_zero_trip_verdict_matches_concrete_iteration_count(
     module = Module("prop")
     memref = MemRefType((64,), F32)
     function, builder = new_function(module, "f", [memref], [])
-    loop = builder.for_loop(lower, upper, step=step)
+    loop = builder.for_loop(lower, upper)
+    loop.op.set_attr("step", step)
     with builder.at_block(loop.body):
         builder.load(function.arguments[0], [loop.induction_var])
         builder.yield_op()

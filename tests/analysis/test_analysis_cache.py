@@ -27,9 +27,8 @@ kernel f(X: tensor<16xf32>) -> tensor<16xf32> {
 
 class TestKeys:
     def test_module_key_is_deterministic(self):
-        key = AnalysisCache.module_key("d1", ("absint", "taint"), False)
-        assert key == AnalysisCache.module_key(
-            "d1", ("absint", "taint"), False)
+        key = AnalysisCache.module_key("d1", ("absint", "taint"))
+        assert key == AnalysisCache.module_key("d1", ("absint", "taint"))
 
     def test_module_key_ignores_check_order(self):
         assert AnalysisCache.module_key(
@@ -37,25 +36,22 @@ class TestKeys:
         ) == AnalysisCache.module_key("d1", ("absint", "taint"))
 
     def test_module_key_varies_on_every_input(self):
-        base = AnalysisCache.module_key("d1", ("absint",), False)
-        assert AnalysisCache.module_key("d2", ("absint",), False) != base
-        assert AnalysisCache.module_key("d1", ("taint",), False) != base
-        assert AnalysisCache.module_key("d1", ("absint",), True) != base
+        base = AnalysisCache.module_key("d1", ("absint",))
+        assert AnalysisCache.module_key("d2", ("absint",)) != base
+        assert AnalysisCache.module_key("d1", ("taint",)) != base
 
     def test_keys_are_stable_across_releases(self):
         """Goldens, three per recipe; re-recorded when a version moves
         (last: ``ANALYSIS_CACHE_VERSION`` "1" -> "2", recipes unchanged)."""
         zeros = "0" * 64
         assert [
-            AnalysisCache.module_key("d1", ("absint", "taint"), False),
-            AnalysisCache.module_key("d2", (), True),
-            AnalysisCache.module_key(zeros, ("perf",), False),
+            AnalysisCache.module_key("d1", ("absint", "taint")),
+            AnalysisCache.module_key(zeros, ("perf",)),
             AnalysisCache.perf_key("d1", "k"),
             AnalysisCache.perf_key("d2", "gemm"),
             AnalysisCache.perf_key(zeros, "score"),
         ] == [
             "44b3c71130601af102a9737c8619fc503241b8c9f1a2ae0f6863663aa3c25d4b",
-            "5d1aae3d44c81fa0e4eb5ed074b61546bab81708a449ef172c1a2a651f33b182",
             "032eab20fa0a7f793ff57ce21208254a2cefd86c3bb2ac39c2588ca6343e0cfe",
             "52af3f4dbcc918f5127e1fed682a04e5bb432104a55eb585b0b6ead4e782f06b",
             "7ceef8aa78b4dd5c70397ac2b61f34f9479a0ad5e3a805432b556012f2e9b2fb",
@@ -102,14 +98,14 @@ class TestAnalyzeModuleCached:
         _, _, second = analyze_module_cached(compile_kernel(OTHER_SRC))
         assert (first, second) == (False, False)
 
-    def test_check_subset_keys_separately(self):
+    def test_digest_keys_the_entry(self):
         analysis_cache().clear()
         analyze_module_cached(compile_kernel(SRC))
-        _, facts, hit = analyze_module_cached(
-            compile_kernel(SRC), checks=("taint",))
+        _, _, hit = analyze_module_cached(
+            compile_kernel(SRC), digest="0" * 64)
         assert not hit
         _, _, again = analyze_module_cached(
-            compile_kernel(SRC), checks=("taint",))
+            compile_kernel(SRC), digest="0" * 64)
         assert again
 
     def test_traffic_reaches_the_metrics_registry(self):

@@ -14,6 +14,7 @@ from repro.core.analysis import (
     check_task_graph_concurrency,
     lint_concurrency_spec,
 )
+from repro.core.analysis.wfcheck import tasks_from_graph
 from repro.workflow.graph import DataObject, TaskGraph, WorkflowTask
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -199,10 +200,11 @@ class TestAdapters:
             "upd_b", updates=["acc"],
             constraints={"acquires": [("role", 3)]},
         ))
-        diags = check_task_graph_concurrency(
-            graph, [ResourceSpec("role", 2)]
+        diags = analyze_concurrency(
+            tasks_from_graph(graph), [ResourceSpec("role", 2)]
         )
         assert codes(diags) == ["DL002", "RACE001"]
+        assert codes(check_task_graph_concurrency(graph)) == codes(diags)
 
     def test_spec_adapter_accepts_dict_acquires(self):
         diags = lint_concurrency_spec({

@@ -38,7 +38,7 @@ class TestCollection:
         ]
         assert diagnostics.has_errors
         assert len(diagnostics.errors) == 1
-        assert len(diagnostics.warnings) == 1
+        assert len(diagnostics.by_severity(Severity.WARNING)) == 1
 
     def test_sorted_orders_by_severity_then_code(self):
         diagnostics = Diagnostics()

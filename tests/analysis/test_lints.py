@@ -7,6 +7,7 @@ from repro.core.analysis.lints import (
     check_unused_functions,
 )
 from repro.core.ir.types import F32
+from repro.diagnostics import Severity
 
 from tests.analysis.conftest import new_function
 
@@ -23,7 +24,7 @@ class TestDeadValues:
         b.ret([x])
         diagnostics = check_dead_values(function)
         assert _codes(diagnostics) == ["LINT001"]
-        assert "never used" in diagnostics.warnings[0].message
+        assert "never used" in diagnostics.by_severity(Severity.WARNING)[0].message
 
     def test_used_chain_not_flagged(self, module):
         function, b = new_function(module, "f", [F32], [F32])

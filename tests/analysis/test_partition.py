@@ -15,6 +15,7 @@ from repro.core.analysis.partition import (
 from repro.core.ir.parser import parse_module
 from repro.core.ir.types import F32, MemRefType
 from repro.core.variants import VariantKnobs
+from repro.diagnostics import Severity
 
 from tests.analysis.conftest import new_function
 
@@ -25,8 +26,9 @@ def _codes(diagnostics):
 
 def _loop_over(b, buffer, upper, unroll=1, offset=0, stride=1):
     """for i in [0, upper): load buffer[stride*i + offset]."""
-    attributes = {"unroll": unroll} if unroll > 1 else None
-    loop = b.for_loop(0, upper, attributes=attributes)
+    loop = b.for_loop(0, upper)
+    if unroll > 1:
+        loop.op.set_attr("unroll", unroll)
     with b.at_block(loop.body):
         index = loop.induction_var
         if stride != 1:
@@ -156,7 +158,7 @@ class TestPartitionLegality:
         b.ret([])
         diagnostics = check_function_partitioning(function)
         assert "MEM002" in _codes(diagnostics)
-        assert "colliding banks" in diagnostics.warnings[0].message
+        assert "colliding banks" in diagnostics.by_severity(Severity.WARNING)[0].message
 
     def test_port_demand_exceeds_banks_mem002(self, module):
         memref = MemRefType((64,), F32)
@@ -168,14 +170,15 @@ class TestPartitionLegality:
         b.ret([])
         diagnostics = check_function_partitioning(function)
         assert "MEM002" in _codes(diagnostics)
-        assert "ports" in diagnostics.warnings[0].message
+        assert "ports" in diagnostics.by_severity(Severity.WARNING)[0].message
 
     def test_non_affine_access_is_charged_without_facts(self, module):
         memref = MemRefType((64,), F32)
         function, b = new_function(module, "f", [memref], [])
         (buffer,) = function.arguments
         self._partitioned(b, buffer, "block", 2)
-        loop = b.for_loop(0, 8, attributes={"unroll": 8})
+        loop = b.for_loop(0, 8)
+        loop.op.set_attr("unroll", 8)
         with b.at_block(loop.body):
             iv = loop.induction_var
             b.load(buffer, [b._binary("kernel.muli", iv, iv)])
@@ -186,7 +189,7 @@ class TestPartitionLegality:
         diagnostics = check_function_partitioning(function)
         assert _codes(diagnostics) == ["MEM002"]
         assert "1 accesses x unroll 8 need 8 ports" in (
-            diagnostics.warnings[0].message)
+            diagnostics.by_severity(Severity.WARNING)[0].message)
 
     def test_mixed_affine_access_agrees_with_partition_conflict(self):
         # a[i, j*j] with the j loop unrolled: the access belongs to
@@ -200,7 +203,7 @@ class TestPartitionLegality:
         (loop,) = [loop for loop in facts.loops if loop.unroll > 1]
         conflict = partition_conflict(
             facts, VariantKnobs(target="fpga", unroll=loop.unroll))
-        (lint,) = check_function_partitioning(function).warnings
+        (lint,) = check_function_partitioning(function).by_severity(Severity.WARNING)
         assert lint.code == "MEM002"
         numbers = r"(\d+) accesses x unroll (\d+)"
         assert re.search(numbers, lint.message).groups() == (

@@ -48,7 +48,7 @@ def assert_sound(module, kernel, knobs_list):
     assert bounds is not None
     model = ArchitectureModel()
     for knobs in knobs_list:
-        cost = evaluate_variant(module, kernel, knobs, model)
+        cost = evaluate_variant(module, kernel, knobs)
         if not cost.feasible:
             # infeasible points price at +inf: vacuously above any
             # bound, and the explorer never admits them anyway.

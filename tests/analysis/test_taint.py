@@ -1,6 +1,7 @@
 """Static IFT tests: the secure.* policies checked at compile time."""
 
 from repro.core.analysis import check_module_taint
+from repro.core.analysis.dataflow import TaintPropagation
 from repro.core.analysis.taint import (
     check_function_taint,
     check_pipeline_taint,
@@ -135,7 +136,7 @@ class TestInstrumentationState:
         assert _codes(diagnostics) == ["SEC005"]
         assert not diagnostics.has_errors
 
-    def test_annotate_records_labels(self, module):
+    def test_labels_propagate_until_declassified(self, module):
         function, b = new_function(module, "ann", [F32], [F32])
         (x,) = function.arguments
         tainted = b.create(
@@ -146,8 +147,9 @@ class TestInstrumentationState:
             "secure.declassify", [doubled], [F32]
         ).result
         b.ret([cleared])
-        check_function_taint(function, annotate=True)
-        assert doubled.producer.attr("analysis.taint") == ["pii"]
+        state = TaintPropagation().run(function)
+        assert state.get(doubled) == frozenset({"pii"})
+        assert state.get(cleared) == frozenset()
 
 
 class TestPipelineTaint:

@@ -11,6 +11,8 @@ from repro.apps.airquality.emissions import (
     default_site,
 )
 from repro.apps.airquality.forecast import (
+    ABATE_PROBABILITY,
+    REDUCE_PROBABILITY,
     AirQualityForecast,
     ForecastDecision,
     synth_weather_members,
@@ -215,13 +217,16 @@ class TestForecast:
         assert avoided > 0.5  # abatement works
         assert 0.0 <= lost < 0.5  # without shutting the plant
 
-    def test_invalid_thresholds_rejected(self):
-        with pytest.raises(ValueError):
-            AirQualityForecast(
-                default_site(),
-                reduce_probability=0.8,
-                abate_probability=0.2,
+    def test_decision_follows_the_probability_thresholds(self):
+        forecast = AirQualityForecast(default_site(), grid_cells=30)
+        for assessment in forecast.forecast_day(members_per_hour=4):
+            p = assessment.exceedance_probability
+            expected = (
+                ForecastDecision.ABATE if p >= ABATE_PROBABILITY
+                else ForecastDecision.REDUCE if p >= REDUCE_PROBABILITY
+                else ForecastDecision.NORMAL
             )
+            assert assessment.decision is expected
 
     def test_weather_members_deterministic(self):
         a = synth_weather_members(5, members=4, seed="x")

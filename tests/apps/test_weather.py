@@ -48,7 +48,7 @@ class TestWeatherField:
     def test_value_at_km_clamps(self):
         truth = synth_truth(size_cells=20)
         assert truth.value_at_km(-5.0, -5.0) == truth.data[0, 0]
-        far = truth.extent_km[0] + 100
+        far = truth.shape[0] * truth.resolution_km + 100
         assert truth.value_at_km(far, far) == truth.data[-1, -1]
 
 
@@ -138,8 +138,8 @@ class TestWindFarm:
         assert np.all(np.diff(power) >= 0)
 
     def test_farm_capacity(self):
-        farm = default_farm(turbines=10)
-        assert farm.capacity_mw == pytest.approx(30.0)
+        farm = default_farm()
+        assert farm.capacity_mw == pytest.approx(24 * 3.0)
 
     def test_production_bounded(self):
         farm = default_farm()

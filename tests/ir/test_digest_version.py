@@ -130,7 +130,6 @@ class TestInvalidation:
         module.add_function(
             "helper",
             FunctionType((TensorType((4,), F32),), ()),
-            declaration=True,
         )
         mid = module_digest(module)
         assert mid != before
@@ -165,9 +164,7 @@ class TestInvalidation:
     def test_version_monotonic(self):
         module = Module("m")
         versions = [module.version]
-        module.add_function(
-            "f", FunctionType((), ()), declaration=True
-        )
+        module.add_function("f", FunctionType((), ()))
         versions.append(module.version)
         module.find_function("f").op.set_attr("target", "cpu")
         versions.append(module.version)

@@ -103,8 +103,8 @@ class TestCanonicalize:
             module = Module("m")
             function = module.add_function("f", FunctionType((), (F32,)))
             builder = Builder(function.entry_block)
-            builder.ret([builder.divf(builder.const(numerator),
-                                      builder.const(denominator))])
+            builder.ret([builder._binary("kernel.divf", builder.const(numerator),
+                                         builder.const(denominator))])
             return module
 
         interpreted, = Interpreter(module()).run("f")

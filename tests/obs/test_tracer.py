@@ -43,11 +43,12 @@ class TestSpans:
         assert a.parent_id == parent.span_id
         assert b.parent_id == parent.span_id
 
-    def test_spans_on_distinct_tracks_do_not_nest(self):
+    def test_span_after_a_closed_sibling_does_not_nest(self):
         tracer = make_tracer()
-        with tracer.span("one", track="t1"):
-            with tracer.span("two", track="t2") as other:
-                pass
+        with tracer.span("one"):
+            pass
+        with tracer.span("two") as other:
+            pass
         assert other.parent_id == 0
 
     def test_events_emitted_in_close_order(self):

@@ -35,14 +35,15 @@ class TestNodeBuilders:
         assert node.has_fpga and node.has_coherent_fpga
         assert node.arch == "ppc64le"
 
-    def test_power9_multi_fpga(self):
-        node = build_power9_node(num_fpgas=3)
-        assert len(node.fpgas) == 3
+    def test_power9_card_has_its_own_memory(self):
+        node = build_power9_node("p")
+        (fpga,) = node.fpgas
+        assert list(fpga.memories) == ["p/fpga0-ddr"]
 
     def test_cloudfpga_has_no_cpu(self):
         node = build_cloudfpga_node()
         assert node.cpu is None
-        assert node.network_link is not None
+        assert node.arch == "fpga"
         assert node.has_fpga
 
     def test_cloudfpga_with_a_host_cpu_is_rejected(self):
@@ -66,9 +67,9 @@ class TestNodeBuilders:
         with pytest.raises(PlatformError):
             build_edge_node(arch="mips")
 
-    def test_edge_without_fpga(self):
-        node = build_edge_node(with_fpga=False)
-        assert not node.has_fpga
+    def test_edge_fpga_is_not_coherent(self):
+        node = build_edge_node()
+        assert node.has_fpga and not node.has_coherent_fpga
 
     def test_gpu_node(self):
         node = build_gpu_node()

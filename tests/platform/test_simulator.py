@@ -146,20 +146,22 @@ class TestResources:
         with pytest.raises(PlatformError):
             resource.release()
 
-    def test_queue_statistics(self):
+    def test_queued_requests_run_back_to_back(self):
         sim = Simulator()
         resource = sim.resource(1)
+        queued = []
 
         def worker():
             yield resource.request()
+            queued.append(len(resource._queue))
             yield sim.timeout(1.0)
             resource.release()
 
         for _ in range(3):
             sim.process(worker())
         sim.run()
-        assert resource.total_grants == 3
-        assert resource.total_waits == 2
+        assert queued == [2, 1, 0]
+        assert (sim.now, resource.in_use) == (3.0, 0)
 
 
 class TestProcessComposition:

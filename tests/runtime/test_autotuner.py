@@ -63,7 +63,6 @@ class TestKnowledgeBase:
             point.observe(20e-6, 100e-6)
         assert point.expected_latency_s == pytest.approx(20e-6,
                                                          rel=0.05)
-        assert point.invocations == 30
 
     def test_find(self, knowledge):
         point = knowledge.points_for("k")[1]
@@ -161,9 +160,8 @@ class TestApplicationManager:
                            match="unknown point of kernel 'k'"):
             manager.report("k", twin_point, 2.2e-6, 1e-6)
         assert twin_point.latency_correction == 1.0
-        assert twin_point.invocations == 0
         manager.report("k", own_point, 2.2e-6, 1e-6)
-        assert own_point.invocations == 1
+        assert own_point.latency_correction > 1.0
 
     def test_goal_switch_changes_selection(self):
         """§IV: the optimization goal (performance vs energy) is a

@@ -173,7 +173,6 @@ class TestExecutorGolden:
         timeline = report.selections_timeline("scale")
         # the schedule does cross what it claims to
         assert report.incidents == 1
-        assert report.rounds[SPIKE].alerts == 1
         assert {"fpga", "cpu"} <= {entry.split("/")[0]
                                    for entry in timeline}
         record = json.dumps([

@@ -30,8 +30,6 @@ class TestVM:
         vm = VM("v", vcpus=2, memory_bytes=GB)
         vm.start()
         assert vm.state is VMState.RUNNING
-        vm.pause()
-        vm.resume()
         vm.stop()
         assert vm.state is VMState.STOPPED
 
@@ -41,10 +39,12 @@ class TestVM:
         with pytest.raises(VirtualizationError):
             vm.start()
 
-    def test_pause_requires_running(self):
+    def test_stopped_guest_restarts(self):
         vm = VM("v", vcpus=1, memory_bytes=GB)
-        with pytest.raises(VirtualizationError):
-            vm.pause()
+        vm.start()
+        vm.stop()
+        vm.start()
+        assert vm.state is VMState.RUNNING
 
     def test_device_attach_detach(self):
         vm = VM("v", vcpus=1, memory_bytes=GB)
@@ -58,8 +58,8 @@ class TestVM:
 
 class TestHypervisor:
     def test_admission_control_vcpus(self):
-        hyper = Hypervisor(build_power9_node(), vcpu_overcommit=1.0)
-        hyper.create_vm("a", vcpus=16, memory_bytes=GB)
+        hyper = Hypervisor(build_power9_node())
+        hyper.create_vm("a", vcpus=32, memory_bytes=GB)
         with pytest.raises(VirtualizationError, match="vCPU"):
             hyper.create_vm("b", vcpus=1, memory_bytes=GB)
 
@@ -69,7 +69,7 @@ class TestHypervisor:
             hyper.create_vm("a", vcpus=1, memory_bytes=600 * GB)
 
     def test_overcommit_allows_more_vcpus(self):
-        hyper = Hypervisor(build_power9_node(), vcpu_overcommit=2.0)
+        hyper = Hypervisor(build_power9_node())
         hyper.create_vm("a", vcpus=16, memory_bytes=GB)
         hyper.create_vm("b", vcpus=16, memory_bytes=GB)
         assert hyper.vcpus_committed == 32
@@ -85,8 +85,8 @@ class TestHypervisor:
             Hypervisor(build_cloudfpga_node())
 
     def test_stopped_vm_frees_capacity(self):
-        hyper = Hypervisor(build_power9_node(), vcpu_overcommit=1.0)
-        vm = hyper.create_vm("a", vcpus=16, memory_bytes=GB)
+        hyper = Hypervisor(build_power9_node())
+        vm = hyper.create_vm("a", vcpus=32, memory_bytes=GB)
         vm.stop()
         hyper.create_vm("b", vcpus=8, memory_bytes=GB)
 

@@ -280,6 +280,19 @@ USER_ERRORS = [
     "emit {spec} --kernel scale --what lowered-ir --unroll 0",
     "run {spec} --journal-dir {tmp} --snapshot-every -1",
     "chaos --journal-dir {tmp} --snapshot-every -1",
+)] + [("service " + argv.split()[0], None,
+       ["service"] + argv.split() + ["--db", "{tmp}/jobs.db"])
+      for argv in (
+    # values a job or a launcher could never run with
+    "submit --count 0",
+    "submit --count -2",
+    "submit --kind graph --tasks 0",
+    "submit --kind chaos --pool 0",
+    "submit --max-attempts 0",
+    "launch --lease-size 0",
+    "launch --heartbeat-every 0",
+    "launch --lease-ttl 0",
+    "launch --lease-ttl -1",
 )]
 
 
@@ -289,7 +302,11 @@ USER_ERRORS = [
          "bad-space", "unknown-kernel", "runs-show-no-id",
          "cancel-no-selector", "synth-unroll-0", "synth-unroll-negative",
          "synth-clock-0", "synth-clock-negative", "emit-rtl-unroll",
-         "emit-lowered-unroll", "run-snapshot-every", "chaos-snapshot-every"],
+         "emit-lowered-unroll", "run-snapshot-every", "chaos-snapshot-every",
+         "submit-count-0", "submit-count-negative", "submit-tasks-0",
+         "submit-pool-0", "submit-max-attempts-0", "launch-lease-size-0",
+         "launch-heartbeat-every-0", "launch-lease-ttl-0",
+         "launch-lease-ttl-negative"],
 )
 def test_a_user_error_is_one_coded_line(dsl_file, tmp_path, capsys,
                                         command, setup, argv):

@@ -1,0 +1,65 @@
+"""``tools/test_only.py`` on a tiny tree: a hit, a kept hit, a stale entry."""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "test_only.py"
+HIT = "pkg/mod.py::only_tested"
+
+
+@pytest.fixture()
+def tree(tmp_path):
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "src" / "pkg" / "mod.py").write_text(
+        "def used():\n    return 1\n\n\n"
+        "def only_tested():\n    return 2\n"
+    )
+    (tmp_path / "src" / "pkg" / "app.py").write_text(
+        "from pkg.mod import used\n\nused()\n"
+    )
+    (tmp_path / "tests" / "test_mod.py").write_text(
+        "from pkg.mod import only_tested\n\n"
+        "def test_it():\n    assert only_tested() == 2\n"
+    )
+    return tmp_path
+
+
+def scan(tree, keep):
+    path = tree / "keep.json"
+    path.write_text(json.dumps(keep))
+    done = subprocess.run(
+        [sys.executable, str(TOOL), "--root", str(tree), "--keep",
+         str(path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    return done.returncode, done.stdout
+
+
+def test_a_test_only_function_is_reported(tree):
+    code, out = scan(tree, [])
+    assert code == 1
+    assert out.splitlines() == [
+        f"src/{HIT.split('::')[0]}:5: class 1 test-only: {HIT}"]
+
+
+def test_a_keep_listed_hit_is_not_reported(tree):
+    code, out = scan(tree, [{"key": HIT, "class": 1, "why": "reason"}])
+    assert (code, out) == (0, "")
+
+
+def test_an_entry_that_is_no_longer_a_hit_is_stale(tree):
+    code, out = scan(tree, [
+        {"key": HIT, "class": 1, "why": "reason"},
+        {"key": "pkg/mod.py::used", "class": 1, "why": "reason"},
+    ])
+    assert code == 1
+    assert out.splitlines() == [
+        "keep.json: stale class 1 entry: pkg/mod.py::used "
+        "(no longer a hit)"]

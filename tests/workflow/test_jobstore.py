@@ -182,6 +182,24 @@ class TestLeasing:
         clock.advance(3)
         assert len(store.expire_leases()[0]) == 2
 
+    @pytest.mark.parametrize("ttl_s", [0.0, -1.0])
+    def test_a_lease_is_never_expired_when_handed_out(
+            self, tmp_path, clock, ttl_s):
+        # two launchers on one database and one clock: a lease that
+        # expired on arrival would let B re-lease the job A still runs
+        with JobStore(tmp_path / "jobs.db", clock=clock) as a, \
+                JobStore(tmp_path / "jobs.db", clock=clock) as b:
+            job_id = submit_n(a, 1).inserted[0]
+            with pytest.raises(ValueError, match="ttl_s must be positive"):
+                a.lease("A", 1, ttl_s=ttl_s)
+            lease = a.lease("A", 1, ttl_s=1.0)
+            with pytest.raises(ValueError, match="ttl_s must be positive"):
+                a.heartbeat(lease.lease_id, ttl_s=ttl_s)
+            clock.advance(0.001)
+            assert b.expire_leases() == ([], [])
+            assert b.lease("B", 1).jobs == []
+            assert a.job(job_id).launcher == "A"
+
     def test_stale_lease_cannot_complete(self, store, clock):
         job_id = submit_n(store, 1).inserted[0]
         old = store.lease("dead", 1, ttl_s=5.0)
@@ -245,12 +263,11 @@ class TestStateMachine:
         job = store.job(job_id)
         assert job.state == "failed" and job.attempts == 2
 
-    def test_fail_without_retry_is_final(self, store):
-        job_id = submit_n(store, 1).inserted[0]
+    def test_single_attempt_failure_is_final(self, store):
+        job_id = submit_n(store, 1, max_attempts=1).inserted[0]
         lease = store.lease("l1", 1)
-        state = store.fail(job_id, lease.lease_id, "fatal",
-                           retry=False)
-        assert state == "failed"
+        assert store.fail(job_id, lease.lease_id, "fatal") == "failed"
+        assert store.job(job_id).result == {"error": "fatal"}
 
 
 class TestCancellation:

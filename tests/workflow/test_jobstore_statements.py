@@ -132,8 +132,6 @@ REPORTS = {
     "complete": (lambda s, j, lease: s.complete(j, lease, {"x": 1}),
                  "done"),
     "fail": (lambda s, j, lease: s.fail(j, lease, "boom"), "ready"),
-    "fail-final": (lambda s, j, lease: s.fail(j, lease, "boom",
-                                              retry=False), "failed"),
     "cancel_leased": (lambda s, j, lease: s.cancel_leased(j, lease),
                       "cancelled"),
 }

@@ -15,10 +15,12 @@ The two headline guarantees of the multi-tenant split, as tests:
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
 from repro.obs import observe, session
+from repro.workflow.client import ServiceClient
 from repro.workflow.jobstore import JobSpec, JobStore
 from repro.workflow.journal import JOURNAL_FILE
 from repro.workflow.launcher import SERVICE_RUN_KIND, Launcher
@@ -387,3 +389,29 @@ class TestStaleLease:
                 assert job.launcher == "thief"
         assert sorted(executed) == sorted(job.id for job in done)
         assert len(set(executed)) == len(executed)
+
+
+class TestClientWait:
+    def test_wait_returns_once_a_launcher_drains_the_store(self, tmp_path):
+        db = tmp_path / "jobs.db"
+        submit_noops(db, 6)
+        with ServiceClient(db) as client:
+            assert not client.drained()
+            launcher = threading.Thread(
+                target=Launcher(db, lease_size=2).run)
+            launcher.start()
+            try:
+                assert client.wait(timeout_s=30.0, poll_s=0.01) is True
+            finally:
+                launcher.join()
+            assert client.counts()["done"] == 6
+
+    def test_wait_times_out_while_a_ready_job_has_no_launcher(
+            self, tmp_path):
+        db = tmp_path / "jobs.db"
+        submit_noops(db, 1)
+        with ServiceClient(db) as client:
+            started = time.monotonic()
+            assert client.wait(timeout_s=0.2, poll_s=0.02) is False
+            assert time.monotonic() - started < 5.0
+            assert client.counts()["ready"] == 1

@@ -39,8 +39,9 @@ def dispatch_order(policy_name: str):
         server.run(graph)
     return [
         event.args["task"]
-        for event in obs.tracer.instants(SCHED_CATEGORY)
-        if event.name == "dispatch"
+        for event in obs.tracer.events
+        if event.phase == "i" and event.category == SCHED_CATEGORY
+        and event.name == "dispatch"
     ]
 
 
@@ -71,8 +72,9 @@ class TestTieBreakDeterminism:
             ).run(graph)
         order = [
             event.args["task"]
-            for event in obs.tracer.instants(SCHED_CATEGORY)
-            if event.name == "dispatch"
+            for event in obs.tracer.events
+            if event.phase == "i" and event.category == SCHED_CATEGORY
+            and event.name == "dispatch"
         ]
         assert order[0] == "heavy"
         assert order[1:] == [f"t{i}" for i in range(6)]

@@ -1,0 +1,491 @@
+"""Find what in ``src/`` only tests reach, and hold it to a keep-list.
+
+A *consumer* is any Python file under ``src/``, ``benchmarks/``,
+``examples/`` or ``tools/`` (this script aside); ``tests/`` is not
+one. The scan reports four classes of hit, each by ``ast``, never by
+words (a docstring or a comment naming something is not a use of it):
+
+1. functions, classes and methods that no consumer references (an
+   ``ast.Name``, an ``ast.Attribute`` or a ``from ... import`` alias
+   outside an ``__init__.py``; a reference from inside the definition
+   itself does not count);
+2. defaulted parameters that no consumer call passes, by keyword or by
+   position (a call with ``*args`` / ``**kwargs`` passes everything);
+3. instance attributes (``self.x = ...``) and dataclass / named-tuple
+   fields that no consumer reads; ``self.x += 1``, ``self.x =
+   self.x + 1`` and a discarded ``self.x.append(...)`` are writes;
+4. IR attributes that ``set_attr`` writes under a literal key and
+   whose key no consumer names outside the writing function.
+
+Names are matched by name alone, so a name shares its uses with
+everything else of that name (a miss, never a false hit), and a name
+reached only through ``getattr``, a string or a call through a variable
+is a false hit: such a name goes on the keep-list with the consumer
+that reaches it.
+
+Every hit must be on the keep-list, ``tools/test_only_keep.json``: one
+entry per name with its ``key`` (``fnmatch`` patterns allowed), its
+``class`` and ``why`` it stays (a non-test consumer or a ROADMAP item).
+An entry that matches no hit is stale. Usage::
+
+    python tools/test_only.py [--root DIR] [--keep FILE]
+
+Prints each unlisted hit and each stale entry and exits 1 if there is
+any; exits 0 when clean.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import fnmatch
+import json
+import sys
+from collections import defaultdict
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Dict, Iterator, List, Optional, Set, Tuple
+
+CONSUMERS = ("src", "benchmarks", "examples", "tools")
+TESTS = ("tests",)
+KEEP = Path(__file__).with_name("test_only_keep.json")
+
+_MUTATORS = {
+    "append", "extend", "add", "update", "insert", "setdefault",
+    "clear", "discard", "appendleft",
+}
+_FIELD_BASES = {"NamedTuple"}
+
+
+@dataclass(frozen=True)
+class Hit:
+    key: str
+    kind: int
+    where: str
+    tested: bool
+
+    def line(self) -> str:
+        reach = "test-only" if self.tested else "unreferenced"
+        return f"{self.where}: class {self.kind} {reach}: {self.key}"
+
+
+@dataclass
+class _File:
+    rel: str
+    tree: ast.Module
+    init: bool
+
+
+def _parse(root: Path, dirs: Tuple[str, ...]) -> List[_File]:
+    files = []
+    for name in dirs:
+        base = root / name
+        if not base.is_dir():
+            continue
+        for path in sorted(base.rglob("*.py")):
+            if path.resolve() == Path(__file__).resolve():
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+            for node in ast.walk(tree):
+                for child in ast.iter_child_nodes(node):
+                    child.parent = node  # type: ignore[attr-defined]
+            files.append(_File(
+                path.relative_to(root).as_posix(), tree,
+                path.name == "__init__.py",
+            ))
+    return files
+
+
+def _enclosing(node: ast.AST, kinds) -> Optional[ast.AST]:
+    """The nearest of ``node`` and its ancestors that is a ``kinds``."""
+    while node is not None and not isinstance(node, kinds):
+        node = getattr(node, "parent", None)
+    return node
+
+
+def _inside(node: ast.AST, owner: Optional[ast.AST]) -> bool:
+    while owner is not None and node is not None:
+        if node is owner:
+            return True
+        node = getattr(node, "parent", None)
+    return False
+
+
+def _decorators(node: ast.AST) -> Set[str]:
+    names = set()
+    for deco in getattr(node, "decorator_list", ()):
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(target, ast.Attribute):
+            names.add(target.attr)
+        elif isinstance(target, ast.Name):
+            names.add(target.id)
+    return names
+
+
+def _base_names(cls: ast.ClassDef) -> Set[str]:
+    names = set()
+    for base in cls.bases:
+        if isinstance(base, ast.Name):
+            names.add(base.id)
+        elif isinstance(base, ast.Attribute):
+            names.add(base.attr)
+    return names
+
+
+# -- definitions under src/ -----------------------------------------------
+
+
+@dataclass
+class _Def:
+    node: ast.AST
+    qual: str
+    name: str
+    path: str
+    cls: Optional[ast.ClassDef]
+
+
+def _definitions(files: List[_File]) -> Iterator[_Def]:
+    for file in files:
+        if not file.rel.startswith("src/"):
+            continue
+        path = file.rel[len("src/"):]
+        for node in file.tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield _Def(node, node.name, node.name, path, None)
+            elif isinstance(node, ast.ClassDef):
+                yield _Def(node, node.name, node.name, path, None)
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef)):
+                        yield _Def(item, f"{node.name}.{item.name}",
+                                   item.name, path, node)
+
+
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+# -- references -----------------------------------------------------------
+
+
+def _references(files: List[_File]) -> Dict[str, List[ast.AST]]:
+    """Every name, attribute and import alias by the name it uses."""
+    refs: Dict[str, List[ast.AST]] = defaultdict(list)
+    for file in files:
+        for node in ast.walk(file.tree):
+            if isinstance(node, ast.Name):
+                refs[node.id].append(node)
+            elif isinstance(node, ast.Attribute):
+                refs[node.attr].append(node)
+            elif isinstance(node, ast.ImportFrom) and not file.init:
+                for alias in node.names:
+                    refs[alias.name].append(node)
+    return refs
+
+
+def _used(name: str, owner: ast.AST, refs: Dict[str, List[ast.AST]]) -> bool:
+    return any(not _inside(ref, owner) for ref in refs.get(name, ()))
+
+
+def _class1(defs: List[_Def], consumers, tests) -> Iterator[Hit]:
+    for item in defs:
+        if _dunder(item.name):
+            continue
+        if _used(item.name, item.node, consumers):
+            continue
+        yield Hit(f"{item.path}::{item.qual}", 1,
+                  f"src/{item.path}:{item.node.lineno}",
+                  item.name in tests)
+
+
+# -- defaulted parameters -------------------------------------------------
+
+
+@dataclass
+class _Call:
+    node: ast.Call
+    positional: int
+    keywords: Set[str]
+    spread: bool
+
+    @classmethod
+    def of(cls, node: ast.Call) -> "_Call":
+        return cls(
+            node,
+            sum(not isinstance(a, ast.Starred) for a in node.args),
+            {k.arg for k in node.keywords if k.arg is not None},
+            any(isinstance(a, ast.Starred) for a in node.args)
+            or any(k.arg is None for k in node.keywords),
+        )
+
+
+def _calls(files: List[_File]) -> Dict[str, List[_Call]]:
+    """Every call by the name it calls; ``cls(...)`` calls its class."""
+    calls: Dict[str, List[_Call]] = defaultdict(list)
+    for file in files:
+        for node in ast.walk(file.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "cls":
+                owner = _enclosing(node, ast.ClassDef)
+                name = owner.name if owner is not None else "cls"
+            elif isinstance(func, ast.Name):
+                name = func.id
+            elif isinstance(func, ast.Attribute):
+                name = func.attr
+            else:
+                continue
+            calls[name].append(_Call.of(node))
+    return calls
+
+
+def _defaulted(func: ast.FunctionDef, skip_first: bool):
+    args = func.args
+    positional = list(args.posonlyargs) + list(args.args)
+    if skip_first and positional:
+        positional = positional[1:]
+    first_default = len(positional) - len(args.defaults)
+    for index, arg in enumerate(positional):
+        if index >= first_default:
+            yield arg.arg, index
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _call_names(item: _Def, subclasses: Dict[str, Set[str]]) -> List[str]:
+    if item.name != "__init__" or item.cls is None:
+        return [item.name]
+    names, todo = [], [item.cls.name]
+    while todo:
+        name = todo.pop()
+        if name in names:
+            continue
+        names.append(name)
+        todo.extend(subclasses.get(name, ()))
+    return names
+
+
+def _super_inits(files: List[_File]) -> Dict[str, List[_Call]]:
+    """``super().__init__(...)`` calls by each base of their class."""
+    found: Dict[str, List[_Call]] = defaultdict(list)
+    for file in files:
+        for node in ast.walk(file.tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for call in ast.walk(node):
+                if (isinstance(call, ast.Call)
+                        and isinstance(call.func, ast.Attribute)
+                        and call.func.attr == "__init__"):
+                    for base in _base_names(node):
+                        found[base].append(_Call.of(call))
+    return found
+
+
+def _class2(defs, files, consumer_calls, test_calls) -> Iterator[Hit]:
+    subclasses: Dict[str, Set[str]] = defaultdict(set)
+    super_inits = _super_inits(files)
+    own_init: Set[str] = set()
+    for file in files:
+        for node in ast.walk(file.tree):
+            if isinstance(node, ast.ClassDef):
+                for base in _base_names(node):
+                    subclasses[base].add(node.name)
+                if any(isinstance(i, ast.FunctionDef)
+                       and i.name == "__init__" for i in node.body):
+                    own_init.add(node.name)
+    for item in defs:
+        node = item.node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if _dunder(item.name) and item.name != "__init__":
+            continue
+        method = item.cls is not None and "staticmethod" not in _decorators(
+            node)
+        names = _call_names(item, subclasses)
+        if item.name == "__init__":
+            names = [names[0]] + [n for n in names[1:] if n not in own_init]
+        calls = [c for n in names for c in consumer_calls.get(n, ())
+                 if not _inside(c.node, node)]
+        if item.name == "__init__":
+            calls += super_inits.get(item.cls.name, [])
+        tested = [c for n in names for c in test_calls.get(n, ())]
+        for param, index in _defaulted(node, method):
+            if any(
+                c.spread or param in c.keywords
+                or (index is not None and c.positional > index)
+                for c in calls
+            ):
+                continue
+            yield Hit(
+                f"{item.path}::{item.qual}({param}=)", 2,
+                f"src/{item.path}:{node.lineno}",
+                any(param in c.keywords
+                    or (index is not None and c.positional > index)
+                    for c in tested),
+            )
+
+
+# -- attributes and fields ------------------------------------------------
+
+
+def _is_self_update(node: ast.Attribute) -> bool:
+    """``self.x = f(self.x)``-style loads and discarded mutator calls."""
+    parent = getattr(node, "parent", None)
+    if (isinstance(parent, ast.Attribute) and parent.attr in _MUTATORS):
+        call = getattr(parent, "parent", None)
+        if isinstance(call, ast.Call) and isinstance(
+                getattr(call, "parent", None), ast.Expr):
+            return True
+    stmt = _enclosing(node, ast.stmt)
+    targets = []
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
+        targets = [stmt.target]
+    return any(
+        isinstance(t, ast.Attribute) and t.attr == node.attr
+        and isinstance(t.value, ast.Name) and isinstance(node.value, ast.Name)
+        and t.value.id == node.value.id
+        for t in targets
+    )
+
+
+def _reads(files: List[_File]) -> Dict[str, int]:
+    reads: Dict[str, int] = defaultdict(int)
+    for file in files:
+        for node in ast.walk(file.tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)
+                    and not _is_self_update(node)):
+                reads[node.attr] += 1
+    return reads
+
+
+def _attributes(files: List[_File]) -> Iterator[Tuple[str, str, int]]:
+    """``(path, Class.attr, line)`` for each attribute a class writes."""
+    for file in files:
+        if not file.rel.startswith("src/"):
+            continue
+        path = file.rel[len("src/"):]
+        for cls in ast.walk(file.tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            seen: Set[str] = set()
+            fields = "dataclass" in _decorators(cls) or (
+                _base_names(cls) & _FIELD_BASES)
+            for item in cls.body:
+                if (fields and isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name)
+                        and "ClassVar" not in ast.dump(item.annotation)):
+                    name = item.target.id
+                    if name not in seen:
+                        seen.add(name)
+                        yield path, f"{cls.name}.{name}", item.lineno
+            for func in cls.body:
+                if not isinstance(func, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef)):
+                    continue
+                for node in ast.walk(func):
+                    if (isinstance(node, ast.Attribute)
+                            and isinstance(node.ctx, ast.Store)
+                            and isinstance(node.value, ast.Name)
+                            and node.value.id == "self"
+                            and node.attr not in seen):
+                        seen.add(node.attr)
+                        yield path, f"{cls.name}.{node.attr}", node.lineno
+
+
+def _class3(files, consumer_reads, test_reads) -> Iterator[Hit]:
+    for path, qual, line in _attributes(files):
+        attr = qual.split(".", 1)[1]
+        if _dunder(attr) or consumer_reads.get(attr):
+            continue
+        yield Hit(f"{path}::{qual}", 3, f"src/{path}:{line}",
+                  bool(test_reads.get(attr)))
+
+
+# -- IR attributes --------------------------------------------------------
+
+
+def _class4(files: List[_File], tests: List[_File]) -> Iterator[Hit]:
+    strings: Dict[str, List[ast.AST]] = defaultdict(list)
+    for file in files:
+        for node in ast.walk(file.tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                strings[node.value].append(node)
+    test_strings = {
+        node.value for file in tests for node in ast.walk(file.tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    for file in files:
+        if not file.rel.startswith("src/"):
+            continue
+        for node in ast.walk(file.tree):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "set_attr" and node.args
+                    and isinstance(node.args[0], ast.Constant)):
+                continue
+            key = node.args[0].value
+            owner = _enclosing(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            if any(not _inside(ref, owner) for ref in strings[key]):
+                continue
+            path = file.rel[len("src/"):]
+            yield Hit(f"{path}::ir[{key}]", 4, f"{file.rel}:{node.lineno}",
+                      key in test_strings)
+
+
+# -- driver ---------------------------------------------------------------
+
+
+def scan(root: Path) -> List[Hit]:
+    """Every hit of the four classes under ``root/src``."""
+    consumers = _parse(root, CONSUMERS)
+    tests = _parse(root, TESTS)
+    defs = list(_definitions(consumers))
+    hits = list(_class1(defs, _references(consumers), _references(tests)))
+    hits += _class2(defs, consumers, _calls(consumers), _calls(tests))
+    hits += _class3(consumers, _reads(consumers), _reads(tests))
+    hits += _class4(consumers, tests)
+    return hits
+
+
+def check(hits: List[Hit], keep: List[dict]):
+    """``(unlisted hits, stale entries, listed hits)``."""
+    matched = [False] * len(keep)
+    unlisted, listed = [], []
+    for hit in hits:
+        entries = [
+            i for i, entry in enumerate(keep)
+            if entry["class"] == hit.kind
+            and fnmatch.fnmatchcase(hit.key, entry["key"])
+        ]
+        for i in entries:
+            matched[i] = True
+        (listed if entries else unlisted).append(hit)
+    stale = [entry for entry, used in zip(keep, matched) if not used]
+    return unlisted, stale, listed
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--root", type=Path,
+                        default=Path(__file__).resolve().parent.parent)
+    parser.add_argument("--keep", type=Path, default=KEEP)
+    args = parser.parse_args(argv)
+    keep = json.loads(args.keep.read_text(encoding="utf-8"))
+    unlisted, stale, listed = check(scan(args.root), keep)
+    for hit in unlisted:
+        print(hit.line())
+    for entry in stale:
+        print(f"{args.keep.name}: stale class {entry['class']} entry: "
+              f"{entry['key']} (no longer a hit)")
+    print(f"{len(unlisted)} unlisted, {len(stale)} stale, "
+          f"{len(listed)} kept", file=sys.stderr)
+    return 1 if unlisted or stale else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
