@@ -75,8 +75,8 @@ from repro.core.dse.cost_model import (
 )
 from repro.core.dse.explorer import Explorer
 from repro.core.dse.space import DesignSpace
-from repro.core.dsl.kernel_dsl import compile_kernel, kernel_names
-from repro.core.ir import print_module
+from repro.core.dsl.kernel_dsl import compile_kernel
+from repro.core.ir import Module, print_module
 from repro.core.ir.dialects import registered_dialects
 from repro.core.ir.digest import module_digest
 from repro.core.ir.passes import LoopDirectivesPass
@@ -100,11 +100,12 @@ from repro.utils.validation import check_non_negative, check_positive
 # that compile, lint or explore do not pay for importing it.
 
 
-def _read_source(path: str) -> str:
-    """Kernel-DSL text of ``path``: a ``.edsl`` file verbatim, the
-    kernel-DSL strings embedded in a ``.py`` file, so the same example
-    specs work for every subcommand."""
-    return "\n".join(load_kernel_sources(path))
+def _compile_spec(path: str) -> Module:
+    """The compiled kernel-DSL text of ``path`` (its kernels in
+    declaration order): a ``.edsl`` file verbatim, the kernel-DSL
+    strings embedded in a ``.py`` file, so the same example specs work
+    for every subcommand."""
+    return compile_kernel("\n".join(load_kernel_sources(path)))
 
 
 def _cache_dir(args: argparse.Namespace, default):
@@ -125,8 +126,7 @@ def _configure_dse_caches(args: argparse.Namespace) -> None:
 def cmd_compile(args: argparse.Namespace) -> int:
     """Explore every kernel in the spec; print a variant table."""
     _configure_dse_caches(args)
-    source = _read_source(args.file)
-    module = compile_kernel(source)
+    module = _compile_spec(args.file)
     space = getattr(DesignSpace, args.space)()
     table = Table(
         f"compilation report ({args.file})",
@@ -134,7 +134,8 @@ def cmd_compile(args: argparse.Namespace) -> int:
          "best energy uJ"],
     )
     digest = module_digest(module)
-    for name in kernel_names(source):
+    for function in module.functions():
+        name = function.name
         explorer = Explorer(module, name, space, digest=digest)
         result = explorer.run(args.strategy)
         best_latency = result.best_latency()
@@ -154,8 +155,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     """Print the HLS report for one kernel."""
     _configure_dse_caches(args)
-    source = _read_source(args.file)
-    module = compile_kernel(source)
+    module = _compile_spec(args.file)
     knobs = VariantKnobs(
         target="fpga", unroll=args.unroll,
         clock_hz=args.clock_mhz * 1e6,
@@ -167,8 +167,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_explore(args: argparse.Namespace) -> int:
     """Print the design-space table for one kernel."""
     _configure_dse_caches(args)
-    source = _read_source(args.file)
-    module = compile_kernel(source)
+    module = _compile_spec(args.file)
     space = getattr(DesignSpace, args.space)()
     explorer = Explorer(module, args.kernel, space,
                         bound_guided=args.bound_guided)
@@ -211,8 +210,7 @@ def cmd_perf(args: argparse.Namespace) -> int:
     configure_analysis_cache(
         _cache_dir(args, default_analysis_cache_dir)
     )
-    source = _read_source(args.file)
-    module = compile_kernel(source)
+    module = _compile_spec(args.file)
     bounds = kernel_bounds(module, args.kernel)
     if bounds is None:
         raise AnalysisError(
@@ -277,8 +275,7 @@ def cmd_perf(args: argparse.Namespace) -> int:
 def cmd_emit(args: argparse.Namespace) -> int:
     """Print IR / lowered IR / SYCL / RTL for one kernel."""
     _configure_dse_caches(args)
-    source = _read_source(args.file)
-    module = compile_kernel(source)
+    module = _compile_spec(args.file)
     if args.what == "ir":
         print(print_module(module))
         return 0

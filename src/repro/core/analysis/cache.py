@@ -73,7 +73,7 @@ class AnalysisCache(ContentStore):
 
     def put(self, key: str, payload: Dict[str, Any]) -> None:
         """Store one payload under the kind it marks itself with."""
-        self.write(key, str(payload.get("kind", "analysis")), payload)
+        self.write([(key, str(payload.get("kind", "analysis")), payload)])
 
 
 # ---------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
 from repro.core.analysis import analyze_module_cached
 from repro.core.analysis.taint import pipeline_labels
@@ -52,10 +52,6 @@ class CompiledApplication:
     #: Findings of the pre-DSE static-analysis gate (never errors —
     #: those abort compilation with an AnalysisError).
     diagnostics: Diagnostics = field(default_factory=Diagnostics)
-
-    def kernel_names(self) -> List[str]:
-        """Kernels reachable from the pipeline, in task order."""
-        return list(self.exploration)
 
     def summary(self) -> str:
         """Multi-line compilation report."""

@@ -31,7 +31,7 @@ import os
 import threading
 from functools import partial
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterable, Optional, Tuple
 from weakref import WeakKeyDictionary
 
 from repro.core.ir.digest import DIGEST_VERSION
@@ -81,7 +81,12 @@ class CostCache(ContentStore):
 
     def put(self, key: str, cost: CostEstimate) -> None:
         """Store one estimate."""
-        self.write(key, "cost", encode(cost))
+        self.put_many([(key, cost)])
+
+    def put_many(self, items: Iterable[Tuple[str, CostEstimate]]) -> None:
+        """Store ``(key, estimate)`` pairs in one write: a priced batch
+        is one append per shard."""
+        self.write([(key, "cost", encode(cost)) for key, cost in items])
 
 
 # ---------------------------------------------------------------------

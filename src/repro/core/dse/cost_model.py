@@ -254,8 +254,8 @@ def _evaluate_batch(
     reach, without touching the cache), one cost-cache ``get`` per
     remaining point, the misses priced by ``price_misses(price,
     misses)`` — the built-in ``map``, an executor's, or anything of
-    that shape returning estimates in order — and one ``put`` per
-    miss. This is the only function that reads or writes the cost
+    that shape returning estimates in order — and one ``put_many`` of
+    the misses. This is the only function that reads or writes the cost
     cache, so every caller, at every worker count, counts the same
     traffic. Returns the estimates in batch order (each a fresh
     object the caller may rewrite) and how many the gate rejected.
@@ -279,9 +279,9 @@ def _evaluate_batch(
         partial(price_variant, module, kernel, model=model, digest=digest),
         [batch[index] for index in keys],
     ))
-    for (index, key), cost in zip(keys.items(), priced):
-        cache.put(key, cost)
+    for index, cost in zip(keys, priced):
         costs[index] = cost
+    cache.put_many(zip(keys.values(), priced))
     return costs, pruned
 
 

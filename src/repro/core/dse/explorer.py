@@ -18,7 +18,8 @@ batches of what size, skipping which*; every batch — and the
 evolutionary search's single points — is priced by
 :meth:`Explorer._price`, which is
 :func:`repro.core.dse.cost_model._evaluate_batch` (static partition
-gate, cost-cache ``get``, the misses priced, cost-cache ``put``) under
+gate, cost-cache ``get``, the misses priced and stored in one
+``put_many``) under
 a muted observation, followed by the requirement check. All of that
 runs on the thread that called the strategy; with ``workers > 1`` only
 the *misses* of a batch leave it, for a thread pool's or the process

@@ -16,7 +16,7 @@ from repro.core.dsl.annotations import (
     Requirement,
     SecurityAnnotation,
 )
-from repro.core.dsl.kernel_dsl import compile_kernel, parse_kernel
+from repro.core.dsl.kernel_dsl import compile_kernel
 from repro.core.dsl.workflow import Pipeline, Sink, Source, Task
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "Requirement",
     "SecurityAnnotation",
     "compile_kernel",
-    "parse_kernel",
     "Pipeline",
     "Task",
     "Source",

@@ -1,11 +1,9 @@
 """Kernel DSL driver: parse, type check and emit tensor-dialect IR.
 
-The public entry points:
-
-* :func:`parse_kernel` — source → type-checked AST program;
-* :func:`compile_kernel` — source → IR :class:`Module` with one
-  tensor-form function per kernel, sensitive parameters recorded in the
-  ``everest.sensitive_args`` attribute for the security pass.
+The public entry point, :func:`compile_kernel`, takes source to a
+type-checked IR :class:`Module` with one tensor-form function per
+kernel (in declaration order), sensitive parameters recorded in the
+``everest.sensitive_args`` attribute for the security pass.
 
 Example::
 
@@ -20,7 +18,7 @@ Example::
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.core.dsl import ast_nodes as ast
 from repro.core.dsl.parser import parse
@@ -42,16 +40,11 @@ from repro.core.ir.verifier import verify
 from repro.errors import SpecificationError
 
 
-def parse_kernel(source: str) -> ast.Program:
-    """Parse and type check DSL source."""
+def compile_kernel(source: str) -> Module:
+    """Parse and type check DSL source, and compile it into a verified
+    tensor-form IR module."""
     program = parse(source)
     check_program(program)
-    return program
-
-
-def compile_kernel(source: str) -> Module:
-    """Compile DSL source into a verified tensor-form IR module."""
-    program = parse_kernel(source)
     module = Module("kernels")
     for kernel in program.kernels:
         _KernelCodegen(module, kernel).emit()
@@ -142,48 +135,26 @@ class _KernelCodegen:
 
     def _emit_call(self, expr: ast.Call) -> Value:
         callee = expr.callee
-        result_type = expr.type
-        if callee in BUILTINS:
-            operands = [self._emit_expr(arg) for arg in expr.args]
-            return self.builder.tensor_op(
-                BUILTINS[callee].name, operands, result_type
-            )
-        if callee in REDUCE_BUILTINS:
-            operand = self._emit_expr(expr.args[0])
-            return self.builder.tensor_op(
-                "reduce",
-                [operand],
-                result_type,
-                attributes={
-                    "axes": list(expr.int_lists["axes"]),
-                    "kind": REDUCE_BUILTINS[callee].name,
-                },
-            )
-        if callee == "transpose":
-            operand = self._emit_expr(expr.args[0])
-            return self.builder.tensor_op(
-                "transpose",
-                [operand],
-                result_type,
-                attributes={"permutation": list(expr.int_lists["perm"])},
-            )
-        if callee == "reshape":
-            operand = self._emit_expr(expr.args[0])
-            return self.builder.tensor_op(
-                "reshape", [operand], result_type
-            )
         if callee == "fill":
             literal = expr.args[0]
             assert isinstance(literal, ast.NumberLiteral)
             return self.builder.tensor_op(
-                "constant",
-                [],
-                result_type,
-                attributes={"value": literal.value},
-            )
-        raise SpecificationError(f"unknown builtin {callee!r}")
-
-
-def kernel_names(source: str) -> List[str]:
-    """Names of the kernels defined in a DSL source string."""
-    return [kernel.name for kernel in parse(source).kernels]
+                "constant", [], expr.type,
+                attributes={"value": literal.value})
+        operands = [self._emit_expr(arg) for arg in expr.args]
+        if callee in BUILTINS:
+            name, attributes = BUILTINS[callee].name, None
+        elif callee in REDUCE_BUILTINS:
+            name, attributes = "reduce", {
+                "axes": list(expr.int_lists["axes"]),
+                "kind": REDUCE_BUILTINS[callee].name,
+            }
+        elif callee == "transpose":
+            name, attributes = callee, {
+                "permutation": list(expr.int_lists["perm"])}
+        elif callee == "reshape":
+            name, attributes = callee, None
+        else:
+            raise SpecificationError(f"unknown builtin {callee!r}")
+        return self.builder.tensor_op(
+            name, operands, expr.type, attributes=attributes)

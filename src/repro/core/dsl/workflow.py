@@ -84,6 +84,7 @@ class Pipeline:
         self.tasks: List[Task] = []
         self.sinks: List[Sink] = []
         self._kernel_sources: List[str] = []
+        self._modules: Dict[str, Module] = {}
 
     # ------------------------------------------------------------------
 
@@ -126,6 +127,14 @@ class Pipeline:
         self.tasks.append(task)
         return task
 
+    def kernel_module(self, kernel_source: str) -> Module:
+        """The compiled module of one kernel source text, compiled the
+        first time the pipeline meets the text; read-only (:meth:`to_ir`
+        clones its functions)."""
+        if kernel_source not in self._modules:
+            self._modules[kernel_source] = compile_kernel(kernel_source)
+        return self._modules[kernel_source]
+
     def sink(self, name: str, value: Union[Source, TaskOutput]) -> Sink:
         """Declare an external output."""
         sink = Sink(name, value)
@@ -137,7 +146,8 @@ class Pipeline:
     def to_ir(self) -> Module:
         """Emit kernels + workflow.pipeline into one verified module.
 
-        Each distinct kernel source text is compiled once. Every
+        Each distinct kernel source text is compiled once per
+        pipeline (:meth:`kernel_module`). Every
         producer→consumer contract mismatch — arity or shape (WF010),
         dtype (WF011) — is collected before one
         :class:`~repro.errors.SpecificationError` is raised, whose
@@ -149,8 +159,7 @@ class Pipeline:
             )
         module = Module(self.name)
         for source_text in dict.fromkeys(self._kernel_sources):
-            compiled = compile_kernel(source_text)
-            for function in compiled.functions():
+            for function in self.kernel_module(source_text).functions():
                 if module.find_function(function.name) is None:
                     clone = function.op.clone({})
                     module.body.append(clone)

@@ -12,10 +12,13 @@ last line being its entry::
 
     {"version": STORE_VERSION, "key": ..., "kind": ..., "payload": ...}
 
-A line goes in with a single append, so processes sharing a directory
-never observe a torn entry. ``kind`` says what the payload is
-(``"cost"``, ``"analysis"``, ``"perf"``), so a directory can be
-inspected kind by kind whoever wrote it. Reads go through the caller's
+:meth:`ContentStore.write` takes a batch of entries and gives each
+shard its lines — the lines the entries would get one by one, in their
+order — in one ``os.write`` on an ``O_APPEND`` descriptor, so
+processes sharing a directory never observe a torn entry and a priced
+batch costs one open per shard, not one per point. ``kind`` says what
+the payload is (``"cost"``, ``"analysis"``, ``"perf"``), so a
+directory can be inspected kind by kind whoever wrote it. Reads go through the caller's
 decoder; an entry that is missing, torn, of another version or layout,
 or that the decoder rejects is a counted *miss*, overwritten by the
 next write — never an exception. :class:`repro.core.dse.cache.CostCache`
@@ -23,9 +26,13 @@ and :class:`repro.core.analysis.cache.AnalysisCache` add key recipes
 and hold no storage code of their own.
 
 One codec turns every record the store (and the run journal's
-snapshots) hold into JSON and back: :func:`encode` is
-:func:`dataclasses.asdict`, and :func:`decode` rebuilds a dataclass
-from its fields' annotations, checking every value on the way:
+snapshots) hold into JSON and back. :func:`encode` gives a record's
+fields as a dict, by a field-name plan worked out once per class:
+nested records become dicts, lists, tuples and dicts are rebuilt with
+their items encoded, and every other value is handed through as it is
+(a record holds JSON atoms, so nothing is copied). :func:`decode`
+rebuilds a dataclass from its fields' annotations, checking every
+value on the way:
 
 * the payload is a JSON object; keys that name no field are ignored,
   a missing field takes its default, and a missing field without one
@@ -47,17 +54,25 @@ import json
 import os
 import threading
 from collections import OrderedDict
-from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 from typing import (
-    Any, Callable, Dict, Hashable, Iterator, Optional, Tuple, Union,
-    get_args, get_origin, get_type_hints,
+    Any, Callable, Dict, Hashable, Iterable, Iterator, List, Optional,
+    Tuple, Union, get_args, get_origin, get_type_hints,
 )
 
 #: Bump when the on-disk envelope changes incompatibly; entries of any
 #: other version read as misses.
 STORE_VERSION = "3"
+
+#: One shard-line serializer (``json.dumps`` would build a new encoder
+#: per line).
+_ENVELOPE = json.JSONEncoder(sort_keys=True)
+
+#: How a shard file is opened for a write: created when missing, every
+#: write landing at its end.
+_APPEND = os.O_WRONLY | os.O_CREAT | os.O_APPEND
 
 #: What a payload decoder raises on a damaged or hostile payload.
 _REJECTED = (ArithmeticError, AttributeError, LookupError, TypeError,
@@ -199,36 +214,55 @@ class ContentStore:
                 self.stats.hits += 1
         return value
 
-    def write(self, key: str, kind: str, payload: Any) -> None:
-        """Store one payload (memory always, disk when configured)."""
+    def write(self, entries: Iterable[Tuple[str, str, Any]]) -> None:
+        """Store ``(key, kind, payload)`` entries in order: in memory
+        always, and on disk (when configured) with one append per shard
+        of the lines the entries would get written one by one."""
         with self._lock:
-            self._load(key)
-            self._memory[key] = (kind, payload)
-            self.stats.stores += 1
-            if self.directory is None:
-                return
-            shard, path = _shard_of(key), self._path_for(key)
-            # a sound shard (or one not there yet) gets one more line;
-            # a damaged one starts over with what memory holds of it
-            damaged = self._shards.get(shard, False)
-            text = "".join(
-                json.dumps({"version": STORE_VERSION, "key": held,
-                            "kind": self._memory[held][0],
-                            "payload": self._memory[held][1]},
-                           sort_keys=True) + "\n"
-                for held in (self._memory if damaged else [key])
-                if _shard_of(held) == shard)
+            texts: Dict[str, List[str]] = {}
+            for key, kind, payload in entries:
+                self._load(key)
+                self._memory[key] = (kind, payload)
+                self.stats.stores += 1
+                if self.directory is None:
+                    continue
+                # a sound shard (or one not there yet) gets one more
+                # line; a damaged one starts over with what memory
+                # holds of it
+                shard = _shard_of(key)
+                rewrite = shard not in texts and self._shards.get(shard)
+                texts.setdefault(shard, []).extend(
+                    self._line(held) for held in (
+                        self._memory if rewrite else [key])
+                    if _shard_of(held) == shard)
+            for shard, lines in texts.items():
+                self._append(shard, "".join(lines).encode())
+
+    def _line(self, key: str) -> str:
+        kind, payload = self._memory[key]
+        return _ENVELOPE.encode({"version": STORE_VERSION, "key": key,
+                                 "kind": kind, "payload": payload}) + "\n"
+
+    def _append(self, shard: str, data: bytes) -> None:
+        """``data`` added to a shard file by one ``os.write`` on an
+        ``O_APPEND`` descriptor; a damaged shard file is replaced."""
+        path = self._path_for(shard)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            if self._shards.get(shard):
+                path.unlink(missing_ok=True)
+            descriptor = os.open(path, _APPEND, 0o666)
             try:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                if damaged:
-                    path.unlink(missing_ok=True)
-                with open(path, "a") as stream:
-                    stream.write(text)
-                self._shards[shard] = False
-            except OSError:
-                # Disk persistence is best-effort: a read-only or full
-                # cache directory degrades to memory-only behavior.
-                pass
+                written = os.write(descriptor, data)
+            finally:
+                os.close(descriptor)
+            # a short write (a full disk) left a torn line: the next
+            # write starts the shard over
+            self._shards[shard] = written < len(data)
+        except OSError:
+            # Disk persistence is best-effort: a read-only or full
+            # cache directory degrades to memory-only behavior.
+            pass
 
     def _load(self, key: str) -> None:
         """Bring the shard of ``key`` into memory, the first time one
@@ -237,14 +271,13 @@ class ContentStore:
         if self.directory is None or shard in self._shards:
             return
         entries = [entry for _size, entry
-                   in _shard_entries(self._path_for(key))]
+                   in _shard_entries(self._path_for(shard))]
         if entries:
             self._shards[shard] = None in entries
             self._memory.update(
                 (entry[0], entry[1:]) for entry in entries if entry)
 
-    def _path_for(self, key: str) -> Path:
-        shard = _shard_of(key)
+    def _path_for(self, shard: str) -> Path:
         return self.directory / shard[:2] / f"{shard}.json"
 
     def _disk_files(self) -> Iterator[Path]:
@@ -331,9 +364,24 @@ def _shard_entries(path: Path
 # The record codec.
 
 
-def encode(record: Any) -> Dict[str, Any]:
-    """The JSON-able payload of a dataclass record: its fields."""
-    return asdict(record)
+def encode(record: Any) -> Any:
+    """The JSON-able payload of a dataclass record: its fields, by the
+    module's rules (a value of no record class is its own payload)."""
+    kind = type(record)
+    if kind is list or kind is tuple:
+        return kind([encode(item) for item in record])
+    if kind is dict:
+        return {encode(key): encode(item) for key, item in record.items()}
+    names = _field_names(kind)
+    return record if names is None else {
+        name: encode(getattr(record, name)) for name in names}
+
+
+@lru_cache(maxsize=None)
+def _field_names(kind: type) -> Optional[Tuple[str, ...]]:
+    """The field-name plan of a record class; None for any other."""
+    return (tuple(item.name for item in fields(kind))
+            if is_dataclass(kind) else None)
 
 
 def decode(cls: type, payload: Any) -> Any:

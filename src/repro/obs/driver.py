@@ -22,7 +22,6 @@ from typing import List, Optional
 
 from repro.core.analysis.specs import load_kernel_sources
 from repro.core.compiler import CompiledApplication, EverestCompiler
-from repro.core.dsl.kernel_dsl import compile_kernel, kernel_names
 from repro.core.dsl.workflow import Pipeline
 from repro.errors import SpecificationError
 from repro.obs.context import Observation, observe, session
@@ -37,19 +36,17 @@ def pipeline_from_sources(name: str,
     Each kernel gets sources typed from its signature and a sink per
     result, so the generated workflow exercises every kernel exactly
     once. Kernels appearing in several source blocks are taken from
-    the first.
+    the first. Each source is compiled once: names and signatures are
+    read from the module :meth:`Pipeline.to_ir` then clones.
     """
     pipeline = Pipeline(name)
     seen = set()
     for source_text in sources:
-        module = compile_kernel(source_text)
-        for kernel in kernel_names(source_text):
+        for function in pipeline.kernel_module(source_text).functions():
+            kernel = function.name
             if kernel in seen:
                 continue
             seen.add(kernel)
-            function = module.find_function(kernel)
-            if function is None:
-                continue
             inputs = [
                 pipeline.source(f"{kernel}_in{index}", input_type)
                 for index, input_type in enumerate(

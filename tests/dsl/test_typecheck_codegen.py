@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.dsl.kernel_dsl import compile_kernel, kernel_names
+from repro.core.dsl.kernel_dsl import compile_kernel
 from repro.core.dsl.parser import parse
 from repro.core.dsl.typecheck import check_program
 from repro.core.ir.interp import run_function
@@ -184,12 +184,12 @@ class TestCodegenExecution:
         assert np.allclose(relu_out, np.maximum(a, 0))
         assert np.allclose(total, np.maximum(a, 0).sum(), atol=1e-5)
 
-    def test_kernel_names_helper(self):
-        names = kernel_names("""
-        kernel a(X: tensor<2xf32>) -> tensor<2xf32> { return X }
+    def test_kernels_compile_in_declaration_order(self):
+        module = compile_kernel("""
         kernel b(X: tensor<2xf32>) -> tensor<2xf32> { return X }
+        kernel a(X: tensor<2xf32>) -> tensor<2xf32> { return X }
         """)
-        assert names == ["a", "b"]
+        assert [kernel.name for kernel in module.functions()] == ["b", "a"]
 
     def test_sensitive_annotation_recorded(self, sensitive_module):
         function = sensitive_module.find_function("score")

@@ -6,7 +6,10 @@ import pytest
 
 from repro.cli import main
 from repro.core.analysis.specs import load_kernel_sources
+from repro.core.compiler import EverestCompiler
 from repro.core.dse.cache import configure, cost_cache
+from repro.core.dse.space import DesignSpace
+from repro.core.dsl import kernel_dsl
 from repro.errors import SpecificationError
 from repro.obs import validate_chrome_trace
 from repro.obs.driver import pipeline_from_sources, run_traced
@@ -42,6 +45,22 @@ class TestPipelineSynthesis:
     def test_duplicate_kernels_taken_once(self):
         pipeline = pipeline_from_sources("p", [SPEC, SPEC])
         assert len(pipeline.tasks) == 1
+
+    def test_each_distinct_source_is_parsed_once(self, monkeypatch):
+        """Names, signatures and the compiled module's functions come
+        from one parse per distinct source text."""
+        second = SPEC.replace("blur", "sharpen") + SPEC
+        parsed = []
+        parse = kernel_dsl.parse
+        monkeypatch.setattr(kernel_dsl, "parse", lambda source: (
+            parsed.append(source), parse(source))[1])
+        pipeline = pipeline_from_sources("p", [SPEC, second, SPEC])
+        app = EverestCompiler(
+            space=DesignSpace(targets=("cpu",), threads=(1,)),
+            emit_artifacts=False,
+        ).compile(pipeline)
+        assert list(app.exploration) == ["blur", "sharpen"]
+        assert sorted(parsed) == sorted([SPEC, second])
 
     def test_rejects_sources_without_kernels(self):
         with pytest.raises(SpecificationError):

@@ -19,9 +19,11 @@ well-formed payload with one retyped field is a counted miss whose
 recomputation equals a cold run.
 """
 
+import copy
 import itertools
 import json
-from dataclasses import fields, is_dataclass
+import os
+from dataclasses import asdict, fields, is_dataclass
 from functools import lru_cache, partial
 from pathlib import Path
 
@@ -256,6 +258,70 @@ class TestDamagedShards:
         assert reread.breakdown()[kind]["entries"] == 2
 
 
+def _shard_bytes(directory):
+    return {path.name: path.read_bytes()
+            for path in sorted(directory.glob("*/*.json"))}
+
+
+class TestBatches:
+    @pytest.mark.parametrize("damaged", [False, True],
+                             ids=["sound", "damaged"])
+    def test_a_batch_writes_what_its_entries_write_one_by_one(
+            self, tmp_path, monkeypatch, damaged):
+        """Same bytes (line text and order, a key written twice, a
+        damaged shard rewritten) in one append per shard."""
+        other = "cd" + "0" * 62
+        entries = [(f"{KEY}.{name}", "cost", {"point": index})
+                   for index, name in enumerate("aba")]
+        entries.append((f"{other}.c", "perf", {"point": 3}))
+        written = {}
+        for batched in (False, True):
+            directory = tmp_path / str(batched)
+            shard = directory / KEY[:2] / f"{KEY}.json"
+            shard.parent.mkdir(parents=True)
+            shard.write_text(envelope(key=f"{KEY}.old", payload={})
+                             + "\n" + "[]\n" * damaged)
+            store = ContentStore(directory)
+            appends = []
+            append = os.write
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "write", lambda descriptor, data: (
+                    appends.append(data), append(descriptor, data))[1])
+                for batch in [entries] if batched else [[e] for e in entries]:
+                    store.write(batch)
+            written[batched] = _shard_bytes(directory), len(appends)
+        assert written[True][0] == written[False][0]
+        assert (written[True][1], written[False][1]) == (2, 4)
+        lines = written[True][0][f"{KEY}.json"].splitlines()
+        assert [json.loads(line)["key"].partition(".")[2]
+                for line in lines] == ["old", "a", "b", "a"]
+
+    def test_a_torn_batch_reads_its_sound_prefix(self, tmp_path):
+        keys = [f"{KEY}.{index}" for index in range(3)]
+        CostCache(directory=tmp_path).put_many(
+            [(key, COST) for key in keys])
+        shard = tmp_path / KEY[:2] / f"{KEY}.json"
+        data = shard.read_bytes()
+        shard.write_bytes(data[:data.rindex(b"\n", 0, -1) + 20])
+        store = CostCache(directory=tmp_path)
+        assert [store.get(key) for key in keys] == [COST, COST, None]
+        assert (store.stats.hits, store.stats.misses) == (2, 1)
+
+    def test_a_short_write_is_repaired_by_the_next(
+            self, tmp_path, monkeypatch):
+        """A full disk tears the line it cuts short; the shard's next
+        write starts it over, so no later line runs into the tear."""
+        store = CostCache(directory=tmp_path)
+        append = os.write
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "write", lambda descriptor, data: append(
+                descriptor, data[:len(data) // 2]))
+            store.put(f"{KEY}.a", COST)
+        store.put(f"{KEY}.b", COST)
+        reread = CostCache(directory=tmp_path)
+        assert reread.get(f"{KEY}.a") == reread.get(f"{KEY}.b") == COST
+
+
 class TestKinds:
     def test_one_directory_is_accounted_kind_by_kind(self, tmp_path):
         """Both users pointed at one directory (``--cache-dir X`` for
@@ -362,6 +428,16 @@ class TestCodec:
             payload = json.loads(json.dumps(encode(record)))
             assert names <= set(payload)
             assert decode(cls, payload) == record
+
+    @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+    def test_encode_is_the_field_dict_without_a_deep_copy(
+            self, cls, monkeypatch):
+        """The standard library's field dict — tuples kept as tuples —
+        built without its deep copy of every value."""
+        records = produced_records()[cls]
+        expected = [asdict(record) for record in records]
+        monkeypatch.setattr(copy, "deepcopy", None)
+        assert [encode(record) for record in records] == expected
 
     def test_the_records_cover_the_awkward_values(self):
         """Unbounded index ranges, infeasible points and points with a
