@@ -188,7 +188,7 @@ def test_secure_flow_enforcement(benchmark):
     ))
     graph.add_task(WorkflowTask(
         "aggregate", inputs=["model"], outputs=["report"],
-        constraints={"declassifies": True},
+        declassifies=True,
     ))
     tracker = FlowTracker(graph)
     tracker.taint_source("patient-data", "phi")

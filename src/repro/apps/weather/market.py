@@ -10,28 +10,20 @@ lost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from repro.utils.validation import check_non_negative, check_positive
+#: Day-ahead price (EUR/MWh).
+DAY_AHEAD_EUR_MWH = 55.0
+#: Penalty on each missing MWh, over the day-ahead price (EUR/MWh).
+SHORTFALL_PENALTY_EUR_MWH = 38.0
+#: Discount on each excess MWh, under the day-ahead price (EUR/MWh).
+SURPLUS_DISCOUNT_EUR_MWH = 30.0
 
 
-@dataclass(frozen=True)
 class ImbalanceMarket:
     """Simple two-price imbalance settlement."""
-
-    day_ahead_eur_mwh: float = 55.0
-    shortfall_penalty_eur_mwh: float = 38.0  # paid on missing MWh
-    surplus_discount_eur_mwh: float = 30.0  # lost on excess MWh
-
-    def __post_init__(self):
-        check_positive("day_ahead_eur_mwh", self.day_ahead_eur_mwh)
-        check_non_negative("shortfall_penalty_eur_mwh",
-                           self.shortfall_penalty_eur_mwh)
-        check_non_negative("surplus_discount_eur_mwh",
-                           self.surplus_discount_eur_mwh)
 
     def revenue(self, committed_mwh: Sequence[float],
                 actual_mwh: Sequence[float]) -> float:
@@ -40,14 +32,14 @@ class ImbalanceMarket:
         actual = np.asarray(actual_mwh, dtype=float)
         if committed.shape != actual.shape:
             raise ValueError("schedules must have equal length")
-        base = committed.sum() * self.day_ahead_eur_mwh
+        base = committed.sum() * DAY_AHEAD_EUR_MWH
         shortfall = np.clip(committed - actual, 0.0, None)
         surplus = np.clip(actual - committed, 0.0, None)
         penalty = shortfall.sum() * (
-            self.day_ahead_eur_mwh + self.shortfall_penalty_eur_mwh
+            DAY_AHEAD_EUR_MWH + SHORTFALL_PENALTY_EUR_MWH
         )
         credit = surplus.sum() * max(
-            self.day_ahead_eur_mwh - self.surplus_discount_eur_mwh, 0.0
+            DAY_AHEAD_EUR_MWH - SURPLUS_DISCOUNT_EUR_MWH, 0.0
         )
         return float(base - penalty + credit)
 

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
 
 from repro.apps.weather.ensemble import Ensemble
 from repro.apps.weather.grid import WeatherField
-from repro.utils.validation import check_positive
+
+#: Nameplate rating of one turbine (MW).
+RATED_MW_PER_TURBINE = 3.0
+#: Share of the turbines' output that reaches the grid (wake and
+#: electrical losses).
+HUB_LOSS_FACTOR = 0.88
 
 
 def power_curve(wind_ms) -> np.ndarray:
@@ -31,22 +36,19 @@ def power_curve(wind_ms) -> np.ndarray:
 
 @dataclass
 class WindFarm:
-    """A wind farm: turbine positions and ratings."""
+    """A wind farm: its turbine positions."""
 
     name: str
     turbine_positions_km: List[Tuple[float, float]]
-    rated_mw_per_turbine: float = 3.0
-    hub_loss_factor: float = 0.88  # wake + electrical losses
 
     def __post_init__(self):
-        check_positive("rated_mw_per_turbine", self.rated_mw_per_turbine)
         if not self.turbine_positions_km:
             raise ValueError("farm needs at least one turbine")
 
     @property
     def capacity_mw(self) -> float:
         """Nameplate capacity."""
-        return len(self.turbine_positions_km) * self.rated_mw_per_turbine
+        return len(self.turbine_positions_km) * RATED_MW_PER_TURBINE
 
     def production_mw(self, wind: WeatherField) -> float:
         """Farm output for one wind field."""
@@ -57,8 +59,8 @@ class WindFarm:
         normalized = power_curve(speeds)
         return float(
             normalized.sum()
-            * self.rated_mw_per_turbine
-            * self.hub_loss_factor
+            * RATED_MW_PER_TURBINE
+            * HUB_LOSS_FACTOR
         )
 
     def production_distribution_mw(self, ensemble: Ensemble

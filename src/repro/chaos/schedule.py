@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, ClassVar, List, Optional, Sequence, Union
 
 from repro.chaos.faults import (
     ANY_LINK,
@@ -39,24 +39,24 @@ Fault = Union[WorkerCrash, LinkFault, ReconfigFault, StragglerFault,
 
 @dataclass(frozen=True)
 class ChaosConfig:
-    """How many faults of each class to draw and their bounds."""
+    """How many faults of each class to draw; the bounds every schedule
+    draws them within are class constants. Fault times are drawn from
+    ``[0, horizon)``, the horizon being the graph's serial work over
+    the pool size (at least 1 s)."""
 
     crashes: int = 1
     link_faults: int = 1
     reconfig_faults: int = 1
     stragglers: int = 1
     task_faults: int = 1
-    #: Fault times are drawn from [0, horizon_s); None estimates the
-    #: horizon from the graph's serial work over the pool size.
-    horizon_s: Optional[float] = None
-    min_restart_s: float = 0.3
-    max_restart_s: float = 1.5
-    max_link_duration_s: float = 1.5
-    max_repair_s: float = 1.0
-    max_straggler_duration_s: float = 2.0
-    max_straggler_slowdown: float = 6.0
-    max_task_failures: int = 2
-    partition_probability: float = 0.5
+    min_restart_s: ClassVar[float] = 0.3
+    max_restart_s: ClassVar[float] = 1.5
+    max_link_duration_s: ClassVar[float] = 1.5
+    max_repair_s: ClassVar[float] = 1.0
+    max_straggler_duration_s: ClassVar[float] = 2.0
+    max_straggler_slowdown: ClassVar[float] = 6.0
+    max_task_failures: ClassVar[int] = 2
+    partition_probability: ClassVar[float] = 0.5
 
     def __post_init__(self):
         for name in ("crashes", "link_faults", "reconfig_faults",
@@ -108,9 +108,7 @@ def generate_schedule(
     if not workers:
         raise ChaosError("cannot generate a schedule for zero workers")
     rng = random.Random(seed)
-    horizon = config.horizon_s
-    if horizon is None:
-        horizon = max(1.0, graph.total_work() / max(1, len(workers)))
+    horizon = max(1.0, graph.total_work() / max(1, len(workers)))
     worker_names = list(workers)
     faults: List[Fault] = []
 

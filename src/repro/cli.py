@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import nullcontext
 from typing import List, Optional
@@ -82,7 +83,7 @@ from repro.core.ir.digest import module_digest
 from repro.core.ir.passes import LoopDirectivesPass
 from repro.core.store import ContentStore, encode
 from repro.core.variants import VariantKnobs
-from repro.errors import AnalysisError, EverestError
+from repro.errors import AnalysisError, EverestError, IRError, JobStoreError
 from repro.obs import (
     Observation,
     current_metrics,
@@ -276,6 +277,8 @@ def cmd_emit(args: argparse.Namespace) -> int:
     """Print IR / lowered IR / SYCL / RTL for one kernel."""
     _configure_dse_caches(args)
     module = _compile_spec(args.file)
+    if module.find_function(args.kernel) is None:
+        raise IRError(f"no function named {args.kernel!r}")
     if args.what == "ir":
         print(print_module(module))
         return 0
@@ -556,10 +559,22 @@ def cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
+def _existing_jobstore(db) -> None:
+    """Only ``service init`` and ``service submit`` create a job store:
+    any other action on a path without one is a user error (a mistyped
+    ``--db`` would otherwise read, drain or prune a new empty store)."""
+    if not os.path.exists(db):
+        raise JobStoreError(
+            f"no job store at {db} (`repro service init --db {db}` "
+            f"creates one)")
+
+
 def cmd_runs(args: argparse.Namespace) -> int:
     """List, inspect or garbage-collect durable journaled runs."""
     from repro.workflow import JobStore, RunStore
 
+    if args.action == "gc" and args.db:
+        _existing_jobstore(args.db)
     store = RunStore(args.journal_dir)
     if args.action == "list":
         table = Table(
@@ -637,6 +652,8 @@ def cmd_service(args: argparse.Namespace) -> int:
     from repro.workflow import Launcher, RunStore, ServiceClient, jobstore
 
     db = args.db or jobstore.default_jobstore_path()
+    if args.action not in ("init", "submit"):
+        _existing_jobstore(db)
     if args.action == "init":
         with jobstore.JobStore(db):
             pass
@@ -760,6 +777,16 @@ def _checked(kind, check, what: str):
         return check(what, kind(text))
     parse.__name__ = what
     return parse
+
+
+def _policy(name: str) -> str:
+    """An argparse ``type``: a scheduler policy name."""
+    from repro.workflow.scheduler import POLICIES
+
+    if name not in POLICIES:
+        raise argparse.ArgumentTypeError(
+            f"unknown policy {name!r}; expected one of {list(POLICIES)}")
+    return name
 
 
 _POSITIVE_INT = _checked(int, check_positive, "positive int")
@@ -957,7 +984,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument("--fault-seed", type=int, default=0)
     p_chaos.add_argument("--tasks", type=int, default=12)
     p_chaos.add_argument("--workers", type=int, default=3)
-    p_chaos.add_argument("--policy", default="b-level")
+    p_chaos.add_argument("--policy", type=_policy, default="b-level")
     p_chaos.add_argument("--crashes", type=int, default=1)
     p_chaos.add_argument("--link-faults", type=int, default=1)
     p_chaos.add_argument("--reconfig-faults", type=int, default=1)

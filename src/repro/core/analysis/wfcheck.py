@@ -190,9 +190,9 @@ def lint_workflow(
 
 
 def tasks_from_graph(graph) -> List[TaskSpec]:
-    """The tasks of a built :class:`~repro.workflow.graph.TaskGraph`;
-    ``acquires`` / ``order_sensitive`` come from
-    ``WorkflowTask.constraints``."""
+    """The tasks of a built :class:`~repro.workflow.graph.TaskGraph`,
+    which acquire nothing and are not order-sensitive (only a JSON
+    spec declares ``acquires`` / ``order_sensitive``)."""
     return [
         TaskSpec(
             name=task.name,
@@ -200,15 +200,7 @@ def tasks_from_graph(graph) -> List[TaskSpec]:
             outputs=list(task.outputs),
             updates=list(task.updates),
             cpus=task.cpus,
-            acquires=[
-                (str(resource), int(units))
-                for resource, units
-                in task.constraints.get("acquires", ())
-            ],
             duration_s=task.duration_s,
-            order_sensitive=bool(
-                task.constraints.get("order_sensitive", False)
-            ),
         )
         for task in graph.tasks.values()
     ]

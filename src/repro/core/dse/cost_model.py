@@ -69,6 +69,14 @@ from repro.platform.interconnect import Link, OpenCAPILink
 from repro.platform.resources import CPUDescription, FPGAResources
 
 
+#: Amdahl parallel fraction of a priced CPU kernel.
+PARALLEL_FRACTION = 0.95
+#: Fraction of peak flops a scalar CPU kernel sustains.
+CPU_EFFICIENCY = 0.15
+#: Latency factor of software DIFT on the host CPU.
+SOFTWARE_DIFT_SLOWDOWN = 2.1
+
+
 @dataclass
 class ArchitectureModel:
     """One candidate execution target for cost prediction."""
@@ -79,9 +87,6 @@ class ArchitectureModel:
     fpga_link: Optional[Link] = None
     host_memory_bandwidth: float = 120e9
     base_clock_hz: float = 400e6
-    parallel_fraction: float = 0.95
-    cpu_efficiency: float = 0.15
-    software_dift_slowdown: float = 2.1
 
     def __post_init__(self):
         if self.cpu is None:
@@ -128,9 +133,11 @@ class ArchitectureModel:
             self.name, cpu_part, fpga_part, link_part,
             repr(self.host_memory_bandwidth),
             repr(self.base_clock_hz),
-            repr(self.parallel_fraction),
-            repr(self.cpu_efficiency),
-            repr(self.software_dift_slowdown),
+            # each value keeps its place in the key: moving one would
+            # orphan every cost-cache entry already written
+            repr(PARALLEL_FRACTION),
+            repr(CPU_EFFICIENCY),
+            repr(SOFTWARE_DIFT_SLOWDOWN),
         ))
 
 
@@ -324,7 +331,7 @@ def cpu_cost_terms(
     :func:`bound_for`: the CPU lower bound must never exceed the priced
     cost, and reusing the identical float operations makes it exact.
     """
-    efficiency = model.cpu_efficiency
+    efficiency = CPU_EFFICIENCY
     if knobs.tile:
         efficiency *= 1.6  # blocked working set stays in cache
     if knobs.layout == "soa":
@@ -332,8 +339,8 @@ def cpu_cost_terms(
     efficiency = min(efficiency, 0.6)
 
     threads = max(1, min(knobs.threads, model.cpu.cores))
-    serial = 1.0 - model.parallel_fraction
-    speedup = 1.0 / (serial + model.parallel_fraction / threads)
+    serial = 1.0 - PARALLEL_FRACTION
+    speedup = 1.0 / (serial + PARALLEL_FRACTION / threads)
 
     # One thread sustains one core's throughput; additional threads
     # scale it by the Amdahl speedup up to the chip's core count.
@@ -344,7 +351,7 @@ def cpu_cost_terms(
     memory_s = data_bytes / model.host_memory_bandwidth
     latency = max(compute_s, memory_s) + 2e-6  # dispatch overhead
     if knobs.dift:
-        latency *= model.software_dift_slowdown
+        latency *= SOFTWARE_DIFT_SLOWDOWN
 
     active_fraction = threads / model.cpu.cores
     power = model.cpu.idle_watts + (

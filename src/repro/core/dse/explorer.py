@@ -504,8 +504,7 @@ class Explorer:
         result.front = front.variants()
         return result
 
-    def run(self, strategy: str = "exhaustive", **kwargs
-            ) -> ExplorationResult:
+    def run(self, strategy: str = "exhaustive") -> ExplorationResult:
         """Dispatch by strategy name; traces and meters the run."""
         tracer = current_tracer()
         if self.bound_guided and strategy != "exhaustive":
@@ -523,9 +522,9 @@ class Explorer:
                 if strategy == "exhaustive":
                     result = self.exhaustive()
                 elif strategy == "random":
-                    result = self.random(**kwargs)
+                    result = self.random()
                 elif strategy == "evolutionary":
-                    result = self.evolutionary(**kwargs)
+                    result = self.evolutionary()
                 else:
                     raise DSEError(
                         f"unknown exploration strategy {strategy!r}"

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.errors import SpecificationError
 from repro.utils.validation import check_positive
@@ -38,22 +37,12 @@ class DataAnnotation:
     volume_bytes: int = 0
     velocity_bytes_per_s: float = 0.0
     locality: Locality = Locality.ANY
-    access_pattern: str = "sequential"  # sequential | strided | random
-    record_layout: Optional[str] = None  # None | "aos" | "soa"
 
     def __post_init__(self):
         if self.volume_bytes < 0:
             raise SpecificationError("volume_bytes must be non-negative")
         if self.velocity_bytes_per_s < 0:
             raise SpecificationError("velocity must be non-negative")
-        if self.access_pattern not in ("sequential", "strided", "random"):
-            raise SpecificationError(
-                f"unknown access pattern {self.access_pattern!r}"
-            )
-        if self.record_layout not in (None, "aos", "soa"):
-            raise SpecificationError(
-                f"unknown record layout {self.record_layout!r}"
-            )
 
 
 class RequirementKind(enum.Enum):

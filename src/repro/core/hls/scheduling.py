@@ -28,7 +28,7 @@ import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import ClassVar, Dict, List, Optional
 
 from repro.core.hls.cdfg import DFGNode, LoopNode, loop_carried_chain
 from repro.core.timing import (
@@ -101,8 +101,9 @@ class ResourceBudget:
     fmul: int = 4
     fdiv: int = 2
     special: int = 4
-    crypto: int = 1
     memport: int = 2  # ports per memory bank; scaled by the memory plan
+    #: one crypto core per accelerator (synthesis instantiates one)
+    crypto: ClassVar[int] = 1
 
     def limit(self, resource: str) -> int:
         """Unit count for a class; unconstrained classes are unlimited."""

@@ -36,6 +36,9 @@ from repro.platform.memory import MemoryModel, MemoryTechnology
 from repro.platform.resources import CPUDescription, GPUDescription
 from repro.utils.units import GB
 
+#: Idle draw of a node's GPU (W).
+GPU_IDLE_WATTS = 30.0
+
 
 @dataclass
 class Node:
@@ -88,7 +91,7 @@ class Node:
         if self.cpu is not None:
             watts += self.cpu.idle_watts
         if self.gpu is not None:
-            watts += self.gpu.idle_watts
+            watts += GPU_IDLE_WATTS
         for fpga in self.fpgas:
             watts += fpga.shell.static_watts
         return watts

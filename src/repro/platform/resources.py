@@ -93,7 +93,6 @@ class GPUDescription:
     peak_flops: float
     memory_bandwidth: float
     tdp_watts: float = 250.0
-    idle_watts: float = 30.0
 
     def __post_init__(self):
         check_positive("peak_flops", self.peak_flops)

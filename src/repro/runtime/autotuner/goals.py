@@ -1,15 +1,15 @@
 """Optimization goals for the autotuner.
 
-A goal is an objective (minimize latency, minimize energy, maximize
-throughput) plus optional hard constraints, mirroring mARGOt's
+A goal is an objective (minimize latency, minimize energy, or their
+product) plus an optional accuracy floor, mirroring mARGOt's
 goal/constraint model.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.utils.validation import check_positive
 
@@ -24,7 +24,7 @@ class GoalKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Goal:
-    """An objective with optional hard constraints.
+    """An objective with an optional hard constraint.
 
     ``min_accuracy`` is mARGOt's approximate-computing constraint: the
     manager may pick degraded variants (fewer samples, smaller
@@ -32,31 +32,15 @@ class Goal:
     """
 
     kind: GoalKind = GoalKind.PERFORMANCE
-    max_latency_s: Optional[float] = None
-    max_energy_j: Optional[float] = None
     min_accuracy: Optional[float] = None
 
     def __post_init__(self):
-        if self.max_latency_s is not None:
-            check_positive("max_latency_s", self.max_latency_s)
-        if self.max_energy_j is not None:
-            check_positive("max_energy_j", self.max_energy_j)
         if self.min_accuracy is not None:
             check_positive("min_accuracy", self.min_accuracy)
 
-    def satisfied(self, latency_s: float, energy_j: float,
-                  accuracy: float = 1.0) -> bool:
-        """Check the hard constraints."""
-        if self.max_latency_s is not None and \
-                latency_s > self.max_latency_s:
-            return False
-        if self.max_energy_j is not None and \
-                energy_j > self.max_energy_j:
-            return False
-        if self.min_accuracy is not None and \
-                accuracy < self.min_accuracy:
-            return False
-        return True
+    def satisfied(self, accuracy: float) -> bool:
+        """Check the hard constraint."""
+        return self.min_accuracy is None or accuracy >= self.min_accuracy
 
     def objective(self, latency_s: float, energy_j: float) -> float:
         """Scalar score to minimize under this goal."""

@@ -25,7 +25,7 @@ from repro.runtime.autotuner.data_features import (
     NOMINAL,
     DataFeatures,
 )
-from repro.runtime.autotuner.goals import Goal, GoalKind
+from repro.runtime.autotuner.goals import Goal
 from repro.runtime.autotuner.knowledge import (
     KnowledgeBase,
     OperatingPoint,
@@ -107,7 +107,7 @@ class ApplicationManager:
                        * latency_factor * inflation)
             energy = (point.predicted_energy_j * point.energy_correction
                       * energy_factor)
-            score = (not goal.satisfied(latency, energy, point.accuracy),
+            score = (not goal.satisfied(point.accuracy),
                      goal.objective(latency, energy))
             if best is None or score < best_score:
                 best, best_score = point, score

@@ -36,13 +36,10 @@ class SoftwareAEAD:
     """Authenticated encryption with a named key."""
 
     key: bytes
-    cipher: str = "aes128-gcm"
 
     def __post_init__(self):
         if not self.key:
             raise SecurityError("empty key")
-        if self.cipher not in SOFTWARE_CYCLES_PER_BYTE:
-            raise SecurityError(f"unknown cipher {self.cipher!r}")
 
     # ------------------------------------------------------------------
 

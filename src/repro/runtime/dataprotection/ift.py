@@ -40,9 +40,8 @@ class FlowTracker:
             gathered: Set[str] = set()
             for input_name in task.inputs:
                 gathered |= self.labels[input_name]
-            sanitizer = bool(task.constraints.get("declassifies"))
             for output_name in task.outputs:
-                if sanitizer:
+                if task.declassifies:
                     self.declassified.add(output_name)
                     self.labels[output_name] = set()
                 else:

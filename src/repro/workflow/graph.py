@@ -58,7 +58,8 @@ class WorkflowTask:
     cpus: int = 1
     kernel: str = ""  # optional compiled-kernel binding
     payload: Optional[Callable] = None  # optional direct callable
-    constraints: Dict[str, object] = field(default_factory=dict)
+    #: the task's outputs carry none of its inputs' taint labels
+    declassifies: bool = False
 
     def __post_init__(self):
         check_positive("cpus", self.cpus)

@@ -126,7 +126,6 @@ class JobSpec:
     name: str
     kind: str = "noop"
     spec: Dict = field(default_factory=dict)
-    key: Optional[str] = None  # explicit idempotency key (optional)
     max_attempts: int = 3
 
 
@@ -313,8 +312,7 @@ class JobStore:
         keys = []
         for item in specs:
             text = canonical_spec(item.spec)
-            key = item.key or _text_key(owner, item.name, item.kind,
-                                        text)
+            key = _text_key(owner, item.name, item.kind, text)
             keys.append(key)
             rows.append((
                 key, item.name, owner, item.kind, text, state,

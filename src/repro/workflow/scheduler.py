@@ -144,15 +144,18 @@ class LocalityScheduler(SchedulerPolicy):
         return best_choice
 
 
+#: Every policy by the name ``make_policy`` and ``--policy`` take.
+POLICIES = {
+    "b-level": BLevelScheduler,
+    "fifo": FIFOScheduler,
+    "locality": LocalityScheduler,
+}
+
+
 def make_policy(name: str) -> SchedulerPolicy:
     """Factory by policy name."""
-    policies = {
-        "b-level": BLevelScheduler,
-        "fifo": FIFOScheduler,
-        "locality": LocalityScheduler,
-    }
-    if name not in policies:
+    if name not in POLICIES:
         raise ValueError(
-            f"unknown policy {name!r}; expected one of {list(policies)}"
+            f"unknown policy {name!r}; expected one of {list(POLICIES)}"
         )
-    return policies[name]()
+    return POLICIES[name]()

@@ -189,22 +189,21 @@ class TestDeadlocks:
 
 
 class TestAdapters:
-    def test_task_graph_adapter_sees_updates_and_constraints(self):
+    def test_task_graph_adapter_sees_updates(self):
         graph = TaskGraph("adapter")
         graph.add_object(DataObject("seed"))
         graph.add_task(WorkflowTask(
             "produce", inputs=["seed"], outputs=["acc"],
         ))
         graph.add_task(WorkflowTask("upd_a", updates=["acc"]))
-        graph.add_task(WorkflowTask(
-            "upd_b", updates=["acc"],
-            constraints={"acquires": [("role", 3)]},
-        ))
-        diags = analyze_concurrency(
-            tasks_from_graph(graph), [ResourceSpec("role", 2)]
-        )
+        graph.add_task(WorkflowTask("upd_b", updates=["acc"]))
+        tasks = tasks_from_graph(graph)
+        assert codes(check_task_graph_concurrency(graph)) == ["RACE001"]
+        # a graph task acquires nothing; the analysis over its adapted
+        # tasks still sees an acquisition a spec adds
+        tasks[-1].acquires.append(("role", 3))
+        diags = analyze_concurrency(tasks, [ResourceSpec("role", 2)])
         assert codes(diags) == ["DL002", "RACE001"]
-        assert codes(check_task_graph_concurrency(graph)) == codes(diags)
 
     def test_spec_adapter_accepts_dict_acquires(self):
         diags = lint_concurrency_spec({

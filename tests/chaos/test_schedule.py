@@ -111,13 +111,14 @@ class TestScheduleGenerator:
 
     def test_link_faults_fall_within_horizon(self):
         graph = random_task_graph(0)
-        config = ChaosConfig(link_faults=4, horizon_s=10.0)
+        config = ChaosConfig(link_faults=4)
         schedule = generate_schedule(graph, WORKERS, 2, config)
+        horizon = max(1.0, graph.total_work() / len(WORKERS))
         link_faults = [
             f for f in schedule.faults if isinstance(f, LinkFault)
         ]
         assert len(link_faults) == 4
-        assert all(0.0 <= f.at_time <= 10.0 and f.duration_s >= 0.2
+        assert all(0.0 <= f.at_time <= horizon and f.duration_s >= 0.2
                    for f in link_faults)
 
     @pytest.mark.parametrize("count", ["crashes", "link_faults",

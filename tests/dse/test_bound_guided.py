@@ -100,7 +100,7 @@ class TestGuardsAndFallbacks:
             gemm_module, "gemm", space=space_16(), bound_guided=True,
         )
         with pytest.raises(DSEError, match="exhaustive"):
-            explorer.run("random", budget=4)
+            explorer.run("random")
 
     def test_missing_bounds_fall_back_to_plain(
         self, gemm_module, monkeypatch

@@ -255,7 +255,7 @@ class TestCostCache:
         knobs = VariantKnobs(target="fpga", unroll=2)
         other_knobs = VariantKnobs(target="fpga", unroll=4)
         model = ArchitectureModel()
-        other_model = ArchitectureModel(cpu_efficiency=0.25)
+        other_model = ArchitectureModel(host_memory_bandwidth=60e9)
         base = CostCache.key("d1", "k", knobs, model.fingerprint())
         assert base == CostCache.key("d1", "k", knobs,
                                      model.fingerprint())

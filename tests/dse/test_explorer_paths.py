@@ -53,10 +53,9 @@ SEARCHES = [
 
 def traced_run(explorer, strategy):
     """One run under a deterministic session: everything observable."""
-    kwargs = {} if strategy == "exhaustive" else {"seed": "pin"}
     cost_before = cost_cache().stats.snapshot()
     with observe(session(deterministic=True)) as obs:
-        result = explorer.run(strategy, **kwargs)
+        result = explorer.run(strategy)
     traffic = cost_cache().stats.delta(cost_before)
     return {
         "json": result.to_json(),
@@ -142,8 +141,7 @@ class TestCostCacheStaysOnTheCallingThread:
         explorer = Explorer(
             gemm_module, "gemm", space=SPACE, workers=workers,
             workers_mode=workers_mode, **options)
-        kwargs = {} if strategy == "exhaustive" else {"seed": "pin"}
-        result = explorer.run(strategy, **kwargs)
+        result = explorer.run(strategy)
         here = threading.get_ident()
         assert len(callers["get"]) == result.evaluations
         # a cold run: every point a miss, and each miss stored once

@@ -31,8 +31,9 @@ SEEDS = ["a", "b", "c", "d", "e"]
 
 def explore(module, strategy, seed, workers):
     explorer = Explorer(module, "gemm", space=SPACE, workers=workers)
-    kwargs = {} if strategy == "exhaustive" else {"seed": seed}
-    return explorer.run(strategy, **kwargs)
+    if strategy == "exhaustive":
+        return explorer.run(strategy)
+    return getattr(explorer, strategy)(seed=seed)
 
 
 class TestParallelMatchesSerial:
@@ -75,7 +76,7 @@ class TestParallelMatchesSerial:
         jump to arbitrary unexplored points (budget >= space)."""
         explorer = Explorer(gemm_module, "gemm",
                             space=DesignSpace.small())
-        result = explorer.run("evolutionary", budget=99)
+        result = explorer.evolutionary(budget=99)
         assert result.evaluations == DesignSpace.small().size()
 
 

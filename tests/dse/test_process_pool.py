@@ -58,8 +58,7 @@ def explore(module, strategy, workers, workers_mode, space=SPACE):
             module, "gemm", space=space,
             workers=workers, workers_mode=workers_mode,
         )
-        kwargs = {} if strategy == "exhaustive" else {"seed": "pin"}
-        result = explorer.run(strategy, **kwargs)
+        result = explorer.run(strategy)
     return result, obs.tracer.to_json()
 
 

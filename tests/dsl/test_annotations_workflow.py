@@ -24,13 +24,14 @@ kernel double(X: tensor<8xf32>) -> tensor<8xf32> {
 
 class TestDataAnnotation:
 
-    def test_invalid_pattern(self):
+    def test_negative_velocity(self):
         with pytest.raises(SpecificationError):
-            DataAnnotation("x", access_pattern="spiral")
+            DataAnnotation("x", velocity_bytes_per_s=-1.0)
 
-    def test_invalid_layout(self):
-        with pytest.raises(SpecificationError):
-            DataAnnotation("x", record_layout="interleaved")
+    def test_defaults_describe_an_empty_dataset_anywhere(self):
+        annotation = DataAnnotation("x")
+        assert (annotation.volume_bytes, annotation.velocity_bytes_per_s,
+                annotation.locality) == (0, 0.0, Locality.ANY)
 
     def test_negative_volume(self):
         with pytest.raises(SpecificationError):

@@ -153,7 +153,7 @@ def random_dfg(seed):
     budget = ResourceBudget(
         fadd=rng.randint(1, 4), fmul=rng.randint(1, 4),
         fdiv=rng.randint(1, 2), special=rng.randint(1, 4),
-        crypto=1, memport=rng.randint(1, 2),
+        memport=rng.randint(1, 2),
     )
     memory_ports = {
         id(buffer): rng.randint(1, 3)
@@ -216,7 +216,7 @@ class TestOversubscriptionError:
         with pytest.raises(SchedulingError,
                            match=r"'crypto' oversubscribed"):
             scheduling._list_schedule(
-                [node], ResourceBudget(crypto=1), None, 2
+                [node], ResourceBudget(), None, 2
             )
 
     def test_names_memory_buffer(self):

@@ -42,10 +42,11 @@ class TestGoals:
         assert Goal(GoalKind.BALANCED).objective(2.0, 3.0) == 6.0
 
     def test_constraints(self):
-        goal = Goal(max_latency_s=1.0, max_energy_j=2.0)
-        assert goal.satisfied(0.5, 1.0)
-        assert not goal.satisfied(2.0, 1.0)
-        assert not goal.satisfied(0.5, 3.0)
+        goal = Goal(min_accuracy=0.9)
+        assert goal.satisfied(0.95)
+        assert goal.satisfied(0.9)
+        assert not goal.satisfied(0.85)
+        assert Goal().satisfied(0.1)
 
 
 class TestKnowledgeBase:
@@ -91,7 +92,7 @@ class TestDataFeatures:
         with pytest.raises(ValueError):
             DataFeatures(sparsity=1.5)
         with pytest.raises(ValueError):
-            DataFeatures(size_scale=0.0)
+            DataFeatures(burstiness=-0.1)
 
 
 class TestApplicationManager:
@@ -181,11 +182,15 @@ class TestApplicationManager:
 
     def test_constraint_prunes_infeasible(self):
         base = KnowledgeBase()
-        base.add_variant(make_variant("k", "cpu", 2e-6, 300e-6))
+        base.add_variant(Variant(
+            kernel="k", knobs=VariantKnobs(target="cpu"),
+            cost=CostEstimate(latency_s=2e-6, energy_j=300e-6,
+                              accuracy=0.8),
+        ))
         base.add_variant(make_variant("k", "fpga", 6e-6, 4e-6))
-        # performance goal, but with an energy cap only fpga meets
+        # performance goal, but with an accuracy floor only fpga meets
         manager = ApplicationManager(base, goal=Goal(
-            GoalKind.PERFORMANCE, max_energy_j=10e-6))
+            GoalKind.PERFORMANCE, min_accuracy=0.9))
         point = manager.select("k")
         assert point.variant.is_hardware
 
@@ -249,8 +254,7 @@ def oracle_select(points, goal, state, features):
 
     def score(point):
         latency, energy = expected(point)
-        feasible = goal.satisfied(latency, energy,
-                                  point.variant.cost.accuracy)
+        feasible = goal.satisfied(point.variant.cost.accuracy)
         return (not feasible, goal.objective(latency, energy))
 
     return min(candidates, key=score)
@@ -273,8 +277,6 @@ point_specs = st.lists(
 goals = st.builds(
     Goal,
     kind=st.sampled_from(list(GoalKind)),
-    max_latency_s=st.none() | st.floats(min_value=1e-7, max_value=2e-5),
-    max_energy_j=st.none() | st.floats(min_value=1e-7, max_value=2e-5),
     min_accuracy=st.none() | st.floats(min_value=0.5, max_value=1.0),
 )
 
@@ -283,9 +285,7 @@ calls = st.lists(
         st.builds(SystemState, fpga_available=st.booleans(),
                   fpga_contention=unit, cpu_load=unit,
                   security_alert=st.booleans()),
-        st.builds(DataFeatures,
-                  size_scale=st.floats(min_value=0.1, max_value=10.0),
-                  sparsity=unit, burstiness=unit),
+        st.builds(DataFeatures, sparsity=unit, burstiness=unit),
         # a measurement fed back after the call: (point index, ratio)
         st.none() | st.tuples(st.integers(min_value=0, max_value=7),
                               st.floats(min_value=0.1, max_value=10.0)),

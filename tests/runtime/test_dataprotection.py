@@ -58,9 +58,9 @@ class TestSoftwareAEAD:
         with pytest.raises(SecurityError):
             SoftwareAEAD(key=b"")
 
-    def test_unknown_cipher_rejected(self):
-        with pytest.raises(SecurityError):
-            SoftwareAEAD(key=b"k", cipher="rot13")
+    def test_truncated_payload_rejected(self):
+        with pytest.raises(SecurityError, match="too short"):
+            self.make().decrypt(b"short", b"nonce-01")
 
     def test_short_nonce_rejected(self):
         with pytest.raises(SecurityError):
@@ -135,7 +135,7 @@ class TestFlowTracker:
         ))
         graph.add_task(WorkflowTask(
             "scrub", inputs=["mixed"], outputs=["clean"],
-            constraints={"declassifies": True},
+            declassifies=True,
         ))
         graph.add_task(WorkflowTask(
             "pub", inputs=["public"], outputs=["derived"],

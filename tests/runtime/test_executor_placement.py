@@ -3,6 +3,7 @@
 import hashlib
 import json
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -159,17 +160,28 @@ PHASES = [
 SPIKE = 40
 
 
-def crossing_schedule(index):
-    if index == SPIKE:
-        return SystemState(), DataFeatures(size_scale=40.0)
-    return PHASES[index % len(PHASES)]
+def oversized_input_reality(app):
+    """The default reality, with round ``SPIKE``'s input 40 times the
+    compile-time shape."""
+    truth, rounds = default_reality(app.name), Counter()
+
+    def model(point, state, features):
+        rounds[point.variant.kernel] += 1
+        if rounds[point.variant.kernel] == SPIKE + 1:
+            point = replace(
+                point, predicted_latency_s=40.0 * point.predicted_latency_s,
+                predicted_energy_j=40.0 * point.predicted_energy_j)
+        return truth(point, state, features)
+
+    return model
 
 
 class TestExecutorGolden:
     """What the executor decides, pinned across every selection input."""
 
     def test_crossing_schedule_digest(self, app):
-        report = RuntimeExecutor(app).run(60, crossing_schedule)
+        report = RuntimeExecutor(app, reality=oversized_input_reality(
+            app)).run(60, lambda index: PHASES[index % len(PHASES)])
         timeline = report.selections_timeline("scale")
         # the schedule does cross what it claims to
         assert report.incidents == 1

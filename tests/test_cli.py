@@ -269,8 +269,18 @@ USER_ERRORS = [
     ("compile", None, ["compile", "{spec}", "--space", "galactic"]),
     ("perf", None, ["perf", "{spec}", "--kernel", "nope", "--no-cache"]),
     ("runs", None, ["runs", "show", "--journal-dir", "{tmp}"]),
-    ("service", None, ["service", "cancel", "--db", "{tmp}/jobs.db"]),
+    ("service", ["service", "init", "--db", "{tmp}/jobs.db"],
+     ["service", "cancel", "--db", "{tmp}/jobs.db"]),
 ] + [(argv.split()[0], None, argv.split()) for argv in (
+    # a kernel the spec does not define, whatever --what shows
+    "emit {spec} --kernel nope --what ir --no-cache",
+    "emit {spec} --kernel nope --what lowered-ir --no-cache",
+    "chaos --policy nope",
+    # only `service init` and `service submit` create a job store
+    "service status --db {tmp}/typo.db",
+    "service launch --db {tmp}/typo.db",
+    "service cancel --job 1 --db {tmp}/typo.db",
+    "runs gc --journal-dir {tmp} --db {tmp}/typo.db",
     # flag values the library rejects
     "synth {spec} --kernel scale --unroll 0",
     "synth {spec} --kernel scale --unroll -3",
@@ -300,7 +310,10 @@ USER_ERRORS = [
     "command,setup,argv", USER_ERRORS,
     ids=["parse-error", "missing-file", "resume-ghost", "run-id-reuse",
          "bad-space", "unknown-kernel", "runs-show-no-id",
-         "cancel-no-selector", "synth-unroll-0", "synth-unroll-negative",
+         "cancel-no-selector", "emit-ir-unknown-kernel",
+         "emit-lowered-unknown-kernel", "chaos-unknown-policy",
+         "status-no-store", "launch-no-store", "cancel-no-store",
+         "runs-gc-no-store", "synth-unroll-0", "synth-unroll-negative",
          "synth-clock-0", "synth-clock-negative", "emit-rtl-unroll",
          "emit-lowered-unroll", "run-snapshot-every", "chaos-snapshot-every",
          "submit-count-0", "submit-count-negative", "submit-tasks-0",
@@ -321,3 +334,4 @@ def test_a_user_error_is_one_coded_line(dsl_file, tmp_path, capsys,
     assert "Traceback" not in err
     [line] = [line for line in err.splitlines() if ": error: " in line]
     assert line.startswith(f"repro {command}: error: ")
+    assert not (tmp_path / "typo.db").exists()

@@ -50,9 +50,10 @@ LAYERS = (
 #: the only function-level ``repro`` imports: file -> (count, what they
 #: may load). ``cli`` loads a subsystem only one subcommand drives, one
 #: statement per function: the durable-run opener, the traced run, the
-#: sanitizer report, ``chaos``, ``runs`` and ``service``.
+#: sanitizer report, ``chaos`` and its ``--policy`` type, ``runs`` and
+#: ``service``.
 DEFERRED = {
-    "repro.cli": (6, ("repro.workflow", "repro.obs.driver", "repro.sanitize")),
+    "repro.cli": (7, ("repro.workflow", "repro.obs.driver", "repro.sanitize")),
 }
 
 

@@ -63,3 +63,34 @@ def test_an_entry_that_is_no_longer_a_hit_is_stale(tree):
     assert out.splitlines() == [
         "keep.json: stale class 1 entry: pkg/mod.py::used "
         "(no longer a hit)"]
+
+
+
+#: how a consumer builds the record -> the fields it leaves unset
+CONSTRUCTIONS = {
+    "unset": ('Rec("x")', ["first", "second"]),
+    "keyword": ('Rec("x", second=4)', ["first"]),
+    "positional": ('Rec("x", 3)', ["second"]),
+    "subclass": ('Sub("x", 3)', ["second"]),
+    "replace": ('replace(Rec("x"), first=3)', ["second"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONSTRUCTIONS))
+def test_a_dataclass_field_is_a_parameter_of_its_constructor(tmp_path,
+                                                               case):
+    construction, unset = CONSTRUCTIONS[case]
+    subclass = "@dataclass\nclass Sub(Rec):\n    pass\n\n\n"
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "rec.py").write_text(
+        "from dataclasses import dataclass, replace\n\n\n@dataclass\n"
+        "class Rec:\n    name: str\n    first: int = 1\n"
+        "    second: int = 2\n\n\n" + subclass * (case == "subclass")
+        + f"rec = {construction}\nprint(rec.name, rec.first, rec.second)\n")
+    code, out = scan(tmp_path, [])
+    assert code == 1
+    assert out.splitlines() == [
+        f"src/pkg/rec.py:{7 if field == 'first' else 8}: class 2 "
+        f"unreferenced: pkg/rec.py::Rec.__init__({field}=)"
+        for field in unset
+    ]

@@ -177,6 +177,7 @@ class TestServiceCLI:
         )
 
     def test_cancel_requires_a_selector(self, db, capsys):
+        assert main(["service", "init", "--db", db]) == 0
         assert main(["service", "cancel", "--db", db]) == 2
         assert "repro service: error: cancel needs job ids" in (
             capsys.readouterr().err

@@ -71,10 +71,9 @@ class TestSubmission:
         assert len(a.inserted) == 3 and len(b.inserted) == 3
         assert store.counts()["ready"] == 6
 
-    def test_explicit_key_wins(self, store):
-        spec = JobSpec(name="x", spec={"i": 1}, key="fixed")
-        first = store.submit([spec])
-        other = JobSpec(name="y", spec={"i": 2}, key="fixed")
+    def test_key_is_the_content_not_the_attempt_budget(self, store):
+        first = store.submit([JobSpec(name="x", spec={"i": 1})])
+        other = JobSpec(name="x", spec={"i": 1}, max_attempts=9)
         again = store.submit([other])
         assert again.duplicates == first.inserted
 

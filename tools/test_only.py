@@ -11,6 +11,11 @@ words (a docstring or a comment naming something is not a use of it):
    itself does not count);
 2. defaulted parameters that no consumer call passes, by keyword or by
    position (a call with ``*args`` / ``**kwargs`` passes everything);
+   a dataclass's defaulted fields are parameters of its generated
+   ``__init__``, set by a call to the class or a subclass, by
+   ``replace(x, field=...)`` or by ``obj.field = ...`` (a field the
+   class's own methods assign on ``self`` is state, and so is a
+   ``default_factory`` field);
 3. instance attributes (``self.x = ...``) and dataclass / named-tuple
    fields that no consumer reads; ``self.x += 1``, ``self.x =
    self.x + 1`` and a discarded ``self.x.append(...)`` are writes;
@@ -257,7 +262,12 @@ def _defaulted(func: ast.FunctionDef, skip_first: bool):
 def _call_names(item: _Def, subclasses: Dict[str, Set[str]]) -> List[str]:
     if item.name != "__init__" or item.cls is None:
         return [item.name]
-    names, todo = [], [item.cls.name]
+    return _call_names_of(item.cls.name, subclasses)
+
+
+def _call_names_of(cls: str, subclasses: Dict[str, Set[str]]) -> List[str]:
+    """``cls`` and every class below it."""
+    names, todo = [], [cls]
     while todo:
         name = todo.pop()
         if name in names:
@@ -283,7 +293,119 @@ def _super_inits(files: List[_File]) -> Dict[str, List[_Call]]:
     return found
 
 
-def _class2(defs, files, consumer_calls, test_calls) -> Iterator[Hit]:
+def _sets(param: str, index: Optional[int], calls: List[_Call]) -> bool:
+    return any(
+        c.spread or param in c.keywords
+        or (index is not None and c.positional > index)
+        for c in calls
+    )
+
+
+def _field_knob(item: ast.AnnAssign) -> Optional[bool]:
+    """Whether a field is a knob of the generated ``__init__``: True for
+    a default a caller may replace, False for a required parameter or a
+    ``default_factory`` (a fresh container, meter or drawn id per
+    instance is state), None for ``init=False`` (not a parameter)."""
+    value = item.value
+    if not (isinstance(value, ast.Call)
+            and getattr(value.func, "id", getattr(value.func, "attr", None))
+            == "field"):
+        return value is not None
+    keywords = {k.arg: k.value for k in value.keywords}
+    init = keywords.get("init")
+    if isinstance(init, ast.Constant) and init.value is False:
+        return None
+    return "default" in keywords
+
+
+def _dataclass_fields(cls: ast.ClassDef, classes: Dict[str, ast.ClassDef]):
+    """``[(name, knob, AnnAssign)]`` of the generated ``__init__``'s
+    parameters in order, inherited fields first (a redeclared field
+    keeps its inherited place)."""
+    fields: Dict[str, Tuple[Optional[bool], ast.AnnAssign]] = {}
+    for base in _base_names(cls):
+        if base in classes and classes[base] is not cls:
+            for name, knob, node in _dataclass_fields(classes[base], classes):
+                fields[name] = (knob, node)
+    for item in cls.body:
+        if (isinstance(item, ast.AnnAssign)
+                and isinstance(item.target, ast.Name)
+                and "ClassVar" not in ast.dump(item.annotation)):
+            fields[item.target.id] = (_field_knob(item), item)
+    return [(name, knob, node) for name, (knob, node) in fields.items()
+            if knob is not None]
+
+
+def _stores(files: List[_File]) -> Dict[str, List[Optional[str]]]:
+    """Each ``obj.x = ...`` by ``x``: the class whose method stores on
+    ``self`` (``self.x = ...``, ``object.__setattr__(self, "x", ...)``)
+    or ``None`` for a store on any other object."""
+    stores: Dict[str, List[Optional[str]]] = defaultdict(list)
+    for file in files:
+        for node in ast.walk(file.tree):
+            if isinstance(node, ast.Attribute) and isinstance(
+                    node.ctx, ast.Store):
+                name, target = node.attr, node.value
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "__setattr__"
+                  and len(node.args) > 1
+                  and isinstance(node.args[1], ast.Constant)):
+                name, target = node.args[1].value, node.args[0]
+            else:
+                continue
+            owner = None
+            if isinstance(target, ast.Name) and target.id == "self":
+                cls = _enclosing(node, ast.ClassDef)
+                owner = cls.name if cls is not None else None
+            stores[name].append(owner)
+    return stores
+
+
+def _dataclass_hits(files, subclasses, own_init, super_inits, consumers,
+                    tests) -> Iterator[Hit]:
+    """Each defaulted field of a generated ``__init__`` that no consumer
+    sets: by keyword or position to the class or a subclass, through
+    ``replace(x, f=...)`` or by ``obj.f = ...``. A field that methods of
+    the class (or of a subclass) assign on ``self`` is state, not a
+    knob. ``consumers`` and ``tests`` are ``(calls, stores)`` pairs."""
+    classes = {
+        node.name: node for file in files for node in ast.walk(file.tree)
+        if isinstance(node, ast.ClassDef)
+        and "dataclass" in _decorators(node)
+    }
+    for file in files:
+        if not file.rel.startswith("src/"):
+            continue
+        path = file.rel[len("src/"):]
+        for cls in ast.walk(file.tree):
+            if (not isinstance(cls, ast.ClassDef)
+                    or "dataclass" not in _decorators(cls)
+                    or cls.name in own_init):
+                continue
+            family = _call_names_of(cls.name, subclasses)
+            names = [n for n in family if n == cls.name or n not in own_init]
+
+            def sets(name, index, calls, stores, supers=()):
+                by_class = [c for n in names for c in calls.get(n, ())]
+                return (_sets(name, index, by_class + list(supers))
+                        or _sets(name, None, calls.get("replace", []))
+                        or any(owner is None or owner in family
+                               for owner in stores.get(name, ())))
+
+            for index, (name, knob, node) in enumerate(
+                    _dataclass_fields(cls, classes)):
+                if not knob or not _inside(node, cls) or sets(
+                        name, index, *consumers,
+                        super_inits.get(cls.name, ())):
+                    continue
+                yield Hit(f"{path}::{cls.name}.__init__({name}=)", 2,
+                          f"src/{path}:{node.lineno}",
+                          sets(name, index, *tests))
+
+
+def _class2(defs, files, consumer_calls, test_calls,
+            tests) -> Iterator[Hit]:
     subclasses: Dict[str, Set[str]] = defaultdict(set)
     super_inits = _super_inits(files)
     own_init: Set[str] = set()
@@ -295,6 +417,9 @@ def _class2(defs, files, consumer_calls, test_calls) -> Iterator[Hit]:
                 if any(isinstance(i, ast.FunctionDef)
                        and i.name == "__init__" for i in node.body):
                     own_init.add(node.name)
+    yield from _dataclass_hits(
+        files, subclasses, own_init, super_inits,
+        (consumer_calls, _stores(files)), (test_calls, _stores(tests)))
     for item in defs:
         node = item.node
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -312,11 +437,7 @@ def _class2(defs, files, consumer_calls, test_calls) -> Iterator[Hit]:
             calls += super_inits.get(item.cls.name, [])
         tested = [c for n in names for c in test_calls.get(n, ())]
         for param, index in _defaulted(node, method):
-            if any(
-                c.spread or param in c.keywords
-                or (index is not None and c.positional > index)
-                for c in calls
-            ):
+            if _sets(param, index, calls):
                 continue
             yield Hit(
                 f"{item.path}::{item.qual}({param}=)", 2,
@@ -446,7 +567,7 @@ def scan(root: Path) -> List[Hit]:
     tests = _parse(root, TESTS)
     defs = list(_definitions(consumers))
     hits = list(_class1(defs, _references(consumers), _references(tests)))
-    hits += _class2(defs, consumers, _calls(consumers), _calls(tests))
+    hits += _class2(defs, consumers, _calls(consumers), _calls(tests), tests)
     hits += _class3(consumers, _reads(consumers), _reads(tests))
     hits += _class4(consumers, tests)
     return hits
