@@ -368,6 +368,8 @@ def encode(record: Any) -> Any:
     """The JSON-able payload of a dataclass record: its fields, by the
     module's rules (a value of no record class is its own payload)."""
     kind = type(record)
+    if kind in _ATOMS:  # most values a record holds: no lookups
+        return record
     if kind is list or kind is tuple:
         return kind([encode(item) for item in record])
     if kind is dict:
@@ -375,6 +377,10 @@ def encode(record: Any) -> Any:
     names = _field_names(kind)
     return record if names is None else {
         name: encode(getattr(record, name)) for name in names}
+
+
+#: The JSON atoms, which :func:`encode` hands through first.
+_ATOMS = frozenset({str, int, float, bool, type(None)})
 
 
 @lru_cache(maxsize=None)

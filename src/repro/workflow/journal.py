@@ -18,6 +18,10 @@ counters, resource requests and releases, transfer spans — is a pure
 function of (recipe, fault schedule): the re-execution regenerates it,
 the fold would read nothing of it but a count and a time, so it stays
 in the tracer (and the exported Chrome trace) and out of the journal.
+By the same rule an ``event`` record keeps only the fields the fold
+reads: ``phase``, ``name``, ``category``, ``ts``, ``dur`` and, of the
+tracer's args, ``task`` alone — a journal that kept every arg still
+folds to the same state.
 
 Format — one record per line::
 
@@ -88,7 +92,9 @@ def journal_error(code: str, message: str, anchor: str) -> JournalError:
 
 #: One encoder for every record: ``json.dumps`` with these arguments
 #: would build a new one per call, on the hot path of every append.
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+#: The journal builds every record itself, so none holds a cycle.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                            check_circular=False)
 
 
 def _canonical(payload: Dict) -> str:
@@ -358,9 +364,8 @@ class RunJournal:
         if self._started:
             return
         self._started = True
-        data = dict(header)
-        data["journal_version"] = JOURNAL_VERSION
-        self.append("header", data, sync=self.fsync != "never")
+        self.append("header", {**header, "journal_version": JOURNAL_VERSION},
+                    sync=self.fsync != "never")
 
     def attach(self, tracer) -> None:
         """Journal the tracer's journaled-category events from now on."""
@@ -413,18 +418,16 @@ class RunJournal:
 
     def on_event(self, event) -> None:
         """Tracer sink: journal one emitted trace event, if its
-        category is one the fold reads (``JOURNALED_CATEGORIES``)."""
+        category is one the fold reads (``JOURNALED_CATEGORIES``), with
+        the fields the fold reads: of its args only ``task``."""
         if (event.category not in JOURNALED_CATEGORIES
                 or not self._started):
             return
+        task = event.args.get("task")
         self.append("event", {
-            "phase": event.phase,
-            "name": event.name,
-            "category": event.category,
-            "ts": event.ts,
-            "dur": event.dur,
-            # the tracer made this dict for this event alone
-            "args": event.args,
+            "phase": event.phase, "name": event.name,
+            "category": event.category, "ts": event.ts, "dur": event.dur,
+            "args": {} if task is None else {"task": task},
         })
         self._since_snapshot += 1
         if (self.snapshot_every

@@ -38,13 +38,15 @@ handler (``_Run.outage``) that their two rows parameterise; adding a
 fault class is adding one row.
 
 Every run is traced: the server emits task spans (one lane per
-worker), staging-transfer spans, scheduler-decision instants and
-ready-queue counters into a simulated-time tracer, and the returned
-``ExecutionTrace`` is a view over those events
+worker), faults and recovery actions into a simulated-time tracer, and
+the returned ``ExecutionTrace`` is a view over those events
 (:meth:`~repro.workflow.tracing.ExecutionTrace.from_tracer`). When an
 enabled tracer is passed in — or installed ambiently via
-:func:`repro.obs.observe` — the whole simulated timeline is absorbed
-into it as its own process for Chrome-trace export.
+:func:`repro.obs.observe` — the run also emits staging-transfer spans,
+scheduler-decision instants, ready-queue counters and worker-slot
+instants, and the whole simulated timeline is absorbed into that
+tracer as its own process for Chrome-trace export. Without one
+nothing reads those events, so the run does not record them.
 
 The recovery model mirrors Spark/HyperLoom lineage: no task output
 is saved aside, everything is recomputable from the graph. During a
@@ -200,23 +202,25 @@ class ResilientServer:
         """Execute the graph to completion, recovering from faults.
 
         ``chaos`` is the :class:`ChaosSchedule` to inject (none: a
-        fault-free run); ``tracer`` (or the ambient session tracer)
-        receives the simulated timeline as a ``workflow:<graph>``
-        process. ``journal`` write-ahead logs every payload-invocation
-        point, completion, fault and recovery so the run
-        survives a process crash; ``resume`` replays a crashed run —
-        the deterministic timeline is re-executed and payloads that
-        already ran are skipped. Returns (trace, recovery stats). Raises
-        :class:`WorkflowError` when every worker dies with no restart
-        pending, and :class:`ChaosError` when a task exhausts its
-        retry budget.
+        fault-free run); ``tracer`` (or the ambient session tracer),
+        when enabled, receives the simulated timeline as a
+        ``workflow:<graph>`` process, and only then does the run record
+        its transfer, scheduler and worker-slot events. ``journal``
+        write-ahead logs every payload-invocation point, completion,
+        fault and recovery — each event with the fields the replay fold
+        reads — so the run survives a process crash; ``resume`` replays
+        a crashed run — the deterministic timeline is re-executed and
+        payloads that already ran are skipped. Returns (trace, recovery
+        stats). Raises :class:`WorkflowError` when every worker dies
+        with no restart pending, and :class:`ChaosError` when a task
+        exhausts its retry budget.
         """
         graph.validate()
         self.policy.prepare(graph)
         faults = chaos.faults if chaos is not None else []
         for fault in faults:
             _FAULT_KINDS[type(fault)].check(self, graph, fault)
-        return _Run(self, graph, faults, journal, resume).execute(tracer)
+        return _Run(self, graph, faults, journal, resume, tracer).execute()
 
 
 def _staged(task) -> List[str]:
@@ -231,12 +235,17 @@ class _Run:
     engine's steps and fault handlers; the simulator drives the
     generator methods as processes. Building a run queues the tasks
     with no dependencies and arms every fault; :meth:`execute` runs it.
+    ``session`` is the tracer the run publishes to (``tracer``, else
+    the ambient one); the events only it reads are emitted only while
+    it is enabled.
     """
 
     def __init__(self, server: ResilientServer, graph: TaskGraph,
                  faults: list, journal: Optional[RunJournal],
-                 resume: Optional[ReplayState]):
+                 resume: Optional[ReplayState],
+                 tracer: Optional[Tracer] = None):
         self.server = server
+        self.session = tracer if tracer is not None else current_tracer()
         self.graph = graph
         self.journal = journal
         self.policy = server.policy
@@ -318,7 +327,7 @@ class _Run:
             if process is not None:
                 self.sim.process(process, name=f"fault:{fault.kind}")
 
-    def execute(self, tracer: Optional[Tracer]) -> tuple:
+    def execute(self) -> tuple:
         """Run to completion; returns (trace, recovery stats)."""
         self.sim.run_process(self.dispatcher(), name="dispatcher")
         trace = ExecutionTrace.from_tracer(
@@ -331,11 +340,15 @@ class _Run:
         self.metrics.counter(
             "workflow.retries", "task attempts retried after a fault",
         ).inc(self.stats.retries)
-        self.end_journal(trace)
-        self.publish_run(tracer)
+        if self.journal is not None:
+            self.journal.finish(trace.digest(), makespan=trace.makespan)
+            self.journal.detach()
+        if self.session.enabled:
+            self.session.absorb(
+                self.events, process=f"workflow:{self.graph.name}")
         return trace, self.stats
 
-    # -- journal and session tracer ------------------------------------
+    # -- journal -------------------------------------------------------
 
     def begin_journal(self, resume: Optional[ReplayState]
                       ) -> Optional[PayloadSkipper]:
@@ -348,9 +361,13 @@ class _Run:
         mismatch is a hard ``WF009`` error. When journaling, the header
         is written and the journal hooks the simulated-time tracer so
         every journaled transition is durable before execution proceeds.
+        A run with neither builds no recipe, so it never digests the
+        graph.
 
         Returns the payload skipper for a resumed run (None otherwise).
         """
+        if self.journal is None and resume is None:
+            return None
         graph = self.graph
         recipe = {
             "graph": graph.name,
@@ -375,19 +392,6 @@ class _Run:
             self.journal.attach(self.events)
         return resume.payload_skipper() if resume is not None else None
 
-    def end_journal(self, trace: ExecutionTrace) -> None:
-        """Seal a journaled run: final digest record, tracer detached."""
-        if self.journal is None:
-            return
-        self.journal.finish(trace.digest(), makespan=trace.makespan)
-        self.journal.detach()
-
-    def publish_run(self, tracer: Optional[Tracer]) -> None:
-        """Absorb the simulated timeline into the session tracer."""
-        target = tracer if tracer is not None else current_tracer()
-        if target.enabled:
-            target.absorb(self.events, process=f"workflow:{self.graph.name}")
-
     # -- trace records -------------------------------------------------
 
     def record_fault(self, kind: str, target: str, detail: str = ""
@@ -408,12 +412,13 @@ class _Run:
         self.recoveries_taken.inc(action=action)
 
     def resource_event(self, op: str, worker: Worker, units: int) -> None:
-        self.events.instant(
-            f"{op}:{worker.name}",
-            category=RESOURCE_EVENT_CATEGORY, track=worker.name,
-            op=op, resource=worker.name, units=units,
-            capacity=worker.cpus,
-        )
+        if self.session.enabled:
+            self.events.instant(
+                f"{op}:{worker.name}",
+                category=RESOURCE_EVENT_CATEGORY, track=worker.name,
+                op=op, resource=worker.name, units=units,
+                capacity=worker.cpus,
+            )
 
     # -- pool, staging and the ready queue -----------------------------
 
@@ -567,11 +572,12 @@ class _Run:
             if seconds:
                 stage_start = sim.now
                 yield sim.timeout(seconds)
-                events.complete(
-                    f"stage:{input_name}", stage_start, sim.now,
-                    category=TRANSFER_CATEGORY, track=worker.name,
-                    source=source, bytes=size_bytes,
-                )
+                if self.session.enabled:
+                    events.complete(
+                        f"stage:{input_name}", stage_start, sim.now,
+                        category=TRANSFER_CATEGORY, track=worker.name,
+                        source=source, bytes=size_bytes,
+                    )
             if not self.worker_ok(worker, epoch):
                 yield from self.requeue(
                     task_name, worker, False,
@@ -610,11 +616,8 @@ class _Run:
                 "exec", category=EXEC_CATEGORY, track=worker.name,
                 task=task_name, worker=worker.name,
             )
-        already_ran = (
-            self.skipper.take(task_name) if self.skipper is not None
-            else False
-        )
-        if task.payload is not None and not already_ran:
+        ran = self.skipper is not None and self.skipper.take(task_name)
+        if task.payload is not None and not ran:
             task.payload()
         yield sim.timeout(duration)
         if not self.worker_ok(worker, epoch):
@@ -856,15 +859,16 @@ class _Run:
                 cpus = graph.tasks[task_name].cpus
                 self.displace(task_name)
                 del queued[task_name]
-                events.instant(
-                    "dispatch", category=SCHED_CATEGORY,
-                    track="scheduler", task=task_name,
-                    worker=worker.name,
-                )
-                events.counter(
-                    "ready_tasks", float(len(queued)),
-                    category=SCHED_CATEGORY, track="scheduler",
-                )
+                if self.session.enabled:
+                    events.instant(
+                        "dispatch", category=SCHED_CATEGORY,
+                        track="scheduler", task=task_name,
+                        worker=worker.name,
+                    )
+                    events.counter(
+                        "ready_tasks", float(len(queued)),
+                        category=SCHED_CATEGORY, track="scheduler",
+                    )
                 worker.acquire(cpus)
                 self.resource_event("request", worker, cpus)
                 self.running[task_name] = worker

@@ -11,7 +11,8 @@ faults, recoveries) and nothing else. Four things are pinned here:
 * **one kind of recovery point** — a run writes one snapshot record
   and file per ``snapshot_every`` events and no other, task faults in
   its schedule or not;
-* **membership** — every ``event`` record's category is in the table;
+* **membership** — every ``event`` record's category is in the table,
+  and it carries only the fields the fold reads (of the args, ``task``);
 * **losslessness** — folding *every* event the tracer recorded gives
   the same tallies, simulated time and digest as the journal's own
   state: the filter drops nothing the fold reads.
@@ -150,6 +151,18 @@ def test_chaos_run_writes_one_record_per_folded_transition(
         + state.faults + state.recoveries
     )
     assert_filter_is_lossless(records, session)
+
+
+@pytest.mark.parametrize("fault_seed", FAULT_SEEDS)
+def test_event_records_carry_only_the_folded_fields(fault_seed, tmp_path):
+    records, _session = chaos_run(tmp_path, 0, fault_seed)
+    events = [r["data"] for r in records if r["type"] == "event"]
+    assert {data["category"] for data in events} \
+        == set(JOURNALED_CATEGORIES)
+    for data in events:
+        assert set(data) == {"args", "category", "dur", "name", "phase",
+                             "ts"}
+        assert set(data["args"]) <= {"task"}
 
 
 @pytest.mark.parametrize("fault_seed", FAULT_SEEDS)

@@ -29,6 +29,7 @@ from repro.chaos import (
     generate_schedule,
     random_task_graph,
 )
+from repro.obs import Tracer
 from repro.workflow import recovery
 from repro.workflow.graph import TaskGraph, WorkflowTask
 from repro.workflow.recovery import SCHED_CATEGORY, ResilientServer
@@ -107,7 +108,9 @@ class CheckedPolicy(SchedulerPolicy):
 
 
 def run_checked(monkeypatch, graph, workers, policy_name, chaos=None):
-    """Run under a :class:`CheckedPolicy`; returns (policy, trace)."""
+    """Run under a :class:`CheckedPolicy`, published to an enabled
+    tracer (a run records its dispatch instants only for one);
+    returns (policy, trace)."""
     policy = CheckedPolicy(make_policy(policy_name))
     make_sim_tracer = recovery.make_sim_tracer
 
@@ -117,7 +120,7 @@ def run_checked(monkeypatch, graph, workers, policy_name, chaos=None):
 
     monkeypatch.setattr(recovery, "make_sim_tracer", capturing)
     trace, _stats = ResilientServer(workers, policy=policy).run(
-        graph, chaos=chaos
+        graph, chaos=chaos, tracer=Tracer()
     )
     assert policy.select_calls >= len(graph.tasks)
     _finished, dispatches = replay(graph, policy.tracer.events)
