@@ -28,10 +28,11 @@ never lost. See ``docs/SERVICE.md`` for the operator guide.
 the execution durable (a write-ahead journal plus periodic snapshots
 under the run store) and ``--resume RUN_ID`` to pick a killed run back
 up: the recipe is reloaded from the store, the journal is replayed,
-and only work that never reached its journaled execution point is
-re-executed — the resumed trace digest is byte-identical to an
-unbroken run. A ``--run-id`` the store already holds resumes that run
-when it was recorded with the same recipe (``WF009`` otherwise).
+and the whole run is re-executed, skipping only the task payloads the
+journal proves already ran — the resumed trace digest is
+byte-identical to an unbroken run. A ``--run-id`` the store already
+holds resumes that run when it was recorded with the same recipe
+(``WF009`` otherwise).
 ``repro runs`` inspects and garbage-collects the store.
 
 Commands that price design points (compile, explore, synth, emit, run,
@@ -841,8 +842,8 @@ def _add_journal_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--resume", metavar="RUN_ID", default=None,
         help="resume a killed journaled run: reload its recipe, "
-             "replay the journal and re-execute only work that "
-             "never reached its journaled execution point",
+             "replay the journal and re-execute the run, skipping "
+             "the task payloads it proves already ran",
     )
 
 

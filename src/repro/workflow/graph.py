@@ -75,6 +75,8 @@ class TaskGraph:
         self.objects: Dict[str, DataObject] = {}
         #: dependency index; dropped whenever a task or object is added
         self._adjacency = None
+        #: the index last found acyclic: its verdict goes with it
+        self._acyclic = None
 
     # ------------------------------------------------------------------
 
@@ -156,12 +158,15 @@ class TaskGraph:
         return list(self._index()[1][task_name])
 
     def validate(self) -> None:
-        """Check that every producer exists and nothing is cyclic."""
-        cycle = dag.find_cycle(self._index()[1])
+        """Check that every producer exists and nothing is cyclic
+        (the cycle search runs once per change to the graph)."""
+        index = self._index()
+        cycle = self._acyclic is not index and dag.find_cycle(index[1])
         if cycle:
             raise WorkflowError(
                 "workflow contains a cycle: " + " -> ".join(cycle)
             )
+        self._acyclic = index
 
     def topological_order(self) -> List[str]:
         """Tasks in a valid execution order."""

@@ -1,15 +1,22 @@
 """Durable write-ahead event journal for workflow runs.
 
 Every transition of a workflow run that a resume has to know about —
-a task reaching its payload-invocation point, a task completing, a
-fault injected, a recovery action taken — is appended to the run's
-journal as one JSONL record before the run moves on, so a process
-crash at *any* point leaves a prefix of the truth on disk. A crashed
-run is resumed by replaying the journal into a
-:class:`~repro.workflow.replay.ReplayState` and re-executing the
-(deterministic) run with that state: already-executed task payloads
-are skipped, and the resumed trace digest is byte-identical to an
-unbroken run's.
+a task's payload about to be invoked, a task completing, a fault
+injected, a recovery action taken — is appended to the run's journal
+as one JSONL record before the run moves on, so a process crash at
+*any* point leaves a prefix of the truth on disk. A crashed run is
+resumed by replaying the journal into a
+:class:`~repro.workflow.replay.ReplayState` and re-executing the whole
+(deterministic) run with that state: payloads that already ran are
+skipped, and the resumed trace digest is byte-identical to an unbroken
+run's.
+
+An ``exec`` record exists only for a task with a payload: it is what a
+resume must not run again, and the only thing a resume skips. A task
+without a payload is journaled by its completion alone — its
+re-execution is simulated time, not work. A journal from a build that
+wrote an ``exec`` record for every task attempt still replays and
+resumes; its credits for tasks without a payload are never spent.
 
 Those four kinds are the table ``JOURNALED_CATEGORIES`` stated beside
 the fold in :mod:`repro.workflow.replay`, the journal's only reader.
@@ -316,12 +323,12 @@ class RunJournal:
 
     The servers attach it to their simulated-time tracer
     (:meth:`attach`); every tracer event of a journaled category
-    (completions, payload-invocation points, faults, recoveries — see
+    (completions, payload invocations, faults, recoveries — see
     ``replay.JOURNALED_CATEGORIES``) is then journaled *before*
     execution proceeds, events of any other category pass by, and the
     journal maintains the folded :class:`ReplayState` incrementally so
     snapshots are O(state), not O(history). ``snapshot_every`` counts
-    journaled events.
+    journaled events (0: no periodic snapshot; negative is an error).
 
     ``fsync`` policies: ``"always"`` fsyncs every append (survives OS
     crashes), ``"snapshot"`` (default) flushes every append — a torn
@@ -340,6 +347,8 @@ class RunJournal:
                 f"unknown fsync mode {fsync!r}; use one of "
                 f"{FSYNC_MODES}"
             )
+        if snapshot_every < 0:
+            raise JournalError(f"snapshot_every must be >= 0, got {snapshot_every}")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.path = self.directory / JOURNAL_FILE

@@ -206,14 +206,15 @@ class ResilientServer:
         when enabled, receives the simulated timeline as a
         ``workflow:<graph>`` process, and only then does the run record
         its transfer, scheduler and worker-slot events. ``journal``
-        write-ahead logs every payload-invocation point, completion,
-        fault and recovery — each event with the fields the replay fold
-        reads — so the run survives a process crash; ``resume`` replays
-        a crashed run — the deterministic timeline is re-executed and
-        payloads that already ran are skipped. Returns (trace, recovery
-        stats). Raises :class:`WorkflowError` when every worker dies
-        with no restart pending, and :class:`ChaosError` when a task
-        exhausts its retry budget.
+        write-ahead logs every payload invocation, completion, fault
+        and recovery — each event with the fields the replay fold
+        reads — so the run survives a process crash; a task without a
+        payload is journaled by its completion alone. ``resume``
+        replays a crashed run — the deterministic timeline is
+        re-executed and payloads that already ran are skipped. Returns
+        (trace, recovery stats). Raises :class:`WorkflowError` when
+        every worker dies with no restart pending, and
+        :class:`ChaosError` when a task exhausts its retry budget.
         """
         graph.validate()
         self.policy.prepare(graph)
@@ -611,14 +612,12 @@ class _Run:
                 f"timeout: projected {duration:.3f}s > {timeout_s:.3f}s",
             )
             return
-        if self.journal is not None:
-            events.instant(
-                "exec", category=EXEC_CATEGORY, track=worker.name,
-                task=task_name, worker=worker.name,
-            )
-        ran = self.skipper is not None and self.skipper.take(task_name)
-        if task.payload is not None and not ran:
-            task.payload()
+        if task.payload is not None:
+            if self.journal is not None:
+                events.instant("exec", category=EXEC_CATEGORY, track=worker.name,
+                               task=task_name, worker=worker.name)
+            if self.skipper is None or not self.skipper.take(task_name):
+                task.payload()
         yield sim.timeout(duration)
         if not self.worker_ok(worker, epoch):
             yield from self.requeue(

@@ -4,9 +4,13 @@ A run's write-ahead journal (:mod:`repro.workflow.journal`) is a
 sequence of typed records; this module folds that sequence into a
 :class:`ReplayState` — the durable summary a resumed run needs:
 
-* how many times each task *executed* (reached its payload-invocation
-  point) and *completed* — the credits a resumed server spends to skip
-  work that already ran (:class:`PayloadSkipper`);
+* how many times each task's payload was *invoked* and how many times
+  the task *completed* — the invocations are the credits a resumed
+  server spends so that no payload runs twice (:class:`PayloadSkipper`).
+  Only a task with a payload has an invocation to journal; one without
+  is recorded by its completions alone. Older journals hold an
+  ``exec`` record for every task attempt; their credits for tasks
+  without a payload are never spent;
 * the run header (graph digest, policy, worker pool) so a resume
   against the wrong recipe is rejected instead of silently diverging;
 * fault/recovery tallies for ``repro runs show``.
@@ -28,8 +32,9 @@ from typing import Dict, Optional
 
 from repro.workflow.tracing import FAULT_CATEGORY, RECOVERY_CATEGORY, TASK_CATEGORY
 
-#: Tracer category for task payload-invocation points (emitted by the
-#: server when a journal is attached; see workflow/recovery.py).
+#: Tracer category for task payload invocations (emitted by the server
+#: when a journal is attached and the task has a payload, just before
+#: the payload is called; see workflow/recovery.py).
 EXEC_CATEGORY = "workflow.exec"
 #: Tracer category for journal bookkeeping instants (snapshots,
 #: finish) surfaced in exported Chrome traces.
@@ -43,7 +48,7 @@ class ReplayState:
     #: The journal header (graph digest, policy, workers); None until a
     #: header record is applied.
     header: Optional[Dict] = None
-    #: Task name -> times the task reached its execution point.
+    #: Task name -> times the task's payload was invoked.
     exec_counts: Dict[str, int] = field(default_factory=dict)
     #: Task name -> times a completion record was journaled.
     completions: Dict[str, int] = field(default_factory=dict)
@@ -62,7 +67,7 @@ class ReplayState:
 
     def payload_skipper(self) -> "PayloadSkipper":
         """Skip credits for a resumed execution of this run."""
-        return PayloadSkipper(dict(self.exec_counts))
+        return PayloadSkipper(self.exec_counts)
 
     def summary(self) -> Dict:
         """Compact description for ``repro runs list|show``."""
@@ -79,29 +84,25 @@ class ReplayState:
 
 
 class PayloadSkipper:
-    """Spends journaled execution credits during a resumed run.
+    """Spends journaled payload credits during a resumed run.
 
-    The servers call :meth:`take` at every task execution point; while
-    a task still has journaled executions left, the call returns True
+    The server calls :meth:`take` before each payload invocation; while
+    a task still has journaled invocations left, the call returns True
     and the (deterministic) re-execution skips invoking the payload —
     the real work already happened before the crash.
     """
 
     def __init__(self, credits: Dict[str, int]):
-        """``credits``: task name -> journaled execution count."""
-        self._credits = {
-            name: count for name, count in credits.items() if count > 0
-        }
-        self.executed = 0
+        """``credits``: task name -> journaled payload invocations
+        (copied: spending them leaves the replayed state as it was)."""
+        self._credits = dict(credits)
 
     def take(self, task_name: str) -> bool:
         """Consume one credit; True when this execution already ran."""
         remaining = self._credits.get(task_name, 0)
         if remaining > 0:
             self._credits[task_name] = remaining - 1
-            return True
-        self.executed += 1
-        return False
+        return remaining > 0
 
 
 def _task_of(data: Dict) -> str:
@@ -131,7 +132,7 @@ def _recovery(state: ReplayState, data: Dict) -> None:
 #: event the fold reads nothing but that it happened and when, and a
 #: deterministic re-execution regenerates it from (recipe, fault
 #: schedule) — so :meth:`RunJournal.on_event` journals exactly these:
-#: task completions, payload-invocation points, faults, recoveries.
+#: task completions, payload invocations, faults, recoveries.
 JOURNALED_CATEGORIES = {
     TASK_CATEGORY: _completion,
     EXEC_CATEGORY: _execution,

@@ -100,7 +100,8 @@ class RunStore:
         directory = self.root / run_id
         if (directory / META_FILE).exists():
             raise JournalError(f"run {run_id!r} already exists")
-        directory.mkdir(parents=True, exist_ok=True)
+        # first: a bad journal option fails before anything is written
+        journal = RunJournal(directory, snapshot_every=snapshot_every)
         payload = {
             "run_id": run_id,
             "kind": kind,
@@ -109,7 +110,7 @@ class RunStore:
             "meta": meta,
         }
         self._write_meta(directory, payload)
-        return run_id, RunJournal(directory, snapshot_every=snapshot_every)
+        return run_id, journal
 
     def _write_meta(self, directory: Path, payload: Dict) -> None:
         tmp = directory / (META_FILE + ".tmp")
@@ -186,6 +187,8 @@ class RunStore:
         should not re-execute — the recorded digest is authoritative.
         """
         directory = self.run_dir(run_id)
+        # first: a bad journal option fails before anything is archived
+        journal = RunJournal(directory, snapshot_every=snapshot_every)
         meta = self.load_meta(run_id)
         state, _info = replay_journal(directory)
         if not state.finished:
@@ -201,7 +204,7 @@ class RunStore:
                     shutil.move(str(snap), str(archive / snap.name))
             meta["attempts"] = attempt + 1
             self._write_meta(directory, meta)
-        return meta, state, RunJournal(directory, snapshot_every=snapshot_every)
+        return meta, state, journal
 
     # -- open ----------------------------------------------------------
 

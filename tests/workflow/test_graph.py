@@ -4,8 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.chaos import random_task_graph
 from repro.errors import WorkflowError
+from repro.utils import dag
 from repro.workflow.graph import DataObject, TaskGraph, WorkflowTask
+from repro.workflow.recovery import ResilientServer
+from repro.workflow.scheduler import make_policy
+
+from tests.chaos.conftest import make_pool
 
 
 def diamond() -> TaskGraph:
@@ -182,3 +188,48 @@ class TestIndexInvalidation:
         graph.add_task(WorkflowTask("patch", updates=["x"]))
         assert graph.dependencies("patch") == ["a"]
         assert graph.consumers("a") == ["b", "c", "patch"]
+
+
+class TestCycleVerdict:
+    """A graph is searched for cycles once per change, not per query."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        calls = []
+        find_cycle = dag.find_cycle
+
+        def counting(edges):
+            calls.append(None)
+            return find_cycle(edges)
+
+        monkeypatch.setattr(dag, "find_cycle", counting)
+        return calls
+
+    def test_a_run_searches_once(self, searches):
+        graph = random_task_graph(1, num_tasks=20)
+        ResilientServer(make_pool(3), policy=make_policy("b-level")).run(
+            graph)
+        assert len(searches) == 1
+        graph.topological_order()
+        graph.b_levels()
+        assert len(searches) == 1
+
+    def test_adding_drops_the_verdict(self, searches):
+        graph = diamond()
+        graph.validate()
+        graph.add_task(WorkflowTask("e", inputs=["out"]))
+        graph.validate()
+        graph.add_object(DataObject("other"))
+        graph.topological_order()
+        assert len(searches) == 3
+
+    def test_a_cyclic_graph_is_refused_by_every_run(self):
+        graph = TaskGraph()
+        graph.add_object(DataObject("loop", producer="t2"))
+        graph.add_task(WorkflowTask("t1", inputs=["loop"], outputs=["mid"]))
+        graph.add_task(WorkflowTask("t2", inputs=["mid"]))
+        for _ in range(2):
+            with pytest.raises(WorkflowError) as caught:
+                ResilientServer(make_pool(3)).run(graph)
+            assert str(caught.value) == \
+                "workflow contains a cycle: t1 -> t2 -> t1"

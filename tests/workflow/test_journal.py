@@ -134,7 +134,7 @@ def test_journal_version_skew_is_rejected(tmp_path):
 
 
 def test_snapshot_version_skew_is_rejected(tmp_path):
-    journaled_run(tmp_path)
+    journaled_run(tmp_path, snapshot_every=10)
     snapshots = list_snapshots(tmp_path)
     assert snapshots, "run too small to snapshot"
     _seq, path = snapshots[0]
@@ -286,6 +286,34 @@ def test_runstore_open_creates_resumes_or_refuses(tmp_path):
         "chaos", recipe={"graph_seed": 3})
     journal.close()
     assert generated.startswith("chaos-")
+
+
+def test_negative_snapshot_every_is_refused_before_any_write(tmp_path):
+    def refused():
+        return pytest.raises(JournalError, match="snapshot_every")
+
+    with refused():
+        RunJournal(tmp_path / "bare", snapshot_every=-1)
+    store = RunStore(tmp_path / "store")
+    with refused():
+        store.create_run("chaos", {"graph_seed": 0}, snapshot_every=-1)
+    with refused():
+        store.open("chaos", run_id="r", recipe={"graph_seed": 0},
+                   snapshot_every=-1)
+    assert not (tmp_path / "bare").exists()
+    assert not (tmp_path / "store").exists()
+
+    _run_id, journal = store.create_run("chaos", {"graph_seed": 0},
+                                        run_id="r")
+    with journal:
+        journal.start({"graph": "toy"})
+    with refused():
+        store.prepare_resume("r", snapshot_every=-1)
+    with refused():
+        store.open("chaos", run_id="r", snapshot_every=-1)
+    assert store.load_meta("r")["attempts"] == 1
+    assert sorted(path.name for path in store.run_dir("r").iterdir()) \
+        == [JOURNAL_FILE, "meta.json"]
 
 
 def test_write_snapshot_is_atomic_and_checksummed(tmp_path):

@@ -2,7 +2,8 @@
 
 * one ``write`` + ``flush`` per record, each line whole, before the
   run proceeds; a crc on every line and on every snapshot;
-* a task's ``exec`` record is on disk before its payload is invoked;
+* a task's ``exec`` record is on disk before its payload is invoked,
+  and only a task with a payload has one;
 * one fsync per ``snapshot()`` (none under ``fsync="never"``); a run
   under ``fsync="snapshot"`` syncs at its header, its snapshots and its
   finish, and at its close only when it stopped before finishing; a
@@ -154,6 +155,32 @@ def test_exec_is_on_disk_before_the_payload_runs(tmp_path):
     chaos_run(tmp_path, prepare=install)
     state, _info = replay_journal(tmp_path)
     assert len(seen) == sum(state.exec_counts.values()) >= 8
+
+
+def test_only_a_task_with_a_payload_has_an_exec_record(tmp_path):
+    chaos_run(tmp_path / "bare")
+    records, _torn = read_records(tmp_path / "bare" / JOURNAL_FILE)
+    assert records[-1]["type"] == "finish"
+    assert not [r for r in records if r["type"] == "event"
+                and r["data"]["category"] == EXEC_CATEGORY]
+
+    ran = []
+
+    def install(_journal, graph):
+        def payload():
+            records, torn = read_records(tmp_path / "paid" / JOURNAL_FILE)
+            last = [r["data"] for r in records
+                    if r["type"] == "event"][-1]
+            assert not torn
+            assert last["category"] == EXEC_CATEGORY
+            assert last["args"]["task"] == "t3"
+            ran.append(None)
+        graph.tasks["t3"].payload = payload
+
+    chaos_run(tmp_path / "paid", prepare=install)
+    state, _info = replay_journal(tmp_path / "paid")
+    assert state.exec_counts == {"t3": len(ran)}
+    assert ran
 
 
 def test_format_versions_have_not_moved():
@@ -319,9 +346,13 @@ def test_parent_written_run_replays_to_this_builds_summary(tmp_path):
     }
     assert theirs.pop("events") == 72
     mine = ours.summary()
-    assert mine.pop("events") == 26
+    assert mine.pop("events") == 18
+    # the parent wrote an ``exec`` record per task attempt; the run's
+    # tasks have no payload, so this build writes none
+    assert theirs.pop("executions") == 8
+    assert mine.pop("executions") == 0
     assert mine == theirs
-    assert ours.exec_counts == full.exec_counts
+    assert ours.exec_counts == {}
     assert ours.completions == full.completions
 
 

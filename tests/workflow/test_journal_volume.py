@@ -2,12 +2,12 @@
 
 The journal's only reader is the fold in :mod:`repro.workflow.replay`,
 so the journal keeps the four tracer categories that fold reads
-(``JOURNALED_CATEGORIES``: completions, payload-invocation points,
-faults, recoveries) and nothing else. Four things are pinned here:
+(``JOURNALED_CATEGORIES``: completions, payload invocations, faults,
+recoveries) and nothing else. Four things are pinned here:
 
-* **volume** — a fault-free run writes exactly two ``event`` records
-  per task, and a chaos run exactly one per execution, completion,
-  fault and recovery;
+* **volume** — a fault-free run writes exactly one ``event`` record
+  per task, and one more per task given a payload; a chaos run
+  exactly one per payload invocation, completion, fault and recovery;
 * **one kind of recovery point** — a run writes one snapshot record
   and file per ``snapshot_every`` events and no other, task faults in
   its schedule or not;
@@ -55,6 +55,12 @@ FOLDED = ("exec_counts", "completions", "faults", "recoveries",
           "last_time", "digest")
 
 
+def give_payloads(graph, names):
+    """A do-nothing payload for each named task."""
+    for name in names:
+        graph.tasks[name].payload = lambda: None
+
+
 def journaled_run(directory, graph, pool, chaos=None, **journal_options):
     """One journaled run; returns (journal records, session tracer)."""
     session = Tracer()
@@ -67,9 +73,12 @@ def journaled_run(directory, graph, pool, chaos=None, **journal_options):
     return records, session
 
 
-def chaos_run(directory, graph_seed, fault_seed, **journal_options):
-    """One cell of the 5 x 4 chaos grid, journaled."""
+def chaos_run(directory, graph_seed, fault_seed, paid=(),
+              **journal_options):
+    """One cell of the 5 x 4 chaos grid, journaled; the ``paid`` tasks
+    have a payload."""
     graph = random_task_graph(graph_seed, num_tasks=10)
+    give_payloads(graph, paid)
     pool = make_pool(3)
     schedule = generate_schedule(
         graph, [worker.name for worker in pool], fault_seed, CONFIG
@@ -114,19 +123,23 @@ def test_the_table_names_four_categories():
 
 
 def test_fault_free_run_writes_two_event_records_per_task(tmp_path):
+    # two for a task given a payload, one for every other task
     graph = random_task_graph(1, 150)
+    paid = sorted(graph.tasks)[::3]
+    give_payloads(graph, paid)
     snapshot_every = 100
     records, session = journaled_run(
         tmp_path, graph, make_pool(8, 2), snapshot_every=snapshot_every
     )
     events = [r["data"] for r in records if r["type"] == "event"]
-    assert len(events) == 2 * len(graph.tasks)
-    for category in (EXEC_CATEGORY, TASK_CATEGORY):
+    assert len(events) == len(graph.tasks) + len(paid) == 200
+    for category, tasks in ((EXEC_CATEGORY, paid),
+                            (TASK_CATEGORY, graph.tasks)):
         per_task = Counter(
             data["args"]["task"] for data in events
             if data["category"] == category
         )
-        assert per_task == dict.fromkeys(graph.tasks, 1), category
+        assert per_task == dict.fromkeys(tasks, 1), category
     assert Counter(r["type"] for r in records) == {
         "header": 1,
         "event": len(events),
@@ -155,14 +168,18 @@ def test_chaos_run_writes_one_record_per_folded_transition(
 
 @pytest.mark.parametrize("fault_seed", FAULT_SEEDS)
 def test_event_records_carry_only_the_folded_fields(fault_seed, tmp_path):
-    records, _session = chaos_run(tmp_path, 0, fault_seed)
-    events = [r["data"] for r in records if r["type"] == "event"]
-    assert {data["category"] for data in events} \
-        == set(JOURNALED_CATEGORIES)
-    for data in events:
-        assert set(data) == {"args", "category", "dur", "name", "phase",
-                             "ts"}
-        assert set(data["args"]) <= {"task"}
+    # no ``exec`` record without a payload; the full table with one
+    for paid, categories in (
+            ((), set(JOURNALED_CATEGORIES) - {EXEC_CATEGORY}),
+            (("t0",), set(JOURNALED_CATEGORIES))):
+        directory = tmp_path / f"paid-{len(paid)}"
+        records, _session = chaos_run(directory, 0, fault_seed, paid)
+        events = [r["data"] for r in records if r["type"] == "event"]
+        assert {data["category"] for data in events} == categories
+        for data in events:
+            assert set(data) == {"args", "category", "dur", "name",
+                                 "phase", "ts"}
+            assert set(data["args"]) <= {"task"}
 
 
 @pytest.mark.parametrize("fault_seed", FAULT_SEEDS)
