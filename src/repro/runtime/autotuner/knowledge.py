@@ -11,7 +11,7 @@ few invocations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.variants import Variant
 from repro.errors import RuntimeSystemError
@@ -22,10 +22,11 @@ from repro.utils.validation import check_in_range, check_positive
 class OperatingPoint:
     """One selectable configuration of a kernel.
 
-    ``is_hardware``, ``dift`` and ``accuracy`` (output quality, 1.0 =
-    exact) are copied from the variant once: a packaged variant's knobs
-    are frozen and its cost is not mutated after packaging, and the
-    decision maker reads them for every point on every invocation.
+    ``is_hardware``, ``dift``, ``accuracy`` (output quality, 1.0 =
+    exact) and ``label`` (the knobs' description) are copied from the
+    variant once: a packaged variant's knobs are frozen and its cost is
+    not mutated after packaging, and the decision maker and the
+    executor read them on every invocation.
     """
 
     variant: Variant
@@ -36,11 +37,13 @@ class OperatingPoint:
     is_hardware: bool = field(init=False)
     dift: bool = field(init=False)
     accuracy: float = field(init=False)
+    label: str = field(init=False)
 
     def __post_init__(self):
         self.is_hardware = self.variant.is_hardware
         self.dift = self.variant.knobs.dift
         self.accuracy = self.variant.cost.accuracy
+        self.label = self.variant.knobs.describe()
 
     @property
     def expected_latency_s(self) -> float:
@@ -75,6 +78,8 @@ class KnowledgeBase:
 
     def __init__(self):
         self._points: Dict[str, List[OperatingPoint]] = {}
+        # (kernel, variant id) -> the first point registered for it
+        self._by_id: Dict[Tuple[str, int], OperatingPoint] = {}
 
     def add_variant(self, variant: Variant) -> OperatingPoint:
         """Register a compile-time variant as an operating point."""
@@ -84,6 +89,7 @@ class KnowledgeBase:
             predicted_energy_j=variant.cost.energy_j,
         )
         self._points.setdefault(variant.kernel, []).append(point)
+        self._by_id.setdefault((variant.kernel, variant.variant_id), point)
         return point
 
     def load_package(self, package) -> None:
@@ -106,7 +112,4 @@ class KnowledgeBase:
 
     def find(self, kernel: str, variant_id: int) -> Optional[OperatingPoint]:
         """Locate the point wrapping a specific variant."""
-        for point in self._points.get(kernel, []):
-            if point.variant.variant_id == variant_id:
-                return point
-        return None
+        return self._by_id.get((kernel, variant_id))

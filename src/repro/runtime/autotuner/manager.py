@@ -16,7 +16,10 @@ expectations of variants sharing the contended resource.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import compress, count
+from operator import attrgetter, ne
 from typing import Dict, Optional
 
 from repro.errors import RuntimeSystemError
@@ -33,6 +36,9 @@ from repro.runtime.autotuner.knowledge import (
 
 #: Tracer category for autotuner adaptation decisions.
 TUNER_CATEGORY = "autotuner.decision"
+
+#: A point's runtime feedback, read for a whole candidate list at once.
+_corrections = attrgetter("latency_correction", "energy_correction")
 
 
 @dataclass
@@ -66,6 +72,9 @@ class ApplicationManager:
         self.goal = goal
         self.selections: Dict[str, int] = {}  # kernel -> variant_id
         self.switches = 0
+        # kernel -> its last select's (points, key, candidates, their
+        # corrections and scores as last read, index of the winner)
+        self._memos: Dict[str, tuple] = {}
 
     # ------------------------------------------------------------------
 
@@ -77,21 +86,18 @@ class ApplicationManager:
     ) -> OperatingPoint:
         """Pick the operating point for the next invocation.
 
-        One pass over the kernel's points: everything that depends only
-        on the call (the data-feature factors, the contention or load
-        inflation) is computed once per target class, and the first
-        point with the least ``(infeasible, objective)`` wins.
+        Everything that depends only on the call (the filter flags, the
+        data-feature factors, the contention or load inflation, the
+        goal) is computed once per target class, and the first point
+        with the least ``(infeasible, objective)`` wins. A call that
+        matches the kernel's last one in all of these and in its points
+        re-scores only the candidates whose corrections moved since;
+        the winner is re-derived from every stored score only when it
+        got worse or several points moved.
         """
         state = (state or SystemState()).clamp()
         features = features or NOMINAL
         points = self.knowledge.points_for(kernel)
-        # auto-protection: under attack, only tracked variants; fall
-        # back to the full list rather than dying
-        candidates = [
-            point for point in points
-            if (state.fpga_available or not point.is_hardware)
-            and (point.dift or not state.security_alert)
-        ] or points
         hardware = (features.latency_factor(True),
                     1.0 + 3.0 * state.fpga_contention,
                     features.energy_factor(True))
@@ -99,18 +105,46 @@ class ApplicationManager:
                     1.0 + 2.0 * state.cpu_load,
                     features.energy_factor(False))
         goal = self.goal
-        best = best_score = None
-        for point in candidates:
+        key = (state.fpga_available, state.security_alert, hardware,
+               software, goal, len(points))
+        memo = self._memos.get(kernel)
+        if memo is None or memo[0] is not points or memo[1] != key:
+            # auto-protection: under attack, only tracked variants; fall
+            # back to the full list rather than dying
+            candidates = [
+                point for point in points
+                if (state.fpga_available or not point.is_hardware)
+                and (point.dift or not state.security_alert)
+            ] or points
+            unread = [None] * len(candidates)
+            memo = (points, key, candidates, unread, list(unread), None)
+        _, _, candidates, last, scores, winner = memo
+        corrections = list(map(_corrections, candidates))
+        moved = list(compress(count(), map(ne, corrections, last)))
+        for index in moved:
+            point = candidates[index]
             latency_factor, inflation, energy_factor = (
                 hardware if point.is_hardware else software)
-            latency = (point.predicted_latency_s * point.latency_correction
+            latency_correction, energy_correction = corrections[index]
+            latency = (point.predicted_latency_s * latency_correction
                        * latency_factor * inflation)
-            energy = (point.predicted_energy_j * point.energy_correction
+            energy = (point.predicted_energy_j * energy_correction
                       * energy_factor)
-            score = (not goal.satisfied(point.accuracy),
-                     goal.objective(latency, energy))
-            if best is None or score < best_score:
-                best, best_score = point, score
+            before, scores[index] = scores[index], (
+                not goal.satisfied(point.accuracy),
+                goal.objective(latency, energy))
+        # one moved point that is not a winner gone worse: ``(score,
+        # index)`` orders it against the winner as the scan would, since
+        # scores are finite (``report`` refuses other measurements)
+        if len(moved) == 1 and winner is not None and (
+                moved[0] != winner or scores[winner] <= before):
+            winner = min((scores[winner], winner),
+                         (scores[moved[0]], moved[0]))[1]
+        elif moved:
+            winner = min(range(len(scores)), key=scores.__getitem__)
+        self._memos[kernel] = (points, key, candidates, corrections, scores,
+                               winner)
+        best = candidates[winner]
         previous = self.selections.get(kernel)
         switched = (
             previous is not None
@@ -132,7 +166,7 @@ class ApplicationManager:
             tracer.instant(
                 "switch" if switched else "select",
                 category=TUNER_CATEGORY, kernel=kernel,
-                variant=best.variant.knobs.describe(),
+                variant=best.label,
                 previous=-1 if previous is None else previous,
                 fpga_available=state.fpga_available,
                 security_alert=state.security_alert,
@@ -155,4 +189,10 @@ class ApplicationManager:
             raise RuntimeSystemError(
                 f"reporting for unknown point of kernel {kernel!r}"
             )
+        for value in (latency_s, energy_j):
+            if not 0.0 <= value < math.inf:
+                raise RuntimeSystemError(
+                    f"measurement for kernel {kernel!r} must be finite "
+                    f"and non-negative, got {value!r}"
+                )
         point.observe(latency_s, energy_j)

@@ -18,7 +18,7 @@ simulated node, wiring together all of Fig. 2:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.compiler import CompiledApplication
@@ -200,12 +200,7 @@ class RuntimeExecutor:
         state = (state or SystemState()).clamp()
         features = features or NOMINAL
         if self.protection.dift_forced:
-            state = SystemState(
-                fpga_available=state.fpga_available,
-                fpga_contention=state.fpga_contention,
-                cpu_load=state.cpu_load,
-                security_alert=True,
-            )
+            state = replace(state, security_alert=True)
         result = RoundResult(index=index, latency_s=0.0, energy_j=0.0)
         for kernel in self._kernels:
             point = self._select(kernel, state, features)
@@ -221,7 +216,7 @@ class RuntimeExecutor:
                                                node=self.node.name)
             result.latency_s += latency + reconfig
             result.energy_j += energy
-            result.selections[kernel] = point.variant.knobs.describe()
+            result.selections[kernel] = point.label
         return result
 
     def run(

@@ -127,11 +127,11 @@ class Orchestrator:
             kernel = graph.tasks[task_name].kernel
             state = SystemState(fpga_available=node.has_fpga)
             point = manager.select(kernel, state)
-            selections[task_name] = point.variant.knobs.describe()
+            selections[task_name] = point.label
             tracer.instant(
                 "variant-selected", category=RUNTIME_CATEGORY,
                 task=task_name, node=node_name, kernel=kernel,
-                variant=point.variant.knobs.describe(),
+                variant=point.label,
                 expected_latency_s=point.expected_latency_s,
             )
             # the selected variant's expected latency refines the

@@ -17,7 +17,7 @@ def check_positive(name: str, value: float) -> float:
 
 def check_non_negative(name: str, value: float) -> float:
     """Require ``value >= 0`` and return it."""
-    if value < 0:
+    if not value >= 0:
         raise ValueError(f"{name} must be non-negative, got {value!r}")
     return value
 

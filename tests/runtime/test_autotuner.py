@@ -164,6 +164,41 @@ class TestApplicationManager:
         manager.report("k", own_point, 2.2e-6, 1e-6)
         assert own_point.latency_correction > 1.0
 
+    @pytest.mark.parametrize("latency, energy, bad", [
+        (float("nan"), 1e-6, "nan"), (-5.0, 1e-6, "-5.0"),
+        (1e-6, float("inf"), "inf"), (1e-6, -1e-9, "-1e-09"),
+    ])
+    def test_report_rejects_a_measurement_out_of_range(
+            self, knowledge, latency, energy, bad):
+        manager = ApplicationManager(knowledge)
+        point = manager.select("k")
+        with pytest.raises(RuntimeSystemError,
+                           match=f"kernel 'k' .* got {bad}$"):
+            manager.report("k", point, latency, energy)
+        assert point.latency_correction == point.energy_correction == 1.0
+        assert manager.select("k") is point
+
+    def test_select_reads_a_replaced_knowledge_base(self, knowledge):
+        manager = ApplicationManager(knowledge)
+        manager.select("k")
+        twin = KnowledgeBase()
+        for point in knowledge.points_for("k"):
+            twin.add_variant(point.variant)
+        manager.knowledge = twin
+        assert manager.select("k") is twin.points_for("k")[1]
+
+    def test_a_tie_goes_back_to_the_first_point(self):
+        base = KnowledgeBase()
+        first = base.add_variant(make_variant("k", "cpu", 2e-6, 2e-6))
+        second = base.add_variant(make_variant("k", "cpu", 2e-6, 2e-6,
+                                               threads=2))
+        manager = ApplicationManager(base)
+        assert manager.select("k") is first
+        manager.report("k", second, 1e-6, 2e-6)
+        assert manager.select("k") is second
+        manager.report("k", first, 1e-6, 2e-6)
+        assert manager.select("k") is first
+
     def test_goal_switch_changes_selection(self):
         """§IV: the optimization goal (performance vs energy) is a
         first-class selection input and can change at run time."""
@@ -280,18 +315,47 @@ goals = st.builds(
     min_accuracy=st.none() | st.floats(min_value=0.5, max_value=1.0),
 )
 
+#: What may happen after a select: nothing, a measurement fed back
+#: (through this manager, straight into a point or through a second
+#: manager of the same knowledge base; into the point just chosen or
+#: any other), a new goal, or a new point.
+events = st.none() | st.tuples(
+    st.sampled_from(["report", "observe", "other"]),
+    st.none() | st.integers(min_value=0, max_value=8),
+    # ratios from a pool make equal points tie again after feedback
+    st.sampled_from([0.5, 2.0]) | st.floats(min_value=0.1, max_value=10.0),
+) | st.tuples(st.just("goal"), goals) | st.tuples(
+    st.just("add"), point_specs.map(lambda specs: specs[0]),
+)
+
+#: A call's state and its features are each the last call's again
+#: (``None``) or new ones, often from a pool so that later calls match.
 calls = st.lists(
     st.tuples(
-        st.builds(SystemState, fpga_available=st.booleans(),
-                  fpga_contention=unit, cpu_load=unit,
-                  security_alert=st.booleans()),
-        st.builds(DataFeatures, sparsity=unit, burstiness=unit),
-        # a measurement fed back after the call: (point index, ratio)
-        st.none() | st.tuples(st.integers(min_value=0, max_value=7),
-                              st.floats(min_value=0.1, max_value=10.0)),
+        st.none() | st.sampled_from([
+            SystemState(), SystemState(cpu_load=0.5),
+            SystemState(fpga_available=False),
+            SystemState(security_alert=True),
+        ]) | st.builds(SystemState, fpga_available=st.booleans(),
+                       fpga_contention=unit, cpu_load=unit,
+                       security_alert=st.booleans()),
+        st.none() | st.sampled_from([DataFeatures(),
+                                     DataFeatures(sparsity=0.5)])
+        | st.builds(DataFeatures, sparsity=unit, burstiness=unit),
+        events,
     ),
-    min_size=1, max_size=6,
+    min_size=1, max_size=10,
 )
+
+
+def add_point(base, spec):
+    target, dift, (latency, energy, accuracy) = spec
+    base.add_variant(Variant(
+        kernel="k",
+        knobs=VariantKnobs(target=target, dift=dift),
+        cost=CostEstimate(latency_s=latency, energy_j=energy,
+                          accuracy=accuracy),
+    ))
 
 
 class TestSelectionEquivalence:
@@ -299,18 +363,16 @@ class TestSelectionEquivalence:
     @given(specs=point_specs, goal=goals, sequence=calls)
     def test_select_matches_the_oracle(self, specs, goal, sequence):
         base = KnowledgeBase()
-        for target, dift, (latency, energy, accuracy) in specs:
-            base.add_variant(Variant(
-                kernel="k",
-                knobs=VariantKnobs(target=target, dift=dift),
-                cost=CostEstimate(latency_s=latency, energy_j=energy,
-                                  accuracy=accuracy),
-            ))
+        for spec in specs:
+            add_point(base, spec)
         points = base.points_for("k")
         manager = ApplicationManager(base, goal=goal)
+        other = ApplicationManager(base, goal=Goal(GoalKind.ENERGY))
         previous, switches = None, 0
-        for state, features, feedback in sequence:
-            expected = oracle_select(points, goal, state, features)
+        state, features = SystemState(), DataFeatures()
+        for new_state, new_features, event in sequence:
+            state, features = new_state or state, new_features or features
+            expected = oracle_select(points, manager.goal, state, features)
             chosen = manager.select("k", state, features)
             assert chosen is expected
             if previous is not None and \
@@ -318,10 +380,22 @@ class TestSelectionEquivalence:
                 switches += 1
             previous = expected.variant.variant_id
             assert manager.switches == switches
-            if feedback is not None:
-                index, ratio = feedback
-                point = points[index % len(points)]
-                manager.report(
-                    "k", point, point.predicted_latency_s * ratio,
-                    point.predicted_energy_j * ratio,
-                )
+            kind = event and event[0]
+            if kind in ("report", "observe", "other"):
+                _, index, ratio = event
+                point = chosen if index is None else \
+                    points[index % len(points)]
+                measured = (point.predicted_latency_s * ratio,
+                            point.predicted_energy_j * ratio)
+                if kind == "observe":
+                    point.observe(*measured)
+                elif kind == "other":
+                    assert other.select("k", state, features) is \
+                        oracle_select(points, other.goal, state, features)
+                    other.report("k", point, *measured)
+                else:
+                    manager.report("k", point, *measured)
+            elif kind == "goal":
+                manager.goal = event[1]
+            elif kind == "add":
+                add_point(base, event[1])

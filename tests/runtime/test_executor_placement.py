@@ -15,6 +15,7 @@ from repro.core.variants import CostEstimate, Variant, VariantKnobs
 from repro.errors import RuntimeSystemError
 from repro.platform.topology import build_reference_ecosystem
 from repro.runtime.autotuner.data_features import DataFeatures
+from repro.runtime.autotuner.goals import Goal
 from repro.runtime.autotuner.knowledge import KnowledgeBase
 from repro.runtime.autotuner.manager import (
     ApplicationManager,
@@ -195,39 +196,75 @@ class TestExecutorGolden:
         assert digest == "3d8e393422e3e337"
 
 
+def knowledge_of(count):
+    """``count`` points of kernel ``k``, alternating CPU and FPGA."""
+    base = KnowledgeBase()
+    for index in range(count):
+        base.add_variant(Variant(
+            kernel="k",
+            knobs=VariantKnobs(
+                target="fpga" if index % 2 else "cpu",
+                threads=index + 1, unroll=index + 1,
+            ),
+            cost=CostEstimate(latency_s=1e-6 * (index + 1),
+                              energy_j=1e-6 * (count - index)),
+        ))
+    return base
+
+
+def count_calls(monkeypatch, cls, name):
+    """Count the calls of ``cls.name`` from now on."""
+    calls, original = [], getattr(cls, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
 class TestCallCounts:
     """A select's and a round's cost do not grow with repeated work."""
 
     @pytest.mark.parametrize("count", [3, 60])
     def test_select_reads_each_feature_factor_at_most_twice(
             self, monkeypatch, count):
-        base = KnowledgeBase()
-        for index in range(count):
-            base.add_variant(Variant(
-                kernel="k",
-                knobs=VariantKnobs(
-                    target="fpga" if index % 2 else "cpu",
-                    threads=index + 1, unroll=index + 1,
-                ),
-                cost=CostEstimate(latency_s=1e-6 * (index + 1),
-                                  energy_j=1e-6 * (count - index)),
-            ))
-        calls = Counter()
-        for name in ("latency_factor", "energy_factor"):
-            original = getattr(DataFeatures, name)
-
-            def counted(self, is_hardware, _name=name,
-                        _original=original):
-                calls[_name] += 1
-                return _original(self, is_hardware)
-
-            monkeypatch.setattr(DataFeatures, name, counted)
+        base = knowledge_of(count)
+        latency = count_calls(monkeypatch, DataFeatures, "latency_factor")
+        energy = count_calls(monkeypatch, DataFeatures, "energy_factor")
         ApplicationManager(base).select(
             "k", SystemState(fpga_contention=0.4),
             DataFeatures(sparsity=0.2),
         )
-        assert calls["latency_factor"] <= 2
-        assert calls["energy_factor"] <= 2
+        assert len(latency) <= 2
+        assert len(energy) <= 2
+
+    def test_repeated_select_scores_no_point(self, monkeypatch):
+        manager = ApplicationManager(knowledge_of(60))
+        state = SystemState(fpga_contention=0.4, cpu_load=0.1)
+        features = DataFeatures(sparsity=0.2)
+        first = manager.select("k", state, features)
+        calls = count_calls(monkeypatch, Goal, "objective")
+        assert manager.select("k", SystemState(
+            fpga_contention=0.4, cpu_load=0.1), features) is first
+        assert calls == []
+
+    def test_select_after_a_report_scores_one_point(self, monkeypatch):
+        manager = ApplicationManager(knowledge_of(60))
+        point = manager.select("k")
+        manager.report("k", point, 5 * point.predicted_latency_s,
+                       point.predicted_energy_j)
+        calls = count_calls(monkeypatch, Goal, "objective")
+        manager.select("k")
+        assert len(calls) == 1
+
+    def test_rounds_describe_each_point_at_most_once(self, app,
+                                                      monkeypatch):
+        calls = count_calls(monkeypatch, VariantKnobs, "describe")
+        executor = RuntimeExecutor(app)
+        executor.run(100)
+        assert len(calls) <= len(executor.knowledge.points_for("scale"))
 
     def test_rounds_do_not_reorder_the_graph(self, app, monkeypatch):
         executor = RuntimeExecutor(app)
