@@ -83,8 +83,7 @@ def main() -> None:
 
     leak_blocked = False
     try:
-        tracker.check_egress("detrend.out0", encrypted=False,
-                             egress="debug-dump")
+        tracker.check_egress("detrend.out0", encrypted=False)
     except SecurityError as exc:
         leak_blocked = True
         print(f"  BLOCKED unencrypted export: {exc}")

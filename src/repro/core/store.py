@@ -7,10 +7,13 @@ shard, so a cache whose entries are made and wanted together — the
 cost cache's points of one kernel — gives them one prefix and gets one
 file, read once and appended to, where a file per entry cost a
 directory and an inode each. A shard is
-``<dir>/<shard[:2]>/<shard>.json``: one envelope per line, a key's
-last line being its entry::
+``<dir>/<shard[:2]>/<shard>.json``: one sealed envelope per line, a
+key's last line being its entry::
 
-    {"version": STORE_VERSION, "key": ..., "kind": ..., "payload": ...}
+    {"key":...,"kind":...,"payload":...,"version":STORE_VERSION,"crc":...}
+
+The crc covers the key, so a payload moved under another key is a
+miss, not a hit.
 
 :meth:`ContentStore.write` takes a batch of entries and gives each
 shard its lines — the lines the entries would get one by one, in their
@@ -24,6 +27,17 @@ or that the decoder rejects is a counted *miss*, overwritten by the
 next write — never an exception. :class:`repro.core.dse.cache.CostCache`
 and :class:`repro.core.analysis.cache.AnalysisCache` add key recipes
 and hold no storage code of their own.
+
+One line codec seals every line the store and the run journal write.
+:func:`seal` gives a record as compact, key-sorted JSON with
+``,"crc":"<12 hex>"`` spliced in before its closing brace: a truncated
+SHA-256 of the JSON without it. :func:`unseal` checks the crc over the
+line's own bytes — the line with its crc member cut out, last as
+:func:`seal` writes it or first as in older, key-sorted journal
+snapshots — and only then parses. :func:`sealed_lines` reads a file of
+such lines. Each layer keeps its own policy above it: the store its
+version, shard and torn-append rules, the journal its torn tail,
+sequence and format-version checks.
 
 One codec turns every record the store (and the run journal's
 snapshots) hold into JSON and back. :func:`encode` gives a record's
@@ -50,6 +64,7 @@ raise :class:`ValueError`), which a read counts as a miss.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import threading
@@ -64,11 +79,13 @@ from typing import (
 
 #: Bump when the on-disk envelope changes incompatibly; entries of any
 #: other version read as misses.
-STORE_VERSION = "3"
+STORE_VERSION = "4"
 
-#: One shard-line serializer (``json.dumps`` would build a new encoder
-#: per line).
-_ENVELOPE = json.JSONEncoder(sort_keys=True)
+#: One serializer for every sealed line (``json.dumps`` would build a
+#: new encoder per call). Every sealed record is built by its writer,
+#: so none holds a cycle.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                            check_circular=False)
 
 #: How a shard file is opened for a write: created when missing, every
 #: write landing at its end.
@@ -240,8 +257,8 @@ class ContentStore:
 
     def _line(self, key: str) -> str:
         kind, payload = self._memory[key]
-        return _ENVELOPE.encode({"version": STORE_VERSION, "key": key,
-                                 "kind": kind, "payload": payload}) + "\n"
+        return seal({"version": STORE_VERSION, "key": key, "kind": kind,
+                     "payload": payload}) + "\n"
 
     def _append(self, shard: str, data: bytes) -> None:
         """``data`` added to a shard file by one ``os.write`` on an
@@ -337,27 +354,79 @@ def _shard_of(key: str) -> str:
 def _shard_entries(path: Path
                    ) -> Iterator[Tuple[int, Optional[Tuple[str, str, Any]]]]:
     """``(bytes, (key, kind, payload))`` per line of a shard file, the
-    entry None where the line is no current-version envelope of a key
-    of this shard, or lacks its newline (a torn append)."""
+    entry None where the line is no sealed current-version envelope of
+    a key of this shard, or lacks its newline (a torn append); nothing
+    for a file that cannot be read."""
     try:
-        lines = path.read_bytes().splitlines(keepends=True)
+        for _offset, line, entry in sealed_lines(path):
+            sound = (entry is not None
+                     and line.endswith(b"\n")
+                     and entry.get("version") == STORE_VERSION
+                     and isinstance(entry.get("key"), str)
+                     and _shard_of(entry["key"]) == path.stem
+                     and isinstance(entry.get("kind"), str)
+                     and "payload" in entry)
+            yield len(line), (
+                (entry["key"], entry["kind"], entry["payload"])
+                if sound else None)
     except OSError:
         return
+
+
+# ---------------------------------------------------------------------
+# The line codec.
+
+#: Bytes a crc member takes at either end of a line: ``,"crc":"<12
+#: hex>"}`` last, as :func:`seal` splices it, or ``{"crc":"<12 hex>",``
+#: first, as older key-sorted journal snapshots hold it.
+_MEMBER = 22
+
+
+def _crc(body: bytes) -> bytes:
+    return hashlib.sha256(body).hexdigest()[:12].encode()
+
+
+def seal(record: Dict[str, Any]) -> str:
+    """One line (no newline) for a non-empty record: its compact,
+    key-sorted JSON with its crc spliced in as the last member."""
+    body = _ENCODER.encode(record)
+    return f'{body[:-1]},"crc":"{_crc(body.encode()).decode()}"}}'
+
+
+def unseal(line: Union[bytes, str]) -> Dict[str, Any]:
+    """The record a sealed line holds, crc removed; raises
+    :class:`ValueError` unless its crc matches its own bytes."""
+    if isinstance(line, str):
+        line = line.encode()
+    line = line.strip()
+    if line[-_MEMBER:-14] == b',"crc":"' and line.endswith(b'"}'):
+        crc, body = line[-14:-2], line[:-_MEMBER] + b"}"
+    elif line.startswith(b'{"crc":"') and line[20:_MEMBER] == b'",':
+        crc, body = line[8:20], b"{" + line[_MEMBER:]
+    else:
+        raise ValueError("no crc member")
+    if _crc(body) != crc:
+        raise ValueError("checksum mismatch")
+    # a body opened by ``{`` or closed by ``}`` parses to an object or
+    # not at all
+    return json.loads(body)
+
+
+def sealed_lines(path: os.PathLike
+                 ) -> Iterator[Tuple[int, bytes, Optional[Dict[str, Any]]]]:
+    """``(byte offset, line, record)`` per ``\\n``-ended line of a file
+    (the last may lack it), the record None where the line does not
+    unseal. A file that cannot be read raises :class:`OSError`."""
+    with open(path, "rb") as handle:
+        lines = handle.readlines()
+    offset = 0
     for line in lines:
         try:
-            entry = json.loads(line)
+            record = unseal(line)
         except ValueError:
-            entry = None
-        sound = (line.endswith(b"\n")
-                 and isinstance(entry, dict)
-                 and entry.get("version") == STORE_VERSION
-                 and isinstance(entry.get("key"), str)
-                 and _shard_of(entry["key"]) == path.stem
-                 and isinstance(entry.get("kind"), str)
-                 and "payload" in entry)
-        yield len(line), (
-            (entry["key"], entry["kind"], entry["payload"])
-            if sound else None)
+            record = None
+        yield offset, line, record
+        offset += len(line)
 
 
 # ---------------------------------------------------------------------

@@ -34,15 +34,18 @@ Format — one record per line::
 
     {"seq": N, "type": T, "data": {...}, "crc": "<12 hex>"}
 
-``crc`` is a truncated SHA-256 over the canonical serialization of
-the record *without* the crc field. Records are appended with a
-single ``write`` + ``flush`` each (so a torn write can only be the
-final line) and fsync'd per the journal's ``fsync`` policy. The
-reader tolerates a torn *final* record — the tail of an append cut
-short by a crash — but a corrupt or out-of-sequence record anywhere
-else raises a ``WF007`` diagnostic naming the byte offset, and a
-journal or snapshot written by a different format version is rejected
-with ``WF008``.
+Each line is sealed by :func:`repro.core.store.seal`, the line codec
+the caches use too: ``crc`` is a truncated SHA-256 over the compact,
+key-sorted JSON of the record *without* the crc field, and
+:func:`repro.core.store.unseal` checks it over the line's own bytes.
+Records are appended with a single ``write`` + ``flush`` each (so a
+torn write can only be the final line) and fsync'd per the journal's
+``fsync`` policy. The reader, :func:`read_records` over
+:func:`repro.core.store.sealed_lines`, tolerates a torn *final*
+record — the tail of an append cut short by a crash — but a corrupt
+or out-of-sequence record anywhere else raises a ``WF007`` diagnostic
+naming the byte offset, and a journal or snapshot written by a
+different format version is rejected with ``WF008``.
 
 Periodic snapshots (``snapshot-<seq>.json`` beside the journal)
 capture the folded :class:`ReplayState` so resume cost is O(tail),
@@ -52,13 +55,12 @@ holds: recovery is re-execution from the newest one, never a rewind.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.store import decode, encode
+from repro.core.store import decode, encode, seal, sealed_lines, unseal
 from repro.diagnostics import diagnosed_error
 from repro.errors import JournalError
 from repro.workflow.replay import (
@@ -94,97 +96,45 @@ def journal_error(code: str, message: str, anchor: str) -> JournalError:
 
 
 # ---------------------------------------------------------------------------
-# record encoding
-
-
-#: One encoder for every record: ``json.dumps`` with these arguments
-#: would build a new one per call, on the hot path of every append.
-#: The journal builds every record itself, so none holds a cycle.
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
-                            check_circular=False)
-
-
-def _canonical(payload: Dict) -> str:
-    """Deterministic serialization shared by writer and checksums."""
-    return _ENCODER.encode(payload)
-
-
-def _checksum(text: str) -> str:
-    """Truncated SHA-256 of the canonical record body."""
-    return hashlib.sha256(text.encode()).hexdigest()[:12]
-
-
-def _sealed(payload: Dict) -> str:
-    """``payload`` serialized once, its crc spliced in as the last key.
-
-    Splicing rather than re-dumping with the crc added keeps one
-    encode per record on the hot path of every journaled event and
-    one per snapshot (readers pop the crc before verifying, so its
-    position in the object is immaterial).
-    """
-    canonical = _canonical(payload)
-    return f'{canonical[:-1]},"crc":"{_checksum(canonical)}"}}'
+# records
 
 
 def encode_record(seq: int, kind: str, data: Dict) -> str:
     """One journal line (no trailing newline) for a record."""
-    return _sealed({"seq": seq, "type": kind, "data": data})
-
-
-def decode_line(line: str) -> Dict:
-    """Parse and verify one journal line; raises ValueError if bad."""
-    record = json.loads(line)
-    if not isinstance(record, dict):
-        raise ValueError("record is not an object")
-    crc = record.pop("crc", None)
-    expected = _checksum(_canonical(
-        {"seq": record["seq"], "type": record["type"],
-         "data": record["data"]}
-    ))
-    if crc != expected:
-        raise ValueError(f"checksum mismatch ({crc!r} != {expected!r})")
-    return record
+    return seal({"seq": seq, "type": kind, "data": data})
 
 
 def read_records(path) -> Tuple[List[Dict], bool]:
     """All valid records of a journal file, in order.
 
     Returns ``(records, torn_tail)``. A final record that fails to
-    parse or checksum is a torn write — the crash interrupted the last
-    append — and is dropped with ``torn_tail=True``. Any earlier bad
-    record, or a sequence-number gap, is corruption: ``WF007`` names
-    the byte offset. A header from another format version raises
-    ``WF008``.
+    unseal is a torn write — the crash interrupted the last append —
+    and is dropped with ``torn_tail=True``. Any earlier bad record, or
+    a sequence-number gap, is corruption: ``WF007`` names the byte
+    offset. A header from another format version raises ``WF008``.
     """
-    path = Path(path)
-    if not path.exists():
+    if not os.path.exists(path):
         return [], False
-    raw = path.read_bytes()
     records: List[Dict] = []
-    offset = 0
-    entries = []  # (byte offset, line text)
-    for chunk in raw.split(b"\n"):
-        if chunk:
-            entries.append((offset, chunk))
-        offset += len(chunk) + 1
-    for index, (start, chunk) in enumerate(entries):
-        try:
-            record = decode_line(chunk.decode("utf-8", "strict"))
-            if record["seq"] != len(records):
-                raise ValueError(
-                    f"sequence gap: expected {len(records)}, "
-                    f"found {record['seq']}"
-                )
-        except (ValueError, KeyError, TypeError,
-                UnicodeDecodeError) as exc:
-            if index == len(entries) - 1:
-                return records, True  # torn final append
-            raise journal_error(
+    damage = None  # the WF007 of a bad record, unless it is the last
+    for start, line, record in sealed_lines(path):
+        if line == b"\n":
+            continue
+        if damage is not None:
+            raise damage
+        shaped = (record is not None and "type" in record
+                  and isinstance(record.get("data"), dict))
+        if not shaped or record.get("seq") != len(records):
+            damage = journal_error(
                 "WF007",
                 f"corrupt journal record at byte offset {start} "
-                f"(record {len(records)}): {exc}",
+                f"(record {len(records)}): " + (
+                    f"sequence gap: expected {len(records)}, "
+                    f"found {record.get('seq')}" if shaped else
+                    "it does not unseal to a {seq, type, data} record"),
                 anchor=str(path),
-            ) from exc
+            )
+            continue
         if record["type"] == "header":
             version = record["data"].get("journal_version")
             if version != JOURNAL_VERSION:
@@ -195,7 +145,7 @@ def read_records(path) -> Tuple[List[Dict], bool]:
                     anchor=str(path),
                 )
         records.append(record)
-    return records, False
+    return records, damage is not None
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +176,7 @@ def write_snapshot(directory, seq: int, state: ReplayState) -> Path:
     """Atomically persist the state folded through record ``seq``."""
     path = snapshot_path(directory, seq)
     tmp = path.with_suffix(".tmp")
-    tmp.write_text(_sealed({
+    tmp.write_text(seal({
         "snapshot_version": SNAPSHOT_VERSION,
         "journal_version": JOURNAL_VERSION,
         "seq": seq,
@@ -238,15 +188,17 @@ def write_snapshot(directory, seq: int, state: ReplayState) -> Path:
 
 def read_snapshot(path) -> Optional[Tuple[int, ReplayState]]:
     """Load one snapshot file; None when torn/corrupt (fall back to
-    an older snapshot or a full replay), ``WF008`` on version skew."""
-    path = Path(path)
+    an older snapshot or a full replay), ``WF008`` on version skew —
+    read from the file's JSON even when its crc does not verify."""
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        if not isinstance(payload, dict):
-            raise ValueError("snapshot is not an object")
+        raw = Path(path).read_bytes()
+        try:
+            payload, intact = unseal(raw), True
+        except ValueError:
+            payload, intact = json.loads(raw), False
         versions = (payload.get("snapshot_version"),
                     payload.get("journal_version"))
-    except (OSError, ValueError):
+    except (OSError, ValueError, AttributeError):
         return None
     if versions != (SNAPSHOT_VERSION, JOURNAL_VERSION):
         raise journal_error(
@@ -256,8 +208,7 @@ def read_snapshot(path) -> Optional[Tuple[int, ReplayState]]:
             f"v{SNAPSHOT_VERSION}/v{JOURNAL_VERSION}",
             anchor=str(path),
         )
-    crc = payload.pop("crc", None)
-    if crc != _checksum(_canonical(payload)):
+    if not intact:
         return None
     try:
         return payload["seq"], decode(ReplayState, payload["state"])
@@ -416,7 +367,7 @@ class RunJournal:
         """
         self._ensure_open()
         record = {"seq": self._seq, "type": kind, "data": data}
-        self._handle.write(_sealed(record) + "\n")
+        self._handle.write(encode_record(self._seq, kind, data) + "\n")
         self._handle.flush()
         self._unsynced = not (sync or self.fsync == "always")
         if not self._unsynced:

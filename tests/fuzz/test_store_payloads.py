@@ -5,15 +5,17 @@ A cache directory is populated by compiling four seeded end-to-end
 kernels (their cost points, analysis entries and bounds), then one
 envelope line is mutated: one payload attribute dropped, duplicated or
 retyped, the line truncated, or its payload swapped with a line of
-another kind. Every key is then read back through a fresh store with
-its kind's decoder, and a compile over the mutated directory must give
-the cold run's fronts and bounds.
+another kind or of its own. Every line but a truncated one is sealed
+afresh, so the mutation reaches the payload decoder, except a swap
+within one kind, which keeps the crcs as written: both payloads are
+well formed for their kind, and only the crc over the key tells them
+apart. Every key is then read back through a fresh store with its
+kind's decoder, and a compile over the mutated directory must give the
+cold run's fronts and bounds.
 
-Two mutations are left out because no reader can tell them from a
-sound entry: dropping an attribute whose field has a default (the
-codec reads it as that default, which is how older payloads still
-load) and swapping the payloads of two entries of one kind (the
-envelope does not bind a payload to its key).
+One mutation is left out because no reader can tell it from a sound
+entry: dropping an attribute whose field has a default (the codec
+reads it as that default, which is how older payloads still load).
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from repro.core.compiler import EverestCompiler
 from repro.core.dse.cache import DEFAULT_PREPARED_CAPACITY, configure
 from repro.core.dse.space import DesignSpace
 from repro.core.ir import ops
-from repro.core.store import ContentStore, decode
+from repro.core.store import ContentStore, decode, seal, unseal
 from repro.core.variants import CostEstimate
 from repro.obs.driver import pipeline_from_sources
 from tests.dse.oracle import seeded_source
@@ -100,7 +102,7 @@ def compile_all(root: Path):
 
 def shard_lines(root: Path):
     """``[(shard path, line number, envelope)]`` of every shard line."""
-    return [(path, number, json.loads(line))
+    return [(path, number, unseal(line))
             for path in sorted(root.glob("*/*/*.json"))
             for number, line in enumerate(path.read_text().splitlines())]
 
@@ -179,18 +181,28 @@ def _parent(payload, path):
     return payload
 
 
+class Twice(dict):
+    """A JSON object that the encoder writes with one attribute twice."""
+
+    def __init__(self, attributes, twin):
+        super().__init__(attributes)
+        self.twin = twin
+
+    def items(self):
+        return [*super().items(), (self.twin, self[self.twin])]
+
+
 def mutate(entries, data):
     """Mutate one line; returns ``{line text by (path, number)}`` and
     the keys that must now read as a miss."""
-    lines = {(path, number): json.dumps(entry, sort_keys=True)
-             for path, number, entry in entries}
+    lines = {(path, number): seal(entry) for path, number, entry in entries}
     index = data.draw(st.integers(0, len(entries) - 1), label="line")
     path, number, entry = entries[index]
     entry = json.loads(json.dumps(entry))
     record = KINDS[entry["kind"]][0]
     found = list(attributes(record, entry["payload"]))
     mutation = data.draw(st.sampled_from(
-        ("drop", "duplicate", "retype", "truncate", "swap")),
+        ("drop", "duplicate", "retype", "truncate", "swap", "swap-same-kind")),
         label="mutation")
     missed = {entry["key"]}
     if mutation == "truncate":
@@ -198,17 +210,27 @@ def mutate(entries, data):
         cut = data.draw(st.integers(1, len(text) - 1), label="cut")
         lines[path, number] = text[:cut]
         return lines, missed
-    if mutation == "swap":
+    if mutation.startswith("swap"):
+        # another kind's payload, or a different one of its own kind
         others = [position for position, (_p, _n, other)
-                  in enumerate(entries) if other["kind"] != entry["kind"]]
+                  in enumerate(entries)
+                  if (other["kind"] == entry["kind"]) == (
+                      mutation == "swap-same-kind")
+                  and other["payload"] != entry["payload"]]
         other_path, other_number, other = entries[data.draw(
             st.sampled_from(others), label="other")]
         other = json.loads(json.dumps(other))
         entry["payload"], other["payload"] = (
             other["payload"], entry["payload"])
-        lines[other_path, other_number] = json.dumps(other, sort_keys=True)
         missed.add(other["key"])
-    elif mutation == "drop":
+        for where, record in (((path, number), entry),
+                              ((other_path, other_number), other)):
+            # a swap within one kind keeps the crcs as written
+            text = seal(record)
+            lines[where] = (text[:-14] + lines[where][-14:]
+                            if mutation == "swap-same-kind" else text)
+        return lines, missed
+    if mutation == "drop":
         required = [where for where, needed in found if needed]
         where = data.draw(st.sampled_from(required), label="attribute")
         del _parent(entry["payload"], where)[where[-1]]
@@ -220,12 +242,11 @@ def mutate(entries, data):
                 st.integers(0, 2), label="type"))
         else:
             # the attribute twice, with its own value: the last wins
-            holder["\x00twin"] = holder[where[-1]]
+            inside = ("payload",) + where
+            _parent(entry, inside[:-1])[inside[-2]] = Twice(
+                holder, where[-1])
             missed = set()
-    text = json.dumps(entry, sort_keys=True)
-    if mutation == "duplicate":
-        text = text.replace('"\\u0000twin"', json.dumps(where[-1]))
-    lines[path, number] = text
+    lines[path, number] = seal(entry)
     return lines, missed
 
 

@@ -7,15 +7,18 @@ codec hands out a fresh :class:`CostEstimate` per read) and
 reads its per-module entries): the disk
 round trip, the version-mismatch, corrupt-file and ``clear`` cases,
 hostile shards as counted misses, and one directory accounted kind by
-kind whoever wrote it. What only one user has (fresh copies per
-``get``, key recipes, its default directory, its process-wide
-instance) stays beside that user in ``tests/dse/test_cache.py`` and
+kind whoever wrote it. Every hand-written line is sealed, so a damaged
+one is rejected by the check its case names, not by a missing crc.
+What only one user has (fresh copies per ``get``, key recipes, its
+default directory, its process-wide instance) stays beside that user
+in ``tests/dse/test_cache.py`` and
 ``tests/analysis/test_analysis_cache.py``.
 
 The codec cases round-trip every record class the store and the run
 journal hold, on the records the seeded end-to-end kernels, the
 analysis fixtures and a recorded journal produce, and show that a
-well-formed payload with one retyped field is a counted miss whose
+well-formed payload with one retyped field, or one moved under another
+key of its kind with its crc left as written, is a counted miss whose
 recomputation equals a cold run.
 """
 
@@ -23,6 +26,7 @@ import copy
 import itertools
 import json
 import os
+import re
 from dataclasses import asdict, fields, is_dataclass
 from functools import lru_cache, partial
 from pathlib import Path
@@ -51,16 +55,13 @@ from repro.core.analysis.perf import (
     kernel_bounds,
 )
 from repro.core.dse.cache import CostCache, configure
-from repro.core.dse.cost_model import (
-    evaluate_variant,
-    prepare_variant_module,
-    price_variant,
-)
+from repro.core.dse.cost_model import prepare_variant_module, price_variant
+from repro.core.dse.explorer import Explorer
 from repro.core.dse.space import DesignSpace
 from repro.core.dsl.kernel_dsl import compile_kernel
 from repro.core.ir import ops, parse_module
 from repro.core.store import (
-    STORE_VERSION, ContentStore, decode, encode,
+    STORE_VERSION, ContentStore, decode, encode, seal, unseal,
 )
 from repro.core.variants import CostEstimate, VariantKnobs
 from repro.diagnostics import Diagnostics
@@ -100,12 +101,12 @@ KINDS = {
 
 
 def envelope(**changes):
-    """A current-version envelope for ``KEY``, then damaged."""
+    """A sealed current-version envelope for ``KEY``, then damaged."""
     entry = {"version": STORE_VERSION, "key": KEY, "kind": "cost",
              "payload": {}}
     entry.update(changes)
-    return json.dumps({name: value for name, value in entry.items()
-                       if value is not None})
+    return seal({name: value for name, value in entry.items()
+                 if value is not None})
 
 
 GOOD_COST = {"latency_s": 1.0, "energy_j": 2.0, "feasible": True}
@@ -119,10 +120,14 @@ DAMAGED = {
     "string": '"1"',
     "number": "1",
     "null": "null",
-    "parent-cost-layout": json.dumps(
+    "not-json": "{not json",
+    "parent-cost-layout": seal(
         {"version": "1", "key": KEY, "cost": GOOD_COST}),
-    "parent-analysis-layout": json.dumps(
+    "parent-analysis-layout": seal(
         {"version": "1", "key": KEY, "payload": {"diagnostics": []}}),
+    "unsealed-v3-envelope": json.dumps(
+        {"version": "3", "key": KEY, "kind": "cost", "payload": {}},
+        sort_keys=True),
     "no-payload": envelope(payload=None),
     "no-kind": envelope(kind=None),
     "kind-not-a-string": envelope(kind=7),
@@ -193,18 +198,19 @@ class TestDisk:
 
     def test_another_store_version_is_a_miss(self, tmp_path, kind):
         store_class, shard = self.written(tmp_path, kind)
-        current = f'"version": "{STORE_VERSION}"'
-        assert current in shard.read_text()
-        shard.write_text(
-            shard.read_text().replace(current, '"version": "0"'))
+        entry = unseal(shard.read_bytes())
+        assert entry["version"] == STORE_VERSION
+        shard.write_text(seal(dict(entry, version="0")) + "\n")
         assert store_class(directory=tmp_path).read(
             KEY, KINDS[kind][2]) is None
 
-    def test_a_corrupt_shard_is_a_miss(self, tmp_path, kind):
-        store_class, shard = self.written(tmp_path, kind)
-        shard.write_text("{not json")
-        assert store_class(directory=tmp_path).read(
-            KEY, KINDS[kind][2]) is None
+    def test_a_shard_that_cannot_be_read_is_a_miss(self, tmp_path, kind):
+        store_class, value, decoder, _read = KINDS[kind]
+        (tmp_path / KEY[:2] / f"{KEY}.json").mkdir(parents=True)
+        store = store_class(directory=tmp_path)
+        assert store.read(KEY, decoder) is None
+        assert (store.stats.hits, store.stats.misses) == (0, 1)
+        assert store.breakdown() == {}
 
     def test_clear_drops_memory_and_disk(self, tmp_path, kind):
         store_class, value, decoder, _read = KINDS[kind]
@@ -246,7 +252,7 @@ class TestDamagedShards:
         store_class(directory=tmp_path).put(f"{KEY}.whole", value)
         shard = tmp_path / KEY[:2] / f"{KEY}.json"
         whole = shard.read_text()
-        shard.write_text(whole + whole.replace("whole", "torn").rstrip())
+        shard.write_text(whole + seal(dict(unseal(whole), key=f"{KEY}.torn")))
 
         store = store_class(directory=tmp_path)
         assert store.read(f"{KEY}.torn", decoder) is None
@@ -482,27 +488,56 @@ def _function(payload):
     return next(iter(payload["facts"]["functions"].values()))
 
 
-#: case -> (kind, the one change made to the stored payload)
+def resealed(change):
+    """The shard's lines with ``change`` made to every payload, each
+    line sealed afresh (so the payload decoder sees the change)."""
+    def lines(texts):
+        entries = [unseal(text) for text in texts]
+        for entry in entries:
+            change(entry["payload"])
+        return [seal(entry) for entry in entries]
+    return lines
+
+
+#: A shard line split around its payload, in any envelope layout.
+PAYLOAD = re.compile(r'(.*"payload": ?)(.*?)(, ?"version".*)')
+
+
+def swapped(texts):
+    """The shard's lines with the first two different payloads traded,
+    each line keeping the crc it was written with: both payloads are
+    well formed for their kind, so only a crc over the key tells."""
+    parts = [PAYLOAD.fullmatch(text).groups() for text in texts]
+    first, second = next(pair for pair in itertools.combinations(parts, 2)
+                         if pair[0][1] != pair[1][1])
+    trade = {first: second[1], second: first[1]}
+    return [head + trade.get((head, payload, tail), payload) + tail
+            for head, payload, tail in parts]
+
+
+#: case -> (kind, the change made to the shard's lines)
 CONFUSED = {
     "cost-feasible-a-string": (
-        "cost", lambda payload: payload.update(feasible="no")),
+        "cost", resealed(lambda payload: payload.update(feasible="no"))),
+    "cost-payloads-swapped": ("cost", swapped),
     "analysis-trips-a-string": (
-        "analysis", lambda payload: _function(payload)["accesses"][0]
-        .update(enclosing_trips="64")),
+        "analysis", resealed(lambda payload: _function(payload)[
+            "accesses"][0].update(enclosing_trips="64"))),
     "analysis-inputs-a-string": (
-        "analysis", lambda payload: _function(payload)
-        .update(inputs="abc")),
+        "analysis", resealed(lambda payload: _function(payload)
+                             .update(inputs="abc"))),
     "analysis-without-facts": (
-        "analysis", lambda payload: payload.pop("facts")),
+        "analysis", resealed(lambda payload: payload.pop("facts"))),
     "perf-trip-a-string": (
-        "perf", lambda payload: payload["nests"][0].update(trip="16")),
+        "perf", resealed(lambda payload: payload["nests"][0]
+                         .update(trip="16"))),
 }
 
 
 def _cost_run(directory):
     cache = configure(cache_dir=directory)
-    return evaluate_variant(compile_kernel(GEMM_SRC), "gemm",
-                            VariantKnobs(target="fpga")), cache.stats
+    return Explorer(compile_kernel(GEMM_SRC), "gemm", space=PRICED
+                    ).run("exhaustive").front_json(), cache.stats
 
 
 def _analysis_run(directory):
@@ -532,16 +567,14 @@ class TestTypeConfusedPayloads:
         monkeypatch.setattr(ops, "_value_counter", itertools.count())
         cold, _stats = RUNS[kind](tmp_path)
         (shard,) = tmp_path.glob("*/*.json")
-        lines = []
-        for line in shard.read_text().splitlines():
-            entry = json.loads(line)
-            change(entry["payload"])
-            lines.append(json.dumps(entry, sort_keys=True) + "\n")
-        shard.write_text("".join(lines))
+        lines = shard.read_text().splitlines()
+        changed = change(lines)
+        shard.write_text("".join(line + "\n" for line in changed))
+        moved = sum(map(str.__ne__, lines, changed))
 
         monkeypatch.setattr(ops, "_value_counter", itertools.count())
         again, stats = RUNS[kind](tmp_path)
-        assert (stats.hits, stats.misses) == (0, 1)
+        assert (stats.hits, stats.misses) == (len(lines) - moved, moved)
         if kind == "analysis":
             assert again[2] is False
             again, cold = again[:2], cold[:2]

@@ -29,14 +29,13 @@ from pathlib import Path
 import pytest
 
 from repro.chaos import ChaosConfig, generate_schedule, random_task_graph
-from repro.core.store import decode, encode
+from repro.core.store import decode, encode, unseal as decode_line
 from repro.workflow import journal as journal_module
 from repro.workflow.journal import (
     JOURNAL_FILE,
     JOURNAL_VERSION,
     SNAPSHOT_VERSION,
     RunJournal,
-    decode_line,
     list_snapshots,
     read_records,
     read_snapshot,
