@@ -252,8 +252,10 @@ class _Run:
         self.policy = server.policy
         self.retry = server.retry
         self.workers = server.workers
-        #: Workers out of the pool (crashed, or reconfiguring).
+        #: Workers out of the pool (crashed, or reconfiguring), and the
+        #: pool without them, rebuilt only where ``failed`` changes.
         self.failed: Set[str] = set()
+        self.alive: List[Worker] = self.workers
         #: Link faults in force on the default (no-ecosystem) staging
         #: path, under the pair (ANY_LINK, ANY_LINK).
         self.default_overlay = LinkOverlay()
@@ -263,6 +265,9 @@ class _Run:
             "workflow.tasks_executed",
             "tasks completed by the workflow engine",
         )
+        #: Tasks completed per worker, published to ``tasks_executed``
+        #: once, when the run ends or raises.
+        self.completed: Dict[str, int] = {}
         self.faults_observed = self.metrics.counter(
             "workflow.faults", "injected faults observed",
         )
@@ -330,7 +335,11 @@ class _Run:
 
     def execute(self) -> tuple:
         """Run to completion; returns (trace, recovery stats)."""
-        self.sim.run_process(self.dispatcher(), name="dispatcher")
+        try:
+            self.sim.run_process(self.dispatcher(), name="dispatcher")
+        finally:
+            for name, done in self.completed.items():
+                self.tasks_executed.inc(done, worker=name)
         trace = ExecutionTrace.from_tracer(
             self.events, graph_name=self.graph.name,
             policy=f"{self.policy.name}+recovery",
@@ -422,9 +431,6 @@ class _Run:
             )
 
     # -- pool, staging and the ready queue -----------------------------
-
-    def alive(self) -> List[Worker]:
-        return [w for w in self.workers if w.name not in self.failed]
 
     def transfer_seconds(self, source: str, target: str,
                          size_bytes: int) -> float:
@@ -549,8 +555,9 @@ class _Run:
         start = sim.now
         staging = 0.0
         moved = 0
+        staged = _staged(task)
 
-        for input_name in _staged(task):
+        for input_name in staged:
             if worker.holds(input_name):
                 continue
             source = self.locations.get(input_name)
@@ -626,8 +633,6 @@ class _Run:
             )
             return
         self.running.pop(task_name, None)
-        worker.busy_seconds += duration * task.cpus
-        worker.tasks_executed += 1
         worker.release(task.cpus)
         self.resource_event("release", worker, task.cpus)
         writes = list(task.outputs) + list(task.updates)
@@ -640,9 +645,9 @@ class _Run:
             track=worker.name, task=task_name, worker=worker.name,
             ready_at=start_ready, start=start, end=sim.now,
             transfer_seconds=staging, bytes_moved=moved,
-            reads=_staged(task), writes=writes,
+            reads=staged, writes=writes,
         )
-        self.tasks_executed.inc(worker=worker.name)
+        self.completed[worker.name] = self.completed.get(worker.name, 0) + 1
         unmet = self.unmet
         for consumer in graph.consumers(task_name):
             unmet[consumer] -= 1
@@ -706,7 +711,7 @@ class _Run:
         for the next readmission."""
         home = self.homes[object_name]
         while True:
-            alive = self.alive()
+            alive = self.alive
             if not alive:
                 self.deferred_refetch.add(object_name)
                 return
@@ -723,6 +728,7 @@ class _Run:
         """Remove a worker from the pool and free its slots; when its
         store is lost too, recover the objects that had no other copy."""
         self.failed.add(victim.name)
+        self.alive = [w for w in self.workers if w.name not in self.failed]
         self.incarnations[victim.name] += 1
         self.resource_event("reset", victim, 0)
         if not lose_store:
@@ -733,7 +739,7 @@ class _Run:
         seen: Set[str] = set()
         for object_name in sorted(lost_objects):
             survivor = next(
-                (w for w in self.alive() if w.holds(object_name)), None,
+                (w for w in self.alive if w.holds(object_name)), None,
             )
             if survivor is not None:
                 self.locations[object_name] = survivor.name
@@ -756,6 +762,7 @@ class _Run:
             and self.incarnations[victim.name] == down_incarnation
         ):
             self.failed.discard(victim.name)
+            self.alive = [w for w in self.workers if w.name not in self.failed]
             if fresh:
                 victim.reset()
             self.stats.restarts += 1
@@ -843,13 +850,13 @@ class _Run:
     def dispatcher(self):
         graph, events, queued = self.graph, self.events, self.queued
         while len(self.finished) < len(graph.tasks):
-            if not self.alive() and self.readmissions == 0:
+            if not self.alive and self.readmissions == 0:
                 raise WorkflowError(
                     "all workers failed; workflow cannot complete"
                 )
             while self.ready:
                 choice = self.policy.select(
-                    self.ready, self.alive(), graph, self.locations,
+                    self.ready, self.alive, graph, self.locations,
                     self.transfer_cost,
                 )
                 if choice is None:

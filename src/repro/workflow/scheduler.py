@@ -68,7 +68,8 @@ class SchedulerPolicy:
                  graph: TaskGraph
                  ) -> Iterator[Tuple[str, List[Worker]]]:
         """The ready tasks some worker can take now, in the order
-        given, each with the workers that fit it.
+        given, each with the workers that fit it (for the policies that
+        weigh every fitting worker: FIFO and locality).
 
         Capacity is read once per call: nothing is yielded when no
         worker has a free cpu, tasks wider than the widest free worker
@@ -83,9 +84,7 @@ class SchedulerPolicy:
             if cpus > widest:
                 continue
             if cpus not in eligible:
-                eligible[cpus] = [
-                    worker for worker in workers if worker.can_run(cpus)
-                ]
+                eligible[cpus] = [w for w in workers if w.can_run(cpus)]
             yield task_name, eligible[cpus]
 
 
@@ -111,14 +110,19 @@ class BLevelScheduler(SchedulerPolicy):
     name = "b-level"
 
     def select(self, ready, workers, graph, locations, transfer_cost):
-        """Assign the most critical ready task to the freest worker."""
-        for task_name, eligible in self._fitting(ready, workers, graph):
-            best = max(
-                eligible,
-                key=lambda worker: (worker.free_cpus,
-                                    worker.speed_factor),
-            )
-            return task_name, best
+        """Assign the most critical ready task that fits to the freest
+        worker (the fastest among those, the first in pool order on a
+        tie). One pass over the pool: the freest worker fits every task
+        that any worker fits."""
+        best, most = None, (0, 0.0)
+        for worker in workers:
+            key = (worker.free_cpus, worker.speed_factor)
+            if key[0] and key > most:
+                best, most = worker, key
+        if best is not None:
+            for task_name in ready:
+                if graph.tasks[task_name].cpus <= most[0]:
+                    return task_name, best
         return None
 
 

@@ -2,7 +2,10 @@
 
 A worker advertises CPU slots and holds a local store of data objects;
 the scheduler moves objects between workers over the ecosystem's links
-when a task runs away from its inputs.
+when a task runs away from its inputs. A worker holds only what the
+engine reads to place and time a task; what it did during a run (its
+tasks, their durations, its busy share) is read from the run's
+:class:`~repro.workflow.tracing.ExecutionTrace`.
 """
 
 from __future__ import annotations
@@ -17,7 +20,9 @@ from repro.utils.validation import check_positive
 
 @dataclass
 class Worker:
-    """One worker process on a platform node."""
+    """One worker process on a platform node: its slots and speed,
+    and the run state :meth:`reset` clears on a restart (busy slots,
+    object store, slowdown)."""
 
     name: str
     node_name: str
@@ -26,8 +31,6 @@ class Worker:
     node: Optional[Node] = None
     store: Set[str] = field(default_factory=set)
     busy_cpus: int = field(default=0, init=False)
-    tasks_executed: int = field(default=0, init=False)
-    busy_seconds: float = field(default=0.0, init=False)
     #: >1.0 while the worker is a straggler (chaos-injected slowdown).
     slowdown: float = field(default=1.0, init=False)
 
@@ -100,9 +103,3 @@ class Worker:
         """Wall time of a task with nominal duration on this worker; a
         straggler's slowdown stretches the nominal duration."""
         return duration_s * self.slowdown / self.speed_factor
-
-    def utilization(self, elapsed: float) -> float:
-        """Busy fraction over an elapsed window."""
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.busy_seconds / (elapsed * self.cpus))

@@ -20,7 +20,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import shutil
@@ -29,7 +28,7 @@ from pathlib import Path
 import pytest
 
 from repro.chaos import ChaosConfig, generate_schedule, random_task_graph
-from repro.core.store import decode, encode, unseal as decode_line
+from repro.core.store import decode, encode, seal, unseal as decode_line
 from repro.workflow import journal as journal_module
 from repro.workflow.journal import (
     JOURNAL_FILE,
@@ -273,17 +272,14 @@ def test_never_policy_syncs_once_at_close(tmp_path, fsyncs):
 
 
 def versioned_snapshot(state) -> str:
-    """A well-formed, correctly checksummed snapshot around ``state``
-    (the crc spelled out: the format is part of the contract)."""
-    payload = {
+    """A well-formed snapshot around ``state``, sealed as a snapshot
+    is written, so its crc verifies and only its state is unusable."""
+    return seal({
         "snapshot_version": SNAPSHOT_VERSION,
         "journal_version": JOURNAL_VERSION,
         "seq": 5,
         "state": state,
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    payload["crc"] = hashlib.sha256(canonical.encode()).hexdigest()[:12]
-    return json.dumps(payload)
+    })
 
 
 @pytest.mark.parametrize("body", [

@@ -146,7 +146,7 @@ class TestServerExecution:
 
 
 class TestBusyAccounting:
-    """busy_seconds charges the stretched duration, not the nominal."""
+    """The trace charges the stretched duration, not the nominal."""
 
     @staticmethod
     def chain(length):
@@ -165,8 +165,9 @@ class TestBusyAccounting:
         worker = Worker("w", node_name="n", cpus=1, speed_factor=0.5)
         trace, _ = ResilientServer([worker]).run(self.chain(1))
         assert trace.makespan == pytest.approx(2.0)
-        assert worker.busy_seconds == pytest.approx(2.0)
-        assert worker.utilization(trace.makespan) == pytest.approx(1.0)
+        assert sum(r.end - r.start for r in trace.records) == \
+            pytest.approx(2.0)
+        assert trace.utilization(total_slots=1) == pytest.approx(1.0)
 
     def test_straggler_is_fully_busy(self):
         worker = Worker("w", node_name="n", cpus=1)
@@ -178,7 +179,9 @@ class TestBusyAccounting:
         )
         # t0 started at full speed, t1 under the 2x slowdown
         assert trace.makespan == pytest.approx(3.0)
-        assert worker.busy_seconds == pytest.approx(3.0)
+        assert sum(r.end - r.start for r in trace.records) == \
+            pytest.approx(3.0)
+        assert trace.utilization(total_slots=1) == pytest.approx(1.0)
 
 
 class TestExternalInputHome:
