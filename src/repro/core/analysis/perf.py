@@ -70,7 +70,7 @@ from repro.core.analysis.absint import (
 )
 from repro.core.analysis.cache import AnalysisCache, analysis_cache
 from repro.core.hls.bambu import DEFAULT_CLOCK_HZ, argument_bytes
-from repro.core.hls.cdfg import CDFG, LoopNode, build_cdfg
+from repro.core.hls.cdfg import CDFG, LoopNode, cdfg_of
 from repro.core.hls.memory import small_alloc
 from repro.core.hls.scheduling import RESOURCE_CLASS, chain_latency
 from repro.core.ir.dialects.hw import partition_directives
@@ -514,7 +514,7 @@ def _check_function_perf(
     function, facts: FunctionFacts, diagnostics: Diagnostics
 ) -> None:
     try:
-        cdfg = build_cdfg(function)
+        cdfg = cdfg_of(function)
     except HLSError:
         return
     directives = partition_directives(function)
@@ -607,7 +607,7 @@ def compute_kernel_bounds_from_function(
     """Bounds straight from a kernel-form function (no lowering)."""
     if cdfg is None:
         try:
-            cdfg = build_cdfg(function)
+            cdfg = cdfg_of(function)
         except HLSError:
             return None
     if facts is None:

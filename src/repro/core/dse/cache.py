@@ -8,9 +8,10 @@ identity, so a recycled ``id()`` can never alias two kernel sources:
   :class:`~repro.core.store.LRUCache` of knob-transformed ("prepared")
   modules keyed ``(module_digest, pass-pipeline signature)``, so the
   knob points — of any kernel of the module — that run the same
-  passes share one module; each prepared module carries the
-  :func:`synthesis_memo` pricing fills, so the points that differ
-  only in clock share one synthesis too;
+  passes share one module; beside it, the :func:`synthesis_memo`
+  pricing fills, one per prepared *content*, so the points whose
+  pipelines prepare equal modules, and the points that differ only in
+  clock, share one synthesis too;
 * :class:`CostCache` — the ``"cost"`` kind of the two-level
   :class:`~repro.core.store.ContentStore`, memoizing ``(module_digest,
   kernel, knobs, model)`` → cost estimate, bitstream record included,
@@ -31,10 +32,10 @@ import os
 import threading
 from functools import partial
 from pathlib import Path
-from typing import Any, Dict, Iterable, Optional, Tuple
-from weakref import WeakKeyDictionary
+from typing import Any, Iterable, Optional, Tuple
+from weakref import WeakValueDictionary
 
-from repro.core.ir.digest import DIGEST_VERSION
+from repro.core.ir.digest import DIGEST_VERSION, module_digest
 from repro.core.ir.module import Module
 from repro.core.store import (
     ContentStore, LRUCache, decode, encode, xdg_cache_dir,
@@ -95,7 +96,24 @@ class CostCache(ContentStore):
 _prepared = LRUCache(DEFAULT_PREPARED_CAPACITY)
 _cost = CostCache()
 _config_lock = threading.Lock()
-_syntheses: "WeakKeyDictionary[Module, Dict]" = WeakKeyDictionary()
+
+
+class Syntheses(dict):
+    """What pricing synthesized from one prepared content, by kernel
+    and clock-free HLS options (a ``dict`` subclass, so the digest map
+    below can hold it weakly), and the first prepared module of that
+    content, which every synthesis of it starts from: one CDFG per
+    content."""
+
+    def __init__(self, prepared: Module):
+        super().__init__()
+        self.prepared = prepared
+
+
+_syntheses: "WeakValueDictionary[str, Syntheses]" = WeakValueDictionary()
+#: Bumped whenever the memos are forgotten, so a live module stops
+#: reading the memo it held.
+_generation = 0
 
 
 def default_cache_dir() -> Path:
@@ -113,17 +131,30 @@ def cost_cache() -> CostCache:
     return _cost
 
 
-def synthesis_memo(prepared: Module) -> Dict:
-    """What pricing synthesized from one prepared module, by kernel and
-    clock-free HLS options.
+def synthesis_memo(prepared: Module) -> Syntheses:
+    """The :class:`Syntheses` of ``prepared``'s content.
 
-    Keyed weakly by the module the prepared LRU entry holds, so it
-    lives and dies with that entry: once the entry is evicted or
-    cleared (or the LRU reconfigured) and nobody holds the module, its
-    syntheses go with it. ``setdefault`` is one dict operation, atomic
-    for pricing threads.
+    Keyed by :func:`~repro.core.ir.digest.module_digest`, so the knob
+    points whose pass pipelines prepare equal modules (a tiling pass
+    that finds nothing to tile) share their syntheses. The map holds
+    each memo weakly and the prepared modules strongly, on their root
+    op by version: a memo lives while a module of its content does,
+    and once the prepared LRU entries are evicted or cleared (or the
+    LRU reconfigured) and nobody holds their modules, it goes with
+    them; :func:`clear_caches` and :func:`configure` drop them all.
+    The digest is taken on the first call for a module, which only
+    pricing makes.
     """
-    return _syntheses.setdefault(prepared, {})
+    root = prepared.op
+    held = getattr(root, "_synthesis_memo", None)
+    if held is None or held[:2] != (root.version, _generation):
+        digest = module_digest(prepared)
+        with _config_lock:
+            memo = _syntheses.get(digest)
+            if memo is None:
+                memo = _syntheses[digest] = Syntheses(prepared)
+            held = root._synthesis_memo = (root.version, _generation, memo)
+    return held[2]
 
 
 def configure(
@@ -141,9 +172,21 @@ def configure(
         _cost = CostCache(cache_dir)
         if prepared_capacity is not None:
             _prepared = LRUCache(prepared_capacity)
+        _forget_syntheses()
         return _cost
 
 
 def clear_caches() -> int:
-    """Empty both process-wide caches; returns entries removed."""
+    """Empty both process-wide caches and the synthesis memos; returns
+    cache entries removed."""
+    with _config_lock:
+        _forget_syntheses()
     return prepared_cache().clear() + cost_cache().clear()
+
+
+def _forget_syntheses() -> None:
+    """Drop every synthesis memo, also those a live prepared module
+    still holds; the caller holds ``_config_lock``."""
+    global _generation
+    _syntheses.clear()
+    _generation += 1

@@ -18,13 +18,15 @@ reader and writer, :func:`_evaluate_batch`: the explorer hands it
 batches, :func:`evaluate_variant` is the same routine for one point,
 and :func:`price_variant` is what it runs for a miss.
 
-A variant is built once per clock-free option set:
-:func:`synthesize_variant` is the only ``prepare → synthesize`` chain,
-and pricing runs the same two steps, keeping each synthesis in the
-prepared module's :func:`~repro.core.dse.cache.synthesis_memo` under
-its kernel and options but the clock, which no HLS step reads — the
-points that differ only in clock re-price one
-:class:`~repro.core.hls.bambu.DesignFigures` at their own clock. The
+A variant is built once per prepared content and clock-free option
+set: :func:`synthesize_variant` is the only ``prepare → synthesize``
+chain, and pricing runs the same two steps, keeping each synthesis in
+the :func:`~repro.core.dse.cache.synthesis_memo` of the prepared
+module's content digest under its kernel and options but the clock,
+which no HLS step reads — the points whose pipelines prepare equal
+modules share a synthesis, and the points that differ only in clock
+re-price one :class:`~repro.core.hls.bambu.DesignFigures` at their
+own clock. The
 estimate of a feasible FPGA point carries the bitstream of the design
 it was priced from, which is what the compiler packages.
 
@@ -428,21 +430,24 @@ def _evaluate_fpga(
     )
     if conflict is not None:
         return CostEstimate.infeasible(conflict)
-    # Synthesized once per prepared module, kernel and options but the
+    # Synthesized once per prepared content, kernel and options but the
     # clock, which no HLS step reads; a miss takes the chain of
-    # synthesize_variant on the module it already prepared.
-    prepared = prepare_variant_module(module, kernel, knobs, digest)
+    # synthesize_variant on the first module of that content.
+    memo = synthesis_memo(
+        prepare_variant_module(module, kernel, knobs, digest))
     options = hls_options_for(knobs)
-    memo = synthesis_memo(prepared)
     key = (kernel, replace(options, clock_hz=DEFAULT_CLOCK_HZ))
-    if key not in memo:
+    figures = memo.get(key)
+    if figures is None:
         try:
-            memo[key] = synthesize(prepared, kernel, options).figures()
+            figures = synthesize(
+                memo.prepared, kernel, options).figures()
         except (HLSError, SchedulingError) as exc:
-            memo[key] = str(exc)
-    if isinstance(memo[key], str):
-        return CostEstimate.infeasible(memo[key])
-    design = replace(memo[key], clock_hz=knobs.clock_hz)
+            figures = str(exc)
+        memo[key] = figures
+    if isinstance(figures, str):
+        return CostEstimate.infeasible(figures)
+    design = replace(figures, clock_hz=knobs.clock_hz)
 
     if not design.resources.fits_in(model.fpga_role_capacity):
         return CostEstimate.infeasible(

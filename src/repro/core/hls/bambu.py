@@ -7,8 +7,14 @@ and optional DIFT and crypto insertion, producing an
 packaging consume; the FSMD behind its RTL is built when asked for.
 
 The CDFG holds what no option changes, so a kernel's is built once per
-version of its module and every synthesis of it, whatever its options,
-starts from that one structure.
+version of its module (:func:`~repro.core.hls.cdfg.cdfg_of`) and every
+synthesis of it, whatever its options, starts from that one structure;
+one body copy's list schedule is kept per loop and binding-limit set
+(:func:`~repro.core.hls.scheduling.schedule_loop`). A design depends
+on the module's content, the kernel and the options alone, and no
+step reads the clock, so pricing synthesizes once per prepared content
+and clock-free option set
+(:func:`~repro.core.dse.cache.synthesis_memo`).
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from functools import cached_property
 from typing import Dict, Optional
 
 from repro.core.hls.allocation import Allocation, allocate
-from repro.core.hls.cdfg import CDFG, build_cdfg
+from repro.core.hls.cdfg import CDFG, cdfg_of
 from repro.core.hls.crypto import CryptoCore, core_for
 from repro.core.hls.fsmd import FSMD, build_fsmd, emit_verilog
 from repro.core.hls.memory import MemoryPlan, plan_memories
@@ -184,7 +190,7 @@ def synthesize(
     function = module.find_function(kernel_name)
     if function is None:
         raise HLSError(f"no function named {kernel_name!r}")
-    cdfg = _structure(module, function).directed(
+    cdfg = cdfg_of(function).directed(
         options.unroll, options.interleave)
     innermost = cdfg.innermost_loops()
     memory_plan = plan_memories(
@@ -252,20 +258,6 @@ def synthesize(
         taint_report=taint_report,
         crypto_core=crypto_core,
     )
-
-
-def _structure(module: Module, function: Function) -> CDFG:
-    """The CDFG of one of the module's functions, built once per module
-    version: kept on the module's root op the way
-    :func:`~repro.core.ir.digest.module_digest` keeps its digest, so
-    any in-place edit of the module builds it afresh."""
-    root = module.op
-    memo = getattr(root, "_cdfg_memo", None)
-    if memo is None or memo[0] != root.version:
-        memo = root._cdfg_memo = (root.version, {})
-    if function.name not in memo[1]:
-        memo[1][function.name] = build_cdfg(function)
-    return memo[1][function.name]
 
 
 def argument_bytes(function: Function) -> int:

@@ -10,10 +10,11 @@ entries with explicit dependence edges:
   index distance proves independence.
 
 The tree holds the kernel's structure only: what no synthesis option
-changes. :meth:`CDFG.directed` applies an unroll / interleave option
-set to a copy of the tree that shares the bodies, and the facts derived
-from a body alone (:meth:`LoopNode.fact`) are computed once for every
-copy.
+changes. :func:`cdfg_of` builds it once per version of the function's
+module, for HLS and the performance analyzer alike;
+:meth:`CDFG.directed` applies an unroll / interleave option set to a
+copy of the tree that shares the bodies, and the facts derived from a
+body alone (:meth:`LoopNode.fact`) are computed once for every copy.
 """
 
 from __future__ import annotations
@@ -178,6 +179,21 @@ def build_cdfg(function: Function) -> CDFG:
     root = LoopNode(op=None, trip_count=1, depth=0)
     _populate(function.entry_block.operations, root)
     return CDFG(function, root)
+
+
+def cdfg_of(function: Function) -> CDFG:
+    """The CDFG of ``function``, built once per version of its module:
+    kept on the module's root op the way
+    :func:`~repro.core.ir.digest.module_digest` keeps its digest, so
+    any in-place edit of the module builds it afresh. Every reader
+    shares it and none writes it (:meth:`CDFG.directed` copies)."""
+    root = function.op.root()
+    memo = getattr(root, "_cdfg_memo", None)
+    if memo is None or memo[0] != root.version:
+        memo = root._cdfg_memo = (root.version, {})
+    if function.name not in memo[1]:
+        memo[1][function.name] = build_cdfg(function)
+    return memo[1][function.name]
 
 
 def _populate(operations, parent: LoopNode) -> None:

@@ -28,7 +28,7 @@ import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import ClassVar, Dict, List, Optional
+from typing import ClassVar, Dict, List, Optional, Tuple
 
 from repro.core.hls.cdfg import DFGNode, LoopNode, loop_carried_chain
 from repro.core.timing import (
@@ -162,6 +162,10 @@ def schedule_loop(
 
     ``memory_ports`` maps ``id(buffer value)`` to the port count its
     memory plan grants; buffers not listed get ``budget.memport``.
+    The one-copy start cycles are kept in the loop's shared facts, by
+    :func:`_binding_limits`, and shared by every schedule of the loop
+    and its directed copies with the same binding limits: callers must
+    not write them.
     """
     budget = budget or ResourceBudget()
     unroll = loop.unroll
@@ -176,8 +180,17 @@ def schedule_loop(
     # standard modulo-scheduling decomposition.
     effective_budget = budget.scaled(unroll) if unroll > 1 else budget
 
-    mobility = loop.fact("mobility", lambda loop: _mobility(loop.body))
-    start = _list_schedule(body, budget, memory_ports, 1, mobility)
+    # One copy's start cycles depend on the limits that bind it alone,
+    # so the copies of this loop share them per binding-limit set.
+    schedules = loop.fact("list_schedules", lambda loop: {})
+    limits = _binding_limits(
+        loop.fact("issues", lambda loop: _issues(loop.body)),
+        budget, memory_ports)
+    start = schedules.get(limits)
+    if start is None:
+        mobility = loop.fact("mobility", lambda loop: _mobility(loop.body))
+        start = schedules[limits] = _list_schedule(
+            body, budget, memory_ports, 1, mobility)
     depth = 0
     for node in body:
         depth = max(depth, start[id(node)] + latency_of(node))
@@ -218,6 +231,40 @@ def _ports_for(node: DFGNode, budget: ResourceBudget,
         if ports is not None:
             return ports
     return budget.memport
+
+
+def _limit(node: DFGNode, key: str, budget: ResourceBudget,
+           memory_ports: Optional[Dict[int, int]]) -> int:
+    """Issue slots per cycle of ``node``'s resource ``key``."""
+    if key.startswith("memport:"):
+        return _ports_for(node, budget, memory_ports)
+    return budget.limit(key)
+
+
+def _issues(body: List[DFGNode]) -> Dict[str, Tuple[int, DFGNode]]:
+    """Per resource key of a body: its issues and the first node that
+    issues on it."""
+    issues: Dict[str, Tuple[int, DFGNode]] = {}
+    for node in body:
+        key = _resource_key(node)
+        if key is not None:
+            count, first = issues.get(key, (0, node))
+            issues[key] = (count + 1, first)
+    return issues
+
+
+def _binding_limits(
+    issues: Dict[str, Tuple[int, DFGNode]],
+    budget: ResourceBudget,
+    memory_ports: Optional[Dict[int, int]],
+) -> Tuple[Tuple[str, int], ...]:
+    """Each resource key's limit, clamped to the body's own issues on
+    it: a limit at or above them never fills a cycle of one body copy,
+    so one copy's list schedule is the same for every budget and port
+    map with these clamped limits."""
+    return tuple(
+        (key, min(count, _limit(node, key, budget, memory_ports)))
+        for key, (count, node) in issues.items())
 
 
 def _mobility(body: List[DFGNode]) -> Dict[int, int]:
@@ -324,11 +371,6 @@ class _ResourceTracker:
         # next_free[key][cycle] -> known-full cycle's forward pointer
         self._next_free: Dict[str, Dict[int, int]] = {}
 
-    def _limit_for(self, node: DFGNode, key: str) -> int:
-        if key.startswith("memport:"):
-            return _ports_for(node, self.budget, self.memory_ports)
-        return self.budget.limit(key)
-
     @staticmethod
     def _describe(node: DFGNode, key: str) -> str:
         """Human-readable resource name for error messages."""
@@ -342,7 +384,7 @@ class _ResourceTracker:
         key = _resource_key(node)
         if key is None:
             return ready_at
-        limit = self._limit_for(node, key)
+        limit = _limit(node, key, self.budget, self.memory_ports)
         if self.unroll > limit:
             raise SchedulingError(
                 f"cannot place {node.op.name}: resource "

@@ -17,13 +17,14 @@ from repro.core.dse import cost_model
 from repro.core.dse.cache import clear_caches, prepared_cache
 from repro.core.dse.cost_model import prepare_variant_module, price_variant
 from repro.core.dse.explorer import Explorer
-from repro.core.hls import bambu
+from repro.core.hls import bambu, cdfg
 from repro.core.ir import print_module
 from repro.core.ir.digest import module_digest
 from repro.core.store import encode
 from repro.core.variants import VariantKnobs
 from tests.dse.oracle import (
-    ATTEMPTS, CASES, MODEL, ORDERS, fresh_estimate, outcome, recipe_outcomes)
+    ATTEMPTS, CASES, MODEL, ORDERS, distinct_builds, fresh_estimate,
+    outcome, recipe_outcomes, schedule_violations)
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,11 @@ class Record:
     prepared: tuple
     #: prepared-module misses preparing every point of the space
     space_prepare_misses: int
+    #: ``(designs checked, violations)``: the one-copy schedules of
+    #: every design synthesized, by :func:`schedule_violations`
+    legality: tuple
+    #: what one cold pricing may build (:func:`distinct_builds`)
+    distinct: dict
     #: explored cases only: ``{knobs: encoded fresh estimate}``
     fresh: dict = None
     #: ``{knobs: (printed alone, printed as handed out)}`` per point of
@@ -65,8 +71,9 @@ class _Counts(dict):
 
     def __init__(self, patch):
         super().__init__(synthesize=0, cdfg=0, fsmd=0)
+        self.checked, self.violations = 0, []
         for owner, name, kind in ((cost_model, "synthesize", "synthesize"),
-                                  (bambu, "build_cdfg", "cdfg"),
+                                  (cdfg, "build_cdfg", "cdfg"),
                                   (bambu, "build_fsmd", "fsmd")):
             patch.setattr(owner, name, self._counting(
                 kind, getattr(owner, name)))
@@ -74,7 +81,11 @@ class _Counts(dict):
     def _counting(self, kind, build):
         def call(*args, **kwargs):
             self[kind] += 1
-            return build(*args, **kwargs)
+            built = build(*args, **kwargs)
+            if kind == "synthesize":
+                self.checked += 1
+                self.violations += schedule_violations(built)
+            return built
         return call
 
     def snapshot(self):
@@ -93,6 +104,7 @@ def _states(modules):
 
 def _record(case):
     module, kernel = case.build()
+    distinct = distinct_builds(module, kernel, case.designs)
     points = case.points()
     space = list(case.space.points()) if case.space else points
     extra = {}
@@ -154,8 +166,8 @@ def _record(case):
                 for knobs, shared in handed.items()}
         recipe = recipe_outcomes(module, kernel, points, patch)
     clear_caches()
-    return Record(priced, builds, recipe, prepared,
-                  space_prepare_misses, **extra)
+    return Record(priced, builds, recipe, prepared, space_prepare_misses,
+                  (counts.checked, counts.violations), distinct, **extra)
 
 
 @pytest.fixture(scope="session")

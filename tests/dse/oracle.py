@@ -2,10 +2,10 @@
 
 Paper §III-B rests on every variant being a functionally equivalent
 implementation of one kernel, so pricing may share work between points
-(one prepared module per pass pipeline, one synthesis per clock-free
-option set, one CDFG per prepared module) only if each point still
-prices as it would alone. Two independent oracles say what "alone"
-means:
+(one prepared module per pass pipeline, one synthesis per prepared
+content and clock-free option set, one CDFG per prepared content)
+only if each point still prices as it would alone. Two independent
+oracles say what "alone" means:
 
 * :func:`fresh_estimate` — a design synthesized for the point by
   itself, from a fresh clone with nothing cached, at its own clock,
@@ -15,12 +15,21 @@ means:
   before canonicalization) and synthesized with options that follow
   the IR's attributes.
 
+How much sharing to expect is read from modules prepared here, not
+from the memo under test: :func:`distinct_builds` counts the distinct
+content digests of the modules the points' pass pipelines prepare.
+:func:`schedule_violations` checks a synthesized design's (possibly
+shared) one-copy schedules against that design's own budget and
+ports.
+
 The cases are seeded benchmark kernels over the end-to-end benchmark's
 own space, two small kernels over :meth:`DesignSpace.thorough` and the
 hand-written ``.ir`` fixtures (four of which carry their own
 ``unroll`` / ``pipeline_ii`` / ``interleave``). ``tests/dse/conftest.py``
 prices and explores each case once per session.
 """
+
+from collections import Counter
 
 from dataclasses import dataclass, replace
 from functools import partial
@@ -37,7 +46,9 @@ from repro.core.dse.space import DesignSpace
 from repro.core.dsl.kernel_dsl import compile_kernel
 from repro.core.frontend import import_model
 from repro.core.hls.bambu import hls_options_for
+from repro.core.hls.scheduling import RESOURCE_CLASS, latency_of
 from repro.core.ir import parse_module, passes
+from repro.core.ir.digest import module_digest
 from repro.core.ir.builder import Builder
 from repro.core.ir.module import Module
 from repro.core.ir.types import F32, FunctionType, MemRefType
@@ -221,9 +232,10 @@ def fresh_estimate(module, kernel, knobs, model=MODEL):
     )
 
 
-def annotated_module(module, knobs):
+def annotated_module(module, knobs, directives=True):
     """The prepared module the annotating recipe built: the directives
-    are written into the IR before canonicalization."""
+    are written into the IR before canonicalization (left out with
+    ``directives=False``)."""
     manager = passes.PassManager(verify_each=False)
     manager.add(passes.ElementwiseFusionPass())
     if knobs.matmul_order != "ijk":
@@ -236,13 +248,65 @@ def annotated_module(module, knobs):
     if knobs.dift:
         manager.add(passes.SecurityInstrumentationPass())
     manager.add(passes.LowerTensorPass())
-    manager.add(passes.LoopDirectivesPass(unroll_factor=knobs.unroll))
-    if knobs.interleave > 1:
+    if directives:
+        manager.add(passes.LoopDirectivesPass(unroll_factor=knobs.unroll))
+    if directives and knobs.interleave > 1:
         manager.add(passes.AccumulationInterleavePass(knobs.interleave))
     manager.add(passes.CanonicalizePass())
     clone = module.clone()
     manager.run(clone)
     return clone
+
+
+def distinct_builds(module, kernel, designs):
+    """``{"synthesize": n, "cdfg": m}`` one cold pricing of ``designs``
+    may build: one synthesis per distinct prepared content and
+    clock-free option set, one CDFG per distinct prepared content —
+    the content digests of modules prepared here, once per pipeline."""
+    contents = {}
+    for knobs in designs:
+        pipeline = (knobs.tile, knobs.layout, knobs.dift,
+                    knobs.matmul_order)
+        if pipeline not in contents:
+            contents[pipeline] = module_digest(
+                annotated_module(module, knobs, directives=False))
+    syntheses = {
+        (contents[knobs.tile, knobs.layout, knobs.dift,
+                  knobs.matmul_order], kernel,
+         replace(hls_options_for(knobs), clock_hz=1.0))
+        for knobs in designs}
+    return {"synthesize": len(syntheses),
+            "cdfg": len(set(contents.values()))}
+
+
+def schedule_violations(design):
+    """Where ``design``'s one-copy start cycles break a dependence or
+    issue more per cycle than its own budget's units or its memory
+    plan's ports allow."""
+    budget = design.options.budget
+    ports = design.memory_plan.ports_map()
+    found = []
+    for loop in design.cdfg.innermost_loops():
+        start = design.schedules[id(loop)].start_cycle
+        issued = Counter()
+        for node in loop.body:
+            for predecessor in node.predecessors:
+                if start[id(node)] < (start[id(predecessor)]
+                                      + latency_of(predecessor)):
+                    found.append(f"{node} starts before {predecessor} ends")
+            unit = RESOURCE_CLASS.get(node.op.name)
+            if unit is None:
+                continue
+            if unit == "memport":
+                unit = id(node.buffer())
+                limit = ports.get(unit, budget.memport)
+            else:
+                limit = getattr(budget, unit)
+            issued[start[id(node)], unit] += 1
+            if issued[start[id(node)], unit] > limit:
+                found.append(f"{node} oversubscribes {unit!r} at cycle "
+                             f"{start[id(node)]} (limit {limit})")
+    return found
 
 
 def ir_options(knobs):

@@ -1,18 +1,23 @@
 """An FPGA design is synthesized once for every clock it is priced at,
-over a CDFG built once for every option set.
+and for every pass pipeline that prepares the same content, over a
+CDFG built once per prepared content.
 
 No HLS step reads the clock, so the points of a design space that
-differ only in clock share one synthesis: the prepared module keeps
-what pricing synthesized from it, by kernel and HLS options without
-the clock. No option changes a kernel's structure, so every synthesis
-from one prepared module starts from one CDFG, and none builds an
-FSMD. These tests hold every priced FPGA point to a design synthesized
-afresh, from a fresh clone with nothing cached, at that point's clock
-(:func:`tests.dse.oracle.fresh_estimate`), in either pricing order,
-cold and over a warm memo, and count the syntheses, CDFGs and FSMDs
-pricing and exploration build (``priced`` in ``tests/dse/conftest.py``
-records each case once).
+differ only in clock share one synthesis: pricing keeps what it
+synthesized by the prepared module's content digest, kernel and HLS
+options without the clock, so pipelines that prepare equal modules
+share it too. No option changes a kernel's structure, so every
+synthesis from one prepared content starts from one CDFG, and none
+builds an FSMD. These tests hold every priced FPGA point to a design
+synthesized afresh, from a fresh clone with nothing cached, at that
+point's clock (:func:`tests.dse.oracle.fresh_estimate`), in either
+pricing order, cold and over a warm memo, and count the syntheses,
+CDFGs and FSMDs pricing and exploration build against the distinct
+contents the oracle prepares itself (``priced`` in
+``tests/dse/conftest.py`` records each case once).
 """
+
+import sys
 
 import pytest
 
@@ -55,12 +60,14 @@ def test_the_space_reaches_every_verdict(priced, case):
 @pytest.mark.parametrize("order", ORDERS)
 @pytest.mark.parametrize("case", EXPLORED)
 def test_one_synthesis_per_clock_free_design(priced, case, order):
-    """The clock-last order starts from ``clear_caches()`` of the
-    clock-first's warm memo, so the memo goes with its prepared
-    module. A rejected design is kept in the memo too."""
-    builds = priced(case).builds
-    assert builds[order, "cold"]["synthesize"] == len(CASES[case].designs)
-    assert builds[order, "warm memo"]["synthesize"] == 0
+    """One synthesis per distinct prepared content and clock-free
+    option set. The clock-last order starts from ``clear_caches()`` of
+    the clock-first's warm memo, which empties it. A rejected design
+    is kept in the memo too."""
+    record = priced(case)
+    assert record.builds[order, "cold"]["synthesize"] == \
+        record.distinct["synthesize"]
+    assert record.builds[order, "warm memo"]["synthesize"] == 0
 
 
 @pytest.mark.parametrize("case", EXPLORED)
@@ -92,7 +99,7 @@ def test_one_cdfg_per_prepared_kernel(priced, case, order):
     for attempt in ATTEMPTS:
         builds = record.builds[order, attempt]
         assert (builds["cdfg"], builds["fsmd"]) == (
-            (CASES[case].pipelines, 0) if attempt == "cold" else (0, 0))
+            (record.distinct["cdfg"], 0) if attempt == "cold" else (0, 0))
     # A design built outside pricing starts from the same CDFG and
     # builds its FSMD when its RTL is asked for.
     built = record.design_builds
@@ -108,3 +115,18 @@ def test_process_pool_finds_the_same_front(priced):
                       workers_mode="process").run("exhaustive")
     assert pooled.front_json() == serial["front"]
     assert pooled.to_json() == serial["json"]
+
+
+def test_pricing_threads_share_the_memos(priced):
+    """More pricing threads than cores, switching every microsecond,
+    over cold memos a kernel's two tiles share: the serial result."""
+    serial = priced("e2e-0").explored
+    module, kernel = seeded_kernel(1, 0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = Explorer(module, kernel, space=SPACE, workers=4,
+                            workers_mode="thread").run("exhaustive")
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded.to_json() == serial["json"]

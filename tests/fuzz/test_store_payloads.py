@@ -2,7 +2,8 @@
 original record or a counted miss, never an exception.
 
 A cache directory is populated by compiling four seeded end-to-end
-kernels (their cost points, analysis entries and bounds), then one
+kernels (their cost points, analysis entries and bounds) and analysing
+each lowered to kernel form (entries with loop and access facts), then one
 envelope line is mutated: one payload attribute dropped, duplicated or
 retyped, the line truncated, or its payload swapped with a line of
 another kind or of its own. Every line but a truncated one is sealed
@@ -34,7 +35,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from benchmarks.e2e.inputs import kernel_input
-from repro.core.analysis import _cached_entry
+from repro.core.analysis import _cached_entry, analyze_module_cached
 from repro.core.analysis.absint import AnalysisFacts
 from repro.core.analysis.cache import configure_analysis_cache
 from repro.core.analysis.perf import (
@@ -47,9 +48,9 @@ from repro.core.dse.cache import DEFAULT_PREPARED_CAPACITY, configure
 from repro.core.dse.space import DesignSpace
 from repro.core.ir import ops
 from repro.core.store import ContentStore, decode, seal, unseal
-from repro.core.variants import CostEstimate
+from repro.core.variants import CostEstimate, VariantKnobs
 from repro.obs.driver import pipeline_from_sources
-from tests.dse.oracle import seeded_source
+from tests.dse.oracle import annotated_module, seeded_source
 
 #: (seed, op index): a chain, the model import, a reduction, a matmul.
 KERNELS = ((1, 0), (1, 1), (1, 4), (1, 7))
@@ -72,8 +73,8 @@ KINDS = {
 
 
 def compile_all(root: Path):
-    """``{kernel: (front_json, bounds)}`` of the four kernels, compiled
-    over the cache directories under ``root``."""
+    """``{kernel: (front_json, bounds, kernel-form analysis)}`` of the
+    four kernels, compiled over the cache directories under ``root``."""
     configure(cache_dir=root / "dse",
               prepared_capacity=DEFAULT_PREPARED_CAPACITY)
     configure_analysis_cache(root / "analysis")
@@ -91,9 +92,13 @@ def compile_all(root: Path):
             # pricing a miss advances: restart it, so a bound derived
             # after a miss names what the cold one did
             ops._value_counter = itertools.count()
+            bounds = kernel_bounds(app.module, name)
+            ops._value_counter = itertools.count()
+            diagnostics, facts, _ = analyze_module_cached(annotated_module(
+                app.module, VariantKnobs(target="fpga", unroll=2)))
             results[name] = (
-                app.exploration[name].front_json(),
-                kernel_bounds(app.module, name),
+                app.exploration[name].front_json(), bounds,
+                [item.to_dict() for item in diagnostics], facts,
             )
     finally:
         ops._value_counter = saved
@@ -132,6 +137,10 @@ def populated(tmp_path_factory):
     cold = compile_all(root)
     entries = shard_lines(root)
     assert {entry["kind"] for _path, _number, entry in entries} == set(KINDS)
+    assert any(function["accesses"] and function["loops"]
+               for _path, _number, entry in entries
+               if entry["kind"] == "analysis"
+               for function in entry["payload"]["facts"]["functions"].values())
     assert len({entry["key"] for _path, _n, entry in entries}) \
         == len(entries)
     records = read_back(entries)
