@@ -9,9 +9,7 @@ Subcommands::
     python -m repro emit     KERNELS.edsl --kernel NAME --what sycl|rtl|ir
     python -m repro lint     SPEC [--only CHECK] [--stats]
     python -m repro chaos    --graph-seed N --fault-seed M [--verify-replay]
-    python -m repro run      SPEC [--trace PATH]
-    python -m repro trace    SPEC --out trace.json [--clock logical|wall]
-    python -m repro metrics  SPEC [--format text|json]
+    python -m repro run      SPEC [--trace PATH] [--metrics text|json]
     python -m repro cache    stats|clear [--cache-dir PATH]
     python -m repro runs     list|show|gc [RUN_ID] [--journal-dir PATH]
     python -m repro service  init|submit|status|launch|cancel [--db PATH]
@@ -35,8 +33,8 @@ holds resumes that run when it was recorded with the same recipe
 (``WF009`` otherwise).
 ``repro runs`` inspects and garbage-collects the store.
 
-Commands that price design points (compile, explore, synth, emit, run,
-trace, metrics) share a persistent content-addressed cost cache
+Commands that price design points (compile, explore, synth, emit, run)
+share a persistent content-addressed cost cache
 (``~/.cache/repro-dse`` unless ``--cache-dir``/``--no-cache`` says
 otherwise), so repeated invocations skip HLS re-synthesis of
 already-priced variants. ``repro cache stats|clear`` inspects it.
@@ -474,7 +472,11 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    """Compile a spec and deploy it on the reference ecosystem."""
+    """Compile a spec and deploy it on the reference ecosystem.
+
+    ``--trace`` exports the run's Chrome trace once it validates (exit
+    1 otherwise, nothing written); ``--metrics`` prints the metrics
+    snapshot in place of the deployment summary."""
     outcome = _run_durably(
         args, "run", _RUN_RECIPE_KEYS,
         lambda journal, resume: _run_traced(args, journal, resume),
@@ -482,11 +484,35 @@ def cmd_run(args: argparse.Namespace) -> int:
     if outcome is None:
         return 0
     run_id, run = outcome
-    report = run.report
-    table = Table(
-        f"deployment of {args.file}",
-        ["task", "placed on", "variant"],
-    )
+    tracer, metrics = run.observation.tracer, run.observation.metrics
+    if args.trace:
+        problems = validate_chrome_trace(tracer.to_chrome())
+        for problem in problems:
+            print(f"invalid trace: {problem}", file=sys.stderr)
+        if problems:
+            return 1
+    if args.metrics == "json":
+        print(metrics.to_json(indent=2))
+    elif args.metrics == "text":
+        print(metrics.render_text(f"metrics: {args.file}"))
+    else:
+        _print_deployment(args.file, run.report, run_id)
+    if args.trace:
+        tracer.write(args.trace)
+        if not args.metrics:
+            phases = [event.phase for event in tracer.events]
+            print(f"chrome trace written to {args.trace}: {phases.count('X')}"
+                  f" spans, {phases.count('i')} instants, {phases.count('C')}"
+                  f" counter samples ({args.clock} clock)")
+    if args.sanitize:
+        return _print_sanitize_report(
+            tracer, args, f"sanitize: {args.file}"
+        )
+    return 0
+
+
+def _print_deployment(spec: str, report, run_id: Optional[str]) -> None:
+    table = Table(f"deployment of {spec}", ["task", "placed on", "variant"])
     for task_name in sorted(report.placement):
         table.add_row(
             task_name,
@@ -499,42 +525,6 @@ def cmd_run(args: argparse.Namespace) -> int:
           f"trace digest: {report.trace.digest()}")
     if run_id:
         print(f"run id: {run_id}")
-    if args.trace:
-        run.observation.tracer.write(args.trace)
-        print(f"chrome trace written to {args.trace}")
-    if args.sanitize:
-        return _print_sanitize_report(
-            run.observation.tracer, args, f"sanitize: {args.file}"
-        )
-    return 0
-
-
-def cmd_trace(args: argparse.Namespace) -> int:
-    """Run a spec end to end and export the Chrome trace."""
-    tracer = _run_traced(args).observation.tracer
-    problems = validate_chrome_trace(tracer.to_chrome())
-    if problems:
-        for problem in problems:
-            print(f"invalid trace: {problem}", file=sys.stderr)
-        return 1
-    tracer.write(args.out)
-    spans = sum(1 for e in tracer.events if e.phase == "X")
-    instants = sum(1 for e in tracer.events if e.phase == "i")
-    counters = sum(1 for e in tracer.events if e.phase == "C")
-    print(f"{args.out}: {spans} spans, {instants} instants, "
-          f"{counters} counter samples ({args.clock} clock)")
-    print("open it in https://ui.perfetto.dev or chrome://tracing")
-    return 0
-
-
-def cmd_metrics(args: argparse.Namespace) -> int:
-    """Run a spec end to end and print the metrics snapshot."""
-    metrics = _run_traced(args).observation.metrics
-    if args.format == "json":
-        print(metrics.to_json(indent=2))
-    else:
-        print(metrics.render_text(f"metrics: {args.file}"))
-    return 0
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
@@ -1012,43 +1002,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--strategy", default="exhaustive")
     p_run.add_argument(
         "--clock", default="logical", choices=("logical", "wall"),
-        help="trace clock when --trace is given (default: logical)",
+        help="trace clock: logical = deterministic (byte-identical "
+             "re-runs), wall = real profiling (default: logical)",
+    )
+    p_run.add_argument(
+        "--metrics", default=None, choices=("text", "json"),
+        help="print the run's metrics snapshot instead of the "
+             "deployment summary",
     )
     _add_report_flags(p_run)
     _add_cache_flags(p_run)
     _add_journal_flags(p_run)
     p_run.set_defaults(func=cmd_run)
-
-    p_trace = sub.add_parser(
-        "trace",
-        help="run a spec end to end and export a Chrome trace for "
-             "Perfetto / chrome://tracing",
-    )
-    p_trace.add_argument("file", help=".edsl or .py kernel spec")
-    p_trace.add_argument(
-        "--out", default="trace.json",
-        help="output path (default: trace.json)",
-    )
-    p_trace.add_argument(
-        "--clock", default="logical", choices=("logical", "wall"),
-        help="logical = deterministic (byte-identical re-runs), "
-             "wall = real profiling (default: logical)",
-    )
-    p_trace.add_argument("--strategy", default="exhaustive")
-    _add_cache_flags(p_trace)
-    p_trace.set_defaults(func=cmd_trace)
-
-    p_metrics = sub.add_parser(
-        "metrics",
-        help="run a spec end to end and print the metrics snapshot",
-    )
-    p_metrics.add_argument("file", help=".edsl or .py kernel spec")
-    p_metrics.add_argument(
-        "--format", default="text", choices=("text", "json"),
-    )
-    p_metrics.add_argument("--strategy", default="exhaustive")
-    _add_cache_flags(p_metrics)
-    p_metrics.set_defaults(func=cmd_metrics)
 
     p_cache = sub.add_parser(
         "cache",

@@ -3,8 +3,8 @@
 These carry the "extra characteristics of the algorithms and data"
 (paper §I) from the application expert to the compiler and runtime:
 
-* :class:`DataAnnotation` describes a dataset or stream — volume,
-  velocity, locality — and drives placement and memory customization;
+* :class:`DataAnnotation` describes a dataset or stream — velocity,
+  locality — and drives placement and memory customization;
 * :class:`Requirement` is a non-functional target (latency bound,
   throughput floor, energy budget) checked by the DSE and runtime;
 * :class:`SecurityAnnotation` marks confidentiality/integrity needs
@@ -34,13 +34,10 @@ class DataAnnotation:
     """Characteristics of a dataset or stream."""
 
     name: str
-    volume_bytes: int = 0
     velocity_bytes_per_s: float = 0.0
     locality: Locality = Locality.ANY
 
     def __post_init__(self):
-        if self.volume_bytes < 0:
-            raise SpecificationError("volume_bytes must be non-negative")
         if self.velocity_bytes_per_s < 0:
             raise SpecificationError("velocity must be non-negative")
 
@@ -60,7 +57,6 @@ class Requirement:
 
     kind: RequirementKind
     value: float
-    scope: str = ""  # kernel or pipeline name; empty = whole application
 
     def __post_init__(self):
         check_positive("requirement value", self.value)

@@ -178,10 +178,6 @@ class Pipeline:
             attributes: Dict[str, object] = {"sym_name": source.name}
             if source.annotation is not None:
                 attributes["locality"] = source.annotation.locality.value
-                attributes["volume_bytes"] = source.annotation.volume_bytes
-                attributes["velocity"] = (
-                    source.annotation.velocity_bytes_per_s
-                )
             if source.security is not None:
                 attributes["sensitivity"] = (
                     source.security.sensitivity.value
@@ -232,17 +228,11 @@ class Pipeline:
                         f"input {position} of task {task.name!r}",
                         operand.type, expected_type,
                     )
-            attributes = {"sym_name": task.name, "kernel": task.kernel}
-            if task.requirements:
-                attributes["requirements"] = [
-                    (req.kind.value, req.value, req.scope)
-                    for req in task.requirements
-                ]
             op = builder.create(
                 "workflow.task",
                 operands=operands,
                 result_types=list(function.type.results),
-                attributes=attributes,
+                attributes={"sym_name": task.name, "kernel": task.kernel},
             )
             for index, result in enumerate(op.results):
                 produced[(id(task), index)] = result

@@ -13,7 +13,7 @@ to the whole stack):
 * :mod:`repro.obs.context` — the ambient :class:`Observation` that
   instrumented code reports to (install one with :func:`observe`);
 * :mod:`repro.obs.driver` — spec-to-traced-run harness behind
-  ``python -m repro trace`` / ``run`` / ``metrics``.
+  ``python -m repro run`` (and its ``--trace`` / ``--metrics``).
 
 Quick start::
 

@@ -1,6 +1,6 @@
 """Spec-to-traced-run harness for the observability CLI.
 
-``python -m repro trace SPEC`` needs a whole Fig.-1 journey — compile,
+``python -m repro run SPEC`` needs a whole Fig.-1 journey — compile,
 explore, place, execute — from nothing but a kernel-DSL file. This
 module synthesizes that journey: every kernel in the spec becomes one
 pipeline task fed by fresh sources typed from the kernel's signature,

@@ -30,12 +30,8 @@ class TestDataAnnotation:
 
     def test_defaults_describe_an_empty_dataset_anywhere(self):
         annotation = DataAnnotation("x")
-        assert (annotation.volume_bytes, annotation.velocity_bytes_per_s,
-                annotation.locality) == (0, 0.0, Locality.ANY)
-
-    def test_negative_volume(self):
-        with pytest.raises(SpecificationError):
-            DataAnnotation("x", volume_bytes=-1)
+        assert (annotation.velocity_bytes_per_s,
+                annotation.locality) == (0.0, Locality.ANY)
 
 
 class TestRequirement:
@@ -118,7 +114,7 @@ class TestPipelineBuilder:
         source = pipeline.source(
             "in", TensorType((8,), F32),
             annotation=DataAnnotation(
-                "in", volume_bytes=1024, locality=Locality.EDGE
+                "in", velocity_bytes_per_s=1024.0, locality=Locality.EDGE
             ),
             security=SecurityAnnotation(sensitivity=Sensitivity.SECRET),
         )
@@ -130,19 +126,6 @@ class TestPipelineBuilder:
         )
         assert source_op.attr("locality") == "edge"
         assert source_op.attr("sensitivity") == "secret"
-
-    def test_requirements_recorded(self):
-        pipeline = Pipeline("p")
-        source = pipeline.source("in", TensorType((8,), F32))
-        pipeline.task(
-            "double", KERNEL, inputs=[source],
-            requirements=[Requirement(RequirementKind.LATENCY, 0.1)],
-        )
-        module = pipeline.to_ir()
-        task_op = next(
-            op for op in module.walk() if op.name == "workflow.task"
-        )
-        assert task_op.attr("requirements") == [("latency", 0.1, "")]
 
     def test_out_of_order_task_rejected(self):
         pipeline = Pipeline("p")

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import cli
 from repro.cli import main
 from repro.core.analysis.specs import load_kernel_sources
 from repro.core.compiler import EverestCompiler
@@ -134,13 +135,22 @@ class TestRunTraced:
 
 
 class TestCLI:
-    def test_trace_subcommand(self, spec_file, tmp_path, capsys):
+    def test_run_exports_a_valid_trace(self, spec_file, tmp_path,
+                                       capsys):
         out = tmp_path / "trace.json"
-        assert main(["trace", spec_file, "--out", str(out)]) == 0
+        assert main(["run", spec_file, "--trace", str(out)]) == 0
         trace = json.loads(out.read_text())
         assert validate_chrome_trace(trace) == []
         captured = capsys.readouterr()
         assert "spans" in captured.out
+
+    def test_an_invalid_trace_is_not_written(self, spec_file, tmp_path,
+                                             capsys, monkeypatch):
+        monkeypatch.setattr(cli, "validate_chrome_trace", lambda _: ["x"])
+        out = tmp_path / "trace.json"
+        assert main(["run", spec_file, "--trace", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == "invalid trace: x\n"
 
     def test_run_subcommand(self, spec_file, capsys):
         assert main(["run", spec_file]) == 0
@@ -148,15 +158,12 @@ class TestCLI:
         assert "makespan" in captured.out
         assert "trace digest" in captured.out
 
-    def test_metrics_subcommand_text(self, spec_file, capsys):
-        assert main(["metrics", spec_file]) == 0
-        captured = capsys.readouterr()
-        assert "workflow.tasks_executed" in captured.out
-
-    def test_metrics_subcommand_json(self, spec_file, capsys):
-        assert main(["metrics", spec_file, "--format", "json"]) == 0
-        snapshot = json.loads(capsys.readouterr().out)
-        assert "dse.evaluations" in snapshot
+    @pytest.mark.parametrize("view", ["text", "json"])
+    def test_run_metrics(self, spec_file, capsys, view):
+        assert main(["run", spec_file, "--metrics", view]) == 0
+        out = capsys.readouterr().out
+        snapshot = json.loads(out) if view == "json" else out
+        assert "workflow.tasks_executed" in snapshot
 
     def test_chaos_trace_export(self, tmp_path, capsys):
         out = tmp_path / "chaos.json"
@@ -170,6 +177,6 @@ class TestCLI:
     def test_trace_byte_identical_via_cli(self, spec_file, tmp_path):
         first = tmp_path / "a.json"
         second = tmp_path / "b.json"
-        assert main(["trace", spec_file, "--out", str(first)]) == 0
-        assert main(["trace", spec_file, "--out", str(second)]) == 0
+        assert main(["run", spec_file, "--trace", str(first)]) == 0
+        assert main(["run", spec_file, "--trace", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()

@@ -10,6 +10,7 @@ from repro.core.analysis.specs import load_kernel_sources
 from repro.core.dse.cost_model import synthesize_variant
 from repro.core.dsl.kernel_dsl import compile_kernel
 from repro.core.variants import VariantKnobs
+from tests import goldens
 
 KERNEL = """
 kernel scale(X: tensor<64xf32>, G: tensor<64xf32>)
@@ -20,106 +21,27 @@ kernel scale(X: tensor<64xf32>, G: tensor<64xf32>)
 """
 
 QUICKSTART = str(Path(__file__).parents[1] / "examples" / "quickstart.py")
-#: ``repro emit examples/quickstart.py --kernel score --what lowered-ir
-#: --unroll 4``.
-QUICKSTART_LOWERED_U4 = """\
-builtin.module @kernels {
-  func.func @score (%0: memref<256xf32>, %1: memref<256xf32>, %2: memref<256xf32>, %3: memref<256xf32>) -> () attributes {everest.sensitive_args = [2], lowered_from = "tensor"} {
-    kernel.for {lower = 0, pipeline_ii = 1, step = 1, unroll = 4, upper = 256} {
-      ^bb0(%4: index):
-        %5 = kernel.load(%0, %4) : f32
-        %6 = kernel.expf(%5) : f32
-        %7 = kernel.load(%1, %4) : f32
-        %8 = kernel.mulf(%6, %7) : f32
-        %9 = kernel.load(%2, %4) : f32
-        %10 = kernel.addf(%8, %9) : f32
-        %11 = kernel.sigmoidf(%10) : f32
-        kernel.store(%11, %3, %4)
-        kernel.yield
-    }
-    func.return
-  }
-}
-"""
-
-#: ``repro synth examples/quickstart.py --kernel score --unroll U``.
-QUICKSTART_SYNTH = {
-    1: """\
-kernel           : score
-clock            : 250 MHz
-latency          : 303 cycles (1.21 us)
-units            : 1xfadd, 1xfmul, 2xspecial
-resources        : FPGAResources(luts=4114, ffs=3290, bram_kb=9, dsps=21)
-memory banks     : 4
-dynamic power    : 0.26 W
-""",
-    4: """\
-kernel           : score
-clock            : 250 MHz
-latency          : 111 cycles (0.44 us)
-units            : 4xfadd, 4xfmul, 8xspecial
-resources        : FPGAResources(luts=13864, ffs=11000, bram_kb=18, dsps=84)
-memory banks     : 8
-dynamic power    : 0.87 W
-""",
-}
-#: ``repro emit examples/quickstart.py --kernel score --what rtl
-#: --unroll 1`` with the value numbers dropped; at unroll 4 every
-#: buffer has two banks.
-QUICKSTART_RTL_U1 = """\
-// pseudo-RTL generated by the EVEREST HLS engine
-module score (
-  input  wire clk,
-  input  wire rst,
-  input  wire start,
-  output reg  done
-  // memory interface: v: memref<256xf32> x1 banks
-  // memory interface: v: memref<256xf32> x1 banks
-  // memory interface: v: memref<256xf32> x1 banks
-  // memory interface: v: memref<256xf32> x1 banks
-);
-  reg [2:0] state;
-  always @(posedge clk) begin
-    if (rst) state <= 0;
-    else case (state)
-      0: begin // wait start
-        state <= 1;
-      end
-      1: begin // kernel.load; kernel.load; kernel.load
-        state <= 2;
-      end
-      2: begin // kernel.expf
-        state <= 3;
-      end
-      3: begin // kernel.mulf
-        state <= 4;
-      end
-      4: begin // kernel.addf
-        state <= 5;
-      end
-      5: begin // kernel.sigmoidf
-        state <= 6;
-      end
-      6: begin // kernel.store
-        state <= 7;
-      end
-      7: begin // assert done
-        state <= 7;
-      end
-    endcase
-  end
-  always @(posedge clk) done <= (state == 7);
-endmodule
-"""
-
-
-def quickstart_rtl(unroll):
-    banks = {1: "x1 banks", 4: "x2 banks"}[unroll]
-    return QUICKSTART_RTL_U1.replace("x1 banks", banks)
+#: ``repro <key>`` on ``examples/quickstart.py --kernel score``, pinned
+#: in ``tests/goldens/quickstart.jsonl`` with the RTL's value numbers
+#: dropped (at unroll 4 every buffer has two banks).
+QUICKSTART_OUTPUTS = [
+    "emit --what lowered-ir --unroll 4", "emit --what rtl --unroll 1",
+    "emit --what rtl --unroll 4", "synth --unroll 1", "synth --unroll 4",
+]
 
 
 def without_value_numbers(text):
     return re.sub(r"v\d+", "v", text)
+
+
+@goldens.suite("quickstart", QUICKSTART_OUTPUTS)
+def quickstart_output(key):
+    command, *flags = key.split()
+    code, lines = goldens.printed(
+        [command, QUICKSTART, "--kernel", "score", *flags])
+    assert code == 0
+    return [without_value_numbers(line) if "rtl" in flags else line
+            for line in lines]
 
 
 @pytest.fixture
@@ -174,20 +96,15 @@ class TestCLI:
         assert "module scale" in out
 
     @pytest.mark.parametrize("unroll", [1, 4])
-    def test_synth_report_text(self, unroll, capsys):
-        assert main(["synth", QUICKSTART, "--kernel", "score",
-                     "--unroll", str(unroll)]) == 0
-        assert capsys.readouterr().out == QUICKSTART_SYNTH[unroll]
+    def test_synth_report_text(self, unroll):
+        goldens.check("quickstart", f"synth --unroll {unroll}")
 
     @pytest.mark.parametrize("unroll", [1, 4])
-    def test_emit_rtl_text(self, unroll, capsys):
+    def test_emit_rtl_text(self, unroll):
         """The RTL is built from the design's schedules when asked
         for, byte for byte what a design that always carried its FSMD
         printed."""
-        assert main(["emit", QUICKSTART, "--kernel", "score",
-                     "--what", "rtl", "--unroll", str(unroll)]) == 0
-        out = without_value_numbers(capsys.readouterr().out)
-        assert out == quickstart_rtl(unroll)
+        goldens.check("quickstart", f"emit --what rtl --unroll {unroll}")
 
     @pytest.mark.parametrize("unroll", [1, 4])
     def test_interleave_leaves_the_quickstart_design(self, unroll):
@@ -197,9 +114,11 @@ class TestCLI:
         design = synthesize_variant(
             compile_kernel(source), "score",
             VariantKnobs(target="fpga", unroll=unroll, interleave=8))
-        assert design.report() + "\n" == QUICKSTART_SYNTH[unroll]
-        assert without_value_numbers(design.rtl()) + "\n" == \
-            quickstart_rtl(unroll)
+        goldens.check("quickstart", f"synth --unroll {unroll}",
+                      (design.report() + "\n").split("\n"))
+        goldens.check("quickstart", f"emit --what rtl --unroll {unroll}",
+                      (without_value_numbers(design.rtl()) + "\n")
+                      .split("\n"))
 
     def test_emit_lowered(self, dsl_file, capsys):
         assert main(["emit", dsl_file, "--kernel", "scale",
@@ -207,13 +126,11 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "kernel.for" in out
 
-    def test_emit_lowered_shows_the_loop_directives(self, capsys):
+    def test_emit_lowered_shows_the_loop_directives(self):
         """The HLS input with the directives HLS applies, byte for byte
         what the build that wrote them into the prepared module
         printed."""
-        assert main(["emit", QUICKSTART, "--kernel", "score",
-                     "--what", "lowered-ir", "--unroll", "4"]) == 0
-        assert capsys.readouterr().out == QUICKSTART_LOWERED_U4
+        goldens.check("quickstart", "emit --what lowered-ir --unroll 4")
 
     def test_bad_space(self, dsl_file, capsys):
         with pytest.raises(SystemExit) as caught:

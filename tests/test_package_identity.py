@@ -1,14 +1,15 @@
 """What a compile packages, pinned across releases and cache states.
 
-The digests below were recorded on the commit *before* pricing started
-handing its bitstream to the packager (the packager then re-prepared
-and re-synthesized every feasible FPGA variant itself) and must keep
-passing on every commit after it: per kernel, in evaluation order, the
-knob string, artifact kind, payload and signature of every packaged
-variant. The same record must come out of a cold compile, a warm
-compile over the same cache directory with memory emptied, a compile
-after a populating pass that emitted nothing, and a warm compile over
-a cache directory filled by pricing in pool children.
+The records in ``tests/goldens/package.jsonl`` were made on the commit
+*before* pricing started handing its bitstream to the packager (the
+packager then re-prepared and re-synthesized every feasible FPGA
+variant itself) and must keep matching on every commit after it: per
+kernel, in evaluation order, the knob string, artifact kind, payload
+and signature of every packaged variant. The same record must come out
+of a cold compile, a warm compile over the same cache directory with
+memory emptied, a compile after a populating pass that emitted nothing,
+and a warm compile over a cache directory filled by pricing in pool
+children.
 
 The second half counts the work behind that record: each FPGA design
 of a distinct prepared content is synthesized once, by pricing, and
@@ -18,8 +19,6 @@ synthesizes nothing.
 """
 
 import functools
-import hashlib
-import json
 import os
 import random
 
@@ -39,6 +38,7 @@ from repro.core.dse.explorer import Explorer
 from repro.core.dse.space import DesignSpace
 from repro.core.ir.passes import PassManager
 from repro.obs.driver import pipeline_from_sources
+from tests import goldens
 from tests.dse.oracle import distinct_builds
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -97,19 +97,12 @@ def sources_of(app_name: str):
     return [matmul_source("package-identity-matmul")]
 
 
-#: sha256 of :func:`package_record`, per application.
-GOLDENS = {
-    "quickstart":
-        "b9562ebd8df7ed74915088a5798b991ddb575c3fbaf89cfed29eae5bbd12e29e",
-    "chain":
-        "b98a5b23459fe855dcb4537645b33f83a8ff7642392b5b2c2d9b06b3ba34e1d1",
-    "matmul":
-        "dd809da0e81e9e39dee2db7f3f32d9e45c53c19c7605770e811db4c19b45ec72",
-}
+APPS = ["chain", "matmul", "quickstart"]
 
 
-def package_record(app) -> str:
-    """Canonical JSON of everything the package holds, per kernel."""
+def package_record(app):
+    """Everything the package holds, per kernel: one row per packaged
+    variant."""
     record = {}
     for kernel, result in app.exploration.items():
         rows = record[kernel] = []
@@ -129,16 +122,23 @@ def package_record(app) -> str:
                           payload.checksum]
             rows.append([variant.knobs.describe(), artifact.kind,
                          fields, artifact.signature])
-    return json.dumps(record, sort_keys=True)
+    return record
 
 
 def compile_app(app_name: str, cache_dir, **options):
-    """One compile with empty memory over the caches in ``cache_dir``."""
-    configure(cache_dir=cache_dir / "dse",
+    """One compile with empty memory over the caches in ``cache_dir``
+    (in memory only when None)."""
+    configure(cache_dir=cache_dir and cache_dir / "dse",
               prepared_capacity=DEFAULT_PREPARED_CAPACITY)
-    configure_analysis_cache(cache_dir / "analysis")
+    configure_analysis_cache(cache_dir and cache_dir / "analysis")
     pipeline = pipeline_from_sources(app_name, sources_of(app_name))
     return EverestCompiler(space=SPACE, **options).compile(pipeline)
+
+
+@goldens.suite("package", APPS)
+def packaged(app_name, cache_dir=None):
+    """The package record of a compile over ``cache_dir``."""
+    return package_record(compile_app(app_name, cache_dir))
 
 
 def compile_priced_in_pool_children(app_name, cache_dir, monkeypatch):
@@ -153,24 +153,19 @@ def compile_priced_in_pool_children(app_name, cache_dir, monkeypatch):
     return app
 
 
-@pytest.mark.parametrize("app_name", sorted(GOLDENS))
+@pytest.mark.parametrize("app_name", APPS)
 def test_package_is_pinned_at_every_cache_state(app_name, tmp_path,
                                                 monkeypatch):
-    records = {
-        "cold": package_record(compile_app(app_name, tmp_path / "a")),
-        "warm": package_record(compile_app(app_name, tmp_path / "a")),
-    }
+    # cold, then warm over the same directory with memory emptied
+    goldens.check("package", app_name, cache_dir=tmp_path / "a")
+    goldens.check("package", app_name, cache_dir=tmp_path / "a")
     populated = compile_app(app_name, tmp_path / "b",
                             emit_artifacts=False)
     assert not populated.package.artifacts
-    records["after a pass that emitted nothing"] = package_record(
-        compile_app(app_name, tmp_path / "b"))
-    records["priced in pool children"] = package_record(
+    goldens.check("package", app_name, cache_dir=tmp_path / "b")
+    goldens.check("package", app_name, package_record(
         compile_priced_in_pool_children(app_name, tmp_path / "c",
-                                        monkeypatch))
-    for state, record in records.items():
-        digest = hashlib.sha256(record.encode("utf-8")).hexdigest()
-        assert digest == GOLDENS[app_name], state
+                                        monkeypatch)))
 
 
 @pytest.fixture
@@ -191,7 +186,7 @@ def built(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("app_name", sorted(GOLDENS))
+@pytest.mark.parametrize("app_name", APPS)
 def test_each_variant_is_built_once(app_name, tmp_path, built):
     cold = compile_app(app_name, tmp_path)
     (result,) = cold.exploration.values()

@@ -94,3 +94,20 @@ def test_a_dataclass_field_is_a_parameter_of_its_constructor(tmp_path,
         f"unreferenced: pkg/rec.py::Rec.__init__({field}=)"
         for field in unset
     ]
+
+
+def test_an_attribute_an_op_is_created_with_and_nothing_reads(tmp_path):
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "ir.py").write_text(
+        'def build(b, op):\n    attributes = {"read": 1}\n'
+        '    attributes["local"] = 2\n'
+        '    b.create("a", attributes=attributes)\n'
+        '    Operation("b", attributes={"display": 3})\n'
+        '    op.set_attr("kept", 4)\n')
+    (tmp_path / "src" / "pkg" / "app.py").write_text(
+        'from pkg.ir import build\n\nbuild(0, 0).attr("read")\n')
+    code, out = scan(tmp_path, [
+        {"key": "pkg/ir.py::ir[kept]", "class": 4, "why": "reason"}])
+    assert (code, out.splitlines()) == (1, [
+        "src/pkg/ir.py:4: class 4 unreferenced: pkg/ir.py::ir[local]",
+        "src/pkg/ir.py:5: class 4 unreferenced: pkg/ir.py::ir[display]"])

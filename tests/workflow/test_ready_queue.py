@@ -16,9 +16,10 @@ both against a model kept *outside* the engine:
   record has revoked (:func:`replay`).
 
 Run fault-free, over the 5 x 4 chaos grid of
-``tests/chaos/test_invariants.py`` (whose trace digests, taken from the
-engine that sorted and scanned per launch, are pinned here), and on one
-schedule built to lose a mid-graph object while its consumer is queued.
+``tests/chaos/test_invariants.py`` (whose traces, recorded from the
+engine that sorted and scanned per launch, are pinned in
+``tests/goldens/chaos_grid.jsonl``), and on one schedule built to lose a
+mid-graph object while its consumer is queued.
 """
 
 import pytest
@@ -36,6 +37,7 @@ from repro.workflow.recovery import SCHED_CATEGORY, ResilientServer
 from repro.workflow.scheduler import SchedulerPolicy, make_policy
 from repro.workflow.tracing import RECOVERY_CATEGORY, TASK_CATEGORY
 
+from tests import goldens
 from tests.chaos.conftest import CONFIG, FAULT_SEEDS, GRAPH_SEEDS, make_pool
 
 POLICIES = ("fifo", "b-level", "locality")
@@ -107,7 +109,7 @@ class CheckedPolicy(SchedulerPolicy):
         return choice
 
 
-def run_checked(monkeypatch, graph, workers, policy_name, chaos=None):
+def run_checked(graph, workers, policy_name, chaos=None):
     """Run under a :class:`CheckedPolicy`, published to an enabled
     tracer (a run records its dispatch instants only for one);
     returns (policy, trace)."""
@@ -118,10 +120,11 @@ def run_checked(monkeypatch, graph, workers, policy_name, chaos=None):
         policy.tracer = make_sim_tracer(sim, graph_name)
         return policy.tracer
 
-    monkeypatch.setattr(recovery, "make_sim_tracer", capturing)
-    trace, _stats = ResilientServer(workers, policy=policy).run(
-        graph, chaos=chaos, tracer=Tracer()
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(recovery, "make_sim_tracer", capturing)
+        trace, _stats = ResilientServer(workers, policy=policy).run(
+            graph, chaos=chaos, tracer=Tracer()
+        )
     assert policy.select_calls >= len(graph.tasks)
     _finished, dispatches = replay(graph, policy.tracer.events)
     assert dispatches >= len(graph.tasks)
@@ -131,68 +134,38 @@ def run_checked(monkeypatch, graph, workers, policy_name, chaos=None):
 @pytest.mark.parametrize("policy_name", POLICIES)
 @pytest.mark.parametrize("graph_seed", GRAPH_SEEDS)
 class TestFaultFree:
-    def test_ready_is_priority_then_arrival(self, monkeypatch,
-                                            policy_name, graph_seed):
+    def test_ready_is_priority_then_arrival(self, policy_name,
+                                            graph_seed):
         graph = random_task_graph(graph_seed, num_tasks=24)
-        policy, trace = run_checked(
-            monkeypatch, graph, make_pool(2), policy_name
-        )
+        policy, trace = run_checked(graph, make_pool(2), policy_name)
         assert not policy.held
         assert len(trace.records) == len(graph.tasks)
 
 
-#: Trace digests of the chaos grid per policy, graph seed major, taken
-#: from the engine that sorted the ready list and re-read every ready
-#: task's dependencies at each launch.
-CHAOS_GRID_DIGESTS = {
-    "fifo": (
-        "a1bdf3298c7595b0 04b28b1689950536 67775557fd84d79c "
-        "4d53b539de1947fa ec5068573330f552 2253d405c4e6b900 "
-        "76463b821a04c7d6 23cfaa5a30579628 dca2d95c5fd91459 "
-        "9bb32e29d51046a9 13f0e6c210f53326 c1fd6c5536bd6acf "
-        "4a710827de6d9083 61169d7c4cf090f5 51d22b8876c65171 "
-        "270d1168c7576d52 460448d84e96984d 7794e8d918f24989 "
-        "c3cedebcd79fdf35 740113d1a98d4a0e"
-    ),
-    "b-level": (
-        "efcbc749fa2c639a 70138b31508a69e5 7292571860b49223 "
-        "ac42f91fd1846e74 e998b7b5786e5cfc 91b0ac6dfa399a19 "
-        "1035eacf61b9b45d 5e5a4b578435e1b3 b0c44d6b85e3ba8f "
-        "71b86b7b7c93ab40 1fb88b1d38d0c5ae be775277432f0bcf "
-        "71fcd6f137351cc9 06b355980f031dab 0e1290bcc070c399 "
-        "e26afef800265034 50172071d3072360 e2906b27e8351880 "
-        "642f0994198dd6e1 08eb6a1f4275a5d0"
-    ),
-    "locality": (
-        "927804d95e8556db 13ce712e378bd831 01f4500ce1c51b3c "
-        "b0fbab773dd97ccf 697ad7eb66f7eec8 f0f80efc2c5d12c9 "
-        "9d856db869faf2e6 a77e9ae686aa1c7c db85016f573cc0a1 "
-        "c0fcf7671e0ea8d3 4c122df589bee743 acfab40898acc733 "
-        "16d8379febefeaf1 f952cd55e268f7aa 598ad34a4d8b8a5d "
-        "a3d8957322bd94bd 39c77ede6c641733 3a4f6cc5e8e6cad6 "
-        "de2435f7b8af777b 1accbfa083826812"
-    ),
-}
+#: The chaos grid, ``policy/graph seed/fault seed``; its traces were
+#: recorded from the engine that sorted the ready list and re-read every
+#: ready task's dependencies at each launch.
+CHAOS_GRID = [f"{policy}/{graph_seed}/{fault_seed}"
+              for policy in POLICIES for graph_seed in GRAPH_SEEDS
+              for fault_seed in FAULT_SEEDS]
 
 
-@pytest.mark.parametrize("policy_name", POLICIES)
-@pytest.mark.parametrize("graph_seed", GRAPH_SEEDS)
-@pytest.mark.parametrize("fault_seed", FAULT_SEEDS)
-class TestChaosGrid:
-    def test_contracts_hold_and_the_trace_is_pinned(
-            self, monkeypatch, policy_name, graph_seed, fault_seed):
-        graph = random_task_graph(graph_seed, num_tasks=10)
-        pool = make_pool(3)
-        schedule = generate_schedule(
-            graph, [worker.name for worker in pool], fault_seed, CONFIG
-        )
-        _policy, trace = run_checked(
-            monkeypatch, graph, pool, policy_name, chaos=schedule
-        )
-        pinned = CHAOS_GRID_DIGESTS[policy_name].split()
-        assert trace.digest() == pinned[
-            graph_seed * len(FAULT_SEEDS) + fault_seed
-        ]
+@goldens.suite("chaos_grid", CHAOS_GRID)
+def checked_chaos_trace(key):
+    """The trace of one grid cell, run under the contract checks."""
+    policy_name, graph_seed, fault_seed = key.split("/")
+    graph = random_task_graph(int(graph_seed), num_tasks=10)
+    pool = make_pool(3)
+    schedule = generate_schedule(
+        graph, [worker.name for worker in pool], int(fault_seed), CONFIG
+    )
+    _policy, trace = run_checked(graph, pool, policy_name, chaos=schedule)
+    return trace.to_dict()
+
+
+@pytest.mark.parametrize("key", CHAOS_GRID)
+def test_contracts_hold_and_the_trace_is_pinned(key):
+    goldens.check("chaos_grid", key)
 
 
 def lost_under_a_queued_consumer():
@@ -224,10 +197,10 @@ def lost_under_a_queued_consumer():
 
 
 class TestObjectLostUnderAQueuedConsumer:
-    def test_queued_consumer_is_held_not_launched(self, monkeypatch):
+    def test_queued_consumer_is_held_not_launched(self):
         graph, workers, schedule = lost_under_a_queued_consumer()
         policy, trace = run_checked(
-            monkeypatch, graph, workers, "b-level", chaos=schedule
+            graph, workers, "b-level", chaos=schedule
         )
         runs = {}
         for record in trace.records:

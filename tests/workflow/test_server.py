@@ -14,6 +14,7 @@ from repro.workflow.scheduler import (
     make_policy,
 )
 from repro.workflow.worker import Worker
+from tests import goldens
 
 
 def chain_and_fan() -> TaskGraph:
@@ -216,64 +217,36 @@ class TestExternalInputHome:
         assert self.run(None) == "a"
 
 
-#: Fault-free trace digests, seed/policy/topology -> digest, taken when
-#: the engine that only ran fault-free graphs was deleted: both engines
-#: agreed on every cell in everything but the ``+recovery`` policy
-#: label, so these pin the fault-free timeline.
-GOLDEN_DIGESTS = {
-    "0/fifo/flat": "ea725ee97e48bca2",
-    "0/fifo/eco": "3c77fae092976cd0",
-    "0/b-level/flat": "523406ffa5d7f3e5",
-    "0/b-level/eco": "dbe91a4330f6ee9f",
-    "0/locality/flat": "c50c21e41ad2c323",
-    "0/locality/eco": "81f5b0d4f979a6c1",
-    "1/fifo/flat": "2cb39791e7189bd3",
-    "1/fifo/eco": "d0f452f1d0e8c792",
-    "1/b-level/flat": "9ef8c29b8a32e977",
-    "1/b-level/eco": "d74a396dc73bd7bb",
-    "1/locality/flat": "78cfe1a23754f4a0",
-    "1/locality/eco": "a7e9604f6a642ba4",
-    "2/fifo/flat": "0e82c06adecb36b9",
-    "2/fifo/eco": "ca66e428f980b43e",
-    "2/b-level/flat": "5147938dfdc868b8",
-    "2/b-level/eco": "e671164e3c069d55",
-    "2/locality/flat": "40c655b4e4f1d31b",
-    "2/locality/eco": "33e862f10d9bdb65",
-    "3/fifo/flat": "ecaa995874ec9bc5",
-    "3/fifo/eco": "7cadaf5c8e3e558c",
-    "3/b-level/flat": "b50d4cb2f27263ae",
-    "3/b-level/eco": "8f5aa46024d2b1df",
-    "3/locality/flat": "08d9d6d20a25a3a0",
-    "3/locality/eco": "a6c56d1e33f0e6a8",
-    "4/fifo/flat": "d0556eac31dbd8ac",
-    "4/fifo/eco": "ad4fa10d5e15eefc",
-    "4/b-level/flat": "bd336db4768bd380",
-    "4/b-level/eco": "8d3d19483d95f202",
-    "4/locality/flat": "32935dc69e0aa4b9",
-    "4/locality/eco": "d21f49e1a5b32afb",
-}
+#: The fault-free grid, ``seed/policy/topology``. Its records were
+#: taken when the engine that only ran fault-free graphs was deleted:
+#: both engines agreed on every cell in everything but the
+#: ``+recovery`` policy label, so they pin the fault-free timeline.
+FAULT_FREE = [f"{seed}/{policy}/{topology}" for seed in range(5)
+              for policy in ("b-level", "fifo", "locality")
+              for topology in ("eco", "flat")]
 ECOSYSTEM_NODES = ["edge-0", "power9-0", "cloudfpga-0", "edge-1"]
 
 
-class TestFaultFreeGoldens:
-    @pytest.mark.parametrize("key", sorted(GOLDEN_DIGESTS))
-    def test_digest_pinned(self, key):
-        seed, policy, topology = key.split("/")
-        on_ecosystem = topology == "eco"
-        nodes = ECOSYSTEM_NODES if on_ecosystem else [
-            f"n{index}" for index in range(4)
-        ]
-        workers = [
-            Worker(f"w{index}", node_name=node, cpus=2)
-            for index, node in enumerate(nodes)
-        ]
-        trace, _ = ResilientServer(
-            workers,
-            ecosystem=build_reference_ecosystem() if on_ecosystem
-            else None,
-            policy=make_policy(policy),
-        ).run(random_task_graph(int(seed), num_tasks=24))
-        assert trace.digest() == GOLDEN_DIGESTS[key]
+@goldens.suite("server", FAULT_FREE)
+def fault_free_trace(key):
+    seed, policy, topology = key.split("/")
+    on_ecosystem = topology == "eco"
+    nodes = ECOSYSTEM_NODES if on_ecosystem else ["n0", "n1", "n2", "n3"]
+    workers = [
+        Worker(f"w{index}", node_name=node, cpus=2)
+        for index, node in enumerate(nodes)
+    ]
+    trace, _ = ResilientServer(
+        workers,
+        ecosystem=build_reference_ecosystem() if on_ecosystem else None,
+        policy=make_policy(policy),
+    ).run(random_task_graph(int(seed), num_tasks=24))
+    return trace.to_dict()
+
+
+@pytest.mark.parametrize("key", FAULT_FREE)
+def test_fault_free_trace_pinned(key):
+    goldens.check("server", key)
 
 
 class TestPolicies:

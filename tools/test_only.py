@@ -19,8 +19,11 @@ words (a docstring or a comment naming something is not a use of it):
 3. instance attributes (``self.x = ...``) and dataclass / named-tuple
    fields that no consumer reads; ``self.x += 1``, ``self.x =
    self.x + 1`` and a discarded ``self.x.append(...)`` are writes;
-4. IR attributes that ``set_attr`` writes under a literal key and
-   whose key no consumer names outside the writing function.
+4. IR attributes whose key no consumer names outside the function
+   that writes them: a literal key of a ``set_attr`` call, or of the
+   ``attributes=`` dict an op is created with by ``create`` /
+   ``Operation`` (a dict display, or a local the function builds from
+   one and from ``local["key"] = ...`` stores).
 
 Names are matched by name alone, so a name shares its uses with
 everything else of that name (a miss, never a false hit), and a name
@@ -29,8 +32,9 @@ is a false hit: such a name goes on the keep-list with the consumer
 that reaches it.
 
 Every hit must be on the keep-list, ``tools/test_only_keep.json``: one
-entry per name with its ``key`` (``fnmatch`` patterns allowed), its
-``class`` and ``why`` it stays (a non-test consumer or a ROADMAP item).
+entry per name with its ``key`` (the hit's own, or an ``fnmatch``
+pattern), its ``class`` and ``why`` it stays (a non-test consumer or a
+ROADMAP item).
 An entry that matches no hit is stale. Usage::
 
     python tools/test_only.py [--root DIR] [--keep FILE]
@@ -530,32 +534,78 @@ def _class3(files, consumer_reads, test_reads) -> Iterator[Hit]:
 # -- IR attributes --------------------------------------------------------
 
 
+def _literal(node: ast.AST) -> Optional[str]:
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
+
+
+def _dict_keys(value: Optional[ast.AST]) -> List[str]:
+    if not isinstance(value, ast.Dict):
+        return []
+    return [key for key in map(_literal, value.keys) if key is not None]
+
+
+def _created_keys(call: ast.Call, owner: Optional[ast.AST]) -> List[str]:
+    """Literal keys of the ``attributes=`` an op is created with."""
+    name = call.func.attr if isinstance(call.func, ast.Attribute) else (
+        call.func.id if isinstance(call.func, ast.Name) else None)
+    value = next((keyword.value for keyword in call.keywords
+                  if keyword.arg == "attributes"), None)
+    if name not in ("create", "Operation") or value is None:
+        return []
+    if not isinstance(value, ast.Name) or owner is None:
+        return _dict_keys(value)
+    keys = []
+    for node in ast.walk(owner):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            if node.lineno > call.lineno:
+                continue
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id == value.id:
+                    keys += _dict_keys(node.value)
+                elif (isinstance(target, ast.Subscript)
+                      and isinstance(target.value, ast.Name)
+                      and target.value.id == value.id
+                      and _literal(target.slice) is not None):
+                    keys.append(_literal(target.slice))
+    return keys
+
+
+def _written_keys(node: ast.AST, owner: Optional[ast.AST]) -> List[str]:
+    if not isinstance(node, ast.Call):
+        return []
+    if (isinstance(node.func, ast.Attribute)
+            and node.func.attr == "set_attr" and node.args
+            and _literal(node.args[0]) is not None):
+        return [_literal(node.args[0])]
+    return _created_keys(node, owner)
+
+
 def _class4(files: List[_File], tests: List[_File]) -> Iterator[Hit]:
     strings: Dict[str, List[ast.AST]] = defaultdict(list)
     for file in files:
         for node in ast.walk(file.tree):
-            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if _literal(node) is not None:
                 strings[node.value].append(node)
     test_strings = {
         node.value for file in tests for node in ast.walk(file.tree)
-        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        if _literal(node) is not None
     }
     for file in files:
         if not file.rel.startswith("src/"):
             continue
+        path, seen = file.rel[len("src/"):], set()
         for node in ast.walk(file.tree):
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "set_attr" and node.args
-                    and isinstance(node.args[0], ast.Constant)):
-                continue
-            key = node.args[0].value
             owner = _enclosing(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            if any(not _inside(ref, owner) for ref in strings[key]):
-                continue
-            path = file.rel[len("src/"):]
-            yield Hit(f"{path}::ir[{key}]", 4, f"{file.rel}:{node.lineno}",
-                      key in test_strings)
+            for key in _written_keys(node, owner):
+                if key in seen or any(not _inside(ref, owner)
+                                      for ref in strings[key]):
+                    continue
+                seen.add(key)
+                yield Hit(f"{path}::ir[{key}]", 4,
+                          f"{file.rel}:{node.lineno}", key in test_strings)
 
 
 # -- driver ---------------------------------------------------------------
@@ -581,7 +631,8 @@ def check(hits: List[Hit], keep: List[dict]):
         entries = [
             i for i, entry in enumerate(keep)
             if entry["class"] == hit.kind
-            and fnmatch.fnmatchcase(hit.key, entry["key"])
+            and (hit.key == entry["key"]
+                 or fnmatch.fnmatchcase(hit.key, entry["key"]))
         ]
         for i in entries:
             matched[i] = True
