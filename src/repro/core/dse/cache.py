@@ -135,8 +135,9 @@ def synthesis_memo(prepared: Module) -> Syntheses:
     """The :class:`Syntheses` of ``prepared``'s content.
 
     Keyed by :func:`~repro.core.ir.digest.module_digest`, so the knob
-    points whose pass pipelines prepare equal modules (a tiling pass
-    that finds nothing to tile) share their syntheses. The map holds
+    points whose different pass pipelines prepare equal modules (a tile
+    that does not divide its matmul's dimensions, which lowering leaves
+    untiled) share their syntheses. The map holds
     each memo weakly and the prepared modules strongly, on their root
     op by version: a memo lives while a module of its content does,
     and once the prepared LRU entries are evicted or cleared (or the

@@ -40,7 +40,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple)
 
 from repro.core.analysis.absint import (
     FunctionFacts,
@@ -65,6 +66,7 @@ from repro.core.ir.passes import (
     TilingPass,
 )
 from repro.core.ir.passes.partitioning import estimate_work, signature_bytes
+from repro.core.ir.passes.tiling import TILABLE
 from repro.core.variants import CostEstimate, VariantKnobs
 from repro.errors import DSEError, HLSError, SchedulingError
 from repro.platform.interconnect import Link, OpenCAPILink
@@ -143,6 +145,18 @@ class ArchitectureModel:
         ))
 
 
+def _op_names(module: Module) -> FrozenSet[str]:
+    """The names of the ops in ``module``'s functions, kept on its root
+    op by version the way :func:`module_digest` keeps its digest."""
+    root = module.op
+    memo = getattr(root, "_op_names_memo", None)
+    if memo is None or memo[0] != root.version:
+        memo = root._op_names_memo = (root.version, frozenset(
+            op.name for function in module.functions()
+            for op in function.walk()))
+    return memo[1]
+
+
 def prepare_variant_module(
     module: Module,
     kernel: str,
@@ -155,22 +169,31 @@ def prepare_variant_module(
     *content* digest (pass ``digest`` to reuse a precomputed one), so
     the cache survives garbage collection of the source module without
     ever aliasing a recycled ``id``, and by the passes the pipeline
-    holds with their parameters — exactly what the result depends on,
-    so the points that differ only in knobs no pass reads share one
-    prepared module: threads, clock, memory strategy, and the loop
-    directives (unroll, interleave), which HLS applies from its
-    options (:func:`~repro.core.hls.bambu.hls_options_for`). A CPU
-    point and every FPGA point with the same tile, layout, DIFT and
-    matmul order get the same module. ``kernel`` is not in the key:
+    holds with their parameters — exactly what the result depends on.
+    Layout and DIFT enter the key whenever they are set; the matmul
+    order only when the module holds a ``tensor.matmul``, and the tile
+    only when it holds a ``tensor.matmul`` or ``tensor.contract``, the
+    ops those two passes rewrite. So the points that differ only in
+    knobs no pass reads share one prepared module: threads, clock,
+    memory strategy, and the loop directives (unroll, interleave),
+    which HLS applies from its options
+    (:func:`~repro.core.hls.bambu.hls_options_for`), and on a kernel
+    with nothing to tile, the tile. A CPU point and every FPGA point
+    of one pipeline get the same module. ``kernel`` is not in the key:
     the passes run over the whole module, so the kernels of one
     application share its prepared modules too. Callers must not
     mutate it.
     """
+    ops = _op_names(module)
     manager = PassManager(verify_each=False)
     manager.add(ElementwiseFusionPass())
-    if knobs.matmul_order != "ijk":
+    # A pass with no op to rewrite would leave the module as it found
+    # it. Reading the ops before the pipeline is exact only because no
+    # pass ahead of these two (fusion merges element-wise ops) creates
+    # a matmul or a contraction.
+    if knobs.matmul_order != "ijk" and "tensor.matmul" in ops:
         manager.add(MatmulLoopOrderPass(knobs.matmul_order))
-    if knobs.tile:
+    if knobs.tile and not ops.isdisjoint(TILABLE):
         manager.add(TilingPass(
             tile_sizes=(knobs.tile, knobs.tile, knobs.tile)))
     if knobs.layout in ("aos", "soa"):

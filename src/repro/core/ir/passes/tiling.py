@@ -17,7 +17,8 @@ from repro.core.ir.passes.pass_manager import Pass
 from repro.errors import PassError
 from repro.utils.validation import check_positive
 
-_TILABLE = ("tensor.matmul", "tensor.contract")
+#: The ops :class:`TilingPass` rewrites.
+TILABLE = ("tensor.matmul", "tensor.contract")
 
 
 class MatmulLoopOrderPass(Pass):
@@ -69,7 +70,7 @@ class TilingPass(Pass):
         changed = False
         for func in module.functions():
             for op in func.walk():
-                if op.name not in _TILABLE:
+                if op.name not in TILABLE:
                     continue
                 sizes = list(self.tile_sizes)
                 if op.attr("tile_sizes") != sizes:

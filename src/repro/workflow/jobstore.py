@@ -302,7 +302,9 @@ class JobStore:
         the whole batch, the 10k-jobs/s path). A job whose idempotency
         key is already present is *not* re-inserted — its existing id
         is reported under ``duplicates`` and its state is untouched,
-        so retrying a submission script never double-runs work.
+        so retrying a submission script never double-runs work; so is
+        each repeat of a key within the batch, with the id its first
+        occurrence created.
         ``ready=False`` stages the jobs for a later :meth:`release`.
         """
         specs = list(specs)
@@ -343,6 +345,8 @@ class JobStore:
                     duplicates.append(before[key])
                 else:
                     inserted.append(after[key])
+                    # a repeat later in the batch is a duplicate of it
+                    before[key] = after[key]
             if tags and inserted:
                 self._conn.executemany(
                     "INSERT OR IGNORE INTO job_tags(job_id, tag) "

@@ -9,6 +9,7 @@ from repro.core.analysis.cache import (
 )
 from repro.core.dsl.kernel_dsl import compile_kernel
 from repro.obs import MetricsRegistry, Observation, observe
+from tests import goldens
 
 SRC = """
 kernel f(X: tensor<8xf32>) -> tensor<8xf32> {
@@ -23,6 +24,26 @@ kernel f(X: tensor<16xf32>) -> tensor<16xf32> {
   return Y
 }
 """
+
+_ZEROS = "0" * 64
+#: The analysis cache's key recipes, by their row in the ``keys`` goldens.
+KEY_RECIPES = {
+    "analysis module_key d1 absint,taint":
+        lambda: AnalysisCache.module_key("d1", ("absint", "taint")),
+    "analysis module_key 0x64 perf":
+        lambda: AnalysisCache.module_key(_ZEROS, ("perf",)),
+    "analysis perf_key d1 k": lambda: AnalysisCache.perf_key("d1", "k"),
+    "analysis perf_key d2 gemm":
+        lambda: AnalysisCache.perf_key("d2", "gemm"),
+    "analysis perf_key 0x64 score":
+        lambda: AnalysisCache.perf_key(_ZEROS, "score"),
+}
+
+
+@goldens.suite("keys", KEY_RECIPES)
+def analysis_key(recipe):
+    """The key one recipe makes."""
+    return KEY_RECIPES[recipe]()
 
 
 class TestKeys:
@@ -41,22 +62,10 @@ class TestKeys:
         assert AnalysisCache.module_key("d1", ("taint",)) != base
 
     def test_keys_are_stable_across_releases(self):
-        """Goldens, three per recipe; re-recorded when a version moves
+        """Golden rows, one per recipe; re-recorded when a version moves
         (last: ``ANALYSIS_CACHE_VERSION`` "1" -> "2", recipes unchanged)."""
-        zeros = "0" * 64
-        assert [
-            AnalysisCache.module_key("d1", ("absint", "taint")),
-            AnalysisCache.module_key(zeros, ("perf",)),
-            AnalysisCache.perf_key("d1", "k"),
-            AnalysisCache.perf_key("d2", "gemm"),
-            AnalysisCache.perf_key(zeros, "score"),
-        ] == [
-            "44b3c71130601af102a9737c8619fc503241b8c9f1a2ae0f6863663aa3c25d4b",
-            "032eab20fa0a7f793ff57ce21208254a2cefd86c3bb2ac39c2588ca6343e0cfe",
-            "52af3f4dbcc918f5127e1fed682a04e5bb432104a55eb585b0b6ead4e782f06b",
-            "7ceef8aa78b4dd5c70397ac2b61f34f9479a0ad5e3a805432b556012f2e9b2fb",
-            "275274db29f0e340bc1d7063529e1db830e4d75474817f9581a2ac87220e1c04",
-        ]
+        for recipe in KEY_RECIPES:
+            goldens.check("keys", recipe)
 
 
 class TestStore:

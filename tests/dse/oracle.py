@@ -15,9 +15,15 @@ oracles say what "alone" means:
   before canonicalization) and synthesized with options that follow
   the IR's attributes.
 
-How much sharing to expect is read from modules prepared here, not
-from the memo under test: :func:`distinct_builds` counts the distinct
-content digests of the modules the points' pass pipelines prepare.
+How much sharing to expect is read from modules prepared here and
+from the kernel's ops, not from the memo under test:
+:func:`distinct_builds` counts the distinct content digests of the
+modules the points' full pass pipelines prepare, and :func:`pipelines`
+the pipelines left once a pass with no op to rewrite (tiling without a
+matmul or contraction, a loop order without a matmul) is dropped. The
+full pipeline, every knob's pass included, is
+:func:`annotated_module` with ``directives=False``: each prepared
+module must print as it does.
 :func:`schedule_violations` checks a synthesized design's (possibly
 shared) one-copy schedules against that design's own budget and
 ports.
@@ -144,10 +150,14 @@ class Case:
     build: Callable[[], Tuple[Module, str]]
     designs: Tuple[VariantKnobs, ...]
     clocks: Tuple[float, ...]
-    #: Explored and held to fresh designs when given, with the number
-    #: of pass pipelines (prepared modules) its points run.
+    #: Explored and held to fresh designs when given.
     space: Optional[DesignSpace] = None
-    pipelines: Optional[int] = None
+
+    @property
+    def pipelines(self):
+        """The pass pipelines (prepared modules) the space's points
+        run, read from the kernel's ops."""
+        return pipelines(self.build()[0], self.space.points())
 
     def points(self, clock_first=True):
         if clock_first:
@@ -165,17 +175,15 @@ def _designs(space):
 
 
 def _cases():
-    # the e2e space's pipelines are its tiles; the thorough space's its
-    # tiles x DIFT x matmul orders
     thorough = DesignSpace.thorough()
     cases = [Case(f"e2e-{index}", partial(seeded_kernel, 1, index),
                   _designs(SPACE) + (UNKNOWN_STRATEGY,), SPACE.clocks_hz,
-                  SPACE, 2) for index in KERNELS]
+                  SPACE) for index in KERNELS]
     cases += [Case(
         f"thorough-{name}",
         lambda name=name: (compile_kernel(THOROUGH_SOURCES[name]), name),
         _designs(thorough) + (UNKNOWN_STRATEGY,), thorough.clocks_hz,
-        thorough, 12) for name in sorted(THOROUGH_SOURCES)]
+        thorough) for name in sorted(THOROUGH_SOURCES)]
     # the .ir fixtures at one clock, with and without interleaving
     designs = _designs(SPACE)
     designs += tuple(replace(knobs, interleave=8) for knobs in designs)
@@ -232,10 +240,30 @@ def fresh_estimate(module, kernel, knobs, model=MODEL):
     )
 
 
+def pipelines(module, points):
+    """How many pass pipelines ``points`` run on ``module``: one per
+    distinct layout pass and DIFT, times the tiles when a function
+    holds a matmul or a contraction, times the matmul orders when it
+    holds a matmul (the e2e space's are its tiles on a matmul kernel,
+    one on any other; the thorough space's its tiles x DIFT x orders on
+    a matmul, DIFT alone on an element-wise chain)."""
+    ops = {op.name for function in module.functions()
+           for op in function.walk()}
+    tiled = not ops.isdisjoint(("tensor.matmul", "tensor.contract"))
+    ordered = "tensor.matmul" in ops
+    return len({(knobs.tile if tiled else 0,
+                 knobs.layout if knobs.layout in ("aos", "soa") else None,
+                 knobs.dift,
+                 knobs.matmul_order if ordered else "ijk")
+                for knobs in points})
+
+
 def annotated_module(module, knobs, directives=True):
-    """The prepared module the annotating recipe built: the directives
-    are written into the IR before canonicalization (left out with
-    ``directives=False``)."""
+    """The prepared module the annotating recipe built: every knob's
+    pass, whether or not it finds an op to rewrite, and the directives
+    written into the IR before canonicalization (left out with
+    ``directives=False``: the full pipeline a prepared module must
+    print as)."""
     manager = passes.PassManager(verify_each=False)
     manager.add(passes.ElementwiseFusionPass())
     if knobs.matmul_order != "ijk":

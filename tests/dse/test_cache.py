@@ -33,6 +33,7 @@ from repro.core.ir.printer import print_module
 from repro.core.store import LRUCache
 from repro.core.variants import CostEstimate, VariantKnobs
 from repro.platform.interconnect import PCIeLink
+from tests import goldens
 from tests.dse.oracle import CASES, EXPLORED
 
 ADD_SRC = """
@@ -48,6 +49,21 @@ kernel k(X: tensor<8xf32>) -> tensor<8xf32> {
   return Y
 }
 """
+
+#: ``CostCache.key``'s arguments, by their row in the ``keys`` goldens.
+KEY_RECIPES = {
+    "cost d1 k fpga/u2/250MHz/auto m1":
+        ("d1", "k", VariantKnobs(target="fpga", unroll=2), "m1"),
+    "cost d2 gemm cpu/t4/tile8 m1":
+        ("d2", "gemm", VariantKnobs(target="cpu", threads=4, tile=8), "m1"),
+    "cost 0x64 score cpu/t1 m2": ("0" * 64, "score", VariantKnobs(), "m2"),
+}
+
+
+@goldens.suite("keys", KEY_RECIPES)
+def cost_key(recipe):
+    """The key one recipe makes."""
+    return CostCache.key(*KEY_RECIPES[recipe])
 
 
 def materialize_at_recycled_id(template, old_id):
@@ -283,18 +299,8 @@ class TestCostCache:
         the bitstream record, so entries of older releases must miss,
         and the key became ``<kernel's shard>.<point>`` so that the
         points of one exploration share a shard file."""
-        assert CostCache.key(
-            "d1", "k", VariantKnobs(target="fpga", unroll=2), "m1",
-        ) == ("ad59547cd94749831493122bb29f9da8"
-              "a3d8a431ecbd3a838e4b20ea418dfe42.4327cffa089581ad")
-        assert CostCache.key(
-            "d2", "gemm", VariantKnobs(target="cpu", threads=4, tile=8),
-            "m1",
-        ) == ("470bf2807e9d6b3adae1c26a94af1fd7"
-              "edb7bb4daf09647bb3f17cd552846615.4903911147acf73f")
-        assert CostCache.key("0" * 64, "score", VariantKnobs(), "m2") == (
-            "25c65d1858ec14c6920f2bf5ad0cd7dc"
-            "a76f7f375890a6c2b6c0c1c52a1f6174.edbcec3f253c7015")
+        for recipe in KEY_RECIPES:
+            goldens.check("keys", recipe)
 
     def test_one_exploration_is_one_shard_file(self, tmp_path,
                                                gemm_module):

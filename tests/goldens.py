@@ -1,9 +1,10 @@
 """Committed records of results pinned across releases.
 
 A *suite* is one kind of pinned result — an exploration's JSON, a
-package's contents, an execution trace — made per *key* (a kernel and
-space, a seed and policy) by the one producer function its test module
-registers with :func:`suite`. ``tests/goldens/<suite>.jsonl`` holds the
+package's contents, an execution trace, a cache key's recipe — made
+per *key* (a kernel and space, a seed and policy, a recipe) by the one
+producer function a test module registers for that key with
+:func:`suite`. ``tests/goldens/<suite>.jsonl`` holds the
 records one row per line, ``[key, path, row]``: the path names a field
 of the key's record or an element of a list field, so ``git diff``
 names the key and row that moved.
@@ -61,9 +62,10 @@ _SUITES = {}
 
 def suite(name, keys):
     """Register the decorated ``producer(key, **options)`` as the one
-    source of suite ``name``'s records, one per key."""
+    source of suite ``name``'s records of ``keys``, one per key; test
+    modules may register other keys of the same suite."""
     def register(producer):
-        _SUITES[name] = (tuple(keys), producer)
+        _SUITES.setdefault(name, {}).update(dict.fromkeys(keys, producer))
         return producer
     return register
 
@@ -92,7 +94,7 @@ def produce(name, key, **options):
         patch.setattr(ops, "_value_counter", itertools.count())
         _memory_only()
         try:
-            return json.loads(json.dumps(_SUITES[name][1](key, **options)))
+            return json.loads(json.dumps(_SUITES[name][key](key, **options)))
         finally:
             _memory_only()
 
@@ -213,7 +215,7 @@ def main(argv=None) -> int:
     for name in args.suites or sorted(_SUITES):
         if name not in _SUITES:
             parser.error(f"unknown suite {name!r}")
-        keys = _SUITES[name][0]
+        keys = list(_SUITES[name])
         fresh = {key: produce(name, key) for key in keys}
         reports = [moved(name, key, fresh[key]) for key in keys]
         changed = [key for key, report in zip(keys, reports) if report]

@@ -39,7 +39,7 @@ from repro.core.dse.space import DesignSpace
 from repro.core.ir.passes import PassManager
 from repro.obs.driver import pipeline_from_sources
 from tests import goldens
-from tests.dse.oracle import distinct_builds
+from tests.dse.oracle import distinct_builds, pipelines
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -53,10 +53,6 @@ SPACE = DesignSpace(
     memory_strategies=("auto", "cyclic"),
     clocks_hz=(250e6, 350e6),
 )
-#: Distinct pass pipelines in ``SPACE``: one per tile, shared by the
-#: CPU and FPGA points (no pass reads the other knobs; HLS applies
-#: the unroll factor).
-PIPELINES = 2
 
 _STEPS = ("{0} + Y", "{0} - Y", "{0} * Y", "tanh({0})", "sigmoid({0})",
           "relu({0})", "exp({0})")
@@ -198,11 +194,15 @@ def test_each_variant_is_built_once(app_name, tmp_path, built):
     counted = dict(built)
     (kernel,) = cold.exploration
     distinct = distinct_builds(cold.module, kernel, fpga_points)
+    # one pipeline per tile on the matmul, one on the other two: the
+    # CPU and FPGA points share them (no pass reads the other knobs;
+    # HLS applies the unroll factor)
+    prepared = pipelines(cold.module, SPACE.points())
     assert counted == {"syntheses": distinct["synthesize"],
-                       "pipelines": PIPELINES}
+                       "pipelines": prepared}
 
     built.update(syntheses=0, pipelines=0)
     warm = compile_app(app_name, tmp_path)
-    assert built == {"syntheses": 0, "pipelines": PIPELINES}
+    assert built == {"syntheses": 0, "pipelines": prepared}
     assert package_record(warm) == package_record(cold)
     assert warm.package.verify_integrity()

@@ -57,6 +57,16 @@ class TestSubmission:
         assert sorted(again.duplicates) == sorted(first.inserted)
         assert store.counts()["ready"] == 5
 
+    def test_a_spec_repeated_in_one_batch_is_inserted_once(self, store):
+        a, b = JobSpec(name="a", spec={"i": 1}), JobSpec(name="b")
+        with observe(session()):
+            result = store.submit([a, a, b])
+            submitted = current_metrics().counter(
+                "service.jobs_submitted").total()
+        assert (result.inserted, result.duplicates) == ([1, 2], [1])
+        assert submitted == 2
+        assert store.counts()["ready"] == 2
+
     def test_duplicate_does_not_reset_state(self, store, clock):
         job_id = submit_n(store, 1).inserted[0]
         lease = store.lease("l1", 1)
