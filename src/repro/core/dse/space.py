@@ -3,16 +3,26 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterator, List, Sequence
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Sequence
 
 from repro.core.variants import VariantKnobs
 from repro.errors import DSEError
 
 
+#: The knobs each target reads, in the cross product's nesting order.
+_TARGET_KNOBS = {
+    "cpu": ("threads", "tile", "layout", "dift", "matmul_order"),
+    "fpga": ("unroll", "tile", "memory_strategy", "layout", "clock_hz",
+             "dift", "matmul_order", "interleave"),
+    "gpu": ("tile", "layout", "dift"),
+}
+
+
 @dataclass
 class DesignSpace:
-    """Candidate values per knob; the cross product is the space.
+    """Candidate values per knob; each target's points are the cross
+    product of the knobs it reads.
 
     Software variants sweep thread counts; hardware variants sweep
     unroll factors, clocks and memory strategies. Layout applies to
@@ -32,42 +42,35 @@ class DesignSpace:
 
     def __post_init__(self):
         for target in self.targets:
-            if target not in ("cpu", "fpga", "gpu"):
+            if target not in _TARGET_KNOBS:
                 raise DSEError(f"unknown target {target!r}")
         if not self.targets:
             raise DSEError("design space needs at least one target")
+        for knob, values in self._knob_values().items():
+            if not values:
+                raise DSEError(f"design space knob {knob!r} has no values")
+
+    def _knob_values(self) -> Dict[str, Sequence]:
+        """Each knob's candidate values, by ``VariantKnobs`` field."""
+        return {
+            "threads": self.threads, "unroll": self.unrolls,
+            "tile": self.tiles, "memory_strategy": self.memory_strategies,
+            "layout": self.layouts, "clock_hz": self.clocks_hz,
+            "dift": self.dift_options, "matmul_order": self.matmul_orders,
+            "interleave": self.interleaves,
+        }
 
     def points(self) -> Iterator[VariantKnobs]:
-        """Iterate all knob combinations (deduplicated).
-
-        CPU points ignore hardware knobs and vice versa, so the raw
-        cross product collapses; duplicates are skipped.
-        """
-        seen = set()
-        for (target, thread_count, unroll, tile, strategy, layout,
-             clock, dift, order, interleave) in itertools.product(
-                self.targets, self.threads, self.unrolls, self.tiles,
-                self.memory_strategies, self.layouts, self.clocks_hz,
-                self.dift_options, self.matmul_orders,
-                self.interleaves):
-            if target == "cpu":
-                knobs = VariantKnobs(
-                    target="cpu", threads=thread_count, tile=tile,
-                    layout=layout, dift=dift, matmul_order=order,
-                )
-            elif target == "fpga":
-                knobs = VariantKnobs(
-                    target="fpga", unroll=unroll, tile=tile,
-                    memory_strategy=strategy, layout=layout,
-                    clock_hz=clock, dift=dift, matmul_order=order,
-                    interleave=interleave,
-                )
-            else:
-                knobs = VariantKnobs(target="gpu", tile=tile,
-                                     layout=layout, dift=dift)
-            if knobs not in seen:
-                seen.add(knobs)
-                yield knobs
+        """Every distinct knob assignment: each target once, in order,
+        over the product of the knobs it reads, each knob's values
+        taken once, in order — the order in which the whole cross
+        product, deduplicated, would first reach them."""
+        candidates = self._knob_values()
+        for target in dict.fromkeys(self.targets):
+            knobs = _TARGET_KNOBS[target]
+            for values in itertools.product(*(
+                    dict.fromkeys(candidates[knob]) for knob in knobs)):
+                yield VariantKnobs(target, **dict(zip(knobs, values)))
 
     def size(self) -> int:
         """Number of distinct points."""
@@ -106,13 +109,10 @@ def neighborhood(knobs: VariantKnobs, space: DesignSpace
     Used by the evolutionary explorer for mutation.
     """
     neighbors: List[VariantKnobs] = []
+    attributes = ("target", *space._knob_values())
     for candidate in space.points():
         differences = 0
-        for attribute in (
-            "target", "threads", "tile", "unroll", "memory_strategy",
-            "layout", "clock_hz", "dift", "matmul_order",
-            "interleave",
-        ):
+        for attribute in attributes:
             if getattr(candidate, attribute) != getattr(knobs, attribute):
                 differences += 1
         if differences == 1:

@@ -37,6 +37,14 @@ class TestDesignSpace:
         with pytest.raises(DSEError):
             DesignSpace(targets=("quantum",))
 
+    @pytest.mark.parametrize("values, knob", [
+        ("threads", "threads"), ("interleaves", "interleave"),
+    ])
+    def test_empty_knob_is_an_error(self, values, knob):
+        # a knob the CPU never reads would still empty its cross product
+        with pytest.raises(DSEError, match=f"knob '{knob}' has no values"):
+            DesignSpace(targets=("cpu",), **{values: ()})
+
     def test_thorough_space_large(self):
         assert DesignSpace.thorough().size() > 50
 

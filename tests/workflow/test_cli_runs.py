@@ -16,8 +16,11 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.obs.driver import run_traced
 from repro.workflow.journal import JOURNAL_FILE
 from repro.workflow.runstore import RunStore
+
+from tests import goldens
 
 
 ROOT = Path(__file__).parents[2]
@@ -25,7 +28,6 @@ ROOT = Path(__file__).parents[2]
 #: while ``repro run`` still took ``--workers`` / ``--workers-mode``:
 #: its recipe holds ``workers: 1`` and ``workers_mode: "thread"``.
 POOL_RECIPE_RUNS = ROOT / "tests" / "workflow" / "fixtures" / "run_pool_recipe"
-POOL_RECIPE_DIGEST = "6ae764462362caf6"
 
 
 def chaos_args(journal_dir, *extra):
@@ -177,9 +179,25 @@ class TestDurableCLI:
         assert out.lstrip().startswith("{")
 
 
+def quickstart_trace():
+    """This build's trace of the run ``run_pool_recipe`` recorded."""
+    return run_traced(str(ROOT / "examples" / "quickstart.py")).report.trace
+
+
+@goldens.suite("runs", ["run_pool_recipe"])
+def quickstart_run(key):
+    return quickstart_trace().to_dict()
+
+
 class TestRunRecordedWithRetiredKeys:
     """A recorded recipe key ``repro run`` no longer records does not
     block resuming the run; a recipe flag that differs still does."""
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        trace = quickstart_trace()
+        goldens.check("runs", "run_pool_recipe", trace.to_dict())
+        return trace
 
     @pytest.fixture
     def runs(self, tmp_path, monkeypatch):
@@ -193,14 +211,14 @@ class TestRunRecordedWithRetiredKeys:
     @pytest.mark.parametrize("killed", [False, True],
                              ids=["finished", "killed"])
     @pytest.mark.parametrize("how", ["--run-id", "--resume"])
-    def test_it_resumes(self, runs, capsys, how, killed):
+    def test_it_resumes(self, runs, trace, capsys, how, killed):
         journal = runs / "r" / JOURNAL_FILE
         if killed:  # the finish record never reached the disk
             truncate(journal, len(journal.read_bytes().splitlines()) - 1)
         assert main(["run", "examples/quickstart.py", how, "r",
                      "--journal-dir", str(runs)]) == 0
         out = capsys.readouterr().out
-        assert POOL_RECIPE_DIGEST in out and ("complete" in out) != killed
+        assert trace.digest() in out and ("complete" in out) != killed
         assert RunStore(runs).load_meta("r")["attempts"] == 1 + killed
 
     def test_another_strategy_is_wf009(self, runs, capsys):

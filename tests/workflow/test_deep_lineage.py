@@ -5,7 +5,7 @@ downstream of it. Done by recursion through the consumers, that walk
 raised ``RecursionError`` out of ``ResilientServer.run`` at about a
 thousand tasks; it is iterative now, and emits its records in the
 order the recursion did (the digest of a chain the recursion could
-still walk is pinned).
+still walk is pinned, one golden row per record).
 """
 
 import pytest
@@ -14,6 +14,7 @@ from repro.chaos import ChaosSchedule, WorkerCrash
 from repro.workflow.graph import DataObject, TaskGraph, WorkflowTask
 from repro.workflow.recovery import ResilientServer
 
+from tests import goldens
 from tests.chaos.conftest import make_pool
 
 
@@ -37,6 +38,12 @@ def run_crashed_chain(length: int):
     return graph, trace, stats
 
 
+@goldens.suite("runs", ["deep-chain/300"])
+def crashed_chain_trace(key):
+    _graph, trace, _stats = run_crashed_chain(int(key.split("/")[1]))
+    return trace.to_dict()
+
+
 class TestDeepLineage:
     @pytest.mark.parametrize("length", [1500, 4000])
     def test_deep_chain_completes(self, length):
@@ -48,8 +55,8 @@ class TestDeepLineage:
 
     def test_emission_order_is_the_recursive_walk_s(self):
         # 300 tasks: within reach of the recursive invalidate, whose
-        # trace this digest was taken from
+        # trace these rows were taken from
         _graph, trace, stats = run_crashed_chain(300)
         assert len(trace.records) == 598
         assert stats.tasks_relineaged == 298
-        assert trace.digest() == "3ffb21cf8e81132a"
+        goldens.check("runs", "deep-chain/300", trace.to_dict())

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -48,6 +49,7 @@ from repro.workflow.replay import (
     replay_records,
 )
 
+from tests import goldens
 from tests.chaos.conftest import make_pool
 
 PARENT_RUN = Path(__file__).parent / "fixtures" / "journal_pr18"
@@ -81,6 +83,14 @@ def chaos_run(directory, snapshot_every=9, prepare=None, resume=None,
         if check is not None:
             check()
     return trace
+
+
+@goldens.suite("runs", ["journal_pr18"])
+def fixture_recipe_trace(key):
+    """The trace of the recipe ``fixtures/journal_pr18`` was recorded
+    with, run journaled on this build."""
+    with tempfile.TemporaryDirectory() as directory:
+        return chaos_run(Path(directory)).to_dict()
 
 
 class CheckedHandle:
@@ -331,8 +341,9 @@ def test_parent_written_run_replays_to_this_builds_summary(tmp_path):
     assert resumed == full
 
     trace = chaos_run(tmp_path)
+    goldens.check("runs", "journal_pr18", trace.to_dict())
     ours, _ = replay_journal(tmp_path)
-    assert ours.digest == trace.digest() == "106fa68d69149ede"
+    assert ours.digest == trace.digest()
     theirs = full.summary()
     assert theirs == {
         "events": 72, "executions": 8, "completions": 8, "faults": 5,
@@ -378,6 +389,6 @@ def test_parent_written_run_resumes_past_its_checkpoint_record(tmp_path):
     for _seq, path in list_snapshots(tmp_path):
         path.unlink()
     resumed = chaos_run(tmp_path, resume=state)
-    assert resumed.digest() == "106fa68d69149ede"
+    goldens.check("runs", "journal_pr18", resumed.to_dict())
     ours, _ = replay_journal(tmp_path)
     assert ours.finished and ours.digest == resumed.digest()
