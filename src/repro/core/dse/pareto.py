@@ -30,8 +30,11 @@ class ParetoFront:
     """Incrementally maintained feasible non-dominated set.
 
     Invariants match the batch :func:`pareto_front`: members are kept
-    in insertion order, infeasible variants are never admitted, and a
-    variant whose (rounded) cost coordinates duplicate a member's is
+    in insertion order and infeasible variants are never admitted.
+    Dominance is tested first: a newcomer some member dominates is
+    dropped, and one that dominates members replaces them, even a
+    member whose (rounded) cost coordinates it shares. Only then is a
+    newcomer that duplicates a remaining member's rounded coordinates
     dropped. Dominance is transitive, so rejecting a newcomer against
     the current front is equivalent to testing it against everything
     ever seen.
@@ -47,21 +50,20 @@ class ParetoFront:
         """Offer one variant; returns True when the front changed."""
         if not variant.cost.feasible:
             return False
-        key = _cost_key(variant)
-        if key in self._keys:
-            return False
         cost = variant.cost
-        survivors: List[Variant] = []
+        survivors, dropped = [], set()
         for member in self._members:
             if member.cost.dominates(cost):
                 return False
             if cost.dominates(member.cost):
-                self._keys.discard(_cost_key(member))
-                continue
-            survivors.append(member)
-        survivors.append(variant)
-        self._members = survivors
-        self._keys.add(key)
+                dropped.add(_cost_key(member))
+            else:
+                survivors.append(member)
+        key = _cost_key(variant)
+        if key in self._keys and key not in dropped:
+            return False
+        self._members = survivors + [variant]
+        self._keys = (self._keys - dropped) | {key}
         return True
 
     def variants(self) -> List[Variant]:

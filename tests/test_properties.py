@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.dse.pareto import pareto_front
@@ -197,6 +197,8 @@ def _variants(points):
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(costs, min_size=1, max_size=20))
+@example([(1.0000000000000003e-09, 1.0000000000000003e-09),
+          (1.0000000000000003e-09, 1e-09)])
 def test_property_front_members_not_dominated(points):
     variants = _variants(points)
     front = pareto_front(variants)

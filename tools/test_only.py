@@ -35,12 +35,43 @@ Every hit must be on the keep-list, ``tools/test_only_keep.json``: one
 entry per name with its ``key`` (the hit's own, or an ``fnmatch``
 pattern), its ``class`` and ``why`` it stays (a non-test consumer or a
 ROADMAP item).
-An entry that matches no hit is stale. Usage::
+An entry that matches no hit is stale.
+
+The same parse holds the gone-list, ``tools/gone.json`` under the root
+(a root without one is an error): the names a change deleted and where
+they must stay gone; this script is one of the files it covers. Each
+entry has ``names``, a ``kind``, a ``scope`` list, the ``reason`` and
+the ``pr`` that deleted them, and may carry ``at_most`` (default 0),
+the number of hits it allows, counted over all its scopes. A kind is
+matched on the AST, never on a comment or a docstring:
+
+- ``def``: a def or class named N;
+- ``import``: an imported module or ``from`` name, relative imports
+  resolved; a dotted N such as ``repro.core.dse`` matches its
+  submodules too;
+- ``call``: a call whose callee is N or ends in ``.N`` (N may be dotted,
+  ``graph.dependencies``); ``N(kw=)`` also requires the keyword ``kw``;
+- ``keyword``: a parameter or keyword argument named N; ``**`` is a
+  ``**`` spread in a call or a ``**kwargs`` parameter;
+- ``name``: any identifier: a name, an attribute (a dotted N matches an
+  attribute chain's end, ``options.cipher``), a def, a parameter, a
+  keyword or an import alias;
+- ``string``: the regex N found in a line of a string constant other
+  than a docstring;
+- ``loop``: a ``for``, a ``while`` or a comprehension (``names`` is
+  empty).
+
+A scope is a file or directory under the root (``.py`` files under
+``src``, ``benchmarks``, ``examples``, ``tools`` and ``tests``),
+optionally narrowed to ``::Class``, ``::function`` or
+``::Class.method`` of a file. A scope that names no file, class or
+function is a missing anchor, an error like a found name, so a renamed
+anchor cannot leave its entry passing with nothing to look at. Usage::
 
     python tools/test_only.py [--root DIR] [--keep FILE]
 
-Prints each unlisted hit and each stale entry and exits 1 if there is
-any; exits 0 when clean.
+Prints each unlisted hit, each stale entry, each gone name found and
+each missing anchor, and exits 1 if there is any; exits 0 when clean.
 """
 
 from __future__ import annotations
@@ -49,6 +80,7 @@ import argparse
 import ast
 import fnmatch
 import json
+import re
 import sys
 from collections import defaultdict
 from dataclasses import dataclass
@@ -57,7 +89,11 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 CONSUMERS = ("src", "benchmarks", "examples", "tools")
 TESTS = ("tests",)
-KEEP = Path(__file__).with_name("test_only_keep.json")
+SELF = Path(__file__).resolve()
+KEEP = SELF.with_name("test_only_keep.json")
+GONE = "tools/gone.json"
+GONE_KINDS = ("def", "import", "call", "keyword", "name", "string", "loop")
+GONE_FIELDS = {"names", "kind", "scope", "reason", "pr", "at_most"}
 
 _MUTATORS = {
     "append", "extend", "add", "update", "insert", "setdefault",
@@ -83,6 +119,8 @@ class _File:
     rel: str
     tree: ast.Module
     init: bool
+    #: ``(gone kind, name)`` -> the nodes that are one (``_facts``)
+    facts: Dict[Tuple[str, str], List[ast.AST]]
 
 
 def _parse(root: Path, dirs: Tuple[str, ...]) -> List[_File]:
@@ -92,16 +130,16 @@ def _parse(root: Path, dirs: Tuple[str, ...]) -> List[_File]:
         if not base.is_dir():
             continue
         for path in sorted(base.rglob("*.py")):
-            if path.resolve() == Path(__file__).resolve():
-                continue
+            rel = path.relative_to(root).as_posix()
             tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+            package = rel.split("/")[1 if rel.startswith("src/") else 0:-1]
+            facts: Dict[Tuple[str, str], List[ast.AST]] = defaultdict(list)
             for node in ast.walk(tree):
                 for child in ast.iter_child_nodes(node):
                     child.parent = node  # type: ignore[attr-defined]
-            files.append(_File(
-                path.relative_to(root).as_posix(), tree,
-                path.name == "__init__.py",
-            ))
+                for fact in _facts(node, package):
+                    facts[fact].append(node)
+            files.append(_File(rel, tree, path.name == "__init__.py", facts))
     return files
 
 
@@ -608,13 +646,152 @@ def _class4(files: List[_File], tests: List[_File]) -> Iterator[Hit]:
                           f"{file.rel}:{node.lineno}", key in test_strings)
 
 
+# -- the gone-list --------------------------------------------------------
+
+
+def _dotted(node: ast.AST) -> List[str]:
+    """``["a", "b", "c"]`` of ``a.b.c``, as far back as it is names."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+    return parts[::-1]
+
+
+def _tails(parts: List[str]) -> List[str]:
+    """``c``, ``b.c`` and ``a.b.c`` of ``a.b.c``."""
+    return [".".join(parts[i:]) for i in range(len(parts))]
+
+
+def _docstring(node: ast.Constant) -> bool:
+    expr = getattr(node, "parent", None)
+    owner = getattr(expr, "parent", None)
+    return (isinstance(expr, ast.Expr)
+            and isinstance(owner, (ast.Module, ast.ClassDef,
+                                   ast.FunctionDef, ast.AsyncFunctionDef))
+            and owner.body[0] is expr)
+
+
+def _imported(node, package: List[str]) -> Iterator[Tuple[str, str]]:
+    """An import's modules (and each dotted prefix) and bound names."""
+    base = []
+    if isinstance(node, ast.ImportFrom):
+        if node.level:
+            base = package[:max(0, len(package) - node.level + 1)]
+        base += [node.module] if node.module else []
+    for alias in node.names:
+        module = ".".join(base + [alias.name]).split(".")
+        for end in range(1, len(module) + 1):
+            yield "import", ".".join(module[:end])
+        yield "name", alias.name
+        if alias.asname:
+            yield "name", alias.asname
+
+
+def _facts(node: ast.AST, package: List[str]) -> Iterator[Tuple[str, str]]:
+    """The ``(gone kind, name)`` pairs ``node`` is, ``package`` being
+    the dotted parts of the package its file is in."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        yield "def", node.name
+        yield "name", node.name
+    elif isinstance(node, ast.arg):
+        yield "keyword", node.arg
+        yield "name", node.arg
+        if node.parent.kwarg is node:
+            yield "keyword", "**"
+    elif isinstance(node, ast.keyword):
+        yield "keyword", node.arg or "**"
+        if node.arg:
+            yield "name", node.arg
+    elif isinstance(node, ast.Name):
+        yield "name", node.id
+    elif isinstance(node, ast.Attribute):
+        for tail in _tails(_dotted(node)):
+            yield "name", tail
+    elif isinstance(node, (ast.Import, ast.ImportFrom)):
+        yield from _imported(node, package)
+    elif isinstance(node, ast.Call):
+        for tail in _tails(_dotted(node.func)):
+            yield "call", tail
+            for keyword in node.keywords:
+                yield "call", f"{tail}({keyword.arg or '**'}=)"
+    elif isinstance(node, (ast.For, ast.AsyncFor, ast.While, ast.ListComp,
+                           ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+        yield "loop", ""
+    elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+          and not _docstring(node)):
+        yield "string", ""
+
+
+def _anchors(files: List[_File], scope: str):
+    """``[(file, node or None)]`` a scope covers; empty when the file,
+    class or function it names does not exist."""
+    path, _, qual = scope.partition("::")
+    covered = [f for f in files
+               if f.rel == path or f.rel.startswith(path + "/")]
+    if not qual:
+        return [(f, None) for f in covered]
+    if [f.rel for f in covered] != [path]:
+        return []
+    node = covered[0].tree
+    for part in qual.split("."):
+        node = next((item for item in node.body if isinstance(
+            item, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and item.name == part), None)
+        if node is None:
+            return []
+    return [(covered[0], node)]
+
+
+def _gone_hits(file: _File, entry: dict) -> Iterator[Tuple[str, ast.AST]]:
+    kind = entry["kind"]
+    if kind == "loop":
+        for node in file.facts.get(("loop", ""), ()):
+            yield type(node).__name__.lower(), node
+        return
+    for name in entry["names"]:
+        if kind != "string":
+            yield from ((name, node)
+                        for node in file.facts.get((kind, name), ()))
+            continue
+        for node in file.facts.get(("string", ""), ()):
+            if any(re.search(name, line)
+                   for line in node.value.splitlines()):
+                yield name, node
+
+
+def gone(files: List[_File], entries: List[dict]):
+    """``(found, missing)``: a line for each hit of an entry with more
+    than its ``at_most``, and one for each scope that no longer exists."""
+    found, missing = [], []
+    for entry in entries:
+        if entry["kind"] not in GONE_KINDS or not set(entry) <= GONE_FIELDS:
+            raise ValueError(f"{GONE}: not a gone entry: {entry}")
+        label = f"{entry['reason']} (PR {entry['pr']})"
+        hits = {}
+        for scope in entry["scope"]:
+            anchors = _anchors(files, scope)
+            if not anchors:
+                missing.append(f"{GONE}: missing anchor {scope}: {label}")
+            for file, anchor in anchors:
+                for name, node in _gone_hits(file, entry):
+                    if anchor is None or _inside(node, anchor):
+                        hits[id(node), name] = (file.rel, node.lineno, name)
+        at_most = entry.get("at_most", 0)
+        if len(hits) > at_most:
+            bound = f" ({len(hits)} hits, at most {at_most})" * bool(at_most)
+            found += [f"{rel}:{line}: gone {entry['kind']} {name!r}{bound}: "
+                      f"{label}" for rel, line, name in sorted(hits.values())]
+    return found, missing
+
+
 # -- driver ---------------------------------------------------------------
 
 
-def scan(root: Path) -> List[Hit]:
-    """Every hit of the four classes under ``root/src``."""
-    consumers = _parse(root, CONSUMERS)
-    tests = _parse(root, TESTS)
+def scan(consumers: List[_File], tests: List[_File]) -> List[Hit]:
+    """Every hit of the four classes under ``src/``."""
     defs = list(_definitions(consumers))
     hits = list(_class1(defs, _references(consumers), _references(tests)))
     hits += _class2(defs, consumers, _calls(consumers), _calls(tests), tests)
@@ -644,19 +821,27 @@ def check(hits: List[Hit], keep: List[dict]):
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--root", type=Path,
-                        default=Path(__file__).resolve().parent.parent)
+                        default=SELF.parent.parent)
     parser.add_argument("--keep", type=Path, default=KEEP)
     args = parser.parse_args(argv)
     keep = json.loads(args.keep.read_text(encoding="utf-8"))
-    unlisted, stale, listed = check(scan(args.root), keep)
+    entries = json.loads((args.root / GONE).read_text(encoding="utf-8"))
+    files, tests = _parse(args.root, CONSUMERS), _parse(args.root, TESTS)
+    consumers = [f for f in files if (args.root / f.rel).resolve() != SELF]
+    unlisted, stale, listed = check(scan(consumers, tests), keep)
+    found, missing = gone(files + tests, entries)
     for hit in unlisted:
         print(hit.line())
     for entry in stale:
         print(f"{args.keep.name}: stale class {entry['class']} entry: "
               f"{entry['key']} (no longer a hit)")
+    for line in found + missing:
+        print(line)
     print(f"{len(unlisted)} unlisted, {len(stale)} stale, "
           f"{len(listed)} kept", file=sys.stderr)
-    return 1 if unlisted or stale else 0
+    print(f"gone: {len(entries)} entries, {len(found)} found, "
+          f"{len(missing)} missing anchors", file=sys.stderr)
+    return 1 if unlisted or stale or found or missing else 0
 
 
 if __name__ == "__main__":
