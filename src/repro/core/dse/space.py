@@ -10,12 +10,12 @@ from repro.core.variants import VariantKnobs
 from repro.errors import DSEError
 
 
-#: The knobs each target reads, in the cross product's nesting order.
+#: The knobs each target reads, in the cross product's nesting order;
+#: its rows are the targets the cost model prices.
 _TARGET_KNOBS = {
     "cpu": ("threads", "tile", "layout", "dift", "matmul_order"),
     "fpga": ("unroll", "tile", "memory_strategy", "layout", "clock_hz",
              "dift", "matmul_order", "interleave"),
-    "gpu": ("tile", "layout", "dift"),
 }
 
 
@@ -43,7 +43,8 @@ class DesignSpace:
     def __post_init__(self):
         for target in self.targets:
             if target not in _TARGET_KNOBS:
-                raise DSEError(f"unknown target {target!r}")
+                raise DSEError(
+                    f"cost model cannot price target {target!r}")
         if not self.targets:
             raise DSEError("design space needs at least one target")
         for knob, values in self._knob_values().items():

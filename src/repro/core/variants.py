@@ -22,7 +22,7 @@ _variant_ids = itertools.count()
 class VariantKnobs:
     """The knob assignment that generated one variant."""
 
-    target: str = "cpu"  # cpu | fpga | gpu
+    target: str = "cpu"  # cpu | fpga
     threads: int = 1  # software parallelism
     tile: int = 0  # 0 = untiled
     unroll: int = 1

@@ -36,6 +36,9 @@ LabelKey = Tuple[Tuple[str, str], ...]
 
 
 def _label_key(labels: Dict[str, Any]) -> LabelKey:
+    if len(labels) == 1:  # most series have one label: nothing to sort
+        [(name, value)] = labels.items()
+        return ((name, str(value)),)
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 

@@ -11,7 +11,7 @@ count prevents firing before the baseline stabilizes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.utils.validation import check_positive
@@ -75,7 +75,9 @@ class HardwareMonitor:
 
     def observe(self, metric: str, value: float) -> Optional[Anomaly]:
         """Check an observation; returns the anomaly if flagged."""
-        baseline = self._baselines.setdefault(metric, _Baseline())
+        baseline = self._baselines.get(metric)
+        if baseline is None:
+            baseline = self._baselines[metric] = _Baseline()
         if baseline.count < self.min_training:
             baseline.update(value)
             return None

@@ -18,8 +18,9 @@ simulated node, wiring together all of Fig. 2:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.compiler import CompiledApplication
 from repro.errors import RuntimeSystemError
@@ -35,6 +36,7 @@ from repro.runtime.autotuner.knowledge import (
     OperatingPoint,
 )
 from repro.runtime.autotuner.manager import (
+    IDLE,
     ApplicationManager,
     SystemState,
 )
@@ -95,16 +97,24 @@ class ExecutionReport:
         ]
 
 
+#: Normal draws the reality model takes from its generator at once.
+_NOISE_BLOCK = 256
+
+
 def default_reality(seed: str = "reality") -> RealityModel:
     """Truth = prediction × lognormal noise × state effects.
 
     The contention/load coefficients intentionally differ from the
-    decision maker's internal model, so feedback learning matters.
+    decision maker's internal model, so feedback learning matters. The
+    noise is drawn a block of standard normals at a time; each value is
+    bit for bit the scalar ``lognormal`` draw the same normal gives.
     """
     rng = deterministic_rng("executor-reality", seed)
+    normals: Iterator[float] = iter(())
 
     def model(point: OperatingPoint, state: SystemState,
               features: DataFeatures) -> Tuple[float, float]:
+        nonlocal normals
         is_hw = point.is_hardware
         latency = point.predicted_latency_s
         energy = point.predicted_energy_j
@@ -114,7 +124,12 @@ def default_reality(seed: str = "reality") -> RealityModel:
             latency *= 1.0 + 3.5 * state.fpga_contention
         else:
             latency *= 1.0 + 2.4 * state.cpu_load
-        noise = float(rng.lognormal(mean=0.0, sigma=0.08))
+        normal = next(normals, None)
+        if normal is None:
+            normals = iter(rng.standard_normal(_NOISE_BLOCK).tolist())
+            normal = next(normals)
+        # the draw ``rng.lognormal(0.0, 0.08)`` makes from this normal
+        noise = math.exp(0.08 * normal)
         return latency * noise, energy * noise
 
     return model
@@ -138,9 +153,13 @@ class RuntimeExecutor:
         self.reality = reality or default_reality(app.name)
         self.adaptive = adaptive
         self.graph = build_task_graph(app)
-        # the graph does not change between rounds: order its kernels once
-        self._kernels = [self.graph.tasks[name].kernel
-                         for name in self.graph.topological_order()]
+        # the graph does not change between rounds: order its kernels,
+        # and name their monitored metrics, once
+        self._kernels = [
+            (kernel, f"{kernel}.timing")
+            for kernel in (self.graph.tasks[name].kernel
+                           for name in self.graph.topological_order())
+        ]
         self.monitor = HardwareMonitor(threshold_sigma=4.0,
                                        min_training=12)
         self.protection = AutoProtection()
@@ -163,7 +182,7 @@ class RuntimeExecutor:
             return self.manager.select(kernel, state, features)
         if kernel not in self._static_selection:
             self._static_selection[kernel] = self.manager.select(
-                kernel, SystemState(), NOMINAL
+                kernel, IDLE, NOMINAL
             )
         return self._static_selection[kernel]
 
@@ -197,27 +216,27 @@ class RuntimeExecutor:
         features: Optional[DataFeatures] = None,
     ) -> RoundResult:
         """Execute every pipeline task once, sequentially."""
-        state = (state or SystemState()).clamp()
+        state = IDLE if state is None else state.clamp()
         features = features or NOMINAL
-        if self.protection.dift_forced:
+        if self.protection.dift_forced and not state.security_alert:
             state = replace(state, security_alert=True)
-        result = RoundResult(index=index, latency_s=0.0, energy_j=0.0)
-        for kernel in self._kernels:
+        total_latency = total_energy = total_reconfig = 0.0
+        selections: Dict[str, str] = {}
+        for kernel, timing in self._kernels:
             point = self._select(kernel, state, features)
             reconfig = self._ensure_loaded(kernel, point)
-            result.reconfig_s += reconfig
+            total_reconfig += reconfig
             latency, energy = self.reality(point, state, features)
             self.manager.report(kernel, point, latency, energy)
-            anomaly = self.monitor.observe(
-                f"{kernel}.timing", latency
-            )
+            anomaly = self.monitor.observe(timing, latency)
             if anomaly is not None:
                 self.protection.report_anomaly(anomaly,
                                                node=self.node.name)
-            result.latency_s += latency + reconfig
-            result.energy_j += energy
-            result.selections[kernel] = point.label
-        return result
+            total_latency += latency + reconfig
+            total_energy += energy
+            selections[kernel] = point.label
+        return RoundResult(index, total_latency, total_energy, selections,
+                           total_reconfig)
 
     def run(
         self,
@@ -234,7 +253,7 @@ class RuntimeExecutor:
             if schedule is not None:
                 state, features = schedule(index)
             else:
-                state, features = SystemState(), NOMINAL
+                state, features = IDLE, NOMINAL
             round_result = self.run_round(index, state, features)
             report.rounds.append(round_result)
             report.energy.add(

@@ -30,6 +30,7 @@ from repro.core.ir.types import F32, I1, MemRefType  # noqa: E402
 from repro.core.variants import VariantKnobs  # noqa: E402
 
 from tests.analysis.conftest import new_function  # noqa: E402
+from tests.conftest import examples  # noqa: E402
 
 #: the numbers both MEM002 and ``partition_conflict`` name.
 _PORT_NUMBERS = re.compile(
@@ -148,7 +149,7 @@ def _concrete_values(loops, expr):
     return [_evaluate(expr, values) for values in _iterations(loops)]
 
 
-@settings(deadline=None, max_examples=60)
+@settings(deadline=None, max_examples=examples(60))
 @given(data=st.data())
 def test_every_concrete_index_lies_in_the_inferred_range(data):
     loops = data.draw(loop_nests())
@@ -170,7 +171,7 @@ def test_every_concrete_index_lies_in_the_inferred_range(data):
         assert max(concrete) == dim.hi
 
 
-@settings(deadline=None, max_examples=60)
+@settings(deadline=None, max_examples=examples(60))
 @given(data=st.data())
 def test_carried_affine_form_is_the_concrete_index(data):
     loops = data.draw(loop_nests())
@@ -215,7 +216,7 @@ def partitioned_nests(draw):
     return loops, accesses, partition, unroll
 
 
-@settings(deadline=None, max_examples=60)
+@settings(deadline=None, max_examples=examples(60))
 @given(case=partitioned_nests())
 @example(case=(  # a[i, j*j], the j loop unrolled 8x on 2 banks
     [(0, 4, 1), (0, 8, 1)],
@@ -242,7 +243,7 @@ def test_mem002_port_verdict_matches_partition_conflict(case):
         assert _PORT_NUMBERS.search(conflict).groupdict() in lints
 
 
-@settings(deadline=None, max_examples=60)
+@settings(deadline=None, max_examples=examples(60))
 @given(
     a=st.integers(-4, 4),
     b_const=st.integers(-4, 4),
@@ -282,7 +283,7 @@ def test_dead_select_verdicts_never_flip_concretely(
         assert dim.lo <= value <= dim.hi
 
 
-@settings(deadline=None, max_examples=40)
+@settings(deadline=None, max_examples=examples(40))
 @given(
     lower=st.integers(0, 6),
     upper=st.integers(0, 6),

@@ -39,6 +39,7 @@ from repro.core.dse.cost_model import (  # noqa: E402
 from repro.core.dsl.kernel_dsl import compile_kernel  # noqa: E402
 from repro.core.hls.bambu import hls_options_for, synthesize  # noqa: E402
 from repro.core.variants import VariantKnobs  # noqa: E402
+from tests.conftest import examples  # noqa: E402
 
 _REL_TOL = 1e-9
 
@@ -198,7 +199,7 @@ def knob_points(draw):
 
 
 class TestRandomKernelsAreSound:
-    @settings(max_examples=12, deadline=None)
+    @settings(max_examples=examples(12), deadline=None)
     @given(
         source=kernel_sources(),
         knobs=st.lists(knob_points(), min_size=1, max_size=4),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,13 @@ from repro.core.analysis.cache import configure_analysis_cache
 from repro.core.dse.cache import clear_caches, configure
 from repro.core.dsl.kernel_dsl import compile_kernel
 from repro.core.ir.module import Module
+
+
+def examples(count: int = 100) -> int:
+    """A property test's ``max_examples``: ``count`` (hypothesis's own
+    default of 100 where a test never set one), or twenty times as many
+    under ``HYPOTHESIS_DEEP=1``, the deep search run outside tier-1."""
+    return count * 20 if os.environ.get("HYPOTHESIS_DEEP") == "1" else count
 
 
 @pytest.fixture(autouse=True)

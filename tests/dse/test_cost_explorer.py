@@ -81,11 +81,10 @@ class TestCostModel:
         with pytest.raises(DSEError):
             evaluate_variant(gemm_module, "ghost", VariantKnobs())
 
-    def test_gpu_target_unsupported(self, gemm_module):
-        with pytest.raises(DSEError):
-            evaluate_variant(
-                gemm_module, "gemm", VariantKnobs(target="gpu")
-            )
+    def test_gpu_target_unsupported(self):
+        with pytest.raises(DSEError,
+                           match="cost model cannot price target 'gpu'"):
+            DesignSpace(targets=("cpu", "gpu"))
 
     def test_achievable_clock_derates_with_density(self):
         model = ArchitectureModel()

@@ -16,6 +16,7 @@ from repro.core.dse.explorer import Explorer
 from repro.core.dse.pareto import ParetoFront, pareto_front
 from repro.core.dse.space import DesignSpace
 from repro.core.variants import CostEstimate, Variant, VariantKnobs
+from tests.conftest import examples
 
 #: Big enough for several evaluation batches (BATCH_SIZE = 16) while
 #: keeping HLS synthesis time reasonable.
@@ -121,7 +122,7 @@ cost_points = st.lists(
 
 
 class TestIncrementalFrontProperty:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     @given(cost_points)
     def test_matches_brute_force(self, points):
         variants = [make_variant(lat, en, ok) for lat, en, ok in points]
@@ -132,7 +133,7 @@ class TestIncrementalFrontProperty:
         assert incremental.variants() == expected
         assert pareto_front(variants) == expected
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     @given(cost_points)
     def test_front_members_mutually_nondominated(self, points):
         variants = [make_variant(lat, en, ok) for lat, en, ok in points]

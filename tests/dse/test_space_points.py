@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.core.dse.space import DesignSpace, neighborhood
 from repro.core.variants import VariantKnobs
+from tests.conftest import examples
 
 #: Candidate values per knob; a drawn space takes 1-3 with repeats.
 #: ``250e6`` and ``250_000_000`` are one value, as two knobs are one
@@ -32,7 +33,7 @@ POOLS = {
 
 SPACES = st.builds(
     DesignSpace,
-    targets=st.lists(st.sampled_from(("cpu", "fpga", "gpu")),
+    targets=st.lists(st.sampled_from(("cpu", "fpga")),
                      min_size=1, max_size=4).map(tuple),
     **{knob: st.lists(st.sampled_from(pool), min_size=1,
                       max_size=3).map(tuple)
@@ -53,15 +54,12 @@ def cross_product_points(space):
                 target="cpu", threads=threads, tile=tile, layout=layout,
                 dift=dift, matmul_order=order,
             )
-        elif target == "fpga":
+        else:
             knobs = VariantKnobs(
                 target="fpga", unroll=unroll, tile=tile,
                 memory_strategy=strategy, layout=layout, clock_hz=clock,
                 dift=dift, matmul_order=order, interleave=interleave,
             )
-        else:
-            knobs = VariantKnobs(target="gpu", tile=tile, layout=layout,
-                                 dift=dift)
         seen.setdefault(knobs, None)
     return list(seen)
 
@@ -72,7 +70,7 @@ def one_knob_away(point, points):
                                           astuple(point))) == 1]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 @given(SPACES)
 def test_points_are_the_cross_product_deduplicated(space):
     expected = cross_product_points(space)

@@ -19,13 +19,14 @@ from repro.errors import JournalError
 from repro.workflow.journal import (
     JOURNAL_FILE, list_snapshots, read_records, read_snapshot,
 )
+from tests.conftest import examples
 
 RUN = (Path(__file__).resolve().parents[1] / "workflow" / "fixtures"
        / "journal_pr18")
 FILES = [RUN / JOURNAL_FILE] + [path for _seq, path in list_snapshots(RUN)]
 
 
-@settings(max_examples=600, deadline=None)
+@settings(max_examples=examples(600), deadline=None)
 @given(data=st.data())
 def test_a_damaged_file_reads_as_written_or_is_refused_by_code(
         tmp_path_factory, data):

@@ -51,6 +51,7 @@ from repro.core.store import ContentStore, decode, seal, unseal
 from repro.core.variants import CostEstimate, VariantKnobs
 from repro.obs.driver import pipeline_from_sources
 from tests.dse.oracle import annotated_module, seeded_source
+from tests.conftest import examples
 
 #: (seed, op index): a chain, the model import, a reduction, a matmul.
 KERNELS = ((1, 0), (1, 1), (1, 4), (1, 7))
@@ -259,7 +260,7 @@ def mutate(entries, data):
     return lines, missed
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100), deadline=None)
 @given(data=st.data())
 def test_a_mutated_line_is_the_original_or_a_counted_miss(populated, data):
     root, entries, originals, cold = populated

@@ -3,7 +3,7 @@
 import os
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.dsl.kernel_dsl import compile_kernel
@@ -28,6 +28,7 @@ from repro.core.ir.passes import (
 )
 from repro.errors import HLSError, SecurityError
 from repro.platform.resources import FPGAResources
+from tests.conftest import examples
 
 MISSING_FACTOR = os.path.join(
     os.path.dirname(__file__), os.pardir, "analysis", "fixtures",
@@ -65,6 +66,7 @@ class TestCyclicConflictFree:
         assert cyclic_conflict_free([0, 1, 2], stride=4, unroll=1,
                                     banks=4)
 
+    @settings(max_examples=examples())
     @given(st.integers(1, 8))
     def test_property_single_access_always_free(self, banks):
         assert cyclic_conflict_free([0], stride=1, unroll=1, banks=banks)

@@ -21,6 +21,7 @@ from repro.core.ir.passes import (
     CanonicalizePass, ElementwiseFusionPass, LowerTensorPass, PassManager)
 from repro.errors import SchedulingError
 from tests.hls.test_scheduler_equivalence import random_dfg
+from tests.conftest import examples
 
 UNITS = ("fadd", "fmul", "fdiv", "special")
 
@@ -43,7 +44,7 @@ def clamped(body, budget, ports):
              for node in body if node.buffer() is not None})
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(st.integers(min_value=0, max_value=10**9))
 def test_clamped_limits_schedule_alike(seed):
     body, _, _, _ = random_dfg(seed)

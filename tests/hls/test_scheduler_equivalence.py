@@ -26,7 +26,7 @@ from repro.core.hls.memory import plan_memories
 from repro.core.hls.scheduling import ResourceBudget, latency_of
 from repro.core.variants import VariantKnobs
 from repro.errors import SchedulingError
-from tests.conftest import GEMM_SRC, hotpath_kernel
+from tests.conftest import GEMM_SRC, examples, hotpath_kernel
 
 # -- the pre-replacement reference implementation ----------------------
 
@@ -164,7 +164,7 @@ def random_dfg(seed):
 
 
 class TestHeapMatchesReference:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     @given(st.integers(min_value=0, max_value=10**9))
     def test_start_cycles_byte_identical(self, seed):
         body, budget, memory_ports, unroll = random_dfg(seed)

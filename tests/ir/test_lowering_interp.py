@@ -20,6 +20,7 @@ from repro.core.ir.passes import (
     SecurityInstrumentationPass,
 )
 from repro.errors import IRError
+from tests.conftest import examples
 
 
 def lower(module):
@@ -157,7 +158,7 @@ class TestLoweringMatchesTensorSemantics:
         Interpreter(lowered).run("mlp", x, w0, b0, w1, b1, out)
         assert np.allclose(out, expected, atol=1e-4)
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=examples(20), deadline=None)
     @given(arrays(np.float32, (8,), elements=f32s))
     def test_property_elementwise_chain(self, x):
         src = """

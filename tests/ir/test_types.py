@@ -1,7 +1,7 @@
 """Tests for the IR type system."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.ir.types import (
@@ -16,6 +16,7 @@ from repro.core.ir.types import (
     TensorType,
 )
 from repro.errors import IRError
+from tests.conftest import examples
 
 dims = st.lists(st.integers(min_value=1, max_value=64),
                 min_size=1, max_size=4)
@@ -56,6 +57,7 @@ class TestTensorType:
     def test_str(self):
         assert str(TensorType((2, 3), F32)) == "tensor<2x3xf32>"
 
+    @settings(max_examples=examples())
     @given(dims)
     def test_property_num_elements_is_product(self, shape):
         t = TensorType(tuple(shape), F32)

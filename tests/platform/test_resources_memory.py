@@ -1,7 +1,7 @@
 """Tests for resource bundles and memory models."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CapacityError
@@ -12,6 +12,7 @@ from repro.platform.resources import (
     GPUDescription,
 )
 from repro.utils.units import GB
+from tests.conftest import examples
 
 small = st.integers(min_value=0, max_value=10**6)
 
@@ -34,12 +35,14 @@ class TestFPGAResources:
         with pytest.raises(ValueError):
             FPGAResources(luts=-1)
 
+    @settings(max_examples=examples())
     @given(small, small, small, small)
     def test_property_add_then_sub_roundtrip(self, a, b, c, d):
         x = FPGAResources(luts=a, ffs=b, bram_kb=c, dsps=d)
         y = FPGAResources(luts=a, ffs=b, bram_kb=c, dsps=d)
         assert (x + y) - y == x
 
+    @settings(max_examples=examples())
     @given(small, small)
     def test_property_fits_is_reflexive(self, a, b):
         x = FPGAResources(luts=a, ffs=b)

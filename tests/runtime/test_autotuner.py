@@ -13,6 +13,7 @@ from repro.runtime.autotuner.manager import (
     ApplicationManager,
     SystemState,
 )
+from tests.conftest import examples
 
 
 def make_variant(kernel, target, latency, energy, dift=False,
@@ -359,7 +360,7 @@ def add_point(base, spec):
 
 
 class TestSelectionEquivalence:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     @given(specs=point_specs, goal=goals, sequence=calls)
     def test_select_matches_the_oracle(self, specs, goal, sequence):
         base = KnowledgeBase()
@@ -399,3 +400,107 @@ class TestSelectionEquivalence:
                 manager.goal = event[1]
             elif kind == "add":
                 add_point(base, event[1])
+
+
+def counting_goal():
+    """A performance goal and the list its ``objective`` calls land in:
+    one entry per point the manager scores."""
+    calls = []
+
+    class Counting(Goal):
+        def objective(self, latency_s, energy_j):
+            calls.append(latency_s)
+            return super().objective(latency_s, energy_j)
+
+    return Counting(), calls
+
+
+def spread_points(count):
+    """``count`` points of kernel ``k``, hardware and software mixed,
+    with costs from a small pool so that many tie."""
+    base = KnowledgeBase()
+    for index in range(count):
+        base.add_variant(make_variant(
+            "k", "fpga" if index % 3 == 0 else "cpu",
+            (1 + index % 7) * 1e-6, (1 + index % 5) * 1e-6,
+            threads=1 + index))
+    return base
+
+
+class TestFeedbackLog:
+    """A select re-scores the points reported since the last one, and
+    the log that tells it which stays bounded."""
+
+    @pytest.mark.parametrize("count", [8, 800])
+    def test_a_select_after_one_report_scores_one_point(self, count):
+        base = spread_points(count)
+        points = base.points_for("k")
+        goal, calls = counting_goal()
+        manager = ApplicationManager(base, goal=goal)
+        chosen = manager.select("k")
+        assert len(calls) == count
+        for point in (chosen, points[count // 2], points[-1]):
+            calls.clear()
+            manager.report("k", point, 3 * point.predicted_latency_s,
+                           point.predicted_energy_j)
+            chosen = manager.select("k")
+            assert len(calls) == 1
+            assert chosen is oracle_select(points, Goal(), SystemState(),
+                                           DataFeatures())
+        calls.clear()
+        manager.select("k")
+        assert calls == []
+
+    @pytest.mark.parametrize("count", [1, 8, 800])
+    def test_the_log_stays_within_its_bound(self, count):
+        base = spread_points(count)
+        points = base.points_for("k")
+        feedback = base.feedback("k")
+        goal, calls = counting_goal()
+        manager = ApplicationManager(base, goal=goal)
+        chosen = manager.select("k")
+        for index in range(10 * count):
+            calls.clear()
+            manager.report("k", points[index % count],
+                           (1 + index % 3) * 1e-6, 1e-6)
+            chosen = manager.select("k")
+            # a reader that keeps up scores one point, across restarts
+            assert len(calls) == 1
+            assert len(feedback) <= count
+            assert len(manager._memos["k"].heap) <= 2 * count
+        assert chosen is oracle_select(points, Goal(), SystemState(),
+                                       DataFeatures())
+
+    def test_a_reader_the_log_dropped_entries_on_scores_every_point(self):
+        base = spread_points(8)
+        points = base.points_for("k")
+        goal, calls = counting_goal()
+        lagging = ApplicationManager(base, goal=goal)
+        assert lagging.select("k") is points[0]
+        manager = ApplicationManager(base)
+        manager.report("k", points[7], 0.0, 1e-6)  # now the fastest
+        for _ in range(8):  # pushes points[7] out of the log
+            manager.report("k", points[1], 1e-6, 1e-6)
+        calls.clear()
+        assert lagging.select("k") is points[7]
+        assert len(calls) == 8
+
+    @pytest.mark.parametrize("state", [
+        SystemState(cpu_load=float("nan")),
+        SystemState(fpga_contention=float("nan"), cpu_load=0.5),
+        SystemState(fpga_contention=7.0, cpu_load=-2.0),
+        SystemState(fpga_available=False, fpga_contention=-1.0,
+                    cpu_load=float("inf")),
+    ])
+    def test_a_state_out_of_range_selects_as_a_scan_does(self, state):
+        base = spread_points(8)
+        points = base.points_for("k")
+        manager = ApplicationManager(base)
+        manager.report("k", points[0], 1e-6, 1e-6)
+        assert manager.select("k", state) is oracle_select(
+            points, Goal(), state, DataFeatures())
+        clamped = state.clamp()
+        assert 0.0 <= clamped.fpga_contention <= 1.0
+        assert 0.0 <= clamped.cpu_load <= 1.0
+        assert clamped.clamp() is clamped
+        assert SystemState(cpu_load=float("nan")).clamp().cpu_load == 0.0

@@ -1,7 +1,7 @@
 """Tests for crypto, anomaly monitors, flow tracking and auto-protection."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SecurityError
@@ -17,6 +17,7 @@ from repro.runtime.dataprotection.policy import (
 )
 from repro.utils.rng import deterministic_rng
 from repro.workflow.graph import DataObject, TaskGraph, WorkflowTask
+from tests.conftest import examples
 
 
 class TestSoftwareAEAD:
@@ -69,6 +70,7 @@ class TestSoftwareAEAD:
     def test_derive_key_domain_separation(self):
         assert derive_key(b"m", "a") != derive_key(b"m", "b")
 
+    @settings(max_examples=examples())
     @given(st.binary(min_size=0, max_size=300))
     def test_property_roundtrip(self, plaintext):
         aead = SoftwareAEAD(key=b"property-key")

@@ -9,7 +9,6 @@ monotonicities.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +21,7 @@ from repro.workflow.graph import DataObject, TaskGraph, WorkflowTask
 from repro.workflow.recovery import ResilientServer
 from repro.workflow.scheduler import make_policy
 from repro.workflow.worker import Worker
+from tests.conftest import examples
 
 # ----------------------------------------------------------------------
 # random DAG scheduling invariants
@@ -55,7 +55,7 @@ def random_dag(draw):
     return graph
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=examples(25), deadline=None)
 @given(random_dag(), st.integers(min_value=1, max_value=4),
        st.sampled_from(["fifo", "b-level", "locality"]))
 def test_property_makespan_bounds(graph, workers, policy_name):
@@ -72,7 +72,7 @@ def test_property_makespan_bounds(graph, workers, policy_name):
     assert trace.makespan <= graph.total_work() + slack
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=examples(25), deadline=None)
 @given(random_dag())
 def test_property_dependencies_never_violated(graph):
     server = ResilientServer(
@@ -87,7 +87,7 @@ def test_property_dependencies_never_violated(graph):
             assert starts[task_name] >= ends[dependency] - 1e-9
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=examples(25), deadline=None)
 @given(random_dag())
 def test_property_blevel_dominates_duration(graph):
     levels = graph.b_levels()
@@ -136,7 +136,7 @@ def random_kernel(draw):
     return src, size
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=examples(30), deadline=None)
 @given(random_kernel())
 def test_property_text_roundtrip_random_kernels(kernel):
     src, _size = kernel
@@ -147,7 +147,7 @@ def test_property_text_roundtrip_random_kernels(kernel):
     assert print_module(reparsed) == text
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=examples(15), deadline=None)
 @given(random_kernel())
 def test_property_lowering_preserves_semantics(kernel):
     from repro.core.ir.interp import Interpreter, run_function
@@ -195,7 +195,7 @@ def _variants(points):
     ]
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=examples(50), deadline=None)
 @given(st.lists(costs, min_size=1, max_size=20))
 @example([(1.0000000000000003e-09, 1.0000000000000003e-09),
           (1.0000000000000003e-09, 1e-09)])
@@ -209,7 +209,7 @@ def test_property_front_members_not_dominated(points):
         )
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=examples(50), deadline=None)
 @given(st.lists(costs, min_size=1, max_size=20))
 def test_property_front_idempotent(points):
     variants = _variants(points)
@@ -217,7 +217,7 @@ def test_property_front_idempotent(points):
     assert pareto_front(front) == front
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=examples(50), deadline=None)
 @given(st.lists(costs, min_size=2, max_size=20))
 def test_property_front_invariant_to_order(points):
     forward = pareto_front(_variants(points))
@@ -238,7 +238,7 @@ def test_property_front_invariant_to_order(points):
 # ----------------------------------------------------------------------
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(st.floats(min_value=1.0, max_value=10.0),
        st.floats(min_value=500.0, max_value=8000.0))
 def test_property_plume_decays_downwind_far_field(wind, distance):
@@ -261,7 +261,7 @@ def test_property_plume_decays_downwind_far_field(wind, distance):
         assert far <= near * 1.05
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(st.floats(min_value=0.0, max_value=3000.0),
        st.floats(min_value=100.0, max_value=2000.0))
 def test_property_bpr_monotone_in_volume(volume, capacity):
@@ -273,7 +273,7 @@ def test_property_bpr_monotone_in_volume(volume, capacity):
     assert base >= 10.0 - 1e-9
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(st.floats(min_value=0.0, max_value=40.0))
 def test_property_power_curve_bounded(wind):
     from repro.apps.weather.wind import power_curve

@@ -9,11 +9,12 @@ import sys
 
 import networkx as nx
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chaos import random_task_graph
 from repro.utils import dag
+from tests.conftest import examples
 
 
 def to_networkx(edges) -> nx.DiGraph:
@@ -103,6 +104,7 @@ class TestTopologicalOrder:
         # and the engine's graph answers from the same edges
         assert graph.topological_order() == expected
 
+    @settings(max_examples=examples())
     @given(digraphs(acyclic=True))
     def test_equals_networkx_on_generated_dags(self, edges):
         assert dag.topological_order(edges) == list(
@@ -115,6 +117,7 @@ class TestTopologicalOrder:
 
 
 class TestFindCycle:
+    @settings(max_examples=examples())
     @given(digraphs(acyclic=False))
     def test_agrees_with_networkx_and_returns_a_closed_path(self, edges):
         cycle = dag.find_cycle(edges)
@@ -141,6 +144,7 @@ class TestFindCycle:
 
 
 class TestReachableFrom:
+    @settings(max_examples=examples())
     @given(digraphs(acyclic=False), st.data())
     def test_equals_networkx_descendants(self, edges, data):
         roots = data.draw(st.sets(st.sampled_from(sorted(edges))))
@@ -152,6 +156,7 @@ class TestReachableFrom:
 
 
 class TestBottomLevels:
+    @settings(max_examples=examples())
     @given(digraphs(acyclic=True), st.data())
     def test_equals_brute_force_longest_path(self, edges, data):
         weight = {
@@ -163,6 +168,7 @@ class TestBottomLevels:
             node: longest_path_from(edges, weight, node) for node in edges
         }
 
+    @settings(max_examples=examples())
     @given(digraphs(acyclic=False))
     def test_defined_for_every_node_of_a_cyclic_graph(self, edges):
         levels = dag.bottom_levels(edges, dict.fromkeys(edges, 1.0))

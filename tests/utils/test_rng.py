@@ -1,11 +1,11 @@
 """Tests for deterministic RNG helpers."""
 
 import numpy as np
-import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.utils.rng import deterministic_rng, stable_hash
+from tests.conftest import examples
 
 
 class TestStableHash:
@@ -22,6 +22,7 @@ class TestStableHash:
         value = stable_hash("anything")
         assert 0 <= value < 2**63
 
+    @settings(max_examples=examples())
     @given(st.text(), st.integers())
     def test_property_stable(self, text, number):
         assert stable_hash(text, number) == stable_hash(text, number)

@@ -18,6 +18,7 @@ from repro.workflow.graph import TaskGraph, WorkflowTask
 from repro.workflow.recovery import ResilientServer
 from repro.workflow.scheduler import BLevelScheduler
 from repro.workflow.worker import Worker
+from tests.conftest import examples
 
 
 class ReferenceBLevel(BLevelScheduler):
@@ -35,7 +36,7 @@ WORKERS = st.tuples(st.integers(1, 4), st.sampled_from([0.5, 1.0, 2.0]),
                     st.integers(0, 4))
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=examples(400), deadline=None)
 @given(specs=st.lists(WORKERS, min_size=1, max_size=8),
        demands=st.lists(st.integers(1, 4), max_size=10))
 def test_one_pass_select_matches_the_reference(specs, demands):

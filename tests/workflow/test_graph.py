@@ -1,7 +1,7 @@
 """Tests for task graphs and data objects."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chaos import random_task_graph
@@ -12,6 +12,7 @@ from repro.workflow.recovery import ResilientServer
 from repro.workflow.scheduler import make_policy
 
 from tests.chaos.conftest import make_pool
+from tests.conftest import examples
 
 
 def diamond() -> TaskGraph:
@@ -117,6 +118,7 @@ class TestGraphAnalysis:
         with pytest.raises(WorkflowError, match="cycle"):
             graph.validate()
 
+    @settings(max_examples=examples())
     @given(st.integers(min_value=1, max_value=20))
     def test_property_chain_critical_path(self, length):
         graph = TaskGraph()

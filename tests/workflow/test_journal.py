@@ -42,6 +42,7 @@ from repro.workflow.replay import ReplayState, replay_records
 from repro.workflow.runstore import RunStore
 
 from tests.chaos.conftest import make_pool
+from tests.conftest import examples
 
 CONFIG = ChaosConfig(crashes=1, link_faults=1, reconfig_faults=0,
                      stragglers=1, task_faults=1)
@@ -178,7 +179,7 @@ def recorded_runs(tmp_path_factory):
     return runs
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(run=st.integers(min_value=0, max_value=2), data=st.data())
 def test_snapshot_plus_tail_equals_full_replay(recorded_runs, run, data):
     records = recorded_runs[run]
