@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.chaos import ChaosConfig
+from repro.workflow.graph import DataObject, TaskGraph, WorkflowTask
 from repro.workflow.worker import Worker
 
 #: The chaos grid: every graph seed against every fault seed.
@@ -12,6 +13,19 @@ GRAPH_SEEDS = range(5)
 FAULT_SEEDS = range(4)
 CONFIG = ChaosConfig(crashes=2, link_faults=2, reconfig_faults=1,
                      stragglers=1, task_faults=2)
+
+
+def chain_graph(length=4, duration=1.0) -> TaskGraph:
+    graph = TaskGraph("chain")
+    graph.add_object(DataObject("in", size_bytes=1000, locality="w0"))
+    previous = "in"
+    for index in range(length):
+        graph.add_task(WorkflowTask(
+            f"t{index}", inputs=[previous], outputs=[f"o{index}"],
+            duration_s=duration,
+        ))
+        previous = f"o{index}"
+    return graph
 
 
 def make_pool(count: int = 3, cpus: int = 2):

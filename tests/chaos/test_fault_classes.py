@@ -22,20 +22,7 @@ from repro.workflow.graph import DataObject, TaskGraph, WorkflowTask
 from repro.workflow.recovery import ResilientServer, RetryPolicy
 from repro.workflow.worker import Worker
 
-from tests.chaos.conftest import make_pool
-
-
-def chain_graph(length=4, duration=1.0) -> TaskGraph:
-    graph = TaskGraph("chain")
-    graph.add_object(DataObject("in", size_bytes=1000, locality="w0"))
-    previous = "in"
-    for index in range(length):
-        graph.add_task(WorkflowTask(
-            f"t{index}", inputs=[previous], outputs=[f"o{index}"],
-            duration_s=duration,
-        ))
-        previous = f"o{index}"
-    return graph
+from tests.chaos.conftest import chain_graph, make_pool
 
 
 def fan_graph(width=6, duration=1.0) -> TaskGraph:

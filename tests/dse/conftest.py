@@ -21,10 +21,19 @@ from repro.core.hls import bambu, cdfg
 from repro.core.ir import print_module
 from repro.core.ir.digest import module_digest
 from repro.core.store import encode
-from repro.core.variants import VariantKnobs
+from repro.core.variants import CostEstimate, Variant, VariantKnobs
 from tests.dse.oracle import (
     ATTEMPTS, CASES, MODEL, ORDERS, distinct_builds, fresh_estimate,
     outcome, recipe_outcomes, schedule_violations)
+
+
+def make_variant(latency, energy, feasible=True):
+    return Variant(
+        kernel="k",
+        knobs=VariantKnobs(),
+        cost=CostEstimate(latency_s=latency, energy_j=energy,
+                          feasible=feasible),
+    )
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,8 @@ from repro.core.dse.cache import clear_caches, cost_cache
 from repro.core.dse.explorer import Explorer
 from repro.core.dse.pareto import ParetoFront, pareto_front
 from repro.core.dse.space import DesignSpace
-from repro.core.variants import CostEstimate, Variant, VariantKnobs
 from tests.conftest import examples
+from tests.dse.conftest import make_variant
 
 #: Big enough for several evaluation batches (BATCH_SIZE = 16) while
 #: keeping HLS synthesis time reasonable.
@@ -82,15 +82,6 @@ class TestParallelMatchesSerial:
 
 
 # -- incremental front == batch front ---------------------------------
-
-def make_variant(latency, energy, feasible=True):
-    return Variant(
-        kernel="k",
-        knobs=VariantKnobs(),
-        cost=CostEstimate(latency_s=latency, energy_j=energy,
-                          feasible=feasible),
-    )
-
 
 def brute_force_front(variants):
     """Reference batch implementation: O(n^2) dominance scan plus

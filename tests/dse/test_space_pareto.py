@@ -8,17 +8,9 @@ from repro.core.dse.pareto import (
     pareto_front,
 )
 from repro.core.dse.space import DesignSpace, neighborhood
-from repro.core.variants import CostEstimate, Variant, VariantKnobs
+from repro.core.variants import CostEstimate, VariantKnobs
 from repro.errors import DSEError
-
-
-def make_variant(latency, energy, feasible=True):
-    return Variant(
-        kernel="k",
-        knobs=VariantKnobs(),
-        cost=CostEstimate(latency_s=latency, energy_j=energy,
-                          feasible=feasible),
-    )
+from tests.dse.conftest import make_variant
 
 
 class TestDesignSpace:

@@ -73,7 +73,6 @@ def test_an_entry_that_is_no_longer_a_hit_is_stale(tree):
         "(no longer a hit)"]
 
 
-
 #: how a consumer builds the record -> the fields it leaves unset
 CONSTRUCTIONS = {
     "unset": ('Rec("x")', ["first", "second"]),
@@ -102,6 +101,32 @@ def test_a_dataclass_field_is_a_parameter_of_its_constructor(tmp_path,
         f"unreferenced: pkg/rec.py::Rec.__init__({field}=)"
         for field in unset
     ]
+
+
+def planted_trees() -> dict:
+    """``{case: ({file: text}, printed lines)}`` of planted_trees.txt."""
+    text = (ROOT / "tests" / "planted_trees.txt").read_text("utf-8")
+    trees = {}
+    for case in text.split("\n=== ")[1:]:
+        name, *files = case.split("\n--- ")
+        files = [file.partition("\n") for file in files]
+        trees[name] = (
+            {file: re.sub("(?m)^>>> .*", "", body) for file, _, body in files},
+            re.findall("(?m)^>>> (.*)", case))
+    return trees
+
+
+TREES = planted_trees()
+
+
+@pytest.mark.parametrize("case", sorted(TREES))
+def test_a_planted_tree_prints_exactly_its_lines(tmp_path, case):
+    files, printed = TREES[case]
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    for name, text in files.items():
+        (tmp_path / "src" / "pkg" / name).write_text(text)
+    code, out = scan(tmp_path, [])
+    assert (code, out.splitlines()) == (int(bool(printed)), printed)
 
 
 def test_an_attribute_an_op_is_created_with_and_nothing_reads(tmp_path):

@@ -10,20 +10,7 @@ from repro.workflow.recovery import (
     ResilientServer,
     _Run,
 )
-from repro.workflow.worker import Worker
-
-
-def chain_graph(length=4, duration=1.0) -> TaskGraph:
-    graph = TaskGraph("chain")
-    graph.add_object(DataObject("in", size_bytes=1000, locality="w0"))
-    previous = "in"
-    for index in range(length):
-        graph.add_task(WorkflowTask(
-            f"t{index}", inputs=[previous], outputs=[f"o{index}"],
-            duration_s=duration,
-        ))
-        previous = f"o{index}"
-    return graph
+from tests.chaos.conftest import chain_graph, make_pool as pool
 
 
 def fan_graph(width=6) -> TaskGraph:
@@ -39,13 +26,6 @@ def fan_graph(width=6) -> TaskGraph:
         outputs=["out"], duration_s=0.5,
     ))
     return graph
-
-
-def pool(count=3):
-    return [
-        Worker(f"w{index}", node_name=f"n{index}", cpus=2)
-        for index in range(count)
-    ]
 
 
 def crashes(*victims) -> ChaosSchedule:
