@@ -17,8 +17,9 @@ Job kinds a launcher knows how to execute:
     throughput yardstick.
 ``graph``
     A seeded random task graph (``seed``, ``tasks``, ``workers``)
-    executed fault-free on the :class:`ResilientServer`; the result
-    records the deterministic trace digest.
+    executed fault-free on the :class:`ResilientServer`: a ``chaos``
+    job with every fault count at 0, whose result records the
+    deterministic trace digest.
 ``chaos``
     A seeded fault-injection scenario (``graph_seed``, ``fault_seed``,
     ``tasks``, ``workers``, fault counts) on the same server. With
@@ -78,22 +79,17 @@ def _worker_pool(count: int) -> List[Worker]:
     ]
 
 
-def _graph_job(spec: Dict) -> Dict:
-    graph = random_task_graph(
-        int(spec.get("seed", 0)),
-        num_tasks=int(spec.get("tasks", 6)),
-    )
-    workers = _worker_pool(int(spec.get("workers", 2)))
-    trace, _ = ResilientServer(workers).run(graph)
-    return {"digest": trace.digest(), "makespan": trace.makespan}
-
-
 #: What a ``chaos`` job runs when its spec leaves a recipe key out.
 _CHAOS_JOB_DEFAULTS = {
     "graph_seed": 0, "fault_seed": 0, "tasks": 9, "workers": 3,
     "policy": "b-level", "crashes": 1, "link_faults": 1,
     "reconfig_faults": 1, "stragglers": 1, "task_faults": 1,
 }
+
+#: A ``graph`` job is a ``chaos`` job with every fault count at 0.
+_NO_FAULTS = dict.fromkeys(
+    ("crashes", "link_faults", "reconfig_faults", "stragglers",
+     "task_faults"), 0)
 
 #: The keys that fully determine a chaos run: what ``repro chaos``
 #: persists in the run store and restores on ``--resume``.
@@ -212,7 +208,9 @@ class Launcher:
         if kind == "noop":
             return _noop_job(spec)
         if kind == "graph":
-            return _graph_job(spec)
+            return _chaos_job({**_NO_FAULTS, "graph_seed": spec.get("seed", 0),
+                               "tasks": spec.get("tasks", 6),
+                               "workers": spec.get("workers", 2)})
         if kind == "chaos":
             if spec.get("durable") and self.run_store is not None:
                 return self._durable_chaos(job, spec, store)

@@ -37,6 +37,10 @@ pattern), its ``class`` and ``why`` it stays (a non-test consumer or a
 ROADMAP item).
 An entry that matches no hit is stale.
 
+One walk of each parsed tree files every fact both checks read, by
+kind and name, in one index per file: the four classes and the
+gone-list are lookups into it, never walks of their own.
+
 The same parse holds the gone-list, ``tools/gone.json`` under the root
 (a root without one is an error): the names a change deleted and where
 they must stay gone; this script is one of the files it covers. Each
@@ -118,8 +122,7 @@ class Hit:
 class _File:
     rel: str
     tree: ast.Module
-    init: bool
-    #: ``(gone kind, name)`` -> the nodes that are one (``_facts``)
+    #: ``(kind, name)`` -> the nodes that are one (``_facts``)
     facts: Dict[Tuple[str, str], List[ast.AST]]
 
 
@@ -133,14 +136,32 @@ def _parse(root: Path, dirs: Tuple[str, ...]) -> List[_File]:
             rel = path.relative_to(root).as_posix()
             tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
             package = rel.split("/")[1 if rel.startswith("src/") else 0:-1]
+            init = path.name == "__init__.py"
             facts: Dict[Tuple[str, str], List[ast.AST]] = defaultdict(list)
-            for node in ast.walk(tree):
+            nodes = [tree]
+            # breadth first, as ``ast.walk``; a Load / Store / Del
+            # context is no fact and gets no parent
+            for node in nodes:
                 for child in ast.iter_child_nodes(node):
-                    child.parent = node  # type: ignore[attr-defined]
-                for fact in _facts(node, package):
+                    if not isinstance(child, ast.expr_context):
+                        child.parent = node  # type: ignore[attr-defined]
+                        nodes.append(child)
+                for fact in _facts(node, package, init):
                     facts[fact].append(node)
-            files.append(_File(rel, tree, path.name == "__init__.py", facts))
+            files.append(_File(rel, tree, facts))
     return files
+
+
+def _index(files: List[_File]) -> Dict[Tuple[str, str], List[ast.AST]]:
+    """The facts of ``files`` merged, in file order."""
+    index: Dict[Tuple[str, str], List[ast.AST]] = defaultdict(list)
+    for file in files:
+        for fact, nodes in file.facts.items():
+            index[fact] += nodes
+    return dict(index)
+
+
+_FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _enclosing(node: ast.AST, kinds) -> Optional[ast.AST]:
@@ -179,474 +200,120 @@ def _base_names(cls: ast.ClassDef) -> Set[str]:
     return names
 
 
-# -- definitions under src/ -----------------------------------------------
-
-
-@dataclass
-class _Def:
-    node: ast.AST
-    qual: str
-    name: str
-    path: str
-    cls: Optional[ast.ClassDef]
-
-
-def _definitions(files: List[_File]) -> Iterator[_Def]:
-    for file in files:
-        if not file.rel.startswith("src/"):
-            continue
-        path = file.rel[len("src/"):]
-        for node in file.tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield _Def(node, node.name, node.name, path, None)
-            elif isinstance(node, ast.ClassDef):
-                yield _Def(node, node.name, node.name, path, None)
-                for item in node.body:
-                    if isinstance(item, (ast.FunctionDef,
-                                         ast.AsyncFunctionDef)):
-                        yield _Def(item, f"{node.name}.{item.name}",
-                                   item.name, path, node)
-
-
-def _dunder(name: str) -> bool:
-    return name.startswith("__") and name.endswith("__")
-
-
-# -- references -----------------------------------------------------------
-
-
-def _references(files: List[_File]) -> Dict[str, List[ast.AST]]:
-    """Every name, attribute and import alias by the name it uses."""
-    refs: Dict[str, List[ast.AST]] = defaultdict(list)
-    for file in files:
-        for node in ast.walk(file.tree):
-            if isinstance(node, ast.Name):
-                refs[node.id].append(node)
-            elif isinstance(node, ast.Attribute):
-                refs[node.attr].append(node)
-            elif isinstance(node, ast.ImportFrom) and not file.init:
-                for alias in node.names:
-                    refs[alias.name].append(node)
-    return refs
-
-
-def _used(name: str, owner: ast.AST, refs: Dict[str, List[ast.AST]]) -> bool:
-    return any(not _inside(ref, owner) for ref in refs.get(name, ()))
-
-
-def _class1(defs: List[_Def], consumers, tests) -> Iterator[Hit]:
-    for item in defs:
-        if _dunder(item.name):
-            continue
-        if _used(item.name, item.node, consumers):
-            continue
-        yield Hit(f"{item.path}::{item.qual}", 1,
-                  f"src/{item.path}:{item.node.lineno}",
-                  item.name in tests)
-
-
-# -- defaulted parameters -------------------------------------------------
-
-
-@dataclass
-class _Call:
-    node: ast.Call
-    positional: int
-    keywords: Set[str]
-    spread: bool
-
-    @classmethod
-    def of(cls, node: ast.Call) -> "_Call":
-        return cls(
-            node,
-            sum(not isinstance(a, ast.Starred) for a in node.args),
-            {k.arg for k in node.keywords if k.arg is not None},
-            any(isinstance(a, ast.Starred) for a in node.args)
-            or any(k.arg is None for k in node.keywords),
-        )
-
-
-def _calls(files: List[_File]) -> Dict[str, List[_Call]]:
-    """Every call by the name it calls; ``cls(...)`` calls its class."""
-    calls: Dict[str, List[_Call]] = defaultdict(list)
-    for file in files:
-        for node in ast.walk(file.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if isinstance(func, ast.Name) and func.id == "cls":
-                owner = _enclosing(node, ast.ClassDef)
-                name = owner.name if owner is not None else "cls"
-            elif isinstance(func, ast.Name):
-                name = func.id
-            elif isinstance(func, ast.Attribute):
-                name = func.attr
-            else:
-                continue
-            calls[name].append(_Call.of(node))
-    return calls
-
-
-def _defaulted(func: ast.FunctionDef, skip_first: bool):
-    args = func.args
-    positional = list(args.posonlyargs) + list(args.args)
-    if skip_first and positional:
-        positional = positional[1:]
-    first_default = len(positional) - len(args.defaults)
-    for index, arg in enumerate(positional):
-        if index >= first_default:
-            yield arg.arg, index
-    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-        if default is not None:
-            yield arg.arg, None
-
-
-def _call_names(item: _Def, subclasses: Dict[str, Set[str]]) -> List[str]:
-    if item.name != "__init__" or item.cls is None:
-        return [item.name]
-    return _call_names_of(item.cls.name, subclasses)
-
-
-def _call_names_of(cls: str, subclasses: Dict[str, Set[str]]) -> List[str]:
-    """``cls`` and every class below it."""
-    names, todo = [], [cls]
-    while todo:
-        name = todo.pop()
-        if name in names:
-            continue
-        names.append(name)
-        todo.extend(subclasses.get(name, ()))
-    return names
-
-
-def _super_inits(files: List[_File]) -> Dict[str, List[_Call]]:
-    """``super().__init__(...)`` calls by each base of their class."""
-    found: Dict[str, List[_Call]] = defaultdict(list)
-    for file in files:
-        for node in ast.walk(file.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            for call in ast.walk(node):
-                if (isinstance(call, ast.Call)
-                        and isinstance(call.func, ast.Attribute)
-                        and call.func.attr == "__init__"):
-                    for base in _base_names(node):
-                        found[base].append(_Call.of(call))
-    return found
-
-
-def _sets(param: str, index: Optional[int], calls: List[_Call]) -> bool:
-    return any(
-        c.spread or param in c.keywords
-        or (index is not None and c.positional > index)
-        for c in calls
-    )
-
-
-def _field_knob(item: ast.AnnAssign) -> Optional[bool]:
-    """Whether a field is a knob of the generated ``__init__``: True for
-    a default a caller may replace, False for a required parameter or a
-    ``default_factory`` (a fresh container, meter or drawn id per
-    instance is state), None for ``init=False`` (not a parameter)."""
-    value = item.value
-    if not (isinstance(value, ast.Call)
-            and getattr(value.func, "id", getattr(value.func, "attr", None))
-            == "field"):
-        return value is not None
-    keywords = {k.arg: k.value for k in value.keywords}
-    init = keywords.get("init")
-    if isinstance(init, ast.Constant) and init.value is False:
-        return None
-    return "default" in keywords
-
-
-def _dataclass_fields(cls: ast.ClassDef, classes: Dict[str, ast.ClassDef]):
-    """``[(name, knob, AnnAssign)]`` of the generated ``__init__``'s
-    parameters in order, inherited fields first (a redeclared field
-    keeps its inherited place)."""
-    fields: Dict[str, Tuple[Optional[bool], ast.AnnAssign]] = {}
-    for base in _base_names(cls):
-        if base in classes and classes[base] is not cls:
-            for name, knob, node in _dataclass_fields(classes[base], classes):
-                fields[name] = (knob, node)
-    for item in cls.body:
-        if (isinstance(item, ast.AnnAssign)
-                and isinstance(item.target, ast.Name)
-                and "ClassVar" not in ast.dump(item.annotation)):
-            fields[item.target.id] = (_field_knob(item), item)
-    return [(name, knob, node) for name, (knob, node) in fields.items()
-            if knob is not None]
-
-
-def _stores(files: List[_File]) -> Dict[str, List[Optional[str]]]:
-    """Each ``obj.x = ...`` by ``x``: the class whose method stores on
-    ``self`` (``self.x = ...``, ``object.__setattr__(self, "x", ...)``)
-    or ``None`` for a store on any other object."""
-    stores: Dict[str, List[Optional[str]]] = defaultdict(list)
-    for file in files:
-        for node in ast.walk(file.tree):
-            if isinstance(node, ast.Attribute) and isinstance(
-                    node.ctx, ast.Store):
-                name, target = node.attr, node.value
-            elif (isinstance(node, ast.Call)
-                  and isinstance(node.func, ast.Attribute)
-                  and node.func.attr == "__setattr__"
-                  and len(node.args) > 1
-                  and isinstance(node.args[1], ast.Constant)):
-                name, target = node.args[1].value, node.args[0]
-            else:
-                continue
-            owner = None
-            if isinstance(target, ast.Name) and target.id == "self":
-                cls = _enclosing(node, ast.ClassDef)
-                owner = cls.name if cls is not None else None
-            stores[name].append(owner)
-    return stores
-
-
-def _dataclass_hits(files, subclasses, own_init, super_inits, consumers,
-                    tests) -> Iterator[Hit]:
-    """Each defaulted field of a generated ``__init__`` that no consumer
-    sets: by keyword or position to the class or a subclass, through
-    ``replace(x, f=...)`` or by ``obj.f = ...``. A field that methods of
-    the class (or of a subclass) assign on ``self`` is state, not a
-    knob. ``consumers`` and ``tests`` are ``(calls, stores)`` pairs."""
-    classes = {
-        node.name: node for file in files for node in ast.walk(file.tree)
-        if isinstance(node, ast.ClassDef)
-        and "dataclass" in _decorators(node)
-    }
-    for file in files:
-        if not file.rel.startswith("src/"):
-            continue
-        path = file.rel[len("src/"):]
-        for cls in ast.walk(file.tree):
-            if (not isinstance(cls, ast.ClassDef)
-                    or "dataclass" not in _decorators(cls)
-                    or cls.name in own_init):
-                continue
-            family = _call_names_of(cls.name, subclasses)
-            names = [n for n in family if n == cls.name or n not in own_init]
-
-            def sets(name, index, calls, stores, supers=()):
-                by_class = [c for n in names for c in calls.get(n, ())]
-                return (_sets(name, index, by_class + list(supers))
-                        or _sets(name, None, calls.get("replace", []))
-                        or any(owner is None or owner in family
-                               for owner in stores.get(name, ())))
-
-            for index, (name, knob, node) in enumerate(
-                    _dataclass_fields(cls, classes)):
-                if not knob or not _inside(node, cls) or sets(
-                        name, index, *consumers,
-                        super_inits.get(cls.name, ())):
-                    continue
-                yield Hit(f"{path}::{cls.name}.__init__({name}=)", 2,
-                          f"src/{path}:{node.lineno}",
-                          sets(name, index, *tests))
-
-
-def _class2(defs, files, consumer_calls, test_calls,
-            tests) -> Iterator[Hit]:
-    subclasses: Dict[str, Set[str]] = defaultdict(set)
-    super_inits = _super_inits(files)
-    own_init: Set[str] = set()
-    for file in files:
-        for node in ast.walk(file.tree):
-            if isinstance(node, ast.ClassDef):
-                for base in _base_names(node):
-                    subclasses[base].add(node.name)
-                if any(isinstance(i, ast.FunctionDef)
-                       and i.name == "__init__" for i in node.body):
-                    own_init.add(node.name)
-    yield from _dataclass_hits(
-        files, subclasses, own_init, super_inits,
-        (consumer_calls, _stores(files)), (test_calls, _stores(tests)))
-    for item in defs:
-        node = item.node
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if _dunder(item.name) and item.name != "__init__":
-            continue
-        method = item.cls is not None and "staticmethod" not in _decorators(
-            node)
-        names = _call_names(item, subclasses)
-        if item.name == "__init__":
-            names = [names[0]] + [n for n in names[1:] if n not in own_init]
-        calls = [c for n in names for c in consumer_calls.get(n, ())
-                 if not _inside(c.node, node)]
-        if item.name == "__init__":
-            calls += super_inits.get(item.cls.name, [])
-        tested = [c for n in names for c in test_calls.get(n, ())]
-        for param, index in _defaulted(node, method):
-            if _sets(param, index, calls):
-                continue
-            yield Hit(
-                f"{item.path}::{item.qual}({param}=)", 2,
-                f"src/{item.path}:{node.lineno}",
-                any(param in c.keywords
-                    or (index is not None and c.positional > index)
-                    for c in tested),
-            )
-
-
-# -- attributes and fields ------------------------------------------------
-
-
-def _is_self_update(node: ast.Attribute) -> bool:
-    """``self.x = f(self.x)``-style loads and discarded mutator calls."""
-    parent = getattr(node, "parent", None)
-    if (isinstance(parent, ast.Attribute) and parent.attr in _MUTATORS):
-        call = getattr(parent, "parent", None)
-        if isinstance(call, ast.Call) and isinstance(
-                getattr(call, "parent", None), ast.Expr):
-            return True
-    stmt = _enclosing(node, ast.stmt)
-    targets = []
-    if isinstance(stmt, ast.Assign):
-        targets = stmt.targets
-    elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
-        targets = [stmt.target]
-    return any(
-        isinstance(t, ast.Attribute) and t.attr == node.attr
-        and isinstance(t.value, ast.Name) and isinstance(node.value, ast.Name)
-        and t.value.id == node.value.id
-        for t in targets
-    )
-
-
-def _reads(files: List[_File]) -> Dict[str, int]:
-    reads: Dict[str, int] = defaultdict(int)
-    for file in files:
-        for node in ast.walk(file.tree):
-            if (isinstance(node, ast.Attribute)
-                    and isinstance(node.ctx, ast.Load)
-                    and not _is_self_update(node)):
-                reads[node.attr] += 1
-    return reads
-
-
-def _attributes(files: List[_File]) -> Iterator[Tuple[str, str, int]]:
-    """``(path, Class.attr, line)`` for each attribute a class writes."""
-    for file in files:
-        if not file.rel.startswith("src/"):
-            continue
-        path = file.rel[len("src/"):]
-        for cls in ast.walk(file.tree):
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            seen: Set[str] = set()
-            fields = "dataclass" in _decorators(cls) or (
-                _base_names(cls) & _FIELD_BASES)
-            for item in cls.body:
-                if (fields and isinstance(item, ast.AnnAssign)
-                        and isinstance(item.target, ast.Name)
-                        and "ClassVar" not in ast.dump(item.annotation)):
-                    name = item.target.id
-                    if name not in seen:
-                        seen.add(name)
-                        yield path, f"{cls.name}.{name}", item.lineno
-            for func in cls.body:
-                if not isinstance(func, (ast.FunctionDef,
-                                         ast.AsyncFunctionDef)):
-                    continue
-                for node in ast.walk(func):
-                    if (isinstance(node, ast.Attribute)
-                            and isinstance(node.ctx, ast.Store)
-                            and isinstance(node.value, ast.Name)
-                            and node.value.id == "self"
-                            and node.attr not in seen):
-                        seen.add(node.attr)
-                        yield path, f"{cls.name}.{node.attr}", node.lineno
-
-
-def _class3(files, consumer_reads, test_reads) -> Iterator[Hit]:
-    for path, qual, line in _attributes(files):
-        attr = qual.split(".", 1)[1]
-        if _dunder(attr) or consumer_reads.get(attr):
-            continue
-        yield Hit(f"{path}::{qual}", 3, f"src/{path}:{line}",
-                  bool(test_reads.get(attr)))
-
-
-# -- IR attributes --------------------------------------------------------
-
-
 def _literal(node: ast.AST) -> Optional[str]:
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         return node.value
     return None
 
 
-def _dict_keys(value: Optional[ast.AST]) -> List[str]:
-    if not isinstance(value, ast.Dict):
-        return []
-    return [key for key in map(_literal, value.keys) if key is not None]
+# -- the facts ------------------------------------------------------------
 
 
-def _created_keys(call: ast.Call, owner: Optional[ast.AST]) -> List[str]:
-    """Literal keys of the ``attributes=`` an op is created with."""
-    name = call.func.attr if isinstance(call.func, ast.Attribute) else (
-        call.func.id if isinstance(call.func, ast.Name) else None)
-    value = next((keyword.value for keyword in call.keywords
-                  if keyword.arg == "attributes"), None)
-    if name not in ("create", "Operation") or value is None:
-        return []
-    if not isinstance(value, ast.Name) or owner is None:
-        return _dict_keys(value)
-    keys = []
-    for node in ast.walk(owner):
-        if isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = getattr(node, "targets", None) or [node.target]
-            if node.lineno > call.lineno:
-                continue
-            for target in targets:
-                if isinstance(target, ast.Name) and target.id == value.id:
-                    keys += _dict_keys(node.value)
-                elif (isinstance(target, ast.Subscript)
-                      and isinstance(target.value, ast.Name)
-                      and target.value.id == value.id
-                      and _literal(target.slice) is not None):
-                    keys.append(_literal(target.slice))
-    return keys
+def _facts(node: ast.AST, package: List[str],
+           init: bool) -> Iterator[Tuple[str, str]]:
+    """The ``(kind, name)`` pairs ``node`` is, ``package`` being the
+    dotted parts of the package its file is in and ``init`` whether that
+    file is an ``__init__.py``. The gone kinds are the module
+    docstring's; the scan's are:
+
+    - ``ref``: a name, an attribute, or a ``from`` alias outside an
+      ``__init__.py``, by the name it uses;
+    - ``callee``: a call by the name it calls (``cls(...)`` calls its
+      class); ``super``: an ``x.__init__(...)`` call by each base of
+      each class around it;
+    - ``store``: ``obj.x = ...`` or ``object.__setattr__(obj, "x",
+      ...)`` by ``x``; ``self-store``: each ``self.x = ...``;
+    - ``read``: an attribute load that is not a self-update;
+    - ``class``: each class; ``subclass`` by each base, ``init`` by
+      name when it defines its own ``__init__``, ``dataclass`` by name;
+    - ``literal``: a string constant by its value;
+    - ``ir-write``: a ``set_attr`` call with a literal key, or a
+      ``create`` / ``Operation`` call with ``attributes=``; ``local``:
+      an assignment of a dict display to a name, or of ``name["key"]``,
+      by the name.
+    """
+    if isinstance(node, ast.Name):
+        yield "name", node.id
+        yield "ref", node.id
+    elif isinstance(node, ast.Constant):
+        if isinstance(node.value, str):
+            yield "literal", node.value
+            if not _docstring(node):
+                yield "string", ""
+    elif isinstance(node, ast.Call):
+        for tail in _tails(_dotted(node.func)):
+            yield "call", tail
+            for keyword in node.keywords:
+                yield "call", f"{tail}({keyword.arg or '**'}=)"
+        yield from _call_facts(node)
+    elif isinstance(node, ast.Attribute):
+        for tail in _tails(_dotted(node)):
+            yield "name", tail
+        yield "ref", node.attr
+        if isinstance(node.ctx, ast.Store):
+            yield "store", node.attr
+            if isinstance(node.value, ast.Name) and node.value.id == "self":
+                yield "self-store", ""
+        elif isinstance(node.ctx, ast.Load) and not _is_self_update(node):
+            yield "read", node.attr
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        for name in {name for name, _ in _dict_stores(node)}:
+            yield "local", name
+    elif isinstance(node, ast.arg):
+        yield "keyword", node.arg
+        yield "name", node.arg
+        if node.parent.kwarg is node:
+            yield "keyword", "**"
+    elif isinstance(node, ast.keyword):
+        yield "keyword", node.arg or "**"
+        if node.arg:
+            yield "name", node.arg
+    elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                           ast.ClassDef)):
+        yield "def", node.name
+        yield "name", node.name
+        if isinstance(node, ast.ClassDef):
+            yield "class", ""
+            for base in _base_names(node):
+                yield "subclass", base
+            if any(isinstance(i, ast.FunctionDef) and i.name == "__init__"
+                   for i in node.body):
+                yield "init", node.name
+            if "dataclass" in _decorators(node):
+                yield "dataclass", node.name
+    elif isinstance(node, (ast.Import, ast.ImportFrom)):
+        yield from _imported(node, package)
+        if isinstance(node, ast.ImportFrom) and not init:
+            for alias in node.names:
+                yield "ref", alias.name
+    elif isinstance(node, (ast.For, ast.AsyncFor, ast.While, ast.ListComp,
+                           ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+        yield "loop", ""
 
 
-def _written_keys(node: ast.AST, owner: Optional[ast.AST]) -> List[str]:
-    if not isinstance(node, ast.Call):
-        return []
-    if (isinstance(node.func, ast.Attribute)
-            and node.func.attr == "set_attr" and node.args
-            and _literal(node.args[0]) is not None):
-        return [_literal(node.args[0])]
-    return _created_keys(node, owner)
-
-
-def _class4(files: List[_File], tests: List[_File]) -> Iterator[Hit]:
-    strings: Dict[str, List[ast.AST]] = defaultdict(list)
-    for file in files:
-        for node in ast.walk(file.tree):
-            if _literal(node) is not None:
-                strings[node.value].append(node)
-    test_strings = {
-        node.value for file in tests for node in ast.walk(file.tree)
-        if _literal(node) is not None
-    }
-    for file in files:
-        if not file.rel.startswith("src/"):
-            continue
-        path, seen = file.rel[len("src/"):], set()
-        for node in ast.walk(file.tree):
-            owner = _enclosing(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            for key in _written_keys(node, owner):
-                if key in seen or any(not _inside(ref, owner)
-                                      for ref in strings[key]):
-                    continue
-                seen.add(key)
-                yield Hit(f"{path}::ir[{key}]", 4,
-                          f"{file.rel}:{node.lineno}", key in test_strings)
-
-
-# -- the gone-list --------------------------------------------------------
+def _call_facts(node: ast.Call) -> Iterator[Tuple[str, str]]:
+    func = node.func
+    if isinstance(func, ast.Name):
+        owner = _enclosing(node, ast.ClassDef) if func.id == "cls" else None
+        yield "callee", func.id if owner is None else owner.name
+    elif isinstance(func, ast.Attribute):
+        yield "callee", func.attr
+        if (func.attr == "__setattr__" and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant)):
+            yield "store", node.args[1].value
+        elif func.attr == "__init__":
+            cls = _enclosing(node, ast.ClassDef)
+            while cls is not None:
+                for base in _base_names(cls):
+                    yield "super", base
+                cls = _enclosing(cls.parent, ast.ClassDef)
+        elif (func.attr == "set_attr" and node.args
+              and _literal(node.args[0]) is not None):
+            yield "ir-write", ""
+    if (getattr(func, "attr", getattr(func, "id", None))
+            in ("create", "Operation")
+            and any(k.arg == "attributes" for k in node.keywords)):
+        yield "ir-write", ""
 
 
 def _dotted(node: ast.AST) -> List[str]:
@@ -690,39 +357,337 @@ def _imported(node, package: List[str]) -> Iterator[Tuple[str, str]]:
             yield "name", alias.asname
 
 
-def _facts(node: ast.AST, package: List[str]) -> Iterator[Tuple[str, str]]:
-    """The ``(gone kind, name)`` pairs ``node`` is, ``package`` being
-    the dotted parts of the package its file is in."""
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-        yield "def", node.name
-        yield "name", node.name
-    elif isinstance(node, ast.arg):
-        yield "keyword", node.arg
-        yield "name", node.arg
-        if node.parent.kwarg is node:
-            yield "keyword", "**"
-    elif isinstance(node, ast.keyword):
-        yield "keyword", node.arg or "**"
-        if node.arg:
-            yield "name", node.arg
-    elif isinstance(node, ast.Name):
-        yield "name", node.id
-    elif isinstance(node, ast.Attribute):
-        for tail in _tails(_dotted(node)):
-            yield "name", tail
-    elif isinstance(node, (ast.Import, ast.ImportFrom)):
-        yield from _imported(node, package)
-    elif isinstance(node, ast.Call):
-        for tail in _tails(_dotted(node.func)):
-            yield "call", tail
-            for keyword in node.keywords:
-                yield "call", f"{tail}({keyword.arg or '**'}=)"
-    elif isinstance(node, (ast.For, ast.AsyncFor, ast.While, ast.ListComp,
-                           ast.SetComp, ast.DictComp, ast.GeneratorExp)):
-        yield "loop", ""
-    elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-          and not _docstring(node)):
-        yield "string", ""
+def _is_self_update(node: ast.Attribute) -> bool:
+    """``self.x = f(self.x)``-style loads and discarded mutator calls."""
+    parent = getattr(node, "parent", None)
+    if (isinstance(parent, ast.Attribute) and parent.attr in _MUTATORS):
+        call = getattr(parent, "parent", None)
+        if isinstance(call, ast.Call) and isinstance(
+                getattr(call, "parent", None), ast.Expr):
+            return True
+    stmt = _enclosing(node, ast.stmt)
+    targets = []
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
+        targets = [stmt.target]
+    return any(
+        isinstance(t, ast.Attribute) and t.attr == node.attr
+        and isinstance(t.value, ast.Name) and isinstance(node.value, ast.Name)
+        and t.value.id == node.value.id
+        for t in targets
+    )
+
+
+def _dict_stores(node) -> Iterator[Tuple[str, List[str]]]:
+    """``(name, literal keys)`` of each ``name = {...}`` and
+    ``name["key"] = ...`` target of an assignment."""
+    for target in getattr(node, "targets", None) or [node.target]:
+        if isinstance(target, ast.Name) and isinstance(node.value, ast.Dict):
+            yield target.id, _dict_keys(node.value)
+        elif (isinstance(target, ast.Subscript)
+              and isinstance(target.value, ast.Name)
+              and _literal(target.slice) is not None):
+            yield target.value.id, [_literal(target.slice)]
+
+
+def _dict_keys(value: Optional[ast.AST]) -> List[str]:
+    if not isinstance(value, ast.Dict):
+        return []
+    return [key for key in map(_literal, value.keys) if key is not None]
+
+
+# -- definitions under src/ -----------------------------------------------
+
+
+@dataclass
+class _Def:
+    node: ast.AST
+    qual: str
+    name: str
+    path: str
+    cls: Optional[ast.ClassDef]
+
+
+def _definitions(files: List[_File]) -> Iterator[_Def]:
+    for file in files:
+        if not file.rel.startswith("src/"):
+            continue
+        path = file.rel[len("src/"):]
+        for node in file.tree.body:
+            if isinstance(node, _FUNCS):
+                yield _Def(node, node.name, node.name, path, None)
+            elif isinstance(node, ast.ClassDef):
+                yield _Def(node, node.name, node.name, path, None)
+                for item in node.body:
+                    if isinstance(item, _FUNCS):
+                        yield _Def(item, f"{node.name}.{item.name}",
+                                   item.name, path, node)
+
+
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _class1(defs: List[_Def], uses, tested) -> Iterator[Hit]:
+    for item in defs:
+        if _dunder(item.name) or any(
+                not _inside(ref, item.node)
+                for ref in uses.get(("ref", item.name), ())):
+            continue
+        yield Hit(f"{item.path}::{item.qual}", 1,
+                  f"src/{item.path}:{item.node.lineno}",
+                  ("ref", item.name) in tested)
+
+
+# -- defaulted parameters -------------------------------------------------
+
+
+def _called(index, names: List[str], kind: str = "callee") -> List[ast.Call]:
+    """The calls of ``index`` to any of ``names``."""
+    return [node for name in names for node in index.get((kind, name), ())]
+
+
+def _defaulted(func: ast.FunctionDef, skip_first: bool):
+    args = func.args
+    positional = list(args.posonlyargs) + list(args.args)
+    if skip_first and positional:
+        positional = positional[1:]
+    first_default = len(positional) - len(args.defaults)
+    for index, arg in enumerate(positional):
+        if index >= first_default:
+            yield arg.arg, index
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _family(cls: str, uses) -> List[str]:
+    """``cls`` and every class below it."""
+    names, todo = [], [cls]
+    while todo:
+        name = todo.pop()
+        if name in names:
+            continue
+        names.append(name)
+        todo.extend(sub.name for sub in uses.get(("subclass", name), ()))
+    return names
+
+
+def _passes(call: ast.Call, param: str, index: Optional[int],
+            spread: bool = True) -> bool:
+    """Whether ``call`` passes ``param`` by keyword, by position ``index``
+    (None for a keyword-only one) or, if ``spread``, by any ``*args`` or
+    ``**kwargs`` spread."""
+    if spread and (any(isinstance(a, ast.Starred) for a in call.args)
+                   or any(k.arg is None for k in call.keywords)):
+        return True
+    return any(k.arg == param for k in call.keywords) or (
+        index is not None
+        and sum(not isinstance(a, ast.Starred) for a in call.args) > index)
+
+
+def _sets(param: str, index: Optional[int], calls: List[ast.Call]) -> bool:
+    return any(_passes(call, param, index) for call in calls)
+
+
+def _field_knob(item: ast.AnnAssign) -> Optional[bool]:
+    """Whether a field is a knob of the generated ``__init__``: True for
+    a default a caller may replace, False for a required parameter or a
+    ``default_factory`` (a fresh container, meter or drawn id per
+    instance is state), None for ``init=False`` (not a parameter)."""
+    value = item.value
+    if not (isinstance(value, ast.Call)
+            and getattr(value.func, "id", getattr(value.func, "attr", None))
+            == "field"):
+        return value is not None
+    keywords = {k.arg: k.value for k in value.keywords}
+    init = keywords.get("init")
+    if isinstance(init, ast.Constant) and init.value is False:
+        return None
+    return "default" in keywords
+
+
+def _dataclass_fields(cls: ast.ClassDef, uses):
+    """``[(name, knob, AnnAssign)]`` of the generated ``__init__``'s
+    parameters in order, inherited fields first (a redeclared field
+    keeps its inherited place)."""
+    fields: Dict[str, Tuple[Optional[bool], ast.AnnAssign]] = {}
+    for base in _base_names(cls):
+        found = uses.get(("dataclass", base))
+        if found and found[-1] is not cls:
+            for name, knob, node in _dataclass_fields(found[-1], uses):
+                fields[name] = (knob, node)
+    for item in cls.body:
+        if (isinstance(item, ast.AnnAssign)
+                and isinstance(item.target, ast.Name)
+                and "ClassVar" not in ast.dump(item.annotation)):
+            fields[item.target.id] = (_field_knob(item), item)
+    return [(name, knob, node) for name, (knob, node) in fields.items()
+            if knob is not None]
+
+
+def _owner(store: ast.AST) -> Optional[str]:
+    """The class whose method a ``store`` fact stores on ``self`` in, or
+    ``None`` for a store on any other object."""
+    target = store.value if isinstance(store, ast.Attribute) else store.args[0]
+    if isinstance(target, ast.Name) and target.id == "self":
+        cls = _enclosing(store, ast.ClassDef)
+        return cls.name if cls is not None else None
+    return None
+
+
+def _dataclass_hits(files, uses, tested) -> Iterator[Hit]:
+    """Each defaulted field of a generated ``__init__`` that no consumer
+    sets: by keyword or position to the class or a subclass, through
+    ``replace(x, f=...)`` or by ``obj.f = ...``. A field that methods of
+    the class (or of a subclass) assign on ``self`` is state, not a
+    knob."""
+    for file in files:
+        if not file.rel.startswith("src/"):
+            continue
+        path = file.rel[len("src/"):]
+        for cls in file.facts.get(("class", ""), ()):
+            if ("dataclass" not in _decorators(cls)
+                    or ("init", cls.name) in uses):
+                continue
+            family = _family(cls.name, uses)
+            names = [n for n in family
+                     if n == cls.name or ("init", n) not in uses]
+
+            def sets(name, index, side, supers=()):
+                calls = _called(side, names) + list(supers)
+                return (_sets(name, index, calls)
+                        or _sets(name, None, _called(side, ["replace"]))
+                        or any(owner is None or owner in family for owner
+                               in map(_owner, side.get(("store", name), ()))))
+
+            supers = _called(uses, [cls.name], "super")
+            for index, (name, knob, node) in enumerate(
+                    _dataclass_fields(cls, uses)):
+                if not knob or not _inside(node, cls) or sets(
+                        name, index, uses, supers):
+                    continue
+                yield Hit(f"{path}::{cls.name}.__init__({name}=)", 2,
+                          f"src/{path}:{node.lineno}",
+                          sets(name, index, tested))
+
+
+def _class2(defs, files, uses, tested) -> Iterator[Hit]:
+    yield from _dataclass_hits(files, uses, tested)
+    for item in defs:
+        node = item.node
+        if not isinstance(node, _FUNCS):
+            continue
+        if _dunder(item.name) and item.name != "__init__":
+            continue
+        method = item.cls is not None and "staticmethod" not in _decorators(
+            node)
+        names = [item.name]
+        if item.name == "__init__" and item.cls is not None:
+            family = _family(item.cls.name, uses)
+            names = family[:1] + [n for n in family[1:]
+                                  if ("init", n) not in uses]
+        calls = [c for c in _called(uses, names) if not _inside(c, node)]
+        if item.name == "__init__":
+            calls += _called(uses, [item.cls.name], "super")
+        tested_calls = _called(tested, names)
+        for param, index in _defaulted(node, method):
+            if _sets(param, index, calls):
+                continue
+            yield Hit(
+                f"{item.path}::{item.qual}({param}=)", 2,
+                f"src/{item.path}:{node.lineno}",
+                any(_passes(c, param, index, spread=False)
+                    for c in tested_calls),
+            )
+
+
+# -- attributes and fields ------------------------------------------------
+
+
+def _attributes(files: List[_File]) -> Iterator[Tuple[str, str, int]]:
+    """``(path, Class.attr, line)`` for each attribute a class writes."""
+    for file in files:
+        if not file.rel.startswith("src/"):
+            continue
+        path = file.rel[len("src/"):]
+        stores: Dict[ast.AST, List[ast.Attribute]] = defaultdict(list)
+        for store in file.facts.get(("self-store", ""), ()):
+            func = _enclosing(store, _FUNCS)
+            while func is not None:
+                stores[func].append(store)
+                func = _enclosing(func.parent, _FUNCS)
+        for cls in file.facts.get(("class", ""), ()):
+            seen: Set[str] = set()
+            fields = "dataclass" in _decorators(cls) or (
+                _base_names(cls) & _FIELD_BASES)
+            for item in cls.body:
+                if (fields and isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name)
+                        and "ClassVar" not in ast.dump(item.annotation)):
+                    name = item.target.id
+                    if name not in seen:
+                        seen.add(name)
+                        yield path, f"{cls.name}.{name}", item.lineno
+            for func in cls.body:
+                for node in stores.get(func, ()):
+                    if node.attr not in seen:
+                        seen.add(node.attr)
+                        yield path, f"{cls.name}.{node.attr}", node.lineno
+
+
+def _class3(files, uses, tested) -> Iterator[Hit]:
+    for path, qual, line in _attributes(files):
+        attr = qual.split(".", 1)[1]
+        if _dunder(attr) or ("read", attr) in uses:
+            continue
+        yield Hit(f"{path}::{qual}", 3, f"src/{path}:{line}",
+                  ("read", attr) in tested)
+
+
+# -- IR attributes --------------------------------------------------------
+
+
+def _written_keys(call: ast.Call, owner: Optional[ast.AST],
+                  file: _File) -> List[str]:
+    """Literal keys of a ``set_attr`` call or of the ``attributes=`` an
+    op is created with (a dict display, or a local that ``owner`` builds
+    before the call)."""
+    if (isinstance(call.func, ast.Attribute)
+            and call.func.attr == "set_attr"):
+        return [_literal(call.args[0])]
+    value = next(keyword.value for keyword in call.keywords
+                 if keyword.arg == "attributes")
+    if not isinstance(value, ast.Name) or owner is None:
+        return _dict_keys(value)
+    keys = []
+    for node in file.facts.get(("local", value.id), ()):
+        if node.lineno <= call.lineno and _inside(node, owner):
+            keys += [key for name, found in _dict_stores(node)
+                     if name == value.id for key in found]
+    return keys
+
+
+def _class4(files: List[_File], uses, tested) -> Iterator[Hit]:
+    for file in files:
+        if not file.rel.startswith("src/"):
+            continue
+        path, seen = file.rel[len("src/"):], set()
+        for call in file.facts.get(("ir-write", ""), ()):
+            owner = _enclosing(call, _FUNCS)
+            for key in _written_keys(call, owner, file):
+                if key in seen or any(
+                        not _inside(ref, owner)
+                        for ref in uses.get(("literal", key), ())):
+                    continue
+                seen.add(key)
+                yield Hit(f"{path}::ir[{key}]", 4,
+                          f"{file.rel}:{call.lineno}",
+                          ("literal", key) in tested)
+
+
+# -- the gone-list --------------------------------------------------------
 
 
 def _anchors(files: List[_File], scope: str):
@@ -792,11 +757,12 @@ def gone(files: List[_File], entries: List[dict]):
 
 def scan(consumers: List[_File], tests: List[_File]) -> List[Hit]:
     """Every hit of the four classes under ``src/``."""
+    uses, tested = _index(consumers), _index(tests)
     defs = list(_definitions(consumers))
-    hits = list(_class1(defs, _references(consumers), _references(tests)))
-    hits += _class2(defs, consumers, _calls(consumers), _calls(tests), tests)
-    hits += _class3(consumers, _reads(consumers), _reads(tests))
-    hits += _class4(consumers, tests)
+    hits = list(_class1(defs, uses, tested))
+    hits += _class2(defs, consumers, uses, tested)
+    hits += _class3(consumers, uses, tested)
+    hits += _class4(consumers, uses, tested)
     return hits
 
 
