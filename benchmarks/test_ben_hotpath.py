@@ -24,28 +24,22 @@ from repro.core.dse.cache import clear_caches
 from repro.core.dse.explorer import Explorer
 from repro.core.dse.space import DesignSpace
 from repro.core.dsl.kernel_dsl import compile_kernel
-from repro.core.ir.digest import (
-    digest_stats,
-    module_digest,
-    reset_digest_stats,
-)
-from tests.conftest import hotpath_kernel
+from repro.core.ir.digest import module_digest
+from tests.conftest import count_prints, hotpath_kernel
 
 
-def test_ben_hotpath_digest_printed_once():
-    """Counter-instrumented memo check: any number of digest lookups
-    on an unmutated module serializes it exactly once."""
+def test_ben_hotpath_digest_printed_once(monkeypatch):
+    """Memo check through a counting ``print_module``: any number of
+    digest lookups on an unmutated module serializes it exactly once."""
     module = compile_kernel(hotpath_kernel(depth=40))
-    reset_digest_stats()
+    printed = count_prints(monkeypatch)
     first = module_digest(module)
     for _ in range(200):
         assert module_digest(module) == first
-    stats = digest_stats()
-    assert stats.prints == 1, (
-        f"{stats.prints} serializations for 201 lookups of an "
+    assert printed.call_count == 1, (
+        f"{printed.call_count} serializations for 201 lookups of an "
         f"unmutated module (memo must print exactly once)"
     )
-    assert stats.hits == 200
 
 
 @pytest.mark.parametrize("workers", [2, 3, 4])

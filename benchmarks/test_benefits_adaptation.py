@@ -133,42 +133,3 @@ def test_benefits_adaptation(benchmark):
     benchmark(lambda: manager.select("k", SystemState(),
                                      DataFeatures()))
 
-
-def test_benefits_adaptation_window_ablation(benchmark):
-    """Ablation: feedback smoothing. Heavy smoothing reacts slowly to
-    a step change; no smoothing chases noise. The default sits between.
-    """
-    import numpy as np
-
-    from repro.utils.rng import deterministic_rng
-
-    def run_with_smoothing(smoothing: float) -> float:
-        knowledge = make_knowledge()
-        manager = ApplicationManager(knowledge)
-        rng = deterministic_rng("window-ablation", smoothing)
-        total = 0.0
-        for round_index in range(60):
-            state = SystemState(
-                fpga_contention=1.0 if round_index >= 20 else 0.0
-            )
-            point = manager.select("k", state, DataFeatures())
-            observed = true_latency(point, state, DataFeatures())
-            noisy = observed * float(rng.lognormal(0, 0.25))
-            point.observe(noisy, point.predicted_energy_j,
-                          smoothing=smoothing)
-            total += observed
-        return total
-
-    table = Table(
-        "ben-adapt ablation: feedback smoothing factor",
-        ["smoothing", "cumulative latency us"],
-    )
-    totals = {}
-    for smoothing in (0.05, 0.3, 0.95):
-        totals[smoothing] = run_with_smoothing(smoothing)
-        table.add_row(smoothing, totals[smoothing] * 1e6)
-    table.show()
-    # the default (0.3) should not be the worst of the three
-    assert totals[0.3] <= max(totals.values())
-
-    benchmark(lambda: run_with_smoothing(0.3))

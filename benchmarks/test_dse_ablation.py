@@ -51,9 +51,7 @@ def test_dse_strategy_ablation(module, benchmark):
 
     budget = max(8, exhaustive.evaluations // 4)
     random_result = explorer.random(budget=budget, seed="abl")
-    evolutionary_result = explorer.evolutionary(
-        budget=budget, population=4, seed="abl"
-    )
+    evolutionary_result = explorer.evolutionary(budget=budget, seed="abl")
 
     table = Table(
         f"ben-dse: search strategies (space size "

@@ -122,8 +122,6 @@ def test_fig2_adaptation_and_protection(app, benchmark):
     table.show()
 
     print(f"adaptive switches : {adaptive_exec.manager.switches}")
-    print(f"anomaly detections: "
-          f"{adaptive_exec.monitor.detection_count()}")
     print(f"incidents         : "
           f"{len(adaptive_exec.protection.incidents)}")
     print(f"DIFT forced       : "
@@ -141,7 +139,8 @@ def test_fig2_adaptation_and_protection(app, benchmark):
     # 2. the adaptive runtime actually switched variants
     assert adaptive_exec.manager.switches >= 1
     # 3. the timing attack was detected and auto-protection reacted
-    assert adaptive_exec.monitor.detection_count() >= 1
+    assert any(incident.kind == "timing-anomaly"
+               for incident in adaptive_exec.protection.incidents)
     assert adaptive_exec.protection.dift_forced
     # 4. under alert, only DIFT variants are selected
     final_choice = adaptive_rounds[-1].selections["score"]
@@ -161,7 +160,7 @@ def test_fig2_vfpga_isolation(app, benchmark):
     from repro.runtime.virt import VFPGAManager, VM
     from repro.utils.units import GB
 
-    node = build_power9_node(role_slots=2)
+    node = build_power9_node()
     manager = VFPGAManager(node)
     tenant_a = VM("tenant-a", vcpus=2, memory_bytes=GB)
     tenant_b = VM("tenant-b", vcpus=2, memory_bytes=GB)

@@ -140,7 +140,7 @@ def test_fig3_workflow_engine_on_ecosystem(benchmark):
             name,
             trace.makespan,
             trace.bytes_moved / MB,
-            trace.total_transfer_seconds(),
+            sum(r.transfer_seconds for r in trace.records),
         )
     table.show()
     assert locality.bytes_moved <= fifo.bytes_moved

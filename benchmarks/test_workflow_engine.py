@@ -91,6 +91,12 @@ GRAPHS = {
 }
 
 
+def utilization_pct(trace, slots: int) -> float:
+    """Busy share of ``slots`` worker slots over the makespan."""
+    busy = sum(record.duration for record in trace.records)
+    return busy / (trace.makespan * slots) * 100
+
+
 def pool(count=4, cpus=2):
     return [
         Worker(f"w{index}", node_name=f"n{index}", cpus=cpus)
@@ -116,9 +122,10 @@ def test_workflow_policy_comparison(benchmark):
                 graph_name,
                 policy_name,
                 trace.makespan,
-                trace.utilization(total_slots=8) * 100,
+                utilization_pct(trace, 8),
                 trace.bytes_moved / 1e6,
-                trace.average_wait(),
+                sum(r.start - r.ready_at for r in trace.records)
+                / len(trace.records),
             )
     table.show()
 
@@ -199,7 +206,7 @@ def test_workflow_strong_scaling(benchmark):
             workers,
             trace.makespan,
             base / trace.makespan,
-            trace.utilization(total_slots=workers) * 100,
+            utilization_pct(trace, workers),
         )
     table.show()
 
@@ -208,7 +215,7 @@ def test_workflow_strong_scaling(benchmark):
     assert results[8] < results[4]
     # bounded below by the critical path
     graph = wide_graph()
-    assert results[8] >= graph.critical_path_length() - 1e-9
+    assert results[8] >= max(graph.b_levels().values()) - 1e-9
 
     server = ResilientServer(pool(count=8, cpus=1))
     benchmark(lambda: server.run(wide_graph()))

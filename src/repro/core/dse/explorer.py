@@ -76,6 +76,9 @@ from repro.errors import DSEError
 from repro.obs import Observation, current_metrics, current_tracer, observe
 from repro.utils.rng import deterministic_rng
 
+#: Parents an evolutionary search keeps (its mu, and its initial draw).
+POPULATION = 4
+
 #: Tracer category for exploration spans and front-growth events.
 DSE_CATEGORY = "dse.explore"
 
@@ -452,13 +455,10 @@ class Explorer:
         result.front = front.variants()
         return result
 
-    def evolutionary(
-        self,
-        budget: int = 24,
-        population: int = 4,
-        seed: str = "dse",
-    ) -> ExplorationResult:
-        """(mu+lambda) single-knob-mutation search."""
+    def evolutionary(self, budget: int = 24, seed: str = "dse"
+                     ) -> ExplorationResult:
+        """(mu+lambda) single-knob-mutation search over a population of
+        ``POPULATION`` parents."""
         points = list(self.space.points())
         rng = deterministic_rng("dse-evo", seed, self.kernel)
         result = ExplorationResult(kernel=self.kernel)
@@ -475,7 +475,7 @@ class Explorer:
             return self._admit(knobs, cost, result, front)
 
         initial_indices = rng.choice(
-            len(points), size=min(population, len(points)), replace=False
+            len(points), size=min(POPULATION, len(points)), replace=False
         )
         initial = [points[int(i)] for i in initial_indices]
         for knobs in initial:
@@ -486,7 +486,7 @@ class Explorer:
             parents.sort(key=lambda v: (
                 not v.cost.feasible, v.cost.latency_s * v.cost.energy_j
             ))
-            parents = parents[:population]
+            parents = parents[:POPULATION]
             parent = parents[int(rng.integers(len(parents)))]
             neighbors = [
                 knobs for knobs in neighborhood(parent.knobs, self.space)

@@ -130,10 +130,9 @@ class GPUNode(Node):
     """Baseline CPU+GPU server (industry-established node)."""
 
 
-def build_power9_node(
-    name: str = "power9-0", role_slots: int = 2
-) -> Power9Node:
-    """A POWER9 node with one coherent bus-attached VU9P card."""
+def build_power9_node(name: str = "power9-0") -> Power9Node:
+    """A POWER9 node with one coherent bus-attached VU9P card of two
+    role slots."""
     node = Power9Node(
         name=name,
         cpu=CPUDescription(
@@ -161,7 +160,7 @@ def build_power9_node(
         channels=2,
     )
     fpga = make_vu9p(
-        f"{name}/fpga0", memories=[card_memory], role_slots=role_slots,
+        f"{name}/fpga0", memories=[card_memory], role_slots=2,
     )
     node.attach_fpga(fpga, OpenCAPILink(f"{name}/capi0"))
     return node

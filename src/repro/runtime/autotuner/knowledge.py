@@ -16,7 +16,10 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.variants import Variant
 from repro.errors import RuntimeSystemError
-from repro.utils.validation import check_in_range
+
+#: weight of one measurement in a point's correction factors (an
+#: exponential moving average)
+SMOOTHING = 0.3
 
 
 class FeedbackLog:
@@ -108,23 +111,21 @@ class OperatingPoint:
         """Prediction adjusted by runtime feedback."""
         return self.predicted_energy_j * self._energy_correction
 
-    def observe(self, latency_s: float, energy_j: float,
-                smoothing: float = 0.3) -> None:
+    def observe(self, latency_s: float, energy_j: float) -> None:
         """Fold one measurement into the correction factors and append
         this point to its kernel's feedback log, which is how every
         decision maker over the knowledge base learns that it moved."""
-        check_in_range("smoothing", smoothing, 0.0, 1.0)
         if self.predicted_latency_s > 0:
             ratio = latency_s / self.predicted_latency_s
             self._latency_correction = (
-                (1 - smoothing) * self._latency_correction
-                + smoothing * ratio
+                (1 - SMOOTHING) * self._latency_correction
+                + SMOOTHING * ratio
             )
         if self.predicted_energy_j > 0:
             ratio = energy_j / self.predicted_energy_j
             self._energy_correction = (
-                (1 - smoothing) * self._energy_correction
-                + smoothing * ratio
+                (1 - SMOOTHING) * self._energy_correction
+                + SMOOTHING * ratio
             )
         if self.feedback is not None:
             self.feedback.append(self)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.utils.validation import check_positive
 
@@ -55,7 +55,6 @@ class HardwareMonitor:
         self.threshold_sigma = threshold_sigma
         self.min_training = min_training
         self._baselines: Dict[str, _Baseline] = {}
-        self.detections: List[Anomaly] = []
         self.frozen = False
 
     # ------------------------------------------------------------------
@@ -89,19 +88,7 @@ class HardwareMonitor:
             z_score = abs(value - baseline.mean) / std
             anomalous = z_score > self.threshold_sigma
         if anomalous:
-            anomaly = Anomaly(
-                metric=metric,
-                value=value,
-                z_score=z_score,
-            )
-            self.detections.append(anomaly)
-            return anomaly
+            return Anomaly(metric=metric, value=value, z_score=z_score)
         if not self.frozen:
             baseline.update(value)
         return None
-
-    # ------------------------------------------------------------------
-
-    def detection_count(self) -> int:
-        """Detections so far."""
-        return len(self.detections)

@@ -173,6 +173,10 @@ class RuntimeExecutor:
         self.vm.start()
         self._loaded: Dict[str, object] = {}  # kernel -> lease
         self._static_selection: Dict[str, OperatingPoint] = {}
+        # the last input state a forced alert was raised on, and the
+        # alerted state: a select sees the same object while they last
+        self._alerted: Tuple[Optional[SystemState],
+                             Optional[SystemState]] = (None, None)
 
     # ------------------------------------------------------------------
 
@@ -219,7 +223,9 @@ class RuntimeExecutor:
         state = IDLE if state is None else state.clamp()
         features = features or NOMINAL
         if self.protection.dift_forced and not state.security_alert:
-            state = replace(state, security_alert=True)
+            if self._alerted[0] is not state:
+                self._alerted = (state, replace(state, security_alert=True))
+            state = self._alerted[1]
         total_latency = total_energy = total_reconfig = 0.0
         selections: Dict[str, str] = {}
         for kernel, timing in self._kernels:

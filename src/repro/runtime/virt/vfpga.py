@@ -123,12 +123,3 @@ class VFPGAManager:
             raise SecurityError(
                 f"VM {vm.name!r} does not own role {lease.role.name!r}"
             )
-
-    # ------------------------------------------------------------------
-
-    def utilization(self) -> float:
-        """Fraction of role slots currently leased."""
-        total = sum(len(device.roles) for device in self.node.fpgas)
-        if total == 0:
-            return 0.0
-        return len(self.leases) / total

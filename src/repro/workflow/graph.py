@@ -188,11 +188,6 @@ class TaskGraph:
             {name: task.duration_s for name, task in self.tasks.items()},
         )
 
-    def critical_path_length(self) -> float:
-        """Duration of the longest dependency chain."""
-        levels = self.b_levels()
-        return max(levels.values(), default=0.0)
-
     def total_work(self) -> float:
         """Sum of all task durations (serial execution time)."""
         return sum(task.duration_s for task in self.tasks.values())

@@ -44,11 +44,6 @@ class TaskRecord:
     bytes_moved: int = 0
 
     @property
-    def wait_seconds(self) -> float:
-        """Queueing delay between readiness and start."""
-        return self.start - self.ready_at
-
-    @property
     def duration(self) -> float:
         """Wall duration including input staging."""
         return self.end - self.start
@@ -192,22 +187,3 @@ class ExecutionTrace:
     def digest(self) -> str:
         """Short content hash of the serialized trace."""
         return hashlib.sha256(self.to_json().encode()).hexdigest()[:16]
-
-    def average_wait(self) -> float:
-        """Mean queueing delay across tasks."""
-        if not self.records:
-            return 0.0
-        return sum(r.wait_seconds for r in self.records) / len(
-            self.records
-        )
-
-    def total_transfer_seconds(self) -> float:
-        """Cumulative input-staging time."""
-        return sum(r.transfer_seconds for r in self.records)
-
-    def utilization(self, total_slots: int) -> float:
-        """Aggregate busy fraction across all worker slots."""
-        if self.makespan <= 0 or total_slots <= 0:
-            return 0.0
-        busy = sum(r.duration for r in self.records)
-        return min(1.0, busy / (self.makespan * total_slots))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from unittest.mock import Mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from repro.core.analysis.cache import configure_analysis_cache
 from repro.core.dse.cache import clear_caches, configure
 from repro.core.dsl.kernel_dsl import compile_kernel
+from repro.core.ir import digest
 from repro.core.ir.module import Module
 
 
@@ -90,6 +92,13 @@ def hotpath_kernel(depth: int) -> str:
         "  return Y\n"
         "}\n"
     )
+
+
+def count_prints(monkeypatch) -> Mock:
+    """``print_module`` as ``module_digest`` calls it, counting calls."""
+    printed = Mock(wraps=digest.print_module)
+    monkeypatch.setattr(digest, "print_module", printed)
+    return printed
 
 
 @pytest.fixture

@@ -132,8 +132,8 @@ class TestExplorer:
     def test_evolutionary_budget(self, stream_module):
         explorer = Explorer(stream_module, "stream",
                             DesignSpace.small())
-        result = explorer.evolutionary(budget=4, population=2)
-        assert result.evaluations <= 4 + 2
+        result = explorer.evolutionary(budget=6)
+        assert result.evaluations <= 6
         assert result.front
 
     def test_requirement_filters_variants(self, stream_module):

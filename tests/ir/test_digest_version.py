@@ -10,16 +10,13 @@ once per process, no matter how many lookups ask for its digest.
 
 from repro.core.dsl.kernel_dsl import compile_kernel
 from repro.core.ir.builder import Builder
-from repro.core.ir.digest import (
-    digest_stats,
-    module_digest,
-    reset_digest_stats,
-)
+from repro.core.ir.digest import module_digest
 from repro.core.ir.module import Module
 from repro.core.ir.parser import parse_module
 from repro.core.ir.passes import LowerTensorPass, PassManager
 from repro.core.ir.printer import print_module
 from repro.core.ir.types import F32, FunctionType, TensorType
+from tests.conftest import count_prints
 
 GEMM_SRC = """
 kernel gemm(A: tensor<8x8xf32>, B: tensor<8x8xf32>)
@@ -41,15 +38,13 @@ def unmemoized_digest(module):
 
 
 class TestMemoization:
-    def test_repeated_lookups_print_once(self):
+    def test_repeated_lookups_print_once(self, monkeypatch):
         module = build_module()
-        reset_digest_stats()
+        printed = count_prints(monkeypatch)
         first = module_digest(module)
         for _ in range(50):
             assert module_digest(module) == first
-        stats = digest_stats()
-        assert stats.prints == 1
-        assert stats.hits == 50
+        assert printed.call_count == 1
 
     def test_memo_matches_unmemoized_value(self):
         module = build_module()
@@ -57,7 +52,7 @@ class TestMemoization:
         assert module_digest(module) == memoized  # served by the memo
         assert unmemoized_digest(module) == memoized
 
-    def test_clone_digests_independently(self):
+    def test_clone_digests_independently(self, monkeypatch):
         module = build_module()
         original = module_digest(module)
         clone = module.clone()
@@ -65,9 +60,9 @@ class TestMemoization:
         clone.find_function("gemm").op.set_attr("target", "fpga")
         assert module_digest(clone) != original
         # the original's memo is untouched by clone mutations
-        reset_digest_stats()
+        printed = count_prints(monkeypatch)
         assert module_digest(module) == original
-        assert digest_stats().hits == 1
+        assert printed.call_count == 0
 
 
 class TestInvalidation:

@@ -290,6 +290,16 @@ class TestCallCounts:
         executor.run(100)
         assert calls == []
 
+    def test_forced_alert_rounds_keep_the_selects_memo(self, app,
+                                                        monkeypatch):
+        executor = RuntimeExecutor(app)
+        executor.protection.report("timing-anomaly", "planted")
+        executor.run_round(0)
+        calls = count_calls(monkeypatch, ApplicationManager, "_recall")
+        for index in range(1, 20):
+            executor.run_round(index)
+        assert calls == []
+
 
 class TestTierPlacer:
     def make_graph(self, size_bytes=10**6, duration=0.01):

@@ -67,8 +67,9 @@ def test_property_makespan_bounds(graph, workers, policy_name):
     )
     trace, _ = server.run(graph)
     assert len(trace.records) == len(graph.tasks)
-    assert trace.makespan >= graph.critical_path_length() - 1e-9
-    slack = trace.total_transfer_seconds() + 1e-9
+    assert trace.makespan >= max(graph.b_levels().values(),
+                                 default=0.0) - 1e-9
+    slack = sum(r.transfer_seconds for r in trace.records) + 1e-9
     assert trace.makespan <= graph.total_work() + slack
 
 

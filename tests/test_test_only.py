@@ -73,6 +73,21 @@ def test_an_entry_that_is_no_longer_a_hit_is_stale(tree):
         "(no longer a hit)"]
 
 
+@pytest.mark.parametrize("caller, printed", [
+    ("benchmarks/test_x.py",
+     ["src/pkg/mod.py:5: class 1 test-only: pkg/mod.py::only_tested"]),
+    ("benchmarks/e2e/helper.py", []),
+], ids=["benchmark-test", "e2e-helper"])
+def test_a_file_pytest_collects_is_on_the_test_side_wherever_it_lives(
+        tree, caller, printed):
+    (tree / "tests" / "test_mod.py").unlink()
+    (tree / caller).parent.mkdir(parents=True)
+    (tree / caller).write_text(
+        "from pkg.mod import only_tested\n\nonly_tested()\n")
+    code, out = scan(tree, [])
+    assert (code, out.splitlines()) == (int(bool(printed)), printed)
+
+
 #: how a consumer builds the record -> the fields it leaves unset
 CONSTRUCTIONS = {
     "unset": ('Rec("x")', ["first", "second"]),
@@ -291,6 +306,8 @@ def test_an_import_matches_in_every_spelling_but_words(
      "_Run.mark_ready", "self.graph.dependencies(task_name)"),
     ("cache.put", "src/repro/core/dse/cost_model.py", "bound_for",
      "cache.put(key, None)"),
+    ("role_slots", "src/repro/platform/node.py", "build_power9_node",
+     "make_vu9p(name, role_slots=1)"),
 ])
 def test_a_whole_file_entry_fires_outside_its_one_allowed_site(
         tmp_path, capsys, monkeypatch, name, rel, qual, line):
@@ -317,7 +334,7 @@ def test_the_gone_list_covers_this_script_but_the_scan_does_not(
     scanned = []
     monkeypatch.setattr(tool, "SELF", own.resolve())
     monkeypatch.setattr(tool, "scan", lambda consumers, tests: scanned.extend(
-        f.rel for f in consumers) or [])
+        f.rel for f in consumers + tests) or [])
     keep = tmp_path / "keep.json"
     keep.write_text("[]")
     code = tool.main(["--root", str(tmp_path), "--keep", str(keep)])

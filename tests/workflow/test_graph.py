@@ -100,7 +100,7 @@ class TestGraphAnalysis:
         assert levels["a"] == pytest.approx(5.0)
 
     def test_critical_path(self):
-        assert diamond().critical_path_length() == pytest.approx(5.0)
+        assert max(diamond().b_levels().values()) == pytest.approx(5.0)
 
     def test_total_work(self):
         assert diamond().total_work() == pytest.approx(7.0)
@@ -130,7 +130,7 @@ class TestGraphAnalysis:
                 outputs=[f"o{index}"], duration_s=1.0,
             ))
             previous = f"o{index}"
-        assert graph.critical_path_length() == pytest.approx(length)
+        assert max(graph.b_levels().values()) == pytest.approx(length)
         assert graph.total_work() == pytest.approx(length)
 
 
@@ -143,8 +143,7 @@ def ghost_producer_graph() -> TaskGraph:
 
 class TestUnknownProducer:
     @pytest.mark.parametrize("query", [
-        "validate", "topological_order", "b_levels",
-        "critical_path_length", "roots",
+        "validate", "topological_order", "b_levels", "roots",
     ])
     def test_every_query_names_the_object_and_the_producer(self, query):
         with pytest.raises(WorkflowError, match="'x'.*'ghost'"):

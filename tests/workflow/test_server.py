@@ -77,7 +77,7 @@ class TestServerExecution:
         graph = chain_and_fan()
         server = ResilientServer(pool(8))
         trace, _ = server.run(graph)
-        assert trace.makespan >= graph.critical_path_length() - 1e-9
+        assert trace.makespan >= max(graph.b_levels().values()) - 1e-9
 
     def test_makespan_at_most_serial(self):
         graph = chain_and_fan()
@@ -124,8 +124,8 @@ class TestServerExecution:
         graph = chain_and_fan()
         server = ResilientServer(pool(2))
         trace, _ = server.run(graph)
-        utilization = trace.utilization(total_slots=2)
-        assert 0.0 < utilization <= 1.0
+        busy = sum(record.duration for record in trace.records)
+        assert 0.0 < busy <= 2 * trace.makespan
 
     def test_empty_worker_pool_rejected(self):
         with pytest.raises(WorkflowError):
@@ -168,7 +168,6 @@ class TestBusyAccounting:
         assert trace.makespan == pytest.approx(2.0)
         assert sum(r.end - r.start for r in trace.records) == \
             pytest.approx(2.0)
-        assert trace.utilization(total_slots=1) == pytest.approx(1.0)
 
     def test_straggler_is_fully_busy(self):
         worker = Worker("w", node_name="n", cpus=1)
@@ -182,7 +181,6 @@ class TestBusyAccounting:
         assert trace.makespan == pytest.approx(3.0)
         assert sum(r.end - r.start for r in trace.records) == \
             pytest.approx(3.0)
-        assert trace.utilization(total_slots=1) == pytest.approx(1.0)
 
 
 class TestExternalInputHome:
@@ -306,10 +304,10 @@ class TestPolicies:
             workers(), ecosystem=eco, policy=LocalityScheduler()
         ).run(graph)
         assert locality.bytes_moved <= fifo.bytes_moved
-        assert locality.total_transfer_seconds() <= \
-            fifo.total_transfer_seconds() + 1e-9
+        assert sum(r.transfer_seconds for r in locality.records) <= \
+            sum(r.transfer_seconds for r in fifo.records) + 1e-9
 
     def test_trace_wait_accounting(self):
         graph = chain_and_fan()
         trace, _ = ResilientServer(pool(1)).run(graph)
-        assert trace.average_wait() > 0.0
+        assert sum(r.start - r.ready_at for r in trace.records) > 0.0

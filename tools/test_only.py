@@ -1,9 +1,12 @@
 """Find what in ``src/`` only tests reach, and hold it to a keep-list.
 
 A *consumer* is any Python file under ``src/``, ``benchmarks/``,
-``examples/`` or ``tools/`` (this script aside); ``tests/`` is not
-one. The scan reports four classes of hit, each by ``ast``, never by
-words (a docstring or a comment naming something is not a use of it):
+``examples/`` or ``tools/`` that pytest does not collect; this script
+is none. Every file under ``tests/``, and every ``test_*.py`` and
+``conftest.py`` wherever it lives (the private benchmarks among them),
+is on the test side. The scan reports four classes of hit, each by
+``ast``, never by words (a docstring or a comment naming something is
+not a use of it):
 
 1. functions, classes and methods that no consumer references (an
    ``ast.Name``, an ``ast.Attribute`` or a ``from ... import`` alias
@@ -91,8 +94,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-CONSUMERS = ("src", "benchmarks", "examples", "tools")
-TESTS = ("tests",)
+DIRS = ("src", "benchmarks", "examples", "tools", "tests")
 SELF = Path(__file__).resolve()
 KEEP = SELF.with_name("test_only_keep.json")
 GONE = "tools/gone.json"
@@ -126,9 +128,9 @@ class _File:
     facts: Dict[Tuple[str, str], List[ast.AST]]
 
 
-def _parse(root: Path, dirs: Tuple[str, ...]) -> List[_File]:
+def _parse(root: Path) -> List[_File]:
     files = []
-    for name in dirs:
+    for name in DIRS:
         base = root / name
         if not base.is_dir():
             continue
@@ -150,6 +152,14 @@ def _parse(root: Path, dirs: Tuple[str, ...]) -> List[_File]:
                     facts[fact].append(node)
             files.append(_File(rel, tree, facts))
     return files
+
+
+def _tested(rel: str) -> bool:
+    """Whether pytest collects the file at ``rel``, or it is under
+    ``tests/``."""
+    name = rel.rpartition("/")[2]
+    return (rel.startswith("tests/") or name == "conftest.py"
+            or fnmatch.fnmatchcase(name, "test_*.py"))
 
 
 def _index(files: List[_File]) -> Dict[Tuple[str, str], List[ast.AST]]:
@@ -478,13 +488,19 @@ def _passes(call: ast.Call, param: str, index: Optional[int],
             spread: bool = True) -> bool:
     """Whether ``call`` passes ``param`` by keyword, by position ``index``
     (None for a keyword-only one) or, if ``spread``, by any ``*args`` or
-    ``**kwargs`` spread."""
+    ``**kwargs`` spread. An ``x.__init__(...)`` call other than
+    ``super().__init__(...)`` passes the instance first."""
     if spread and (any(isinstance(a, ast.Starred) for a in call.args)
                    or any(k.arg is None for k in call.keywords)):
         return True
+    func = call.func
+    unbound = (isinstance(func, ast.Attribute) and func.attr == "__init__"
+               and getattr(getattr(func.value, "func", None), "id",
+                           None) != "super")
     return any(k.arg == param for k in call.keywords) or (
         index is not None
-        and sum(not isinstance(a, ast.Starred) for a in call.args) > index)
+        and sum(not isinstance(a, ast.Starred) for a in call.args)
+        - unbound > index)
 
 
 def _sets(param: str, index: Optional[int], calls: List[ast.Call]) -> bool:
@@ -792,10 +808,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     keep = json.loads(args.keep.read_text(encoding="utf-8"))
     entries = json.loads((args.root / GONE).read_text(encoding="utf-8"))
-    files, tests = _parse(args.root, CONSUMERS), _parse(args.root, TESTS)
-    consumers = [f for f in files if (args.root / f.rel).resolve() != SELF]
-    unlisted, stale, listed = check(scan(consumers, tests), keep)
-    found, missing = gone(files + tests, entries)
+    files = _parse(args.root)
+    scanned = [f for f in files if (args.root / f.rel).resolve() != SELF]
+    unlisted, stale, listed = check(scan(
+        [f for f in scanned if not _tested(f.rel)],
+        [f for f in scanned if _tested(f.rel)]), keep)
+    found, missing = gone(files, entries)
     for hit in unlisted:
         print(hit.line())
     for entry in stale:
