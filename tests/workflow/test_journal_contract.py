@@ -15,11 +15,14 @@
   (``fixtures/journal_pr18``, full tracer mirror, ``dispatches`` tally
   in every snapshot, one ``checkpoint`` record of the named markers
   builds up to PR 20 wrote) replay to what this build writes for the
-  same recipe, and a crashed copy resumes to the same digest.
+  same recipe, and a crashed copy resumes to the same digest;
+* the bytes have not moved: the sha256 of each journal and snapshot
+  file the fixture's recipe writes is a golden row.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
@@ -91,6 +94,20 @@ def fixture_recipe_trace(key):
     with, run journaled on this build."""
     with tempfile.TemporaryDirectory() as directory:
         return chaos_run(Path(directory)).to_dict()
+
+
+@goldens.suite("runs", ["journal_pr18/bytes"])
+def fixture_recipe_files(key):
+    """The sha256 of each file the recipe's journaled run writes: the
+    journal and its snapshots, byte for byte."""
+    with tempfile.TemporaryDirectory() as directory:
+        chaos_run(Path(directory))
+        return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in sorted(Path(directory).iterdir())}
+
+
+def test_the_recipes_journal_and_snapshot_bytes_have_not_moved():
+    goldens.check("runs", "journal_pr18/bytes")
 
 
 class CheckedHandle:
