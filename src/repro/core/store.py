@@ -29,15 +29,17 @@ and :class:`repro.core.analysis.cache.AnalysisCache` add key recipes
 and hold no storage code of their own.
 
 One line codec seals every line the store and the run journal write.
-:func:`seal` gives a record as compact, key-sorted JSON with
-``,"crc":"<12 hex>"`` spliced in before its closing brace: a truncated
-SHA-256 of the JSON without it. :func:`unseal` checks the crc over the
-line's own bytes — the line with its crc member cut out, last as
-:func:`seal` writes it or first as in older, key-sorted journal
-snapshots — and only then parses. :func:`sealed_lines` reads a file of
-such lines. Each layer keeps its own policy above it: the store its
-version, shard and torn-append rules, the journal its torn tail,
-sequence and format-version checks.
+:func:`seal` gives a record as compact, key-sorted JSON
+(:func:`compact_json`) with ``,"crc":"<12 hex>"`` spliced in before
+its closing brace: a truncated SHA-256 of the JSON without it. The
+splice is :func:`seal_body`, which a writer that formats a record's
+JSON itself (the run journal's event lines) calls too.
+:func:`unseal` checks the crc over the line's own bytes — the line
+with its crc member cut out, last as :func:`seal` writes it or first
+as in older, key-sorted journal snapshots — and only then parses.
+:func:`sealed_lines` reads a file of such lines. Each layer keeps its
+own policy above it: the store its version, shard and torn-append
+rules, the journal its torn tail, sequence and format-version checks.
 
 One codec turns every record the store (and the run journal's
 snapshots) hold into JSON and back. :func:`encode` gives a record's
@@ -81,11 +83,11 @@ from typing import (
 #: other version read as misses.
 STORE_VERSION = "4"
 
-#: One serializer for every sealed line (``json.dumps`` would build a
-#: new encoder per call). Every sealed record is built by its writer,
-#: so none holds a cycle.
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
-                            check_circular=False)
+#: The compact, key-sorted JSON of a value: one serializer for every
+#: sealed line (``json.dumps`` would build a new encoder per call).
+#: Every sealed record is built by its writer, so none holds a cycle.
+compact_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                check_circular=False).encode
 
 #: How a shard file is opened for a write: created when missing, every
 #: write landing at its end.
@@ -204,8 +206,9 @@ class ContentStore:
         self.stats = CacheStats()
         self._lock = threading.Lock()
         self._memory: Dict[str, Tuple[str, Any]] = {}
-        #: Shards read from disk so far -> whether one held a line no
-        #: reader accepts (the next write to it then leaves it out).
+        #: Shards read from disk (or found missing) so far -> whether
+        #: one held a line no reader accepts (the next write to it then
+        #: leaves it out).
         self._shards: Dict[str, bool] = {}
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
@@ -282,17 +285,17 @@ class ContentStore:
             pass
 
     def _load(self, key: str) -> None:
-        """Bring the shard of ``key`` into memory, the first time one
-        of its keys is touched while its file is there."""
+        """Bring the shard of ``key`` into memory the first time one of
+        its keys is touched; a shard file that is not there then is
+        never probed again, as a loaded one is never read again."""
         shard = _shard_of(key)
         if self.directory is None or shard in self._shards:
             return
         entries = [entry for _size, entry
                    in _shard_entries(self._path_for(shard))]
-        if entries:
-            self._shards[shard] = None in entries
-            self._memory.update(
-                (entry[0], entry[1:]) for entry in entries if entry)
+        self._shards[shard] = None in entries
+        self._memory.update(
+            (entry[0], entry[1:]) for entry in entries if entry)
 
     def _path_for(self, shard: str) -> Path:
         return self.directory / shard[:2] / f"{shard}.json"
@@ -389,7 +392,12 @@ def _crc(body: bytes) -> bytes:
 def seal(record: Dict[str, Any]) -> str:
     """One line (no newline) for a non-empty record: its compact,
     key-sorted JSON with its crc spliced in as the last member."""
-    body = _ENCODER.encode(record)
+    return seal_body(compact_json(record))
+
+
+def seal_body(body: str) -> str:
+    """The sealed line of a non-empty record whose compact, key-sorted
+    JSON is ``body``: the crc spliced in as its last member."""
     return f'{body[:-1]},"crc":"{_crc(body.encode()).decode()}"}}'
 
 

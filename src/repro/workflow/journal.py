@@ -38,6 +38,25 @@ Each line is sealed by :func:`repro.core.store.seal`, the line codec
 the caches use too: ``crc`` is a truncated SHA-256 over the compact,
 key-sorted JSON of the record *without* the crc field, and
 :func:`repro.core.store.unseal` checks it over the line's own bytes.
+An ``event`` record, the one a run writes per journaled transition,
+always has one shape::
+
+    {"data":{"args":{...},"category":C,"dur":D,"name":N,"phase":P,"ts":T},
+     "seq":N,"type":"event"}
+
+so :func:`event_line` formats it without building the record: the
+members in that (sorted) order, each value as the store's encoder
+writes it — a ``str`` through ``encode_basestring_ascii``, a finite
+``float`` or an ``int`` as its ``repr``, anything else through
+:func:`repro.core.store.compact_json` itself — and
+:func:`repro.core.store.seal_body` splices the crc in. Those are the
+encoder's own rules for those types, so the line is
+``encode_record(seq, "event", data)`` byte for byte (a property the
+journal-line fuzz test checks over hostile names and numbers), and
+the writer folds the event from the same fields
+(:func:`repro.workflow.replay.fold_event`). Header, snapshot and
+finish records go through ``seal``.
+
 Records are appended with a single ``write`` + ``flush`` each (so a
 torn write can only be the final line) and fsync'd per the journal's
 ``fsync`` policy. The reader, :func:`read_records` over
@@ -57,10 +76,14 @@ from __future__ import annotations
 
 import json
 import os
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.store import decode, encode, seal, sealed_lines, unseal
+from repro.core.store import (
+    compact_json, decode, encode, seal, seal_body, sealed_lines, unseal,
+)
 from repro.diagnostics import diagnosed_error
 from repro.errors import JournalError
 from repro.workflow.replay import (
@@ -68,6 +91,7 @@ from repro.workflow.replay import (
     JOURNALED_CATEGORIES,
     ReplayState,
     apply_record,
+    fold_event,
     replay_records,
 )
 
@@ -102,6 +126,30 @@ def journal_error(code: str, message: str, anchor: str) -> JournalError:
 def encode_record(seq: int, kind: str, data: Dict) -> str:
     """One journal line (no trailing newline) for a record."""
     return seal({"seq": seq, "type": kind, "data": data})
+
+
+def _json(value: Any) -> str:
+    """``compact_json(value)``, by the encoder's own rule where the
+    value is a ``str``, an ``int`` or a finite ``float``."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int or kind is float and isfinite(value):
+        return repr(value)
+    return compact_json(value)
+
+
+def event_line(seq: int, phase: str, name: str, category: str, ts: float,
+               dur: float, task: Any) -> str:
+    """``encode_record(seq, "event", data)`` of the ``data``
+    :meth:`RunJournal.on_event` journals (``args`` empty when ``task``
+    is None), formatted in the record's one shape without building
+    it: the members in sorted order, each value by :func:`_json`."""
+    args = "{}" if task is None else f'{{"task":{_json(task)}}}'
+    return seal_body(
+        f'{{"data":{{"args":{args},"category":{_json(category)},'
+        f'"dur":{_json(dur)},"name":{_json(name)},"phase":{_json(phase)},'
+        f'"ts":{_json(ts)}}},"seq":{seq},"type":"event"}}')
 
 
 def read_records(path) -> Tuple[List[Dict], bool]:
@@ -365,30 +413,36 @@ class RunJournal:
         OS before the caller proceeds, so the only record a crash can
         damage is the final one — which replay tolerates.
         """
+        seq = self._write(encode_record(self._seq, kind, data), sync)
+        apply_record(self.state, {"seq": seq, "type": kind, "data": data})
+        return seq
+
+    def _write(self, line: str, sync: bool = False) -> int:
+        """One record's line written, flushed and fsync'd per the
+        policy (``sync`` forces it); returns the record's seq."""
         self._ensure_open()
-        record = {"seq": self._seq, "type": kind, "data": data}
-        self._handle.write(encode_record(self._seq, kind, data) + "\n")
+        self._handle.write(line + "\n")
         self._handle.flush()
         self._unsynced = not (sync or self.fsync == "always")
         if not self._unsynced:
             os.fsync(self._handle.fileno())
+        seq = self._seq
         self._seq += 1
-        apply_record(self.state, record)
-        return record["seq"]
+        return seq
 
     def on_event(self, event) -> None:
         """Tracer sink: journal one emitted trace event, if its
         category is one the fold reads (``JOURNALED_CATEGORIES``), with
         the fields the fold reads: of its args only ``task``."""
-        if (event.category not in JOURNALED_CATEGORIES
-                or not self._started):
+        category = event.category
+        if category not in JOURNALED_CATEGORIES or not self._started:
             return
+        phase, name, ts, dur = event.phase, event.name, event.ts, event.dur
         task = event.args.get("task")
-        self.append("event", {
-            "phase": event.phase, "name": event.name,
-            "category": event.category, "ts": event.ts, "dur": event.dur,
-            "args": {} if task is None else {"task": task},
-        })
+        seq = self._write(
+            event_line(self._seq, phase, name, category, ts, dur, task))
+        fold_event(self.state, seq, phase, category, ts, dur,
+                   name if task is None else task)
         self._since_snapshot += 1
         if (self.snapshot_every
                 and self._since_snapshot >= self.snapshot_every):

@@ -15,11 +15,13 @@ sequence of typed records; this module folds that sequence into a
   against the wrong recipe is rejected instead of silently diverging;
 * fault/recovery tallies for ``repro runs show``.
 
-The fold is a pure function (:func:`apply_record`), shared by the
-journal writer — which maintains the state incrementally so a snapshot
-is just the state's fields (:func:`repro.core.store.encode`) — and the
-reader, which seeds the state from the newest usable snapshot and folds
-only the journal tail.
+The fold is a pure function (:func:`apply_record`, which folds an
+``event`` record through :func:`fold_event`), shared by the journal
+writer — which maintains the state incrementally so a snapshot is just
+the state's fields (:func:`repro.core.store.encode`), and folds each
+event it journals straight from its fields — and the reader, which
+seeds the state from the newest usable snapshot and folds only the
+journal tail.
 The defining property, exercised by the durability test suite::
 
     replay(snapshot_state, tail) == replay(empty, full_journal)
@@ -105,26 +107,20 @@ class PayloadSkipper:
         return remaining > 0
 
 
-def _task_of(data: Dict) -> str:
-    return data.get("args", {}).get("task", data.get("name", ""))
-
-
-def _completion(state: ReplayState, data: Dict) -> None:
-    if data.get("phase") == "X":
-        task = _task_of(data)
+def _completion(state: ReplayState, phase: str, task: str) -> None:
+    if phase == "X":
         state.completions[task] = state.completions.get(task, 0) + 1
 
 
-def _execution(state: ReplayState, data: Dict) -> None:
-    task = _task_of(data)
+def _execution(state: ReplayState, phase: str, task: str) -> None:
     state.exec_counts[task] = state.exec_counts.get(task, 0) + 1
 
 
-def _fault(state: ReplayState, data: Dict) -> None:
+def _fault(state: ReplayState, phase: str, task: str) -> None:
     state.faults += 1
 
 
-def _recovery(state: ReplayState, data: Dict) -> None:
+def _recovery(state: ReplayState, phase: str, task: str) -> None:
     state.recoveries += 1
 
 
@@ -141,14 +137,32 @@ JOURNALED_CATEGORIES = {
 }
 
 
+def fold_event(state: ReplayState, seq: int, phase: str, category: str,
+               ts: float, dur: float, task: str) -> None:
+    """Fold one ``event`` record, given by the fields the fold reads:
+    its phase, category, ``ts`` and ``dur``, and the task it names
+    (``args["task"]``, else the event's ``name``). The reader
+    takes them from a decoded record, the writer from the tracer
+    event it journals, so neither builds what the other reads."""
+    state.last_seq = seq
+    state.events += 1
+    end = ts + dur
+    if end > state.last_time:
+        state.last_time = end
+    fold = JOURNALED_CATEGORIES.get(category)
+    if fold is not None:
+        fold(state, phase, task)
+
+
 def apply_record(state: ReplayState, record: Dict) -> ReplayState:
     """Fold one decoded journal record into the state (in place).
 
     This is the single definition of what each record type *means*;
-    the journal writer applies it as records are appended and the
-    reader applies it during replay, so both sides always agree. A
-    record of a type this build does not write (an older journal's)
-    advances ``last_seq`` and nothing else.
+    the journal writer applies it as records are appended (an
+    ``event`` through :func:`fold_event`, the part of it that reads
+    fields) and the reader applies it during replay, so both sides
+    always agree. A record of a type this build does not write (an
+    older journal's) advances ``last_seq`` and nothing else.
     """
     kind = record["type"]
     data = record["data"]
@@ -156,14 +170,10 @@ def apply_record(state: ReplayState, record: Dict) -> ReplayState:
     if kind == "header":
         state.header = data
     elif kind == "event":
-        state.events += 1
-        ts = data.get("ts", 0.0)
-        end = ts + data.get("dur", 0.0)
-        if end > state.last_time:
-            state.last_time = end
-        fold = JOURNALED_CATEGORIES.get(data.get("category"))
-        if fold is not None:
-            fold(state, data)
+        fold_event(state, record["seq"], data.get("phase"),
+                   data.get("category"), data.get("ts", 0.0),
+                   data.get("dur", 0.0),
+                   data.get("args", {}).get("task", data.get("name", "")))
     elif kind == "snapshot":
         state.last_snapshot_seq = data["seq"]
     elif kind == "finish":

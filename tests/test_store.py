@@ -59,6 +59,7 @@ from repro.core.dse.cost_model import prepare_variant_module, price_variant
 from repro.core.dse.explorer import Explorer
 from repro.core.dse.space import DesignSpace
 from repro.core.dsl.kernel_dsl import compile_kernel
+from repro.core import store as store_module
 from repro.core.ir import ops, parse_module
 from repro.core.store import (
     STORE_VERSION, ContentStore, decode, encode, seal, unseal,
@@ -211,6 +212,26 @@ class TestDisk:
         assert store.read(KEY, decoder) is None
         assert (store.stats.hits, store.stats.misses) == (0, 1)
         assert store.breakdown() == {}
+
+    def test_each_shard_is_opened_at_most_once(self, tmp_path, kind,
+                                               monkeypatch):
+        """Over an empty directory, a shard's missing file is probed on
+        its first key only: later reads and writes of its keys, and
+        reads after the write, open nothing."""
+        store_class, value, decoder, read = KINDS[kind]
+        opened = []
+        sealed_lines = store_module.sealed_lines
+        monkeypatch.setattr(store_module, "sealed_lines", lambda path: (
+            opened.append(Path(path).name), sealed_lines(path))[1])
+        store = store_class(directory=tmp_path)
+        other = "cd" + "0" * 62
+        for key in (f"{KEY}.a", f"{KEY}.b", f"{other}.a", f"{KEY}.c"):
+            assert store.read(key, decoder) is None
+        store.put(f"{KEY}.a", value)
+        store.put(f"{other}.b", value)
+        assert store.read(f"{KEY}.a", decoder) == read
+        assert store.read(f"{other}.c", decoder) is None
+        assert sorted(opened) == [f"{KEY}.json", f"{other}.json"]
 
     def test_clear_drops_memory_and_disk(self, tmp_path, kind):
         store_class, value, decoder, _read = KINDS[kind]
