@@ -12,8 +12,6 @@ gap.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.variants import CostEstimate, Variant, VariantKnobs
 from repro.runtime.autotuner.data_features import DataFeatures
 from repro.runtime.autotuner.goals import Goal

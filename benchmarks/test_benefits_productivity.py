@@ -11,8 +11,6 @@ from how little input.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.backend.sycl_gen import generate_sycl
 from repro.core.compiler import EverestCompiler
 from repro.core.dse.cost_model import (

@@ -12,8 +12,6 @@ all classes under a seeded schedule.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.chaos.faults import (
     ANY_LINK,
     LinkFault,

@@ -15,8 +15,6 @@ Claims examined:
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.dse.cost_model import evaluate_variant
 from repro.core.dsl.kernel_dsl import compile_kernel
 from repro.core.hls.crypto import CRYPTO_LIBRARY

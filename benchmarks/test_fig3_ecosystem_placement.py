@@ -17,8 +17,6 @@ volume grows — is the figure's story.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.platform.topology import build_reference_ecosystem
 from repro.runtime.scheduler import TierPlacer
 from repro.utils.tables import Table

@@ -18,14 +18,9 @@ The workload is a streaming accelerator invocation: 1 MiB in, fixed
 
 from __future__ import annotations
 
-import pytest
-
 from repro.platform.fpga import Bitstream
 from repro.platform.interconnect import EthernetLink, OpenCAPILink
-from repro.platform.node import (
-    build_cloudfpga_node,
-    build_power9_node,
-)
+from repro.platform.node import build_cloudfpga_node
 from repro.platform.resources import FPGAResources
 from repro.platform.simulator import Simulator
 from repro.utils.tables import Table

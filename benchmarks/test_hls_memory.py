@@ -15,8 +15,6 @@ accesses." Ablations:
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.dsl.kernel_dsl import compile_kernel
 from repro.core.hls.bambu import HLSOptions, synthesize
 from repro.core.hls.cdfg import build_cdfg, loop_carried_chain

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.apps.airquality.emissions import default_site

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
 import pytest
 
 from repro.apps.traffic.fcd import FCDGenerator

@@ -9,8 +9,6 @@ and data movement; plus strong-scaling of the worker pool.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.chaos import ChaosSchedule, WorkerCrash
 from repro.utils.rng import deterministic_rng
 from repro.utils.tables import Table

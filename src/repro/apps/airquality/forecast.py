@@ -13,13 +13,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.apps.airquality.emissions import IndustrialSite
 from repro.apps.airquality.plume import (
-    StabilityClass,
     concentration_grid,
     stability_from_weather,
 )

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
-import numpy as np
-
 from repro.apps.traffic.road_graph import CityGraph
 from repro.utils.rng import deterministic_rng
 from repro.utils.validation import check_non_negative, check_positive

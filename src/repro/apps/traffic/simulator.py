@@ -15,15 +15,14 @@ The simulator produces per-segment, per-hour congested speeds — the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 import networkx as nx
 import numpy as np
 
 from repro.apps.traffic.od_matrix import ODMatrix, diurnal_profile
 from repro.apps.traffic.road_graph import CityGraph
-from repro.utils.rng import deterministic_rng
 from repro.utils.validation import check_positive
 
 _BPR_ALPHA = 0.55

@@ -9,7 +9,7 @@ the resolution-vs-error relationship the energy use case measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np

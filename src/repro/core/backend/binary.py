@@ -10,7 +10,7 @@ images reuse :class:`repro.platform.fpga.Bitstream`.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.platform.fpga import Bitstream

@@ -16,11 +16,7 @@ from typing import Dict, List
 
 from repro.core.hls.cdfg import CDFG
 from repro.core.hls.memory import MemoryPlan
-from repro.core.hls.scheduling import (
-    RESOURCE_CLASS,
-    Schedule,
-    latency_of,
-)
+from repro.core.hls.scheduling import RESOURCE_CLASS, Schedule
 from repro.platform.resources import FPGAResources
 
 #: Area of one functional unit per class.

@@ -19,8 +19,8 @@ The model: a :class:`ChainedDesign` whose
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Sequence
 
 from repro.core.hls.bambu import AcceleratorDesign
 from repro.core.ir.types import MemRefType

@@ -8,7 +8,7 @@ concisely. Every ``create`` checks that the op is registered.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterator, Optional, Sequence
 
 from repro.core.ir.dialects import lookup_op
 from repro.core.ir.dialects.kernel import loop_range

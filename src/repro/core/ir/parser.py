@@ -22,7 +22,7 @@ import re
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.ir.module import Module
-from repro.core.ir.ops import Block, Operation, Region, Value
+from repro.core.ir.ops import Operation, Region, Value
 from repro.core.ir.types import (
     FunctionType,
     MemRefType,

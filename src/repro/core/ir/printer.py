@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.core.ir.module import Module
-from repro.core.ir.ops import Block, Operation, Region, Value
+from repro.core.ir.ops import Operation, Region, Value
 from repro.core.ir.types import FunctionType, Type
 
 

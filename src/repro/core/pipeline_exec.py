@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.core.ir.interp import Interpreter
 from repro.core.ir.module import Module
-from repro.core.ir.types import ScalarType, TensorType
+from repro.core.ir.types import TensorType
 from repro.errors import SpecificationError, WorkflowError
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 from repro.errors import SecurityError
 

@@ -7,7 +7,6 @@ vCPUs, none for memory).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict
 
 from repro.errors import VirtualizationError

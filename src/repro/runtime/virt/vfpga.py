@@ -9,8 +9,8 @@ are accounted with the platform model's timing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from repro.errors import SecurityError, VirtualizationError
 from repro.obs import current_metrics

@@ -13,7 +13,6 @@ from repro.apps.traffic.fcd import (
 )
 from repro.apps.traffic.od_matrix import (
     DAILY_TRIPS,
-    ODMatrix,
     diurnal_profile,
     gravity_demand,
 )

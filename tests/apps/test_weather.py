@@ -7,11 +7,8 @@ from repro.apps.weather.downscaling import (
     downscale_field,
     downscaling_flops,
 )
-from repro.apps.weather.ensemble import (
-    Ensemble,
-    generate_ensemble,
-)
-from repro.apps.weather.grid import WeatherField, synth_truth
+from repro.apps.weather.ensemble import generate_ensemble
+from repro.apps.weather.grid import synth_truth
 from repro.apps.weather.market import ImbalanceMarket
 from repro.apps.weather.ml import MLP
 from repro.apps.weather.wind import WindFarm, default_farm, power_curve

@@ -7,7 +7,6 @@ path does, and what lands in the trace.
 
 import pytest
 
-from repro.chaos import ChaosConfig  # noqa: F401  (re-export sanity)
 from repro.chaos.faults import (
     ANY_LINK,
     LinkFault,

@@ -4,11 +4,7 @@ import pytest
 
 from repro.core.dsl.kernel_dsl import compile_kernel
 from repro.core.hls import HLSOptions, synthesize
-from repro.core.hls.dataflow import (
-    ChainedDesign,
-    chain_designs,
-    staged_total_time_s,
-)
+from repro.core.hls.dataflow import chain_designs, staged_total_time_s
 from repro.core.ir.passes import (
     ElementwiseFusionPass,
     LoopDirectivesPass,

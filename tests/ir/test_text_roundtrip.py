@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.dsl.kernel_dsl import compile_kernel
 from repro.core.ir import parse_module, print_module, verify
-from repro.core.ir.interp import Interpreter, run_function
+from repro.core.ir.interp import Interpreter
 from repro.core.ir.passes import (
     ElementwiseFusionPass,
     LoopDirectivesPass,
