@@ -171,7 +171,7 @@ class Tracer:
         parent_id = stack[-1] if stack else 0
         stack.append(span_id)
         return Span(self, name, category, self.clock.now(),
-                    span_id, parent_id, dict(args))
+                    span_id, parent_id, args)
 
     def _close_span(self, span: Span) -> None:
         end = self.clock.now()
@@ -203,7 +203,7 @@ class Tracer:
         self._emit(TraceEvent(
             phase="X", name=name, category=category, ts=start_ts,
             dur=end_ts - start_ts, pid=self._pid, tid=self._tid(track),
-            scale=self.clock.scale, span_id=span_id, args=dict(args),
+            scale=self.clock.scale, span_id=span_id, args=args,
         ))
 
     def instant(self, name: str, category: str = "",
@@ -216,7 +216,7 @@ class Tracer:
             phase="i", name=name, category=category,
             ts=self.clock.now() if ts is None else ts,
             pid=self._pid, tid=self._tid(track),
-            scale=self.clock.scale, args=dict(args),
+            scale=self.clock.scale, args=args,
         ))
 
     def counter(self, name: str, value: float, category: str = "",

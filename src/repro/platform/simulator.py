@@ -18,7 +18,8 @@ order (a monotonically increasing sequence number breaks heap ties).
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
+from itertools import count
 from typing import Any, Generator, List, Optional, Tuple
 
 from repro.diagnostics import diagnosed_error
@@ -62,6 +63,8 @@ class Event:
 class Timeout:
     """Suspend the yielding process for ``delay`` simulated seconds."""
 
+    __slots__ = ("delay",)
+
     def __init__(self, delay: float):
         self.delay = check_non_negative("delay", delay)
 
@@ -76,13 +79,25 @@ class Request:
 class Process:
     """A running generator inside the simulator."""
 
+    __slots__ = ("_sim", "_gen", "name", "finished", "result", "_done")
+
     def __init__(self, sim: "Simulator", gen: Generator, name: str):
         self._sim = sim
         self._gen = gen
         self.name = name
         self.finished = False
         self.result: Any = None
-        self.done_event = Event(sim)
+        self._done: Optional[Event] = None
+
+    @property
+    def done_event(self) -> Event:
+        """Triggered with the result when the process finishes; made on
+        first use (already triggered if the process has finished)."""
+        if self._done is None:
+            self._done = Event(self._sim)
+            if self.finished:
+                self._done.trigger(self.result)
+        return self._done
 
     def _step(self, value: Any) -> None:
         if self.finished:
@@ -92,12 +107,10 @@ class Process:
         except StopIteration as stop:
             self.finished = True
             self.result = stop.value
-            self.done_event.trigger(stop.value)
+            if self._done is not None:
+                self._done.trigger(stop.value)
             return
-        self._dispatch(yielded)
-
-    def _dispatch(self, yielded: Any) -> None:
-        if isinstance(yielded, Timeout):
+        if type(yielded) is Timeout:  # the common event, checked first
             self._sim._schedule(yielded.delay, self, None)
         elif isinstance(yielded, Request):
             yielded.resource._enqueue(self)
@@ -178,8 +191,8 @@ class Simulator:
     def __init__(self):
         self.now = 0.0
         self._heap: List[Tuple[float, int, Process, Any]] = []
-        self._sequence = 0
-        self._processes: List[Process] = []
+        self._sequence = count()  # breaks same-time ties: insertion order
+        self._spawned = count()  # counts every process; names unnamed ones
         #: Optional :class:`repro.obs.Tracer` observing this run;
         #: resources report occupancy into it when one is attached.
         self.tracer: Optional[Any] = None
@@ -188,8 +201,8 @@ class Simulator:
         self, gen: Generator, name: str = ""
     ) -> Process:
         """Register a generator as a process starting at the current time."""
-        process = Process(self, gen, name or f"process-{len(self._processes)}")
-        self._processes.append(process)
+        index = next(self._spawned)
+        process = Process(self, gen, name or f"process-{index}")
         self._schedule(0.0, process, None)
         return process
 
@@ -206,22 +219,17 @@ class Simulator:
         return SimResource(self, capacity, name)
 
     def _schedule(self, delay: float, process: Process, value: Any) -> None:
-        heapq.heappush(
-            self._heap, (self.now + delay, self._sequence, process, value)
-        )
-        self._sequence += 1
+        heappush(self._heap,
+                 (self.now + delay, next(self._sequence), process, value))
 
     def run(self, until: Optional[float] = None) -> float:
         """Advance the clock until the heap drains or ``until`` is reached.
 
         Returns the final simulated time.
         """
-        while self._heap:
-            time, _seq, process, value = self._heap[0]
-            if until is not None and time > until:
-                self.now = until
-                return self.now
-            heapq.heappop(self._heap)
+        heap = self._heap
+        while heap and (until is None or heap[0][0] <= until):
+            time, _seq, process, value = heappop(heap)
             self.now = time
             process._step(value)
         if until is not None:

@@ -15,7 +15,7 @@ A leaf module: it imports nothing from ``repro``.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 Edges = Mapping[str, Sequence[str]]
 
@@ -114,19 +114,21 @@ def topological_order(edges: Edges) -> List[str]:
     return order
 
 
-def bottom_levels(edges: Edges,
-                  weight: Mapping[str, float]) -> Dict[str, float]:
+def bottom_levels(edges: Edges, weight: Mapping[str, float],
+                  order: Optional[Iterable[str]] = None) -> Dict[str, float]:
     """Longest weighted path from each node to a sink, the node's own
     weight included (HyperLoom's b-level).
 
-    Defined on cyclic input too: the edges that close a cycle in the
-    depth-first walk are left out.
+    ``order`` lists every node after its successors (a reversed
+    :func:`topological_order`); by default it is the post-order of the
+    depth-first walk, which is defined on cyclic input too: the edges
+    that close a cycle in that walk are left out.
     """
     levels: Dict[str, float] = {}
-    for node in _depth_first(edges)[0]:
+    for node in _depth_first(edges)[0] if order is None else order:
         levels[node] = weight[node] + max(
-            (levels[successor] for successor in edges[node]
-             if successor in levels),
+            [levels[successor] for successor in edges[node]
+             if successor in levels],
             default=0.0,
         )
     return levels

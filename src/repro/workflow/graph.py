@@ -75,8 +75,8 @@ class TaskGraph:
         self.objects: Dict[str, DataObject] = {}
         #: dependency index; dropped whenever a task or object is added
         self._adjacency = None
-        #: the index last found acyclic: its verdict goes with it
-        self._acyclic = None
+        #: the index's Kahn order, kept beside it as its acyclicity verdict
+        self._order: Optional[List[str]] = None
 
     # ------------------------------------------------------------------
 
@@ -140,6 +140,7 @@ class TaskGraph:
                         f"{obj.producer!r}"
                     )
                 producer[obj.name] = obj.producer
+            self._order = None
             self._adjacency = dag.dependency_edges(
                 {
                     task.name: list(task.inputs) + list(task.updates)
@@ -158,20 +159,25 @@ class TaskGraph:
         return list(self._index()[1][task_name])
 
     def validate(self) -> None:
-        """Check that every producer exists and nothing is cyclic
-        (the cycle search runs once per change to the graph)."""
-        index = self._index()
-        cycle = self._acyclic is not index and dag.find_cycle(index[1])
-        if cycle:
-            raise WorkflowError(
-                "workflow contains a cycle: " + " -> ".join(cycle)
-            )
-        self._acyclic = index
+        """Check that every producer exists and nothing is cyclic.
+
+        One Kahn walk per change to the graph gives the verdict and the
+        execution order at once, kept beside the index; a cycle is
+        searched for only to name it.
+        """
+        consumers = self._index()[1]
+        if self._order is None:
+            try:
+                self._order = dag.topological_order(consumers)
+            except ValueError:
+                cycle = " -> ".join(dag.find_cycle(consumers))
+                raise WorkflowError(
+                    f"workflow contains a cycle: {cycle}") from None
 
     def topological_order(self) -> List[str]:
         """Tasks in a valid execution order."""
         self.validate()
-        return dag.topological_order(self._index()[1])
+        return list(self._order)
 
     # ------------------------------------------------------------------
 
@@ -186,6 +192,7 @@ class TaskGraph:
         return dag.bottom_levels(
             self._index()[1],
             {name: task.duration_s for name, task in self.tasks.items()},
+            reversed(self._order),
         )
 
     def total_work(self) -> float:
@@ -232,13 +239,6 @@ class TaskGraph:
         """Objects with no producer (fed from outside)."""
         return [
             obj for obj in self.objects.values() if obj.producer is None
-        ]
-
-    def roots(self) -> List[str]:
-        """Tasks with no task dependencies."""
-        return [
-            name for name, upstream in self._index()[0].items()
-            if not upstream
         ]
 
     def __len__(self) -> int:

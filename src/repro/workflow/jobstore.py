@@ -485,7 +485,8 @@ class JobStore:
         One autocommitted ``UPDATE`` matches the job only under
         ``lease_id`` (any lease when ``None``) and in a state
         ``target`` may legally be reached from; with ``retry`` a job
-        with attempts left goes to ``ready`` instead. When it matches
+        with attempts left goes to ``ready`` instead, or to
+        ``cancelled`` when its cancellation was requested. When it matches
         nothing, one read names the failure: ``JOB001``, then
         ``JOB003``, then ``JOB002``.
         """
@@ -501,12 +502,12 @@ class JobStore:
             if reached:
                 return reached[0][0]
             row = self._conn.execute(
-                "SELECT state, lease_id, attempts < max_attempts "
-                "FROM jobs WHERE id=?", (job_id,),
+                "SELECT state, lease_id, attempts < max_attempts, "
+                "cancel_requested FROM jobs WHERE id=?", (job_id,),
             ).fetchone()
             if row is None:
                 raise jobstore_error("JOB001", f"unknown job {job_id}")
-            state, held, attempts_left = row
+            state, held, attempts_left, cancel = row
             if lease_id is not None and held != lease_id:
                 raise jobstore_error(
                     "JOB003",
@@ -514,7 +515,9 @@ class JobStore:
                     f"store reclaimed the job; current lease {held!r}); "
                     f"discard this result",
                 )
-            goes = "ready" if retry and attempts_left else target
+            goes = target
+            if retry and attempts_left:
+                goes = "cancelled" if cancel else "ready"
             if (state, goes) not in LEGAL_TRANSITIONS:
                 raise jobstore_error(
                     "JOB002",
@@ -540,15 +543,16 @@ class JobStore:
     def fail(self, job_id: int, lease_id: str, error: str) -> str:
         """Record a job failure; returns the resulting state.
 
-        The job goes back to ``ready`` while attempts remain; once
-        they are exhausted it lands in ``failed`` with the error
+        The job goes back to ``ready`` while attempts remain — to
+        ``cancelled`` instead when a cancel was requested while it ran;
+        once they are exhausted it lands in ``failed`` with the error
         recorded.
         """
         target = self._transition(job_id, lease_id, "failed",
                                   {"error": error}, retry=True)
         current_metrics().counter(
             "service.jobs_failed", "job executions that failed",
-        ).inc(final=str(target == "failed").lower())
+        ).inc(final=str(target != "ready").lower())
         return target
 
     def bind_run(self, job_id: int, run_id: str) -> None:
@@ -571,19 +575,7 @@ class JobStore:
         ``(cancelled_now, requested)``; naming no selector at all is a
         :class:`JobStoreError`.
         """
-        ids = list(job_ids)
-        clauses, params = [], []
-        if ids:
-            clauses.append(f"id IN ({','.join('?' * len(ids))})")
-            params.extend(ids)
-        if owner is not None:
-            clauses.append("owner=?")
-            params.append(owner)
-        if tag is not None:
-            clauses.append(
-                "id IN (SELECT job_id FROM job_tags WHERE tag=?)"
-            )
-            params.append(tag)
+        clauses, params = _selection(list(job_ids), owner=owner, tag=tag)
         if not clauses:
             raise JobStoreError(
                 "cancel needs job ids, an owner or a tag to select by"
@@ -665,18 +657,7 @@ class JobStore:
                   tag: Optional[str] = None,
                   limit: int = 100) -> List[JobRecord]:
         """Jobs matching the filters, oldest first, indexed access."""
-        clauses, params = [], []
-        if state is not None:
-            clauses.append("state=?")
-            params.append(state)
-        if owner is not None:
-            clauses.append("owner=?")
-            params.append(owner)
-        if tag is not None:
-            clauses.append(
-                "id IN (SELECT job_id FROM job_tags WHERE tag=?)"
-            )
-            params.append(tag)
+        clauses, params = _selection(state=state, owner=owner, tag=tag)
         where = f"WHERE {' AND '.join(clauses)}" if clauses else ""
         ids = [row[0] for row in self._conn.execute(
             f"SELECT id FROM jobs {where} ORDER BY id LIMIT ?",
@@ -687,15 +668,7 @@ class JobStore:
     def counts(self, owner: Optional[str] = None,
                tag: Optional[str] = None) -> Dict[str, int]:
         """Job count per state (every state present, possibly 0)."""
-        clauses, params = [], []
-        if owner is not None:
-            clauses.append("owner=?")
-            params.append(owner)
-        if tag is not None:
-            clauses.append(
-                "id IN (SELECT job_id FROM job_tags WHERE tag=?)"
-            )
-            params.append(tag)
+        clauses, params = _selection(owner=owner, tag=tag)
         where = f"WHERE {' AND '.join(clauses)}" if clauses else ""
         out = {state: 0 for state in JOB_STATES}
         for state, count in self._conn.execute(
@@ -754,6 +727,28 @@ class JobStore:
         return finished, orphans
 
 
+def _selection(ids: Sequence[int] = (), state: Optional[str] = None,
+               owner: Optional[str] = None, tag: Optional[str] = None,
+               ) -> Tuple[List[str], List]:
+    """The ``WHERE`` clauses selecting jobs by id, state, owner and tag
+    (a selector left out selects every job), and their parameters."""
+    clauses: List[str] = []
+    params: List = []
+    if ids:
+        clauses.append(f"id IN ({','.join('?' * len(ids))})")
+        params.extend(ids)
+    if state is not None:
+        clauses.append("state=?")
+        params.append(state)
+    if owner is not None:
+        clauses.append("owner=?")
+        params.append(owner)
+    if tag is not None:
+        clauses.append("id IN (SELECT job_id FROM job_tags WHERE tag=?)")
+        params.append(tag)
+    return clauses, params
+
+
 @functools.lru_cache(maxsize=None)
 def _transition_sql(target: str, retry: bool, leased: bool) -> str:
     """The guarded ``UPDATE`` of :meth:`JobStore._transition`."""
@@ -762,15 +757,21 @@ def _transition_sql(target: str, retry: bool, leased: bool) -> str:
                          if to == state)
         return f"state IN ({','.join(repr(s) for s in sources)})"
 
-    goes, guard = f"'{target}'", legal_from(target)
+    goes, guard, result = f"'{target}'", legal_from(target), "?"
     if retry:
-        left = "attempts < max_attempts"
-        goes = f"CASE WHEN {left} THEN 'ready' ELSE {goes} END"
-        guard = (f"CASE WHEN {left} THEN {legal_from('ready')} "
-                 f"ELSE {guard} END")
+        # expire_leases' rule: spent attempts end in ``target``, a
+        # requested cancel is honored, anything else is requeued
+        spent = "attempts >= max_attempts"
+        goes = (f"CASE WHEN {spent} THEN {goes} WHEN cancel_requested "
+                f"THEN 'cancelled' ELSE 'ready' END")
+        guard = (f"CASE WHEN {spent} THEN {guard} WHEN cancel_requested "
+                 f"THEN {legal_from('cancelled')} "
+                 f"ELSE {legal_from('ready')} END")
+        result = (f"CASE WHEN {spent} OR NOT cancel_requested THEN ? "
+                  f"ELSE '{json.dumps({'error': 'cancelled'})}' END")
     return (
         f"UPDATE jobs SET state={goes}, lease_id=NULL, "
-        f"lease_expiry=NULL, updated=?, result=? WHERE id=? "
+        f"lease_expiry=NULL, updated=?, result={result} WHERE id=? "
         f"{'AND lease_id=? ' if leased else ''}AND {guard} "
         f"RETURNING state"
     )

@@ -299,9 +299,11 @@ class Launcher:
                         try:
                             result = self.execute_job(job, store)
                         except Exception as exc:
-                            store.fail(job.id, lease.lease_id,
-                                       str(exc))
-                            stats.failed += 1
+                            if store.fail(job.id, lease.lease_id,
+                                          str(exc)) == "cancelled":
+                                stats.cancelled += 1
+                            else:
+                                stats.failed += 1
                         else:
                             store.complete(job.id, lease.lease_id,
                                            result)

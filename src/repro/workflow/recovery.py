@@ -549,6 +549,7 @@ class _Run:
     def run_task(self, task_name: str, worker: Worker):
         """One attempt: stage the inputs, run, publish the outputs."""
         sim, graph, events = self.sim, self.graph, self.events
+        store = worker.store
         epoch = self.incarnations[worker.name]
         task = graph.tasks[task_name]
         start_ready = self.ready_at.get(task_name, sim.now)
@@ -558,7 +559,7 @@ class _Run:
         staged = _staged(task)
 
         for input_name in staged:
-            if worker.holds(input_name):
+            if input_name in store:
                 continue
             source = self.locations.get(input_name)
             if source is None:
@@ -594,7 +595,7 @@ class _Run:
                 return
             staging += seconds
             moved += size_bytes
-            worker.store.add(input_name)
+            store.add(input_name)
 
         duration = worker.execution_time(task.duration_s)
         timeout_s = self.retry.task_timeout_s
@@ -638,7 +639,7 @@ class _Run:
         writes = list(task.outputs) + list(task.updates)
         for output_name in writes:
             self.locations[output_name] = worker.name
-            worker.store.add(output_name)
+            store.add(output_name)
         self.finished.add(task_name)
         events.complete(
             task_name, start, sim.now, category=TASK_CATEGORY,

@@ -114,14 +114,14 @@ class BLevelScheduler(SchedulerPolicy):
         worker (the fastest among those, the first in pool order on a
         tie). One pass over the pool: the freest worker fits every task
         that any worker fits."""
-        best, most = None, (0, 0.0)
+        best, most, speed = None, 0, 0.0
         for worker in workers:
-            key = (worker.free_cpus, worker.speed_factor)
-            if key[0] and key > most:
-                best, most = worker, key
+            free = worker.free_cpus
+            if free > most or free == most > 0 and worker.speed_factor > speed:
+                best, most, speed = worker, free, worker.speed_factor
         if best is not None:
             for task_name in ready:
-                if graph.tasks[task_name].cpus <= most[0]:
+                if graph.tasks[task_name].cpus <= most:
                     return task_name, best
         return None
 

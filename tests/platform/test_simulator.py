@@ -6,19 +6,20 @@ from repro.errors import PlatformError
 from repro.platform.simulator import Simulator
 
 
-class TestTimeouts:
-    def test_single_timeout_advances_clock(self):
-        sim = Simulator()
+@pytest.fixture
+def sim():
+    return Simulator()
 
+
+class TestTimeouts:
+    def test_single_timeout_advances_clock(self, sim):
         def body():
             yield sim.timeout(2.5)
             return sim.now
 
         assert sim.run_process(body()) == 2.5
 
-    def test_sequential_timeouts_accumulate(self):
-        sim = Simulator()
-
+    def test_sequential_timeouts_accumulate(self, sim):
         def body():
             yield sim.timeout(1.0)
             yield sim.timeout(2.0)
@@ -26,23 +27,19 @@ class TestTimeouts:
 
         assert sim.run_process(body()) == 3.0
 
-    def test_negative_timeout_rejected(self):
-        sim = Simulator()
+    @pytest.mark.parametrize("delay", [-1, float("nan")])
+    def test_negative_timeout_rejected(self, sim, delay):
         with pytest.raises(ValueError):
-            sim.timeout(-1)
+            sim.timeout(delay)
 
-    def test_zero_timeout_allowed(self):
-        sim = Simulator()
-
+    def test_zero_timeout_allowed(self, sim):
         def body():
             yield sim.timeout(0)
             return "done"
 
         assert sim.run_process(body()) == "done"
 
-    def test_run_until_stops_early(self):
-        sim = Simulator()
-
+    def test_run_until_stops_early(self, sim):
         def body():
             yield sim.timeout(100.0)
 
@@ -52,8 +49,7 @@ class TestTimeouts:
 
 
 class TestDeterminism:
-    def test_same_timestamp_fires_in_insertion_order(self):
-        sim = Simulator()
+    def test_same_timestamp_fires_in_insertion_order(self, sim):
         order = []
 
         def make(tag):
@@ -69,8 +65,7 @@ class TestDeterminism:
 
 
 class TestEvents:
-    def test_event_wakes_waiter_with_value(self):
-        sim = Simulator()
+    def test_event_wakes_waiter_with_value(self, sim):
         event = sim.event()
         results = []
 
@@ -88,8 +83,7 @@ class TestEvents:
         assert results == ["payload"]
         assert sim.now == 5.0
 
-    def test_already_triggered_event_resumes_immediately(self):
-        sim = Simulator()
+    def test_already_triggered_event_resumes_immediately(self, sim):
         event = sim.event()
         event.trigger(42)
 
@@ -99,8 +93,7 @@ class TestEvents:
 
         assert sim.run_process(waiter()) == 42
 
-    def test_double_trigger_rejected(self):
-        sim = Simulator()
+    def test_double_trigger_rejected(self, sim):
         event = sim.event()
         event.trigger()
         with pytest.raises(PlatformError):
@@ -108,8 +101,7 @@ class TestEvents:
 
 
 class TestResources:
-    def test_capacity_serializes_holders(self):
-        sim = Simulator()
+    def test_capacity_serializes_holders(self, sim):
         resource = sim.resource(1)
         finish_times = []
 
@@ -124,8 +116,7 @@ class TestResources:
         sim.run()
         assert finish_times == [10.0, 20.0, 30.0]
 
-    def test_capacity_two_overlaps(self):
-        sim = Simulator()
+    def test_capacity_two_overlaps(self, sim):
         resource = sim.resource(2)
         finish_times = []
 
@@ -140,14 +131,12 @@ class TestResources:
         sim.run()
         assert finish_times == [10.0, 10.0, 20.0, 20.0]
 
-    def test_release_without_request_rejected(self):
-        sim = Simulator()
+    def test_release_without_request_rejected(self, sim):
         resource = sim.resource(1)
         with pytest.raises(PlatformError):
             resource.release()
 
-    def test_queued_requests_run_back_to_back(self):
-        sim = Simulator()
+    def test_queued_requests_run_back_to_back(self, sim):
         resource = sim.resource(1)
         queued = []
 
@@ -165,24 +154,30 @@ class TestResources:
 
 
 class TestProcessComposition:
-    def test_waiting_on_process_result(self):
-        sim = Simulator()
+    def test_waiting_on_process_result(self, sim):
+        """Joiners of a running child resume in subscription order with
+        its result; one joining after it finished resumes at once."""
+        log = []
 
         def child():
             yield sim.timeout(3.0)
             return "child-result"
 
-        def parent():
-            handle = sim.process(child())
+        def parent(tag, delay):
+            yield sim.timeout(delay)
             result = yield handle
-            return result
+            log.append((tag, sim.now, result))
 
-        assert sim.run_process(parent()) == "child-result"
+        handle = sim.process(child())
+        for tag, delay in (("b", 1.0), ("a", 2.0), ("late", 4.0)):
+            sim.process(parent(tag, delay))
+        sim.run()
+        assert log == [("b", 3.0, "child-result"), ("a", 3.0, "child-result"),
+                       ("late", 4.0, "child-result")]
 
-    def test_parent_joins_children_in_turn(self):
+    def test_parent_joins_children_in_turn(self, sim):
         """Yielding a child that has already finished resumes the
         parent at once with that child's result."""
-        sim = Simulator()
 
         def child(delay, value):
             yield sim.timeout(delay)
@@ -198,8 +193,7 @@ class TestProcessComposition:
         assert sim.run_process(parent()) == [0, 1, 2]
         assert sim.now == 3.0
 
-    def test_deadlock_detected(self):
-        sim = Simulator()
+    def test_deadlock_detected(self, sim):
         event = sim.event()  # never triggered
 
         def stuck():
@@ -208,9 +202,7 @@ class TestProcessComposition:
         with pytest.raises(PlatformError, match="deadlock"):
             sim.run_process(stuck())
 
-    def test_invalid_yield_rejected(self):
-        sim = Simulator()
-
+    def test_invalid_yield_rejected(self, sim):
         def bad():
             yield "not-an-event"
 

@@ -21,14 +21,8 @@ from repro.workflow.graph import (
     random_task_graph,
 )
 from repro.workflow.recovery import ResilientServer
-from repro.workflow.worker import Worker
 
-
-def make_pool(count=3, cpus=2):
-    return [
-        Worker(f"w{index}", node_name=f"n{index}", cpus=cpus)
-        for index in range(count)
-    ]
+from tests.chaos.conftest import make_pool
 
 
 def updates_graph() -> TaskGraph:

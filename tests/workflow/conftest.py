@@ -21,3 +21,9 @@ class FakeClock:
 @pytest.fixture()
 def clock():
     return FakeClock()
+
+
+@pytest.fixture()
+def db(tmp_path):
+    """Where a test's job store lives."""
+    return tmp_path / "jobs.db"

@@ -29,6 +29,12 @@ def diamond() -> TaskGraph:
     return graph
 
 
+def updates() -> TaskGraph:
+    graph = diamond()
+    graph.add_task(WorkflowTask("patch", updates=["x"], duration_s=0.5))
+    return graph
+
+
 class TestGraphConstruction:
     def test_outputs_become_objects(self):
         graph = diamond()
@@ -73,9 +79,6 @@ class TestGraphQueries:
         graph = diamond()
         assert sorted(graph.consumers("a")) == ["b", "c"]
         assert graph.consumers("d") == []
-
-    def test_roots(self):
-        assert diamond().roots() == ["a"]
 
     def test_topological_order_valid(self):
         graph = diamond()
@@ -143,7 +146,7 @@ def ghost_producer_graph() -> TaskGraph:
 
 class TestUnknownProducer:
     @pytest.mark.parametrize("query", [
-        "validate", "topological_order", "b_levels", "roots",
+        "validate", "topological_order", "b_levels",
     ])
     def test_every_query_names_the_object_and_the_producer(self, query):
         with pytest.raises(WorkflowError, match="'x'.*'ghost'"):
@@ -160,7 +163,6 @@ class TestIndexInvalidation:
     def test_added_task_is_seen_by_the_same_queries(self):
         graph = diamond()
         assert graph.consumers("d") == []
-        assert graph.roots() == ["a"]
         order = graph.topological_order()
         levels = graph.b_levels()
         graph.add_task(WorkflowTask("e", inputs=["out"], outputs=["end"],
@@ -172,10 +174,10 @@ class TestIndexInvalidation:
 
     def test_added_object_and_root_task_are_seen(self):
         graph = diamond()
-        assert graph.roots() == ["a"]
+        assert graph.topological_order() == ["a", "b", "c", "d"]
         graph.add_object(DataObject("other"))
         graph.add_task(WorkflowTask("r", inputs=["other"]))
-        assert graph.roots() == ["a", "r"]
+        assert graph.topological_order() == ["a", "r", "b", "c", "d"]
 
     def test_answers_are_copies(self):
         graph = diamond()
@@ -185,52 +187,65 @@ class TestIndexInvalidation:
         assert graph.consumers("a") == ["b", "c"]
 
     def test_updates_order_a_task_after_the_producer(self):
-        graph = diamond()
-        graph.add_task(WorkflowTask("patch", updates=["x"]))
+        graph = updates()
         assert graph.dependencies("patch") == ["a"]
         assert graph.consumers("a") == ["b", "c", "patch"]
 
 
 class TestCycleVerdict:
-    """A graph is searched for cycles once per change, not per query."""
+    """A graph is searched for cycles once per change, not per query:
+    the Kahn walk is the verdict, and a cycle is only looked for to
+    name it."""
 
     @pytest.fixture
-    def searches(self, monkeypatch):
-        calls = []
-        find_cycle = dag.find_cycle
+    def walks(self, monkeypatch):
+        calls = {"topological_order": 0, "find_cycle": 0}
+        for name in calls:
+            def counting(edges, walk=getattr(dag, name), name=name):
+                calls[name] += 1
+                return walk(edges)
 
-        def counting(edges):
-            calls.append(None)
-            return find_cycle(edges)
-
-        monkeypatch.setattr(dag, "find_cycle", counting)
+            monkeypatch.setattr(dag, name, counting)
         return calls
 
-    def test_a_run_searches_once(self, searches):
+    def test_a_run_searches_once(self, walks):
         graph = random_task_graph(1, num_tasks=20)
         ResilientServer(make_pool(3), policy=make_policy("b-level")).run(
             graph)
-        assert len(searches) == 1
+        assert walks == {"topological_order": 1, "find_cycle": 0}
         graph.topological_order()
         graph.b_levels()
-        assert len(searches) == 1
+        assert walks == {"topological_order": 1, "find_cycle": 0}
 
-    def test_adding_drops_the_verdict(self, searches):
+    def test_adding_drops_the_verdict(self, walks):
         graph = diamond()
         graph.validate()
         graph.add_task(WorkflowTask("e", inputs=["out"]))
         graph.validate()
         graph.add_object(DataObject("other"))
         graph.topological_order()
-        assert len(searches) == 3
+        assert walks == {"topological_order": 3, "find_cycle": 0}
 
-    def test_a_cyclic_graph_is_refused_by_every_run(self):
+    def test_a_cyclic_graph_is_refused_by_every_run(self, walks):
         graph = TaskGraph()
         graph.add_object(DataObject("loop", producer="t2"))
         graph.add_task(WorkflowTask("t1", inputs=["loop"], outputs=["mid"]))
         graph.add_task(WorkflowTask("t2", inputs=["mid"]))
-        for _ in range(2):
+        for run in range(1, 3):
             with pytest.raises(WorkflowError) as caught:
                 ResilientServer(make_pool(3)).run(graph)
             assert str(caught.value) == \
                 "workflow contains a cycle: t1 -> t2 -> t1"
+            assert walks["find_cycle"] == run
+
+
+@pytest.mark.parametrize("graph", [diamond(), updates(), *(
+    random_task_graph(seed, num_tasks=60) for seed in range(8))])
+def test_the_kept_order_answers_as_the_walks_over_its_edges(graph):
+    consumers = {name: graph.consumers(name) for name in graph.tasks}
+    order = graph.topological_order()
+    assert order == dag.topological_order(consumers)
+    order.reverse()  # a copy: the kept order stays as it was
+    assert graph.topological_order() == dag.topological_order(consumers)
+    assert graph.b_levels() == dag.bottom_levels(consumers, {
+        name: task.duration_s for name, task in graph.tasks.items()})

@@ -25,8 +25,8 @@ from repro.workflow.jobstore import (
 
 
 @pytest.fixture()
-def store(tmp_path, clock):
-    with JobStore(tmp_path / "jobs.db", clock=clock) as jobstore:
+def store(db, clock):
+    with JobStore(db, clock=clock) as jobstore:
         yield jobstore
 
 
@@ -320,6 +320,19 @@ class TestCancellation:
         store.complete(survivor, again.lease_id)
         assert store.drained()
 
+    @pytest.mark.parametrize("attempts, reached, error", [
+        (3, "cancelled", "cancelled"), (1, "failed", "boom")])
+    def test_failure_with_a_cancel_request_is_not_requeued(
+            self, store, attempts, reached, error):
+        job_id = submit_n(store, 1, max_attempts=attempts).inserted[0]
+        lease = store.lease("l1", 1)
+        assert store.cancel([job_id]) == (0, 1)
+        assert store.fail(job_id, lease.lease_id, "boom") == reached
+        job = store.job(job_id)
+        assert (job.state, job.result) == (reached, {"error": error})
+        assert store.lease("l2", 1).jobs == []
+        assert store.drained()
+
     def test_cancelled_jobs_are_not_leased(self, store):
         ids = submit_n(store, 3).inserted
         store.cancel(ids[:2])
@@ -365,21 +378,19 @@ class TestQueriesAndGc:
         assert store.gc() == (0, 0)
         assert store.job(job_id).id == job_id
 
-    def test_schema_version_skew_is_rejected(self, tmp_path, clock):
-        path = tmp_path / "jobs.db"
-        with JobStore(path, clock=clock) as jobstore:
+    def test_schema_version_skew_is_rejected(self, db, clock):
+        with JobStore(db, clock=clock) as jobstore:
             with jobstore._write():
                 jobstore._conn.execute(
                     "UPDATE meta SET value='99' "
                     "WHERE key='schema_version'"
                 )
         with pytest.raises(JobStoreError) as excinfo:
-            JobStore(path, clock=clock)
+            JobStore(db, clock=clock)
         assert excinfo.value.code == "JOB004"
 
-    def test_reopen_preserves_jobs(self, tmp_path, clock):
-        path = tmp_path / "jobs.db"
-        with JobStore(path, clock=clock) as jobstore:
+    def test_reopen_preserves_jobs(self, db, clock):
+        with JobStore(db, clock=clock) as jobstore:
             submit_n(jobstore, 5)
-        with JobStore(path, clock=clock) as jobstore:
+        with JobStore(db, clock=clock) as jobstore:
             assert jobstore.counts()["ready"] == 5

@@ -26,8 +26,6 @@ from repro.workflow.journal import JOURNAL_FILE
 from repro.workflow.launcher import SERVICE_RUN_KIND, Launcher
 from repro.workflow.runstore import RunStore
 
-from tests.workflow.conftest import FakeClock
-
 
 CHAOS_SPEC = {
     "graph_seed": 2, "fault_seed": 1, "tasks": 9, "workers": 3,
@@ -50,8 +48,7 @@ def truncate(journal_path, keep_lines: int):
 
 
 class TestSingleLauncher:
-    def test_drains_noop_jobs(self, tmp_path):
-        db = tmp_path / "jobs.db"
+    def test_drains_noop_jobs(self, db):
         submit_noops(db, 10)
         stats = Launcher(db, lease_size=4).run()
         assert stats.completed == 10
@@ -62,8 +59,7 @@ class TestSingleLauncher:
             for job in store.list_jobs(state="done"):
                 assert job.result["digest"]
 
-    def test_executes_graph_and_chaos_kinds(self, tmp_path):
-        db = tmp_path / "jobs.db"
+    def test_executes_graph_and_chaos_kinds(self, db):
         with JobStore(db) as store:
             store.submit([
                 JobSpec(name="g", kind="graph",
@@ -90,8 +86,7 @@ class TestSingleLauncher:
                 digests.append(job.result["digest"])
         assert digests[0] == digests[1]
 
-    def test_unknown_kind_fails_with_recorded_error(self, tmp_path):
-        db = tmp_path / "jobs.db"
+    def test_unknown_kind_fails_with_recorded_error(self, db):
         with JobStore(db) as store:
             store.submit([JobSpec(name="bad", kind="quantum",
                                   spec={}, max_attempts=2)])
@@ -103,9 +98,8 @@ class TestSingleLauncher:
             assert "unknown job kind" in job.result["error"]
             assert job.attempts == 2
 
-    def test_chaos_job_with_a_negative_count_fails(self, tmp_path):
+    def test_chaos_job_with_a_negative_count_fails(self, db):
         """It used to end ``done`` with makespan 0 (an empty graph)."""
-        db = tmp_path / "jobs.db"
         with JobStore(db) as store:
             store.submit([JobSpec(name="c", kind="chaos", max_attempts=1,
                                   spec={**CHAOS_SPEC, "tasks": -4})])
@@ -115,8 +109,7 @@ class TestSingleLauncher:
             job, = store.list_jobs(state="failed")
             assert "at least one task, got -4" in job.result["error"]
 
-    def test_max_jobs_stops_early(self, tmp_path):
-        db = tmp_path / "jobs.db"
+    def test_max_jobs_stops_early(self, db):
         submit_noops(db, 10)
         stats = Launcher(db, lease_size=4).run(max_jobs=5)
         assert stats.executed == 5
@@ -126,8 +119,7 @@ class TestSingleLauncher:
             # the rest of the open lease is still held
             assert counts["running"] + counts["ready"] == 5
 
-    def test_cancelled_jobs_are_skipped(self, tmp_path):
-        db = tmp_path / "jobs.db"
+    def test_cancelled_jobs_are_skipped(self, db):
         ids = submit_noops(db, 6).inserted
         with JobStore(db) as store:
             store.cancel(ids[:2])
@@ -136,8 +128,20 @@ class TestSingleLauncher:
         with JobStore(db) as store:
             assert store.counts()["cancelled"] == 2
 
-    def test_emits_service_metrics(self, tmp_path):
-        db = tmp_path / "jobs.db"
+    def test_a_job_cancelled_while_it_fails_counts_as_cancelled(self, db):
+        submit_noops(db, 1)
+
+        class CancelThenRaise(Launcher):
+            def execute_job(self, job, store):
+                store.cancel([job.id])
+                raise RuntimeError("boom")
+
+        stats = CancelThenRaise(db).run()
+        assert (stats.completed, stats.failed, stats.cancelled) == (0, 0, 1)
+        with JobStore(db) as store:
+            assert store.drained() and store.counts()["cancelled"] == 1
+
+    def test_emits_service_metrics(self, db):
         with observe(session()):
             from repro.obs import current_metrics
 
@@ -157,9 +161,7 @@ class TestSingleLauncher:
 
 
 class TestContention:
-    def test_two_launchers_1k_jobs_zero_double_executions(
-            self, tmp_path):
-        db = tmp_path / "jobs.db"
+    def test_two_launchers_1k_jobs_zero_double_executions(self, db):
         submitted = submit_noops(db, 1000).inserted
         launchers = [
             Launcher(db, launcher_id=f"l{i}", lease_size=16)
@@ -192,9 +194,7 @@ class TestContention:
 
 
 class TestCrashRecovery:
-    def test_killed_launcher_loses_no_jobs(self, tmp_path):
-        db = tmp_path / "jobs.db"
-        clock = FakeClock()
+    def test_killed_launcher_loses_no_jobs(self, db, clock):
         with JobStore(db, clock=clock) as store:
             store.submit([
                 JobSpec(name=f"n{i}", spec={"i": i})
@@ -222,10 +222,8 @@ class TestCrashRecovery:
         executed = stats.job_ids + stats2.job_ids
         assert len(set(executed)) == len(executed) == 12
 
-    def test_durable_chaos_resumes_byte_identical(self, tmp_path):
-        db = tmp_path / "jobs.db"
+    def test_durable_chaos_resumes_byte_identical(self, db, clock, tmp_path):
         runs = tmp_path / "runs"
-        clock = FakeClock()
         spec = {**CHAOS_SPEC, "durable": True}
         with JobStore(db, clock=clock) as store:
             job_id = store.submit(
@@ -266,10 +264,8 @@ class TestCrashRecovery:
         assert meta["attempts"] == 2
 
     def test_finished_journal_short_circuits_reexecution(
-            self, tmp_path):
-        db = tmp_path / "jobs.db"
+            self, db, clock, tmp_path):
         runs = tmp_path / "runs"
-        clock = FakeClock()
         spec = {**CHAOS_SPEC, "durable": True}
         with JobStore(db, clock=clock) as store:
             job_id = store.submit(
@@ -293,12 +289,9 @@ class TestCrashRecovery:
             assert job.result["digest"] == expected
             assert job.result["resumed"] is True
 
-    def test_nondurable_chaos_survives_relaunch_by_rerun(
-            self, tmp_path):
+    def test_nondurable_chaos_survives_relaunch_by_rerun(self, db, clock):
         # without `durable` the job has no journal; recovery is a
         # plain re-execution, deterministic because the spec seeds it
-        db = tmp_path / "jobs.db"
-        clock = FakeClock()
         with JobStore(db, clock=clock) as store:
             store.submit([JobSpec(name="c", kind="chaos",
                                   spec=CHAOS_SPEC)])
@@ -332,11 +325,9 @@ class TestStaleLease:
 
     @pytest.mark.parametrize("report", sorted(CASES))
     def test_late_report_is_discarded_and_the_drain_goes_on(
-            self, tmp_path, monkeypatch, report):
+            self, db, clock, monkeypatch, report):
         first_kind, second_attempts, finished_first, final = \
             self.CASES[report]
-        db = tmp_path / "jobs.db"
-        clock = FakeClock()
         with JobStore(db, clock=clock) as store:
             ids = store.submit([
                 JobSpec(name=f"n{i}", spec={"i": i},
@@ -392,8 +383,7 @@ class TestStaleLease:
 
 
 class TestClientWait:
-    def test_wait_returns_once_a_launcher_drains_the_store(self, tmp_path):
-        db = tmp_path / "jobs.db"
+    def test_wait_returns_once_a_launcher_drains_the_store(self, db):
         submit_noops(db, 6)
         with ServiceClient(db) as client:
             assert not client.drained()
@@ -406,9 +396,7 @@ class TestClientWait:
                 launcher.join()
             assert client.counts()["done"] == 6
 
-    def test_wait_times_out_while_a_ready_job_has_no_launcher(
-            self, tmp_path):
-        db = tmp_path / "jobs.db"
+    def test_wait_times_out_while_a_ready_job_has_no_launcher(self, db):
         submit_noops(db, 1)
         with ServiceClient(db) as client:
             started = time.monotonic()
