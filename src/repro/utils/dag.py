@@ -14,7 +14,6 @@ A leaf module: it imports nothing from ``repro``.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 Edges = Mapping[str, Sequence[str]]
@@ -30,20 +29,25 @@ def dependency_edges(
     ``consumed`` lists, per task, the objects it reads or updates;
     ``producer`` names the task making each object (objects without an
     entry come from outside). Returns ``(dependencies, consumers)``:
-    each task's upstream tasks in the order it consumes their objects,
-    and each task's downstream tasks in declaration order. A task
-    consuming its own product depends on itself — a one-node cycle.
+    each task's distinct upstream tasks in the order it first consumes
+    their objects, and each task's downstream tasks in declaration
+    order. One loop over each task's objects fills both maps; the
+    dedupe is a set, so a task's cost stays linear in its fan-in. A
+    task consuming its own product depends on itself — a one-node
+    cycle.
     """
-    dependencies = {
-        task: list(dict.fromkeys(
-            producer[obj] for obj in objects if obj in producer
-        ))
-        for task, objects in consumed.items()
-    }
+    dependencies: Dict[str, List[str]] = {}
     consumers: Dict[str, List[str]] = {task: [] for task in consumed}
-    for task, upstream_tasks in dependencies.items():
-        for upstream in upstream_tasks:
-            consumers[upstream].append(task)
+    for task, objects in consumed.items():
+        upstream: List[str] = []
+        seen: Set[str] = set()
+        for obj in objects:
+            source = producer.get(obj)
+            if source is not None and source not in seen:
+                seen.add(source)
+                upstream.append(source)
+                consumers[source].append(task)
+        dependencies[task] = upstream
     return dependencies, consumers
 
 
@@ -92,18 +96,18 @@ def reachable_from(edges: Edges, roots: Iterable[str]) -> Set[str]:
 
 def topological_order(edges: Edges) -> List[str]:
     """Nodes with every edge pointing forward: Kahn's algorithm, first
-    freed first out.
+    freed first out, its in-degrees counted in one pass over the edges.
 
     This is ``networkx.topological_sort``'s order (generation by
     generation) for the digraph with the same node and edge insertion
     order — the workflow engine's initial ready list, and so part of
     every trace digest.
     """
-    indegree = Counter(
-        successor for successors in edges.values()
-        for successor in successors
-    )
-    order = [node for node in edges if not indegree[node]]
+    indegree = dict.fromkeys(edges, 0)
+    for successors in edges.values():
+        for successor in successors:
+            indegree[successor] += 1
+    order = [node for node, degree in indegree.items() if not degree]
     for node in order:  # grows as nodes become free
         for successor in edges[node]:
             indegree[successor] -= 1
@@ -122,13 +126,14 @@ def bottom_levels(edges: Edges, weight: Mapping[str, float],
     ``order`` lists every node after its successors (a reversed
     :func:`topological_order`); by default it is the post-order of the
     depth-first walk, which is defined on cyclic input too: the edges
-    that close a cycle in that walk are left out.
+    that close a cycle in that walk are left out. A successor not yet
+    levelled is skipped, which only cyclic input (or an ``order`` that
+    breaks the rule) has; a sink's level is its own weight.
     """
     levels: Dict[str, float] = {}
     for node in _depth_first(edges)[0] if order is None else order:
         levels[node] = weight[node] + max(
             [levels[successor] for successor in edges[node]
-             if successor in levels],
-            default=0.0,
+             if successor in levels] or (0.0,)
         )
     return levels

@@ -72,6 +72,7 @@ from repro.chaos.faults import (
     WorkerCrash,
 )
 from repro.chaos.schedule import ChaosSchedule
+from repro.diagnostics import diagnosed_error
 from repro.errors import ChaosError, PlatformError, WorkflowError
 from repro.obs import SimClock, Tracer, current_metrics, current_tracer
 from repro.platform.simulator import Simulator
@@ -212,8 +213,10 @@ class ResilientServer:
         payload is journaled by its completion alone. ``resume``
         replays a crashed run — the deterministic timeline is
         re-executed and payloads that already ran are skipped. Returns
-        (trace, recovery stats). Raises :class:`WorkflowError` when
-        every worker dies with no restart pending, and
+        (trace, recovery stats). Raises :class:`WorkflowError` before
+        the first event when a task asks for more cpus than the largest
+        worker has (``WF003``) and when every worker dies with no
+        restart pending, and
         :class:`ChaosError` when a task exhausts its retry budget.
         """
         graph.validate()
@@ -257,8 +260,11 @@ class _Run:
         self.failed: Set[str] = set()
         self.alive: List[Worker] = self.workers
         #: Link faults in force on the default (no-ecosystem) staging
-        #: path, under the pair (ANY_LINK, ANY_LINK).
+        #: path, under the pair (ANY_LINK, ANY_LINK), and what they add
+        #: up to — ``(partitioned, bandwidth factor, added latency)`` —
+        #: refreshed by ``degrade_link`` when one starts or heals.
         self.default_overlay = LinkOverlay()
+        self.refresh_default_path()
         self.stats = RecoveryStats()
         self.metrics = current_metrics()
         self.tasks_executed = self.metrics.counter(
@@ -276,6 +282,21 @@ class _Run:
         )
         #: Transient failures still to inject, per task.
         self.fault_budget: Dict[str, int] = {}
+
+        #: Unfinished dependencies per task; moves only where
+        #: ``finished`` moves (a finish, a lineage invalidation). The
+        #: pass that counts them refuses a task no worker can ever fit.
+        self.unmet: Dict[str, int] = {}
+        widest = max(worker.cpus for worker in self.workers)
+        for name, task in graph.tasks.items():
+            if task.cpus > widest:
+                raise diagnosed_error(
+                    WorkflowError, "WF003",
+                    f"task {name!r} requests {task.cpus} cpus but the "
+                    f"largest worker offers {widest}",
+                    anchor=f"{graph.name}/{name}", analysis="workflow",
+                )
+            self.unmet[name] = len(graph.dependencies(name))
 
         self.sim = Simulator()
         self.events = make_sim_tracer(self.sim, graph.name)
@@ -296,11 +317,6 @@ class _Run:
         self.finished: Set[str] = set()
         self.running: Dict[str, Worker] = {}
         self.backing_off: Set[str] = set()
-        #: Unfinished dependencies per task; moves only where
-        #: ``finished`` moves (a finish, a lineage invalidation).
-        self.unmet: Dict[str, int] = {
-            name: len(graph.dependencies(name)) for name in graph.tasks
-        }
         #: The ready queue in dispatch order: the names ``select``
         #: walks and, beside them, their (policy priority, arrival
         #: sequence) keys. ``queued`` keeps every queued task's key,
@@ -422,13 +438,13 @@ class _Run:
         self.recoveries_taken.inc(action=action)
 
     def resource_event(self, op: str, worker: Worker, units: int) -> None:
-        if self.session.enabled:
-            self.events.instant(
-                f"{op}:{worker.name}",
-                category=RESOURCE_EVENT_CATEGORY, track=worker.name,
-                op=op, resource=worker.name, units=units,
-                capacity=worker.cpus,
-            )
+        """A worker-slot instant, for :mod:`repro.sanitize`; called
+        only while the session is enabled."""
+        self.events.instant(
+            f"{op}:{worker.name}",
+            category=RESOURCE_EVENT_CATEGORY, track=worker.name,
+            op=op, resource=worker.name, units=units, capacity=worker.cpus,
+        )
 
     # -- pool, staging and the ready queue -----------------------------
 
@@ -443,10 +459,9 @@ class _Run:
             if src_node == dst_node:
                 return 0.0
             return ecosystem.transfer_time(src_node, dst_node, size_bytes)
-        if self.default_overlay.is_partitioned(ANY_LINK, ANY_LINK):
+        partitioned, factor, latency_add = self.default_path
+        if partitioned:
             raise PlatformError("default staging path is partitioned")
-        factor, latency_add = self.default_overlay.state(
-            ANY_LINK, ANY_LINK)
         return _DEFAULT_LATENCY_S + latency_add + size_bytes / (
             _DEFAULT_BANDWIDTH * factor
         )
@@ -520,7 +535,8 @@ class _Run:
         self.running.pop(task_name, None)
         if alive:
             worker.release(task.cpus)
-            self.resource_event("release", worker, task.cpus)
+            if self.session.enabled:
+                self.resource_event("release", worker, task.cpus)
         stats.tasks_requeued += 1
         attempt = self.attempts[task_name] = (
             self.attempts.get(task_name, 0) + 1)
@@ -635,7 +651,8 @@ class _Run:
             return
         self.running.pop(task_name, None)
         worker.release(task.cpus)
-        self.resource_event("release", worker, task.cpus)
+        if self.session.enabled:
+            self.resource_event("release", worker, task.cpus)
         writes = list(task.outputs) + list(task.updates)
         for output_name in writes:
             self.locations[output_name] = worker.name
@@ -731,7 +748,8 @@ class _Run:
         self.failed.add(victim.name)
         self.alive = [w for w in self.workers if w.name not in self.failed]
         self.incarnations[victim.name] += 1
-        self.resource_event("reset", victim, 0)
+        if self.session.enabled:
+            self.resource_event("reset", victim, 0)
         if not lose_store:
             victim.busy_cpus = 0
             return
@@ -835,10 +853,17 @@ class _Run:
         degradation = None if fault.partition else (
             fault.bandwidth_factor, fault.latency_add_s)
         overlay.add(fault.node_a, fault.node_b, degradation)
+        self.refresh_default_path()
         yield self.sim.timeout(fault.duration_s)
         overlay.remove(fault.node_a, fault.node_b, degradation)
+        self.refresh_default_path()
         self.record_recovery("link-heal", fault.target)
         self.poke()
+
+    def refresh_default_path(self) -> None:
+        overlay = self.default_overlay
+        self.default_path = (overlay.is_partitioned(ANY_LINK, ANY_LINK),
+                             *overlay.state(ANY_LINK, ANY_LINK))
 
     def arm_task_fault(self, fault: TaskFault) -> None:
         """Task faults need no process: ``run_task`` spends the budget."""
@@ -866,6 +891,7 @@ class _Run:
                 cpus = graph.tasks[task_name].cpus
                 self.displace(task_name)
                 del queued[task_name]
+                worker.acquire(cpus)
                 if self.session.enabled:
                     events.instant(
                         "dispatch", category=SCHED_CATEGORY,
@@ -876,8 +902,7 @@ class _Run:
                         "ready_tasks", float(len(queued)),
                         category=SCHED_CATEGORY, track="scheduler",
                     )
-                worker.acquire(cpus)
-                self.resource_event("request", worker, cpus)
+                    self.resource_event("request", worker, cpus)
                 self.running[task_name] = worker
                 self.sim.process(
                     self.run_task(task_name, worker),

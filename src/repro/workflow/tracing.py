@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List
 
@@ -100,67 +101,39 @@ class ExecutionTrace:
         Walks the tracer's events in emission order and maps complete
         spans of category :data:`TASK_CATEGORY` to task records and
         instants of :data:`FAULT_CATEGORY` / :data:`RECOVERY_CATEGORY`
-        to fault/recovery records. Because the servers emit each event
+        to fault/recovery records (an instant's arguments are its
+        record's fields); the makespan is the latest task end (0.0
+        without one) and the bytes moved their sum. Because the servers emit each event
         at exactly the point the old implementation appended the
         matching record, the resulting lists — and the serialized
         bytes — are identical to the pre-tracer trace.
         """
         trace = cls(graph_name=graph_name, policy=policy)
+        records = trace.records
         for event in tracer.events:
             if event.phase == "X" and event.category == TASK_CATEGORY:
-                trace.add(TaskRecord(
-                    task=event.args["task"],
-                    worker=event.args["worker"],
-                    ready_at=event.args["ready_at"],
-                    start=event.args["start"],
-                    end=event.args["end"],
-                    transfer_seconds=event.args["transfer_seconds"],
-                    bytes_moved=event.args["bytes_moved"],
+                args = event.args
+                records.append(TaskRecord(
+                    args["task"], args["worker"], args["ready_at"],
+                    args["start"], args["end"], args["transfer_seconds"],
+                    args["bytes_moved"],
                 ))
             elif event.phase == "i" and event.category == FAULT_CATEGORY:
-                trace.add_fault(FaultRecord(
-                    kind=event.args["kind"],
-                    target=event.args["target"],
-                    time=event.args["time"],
-                    detail=event.args["detail"],
-                ))
+                trace.faults.append(FaultRecord(**event.args))
             elif (event.phase == "i"
                   and event.category == RECOVERY_CATEGORY):
-                trace.add_recovery(RecoveryRecord(
-                    action=event.args["action"],
-                    target=event.args["target"],
-                    time=event.args["time"],
-                    detail=event.args["detail"],
-                ))
+                trace.recoveries.append(RecoveryRecord(**event.args))
+        trace.makespan = max([0.0] + [record.end for record in records])
+        trace.bytes_moved = sum(record.bytes_moved for record in records)
         return trace
-
-    def add(self, record: TaskRecord) -> None:
-        """Append a task record, extending the makespan."""
-        self.records.append(record)
-        self.makespan = max(self.makespan, record.end)
-        self.bytes_moved += record.bytes_moved
-
-    def add_fault(self, record: FaultRecord) -> None:
-        """Record an injected fault."""
-        self.faults.append(record)
-
-    def add_recovery(self, record: RecoveryRecord) -> None:
-        """Record a recovery action."""
-        self.recoveries.append(record)
 
     def faults_by_kind(self) -> Dict[str, int]:
         """Injected fault count per fault class."""
-        counts: Dict[str, int] = {}
-        for fault in self.faults:
-            counts[fault.kind] = counts.get(fault.kind, 0) + 1
-        return counts
+        return dict(Counter(fault.kind for fault in self.faults))
 
     def recoveries_by_action(self) -> Dict[str, int]:
         """Recovery action count per action type."""
-        counts: Dict[str, int] = {}
-        for recovery in self.recoveries:
-            counts[recovery.action] = counts.get(recovery.action, 0) + 1
-        return counts
+        return dict(Counter(recovery.action for recovery in self.recoveries))
 
     def to_dict(self) -> Dict:
         """Plain-data form of the whole trace (records in order).

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.chaos import ChaosConfig
+from repro.chaos import ChaosConfig, generate_schedule, random_task_graph
 from repro.workflow.graph import DataObject, TaskGraph, WorkflowTask
 from repro.workflow.worker import Worker
 
@@ -35,6 +35,16 @@ def make_pool(count: int = 3, cpus: int = 2):
         Worker(f"w{index}", node_name=f"n{index}", cpus=cpus)
         for index in range(count)
     ]
+
+
+def seeded_chaos(graph_seed: int, fault_seed: int, num_tasks: int = 10,
+                 workers: int = 3, config: ChaosConfig = CONFIG):
+    """``(graph, pool, schedule)``: a seeded graph, a fresh pool and the
+    schedule the fault seed draws for both."""
+    graph = random_task_graph(graph_seed, num_tasks=num_tasks)
+    pool = make_pool(workers)
+    return graph, pool, generate_schedule(
+        graph, [worker.name for worker in pool], fault_seed, config)
 
 
 @pytest.fixture

@@ -18,7 +18,8 @@ from repro.chaos.faults import (
 from repro.chaos.schedule import ChaosSchedule
 from repro.errors import WorkflowError
 from repro.workflow.graph import DataObject, TaskGraph, WorkflowTask
-from repro.workflow.recovery import ResilientServer, RetryPolicy
+from repro.workflow.recovery import (
+    _DEFAULT_BANDWIDTH, _DEFAULT_LATENCY_S, ResilientServer, RetryPolicy)
 from repro.workflow.worker import Worker
 
 from tests.chaos.conftest import chain_graph, make_pool
@@ -51,19 +52,18 @@ def big_input_graph(size_bytes=10**9) -> TaskGraph:
     return graph
 
 
-def schedule_of(*faults) -> ChaosSchedule:
-    return ChaosSchedule(seed=0, faults=list(faults))
+def run_under(pool, graph, *faults, **server_options):
+    """(trace, stats) of ``graph`` run on ``pool`` under exactly
+    ``faults``."""
+    return ResilientServer(pool, **server_options).run(
+        graph, chaos=ChaosSchedule(seed=0, faults=list(faults)))
 
 
 class TestWorkerCrashAndRestart:
     def test_restarted_worker_is_readmitted_and_reused(self):
         graph = fan_graph(width=10)
-        pool = make_pool(2)
-        trace, stats = ResilientServer(pool).run(
-            graph, chaos=schedule_of(
-                WorkerCrash("w0", at_time=0.5, restart_after=0.5),
-            ),
-        )
+        trace, stats = run_under(make_pool(2), graph, WorkerCrash(
+            "w0", at_time=0.5, restart_after=0.5))
         assert {r.task for r in trace.records} == set(graph.tasks)
         assert stats.failures == 1
         assert stats.restarts == 1
@@ -80,35 +80,24 @@ class TestWorkerCrashAndRestart:
 
     def test_crash_loses_store_and_triggers_recovery(self):
         graph = chain_graph(length=3, duration=1.0)
-        pool = make_pool(2)
-        trace, stats = ResilientServer(pool).run(
-            graph, chaos=schedule_of(
-                WorkerCrash("w0", at_time=1.5, restart_after=0.4),
-            ),
-        )
+        trace, stats = run_under(make_pool(2), graph, WorkerCrash(
+            "w0", at_time=1.5, restart_after=0.4))
         assert {r.task for r in trace.records} == set(graph.tasks)
         # in + o0 (and the mid-flight t1 attempt) lived only on w0
         assert stats.objects_lost >= 1
         assert stats.tasks_relineaged + stats.inputs_refetched >= 1
 
     def test_permanent_crash_of_sole_worker_raises(self):
-        graph = chain_graph(length=2, duration=2.0)
-        server = ResilientServer(make_pool(1))
         with pytest.raises(WorkflowError, match="all workers failed"):
-            server.run(graph, chaos=schedule_of(
-                WorkerCrash("w0", at_time=0.5),
-            ))
+            run_under(make_pool(1), chain_graph(length=2, duration=2.0),
+                      WorkerCrash("w0", at_time=0.5))
 
     def test_restart_pending_keeps_workflow_alive(self):
         """Every worker down at once — but a restart is scheduled, so
         the run must wait it out rather than abort."""
         graph = chain_graph(length=2, duration=1.0)
-        pool = make_pool(1)
-        trace, stats = ResilientServer(pool).run(
-            graph, chaos=schedule_of(
-                WorkerCrash("w0", at_time=0.5, restart_after=0.5),
-            ),
-        )
+        trace, stats = run_under(make_pool(1), graph, WorkerCrash(
+            "w0", at_time=0.5, restart_after=0.5))
         assert {r.task for r in trace.records} == set(graph.tasks)
         assert stats.restarts == 1
 
@@ -123,12 +112,9 @@ class TestWorkerCrashAndRestart:
         graph.add_task(WorkflowTask(
             "b", inputs=["oa", "x"], outputs=["ob"], duration_s=1.0,
         ))
-        trace, stats = ResilientServer(make_pool(3, cpus=1)).run(
-            graph, chaos=schedule_of(
-                WorkerCrash("w0", at_time=1.0),
-                WorkerCrash("w1", at_time=1.02),
-            ),
-        )
+        trace, stats = run_under(
+            make_pool(3, cpus=1), graph,
+            WorkerCrash("w0", at_time=1.0), WorkerCrash("w1", at_time=1.02))
         assert {r.task for r in trace.records} == set(graph.tasks)
         assert trace.makespan == pytest.approx(11.05)
         assert [(r.target, r.detail) for r in trace.recoveries
@@ -136,25 +122,18 @@ class TestWorkerCrashAndRestart:
         assert stats.inputs_refetched == 1
 
     def test_unknown_crash_target_rejected_eagerly(self):
-        server = ResilientServer(make_pool(2))
         with pytest.raises(WorkflowError, match="unknown worker"):
-            server.run(chain_graph(), chaos=schedule_of(
-                WorkerCrash("ghost", at_time=0.5),
-            ))
+            run_under(make_pool(2), chain_graph(),
+                      WorkerCrash("ghost", at_time=0.5))
 
 
 class TestLinkFaults:
     def test_degradation_slows_staging(self):
-        clean, _ = ResilientServer(make_pool(2, cpus=1)).run(
-            big_input_graph()
-        )
-        degraded, stats = ResilientServer(make_pool(2, cpus=1)).run(
-            big_input_graph(),
-            chaos=schedule_of(LinkFault(
+        clean, _ = run_under(make_pool(2, cpus=1), big_input_graph())
+        degraded, stats = run_under(
+            make_pool(2, cpus=1), big_input_graph(), LinkFault(
                 ANY_LINK, ANY_LINK, at_time=0.0, duration_s=0.5,
-                bandwidth_factor=0.1,
-            )),
-        )
+                bandwidth_factor=0.1))
         assert stats.link_faults == 1
         assert degraded.makespan > clean.makespan * 2
         assert degraded.faults_by_kind() == {"link-degradation": 1}
@@ -164,13 +143,8 @@ class TestLinkFaults:
 
     def test_partition_forces_backoff_then_heals(self):
         graph = big_input_graph()
-        pool = make_pool(2, cpus=1)
-        trace, stats = ResilientServer(pool).run(
-            graph, chaos=schedule_of(LinkFault(
-                ANY_LINK, ANY_LINK, at_time=0.0, duration_s=0.6,
-                partition=True,
-            )),
-        )
+        trace, stats = run_under(make_pool(2, cpus=1), graph, LinkFault(
+            ANY_LINK, ANY_LINK, at_time=0.0, duration_s=0.6, partition=True))
         assert {r.task for r in trace.records} == set(graph.tasks)
         assert trace.faults_by_kind() == {"link-partition": 1}
         # staging across the severed path was retried with backoff
@@ -180,21 +154,58 @@ class TestLinkFaults:
         assert actions.get("backoff", 0) >= 1
         assert actions.get("retry", 0) >= 1
         assert actions.get("link-heal", 0) == 1
-        # no attempt finished a cross-worker staging while severed
+        # the input crossed the path, and only once it had healed
         heal_time = next(
             r.time for r in trace.recoveries if r.action == "link-heal"
         )
-        for record in trace.records:
-            if record.transfer_seconds > 0.0:
-                assert record.start >= heal_time - 1e-9
+        staged = [r for r in trace.records if r.transfer_seconds > 0.0]
+        assert staged and all(r.start >= heal_time - 1e-9 for r in staged)
+
+    def test_stacked_faults_heal_out_of_order_around_a_partition(self):
+        """Two degradations of the default path, the later healing
+        first, and a partition inside the first: each staging pays the
+        faults in force when it started, and none crosses the
+        partition — the attempts that meet it back off."""
+        graph = TaskGraph("spread")
+        for index in range(16):
+            graph.add_object(DataObject(
+                f"in{index}", size_bytes=10**8, locality="w0"))
+            graph.add_task(WorkflowTask(
+                f"t{index}", inputs=[f"in{index}"], outputs=[f"o{index}"],
+                duration_s=0.3,
+            ))
+        faults = [
+            LinkFault(ANY_LINK, ANY_LINK, at_time=0.2, duration_s=2.0,
+                      bandwidth_factor=0.5, latency_add_s=0.005),
+            LinkFault(ANY_LINK, ANY_LINK, at_time=0.7, duration_s=0.6,
+                      bandwidth_factor=0.25, latency_add_s=0.02),
+            LinkFault(ANY_LINK, ANY_LINK, at_time=1.6, duration_s=0.5,
+                      partition=True),
+        ]
+        trace, _stats = run_under(make_pool(3, cpus=1), graph, *faults)
+        factors = set()
+        for record in (r for r in trace.records if r.bytes_moved):
+            factor, latency_add = 1.0, 0.0
+            for fault in faults:
+                if fault.at_time < record.start < fault.at_time + fault.duration_s:
+                    assert not fault.partition
+                    factor *= fault.bandwidth_factor
+                    latency_add += fault.latency_add_s
+            factors.add(factor)
+            assert record.transfer_seconds == (
+                _DEFAULT_LATENCY_S + latency_add
+                + record.bytes_moved / (_DEFAULT_BANDWIDTH * factor))
+        assert factors == {1.0, 0.5, 0.125}
+        backoffs = [r for r in trace.recoveries if r.action == "backoff"]
+        assert backoffs and all(
+            1.6 <= r.time < 2.1 and "partitioned" in r.detail
+            for r in backoffs)
 
     def test_targeted_fault_needs_ecosystem(self):
-        server = ResilientServer(make_pool(2))
         with pytest.raises(WorkflowError, match="no ecosystem"):
-            server.run(chain_graph(), chaos=schedule_of(LinkFault(
+            run_under(make_pool(2), chain_graph(), LinkFault(
                 "edge-0", "dc-switch", at_time=0.0, duration_s=1.0,
-                partition=True,
-            )))
+                partition=True))
 
     def test_targeted_fault_on_reference_ecosystem(self):
         from repro.platform.topology import build_reference_ecosystem
@@ -213,12 +224,9 @@ class TestLinkFaults:
                 f"t{index}", inputs=["in"], outputs=[f"o{index}"],
                 duration_s=0.5,
             ))
-        trace, stats = ResilientServer(workers, ecosystem=eco).run(
-            graph, chaos=schedule_of(LinkFault(
-                "dc-switch", "power9-0", at_time=0.0, duration_s=0.5,
-                partition=True,
-            )),
-        )
+        trace, stats = run_under(workers, graph, LinkFault(
+            "dc-switch", "power9-0", at_time=0.0, duration_s=0.5,
+            partition=True), ecosystem=eco)
         assert {r.task for r in trace.records} == set(graph.tasks)
         assert stats.link_faults == 1
         # the overlay is cleaned up after healing
@@ -231,12 +239,8 @@ class TestReconfigurationFaults:
         but the shell keeps serving its object store: nothing is lost,
         nothing is re-lineaged."""
         graph = chain_graph(length=3, duration=1.0)
-        pool = make_pool(2)
-        trace, stats = ResilientServer(pool).run(
-            graph, chaos=schedule_of(
-                ReconfigFault("w0", at_time=1.5, repair_s=0.5),
-            ),
-        )
+        trace, stats = run_under(make_pool(2), graph, ReconfigFault(
+            "w0", at_time=1.5, repair_s=0.5))
         assert {r.task for r in trace.records} == set(graph.tasks)
         assert stats.reconfig_faults == 1
         assert stats.objects_lost == 0
@@ -247,27 +251,18 @@ class TestReconfigurationFaults:
 
     def test_midflight_attempt_on_reconfiguring_worker_requeued(self):
         graph = chain_graph(length=2, duration=2.0)
-        pool = make_pool(2)
-        trace, stats = ResilientServer(pool).run(
-            graph, chaos=schedule_of(
-                ReconfigFault("w0", at_time=1.0, repair_s=0.5),
-            ),
-        )
+        trace, stats = run_under(make_pool(2), graph, ReconfigFault(
+            "w0", at_time=1.0, repair_s=0.5))
         assert {r.task for r in trace.records} == set(graph.tasks)
         assert stats.tasks_requeued >= 1
 
 
 class TestStragglers:
     def test_straggler_stretches_execution(self):
-        clean, _ = ResilientServer(make_pool(1)).run(
-            chain_graph(length=3, duration=1.0)
-        )
-        slowed, stats = ResilientServer(make_pool(1)).run(
-            chain_graph(length=3, duration=1.0),
-            chaos=schedule_of(StragglerFault(
-                "w0", at_time=0.0, duration_s=100.0, slowdown=2.0,
-            )),
-        )
+        clean, _ = run_under(make_pool(1), chain_graph(length=3))
+        slowed, stats = run_under(
+            make_pool(1), chain_graph(length=3, duration=1.0),
+            StragglerFault("w0", at_time=0.0, duration_s=100.0, slowdown=2.0))
         assert stats.stragglers == 1
         assert slowed.makespan == pytest.approx(
             clean.makespan * 2.0, rel=0.01
@@ -279,12 +274,9 @@ class TestStragglers:
 
     def test_slowdown_cleared_after_window(self):
         pool = make_pool(1)
-        trace, _stats = ResilientServer(pool).run(
-            chain_graph(length=4, duration=1.0),
-            chaos=schedule_of(StragglerFault(
-                "w0", at_time=0.0, duration_s=2.5, slowdown=3.0,
-            )),
-        )
+        trace, _stats = run_under(
+            pool, chain_graph(length=4, duration=1.0),
+            StragglerFault("w0", at_time=0.0, duration_s=2.5, slowdown=3.0))
         assert pool[0].slowdown == 1.0
         assert any(
             r.action == "straggler-clear" for r in trace.recoveries
@@ -303,15 +295,10 @@ class TestStragglers:
 
     def test_timeout_watchdog_requeues_straggling_attempt(self):
         graph = fan_graph(width=4, duration=1.0)
-        pool = make_pool(2)
-        server = ResilientServer(
-            pool, retry=RetryPolicy(task_timeout_s=1.5),
-        )
-        trace, stats = server.run(
-            graph, chaos=schedule_of(StragglerFault(
-                "w0", at_time=0.0, duration_s=2.0, slowdown=4.0,
-            )),
-        )
+        trace, stats = run_under(
+            make_pool(2), graph,
+            StragglerFault("w0", at_time=0.0, duration_s=2.0, slowdown=4.0),
+            retry=RetryPolicy(task_timeout_s=1.5))
         assert {r.task for r in trace.records} == set(graph.tasks)
         assert stats.tasks_requeued >= 1
         assert any(
@@ -326,10 +313,8 @@ class TestStragglers:
 class TestTransientTaskFaults:
     def test_faults_consume_budget_then_succeed(self):
         graph = chain_graph(length=2, duration=1.0)
-        pool = make_pool(2)
-        trace, stats = ResilientServer(pool).run(
-            graph, chaos=schedule_of(TaskFault("t0", failures=2)),
-        )
+        trace, stats = run_under(make_pool(2), graph,
+                                 TaskFault("t0", failures=2))
         assert {r.task for r in trace.records} == set(graph.tasks)
         assert stats.task_faults == 2
         assert trace.faults_by_kind() == {"task-fault": 2}
@@ -337,29 +322,23 @@ class TestTransientTaskFaults:
         assert len([r for r in trace.records if r.task == "t0"]) == 1
 
     def test_backoff_escalates_between_retries(self):
-        graph = chain_graph(length=1, duration=1.0)
-        pool = make_pool(1)
-        server = ResilientServer(pool)
-        trace, stats = server.run(
-            graph, chaos=schedule_of(TaskFault("t0", failures=3)),
-        )
+        trace, stats = run_under(make_pool(1), chain_graph(length=1),
+                                 TaskFault("t0", failures=3))
         backoffs = [
             r for r in trace.recoveries
             if r.action == "backoff" and r.target == "t0"
         ]
         assert len(backoffs) == 3
-        policy = server.retry
+        policy = RetryPolicy()  # the server's default
         expected = sum(policy.backoff_for(n) for n in (1, 2, 3))
         assert stats.backoff_seconds == pytest.approx(expected)
         # exponential: each backoff doubles
         assert policy.backoff_for(2) == 2 * policy.backoff_for(1)
 
     def test_unknown_task_fault_rejected_eagerly(self):
-        server = ResilientServer(make_pool(2))
         with pytest.raises(WorkflowError, match="unknown task"):
-            server.run(chain_graph(), chaos=schedule_of(
-                TaskFault("ghost", failures=1),
-            ))
+            run_under(make_pool(2), chain_graph(),
+                      TaskFault("ghost", failures=1))
 
 
 class TestRetryPolicy:

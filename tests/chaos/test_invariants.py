@@ -16,23 +16,15 @@ server must uphold:
 
 import pytest
 
-from repro.chaos import (
-    TaskFault,
-    generate_schedule,
-    random_task_graph,
-)
+from repro.chaos import TaskFault, random_task_graph
 from repro.errors import ChaosError
 from repro.workflow.recovery import ResilientServer, RetryPolicy
 
-from tests.chaos.conftest import CONFIG, FAULT_SEEDS, GRAPH_SEEDS, make_pool
+from tests.chaos.conftest import FAULT_SEEDS, GRAPH_SEEDS, make_pool, seeded_chaos
 
 
 def run_seed_pair(graph_seed: int, fault_seed: int):
-    graph = random_task_graph(graph_seed, num_tasks=10)
-    pool = make_pool(3)
-    schedule = generate_schedule(
-        graph, [w.name for w in pool], fault_seed, CONFIG
-    )
+    graph, pool, schedule = seeded_chaos(graph_seed, fault_seed)
     trace, stats = ResilientServer(pool).run(graph, chaos=schedule)
     return graph, schedule, trace, stats
 
@@ -108,11 +100,7 @@ class TestAcrossPolicies:
     def test_invariants_hold_for_every_policy(self, policy):
         from repro.workflow.scheduler import make_policy
 
-        graph = random_task_graph(11, num_tasks=10)
-        pool = make_pool(3)
-        schedule = generate_schedule(
-            graph, [w.name for w in pool], 13, CONFIG
-        )
+        graph, pool, schedule = seeded_chaos(11, 13)
         trace, _stats = ResilientServer(
             pool, policy=make_policy(policy)
         ).run(graph, chaos=schedule)

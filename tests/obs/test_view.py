@@ -6,7 +6,7 @@ digests are unaffected by whether an observation session is installed,
 and traced replays of the same seeds are byte-identical.
 """
 
-from repro.chaos import ChaosConfig, generate_schedule, random_task_graph
+from repro.chaos import ChaosConfig
 from repro.obs import (
     LogicalClock,
     Tracer,
@@ -22,18 +22,14 @@ from repro.workflow.tracing import (
     ExecutionTrace,
 )
 
-from tests.chaos.conftest import make_pool
+from tests.chaos.conftest import make_pool, seeded_chaos
 
 CONFIG = ChaosConfig(crashes=1, link_faults=1, reconfig_faults=1,
                      stragglers=1, task_faults=1)
 
 
 def chaos_run(graph_seed: int = 3, fault_seed: int = 7):
-    graph = random_task_graph(graph_seed, num_tasks=10)
-    pool = make_pool(3)
-    schedule = generate_schedule(
-        graph, [w.name for w in pool], fault_seed, CONFIG
-    )
+    graph, pool, schedule = seeded_chaos(graph_seed, fault_seed, config=CONFIG)
     return ResilientServer(pool).run(graph, chaos=schedule)
 
 
@@ -132,11 +128,7 @@ class TestExtraDetail:
 
     def test_explicit_tracer_argument_wins(self):
         explicit = Tracer(clock=LogicalClock(), process="mine")
-        graph = random_task_graph(1, num_tasks=6)
-        pool = make_pool(2)
-        schedule = generate_schedule(
-            graph, [w.name for w in pool], 1, CONFIG
-        )
+        graph, pool, schedule = seeded_chaos(1, 1, 6, 2, CONFIG)
         ResilientServer(pool).run(
             graph, chaos=schedule, tracer=explicit
         )

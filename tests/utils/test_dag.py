@@ -68,7 +68,54 @@ def longest_path_from(edges, weight, node) -> float:
     )
 
 
+@st.composite
+def task_sets(draw):
+    """``(consumed, producer)`` over up to 8 tasks and 10 objects: a
+    task reads, then updates, objects drawn with repeats (so one object
+    may be read and updated); an object has a producer or none, and a
+    task may consume its own product."""
+    tasks = [f"t{index}" for index in range(draw(st.integers(1, 8)))]
+    objects = [f"o{index}" for index in range(10)]
+    producer = draw(st.dictionaries(st.sampled_from(objects),
+                                    st.sampled_from(tasks)))
+    consumed = {
+        task: draw(st.lists(st.sampled_from(objects), max_size=6))
+        + draw(st.lists(st.sampled_from(objects), max_size=3))
+        for task in tasks
+    }
+    return consumed, producer
+
+
+def brute_force_edges(consumed, producer):
+    """The edge rule as stated: each task's distinct producers, first
+    occurrence first, and each task's dependents in declaration order."""
+    dependencies = {}
+    for task, objects in consumed.items():
+        upstream = [producer[obj] for obj in objects if obj in producer]
+        dependencies[task] = [source for index, source in enumerate(upstream)
+                              if source not in upstream[:index]]
+    return dependencies, {
+        task: [other for other in consumed if task in dependencies[other]]
+        for task in consumed
+    }
+
+
 class TestDependencyEdges:
+    @settings(max_examples=examples())
+    @given(task_sets())
+    def test_equals_the_rule_stated_by_brute_force(self, task_set):
+        assert dag.dependency_edges(*task_set) == brute_force_edges(*task_set)
+
+    def test_a_task_reading_2000_producers_keeps_them_all_in_order(self):
+        producers = [f"p{index}" for index in range(2000)]
+        consumed = dict.fromkeys(producers, ())
+        consumed["wide"] = [f"o{index}" for index in range(2000)] * 2
+        dependencies, consumers = dag.dependency_edges(consumed, {
+            f"o{index}": name for index, name in enumerate(producers)
+        })
+        assert dependencies["wide"] == producers
+        assert all(consumers[name] == ["wide"] for name in producers)
+
     def test_reads_and_updates_both_order_a_task(self):
         dependencies, consumers = dag.dependency_edges(
             {"make": ["raw"], "read": ["x"], "patch": ["y", "x"]},
@@ -163,10 +210,13 @@ class TestBottomLevels:
             node: data.draw(st.floats(min_value=0.0, max_value=10.0))
             for node in edges
         }
-        levels = dag.bottom_levels(edges, weight)
-        assert levels == {
+        expected = {
             node: longest_path_from(edges, weight, node) for node in edges
         }
+        assert dag.bottom_levels(edges, weight) == expected
+        # and over the reversed Kahn order, as the engine folds them
+        order = reversed(dag.topological_order(edges))
+        assert dag.bottom_levels(edges, weight, order) == expected
 
     @settings(max_examples=examples())
     @given(digraphs(acyclic=False))

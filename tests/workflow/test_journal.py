@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chaos import ChaosConfig, generate_schedule, random_task_graph
+from repro.chaos import ChaosConfig
 from repro.errors import JournalError
 from repro.core.store import decode, encode
 from repro.workflow.journal import (
@@ -41,7 +41,7 @@ from repro.workflow.recovery import ResilientServer
 from repro.workflow.replay import ReplayState, replay_records
 from repro.workflow.runstore import RunStore
 
-from tests.chaos.conftest import make_pool
+from tests.chaos.conftest import seeded_chaos
 from tests.conftest import examples
 
 CONFIG = ChaosConfig(crashes=1, link_faults=1, reconfig_faults=0,
@@ -51,11 +51,8 @@ CONFIG = ChaosConfig(crashes=1, link_faults=1, reconfig_faults=0,
 def journaled_run(directory, graph_seed=0, fault_seed=0,
                   snapshot_every=20):
     """One durable chaos run; returns its decoded journal records."""
-    graph = random_task_graph(graph_seed, num_tasks=8)
-    pool = make_pool(3)
-    schedule = generate_schedule(
-        graph, [w.name for w in pool], fault_seed, CONFIG
-    )
+    graph, pool, schedule = seeded_chaos(graph_seed, fault_seed, 8,
+                                         config=CONFIG)
     with RunJournal(directory, snapshot_every=snapshot_every) as journal:
         ResilientServer(pool).run(
             graph, chaos=schedule, journal=journal
@@ -217,11 +214,7 @@ def test_runstore_roundtrip_and_gc(tmp_path):
     run_id, journal = store.create_run(
         "chaos", {"graph_seed": 0}, snapshot_every=20
     )
-    graph = random_task_graph(0, num_tasks=8)
-    pool = make_pool(3)
-    schedule = generate_schedule(
-        graph, [w.name for w in pool], 0, CONFIG
-    )
+    graph, pool, schedule = seeded_chaos(0, 0, 8, config=CONFIG)
     with journal:
         ResilientServer(pool).run(graph, chaos=schedule, journal=journal)
     rows = store.list_runs()

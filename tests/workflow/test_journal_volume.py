@@ -24,7 +24,7 @@ from collections import Counter
 
 import pytest
 
-from repro.chaos import generate_schedule, random_task_graph
+from repro.chaos import random_task_graph
 from repro.core.store import encode
 from repro.obs import Tracer
 from repro.workflow.journal import (
@@ -47,7 +47,7 @@ from repro.workflow.tracing import (
     TASK_CATEGORY,
 )
 
-from tests.chaos.conftest import CONFIG, FAULT_SEEDS, GRAPH_SEEDS, make_pool
+from tests.chaos.conftest import FAULT_SEEDS, GRAPH_SEEDS, make_pool, seeded_chaos
 
 #: Fields of the replayed state the fold derives from tracer events
 #: (``events`` itself is the record count, which the filter changes).
@@ -77,12 +77,8 @@ def chaos_run(directory, graph_seed, fault_seed, paid=(),
               **journal_options):
     """One cell of the 5 x 4 chaos grid, journaled; the ``paid`` tasks
     have a payload."""
-    graph = random_task_graph(graph_seed, num_tasks=10)
+    graph, pool, schedule = seeded_chaos(graph_seed, fault_seed)
     give_payloads(graph, paid)
-    pool = make_pool(3)
-    schedule = generate_schedule(
-        graph, [worker.name for worker in pool], fault_seed, CONFIG
-    )
     assert schedule.task_faults()
     return journaled_run(directory, graph, pool, chaos=schedule,
                          **journal_options)

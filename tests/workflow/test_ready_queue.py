@@ -24,12 +24,7 @@ mid-graph object while its consumer is queued.
 
 import pytest
 
-from repro.chaos import (
-    ChaosSchedule,
-    WorkerCrash,
-    generate_schedule,
-    random_task_graph,
-)
+from repro.chaos import ChaosSchedule, WorkerCrash, random_task_graph
 from repro.obs import Tracer
 from repro.workflow import recovery
 from repro.workflow.graph import TaskGraph, WorkflowTask
@@ -38,7 +33,7 @@ from repro.workflow.scheduler import SchedulerPolicy, make_policy
 from repro.workflow.tracing import RECOVERY_CATEGORY, TASK_CATEGORY
 
 from tests import goldens
-from tests.chaos.conftest import CONFIG, FAULT_SEEDS, GRAPH_SEEDS, make_pool
+from tests.chaos.conftest import FAULT_SEEDS, GRAPH_SEEDS, make_pool, seeded_chaos
 
 POLICIES = ("fifo", "b-level", "locality")
 
@@ -154,11 +149,7 @@ CHAOS_GRID = [f"{policy}/{graph_seed}/{fault_seed}"
 def checked_chaos_trace(key):
     """The trace of one grid cell, run under the contract checks."""
     policy_name, graph_seed, fault_seed = key.split("/")
-    graph = random_task_graph(int(graph_seed), num_tasks=10)
-    pool = make_pool(3)
-    schedule = generate_schedule(
-        graph, [worker.name for worker in pool], int(fault_seed), CONFIG
-    )
+    graph, pool, schedule = seeded_chaos(int(graph_seed), int(fault_seed))
     _policy, trace = run_checked(graph, pool, policy_name, chaos=schedule)
     return trace.to_dict()
 

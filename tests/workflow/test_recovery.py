@@ -5,11 +5,13 @@ import pytest
 from repro.chaos import ChaosSchedule, ReconfigFault, WorkerCrash
 from repro.errors import WorkflowError
 from repro.workflow.graph import DataObject, TaskGraph, WorkflowTask
+from repro.workflow.journal import RunJournal
 from repro.workflow.recovery import (
     RecoveryStats,
     ResilientServer,
     _Run,
 )
+from repro.workflow.scheduler import POLICIES, make_policy
 from tests.chaos.conftest import chain_graph, make_pool as pool
 
 
@@ -217,6 +219,21 @@ class TestEdgeCases:
         # same-timestamp crashes resolve deterministically
         replay, _stats = run_once()
         assert replay.to_json() == trace.to_json()
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_a_task_wider_than_every_worker_is_refused_up_front(
+            self, policy, tmp_path):
+        """Refused before the first event (the journal holds not even
+        a header), not left to drain the simulator (SIM002)."""
+        graph = TaskGraph("wide")
+        graph.add_task(WorkflowTask("t", outputs=["o"], cpus=4))
+        server = ResilientServer(pool(1), policy=make_policy(policy))  # w0, 2 cpus
+        with RunJournal(tmp_path) as journal, pytest.raises(
+                WorkflowError, match="^task 't' requests 4 cpus but the "
+                "largest worker offers 2$") as refused:
+            server.run(graph, journal=journal)
+        assert [d.code for d in refused.value.diagnostics.items] == ["WF003"]
+        assert not journal.path.exists()
 
 
 def hand_built_run(workers, faults=()):
