@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    python -m repro compile  KERNELS.edsl [--strategy ...] [--space ...]
+    python -m repro compile  KERNELS.edsl [--space small|thorough]
     python -m repro synth    KERNELS.edsl --kernel NAME [--unroll N]
     python -m repro explore  KERNELS.edsl --kernel NAME [--bound-guided]
     python -m repro perf     KERNELS.edsl --kernel NAME [--format json]
@@ -137,7 +137,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
     for function in module.functions():
         name = function.name
         explorer = Explorer(module, name, space, digest=digest)
-        result = explorer.run(args.strategy)
+        result = explorer.run()
         best_latency = result.best_latency()
         best_energy = result.best_energy()
         table.add_row(
@@ -172,10 +172,10 @@ def cmd_explore(args: argparse.Namespace) -> int:
     explorer = Explorer(module, args.kernel, space,
                         bound_guided=args.bound_guided)
     before = dse_cache.cost_cache().stats.snapshot()
-    result = explorer.run(args.strategy)
+    result = explorer.run()
     table = Table(
         f"design space of {args.kernel!r} "
-        f"({result.evaluations} points, {args.strategy})",
+        f"({result.evaluations} points, exhaustive)",
         ["variant", "latency us", "energy uJ", "feasible", "on front"],
     )
     front_ids = {v.variant_id for v in result.front}
@@ -302,7 +302,7 @@ def cmd_emit(args: argparse.Namespace) -> int:
 #: --resume (for `repro chaos`: ``launcher.CHAOS_RECIPE_KEYS``). A run
 #: recorded with keys no longer listed here still resumes: see
 #: :meth:`RunStore.open <repro.workflow.runstore.RunStore.open>`.
-_RUN_RECIPE_KEYS = ("file", "strategy", "clock")
+_RUN_RECIPE_KEYS = ("file", "clock")
 
 
 def _run_durably(args: argparse.Namespace, kind: str, recipe_keys,
@@ -345,7 +345,7 @@ def _run_traced(args: argparse.Namespace, journal=None, resume=None):
     _configure_dse_caches(args)
     return run_traced(
         args.file, clock=getattr(args, "clock", "logical"),
-        strategy=args.strategy, journal=journal, resume=resume,
+        journal=journal, resume=resume,
     )
 
 
@@ -804,7 +804,6 @@ def _add_cache_flags(parser: argparse.ArgumentParser,
 def _add_space_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--space", default="small",
                         choices=("small", "thorough"))
-    parser.add_argument("--strategy", default="exhaustive")
 
 
 def _add_journal_dir(parser: argparse.ArgumentParser) -> None:
@@ -903,8 +902,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_explore.add_argument(
         "--bound-guided", action="store_true",
         help="order points by their analytic lower bound and skip "
-             "points the bound proves off-front (exhaustive strategy "
-             "only; identical front, fewer pricings)",
+             "points the bound proves off-front (identical front, "
+             "fewer pricings)",
     )
     _add_cache_flags(p_explore)
     p_explore.set_defaults(func=cmd_explore)
@@ -999,7 +998,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="compile a spec and deploy it on the reference ecosystem",
     )
     p_run.add_argument("file", help=".edsl or .py kernel spec")
-    p_run.add_argument("--strategy", default="exhaustive")
     p_run.add_argument(
         "--clock", default="logical", choices=("logical", "wall"),
         help="trace clock: logical = deterministic (byte-identical "

@@ -73,14 +73,12 @@ class EverestCompiler:
         self,
         space: Optional[DesignSpace] = None,
         model: Optional[ArchitectureModel] = None,
-        strategy: str = "exhaustive",
         signing_key: str = "everest-demo-key",
         emit_artifacts: bool = True,
         static_checks: bool = True,
     ):
         self.space = space or DesignSpace.small()
         self.model = model or ArchitectureModel()
-        self.strategy = strategy
         self.signing_key = signing_key
         self.emit_artifacts = emit_artifacts
         self.static_checks = static_checks
@@ -151,7 +149,7 @@ class EverestCompiler:
                     requirements=list(task.requirements),
                     digest=digest,
                 )
-                result = explorer.run(self.strategy)
+                result = explorer.run()
                 app.exploration[kernel] = result
                 # Package every feasible variant: points off the Pareto
                 # front still matter at run time, when contention or

@@ -1,31 +1,25 @@
-"""Design-space exploration strategies.
+"""Design-space exploration: every distinct point of a
+:class:`~repro.core.dse.space.DesignSpace` is priced.
 
-Three searchers over :class:`~repro.core.dse.space.DesignSpace`:
+The space enumerates only distinct points, and the spaces here are
+small enough to price whole (1500 points for ``thorough()``), so there
+is one search, :meth:`Explorer.exhaustive`. It returns an
+:class:`ExplorationResult` with every evaluated variant and the Pareto
+front, and honors non-functional requirements by marking variants that
+violate them infeasible.
 
-* ``exhaustive`` — evaluate every point (the default; spaces here are
-  small enough);
-* ``random`` — sample a budgeted subset;
-* ``evolutionary`` — (mu+lambda) mutation search using single-knob
-  neighborhoods, for the ablation benchmark comparing strategies.
-
-All return an :class:`ExplorationResult` with every evaluated variant
-and the Pareto front, and honor non-functional requirements by marking
-variants that violate them infeasible.
-
-There is one loop and one pricing routine. Every strategy hands
+There is one loop and one pricing routine. The search hands
 :meth:`Explorer._evaluate_points` *which points, in which order, in
-batches of what size, skipping which*; every batch — and the
-evolutionary search's single points — is priced by
+batches of what size, skipping which*; every batch is priced by
 :meth:`Explorer._price`, which is
 :func:`repro.core.dse.cost_model._evaluate_batch` (static partition
 gate, cost-cache ``get``, the misses priced and stored in one
-``put_many``) under
-a muted observation, followed by the requirement check. All of that
-runs on the thread that called the strategy; with ``workers > 1`` only
-the *misses* of a batch leave it, for a thread pool's or the process
-pool's ``map``. The result is bit-for-bit identical to a serial run:
-costs are computed by a pure function of the point, batch boundaries
-do not depend on ``workers``, and
+``put_many``) under a muted observation, followed by the requirement
+check. All of that runs on the thread that called :meth:`Explorer.run`;
+with ``workers > 1`` only the *misses* of a batch leave it, for a
+thread pool's or the process pool's ``map``. The result is bit-for-bit
+identical to a serial run: costs are computed by a pure function of
+the point, batch boundaries do not depend on ``workers``, and
 :class:`~repro.core.variants.Variant` records are materialized in
 submission order on the main thread. Fronts are maintained with the
 incremental :class:`~repro.core.dse.pareto.ParetoFront`, so the
@@ -33,7 +27,7 @@ front-growth curve costs O(n·front) instead of O(n³).
 
 Three checks can spare a point the pricing, in this order. While a
 batch is filled, the two ``skip`` filters of **bound-guided**
-exploration (``Explorer(..., bound_guided=True)``, exhaustive only):
+exploration (``Explorer(..., bound_guided=True)``):
 points are offered in ascending order of their analytic lower bound
 (:func:`repro.core.dse.cost_model.bound_for`), and a point is dropped
 entirely when its *bound* already violates a requirement or is
@@ -66,7 +60,7 @@ from repro.core.dse.cost_model import (
 )
 from repro.core.dse.pareto import ParetoFront
 from repro.core.dse.pool import create_pool, price_point
-from repro.core.dse.space import DesignSpace, neighborhood
+from repro.core.dse.space import DesignSpace
 from repro.core.dsl.annotations import Requirement, RequirementKind
 from repro.core.ir.digest import module_digest
 from repro.core.ir.module import Module
@@ -74,10 +68,6 @@ from repro.core.ir.printer import print_module
 from repro.core.variants import CostEstimate, Variant, VariantKnobs
 from repro.errors import DSEError
 from repro.obs import Observation, current_metrics, current_tracer, observe
-from repro.utils.rng import deterministic_rng
-
-#: Parents an evolutionary search keeps (its mu, and its initial draw).
-POPULATION = 4
 
 #: Tracer category for exploration spans and front-growth events.
 DSE_CATEGORY = "dse.explore"
@@ -143,7 +133,11 @@ class ExplorationResult:
     kernel: str
     evaluated: List[Variant] = field(default_factory=list)
     front: List[Variant] = field(default_factory=list)
-    evaluations: int = 0
+
+    @property
+    def evaluations(self) -> int:
+        """How many points were priced."""
+        return len(self.evaluated)
 
     @property
     def feasible(self) -> List[Variant]:
@@ -202,7 +196,7 @@ class ExplorationResult:
 
 
 class Explorer:
-    """Runs one exploration strategy for one kernel.
+    """Explores one kernel's design space.
 
     ``workers`` sets the width of the pool a batch's cache misses are
     priced on; 1 (the default) prices inline. ``workers_mode`` picks
@@ -345,7 +339,6 @@ class Explorer:
         """Record one priced point, in order, on the main thread."""
         variant = Variant(kernel=self.kernel, knobs=knobs, cost=cost)
         result.evaluated.append(variant)
-        result.evaluations += 1
         front.add(variant)
         return variant
 
@@ -440,78 +433,15 @@ class Explorer:
         result.front = front.variants()
         return result
 
-    def random(self, budget: int = 16, seed: str = "dse"
-               ) -> ExplorationResult:
-        """Sample ``budget`` distinct points uniformly."""
-        points = list(self.space.points())
-        rng = deterministic_rng("dse-random", seed, self.kernel)
-        count = min(budget, len(points))
-        chosen = rng.choice(len(points), size=count, replace=False)
-        result = ExplorationResult(kernel=self.kernel)
-        front = ParetoFront()
-        self._evaluate_points(
-            [points[int(index)] for index in chosen], result, front
-        )
-        result.front = front.variants()
-        return result
-
-    def evolutionary(self, budget: int = 24, seed: str = "dse"
-                     ) -> ExplorationResult:
-        """(mu+lambda) single-knob-mutation search over a population of
-        ``POPULATION`` parents."""
-        points = list(self.space.points())
-        rng = deterministic_rng("dse-evo", seed, self.kernel)
-        result = ExplorationResult(kernel=self.kernel)
-        front = ParetoFront()
-        # Unexplored points in space order, maintained incrementally:
-        # dict preserves insertion order, so materializing the stall
-        # fallback is O(|unseen|) instead of rescanning the whole
-        # space against a ``seen`` set every stall iteration.
-        unseen: Dict[VariantKnobs, None] = dict.fromkeys(points)
-
-        def evaluate(knobs: VariantKnobs) -> Variant:
-            unseen.pop(knobs, None)
-            (cost,) = self._price([knobs])
-            return self._admit(knobs, cost, result, front)
-
-        initial_indices = rng.choice(
-            len(points), size=min(POPULATION, len(points)), replace=False
-        )
-        initial = [points[int(i)] for i in initial_indices]
-        for knobs in initial:
-            unseen.pop(knobs, None)
-        parents = self._evaluate_points(initial, result, front)
-
-        while result.evaluations < budget:
-            parents.sort(key=lambda v: (
-                not v.cost.feasible, v.cost.latency_s * v.cost.energy_j
-            ))
-            parents = parents[:POPULATION]
-            parent = parents[int(rng.integers(len(parents)))]
-            neighbors = [
-                knobs for knobs in neighborhood(parent.knobs, self.space)
-                if knobs in unseen
-            ]
-            if not neighbors:
-                remaining = list(unseen)
-                if not remaining:
-                    break
-                choice = remaining[int(rng.integers(len(remaining)))]
-            else:
-                choice = neighbors[int(rng.integers(len(neighbors)))]
-            parents.append(evaluate(choice))
-
-        result.front = front.variants()
-        return result
-
     def run(self, strategy: str = "exhaustive") -> ExplorationResult:
-        """Dispatch by strategy name; traces and meters the run."""
+        """Explore exhaustively; traces and meters the run.
+
+        ``strategy`` names the one search, ``"exhaustive"``, for
+        callers that still pass it; any other name is a ``DSEError``.
+        """
+        if strategy != "exhaustive":
+            raise DSEError(f"unknown exploration strategy {strategy!r}")
         tracer = current_tracer()
-        if self.bound_guided and strategy != "exhaustive":
-            raise DSEError(
-                "bound-guided exploration requires the exhaustive "
-                f"strategy, not {strategy!r}"
-            )
         prepared_before = prepared_cache().stats.snapshot()
         cost_before = cost_cache().stats.snapshot()
         self._pruned = self._bound_pruned = 0
@@ -519,16 +449,7 @@ class Explorer:
             with tracer.span(f"explore:{self.kernel}",
                              category=DSE_CATEGORY,
                              strategy=strategy) as span:
-                if strategy == "exhaustive":
-                    result = self.exhaustive()
-                elif strategy == "random":
-                    result = self.random()
-                elif strategy == "evolutionary":
-                    result = self.evolutionary()
-                else:
-                    raise DSEError(
-                        f"unknown exploration strategy {strategy!r}"
-                    )
+                result = self.exhaustive()
                 span.note(
                     evaluations=result.evaluations,
                     front=len(result.front),

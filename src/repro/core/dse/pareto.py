@@ -88,31 +88,6 @@ def pareto_front(variants: Sequence[Variant]) -> List[Variant]:
     return ParetoFront(variants).variants()
 
 
-def hypervolume_2d(
-    variants: Sequence[Variant],
-    reference: Tuple[float, float],
-) -> float:
-    """Dominated hypervolume against a (latency, energy) reference.
-
-    Standard 2-D sweep: sort by latency and accumulate rectangles.
-    Larger is better; used to compare exploration strategies.
-    """
-    front = pareto_front(list(variants))
-    points = sorted(
-        (v.cost.latency_s, v.cost.energy_j)
-        for v in front
-        if v.cost.latency_s <= reference[0]
-        and v.cost.energy_j <= reference[1]
-    )
-    volume = 0.0
-    previous_energy = reference[1]
-    for latency, energy in points:
-        if energy < previous_energy:
-            volume += (reference[0] - latency) * (previous_energy - energy)
-            previous_energy = energy
-    return volume
-
-
 def knee_point(variants: Sequence[Variant]) -> Variant:
     """The balanced variant: minimal normalized distance to utopia."""
     front = pareto_front(list(variants))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence
+from typing import Dict, Iterator, Sequence
 
 from repro.core.variants import VariantKnobs
 from repro.errors import DSEError
@@ -102,20 +102,3 @@ class DesignSpace:
             interleaves=(1, 8),
         )
 
-
-def neighborhood(knobs: VariantKnobs, space: DesignSpace
-                 ) -> List[VariantKnobs]:
-    """Points differing from ``knobs`` in exactly one knob.
-
-    Used by the evolutionary explorer for mutation.
-    """
-    neighbors: List[VariantKnobs] = []
-    attributes = ("target", *space._knob_values())
-    for candidate in space.points():
-        differences = 0
-        for attribute in attributes:
-            if getattr(candidate, attribute) != getattr(knobs, attribute):
-                differences += 1
-        if differences == 1:
-            neighbors.append(candidate)
-    return neighbors

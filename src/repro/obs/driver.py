@@ -76,7 +76,6 @@ class TracedRun:
 def run_traced(
     path: str,
     clock: str = "logical",
-    strategy: str = "exhaustive",
     journal: Optional["RunJournal"] = None,
     resume: Optional["ReplayState"] = None,
 ) -> TracedRun:
@@ -97,8 +96,7 @@ def run_traced(
     pipeline = pipeline_from_sources(name, load_kernel_sources(path))
     obs = session(deterministic=clock == "logical")
     with observe(obs):
-        compiler = EverestCompiler(strategy=strategy,
-                                   emit_artifacts=False)
+        compiler = EverestCompiler(emit_artifacts=False)
         app = compiler.compile(pipeline)
         ecosystem = build_reference_ecosystem()
         report = Orchestrator(ecosystem).deploy(

@@ -229,8 +229,13 @@ class RunStore:
 
         Recipes are compared on the keys ``recipe`` names. A key only
         the recorded recipe holds is one a later build stopped
-        recording (``repro run``'s ``workers`` / ``workers_mode``); it
-        cannot change the run, so it does not block the resume.
+        recording (``repro run``'s ``workers`` / ``workers_mode`` /
+        ``strategy``); it does not block the resume. The pool keys
+        never changed a run. A run recorded under a strategy other
+        than ``exhaustive`` either selected the same variants, and is
+        the same run, or other ones, whose task durations change the
+        graph digest the engine's journal header check compares
+        (``WF009``).
         """
         if recipe is not None and not (
             run_id and (self.root / run_id / META_FILE).exists()

@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from repro.core.dse.cache import cost_cache
 from repro.core.dse.explorer import Explorer
 from repro.core.dse.space import DesignSpace
 from repro.core.dsl.annotations import Requirement, RequirementKind
@@ -95,12 +96,17 @@ class TestDeterminism:
 
 
 class TestGuardsAndFallbacks:
-    def test_non_exhaustive_strategy_rejected(self, gemm_module):
+    @pytest.mark.parametrize("strategy", ["random", "evolutionary"])
+    def test_non_exhaustive_strategy_rejected(self, gemm_module, strategy):
+        """The bound filter rides on the one search; a budgeted search
+        name is refused before any bound is derived or point priced."""
         explorer = Explorer(
             gemm_module, "gemm", space=space_16(), bound_guided=True,
         )
-        with pytest.raises(DSEError, match="exhaustive"):
-            explorer.run("random")
+        before = cost_cache().stats.snapshot()
+        with pytest.raises(DSEError, match="unknown exploration strategy"):
+            explorer.run(strategy)
+        assert cost_cache().stats.delta(before).misses == 0
 
     def test_missing_bounds_fall_back_to_plain(
         self, gemm_module, monkeypatch

@@ -1,4 +1,6 @@
-"""Tests for the cost model and exploration strategies."""
+"""Tests for the cost model and the explorer."""
+
+import json
 
 import pytest
 
@@ -7,11 +9,12 @@ from repro.core.dse.cost_model import (
     evaluate_variant,
     price_variant,
 )
-from repro.core.dse.explorer import Explorer
+from repro.core.dse.explorer import DSE_CATEGORY, ExplorationResult, Explorer
 from repro.core.dse.space import DesignSpace
 from repro.core.dsl.annotations import Requirement, RequirementKind
 from repro.core.variants import VariantKnobs
 from repro.errors import DSEError
+from repro.obs import observe, session
 from repro.platform.resources import FPGAResources
 
 
@@ -115,27 +118,6 @@ class TestExplorer:
         assert fastest.cost.latency_s <= frugal.cost.latency_s
         assert frugal.cost.energy_j <= fastest.cost.energy_j
 
-    def test_random_respects_budget(self, stream_module):
-        explorer = Explorer(stream_module, "stream",
-                            DesignSpace.small())
-        result = explorer.random(budget=2)
-        assert result.evaluations == 2
-
-    def test_random_deterministic_by_seed(self, stream_module):
-        explorer = Explorer(stream_module, "stream",
-                            DesignSpace.small())
-        first = explorer.random(budget=3, seed="s1")
-        second = explorer.random(budget=3, seed="s1")
-        assert [v.knobs for v in first.evaluated] == \
-            [v.knobs for v in second.evaluated]
-
-    def test_evolutionary_budget(self, stream_module):
-        explorer = Explorer(stream_module, "stream",
-                            DesignSpace.small())
-        result = explorer.evolutionary(budget=6)
-        assert result.evaluations <= 6
-        assert result.front
-
     def test_requirement_filters_variants(self, stream_module):
         tight = Requirement(RequirementKind.LATENCY, 1e-9)
         explorer = Explorer(
@@ -147,7 +129,54 @@ class TestExplorer:
         with pytest.raises(DSEError):
             result.best_latency()
 
-    def test_unknown_strategy(self, stream_module):
+    @pytest.mark.parametrize("strategy", [
+        "random", "evolutionary", "simulated-annealing", "Exhaustive", "",
+    ])
+    def test_unknown_strategy(self, stream_module, strategy):
         explorer = Explorer(stream_module, "stream")
-        with pytest.raises(DSEError):
-            explorer.run("simulated-annealing")
+        with pytest.raises(DSEError, match="unknown exploration strategy"):
+            explorer.run(strategy)
+
+    @pytest.mark.parametrize("space", [
+        DesignSpace.small(), DesignSpace(), DesignSpace.thorough(),
+    ], ids=["small", "default", "thorough"])
+    def test_run_prices_each_distinct_point_once(self, stream_module,
+                                                 space):
+        result = Explorer(stream_module, "stream", space).run()
+        assert [v.knobs for v in result.evaluated] == list(space.points())
+        assert result.evaluations == space.size()
+
+    def test_run_defaults_to_exhaustive(self, stream_module):
+        explorer = Explorer(stream_module, "stream", DesignSpace.small())
+        assert explorer.run().to_json() \
+            == explorer.run("exhaustive").to_json() \
+            == explorer.exhaustive().to_json()
+
+    def test_run_still_labels_its_search_exhaustive(self, stream_module):
+        """The explore span's attribute and the metric label keep the
+        value they always had, so traces and metrics read as before."""
+        with observe(session(deterministic=True)) as obs:
+            result = Explorer(stream_module, "stream",
+                              DesignSpace.small()).run()
+        [span] = [event for event in obs.tracer.spans(DSE_CATEGORY)
+                  if event.name == "explore:stream"]
+        assert span.args["strategy"] == "exhaustive"
+        assert obs.metrics.counter("dse.evaluations").value(
+            kernel="stream", strategy="exhaustive") == result.evaluations
+
+
+class TestExplorationResult:
+    def test_evaluations_is_the_evaluated_count(self, stream_module):
+        """One count: ``to_json`` still emits it, for the goldens."""
+        result = Explorer(stream_module, "stream",
+                          DesignSpace.small()).run()
+        assert json.loads(result.to_json())["evaluations"] \
+            == result.evaluations == len(result.evaluated) > 0
+        result.evaluated.pop()
+        assert result.evaluations == len(result.evaluated)
+
+    def test_evaluations_cannot_be_set(self):
+        result = ExplorationResult(kernel="k")
+        with pytest.raises(AttributeError):
+            result.evaluations = 3
+        assert result.evaluations == 0

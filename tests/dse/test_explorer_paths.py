@@ -1,7 +1,7 @@
 """The explorer has one pricing routine; these tests hold it to that.
 
-Every point of every strategy — serial, thread pool, process pool,
-cold or warm — goes through
+Every point — serial, thread pool, process pool, cold or warm,
+bound-guided or not — goes through
 :func:`repro.core.dse.cost_model._evaluate_batch` on the thread that
 called ``run()``: the same cost-cache traffic, the same result, the
 same trace whichever pool prices the misses, and counters that belong
@@ -41,21 +41,19 @@ DEADLINE = Requirement(kind=RequirementKind.LATENCY, value=2.5e-5)
 #: (workers, workers_mode); the first is the reference.
 MODES = [(1, "thread"), (2, "thread"), (2, "process")]
 
-#: (strategy, Explorer options) — bound guidance is exhaustive-only.
+#: Explorer options; the first two carry no deadline.
 SEARCHES = [
-    ("exhaustive", {}),
-    ("random", {}),
-    ("evolutionary", {}),
-    ("exhaustive", {"bound_guided": True}),
-    ("exhaustive", {"bound_guided": True, "requirements": [DEADLINE]}),
+    {},
+    {"bound_guided": True},
+    {"bound_guided": True, "requirements": [DEADLINE]},
 ]
 
 
-def traced_run(explorer, strategy):
+def traced_run(explorer):
     """One run under a deterministic session: everything observable."""
     cost_before = cost_cache().stats.snapshot()
     with observe(session(deterministic=True)) as obs:
-        result = explorer.run(strategy)
+        result = explorer.run()
     traffic = cost_cache().stats.delta(cost_before)
     return {
         "json": result.to_json(),
@@ -76,8 +74,8 @@ class TestCountersBelongToOneRun:
     def test_static_prune_count(self):
         explorer = Explorer(
             partitioned_module(), "k", space=partitioned_space())
-        first = traced_run(explorer, "exhaustive")
-        second = traced_run(explorer, "exhaustive")
+        first = traced_run(explorer)
+        second = traced_run(explorer)
         assert first["pruned"] == second["pruned"] == 1
         assert explorer._pruned == 1
         assert '"pruned":1' in second["trace"].replace(" ", "")
@@ -85,8 +83,8 @@ class TestCountersBelongToOneRun:
     def test_bound_prune_count(self, gemm_module):
         explorer = Explorer(
             gemm_module, "gemm", space=SPACE, bound_guided=True)
-        first = traced_run(explorer, "exhaustive")
-        second = traced_run(explorer, "exhaustive")
+        first = traced_run(explorer)
+        second = traced_run(explorer)
         assert first["bound_pruned"] > 0
         assert second["bound_pruned"] == first["bound_pruned"]
         assert explorer._bound_pruned == first["bound_pruned"]
@@ -94,19 +92,19 @@ class TestCountersBelongToOneRun:
         assert second["json"] == first["json"]
 
 
-@pytest.mark.parametrize("strategy,options", SEARCHES)
+@pytest.mark.parametrize("options", SEARCHES)
 class TestOnePathForEveryPool:
     def test_cold_and_warm_agree_across_modes(
-            self, gemm_module, strategy, options):
+            self, gemm_module, options):
         runs = []
         for workers, workers_mode in MODES:
             clear_caches()
             cold = traced_run(Explorer(
                 gemm_module, "gemm", space=SPACE, workers=workers,
-                workers_mode=workers_mode, **options), strategy)
+                workers_mode=workers_mode, **options))
             warm = traced_run(Explorer(
                 gemm_module, "gemm", space=SPACE, workers=workers,
-                workers_mode=workers_mode, **options), strategy)
+                workers_mode=workers_mode, **options))
             runs.append((cold, warm))
         (reference_cold, reference_warm) = runs[0]
         evaluations = reference_cold["cost"][1]
@@ -125,10 +123,9 @@ class TestCostCacheStaysOnTheCallingThread:
     batch's misses are stored in one ``put_many``."""
 
     @pytest.mark.parametrize("workers,workers_mode", MODES)
-    @pytest.mark.parametrize("strategy,options", SEARCHES[:4])
+    @pytest.mark.parametrize("options", SEARCHES[:2])
     def test_every_get_and_put(self, gemm_module, monkeypatch,
-                               workers, workers_mode, strategy,
-                               options):
+                               workers, workers_mode, options):
         callers = {"get": [], "put_many": []}
         for name in callers:
             inner = getattr(CostCache, name)
@@ -141,7 +138,7 @@ class TestCostCacheStaysOnTheCallingThread:
         explorer = Explorer(
             gemm_module, "gemm", space=SPACE, workers=workers,
             workers_mode=workers_mode, **options)
-        result = explorer.run(strategy)
+        result = explorer.run()
         here = threading.get_ident()
         assert len(callers["get"]) == result.evaluations
         # a cold run: every point a miss, and each miss stored once
@@ -177,7 +174,7 @@ class TestPreparedModulesAreSharedAcrossKernels:
             knobs.target == "fpga" for knobs in SPACE.points())
         before = prepared_cache().stats.snapshot()
         for kernel in ("first", "second"):
-            Explorer(module, kernel, space=SPACE).run("exhaustive")
+            Explorer(module, kernel, space=SPACE).run()
         traffic = prepared_cache().stats.delta(before)
         assert traffic.lookups == 2 * fpga_points
         assert traffic.misses == len(pipelines) == 2

@@ -51,38 +51,30 @@ MODES = [
 ]
 
 
-def explore(module, strategy, workers, workers_mode, space=SPACE):
+def explore(module, workers, workers_mode, space=SPACE):
     """One deterministic exploration; returns (result, trace json)."""
     with observe(session(deterministic=True)) as obs:
         explorer = Explorer(
             module, "gemm", space=space,
             workers=workers, workers_mode=workers_mode,
         )
-        result = explorer.run(strategy)
+        result = explorer.run()
     return result, obs.tracer.to_json()
 
 
 class TestProcessMatchesSerial:
-    @pytest.mark.parametrize("strategy",
-                             ["exhaustive", "random", "evolutionary"])
-    def test_cold_byte_identical(self, gemm_module, strategy):
+    def test_cold_byte_identical(self, gemm_module):
         clear_caches()
-        reference, reference_trace = explore(
-            gemm_module, strategy, 1, "thread"
-        )
+        reference, reference_trace = explore(gemm_module, 1, "thread")
         for workers, workers_mode in MODES[1:]:
             clear_caches()
-            result, trace = explore(
-                gemm_module, strategy, workers, workers_mode
-            )
+            result, trace = explore(gemm_module, workers, workers_mode)
             assert result.to_json() == reference.to_json(), (
                 workers, workers_mode
             )
             assert trace == reference_trace, (workers, workers_mode)
 
-    @pytest.mark.parametrize("strategy",
-                             ["exhaustive", "random", "evolutionary"])
-    def test_cache_stat_deltas_match_serial(self, gemm_module, strategy):
+    def test_cache_stat_deltas_match_serial(self, gemm_module):
         """The parent-owned cost cache must count exactly the same
         hits/misses/stores whether misses are priced in-process or in
         pool children (whose prepared-cache work is merged back). The
@@ -94,7 +86,7 @@ class TestProcessMatchesSerial:
             clear_caches()
             cost_before = cost_cache().stats.snapshot()
             prep_before = prepared_cache().stats.snapshot()
-            explore(gemm_module, strategy, workers, workers_mode)
+            explore(gemm_module, workers, workers_mode)
             deltas.append((
                 cost_cache().stats.delta(cost_before),
                 prepared_cache().stats.delta(prep_before),
@@ -109,9 +101,9 @@ class TestProcessMatchesSerial:
         """With the cost cache warm, the pool must never be consulted:
         every point resolves to a parent-side cache hit."""
         clear_caches()
-        cold, _ = explore(gemm_module, "exhaustive", 2, "process")
+        cold, _ = explore(gemm_module, 2, "process")
         before = cost_cache().stats.snapshot()
-        warm, _ = explore(gemm_module, "exhaustive", 2, "process")
+        warm, _ = explore(gemm_module, 2, "process")
         delta = cost_cache().stats.delta(before)
         assert warm.to_json() == cold.to_json()
         assert delta.misses == 0
@@ -121,9 +113,9 @@ class TestProcessMatchesSerial:
         """Costs priced in children are stored by the parent: a serial
         re-run right after a process run must be all hits."""
         clear_caches()
-        explore(gemm_module, "exhaustive", 3, "process")
+        explore(gemm_module, 3, "process")
         before = cost_cache().stats.snapshot()
-        explore(gemm_module, "exhaustive", 1, "thread")
+        explore(gemm_module, 1, "thread")
         assert cost_cache().stats.delta(before).misses == 0
 
 
@@ -140,7 +132,7 @@ class TestSharedPipelines:
             clear_caches()
             cost_before = cost_cache().stats.snapshot()
             prep_before = prepared_cache().stats.snapshot()
-            result, trace = explore(gemm_module, "exhaustive", workers,
+            result, trace = explore(gemm_module, workers,
                                     workers_mode, SHARING_SPACE)
             runs.append((
                 result.to_json(), trace,

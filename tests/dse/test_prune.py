@@ -33,26 +33,23 @@ class TestStaticConflict:
             None, VariantKnobs(target="fpga", unroll=8)) is None
 
 
-@pytest.mark.parametrize("strategy", ["exhaustive", "random"])
+@pytest.mark.parametrize("bound_guided", [False, True],
+                         ids=["plain", "bound-guided"])
 class TestByteIdentity:
-    def test_pruned_run_serializes_identically(self, strategy):
+    def test_pruned_run_serializes_identically(self, bound_guided):
         module = partitioned_module()
-        pruned = Explorer(
-            module, "k", space=partitioned_space(), prune=True,
-        )
-        result = pruned.run(strategy)
-        baseline = Explorer(
-            module, "k", space=partitioned_space(), prune=False,
-        ).run(strategy)
+        options = dict(space=partitioned_space(), bound_guided=bound_guided)
+        pruned = Explorer(module, "k", prune=True, **options)
+        result = pruned.run()
+        baseline = Explorer(module, "k", prune=False, **options).run()
         assert pruned._pruned > 0
         assert result.to_json() == baseline.to_json()
 
-    def test_parallel_pruned_run_matches_serial(self, strategy):
+    def test_parallel_pruned_run_matches_serial(self, bound_guided):
         module = partitioned_module()
-        serial = Explorer(
-            module, "k", space=partitioned_space(), workers=1).run(strategy)
-        threaded = Explorer(
-            module, "k", space=partitioned_space(), workers=4).run(strategy)
+        options = dict(space=partitioned_space(), bound_guided=bound_guided)
+        serial = Explorer(module, "k", workers=1, **options).run()
+        threaded = Explorer(module, "k", workers=4, **options).run()
         assert serial.to_json() == threaded.to_json()
 
 

@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.core.dse.pareto import (
-    hypervolume_2d,
-    knee_point,
-    pareto_front,
-)
-from repro.core.dse.space import DesignSpace, neighborhood
+from repro.core.dse.pareto import knee_point, pareto_front
+from repro.core.dse.space import DesignSpace
 from repro.core.variants import CostEstimate, VariantKnobs
 from repro.errors import DSEError
 from tests.dse.conftest import make_variant
@@ -40,20 +36,6 @@ class TestDesignSpace:
     def test_thorough_space_large(self):
         assert DesignSpace.thorough().size() > 50
 
-    def test_neighborhood_single_knob(self):
-        space = DesignSpace.small()
-        point = next(iter(space.points()))
-        for neighbor in neighborhood(point, space):
-            differences = sum(
-                1 for attribute in (
-                    "target", "threads", "tile", "unroll",
-                    "memory_strategy", "layout", "clock_hz", "dift",
-                )
-                if getattr(neighbor, attribute)
-                != getattr(point, attribute)
-            )
-            assert differences == 1
-
 
 class TestPareto:
     def test_dominated_removed(self):
@@ -77,17 +59,6 @@ class TestPareto:
         a = make_variant(1.0, 1.0)
         b = make_variant(1.0, 1.0)
         assert len(pareto_front([a, b])) == 1
-
-    def test_hypervolume_monotone(self):
-        small_front = [make_variant(5.0, 5.0)]
-        bigger_front = [make_variant(1.0, 5.0), make_variant(5.0, 1.0),
-                        make_variant(2.0, 2.0)]
-        reference = (10.0, 10.0)
-        assert hypervolume_2d(bigger_front, reference) > \
-            hypervolume_2d(small_front, reference)
-
-    def test_hypervolume_empty(self):
-        assert hypervolume_2d([], (1.0, 1.0)) == 0.0
 
     def test_knee_point_prefers_balance(self):
         fast = make_variant(1.0, 100.0)

@@ -127,6 +127,20 @@ class TestRunTraced:
         with pytest.raises(SpecificationError):
             run_traced(spec_file, clock="sundial")
 
+    def test_takes_no_strategy(self, spec_file):
+        with pytest.raises(TypeError, match="strategy"):
+            run_traced(spec_file, strategy="exhaustive")
+
+    def test_compiler_explores_every_point(self):
+        """The compiler has no search to choose: every kernel's
+        exploration prices each distinct point of the space."""
+        space = DesignSpace.small()
+        app = EverestCompiler(space=space, emit_artifacts=False).compile(
+            pipeline_from_sources("p", [SPEC]))
+        result = app.exploration["blur"]
+        assert [v.knobs for v in result.evaluated] == list(space.points())
+        assert result.evaluations == space.size()
+
     def test_deployment_report_complete(self, spec_file):
         report = run_traced(spec_file).report
         assert report.makespan > 0

@@ -139,6 +139,14 @@ class TestCLI:
         assert "repro compile: error: argument --space: invalid choice" \
             in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["compile", "explore", "run"])
+    def test_no_strategy_flag(self, dsl_file, capsys, command):
+        """Exploration is exhaustive: no subcommand selects a search."""
+        assert _exit_code([command, dsl_file, "--strategy", "exhaustive",
+                           "--kernel", "scale"]) == 2
+        assert "unrecognized arguments: --strategy" \
+            in capsys.readouterr().err
+
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit):
             main([])

@@ -9,6 +9,7 @@ store management commands.
 
 from __future__ import annotations
 
+import json
 import re
 import shutil
 from pathlib import Path
@@ -18,7 +19,7 @@ import pytest
 from repro.cli import main
 from repro.obs.driver import run_traced
 from repro.workflow.journal import JOURNAL_FILE
-from repro.workflow.runstore import RunStore
+from repro.workflow.runstore import META_FILE, RunStore
 
 from tests import goldens
 
@@ -205,7 +206,7 @@ class TestRunRecordedWithRetiredKeys:
         copy = tmp_path / "runs"
         shutil.copytree(POOL_RECIPE_RUNS, copy)
         recipe = RunStore(copy).load_meta("r")["meta"]
-        assert {"workers", "workers_mode"} <= set(recipe)
+        assert {"workers", "workers_mode", "strategy"} <= set(recipe)
         return copy
 
     @pytest.mark.parametrize("killed", [False, True],
@@ -221,9 +222,26 @@ class TestRunRecordedWithRetiredKeys:
         assert trace.digest() in out and ("complete" in out) != killed
         assert RunStore(runs).load_meta("r")["attempts"] == 1 + killed
 
-    def test_another_strategy_is_wf009(self, runs, capsys):
+    @pytest.mark.parametrize("key, value", [
+        ("workers", 4), ("workers_mode", "process"), ("strategy", "random"),
+    ], ids=["workers", "workers_mode", "strategy"])
+    def test_a_retired_key_is_never_compared(self, runs, trace, capsys,
+                                             key, value):
+        """Whatever value the run recorded for a retired key, the same
+        ``repro run`` resumes it and leaves the record as it was."""
+        meta_path = runs / "r" / META_FILE
+        meta = json.loads(meta_path.read_text())
+        meta["meta"][key] = value
+        meta_path.write_text(json.dumps(meta))
         assert main(["run", "examples/quickstart.py", "--run-id", "r",
-                     "--strategy", "random",
+                     "--journal-dir", str(runs)]) == 0
+        out = capsys.readouterr().out
+        assert trace.digest() in out and "complete" in out
+        assert RunStore(runs).load_meta("r")["meta"][key] == value
+
+    def test_another_clock_is_wf009(self, runs, capsys):
+        assert main(["run", "examples/quickstart.py", "--run-id", "r",
+                     "--clock", "wall",
                      "--journal-dir", str(runs)]) == 2
         assert "repro run: error: WF009: run 'r'" in capsys.readouterr().err
         assert RunStore(runs).load_meta("r")["attempts"] == 1
